@@ -15,10 +15,9 @@ use crate::intersect::intersect_group;
 use crate::plan::QueryPlan;
 use crate::prune::pruned_union_topk;
 use crate::stats::QueryOutcome;
-use crate::topk::TopK;
 use crate::union::{union_topk, BulkScratch, UnionStream};
 use boss_index::layout::IndexImage;
-use boss_index::{BlockCache, InvertedIndex, QueryAlgorithm};
+use boss_index::{BlockCache, InvertedIndex, QueryAlgorithm, TopK};
 use boss_scm::AccessCategory;
 
 /// Reusable per-core (or per-worker) query buffers: the top-k queue and

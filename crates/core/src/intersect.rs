@@ -10,10 +10,10 @@
 
 use crate::fetch::{ExecCtx, ListCursor, SkipReason};
 use crate::union::MatStream;
-use boss_index::{DocId, Error, TermId};
+use boss_index::{Error, GroupMatches, TermId};
 
 /// Intersects a group of terms, producing the materialized intermediate
-/// stream (docs ascending, with each member term's tf attached).
+/// stream (docs ascending, one row of member-term tfs per document).
 ///
 /// # Errors
 ///
@@ -36,11 +36,11 @@ pub(crate) fn intersect_group(
 
     let max_score: f32 = order.iter().map(|&t| ctx.index.list(t).max_score()).sum();
 
-    let mut docs: Vec<DocId> = Vec::new();
-    let mut entries: Vec<Vec<(TermId, u32)>> = Vec::new();
+    let mut cur;
     if order.len() == 1 {
         // Degenerate single-term group: materialize the list.
         let first = order[0];
+        cur = GroupMatches::new(&[first]);
         let mut c = ListCursor::new(ctx, first, 0, decomp_fill);
         if ctx.bulk {
             // Block-at-a-time: copy each decoded run wholesale while the
@@ -54,21 +54,16 @@ pub(crate) fn intersect_group(
                     continue;
                 }
                 c.prefetch_next(cache);
-                let n;
-                {
-                    let (rdocs, rtfs) = c.run();
-                    n = rdocs.len();
-                    docs.extend_from_slice(rdocs);
-                    entries.extend(rtfs.iter().map(|&tf| vec![(first, tf)]));
-                }
+                let (rdocs, rtfs) = c.run();
+                let n = rdocs.len();
+                cur.extend_rows(rdocs, rtfs);
                 c.advance_run(ctx, n);
             }
         } else {
             while !c.exhausted() {
                 let d = c.current_doc();
                 if let Some(tf) = c.current_tf(ctx)? {
-                    docs.push(d);
-                    entries.push(vec![(first, tf)]);
+                    cur.push(d, &[tf]);
                     c.advance(ctx)?;
                 }
             }
@@ -77,6 +72,7 @@ pub(crate) fn intersect_group(
         // First pair: 2-way merge with *mutual* overlap checking, so both
         // lists skip the blocks the other cannot reach (Figure 5(a)).
         let (ta, tb) = (order[0], order[1]);
+        cur = GroupMatches::new(&[ta, tb]);
         let mut a = ListCursor::new(ctx, ta, 0, decomp_fill);
         let mut b = ListCursor::new(ctx, tb, 1 % ctx.dec_cycles.len(), decomp_fill);
         while !a.exhausted() && !b.exhausted() {
@@ -91,8 +87,8 @@ pub(crate) fn intersect_group(
                     // progress either way.
                     let (tfa, tfb) = (a.current_tf(ctx)?, b.current_tf(ctx)?);
                     if let (Some(tfa), Some(tfb)) = (tfa, tfb) {
-                        docs.push(da);
-                        entries.push(vec![(ta, tfa), (tb, tfb)]);
+                        // Rows are in ascending term order.
+                        cur.push(da, &if ta < tb { [tfa, tfb] } else { [tfb, tfa] });
                         a.advance(ctx)?;
                         b.advance(ctx)?;
                     }
@@ -103,9 +99,8 @@ pub(crate) fn intersect_group(
 
     for (unit, &term) in order.iter().enumerate().skip(2) {
         let mut c = ListCursor::new(ctx, term, unit % ctx.dec_cycles.len(), decomp_fill);
-        let mut out_docs = Vec::with_capacity(docs.len());
-        let mut out_entries = Vec::with_capacity(entries.len());
-        for (d, mut e) in docs.drain(..).zip(entries.drain(..)) {
+        let (mut next, col) = cur.joined(term);
+        for (i, &d) in cur.docs().iter().enumerate() {
             // Overlap check: the feedback docID drives block skipping in
             // the fetched list (Figure 5(b)).
             c.seek(ctx, d, SkipReason::Block)?;
@@ -115,20 +110,17 @@ pub(crate) fn intersect_group(
             ctx.eval.comparisons += 1;
             if c.current_doc() == d {
                 if let Some(tf) = c.current_tf(ctx)? {
-                    e.push((term, tf));
-                    out_docs.push(d);
-                    out_entries.push(e);
+                    next.push_joined(d, cur.row(i), col, tf);
                 }
             }
         }
-        docs = out_docs;
-        entries = out_entries;
-        if docs.is_empty() {
+        cur = next;
+        if cur.is_empty() {
             break;
         }
     }
 
-    Ok(MatStream::new(docs, entries, max_score))
+    Ok(MatStream::new(cur, max_score))
 }
 
 #[cfg(test)]
@@ -136,7 +128,7 @@ mod tests {
     use super::*;
     use crate::config::BossConfig;
     use boss_index::layout::IndexImage;
-    use boss_index::{reference, IndexBuilder, InvertedIndex, QueryExpr};
+    use boss_index::{reference, DocId, IndexBuilder, InvertedIndex, QueryExpr};
 
     fn corpus() -> InvertedIndex {
         let docs: Vec<String> = (0u32..800)
@@ -182,11 +174,10 @@ mod tests {
     fn pair_intersection_matches_reference() {
         let idx = corpus();
         let (m, _) = run(&idx, &["two", "five"]);
-        assert_eq!(m.docs, expect_docs(&idx, &["two", "five"]));
+        assert_eq!(m.matches.docs(), expect_docs(&idx, &["two", "five"]));
         // Every result carries both terms' tfs.
-        for e in &m.entries {
-            assert_eq!(e.len(), 2);
-        }
+        assert_eq!(m.matches.terms().len(), 2);
+        assert_eq!(m.matches.tfs().len(), 2 * m.matches.len());
     }
 
     #[test]
@@ -194,12 +185,11 @@ mod tests {
         let idx = corpus();
         let (m, _) = run(&idx, &["two", "five", "eleven", "base"]);
         assert_eq!(
-            m.docs,
+            m.matches.docs(),
             expect_docs(&idx, &["two", "five", "eleven", "base"])
         );
-        for e in &m.entries {
-            assert_eq!(e.len(), 4);
-        }
+        assert_eq!(m.matches.terms().len(), 4);
+        assert_eq!(m.matches.tfs().len(), 4 * m.matches.len());
     }
 
     #[test]
@@ -209,7 +199,7 @@ mod tests {
         // something disjoint enough to produce few/no docs — use reference
         // as the oracle either way.
         let (m, _) = run(&idx, &["tail", "eleven"]);
-        assert_eq!(m.docs, expect_docs(&idx, &["tail", "eleven"]));
+        assert_eq!(m.matches.docs(), expect_docs(&idx, &["tail", "eleven"]));
     }
 
     #[test]
@@ -239,7 +229,7 @@ mod tests {
         // Regardless of argument order the result is identical.
         let (a, _) = run(&idx, &["base", "eleven"]);
         let (b, _) = run(&idx, &["eleven", "base"]);
-        assert_eq!(a.docs, b.docs);
+        assert_eq!(a.matches, b.matches);
     }
 
     #[test]
@@ -259,8 +249,7 @@ mod tests {
             };
             let (m0, e0, mem0) = run_with(false);
             let (m1, e1, mem1) = run_with(true);
-            assert_eq!(m0.docs, m1.docs, "{term}");
-            assert_eq!(m0.entries, m1.entries, "{term}");
+            assert_eq!(m0.matches, m1.matches, "{term}");
             assert_eq!(e0, e1, "{term}");
             assert_eq!(mem0, mem1, "{term}");
         }
@@ -290,9 +279,8 @@ mod tests {
         assert!(cache.stats().misses > 0);
         let (m2, eval2, mem2) = run_with(Some(&cache));
         assert!(cache.stats().hits > 0, "second pass hits");
-        assert_eq!(m0.docs, m1.docs);
-        assert_eq!(m0.docs, m2.docs);
-        assert_eq!(m0.entries, m1.entries);
+        assert_eq!(m0.matches, m1.matches);
+        assert_eq!(m0.matches, m2.matches);
         assert_eq!(eval0, eval1);
         assert_eq!(eval0, eval2);
         assert_eq!(mem0, mem1);

@@ -51,13 +51,11 @@ mod plan;
 pub mod pool;
 pub mod power;
 mod prune;
-mod queueing;
 mod stats;
-mod topk;
 mod union;
 
 pub use api::{BossHandle, SearchRequest};
-pub use boss_index::{QueryAlgorithm, ALL_ALGORITHMS};
+pub use boss_index::{QueryAlgorithm, TopK, ALL_ALGORITHMS};
 pub use config::{BossConfig, DegradePolicy, EtMode, TimingModel};
 pub use core::{BossCore, CoreScratch};
 pub use device::{BatchOutcome, BossDevice, SchedPolicy};
@@ -66,6 +64,4 @@ pub use fixed::{topk_overlap, FixedScorer, Q16};
 pub use mai::{Tlb, TlbStats};
 pub use pipeline::TimingFidelity;
 pub use plan::QueryPlan;
-pub use queueing::OpenLoopResult;
 pub use stats::{BlockCacheStats, EvalCounts, QueryOutcome};
-pub use topk::TopK;

@@ -35,9 +35,9 @@
 //! untouched.
 
 use crate::fetch::{ExecCtx, SkipReason};
-use crate::topk::TopK;
 use crate::union::{cannot_beat, drain_wand_tail, BulkScratch, UnionStream};
-use boss_index::{DocId, Error, QueryAlgorithm, TermId};
+use boss_index::matches::canonical_score;
+use boss_index::{DocId, Error, QueryAlgorithm, TermId, TopK};
 
 /// Runs the pruned union + scoring + top-k stage over `streams` with
 /// the chosen algorithm.
@@ -189,14 +189,8 @@ fn wand_union(
         if entries.is_empty() {
             continue;
         }
-        entries.sort_unstable_by_key(|&(t, _)| t);
-        entries.dedup_by_key(|&mut (t, _)| t);
         let norm = ctx.load_norm(pivot);
-        let mut score = 0.0f32;
-        for &(term, tf) in &entries {
-            let idf = ctx.index.term_info(term).idf;
-            score += ctx.index.bm25().term_score(idf, tf, norm);
-        }
+        let score = canonical_score(ctx.index, &mut entries, norm);
         ctx.scored += 1;
         ctx.eval.docs_scored += 1;
         topk.offer(pivot, score);
@@ -355,13 +349,7 @@ fn maxscore_union(
         if abandoned {
             ctx.eval.docs_skipped_prune += 1;
         } else {
-            entries.sort_unstable_by_key(|&(t, _)| t);
-            entries.dedup_by_key(|&mut (t, _)| t);
-            let mut score = 0.0f32;
-            for &(term, tf) in &entries {
-                let idf = ctx.index.term_info(term).idf;
-                score += ctx.index.bm25().term_score(idf, tf, norm);
-            }
+            let score = canonical_score(ctx.index, &mut entries, norm);
             ctx.scored += 1;
             ctx.eval.docs_scored += 1;
             topk.offer(d, score);

@@ -9,8 +9,8 @@
 
 use crate::config::EtMode;
 use crate::fetch::{ExecCtx, ListCursor, SkipReason};
-use crate::topk::TopK;
-use boss_index::{DocId, Error, ScoreScratch, TermId};
+use boss_index::matches::canonical_score;
+use boss_index::{DocId, Error, GroupMatches, ScoreScratch, TermId, TopK};
 
 /// Reusable buffers for the block-at-a-time scoring path: one decoded
 /// run's docIDs plus the matching [`ScoreScratch`]. Held per core/worker
@@ -22,34 +22,31 @@ pub(crate) struct BulkScratch {
 }
 
 /// A materialized intermediate stream (the output of an intersection
-/// group), held in on-chip buffers — BOSS never spills it to memory.
+/// group), held in on-chip buffers — BOSS never spills it to memory. The
+/// host model keeps it as one columnar [`GroupMatches`] plus a cursor.
 #[derive(Debug, Default)]
 pub(crate) struct MatStream {
-    pub docs: Vec<DocId>,
-    /// Per-document `(term, tf)` entries (group size ≤ 4).
-    pub entries: Vec<Vec<(TermId, u32)>>,
+    pub matches: GroupMatches,
     /// Upper bound of this stream's score contribution.
     pub max_score: f32,
     pos: usize,
 }
 
 impl MatStream {
-    pub(crate) fn new(docs: Vec<DocId>, entries: Vec<Vec<(TermId, u32)>>, max_score: f32) -> Self {
-        debug_assert_eq!(docs.len(), entries.len());
+    pub(crate) fn new(matches: GroupMatches, max_score: f32) -> Self {
         MatStream {
-            docs,
-            entries,
+            matches,
             max_score,
             pos: 0,
         }
     }
 
     fn exhausted(&self) -> bool {
-        self.pos >= self.docs.len()
+        self.pos >= self.matches.len()
     }
 
     fn current_doc(&self) -> DocId {
-        self.docs[self.pos]
+        self.matches.docs()[self.pos]
     }
 }
 
@@ -77,6 +74,13 @@ impl<'a> UnionStream<'a> {
         }
     }
 
+    /// The stream's sID — its smallest unevaluated docID — or `None` once
+    /// exhausted. [`union_topk`] caches this per stream and re-reads it
+    /// only after the stream moved.
+    fn head(&self) -> Option<DocId> {
+        (!self.exhausted()).then(|| self.current_doc())
+    }
+
     /// List-level (or group-level) max score: the WAND lookup-table value.
     pub(crate) fn max_score(&self) -> f32 {
         match self {
@@ -96,7 +100,7 @@ impl<'a> UnionStream<'a> {
                 if m.exhausted() {
                     None
                 } else {
-                    Some((m.max_score, *m.docs.last().expect("non-empty")))
+                    m.matches.docs().last().map(|&last| (m.max_score, last))
                 }
             }
         }
@@ -119,7 +123,7 @@ impl<'a> UnionStream<'a> {
                 }
             }
             UnionStream::Mat(m) => {
-                out.extend_from_slice(&m.entries[m.pos]);
+                m.matches.entries_at(m.pos, out);
                 m.pos += 1;
             }
         }
@@ -137,7 +141,7 @@ impl<'a> UnionStream<'a> {
         match self {
             UnionStream::List(c) => c.seek(ctx, target, reason)?,
             UnionStream::Mat(m) => {
-                while !m.exhausted() && m.docs[m.pos] < target {
+                while !m.exhausted() && m.current_doc() < target {
                     m.pos += 1;
                     ctx.eval.comparisons += 1;
                     match reason {
@@ -154,7 +158,7 @@ impl<'a> UnionStream<'a> {
     pub(crate) fn remaining(&self) -> u64 {
         match self {
             UnionStream::List(c) => c.remaining(),
-            UnionStream::Mat(m) => (m.docs.len() - m.pos) as u64,
+            UnionStream::Mat(m) => (m.matches.len() - m.pos) as u64,
         }
     }
 
@@ -229,7 +233,10 @@ pub(crate) fn union_topk(
     topk: &mut TopK,
     bulk: &mut BulkScratch,
 ) -> Result<(), Error> {
-    let mut order: Vec<usize> = Vec::with_capacity(streams.len());
+    // Each stream's sID, re-read only when that stream moves, and the
+    // sorter's `(sID, stream)` list of the live streams.
+    let mut heads: Vec<Option<DocId>> = streams.iter().map(UnionStream::head).collect();
+    let mut order: Vec<(DocId, usize)> = (0..streams.len()).map(|i| (0, i)).collect();
     let mut entries: Vec<(TermId, u32)> = Vec::with_capacity(8);
     // Score loader: the pre-computed LUT is exact for up to 4 streams
     // (the paper's per-core width); wider ganged unions fall back to
@@ -240,8 +247,7 @@ pub(crate) fn union_topk(
     });
 
     loop {
-        order.clear();
-        order.extend((0..streams.len()).filter(|&i| !streams[i].exhausted()));
+        order.retain_mut(|(d, i)| heads[*i].map(|h| *d = h).is_some());
         if order.is_empty() {
             break;
         }
@@ -251,13 +257,20 @@ pub(crate) fn union_topk(
         // scoring kernels. Wall-clock only — the drain replicates every
         // counter and simulated charge of the per-posting iterations.
         if ctx.bulk && order.len() == 1 {
-            if let UnionStream::List(c) = &mut streams[order[0]] {
+            if let UnionStream::List(c) = &mut streams[order[0].1] {
                 drain_single_list(ctx, c, et, topk, bulk)?;
                 break;
             }
         }
-        // ① The sorter orders streams by sID.
-        order.sort_by_key(|&i| streams[i].current_doc());
+        // ① The sorter orders streams by sID, ties by stream index. Few
+        // streams moved since the last round, so insert in place.
+        for j in 1..order.len() {
+            let mut p = j;
+            while p > 0 && order[p - 1] > order[p] {
+                order.swap(p - 1, p);
+                p -= 1;
+            }
+        }
         ctx.eval.pivot_rounds += 1;
         let theta = topk.cutoff();
 
@@ -266,7 +279,7 @@ pub(crate) fn union_topk(
             let mut acc = 0.0f64;
             let mut mask = 0usize;
             let mut found = None;
-            for (pos, &i) in order.iter().enumerate() {
+            for (pos, &(_, i)) in order.iter().enumerate() {
                 acc = match &lut {
                     Some(lut) => {
                         mask |= 1 << i;
@@ -283,7 +296,7 @@ pub(crate) fn union_topk(
                 Some(p) => p,
                 None => {
                     // No document anywhere can beat θ: terminate the query.
-                    for &i in &order {
+                    for &(_, i) in &order {
                         ctx.eval.docs_skipped_wand += streams[i].remaining();
                     }
                     break;
@@ -294,7 +307,7 @@ pub(crate) fn union_topk(
             // sID — every document is considered in order.
             0
         };
-        let pivot = streams[order[pivot_pos]].current_doc();
+        let pivot = order[pivot_pos].0;
 
         // Block-level score estimation (block fetch module). The pivot
         // set is every stream whose current document is <= pivot —
@@ -302,14 +315,14 @@ pub(crate) fn union_topk(
         // position — because any document in the skip window could draw
         // contributions from all of them.
         let mut pivot_end = pivot_pos;
-        while pivot_end + 1 < order.len() && streams[order[pivot_end + 1]].current_doc() == pivot {
+        while pivot_end + 1 < order.len() && order[pivot_end + 1].0 == pivot {
             pivot_end += 1;
         }
         if et != EtMode::Exhaustive {
             let mut ub = 0.0f64;
             let mut min_boundary = DocId::MAX;
             let mut all_have_blocks = true;
-            for &i in &order[..=pivot_end] {
+            for &(_, i) in &order[..=pivot_end] {
                 match streams[i].shallow_block_max(pivot) {
                     Some((m, last)) => {
                         ub += f64::from(m);
@@ -323,8 +336,7 @@ pub(crate) fn union_topk(
             }
             // Streams outside the pivot set must not reach into the skip
             // window: cap it at the next stream's current document.
-            if pivot_end + 1 < order.len() {
-                let next_cur = streams[order[pivot_end + 1]].current_doc();
+            if let Some(&(next_cur, _)) = order.get(pivot_end + 1) {
                 min_boundary = min_boundary.min(next_cur.saturating_sub(1));
             }
             if all_have_blocks && cannot_beat(ub, theta) {
@@ -332,8 +344,9 @@ pub(crate) fn union_topk(
                 if et == EtMode::Full {
                     // WAND's document scheduler can pop below-window docs
                     // even inside fetched blocks: jump the whole pivot set.
-                    for &i in &order[..=pivot_end] {
+                    for &(_, i) in &order[..=pivot_end] {
                         streams[i].seek(ctx, next, SkipReason::Block)?;
+                        heads[i] = streams[i].head();
                     }
                     continue;
                 }
@@ -342,10 +355,11 @@ pub(crate) fn union_topk(
                 // already inside fetched blocks must still be scored — that
                 // is exactly the capability split Figure 14 measures.
                 let mut skipped_any = false;
-                for &i in &order[..=pivot_end] {
+                for &(_, i) in &order[..=pivot_end] {
                     if let Some(last) = streams[i].whole_block_skippable() {
                         if last < next {
                             streams[i].seek(ctx, last.saturating_add(1), SkipReason::Block)?;
+                            heads[i] = streams[i].head();
                             skipped_any = true;
                         }
                     }
@@ -359,13 +373,11 @@ pub(crate) fn union_topk(
 
         // ④ Document scheduler: pop below-pivot documents, then score the
         // pivot if every stream at or below it aligned.
-        let aligned = order[..=pivot_pos]
-            .iter()
-            .all(|&i| streams[i].current_doc() == pivot);
-        if !aligned {
-            for &i in &order[..pivot_pos] {
-                if streams[i].current_doc() < pivot {
+        if order[0].0 < pivot {
+            for &(d, i) in &order[..pivot_pos] {
+                if d < pivot {
                     streams[i].seek(ctx, pivot, SkipReason::Wand)?;
+                    heads[i] = streams[i].head();
                 }
             }
             continue;
@@ -374,10 +386,9 @@ pub(crate) fn union_topk(
         // Gather contributions from every stream positioned at the pivot
         // (streams beyond the pivot position may coincidentally align).
         entries.clear();
-        for &i in &order {
-            if !streams[i].exhausted() && streams[i].current_doc() == pivot {
-                streams[i].take_entries(ctx, &mut entries)?;
-            }
+        for &(_, i) in &order[..=pivot_end] {
+            streams[i].take_entries(ctx, &mut entries)?;
+            heads[i] = streams[i].head();
         }
         // All contributing streams may have fault-skipped their blocks
         // under `SkipBlock`; the pivot document is gone, and every such
@@ -385,18 +396,12 @@ pub(crate) fn union_topk(
         if entries.is_empty() {
             continue;
         }
-        // Distinct terms only: a term shared by several intersection
-        // groups contributes once.
-        entries.sort_unstable_by_key(|&(t, _)| t);
-        entries.dedup_by_key(|&mut (t, _)| t);
 
-        // Scoring module: one norm load, then one fused op per term.
+        // Scoring module: one norm load, then one fused op per distinct
+        // term (a term shared by several intersection groups contributes
+        // once).
         let norm = ctx.load_norm(pivot);
-        let mut score = 0.0f32;
-        for &(term, tf) in &entries {
-            let idf = ctx.index.term_info(term).idf;
-            score += ctx.index.bm25().term_score(idf, tf, norm);
-        }
+        let score = canonical_score(ctx.index, &mut entries, norm);
         ctx.scored += 1;
         ctx.eval.docs_scored += 1;
         topk.offer(pivot, score);
@@ -771,12 +776,7 @@ mod tests {
         let g = idx.term_id("gamma").unwrap();
         let (adocs, atfs) = idx.list(a).decode_all().unwrap();
         let mat = MatStream::new(
-            adocs.clone(),
-            adocs
-                .iter()
-                .zip(&atfs)
-                .map(|(_, &tf)| vec![(a, tf)])
-                .collect(),
+            GroupMatches::from_column(a, adocs, atfs),
             idx.list(a).max_score(),
         );
         let cursor = ListCursor::new(&mut ctx, g, 0, 4);

@@ -3,10 +3,11 @@
 use boss_core::{BossConfig, TimingModel};
 use boss_core::{EvalCounts, QueryOutcome, QueryPlan, TopK};
 use boss_index::layout::{IndexImage, ScratchRegion};
+use boss_index::matches::score_entries;
 use boss_index::prune::{self, PruneSink};
 use boss_index::{
-    decode_block_cached, BlockCache, BlockCacheStats, BlockMeta, DocId, Error, InvertedIndex,
-    QueryAlgorithm, QueryExpr, ScoreScratch, TermId, BLOCK_META_BYTES,
+    decode_block_cached, merge_groups, BlockCache, BlockCacheStats, BlockMeta, DocId, Error,
+    GroupMatches, InvertedIndex, QueryAlgorithm, QueryExpr, ScoreScratch, TermId, BLOCK_META_BYTES,
 };
 use boss_scm::{AccessCategory, AccessKind, MemoryConfig, MemorySim, PatternHint};
 
@@ -154,18 +155,16 @@ impl<'a> Run<'a> {
         Ok((docs, tfs))
     }
 
-    /// Binary-search membership testing of `probe` docs against `term`'s
+    /// Binary-search membership testing of `probe`'s docs against `term`'s
     /// list: the block directory is streamed once into on-chip buffers,
     /// then each probe binary-searches it (comparisons only) and fetches
     /// the matched *data block* with a random access — the access pattern
     /// the BOSS paper criticizes IIU for on SCM.
-    #[allow(clippy::type_complexity)]
     fn membership_intersect(
         &mut self,
-        probe_docs: &[DocId],
-        probe_tfs: &[Vec<(TermId, u32)>],
+        probe: &GroupMatches,
         term: TermId,
-    ) -> Result<(Vec<DocId>, Vec<Vec<(TermId, u32)>>), Error> {
+    ) -> Result<GroupMatches, Error> {
         let list = self.index.list(term);
         let blocks = list.blocks();
         let meta_addr = self.image.meta_addr(term);
@@ -180,12 +179,11 @@ impl<'a> Run<'a> {
             0,
         );
         self.eval.metas_read += blocks.len() as u64;
-        let mut out_docs = Vec::new();
-        let mut out_tfs = Vec::new();
+        let (mut out, col) = probe.joined(term);
         let mut cached_block = usize::MAX;
         let mut bdocs: Vec<DocId> = Vec::new();
         let mut btfs: Vec<u32> = Vec::new();
-        for (i, &d) in probe_docs.iter().enumerate() {
+        for (i, &d) in probe.docs().iter().enumerate() {
             // Binary search over the on-chip directory.
             let mut lo = 0usize;
             let mut hi = blocks.len();
@@ -222,13 +220,10 @@ impl<'a> Run<'a> {
             // Binary search within the decoded block.
             self.eval.comparisons += (bdocs.len().max(2) as u64).ilog2() as u64;
             if let Ok(pos) = bdocs.binary_search(&d) {
-                let mut e = probe_tfs[i].clone();
-                e.push((term, btfs[pos]));
-                out_docs.push(d);
-                out_tfs.push(e);
+                out.push_joined(d, probe.row(i), col, btfs[pos]);
             }
         }
-        Ok((out_docs, out_tfs))
+        Ok(out)
     }
 
     /// Spills an intermediate list to memory and charges its reload.
@@ -271,16 +266,11 @@ impl<'a> Run<'a> {
         self.index.doc_norms()[doc as usize]
     }
 
+    /// Scores one merged document from its canonical entries (distinct
+    /// terms, ascending — what [`merge_groups`] hands out).
     fn score(&mut self, doc: DocId, entries: &[(TermId, u32)]) -> f32 {
         let norm = self.charge_norm(doc);
-        let mut ids: Vec<(TermId, u32)> = entries.to_vec();
-        ids.sort_unstable_by_key(|&(t, _)| t);
-        ids.dedup_by_key(|&mut (t, _)| t);
-        let mut score = 0.0f32;
-        for (t, tf) in ids {
-            let info = self.index.term_info(t);
-            score += self.index.bm25().term_score(info.idf, tf, norm);
-        }
+        let score = score_entries(self.index, entries, norm);
         self.scored += 1;
         self.eval.docs_scored += 1;
         score
@@ -461,43 +451,32 @@ impl<'a> IiuEngine<'a> {
 
         // Each group: SvS with binary-search membership testing, spilling
         // intermediates between iterations; groups then merge exhaustively.
-        let mut merged: std::collections::BTreeMap<DocId, Vec<(TermId, u32)>> =
-            std::collections::BTreeMap::new();
+        let mut groups: Vec<GroupMatches> = Vec::with_capacity(plan.groups().len());
         for group in plan.groups() {
             let mut order: Vec<TermId> = group.clone();
             order.sort_by_key(|&t| self.index.list(t).df());
             let (docs, tfs) = run.load_list(order[0])?;
-            let mut cur_docs = docs;
-            let mut cur_entries: Vec<Vec<(TermId, u32)>> = cur_docs
-                .iter()
-                .zip(&tfs)
-                .map(|(_, &tf)| vec![(order[0], tf)])
-                .collect();
+            let mut cur = GroupMatches::from_column(order[0], docs, tfs);
             for &t in &order[1..] {
-                let (nd, ne) = run.membership_intersect(&cur_docs, &cur_entries, t)?;
-                cur_docs = nd;
-                cur_entries = ne;
+                cur = run.membership_intersect(&cur, t)?;
                 // Intermediate result spilled to memory (the paper's
                 // "unnecessary memory accesses to load/store intermediate
                 // data").
-                run.spill_intermediate(cur_docs.len());
-                if cur_docs.is_empty() {
+                run.spill_intermediate(cur.len());
+                if cur.is_empty() {
                     break;
                 }
             }
-            for (d, e) in cur_docs.into_iter().zip(cur_entries) {
-                run.eval.comparisons += 1;
-                merged.entry(d).or_default().extend(e);
-            }
+            // The merge compares each group match once.
+            run.eval.comparisons += cur.len() as u64;
+            groups.push(cur);
         }
 
         // Score everything; the unsorted scored list goes back to memory
         // for the host (ST Result), 8 bytes per document.
-        let mut scored: Vec<(DocId, f32)> = Vec::with_capacity(merged.len());
-        for (d, e) in &merged {
-            let s = run.score(*d, e);
-            scored.push((*d, s));
-        }
+        let mut scored: Vec<(DocId, f32)> =
+            Vec::with_capacity(groups.iter().map(GroupMatches::len).sum());
+        merge_groups(&groups, |d, e| scored.push((d, run.score(d, e))));
         Ok(self.finish(run, &plan, scored, k))
     }
 

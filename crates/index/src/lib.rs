@@ -45,6 +45,10 @@ mod error;
 mod index;
 pub mod io;
 pub mod layout;
+// Match sets are built from decoded (untrusted) postings and merged on
+// every multi-term query of every engine: no failure may be a panic.
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+pub mod matches;
 // The netlist backend decodes the same untrusted bytes as the codec
 // path; the crate-wide panic-freedom gate is hardened to a deny here.
 #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -72,6 +76,7 @@ pub mod shard;
 // it inherits the segment module's untrusted-input contract.
 #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 pub mod spimi;
+mod topk;
 
 pub use algorithm::{QueryAlgorithm, ALL_ALGORITHMS};
 pub use bm25::{Bm25, Bm25Params};
@@ -80,6 +85,7 @@ pub use cache::{decode_block_cached, BlockCache, BlockCacheStats, DecodedBlock};
 pub use encoded::{BlockMeta, DecodeScratch, EncodedList, BLOCK_META_BYTES, BLOCK_SIZE};
 pub use error::Error;
 pub use index::{InvertedIndex, TermId, TermInfo};
+pub use matches::{merge_groups, GroupMatches};
 pub use netlist::{decode_backend, set_decode_backend, DecodeBackend};
 pub use posting::{Posting, PostingList};
 pub use query::{QueryExpr, SearchHit};
@@ -89,6 +95,7 @@ pub use spimi::{
     SegmentEntry, SegmentSet, SpimiBuilder, SpimiConfig, SpimiStats, POSTING_BYTES,
     TERM_OVERHEAD_BYTES,
 };
+pub use topk::TopK;
 
 /// Document identifier within a shard.
 pub type DocId = u32;

@@ -38,7 +38,9 @@
 use crate::algorithm::QueryAlgorithm;
 use crate::encoded::{BlockMeta, EncodedList};
 use crate::index::{InvertedIndex, TermId};
+use crate::matches::canonical_score;
 use crate::query::SearchHit;
+use crate::topk::TopK;
 use crate::{DocId, Error};
 
 /// Observer for the simulated-cost side effects of a pruned traversal.
@@ -163,48 +165,6 @@ fn sanitize_ub(raw: f32) -> f32 {
         raw
     } else {
         f32::INFINITY
-    }
-}
-
-/// Top-k accumulator replicating `boss-core`'s `TopK` offer semantics
-/// exactly (sorted insert by `(score desc, doc asc)`, threshold = k-th
-/// score once full) so thresholds — and therefore skip decisions — match
-/// the device engine bit for bit.
-struct LocalTopK {
-    k: usize,
-    entries: Vec<SearchHit>,
-    inserts: u64,
-}
-
-impl LocalTopK {
-    fn new(k: usize) -> Self {
-        LocalTopK {
-            k,
-            entries: Vec::with_capacity(k.min(4096)),
-            inserts: 0,
-        }
-    }
-
-    /// Current pruning threshold: the k-th best score once the heap is
-    /// full, `-inf` before that.
-    fn cutoff(&self) -> f32 {
-        if self.entries.len() < self.k {
-            f32::NEG_INFINITY
-        } else {
-            self.entries.last().map_or(f32::NEG_INFINITY, |e| e.score)
-        }
-    }
-
-    fn offer(&mut self, doc: DocId, score: f32) {
-        if self.entries.len() == self.k && score <= self.cutoff() {
-            return;
-        }
-        let pos = self.entries.partition_point(|e| e.score >= score);
-        self.entries.insert(pos, SearchHit { doc, score });
-        if self.entries.len() > self.k {
-            self.entries.pop();
-        }
-        self.inserts += 1;
     }
 }
 
@@ -417,19 +377,6 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Canonical final score: contributing terms sorted ascending, f32
-/// accumulation in term order — exactly the reference evaluator's
-/// arithmetic, so pruned and exhaustive scores share every bit.
-fn canonical_score(index: &InvertedIndex, entries: &mut Vec<(TermId, u32)>, norm: f32) -> f32 {
-    entries.sort_unstable_by_key(|&(t, _)| t);
-    entries.dedup_by_key(|&mut (t, _)| t);
-    let mut score = 0.0f32;
-    for &(t, tf) in entries.iter() {
-        score += index.bm25().term_score(index.term_info(t).idf, tf, norm);
-    }
-    score
-}
-
 fn doc_norm(index: &InvertedIndex, doc: DocId) -> Result<f32, Error> {
     index
         .doc_norms()
@@ -479,7 +426,7 @@ pub fn pruned_union_topk<S: PruneSink>(
     for (slot, &t) in ids.iter().enumerate() {
         cursors.push(Cursor::new(index, slot, t, sink));
     }
-    let (topk, inserts) = match algorithm {
+    let topk = match algorithm {
         QueryAlgorithm::Exhaustive => wand_union(index, &mut cursors, k, false, true, sink)?,
         QueryAlgorithm::Wand => wand_union(index, &mut cursors, k, false, false, sink)?,
         QueryAlgorithm::BlockMaxWand => wand_union(index, &mut cursors, k, true, false, sink)?,
@@ -487,8 +434,8 @@ pub fn pruned_union_topk<S: PruneSink>(
         QueryAlgorithm::BlockMaxMaxScore => maxscore_union(index, &mut cursors, k, true, sink)?,
     };
     Ok(PruneOutcome {
-        hits: topk,
-        topk_inserts: inserts,
+        topk_inserts: topk.inserts(),
+        hits: topk.into_hits(),
     })
 }
 
@@ -502,8 +449,8 @@ fn wand_union<S: PruneSink>(
     block_max: bool,
     exhaustive: bool,
     sink: &mut S,
-) -> Result<(Vec<SearchHit>, u64), Error> {
-    let mut topk = LocalTopK::new(k);
+) -> Result<TopK, Error> {
+    let mut topk = TopK::new(k);
     let mut entries: Vec<(TermId, u32)> = Vec::new();
     let mut order: Vec<usize> = Vec::with_capacity(cursors.len());
     loop {
@@ -586,7 +533,7 @@ fn wand_union<S: PruneSink>(
             cursors[order[0]].seek(pivot_doc, sink)?;
         }
     }
-    Ok((topk.entries, topk.inserts))
+    Ok(topk)
 }
 
 /// MaxScore / Block-Max MaxScore loop: lists are split by ascending
@@ -601,7 +548,7 @@ fn maxscore_union<S: PruneSink>(
     k: usize,
     block_max: bool,
     sink: &mut S,
-) -> Result<(Vec<SearchHit>, u64), Error> {
+) -> Result<TopK, Error> {
     // Fixed ascending (upper bound, term) order; prefix[j] = summed
     // bounds of cursors[0..j].
     cursors.sort_unstable_by(|a, b| a.ub.total_cmp(&b.ub).then(a.term.cmp(&b.term)));
@@ -610,7 +557,7 @@ fn maxscore_union<S: PruneSink>(
     for i in 0..n {
         prefix[i + 1] = prefix[i] + f64::from(cursors[i].ub);
     }
-    let mut topk = LocalTopK::new(k);
+    let mut topk = TopK::new(k);
     let mut entries: Vec<(TermId, u32)> = Vec::new();
     loop {
         let theta = topk.cutoff();
@@ -716,7 +663,7 @@ fn maxscore_union<S: PruneSink>(
             topk.offer(d, score);
         }
     }
-    Ok((topk.entries, topk.inserts))
+    Ok(topk)
 }
 
 #[cfg(test)]

@@ -541,10 +541,25 @@ mod tests {
     use super::*;
     use crate::IndexBuilder;
 
-    fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("boss-spimi-{tag}-{}", std::process::id()));
-        std::fs::remove_dir_all(&d).ok();
-        d
+    /// A scratch directory of this test process that no other call shares
+    /// (tests run on parallel threads, and several build with the same
+    /// arguments), removed on drop.
+    struct TmpDir(PathBuf);
+
+    impl TmpDir {
+        fn new() -> Self {
+            static NEXT: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
+            let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let d = std::env::temp_dir().join(format!("boss-spimi-{}-{n}", std::process::id()));
+            std::fs::remove_dir_all(&d).ok();
+            TmpDir(d)
+        }
+    }
+
+    impl Drop for TmpDir {
+        fn drop(&mut self) {
+            std::fs::remove_dir_all(&self.0).ok();
+        }
     }
 
     const DOCS: &[&str] = &[
@@ -557,20 +572,20 @@ mod tests {
         "a bird sat on the accelerator",
     ];
 
-    fn spimi_index(max_docs: u32, budget: usize) -> (SegmentSet, InvertedIndex) {
-        let dir = tmpdir(&format!("m{max_docs}-b{budget}"));
+    fn spimi_index(max_docs: u32, budget: usize) -> (SegmentSet, InvertedIndex, TmpDir) {
+        let dir = TmpDir::new();
         let cfg = SpimiConfig {
             budget_bytes: budget,
             max_docs_per_segment: max_docs,
             ..SpimiConfig::default()
         };
-        let mut b = SpimiBuilder::create(&dir, cfg).unwrap();
+        let mut b = SpimiBuilder::create(&dir.0, cfg).unwrap();
         for d in DOCS {
             b.add_document_text(d).unwrap();
         }
         let set = b.finish().unwrap();
         let merged = set.merge().unwrap();
-        (set, merged)
+        (set, merged, dir)
     }
 
     fn inmem_index() -> InvertedIndex {
@@ -582,29 +597,27 @@ mod tests {
 
     #[test]
     fn single_segment_merge_is_bit_identical() {
-        let (set, merged) = spimi_index(0, usize::MAX >> 1);
+        let (set, merged, _dir) = spimi_index(0, usize::MAX >> 1);
         assert_eq!(set.entries().len(), 1);
         assert_eq!(merged, inmem_index());
-        std::fs::remove_dir_all(set.dir()).ok();
     }
 
     #[test]
     fn multi_segment_merge_is_bit_identical() {
         for max_docs in [1, 2, 3] {
-            let (set, merged) = spimi_index(max_docs, usize::MAX >> 1);
+            let (set, merged, _dir) = spimi_index(max_docs, usize::MAX >> 1);
             assert_eq!(
                 set.entries().len(),
                 DOCS.len().div_ceil(max_docs as usize),
                 "doc cap {max_docs}"
             );
             assert_eq!(merged, inmem_index(), "doc cap {max_docs}");
-            std::fs::remove_dir_all(set.dir()).ok();
         }
     }
 
     #[test]
     fn byte_budget_forces_spills() {
-        let (set, merged) = spimi_index(0, 256);
+        let (set, merged, _dir) = spimi_index(0, 256);
         assert!(
             set.stats().spills >= 2,
             "a 256-byte budget must spill repeatedly: {:?}",
@@ -615,22 +628,20 @@ mod tests {
             "budget bounds the map"
         );
         assert_eq!(merged, inmem_index());
-        std::fs::remove_dir_all(set.dir()).ok();
     }
 
     #[test]
     fn reopen_from_manifest_matches() {
-        let (set, merged) = spimi_index(3, usize::MAX >> 1);
+        let (set, merged, _dir) = spimi_index(3, usize::MAX >> 1);
         let reopened = SegmentSet::open_dir(set.dir()).unwrap();
         assert_eq!(reopened.n_docs(), set.n_docs());
         assert_eq!(reopened.entries(), set.entries());
         assert_eq!(reopened.merge().unwrap(), merged);
-        std::fs::remove_dir_all(set.dir()).ok();
     }
 
     #[test]
     fn open_dir_rejects_gapped_manifest() {
-        let (set, _) = spimi_index(2, usize::MAX >> 1);
+        let (set, _, _dir) = spimi_index(2, usize::MAX >> 1);
         let path = set.dir().join(MANIFEST_NAME);
         let body = std::fs::read_to_string(&path).unwrap();
         // Shift the second segment's doc_base to punch a hole (tolerate
@@ -642,28 +653,25 @@ mod tests {
         std::fs::write(&path, broken).unwrap();
         let err = SegmentSet::open_dir(set.dir()).unwrap_err();
         assert!(matches!(err, IoError::Corrupt(_)), "{err}");
-        std::fs::remove_dir_all(set.dir()).ok();
     }
 
     #[test]
     fn empty_build_is_typed_error() {
-        let dir = tmpdir("empty");
-        let b = SpimiBuilder::create(&dir, SpimiConfig::default()).unwrap();
+        let dir = TmpDir::new();
+        let b = SpimiBuilder::create(&dir.0, SpimiConfig::default()).unwrap();
         let err = b.finish().unwrap_err();
         assert!(matches!(err, IoError::Invalid(Error::InvalidQuery { .. })));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn zero_tf_rejected() {
-        let dir = tmpdir("zerotf");
-        let mut b = SpimiBuilder::create(&dir, SpimiConfig::default()).unwrap();
+        let dir = TmpDir::new();
+        let mut b = SpimiBuilder::create(&dir.0, SpimiConfig::default()).unwrap();
         let err = b.add_document([("ok", 1u32), ("bad", 0)], 2).unwrap_err();
         assert!(matches!(
             err,
             IoError::Invalid(Error::ZeroTermFrequency { .. })
         ));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -678,12 +686,12 @@ mod tests {
         ];
         let lens = [10u32, 12, 7, 9];
 
-        let dir = tmpdir("inject");
+        let dir = TmpDir::new();
         let cfg = SpimiConfig {
             max_docs_per_segment: 2,
             ..SpimiConfig::default()
         };
-        let mut b = SpimiBuilder::create(&dir, cfg).unwrap();
+        let mut b = SpimiBuilder::create(&dir.0, cfg).unwrap();
         for (terms, &len) in docs.iter().zip(&lens) {
             b.add_document(terms.iter().copied(), len).unwrap();
         }
@@ -704,18 +712,16 @@ mod tests {
             builder = builder.add_posting_list(t, &list);
         }
         assert_eq!(merged, builder.build().unwrap());
-        std::fs::remove_dir_all(set.dir()).ok();
     }
 
     #[test]
     fn stats_account_for_work() {
-        let (set, _) = spimi_index(2, usize::MAX >> 1);
+        let (set, _, _dir) = spimi_index(2, usize::MAX >> 1);
         let s = set.stats();
         assert_eq!(s.docs, DOCS.len() as u64);
         assert!(s.postings > 0);
         assert_eq!(s.spills, DOCS.len().div_ceil(2) as u32);
         assert!(s.peak_inmem_bytes > 0);
         assert!(s.segment_bytes > 0);
-        std::fs::remove_dir_all(set.dir()).ok();
     }
 }

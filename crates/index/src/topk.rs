@@ -6,8 +6,12 @@
 //! order (score descending, docID ascending on ties); the hardware's
 //! broadcast-insert is one cycle per accepted entry, which the timing model
 //! charges via [`TopK::inserts`].
+//!
+//! It lives in `boss-index` so the portable pruned evaluator
+//! ([`crate::prune`]) and the device model share one queue — and therefore
+//! one threshold sequence; `boss_core::TopK` re-exports it.
 
-use boss_index::{DocId, SearchHit};
+use crate::{DocId, SearchHit};
 
 /// A bounded top-k collector.
 #[derive(Debug, Clone)]
@@ -79,14 +83,9 @@ impl TopK {
     /// the incumbents (they have smaller docIDs, having arrived earlier in
     /// docID order).
     pub fn cutoff(&self) -> f32 {
-        if self.entries.len() < self.k {
-            self.floor
-        } else {
-            self.entries
-                .last()
-                .expect("queue is full")
-                .score
-                .max(self.floor)
+        match self.entries.last() {
+            Some(last) if self.entries.len() >= self.k => last.score.max(self.floor),
+            _ => self.floor,
         }
     }
 
@@ -287,7 +286,7 @@ mod tests {
         assert_eq!(q.inserts(), 0);
         assert_eq!(q.cutoff(), f32::NEG_INFINITY);
         q.offer(5, 4.0);
-        assert_eq!(q.hits(), &[boss_index::SearchHit { doc: 5, score: 4.0 }]);
+        assert_eq!(q.hits(), &[SearchHit { doc: 5, score: 4.0 }]);
     }
 
     #[test]

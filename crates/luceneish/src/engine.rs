@@ -2,10 +2,11 @@
 
 use boss_core::{EvalCounts, QueryOutcome, QueryPlan, TopK};
 use boss_index::layout::IndexImage;
+use boss_index::matches::score_entries;
 use boss_index::prune::{self, PruneSink};
 use boss_index::{
-    decode_block_cached, BlockCache, BlockCacheStats, BlockMeta, DocId, Error, InvertedIndex,
-    QueryAlgorithm, QueryExpr, ScoreScratch, TermId, BLOCK_META_BYTES,
+    decode_block_cached, merge_groups, BlockCache, BlockCacheStats, BlockMeta, DocId, Error,
+    GroupMatches, InvertedIndex, QueryAlgorithm, QueryExpr, ScoreScratch, TermId, BLOCK_META_BYTES,
 };
 use boss_scm::{AccessCategory, AccessKind, MemStats, MemoryConfig, MemorySim, PatternHint};
 
@@ -260,15 +261,11 @@ impl<'a> LuceneEngine<'a> {
         //    within an AND clause the lead iterator is the smallest list
         //    and the others are advanced with skip data, decoding only the
         //    blocks the lead reaches; OR clauses (single-term groups after
-        //    normalization) decode their whole list.
+        //    normalization) decode their whole list. Each clause's matches
+        //    keep their tfs, so scoring below never re-decodes.
         let mut postings_decoded = 0u64;
         let mut merge_steps = 0u64;
-        // A single-term plan decodes the whole list below; keep its tfs so
-        // the bulk path can score block-at-a-time without re-decoding.
-        let single_term_plan =
-            self.config.bulk_score && plan.groups().len() == 1 && plan.groups()[0].len() == 1;
-        let mut single_term_tfs: Option<Vec<u32>> = None;
-        let mut group_sets: Vec<Vec<u32>> = Vec::with_capacity(plan.groups().len());
+        let mut groups: Vec<GroupMatches> = Vec::with_capacity(plan.groups().len());
         for group in plan.groups() {
             let mut order: Vec<TermId> = group.clone();
             order.sort_by_key(|&t| self.index.list(t).df());
@@ -295,7 +292,7 @@ impl<'a> LuceneEngine<'a> {
             eval.metas_read += lead_list.n_blocks() as u64;
             eval.blocks_fetched += lead_list.n_blocks() as u64;
             postings_decoded += u64::from(lead_list.df());
-            let mut acc: Vec<u32> = Vec::with_capacity(lead_list.df() as usize);
+            let mut lead_docs: Vec<u32> = Vec::with_capacity(lead_list.df() as usize);
             let mut lead_tfs: Vec<u32> = Vec::with_capacity(lead_list.df() as usize);
             for bi in 0..lead_list.n_blocks() {
                 decode_block_cached(
@@ -303,14 +300,12 @@ impl<'a> LuceneEngine<'a> {
                     lead,
                     bi,
                     self.cache.as_ref(),
-                    &mut acc,
+                    &mut lead_docs,
                     &mut lead_tfs,
                 )?;
             }
+            let mut acc = GroupMatches::from_column(lead, lead_docs, lead_tfs);
             merge_steps += acc.len() as u64;
-            if single_term_plan {
-                single_term_tfs = Some(std::mem::take(&mut lead_tfs));
-            }
 
             for &t in &order[1..] {
                 let list = self.index.list(t);
@@ -331,7 +326,7 @@ impl<'a> LuceneEngine<'a> {
                 let mut spans: Vec<(usize, &boss_index::BlockMeta)> = Vec::new();
                 {
                     let mut bi = 0usize;
-                    for &d in &acc {
+                    for &d in acc.docs() {
                         while bi < blocks.len() && blocks[bi].last_doc < d {
                             bi += 1;
                         }
@@ -357,84 +352,62 @@ impl<'a> LuceneEngine<'a> {
                     decode_block_cached(list, t, *bi, self.cache.as_ref(), &mut docs, &mut tfs)?;
                 }
                 merge_steps += acc.len() as u64 + docs.len() as u64;
-                acc = boss_index::reference::intersect_sorted(&acc, &docs);
+                acc = acc.join_sorted(t, &docs, &tfs);
                 if acc.is_empty() {
                     break;
                 }
             }
-            group_sets.push(acc);
-        }
-        let mut candidates: Vec<u32> = Vec::new();
-        for s in &group_sets {
-            merge_steps += s.len() as u64;
-            candidates = boss_index::reference::union_sorted(&candidates, s);
+            // The disjunction over clauses compares each clause match once.
+            merge_steps += acc.len() as u64;
+            groups.push(acc);
         }
         eval.comparisons = merge_steps;
 
-        // 3) Score every candidate (norm fetches go through the cacheable
-        //    host hierarchy; charge the cold 4-byte load) + heap top-k.
-        //    Hits match the shared reference evaluator bit-for-bit on every
-        //    path: the scalar path calls it directly, the bulk paths score
-        //    with the same arithmetic in the same order.
-        if !candidates.is_empty() {
+        // 3) Score every candidate + heap top-k. Documents reach the heap
+        //    in docID order with scores summed in ascending term order, so
+        //    the hits equal the shared reference evaluator's bit for bit.
+        let mut heap = TopK::new(k.max(1));
+        let mut n_candidates = 0u64;
+        let mut first_candidate = None;
+        let norms = self.index.doc_norms();
+        match groups.as_slice() {
+            [list] if self.config.bulk_score && list.terms().len() == 1 => {
+                // Bulk single-term: the candidates ARE the decoded list in
+                // docID order with their tfs, so score block-at-a-time with
+                // the shared kernel and sift into the heap. A one-term
+                // score is exactly `term_score`.
+                let idf = self.index.term_info(list.terms()[0]).idf;
+                let bm25 = *self.index.bm25();
+                let mut block_scores = ScoreScratch::new();
+                for (cd, ct) in list.docs().chunks(128).zip(list.tfs().chunks(128)) {
+                    bm25.score_block(idf, cd, ct, norms, &mut block_scores);
+                    heap.sift_block(cd, block_scores.scores());
+                }
+                n_candidates = list.len() as u64;
+                first_candidate = list.docs().first().copied();
+            }
+            _ => merge_groups(&groups, |doc, entries| {
+                first_candidate.get_or_insert(doc);
+                n_candidates += 1;
+                heap.offer(doc, score_entries(self.index, entries, norms[doc as usize]));
+            }),
+        }
+        if let Some(first) = first_candidate {
             // Norms on the CPU flow through a 38.5 MB LLC that captures the
             // reuse; charge one streaming pass over the touched norms
             // rather than per-document device-granule random reads (which
             // is what makes Lucene compute-bound while the accelerators,
             // which have no such cache, pay per access).
             mem.access(
-                self.image.norm_addr(candidates[0]),
-                candidates.len() as u64 * 4,
+                self.image.norm_addr(first),
+                n_candidates * 4,
                 AccessKind::Read,
                 AccessCategory::LdScore,
                 PatternHint::Sequential,
                 0,
             );
         }
-        eval.docs_scored = candidates.len() as u64;
-        let mut heap = TopK::new(k.max(1));
-        let hits: Vec<boss_index::SearchHit>;
-        if let Some(tfs) = single_term_tfs {
-            // Bulk single-term: the candidates ARE the decoded list in
-            // docID order with their tfs, so score block-at-a-time with
-            // the shared kernel and sift into the heap. Bit-identical to
-            // the reference: a one-term score is exactly `term_score`,
-            // documents arrive in the same docID order, and the heap
-            // realizes the workspace ranking.
-            let term = plan.groups()[0][0];
-            let idf = self.index.term_info(term).idf;
-            let bm25 = *self.index.bm25();
-            let norms = self.index.doc_norms();
-            let mut block_scores = ScoreScratch::new();
-            for (cd, ct) in candidates.chunks(128).zip(tfs.chunks(128)) {
-                bm25.score_block(idf, cd, ct, norms, &mut block_scores);
-                heap.sift_block(cd, block_scores.scores());
-            }
-            hits = heap.hits().to_vec();
-        } else if self.config.bulk_score {
-            // Bulk multi-term: one full reference evaluation instead of
-            // two. The k-prefix of the exhaustively ranked list IS the
-            // k-ranked list (the ranking is a total order), and the heap
-            // replay consumes the same full list in docID order.
-            let mut full = boss_index::reference::evaluate(self.index, expr, usize::MAX)?;
-            let mut by_doc: Vec<(u32, f32)> = full.iter().map(|h| (h.doc, h.score)).collect();
-            by_doc.sort_unstable_by_key(|&(d, _)| d);
-            for (d, s) in by_doc {
-                heap.offer(d, s);
-            }
-            full.truncate(k);
-            hits = full;
-        } else {
-            hits = boss_index::reference::evaluate(self.index, expr, k)?;
-            // Heap behaviour (insert count) replayed from candidate scores
-            // in docID order, like the real collector sees them.
-            let full = boss_index::reference::evaluate(self.index, expr, usize::MAX)?;
-            let mut by_doc: Vec<(u32, f32)> = full.iter().map(|h| (h.doc, h.score)).collect();
-            by_doc.sort_unstable_by_key(|&(d, _)| d);
-            for (d, s) in by_doc {
-                heap.offer(d, s);
-            }
-        }
+        eval.docs_scored = n_candidates;
         eval.topk_inserts = heap.inserts();
 
         // 4) Cost model: compute + memory (additive — the out-of-order
@@ -443,7 +416,7 @@ impl<'a> LuceneEngine<'a> {
         let c = &self.config.cost;
         let compute = postings_decoded as f64 * c.cycles_per_posting
             + merge_steps as f64 * c.cycles_per_merge_step
-            + candidates.len() as f64 * c.cycles_per_scored_doc
+            + n_candidates as f64 * c.cycles_per_scored_doc
             + heap.inserts() as f64 * c.cycles_per_heap_op
             + c.query_overhead;
         // Memory cycles are modeled at 1 GHz (GB/s == B/cycle); convert to
@@ -452,7 +425,7 @@ impl<'a> LuceneEngine<'a> {
         let cycles = (compute + mem_cycles_host) as u64;
 
         Ok(QueryOutcome {
-            hits,
+            hits: heap.into_hits(),
             cycles,
             mem: mem.take_stats(),
             eval,
