@@ -10,9 +10,10 @@
 //! After a change that is *meant* to move a simulated number, copy the
 //! file the failure message names over `tests/golden/traversal.txt`.
 
-use boss_core::{BossConfig, DegradePolicy, EtMode};
-use boss_engine::{Boss, Iiu, Lucene, SearchEngine};
+use boss_core::{BossConfig, DegradePolicy, EtMode, TimingFidelity};
+use boss_engine::{Boss, Iiu, Lucene, SearchEngine, ShardTiming, Sharded};
 use boss_iiu::IiuConfig;
+use boss_index::shard::ShardedIndex;
 use boss_index::{InvertedIndex, QueryAlgorithm, QueryExpr, SearchHit};
 use boss_luceneish::LuceneConfig;
 use boss_scm::FaultPlan;
@@ -180,6 +181,43 @@ fn regenerate() -> String {
         ),
         &queries,
     );
+    // Appended before the union round state was rewritten: the BOSS
+    // configurations that rewrite reaches and the lines above lack.
+    for (label, algo) in [
+        ("boss-bmw", QueryAlgorithm::BlockMaxWand),
+        ("boss-maxscore", QueryAlgorithm::MaxScore),
+    ] {
+        record(
+            &mut out,
+            label,
+            boss(BossConfig::default().with_algorithm(algo)),
+            &queries,
+        );
+    }
+    record(
+        &mut out,
+        "boss-pipelined",
+        boss(BossConfig::default().with_fidelity(TimingFidelity::Pipelined)),
+        &queries,
+    );
+    // Scatter-gather over four shards: every shard after the first starts
+    // with a seeded θ floor, under ET and under a pruning plan.
+    let sharded = ShardedIndex::split(&index, 4).expect("four shards");
+    for (label, algo) in [
+        ("boss-sharded4", QueryAlgorithm::Exhaustive),
+        ("boss-sharded4-bmw", QueryAlgorithm::BlockMaxWand),
+    ] {
+        let leaves = (sharded.shards().iter())
+            .map(|s| vec![Boss::new(s, BossConfig::default().with_algorithm(algo))])
+            .collect();
+        let engine = Sharded::new(
+            boss(BossConfig::default()),
+            &sharded,
+            leaves,
+            ShardTiming::ScatterGather,
+        );
+        record(&mut out, label, engine, &queries);
+    }
     out
 }
 
