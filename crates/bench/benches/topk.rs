@@ -1,5 +1,5 @@
-//! Criterion micro-benchmark: the shift-register top-k model under
-//! different insertion mixes.
+//! Criterion micro-benchmark: the top-k queue (the heap that stands in for
+//! the shift-register module) under different insertion mixes.
 
 use boss_core::TopK;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};

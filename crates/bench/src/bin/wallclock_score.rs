@@ -284,7 +284,7 @@ fn throughput_mdocs(
         let start = Instant::now();
         let topk = traverse(mode, blocks, order, norms, idf, k, &mut bufs, &mut scratch);
         best = best.min(start.elapsed().as_secs_f64());
-        std::hint::black_box(topk.hits());
+        std::hint::black_box(topk.into_hits());
     }
     docs / best / 1e6
 }
@@ -385,13 +385,13 @@ fn main() {
     // score bits included.
     let mut bufs = [Decoded::default(), Decoded::default()];
     let mut scratch = ScoreScratch::new();
-    let key = |t: &TopK| -> Vec<(u32, u32)> {
-        t.hits()
+    let key = |t: TopK| -> Vec<(u32, u32)> {
+        t.into_hits()
             .iter()
             .map(|h| (h.doc, h.score.to_bits()))
             .collect()
     };
-    let baseline = key(&traverse(
+    let baseline = key(traverse(
         Mode::Scalar,
         &blocks,
         &order,
@@ -405,7 +405,7 @@ fn main() {
     let mut results = Vec::new();
     let mut scalar_mdocs = 0.0;
     for mode in [Mode::Scalar, Mode::Bulk, Mode::Pipelined] {
-        let identical = key(&traverse(
+        let identical = key(traverse(
             mode,
             &blocks,
             &order,

@@ -179,7 +179,7 @@ impl BossCore {
         if self.config.algorithm.prunes() && !plan.is_pure_intersection() {
             pruned_union_topk(&mut ctx, streams, self.config.algorithm, topk, bulk)?;
         } else {
-            union_topk(&mut ctx, streams, et, topk, bulk)?;
+            union_topk(&mut ctx, streams, et.into(), topk, bulk)?;
         }
 
         // The top-k list crosses the shared interconnect: 8 B per entry

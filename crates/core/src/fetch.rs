@@ -4,7 +4,7 @@
 
 use crate::config::{BossConfig, DegradePolicy};
 use crate::mai::{Tlb, WALK_ACCESSES};
-use crate::pipeline::BlockEvent;
+use crate::pipeline::{BlockEvent, TimingFidelity};
 use crate::stats::EvalCounts;
 use boss_compress::Scheme;
 use boss_index::layout::IndexImage;
@@ -27,6 +27,17 @@ pub(crate) enum SkipReason {
     Prune,
 }
 
+impl SkipReason {
+    /// Attributes `n` bypassed postings to the counter this reason selects.
+    pub(crate) fn count(self, eval: &mut EvalCounts, n: u64) {
+        match self {
+            SkipReason::Block => eval.docs_skipped_block += n,
+            SkipReason::Wand => eval.docs_skipped_wand += n,
+            SkipReason::Prune => eval.docs_skipped_prune += n,
+        }
+    }
+}
+
 /// Mutable state shared by all modules while one query executes on a core.
 #[derive(Debug)]
 pub(crate) struct ExecCtx<'a> {
@@ -42,8 +53,10 @@ pub(crate) struct ExecCtx<'a> {
     /// 64-byte line address of the most recent norm load (the scoring
     /// module's line buffer).
     norm_line: u64,
-    /// Block trace for the event-driven timing replay.
+    /// Block trace for the event-driven timing replay; recorded only
+    /// under [`TimingFidelity::Pipelined`], the one fidelity that reads it.
     pub trace: Vec<BlockEvent>,
+    record_trace: bool,
     /// Decoded-block cache (wall-clock only: hits skip the host-side
     /// decode, never any simulated charge — see `boss_index::cache`).
     pub cache: Option<&'a BlockCache>,
@@ -85,6 +98,7 @@ impl<'a> ExecCtx<'a> {
             scored: 0,
             norm_line: u64::MAX,
             trace: Vec::new(),
+            record_trace: config.timing.fidelity == TimingFidelity::Pipelined,
             cache,
             bulk: config.bulk_score,
             degrade: config.degrade,
@@ -287,12 +301,11 @@ impl<'a> ListCursor<'a> {
     /// (the current block if it still covers it). Returns `None` when the
     /// list has no block reaching `target` (exhausted for BMW purposes).
     pub(crate) fn shallow_block_max(&self, target: DocId) -> Option<(f32, DocId)> {
-        let blocks = self.list.blocks();
-        let mut b = self.block;
-        while b < blocks.len() && blocks[b].last_doc < target {
-            b += 1;
-        }
-        blocks.get(b).map(|m| (m.max_score, m.last_doc))
+        // Usually the current block still covers `target`: first probe.
+        self.list.blocks()[self.block..]
+            .iter()
+            .find(|m| m.last_doc >= target)
+            .map(|m| (m.max_score, m.last_doc))
     }
 
     /// If the cursor sits at the start of a *not yet fetched* block,
@@ -336,10 +349,18 @@ impl<'a> ListCursor<'a> {
     /// Under [`DegradePolicy::FailQuery`], [`Error::ReadFault`] when the
     /// simulated block read is flagged uncorrectable, or the decode error
     /// for corrupt bytes/metadata.
+    #[inline]
     fn ensure_decoded(&mut self, ctx: &mut ExecCtx<'_>) -> Result<bool, Error> {
         if !self.scratch.is_empty() {
             return Ok(true);
         }
+        self.decode_current(ctx)
+    }
+
+    /// The once-per-block half of [`ListCursor::ensure_decoded`], kept out
+    /// of line so the per-posting check above inlines into its callers.
+    #[inline(never)]
+    fn decode_current(&mut self, ctx: &mut ExecCtx<'_>) -> Result<bool, Error> {
         if self.exhausted() {
             return Ok(false);
         }
@@ -391,12 +412,14 @@ impl<'a> ListCursor<'a> {
         ctx.eval.blocks_fetched += 1;
         let dec = decomp_cycles(self.list.scheme(), &meta, self.decomp_fill);
         ctx.dec_cycles[self.dec_unit] += dec;
-        ctx.trace.push(BlockEvent {
-            data_ready,
-            dec_cycles: dec,
-            dec_unit: self.dec_unit,
-            postings: meta.count() as u32,
-        });
+        if ctx.record_trace {
+            ctx.trace.push(BlockEvent {
+                data_ready,
+                dec_cycles: dec,
+                dec_unit: self.dec_unit,
+                postings: meta.count() as u32,
+            });
+        }
         self.pos = 0;
         Ok(true)
     }
@@ -462,11 +485,7 @@ impl<'a> ListCursor<'a> {
                 } else {
                     // Partially consumed block: the tail was decoded already,
                     // so this is a pop, attributed to whichever module asked.
-                    match reason {
-                        SkipReason::Block => ctx.eval.docs_skipped_block += remaining_in_block,
-                        SkipReason::Wand => ctx.eval.docs_skipped_wand += remaining_in_block,
-                        SkipReason::Prune => ctx.eval.docs_skipped_prune += remaining_in_block,
-                    }
+                    reason.count(&mut ctx.eval, remaining_in_block);
                 }
                 let next = self.block + 1;
                 self.enter_block(ctx, next);
@@ -480,15 +499,15 @@ impl<'a> ListCursor<'a> {
                 // a later block, which may still end before the target.
                 continue;
             }
-            while self.pos < self.scratch.len() && self.scratch.docs[self.pos] < target {
-                self.pos += 1;
-                ctx.eval.comparisons += 1;
-                match reason {
-                    SkipReason::Block => ctx.eval.docs_skipped_block += 1,
-                    SkipReason::Wand => ctx.eval.docs_skipped_wand += 1,
-                    SkipReason::Prune => ctx.eval.docs_skipped_prune += 1,
-                }
-            }
+            // One comparison and one skipped document per bypassed
+            // posting: find where the scan lands, then count the distance.
+            let bypassed = self.scratch.docs[self.pos..]
+                .iter()
+                .take_while(|&&d| d < target)
+                .count();
+            self.pos += bypassed;
+            ctx.eval.comparisons += bypassed as u64;
+            reason.count(&mut ctx.eval, bypassed as u64);
             if self.pos >= self.scratch.len() {
                 let next = self.block + 1;
                 self.enter_block(ctx, next);

@@ -52,6 +52,8 @@ pub mod pool;
 pub mod power;
 mod prune;
 mod stats;
+// The union round loop and its frontier run once per candidate document.
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod union;
 
 pub use api::{BossHandle, SearchRequest};

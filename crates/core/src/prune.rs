@@ -35,17 +35,24 @@
 //! untouched.
 
 use crate::fetch::{ExecCtx, SkipReason};
-use crate::union::{cannot_beat, drain_wand_tail, BulkScratch, UnionStream};
+use crate::union::{cannot_beat, union_topk, BulkScratch, Rounds, UnionStream};
 use boss_index::matches::canonical_score;
 use boss_index::{DocId, Error, QueryAlgorithm, TermId, TopK};
 
 /// Runs the pruned union + scoring + top-k stage over `streams` with
 /// the chosen algorithm.
 ///
-/// Single-stream queries route through the WAND-family loop whatever
-/// the algorithm: with one stream MaxScore's split degenerates to the
-/// same list-bound test, and the WAND loop is the one whose bulk tail
-/// drain is counter-identical to its scalar form.
+/// WAND and Block-Max WAND are the union module's own round loop
+/// ([`union_topk`]) under [`Rounds::Wand`] with the pruning attribution:
+/// sort the frontier, pick the pivot by the upper-bound prefix scan
+/// against θ, (with block maxes) skip whole windows before any fetch,
+/// align, gather, score — and, once one live posting-list stream remains
+/// and the bulk path is on, the block-at-a-time tail drain.
+///
+/// Single-stream queries route through that loop whatever the
+/// algorithm: with one stream MaxScore's split degenerates to the same
+/// list-bound test, and the WAND loop is the one whose bulk tail drain is
+/// counter-identical to its scalar form.
 ///
 /// # Errors
 ///
@@ -66,136 +73,14 @@ pub(crate) fn pruned_union_topk(
         QueryAlgorithm::MaxScore | QueryAlgorithm::BlockMaxMaxScore
     );
     if maxscore_family && streams.len() > 1 {
-        maxscore_union(ctx, streams, algorithm.is_block_max(), topk, bulk)?;
+        maxscore_union(ctx, streams, algorithm.is_block_max(), topk)
     } else {
-        wand_union(ctx, streams, algorithm.is_block_max(), topk, bulk)?;
-    }
-    ctx.eval.topk_inserts = topk.inserts();
-    Ok(())
-}
-
-/// WAND / Block-Max WAND over union streams.
-///
-/// Mirrors the round structure of the exhaustive union module — sort
-/// the frontier, pick a pivot, align, gather, score — but the pivot
-/// comes from the upper-bound prefix scan against θ, and (with
-/// `block_check`) whole windows are skipped on block maxes before any
-/// fetch. Once one live posting-list stream remains and the bulk path
-/// is on, [`drain_wand_tail`] finishes it with the block-at-a-time
-/// kernels, counter-identical to this scalar loop.
-fn wand_union(
-    ctx: &mut ExecCtx<'_>,
-    mut streams: Vec<UnionStream<'_>>,
-    block_check: bool,
-    topk: &mut TopK,
-    bulk: &mut BulkScratch,
-) -> Result<(), Error> {
-    let mut order: Vec<usize> = Vec::with_capacity(streams.len());
-    let mut entries: Vec<(TermId, u32)> = Vec::with_capacity(8);
-    loop {
-        order.clear();
-        order.extend((0..streams.len()).filter(|&i| !streams[i].exhausted()));
-        if order.is_empty() {
-            break;
-        }
-        if ctx.bulk && order.len() == 1 {
-            if let UnionStream::List(c) = &mut streams[order[0]] {
-                drain_wand_tail(ctx, c, topk, bulk, block_check, true)?;
-                break;
-            }
-        }
-        order.sort_by_key(|&i| streams[i].current_doc());
-        ctx.eval.pivot_rounds += 1;
-        let theta = topk.cutoff();
-
-        // Pivot selection: walk the ascending-docID frontier summing
-        // list bounds until the accumulated bound could beat θ.
-        let mut acc = 0.0f64;
-        let mut found = None;
-        for (pos, &i) in order.iter().enumerate() {
-            acc += f64::from(streams[i].max_score());
-            if !cannot_beat(acc, theta) {
-                found = Some(pos);
-                break;
-            }
-        }
-        let pivot_pos = match found {
-            Some(p) => p,
-            None => {
-                // Even all streams together cannot beat θ: terminate.
-                for &i in &order {
-                    ctx.eval.docs_skipped_prune += streams[i].remaining();
-                }
-                break;
-            }
+        let rounds = Rounds::Wand {
+            block_max: algorithm.is_block_max(),
+            prune: true,
         };
-        let pivot = streams[order[pivot_pos]].current_doc();
-        let mut pivot_end = pivot_pos;
-        while pivot_end + 1 < order.len() && streams[order[pivot_end + 1]].current_doc() == pivot {
-            pivot_end += 1;
-        }
-
-        if block_check {
-            // Shallow block-max probe of the pivot set: metadata only,
-            // no fetch, no decode.
-            let mut ub = 0.0f64;
-            let mut min_boundary = DocId::MAX;
-            let mut all_have_blocks = true;
-            for &i in &order[..=pivot_end] {
-                match streams[i].shallow_block_max(pivot) {
-                    Some((m, last)) => {
-                        ub += f64::from(m);
-                        min_boundary = min_boundary.min(last);
-                    }
-                    None => {
-                        all_have_blocks = false;
-                        break;
-                    }
-                }
-            }
-            if pivot_end + 1 < order.len() {
-                let next_cur = streams[order[pivot_end + 1]].current_doc();
-                min_boundary = min_boundary.min(next_cur.saturating_sub(1));
-            }
-            if all_have_blocks && cannot_beat(ub, theta) {
-                let next = min_boundary.saturating_add(1).max(pivot.saturating_add(1));
-                for &i in &order[..=pivot_end] {
-                    streams[i].seek(ctx, next, SkipReason::Prune)?;
-                }
-                continue;
-            }
-        }
-
-        // Alignment: pop below-pivot documents off the leading streams.
-        let aligned = order[..=pivot_pos]
-            .iter()
-            .all(|&i| streams[i].current_doc() == pivot);
-        if !aligned {
-            for &i in &order[..pivot_pos] {
-                if streams[i].current_doc() < pivot {
-                    streams[i].seek(ctx, pivot, SkipReason::Prune)?;
-                }
-            }
-            continue;
-        }
-
-        // Gather and score the pivot canonically.
-        entries.clear();
-        for &i in &order {
-            if !streams[i].exhausted() && streams[i].current_doc() == pivot {
-                streams[i].take_entries(ctx, &mut entries)?;
-            }
-        }
-        if entries.is_empty() {
-            continue;
-        }
-        let norm = ctx.load_norm(pivot);
-        let score = canonical_score(ctx.index, &mut entries, norm);
-        ctx.scored += 1;
-        ctx.eval.docs_scored += 1;
-        topk.offer(pivot, score);
+        union_topk(ctx, streams, rounds, topk, bulk)
     }
-    Ok(())
 }
 
 /// MaxScore / Block-Max MaxScore over union streams.
@@ -213,7 +98,6 @@ fn maxscore_union(
     mut streams: Vec<UnionStream<'_>>,
     block_max: bool,
     topk: &mut TopK,
-    _bulk: &mut BulkScratch,
 ) -> Result<(), Error> {
     let n = streams.len();
     let mut ord: Vec<usize> = (0..n).collect();
@@ -355,5 +239,6 @@ fn maxscore_union(
             topk.offer(d, score);
         }
     }
+    ctx.eval.topk_inserts = topk.inserts();
     Ok(())
 }

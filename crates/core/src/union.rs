@@ -6,6 +6,13 @@
 //! materialized outputs of intersection groups for mixed queries — and
 //! drives scoring + top-k. All three [`EtMode`]s produce identical top-k
 //! results; they differ only in how much work is skipped.
+//!
+//! One round loop ([`union_topk`]) serves the three ET modes and the
+//! WAND-family pruning plans of [`crate::prune`]; [`Rounds`] says what a
+//! round may skip. Between rounds the loop keeps a [`Frontier`]: the live
+//! streams' sIDs packed into integer sort keys, and the cutoff's
+//! comparison bound ([`ThetaBound`]), each re-derived only when the event
+//! that can change it happened.
 
 use crate::config::EtMode;
 use crate::fetch::{ExecCtx, ListCursor, SkipReason};
@@ -75,7 +82,7 @@ impl<'a> UnionStream<'a> {
     }
 
     /// The stream's sID — its smallest unevaluated docID — or `None` once
-    /// exhausted. [`union_topk`] caches this per stream and re-reads it
+    /// exhausted. The [`Frontier`] caches this per stream and re-reads it
     /// only after the stream moved.
     fn head(&self) -> Option<DocId> {
         (!self.exhausted()).then(|| self.current_doc())
@@ -119,7 +126,8 @@ impl<'a> UnionStream<'a> {
             UnionStream::List(c) => {
                 if let Some(tf) = c.current_tf(ctx)? {
                     out.push((c.term, tf));
-                    c.advance(ctx)?;
+                    // `current_tf` left the block decoded.
+                    c.advance_run(ctx, 1);
                 }
             }
             UnionStream::Mat(m) => {
@@ -141,15 +149,13 @@ impl<'a> UnionStream<'a> {
         match self {
             UnionStream::List(c) => c.seek(ctx, target, reason)?,
             UnionStream::Mat(m) => {
-                while !m.exhausted() && m.current_doc() < target {
-                    m.pos += 1;
-                    ctx.eval.comparisons += 1;
-                    match reason {
-                        SkipReason::Block => ctx.eval.docs_skipped_block += 1,
-                        SkipReason::Wand => ctx.eval.docs_skipped_wand += 1,
-                        SkipReason::Prune => ctx.eval.docs_skipped_prune += 1,
-                    }
-                }
+                let bypassed = m.matches.docs()[m.pos..]
+                    .iter()
+                    .take_while(|&&d| d < target)
+                    .count();
+                m.pos += bypassed;
+                ctx.eval.comparisons += bypassed as u64;
+                reason.count(&mut ctx.eval, bypassed as u64);
             }
         }
         Ok(())
@@ -203,16 +209,174 @@ impl ScoreLut {
     }
 }
 
-/// Conservative slack for upper-bound comparisons: a value can be declared
-/// "cannot beat the cutoff" only if it trails by more than the worst-case
-/// f32 rounding drift, so early termination never drops a document the
-/// exhaustive reference would keep.
-pub(crate) fn cannot_beat(upper: f64, theta: f32) -> bool {
+/// The largest upper bound that provably cannot beat the cutoff `theta`:
+/// θ less a slack exceeding the worst-case f32 rounding drift of a summed
+/// score, so early termination never drops a document the exhaustive
+/// reference would keep. `-inf` while θ is not finite — score bounds are
+/// finite, so nothing is skipped before a real threshold exists.
+pub(crate) fn theta_bound(theta: f32) -> f64 {
     if !theta.is_finite() {
-        return false;
+        return f64::NEG_INFINITY;
     }
     let slack = 1e-4 * (1.0 + theta.abs() as f64);
-    upper <= f64::from(theta) - slack
+    f64::from(theta) - slack
+}
+
+/// Whether a score upper bound provably cannot beat the cutoff.
+pub(crate) fn cannot_beat(upper: f64, theta: f32) -> bool {
+    upper <= theta_bound(theta)
+}
+
+/// [`theta_bound`] of the most recent θ. θ moves only when the top-k
+/// accepts an entry, so most rounds re-use the bound and every test
+/// against it is one compare.
+#[derive(Debug)]
+pub(crate) struct ThetaBound {
+    theta_bits: u32,
+    bound: f64,
+}
+
+impl ThetaBound {
+    pub(crate) fn new() -> Self {
+        ThetaBound {
+            theta_bits: f32::NEG_INFINITY.to_bits(),
+            bound: f64::NEG_INFINITY,
+        }
+    }
+
+    /// `theta_bound(theta)`, recomputed only when θ's bits changed.
+    pub(crate) fn of(&mut self, theta: f32) -> f64 {
+        if theta.to_bits() != self.theta_bits {
+            self.theta_bits = theta.to_bits();
+            self.bound = theta_bound(theta);
+        }
+        self.bound
+    }
+}
+
+/// What a round of the union module may skip — the one axis along which
+/// the three [`EtMode`]s and the WAND-family pruning plans differ.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Rounds {
+    /// Every document of every stream is scored ([`EtMode::Exhaustive`]).
+    Exhaustive,
+    /// The block fetch module skips whole unfetched blocks on block-max
+    /// estimates; the union module pops nothing ([`EtMode::BlockOnly`]).
+    BlockOnly,
+    /// Document-level WAND: the pivot is the first sID whose summed list
+    /// bounds can beat θ. With `block_max` the pivot set's block maxes are
+    /// probed too and whole windows skipped ([`EtMode::Full`], Block-Max
+    /// WAND). `prune` marks a dynamic-pruning query plan: skipped work
+    /// goes to the `*_prune` counters so the exhaustive plan's figures
+    /// stay untouched, and list bounds are summed in sID order instead of
+    /// read from the score loader's table.
+    Wand { block_max: bool, prune: bool },
+}
+
+impl From<EtMode> for Rounds {
+    fn from(et: EtMode) -> Self {
+        match et {
+            EtMode::Exhaustive => Rounds::Exhaustive,
+            EtMode::BlockOnly => Rounds::BlockOnly,
+            EtMode::Full => Rounds::Wand {
+                block_max: true,
+                prune: false,
+            },
+        }
+    }
+}
+
+/// Where skipped work is attributed, as `(block-level skips, document-level
+/// pops)`: a pruning plan keeps both off the exhaustive path's ET counters.
+fn skip_reasons(prune: bool) -> (SkipReason, SkipReason) {
+    if prune {
+        (SkipReason::Prune, SkipReason::Prune)
+    } else {
+        (SkipReason::Block, SkipReason::Wand)
+    }
+}
+
+/// The sorter's view of the streams: one `sID << 32 | stream` key per
+/// live stream, so ordering by sID with ties by stream index is integer
+/// order. A key is rewritten only when its stream moved and dropped when
+/// the stream exhausts; nothing else is re-derived between rounds.
+#[derive(Debug)]
+struct Frontier {
+    keys: Vec<u64>,
+    theta: ThetaBound,
+}
+
+/// Key of an exhausted stream: sorts behind every live one.
+const EXHAUSTED: u64 = u64::MAX;
+
+impl Frontier {
+    fn new(streams: &[UnionStream<'_>]) -> Self {
+        Frontier {
+            keys: (streams.iter().enumerate())
+                .map(|(i, s)| Self::key(i, s))
+                .collect(),
+            theta: ThetaBound::new(),
+        }
+    }
+
+    fn key(index: usize, stream: &UnionStream<'_>) -> u64 {
+        match stream.head() {
+            Some(doc) => u64::from(doc) << 32 | index as u64,
+            None => EXHAUSTED,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// sID of the stream at sorted position `pos`.
+    fn doc(&self, pos: usize) -> DocId {
+        (self.keys[pos] >> 32) as DocId
+    }
+
+    /// Index of the stream at sorted position `pos`.
+    fn stream(&self, pos: usize) -> usize {
+        self.keys[pos] as u32 as usize
+    }
+
+    /// Re-reads the sID of the stream at `pos` after it moved.
+    fn refresh(&mut self, pos: usize, stream: &UnionStream<'_>) {
+        self.keys[pos] = Self::key(self.stream(pos), stream);
+    }
+
+    /// ① The sorter: ascending sID, ties by stream index, exhausted
+    /// streams dropped. Few streams moved since the last round, so insert
+    /// in place.
+    fn sort(&mut self) {
+        for j in 1..self.keys.len() {
+            let key = self.keys[j];
+            let mut p = j;
+            while p > 0 && self.keys[p - 1] > key {
+                self.keys[p] = self.keys[p - 1];
+                p -= 1;
+            }
+            self.keys[p] = key;
+        }
+        while self.keys.last() == Some(&EXHAUSTED) {
+            self.keys.pop();
+        }
+    }
+
+    /// Seeks the stream at `pos` to `target` and re-reads its sID.
+    fn seek(
+        &mut self,
+        ctx: &mut ExecCtx<'_>,
+        streams: &mut [UnionStream<'_>],
+        pos: usize,
+        target: DocId,
+        reason: SkipReason,
+    ) -> Result<(), Error> {
+        let stream = &mut streams[self.stream(pos)];
+        stream.seek(ctx, target, reason)?;
+        self.refresh(pos, stream);
+        Ok(())
+    }
 }
 
 /// Runs the union + scoring + top-k stage over `streams`.
@@ -229,26 +393,27 @@ pub(crate) fn cannot_beat(upper: f64, theta: f32) -> bool {
 pub(crate) fn union_topk(
     ctx: &mut ExecCtx<'_>,
     mut streams: Vec<UnionStream<'_>>,
-    et: EtMode,
+    rounds: Rounds,
     topk: &mut TopK,
     bulk: &mut BulkScratch,
 ) -> Result<(), Error> {
-    // Each stream's sID, re-read only when that stream moves, and the
-    // sorter's `(sID, stream)` list of the live streams.
-    let mut heads: Vec<Option<DocId>> = streams.iter().map(UnionStream::head).collect();
-    let mut order: Vec<(DocId, usize)> = (0..streams.len()).map(|i| (0, i)).collect();
+    let (doc_level, block_max, prune) = match rounds {
+        Rounds::Exhaustive => (false, false, false),
+        Rounds::BlockOnly => (false, true, false),
+        Rounds::Wand { block_max, prune } => (true, block_max, prune),
+    };
+    let (block_reason, pop_reason) = skip_reasons(prune);
+    let mut frontier = Frontier::new(&streams);
     let mut entries: Vec<(TermId, u32)> = Vec::with_capacity(8);
+    let maxes: Vec<f32> = streams.iter().map(UnionStream::max_score).collect();
     // Score loader: the pre-computed LUT is exact for up to 4 streams
     // (the paper's per-core width); wider ganged unions fall back to
     // incremental summation, exactly as chained mergers would.
-    let lut = (streams.len() <= 4).then(|| {
-        let maxes: Vec<f32> = streams.iter().map(UnionStream::max_score).collect();
-        ScoreLut::new(&maxes)
-    });
+    let lut = (!prune && streams.len() <= 4).then(|| ScoreLut::new(&maxes));
 
     loop {
-        order.retain_mut(|(d, i)| heads[*i].map(|h| *d = h).is_some());
-        if order.is_empty() {
+        frontier.sort();
+        if frontier.len() == 0 {
             break;
         }
         // Block-at-a-time fast path: once a single live posting-list
@@ -256,48 +421,42 @@ pub(crate) fn union_topk(
         // the tail of multi-stream unions), drain it with the bulk
         // scoring kernels. Wall-clock only — the drain replicates every
         // counter and simulated charge of the per-posting iterations.
-        if ctx.bulk && order.len() == 1 {
-            if let UnionStream::List(c) = &mut streams[order[0].1] {
-                drain_single_list(ctx, c, et, topk, bulk)?;
+        if ctx.bulk && frontier.len() == 1 {
+            if let UnionStream::List(c) = &mut streams[frontier.stream(0)] {
+                drain_single_list(ctx, c, rounds, topk, bulk)?;
                 break;
             }
         }
-        // ① The sorter orders streams by sID, ties by stream index. Few
-        // streams moved since the last round, so insert in place.
-        for j in 1..order.len() {
-            let mut p = j;
-            while p > 0 && order[p - 1] > order[p] {
-                order.swap(p - 1, p);
-                p -= 1;
-            }
-        }
         ctx.eval.pivot_rounds += 1;
-        let theta = topk.cutoff();
+        let bound = frontier.theta.of(topk.cutoff());
 
         // ②/③ Score loader + pivot selector (document-level WAND).
-        let pivot_pos = if et == EtMode::Full {
+        let pivot_pos = if doc_level {
             let mut acc = 0.0f64;
             let mut mask = 0usize;
             let mut found = None;
-            for (pos, &(_, i)) in order.iter().enumerate() {
+            for pos in 0..frontier.len() {
+                let i = frontier.stream(pos);
                 acc = match &lut {
                     Some(lut) => {
                         mask |= 1 << i;
                         lut.upper_bound(mask)
                     }
-                    None => acc + f64::from(streams[i].max_score()),
+                    None => acc + f64::from(maxes[i]),
                 };
-                if !cannot_beat(acc, theta) {
-                    found = Some(pos);
-                    break;
+                if acc <= bound {
+                    continue;
                 }
+                found = Some(pos);
+                break;
             }
             match found {
                 Some(p) => p,
                 None => {
                     // No document anywhere can beat θ: terminate the query.
-                    for &(_, i) in &order {
-                        ctx.eval.docs_skipped_wand += streams[i].remaining();
+                    for pos in 0..frontier.len() {
+                        let rest = streams[frontier.stream(pos)].remaining();
+                        pop_reason.count(&mut ctx.eval, rest);
                     }
                     break;
                 }
@@ -307,7 +466,7 @@ pub(crate) fn union_topk(
             // sID — every document is considered in order.
             0
         };
-        let pivot = order[pivot_pos].0;
+        let pivot = frontier.doc(pivot_pos);
 
         // Block-level score estimation (block fetch module). The pivot
         // set is every stream whose current document is <= pivot —
@@ -315,15 +474,16 @@ pub(crate) fn union_topk(
         // position — because any document in the skip window could draw
         // contributions from all of them.
         let mut pivot_end = pivot_pos;
-        while pivot_end + 1 < order.len() && order[pivot_end + 1].0 == pivot {
+        while pivot_end + 1 < frontier.len() && frontier.doc(pivot_end + 1) == pivot {
             pivot_end += 1;
         }
-        if et != EtMode::Exhaustive {
+        if block_max {
+            // Shallow probe: metadata only, no fetch, no decode.
             let mut ub = 0.0f64;
             let mut min_boundary = DocId::MAX;
             let mut all_have_blocks = true;
-            for &(_, i) in &order[..=pivot_end] {
-                match streams[i].shallow_block_max(pivot) {
+            for pos in 0..=pivot_end {
+                match streams[frontier.stream(pos)].shallow_block_max(pivot) {
                     Some((m, last)) => {
                         ub += f64::from(m);
                         min_boundary = min_boundary.min(last);
@@ -336,17 +496,16 @@ pub(crate) fn union_topk(
             }
             // Streams outside the pivot set must not reach into the skip
             // window: cap it at the next stream's current document.
-            if let Some(&(next_cur, _)) = order.get(pivot_end + 1) {
-                min_boundary = min_boundary.min(next_cur.saturating_sub(1));
+            if pivot_end + 1 < frontier.len() {
+                min_boundary = min_boundary.min(frontier.doc(pivot_end + 1).saturating_sub(1));
             }
-            if all_have_blocks && cannot_beat(ub, theta) {
+            if all_have_blocks && ub <= bound {
                 let next = min_boundary.saturating_add(1).max(pivot.saturating_add(1));
-                if et == EtMode::Full {
+                if doc_level {
                     // WAND's document scheduler can pop below-window docs
                     // even inside fetched blocks: jump the whole pivot set.
-                    for &(_, i) in &order[..=pivot_end] {
-                        streams[i].seek(ctx, next, SkipReason::Block)?;
-                        heads[i] = streams[i].head();
+                    for pos in 0..=pivot_end {
+                        frontier.seek(ctx, &mut streams, pos, next, block_reason)?;
                     }
                     continue;
                 }
@@ -355,11 +514,11 @@ pub(crate) fn union_topk(
                 // already inside fetched blocks must still be scored — that
                 // is exactly the capability split Figure 14 measures.
                 let mut skipped_any = false;
-                for &(_, i) in &order[..=pivot_end] {
-                    if let Some(last) = streams[i].whole_block_skippable() {
+                for pos in 0..=pivot_end {
+                    if let Some(last) = streams[frontier.stream(pos)].whole_block_skippable() {
                         if last < next {
-                            streams[i].seek(ctx, last.saturating_add(1), SkipReason::Block)?;
-                            heads[i] = streams[i].head();
+                            let past = last.saturating_add(1);
+                            frontier.seek(ctx, &mut streams, pos, past, block_reason)?;
                             skipped_any = true;
                         }
                     }
@@ -373,11 +532,10 @@ pub(crate) fn union_topk(
 
         // ④ Document scheduler: pop below-pivot documents, then score the
         // pivot if every stream at or below it aligned.
-        if order[0].0 < pivot {
-            for &(d, i) in &order[..pivot_pos] {
-                if d < pivot {
-                    streams[i].seek(ctx, pivot, SkipReason::Wand)?;
-                    heads[i] = streams[i].head();
+        if frontier.doc(0) < pivot {
+            for pos in 0..pivot_pos {
+                if frontier.doc(pos) < pivot {
+                    frontier.seek(ctx, &mut streams, pos, pivot, pop_reason)?;
                 }
             }
             continue;
@@ -386,9 +544,10 @@ pub(crate) fn union_topk(
         // Gather contributions from every stream positioned at the pivot
         // (streams beyond the pivot position may coincidentally align).
         entries.clear();
-        for &(_, i) in &order[..=pivot_end] {
-            streams[i].take_entries(ctx, &mut entries)?;
-            heads[i] = streams[i].head();
+        for pos in 0..=pivot_end {
+            let stream = &mut streams[frontier.stream(pos)];
+            stream.take_entries(ctx, &mut entries)?;
+            frontier.refresh(pos, stream);
         }
         // All contributing streams may have fault-skipped their blocks
         // under `SkipBlock`; the pivot document is gone, and every such
@@ -428,9 +587,10 @@ pub(crate) fn union_topk(
 ///   block boundary (inside a decoded block `whole_block_skippable` is
 ///   `None` and the scalar loop falls through to scoring); the drain
 ///   replays that boundary round and bulk-scores the rest.
-/// * In `Full` mode θ feeds back per posting, so the drain keeps the
-///   per-posting round structure but precomputes the run's scores with
-///   the kernel and strips the per-posting stream dispatch.
+/// * Under `Wand` rounds θ feeds back per accepted posting, so the drain
+///   keeps the round structure but precomputes the run's scores with the
+///   kernel, strips the per-posting stream dispatch, and steps over runs
+///   of postings the full queue rejects (θ, hence every check, unchanged).
 ///
 /// Simulated charge order is preserved: block data reads happen at decode
 /// entry, next-block metadata is charged by the advance that crosses the
@@ -439,7 +599,7 @@ pub(crate) fn union_topk(
 fn drain_single_list(
     ctx: &mut ExecCtx<'_>,
     c: &mut ListCursor<'_>,
-    et: EtMode,
+    rounds: Rounds,
     topk: &mut TopK,
     bulk: &mut BulkScratch,
 ) -> Result<(), Error> {
@@ -485,13 +645,13 @@ fn drain_single_list(
         Ok(())
     };
 
-    match et {
-        EtMode::Exhaustive => {
+    match rounds {
+        Rounds::Exhaustive => {
             while !c.exhausted() {
                 drain_run(ctx, c, topk, bulk, 0)?;
             }
         }
-        EtMode::BlockOnly => {
+        Rounds::BlockOnly => {
             while !c.exhausted() {
                 let mut pre = 0;
                 if !c.is_decoded() {
@@ -513,14 +673,16 @@ fn drain_single_list(
                 drain_run(ctx, c, topk, bulk, pre)?;
             }
         }
-        EtMode::Full => drain_wand_tail(ctx, c, topk, bulk, true, false)?,
+        Rounds::Wand { block_max, prune } => {
+            drain_wand_tail(ctx, c, topk, bulk, block_max, prune)?;
+        }
     }
     Ok(())
 }
 
 /// Drains a single live posting-list stream with per-posting θ feedback:
-/// the `Full` ET arm of [`drain_single_list`] and, with `prune` set, the
-/// bulk tail of the WAND-family pruned query plans.
+/// the [`Rounds::Wand`] arm of [`drain_single_list`] — `Full` ET and, with
+/// `prune` set, the bulk tail of the WAND-family pruned query plans.
 ///
 /// * `block_check` gates the block-max skip test (on for `Full` ET and
 ///   the block-max algorithms, off for plain WAND, whose scalar loop
@@ -534,7 +696,7 @@ fn drain_single_list(
 /// per-posting round structure with the stream dispatch stripped and the
 /// run's scores precomputed by the block kernel — the property the
 /// `bulk_*_changes_nothing_observable` tests pin down.
-pub(crate) fn drain_wand_tail(
+fn drain_wand_tail(
     ctx: &mut ExecCtx<'_>,
     c: &mut ListCursor<'_>,
     topk: &mut TopK,
@@ -546,34 +708,26 @@ pub(crate) fn drain_wand_tail(
     let bm25 = *ctx.index.bm25();
     let norms = ctx.index.doc_norms();
     let idf = ctx.index.term_info(c.term).idf;
-    let skip_reason = if prune {
-        SkipReason::Prune
-    } else {
-        SkipReason::Block
-    };
+    let (block_reason, pop_reason) = skip_reasons(prune);
     let list_ub = f64::from(c.list_max());
+    let mut theta = ThetaBound::new();
     let mut run_valid = false;
     let mut run_j = 0usize;
     while !c.exhausted() {
         ctx.eval.pivot_rounds += 1;
-        let theta = topk.cutoff();
-        if cannot_beat(list_ub, theta) {
+        let bound = theta.of(topk.cutoff());
+        if list_ub <= bound {
             // Document-level termination: nothing left can beat θ.
-            let rem = c.remaining();
-            if prune {
-                ctx.eval.docs_skipped_prune += rem;
-            } else {
-                ctx.eval.docs_skipped_wand += rem;
-            }
+            pop_reason.count(&mut ctx.eval, c.remaining());
             break;
         }
         let pivot = c.current_doc();
-        if block_check && cannot_beat(f64::from(c.block_max()), theta) {
+        if block_check && f64::from(c.block_max()) <= bound {
             let next = c
                 .block_last_doc()
                 .saturating_add(1)
                 .max(pivot.saturating_add(1));
-            c.seek(ctx, next, skip_reason)?;
+            c.seek(ctx, next, block_reason)?;
             run_valid = false;
             continue;
         }
@@ -593,19 +747,39 @@ pub(crate) fn drain_wand_tail(
             run_valid = true;
             run_j = 0;
         }
-        let score = bulk.scores.scores()[run_j];
-        run_j += 1;
-        c.advance_run(ctx, 1);
-        ctx.load_norm(pivot);
-        ctx.scored += 1;
-        ctx.eval.docs_scored += 1;
-        topk.offer(pivot, score);
+        // Postings the full queue rejects leave θ — hence both checks
+        // above — as they are, so a run of them is stepped over with only
+        // its charges; a posting that may enter the queue goes alone.
+        let scores = &bulk.scores.scores()[run_j..];
+        let losers = if topk.len() == topk.k() {
+            let cutoff = topk.cutoff();
+            scores.iter().take_while(|&&s| s <= cutoff).count()
+        } else {
+            0
+        };
+        let n = losers.max(1);
+        ctx.eval.pivot_rounds += n as u64 - 1;
+        for j in 0..n {
+            if j + 1 == n {
+                // The advance that may cross the block boundary charges
+                // the next block's metadata before the last norm load, as
+                // the per-posting order does.
+                c.advance_run(ctx, n);
+            }
+            ctx.load_norm(bulk.docs[run_j + j]);
+        }
+        ctx.scored += n as u64;
+        ctx.eval.docs_scored += n as u64;
+        topk.sift_block(&bulk.docs[run_j..run_j + n], &scores[..n]);
+        run_j += n;
     }
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
     use crate::config::BossConfig;
     use crate::fetch::ExecCtx;
@@ -662,7 +836,7 @@ mod tests {
         union_topk(
             &mut ctx,
             streams,
-            et,
+            et.into(),
             &mut topk,
             &mut BulkScratch::default(),
         )
@@ -784,7 +958,7 @@ mod tests {
         union_topk(
             &mut ctx,
             vec![UnionStream::Mat(mat), UnionStream::List(cursor)],
-            EtMode::Full,
+            EtMode::Full.into(),
             &mut topk,
             &mut BulkScratch::default(),
         )
@@ -826,7 +1000,7 @@ mod tests {
                         union_topk(
                             &mut ctx,
                             streams,
-                            et,
+                            et.into(),
                             &mut topk,
                             &mut BulkScratch::default(),
                         )
@@ -862,7 +1036,7 @@ mod tests {
             union_topk(
                 &mut ctx,
                 streams,
-                EtMode::Full,
+                EtMode::Full.into(),
                 &mut topk,
                 &mut BulkScratch::default(),
             )
@@ -901,7 +1075,7 @@ mod tests {
             union_topk(
                 &mut ctx,
                 streams,
-                EtMode::Full,
+                EtMode::Full.into(),
                 &mut topk,
                 &mut BulkScratch::default(),
             )

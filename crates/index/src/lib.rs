@@ -76,6 +76,8 @@ pub mod shard;
 // it inherits the segment module's untrusted-input contract.
 #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 pub mod spimi;
+// The top-k queue sits on every engine's per-posting path.
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod topk;
 
 pub use algorithm::{QueryAlgorithm, ALL_ALGORITHMS};

@@ -46,6 +46,83 @@ struct Channel {
     last_write_end: u64,
 }
 
+/// How an address picks its channel: `(addr / interleave) % channels`,
+/// without the divisions when both are powers of two.
+#[derive(Debug, Clone, Copy)]
+enum Route {
+    Mask { shift: u32, mask: u64 },
+    Divide { interleave: u64, channels: u32 },
+}
+
+impl Route {
+    fn new(config: &MemoryConfig) -> Self {
+        if config.interleave_bytes.is_power_of_two() && config.channels.is_power_of_two() {
+            Route::Mask {
+                shift: config.interleave_bytes.trailing_zeros(),
+                mask: u64::from(config.channels) - 1,
+            }
+        } else {
+            Route::Divide {
+                interleave: config.interleave_bytes,
+                channels: config.channels,
+            }
+        }
+    }
+
+    fn channel(self, addr: u64) -> usize {
+        match self {
+            Route::Mask { shift, mask } => ((addr >> shift) & mask) as usize,
+            Route::Divide {
+                interleave,
+                channels,
+            } => {
+                let stripe = addr / interleave;
+                // Stripe numbers of any realistic image fit 32 bits, where
+                // the remainder is several times cheaper.
+                match u32::try_from(stripe) {
+                    Ok(stripe) => (stripe % channels) as usize,
+                    Err(_) => (stripe % u64::from(channels)) as usize,
+                }
+            }
+        }
+    }
+}
+
+/// One of the three transfer rates of a channel, with the busy time of
+/// the last transfer size charged at it. Query traffic repeats a handful
+/// of sizes (a norm line, a metadata record), so most charges skip the
+/// float division and `ceil`.
+#[derive(Debug, Clone, Copy)]
+struct Rate {
+    bytes_per_cycle: f64,
+    last_bytes: u64,
+    last_busy: u64,
+}
+
+impl Rate {
+    fn new(bytes_per_cycle: f64) -> Self {
+        Rate {
+            bytes_per_cycle,
+            last_bytes: 0,
+            last_busy: 0,
+        }
+    }
+
+    fn busy(&mut self, eff_bytes: u64) -> u64 {
+        if eff_bytes != self.last_bytes {
+            self.last_bytes = eff_bytes;
+            self.last_busy = busy_cycles(eff_bytes, self.bytes_per_cycle);
+        }
+        self.last_busy
+    }
+}
+
+/// Channel occupancy of `eff_bytes` at `bytes_per_cycle`: whole cycles,
+/// at least one.
+fn busy_cycles(eff_bytes: u64, bytes_per_cycle: f64) -> u64 {
+    ((eff_bytes as f64 / bytes_per_cycle).ceil() as u64).max(1)
+}
+
 /// A single memory node (a set of channels) with timing and accounting.
 ///
 /// The simulator is deliberately single-owner (`&mut self` API): the device
@@ -57,6 +134,10 @@ pub struct MemorySim {
     channels: Vec<Channel>,
     stats: MemStats,
     fault: Option<FaultPlan>,
+    route: Route,
+    seq_read: Rate,
+    rand_read: Rate,
+    write: Rate,
 }
 
 /// Completion information of one checked access.
@@ -74,6 +155,10 @@ impl MemorySim {
     pub fn new(config: MemoryConfig) -> Self {
         let channels = vec![Channel::default(); config.channels as usize];
         MemorySim {
+            route: Route::new(&config),
+            seq_read: Rate::new(config.seq_read_bytes_per_cycle_per_channel()),
+            rand_read: Rate::new(config.rand_read_bytes_per_cycle_per_channel()),
+            write: Rate::new(config.write_bytes_per_cycle_per_channel()),
             config,
             channels,
             stats: MemStats::new(),
@@ -121,10 +206,6 @@ impl MemorySim {
         std::mem::take(&mut self.stats)
     }
 
-    fn channel_index(&self, addr: u64) -> usize {
-        ((addr / self.config.interleave_bytes) % u64::from(self.config.channels)) as usize
-    }
-
     /// Issue one access and return its completion cycle.
     ///
     /// `earliest` is the cycle at which the requesting pipeline stage has
@@ -168,22 +249,14 @@ impl MemorySim {
         earliest: u64,
     ) -> AccessResult {
         assert!(bytes > 0, "zero-byte memory access");
-        let ch_idx = self.channel_index(addr);
+        let ch_idx = self.route.channel(addr);
         let granule = self.config.granule_bytes;
 
-        let (last_end, seq_bpc, lat) = {
+        let (last_end, lat) = {
             let ch = &self.channels[ch_idx];
             match kind {
-                AccessKind::Read => (
-                    ch.last_read_end,
-                    self.config.seq_read_bytes_per_cycle_per_channel(),
-                    self.config.read_latency_ns,
-                ),
-                AccessKind::Write => (
-                    ch.last_write_end,
-                    self.config.write_bytes_per_cycle_per_channel(),
-                    self.config.write_latency_ns,
-                ),
+                AccessKind::Read => (ch.last_read_end, self.config.read_latency_ns),
+                AccessKind::Write => (ch.last_write_end, self.config.write_latency_ns),
             }
         };
 
@@ -199,10 +272,10 @@ impl MemorySim {
             }
         };
 
-        let bpc = match (kind, sequential) {
-            (AccessKind::Read, true) => seq_bpc,
-            (AccessKind::Read, false) => self.config.rand_read_bytes_per_cycle_per_channel(),
-            (AccessKind::Write, _) => seq_bpc,
+        let rate = match (kind, sequential) {
+            (AccessKind::Read, true) => &mut self.seq_read,
+            (AccessKind::Read, false) => &mut self.rand_read,
+            (AccessKind::Write, _) => &mut self.write,
         };
         // The configured bandwidths are *achieved* figures from the
         // empirical Optane studies, which already fold in device-granule
@@ -219,7 +292,7 @@ impl MemorySim {
         } else {
             bytes.max(MIN_TRANSFER_BYTES)
         };
-        let mut busy = ((eff_bytes as f64 / bpc).ceil() as u64).max(1);
+        let mut busy = rate.busy(eff_bytes);
 
         // Fault plan, part 1: a degraded channel moves the same bytes at a
         // reduced rate. Consulted only when a plan is attached, so the
@@ -228,7 +301,7 @@ impl MemorySim {
         if let Some(plan) = &self.fault {
             let factor = plan.channel_factor(ch_idx);
             if factor < 1.0 {
-                busy = ((eff_bytes as f64 / (bpc * factor)).ceil() as u64).max(1);
+                busy = busy_cycles(eff_bytes, rate.bytes_per_cycle * factor);
                 degraded = true;
             }
         }

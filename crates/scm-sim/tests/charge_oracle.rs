@@ -5,8 +5,8 @@
 //! without a fault plan.
 
 use boss_scm::{
-    AccessCategory, AccessKind, FaultPlan, MemoryConfig, MemorySim, PatternHint,
-    ACCESS_CATEGORIES, MIN_TRANSFER_BYTES,
+    AccessCategory, AccessKind, FaultPlan, MemoryConfig, MemorySim, PatternHint, ACCESS_CATEGORIES,
+    MIN_TRANSFER_BYTES,
 };
 use proptest::prelude::*;
 
@@ -186,13 +186,7 @@ struct Op {
 fn op() -> impl Strategy<Value = Op> {
     (
         prop_oneof![Just(None), (0u64..(1 << 34)).prop_map(Some)],
-        prop_oneof![
-            Just(4u64),
-            Just(19),
-            Just(64),
-            1u64..600,
-            600u64..200_000
-        ],
+        prop_oneof![Just(4u64), Just(19), Just(64), 1u64..600, 600u64..200_000],
         any::<bool>(),
         0u8..3,
         0..ACCESS_CATEGORIES.len(),
