@@ -17,18 +17,29 @@ pub struct OptPfd;
 
 const EXCEPTION_BYTES: usize = 6; // u16 index + u32 high bits
 
-fn encoded_len(values: &[u32], b: u32) -> usize {
-    let packed = (values.len() * b as usize).div_ceil(8);
-    let exceptions = values.iter().filter(|&&v| bits_for(v) > b).count();
-    packed + exceptions * EXCEPTION_BYTES
-}
-
-/// Chooses the bit width minimizing the encoded size.
+/// Chooses the bit width minimizing the encoded size (the narrowest on a
+/// tie). One pass buckets the values by bit length; the exceptions of
+/// width `b` are the values longer than `b` bits, a suffix sum carried
+/// down from the widest candidate.
 fn best_width(values: &[u32]) -> u32 {
-    let max_width = values.iter().copied().map(bits_for).max().unwrap_or(0);
-    (0..=max_width)
-        .min_by_key(|&b| (encoded_len(values, b), b))
-        .unwrap_or(0)
+    let mut of_width = [0usize; 33];
+    let mut max_width = 0;
+    for &v in values {
+        let bits = bits_for(v);
+        of_width[bits as usize] += 1;
+        max_width = max_width.max(bits);
+    }
+    let mut exceptions = 0;
+    let mut best = (usize::MAX, 0);
+    for b in (0..=max_width).rev() {
+        let len = (values.len() * b as usize).div_ceil(8) + exceptions * EXCEPTION_BYTES;
+        // Descending walk, so `<=` leaves the narrowest width on a tie.
+        if len <= best.0 {
+            best = (len, b);
+        }
+        exceptions += of_width[b as usize];
+    }
+    best.1
 }
 
 impl Codec for OptPfd {
@@ -139,6 +150,65 @@ fn apply_exceptions(patch: &[u8], b: u32, count: usize, out: &mut [u32]) -> Resu
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The seed's width search — one scan of the block per candidate
+    /// width — kept as the oracle for the histogram walk.
+    fn best_width_by_rescan(values: &[u32]) -> u32 {
+        let encoded_len = |b: u32| {
+            let packed = (values.len() * b as usize).div_ceil(8);
+            let exceptions = values.iter().filter(|&&v| bits_for(v) > b).count();
+            packed + exceptions * EXCEPTION_BYTES
+        };
+        let max_width = values.iter().copied().map(bits_for).max().unwrap_or(0);
+        (0..=max_width)
+            .min_by_key(|&b| (encoded_len(b), b))
+            .unwrap_or(0)
+    }
+
+    #[test]
+    fn histogram_width_equals_rescan_width() {
+        // xorshift: block lengths 1–128, each value's bit length drawn
+        // from a per-block profile so every width 0–32 gets to win and
+        // outlier-heavy blocks (a few long values over a narrow body)
+        // are common; ties between widths arise at the short lengths.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        assert_eq!(best_width(&[]), best_width_by_rescan(&[]));
+        for trial in 0..20_000 {
+            let len = 1 + (next() % 128) as usize;
+            let body = (next() % 33) as u32;
+            let outlier_every = 1 + next() % 40;
+            let values: Vec<u32> = (0..len)
+                .map(|_| {
+                    let bits = if next() % outlier_every == 0 {
+                        (next() % 33) as u32
+                    } else {
+                        body.saturating_sub((next() % 3) as u32)
+                    };
+                    match bits {
+                        0 => 0,
+                        32 => next() as u32 | 1 << 31,
+                        b => (next() as u32 & ((1 << b) - 1)) | 1 << (b - 1),
+                    }
+                })
+                .collect();
+            assert_eq!(
+                best_width(&values),
+                best_width_by_rescan(&values),
+                "trial {trial}: {values:?}"
+            );
+        }
+        for b in 0..=32u32 {
+            let v = if b == 0 { 0 } else { u32::MAX >> (32 - b) };
+            assert_eq!(best_width(&[v; 128]), b);
+            assert_eq!(best_width(&[v]), best_width_by_rescan(&[v]));
+        }
+    }
 
     fn roundtrip(values: &[u32]) -> (BlockInfo, Vec<u8>) {
         let mut buf = Vec::new();

@@ -1,8 +1,8 @@
 //! Index construction.
 
 use crate::index::{InvertedIndex, TermInfo};
-use crate::{Bm25, Bm25Params, EncodedList, Error, PostingList};
-use boss_compress::{Scheme, ALL_SCHEMES};
+use crate::{Bm25, Bm25Params, Error, ListEncoder, PostingList};
+use boss_compress::Scheme;
 use std::collections::BTreeMap;
 
 /// How the builder picks a compression scheme per posting list.
@@ -81,39 +81,6 @@ pub(crate) fn scoring_from_lens(params: Bm25Params, doc_lens: &[u32]) -> (Bm25, 
     (bm25, doc_norms)
 }
 
-/// Encodes one posting list under the builder's scheme policy. The
-/// hybrid tie-break (first scheme in [`ALL_SCHEMES`] order wins ties,
-/// strictly smaller replaces) is the index's on-disk identity, so every
-/// construction path — in-memory build and segment merge — must go
-/// through this one function.
-pub(crate) fn encode_term_list(
-    plist: &PostingList,
-    choice: SchemeChoice,
-    bm25: &Bm25,
-    idf: f32,
-    norms: &[f32],
-) -> Result<EncodedList, Error> {
-    match choice {
-        SchemeChoice::Fixed(s) => EncodedList::encode(plist, s, bm25, idf, norms),
-        SchemeChoice::Hybrid => {
-            let mut best: Option<EncodedList> = None;
-            for s in ALL_SCHEMES {
-                if let Ok(enc) = EncodedList::encode(plist, s, bm25, idf, norms) {
-                    if best
-                        .as_ref()
-                        .is_none_or(|b| enc.data_bytes() < b.data_bytes())
-                    {
-                        best = Some(enc);
-                    }
-                }
-            }
-            // Infallible: BitPacking encodes every u32 slice.
-            #[allow(clippy::expect_used)]
-            Ok(best.expect("BP is total, so hybrid always has a candidate"))
-        }
-    }
-}
-
 /// Builder for [`InvertedIndex`].
 ///
 /// Two input paths:
@@ -132,7 +99,8 @@ pub(crate) fn encode_term_list(
 ///   [`IndexBuilder::add_posting_list`] is [`Error::DuplicateTerm`].
 #[derive(Debug, Default)]
 pub struct IndexBuilder {
-    postings: BTreeMap<String, Vec<(u32, u32)>>,
+    /// Per term, the docID and tf columns in the shape the encoder takes.
+    postings: BTreeMap<String, (Vec<u32>, Vec<u32>)>,
     doc_lens: Vec<u32>,
     explicit_doc_lens: bool,
     tokenized_docs: bool,
@@ -198,7 +166,9 @@ impl IndexBuilder {
                 len += 1;
             }
             for (term, tf) in counts {
-                self.postings.entry(term).or_default().push((doc, tf));
+                let (docs, tfs) = self.postings.entry(term).or_default();
+                docs.push(doc);
+                tfs.push(tf);
             }
             if self.doc_lens.len() < (doc + 1) as usize {
                 self.doc_lens.resize((doc + 1) as usize, 0);
@@ -218,10 +188,8 @@ impl IndexBuilder {
             });
             return self;
         }
-        self.postings.insert(
-            term.to_owned(),
-            list.iter().map(|p| (p.doc, p.tf)).collect(),
-        );
+        self.postings
+            .insert(term.to_owned(), (list.docs().to_vec(), list.tfs().to_vec()));
         self
     }
 
@@ -250,7 +218,7 @@ impl IndexBuilder {
         // Determine corpus size.
         let max_doc = postings
             .values()
-            .flat_map(|v| v.iter().map(|&(d, _)| d))
+            .flat_map(|(docs, _)| docs.iter().copied())
             .max();
         let n_docs = match (max_doc, doc_lens.len()) {
             (Some(m), l) => (m as usize + 1).max(l),
@@ -266,8 +234,8 @@ impl IndexBuilder {
         }
         // Documents with unknown length get their tf sums as length.
         let mut tf_sums = vec![0u64; n_docs];
-        for list in postings.values() {
-            for &(d, tf) in list {
+        for (docs, tfs) in postings.values() {
+            for (&d, &tf) in docs.iter().zip(tfs) {
                 tf_sums[d as usize] += u64::from(tf);
             }
         }
@@ -279,14 +247,11 @@ impl IndexBuilder {
         let mut terms = Vec::with_capacity(postings.len());
         let mut lists = Vec::with_capacity(postings.len());
         let mut vocab = std::collections::HashMap::with_capacity(postings.len());
-        for (text, pairs) in postings {
-            let docs: Vec<u32> = pairs.iter().map(|&(d, _)| d).collect();
-            let tfs: Vec<u32> = pairs.iter().map(|&(_, tf)| tf).collect();
-            let plist = PostingList::from_columns(docs, tfs)?;
-            let df = plist.len() as u32;
+        let mut encoder = ListEncoder::new();
+        for (text, (docs, tfs)) in postings {
+            let df = docs.len() as u32;
             let idf = bm25.idf(df);
-
-            let encoded = encode_term_list(&plist, scheme, &bm25, idf, &doc_norms)?;
+            let encoded = encoder.encode(&docs, &tfs, scheme, &bm25, idf, &doc_norms)?;
 
             let id = terms.len() as u32;
             vocab.insert(text.clone(), id);
@@ -307,7 +272,10 @@ impl IndexBuilder {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
+    use boss_compress::ALL_SCHEMES;
 
     #[test]
     fn build_from_text() {

@@ -1,8 +1,8 @@
 //! Block-structured encoded posting lists with the paper's per-block
 //! metadata (Section IV-A "Index Structure and Per-block Metadata").
 
-use crate::{Bm25, DocId, Error, PostingList};
-use boss_compress::{codec_for, BlockInfo, Scheme};
+use crate::{Bm25, DocId, Error, PostingList, SchemeChoice};
+use boss_compress::{codec_for, BlockInfo, Scheme, ALL_SCHEMES};
 use serde::{Deserialize, Serialize};
 
 /// Number of postings per block. The paper uses 128-value blocks (with
@@ -108,76 +108,15 @@ impl EncodedList {
         norms: &[f32],
         block_size: usize,
     ) -> Result<Self, Error> {
-        assert!(block_size > 0 && block_size <= boss_compress::MAX_BLOCK_VALUES);
-        let codec = codec_for(scheme);
-        let mut blocks = Vec::with_capacity(list.len().div_ceil(block_size));
-        let mut data = Vec::new();
-        let mut prev_last: Option<DocId> = None;
-        let mut list_max = 0.0f32;
-        let mut gaps = Vec::with_capacity(block_size);
-        let mut tfs_m1 = Vec::with_capacity(block_size);
-
-        let docs = list.docs();
-        let tfs = list.tfs();
-        for start in (0..docs.len()).step_by(block_size) {
-            let end = (start + block_size).min(docs.len());
-            let bdocs = &docs[start..end];
-            let btfs = &tfs[start..end];
-
-            gaps.clear();
-            tfs_m1.clear();
-            let mut prev = prev_last;
-            for &d in bdocs {
-                let gap = match prev {
-                    Some(p) => d - p,
-                    None => d,
-                };
-                gaps.push(gap);
-                prev = Some(d);
-            }
-            tfs_m1.extend(btfs.iter().map(|&tf| tf - 1));
-
-            let offset = data.len() as u32;
-            let delta_info = codec.encode(&gaps, &mut data)?;
-            let tf_offset = data.len() as u32 - offset;
-            let tf_info = codec.encode(&tfs_m1, &mut data)?;
-            let len = data.len() as u32 - offset;
-
-            let mut max_score = 0.0f32;
-            for (&d, &tf) in bdocs.iter().zip(btfs) {
-                let s = bm25.term_score(idf, tf, norms[d as usize]);
-                if s > max_score {
-                    max_score = s;
-                }
-            }
-            list_max = list_max.max(max_score);
-
-            // Infallible: `chunks()` never yields an empty chunk.
-            #[allow(clippy::expect_used)]
-            blocks.push(BlockMeta {
-                first_doc: bdocs[0],
-                last_doc: *bdocs.last().expect("non-empty block"),
-                max_score,
-                offset,
-                len,
-                tf_offset,
-                delta_info,
-                tf_info,
-            });
-            #[allow(clippy::expect_used)]
-            {
-                prev_last = Some(*bdocs.last().expect("non-empty block"));
-            }
-        }
-
-        Ok(EncodedList {
-            scheme,
-            blocks,
-            data,
-            df: list.len() as u32,
+        ListEncoder::new().encode_blocked(
+            list.docs(),
+            list.tfs(),
+            SchemeChoice::Fixed(scheme),
+            bm25,
             idf,
-            max_score: list_max,
-        })
+            norms,
+            block_size,
+        )
     }
 
     /// Reassembles a list from its serialized parts — the segment-file
@@ -422,6 +361,196 @@ impl EncodedList {
             self.decode_block(i, &mut scratch.docs, &mut scratch.tfs)?;
         }
         Ok(())
+    }
+}
+
+/// The one place a posting list becomes an [`EncodedList`]: every
+/// construction path — [`crate::IndexBuilder::build`], SPIMI spills, the
+/// segment merge and [`crate::shard::ShardedIndex::split`] — encodes
+/// through it, so the hybrid tie-break that is the index's on-disk
+/// identity (first of [`ALL_SCHEMES`] wins ties, strictly smaller
+/// replaces, a scheme that cannot represent some block is skipped) is
+/// decided by one loop.
+///
+/// One call computes what no scheme changes — d-gaps, `tf - 1`, per-block
+/// and list maxima of the BM25 term score — once, then encodes the
+/// blocks under each candidate scheme into scratch and keeps the smallest
+/// data area by swapping buffers. The scratch is reused across calls;
+/// the returned list owns exactly-sized copies.
+#[derive(Debug, Default)]
+pub struct ListEncoder {
+    gaps: Vec<u32>,
+    tfs_m1: Vec<u32>,
+    block_max: Vec<f32>,
+    /// Output of the best candidate so far …
+    data: Vec<u8>,
+    blocks: Vec<BlockMeta>,
+    /// … and of the candidate being tried.
+    cand_data: Vec<u8>,
+    cand_blocks: Vec<BlockMeta>,
+}
+
+impl ListEncoder {
+    /// An encoder with empty scratch; buffers grow on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Encodes the posting columns `docs`/`tfs` into [`BLOCK_SIZE`]-value
+    /// blocks under `choice`, computing block-max scores with `bm25`, the
+    /// term's `idf`, and the per-document norms.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::UnsortedPostings`] / [`Error::ZeroTermFrequency`] if the
+    /// columns are not a valid posting list (same positions as
+    /// [`PostingList::from_columns`]); under [`SchemeChoice::Fixed`] the
+    /// codec's failure (e.g. S16 on gaps wider than 28 bits); under
+    /// [`SchemeChoice::Hybrid`] such a scheme is skipped, and only if
+    /// every scheme fails — BP is total, so never — is it
+    /// [`Error::CorruptMetadata`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the columns differ in length or some docID has no entry
+    /// in `norms`.
+    pub fn encode(
+        &mut self,
+        docs: &[DocId],
+        tfs: &[u32],
+        choice: SchemeChoice,
+        bm25: &Bm25,
+        idf: f32,
+        norms: &[f32],
+    ) -> Result<EncodedList, Error> {
+        self.encode_blocked(docs, tfs, choice, bm25, idf, norms, BLOCK_SIZE)
+    }
+
+    /// [`ListEncoder::encode`] with an explicit block size (the ablation
+    /// study's entry, via [`EncodedList::encode_with_block_size`]).
+    #[allow(clippy::too_many_arguments)]
+    fn encode_blocked(
+        &mut self,
+        docs: &[DocId],
+        tfs: &[u32],
+        choice: SchemeChoice,
+        bm25: &Bm25,
+        idf: f32,
+        norms: &[f32],
+        block_size: usize,
+    ) -> Result<EncodedList, Error> {
+        assert!(block_size > 0 && block_size <= boss_compress::MAX_BLOCK_VALUES);
+        assert_eq!(docs.len(), tfs.len(), "column lengths must match");
+
+        self.gaps.clear();
+        self.tfs_m1.clear();
+        self.block_max.clear();
+        let mut prev = 0;
+        for (at, (&doc, &tf)) in docs.iter().zip(tfs).enumerate() {
+            if at > 0 && doc <= prev {
+                return Err(Error::UnsortedPostings { at });
+            }
+            if tf == 0 {
+                return Err(Error::ZeroTermFrequency { at });
+            }
+            // The first stored gap is the absolute docID.
+            self.gaps.push(doc - prev);
+            self.tfs_m1.push(tf - 1);
+            prev = doc;
+        }
+        let mut list_max = 0.0f32;
+        for (bdocs, btfs) in docs.chunks(block_size).zip(tfs.chunks(block_size)) {
+            let mut max_score = 0.0f32;
+            for (&doc, &tf) in bdocs.iter().zip(btfs) {
+                let s = bm25.term_score(idf, tf, norms[doc as usize]);
+                if s > max_score {
+                    max_score = s;
+                }
+            }
+            list_max = list_max.max(max_score);
+            self.block_max.push(max_score);
+        }
+
+        let scheme = match choice {
+            SchemeChoice::Fixed(scheme) => {
+                self.encode_candidate(scheme, docs, block_size, usize::MAX)?;
+                self.keep_candidate();
+                scheme
+            }
+            SchemeChoice::Hybrid => {
+                let mut best = None;
+                for scheme in ALL_SCHEMES {
+                    // Only a strictly smaller data area replaces the best.
+                    let limit = best.map_or(usize::MAX, |_| self.data.len());
+                    let kept = self.encode_candidate(scheme, docs, block_size, limit);
+                    if matches!(kept, Ok(true)) {
+                        self.keep_candidate();
+                        best = Some(scheme);
+                    }
+                }
+                best.ok_or(Error::CorruptMetadata {
+                    reason: "no compression scheme could encode the posting list",
+                })?
+            }
+        };
+
+        Ok(EncodedList {
+            scheme,
+            blocks: self.blocks.clone(),
+            data: self.data.clone(),
+            df: docs.len() as u32,
+            idf,
+            max_score: list_max,
+        })
+    }
+
+    /// Encodes the prepared gap / `tf - 1` streams block by block under
+    /// `scheme` into the candidate buffers. `Ok(false)` means abandoned:
+    /// the data area only grows, so once it reaches `limit` bytes the
+    /// candidate can no longer come in under `limit`.
+    fn encode_candidate(
+        &mut self,
+        scheme: Scheme,
+        docs: &[DocId],
+        block_size: usize,
+        limit: usize,
+    ) -> Result<bool, Error> {
+        let codec = codec_for(scheme);
+        let (data, blocks) = (&mut self.cand_data, &mut self.cand_blocks);
+        data.clear();
+        blocks.clear();
+        let streams = self
+            .gaps
+            .chunks(block_size)
+            .zip(self.tfs_m1.chunks(block_size));
+        for ((bdocs, (gaps, tfs_m1)), &max_score) in
+            docs.chunks(block_size).zip(streams).zip(&self.block_max)
+        {
+            let offset = data.len() as u32;
+            let delta_info = codec.encode(gaps, data)?;
+            if data.len() >= limit {
+                return Ok(false);
+            }
+            let tf_offset = data.len() as u32 - offset;
+            let tf_info = codec.encode(tfs_m1, data)?;
+            let len = data.len() as u32 - offset;
+            blocks.push(BlockMeta {
+                first_doc: bdocs[0],
+                last_doc: bdocs[bdocs.len() - 1],
+                max_score,
+                offset,
+                len,
+                tf_offset,
+                delta_info,
+                tf_info,
+            });
+        }
+        Ok(data.len() < limit)
+    }
+
+    fn keep_candidate(&mut self) {
+        std::mem::swap(&mut self.data, &mut self.cand_data);
+        std::mem::swap(&mut self.blocks, &mut self.cand_blocks);
     }
 }
 

@@ -38,6 +38,9 @@
 
 mod algorithm;
 mod bm25;
+// Builds run over caller-supplied postings and feed every other
+// construction path; a bad input is a typed `Error`, never a panic.
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod builder;
 pub mod cache;
 mod encoded;
@@ -84,7 +87,9 @@ pub use algorithm::{QueryAlgorithm, ALL_ALGORITHMS};
 pub use bm25::{Bm25, Bm25Params};
 pub use builder::{IndexBuilder, SchemeChoice};
 pub use cache::{decode_block_cached, BlockCache, BlockCacheStats, DecodedBlock};
-pub use encoded::{BlockMeta, DecodeScratch, EncodedList, BLOCK_META_BYTES, BLOCK_SIZE};
+pub use encoded::{
+    BlockMeta, DecodeScratch, EncodedList, ListEncoder, BLOCK_META_BYTES, BLOCK_SIZE,
+};
 pub use error::Error;
 pub use index::{InvertedIndex, TermId, TermInfo};
 pub use matches::{merge_groups, GroupMatches};

@@ -149,10 +149,6 @@ impl<W: Write> HashingWriter<W> {
         Ok(())
     }
 
-    fn put_u16(&mut self, v: u16) -> Result<(), IoError> {
-        self.put(&v.to_le_bytes())
-    }
-
     fn put_u32(&mut self, v: u32) -> Result<(), IoError> {
         self.put(&v.to_le_bytes())
     }
@@ -163,8 +159,8 @@ impl<W: Write> HashingWriter<W> {
 }
 
 /// Writes one sealed segment. `terms` must be in strictly increasing
-/// lexical order (a [`std::collections::BTreeMap`] iteration qualifies)
-/// with every list's docIDs segment-local; `doc_lens` are the final
+/// lexical order (byte-wise, as `str` compares) with every list's docIDs
+/// segment-local; `doc_lens` are the final
 /// per-document token counts of the segment's documents.
 ///
 /// Returns the total bytes written and the region map for targeted
@@ -213,6 +209,7 @@ pub fn write_segment<W: Write>(
     regions.doc_lens = doc_lens_start..w.written;
 
     let mut prev: Option<&str> = None;
+    let mut entry: Vec<u8> = Vec::new();
     for (term, list) in terms {
         if prev.is_some_and(|p| p >= term.as_str()) {
             return Err(IoError::Invalid(crate::Error::DuplicateTerm {
@@ -234,31 +231,36 @@ pub fn write_segment<W: Write>(
             }));
         }
 
+        // Each region is assembled in `entry` and goes out as one `put`.
         let entry_start = w.written;
-        w.put_u16(term_len)?;
-        w.put(term.as_bytes())?;
-        w.put(&[scheme_tag(list.scheme())])?;
-        w.put_u32(list.df())?;
-        w.put_f32(list.idf())?;
-        w.put_f32(list.max_score())?;
-        w.put_u32(list.n_blocks() as u32)?;
-        w.put_u32(list.data_bytes() as u32)?;
+        entry.clear();
+        entry.extend_from_slice(&term_len.to_le_bytes());
+        entry.extend_from_slice(term.as_bytes());
+        entry.push(scheme_tag(list.scheme()));
+        entry.extend_from_slice(&list.df().to_le_bytes());
+        entry.extend_from_slice(&list.idf().to_le_bytes());
+        entry.extend_from_slice(&list.max_score().to_le_bytes());
+        entry.extend_from_slice(&(list.n_blocks() as u32).to_le_bytes());
+        entry.extend_from_slice(&(list.data_bytes() as u32).to_le_bytes());
+        w.put(&entry)?;
         regions.term_headers.push(entry_start..w.written);
 
         let desc_start = w.written;
+        entry.clear();
         for b in list.blocks() {
-            w.put_u32(b.first_doc)?;
-            w.put_u32(b.last_doc)?;
-            w.put_f32(b.max_score)?;
-            w.put_u32(b.offset)?;
-            w.put_u32(b.len)?;
-            w.put_u32(b.tf_offset)?;
+            entry.extend_from_slice(&b.first_doc.to_le_bytes());
+            entry.extend_from_slice(&b.last_doc.to_le_bytes());
+            entry.extend_from_slice(&b.max_score.to_le_bytes());
+            entry.extend_from_slice(&b.offset.to_le_bytes());
+            entry.extend_from_slice(&b.len.to_le_bytes());
+            entry.extend_from_slice(&b.tf_offset.to_le_bytes());
             for info in [b.delta_info, b.tf_info] {
-                w.put_u16(info.count)?;
-                w.put(&[info.bit_width])?;
-                w.put_u16(info.exception_offset)?;
+                entry.extend_from_slice(&info.count.to_le_bytes());
+                entry.push(info.bit_width);
+                entry.extend_from_slice(&info.exception_offset.to_le_bytes());
             }
         }
+        w.put(&entry)?;
         regions.descriptors.push(desc_start..w.written);
 
         let data_start = w.written;
@@ -272,6 +274,41 @@ pub fn write_segment<W: Write>(
     w.inner.flush()?;
     regions.checksum = body..body + 8;
     Ok((body + 8, regions))
+}
+
+/// Size of a dictionary entry's fixed fields after the term text:
+/// scheme u8 | df u32 | idf f32 | max_score f32 | n_blocks u32 |
+/// data_len u32.
+const ENTRY_STATS_BYTES: usize = 1 + 5 * 4;
+
+/// Little-endian field cursor over bytes already read (and hashed) from
+/// the segment. Callers size the slice to the fields they take.
+struct FieldReader<'a>(&'a [u8]);
+
+impl FieldReader<'_> {
+    fn bytes<const N: usize>(&mut self) -> [u8; N] {
+        let (field, rest) = self.0.split_at(N);
+        self.0 = rest;
+        let mut out = [0u8; N];
+        out.copy_from_slice(field);
+        out
+    }
+
+    fn u8(&mut self) -> u8 {
+        self.bytes::<1>()[0]
+    }
+
+    fn u16(&mut self) -> u16 {
+        u16::from_le_bytes(self.bytes())
+    }
+
+    fn u32(&mut self) -> u32 {
+        u32::from_le_bytes(self.bytes())
+    }
+
+    fn f32(&mut self) -> f32 {
+        f32::from_le_bytes(self.bytes())
+    }
 }
 
 /// `Read` adapter that maintains the running FNV-1a checksum and the
@@ -311,6 +348,8 @@ pub struct SegmentReader<R: Read> {
     doc_lens: Vec<u32>,
     terms_left: u32,
     prev_term: Option<String>,
+    /// Raw bytes of the descriptor run being parsed, reused across terms.
+    raw: Vec<u8>,
     verified: bool,
 }
 
@@ -346,6 +385,7 @@ impl<R: Read> SegmentReader<R> {
             doc_lens: Vec::new(),
             terms_left: 0,
             prev_term: None,
+            raw: Vec::new(),
             verified: false,
         };
         let version = sr.read_u32()?;
@@ -421,12 +461,6 @@ impl<R: Read> SegmentReader<R> {
         Ok(f32::from_le_bytes(b))
     }
 
-    fn read_u8(&mut self) -> Result<u8, IoError> {
-        let mut b = [0u8; 1];
-        self.r.take(&mut b)?;
-        Ok(b[0])
-    }
-
     /// Reads the next dictionary term and its encoded list, or `None`
     /// after the last term — at which point the checksum trailer has been
     /// read and verified.
@@ -485,14 +519,18 @@ impl<R: Read> SegmentReader<R> {
             )));
         }
 
-        let scheme_tag = self.read_u8()?;
+        // The fixed tail of the entry header, one read.
+        let mut stats = [0u8; ENTRY_STATS_BYTES];
+        self.r.take(&mut stats)?;
+        let mut stats = FieldReader(&stats);
+        let scheme_tag = stats.u8();
         let scheme = scheme_from_tag(scheme_tag)
             .ok_or_else(|| IoError::Corrupt(format!("unknown scheme tag {scheme_tag}")))?;
-        let df = self.read_u32()?;
-        let idf = self.read_f32()?;
-        let max_score = self.read_f32()?;
-        let n_blocks = self.read_u32()?;
-        let data_len = self.read_u32()?;
+        let df = stats.u32();
+        let idf = stats.f32();
+        let max_score = stats.f32();
+        let n_blocks = stats.u32();
+        let data_len = stats.u32();
 
         if df == 0 || df > self.header.n_docs {
             return Err(IoError::Corrupt(format!(
@@ -510,20 +548,26 @@ impl<R: Read> SegmentReader<R> {
             "posting blocks",
         )?;
 
+        // The whole descriptor run, one read (capped by the claim check
+        // above).
+        self.raw
+            .resize(n_blocks as usize * SEG_DESCRIPTOR_BYTES as usize, 0);
+        self.r.take(&mut self.raw)?;
         let mut blocks = Vec::with_capacity(n_blocks as usize);
         let mut count_sum = 0u64;
-        for _ in 0..n_blocks {
-            let first_doc = self.read_u32()?;
-            let last_doc = self.read_u32()?;
-            let bmax = self.read_f32()?;
-            let offset = self.read_u32()?;
-            let len = self.read_u32()?;
-            let tf_offset = self.read_u32()?;
+        for desc in self.raw.chunks_exact(SEG_DESCRIPTOR_BYTES as usize) {
+            let mut desc = FieldReader(desc);
+            let first_doc = desc.u32();
+            let last_doc = desc.u32();
+            let bmax = desc.f32();
+            let offset = desc.u32();
+            let len = desc.u32();
+            let tf_offset = desc.u32();
             let mut infos = [BlockInfo::default(); 2];
             for info in &mut infos {
-                info.count = self.read_u16()?;
-                info.bit_width = self.read_u8()?;
-                info.exception_offset = self.read_u16()?;
+                info.count = desc.u16();
+                info.bit_width = desc.u8();
+                info.exception_offset = desc.u16();
             }
             count_sum += u64::from(infos[0].count);
             blocks.push(BlockMeta {
@@ -555,7 +599,10 @@ impl<R: Read> SegmentReader<R> {
         let mut data = vec![0u8; data_len as usize];
         self.r.take(&mut data)?;
 
-        self.prev_term = Some(term.clone());
+        match &mut self.prev_term {
+            Some(prev) => prev.clone_from(&term),
+            None => self.prev_term = Some(term.clone()),
+        }
         Ok(Some((
             term,
             EncodedList::from_parts(scheme, blocks, data, df, idf, max_score),
@@ -615,8 +662,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
     use super::*;
-    use crate::builder::encode_term_list;
-    use crate::{PostingList, SchemeChoice};
+    use crate::{ListEncoder, SchemeChoice};
 
     /// A small hand-built segment: 3 terms, 6 docs, segment-local scores.
     fn sample_terms(doc_lens: &[u32]) -> Vec<(String, EncodedList)> {
@@ -627,10 +673,10 @@ mod tests {
             ("beta", vec![1, 2], vec![3, 1]),
             ("gamma", vec![0, 1, 2, 3, 4, 5], vec![1, 1, 2, 1, 1, 4]),
         ] {
-            let plist = PostingList::from_columns(docs, tfs).unwrap();
-            let idf = bm25.idf(plist.len() as u32);
-            let enc =
-                encode_term_list(&plist, SchemeChoice::default(), &bm25, idf, &norms).unwrap();
+            let idf = bm25.idf(docs.len() as u32);
+            let enc = ListEncoder::new()
+                .encode(&docs, &tfs, SchemeChoice::default(), &bm25, idf, &norms)
+                .unwrap();
             out.push((name.to_owned(), enc));
         }
         out

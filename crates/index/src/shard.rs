@@ -30,8 +30,7 @@
 //! typed [`Error`], never a panic.
 
 use crate::index::TermInfo;
-use crate::{Bm25, DocId, EncodedList, Error, InvertedIndex, PostingList, SearchHit};
-use boss_compress::ALL_SCHEMES;
+use crate::{DecodeScratch, DocId, Error, InvertedIndex, ListEncoder, SchemeChoice, SearchHit};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -96,18 +95,31 @@ impl ShardedIndex {
 
         // Walk terms in the parent's (lexical) id order so every shard
         // assigns ids in the same relative order as the parent.
+        let mut scratch = DecodeScratch::new();
+        let mut encoder = ListEncoder::new();
+        let mut local: Vec<DocId> = Vec::new();
         for id in index.term_ids() {
             let info = index.term_info(id);
-            let (docs, tfs) = index.list(id).decode_all()?;
+            index.list(id).decode_all_into(&mut scratch)?;
+            let (docs, tfs) = (&scratch.docs, &scratch.tfs);
             let mut lo = 0usize;
             for (s, shard) in shards.iter_mut().enumerate() {
                 let end_doc = if s + 1 < n { bases[s + 1] } else { n_docs };
                 let hi = lo + docs[lo..].partition_point(|&d| d < end_doc);
                 if hi > lo {
-                    let local: Vec<DocId> = docs[lo..hi].iter().map(|&d| d - bases[s]).collect();
-                    let plist = PostingList::from_columns(local, tfs[lo..hi].to_vec())?;
-                    let df = plist.len() as u32;
-                    let encoded = encode_hybrid(&plist, &bm25, info.idf, &shard.doc_norms)?;
+                    local.clear();
+                    local.extend(docs[lo..hi].iter().map(|&d| d - bases[s]));
+                    let df = local.len() as u32;
+                    // The builder's default hybrid policy, under the
+                    // *global* statistics.
+                    let encoded = encoder.encode(
+                        &local,
+                        &tfs[lo..hi],
+                        SchemeChoice::Hybrid,
+                        &bm25,
+                        info.idf,
+                        &shard.doc_norms,
+                    )?;
                     let tid = shard.terms.len() as u32;
                     shard.vocab.insert(info.text.clone(), tid);
                     shard.terms.push(TermInfo {
@@ -249,31 +261,6 @@ impl ShardedIndex {
         }
         out
     }
-}
-
-/// Encodes a shard's posting list the way [`crate::IndexBuilder`] does
-/// under its default hybrid policy: every stock scheme, keep the first
-/// smallest. `bm25`, `idf`, and `norms` carry the *global* statistics.
-fn encode_hybrid(
-    plist: &PostingList,
-    bm25: &Bm25,
-    idf: f32,
-    norms: &[f32],
-) -> Result<EncodedList, Error> {
-    let mut best: Option<EncodedList> = None;
-    for s in ALL_SCHEMES {
-        if let Ok(enc) = EncodedList::encode(plist, s, bm25, idf, norms) {
-            if best
-                .as_ref()
-                .is_none_or(|b| enc.data_bytes() < b.data_bytes())
-            {
-                best = Some(enc);
-            }
-        }
-    }
-    best.ok_or(Error::CorruptMetadata {
-        reason: "no compression scheme could encode a shard posting list",
-    })
 }
 
 #[cfg(test)]

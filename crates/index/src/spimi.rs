@@ -1,9 +1,12 @@
 //! Memory-bounded SPIMI indexing (single-pass in-memory indexing with
 //! spill-and-merge), ROADMAP item 2.
 //!
-//! [`SpimiBuilder`] accumulates postings doc-major in an in-memory map
-//! under a configurable byte budget. When the budget (or an optional
-//! per-segment document cap) is hit, the map is sealed into an immutable
+//! [`SpimiBuilder`] accumulates postings under a configurable byte
+//! budget in a term-interned accumulator: a hash map from term to slot
+//! and, per slot, the term's docID and tf columns in arrival (= docID)
+//! order, so one occurrence costs one hash lookup and two pushes. When
+//! the budget (or an optional per-segment document cap) is hit, the
+//! terms are sorted once and the accumulator is sealed into an immutable
 //! on-disk segment ([`crate::segment`]) covering a contiguous docID
 //! range, and accumulation restarts empty — so building a corpus of any
 //! size needs only the budget plus one segment's encode scratch.
@@ -12,19 +15,19 @@
 //! (k open segments ⇒ k candidate terms in memory) and re-encodes each
 //! merged list against *global* corpus statistics through the exact same
 //! code path as [`crate::IndexBuilder::build`]
-//! ([`crate::builder::encode_term_list`] + `scoring_from_lens`). Spilled
+//! ([`crate::ListEncoder`] + `scoring_from_lens`). Spilled
 //! segments therefore act as transport — their segment-local scores are
 //! discarded — and the merged index is bit-identical to a single-pass
 //! in-memory build of the same corpus: same terms, postings,
 //! [`crate::BlockMeta`] records, and block-max scores.
 
-use crate::builder::{encode_term_list, fill_doc_lens, scoring_from_lens};
+use crate::builder::{fill_doc_lens, scoring_from_lens};
 use crate::index::{InvertedIndex, TermInfo};
 use crate::io::IoError;
 use crate::segment::{open_segment, write_segment, SegmentReader};
-use crate::{Bm25Params, DecodeScratch, DocId, EncodedList, Error, PostingList, SchemeChoice};
+use crate::{Bm25Params, DecodeScratch, DocId, EncodedList, Error, ListEncoder, SchemeChoice};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::io::{BufReader, Write};
 use std::path::{Path, PathBuf};
 
@@ -37,8 +40,8 @@ pub const MANIFEST_VERSION: u32 = 1;
 /// Estimated heap bytes of one in-memory posting `(doc, tf)`.
 pub const POSTING_BYTES: usize = 8;
 
-/// Estimated fixed heap overhead of one new term entry in the postings
-/// map (`String` + `Vec` headers plus map-node share), on top of the
+/// Estimated fixed heap overhead of one new term entry in the
+/// accumulator (`String` + `Vec` headers plus map share), on top of the
 /// term's UTF-8 bytes. An accounting constant, not an exact allocator
 /// measurement — the budget bounds growth, it does not meter the malloc.
 pub const TERM_OVERHEAD_BYTES: usize = 64;
@@ -47,7 +50,7 @@ pub const TERM_OVERHEAD_BYTES: usize = 64;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpimiConfig {
     /// In-memory postings budget in bytes; reaching it seals the current
-    /// segment. The budget bounds the accumulation map only — encode
+    /// segment. The budget bounds the accumulator only — encode
     /// scratch during a spill is additional and proportional to the
     /// largest single posting list.
     pub budget_bytes: usize,
@@ -82,7 +85,7 @@ pub struct SpimiStats {
     pub postings: u64,
     /// Segments spilled to disk.
     pub spills: u32,
-    /// Peak estimated bytes of the in-memory postings map — the
+    /// Peak estimated bytes of the in-memory accumulator — the
     /// RSS-proxy the byte budget bounds.
     pub peak_inmem_bytes: usize,
     /// Total bytes of all segment files written.
@@ -118,8 +121,11 @@ struct Manifest {
 pub struct SpimiBuilder {
     dir: PathBuf,
     cfg: SpimiConfig,
-    /// Postings of the segment being accumulated; docIDs segment-local.
-    map: BTreeMap<String, Vec<(u32, u32)>>,
+    /// Term → index into `slots`, for the segment being accumulated.
+    slot_of: HashMap<String, u32>,
+    /// Per interned term, its postings in docID order; docIDs
+    /// segment-local.
+    slots: Vec<Slot>,
     /// Token counts of the current segment's documents (0 = unknown,
     /// filled with the doc's tf sum at spill time — the same fallback
     /// rule as [`crate::IndexBuilder`], valid because a document's
@@ -129,6 +135,14 @@ pub struct SpimiBuilder {
     inmem_bytes: usize,
     stats: SpimiStats,
     entries: Vec<SegmentEntry>,
+    encoder: ListEncoder,
+}
+
+/// The posting columns of one interned term.
+#[derive(Debug, Default)]
+struct Slot {
+    docs: Vec<u32>,
+    tfs: Vec<u32>,
 }
 
 impl SpimiBuilder {
@@ -144,12 +158,14 @@ impl SpimiBuilder {
         Ok(SpimiBuilder {
             dir,
             cfg,
-            map: BTreeMap::new(),
+            slot_of: HashMap::new(),
+            slots: Vec::new(),
             seg_doc_lens: Vec::new(),
             doc_base: 0,
             inmem_bytes: 0,
             stats: SpimiStats::default(),
             entries: Vec::new(),
+            encoder: ListEncoder::new(),
         })
     }
 
@@ -158,39 +174,55 @@ impl SpimiBuilder {
         &self.stats
     }
 
-    /// Adds one document given its distinct terms with frequencies and
-    /// its length in tokens (`0` = unknown; the tf sum is used). Returns
-    /// the document's global docID. Duplicate terms in the input are
-    /// aggregated. May spill a segment to disk before returning.
+    /// Adds one document given its terms with frequencies and its length
+    /// in tokens (`0` = unknown; the tf sum is used). Returns the
+    /// document's global docID. A term given more than once, adjacent or
+    /// not, is aggregated into one posting (its tf saturating at
+    /// `u32::MAX`). May spill a segment to disk before returning.
     ///
     /// # Errors
     ///
     /// [`IoError::Invalid`] wrapping [`Error::ZeroTermFrequency`] on a
-    /// zero tf; I/O and encoding failures from a triggered spill.
+    /// zero tf — the document is then not added at all: statistics,
+    /// accounting and the next docID are as before the call; I/O and
+    /// encoding failures from a triggered spill.
     pub fn add_document<'a, I>(&mut self, terms: I, doc_len: u32) -> Result<DocId, IoError>
     where
         I: IntoIterator<Item = (&'a str, u32)>,
     {
         let local = self.seg_doc_lens.len() as u32;
         let global = self.doc_base + local;
+        let before = (self.slots.len(), self.inmem_bytes, self.stats.postings);
 
-        let mut agg: BTreeMap<&'a str, u32> = BTreeMap::new();
         for (at, (term, tf)) in terms.into_iter().enumerate() {
             if tf == 0 {
+                self.roll_back(local, before);
                 return Err(IoError::Invalid(Error::ZeroTermFrequency { at }));
             }
-            *agg.entry(term).or_insert(0) += tf;
-        }
-        for (term, tf) in agg {
-            match self.map.get_mut(term) {
-                Some(list) => list.push((local, tf)),
+            let slot = match self.slot_of.get(term) {
+                Some(&slot) => slot as usize,
                 None => {
                     self.inmem_bytes += term.len() + TERM_OVERHEAD_BYTES;
-                    self.map.insert(term.to_owned(), vec![(local, tf)]);
+                    let slot = self.slots.len();
+                    self.slot_of.insert(term.to_owned(), slot as u32);
+                    self.slots.push(Slot::default());
+                    slot
+                }
+            };
+            let slot = &mut self.slots[slot];
+            // Documents arrive in docID order, so the slot's last posting
+            // is this document's iff the term already occurred in it.
+            match slot.tfs.last_mut() {
+                Some(last_tf) if slot.docs.last() == Some(&local) => {
+                    *last_tf = last_tf.saturating_add(tf);
+                }
+                _ => {
+                    slot.docs.push(local);
+                    slot.tfs.push(tf);
+                    self.inmem_bytes += POSTING_BYTES;
+                    self.stats.postings += 1;
                 }
             }
-            self.inmem_bytes += POSTING_BYTES;
-            self.stats.postings += 1;
         }
         self.seg_doc_lens.push(doc_len);
         self.inmem_bytes += 4;
@@ -206,6 +238,24 @@ impl SpimiBuilder {
         Ok(global)
     }
 
+    /// Undoes the partial insertion of document `local`: drops the terms
+    /// it interned and the postings it pushed, and restores the
+    /// accounting captured in `before` — off the hot path, so rejecting
+    /// a document costs a pass over the slots and accepting one nothing.
+    fn roll_back(&mut self, local: u32, before: (usize, usize, u64)) {
+        let (n_slots, inmem_bytes, postings) = before;
+        self.slot_of.retain(|_, slot| (*slot as usize) < n_slots);
+        self.slots.truncate(n_slots);
+        for slot in &mut self.slots {
+            if slot.docs.last() == Some(&local) {
+                slot.docs.pop();
+                slot.tfs.pop();
+            }
+        }
+        self.inmem_bytes = inmem_bytes;
+        self.stats.postings = postings;
+    }
+
     /// Tokenizes and adds one document — the same whitespace +
     /// punctuation split and lowercasing as
     /// [`crate::IndexBuilder::add_documents`].
@@ -214,19 +264,15 @@ impl SpimiBuilder {
     ///
     /// As for [`SpimiBuilder::add_document`].
     pub fn add_document_text(&mut self, text: &str) -> Result<DocId, IoError> {
-        let mut len = 0u32;
-        let mut counts: BTreeMap<String, u32> = BTreeMap::new();
-        for tok in text
+        let tokens: Vec<String> = text
             .split(|c: char| !c.is_alphanumeric())
             .filter(|t| !t.is_empty())
-        {
-            *counts.entry(tok.to_lowercase()).or_insert(0) += 1;
-            len += 1;
-        }
-        self.add_document(counts.iter().map(|(t, &tf)| (t.as_str(), tf)), len)
+            .map(str::to_lowercase)
+            .collect();
+        self.add_document(tokens.iter().map(|t| (t.as_str(), 1)), tokens.len() as u32)
     }
 
-    /// Seals the current in-memory map into an on-disk segment. No-op if
+    /// Seals the in-memory accumulator into an on-disk segment. No-op if
     /// no documents have been added since the last spill.
     ///
     /// # Errors
@@ -241,8 +287,8 @@ impl SpimiBuilder {
 
         // Per-segment doc-length fallback + segment-local scoring.
         let mut tf_sums = vec![0u64; n_docs];
-        for list in self.map.values() {
-            for &(d, tf) in list {
+        for slot in &self.slots {
+            for (&d, &tf) in slot.docs.iter().zip(&slot.tfs) {
                 tf_sums[d as usize] += u64::from(tf);
             }
         }
@@ -250,14 +296,20 @@ impl SpimiBuilder {
         fill_doc_lens(&mut doc_lens, &tf_sums);
         let (bm25, norms) = scoring_from_lens(self.cfg.params, &doc_lens);
 
-        let map = std::mem::take(&mut self.map);
-        let mut terms: Vec<(String, EncodedList)> = Vec::with_capacity(map.len());
-        for (text, pairs) in map {
-            let docs: Vec<u32> = pairs.iter().map(|&(d, _)| d).collect();
-            let tfs: Vec<u32> = pairs.iter().map(|&(_, tf)| tf).collect();
-            let plist = PostingList::from_columns(docs, tfs).map_err(IoError::Invalid)?;
-            let idf = bm25.idf(plist.len() as u32);
-            let enc = encode_term_list(&plist, self.cfg.scheme, &bm25, idf, &norms)
+        // The dictionary's lexical order is produced here, once per
+        // segment, rather than maintained per occurrence.
+        let mut order: Vec<(String, u32)> = self.slot_of.drain().collect();
+        order.sort_unstable();
+        let mut slots = std::mem::take(&mut self.slots);
+        let mut terms: Vec<(String, EncodedList)> = Vec::with_capacity(order.len());
+        for (text, slot) in order {
+            // Taken, so the raw columns are freed as the encoded lists
+            // accumulate.
+            let Slot { docs, tfs } = std::mem::take(&mut slots[slot as usize]);
+            let idf = bm25.idf(docs.len() as u32);
+            let enc = self
+                .encoder
+                .encode(&docs, &tfs, self.cfg.scheme, &bm25, idf, &norms)
                 .map_err(IoError::Invalid)?;
             terms.push((text, enc));
         }
@@ -321,6 +373,21 @@ impl SpimiBuilder {
             stats: self.stats,
         })
     }
+}
+
+/// Index of the head holding the lexically smallest term — the lowest
+/// such index when several segments hold it — or `None` once every
+/// segment is drained.
+fn min_head(heads: &[Option<(String, EncodedList)>]) -> Option<usize> {
+    let mut min: Option<(usize, &str)> = None;
+    for (i, head) in heads.iter().enumerate() {
+        if let Some((term, _)) = head {
+            if min.is_none_or(|(_, m)| term.as_str() < m) {
+                min = Some((i, term));
+            }
+        }
+    }
+    min.map(|(i, _)| i)
 }
 
 /// A sealed directory of spilled segments plus its manifest.
@@ -454,33 +521,31 @@ impl SegmentSet {
             heads.push(r.next_term()?);
         }
 
-        let mut vocab = std::collections::HashMap::new();
+        let mut vocab = HashMap::new();
         let mut terms: Vec<TermInfo> = Vec::new();
         let mut lists: Vec<EncodedList> = Vec::new();
         let mut scratch = DecodeScratch::new();
+        let mut encoder = ListEncoder::new();
         let mut docs: Vec<u32> = Vec::new();
         let mut tfs: Vec<u32> = Vec::new();
 
         // The smallest in-flight term is the next one in the merged
         // (lexically ordered) dictionary — exactly the order the
         // in-memory builder's BTreeMap would visit it.
-        while let Some(min) = heads
-            .iter()
-            .filter_map(|h| h.as_ref().map(|(t, _)| t.as_str()))
-            .min()
-            .map(str::to_owned)
-        {
+        while let Some(first) = min_head(&heads) {
             docs.clear();
             tfs.clear();
+            let mut text = String::new();
             // Contributing segments in docID order (entries tile the
-            // docID space ascending), so concatenation is the sorted
-            // global posting list.
-            for (i, head) in heads.iter_mut().enumerate() {
-                let contributes = head.as_ref().is_some_and(|(t, _)| *t == min);
+            // docID space ascending, and no head before `first` holds
+            // the term), so concatenation is the sorted global posting
+            // list.
+            for i in first..heads.len() {
+                let contributes = i == first || heads[i].as_ref().is_some_and(|(t, _)| *t == text);
                 if !contributes {
                     continue;
                 }
-                let Some((_, list)) = head.take() else {
+                let Some((term, list)) = heads[i].take() else {
                     continue;
                 };
                 list.decode_all_into(&mut scratch)
@@ -489,25 +554,25 @@ impl SegmentSet {
                 let seg_docs = self.entries[i].n_docs;
                 if scratch.docs.last().is_some_and(|&d| d >= seg_docs) {
                     return Err(IoError::Corrupt(format!(
-                        "segment {} term {min:?} decodes docIDs outside its {seg_docs}-doc range",
+                        "segment {} term {term:?} decodes docIDs outside its {seg_docs}-doc range",
                         self.entries[i].file
                     )));
                 }
                 docs.extend(scratch.docs.iter().map(|&d| base + d));
                 tfs.extend_from_slice(&scratch.tfs);
-                *head = readers[i].next_term()?;
+                text = term;
+                heads[i] = readers[i].next_term()?;
             }
 
-            let plist =
-                PostingList::from_columns(docs.clone(), tfs.clone()).map_err(IoError::Invalid)?;
-            let df = plist.len() as u32;
+            let df = docs.len() as u32;
             let idf = bm25.idf(df);
-            let enc = encode_term_list(&plist, self.scheme, &bm25, idf, &doc_norms)
+            let enc = encoder
+                .encode(&docs, &tfs, self.scheme, &bm25, idf, &doc_norms)
                 .map_err(IoError::Invalid)?;
 
             let id = terms.len() as u32;
-            vocab.insert(min.clone(), id);
-            terms.push(TermInfo { text: min, df, idf });
+            vocab.insert(text.clone(), id);
+            terms.push(TermInfo { text, df, idf });
             lists.push(enc);
         }
 
@@ -539,7 +604,8 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
     use super::*;
-    use crate::IndexBuilder;
+    use crate::{IndexBuilder, PostingList};
+    use std::collections::BTreeMap;
 
     /// A scratch directory of this test process that no other call shares
     /// (tests run on parallel threads, and several build with the same
@@ -672,6 +738,95 @@ mod tests {
             err,
             IoError::Invalid(Error::ZeroTermFrequency { .. })
         ));
+    }
+
+    /// Two-segment builder over hand-written term bags.
+    fn bag_builder(dir: &TmpDir) -> SpimiBuilder {
+        let cfg = SpimiConfig {
+            max_docs_per_segment: 2,
+            ..SpimiConfig::default()
+        };
+        SpimiBuilder::create(&dir.0, cfg).unwrap()
+    }
+
+    #[test]
+    fn rejected_document_leaves_the_builder_untouched() {
+        let good: [&[(&str, u32)]; 3] = [
+            &[("alpha", 1), ("gamma", 2)],
+            &[("beta", 3), ("gamma", 1)],
+            &[("alpha", 2), ("delta", 1)],
+        ];
+        // Fails at its last term, after interning a new term ("omega"),
+        // pushing onto existing ones and folding a repeat.
+        let bad = [
+            ("gamma", 4u32),
+            ("omega", 1),
+            ("alpha", 1),
+            ("gamma", 2),
+            ("beta", 0),
+        ];
+
+        let (clean_dir, dirty_dir) = (TmpDir::new(), TmpDir::new());
+        let mut clean = bag_builder(&clean_dir);
+        let mut dirty = bag_builder(&dirty_dir);
+        for (i, bag) in good.iter().enumerate() {
+            let id = clean.add_document(bag.iter().copied(), 0).unwrap();
+            assert_eq!(id, i as u32);
+
+            // Mid-segment (i = 0, 2) and right after a spill (i = 1).
+            let before = *dirty.stats();
+            let err = dirty.add_document(bad, 9).unwrap_err();
+            assert!(
+                matches!(err, IoError::Invalid(Error::ZeroTermFrequency { at: 4 })),
+                "{err}"
+            );
+            assert_eq!(*dirty.stats(), before, "stats after the rejection");
+            let id = dirty.add_document(bag.iter().copied(), 0).unwrap();
+            assert_eq!(id, i as u32, "the rejected document took no docID");
+            assert_eq!(dirty.stats(), clean.stats());
+        }
+        let (clean, dirty) = (clean.finish().unwrap(), dirty.finish().unwrap());
+        assert_eq!(clean.entries(), dirty.entries());
+        let merged = dirty.merge().unwrap();
+        assert!(
+            merged.term_id("omega").is_err(),
+            "no trace of the rejected term"
+        );
+        assert_eq!(merged, clean.merge().unwrap());
+    }
+
+    #[test]
+    fn duplicate_terms_in_one_document_are_aggregated() {
+        let repeated: [&[(&str, u32)]; 3] = [
+            // Adjacent, non-adjacent, and across a term new to the builder.
+            &[("a", 1), ("a", 2), ("b", 1), ("c", 5), ("b", 3), ("a", 4)],
+            &[("c", 1), ("d", 1), ("c", 1), ("d", 1), ("c", 1)],
+            &[("a", 7)],
+        ];
+        let folded: [&[(&str, u32)]; 3] = [
+            &[("a", 7), ("b", 4), ("c", 5)],
+            &[("c", 3), ("d", 2)],
+            &[("a", 7)],
+        ];
+        let build = |bags: &[&[(&str, u32)]]| {
+            let dir = TmpDir::new();
+            let mut b = bag_builder(&dir);
+            for bag in bags {
+                b.add_document(bag.iter().copied(), 0).unwrap();
+            }
+            let set = b.finish().unwrap();
+            (*set.stats(), set.merge().unwrap())
+        };
+        let (stats, merged) = build(&repeated);
+        assert_eq!(stats.postings, 6, "one posting per distinct (term, doc)");
+        assert_eq!((stats, merged.clone()), build(&folded));
+        let a = merged.term_id("a").unwrap();
+        assert_eq!(
+            merged.list(a).decode_all().unwrap(),
+            (vec![0, 2], vec![7, 7])
+        );
+        // tf-sum fallback lengths see the aggregated frequencies.
+        assert_eq!(merged.doc_lens(), &[16, 5, 7]);
     }
 
     #[test]

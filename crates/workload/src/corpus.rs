@@ -15,6 +15,7 @@ use crate::rng::{self, SeededRng, Zipf};
 use boss_index::{IndexBuilder, InvertedIndex, PostingList};
 use rand::RngExt;
 use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
 
 /// Corpus size presets used by all figure binaries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -283,30 +284,35 @@ pub struct DocStreamer {
 }
 
 impl DocStreamer {
-    /// Generates document `doc`'s term bag into `out` (cleared first) as
-    /// `(term, tf)` pairs with distinct terms, and returns the document
-    /// length in tokens. Deterministic per `(seed, doc)` — documents can
-    /// be generated in any order or in parallel.
+    /// Generates document `doc`'s term bag into `out` (replacing its
+    /// contents, reusing its `String`s) as `(term, tf)` pairs with
+    /// distinct terms in lexical order, and returns the document length
+    /// in tokens. Deterministic per `(seed, doc)` — documents can be
+    /// generated in any order or in parallel.
     pub fn doc_terms(&self, doc: u32, out: &mut Vec<(String, u32)>) -> u32 {
-        out.clear();
         // SplitMix-style per-document stream so doc i+1 does not depend
         // on how many draws doc i consumed.
         let mix = (u64::from(doc) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let mut r = rng::rng(self.spec.seed ^ mix);
-        let mut counts: std::collections::BTreeMap<usize, u32> = std::collections::BTreeMap::new();
-        let mut len = 0u32;
-        for _ in 0..self.spec.terms_per_doc {
-            let rank = self.zipf.sample(&mut r);
-            *counts.entry(rank).or_insert(0) += 1;
-            len += 1;
-        }
+        let mut ranks: Vec<usize> = (0..self.spec.terms_per_doc)
+            .map(|_| self.zipf.sample(&mut r))
+            .collect();
+        ranks.sort_unstable();
         let width = self.width;
-        out.extend(
-            counts
-                .into_iter()
-                .map(|(rank, tf)| (format!("t{rank:0width$}"), tf)),
-        );
-        len
+        let mut distinct = 0;
+        for run in ranks.chunk_by(|a, b| a == b) {
+            if distinct == out.len() {
+                out.push((String::new(), 0));
+            }
+            let (term, tf) = &mut out[distinct];
+            term.clear();
+            // Writing to a `String` cannot fail.
+            let _ = write!(term, "t{:0width$}", run[0]);
+            *tf = run.len() as u32;
+            distinct += 1;
+        }
+        out.truncate(distinct);
+        ranks.len() as u32
     }
 }
 
@@ -398,6 +404,48 @@ mod tests {
             head * 10 > total / spec.terms_per_doc,
             "rank-1 term should be frequent: {head} of {total}"
         );
+    }
+
+    /// The corpus is frozen: every exact benchmark metric and the write
+    /// path's golden record depend on these bags, so a faster generator
+    /// must reproduce them term for term. Recorded from the generator
+    /// that counted ranks in a `BTreeMap` and `format!`ted each term.
+    #[test]
+    fn streaming_term_bags_are_pinned() {
+        let spec = StreamingCorpusSpec {
+            n_docs: 500,
+            vocab_size: 1200,
+            zipf_s: 1.1,
+            terms_per_doc: 12,
+            seed: 7,
+        };
+        #[rustfmt::skip]
+        let pinned: [(u32, &[(&str, u32)]); 4] = [
+            (0, &[("t0001", 4), ("t0002", 1), ("t0007", 2), ("t0034", 1), ("t0063", 1), ("t0231", 1), ("t0342", 1), ("t1057", 1)]),
+            (1, &[("t0001", 2), ("t0003", 1), ("t0006", 1), ("t0007", 1), ("t0009", 1), ("t0011", 1), ("t0012", 1), ("t0035", 1), ("t0071", 1), ("t0091", 1), ("t0288", 1)]),
+            (499, &[("t0001", 2), ("t0002", 2), ("t0003", 1), ("t0007", 1), ("t0008", 1), ("t0017", 1), ("t0019", 1), ("t0041", 1), ("t0312", 1), ("t0347", 1)]),
+            (40_000, &[("t0001", 2), ("t0002", 1), ("t0003", 1), ("t0014", 1), ("t0017", 1), ("t0033", 2), ("t0049", 1), ("t0093", 1), ("t0301", 1), ("t1000", 1)]),
+        ];
+        let s = spec.streamer();
+        // One buffer throughout, so longer and shorter bags overwrite
+        // each other's strings.
+        let mut out = vec![("stale".to_owned(), 9); 20];
+        for (doc, bag) in pinned {
+            assert_eq!(s.doc_terms(doc, &mut out), 12);
+            let got: Vec<(&str, u32)> = out.iter().map(|(t, tf)| (t.as_str(), *tf)).collect();
+            assert_eq!(got, bag, "doc {doc}");
+        }
+        // FNV-1a over the first 2000 documents' bags.
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for doc in 0..2000 {
+            s.doc_terms(doc, &mut out);
+            for (t, tf) in &out {
+                for b in t.bytes().chain(tf.to_le_bytes()) {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(h, 0xa412_a9b1_c0be_d8d3);
     }
 
     #[test]
