@@ -40,14 +40,14 @@ fn main() {
                 EtMode::Full,
                 MemoryConfig::optane_dcpmm(),
                 args.k,
-                &args.tuning(),
+                &args.tuning,
             ),
             &queries,
             args.k,
             args.threads,
         );
         let i = run_system(
-            &iiu_engine(&target, cores, MemoryConfig::optane_dcpmm(), &args.tuning()),
+            &iiu_engine(&target, cores, MemoryConfig::optane_dcpmm(), &args.tuning),
             &queries,
             args.k,
             args.threads,

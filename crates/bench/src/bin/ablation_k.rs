@@ -37,7 +37,7 @@ fn main() {
                 EtMode::Exhaustive,
                 MemoryConfig::optane_dcpmm(),
                 10,
-                &args.tuning(),
+                &args.tuning,
             ),
             queries,
             10,
@@ -52,7 +52,7 @@ fn main() {
                     EtMode::Full,
                     MemoryConfig::optane_dcpmm(),
                     k,
-                    &args.tuning(),
+                    &args.tuning,
                 ),
                 queries,
                 k,

@@ -16,13 +16,12 @@
 //! run).
 //!
 //! ```text
-//! corruption_harness [--seed N] [--trials-per-scheme N] [--interpret-netlist]
+//! corruption_harness [--seed N] [--trials-per-scheme N]
 //! ```
 //!
-//! Netlist trials run the compiled straight-line plan by default and
-//! cross-check every outcome against the interpreter oracle (identical
-//! values, cycles, or typed error — any divergence is a violation);
-//! `--interpret-netlist` swaps which path is primary.
+//! Netlist trials run the compiled straight-line plan and cross-check
+//! every outcome against the interpreter oracle (identical values,
+//! cycles, or typed error — any divergence is a violation).
 //!
 //! The default volume (2400 per scheme across the trial categories)
 //! exceeds 10,000 total mutations; `--trials-per-scheme 400` is a fast
@@ -47,18 +46,14 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let seed = parsed_flag(&args, "--seed", 2026);
     let trials = parsed_flag(&args, "--trials-per-scheme", 2400);
-    let interpret = args.iter().any(|a| a == "--interpret-netlist");
 
     // Trial panics are caught and tallied; silence the default hook so a
     // caught panic does not spray a backtrace into the CI log.
     std::panic::set_hook(Box::new(|_| {}));
-    let tally = corruption::run_with(seed, trials, interpret);
+    let tally = corruption::run(seed, trials);
     let _ = std::panic::take_hook();
 
-    println!(
-        "# corruption harness: seed {seed}, {trials} trials/scheme, netlist {}",
-        if interpret { "interpreted" } else { "compiled" }
-    );
+    println!("# corruption harness: seed {seed}, {trials} trials/scheme");
     println!("trials\taccepted\trejected\tviolations");
     println!(
         "{}\t{}\t{}\t{}",

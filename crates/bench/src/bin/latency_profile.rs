@@ -1,15 +1,12 @@
 //! Latency percentiles (p50/p95/p99) per engine and query type — serving
 //! systems live and die on tail latency, which throughput figures hide.
 //!
-//! When `--block-cache` is set, per-engine decoded-block cache counters
-//! (hits/misses/evictions) are reported as `#` comment lines: the cache
-//! is wall-clock only, so its counters must stay out of the data rows
-//! the invariance diffs compare. The same rule covers the shard layer
-//! (`--shards`/`--replicas`): per-(shard, replica) fault counters and
-//! routing tallies are diagnostics, printed as labeled `# shard-health`
-//! comments, and the serving harness (`--serve`/`--serve-*`): each
+//! Diagnostics stay out of the data rows the invariance diffs compare:
+//! the shard layer's (`--shards`/`--replicas`) per-(shard, replica) fault
+//! counters and routing tallies print as labeled `# shard-health`
+//! comments, and the serving harness (`--serve`/`--serve-*`) prints each
 //! engine's open-loop rejected/expired/shed breakdown and served-tail
-//! percentiles print as a `# serving` block after the data rows.
+//! percentiles as a `# serving` block after the data rows.
 
 use boss_bench::{
     boss_engine, f, header, iiu_engine, lucene_engine, row, run_serving, BenchArgs, BenchTarget,
@@ -17,7 +14,6 @@ use boss_bench::{
 };
 use boss_core::{EtMode, QueryAlgorithm};
 use boss_engine::{SearchEngine, ShardReplicaStats};
-use boss_index::BlockCacheStats;
 use boss_scm::MemoryConfig;
 use boss_workload::corpus::CorpusSpec;
 
@@ -31,13 +27,13 @@ fn pct(sorted_us: &[f64], p: f64) -> f64 {
 
 /// Per-query latencies in microseconds, sorted (cycles at the engine's
 /// own clock — host cycles for Lucene, 1 GHz device cycles otherwise),
-/// plus the engine's decoded-block cache counters and skip tallies
-/// (fault-skipped blocks, pruning-skipped blocks/docs) after the run.
+/// plus the engine's skip tallies (fault-skipped blocks,
+/// pruning-skipped blocks/docs) after the run.
 fn latencies_us<E: SearchEngine>(
     engine: &mut E,
     queries: &[boss_index::QueryExpr],
     k: usize,
-) -> (Vec<f64>, Option<BlockCacheStats>, u64, (u64, u64)) {
+) -> (Vec<f64>, u64, (u64, u64)) {
     let clk = engine.clock_ghz();
     let mut us: Vec<f64> = queries
         .iter()
@@ -47,12 +43,12 @@ fn latencies_us<E: SearchEngine>(
     let eval = engine.eval_counts();
     let skipped = eval.blocks_skipped_fault;
     let pruned = (eval.blocks_skipped_prune, eval.docs_skipped_prune);
-    (us, engine.block_cache_stats(), skipped, pruned)
+    (us, skipped, pruned)
 }
 
 /// Prints one engine family's `# serving` diagnostic line: the open-loop
 /// scenario of `--serve-*` replayed over this engine's measured service
-/// table. Comment-only by the same rule as the cache and shard-health
+/// table. Comment-only by the same rule as the shard-health
 /// counters — serving outcomes depend on the scenario knobs, never on
 /// `--threads`, but they are diagnostics, not figure data.
 fn serving_comment<E: SearchEngine + Send>(
@@ -105,7 +101,6 @@ fn serving_comment<E: SearchEngine + Send>(
 struct EngineRow {
     name: &'static str,
     us: Vec<f64>,
-    cache: Option<BlockCacheStats>,
     skipped: u64,
     pruned: (u64, u64),
     shard_health: Vec<ShardReplicaStats>,
@@ -122,24 +117,22 @@ fn main() {
     for (qt, queries) in &suite.per_type {
         let mut rows: Vec<EngineRow> = Vec::new();
         if args.engines.lucene {
-            let mut luc = lucene_engine(&target, 1, MemoryConfig::host_scm_6ch(), &args.tuning());
-            let (us, cache, skipped, pruned) = latencies_us(&mut luc, queries, args.k);
+            let mut luc = lucene_engine(&target, 1, MemoryConfig::host_scm_6ch(), &args.tuning);
+            let (us, skipped, pruned) = latencies_us(&mut luc, queries, args.k);
             rows.push(EngineRow {
                 name: "Lucene",
                 us,
-                cache,
                 skipped,
                 pruned,
                 shard_health: luc.shard_stats(),
             });
         }
         if args.engines.iiu {
-            let mut iiu = iiu_engine(&target, 1, MemoryConfig::optane_dcpmm(), &args.tuning());
-            let (us, cache, skipped, pruned) = latencies_us(&mut iiu, queries, args.k);
+            let mut iiu = iiu_engine(&target, 1, MemoryConfig::optane_dcpmm(), &args.tuning);
+            let (us, skipped, pruned) = latencies_us(&mut iiu, queries, args.k);
             rows.push(EngineRow {
                 name: "IIU",
                 us,
-                cache,
                 skipped,
                 pruned,
                 shard_health: iiu.shard_stats(),
@@ -152,13 +145,12 @@ fn main() {
                 EtMode::Full,
                 MemoryConfig::optane_dcpmm(),
                 args.k,
-                &args.tuning(),
+                &args.tuning,
             );
-            let (us, cache, skipped, pruned) = latencies_us(&mut boss, queries, args.k);
+            let (us, skipped, pruned) = latencies_us(&mut boss, queries, args.k);
             rows.push(EngineRow {
                 name: "BOSS",
                 us,
-                cache,
                 skipped,
                 pruned,
                 shard_health: boss.shard_stats(),
@@ -173,21 +165,9 @@ fn main() {
                 f(pct(&r.us, 0.99)),
             ]);
         }
-        // Cache, fault, and shard-health counters ride in comments:
-        // wall-clock / degradation diagnostics only, stripped by the
-        // invariance diffs.
+        // Fault and shard-health counters ride in comments: degradation
+        // diagnostics only, stripped by the invariance diffs.
         for r in &rows {
-            if let Some(c) = &r.cache {
-                println!(
-                    "# block-cache {} {}: hits {} misses {} evictions {} hit_rate {}",
-                    qt.label(),
-                    r.name,
-                    c.hits,
-                    c.misses,
-                    c.evictions,
-                    f(c.hit_rate()),
-                );
-            }
             if r.skipped > 0 {
                 println!(
                     "# fault-skipped-blocks {} {}: {}",
@@ -232,25 +212,25 @@ fn main() {
     // engine family. Degradation needs a pruned companion engine (the
     // overload controller's cheaper service level), built only when the
     // scenario can actually use it.
-    if let Some(spec) = &args.serving {
+    if let Some(spec) = &args.tuning.serving {
         let queries: Vec<_> = suite
             .per_type
             .iter()
             .flat_map(|(_, qs)| qs.iter().cloned())
             .collect();
-        let tuning = args.tuning();
+        let tuning = &args.tuning;
         let pruned_tuning = tuning
             .clone()
             .with_algorithm(QueryAlgorithm::BlockMaxMaxScore);
         if args.engines.lucene {
-            let e = lucene_engine(&target, 1, MemoryConfig::host_scm_6ch(), &tuning);
+            let e = lucene_engine(&target, 1, MemoryConfig::host_scm_6ch(), tuning);
             let p = spec
                 .degrade
                 .then(|| lucene_engine(&target, 1, MemoryConfig::host_scm_6ch(), &pruned_tuning));
             serving_comment("Lucene", &e, p.as_ref(), &queries, spec, &args);
         }
         if args.engines.iiu {
-            let e = iiu_engine(&target, 1, MemoryConfig::optane_dcpmm(), &tuning);
+            let e = iiu_engine(&target, 1, MemoryConfig::optane_dcpmm(), tuning);
             let p = spec
                 .degrade
                 .then(|| iiu_engine(&target, 1, MemoryConfig::optane_dcpmm(), &pruned_tuning));
@@ -263,7 +243,7 @@ fn main() {
                 EtMode::Full,
                 MemoryConfig::optane_dcpmm(),
                 args.k,
-                &tuning,
+                tuning,
             );
             let p = spec.degrade.then(|| {
                 boss_engine(

@@ -51,7 +51,7 @@ fn main() {
         EtMode::Full,
         MemoryConfig::optane_dcpmm(),
         args.k,
-        &args.tuning(),
+        &args.tuning,
     );
     // One deterministic measurement pass; the load sweep replays it.
     let table = match ServiceTable::measure(&engine, None, &queries, args.k, args.k, args.threads) {

@@ -252,8 +252,10 @@ fn main() {
         .flat_map(|(_, qs)| qs.iter().cloned())
         .collect();
 
-    let mut tuning = EngineTuning::new(0, true);
-    tuning.replicas = args.replicas.max(1) as usize;
+    let tuning = EngineTuning {
+        replicas: args.replicas.max(1) as usize,
+        ..EngineTuning::default()
+    };
     let memory = MemoryConfig::optane_dcpmm();
     let normal = boss_engine(
         &target,

@@ -51,11 +51,11 @@ fn main() {
     args.print_threads_comment();
     header(&["qtype", "system", "query", "rank", "doc", "score_bits"]);
     if args.engines.lucene {
-        let mut luc = lucene_engine(&target, 1, MemoryConfig::host_scm_6ch(), &args.tuning());
+        let mut luc = lucene_engine(&target, 1, MemoryConfig::host_scm_6ch(), &args.tuning);
         dump("Lucene", &mut luc, &suite, args.k);
     }
     if args.engines.iiu {
-        let mut iiu = iiu_engine(&target, 1, MemoryConfig::optane_dcpmm(), &args.tuning());
+        let mut iiu = iiu_engine(&target, 1, MemoryConfig::optane_dcpmm(), &args.tuning);
         dump("IIU", &mut iiu, &suite, args.k);
     }
     if args.engines.boss {
@@ -65,7 +65,7 @@ fn main() {
             EtMode::Full,
             MemoryConfig::optane_dcpmm(),
             args.k,
-            &args.tuning(),
+            &args.tuning,
         );
         dump("BOSS", &mut boss, &suite, args.k);
     }

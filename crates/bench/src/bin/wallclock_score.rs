@@ -15,20 +15,15 @@
 //! Outputs millions of documents scored per second (best of `--reps`
 //! repetitions) per mode as TSV, verifies all three paths produce
 //! bit-identical top-k hits, and writes a machine-readable summary to
-//! `BENCH_score.json` (`--json PATH` to move it) that also carries the
-//! decoded-block cache hit/miss/eviction counters from a smoke-scale
-//! engine run.
+//! `BENCH_score.json` (`--json PATH` to move it).
 //!
 //! Like `wallclock_decode`, this binary measures *host* wall-clock time:
 //! its numbers vary run to run, unlike the simulated figures.
 
-use boss_bench::{boss_engine, f, header, iiu_engine, lucene_engine, row, BenchTarget, TypedSuite};
+use boss_bench::{f, header, row};
 use boss_compress::{BitPacking, BlockInfo, Codec};
-use boss_core::{EtMode, TopK};
-use boss_engine::SearchEngine;
+use boss_core::TopK;
 use boss_index::{Bm25, Bm25Params, ScoreScratch};
-use boss_scm::MemoryConfig;
-use boss_workload::corpus::{CorpusSpec, Scale};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
@@ -47,21 +42,11 @@ struct ModeResult {
 }
 
 #[derive(Debug, Serialize)]
-struct CacheCounters {
-    engine: String,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    hit_rate: f64,
-}
-
-#[derive(Debug, Serialize)]
 struct Report {
     bench: String,
     reps: usize,
     k: usize,
     results: Vec<ModeResult>,
-    block_cache: Vec<CacheCounters>,
 }
 
 struct Args {
@@ -289,74 +274,6 @@ fn throughput_mdocs(
     docs / best / 1e6
 }
 
-/// Decoded-block cache counters from a smoke-scale engine run (bulk path
-/// on), surfaced into the JSON report.
-fn cache_counters(seed: u64, k: usize) -> Vec<CacheCounters> {
-    let index = CorpusSpec::ccnews_like(Scale::Smoke)
-        .build()
-        .expect("corpus builds");
-    let target = BenchTarget::single(&index);
-    let suite = TypedSuite::sample(&index, 5, seed);
-    let queries: Vec<_> = suite
-        .per_type
-        .iter()
-        .flat_map(|(_, qs)| qs.iter().cloned())
-        .collect();
-    const CACHE_BLOCKS: usize = 256;
-    let mut boss = boss_engine(
-        &target,
-        1,
-        EtMode::Full,
-        MemoryConfig::optane_dcpmm(),
-        k,
-        &boss_bench::EngineTuning::new(CACHE_BLOCKS, true),
-    );
-    let mut iiu = iiu_engine(
-        &target,
-        1,
-        MemoryConfig::optane_dcpmm(),
-        &boss_bench::EngineTuning::new(CACHE_BLOCKS, true),
-    );
-    let mut luc = lucene_engine(
-        &target,
-        1,
-        MemoryConfig::host_scm_6ch(),
-        &boss_bench::EngineTuning::new(CACHE_BLOCKS, true),
-    );
-    let mut out = Vec::new();
-    for (label, stats) in [
-        ("BOSS", {
-            for q in &queries {
-                boss.search(q, k).expect("query runs");
-            }
-            boss.block_cache_stats()
-        }),
-        ("IIU", {
-            for q in &queries {
-                iiu.search(q, k).expect("query runs");
-            }
-            iiu.block_cache_stats()
-        }),
-        ("Lucene", {
-            for q in &queries {
-                luc.search(q, k).expect("query runs");
-            }
-            luc.block_cache_stats()
-        }),
-    ] {
-        if let Some(c) = stats {
-            out.push(CacheCounters {
-                engine: label.into(),
-                hits: c.hits,
-                misses: c.misses,
-                evictions: c.evictions,
-                hit_rate: c.hit_rate(),
-            });
-        }
-    }
-    out
-}
-
 fn main() {
     let args = parse_args();
     let mut rng = ChaCha8Rng::seed_from_u64(args.seed);
@@ -447,24 +364,11 @@ fn main() {
         f(pipelined.speedup_vs_scalar)
     );
 
-    let block_cache = cache_counters(args.seed, args.k);
-    for c in &block_cache {
-        println!(
-            "# block-cache {}: hits {} misses {} evictions {} hit_rate {}",
-            c.engine,
-            c.hits,
-            c.misses,
-            c.evictions,
-            f(c.hit_rate),
-        );
-    }
-
     let report = Report {
         bench: "wallclock_score".into(),
         reps: args.reps,
         k: args.k,
         results,
-        block_cache,
     };
     let json = serde_json::to_string(&report).expect("report serializes");
     std::fs::write(&args.json, json + "\n").expect("report written");

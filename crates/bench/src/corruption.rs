@@ -703,26 +703,15 @@ pub fn lists_per_scheme() -> Vec<(Scheme, EncodedList)> {
 /// Runs `trials_per_scheme` seeded mutations of every category against
 /// every stock scheme plus the netlist engine, starting at `base_seed`.
 /// This is the whole harness; the binary just picks the counts and
-/// prints the tally. Equivalent to [`run_with`] on the compiled path.
+/// prints the tally. Every netlist-data trial runs the compiled plan and
+/// cross-checks the interpreter oracle; any outcome divergence is a
+/// violation.
 ///
 /// # Panics
 ///
 /// Panics only if harness *setup* fails (corpus build, stock netlist
 /// parse) — trial panics are caught and reported as violations.
 pub fn run(base_seed: u64, trials_per_scheme: u64) -> Tally {
-    run_with(base_seed, trials_per_scheme, false)
-}
-
-/// [`run`] with the netlist execution path selectable: the primary
-/// engine runs the compiled plan (default) or, with `interpret_netlist`,
-/// the interpreter; either way every netlist-data trial cross-checks the
-/// other path as an oracle and any outcome divergence is a violation.
-///
-/// # Panics
-///
-/// Panics only if harness *setup* fails (corpus build, stock netlist
-/// parse) — trial panics are caught and reported as violations.
-pub fn run_with(base_seed: u64, trials_per_scheme: u64, interpret_netlist: bool) -> Tally {
     let mut tally = Tally::default();
     // Codec + netlist-data trials split the budget; config and metadata
     // trials add a quarter each so every surface sees real volume.
@@ -730,10 +719,8 @@ pub fn run_with(base_seed: u64, trials_per_scheme: u64, interpret_netlist: bool)
     let side_trials = trials_per_scheme / 4;
     let lists = lists_per_scheme();
     for &scheme in &ALL_SCHEMES {
-        let engine = DecompEngine::for_scheme(scheme)
-            .expect("stock netlist parses")
-            .with_interpreter(interpret_netlist);
-        let oracle = engine.clone().with_interpreter(!interpret_netlist);
+        let engine = DecompEngine::for_scheme(scheme).expect("stock netlist parses");
+        let oracle = engine.clone().with_interpreter(true);
         for t in 0..data_trials {
             codec_trial(scheme, base_seed + t, &mut tally);
             netlist_data_trial(&engine, Some(&oracle), scheme, base_seed + t, &mut tally);

@@ -23,7 +23,7 @@ pub const CORE_SWEEP: [u32; 4] = [1, 2, 4, 8];
 /// `--algorithm exhaustive`, no simulated system may book pruning work,
 /// i.e. the figures' counts are unchanged from before pruning existed.
 fn assert_exhaustive_untouched(args: &BenchArgs, system: &str, run: &SystemRun) {
-    if args.algorithm == QueryAlgorithm::Exhaustive {
+    if args.tuning.algorithm == QueryAlgorithm::Exhaustive {
         assert_eq!(
             (run.eval.blocks_skipped_prune, run.eval.docs_skipped_prune),
             (0, 0),
@@ -50,7 +50,7 @@ pub fn multicore_throughput(
     for (qt, queries) in &suite.per_type {
         // The Lucene baseline always runs: every row normalizes to it.
         let lucene = run_system(
-            &lucene_engine(target, 8, MemoryConfig::host_scm_6ch(), &args.tuning()),
+            &lucene_engine(target, 8, MemoryConfig::host_scm_6ch(), &args.tuning),
             queries,
             k,
             args.threads,
@@ -68,7 +68,7 @@ pub fn multicore_throughput(
         if args.engines.iiu {
             for &cores in &CORE_SWEEP {
                 let iiu = run_system(
-                    &iiu_engine(target, cores, MemoryConfig::optane_dcpmm(), &args.tuning()),
+                    &iiu_engine(target, cores, MemoryConfig::optane_dcpmm(), &args.tuning),
                     queries,
                     k,
                     args.threads,
@@ -94,7 +94,7 @@ pub fn multicore_throughput(
                         EtMode::Full,
                         MemoryConfig::optane_dcpmm(),
                         k,
-                        &args.tuning(),
+                        &args.tuning,
                     ),
                     queries,
                     k,
@@ -147,7 +147,7 @@ pub fn bandwidth_utilization(
                 runs.push((
                     "IIU",
                     run_system(
-                        &iiu_engine(target, cores, MemoryConfig::optane_dcpmm(), &args.tuning()),
+                        &iiu_engine(target, cores, MemoryConfig::optane_dcpmm(), &args.tuning),
                         queries,
                         k,
                         args.threads,
@@ -164,7 +164,7 @@ pub fn bandwidth_utilization(
                             EtMode::Full,
                             MemoryConfig::optane_dcpmm(),
                             k,
-                            &args.tuning(),
+                            &args.tuning,
                         ),
                         queries,
                         k,
@@ -195,14 +195,14 @@ pub fn single_core(name: &str, target: &BenchTarget, suite: &TypedSuite, args: &
     header(&["qtype", "Lucene", "IIU", "BOSS-exhaustive", "BOSS"]);
     for (qt, queries) in &suite.per_type {
         let lucene = run_system(
-            &lucene_engine(target, 1, MemoryConfig::host_scm_6ch(), &args.tuning()),
+            &lucene_engine(target, 1, MemoryConfig::host_scm_6ch(), &args.tuning),
             queries,
             k,
             args.threads,
         );
         let base = lucene.qps;
         let iiu = run_system(
-            &iiu_engine(target, 1, MemoryConfig::optane_dcpmm(), &args.tuning()),
+            &iiu_engine(target, 1, MemoryConfig::optane_dcpmm(), &args.tuning),
             queries,
             k,
             args.threads,
@@ -214,7 +214,7 @@ pub fn single_core(name: &str, target: &BenchTarget, suite: &TypedSuite, args: &
                 EtMode::Exhaustive,
                 MemoryConfig::optane_dcpmm(),
                 k,
-                &args.tuning(),
+                &args.tuning,
             ),
             queries,
             k,
@@ -227,7 +227,7 @@ pub fn single_core(name: &str, target: &BenchTarget, suite: &TypedSuite, args: &
                 EtMode::Full,
                 MemoryConfig::optane_dcpmm(),
                 k,
-                &args.tuning(),
+                &args.tuning,
             ),
             queries,
             k,
@@ -256,7 +256,7 @@ pub fn evaluated_docs(name: &str, target: &BenchTarget, suite: &TypedSuite, args
             continue; // the paper plots the union types
         }
         let iiu = run_system(
-            &iiu_engine(target, 1, MemoryConfig::optane_dcpmm(), &args.tuning()),
+            &iiu_engine(target, 1, MemoryConfig::optane_dcpmm(), &args.tuning),
             queries,
             k,
             args.threads,
@@ -268,7 +268,7 @@ pub fn evaluated_docs(name: &str, target: &BenchTarget, suite: &TypedSuite, args
                 EtMode::BlockOnly,
                 MemoryConfig::optane_dcpmm(),
                 k,
-                &args.tuning(),
+                &args.tuning,
             ),
             queries,
             k,
@@ -281,7 +281,7 @@ pub fn evaluated_docs(name: &str, target: &BenchTarget, suite: &TypedSuite, args
                 EtMode::Full,
                 MemoryConfig::optane_dcpmm(),
                 k,
-                &args.tuning(),
+                &args.tuning,
             ),
             queries,
             k,
@@ -323,7 +323,7 @@ pub fn memory_accesses(name: &str, target: &BenchTarget, suite: &TypedSuite, arg
     ]);
     for (qt, queries) in &suite.per_type {
         let iiu = run_system(
-            &iiu_engine(target, 1, MemoryConfig::optane_dcpmm(), &args.tuning()),
+            &iiu_engine(target, 1, MemoryConfig::optane_dcpmm(), &args.tuning),
             queries,
             k,
             args.threads,
@@ -335,7 +335,7 @@ pub fn memory_accesses(name: &str, target: &BenchTarget, suite: &TypedSuite, arg
                 EtMode::Full,
                 MemoryConfig::optane_dcpmm(),
                 k,
-                &args.tuning(),
+                &args.tuning,
             ),
             queries,
             k,
@@ -376,7 +376,7 @@ pub fn dram_vs_scm(name: &str, target: &BenchTarget, suite: &TypedSuite, args: &
     ];
     for (qt, queries) in &suite.per_type {
         let base = run_system(
-            &lucene_engine(target, 8, MemoryConfig::host_scm_6ch(), &args.tuning()),
+            &lucene_engine(target, 8, MemoryConfig::host_scm_6ch(), &args.tuning),
             queries,
             k,
             args.threads,
@@ -388,7 +388,7 @@ pub fn dram_vs_scm(name: &str, target: &BenchTarget, suite: &TypedSuite, args: &
                 "Lucene",
                 "SCM",
                 run_system(
-                    &lucene_engine(target, 8, MemoryConfig::host_scm_6ch(), &args.tuning()),
+                    &lucene_engine(target, 8, MemoryConfig::host_scm_6ch(), &args.tuning),
                     queries,
                     k,
                     args.threads,
@@ -398,7 +398,7 @@ pub fn dram_vs_scm(name: &str, target: &BenchTarget, suite: &TypedSuite, args: &
                 "Lucene",
                 "DRAM",
                 run_system(
-                    &lucene_engine(target, 8, MemoryConfig::host_ddr4_6ch(), &args.tuning()),
+                    &lucene_engine(target, 8, MemoryConfig::host_ddr4_6ch(), &args.tuning),
                     queries,
                     k,
                     args.threads,
@@ -410,7 +410,7 @@ pub fn dram_vs_scm(name: &str, target: &BenchTarget, suite: &TypedSuite, args: &
                 "IIU",
                 "SCM",
                 run_system(
-                    &iiu_engine(target, 8, MemoryConfig::optane_dcpmm(), &args.tuning()),
+                    &iiu_engine(target, 8, MemoryConfig::optane_dcpmm(), &args.tuning),
                     queries,
                     k,
                     args.threads,
@@ -420,7 +420,7 @@ pub fn dram_vs_scm(name: &str, target: &BenchTarget, suite: &TypedSuite, args: &
                 "IIU",
                 "DRAM",
                 run_system(
-                    &iiu_engine(target, 8, MemoryConfig::ddr4_2666(), &args.tuning()),
+                    &iiu_engine(target, 8, MemoryConfig::ddr4_2666(), &args.tuning),
                     queries,
                     k,
                     args.threads,
@@ -438,7 +438,7 @@ pub fn dram_vs_scm(name: &str, target: &BenchTarget, suite: &TypedSuite, args: &
                         EtMode::Full,
                         MemoryConfig::optane_dcpmm(),
                         k,
-                        &args.tuning(),
+                        &args.tuning,
                     ),
                     queries,
                     k,
@@ -455,7 +455,7 @@ pub fn dram_vs_scm(name: &str, target: &BenchTarget, suite: &TypedSuite, args: &
                         EtMode::Full,
                         MemoryConfig::ddr4_2666(),
                         k,
-                        &args.tuning(),
+                        &args.tuning,
                     ),
                     queries,
                     k,
@@ -503,7 +503,7 @@ pub fn energy(name: &str, target: &BenchTarget, suite: &TypedSuite, args: &Bench
     let mut savings = Vec::new();
     for (qt, queries) in &suite.per_type {
         let lucene = run_system(
-            &lucene_engine(target, 8, MemoryConfig::host_scm_6ch(), &args.tuning()),
+            &lucene_engine(target, 8, MemoryConfig::host_scm_6ch(), &args.tuning),
             queries,
             k,
             args.threads,
@@ -515,7 +515,7 @@ pub fn energy(name: &str, target: &BenchTarget, suite: &TypedSuite, args: &Bench
                 EtMode::Full,
                 MemoryConfig::optane_dcpmm(),
                 k,
-                &args.tuning(),
+                &args.tuning,
             ),
             queries,
             k,

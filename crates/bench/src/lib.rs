@@ -24,7 +24,7 @@ use boss_engine::{
 };
 use boss_iiu::IiuConfig;
 use boss_index::shard::ShardedIndex;
-use boss_index::{DecodeBackend, InvertedIndex, QueryExpr};
+use boss_index::{InvertedIndex, QueryExpr};
 use boss_luceneish::LuceneConfig;
 use boss_scm::{FaultPlan, MemStats, MemoryConfig};
 use boss_workload::arrivals::{self, ArrivalKind};
@@ -105,54 +105,15 @@ pub struct BenchArgs {
     pub threads: usize,
     /// Systems to simulate.
     pub engines: EngineSelection,
-    /// Decoded-block cache capacity per engine fork, in blocks (0
-    /// disables it). Wall-clock only — never changes a data row.
-    pub block_cache: usize,
-    /// Whether the engines run the block-at-a-time scoring kernels
-    /// (`--no-bulk` reverts to the seed per-document hot loop).
-    /// Wall-clock only — never changes a data row.
-    pub bulk_score: bool,
-    /// Seed of an SCM [`boss_scm::FaultPlan`] installed on the BOSS
-    /// device (`--fault-plan SEED`); `None` runs fault-free. With the
-    /// default zero fault rate the plan is quiet, and the invariance
-    /// contract requires byte-identical output to a fault-free run.
-    pub fault_seed: Option<u64>,
-    /// Uncorrectable-line error rate of the installed plan
-    /// (`--fault-rate F`); only meaningful with `--fault-plan`.
-    pub fault_rate: f64,
-    /// Degradation policy for faulted/corrupt blocks (`--degrade
-    /// fail|skip`).
-    pub degrade_skip: bool,
     /// Shard count of the simulated multi-device system (`--shards N`).
     /// 1 keeps the single-device code path (no shard layer at all), so
     /// the default run is byte-identical to the pre-shard harness.
     pub shards: u32,
-    /// Replicas per shard (`--replicas N`); only meaningful with
-    /// `--shards` > 1. Extra replicas give the health-aware router a
-    /// clean device to steer to when a shard's primary degrades.
-    pub replicas: u32,
-    /// Confines the installed fault plan to one shard (`--shard-fault
-    /// S`): the plan lands on (shard S, replica 0) only, and the
-    /// canonical timing engine plus every other leaf stays quiet.
-    /// Without it the plan applies to the canonical engine and all
-    /// leaves uniformly.
-    pub shard_fault: Option<usize>,
-    /// Dynamic-pruning query plan (`--algorithm exhaustive|maxscore|
-    /// wand|bmw|bmm`) installed on every selected engine. Safe pruning:
-    /// hits stay bit-identical to the default exhaustive traversal at
-    /// every thread and shard count; only the work/timing columns move.
-    pub algorithm: QueryAlgorithm,
-    /// Host decode implementation (`--decode-netlist` routes block
-    /// decodes through the compiled Fig. 8 netlist engine,
-    /// `--interpret-netlist` through its interpreter oracle). All three
-    /// backends are bit-equal: figure data rows must stay byte-identical,
-    /// only wall-clock moves.
-    pub decode_backend: DecodeBackend,
-    /// Open-loop serving scenario (`--serve` and the `--serve-*`
-    /// knobs); `None` keeps the closed-batch figure path untouched.
-    /// Serving counters are reported only in `#` comment lines, so the
-    /// data-row invariance contract is unaffected.
-    pub serving: Option<ServingSpec>,
+    /// The engine knobs (`--fault-plan`, `--fault-rate`, `--degrade`,
+    /// `--replicas`, `--shard-fault`, `--algorithm`, `--serve*`): the
+    /// flag parser writes straight into the [`EngineTuning`] the engine
+    /// helpers take, so each knob is declared once.
+    pub tuning: EngineTuning,
     /// Build the corpora through the SPIMI spill/merge path with this
     /// many on-disk segments (`--segments N`) instead of in memory.
     /// The merge is bit-identical to the in-memory build, so figure
@@ -169,17 +130,8 @@ impl Default for BenchArgs {
             k: 1000,
             threads: default_threads(),
             engines: EngineSelection::default(),
-            block_cache: 0,
-            bulk_score: true,
-            fault_seed: None,
-            fault_rate: 0.0,
-            degrade_skip: false,
             shards: 1,
-            replicas: 1,
-            shard_fault: None,
-            algorithm: QueryAlgorithm::Exhaustive,
-            decode_backend: DecodeBackend::Codec,
-            serving: None,
+            tuning: EngineTuning::default(),
             segments: None,
         }
     }
@@ -195,6 +147,7 @@ impl BenchArgs {
     /// a diagnostic and exit with status 2.
     pub fn parse() -> Self {
         let mut args = BenchArgs::default();
+        let tuning = &mut args.tuning;
         let mut it = std::env::args().skip(1);
         while let Some(flag) = it.next() {
             let mut take = |name: &str| {
@@ -220,68 +173,72 @@ impl BenchArgs {
                     args.threads = parsed_value::<usize>(&take("--threads"), "--threads").max(1);
                 }
                 "--engines" => args.engines = parsed_value(&take("--engines"), "--engines"),
-                "--block-cache" => {
-                    args.block_cache = parsed_value(&take("--block-cache"), "--block-cache");
-                }
-                "--no-bulk" => args.bulk_score = false,
                 "--fault-plan" => {
-                    args.fault_seed = Some(parsed_value(&take("--fault-plan"), "--fault-plan"));
+                    tuning.fault_seed = Some(parsed_value(&take("--fault-plan"), "--fault-plan"));
                 }
                 "--fault-rate" => {
-                    args.fault_rate = parsed_value(&take("--fault-rate"), "--fault-rate");
+                    tuning.fault_rate = parsed_value(&take("--fault-rate"), "--fault-rate");
                 }
                 "--shards" => {
                     args.shards = parsed_value::<u32>(&take("--shards"), "--shards").max(1);
                 }
                 "--replicas" => {
-                    args.replicas = parsed_value::<u32>(&take("--replicas"), "--replicas").max(1);
+                    tuning.replicas =
+                        parsed_value::<usize>(&take("--replicas"), "--replicas").max(1);
                 }
                 "--shard-fault" => {
-                    args.shard_fault = Some(parsed_value(&take("--shard-fault"), "--shard-fault"));
+                    tuning.shard_fault =
+                        Some(parsed_value(&take("--shard-fault"), "--shard-fault"));
                 }
                 "--segments" => {
                     args.segments =
                         Some(parsed_value::<u32>(&take("--segments"), "--segments").max(1));
                 }
                 "--algorithm" => {
-                    args.algorithm = parsed_value(&take("--algorithm"), "--algorithm");
+                    tuning.algorithm = parsed_value(&take("--algorithm"), "--algorithm");
                 }
-                "--decode-netlist" => args.decode_backend = DecodeBackend::NetlistCompiled,
-                "--interpret-netlist" => args.decode_backend = DecodeBackend::NetlistInterpreted,
                 "--serve" => {
-                    args.serving.get_or_insert_with(ServingSpec::default);
+                    tuning.serving.get_or_insert_with(ServingSpec::default);
                 }
                 "--serve-load" => {
-                    args.serving.get_or_insert_with(ServingSpec::default).load =
+                    tuning.serving.get_or_insert_with(ServingSpec::default).load =
                         parsed_value(&take("--serve-load"), "--serve-load");
                 }
                 "--serve-queue" => {
-                    args.serving.get_or_insert_with(ServingSpec::default).queue =
+                    tuning
+                        .serving
+                        .get_or_insert_with(ServingSpec::default)
+                        .queue =
                         parsed_value::<usize>(&take("--serve-queue"), "--serve-queue").max(1);
                 }
                 "--serve-deadline-x" => {
-                    args.serving
+                    tuning
+                        .serving
                         .get_or_insert_with(ServingSpec::default)
                         .deadline_x =
                         parsed_value(&take("--serve-deadline-x"), "--serve-deadline-x");
                 }
                 "--serve-policy" => {
-                    args.serving.get_or_insert_with(ServingSpec::default).policy =
-                        parsed_value(&take("--serve-policy"), "--serve-policy");
+                    tuning
+                        .serving
+                        .get_or_insert_with(ServingSpec::default)
+                        .policy = parsed_value(&take("--serve-policy"), "--serve-policy");
                 }
                 "--serve-arrivals" => {
-                    args.serving
+                    tuning
+                        .serving
                         .get_or_insert_with(ServingSpec::default)
                         .arrivals = parsed_value(&take("--serve-arrivals"), "--serve-arrivals");
                 }
                 "--serve-degrade" => {
-                    args.serving
+                    tuning
+                        .serving
                         .get_or_insert_with(ServingSpec::default)
                         .degrade = true;
                 }
                 "--degrade" => match take("--degrade").as_str() {
-                    "fail" => args.degrade_skip = false,
-                    "skip" => args.degrade_skip = true,
+                    "fail" => tuning.degrade_skip = false,
+                    "skip" => tuning.degrade_skip = true,
                     other => {
                         eprintln!("unknown degrade policy {other:?}: expected fail or skip");
                         std::process::exit(2);
@@ -290,11 +247,10 @@ impl BenchArgs {
                 "--help" | "-h" => {
                     println!(
                         "usage: [--scale smoke|small|full] [--seed N] [--queries-per-type N] \
-                         [--k N] [--threads N] [--engines boss,iiu,lucene] [--block-cache BLOCKS] \
-                         [--no-bulk] [--fault-plan SEED] [--fault-rate F] [--degrade fail|skip] \
+                         [--k N] [--threads N] [--engines boss,iiu,lucene] \
+                         [--fault-plan SEED] [--fault-rate F] [--degrade fail|skip] \
                          [--shards N] [--replicas N] [--shard-fault S] [--segments N] \
                          [--algorithm exhaustive|maxscore|wand|bmw|bmm] \
-                         [--decode-netlist] [--interpret-netlist] \
                          [--serve] [--serve-load F] [--serve-queue N] [--serve-deadline-x F] \
                          [--serve-policy fifo|sjf|edf|shed] [--serve-arrivals poisson|bursty] \
                          [--serve-degrade]"
@@ -307,25 +263,7 @@ impl BenchArgs {
                 }
             }
         }
-        // The backend is a process-wide switch; install it once at parse
-        // time so every decode in the run takes the selected path.
-        boss_index::set_decode_backend(args.decode_backend);
         args
-    }
-
-    /// The engine tuning these arguments describe.
-    pub fn tuning(&self) -> EngineTuning {
-        EngineTuning {
-            block_cache: self.block_cache,
-            bulk_score: self.bulk_score,
-            fault_seed: self.fault_seed,
-            fault_rate: self.fault_rate,
-            degrade_skip: self.degrade_skip,
-            replicas: self.replicas.max(1) as usize,
-            shard_fault: self.shard_fault,
-            algorithm: self.algorithm,
-            serving: self.serving.clone(),
-        }
     }
 
     /// Splits `index` per `--shards`, or `None` for the single-device
@@ -355,15 +293,10 @@ impl BenchArgs {
     pub fn print_threads_comment(&self) {
         println!("# threads {}", self.threads);
         if self.shards > 1 {
-            println!("# shards {} replicas {}", self.shards, self.replicas.max(1));
+            println!("# shards {} replicas {}", self.shards, self.tuning.replicas);
         }
-        if self.algorithm != QueryAlgorithm::Exhaustive {
-            println!("# algorithm {}", self.algorithm);
-        }
-        match self.decode_backend {
-            DecodeBackend::Codec => {}
-            DecodeBackend::NetlistCompiled => println!("# decode netlist-compiled"),
-            DecodeBackend::NetlistInterpreted => println!("# decode netlist-interpreted"),
+        if self.tuning.algorithm != QueryAlgorithm::Exhaustive {
+            println!("# algorithm {}", self.tuning.algorithm);
         }
     }
 }
@@ -567,40 +500,49 @@ pub fn run_serving<E: SearchEngine + Send>(
     Ok((boss_engine::simulate(&config, &arrivals, &table), mean_svc))
 }
 
-/// Engine knobs shared by the figure binaries: decoded-block cache,
-/// bulk-scoring toggle, and (BOSS-only) the SCM fault plan and
-/// degradation policy. [`BenchArgs::tuning`] builds one from the CLI.
+/// Engine knobs shared by the figure binaries: the dynamic-pruning
+/// plan, the replica count, the serving scenario, and (BOSS-only) the
+/// SCM fault plan and degradation policy. [`BenchArgs::parse`] fills one
+/// in from the CLI; the default is the paper's fault-free exhaustive run.
 #[derive(Debug, Clone)]
 pub struct EngineTuning {
-    /// Decoded-block cache capacity per engine fork, in blocks.
-    pub block_cache: usize,
-    /// Block-at-a-time scoring kernels on or off.
-    pub bulk_score: bool,
-    /// Seed of a [`boss_scm::FaultPlan`] to install on the BOSS device.
+    /// Seed of an SCM [`boss_scm::FaultPlan`] installed on the BOSS
+    /// device (`--fault-plan SEED`); `None` runs fault-free. With the
+    /// default zero fault rate the plan is quiet, and the invariance
+    /// contract requires byte-identical output to a fault-free run.
     pub fault_seed: Option<u64>,
-    /// Uncorrectable-line rate of the installed plan (0.0 keeps it quiet).
+    /// Uncorrectable-line error rate of the installed plan
+    /// (`--fault-rate F`); only meaningful with `--fault-plan`.
     pub fault_rate: f64,
-    /// `SkipBlock` instead of the default `FailQuery` degradation.
+    /// `SkipBlock` instead of the default `FailQuery` degradation for
+    /// faulted/corrupt blocks (`--degrade fail|skip`).
     pub degrade_skip: bool,
-    /// Replicas per shard when the target is sharded (min 1).
+    /// Replicas per shard (`--replicas N`, min 1); only meaningful with
+    /// `--shards` > 1. Extra replicas give the health-aware router a
+    /// clean device to steer to when a shard's primary degrades.
     pub replicas: usize,
-    /// Confine the fault plan to (shard S, replica 0); see
-    /// [`BenchArgs::shard_fault`].
+    /// Confines the installed fault plan to one shard (`--shard-fault
+    /// S`): the plan lands on (shard S, replica 0) only, and the
+    /// canonical timing engine plus every other leaf stays quiet.
+    /// Without it the plan applies to the canonical engine and all
+    /// leaves uniformly.
     pub shard_fault: Option<usize>,
-    /// Dynamic-pruning query plan installed on every engine the helpers
-    /// build (leaves included). Hits are bit-identical to exhaustive.
+    /// Dynamic-pruning query plan (`--algorithm exhaustive|maxscore|
+    /// wand|bmw|bmm`) installed on every engine the helpers build
+    /// (leaves included). Safe pruning: hits stay bit-identical to the
+    /// default exhaustive traversal at every thread and shard count;
+    /// only the work/timing columns move.
     pub algorithm: QueryAlgorithm,
-    /// Open-loop serving scenario, when the binary should also report
-    /// serving counters (`# serving` comment block); `None` otherwise.
+    /// Open-loop serving scenario (`--serve` and the `--serve-*`
+    /// knobs); `None` keeps the closed-batch figure path untouched.
+    /// Serving counters are reported only in `#` comment lines, so the
+    /// data-row invariance contract is unaffected.
     pub serving: Option<ServingSpec>,
 }
 
-impl EngineTuning {
-    /// Tuning with only the cache/bulk knobs set; no fault plan.
-    pub fn new(block_cache: usize, bulk_score: bool) -> Self {
+impl Default for EngineTuning {
+    fn default() -> Self {
         EngineTuning {
-            block_cache,
-            bulk_score,
             fault_seed: None,
             fault_rate: 0.0,
             degrade_skip: false,
@@ -610,7 +552,9 @@ impl EngineTuning {
             serving: None,
         }
     }
+}
 
+impl EngineTuning {
     /// The same tuning with `algorithm` replaced.
     #[must_use]
     pub fn with_algorithm(mut self, algorithm: QueryAlgorithm) -> Self {
@@ -708,10 +652,7 @@ fn sharded_engine<'a, E: SearchEngine>(
     Sharded::new(canonical, sh, leaves, ShardTiming::Logical)
 }
 
-/// A BOSS engine in the paper's evaluation configuration. `block_cache`
-/// is the decoded-block cache capacity (0 disables it) and `bulk`
-/// selects the block-at-a-time scoring hot loop; both speed up the
-/// simulation without changing any simulated number. When `target`
+/// A BOSS engine in the paper's evaluation configuration. When `target`
 /// carries a shard split, the result is a scatter-gather system of
 /// per-shard BOSS devices behind the figure-preserving `Logical` timing.
 pub fn boss_engine<'a>(
@@ -730,8 +671,6 @@ pub fn boss_engine<'a>(
                 .with_et(et)
                 .with_k(k)
                 .on_memory(memory.clone())
-                .with_block_cache(tuning.block_cache)
-                .with_bulk_score(tuning.bulk_score)
                 .with_algorithm(tuning.algorithm)
                 .with_fault_plan(plan)
                 .with_degrade(degrade),
@@ -753,8 +692,6 @@ pub fn iiu_engine<'a>(
             index,
             IiuConfig::with_cores(cores)
                 .on_memory(memory.clone())
-                .with_block_cache(tuning.block_cache)
-                .with_bulk_score(tuning.bulk_score)
                 .with_algorithm(tuning.algorithm),
         )
     })
@@ -773,8 +710,6 @@ pub fn lucene_engine<'a>(
             index,
             LuceneConfig::with_threads(threads)
                 .on_memory(memory.clone())
-                .with_block_cache(tuning.block_cache)
-                .with_bulk_score(tuning.bulk_score)
                 .with_algorithm(tuning.algorithm),
         )
     })
@@ -896,7 +831,7 @@ mod tests {
         assert_eq!(suite.per_type.len(), 6);
         for (qt, qs) in &suite.per_type {
             assert_eq!(qs.len(), 2, "{qt:?}");
-            let tuning = EngineTuning::new(64, true);
+            let tuning = EngineTuning::default();
             let boss = run_system(
                 &boss_engine(
                     &target,
@@ -937,8 +872,10 @@ mod tests {
         let single = BenchTarget::single(&index);
         let multi = BenchTarget::new(&index, Some(&sh));
         let suite = TypedSuite::sample(&index, 2, 9);
-        let mut tuning = EngineTuning::new(0, true);
-        tuning.replicas = 2;
+        let tuning = EngineTuning {
+            replicas: 2,
+            ..EngineTuning::default()
+        };
         for (qt, qs) in &suite.per_type {
             let a = run_system(
                 &boss_engine(

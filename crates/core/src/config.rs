@@ -118,16 +118,6 @@ pub struct BossConfig {
     pub memory: MemoryConfig,
     /// Timing constants.
     pub timing: TimingModel,
-    /// Capacity (in decoded blocks) of the host-side decoded-block cache;
-    /// 0 disables it. Wall-clock only: simulated cycles and traffic are
-    /// independent of this setting (see `boss_index::cache`).
-    pub block_cache_blocks: usize,
-    /// Whether the host executes the query hot loop with the
-    /// block-at-a-time scoring kernels and the software-pipelined
-    /// (double-buffered) posting traversal. Wall-clock only: simulated
-    /// cycles, traffic, and every evaluation counter are bit-identical
-    /// with this on or off (see `crate::union`).
-    pub bulk_score: bool,
     /// Optional SCM fault-injection plan applied to every simulated
     /// memory access. `None` (the default) means a fault-free device and
     /// bit-identical figures to a build without fault support.
@@ -151,8 +141,6 @@ impl Default for BossConfig {
             max_terms: 16,
             memory: MemoryConfig::optane_dcpmm(),
             timing: TimingModel::default(),
-            block_cache_blocks: 0,
-            bulk_score: true,
             fault_plan: None,
             degrade: DegradePolicy::FailQuery,
         }
@@ -200,21 +188,6 @@ impl BossConfig {
     #[must_use]
     pub fn with_fidelity(mut self, fidelity: TimingFidelity) -> Self {
         self.timing.fidelity = fidelity;
-        self
-    }
-
-    /// Replaces the decoded-block cache capacity (0 disables the cache).
-    #[must_use]
-    pub fn with_block_cache(mut self, blocks: usize) -> Self {
-        self.block_cache_blocks = blocks;
-        self
-    }
-
-    /// Enables or disables the bulk scoring hot loop (wall-clock only;
-    /// simulated figures do not depend on this).
-    #[must_use]
-    pub fn with_bulk_score(mut self, on: bool) -> Self {
-        self.bulk_score = on;
         self
     }
 

@@ -17,7 +17,7 @@ use crate::prune::pruned_union_topk;
 use crate::stats::QueryOutcome;
 use crate::union::{union_topk, BulkScratch, UnionStream};
 use boss_index::layout::IndexImage;
-use boss_index::{BlockCache, InvertedIndex, QueryAlgorithm, TopK};
+use boss_index::{InvertedIndex, QueryAlgorithm, TopK};
 use boss_scm::AccessCategory;
 
 /// Reusable per-core (or per-worker) query buffers: the top-k queue and
@@ -91,25 +91,10 @@ impl BossCore {
         plan: &QueryPlan,
         k: usize,
     ) -> Result<QueryOutcome, boss_index::Error> {
-        self.execute_with_cache(index, image, plan, k, None)
+        self.execute_with_scratch(index, image, plan, k, &mut CoreScratch::new())
     }
 
-    /// [`BossCore::execute`] with an optional decoded-block cache. The
-    /// cache is strictly a host-side accelerant: hits and misses charge
-    /// identical simulated cycles and traffic, so the outcome is
-    /// bit-identical with any cache (or none).
-    pub fn execute_with_cache(
-        &self,
-        index: &InvertedIndex,
-        image: &IndexImage,
-        plan: &QueryPlan,
-        k: usize,
-        cache: Option<&BlockCache>,
-    ) -> Result<QueryOutcome, boss_index::Error> {
-        self.execute_with_scratch(index, image, plan, k, cache, &mut CoreScratch::new())
-    }
-
-    /// [`BossCore::execute_with_cache`] with caller-owned reusable query
+    /// [`BossCore::execute`] with caller-owned reusable query
     /// buffers, so a batch driver allocates the top-k queue and scoring
     /// scratch once per worker instead of once per query. Results are
     /// identical to the allocating paths.
@@ -119,10 +104,9 @@ impl BossCore {
         image: &IndexImage,
         plan: &QueryPlan,
         k: usize,
-        cache: Option<&BlockCache>,
         scratch: &mut CoreScratch,
     ) -> Result<QueryOutcome, boss_index::Error> {
-        self.execute_with_scratch_seeded(index, image, plan, k, cache, scratch, f32::NEG_INFINITY)
+        self.execute_with_scratch_seeded(index, image, plan, k, scratch, f32::NEG_INFINITY)
     }
 
     /// [`BossCore::execute_with_scratch`] with an externally seeded
@@ -131,18 +115,16 @@ impl BossCore {
     /// later shard's pruning plan can skip against the global threshold
     /// before its local queue fills; `f32::NEG_INFINITY` (what the plain
     /// entry points pass) restores unseeded behavior exactly.
-    #[allow(clippy::too_many_arguments)]
     pub fn execute_with_scratch_seeded(
         &self,
         index: &InvertedIndex,
         image: &IndexImage,
         plan: &QueryPlan,
         k: usize,
-        cache: Option<&BlockCache>,
         scratch: &mut CoreScratch,
         floor: f32,
     ) -> Result<QueryOutcome, boss_index::Error> {
-        let mut ctx = ExecCtx::with_cache(index, image, &self.config, cache);
+        let mut ctx = ExecCtx::new(index, image, &self.config);
         let fill = self.config.timing.decomp_fill;
 
         // Intersections first (Section IV-B "Mixed Query"), then one
@@ -375,10 +357,10 @@ mod tests {
     }
 
     #[test]
-    fn bulk_score_changes_nothing_observable() {
+    fn scratch_reuse_changes_nothing_observable() {
         // Whole-query invariance: cycles, traffic, counters, and hits are
-        // bit-identical with the bulk hot loop on or off, and reusing one
-        // CoreScratch across queries changes nothing either.
+        // bit-identical whether each query gets a fresh CoreScratch or
+        // one is reused across all of them.
         let idx = corpus();
         let image = IndexImage::new(&idx);
         let queries = [
@@ -394,23 +376,20 @@ mod tests {
             let mut scratch = CoreScratch::new();
             for q in &queries {
                 for k in [5usize, 300] {
-                    let run_with = |bulk_on: bool, scratch: &mut CoreScratch| {
-                        let cfg = BossConfig::default()
-                            .with_et(et)
-                            .with_k(k)
-                            .with_bulk_score(bulk_on);
+                    let run_with = |scratch: &mut CoreScratch| {
+                        let cfg = BossConfig::default().with_et(et).with_k(k);
                         let core = BossCore::new(cfg.clone());
                         let plan = QueryPlan::from_expr(&idx, q, &cfg).unwrap();
-                        core.execute_with_scratch(&idx, &image, &plan, k, None, scratch)
+                        core.execute_with_scratch(&idx, &image, &plan, k, scratch)
                             .unwrap()
                     };
-                    let base = run_with(false, &mut CoreScratch::new());
-                    let bulk = run_with(true, &mut scratch);
+                    let fresh = run_with(&mut CoreScratch::new());
+                    let reused = run_with(&mut scratch);
                     let label = format!("{q} k={k} {et:?}");
-                    assert_eq!(base.hits, bulk.hits, "hits {label}");
-                    assert_eq!(base.eval, bulk.eval, "eval {label}");
-                    assert_eq!(base.mem, bulk.mem, "mem {label}");
-                    assert_eq!(base.cycles, bulk.cycles, "cycles {label}");
+                    assert_eq!(fresh.hits, reused.hits, "hits {label}");
+                    assert_eq!(fresh.eval, reused.eval, "eval {label}");
+                    assert_eq!(fresh.mem, reused.mem, "mem {label}");
+                    assert_eq!(fresh.cycles, reused.cycles, "cycles {label}");
                 }
             }
         }
@@ -530,51 +509,6 @@ mod tests {
     }
 
     #[test]
-    fn bulk_score_changes_nothing_observable_under_pruned_plans() {
-        // The WAND-family tail drain is wall-clock only: with any
-        // pruning algorithm, hits, counters, traffic and cycles are
-        // bit-identical with the bulk path on or off.
-        let idx = corpus();
-        let image = IndexImage::new(&idx);
-        let queries = [
-            QueryExpr::term("bb"),
-            QueryExpr::or([QueryExpr::term("aa"), QueryExpr::term("dd")]),
-            QueryExpr::or([
-                QueryExpr::term("aa"),
-                QueryExpr::term("bb"),
-                QueryExpr::term("cc"),
-                QueryExpr::term("dd"),
-            ]),
-            QueryExpr::and([
-                QueryExpr::term("cc"),
-                QueryExpr::or([QueryExpr::term("bb"), QueryExpr::term("dd")]),
-            ]),
-        ];
-        for algo in boss_index::ALL_ALGORITHMS {
-            for q in &queries {
-                for k in [5usize, 300] {
-                    let run_with = |bulk_on: bool| {
-                        let cfg = BossConfig::default()
-                            .with_k(k)
-                            .with_algorithm(algo)
-                            .with_bulk_score(bulk_on);
-                        let core = BossCore::new(cfg.clone());
-                        let plan = QueryPlan::from_expr(&idx, q, &cfg).unwrap();
-                        core.execute(&idx, &image, &plan, k).unwrap()
-                    };
-                    let base = run_with(false);
-                    let bulk = run_with(true);
-                    let label = format!("{q} k={k} {algo}");
-                    assert_eq!(base.hits, bulk.hits, "hits {label}");
-                    assert_eq!(base.eval, bulk.eval, "eval {label}");
-                    assert_eq!(base.mem, bulk.mem, "mem {label}");
-                    assert_eq!(base.cycles, bulk.cycles, "cycles {label}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn seeded_floor_prunes_more_but_keeps_at_or_above_floor_hits() {
         // With a floor seeded from a (simulated) earlier shard, the plan
         // may drop hits at or below the floor (a tie at the running k-th
@@ -599,15 +533,7 @@ mod tests {
             let core = BossCore::new(cfg.clone());
             let plan = QueryPlan::from_expr(&idx, &q, &cfg).unwrap();
             let got = core
-                .execute_with_scratch_seeded(
-                    &idx,
-                    &image,
-                    &plan,
-                    k,
-                    None,
-                    &mut CoreScratch::new(),
-                    floor,
-                )
+                .execute_with_scratch_seeded(&idx, &image, &plan, k, &mut CoreScratch::new(), floor)
                 .unwrap();
             let kept: Vec<_> = expect.iter().filter(|h| h.score > floor).collect();
             assert!(

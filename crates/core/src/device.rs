@@ -6,7 +6,7 @@ use crate::core::{BossCore, CoreScratch};
 use crate::plan::QueryPlan;
 use crate::stats::{EvalCounts, QueryOutcome};
 use boss_index::layout::IndexImage;
-use boss_index::{BlockCache, BlockCacheStats, Error, InvertedIndex, QueryExpr};
+use boss_index::{Error, InvertedIndex, QueryExpr};
 use boss_scm::MemStats;
 use serde::{Deserialize, Serialize};
 
@@ -57,9 +57,6 @@ pub struct BossDevice<'a> {
     image: IndexImage,
     config: BossConfig,
     cores: Vec<BossCore>,
-    /// Host-side decoded-block cache shared by this device's cores
-    /// (wall-clock only; `None` when `config.block_cache_blocks == 0`).
-    cache: Option<BlockCache>,
     /// Reusable query buffers (top-k queue + bulk scoring scratch),
     /// recycled across every query this device runs.
     scratch: CoreScratch,
@@ -72,21 +69,13 @@ impl<'a> BossDevice<'a> {
         let cores = (0..config.n_cores)
             .map(|_| BossCore::new(config.clone()))
             .collect();
-        let cache =
-            (config.block_cache_blocks > 0).then(|| BlockCache::new(config.block_cache_blocks));
         BossDevice {
             index,
             image: IndexImage::new(index),
             config,
             cores,
-            cache,
             scratch: CoreScratch::new(),
         }
-    }
-
-    /// Decoded-block cache counters, when a cache is configured.
-    pub fn block_cache_stats(&self) -> Option<BlockCacheStats> {
-        self.cache.as_ref().map(BlockCache::stats)
     }
 
     /// The device configuration.
@@ -224,7 +213,6 @@ impl<'a> BossDevice<'a> {
             &self.image,
             &plan,
             k,
-            self.cache.as_ref(),
             &mut self.scratch,
             floor,
         )
@@ -298,7 +286,6 @@ impl<'a> BossDevice<'a> {
                 &self.image,
                 plan,
                 k,
-                self.cache.as_ref(),
                 &mut self.scratch,
             )?;
             let end = start + out.cycles;

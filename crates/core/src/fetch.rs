@@ -9,8 +9,7 @@ use crate::stats::EvalCounts;
 use boss_compress::Scheme;
 use boss_index::layout::IndexImage;
 use boss_index::{
-    decode_block_cached, BlockCache, BlockMeta, DecodeScratch, DocId, EncodedList, Error,
-    InvertedIndex, TermId, BLOCK_META_BYTES,
+    BlockMeta, DecodeScratch, DocId, EncodedList, Error, InvertedIndex, TermId, BLOCK_META_BYTES,
 };
 use boss_scm::{AccessCategory, AccessKind, MemorySim, PatternHint};
 
@@ -57,32 +56,16 @@ pub(crate) struct ExecCtx<'a> {
     /// under [`TimingFidelity::Pipelined`], the one fidelity that reads it.
     pub trace: Vec<BlockEvent>,
     record_trace: bool,
-    /// Decoded-block cache (wall-clock only: hits skip the host-side
-    /// decode, never any simulated charge — see `boss_index::cache`).
-    pub cache: Option<&'a BlockCache>,
-    /// Whether the union module may take the block-at-a-time scoring
-    /// path (wall-clock only, from [`BossConfig::bulk_score`]).
-    pub bulk: bool,
     /// What to do when a posting block is unusable (faulted read or
     /// corrupt decode), from [`BossConfig::degrade`].
     pub degrade: DegradePolicy,
 }
 
 impl<'a> ExecCtx<'a> {
-    #[cfg(test)]
     pub(crate) fn new(
         index: &'a InvertedIndex,
         image: &'a IndexImage,
         config: &BossConfig,
-    ) -> Self {
-        Self::with_cache(index, image, config, None)
-    }
-
-    pub(crate) fn with_cache(
-        index: &'a InvertedIndex,
-        image: &'a IndexImage,
-        config: &BossConfig,
-        cache: Option<&'a BlockCache>,
     ) -> Self {
         let mut mem = MemorySim::new(config.memory.clone());
         if let Some(plan) = &config.fault_plan {
@@ -99,8 +82,6 @@ impl<'a> ExecCtx<'a> {
             norm_line: u64::MAX,
             trace: Vec::new(),
             record_trace: config.timing.fidelity == TimingFidelity::Pipelined,
-            cache,
-            bulk: config.bulk_score,
             degrade: config.degrade,
         }
     }
@@ -207,10 +188,11 @@ pub(crate) struct ListCursor<'a> {
     /// in buffers reserved once from block metadata.
     scratch: DecodeScratch,
     /// Second half of the double buffer: the next block, decoded ahead of
-    /// time by [`ListCursor::prefetch_next`] while the scoring kernel
-    /// drains `scratch`. Host-side only — prefetching carries no
-    /// simulated charge; [`ListCursor::ensure_decoded`] still issues
-    /// every charge when the block is actually entered.
+    /// time by [`ListCursor::prefetch_next`] (which also reserves it, on
+    /// first use) while the scoring kernel drains `scratch`. Host-side
+    /// only — prefetching carries no simulated charge;
+    /// [`ListCursor::ensure_decoded`] still issues every charge when the
+    /// block is actually entered.
     spare: DecodeScratch,
     /// Block index decoded into `spare`, if any.
     prefetched: Option<usize>,
@@ -232,10 +214,6 @@ impl<'a> ListCursor<'a> {
         let list = ctx.index.list(term);
         let mut scratch = DecodeScratch::new();
         scratch.reserve_for(list);
-        let mut spare = DecodeScratch::new();
-        if ctx.bulk {
-            spare.reserve_for(list);
-        }
         let mut c = ListCursor {
             term,
             list,
@@ -243,7 +221,7 @@ impl<'a> ListCursor<'a> {
             data_addr: ctx.image.data_addr(term),
             block: 0,
             scratch,
-            spare,
+            spare: DecodeScratch::new(),
             prefetched: None,
             pos: 0,
             dec_unit,
@@ -364,9 +342,8 @@ impl<'a> ListCursor<'a> {
         if self.exhausted() {
             return Ok(false);
         }
-        // Every simulated charge below happens regardless of cache or
-        // prefetch state: those only change which host-side path fills
-        // the scratch.
+        // Every simulated charge below happens regardless of prefetch
+        // state: that only changes which host-side path fills the scratch.
         let meta = *self.meta();
         let block_addr = self.data_addr + u64::from(meta.offset);
         let (data_ready, faulted) = ctx.read_checked(
@@ -383,15 +360,7 @@ impl<'a> ListCursor<'a> {
             self.prefetched = None;
             Ok(())
         } else {
-            self.scratch.clear();
-            decode_block_cached(
-                self.list,
-                self.term,
-                self.block,
-                ctx.cache,
-                &mut self.scratch.docs,
-                &mut self.scratch.tfs,
-            )
+            self.list.decode_block_into(self.block, &mut self.scratch)
         };
         if let Err(e) = filled {
             self.scratch.clear();
@@ -536,22 +505,17 @@ impl<'a> ListCursor<'a> {
     /// full when the block is entered. A block that fails to decode is
     /// simply not prefetched: `fetch_block` will surface the error with
     /// its charges when the block is actually entered.
-    pub(crate) fn prefetch_next(&mut self, cache: Option<&BlockCache>) {
+    pub(crate) fn prefetch_next(&mut self) {
         let next = self.block + 1;
         if next >= self.list.n_blocks() || self.prefetched == Some(next) {
             return;
         }
-        self.spare.clear();
-        if decode_block_cached(
-            self.list,
-            self.term,
-            next,
-            cache,
-            &mut self.spare.docs,
-            &mut self.spare.tfs,
-        )
-        .is_ok()
-        {
+        if self.spare.docs.capacity() == 0 {
+            // First prefetch on this cursor (a swapped-in spare is the
+            // old, already reserved, scratch): size the buffer once.
+            self.spare.reserve_for(self.list);
+        }
+        if self.list.decode_block_into(next, &mut self.spare).is_ok() {
             self.prefetched = Some(next);
         } else {
             self.spare.clear();
@@ -734,27 +698,81 @@ mod tests {
 
     #[test]
     fn decomp_cost_matches_engine() {
+        // Every block of a real index, under hybrid and each fixed
+        // scheme: the Fig. 8 engine (compiled plan and interpreter
+        // oracle) decodes the two sub-streams to the codec path's values,
+        // and its cycle count is the analytic model's plus one pipeline
+        // fill — the engine fills once per sub-stream, the model once per
+        // block.
+        use boss_compress::ALL_SCHEMES;
         use boss_decomp::DecompEngine;
-        let (idx, _, _) = setup();
-        for term in ["even", "common", "sparse"] {
-            let id = idx.term_id(term).unwrap();
-            let list = idx.list(id);
-            let engine = DecompEngine::for_scheme(list.scheme()).unwrap();
-            for (bi, meta) in list.blocks().iter().enumerate() {
-                // Decode the two sub-streams through the engine and compare
-                // total cycles with the analytic model.
-                let mut docs = Vec::new();
-                let mut tfs = Vec::new();
-                list.decode_block(bi, &mut docs, &mut tfs).unwrap();
-                let analytic = decomp_cycles(list.scheme(), meta, 4);
-                // Engine charges fill per sub-stream; analytic charges one
-                // fill per block, so allow that delta.
-                let _ = engine; // full equivalence asserted in boss-decomp tests
-                assert!(
-                    analytic >= meta.count() as u64,
-                    "at least one cycle per value"
-                );
+        use boss_index::SchemeChoice;
+        use boss_workload::corpus::{CorpusSpec, Scale};
+
+        const FILL: u64 = 4;
+        // A third of the smoke corpus keeps the interpreter pass short.
+        let spec = CorpusSpec {
+            n_docs: 800,
+            vocab_size: 600,
+            ..CorpusSpec::clueweb12_like(Scale::Smoke)
+        };
+        let lists = spec.term_lists().unwrap();
+        let choices = std::iter::once(SchemeChoice::Hybrid)
+            .chain(ALL_SCHEMES.into_iter().map(SchemeChoice::Fixed));
+        for choice in choices {
+            let mut builder = IndexBuilder::new().scheme(choice);
+            for (term, list) in &lists {
+                builder = builder.add_posting_list(term, list);
             }
+            let idx = builder.build().unwrap();
+            let mut nonzero_bases = 0usize;
+            for t in 0..idx.n_terms() {
+                let list = idx.list(t as TermId);
+                let scheme = list.scheme();
+                if let SchemeChoice::Fixed(fixed) = choice {
+                    assert_eq!(scheme, fixed, "fixed build uses one scheme");
+                }
+                let compiled = DecompEngine::for_scheme(scheme).unwrap();
+                let interpreted = compiled.clone().with_interpreter(true);
+                let (mut docs, mut tfs) = (Vec::new(), Vec::new());
+                for (bi, meta) in list.blocks().iter().enumerate() {
+                    docs.clear();
+                    tfs.clear();
+                    list.decode_block(bi, &mut docs, &mut tfs).unwrap();
+                    let base = if bi == 0 {
+                        0
+                    } else {
+                        list.blocks()[bi - 1].last_doc
+                    };
+                    nonzero_bases += usize::from(base != 0);
+                    let block = &list.data()[meta.offset as usize..][..meta.len as usize];
+                    let (delta_part, tf_part) = block.split_at(meta.tf_offset as usize);
+                    for engine in [&compiled, &interpreted] {
+                        let (mut edocs, mut etfs) = (Vec::new(), Vec::new());
+                        let delta_cycles = engine
+                            .decode_docids_into(delta_part, &meta.delta_info, base, &mut edocs)
+                            .unwrap();
+                        let tf_cycles = engine
+                            .decode_into(tf_part, &meta.tf_info, &mut etfs)
+                            .unwrap();
+                        for tf in &mut etfs {
+                            *tf += 1;
+                        }
+                        let label = format!(
+                            "{choice:?} term {t} block {bi} interpreted={}",
+                            engine.is_interpreted()
+                        );
+                        assert_eq!(edocs, docs, "docs {label}");
+                        assert_eq!(etfs, tfs, "tfs {label}");
+                        assert_eq!(
+                            delta_cycles + tf_cycles,
+                            decomp_cycles(scheme, meta, FILL) + FILL,
+                            "cycles {label}"
+                        );
+                    }
+                }
+            }
+            assert!(nonzero_bases > 0, "multi-block lists covered");
         }
     }
 }

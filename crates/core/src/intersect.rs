@@ -42,31 +42,19 @@ pub(crate) fn intersect_group(
         let first = order[0];
         cur = GroupMatches::new(&[first]);
         let mut c = ListCursor::new(ctx, first, 0, decomp_fill);
-        if ctx.bulk {
-            // Block-at-a-time: copy each decoded run wholesale while the
-            // next block decodes into the spare buffer. Charge-identical
-            // to the per-posting loop (no counters fire here, and the
-            // block-entry and metadata charges land at the same points).
-            let cache = ctx.cache;
-            while !c.exhausted() {
-                if !c.fetch_block(ctx)? {
-                    // Fault-skipped block: the cursor already moved on.
-                    continue;
-                }
-                c.prefetch_next(cache);
-                let (rdocs, rtfs) = c.run();
-                let n = rdocs.len();
-                cur.extend_rows(rdocs, rtfs);
-                c.advance_run(ctx, n);
+        // Block-at-a-time: copy each decoded run wholesale while the
+        // next block decodes into the spare buffer. No counters fire
+        // inside a run; block-entry and metadata charges land on entry.
+        while !c.exhausted() {
+            if !c.fetch_block(ctx)? {
+                // Fault-skipped block: the cursor already moved on.
+                continue;
             }
-        } else {
-            while !c.exhausted() {
-                let d = c.current_doc();
-                if let Some(tf) = c.current_tf(ctx)? {
-                    cur.push(d, &[tf]);
-                    c.advance(ctx)?;
-                }
-            }
+            c.prefetch_next();
+            let (rdocs, rtfs) = c.run();
+            let n = rdocs.len();
+            cur.extend_rows(rdocs, rtfs);
+            c.advance_run(ctx, n);
         }
     } else {
         // First pair: 2-way merge with *mutual* overlap checking, so both
@@ -230,60 +218,5 @@ mod tests {
         let (a, _) = run(&idx, &["base", "eleven"]);
         let (b, _) = run(&idx, &["eleven", "base"]);
         assert_eq!(a.matches, b.matches);
-    }
-
-    #[test]
-    fn bulk_materialize_changes_nothing_observable() {
-        // The block-at-a-time single-term materialization must produce
-        // the same stream, counters, and simulated traffic as the
-        // per-posting loop.
-        let idx = corpus();
-        let image = IndexImage::new(&idx);
-        for term in ["two", "base", "tail"] {
-            let ids = [idx.term_id(term).unwrap()];
-            let run_with = |bulk_on: bool| {
-                let cfg = BossConfig::default().with_bulk_score(bulk_on);
-                let mut ctx = crate::fetch::ExecCtx::new(&idx, &image, &cfg);
-                let m = intersect_group(&mut ctx, &ids, 4).unwrap();
-                (m, ctx.eval, ctx.mem.take_stats())
-            };
-            let (m0, e0, mem0) = run_with(false);
-            let (m1, e1, mem1) = run_with(true);
-            assert_eq!(m0.matches, m1.matches, "{term}");
-            assert_eq!(e0, e1, "{term}");
-            assert_eq!(mem0, mem1, "{term}");
-        }
-    }
-
-    #[test]
-    fn block_cache_changes_nothing_observable() {
-        // Same invariant as the union module: the decoded-block cache may
-        // only change host wall-clock, never the materialized stream, the
-        // counters, or the simulated traffic.
-        use boss_index::BlockCache;
-        let idx = corpus();
-        let cfg = BossConfig::default();
-        let image = IndexImage::new(&idx);
-        let ids: Vec<TermId> = ["two", "five", "eleven"]
-            .iter()
-            .map(|t| idx.term_id(t).unwrap())
-            .collect();
-        let run_with = |cache: Option<&boss_index::BlockCache>| {
-            let mut ctx = crate::fetch::ExecCtx::with_cache(&idx, &image, &cfg, cache);
-            let m = intersect_group(&mut ctx, &ids, 4).unwrap();
-            (m, ctx.eval, ctx.mem.take_stats())
-        };
-        let (m0, eval0, mem0) = run_with(None);
-        let cache = BlockCache::new(128);
-        let (m1, eval1, mem1) = run_with(Some(&cache));
-        assert!(cache.stats().misses > 0);
-        let (m2, eval2, mem2) = run_with(Some(&cache));
-        assert!(cache.stats().hits > 0, "second pass hits");
-        assert_eq!(m0.matches, m1.matches);
-        assert_eq!(m0.matches, m2.matches);
-        assert_eq!(eval0, eval1);
-        assert_eq!(eval0, eval2);
-        assert_eq!(mem0, mem1);
-        assert_eq!(mem0, mem2);
     }
 }

@@ -66,4 +66,4 @@ pub use fixed::{topk_overlap, FixedScorer, Q16};
 pub use mai::{Tlb, TlbStats};
 pub use pipeline::TimingFidelity;
 pub use plan::QueryPlan;
-pub use stats::{BlockCacheStats, EvalCounts, QueryOutcome};
+pub use stats::{EvalCounts, QueryOutcome};

@@ -46,13 +46,13 @@ use boss_index::{DocId, Error, QueryAlgorithm, TermId, TopK};
 /// ([`union_topk`]) under [`Rounds::Wand`] with the pruning attribution:
 /// sort the frontier, pick the pivot by the upper-bound prefix scan
 /// against θ, (with block maxes) skip whole windows before any fetch,
-/// align, gather, score — and, once one live posting-list stream remains
-/// and the bulk path is on, the block-at-a-time tail drain.
+/// align, gather, score — and, once one live posting-list stream
+/// remains, the block-at-a-time tail drain.
 ///
 /// Single-stream queries route through that loop whatever the
 /// algorithm: with one stream MaxScore's split degenerates to the same
-/// list-bound test, and the WAND loop is the one whose bulk tail drain is
-/// counter-identical to its scalar form.
+/// list-bound test, and the WAND loop is the one with a block-at-a-time
+/// tail drain.
 ///
 /// # Errors
 ///
@@ -91,8 +91,8 @@ pub(crate) fn pruned_union_topk(
 /// Candidates come from essential streams; non-essential streams are
 /// probed descending with early abandoning against the f64 partial.
 /// Never hands off to the bulk tail drain: the prefix-sum bound differs
-/// from the drain's list-bound check, and the bulk path must stay
-/// observable-identical on or off.
+/// from the drain's list-bound check, so a hand-off would move the skip
+/// counters.
 fn maxscore_union(
     ctx: &mut ExecCtx<'_>,
     mut streams: Vec<UnionStream<'_>>,

@@ -4,15 +4,6 @@ use boss_index::SearchHit;
 use boss_scm::MemStats;
 use serde::{Deserialize, Serialize};
 
-/// Decoded-block cache counters, re-exported for stats consumers.
-///
-/// Deliberately **not** part of [`EvalCounts`] or [`QueryOutcome`]: those
-/// are asserted bit-identical across thread counts and cache settings,
-/// while cache hit patterns legitimately depend on batch chunking (each
-/// executor worker forks its own cache). Callers read these via
-/// `BossDevice::block_cache_stats` and report them out of band.
-pub use boss_index::BlockCacheStats;
-
 /// Document/block evaluation counters (Figure 14's "evaluated documents"
 /// and the skip statistics behind it).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]

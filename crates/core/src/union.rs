@@ -416,12 +416,12 @@ pub(crate) fn union_topk(
         if frontier.len() == 0 {
             break;
         }
-        // Block-at-a-time fast path: once a single live posting-list
-        // stream remains (which covers single-term queries entirely and
-        // the tail of multi-stream unions), drain it with the bulk
-        // scoring kernels. Wall-clock only — the drain replicates every
-        // counter and simulated charge of the per-posting iterations.
-        if ctx.bulk && frontier.len() == 1 {
+        // Block-at-a-time: once a single live posting-list stream remains
+        // (which covers single-term queries entirely and the tail of
+        // multi-stream unions), drain it with the bulk scoring kernels.
+        // The drain replicates every counter and simulated charge of the
+        // per-posting iterations below.
+        if frontier.len() == 1 {
             if let UnionStream::List(c) = &mut streams[frontier.stream(0)] {
                 drain_single_list(ctx, c, rounds, topk, bulk)?;
                 break;
@@ -603,7 +603,6 @@ fn drain_single_list(
     topk: &mut TopK,
     bulk: &mut BulkScratch,
 ) -> Result<(), Error> {
-    let cache = ctx.cache;
     let bm25 = *ctx.index.bm25();
     let norms = ctx.index.doc_norms();
     let idf = ctx.index.term_info(c.term).idf;
@@ -621,7 +620,7 @@ fn drain_single_list(
         if !c.fetch_block(ctx)? {
             return Ok(());
         }
-        c.prefetch_next(cache);
+        c.prefetch_next();
         {
             let (rdocs, rtfs) = c.run();
             bulk.docs.clear();
@@ -694,8 +693,8 @@ fn drain_single_list(
 ///
 /// Counter for counter, charge for charge, this loop is the scalar
 /// per-posting round structure with the stream dispatch stripped and the
-/// run's scores precomputed by the block kernel — the property the
-/// `bulk_*_changes_nothing_observable` tests pin down.
+/// run's scores precomputed by the block kernel — the golden record of
+/// `traversal_golden` pins every number it produces.
 fn drain_wand_tail(
     ctx: &mut ExecCtx<'_>,
     c: &mut ListCursor<'_>,
@@ -704,7 +703,6 @@ fn drain_wand_tail(
     block_check: bool,
     prune: bool,
 ) -> Result<(), Error> {
-    let cache = ctx.cache;
     let bm25 = *ctx.index.bm25();
     let norms = ctx.index.doc_norms();
     let idf = ctx.index.term_info(c.term).idf;
@@ -739,7 +737,7 @@ fn drain_wand_tail(
                 // Fault-skipped block: the cursor already moved on.
                 continue;
             }
-            c.prefetch_next(cache);
+            c.prefetch_next();
             let (rdocs, rtfs) = c.run();
             bulk.docs.clear();
             bulk.docs.extend_from_slice(rdocs);
@@ -965,137 +963,6 @@ mod tests {
         .unwrap();
         let expect = reference_hits(&idx, &["alpha", "gamma"], 1000);
         assert_eq!(topk.into_hits(), expect);
-    }
-
-    #[test]
-    fn bulk_path_changes_nothing_observable() {
-        // The block-at-a-time drain is wall-clock only: hits, every eval
-        // counter, and all simulated traffic must be bit-identical with
-        // the bulk path on or off, in every ET mode, for single-stream
-        // queries (drain from the start) and multi-stream unions (drain
-        // engages for the surviving tail stream).
-        let idx = corpus();
-        let image = IndexImage::new(&idx);
-        let cases: &[&[&str]] = &[
-            &["delta"],
-            &["alpha"],
-            &["alpha", "delta"],
-            &["alpha", "beta", "gamma", "delta"],
-        ];
-        for et in [EtMode::Exhaustive, EtMode::BlockOnly, EtMode::Full] {
-            for terms in cases {
-                for k in [3usize, 50, 2000] {
-                    let run_with = |bulk_on: bool| {
-                        let cfg = BossConfig::default().with_k(k).with_bulk_score(bulk_on);
-                        let mut ctx = ExecCtx::new(&idx, &image, &cfg);
-                        let streams: Vec<UnionStream> = terms
-                            .iter()
-                            .enumerate()
-                            .map(|(u, t)| {
-                                let id = idx.term_id(t).unwrap();
-                                UnionStream::List(ListCursor::new(&mut ctx, id, u % 4, 4))
-                            })
-                            .collect();
-                        let mut topk = TopK::new(k);
-                        union_topk(
-                            &mut ctx,
-                            streams,
-                            et.into(),
-                            &mut topk,
-                            &mut BulkScratch::default(),
-                        )
-                        .unwrap();
-                        (topk.into_hits(), ctx.eval, ctx.scored, ctx.mem.take_stats())
-                    };
-                    let (h0, e0, s0, m0) = run_with(false);
-                    let (h1, e1, s1, m1) = run_with(true);
-                    let label = format!("{et:?} {terms:?} k={k}");
-                    assert_eq!(h0, h1, "hits {label}");
-                    assert_eq!(e0, e1, "eval {label}");
-                    assert_eq!(s0, s1, "scored {label}");
-                    assert_eq!(m0, m1, "mem {label}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn bulk_path_with_cache_changes_nothing_observable() {
-        // Bulk + prefetch + decoded-block cache together must still leave
-        // every simulated number untouched.
-        use boss_index::BlockCache;
-        let idx = corpus();
-        let image = IndexImage::new(&idx);
-        let cache = BlockCache::new(64);
-        let run_with = |bulk_on: bool, cache: Option<&BlockCache>| {
-            let cfg = BossConfig::default().with_k(10).with_bulk_score(bulk_on);
-            let mut ctx = ExecCtx::with_cache(&idx, &image, &cfg, cache);
-            let id = idx.term_id("alpha").unwrap();
-            let streams = vec![UnionStream::List(ListCursor::new(&mut ctx, id, 0, 4))];
-            let mut topk = TopK::new(10);
-            union_topk(
-                &mut ctx,
-                streams,
-                EtMode::Full.into(),
-                &mut topk,
-                &mut BulkScratch::default(),
-            )
-            .unwrap();
-            (topk.into_hits(), ctx.eval, ctx.mem.take_stats())
-        };
-        let base = run_with(false, None);
-        for _ in 0..3 {
-            // Repeat so prefetched blocks and cache hits interleave.
-            assert_eq!(run_with(true, Some(&cache)), base);
-        }
-    }
-
-    #[test]
-    fn block_cache_changes_nothing_observable() {
-        // The decoded-block cache is wall-clock only: hits, eval counters
-        // and memory traffic must be bit-identical with and without it,
-        // and across repeated runs that turn misses into hits.
-        use boss_index::BlockCache;
-        let idx = corpus();
-        let image = IndexImage::new(&idx);
-        let terms = ["alpha", "beta", "gamma", "delta"];
-        let k = 10;
-        let run_with = |cache: Option<&BlockCache>| {
-            let cfg = BossConfig::default().with_k(k);
-            let mut ctx = ExecCtx::with_cache(&idx, &image, &cfg, cache);
-            let streams: Vec<UnionStream> = terms
-                .iter()
-                .enumerate()
-                .map(|(u, t)| {
-                    let id = idx.term_id(t).unwrap();
-                    UnionStream::List(ListCursor::new(&mut ctx, id, u % 4, 4))
-                })
-                .collect();
-            let mut topk = TopK::new(k);
-            union_topk(
-                &mut ctx,
-                streams,
-                EtMode::Full.into(),
-                &mut topk,
-                &mut BulkScratch::default(),
-            )
-            .unwrap();
-            (topk.into_hits(), ctx.eval, ctx.mem.take_stats())
-        };
-        let (hits0, eval0, mem0) = run_with(None);
-        let cache = BlockCache::new(256);
-        let (hits1, eval1, mem1) = run_with(Some(&cache));
-        let first = cache.stats();
-        assert!(first.misses > 0, "cold cache misses");
-        let (hits2, eval2, mem2) = run_with(Some(&cache));
-        let second = cache.stats();
-        assert!(second.hits > first.hits, "warm cache hits");
-        assert_eq!(hits0, hits1);
-        assert_eq!(hits0, hits2);
-        assert_eq!(eval0, eval1);
-        assert_eq!(eval0, eval2);
-        assert_eq!(mem0, mem1);
-        assert_eq!(mem0, mem2);
     }
 }
 

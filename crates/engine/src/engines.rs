@@ -8,7 +8,7 @@
 //! drivers the bench crate used to hand-write, constant for constant.
 
 use crate::SearchEngine;
-use boss_core::{BlockCacheStats, BossConfig, BossDevice, EvalCounts, QueryOutcome, QueryPlan};
+use boss_core::{BossConfig, BossDevice, EvalCounts, QueryOutcome, QueryPlan};
 use boss_iiu::{IiuConfig, IiuEngine};
 use boss_index::{Error, InvertedIndex, QueryExpr};
 use boss_luceneish::{LuceneConfig, LuceneEngine};
@@ -149,10 +149,6 @@ impl SearchEngine for Boss<'_> {
     fn bandwidth_limit_cycles(&self, mem: &MemStats) -> u64 {
         mem.busy_cycles / u64::from(self.config().memory.channels).max(1)
     }
-
-    fn block_cache_stats(&self) -> Option<BlockCacheStats> {
-        self.device.block_cache_stats()
-    }
 }
 
 /// The IIU baseline accelerator as a [`SearchEngine`].
@@ -225,10 +221,6 @@ impl SearchEngine for Iiu<'_> {
 
     fn bandwidth_limit_cycles(&self, mem: &MemStats) -> u64 {
         mem.busy_cycles / u64::from(self.config().memory.channels.max(1))
-    }
-
-    fn block_cache_stats(&self) -> Option<BlockCacheStats> {
-        self.engine.block_cache_stats()
     }
 }
 
@@ -315,9 +307,5 @@ impl SearchEngine for Lucene<'_> {
         }
         let seconds = makespan_cycles as f64 / (self.clock_ghz() * 1e9);
         mem.total_bytes() as f64 / (seconds * 1e9)
-    }
-
-    fn block_cache_stats(&self) -> Option<BlockCacheStats> {
-        self.engine.block_cache_stats()
     }
 }

@@ -33,20 +33,10 @@
 //! queries, an RNG in an engine, order-dependent accumulation) must not
 //! be added to an engine without revisiting the executor.
 //!
-//! The decoded-block cache (`block_cache_blocks` in each engine config)
-//! is the one deliberate exception, and it is safe because it is
-//! *functional-speed only*: a hit skips the host-side software decode
-//! but every simulated charge (block reads, decompression cycles,
-//! counters) is made identically on hits and misses, so a
-//! [`QueryOutcome`] never depends on cache state. Each forked worker
-//! builds its own cache, and hit/miss counters are surfaced only through
-//! [`SearchEngine::block_cache_stats`] — never through the outcome — so
-//! results stay bit-identical at every thread count even though hit
-//! patterns depend on how queries are chunked.
-//!
 //! The shard layer ([`Sharded`]) extends the contract to shard counts:
-//! its routing telemetry (attempt/selection tallies per replica) follows
-//! the same out-of-band rule as the block cache, and its
+//! its routing telemetry (attempt/selection tallies per replica) depends
+//! on how queries are chunked across workers, so it is surfaced only
+//! through [`Sharded::shard_stats`] — never through an outcome — and its
 //! [`ShardTiming::Logical`] mode sources every [`QueryOutcome`]
 //! observable except the hits from the canonical single-device engine,
 //! so batch results are bit-identical at every *shard* count too.
@@ -68,7 +58,7 @@ pub use sharded::{ShardReplicaStats, ShardTiming, Sharded};
 // accumulators are shared by all engines, so the simulator crates' types
 // are re-exported as this layer's own. `Error` covers planning failures
 // (unknown term, oversized query), which are also common to all engines.
-pub use boss_core::{BlockCacheStats, EvalCounts, QueryOutcome, SchedPolicy};
+pub use boss_core::{EvalCounts, QueryOutcome, SchedPolicy};
 pub use boss_index::Error;
 pub use boss_scm::MemStats;
 
@@ -188,14 +178,5 @@ pub trait SearchEngine {
     /// overrides this with logical bytes, as the paper plots host-side.
     fn bandwidth_gbps(&self, mem: &MemStats, makespan_cycles: u64) -> f64 {
         mem.achieved_gbps(makespan_cycles)
-    }
-
-    /// Hit/miss/eviction counters of the decoded-block cache, if the
-    /// engine has one enabled. Deliberately not part of
-    /// [`QueryOutcome`]: hit patterns depend on query chunking across
-    /// workers, while outcomes must stay bit-identical at every thread
-    /// count.
-    fn block_cache_stats(&self) -> Option<BlockCacheStats> {
-        None
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! [`Sharded`] wraps any [`SearchEngine`] and removes the single-device
 //! assumption: each shard of a [`ShardedIndex`] is served by one or more
-//! independent *leaf* engines (its own simulated SCM channels, block
-//! cache, and fault plan), and the coordinator fans a query out to every
+//! independent *leaf* engines (its own simulated SCM channels and fault
+//! plan), and the coordinator fans a query out to every
 //! shard, merges the per-shard top-k into the global top-k, and steers
 //! each shard's traffic toward its healthiest replica.
 //!
@@ -43,9 +43,8 @@
 //! clean, every replica has been tried and the winner is the minimum of
 //! `(blocks_skipped_fault, fault_events, replica id)`, a per-query
 //! deterministic key. Attempt/selection tallies are exposed only through
-//! [`Sharded::shard_stats`] — like block-cache counters, they depend on
-//! query chunking across executor workers and must never leak into a
-//! [`QueryOutcome`].
+//! [`Sharded::shard_stats`]: they depend on query chunking across
+//! executor workers and must never leak into a [`QueryOutcome`].
 
 use crate::{EvalCounts, MemStats, QueryOutcome, SearchEngine};
 use boss_core::pool::InterconnectConfig;
@@ -473,10 +472,6 @@ impl<E: SearchEngine> SearchEngine for Sharded<'_, E> {
 
     fn bandwidth_gbps(&self, mem: &MemStats, makespan_cycles: u64) -> f64 {
         self.canonical.bandwidth_gbps(mem, makespan_cycles)
-    }
-
-    fn block_cache_stats(&self) -> Option<crate::BlockCacheStats> {
-        self.canonical.block_cache_stats()
     }
 }
 

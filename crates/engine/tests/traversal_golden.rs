@@ -135,20 +135,8 @@ fn regenerate() -> String {
     );
     record(
         &mut out,
-        "boss-scalar",
-        boss(BossConfig::default().with_bulk_score(false)),
-        &queries,
-    );
-    record(
-        &mut out,
         "iiu",
         Iiu::new(&index, IiuConfig::default()),
-        &queries,
-    );
-    record(
-        &mut out,
-        "iiu-scalar",
-        Iiu::new(&index, IiuConfig::default().with_bulk_score(false)),
         &queries,
     );
     record(
@@ -164,12 +152,6 @@ fn regenerate() -> String {
         &mut out,
         "lucene",
         Lucene::new(&index, LuceneConfig::default()),
-        &queries,
-    );
-    record(
-        &mut out,
-        "lucene-scalar",
-        Lucene::new(&index, LuceneConfig::default().with_bulk_score(false)),
         &queries,
     );
     record(

@@ -6,8 +6,8 @@ use boss_index::layout::{IndexImage, ScratchRegion};
 use boss_index::matches::score_entries;
 use boss_index::prune::{self, PruneSink};
 use boss_index::{
-    decode_block_cached, merge_groups, BlockCache, BlockCacheStats, BlockMeta, DocId, Error,
-    GroupMatches, InvertedIndex, QueryAlgorithm, QueryExpr, ScoreScratch, TermId, BLOCK_META_BYTES,
+    merge_groups, BlockMeta, DocId, Error, GroupMatches, InvertedIndex, QueryAlgorithm, QueryExpr,
+    ScoreScratch, TermId, BLOCK_META_BYTES,
 };
 use boss_scm::{AccessCategory, AccessKind, MemoryConfig, MemorySim, PatternHint};
 
@@ -26,13 +26,6 @@ pub struct IiuConfig {
     pub memory: MemoryConfig,
     /// Module timing constants (shared shape with BOSS).
     pub timing: TimingModel,
-    /// Capacity (in decoded blocks) of the host-side decoded-block cache;
-    /// 0 disables it. Wall-clock only: simulated cycles and traffic are
-    /// independent of this setting (see `boss_index::cache`).
-    pub block_cache_blocks: usize,
-    /// Whether single-term queries score block-at-a-time on the host.
-    /// Wall-clock only: simulated figures are bit-identical either way.
-    pub bulk_score: bool,
     /// Dynamic-pruning plan for pure union queries. The default
     /// ([`QueryAlgorithm::Exhaustive`]) keeps IIU's original
     /// merge-everything traversal; any other value routes unions through
@@ -49,8 +42,6 @@ impl Default for IiuConfig {
             units_per_core: 4,
             memory: MemoryConfig::optane_dcpmm(),
             timing: TimingModel::default(),
-            block_cache_blocks: 0,
-            bulk_score: true,
             algorithm: QueryAlgorithm::Exhaustive,
         }
     }
@@ -72,20 +63,6 @@ impl IiuConfig {
         self
     }
 
-    /// Replaces the decoded-block cache capacity (0 disables the cache).
-    #[must_use]
-    pub fn with_block_cache(mut self, blocks: usize) -> Self {
-        self.block_cache_blocks = blocks;
-        self
-    }
-
-    /// Enables or disables the bulk scoring path (wall-clock only).
-    #[must_use]
-    pub fn with_bulk_score(mut self, on: bool) -> Self {
-        self.bulk_score = on;
-        self
-    }
-
     /// Replaces the dynamic-pruning query algorithm.
     #[must_use]
     pub fn with_algorithm(mut self, algorithm: QueryAlgorithm) -> Self {
@@ -103,8 +80,6 @@ pub struct IiuEngine<'a> {
     /// BOSS planning config reused for expression normalization (same
     /// 16-term limit).
     plan_config: BossConfig,
-    /// Functional-speed decoded-block cache (never affects the model).
-    cache: Option<BlockCache>,
 }
 
 struct Run<'a> {
@@ -116,7 +91,6 @@ struct Run<'a> {
     scored: u64,
     scratch: ScratchRegion,
     norm_line: u64,
-    cache: Option<&'a BlockCache>,
 }
 
 impl<'a> Run<'a> {
@@ -150,7 +124,7 @@ impl<'a> Run<'a> {
             self.eval.blocks_fetched += 1;
             let unit = bi % self.dec_cycles.len();
             self.dec_cycles[unit] += u64::from(meta.len).max(meta.count() as u64 * 2) / 2 + 4;
-            decode_block_cached(list, term, bi, self.cache, &mut docs, &mut tfs)?;
+            list.decode_block(bi, &mut docs, &mut tfs)?;
         }
         Ok((docs, tfs))
     }
@@ -212,7 +186,7 @@ impl<'a> Run<'a> {
                 self.eval.blocks_fetched += 1;
                 bdocs.clear();
                 btfs.clear();
-                decode_block_cached(list, term, lo, self.cache, &mut bdocs, &mut btfs)?;
+                list.decode_block(lo, &mut bdocs, &mut btfs)?;
                 let unit = lo % self.dec_cycles.len();
                 self.dec_cycles[unit] += u64::from(blocks[lo].len).max(bdocs.len() as u64) / 2 + 4;
                 cached_block = lo;
@@ -357,25 +331,17 @@ impl<'a> IiuEngine<'a> {
             memory: config.memory.clone(),
             ..BossConfig::default()
         };
-        let cache =
-            (config.block_cache_blocks > 0).then(|| BlockCache::new(config.block_cache_blocks));
         IiuEngine {
             index,
             image: IndexImage::new(index),
             config,
             plan_config,
-            cache,
         }
     }
 
     /// The configuration.
     pub fn config(&self) -> &IiuConfig {
         &self.config
-    }
-
-    /// Hit/miss/eviction counters of the decoded-block cache, if enabled.
-    pub fn block_cache_stats(&self) -> Option<BlockCacheStats> {
-        self.cache.as_ref().map(BlockCache::stats)
     }
 
     /// Executes one query; the host-side sort that extracts the top-k is
@@ -395,7 +361,6 @@ impl<'a> IiuEngine<'a> {
             scored: 0,
             scratch: ScratchRegion::after(&self.image),
             norm_line: u64::MAX,
-            cache: self.cache.as_ref(),
         };
 
         // Pruned path: a pure union under a dynamic-pruning plan routes
@@ -421,14 +386,14 @@ impl<'a> IiuEngine<'a> {
             return Ok(self.finish(run, &plan, scored, k));
         }
 
-        // Bulk path: a single-term query needs no merging, so the decoded
-        // list can be scored block-at-a-time with the shared kernel. The
-        // simulated run is bit-identical to the scalar path below: the
-        // list load charges are the same `load_list` call, the merge loop's
+        // A single-term query needs no merging, so the decoded list is
+        // scored block-at-a-time with the shared kernel. The simulated run
+        // is what the general path below would charge: the list load is
+        // the same `load_list` call, the merge loop's
         // one-comparison-per-document bookkeeping is batched, norms are
         // charged per document in the same ascending order through the same
         // line buffer, and `score_block` equals `0.0 + term_score` bitwise.
-        if self.config.bulk_score && plan.groups().len() == 1 && plan.groups()[0].len() == 1 {
+        if plan.groups().len() == 1 && plan.groups()[0].len() == 1 {
             let term = plan.groups()[0][0];
             let (docs, tfs) = run.load_list(term)?;
             run.eval.comparisons += docs.len() as u64;
@@ -634,40 +599,6 @@ mod tests {
             out.mem.bytes(AccessCategory::StResult),
             cand.len() as u64 * 8
         );
-    }
-
-    #[test]
-    fn bulk_score_changes_nothing_observable() {
-        // The block-at-a-time single-term path must match the scalar
-        // merge+score path on every observable: hits, counters, traffic,
-        // and cycles — with and without the decoded-block cache.
-        let idx = corpus();
-        let t = |s: &str| QueryExpr::term(s);
-        let queries = [t("aa"), t("bb"), t("cc"), t("fill")];
-        for cache_blocks in [0usize, 64] {
-            let scalar = IiuEngine::new(
-                &idx,
-                IiuConfig::default()
-                    .with_bulk_score(false)
-                    .with_block_cache(cache_blocks),
-            );
-            let bulk = IiuEngine::new(
-                &idx,
-                IiuConfig::default()
-                    .with_bulk_score(true)
-                    .with_block_cache(cache_blocks),
-            );
-            for q in &queries {
-                for k in [3usize, 100] {
-                    let a = scalar.execute(q, k).unwrap();
-                    let b = bulk.execute(q, k).unwrap();
-                    assert_eq!(a.hits, b.hits, "{q} k={k} cache={cache_blocks}");
-                    assert_eq!(a.eval, b.eval, "{q} k={k} cache={cache_blocks}");
-                    assert_eq!(a.mem, b.mem, "{q} k={k} cache={cache_blocks}");
-                    assert_eq!(a.cycles, b.cycles, "{q} k={k} cache={cache_blocks}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -284,35 +284,12 @@ impl EncodedList {
         }
         let (delta_part, tf_part) = block.split_at(meta.tf_offset as usize);
 
-        match crate::netlist::decode_backend() {
-            crate::netlist::DecodeBackend::Codec => {
-                codec.decode_d1(delta_part, &meta.delta_info, self.block_base(i), docs)?;
+        codec.decode_d1(delta_part, &meta.delta_info, self.block_base(i), docs)?;
 
-                let tf_base = tfs.len();
-                codec.decode(tf_part, &meta.tf_info, tfs)?;
-                for tf in &mut tfs[tf_base..] {
-                    *tf += 1;
-                }
-            }
-            backend => {
-                // Bit-equal alternative: the Fig. 8 decompression engine,
-                // compiled plan or interpreter oracle. Wall-clock only;
-                // figure cycle charges come from block metadata and are
-                // unaffected by the host decode implementation.
-                let interpret = backend == crate::netlist::DecodeBackend::NetlistInterpreted;
-                let engine = crate::netlist::engine_for(self.scheme, interpret)?;
-                engine
-                    .decode_docids_into(delta_part, &meta.delta_info, self.block_base(i), docs)
-                    .map_err(crate::netlist::netlist_error)?;
-
-                let tf_base = tfs.len();
-                engine
-                    .decode_into(tf_part, &meta.tf_info, tfs)
-                    .map_err(crate::netlist::netlist_error)?;
-                for tf in &mut tfs[tf_base..] {
-                    *tf += 1;
-                }
-            }
+        let tf_base = tfs.len();
+        codec.decode(tf_part, &meta.tf_info, tfs)?;
+        for tf in &mut tfs[tf_base..] {
+            *tf += 1;
         }
         Ok(())
     }
@@ -635,44 +612,6 @@ mod tests {
             let (docs, tfs) = enc.decode_all().unwrap();
             assert_eq!(docs, list.docs(), "scheme {s}");
             assert_eq!(tfs, list.tfs(), "scheme {s}");
-        }
-    }
-
-    #[test]
-    fn netlist_backends_decode_identically() {
-        // Restore the process-wide backend even if an assertion fails, so
-        // concurrently running tests are not left on a non-default path.
-        struct Restore;
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                crate::netlist::set_decode_backend(crate::netlist::DecodeBackend::Codec);
-            }
-        }
-        let _restore = Restore;
-
-        let list = sample_list(500, 3);
-        let norms = vec![1.0f32; 1500];
-        for s in ALL_SCHEMES {
-            let enc = EncodedList::encode(&list, s, &bm25(), 2.0, &norms).unwrap();
-            let mut reference = (Vec::new(), Vec::new());
-            for bi in 0..enc.n_blocks() {
-                crate::netlist::set_decode_backend(crate::netlist::DecodeBackend::Codec);
-                reference.0.clear();
-                reference.1.clear();
-                enc.decode_block(bi, &mut reference.0, &mut reference.1)
-                    .unwrap();
-                for backend in [
-                    crate::netlist::DecodeBackend::NetlistCompiled,
-                    crate::netlist::DecodeBackend::NetlistInterpreted,
-                ] {
-                    crate::netlist::set_decode_backend(backend);
-                    let mut docs = Vec::new();
-                    let mut tfs = Vec::new();
-                    enc.decode_block(bi, &mut docs, &mut tfs).unwrap();
-                    assert_eq!(docs, reference.0, "{s} block {bi} via {backend:?}");
-                    assert_eq!(tfs, reference.1, "{s} block {bi} via {backend:?}");
-                }
-            }
         }
     }
 

@@ -42,7 +42,6 @@ mod bm25;
 // construction path; a bad input is a typed `Error`, never a panic.
 #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod builder;
-pub mod cache;
 mod encoded;
 mod error;
 mod index;
@@ -52,10 +51,6 @@ pub mod layout;
 // every multi-term query of every engine: no failure may be a panic.
 #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 pub mod matches;
-// The netlist backend decodes the same untrusted bytes as the codec
-// path; the crate-wide panic-freedom gate is hardened to a deny here.
-#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-pub mod netlist;
 mod posting;
 // Pruned traversals take skip decisions on untrusted metadata, so —
 // like the shard layer — every failure must be a typed `Error`, never
@@ -86,14 +81,12 @@ mod topk;
 pub use algorithm::{QueryAlgorithm, ALL_ALGORITHMS};
 pub use bm25::{Bm25, Bm25Params};
 pub use builder::{IndexBuilder, SchemeChoice};
-pub use cache::{decode_block_cached, BlockCache, BlockCacheStats, DecodedBlock};
 pub use encoded::{
     BlockMeta, DecodeScratch, EncodedList, ListEncoder, BLOCK_META_BYTES, BLOCK_SIZE,
 };
 pub use error::Error;
 pub use index::{InvertedIndex, TermId, TermInfo};
 pub use matches::{merge_groups, GroupMatches};
-pub use netlist::{decode_backend, set_decode_backend, DecodeBackend};
 pub use posting::{Posting, PostingList};
 pub use query::{QueryExpr, SearchHit};
 pub use score::ScoreScratch;

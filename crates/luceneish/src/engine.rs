@@ -5,8 +5,8 @@ use boss_index::layout::IndexImage;
 use boss_index::matches::score_entries;
 use boss_index::prune::{self, PruneSink};
 use boss_index::{
-    decode_block_cached, merge_groups, BlockCache, BlockCacheStats, BlockMeta, DocId, Error,
-    GroupMatches, InvertedIndex, QueryAlgorithm, QueryExpr, ScoreScratch, TermId, BLOCK_META_BYTES,
+    merge_groups, BlockMeta, DocId, Error, GroupMatches, InvertedIndex, QueryAlgorithm, QueryExpr,
+    ScoreScratch, TermId, BLOCK_META_BYTES,
 };
 use boss_scm::{AccessCategory, AccessKind, MemStats, MemoryConfig, MemorySim, PatternHint};
 
@@ -52,14 +52,6 @@ pub struct LuceneConfig {
     pub memory: MemoryConfig,
     /// Cost constants.
     pub cost: LuceneCostModel,
-    /// Capacity (in decoded blocks) of the host-side decoded-block cache;
-    /// 0 disables it. Wall-clock only: simulated cycles and traffic are
-    /// independent of this setting (see `boss_index::cache`).
-    pub block_cache_blocks: usize,
-    /// Whether the host scores with the block-at-a-time kernels and a
-    /// single ranking pass. Wall-clock only: hits, counters, and simulated
-    /// figures are bit-identical either way.
-    pub bulk_score: bool,
     /// Dynamic-pruning plan for pure union queries. The default
     /// ([`QueryAlgorithm::Exhaustive`]) keeps the score-everything
     /// collector; any other value routes unions through the portable
@@ -75,8 +67,6 @@ impl Default for LuceneConfig {
             clock_ghz: 2.7,
             memory: MemoryConfig::host_scm_6ch(),
             cost: LuceneCostModel::default(),
-            block_cache_blocks: 0,
-            bulk_score: true,
             algorithm: QueryAlgorithm::Exhaustive,
         }
     }
@@ -95,20 +85,6 @@ impl LuceneConfig {
     #[must_use]
     pub fn on_memory(mut self, memory: MemoryConfig) -> Self {
         self.memory = memory;
-        self
-    }
-
-    /// Replaces the decoded-block cache capacity (0 disables the cache).
-    #[must_use]
-    pub fn with_block_cache(mut self, blocks: usize) -> Self {
-        self.block_cache_blocks = blocks;
-        self
-    }
-
-    /// Enables or disables the bulk scoring path (wall-clock only).
-    #[must_use]
-    pub fn with_bulk_score(mut self, on: bool) -> Self {
-        self.bulk_score = on;
         self
     }
 
@@ -204,32 +180,22 @@ pub struct LuceneEngine<'a> {
     image: IndexImage,
     config: LuceneConfig,
     plan_config: boss_core::BossConfig,
-    /// Functional-speed decoded-block cache (never affects the model).
-    cache: Option<BlockCache>,
 }
 
 impl<'a> LuceneEngine<'a> {
     /// Binds the engine to an index.
     pub fn new(index: &'a InvertedIndex, config: LuceneConfig) -> Self {
-        let cache =
-            (config.block_cache_blocks > 0).then(|| BlockCache::new(config.block_cache_blocks));
         LuceneEngine {
             index,
             image: IndexImage::new(index),
             config,
             plan_config: boss_core::BossConfig::default(),
-            cache,
         }
     }
 
     /// The configuration.
     pub fn config(&self) -> &LuceneConfig {
         &self.config
-    }
-
-    /// Hit/miss/eviction counters of the decoded-block cache, if enabled.
-    pub fn block_cache_stats(&self) -> Option<BlockCacheStats> {
-        self.cache.as_ref().map(BlockCache::stats)
     }
 
     /// Executes one query on one thread.
@@ -292,18 +258,7 @@ impl<'a> LuceneEngine<'a> {
             eval.metas_read += lead_list.n_blocks() as u64;
             eval.blocks_fetched += lead_list.n_blocks() as u64;
             postings_decoded += u64::from(lead_list.df());
-            let mut lead_docs: Vec<u32> = Vec::with_capacity(lead_list.df() as usize);
-            let mut lead_tfs: Vec<u32> = Vec::with_capacity(lead_list.df() as usize);
-            for bi in 0..lead_list.n_blocks() {
-                decode_block_cached(
-                    lead_list,
-                    lead,
-                    bi,
-                    self.cache.as_ref(),
-                    &mut lead_docs,
-                    &mut lead_tfs,
-                )?;
-            }
+            let (lead_docs, lead_tfs) = lead_list.decode_all()?;
             let mut acc = GroupMatches::from_column(lead, lead_docs, lead_tfs);
             merge_steps += acc.len() as u64;
 
@@ -349,7 +304,7 @@ impl<'a> LuceneEngine<'a> {
                     );
                     eval.blocks_fetched += 1;
                     postings_decoded += meta.count() as u64;
-                    decode_block_cached(list, t, *bi, self.cache.as_ref(), &mut docs, &mut tfs)?;
+                    list.decode_block(*bi, &mut docs, &mut tfs)?;
                 }
                 merge_steps += acc.len() as u64 + docs.len() as u64;
                 acc = acc.join_sorted(t, &docs, &tfs);
@@ -371,8 +326,8 @@ impl<'a> LuceneEngine<'a> {
         let mut first_candidate = None;
         let norms = self.index.doc_norms();
         match groups.as_slice() {
-            [list] if self.config.bulk_score && list.terms().len() == 1 => {
-                // Bulk single-term: the candidates ARE the decoded list in
+            [list] if list.terms().len() == 1 => {
+                // Single-term: the candidates ARE the decoded list in
                 // docID order with their tfs, so score block-at-a-time with
                 // the shared kernel and sift into the heap. A one-term
                 // score is exactly `term_score`.
@@ -689,34 +644,6 @@ mod tests {
             assert_eq!(a.eval, b.eval, "{q}");
             assert_eq!(a.mem, b.mem, "{q}");
             assert_eq!(a.cycles, b.cycles, "{q}");
-        }
-    }
-
-    #[test]
-    fn bulk_score_changes_nothing_observable() {
-        // Both bulk paths (kernel-scored single-term, single-evaluation
-        // multi-term) must match the scalar path on every observable.
-        let idx = corpus();
-        let scalar = LuceneEngine::new(&idx, LuceneConfig::default().with_bulk_score(false));
-        let bulk = LuceneEngine::new(&idx, LuceneConfig::default().with_bulk_score(true));
-        let t = |s: &str| QueryExpr::term(s);
-        let queries = [
-            t("aa"),
-            t("cc"),
-            t("x"),
-            QueryExpr::and([t("aa"), t("bb")]),
-            QueryExpr::or([t("aa"), t("cc")]),
-            QueryExpr::and([t("aa"), QueryExpr::or([t("bb"), t("cc")])]),
-        ];
-        for q in &queries {
-            for k in [2usize, 10, 5000] {
-                let a = scalar.execute(q, k).unwrap();
-                let b = bulk.execute(q, k).unwrap();
-                assert_eq!(a.hits, b.hits, "{q} k={k}");
-                assert_eq!(a.eval, b.eval, "{q} k={k}");
-                assert_eq!(a.mem, b.mem, "{q} k={k}");
-                assert_eq!(a.cycles, b.cycles, "{q} k={k}");
-            }
         }
     }
 }
