@@ -1,10 +1,12 @@
-//! CLI: build a synthetic corpus and save it as a `.bossidx` file for
+//! CLI: build a synthetic corpus and save it as one segment file for
 //! `search_index` (the artifact `init(indexFile, ...)` consumes).
 //!
-//! Usage: `cargo run --release -p boss-bench --bin build_index -- <out.bossidx> [--scale smoke|small|full] [--corpus ccnews|clueweb]`
+//! Usage: `cargo run --release -p boss-bench --bin build_index -- <out.bosseg> [--scale smoke|small|full] [--corpus ccnews|clueweb]`
 
-use boss_index::io;
+use boss_index::segment::write_segment;
 use boss_workload::corpus::{CorpusSpec, Scale};
+use std::fs::File;
+use std::io::{BufWriter, Write};
 
 fn main() {
     let mut out: Option<String> = None;
@@ -22,7 +24,7 @@ fn main() {
             }
             "--corpus" => corpus = it.next().expect("corpus value"),
             "--help" | "-h" => {
-                println!("usage: build_index <out.bossidx> [--scale smoke|small|full] [--corpus ccnews|clueweb]");
+                println!("usage: build_index <out.bosseg> [--scale smoke|small|full] [--corpus ccnews|clueweb]");
                 return;
             }
             other => out = Some(other.to_owned()),
@@ -42,7 +44,21 @@ fn main() {
     };
     eprintln!("building {} ...", spec.name);
     let index = spec.build().expect("corpus builds");
-    io::save(&index, &out).expect("index file written");
+    // Term ids are in lexical order, the order a segment stores.
+    let terms: Vec<_> = index
+        .term_ids()
+        .map(|id| (index.term_info(id).text.clone(), index.list(id).clone()))
+        .collect();
+    let mut file = BufWriter::new(File::create(&out).expect("index file created"));
+    write_segment(
+        &mut file,
+        0,
+        index.doc_lens(),
+        index.bm25().params(),
+        &terms,
+    )
+    .expect("index file written");
+    file.flush().expect("index file flushed");
     eprintln!(
         "wrote {out}: {} docs, {} terms, {:.1} MiB compressed postings",
         index.n_docs(),

@@ -1,16 +1,16 @@
-//! CLI: load a `.bossidx` file and serve queries through the BOSS offload
+//! CLI: load a segment file (`build_index`) and serve queries through the BOSS offload
 //! API — the end-to-end `init()` + `search()` flow of Section IV-D.
 //!
-//! Usage: `cargo run --release -p boss-bench --bin search_index -- <index.bossidx> '<expr>' [k]`
+//! Usage: `cargo run --release -p boss-bench --bin search_index -- <index.bosseg> '<expr>' [k]`
 //! Example expr: `"t0001" AND ("t0002" OR "t0003")`
 
 use boss_core::{BossConfig, BossHandle, SearchRequest};
-use boss_index::io;
+use boss_index::segment::load_segment;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.len() < 2 {
-        eprintln!("usage: search_index <index.bossidx> '<query expression>' [k]");
+        eprintln!("usage: search_index <index.bosseg> '<query expression>' [k]");
         std::process::exit(2);
     }
     let k: usize = args.get(2).map_or(10, |s| {
@@ -19,7 +19,7 @@ fn main() {
             std::process::exit(2);
         })
     });
-    let index = match io::load(&args[0]) {
+    let index = match load_segment(&args[0]) {
         Ok(i) => i,
         Err(e) => {
             eprintln!("failed to load {}: {e}", args[0]);

@@ -5,8 +5,7 @@
 //! [`boss_index::SpimiBuilder`] under a fixed in-memory byte budget,
 //! spilling on-disk segments, then (unless `--no-merge`) merges them
 //! back into one [`boss_index::InvertedIndex`]. Reports build/merge
-//! throughput and the builder's memory accounting as TSV on stdout and
-//! as machine-readable JSON to `BENCH_segment.json` (`--json PATH`).
+//! throughput and the builder's memory accounting as TSV on stdout.
 //!
 //! Two enforcement knobs make this CI-able:
 //!
@@ -23,11 +22,11 @@
 //! compared for equality, and every engine × [`QueryAlgorithm`] batch
 //! checked for identical outcomes. Any mismatch exits non-zero.
 //!
-//! Like the wallclock binaries, the throughput numbers here are *host*
-//! wall-clock and vary machine to machine; everything under `--verify`
-//! is exact.
+//! The throughput numbers here are *host* wall-clock and vary machine to
+//! machine (the repeated, calibrated measurement is `benchmark/`'s
+//! `ingest_open` workload); the gates and everything under `--verify`
+//! are exact.
 
-use boss_bench::{header, row};
 use boss_core::{BossConfig, QueryAlgorithm};
 use boss_engine::{BatchExecutor, Boss, Iiu, Lucene, SearchEngine};
 use boss_iiu::IiuConfig;
@@ -38,30 +37,7 @@ use boss_index::{
 use boss_luceneish::LuceneConfig;
 use boss_workload::corpus::{CorpusSpec, Scale, StreamingCorpusSpec};
 use boss_workload::queries::{QuerySampler, ALL_QUERY_TYPES};
-use serde::Serialize;
 use std::time::Instant;
-
-#[derive(Debug, Serialize)]
-struct Report {
-    bench: String,
-    docs: u64,
-    vocab: usize,
-    terms_per_doc: u32,
-    scheme: String,
-    seed: u64,
-    budget_bytes: usize,
-    postings: u64,
-    spills: u32,
-    peak_inmem_bytes: usize,
-    doc_slack_bytes: usize,
-    budget_bounded: bool,
-    segment_bytes: u64,
-    build_secs: f64,
-    build_docs_per_sec: f64,
-    merge_secs: f64,
-    merge_postings_per_sec: f64,
-    merged_terms: usize,
-}
 
 struct Args {
     docs: u32,
@@ -72,7 +48,6 @@ struct Args {
     scheme: SchemeChoice,
     seed: u64,
     dir: Option<String>,
-    json: String,
     min_spills: u32,
     merge: bool,
     verify: bool,
@@ -88,7 +63,6 @@ fn parse_args() -> Args {
         scheme: SchemeChoice::Hybrid,
         seed: 42,
         dir: None,
-        json: "BENCH_segment.json".into(),
         min_spills: 0,
         merge: true,
         verify: false,
@@ -122,7 +96,6 @@ fn parse_args() -> Args {
             }
             "--seed" => args.seed = take("--seed").parse().expect("--seed N"),
             "--dir" => args.dir = Some(take("--dir")),
-            "--json" => args.json = take("--json"),
             "--min-spills" => {
                 args.min_spills = take("--min-spills").parse().expect("--min-spills N");
             }
@@ -132,7 +105,7 @@ fn parse_args() -> Args {
                 println!(
                     "usage: [--docs N] [--vocab N] [--terms-per-doc N] [--zipf F] \
                      [--budget-mb N] [--scheme hybrid|BP|VB|OptPFD|S16|S8b|GVB] [--seed N] \
-                     [--dir PATH] [--json PATH] [--min-spills N] [--no-merge] [--verify]"
+                     [--dir PATH] [--min-spills N] [--no-merge] [--verify]"
                 );
                 std::process::exit(0);
             }
@@ -188,12 +161,12 @@ fn run_build(args: &Args) -> i32 {
     let build_secs = t_build.elapsed().as_secs_f64();
     let stats = *set.stats();
 
-    let (merge_secs, merged_terms) = if args.merge {
+    let merge_secs = if args.merge {
         let t_merge = Instant::now();
-        let index = set.merge().expect("merge segments");
-        (t_merge.elapsed().as_secs_f64(), index.n_terms())
+        set.merge().expect("merge segments");
+        t_merge.elapsed().as_secs_f64()
     } else {
-        (0.0, 0)
+        0.0
     };
     if args.dir.is_none() {
         std::fs::remove_dir_all(&dir).ok();
@@ -201,55 +174,23 @@ fn run_build(args: &Args) -> i32 {
 
     let slack = doc_slack_bytes(args);
     let bounded = stats.peak_inmem_bytes <= budget_bytes + slack;
-    let report = Report {
-        bench: "segment_build".into(),
-        docs: stats.docs,
-        vocab: args.vocab,
-        terms_per_doc: args.terms_per_doc,
-        scheme: args.scheme.to_string(),
-        seed: args.seed,
-        budget_bytes,
-        postings: stats.postings,
-        spills: stats.spills,
-        peak_inmem_bytes: stats.peak_inmem_bytes,
-        doc_slack_bytes: slack,
-        budget_bounded: bounded,
-        segment_bytes: stats.segment_bytes,
-        build_secs,
-        build_docs_per_sec: stats.docs as f64 / build_secs.max(1e-9),
-        merge_secs,
-        merge_postings_per_sec: if args.merge {
-            stats.postings as f64 / merge_secs.max(1e-9)
-        } else {
-            0.0
-        },
-        merged_terms,
+    let merge_postings_per_sec = if args.merge {
+        stats.postings as f64 / merge_secs.max(1e-9)
+    } else {
+        0.0
     };
-
-    header(&[
-        "docs",
-        "postings",
-        "spills",
-        "peak_inmem_bytes",
-        "budget_bytes",
-        "segment_bytes",
-        "build_docs_per_sec",
-        "merge_postings_per_sec",
-    ]);
-    row(&[
-        report.docs.to_string(),
-        report.postings.to_string(),
-        report.spills.to_string(),
-        report.peak_inmem_bytes.to_string(),
-        report.budget_bytes.to_string(),
-        report.segment_bytes.to_string(),
-        format!("{:.0}", report.build_docs_per_sec),
-        format!("{:.0}", report.merge_postings_per_sec),
-    ]);
-
-    let json = serde_json::to_string(&report).expect("report serializes");
-    std::fs::write(&args.json, json.as_bytes()).expect("write report json");
-    println!("# wrote {}", args.json);
+    println!(
+        "docs\tpostings\tspills\tpeak_inmem_bytes\tbudget_bytes\tsegment_bytes\tbuild_docs_per_sec\tmerge_postings_per_sec"
+    );
+    println!(
+        "{}\t{}\t{}\t{}\t{budget_bytes}\t{}\t{:.0}\t{merge_postings_per_sec:.0}",
+        stats.docs,
+        stats.postings,
+        stats.spills,
+        stats.peak_inmem_bytes,
+        stats.segment_bytes,
+        stats.docs as f64 / build_secs.max(1e-9),
+    );
 
     if !bounded {
         eprintln!(
@@ -349,14 +290,7 @@ fn run_verify(args: &Args) -> i32 {
         ("clueweb12-like", CorpusSpec::clueweb12_like(Scale::Smoke)),
         ("ccnews-like", CorpusSpec::ccnews_like(Scale::Smoke)),
     ];
-    header(&[
-        "corpus",
-        "scheme",
-        "index_equal",
-        "engine",
-        "algorithm",
-        "identical",
-    ]);
+    println!("corpus\tscheme\tindex_equal\tengine\talgorithm\tidentical");
     let mut failures = 0u32;
     for (name, spec) in corpora {
         for &scheme in &schemes {
@@ -386,14 +320,7 @@ fn run_verify(args: &Args) -> i32 {
                     if !ok {
                         failures += 1;
                     }
-                    row(&[
-                        name.to_string(),
-                        scheme.to_string(),
-                        index_equal.to_string(),
-                        engine.to_string(),
-                        format!("{algo:?}"),
-                        ok.to_string(),
-                    ]);
+                    println!("{name}\t{scheme}\t{index_equal}\t{engine}\t{algo:?}\t{ok}");
                 }
             }
         }

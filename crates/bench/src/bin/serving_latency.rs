@@ -4,8 +4,7 @@
 //! Sweeps offered load × scheduling policy × degradation posture over a
 //! BOSS device (optionally sharded) serving a deterministic arrival
 //! trace, and reports per-scenario sojourn percentiles, goodput, and the
-//! shed/expired/rejected breakdown as TSV plus a machine-readable
-//! `BENCH_serving.json` (`--json PATH` to move it).
+//! shed/expired/rejected breakdown as TSV.
 //!
 //! The per-query service table is measured **once** through the
 //! deterministic batch executor and reused across the whole sweep, so
@@ -31,7 +30,7 @@ use boss_index::shard::ShardedIndex;
 use boss_scm::MemoryConfig;
 use boss_workload::arrivals::ArrivalKind;
 use boss_workload::corpus::{CorpusSpec, Scale};
-use serde::Serialize;
+use std::io::Write;
 
 /// One (policy, degradation) posture of the sweep.
 #[derive(Debug, Clone, Copy)]
@@ -66,53 +65,6 @@ const POSTURES: [Posture; 4] = [
     },
 ];
 
-#[derive(Debug, Serialize)]
-struct ScenarioRun {
-    load: f64,
-    policy: String,
-    deadlines: bool,
-    degrade: bool,
-    served: usize,
-    served_normal: usize,
-    served_pruned: usize,
-    served_brownout: usize,
-    rejected: usize,
-    expired: usize,
-    shed: usize,
-    served_late: usize,
-    p50_cycles: u64,
-    p99_cycles: u64,
-    p999_cycles: u64,
-    goodput_qps: f64,
-    max_queue_depth: usize,
-    controller_transitions: u64,
-}
-
-#[derive(Debug, Serialize)]
-struct Knee {
-    load: f64,
-    fifo_p99_cycles: u64,
-    shed_p99_cycles: u64,
-    shed_goodput_qps: f64,
-    fifo_goodput_qps: f64,
-    bounded: bool,
-}
-
-#[derive(Debug, Serialize)]
-struct Report {
-    bench: String,
-    corpus: String,
-    queries: usize,
-    k: usize,
-    cores: u32,
-    shards: u32,
-    queue: usize,
-    deadline_x: f64,
-    arrivals: String,
-    results: Vec<ScenarioRun>,
-    knee: Knee,
-}
-
 struct Args {
     scale: Scale,
     seed: u64,
@@ -126,7 +78,6 @@ struct Args {
     deadline_x: f64,
     arrivals: ArrivalKind,
     loads: Vec<f64>,
-    json: String,
     decisions: bool,
 }
 
@@ -149,7 +100,6 @@ fn parse_args() -> Args {
         deadline_x: 20.0,
         arrivals: ArrivalKind::Poisson,
         loads: vec![0.5, 0.8, 1.2, 2.0],
-        json: "BENCH_serving.json".into(),
         decisions: false,
     };
     let mut it = std::env::args().skip(1);
@@ -190,14 +140,13 @@ fn parse_args() -> Args {
                     bail("--loads selects no load points");
                 }
             }
-            "--json" => args.json = take("--json"),
             "--decisions" => args.decisions = true,
             "--help" | "-h" => {
                 println!(
                     "usage: [--scale smoke|small|full] [--seed N] [--queries-per-type N] [--k N] \
                      [--threads N] [--cores N] [--shards N] [--replicas N] [--queue N] \
                      [--deadline-x F] [--arrivals poisson|bursty] [--loads F,F,...] \
-                     [--json PATH] [--decisions]"
+                     [--decisions]"
                 );
                 std::process::exit(0);
             }
@@ -207,31 +156,14 @@ fn parse_args() -> Args {
     args
 }
 
-fn scenario_row(load: f64, p: Posture, run: &ServingRun, clock_ghz: f64) -> ScenarioRun {
-    ScenarioRun {
-        load,
-        policy: p.policy.label().into(),
-        deadlines: p.deadlines,
-        degrade: p.degrade,
-        served: run.served(),
-        served_normal: run.served_by_level[0],
-        served_pruned: run.served_by_level[1],
-        served_brownout: run.served_by_level[2],
-        rejected: run.rejected,
-        expired: run.expired,
-        shed: run.shed,
-        served_late: run.served_late,
-        p50_cycles: run.sojourn_percentile(0.50),
-        p99_cycles: run.sojourn_percentile(0.99),
-        p999_cycles: run.sojourn_percentile(0.999),
-        goodput_qps: run.goodput_qps(clock_ghz),
-        max_queue_depth: run.max_queue_depth,
-        controller_transitions: run.controller_transitions,
+fn main() {
+    let args = parse_args();
+    if let Err(e) = run(&args, &mut std::io::stdout().lock()) {
+        bail(format!("cannot write the report: {e}"));
     }
 }
 
-fn main() {
-    let args = parse_args();
+fn run(args: &Args, out: &mut dyn Write) -> std::io::Result<()> {
     let index = match CorpusSpec::ccnews_like(args.scale).build() {
         Ok(i) => i,
         Err(e) => bail(format!("corpus build failed: {e}")),
@@ -296,41 +228,52 @@ fn main() {
     let servers = normal.lanes();
     let clock = normal.clock_ghz();
 
-    println!(
+    writeln!(
+        out,
         "# Open-loop serving sweep (ccnews-like, {} queries, k={}, {} cores, queue {}, deadline {}x mean service)",
         queries.len(),
         args.k,
         args.cores,
         args.queue,
         f(args.deadline_x)
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "# arrivals {} | mean service {} cycles | {} simulated servers",
         args.arrivals,
         f(mean_svc),
         servers
-    );
-    println!("# threads {}", args.threads);
+    )?;
+    writeln!(out, "# threads {}", args.threads)?;
     if args.shards > 1 {
-        println!("# shards {} replicas {}", args.shards, args.replicas.max(1));
+        writeln!(
+            out,
+            "# shards {} replicas {}",
+            args.shards,
+            args.replicas.max(1)
+        )?;
     }
-    header(&[
-        "load",
-        "policy",
-        "degrade",
-        "served",
-        "rejected",
-        "expired",
-        "shed",
-        "late",
-        "p50_us",
-        "p99_us",
-        "p999_us",
-        "goodput_qps",
-    ]);
+    header(
+        out,
+        &[
+            "load",
+            "policy",
+            "degrade",
+            "served",
+            "rejected",
+            "expired",
+            "shed",
+            "late",
+            "p50_us",
+            "p99_us",
+            "p999_us",
+            "goodput_qps",
+        ],
+    )?;
 
     let us = |cycles: u64| cycles as f64 / (clock * 1e3);
-    let mut results: Vec<ScenarioRun> = Vec::new();
+    // Served-p99 cycles per (load, policy), for the knee line.
+    let mut p99s: Vec<(f64, ServePolicy, u64)> = Vec::new();
     let mut decisions: Vec<(f64, Posture, ServingRun)> = Vec::new();
     for &load in &args.loads {
         let spec_for = |p: Posture| ServingSpec {
@@ -346,21 +289,24 @@ fn main() {
             let arrivals = spec.arrival_trace(queries.len(), mean_svc, servers, args.seed);
             let config = spec.config(servers, mean_svc);
             let run = simulate(&config, &arrivals, &table);
-            row(&[
-                f(load),
-                p.policy.label().into(),
-                if p.degrade { "on" } else { "off" }.into(),
-                run.served().to_string(),
-                run.rejected.to_string(),
-                run.expired.to_string(),
-                run.shed.to_string(),
-                run.served_late.to_string(),
-                f(us(run.sojourn_percentile(0.50))),
-                f(us(run.sojourn_percentile(0.99))),
-                f(us(run.sojourn_percentile(0.999))),
-                f(run.goodput_qps(clock)),
-            ]);
-            results.push(scenario_row(load, p, &run, clock));
+            row(
+                out,
+                &[
+                    f(load),
+                    p.policy.label().into(),
+                    if p.degrade { "on" } else { "off" }.into(),
+                    run.served().to_string(),
+                    run.rejected.to_string(),
+                    run.expired.to_string(),
+                    run.shed.to_string(),
+                    run.served_late.to_string(),
+                    f(us(run.sojourn_percentile(0.50))),
+                    f(us(run.sojourn_percentile(0.99))),
+                    f(us(run.sojourn_percentile(0.999))),
+                    f(run.goodput_qps(clock)),
+                ],
+            )?;
+            p99s.push((load, p.policy, run.sojourn_percentile(0.99)));
             if args.decisions {
                 decisions.push((load, p, run));
             }
@@ -372,49 +318,44 @@ fn main() {
     // queue-bound horizon.
     let top = args.loads.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     let at_top = |policy: ServePolicy| {
-        results
-            .iter()
-            .rfind(|r| r.load == top && r.policy == policy.label())
+        p99s.iter()
+            .rfind(|(load, p, _)| *load == top && *p == policy)
+            .map(|&(_, _, p99)| p99)
     };
     let (fifo, shed) = match (at_top(ServePolicy::Fifo), at_top(ServePolicy::EdfShed)) {
         (Some(a), Some(b)) => (a, b),
         _ => bail("sweep produced no fifo/shed scenario at the top load"),
     };
-    let bounded = shed.p99_cycles < fifo.p99_cycles;
-    println!(
+    writeln!(
+        out,
         "# knee @ load {}: fifo p99 {} us vs shed+degrade p99 {} us ({})",
         f(top),
-        f(us(fifo.p99_cycles)),
-        f(us(shed.p99_cycles)),
-        if bounded {
+        f(us(fifo)),
+        f(us(shed)),
+        if shed < fifo {
             "graceful posture bounded"
         } else {
             "NO knee - inspect configuration"
         }
-    );
-    let knee = Knee {
-        load: top,
-        fifo_p99_cycles: fifo.p99_cycles,
-        shed_p99_cycles: shed.p99_cycles,
-        shed_goodput_qps: shed.goodput_qps,
-        fifo_goodput_qps: fifo.goodput_qps,
-        bounded,
-    };
+    )?;
 
     if args.decisions {
         // The drop log CI diffs across worker/shard counts: one row per
         // query per scenario, covering every disposition field.
-        header(&[
-            "load",
-            "policy",
-            "seq",
-            "arrival",
-            "outcome",
-            "level",
-            "start",
-            "finish",
-            "hits_hash",
-        ]);
+        header(
+            out,
+            &[
+                "load",
+                "policy",
+                "seq",
+                "arrival",
+                "outcome",
+                "level",
+                "start",
+                "finish",
+                "hits_hash",
+            ],
+        )?;
         for (load, p, run) in &decisions {
             for (seq, r) in run.records.iter().enumerate() {
                 let (level, start, finish, hash) = match r.disposition {
@@ -434,40 +375,22 @@ fn main() {
                         ("-".into(), at.to_string(), "-".into(), "-".into())
                     }
                 };
-                row(&[
-                    f(*load),
-                    p.policy.label().into(),
-                    seq.to_string(),
-                    r.arrival.to_string(),
-                    r.disposition.label().into(),
-                    level,
-                    start,
-                    finish,
-                    hash,
-                ]);
+                row(
+                    out,
+                    &[
+                        f(*load),
+                        p.policy.label().into(),
+                        seq.to_string(),
+                        r.arrival.to_string(),
+                        r.disposition.label().into(),
+                        level,
+                        start,
+                        finish,
+                        hash,
+                    ],
+                )?;
             }
         }
     }
-
-    let report = Report {
-        bench: "serving_latency".into(),
-        corpus: "ccnews-like".into(),
-        queries: queries.len(),
-        k: args.k,
-        cores: args.cores,
-        shards: args.shards,
-        queue: args.queue,
-        deadline_x: args.deadline_x,
-        arrivals: args.arrivals.label().into(),
-        results,
-        knee,
-    };
-    let json = match serde_json::to_string(&report) {
-        Ok(j) => j,
-        Err(e) => bail(format!("report serialization failed: {e}")),
-    };
-    if let Err(e) = std::fs::write(&args.json, json + "\n") {
-        bail(format!("cannot write {}: {e}", args.json));
-    }
-    eprintln!("wrote {}", args.json);
+    Ok(())
 }

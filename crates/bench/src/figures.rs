@@ -1,535 +1,246 @@
-//! Shared figure drivers (Figures 9–17 differ only in corpus or axis).
+//! The figure registry: every table and figure of the evaluation as one
+//! `fn(&mut FigureCtx)` behind a name.
 //!
-//! Every driver funnels through [`run_system`], so its TSV data rows are
+//! [`REGISTRY`] is the whole surface: the `figure` binary looks a name up
+//! and runs it on stdout, `tests/golden_figures.rs` runs every entry
+//! in-process (over one [`Corpora`] cache) against the committed goldens,
+//! and regenerating `results/` is a shell loop over `figure --list`.
+//!
+//! Every entry funnels through [`run_system`], so its TSV data rows are
 //! bit-identical at every `--threads` value; the thread count appears
 //! only in the `# threads` comment. `--engines` gates the row-oriented
 //! figures (9–12, 16); the column-style comparisons (13–15, 17) always
 //! simulate the systems they compare, since each column normalizes
 //! against another.
 
+mod ablation;
+mod latency;
+mod paper;
+
 use crate::{
-    boss_engine, f, geomean, header, iiu_engine, lucene_engine, row, run_system, BenchArgs,
-    BenchTarget, SystemRun, TypedSuite,
+    boss_engine, iiu_engine, lucene_engine, run_system, BenchArgs, BenchTarget, SystemRun,
+    TypedSuite,
 };
-use boss_core::power::AreaPowerModel;
-use boss_core::{EtMode, QueryAlgorithm};
-use boss_scm::{AccessCategory, MemoryConfig};
-use boss_workload::queries::QueryType;
+use boss_core::EtMode;
+use boss_index::shard::ShardedIndex;
+use boss_index::{InvertedIndex, QueryExpr};
+use boss_scm::MemoryConfig;
+use boss_workload::corpus::{CorpusSpec, Scale};
+use boss_workload::queries::QuerySampler;
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::io::{self, Write};
+use std::rc::Rc;
 
-/// Core counts swept by Figures 9–12.
-pub const CORE_SWEEP: [u32; 4] = [1, 2, 4, 8];
+/// One registry entry: writes its table to the context's sink.
+pub type FigureFn = fn(&mut FigureCtx) -> io::Result<()>;
 
-/// The dynamic-pruning plans must be opt-in only: under the default
-/// `--algorithm exhaustive`, no simulated system may book pruning work,
-/// i.e. the figures' counts are unchanged from before pruning existed.
-fn assert_exhaustive_untouched(args: &BenchArgs, system: &str, run: &SystemRun) {
-    if args.tuning.algorithm == QueryAlgorithm::Exhaustive {
-        assert_eq!(
-            (run.eval.blocks_skipped_prune, run.eval.docs_skipped_prune),
-            (0, 0),
-            "exhaustive {system} run booked dynamic-pruning work"
-        );
-    }
+/// Every table and figure, in the order `results/` and the golden file
+/// list them.
+pub const REGISTRY: &[(&str, FigureFn)] = &[
+    ("table01_config", paper::table01_config),
+    ("table03_area_power", paper::table03_area_power),
+    ("corpus_stats", paper::corpus_stats),
+    ("fig03_compression_ratio", paper::fig03_compression_ratio),
+    ("fig09_multicore_clueweb", paper::fig09_multicore_clueweb),
+    ("fig10_multicore_ccnews", paper::fig10_multicore_ccnews),
+    ("fig11_bandwidth_clueweb", paper::fig11_bandwidth_clueweb),
+    ("fig12_bandwidth_ccnews", paper::fig12_bandwidth_ccnews),
+    ("fig13_singlecore", paper::fig13_singlecore),
+    ("fig14_evaluated_docs", paper::fig14_evaluated_docs),
+    ("fig15_memory_accesses", paper::fig15_memory_accesses),
+    ("fig16_dram_vs_scm", paper::fig16_dram_vs_scm),
+    ("fig17_energy", paper::fig17_energy),
+    ("ablation_block_size", ablation::block_size),
+    ("ablation_cores", ablation::cores),
+    ("ablation_fidelity", ablation::fidelity),
+    ("ablation_hybrid", ablation::hybrid),
+    ("ablation_k", ablation::k),
+    ("ablation_pool_scaleout", ablation::pool_scaleout),
+    ("ablation_scheduler", ablation::scheduler),
+    ("latency_profile", latency::latency_profile),
+    ("latency_vs_load", latency::latency_vs_load),
+    ("shard_scaling", latency::shard_scaling),
+];
+
+/// The registry entry called `name`.
+pub fn find(name: &str) -> Option<FigureFn> {
+    REGISTRY.iter().find(|(n, _)| *n == name).map(|&(_, f)| f)
 }
 
-/// Figures 9/10: per-query-type throughput of IIU and BOSS with 1/2/4/8
-/// cores, normalized to 8-thread Lucene on SCM.
-pub fn multicore_throughput(
-    name: &str,
-    target: &BenchTarget,
-    suite: &TypedSuite,
-    args: &BenchArgs,
-) {
-    let k = args.k;
-    println!("# Figure 9/10 ({name}): throughput normalized to Lucene x8 on SCM");
-    println!("# paper shape: BOSS ~7.5-8.7x at 8 cores, IIU ~1.7x, IIU flattens early");
-    args.print_threads_comment();
-    header(&["qtype", "system", "cores", "norm_throughput", "qps"]);
-    let mut boss8_norms = Vec::new();
-    let mut iiu8_norms = Vec::new();
-    for (qt, queries) in &suite.per_type {
-        // The Lucene baseline always runs: every row normalizes to it.
-        let lucene = run_system(
-            &lucene_engine(target, 8, MemoryConfig::host_scm_6ch(), &args.tuning),
-            queries,
-            k,
-            args.threads,
-        );
-        let base = lucene.qps;
-        if args.engines.lucene {
-            row(&[
-                qt.label().into(),
-                "Lucene".into(),
-                "8".into(),
-                "1.00".into(),
-                f(base),
-            ]);
-        }
-        if args.engines.iiu {
-            for &cores in &CORE_SWEEP {
-                let iiu = run_system(
-                    &iiu_engine(target, cores, MemoryConfig::optane_dcpmm(), &args.tuning),
-                    queries,
-                    k,
-                    args.threads,
-                );
-                row(&[
-                    qt.label().into(),
-                    "IIU".into(),
-                    cores.to_string(),
-                    f(iiu.qps / base),
-                    f(iiu.qps),
-                ]);
-                if cores == 8 {
-                    iiu8_norms.push(iiu.qps / base);
-                }
-            }
-        }
-        if args.engines.boss {
-            for &cores in &CORE_SWEEP {
-                let boss = run_system(
-                    &boss_engine(
-                        target,
-                        cores,
-                        EtMode::Full,
-                        MemoryConfig::optane_dcpmm(),
-                        k,
-                        &args.tuning,
-                    ),
-                    queries,
-                    k,
-                    args.threads,
-                );
-                row(&[
-                    qt.label().into(),
-                    "BOSS".into(),
-                    cores.to_string(),
-                    f(boss.qps / base),
-                    f(boss.qps),
-                ]);
-                if cores == 8 {
-                    boss8_norms.push(boss.qps / base);
-                }
-            }
-        }
-    }
-    println!(
-        "# geomean at 8 cores: BOSS {}x, IIU {}x (paper {}: BOSS 7.54x/8.7x, IIU 1.69x/1.75x)",
-        f(geomean(&boss8_norms)),
-        f(geomean(&iiu8_norms)),
-        name
-    );
+/// The two corpus stand-ins of the paper's evaluation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum CorpusKind {
+    /// The ClueWeb12-like corpus (Figures 9 and 11).
+    Clueweb,
+    /// The CC-News-like corpus (Figures 10 and 12, and every ablation).
+    Ccnews,
 }
 
-/// Figures 11/12: achieved bandwidth (GB/s) of IIU and BOSS per query
-/// type and core count.
-pub fn bandwidth_utilization(
-    name: &str,
-    target: &BenchTarget,
-    suite: &TypedSuite,
-    args: &BenchArgs,
-) {
-    let k = args.k;
-    println!("# Figure 11/12 ({name}): bandwidth utilization (GB/s)");
-    println!("# paper shape: IIU consumes more bandwidth than BOSS at equal core counts");
-    args.print_threads_comment();
-    header(&[
-        "qtype",
-        "system",
-        "cores",
-        "bandwidth_gbps",
-        "bytes_per_query_mb",
-    ]);
-    for (qt, queries) in &suite.per_type {
-        for &cores in &CORE_SWEEP {
-            let mut runs: Vec<(&str, SystemRun)> = Vec::new();
-            if args.engines.iiu {
-                runs.push((
-                    "IIU",
-                    run_system(
-                        &iiu_engine(target, cores, MemoryConfig::optane_dcpmm(), &args.tuning),
-                        queries,
-                        k,
-                        args.threads,
-                    ),
-                ));
-            }
-            if args.engines.boss {
-                runs.push((
-                    "BOSS",
-                    run_system(
-                        &boss_engine(
-                            target,
-                            cores,
-                            EtMode::Full,
-                            MemoryConfig::optane_dcpmm(),
-                            k,
-                            &args.tuning,
-                        ),
-                        queries,
-                        k,
-                        args.threads,
-                    ),
-                ));
-            }
-            for (label, run) in &runs {
-                row(&[
-                    qt.label().into(),
-                    (*label).into(),
-                    cores.to_string(),
-                    f(run.bandwidth_gbps),
-                    f(run.mem.total_bytes() as f64 / queries.len() as f64 / 1e6),
-                ]);
-            }
+impl CorpusKind {
+    /// Both corpora, in the order the two-corpus figures print them.
+    pub const BOTH: [CorpusKind; 2] = [CorpusKind::Clueweb, CorpusKind::Ccnews];
+
+    /// The name the figures print.
+    pub fn name(self) -> &'static str {
+        match self {
+            CorpusKind::Clueweb => "clueweb12-like",
+            CorpusKind::Ccnews => "ccnews-like",
         }
     }
 }
 
-/// Figure 13: single-core throughput of Lucene / IIU / BOSS-exhaustive /
-/// BOSS, normalized to 1-core Lucene on SCM.
-pub fn single_core(name: &str, target: &BenchTarget, suite: &TypedSuite, args: &BenchArgs) {
-    let k = args.k;
-    println!("# Figure 13 ({name}): single-core throughput normalized to Lucene x1 on SCM");
-    println!("# paper shape: BOSS > BOSS-exhaustive > IIU on most types; ET gain shrinks with union width, grows with intersection width");
-    args.print_threads_comment();
-    header(&["qtype", "Lucene", "IIU", "BOSS-exhaustive", "BOSS"]);
-    for (qt, queries) in &suite.per_type {
-        let lucene = run_system(
-            &lucene_engine(target, 1, MemoryConfig::host_scm_6ch(), &args.tuning),
-            queries,
-            k,
-            args.threads,
-        );
-        let base = lucene.qps;
-        let iiu = run_system(
-            &iiu_engine(target, 1, MemoryConfig::optane_dcpmm(), &args.tuning),
-            queries,
-            k,
-            args.threads,
-        );
-        let ex = run_system(
-            &boss_engine(
-                target,
-                1,
-                EtMode::Exhaustive,
-                MemoryConfig::optane_dcpmm(),
-                k,
-                &args.tuning,
-            ),
-            queries,
-            k,
-            args.threads,
-        );
-        let full = run_system(
-            &boss_engine(
-                target,
-                1,
-                EtMode::Full,
-                MemoryConfig::optane_dcpmm(),
-                k,
-                &args.tuning,
-            ),
-            queries,
-            k,
-            args.threads,
-        );
-        row(&[
-            qt.label().into(),
-            "1.00".into(),
-            f(iiu.qps / base),
-            f(ex.qps / base),
-            f(full.qps / base),
-        ]);
+/// One built corpus with what the figures derive from it, each derived
+/// at most once: the shard splits and the sampled query suites.
+#[derive(Debug)]
+pub struct Corpus {
+    /// The name the figures print.
+    pub name: &'static str,
+    /// The unsplit index.
+    pub index: InvertedIndex,
+    /// By shard count.
+    splits: RefCell<HashMap<u32, Rc<ShardedIndex>>>,
+    /// By (queries per type, seed).
+    suites: RefCell<HashMap<(usize, u64), Rc<TypedSuite>>>,
+}
+
+impl Corpus {
+    /// The index plus one of its [`FigureCtx::split`]s.
+    pub fn target<'a>(&'a self, split: &'a Option<Rc<ShardedIndex>>) -> BenchTarget<'a> {
+        BenchTarget::new(&self.index, split.as_deref())
+    }
+
+    /// `n` queries of the TREC-like type mix.
+    fn trec_mix(&self, n: usize, seed: u64) -> io::Result<Vec<QueryExpr>> {
+        let mix = self
+            .sampler(seed)?
+            .trec_like_mix(n)
+            .map_err(|e| io::Error::other(format!("query sampling failed: {e}")))?;
+        Ok(mix.into_iter().map(|t| t.expr).collect())
+    }
+
+    fn sampler(&self, seed: u64) -> io::Result<QuerySampler> {
+        QuerySampler::new(&self.index, seed)
+            .map_err(|e| io::Error::other(format!("corpus has no usable vocabulary: {e}")))
     }
 }
 
-/// Figure 14: number of evaluated (scored) documents for the union query
-/// types, normalized to IIU (which scores everything).
-pub fn evaluated_docs(name: &str, target: &BenchTarget, suite: &TypedSuite, args: &BenchArgs) {
-    let k = args.k;
-    println!("# Figure 14 ({name}): evaluated documents, normalized to IIU (=1.0)");
-    println!("# paper shape: block-only skips shrink as terms grow; WAND recovers them");
-    args.print_threads_comment();
-    header(&["qtype", "IIU", "BOSS-block-only", "BOSS"]);
-    for (qt, queries) in &suite.per_type {
-        if !matches!(qt, QueryType::Q1 | QueryType::Q3 | QueryType::Q5) {
-            continue; // the paper plots the union types
-        }
-        let iiu = run_system(
-            &iiu_engine(target, 1, MemoryConfig::optane_dcpmm(), &args.tuning),
-            queries,
-            k,
-            args.threads,
-        );
-        let block = run_system(
-            &boss_engine(
-                target,
-                1,
-                EtMode::BlockOnly,
-                MemoryConfig::optane_dcpmm(),
-                k,
-                &args.tuning,
-            ),
-            queries,
-            k,
-            args.threads,
-        );
-        let full = run_system(
-            &boss_engine(
-                target,
-                1,
-                EtMode::Full,
-                MemoryConfig::optane_dcpmm(),
-                k,
-                &args.tuning,
-            ),
-            queries,
-            k,
-            args.threads,
-        );
-        assert_exhaustive_untouched(args, "IIU", &iiu);
-        assert_exhaustive_untouched(args, "BOSS-block-only", &block);
-        assert_exhaustive_untouched(args, "BOSS", &full);
-        let base = iiu.eval.docs_scored.max(1) as f64;
-        row(&[
-            qt.label().into(),
-            "1.00".into(),
-            f(block.eval.docs_scored as f64 / base),
-            f(full.eval.docs_scored as f64 / base),
-        ]);
-    }
-    let _ = name;
+/// The corpora built so far, by kind and the flags that shape the build
+/// (`--scale`, `--segments`). Outlives any one [`FigureCtx`], so a
+/// process running several figures builds each corpus once.
+#[derive(Debug, Default)]
+pub struct Corpora {
+    built: HashMap<(CorpusKind, Scale, Option<u32>), Rc<Corpus>>,
 }
 
-/// Figure 15: memory access bytes by category, normalized to IIU's total.
-pub fn memory_accesses(name: &str, target: &BenchTarget, suite: &TypedSuite, args: &BenchArgs) {
-    let k = args.k;
-    println!(
-        "# Figure 15 ({name}): memory access volume by category, normalized to IIU total per type"
-    );
-    println!(
-        "# paper shape: BOSS eliminates LD/ST Inter and ST Result, shrinks LD List + LD Score"
-    );
-    args.print_threads_comment();
-    header(&[
-        "qtype",
-        "system",
-        "ld_list",
-        "ld_score",
-        "ld_inter",
-        "st_inter",
-        "st_result",
-        "total",
-    ]);
-    for (qt, queries) in &suite.per_type {
-        let iiu = run_system(
-            &iiu_engine(target, 1, MemoryConfig::optane_dcpmm(), &args.tuning),
-            queries,
-            k,
-            args.threads,
-        );
-        let boss = run_system(
-            &boss_engine(
-                target,
-                1,
-                EtMode::Full,
-                MemoryConfig::optane_dcpmm(),
-                k,
-                &args.tuning,
-            ),
-            queries,
-            k,
-            args.threads,
-        );
-        assert_exhaustive_untouched(args, "IIU", &iiu);
-        assert_exhaustive_untouched(args, "BOSS", &boss);
-        let base = iiu.mem.total_bytes().max(1) as f64;
-        for (label, m) in [("IIU", &iiu.mem), ("BOSS", &boss.mem)] {
-            let ld_list = m.bytes(AccessCategory::LdList) + m.bytes(AccessCategory::LdMeta);
-            row(&[
-                qt.label().into(),
-                label.into(),
-                f(ld_list as f64 / base),
-                f(m.bytes(AccessCategory::LdScore) as f64 / base),
-                f(m.bytes(AccessCategory::LdInter) as f64 / base),
-                f(m.bytes(AccessCategory::StInter) as f64 / base),
-                f(m.bytes(AccessCategory::StResult) as f64 / base),
-                f(m.total_bytes() as f64 / base),
-            ]);
-        }
-    }
-    let _ = name;
+/// What a registry entry runs against: the parsed flags, the sink its
+/// rows and `#` comments go to, and the corpus cache.
+pub struct FigureCtx<'a> {
+    /// The run's flags.
+    pub args: BenchArgs,
+    /// Where the entry writes its table.
+    pub out: &'a mut dyn Write,
+    corpora: &'a mut Corpora,
 }
 
-/// Figure 16: all three systems on DRAM vs SCM, 8 cores, normalized to
-/// Lucene x8 on SCM.
-pub fn dram_vs_scm(name: &str, target: &BenchTarget, suite: &TypedSuite, args: &BenchArgs) {
-    let k = args.k;
-    println!("# Figure 16 ({name}): DRAM vs SCM at 8 cores, normalized to Lucene x8 on SCM");
-    println!("# paper shape: Lucene barely moves (<=15%); IIU gains ~3.3x on DRAM, BOSS ~2.3x");
-    args.print_threads_comment();
-    header(&["qtype", "system", "memory", "norm_throughput"]);
-    let mut ratios: Vec<(String, Vec<f64>, Vec<f64>)> = vec![
-        ("Lucene".into(), vec![], vec![]),
-        ("IIU".into(), vec![], vec![]),
-        ("BOSS".into(), vec![], vec![]),
-    ];
-    for (qt, queries) in &suite.per_type {
-        let base = run_system(
-            &lucene_engine(target, 8, MemoryConfig::host_scm_6ch(), &args.tuning),
-            queries,
-            k,
-            args.threads,
-        )
-        .qps;
-        let mut runs: Vec<(&str, &str, SystemRun)> = Vec::new();
-        if args.engines.lucene {
-            runs.push((
-                "Lucene",
-                "SCM",
-                run_system(
-                    &lucene_engine(target, 8, MemoryConfig::host_scm_6ch(), &args.tuning),
-                    queries,
-                    k,
-                    args.threads,
-                ),
-            ));
-            runs.push((
-                "Lucene",
-                "DRAM",
-                run_system(
-                    &lucene_engine(target, 8, MemoryConfig::host_ddr4_6ch(), &args.tuning),
-                    queries,
-                    k,
-                    args.threads,
-                ),
-            ));
-        }
-        if args.engines.iiu {
-            runs.push((
-                "IIU",
-                "SCM",
-                run_system(
-                    &iiu_engine(target, 8, MemoryConfig::optane_dcpmm(), &args.tuning),
-                    queries,
-                    k,
-                    args.threads,
-                ),
-            ));
-            runs.push((
-                "IIU",
-                "DRAM",
-                run_system(
-                    &iiu_engine(target, 8, MemoryConfig::ddr4_2666(), &args.tuning),
-                    queries,
-                    k,
-                    args.threads,
-                ),
-            ));
-        }
-        if args.engines.boss {
-            runs.push((
-                "BOSS",
-                "SCM",
-                run_system(
-                    &boss_engine(
-                        target,
-                        8,
-                        EtMode::Full,
-                        MemoryConfig::optane_dcpmm(),
-                        k,
-                        &args.tuning,
-                    ),
-                    queries,
-                    k,
-                    args.threads,
-                ),
-            ));
-            runs.push((
-                "BOSS",
-                "DRAM",
-                run_system(
-                    &boss_engine(
-                        target,
-                        8,
-                        EtMode::Full,
-                        MemoryConfig::ddr4_2666(),
-                        k,
-                        &args.tuning,
-                    ),
-                    queries,
-                    k,
-                    args.threads,
-                ),
-            ));
-        }
-        for (sys, mem_label, r) in &runs {
-            row(&[
-                qt.label().into(),
-                (*sys).into(),
-                (*mem_label).into(),
-                f(r.qps / base),
-            ]);
-            let slot = ratios
-                .iter_mut()
-                .find(|(n, _, _)| n == sys)
-                .expect("known system");
-            if *mem_label == "SCM" {
-                slot.1.push(r.qps);
-            } else {
-                slot.2.push(r.qps);
-            }
-        }
+impl<'a> FigureCtx<'a> {
+    /// A context over `corpora`, which it fills on demand.
+    pub fn new(args: BenchArgs, out: &'a mut dyn Write, corpora: &'a mut Corpora) -> Self {
+        FigureCtx { args, out, corpora }
     }
-    for (sys, scm, dram) in &ratios {
-        if scm.is_empty() {
-            continue;
+
+    /// The corpus of `kind` at `--scale`, built on first use through the
+    /// path `--segments` selects.
+    ///
+    /// # Errors
+    ///
+    /// The corpus build (or segment spill/merge) failure.
+    pub fn corpus(&mut self, kind: CorpusKind) -> io::Result<Rc<Corpus>> {
+        let key = (kind, self.args.scale, self.args.segments);
+        if let Some(c) = self.corpora.built.get(&key) {
+            return Ok(Rc::clone(c));
         }
-        let r: Vec<f64> = scm.iter().zip(dram).map(|(s, d)| d / s).collect();
-        println!("# {sys}: DRAM/SCM geomean {}x", f(geomean(&r)));
+        let spec = match kind {
+            CorpusKind::Clueweb => CorpusSpec::clueweb12_like(self.args.scale),
+            CorpusKind::Ccnews => CorpusSpec::ccnews_like(self.args.scale),
+        };
+        let index = self
+            .args
+            .build_corpus(kind.name(), &spec)
+            .map_err(|e| io::Error::other(format!("corpus build failed: {e}")))?;
+        let corpus = Rc::new(Corpus {
+            name: kind.name(),
+            index,
+            splits: RefCell::default(),
+            suites: RefCell::default(),
+        });
+        self.corpora.built.insert(key, Rc::clone(&corpus));
+        Ok(corpus)
     }
-    let _ = name;
+
+    /// `corpus`'s `--shards` split; `None` for `--shards 1`, the
+    /// single-device path.
+    ///
+    /// # Errors
+    ///
+    /// An invalid shard count (more shards than documents).
+    pub fn split(&self, corpus: &Corpus) -> io::Result<Option<Rc<ShardedIndex>>> {
+        let shards = self.args.shards;
+        if shards <= 1 {
+            return Ok(None);
+        }
+        let mut splits = corpus.splits.borrow_mut();
+        if let Some(s) = splits.get(&shards) {
+            return Ok(Some(Rc::clone(s)));
+        }
+        let split = Rc::new(
+            ShardedIndex::split(&corpus.index, shards)
+                .map_err(|e| io::Error::other(format!("invalid --shards {shards}: {e}")))?,
+        );
+        splits.insert(shards, Rc::clone(&split));
+        Ok(Some(split))
+    }
+
+    /// `per_type` queries of each Table II type from `corpus` at
+    /// `--seed`.
+    pub fn suite(&self, corpus: &Corpus, per_type: usize) -> Rc<TypedSuite> {
+        let seed = self.args.seed;
+        let mut suites = corpus.suites.borrow_mut();
+        let suite = suites
+            .entry((per_type, seed))
+            .or_insert_with(|| Rc::new(TypedSuite::sample(&corpus.index, per_type, seed)));
+        Rc::clone(suite)
+    }
 }
 
-/// Figure 17: energy per query batch, normalized to Lucene x8 on SCM
-/// (log-scale bars in the paper; we print the ratio).
-pub fn energy(name: &str, target: &BenchTarget, suite: &TypedSuite, args: &BenchArgs) {
-    let k = args.k;
-    println!("# Figure 17 ({name}): energy normalized to Lucene x8 on SCM (lower is better)");
-    println!("# paper shape: BOSS ~189x less energy on average");
-    args.print_threads_comment();
-    header(&["qtype", "lucene_j", "boss_j", "savings_x"]);
-    let model = AreaPowerModel::new(8);
-    let mut savings = Vec::new();
-    for (qt, queries) in &suite.per_type {
-        let lucene = run_system(
-            &lucene_engine(target, 8, MemoryConfig::host_scm_6ch(), &args.tuning),
-            queries,
-            k,
-            args.threads,
-        );
-        let boss = run_system(
-            &boss_engine(
-                target,
-                8,
-                EtMode::Full,
-                MemoryConfig::optane_dcpmm(),
-                k,
-                &args.tuning,
-            ),
-            queries,
-            k,
-            args.threads,
-        );
-        let e_lucene = AreaPowerModel::host_energy_joules(lucene.seconds);
-        let e_boss = model.device_power_w() * boss.seconds;
-        let s = e_lucene / e_boss.max(1e-12);
-        savings.push(s);
-        row(&[qt.label().into(), f(e_lucene), f(e_boss), f(s)]);
+/// The three systems over one corpus at the run's common knobs —
+/// shorthand for the `run_system(&x_engine(..), queries, k, threads)`
+/// every figure repeats.
+struct Systems<'a> {
+    target: BenchTarget<'a>,
+    args: &'a BenchArgs,
+}
+
+impl Systems<'_> {
+    fn boss(
+        &self,
+        cores: u32,
+        et: EtMode,
+        memory: MemoryConfig,
+        k: usize,
+        queries: &[QueryExpr],
+    ) -> SystemRun {
+        let engine = boss_engine(&self.target, cores, et, memory, k, &self.args.tuning);
+        run_system(&engine, queries, k, self.args.threads)
     }
-    println!(
-        "# geomean savings {}x (paper: 189x average)",
-        f(geomean(&savings))
-    );
-    let _ = name;
+
+    fn iiu(&self, cores: u32, memory: MemoryConfig, queries: &[QueryExpr]) -> SystemRun {
+        let engine = iiu_engine(&self.target, cores, memory, &self.args.tuning);
+        run_system(&engine, queries, self.args.k, self.args.threads)
+    }
+
+    fn lucene(&self, threads: u32, memory: MemoryConfig, queries: &[QueryExpr]) -> SystemRun {
+        let engine = lucene_engine(&self.target, threads, memory, &self.args.tuning);
+        run_system(&engine, queries, self.args.k, self.args.threads)
+    }
 }

@@ -1,18 +1,19 @@
-//! Shared harness for the figure/table binaries.
+//! Shared harness behind the `figure` binary.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the BOSS
-//! paper (see `DESIGN.md` for the index). They share:
+//! [`figures::REGISTRY`] maps a name to the function regenerating one
+//! table or figure of the BOSS paper (see `DESIGN.md` for the index);
+//! `figure <name>` runs one entry. The entries share:
 //!
 //! * [`BenchArgs`] — a tiny `--scale smoke|small|full`, `--seed`,
 //!   `--queries-per-type`, `--k`, `--threads`, `--engines` argument
 //!   parser;
-//! * corpus/query construction helpers;
+//! * [`figures::FigureCtx`] — the parsed arguments, the output sink, and
+//!   the corpora / query suites / shard splits, each built at most once;
 //! * [`run_system`] — the one generic batch driver: any
 //!   [`SearchEngine`] through the deterministic [`BatchExecutor`] into a
 //!   uniform [`SystemRun`] row (results are bit-identical at every
 //!   `--threads` value);
-//! * TSV emission helpers (rows go to stdout; commentary lines start
-//!   with `#`).
+//! * TSV emission helpers (commentary lines start with `#`).
 
 pub mod corruption;
 pub mod figures;
@@ -30,8 +31,10 @@ use boss_scm::{FaultPlan, MemStats, MemoryConfig};
 use boss_workload::arrivals::{self, ArrivalKind};
 use boss_workload::corpus::{CorpusSpec, Scale};
 use boss_workload::queries::{QuerySampler, QueryType, ALL_QUERY_TYPES};
+use std::io::{self, Write};
+use std::sync::atomic::{AtomicU32, Ordering};
 
-/// Which of the three systems a binary should simulate (`--engines`).
+/// Which of the three systems a figure should simulate (`--engines`).
 ///
 /// Normalization baselines still run when deselected — the paper's
 /// figures normalize to Lucene, so its throughput is needed even when
@@ -90,7 +93,7 @@ impl std::str::FromStr for EngineSelection {
     }
 }
 
-/// Common command-line arguments of the figure binaries.
+/// Common command-line arguments of the `figure` binary.
 #[derive(Debug, Clone)]
 pub struct BenchArgs {
     /// Corpus scale.
@@ -143,12 +146,12 @@ pub fn default_threads() -> usize {
 }
 
 impl BenchArgs {
-    /// Parses `std::env::args()`; invalid values and unknown flags print
-    /// a diagnostic and exit with status 2.
-    pub fn parse() -> Self {
+    /// Parses command-line flags (the program name and any positional
+    /// argument already consumed); invalid values and unknown flags
+    /// print a diagnostic and exit with status 2.
+    pub fn parse(mut it: impl Iterator<Item = String>) -> Self {
         let mut args = BenchArgs::default();
         let tuning = &mut args.tuning;
-        let mut it = std::env::args().skip(1);
         while let Some(flag) = it.next() {
             let mut take = |name: &str| {
                 it.next().unwrap_or_else(|| {
@@ -266,38 +269,30 @@ impl BenchArgs {
         args
     }
 
-    /// Splits `index` per `--shards`, or `None` for the single-device
-    /// path (`--shards 1`). Invalid shard counts (more shards than
-    /// documents) print a diagnostic and exit with status 2, like every
-    /// other bad flag value.
-    pub fn shard_split(&self, index: &InvertedIndex) -> Option<ShardedIndex> {
-        if self.shards <= 1 {
-            return None;
-        }
-        match ShardedIndex::split(index, self.shards) {
-            Ok(sh) => Some(sh),
-            Err(e) => {
-                eprintln!("invalid --shards {}: {e}", self.shards);
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// Prints the `# threads` line of the TSV preamble. Thread count is
+    /// Writes the `# threads` line of the TSV preamble. Thread count is
     /// the only run parameter that must NOT change any data row (the
     /// executor is deterministic), so it lives in a comment the diff
     /// tooling can strip. Shard count shares the invariant (the shard
     /// layer's `Logical` timing sources every observable except the hits
     /// from the canonical engine, and the hits merge bit-identically),
-    /// so it is printed as a comment too.
-    pub fn print_threads_comment(&self) {
-        println!("# threads {}", self.threads);
+    /// so it is written as a comment too.
+    ///
+    /// # Errors
+    ///
+    /// The sink's write failure.
+    pub fn write_threads_comment(&self, out: &mut dyn Write) -> io::Result<()> {
+        writeln!(out, "# threads {}", self.threads)?;
         if self.shards > 1 {
-            println!("# shards {} replicas {}", self.shards, self.tuning.replicas);
+            writeln!(
+                out,
+                "# shards {} replicas {}",
+                self.shards, self.tuning.replicas
+            )?;
         }
         if self.tuning.algorithm != QueryAlgorithm::Exhaustive {
-            println!("# algorithm {}", self.tuning.algorithm);
+            writeln!(out, "# algorithm {}", self.tuning.algorithm)?;
         }
+        Ok(())
     }
 }
 
@@ -500,7 +495,7 @@ pub fn run_serving<E: SearchEngine + Send>(
     Ok((boss_engine::simulate(&config, &arrivals, &table), mean_svc))
 }
 
-/// Engine knobs shared by the figure binaries: the dynamic-pruning
+/// Engine knobs shared by the figures: the dynamic-pruning
 /// plan, the replica count, the serving scenario, and (BOSS-only) the
 /// SCM fault plan and degradation policy. [`BenchArgs::parse`] fills one
 /// in from the CLI; the default is the paper's fault-free exhaustive run.
@@ -578,7 +573,7 @@ impl EngineTuning {
     }
 }
 
-/// What a figure binary simulates: the canonical single-device index,
+/// What a figure simulates: the canonical single-device index,
 /// plus (optionally) its shard split for the multi-device layer.
 ///
 /// With `shards: None` the engine helpers build pure pass-through
@@ -601,8 +596,7 @@ impl<'a> BenchTarget<'a> {
         }
     }
 
-    /// A target over `index` with an optional shard split (pass
-    /// [`BenchArgs::shard_split`]'s result with `.as_ref()`).
+    /// A target over `index` with an optional shard split.
     pub fn new(index: &'a InvertedIndex, shards: Option<&'a ShardedIndex>) -> Self {
         BenchTarget { index, shards }
     }
@@ -715,42 +709,28 @@ pub fn lucene_engine<'a>(
     })
 }
 
-/// The two corpora of the paper's evaluation, at the requested scale.
-pub fn both_corpora(scale: Scale) -> Vec<(&'static str, InvertedIndex)> {
-    vec![
-        (
-            "clueweb12-like",
-            CorpusSpec::clueweb12_like(scale)
-                .build()
-                .expect("corpus builds"),
-        ),
-        (
-            "ccnews-like",
-            CorpusSpec::ccnews_like(scale)
-                .build()
-                .expect("corpus builds"),
-        ),
-    ]
-}
-
 impl BenchArgs {
     /// Builds one corpus through the path `--segments` selects: the
     /// in-memory `IndexBuilder` (default), or a SPIMI spill to `N`
     /// on-disk segments in a scratch directory merged back
-    /// (bit-identical, so figure data rows must not move). `name` only
+    /// (bit-identical, so figure data rows must not move —
+    /// `tests/flag_invariance.rs` compares the two paths). `name` only
     /// scopes the scratch directory.
     ///
     /// # Errors
     ///
-    /// The build/spill/merge failure, rendered for the binaries' exit-2
-    /// diagnostics.
-    pub fn try_build_corpus(&self, name: &str, spec: &CorpusSpec) -> Result<InvertedIndex, String> {
+    /// The build/spill/merge failure, rendered for a diagnostic.
+    pub fn build_corpus(&self, name: &str, spec: &CorpusSpec) -> Result<InvertedIndex, String> {
         let Some(n_segments) = self.segments else {
             return spec.build().map_err(|e| e.to_string());
         };
+        // Unique per build, so concurrent builds in one process (tests)
+        // never share a scratch directory.
+        static BUILD_SEQ: AtomicU32 = AtomicU32::new(0);
         let dir = std::env::temp_dir().join(format!(
-            "boss-bench-seg-{name}-{}-{n_segments}",
-            std::process::id()
+            "boss-bench-seg-{name}-{}-{}",
+            std::process::id(),
+            BUILD_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         std::fs::remove_dir_all(&dir).ok();
         let set = spec
@@ -760,41 +740,24 @@ impl BenchArgs {
         std::fs::remove_dir_all(&dir).ok();
         Ok(index)
     }
-
-    /// [`BenchArgs::try_build_corpus`] for binaries that treat a corpus
-    /// build failure as fatal.
-    ///
-    /// # Panics
-    ///
-    /// On any build/spill/merge failure.
-    pub fn build_corpus(&self, name: &str, spec: &CorpusSpec) -> InvertedIndex {
-        self.try_build_corpus(name, spec).expect("corpus builds")
-    }
 }
 
-/// [`both_corpora`], routed through the build path `args` selects:
-/// `--segments N` spills each corpus to `N` on-disk SPIMI segments in a
-/// scratch directory and merges them back; otherwise the plain in-memory
-/// build. The merge is bit-identical, so every figure's data rows must
-/// not move — CI diffs the two paths.
-pub fn both_corpora_for(args: &BenchArgs) -> Vec<(&'static str, InvertedIndex)> {
-    [
-        ("clueweb12-like", CorpusSpec::clueweb12_like(args.scale)),
-        ("ccnews-like", CorpusSpec::ccnews_like(args.scale)),
-    ]
-    .into_iter()
-    .map(|(name, spec)| (name, args.build_corpus(name, &spec)))
-    .collect()
+/// Writes a TSV header row.
+///
+/// # Errors
+///
+/// The sink's write failure.
+pub fn header(out: &mut dyn Write, cols: &[&str]) -> io::Result<()> {
+    writeln!(out, "{}", cols.join("\t"))
 }
 
-/// Prints a TSV header row.
-pub fn header(cols: &[&str]) {
-    println!("{}", cols.join("\t"));
-}
-
-/// Prints a TSV data row.
-pub fn row(cells: &[String]) {
-    println!("{}", cells.join("\t"));
+/// Writes a TSV data row.
+///
+/// # Errors
+///
+/// The sink's write failure.
+pub fn row(out: &mut dyn Write, cells: &[String]) -> io::Result<()> {
+    writeln!(out, "{}", cells.join("\t"))
 }
 
 /// Formats a float tersely.

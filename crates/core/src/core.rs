@@ -42,17 +42,12 @@ impl CoreScratch {
 #[derive(Debug)]
 pub struct BossCore {
     config: BossConfig,
-    /// Cycle at which this core becomes free (device scheduling).
-    pub(crate) busy_until: u64,
 }
 
 impl BossCore {
     /// Creates an idle core.
     pub fn new(config: BossConfig) -> Self {
-        BossCore {
-            config,
-            busy_until: 0,
-        }
+        BossCore { config }
     }
 
     /// The core's configuration.

@@ -22,34 +22,6 @@ pub enum SchedPolicy {
     Sjf,
 }
 
-/// Aggregate result of a query batch.
-#[derive(Debug, Clone)]
-pub struct BatchOutcome {
-    /// Per-query outcomes, in submission order.
-    pub outcomes: Vec<QueryOutcome>,
-    /// Makespan across cores, in core cycles.
-    pub makespan_cycles: u64,
-    /// Merged memory traffic.
-    pub mem: MemStats,
-    /// Merged evaluation counters.
-    pub eval: EvalCounts,
-}
-
-impl BatchOutcome {
-    /// Batch throughput in queries/second at `clock_ghz`.
-    pub fn throughput_qps(&self, clock_ghz: f64) -> f64 {
-        if self.makespan_cycles == 0 {
-            return 0.0;
-        }
-        self.outcomes.len() as f64 / (self.makespan_cycles as f64 / (clock_ghz * 1e9))
-    }
-
-    /// Achieved memory bandwidth in GB/s over the makespan.
-    pub fn bandwidth_gbps(&self) -> f64 {
-        self.mem.achieved_gbps(self.makespan_cycles)
-    }
-}
-
 /// A BOSS device attached to one memory node holding `index`.
 #[derive(Debug)]
 pub struct BossDevice<'a> {
@@ -217,105 +189,6 @@ impl<'a> BossDevice<'a> {
             floor,
         )
     }
-
-    /// Runs a batch with greedy list scheduling: each query goes to the
-    /// earliest-free core; a query whose plan has more than
-    /// `max_terms_per_core` streams gangs the required number of cores
-    /// (their union/intersection mergers chain, Section IV-D).
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first unplannable query, before running anything.
-    pub fn run_batch(&mut self, queries: &[QueryExpr], k: usize) -> Result<BatchOutcome, Error> {
-        self.run_batch_with_policy(queries, k, SchedPolicy::Fifo)
-    }
-
-    /// [`BossDevice::run_batch`] with an explicit scheduling policy.
-    ///
-    /// Per-query outcomes are returned in *submission* order regardless of
-    /// execution order.
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first unplannable query, before running anything.
-    pub fn run_batch_with_policy(
-        &mut self,
-        queries: &[QueryExpr],
-        k: usize,
-        policy: SchedPolicy,
-    ) -> Result<BatchOutcome, Error> {
-        let plans: Vec<QueryPlan> = queries
-            .iter()
-            .map(|q| QueryPlan::from_expr(self.index, q, &self.config))
-            .collect::<Result<_, _>>()?;
-        let mut order: Vec<usize> = (0..plans.len()).collect();
-        if policy == SchedPolicy::Sjf {
-            let estimate = |p: &QueryPlan| -> u64 {
-                p.groups()
-                    .iter()
-                    .flatten()
-                    .map(|&t| u64::from(self.index.list(t).df()))
-                    .sum()
-            };
-            order.sort_by_key(|&i| estimate(&plans[i]));
-        }
-        for c in &mut self.cores {
-            c.busy_until = 0;
-        }
-        let mut outcomes: Vec<Option<QueryOutcome>> = (0..plans.len()).map(|_| None).collect();
-        let mut mem = MemStats::new();
-        let mut eval = EvalCounts::default();
-        for &qi in &order {
-            let plan = &plans[qi];
-            let gang = plan
-                .n_distinct_terms()
-                .div_ceil(self.config.max_terms_per_core)
-                .max(1);
-            let gang = gang.min(self.cores.len());
-            // Pick the `gang` earliest-free cores.
-            let mut idx: Vec<usize> = (0..self.cores.len()).collect();
-            idx.sort_by_key(|&i| self.cores[i].busy_until);
-            let chosen = &idx[..gang];
-            let start = chosen
-                .iter()
-                .map(|&i| self.cores[i].busy_until)
-                .max()
-                .expect("gang non-empty");
-            let out = self.cores[chosen[0]].execute_with_scratch(
-                self.index,
-                &self.image,
-                plan,
-                k,
-                &mut self.scratch,
-            )?;
-            let end = start + out.cycles;
-            for &i in chosen {
-                self.cores[i].busy_until = end;
-            }
-            mem.merge(&out.mem);
-            eval.merge(&out.eval);
-            outcomes[qi] = Some(out);
-        }
-        let outcomes: Vec<QueryOutcome> = outcomes
-            .into_iter()
-            .map(|o| o.expect("every query executed"))
-            .collect();
-        // Bottleneck correction: per-query timing was simulated at full
-        // node bandwidth (a core running alone); when many cores run, the
-        // node can serve at most `channels` channel-cycles per cycle, so
-        // the batch cannot finish faster than the aggregate occupancy
-        // allows. max(core-limited, bandwidth-limited) is the roofline
-        // that produces the saturation behaviour of Figures 9/10.
-        let core_limited = self.cores.iter().map(|c| c.busy_until).max().unwrap_or(0);
-        let bw_limited = mem.busy_cycles / u64::from(self.config.memory.channels).max(1);
-        let makespan_cycles = core_limited.max(bw_limited);
-        Ok(BatchOutcome {
-            outcomes,
-            makespan_cycles,
-            mem,
-            eval,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -355,51 +228,10 @@ mod tests {
     }
 
     #[test]
-    fn batch_parallelism_shrinks_makespan() {
-        let idx = corpus();
-        let queries: Vec<QueryExpr> = (0..8)
-            .map(|i| {
-                if i % 2 == 0 {
-                    QueryExpr::term("even")
-                } else {
-                    QueryExpr::and([QueryExpr::term("three"), QueryExpr::term("five")])
-                }
-            })
-            .collect();
-        let mut dev1 = BossDevice::new(&idx, BossConfig::with_cores(1));
-        let mut dev8 = BossDevice::new(&idx, BossConfig::with_cores(8));
-        let b1 = dev1.run_batch(&queries, 10).unwrap();
-        let b8 = dev8.run_batch(&queries, 10).unwrap();
-        assert!(b8.makespan_cycles < b1.makespan_cycles);
-        assert!(b8.throughput_qps(1.0) > b1.throughput_qps(1.0));
-        assert_eq!(b1.outcomes.len(), 8);
-        // Functional results identical across core counts.
-        for (a, b) in b1.outcomes.iter().zip(&b8.outcomes) {
-            assert_eq!(a.hits, b.hits);
-        }
-    }
-
-    #[test]
-    fn batch_merges_stats() {
-        let idx = corpus();
-        let mut dev = BossDevice::new(&idx, BossConfig::with_cores(2));
-        let queries = vec![QueryExpr::term("even"), QueryExpr::term("three")];
-        let b = dev.run_batch(&queries, 5).unwrap();
-        let sum: u64 = b.outcomes.iter().map(|o| o.mem.total_bytes()).sum();
-        assert_eq!(b.mem.total_bytes(), sum);
-        assert!(b.eval.docs_scored > 0);
-        assert!(b.bandwidth_gbps() > 0.0);
-    }
-
-    #[test]
     fn unplannable_query_fails_cleanly() {
         let idx = corpus();
         let mut dev = BossDevice::new(&idx, BossConfig::default());
         let err = dev.search_expr(&QueryExpr::term("missing"), 5).unwrap_err();
-        assert!(matches!(err, Error::UnknownTerm { .. }));
-        let err = dev
-            .run_batch(&[QueryExpr::term("even"), QueryExpr::term("missing")], 5)
-            .unwrap_err();
         assert!(matches!(err, Error::UnknownTerm { .. }));
     }
 
@@ -511,69 +343,5 @@ mod wide_query_tests {
         let expect = reference::evaluate(&idx, &q, 10).unwrap();
         let gd: Vec<SearchHit> = got.hits;
         assert_eq!(gd, expect);
-    }
-}
-
-#[cfg(test)]
-mod sched_tests {
-    use super::*;
-    use boss_index::IndexBuilder;
-
-    fn corpus() -> InvertedIndex {
-        let docs: Vec<String> = (0u32..800)
-            .map(|i| {
-                let mut t = String::from("huge"); // df = 800
-                if i % 40 == 0 {
-                    t.push_str(" tiny"); // df = 20
-                }
-                if i % 5 == 0 {
-                    t.push_str(" mid");
-                }
-                t
-            })
-            .collect();
-        IndexBuilder::new()
-            .add_documents(docs.iter().map(String::as_str))
-            .build()
-            .unwrap()
-    }
-
-    #[test]
-    fn sjf_never_worse_than_fifo_for_skewed_tail() {
-        let idx = corpus();
-        // A long job submitted last under FIFO pushes the makespan out on
-        // a 2-core device; SJF runs the short jobs around it.
-        let queries: Vec<QueryExpr> = vec![
-            QueryExpr::term("tiny"),
-            QueryExpr::term("tiny"),
-            QueryExpr::term("tiny"),
-            QueryExpr::term("huge"),
-            QueryExpr::term("huge"),
-        ];
-        let mut dev = BossDevice::new(&idx, BossConfig::with_cores(2));
-        let fifo = dev
-            .run_batch_with_policy(&queries, 10, SchedPolicy::Fifo)
-            .unwrap();
-        let sjf = dev
-            .run_batch_with_policy(&queries, 10, SchedPolicy::Sjf)
-            .unwrap();
-        assert!(sjf.makespan_cycles <= fifo.makespan_cycles);
-        // Results identical and in submission order under both policies.
-        for (a, b) in fifo.outcomes.iter().zip(&sjf.outcomes) {
-            assert_eq!(a.hits, b.hits);
-        }
-    }
-
-    #[test]
-    fn outcomes_in_submission_order_under_sjf() {
-        let idx = corpus();
-        let queries = vec![QueryExpr::term("huge"), QueryExpr::term("tiny")];
-        let mut dev = BossDevice::new(&idx, BossConfig::with_cores(1));
-        let batch = dev
-            .run_batch_with_policy(&queries, 5, SchedPolicy::Sjf)
-            .unwrap();
-        // First outcome corresponds to "huge" (df 800) even though SJF ran
-        // "tiny" first.
-        assert!(batch.outcomes[0].eval.docs_scored > batch.outcomes[1].eval.docs_scored);
     }
 }

@@ -60,7 +60,7 @@ pub use api::{BossHandle, SearchRequest};
 pub use boss_index::{QueryAlgorithm, TopK, ALL_ALGORITHMS};
 pub use config::{BossConfig, DegradePolicy, EtMode, TimingModel};
 pub use core::{BossCore, CoreScratch};
-pub use device::{BatchOutcome, BossDevice, SchedPolicy};
+pub use device::{BossDevice, SchedPolicy};
 pub use expr::parse_query;
 pub use fixed::{topk_overlap, FixedScorer, Q16};
 pub use mai::{Tlb, TlbStats};

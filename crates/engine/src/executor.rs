@@ -151,8 +151,7 @@ impl BatchExecutor {
             });
         }
 
-        // Surface the first failure in submission order, like the
-        // per-engine drivers did.
+        // Surface the first failure in submission order.
         let mut outcomes = Vec::with_capacity(n);
         for r in results {
             outcomes.push(r.expect("every query executed")?);
@@ -206,9 +205,10 @@ impl BatchExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Boss;
-    use boss_core::{BossConfig, BossDevice};
+    use crate::{Boss, Lucene};
+    use boss_core::BossConfig;
     use boss_index::{IndexBuilder, InvertedIndex};
+    use boss_luceneish::LuceneConfig;
 
     fn corpus() -> InvertedIndex {
         let docs: Vec<String> = (0u32..600)
@@ -243,28 +243,115 @@ mod tests {
     }
 
     #[test]
-    fn matches_the_native_boss_batch_driver() {
-        // The executor must reproduce BossDevice::run_batch_with_policy
-        // bit for bit — same schedule, same roofline, same merges.
+    fn batch_parallelism_shrinks_makespan() {
         let idx = corpus();
-        let qs = queries();
-        for policy in [SchedPolicy::Fifo, SchedPolicy::Sjf] {
-            let mut dev = BossDevice::new(&idx, BossConfig::with_cores(3));
-            let native = dev.run_batch_with_policy(&qs, 10, policy).unwrap();
-            let eng = Boss::new(&idx, BossConfig::with_cores(3));
-            let ours = BatchExecutor::with_threads(1)
-                .with_policy(policy)
-                .run(&eng, &qs, 10)
-                .unwrap();
-            assert_eq!(ours.makespan_cycles, native.makespan_cycles, "{policy:?}");
-            assert_eq!(ours.mem, native.mem, "{policy:?}");
-            assert_eq!(ours.eval, native.eval, "{policy:?}");
-            assert_eq!(ours.outcomes.len(), native.outcomes.len());
-            for (a, b) in ours.outcomes.iter().zip(&native.outcomes) {
-                assert_eq!(a.hits, b.hits, "{policy:?}");
-                assert_eq!(a.cycles, b.cycles, "{policy:?}");
-            }
+        let queries: Vec<QueryExpr> = (0..8)
+            .map(|i| {
+                if i % 2 == 0 {
+                    QueryExpr::term("even")
+                } else {
+                    QueryExpr::and([QueryExpr::term("three"), QueryExpr::term("five")])
+                }
+            })
+            .collect();
+        let run = |cores| {
+            let eng = Boss::new(&idx, BossConfig::with_cores(cores));
+            BatchExecutor::with_threads(1)
+                .run(&eng, &queries, 10)
+                .unwrap()
+        };
+        let (b1, b8) = (run(1), run(8));
+        assert!(b8.makespan_cycles < b1.makespan_cycles);
+        assert!(b8.throughput_qps(1.0) > b1.throughput_qps(1.0));
+        assert_eq!(b1.outcomes.len(), 8);
+        // Functional results identical across core counts.
+        for (a, b) in b1.outcomes.iter().zip(&b8.outcomes) {
+            assert_eq!(a.hits, b.hits);
         }
+    }
+
+    #[test]
+    fn lucene_batch_threads_scale_throughput() {
+        let idx = corpus();
+        let queries: Vec<QueryExpr> = (0..16).map(|_| QueryExpr::term("even")).collect();
+        let run = |threads| {
+            let eng = Lucene::new(&idx, LuceneConfig::with_threads(threads));
+            let batch = BatchExecutor::with_threads(1)
+                .run(&eng, &queries, 10)
+                .unwrap();
+            (batch.makespan_cycles, batch.throughput_qps(eng.clock_ghz()))
+        };
+        let ((m1, qps1), (m8, qps8)) = (run(1), run(8));
+        assert!(m8 < m1);
+        assert!(qps8 > qps1 * 4.0);
+    }
+
+    #[test]
+    fn batch_merges_stats() {
+        let idx = corpus();
+        let eng = Boss::new(&idx, BossConfig::with_cores(2));
+        let queries = vec![QueryExpr::term("even"), QueryExpr::term("three")];
+        let b = BatchExecutor::with_threads(2)
+            .run(&eng, &queries, 5)
+            .unwrap();
+        let sum: u64 = b.outcomes.iter().map(|o| o.mem.total_bytes()).sum();
+        assert_eq!(b.mem.total_bytes(), sum);
+        assert!(b.eval.docs_scored > 0);
+        assert!(eng.bandwidth_gbps(&b.mem, b.makespan_cycles) > 0.0);
+    }
+
+    /// One huge term (df 800), one tiny (df 20).
+    fn skewed_corpus() -> InvertedIndex {
+        let docs: Vec<String> = (0u32..800)
+            .map(|i| {
+                let mut t = String::from("huge");
+                if i % 40 == 0 {
+                    t.push_str(" tiny");
+                }
+                t
+            })
+            .collect();
+        IndexBuilder::new()
+            .add_documents(docs.iter().map(String::as_str))
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn sjf_never_worse_than_fifo_for_skewed_tail() {
+        let idx = skewed_corpus();
+        // A long job submitted last under FIFO pushes the makespan out on
+        // a 2-core device; SJF runs the short jobs around it.
+        let queries: Vec<QueryExpr> = ["tiny", "tiny", "tiny", "huge", "huge"]
+            .map(QueryExpr::term)
+            .to_vec();
+        let eng = Boss::new(&idx, BossConfig::with_cores(2));
+        let run = |policy| {
+            BatchExecutor::with_threads(1)
+                .with_policy(policy)
+                .run(&eng, &queries, 10)
+                .unwrap()
+        };
+        let (fifo, sjf) = (run(SchedPolicy::Fifo), run(SchedPolicy::Sjf));
+        assert!(sjf.makespan_cycles <= fifo.makespan_cycles);
+        // Results identical and in submission order under both policies.
+        for (a, b) in fifo.outcomes.iter().zip(&sjf.outcomes) {
+            assert_eq!(a.hits, b.hits);
+        }
+    }
+
+    #[test]
+    fn outcomes_in_submission_order_under_sjf() {
+        let idx = skewed_corpus();
+        let queries = vec![QueryExpr::term("huge"), QueryExpr::term("tiny")];
+        let eng = Boss::new(&idx, BossConfig::with_cores(1));
+        let batch = BatchExecutor::with_threads(1)
+            .with_policy(SchedPolicy::Sjf)
+            .run(&eng, &queries, 5)
+            .unwrap();
+        // First outcome corresponds to "huge" (df 800) even though SJF
+        // schedules "tiny" first.
+        assert!(batch.outcomes[0].eval.docs_scored > batch.outcomes[1].eval.docs_scored);
     }
 
     #[test]
@@ -304,7 +391,6 @@ mod tests {
             .unwrap_err();
         assert!(format!("{err}").contains("missing"), "got: {err}");
         // The caller's engine accumulators stay untouched.
-        use crate::SearchEngine as _;
         assert_eq!(eng.mem_stats().total_bytes(), 0);
     }
 

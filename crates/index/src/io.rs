@@ -1,21 +1,9 @@
-//! Binary index-file serialization — the artifact `init(indexFile, ...)`
-//! loads into the SCM pool (Section IV-D).
-//!
-//! Format: a small header (magic, version, JSON-length) followed by the
-//! serde-JSON body. JSON keeps the format self-describing and
-//! forward-debuggable; the header lets loading fail fast and precisely on
-//! wrong or corrupt files. Index files are build-time artifacts, so
-//! load-time dominates and is still linear.
+//! The error type of on-disk index I/O. The one file format — the
+//! artifact `init(indexFile, ...)` loads into the SCM pool (Section IV-D)
+//! — is the segment format of [`crate::segment`].
 
-use crate::{Error, InvertedIndex};
-use std::io::{Read, Write};
-use std::path::Path;
-
-/// File magic: "BOSSIDX\0".
-pub const MAGIC: [u8; 8] = *b"BOSSIDX\0";
-
-/// Current format version.
-pub const VERSION: u32 = 1;
+use crate::segment::SEG_VERSION;
+use crate::Error;
 
 /// Errors while reading or writing index files.
 #[derive(Debug)]
@@ -44,7 +32,7 @@ impl std::fmt::Display for IoError {
             IoError::BadVersion { found } => {
                 write!(
                     f,
-                    "unsupported index file version {found} (supported: {VERSION})"
+                    "unsupported index file version {found} (supported: {SEG_VERSION})"
                 )
             }
             IoError::Corrupt(m) => write!(f, "corrupt index file: {m}"),
@@ -69,181 +57,9 @@ impl From<std::io::Error> for IoError {
     }
 }
 
-/// Writes `index` to `writer` in the BOSS index-file format.
-///
-/// # Errors
-///
-/// Propagates I/O failures; serialization of a valid index cannot fail.
-pub fn write_index<W: Write>(index: &InvertedIndex, mut writer: W) -> Result<(), IoError> {
-    let body = serde_json::to_vec(index).map_err(|e| IoError::Corrupt(e.to_string()))?;
-    writer.write_all(&MAGIC)?;
-    writer.write_all(&VERSION.to_le_bytes())?;
-    writer.write_all(&(body.len() as u64).to_le_bytes())?;
-    writer.write_all(&body)?;
-    Ok(())
-}
-
-/// Reads an index from `reader`.
-///
-/// # Errors
-///
-/// Returns [`IoError::BadMagic`] / [`IoError::BadVersion`] for foreign
-/// files, [`IoError::Corrupt`] for truncated or undecodable bodies.
-pub fn read_index<R: Read>(mut reader: R) -> Result<InvertedIndex, IoError> {
-    let mut magic = [0u8; 8];
-    reader.read_exact(&mut magic)?;
-    if magic != MAGIC {
-        return Err(IoError::BadMagic);
-    }
-    let mut v = [0u8; 4];
-    reader.read_exact(&mut v)?;
-    let version = u32::from_le_bytes(v);
-    if version != VERSION {
-        return Err(IoError::BadVersion { found: version });
-    }
-    let mut len = [0u8; 8];
-    reader.read_exact(&mut len)?;
-    let len = u64::from_le_bytes(len);
-    // The length field is untrusted on-disk data: never allocate from the
-    // claim. `take(len)` bounds the read to whatever the input actually
-    // holds (same cap rule as `boss_compress::check_count`), and the
-    // post-read length check turns a short body into a typed error
-    // instead of an allocator abort on a corrupt multi-terabyte claim.
-    let mut body = Vec::new();
-    reader
-        .by_ref()
-        .take(len)
-        .read_to_end(&mut body)
-        .map_err(|e| IoError::Corrupt(format!("body unreadable: {e}")))?;
-    if (body.len() as u64) < len {
-        return Err(IoError::Corrupt(format!(
-            "body shorter than header says: {} of {len} bytes present",
-            body.len()
-        )));
-    }
-    let index: InvertedIndex =
-        serde_json::from_slice(&body).map_err(|e| IoError::Corrupt(e.to_string()))?;
-    // Cheap structural sanity check.
-    if index.n_docs() == 0 {
-        return Err(IoError::Invalid(Error::InvalidQuery {
-            reason: "index file holds an empty corpus".into(),
-        }));
-    }
-    Ok(index)
-}
-
-/// Saves `index` to `path`.
-///
-/// # Errors
-///
-/// Propagates I/O failures.
-pub fn save(index: &InvertedIndex, path: impl AsRef<Path>) -> Result<(), IoError> {
-    let f = std::fs::File::create(path)?;
-    write_index(index, std::io::BufWriter::new(f))
-}
-
-/// Loads an index from `path`.
-///
-/// # Errors
-///
-/// As for [`read_index`].
-pub fn load(path: impl AsRef<Path>) -> Result<InvertedIndex, IoError> {
-    let f = std::fs::File::open(path)?;
-    read_index(std::io::BufReader::new(f))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::IndexBuilder;
-
-    fn sample() -> InvertedIndex {
-        IndexBuilder::new()
-            .add_documents(["scm pools", "data nodes scm", "pools of data"])
-            .build()
-            .unwrap()
-    }
-
-    #[test]
-    fn roundtrip_in_memory() {
-        let idx = sample();
-        let mut buf = Vec::new();
-        write_index(&idx, &mut buf).unwrap();
-        let back = read_index(buf.as_slice()).unwrap();
-        assert_eq!(back.n_docs(), idx.n_docs());
-        assert_eq!(back.n_terms(), idx.n_terms());
-        let q = crate::QueryExpr::term("scm");
-        assert_eq!(
-            crate::reference::evaluate(&idx, &q, 5).unwrap(),
-            crate::reference::evaluate(&back, &q, 5).unwrap()
-        );
-    }
-
-    #[test]
-    fn roundtrip_via_file() {
-        let idx = sample();
-        let dir = std::env::temp_dir().join(format!("boss-io-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("index.bossidx");
-        save(&idx, &path).unwrap();
-        let back = load(&path).unwrap();
-        assert_eq!(back.n_terms(), idx.n_terms());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn rejects_bad_magic() {
-        let err = read_index(&b"NOTBOSS\0restoffile"[..]).unwrap_err();
-        assert!(matches!(err, IoError::BadMagic));
-    }
-
-    #[test]
-    fn rejects_future_version() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&MAGIC);
-        buf.extend_from_slice(&99u32.to_le_bytes());
-        buf.extend_from_slice(&0u64.to_le_bytes());
-        let err = read_index(buf.as_slice()).unwrap_err();
-        assert!(matches!(err, IoError::BadVersion { found: 99 }));
-    }
-
-    #[test]
-    fn rejects_truncated_body() {
-        let idx = sample();
-        let mut buf = Vec::new();
-        write_index(&idx, &mut buf).unwrap();
-        buf.truncate(buf.len() - 10);
-        let err = read_index(buf.as_slice()).unwrap_err();
-        assert!(matches!(err, IoError::Corrupt(_)), "{err}");
-    }
-
-    #[test]
-    fn huge_claimed_length_is_not_allocated() {
-        // A header claiming an 8 EB body over a 5-byte input must fail
-        // with a typed error after reading 5 bytes — not abort trying to
-        // allocate the claim.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&MAGIC);
-        buf.extend_from_slice(&VERSION.to_le_bytes());
-        buf.extend_from_slice(&u64::MAX.to_le_bytes());
-        buf.extend_from_slice(b"@@@@@");
-        let err = read_index(buf.as_slice()).unwrap_err();
-        assert!(
-            matches!(err, IoError::Corrupt(ref m) if m.contains("shorter")),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn rejects_garbage_body() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&MAGIC);
-        buf.extend_from_slice(&VERSION.to_le_bytes());
-        buf.extend_from_slice(&5u64.to_le_bytes());
-        buf.extend_from_slice(b"@@@@@");
-        let err = read_index(buf.as_slice()).unwrap_err();
-        assert!(matches!(err, IoError::Corrupt(_)));
-    }
 
     #[test]
     fn error_display() {

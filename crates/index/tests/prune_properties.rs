@@ -4,7 +4,9 @@
 //! the exact top-k of the exhaustive oracle, docIDs *and* f32 score
 //! bits. Block metadata soundness rides along: no contained posting may
 //! exceed its block-max bound, and a corrupt block-max must degrade to
-//! a typed error or a safe over-estimate, never a wrong top-k.
+//! a typed error or a safe over-estimate, never a wrong top-k. One
+//! fixed-corpus case pins the payoff: on score-skewed lists the
+//! block-max plans decode *strictly* fewer blocks than exhaustive.
 
 use boss_index::prune::{pruned_union_topk, NullSink, PruneCounters};
 use boss_index::{
@@ -217,5 +219,67 @@ proptest! {
                 ),
             }
         }
+    }
+}
+
+/// A corpus whose per-block score maxima vary along the docID axis
+/// (tf rises and falls in 128-doc bands) — the regime block-max pruning
+/// exists for; without the skew every block's bound is the same and no
+/// plan can skip.
+fn skewed_corpus(n: usize) -> InvertedIndex {
+    let docs: Vec<String> = (0..n)
+        .map(|i| {
+            let h = (i as u32).wrapping_mul(2_654_435_761);
+            let mut words: Vec<&str> = vec!["common"];
+            if h.is_multiple_of(2) {
+                words.extend(std::iter::repeat_n("alpha", 1 + (i / 128) % 7));
+            }
+            if h.is_multiple_of(3) {
+                words.push("beta");
+            }
+            if h.is_multiple_of(13) {
+                words.extend(std::iter::repeat_n("mid", 1 + (i / 256) % 5));
+            }
+            if h.is_multiple_of(97) {
+                words.push("rare");
+            }
+            words.join(" ")
+        })
+        .collect();
+    IndexBuilder::new()
+        .add_documents(docs.iter().map(String::as_str))
+        .build()
+        .expect("corpus builds")
+}
+
+/// The pruning payoff on a fixed corpus (hybrid codec, k = 10): over
+/// top-heavy two-term through flat four-term unions, BMW and BMM decode
+/// strictly fewer blocks than the exhaustive traversal.
+#[test]
+fn block_max_plans_decode_strictly_fewer_blocks_on_skewed_lists() {
+    let index = skewed_corpus(12_000);
+    let unions: [&[&str]; 3] = [
+        &["alpha", "rare"],
+        &["alpha", "mid", "rare"],
+        &["alpha", "beta", "mid", "common"],
+    ];
+    let blocks_decoded = |algo| {
+        let mut counters = PruneCounters::default();
+        for words in unions {
+            let terms: Vec<TermId> = words
+                .iter()
+                .map(|w| index.term_id(w).expect("term in corpus"))
+                .collect();
+            pruned_union_topk(&index, &terms, algo, 10, &mut counters).expect("evaluates");
+        }
+        counters.blocks_decoded
+    };
+    let exhaustive = blocks_decoded(boss_index::QueryAlgorithm::Exhaustive);
+    for algo in ALL_ALGORITHMS.into_iter().filter(|a| a.is_block_max()) {
+        let decoded = blocks_decoded(algo);
+        assert!(
+            decoded < exhaustive,
+            "{algo} decoded {decoded} blocks, exhaustive {exhaustive}"
+        );
     }
 }

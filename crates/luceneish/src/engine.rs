@@ -8,7 +8,7 @@ use boss_index::{
     merge_groups, BlockMeta, DocId, Error, GroupMatches, InvertedIndex, QueryAlgorithm, QueryExpr,
     ScoreScratch, TermId, BLOCK_META_BYTES,
 };
-use boss_scm::{AccessCategory, AccessKind, MemStats, MemoryConfig, MemorySim, PatternHint};
+use boss_scm::{AccessCategory, AccessKind, MemoryConfig, MemorySim, PatternHint};
 
 /// CPU cycles charged per unit of work, at the host clock.
 ///
@@ -426,57 +426,6 @@ impl<'a> LuceneEngine<'a> {
             eval,
         })
     }
-
-    /// Batch execution with query-level parallelism: greedy assignment of
-    /// queries to the earliest-free thread. Returns per-query outcomes and
-    /// the makespan in host cycles.
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first unplannable query.
-    pub fn run_batch(
-        &self,
-        queries: &[QueryExpr],
-        k: usize,
-    ) -> Result<(Vec<QueryOutcome>, u64), Error> {
-        let mut threads = vec![0u64; self.config.n_threads as usize];
-        let mut outcomes = Vec::with_capacity(queries.len());
-        let mut busy = 0u64;
-        for q in queries {
-            let out = self.execute(q, k)?;
-            let t = threads
-                .iter_mut()
-                .min_by_key(|b| **b)
-                .expect("at least one thread");
-            *t += out.cycles;
-            busy += out.mem.busy_cycles;
-            outcomes.push(out);
-        }
-        // Same roofline as the accelerators: the host memory system can
-        // serve at most `channels` channel-cycles per (1 GHz) cycle;
-        // convert to host cycles.
-        let bw_limited = (busy as f64 / f64::from(self.config.memory.channels.max(1))
-            * self.config.clock_ghz) as u64;
-        let makespan = threads.into_iter().max().unwrap_or(0).max(bw_limited);
-        Ok((outcomes, makespan))
-    }
-
-    /// Batch throughput in queries/second.
-    pub fn batch_qps(&self, makespan_cycles: u64, n_queries: usize) -> f64 {
-        if makespan_cycles == 0 {
-            return 0.0;
-        }
-        n_queries as f64 / (makespan_cycles as f64 / (self.config.clock_ghz * 1e9))
-    }
-
-    /// Merged memory stats of a batch.
-    pub fn merge_mem(outcomes: &[QueryOutcome]) -> MemStats {
-        let mut m = MemStats::new();
-        for o in outcomes {
-            m.merge(&o.mem);
-        }
-        m
-    }
 }
 
 #[cfg(test)]
@@ -541,18 +490,6 @@ mod tests {
             t_scm,
             t_dram
         );
-    }
-
-    #[test]
-    fn batch_threads_scale_throughput() {
-        let idx = corpus();
-        let queries: Vec<QueryExpr> = (0..16).map(|_| QueryExpr::term("aa")).collect();
-        let e1 = LuceneEngine::new(&idx, LuceneConfig::with_threads(1));
-        let e8 = LuceneEngine::new(&idx, LuceneConfig::with_threads(8));
-        let (_, m1) = e1.run_batch(&queries, 10).unwrap();
-        let (_, m8) = e8.run_batch(&queries, 10).unwrap();
-        assert!(m8 < m1);
-        assert!(e8.batch_qps(m8, 16) > e1.batch_qps(m1, 16) * 4.0);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //!
 //! Run with: `cargo run --release -p boss-examples --bin pooled_memory_scaling`
 
-use boss_core::{BossConfig, BossDevice, EtMode};
-use boss_iiu::{IiuConfig, IiuEngine};
-use boss_scm::MemoryConfig;
+use boss_core::{BossConfig, EtMode};
+use boss_engine::{BatchExecutor, Boss, Iiu, SearchEngine};
+use boss_iiu::IiuConfig;
 use boss_workload::corpus::{CorpusSpec, Scale};
 use boss_workload::queries::QuerySampler;
 
@@ -19,40 +19,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|t| t.expr)
         .collect();
     let k = 100;
+    let executor = BatchExecutor::new();
 
     println!("cores\tBOSS qps\tIIU qps\tBOSS GB/s\tIIU GB/s");
     for cores in [1u32, 2, 4, 8, 16] {
-        let mut boss = BossDevice::new(
+        let boss = Boss::new(
             &index,
             BossConfig::with_cores(cores)
                 .with_et(EtMode::Full)
                 .with_k(k),
         );
-        let batch = boss.run_batch(&queries, k)?;
-        let boss_qps = batch.throughput_qps(1.0);
-        let boss_bw = batch.bandwidth_gbps();
-
-        let engine = IiuEngine::new(&index, IiuConfig::with_cores(cores));
-        let mut busy = vec![0u64; cores as usize];
-        let mut bytes = 0u64;
-        let mut channel_busy = 0u64;
-        for q in &queries {
-            let out = engine.execute(q, k)?;
-            *busy.iter_mut().min_by_key(|x| **x).expect("cores > 0") += out.cycles;
-            bytes += out.mem.total_bytes();
-            channel_busy += out.mem.busy_cycles;
-        }
-        let channels = u64::from(MemoryConfig::optane_dcpmm().channels);
-        let makespan = busy
-            .into_iter()
-            .max()
-            .unwrap_or(0)
-            .max(channel_busy / channels);
-        let iiu_qps = queries.len() as f64 / (makespan as f64 / 1e9);
-        let iiu_bw = bytes as f64 / makespan as f64;
+        let b = executor.run(&boss, &queries, k)?;
+        let iiu = Iiu::new(&index, IiuConfig::with_cores(cores));
+        let i = executor.run(&iiu, &queries, k)?;
+        // Logical bytes over the makespan; at 1 GHz, bytes/cycle = GB/s.
+        let iiu_bw = i.mem.total_bytes() as f64 / i.makespan_cycles as f64;
         println!(
             "{cores}\t{:.0}\t{:.0}\t{:.2}\t{:.2}",
-            boss_qps, iiu_qps, boss_bw, iiu_bw
+            b.throughput_qps(boss.clock_ghz()),
+            i.throughput_qps(iiu.clock_ghz()),
+            boss.bandwidth_gbps(&b.mem, b.makespan_cycles),
+            iiu_bw
         );
     }
     println!("\nBOSS keeps scaling where IIU saturates: bandwidth efficiency is the headroom.");

@@ -2,6 +2,7 @@
 //! and the accelerator agree under randomized inputs.
 
 use boss_core::{BossConfig, BossDevice};
+use boss_index::segment::{load_segment, write_segment};
 use boss_index::shard::ShardedIndex;
 use boss_index::{IndexBuilder, InvertedIndex, PostingList, QueryExpr};
 use proptest::prelude::*;
@@ -66,9 +67,17 @@ proptest! {
             &[("aa".into(), docs_a, tfs_a), ("bb".into(), docs_b, tfs_b)],
             3_000,
         );
-        let mut buf = Vec::new();
-        boss_index::io::write_index(&index, &mut buf).unwrap();
-        let revived = boss_index::io::read_index(buf.as_slice()).unwrap();
+        let terms: Vec<_> = index
+            .term_ids()
+            .map(|id| (index.term_info(id).text.clone(), index.list(id).clone()))
+            .collect();
+        let path = std::env::temp_dir()
+            .join(format!("boss-cross-proptests-{}.bosseg", std::process::id()));
+        let file = std::fs::File::create(&path).unwrap();
+        write_segment(file, 0, index.doc_lens(), index.bm25().params(), &terms).unwrap();
+        let revived = load_segment(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        prop_assert_eq!(&revived, &index);
         let q = QueryExpr::or([QueryExpr::term("aa"), QueryExpr::term("bb")]);
         let a = boss_index::reference::evaluate(&index, &q, k).unwrap();
         let b = boss_index::reference::evaluate(&revived, &q, k).unwrap();

@@ -2,6 +2,7 @@
 //! results, with the paper's qualitative relations holding.
 
 use boss_core::{BossConfig, BossDevice, EtMode};
+use boss_engine::{BatchExecutor, Boss, Lucene};
 use boss_iiu::{IiuConfig, IiuEngine};
 use boss_luceneish::{LuceneConfig, LuceneEngine};
 use boss_scm::MemoryConfig;
@@ -77,25 +78,32 @@ fn dram_never_slower_than_scm() {
         .map(|t| t.expr)
         .collect();
 
-    let mut boss_scm = BossDevice::new(&index, BossConfig::default());
-    let mut boss_dram = BossDevice::new(
+    let executor = BatchExecutor::new();
+    let boss_scm = Boss::new(&index, BossConfig::default());
+    let boss_dram = Boss::new(
         &index,
         BossConfig::default().on_memory(MemoryConfig::ddr4_2666()),
     );
-    let b_scm = boss_scm.run_batch(&queries, 100).expect("runs");
-    let b_dram = boss_dram.run_batch(&queries, 100).expect("runs");
+    let b_scm = executor.run(&boss_scm, &queries, 100).expect("runs");
+    let b_dram = executor.run(&boss_dram, &queries, 100).expect("runs");
     assert!(
         b_dram.makespan_cycles <= b_scm.makespan_cycles,
         "BOSS on DRAM is at least as fast"
     );
 
-    let l_scm = LuceneEngine::new(&index, LuceneConfig::default());
-    let l_dram = LuceneEngine::new(
+    let l_scm = Lucene::new(&index, LuceneConfig::default());
+    let l_dram = Lucene::new(
         &index,
         LuceneConfig::default().on_memory(MemoryConfig::host_ddr4_6ch()),
     );
-    let (_, m_scm) = l_scm.run_batch(&queries, 100).expect("runs");
-    let (_, m_dram) = l_dram.run_batch(&queries, 100).expect("runs");
+    let m_scm = executor
+        .run(&l_scm, &queries, 100)
+        .expect("runs")
+        .makespan_cycles;
+    let m_dram = executor
+        .run(&l_dram, &queries, 100)
+        .expect("runs")
+        .makespan_cycles;
     assert!(m_dram <= m_scm);
     // Lucene is compute-bound: the DRAM advantage stays small.
     assert!(m_scm as f64 / m_dram as f64 <= 1.30, "{m_scm} vs {m_dram}");

@@ -120,7 +120,8 @@ fn mixed_queries_with_unknown_branch_fail_atomically() {
     let mut dev = boss_core::BossDevice::new(&index, BossConfig::default());
     let q = QueryExpr::and([QueryExpr::term("alpha"), QueryExpr::term("missing")]);
     assert!(dev.search_expr(&q, 5).is_err());
-    // The batch API fails before executing anything.
-    let batch = dev.run_batch(&[QueryExpr::term("alpha"), q], 5);
+    // A batch holding it fails as a whole, with no partial results.
+    let engine = boss_engine::Boss::new(&index, BossConfig::default());
+    let batch = boss_engine::BatchExecutor::new().run(&engine, &[QueryExpr::term("alpha"), q], 5);
     assert!(batch.is_err());
 }
