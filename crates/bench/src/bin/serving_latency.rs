@@ -178,11 +178,7 @@ fn run(args: &Args, out: &mut dyn Write) -> std::io::Result<()> {
     };
     let target = BenchTarget::new(&index, shard_split.as_ref());
     let suite = TypedSuite::sample(&index, args.queries_per_type, args.seed);
-    let queries: Vec<_> = suite
-        .per_type
-        .iter()
-        .flat_map(|(_, qs)| qs.iter().cloned())
-        .collect();
+    let queries = suite.all();
 
     let tuning = EngineTuning {
         replicas: args.replicas.max(1) as usize,

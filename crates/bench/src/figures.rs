@@ -105,11 +105,6 @@ pub struct Corpus {
 }
 
 impl Corpus {
-    /// The index plus one of its [`FigureCtx::split`]s.
-    pub fn target<'a>(&'a self, split: &'a Option<Rc<ShardedIndex>>) -> BenchTarget<'a> {
-        BenchTarget::new(&self.index, split.as_deref())
-    }
-
     /// `n` queries of the TREC-like type mix.
     fn trec_mix(&self, n: usize, seed: u64) -> io::Result<Vec<QueryExpr>> {
         let mix = self
@@ -221,7 +216,14 @@ struct Systems<'a> {
     args: &'a BenchArgs,
 }
 
-impl Systems<'_> {
+impl<'a> Systems<'a> {
+    fn new(corpus: &'a Corpus, split: &'a Option<Rc<ShardedIndex>>, args: &'a BenchArgs) -> Self {
+        Systems {
+            target: BenchTarget::new(&corpus.index, split.as_deref()),
+            args,
+        }
+    }
+
     fn boss(
         &self,
         cores: u32,

@@ -104,10 +104,7 @@ pub(super) fn cores(ctx: &mut FigureCtx) -> io::Result<()> {
     let corpus = ctx.corpus(CorpusKind::Clueweb)?;
     let split = ctx.split(&corpus)?;
     let args = &ctx.args;
-    let sys = Systems {
-        target: corpus.target(&split),
-        args,
-    };
+    let sys = Systems::new(&corpus, &split, args);
     let out = &mut *ctx.out;
     let queries = corpus.trec_mix(args.queries_per_type * 6, args.seed)?;
     writeln!(
@@ -250,10 +247,7 @@ pub(super) fn k(ctx: &mut FigureCtx) -> io::Result<()> {
     let suite = ctx.suite(&corpus, ctx.args.queries_per_type);
     let split = ctx.split(&corpus)?;
     let args = &ctx.args;
-    let sys = Systems {
-        target: corpus.target(&split),
-        args,
-    };
+    let sys = Systems::new(&corpus, &split, args);
     let out = &mut *ctx.out;
     writeln!(out, "# Ablation: k sweep (BOSS, 1 core, union queries)")?;
     args.write_threads_comment(out)?;

@@ -5,7 +5,7 @@
 use super::{CorpusKind, FigureCtx};
 use crate::{
     boss_engine, f, header, iiu_engine, lucene_engine, row, run_serving, run_system, BenchArgs,
-    ServingSpec,
+    BenchTarget, ServingSpec,
 };
 use boss_core::{BossConfig, EtMode, QueryAlgorithm};
 use boss_engine::{
@@ -128,7 +128,7 @@ fn serving_comment<E: SearchEngine + Send>(
 pub(super) fn latency_profile(ctx: &mut FigureCtx) -> io::Result<()> {
     let corpus = ctx.corpus(CorpusKind::Ccnews)?;
     let split = ctx.split(&corpus)?;
-    let target = corpus.target(&split);
+    let target = BenchTarget::new(&corpus.index, split.as_deref());
     let suite = ctx.suite(&corpus, ctx.args.queries_per_type.max(20));
     let args = &ctx.args;
     let out = &mut *ctx.out;
@@ -224,11 +224,7 @@ pub(super) fn latency_profile(ctx: &mut FigureCtx) -> io::Result<()> {
     // overload controller's cheaper service level), built only when the
     // scenario can actually use it.
     if let Some(spec) = &args.tuning.serving {
-        let queries: Vec<_> = suite
-            .per_type
-            .iter()
-            .flat_map(|(_, qs)| qs.iter().cloned())
-            .collect();
+        let queries = suite.all();
         let tuning = &args.tuning;
         let pruned_tuning = tuning
             .clone()
@@ -275,7 +271,7 @@ pub(super) fn latency_vs_load(ctx: &mut FigureCtx) -> io::Result<()> {
 
     let corpus = ctx.corpus(CorpusKind::Ccnews)?;
     let split = ctx.split(&corpus)?;
-    let target = corpus.target(&split);
+    let target = BenchTarget::new(&corpus.index, split.as_deref());
     let args = &ctx.args;
     let out = &mut *ctx.out;
     let queries = corpus.trec_mix((args.queries_per_type * 6).max(60), args.seed)?;
@@ -378,11 +374,7 @@ pub(super) fn shard_scaling(ctx: &mut FigureCtx) -> io::Result<()> {
     let suite = ctx.suite(&corpus, ctx.args.queries_per_type);
     let args = &ctx.args;
     let out = &mut *ctx.out;
-    let queries: Vec<_> = suite
-        .per_type
-        .iter()
-        .flat_map(|(_, qs)| qs.iter().cloned())
-        .collect();
+    let queries = suite.all();
     let replicas = args.tuning.replicas;
 
     writeln!(

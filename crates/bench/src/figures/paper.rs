@@ -338,10 +338,7 @@ fn multicore_throughput(ctx: &mut FigureCtx, kind: CorpusKind) -> io::Result<()>
     let suite = ctx.suite(&corpus, ctx.args.queries_per_type);
     let split = ctx.split(&corpus)?;
     let args = &ctx.args;
-    let sys = Systems {
-        target: corpus.target(&split),
-        args,
-    };
+    let sys = Systems::new(&corpus, &split, args);
     let out = &mut *ctx.out;
     let name = corpus.name;
     writeln!(
@@ -430,10 +427,7 @@ fn bandwidth_utilization(ctx: &mut FigureCtx, kind: CorpusKind) -> io::Result<()
     let suite = ctx.suite(&corpus, ctx.args.queries_per_type);
     let split = ctx.split(&corpus)?;
     let args = &ctx.args;
-    let sys = Systems {
-        target: corpus.target(&split),
-        args,
-    };
+    let sys = Systems::new(&corpus, &split, args);
     let out = &mut *ctx.out;
     writeln!(
         out,
@@ -498,10 +492,7 @@ pub(super) fn fig13_singlecore(ctx: &mut FigureCtx) -> io::Result<()> {
         let suite = ctx.suite(&corpus, ctx.args.queries_per_type);
         let split = ctx.split(&corpus)?;
         let args = &ctx.args;
-        let sys = Systems {
-            target: corpus.target(&split),
-            args,
-        };
+        let sys = Systems::new(&corpus, &split, args);
         let out = &mut *ctx.out;
         writeln!(
             out,
@@ -538,10 +529,7 @@ pub(super) fn fig14_evaluated_docs(ctx: &mut FigureCtx) -> io::Result<()> {
         let suite = ctx.suite(&corpus, ctx.args.queries_per_type);
         let split = ctx.split(&corpus)?;
         let args = &ctx.args;
-        let sys = Systems {
-            target: corpus.target(&split),
-            args,
-        };
+        let sys = Systems::new(&corpus, &split, args);
         let out = &mut *ctx.out;
         writeln!(
             out,
@@ -588,10 +576,7 @@ pub(super) fn fig15_memory_accesses(ctx: &mut FigureCtx) -> io::Result<()> {
         let suite = ctx.suite(&corpus, ctx.args.queries_per_type);
         let split = ctx.split(&corpus)?;
         let args = &ctx.args;
-        let sys = Systems {
-            target: corpus.target(&split),
-            args,
-        };
+        let sys = Systems::new(&corpus, &split, args);
         let out = &mut *ctx.out;
         writeln!(
             out,
@@ -657,10 +642,7 @@ pub(super) fn fig16_dram_vs_scm(ctx: &mut FigureCtx) -> io::Result<()> {
         let suite = ctx.suite(&corpus, ctx.args.queries_per_type);
         let split = ctx.split(&corpus)?;
         let args = &ctx.args;
-        let sys = Systems {
-            target: corpus.target(&split),
-            args,
-        };
+        let sys = Systems::new(&corpus, &split, args);
         let out = &mut *ctx.out;
         writeln!(
             out,
@@ -681,11 +663,8 @@ pub(super) fn fig16_dram_vs_scm(ctx: &mut FigureCtx) -> io::Result<()> {
             // (system, qps on SCM, qps on DRAM)
             let mut runs: Vec<(usize, f64, f64)> = Vec::new();
             if args.engines.lucene {
-                runs.push((
-                    0,
-                    sys.lucene(8, MemoryConfig::host_scm_6ch(), queries).qps,
-                    sys.lucene(8, MemoryConfig::host_ddr4_6ch(), queries).qps,
-                ));
+                let dram = sys.lucene(8, MemoryConfig::host_ddr4_6ch(), queries).qps;
+                runs.push((0, base, dram));
             }
             if args.engines.iiu {
                 runs.push((
@@ -737,10 +716,7 @@ pub(super) fn fig17_energy(ctx: &mut FigureCtx) -> io::Result<()> {
         let suite = ctx.suite(&corpus, ctx.args.queries_per_type);
         let split = ctx.split(&corpus)?;
         let args = &ctx.args;
-        let sys = Systems {
-            target: corpus.target(&split),
-            args,
-        };
+        let sys = Systems::new(&corpus, &split, args);
         let out = &mut *ctx.out;
         writeln!(
             out,

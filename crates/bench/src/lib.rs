@@ -333,6 +333,14 @@ impl TypedSuite {
         }
         TypedSuite { per_type: out }
     }
+
+    /// Every query of the suite, in Table II type order.
+    pub fn all(&self) -> Vec<QueryExpr> {
+        self.per_type
+            .iter()
+            .flat_map(|(_, qs)| qs.iter().cloned())
+            .collect()
+    }
 }
 
 /// Uniform result of one engine over one query set.

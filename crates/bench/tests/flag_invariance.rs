@@ -36,11 +36,16 @@ fn figure(corpora: &mut Corpora, name: &str, flags: &str) -> String {
     String::from_utf8(buf).expect("figures print UTF-8")
 }
 
-/// The lines a flag is allowed to change removed: every `#` comment, or
-/// (`keep_comments`) only the `# threads` line.
-fn comparable(text: &str, keep_comments: bool) -> Vec<&str> {
-    let dropped = if keep_comments { "# threads" } else { "#" };
-    text.lines().filter(|l| !l.starts_with(dropped)).collect()
+/// The data rows: every `#` comment line removed.
+fn rows(text: &str) -> Vec<&str> {
+    text.lines().filter(|l| !l.starts_with('#')).collect()
+}
+
+/// Everything but the `# threads` line.
+fn sans_threads(text: &str) -> Vec<&str> {
+    text.lines()
+        .filter(|l| !l.starts_with("# threads"))
+        .collect()
 }
 
 /// `name`'s data rows under each flag set equal its rows under no flags.
@@ -49,8 +54,8 @@ fn assert_rows_match_base(name: &str, flag_sets: &[String]) {
     let base = figure(&mut corpora, name, "");
     for flags in flag_sets {
         assert_eq!(
-            comparable(&figure(&mut corpora, name, flags), false),
-            comparable(&base, false),
+            rows(&figure(&mut corpora, name, flags)),
+            rows(&base),
             "{name} data rows moved under {flags}"
         );
     }
@@ -99,7 +104,7 @@ fn fig09_is_thread_invariant_comments_included() {
     let corpora = &mut Corpora::default();
     let t1 = figure(corpora, "fig09_multicore_clueweb", "--threads 1");
     let t4 = figure(corpora, "fig09_multicore_clueweb", "--threads 4");
-    assert_eq!(comparable(&t1, true), comparable(&t4, true));
+    assert_eq!(sans_threads(&t1), sans_threads(&t4));
 }
 
 #[test]
@@ -112,7 +117,7 @@ fn latency_profile_serving_block_is_comment_only() {
         "--queries-per-type 20 --serve --serve-load 1.5 --serve-policy shed --serve-degrade",
     );
     assert!(serving.lines().any(|l| l.starts_with("# serving BOSS")));
-    assert_eq!(comparable(&plain, false), comparable(&serving, false));
+    assert_eq!(rows(&plain), rows(&serving));
 }
 
 #[test]
@@ -123,11 +128,7 @@ fn every_algorithm_returns_the_exhaustive_hits_at_every_thread_and_shard_count()
     let split = ShardedIndex::split(&index, 4).expect("splits");
     let args = smoke_args("");
     let suite = TypedSuite::sample(&index, args.queries_per_type, args.seed);
-    let queries: Vec<_> = suite
-        .per_type
-        .iter()
-        .flat_map(|(_, qs)| qs.iter().cloned())
-        .collect();
+    let queries = suite.all();
     // Per engine, per query: (doc id, score bits) in rank order.
     let hits = |algorithm, threads, shards: Option<&ShardedIndex>| {
         let target = BenchTarget::new(&index, shards);
