@@ -3,7 +3,8 @@
 use crate::Error;
 
 /// Appends values of arbitrary bit width (0..=32) to a byte buffer,
-/// least-significant bit first.
+/// least-significant bit first. Bits reach the buffer 32 at a time, so a
+/// stream is complete only after [`BitWriter::finish`].
 #[derive(Debug)]
 pub struct BitWriter<'a> {
     out: &'a mut Vec<u8>,
@@ -33,22 +34,22 @@ impl<'a> BitWriter<'a> {
             bits == 32 || u64::from(value) < (1u64 << bits),
             "value {value} wider than {bits} bits"
         );
+        // `filled` stays below 32 between calls, so the shifted value
+        // always fits the 64-bit accumulator.
         self.cur |= u64::from(value) << self.filled;
         self.filled += bits;
-        while self.filled >= 8 {
-            self.out.push((self.cur & 0xFF) as u8);
-            self.cur >>= 8;
-            self.filled -= 8;
+        if self.filled >= 32 {
+            self.out.extend_from_slice(&(self.cur as u32).to_le_bytes());
+            self.cur >>= 32;
+            self.filled -= 32;
         }
     }
 
-    /// Flushes any partial byte (zero-padded).
-    pub fn finish(mut self) {
-        if self.filled > 0 {
-            self.out.push((self.cur & 0xFF) as u8);
-            self.cur = 0;
-            self.filled = 0;
-        }
+    /// Flushes the pending bits, zero-padded to a whole byte.
+    pub fn finish(self) {
+        let pending = self.filled.div_ceil(8) as usize;
+        self.out
+            .extend_from_slice(&self.cur.to_le_bytes()[..pending]);
     }
 }
 

@@ -9,14 +9,25 @@ use crate::{check_len, unpack, BlockInfo, Codec, Error, Scheme};
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BitPacking;
 
+/// The block's bit width: that of its largest value, i.e. of the OR of
+/// all of them.
+fn width_of(values: &[u32]) -> u32 {
+    bits_for(values.iter().fold(0, |acc, &v| acc | v))
+}
+
 impl Codec for BitPacking {
     fn scheme(&self) -> Scheme {
         Scheme::Bp
     }
 
+    fn encoded_len(&self, values: &[u32]) -> Result<usize, Error> {
+        check_len(values)?;
+        Ok((values.len() * width_of(values) as usize).div_ceil(8))
+    }
+
     fn encode(&self, values: &[u32], out: &mut Vec<u8>) -> Result<BlockInfo, Error> {
         let count = check_len(values)?;
-        let width = values.iter().copied().map(bits_for).max().unwrap_or(0);
+        let width = width_of(values);
         let mut w = BitWriter::new(out);
         for &v in values {
             w.write(v, width);

@@ -23,14 +23,10 @@ pub struct HybridChoice {
 /// Propagates codec errors (e.g. [`Error::ValueTooLarge`] for S16).
 pub fn encoded_size(scheme: Scheme, values: &[u32]) -> Result<usize, Error> {
     let codec = codec_for(scheme);
-    let mut total = 0usize;
-    let mut buf = Vec::new();
-    for chunk in values.chunks(MAX_BLOCK_VALUES.max(1)) {
-        buf.clear();
-        codec.encode(chunk, &mut buf)?;
-        total += buf.len();
-    }
-    Ok(total)
+    values
+        .chunks(MAX_BLOCK_VALUES)
+        .map(|chunk| codec.encoded_len(chunk))
+        .sum()
 }
 
 /// Picks the scheme with the smallest encoded size for `values`.

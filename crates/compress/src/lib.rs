@@ -139,6 +139,22 @@ pub trait Codec: std::fmt::Debug + Send + Sync {
     /// [`Error::ValueTooLarge`] for codec-specific range limits.
     fn encode(&self, values: &[u32], out: &mut Vec<u8>) -> Result<BlockInfo, Error>;
 
+    /// The number of bytes [`Codec::encode`] would append for `values`,
+    /// without producing them — what a per-list scheme selection compares.
+    ///
+    /// The default encodes into a scratch buffer; the five evaluated
+    /// schemes size natively (a fold, a table, or their layout search
+    /// with a word counter).
+    ///
+    /// # Errors
+    ///
+    /// Exactly the errors of [`Codec::encode`] on the same input.
+    fn encoded_len(&self, values: &[u32]) -> Result<usize, Error> {
+        let mut scratch = Vec::new();
+        self.encode(values, &mut scratch)?;
+        Ok(scratch.len())
+    }
+
     /// Decode exactly `info.count` values from `data` into `out` (appending).
     ///
     /// # Errors

@@ -18,28 +18,30 @@ pub struct OptPfd;
 const EXCEPTION_BYTES: usize = 6; // u16 index + u32 high bits
 
 /// Chooses the bit width minimizing the encoded size (the narrowest on a
-/// tie). One pass buckets the values by bit length; the exceptions of
-/// width `b` are the values longer than `b` bits, a suffix sum carried
-/// down from the widest candidate.
-fn best_width(values: &[u32]) -> u32 {
-    let mut of_width = [0usize; 33];
-    let mut max_width = 0;
-    for &v in values {
-        let bits = bits_for(v);
-        of_width[bits as usize] += 1;
-        max_width = max_width.max(bits);
+/// tie) and returns `(encoded bytes, width)`. One pass buckets the values
+/// by bit length; the exceptions of width `b` are the values longer than
+/// `b` bits, a suffix sum carried down from the widest candidate.
+fn best_width(values: &[u32]) -> (usize, u32) {
+    // Two histograms, alternate values: neighbours are mostly of one bit
+    // length, and a single counter per length would chain every
+    // increment to the store before it.
+    let mut of_width = [[0usize; 33]; 2];
+    let mut any = 0;
+    for (i, &v) in values.iter().enumerate() {
+        of_width[i % 2][bits_for(v) as usize] += 1;
+        any |= v;
     }
     let mut exceptions = 0;
     let mut best = (usize::MAX, 0);
-    for b in (0..=max_width).rev() {
+    for b in (0..=bits_for(any)).rev() {
         let len = (values.len() * b as usize).div_ceil(8) + exceptions * EXCEPTION_BYTES;
         // Descending walk, so `<=` leaves the narrowest width on a tie.
         if len <= best.0 {
             best = (len, b);
         }
-        exceptions += of_width[b as usize];
+        exceptions += of_width[0][b as usize] + of_width[1][b as usize];
     }
-    best.1
+    best
 }
 
 impl Codec for OptPfd {
@@ -47,18 +49,22 @@ impl Codec for OptPfd {
         Scheme::OptPfd
     }
 
+    /// The width search already prices every candidate; the length is the
+    /// winner's. (The packed area of at most 4096 32-bit values is 16 KiB,
+    /// so `encode`'s offset-field check cannot fire.)
+    fn encoded_len(&self, values: &[u32]) -> Result<usize, Error> {
+        check_len(values)?;
+        Ok(best_width(values).0)
+    }
+
     fn encode(&self, values: &[u32], out: &mut Vec<u8>) -> Result<BlockInfo, Error> {
         let count = check_len(values)?;
         let base = out.len();
-        let b = best_width(values);
+        let (_, b) = best_width(values);
         let mask = if b == 32 { u32::MAX } else { (1u32 << b) - 1 };
         let mut w = BitWriter::new(out);
-        let mut exceptions: Vec<(u16, u32)> = Vec::new();
-        for (i, &v) in values.iter().enumerate() {
+        for &v in values {
             w.write(v & mask, b);
-            if bits_for(v) > b {
-                exceptions.push((i as u16, if b == 32 { 0 } else { v >> b }));
-            }
         }
         w.finish();
         let exception_offset = out.len() - base;
@@ -67,9 +73,16 @@ impl Codec for OptPfd {
                 reason: "OptPFD packed area exceeds offset field",
             });
         }
-        for (idx, high) in exceptions {
-            out.extend_from_slice(&idx.to_le_bytes());
-            out.extend_from_slice(&high.to_le_bytes());
+        // A second pass instead of a side list: most blocks have few
+        // exceptions or none. (At width 32 nothing is left over.)
+        if b < 32 {
+            for (i, &v) in values.iter().enumerate() {
+                let high = v >> b;
+                if high != 0 {
+                    out.extend_from_slice(&(i as u16).to_le_bytes());
+                    out.extend_from_slice(&high.to_le_bytes());
+                }
+            }
         }
         Ok(BlockInfo {
             count,
@@ -153,7 +166,7 @@ mod tests {
 
     /// The seed's width search — one scan of the block per candidate
     /// width — kept as the oracle for the histogram walk.
-    fn best_width_by_rescan(values: &[u32]) -> u32 {
+    fn best_width_by_rescan(values: &[u32]) -> (usize, u32) {
         let encoded_len = |b: u32| {
             let packed = (values.len() * b as usize).div_ceil(8);
             let exceptions = values.iter().filter(|&&v| bits_for(v) > b).count();
@@ -161,8 +174,9 @@ mod tests {
         };
         let max_width = values.iter().copied().map(bits_for).max().unwrap_or(0);
         (0..=max_width)
-            .min_by_key(|&b| (encoded_len(b), b))
-            .unwrap_or(0)
+            .map(|b| (encoded_len(b), b))
+            .min()
+            .unwrap_or((0, 0))
     }
 
     #[test]
@@ -205,7 +219,7 @@ mod tests {
         }
         for b in 0..=32u32 {
             let v = if b == 0 { 0 } else { u32::MAX >> (32 - b) };
-            assert_eq!(best_width(&[v; 128]), b);
+            assert_eq!(best_width(&[v; 128]), (16 * b as usize, b));
             assert_eq!(best_width(&[v]), best_width_by_rescan(&[v]));
         }
     }

@@ -2,6 +2,7 @@
 //! split into equal-width (or two-width) fields according to one of 16
 //! layouts (Zhang, Long & Suel).
 
+use crate::bitio::bits_for;
 use crate::{check_count, check_len, BlockInfo, Codec, Error, Scheme};
 
 /// The 16 Simple16 layouts as `(count, bits)` runs. Each layout's field
@@ -24,10 +25,6 @@ const LAYOUTS: [&[(u32, u32)]; 16] = [
     &[(2, 14)],
     &[(1, 28)],
 ];
-
-fn layout_count(layout: &[(u32, u32)]) -> u32 {
-    layout.iter().map(|&(n, _)| n).sum()
-}
 
 /// Values held by each layout, indexed by selector.
 const LAYOUT_COUNTS: [usize; 16] = [28, 21, 21, 21, 14, 9, 8, 7, 6, 6, 5, 5, 4, 3, 2, 1];
@@ -104,21 +101,173 @@ fn decode_word(sel: usize, word: u32, out: &mut Vec<u32>) {
     }
 }
 
-/// Returns how many leading `values` fit layout `sel` (0 if the first field
-/// already overflows).
-fn fits(layout: &[(u32, u32)], values: &[u32]) -> bool {
-    let mut i = 0usize;
-    for &(n, bits) in layout {
-        for _ in 0..n {
-            match values.get(i) {
-                Some(&v) if u64::from(v) < (1u64 << bits) => i += 1,
-                // Fewer values than the layout holds: padding zeros fit.
-                None => return true,
-                Some(_) => return false,
+/// The distinct field widths of the 16 layouts, ascending. The layout
+/// search compares *ranks* in this list: a value's need is the 1-based
+/// rank of the narrowest width that holds it, a layout position's
+/// capacity is the rank of its field width, and the value fits the
+/// position iff need ≤ capacity.
+const WIDTHS: [u32; 11] = [1, 2, 3, 4, 5, 6, 7, 9, 10, 14, 28];
+
+/// Need of a value wider than 28 bits: above every capacity.
+const TOO_WIDE: u8 = WIDTHS.len() as u8 + 1;
+
+const fn rank(bits: u32) -> u8 {
+    let mut r = 0;
+    while r < WIDTHS.len() {
+        if bits <= WIDTHS[r] {
+            return r as u8 + 1;
+        }
+        r += 1;
+    }
+    TOO_WIDE
+}
+
+/// A value's need by its bit length.
+const NEED: [u8; 33] = {
+    let mut table = [0u8; 33];
+    let mut bits = 0;
+    while bits <= 32 {
+        table[bits] = rank(bits as u32);
+        bits += 1;
+    }
+    table
+};
+
+/// One bit per byte: the top one.
+const TOPS: u64 = 0x8080_8080_8080_8080;
+
+/// Positions the search settles by table lookup. Ten layouts have no
+/// more fields than this; the six densest go on to a word comparison.
+const HEAD: usize = 8;
+/// The layouts with more than [`HEAD`] fields — selectors `0..N_DENSE` —
+/// and their selectors as a mask, a bit each.
+const N_DENSE: usize = 6;
+const DENSE: u16 = (1 << N_DENSE) - 1;
+
+/// The layouts flattened per position for the layout search and the
+/// packing loop.
+struct Flat {
+    /// For each of the first [`HEAD`] positions and each need there, the
+    /// selectors (bit `sel`) whose field at that position cannot hold it.
+    fails: [[u16; 16]; HEAD],
+    /// Capacities of positions 8..32 of the [`DENSE`] layouts, a byte
+    /// apiece with its top bit set (see [`select`]), eight positions per
+    /// `u64`. Positions past the layout's last field hold any need.
+    caps: [[u64; 3]; N_DENSE],
+    /// Bit offset of each position's field within the payload.
+    shifts: [[u8; 28]; 16],
+}
+
+static FLAT: Flat = {
+    let mut flat = Flat {
+        fails: [[0; 16]; HEAD],
+        caps: [[0x7F7F_7F7F_7F7F_7F7F | TOPS; 3]; N_DENSE],
+        shifts: [[0; 28]; 16],
+    };
+    let mut sel = 0;
+    while sel < 16 {
+        let layout = LAYOUTS[sel];
+        let (mut run, mut pos, mut shift) = (0, 0, 0);
+        while run < layout.len() {
+            let (n, bits) = layout[run];
+            let mut k = 0;
+            while k < n {
+                if pos < HEAD {
+                    let mut need = rank(bits) as usize + 1;
+                    while need < 16 {
+                        flat.fails[pos][need] |= 1 << sel;
+                        need += 1;
+                    }
+                } else {
+                    let lane = 8 * (pos % 8);
+                    flat.caps[sel][pos / 8 - 1] &= !(0x7F << lane);
+                    flat.caps[sel][pos / 8 - 1] |= (rank(bits) as u64) << lane;
+                }
+                flat.shifts[sel][pos] = shift as u8;
+                shift += bits;
+                pos += 1;
+                k += 1;
             }
+            run += 1;
+        }
+        sel += 1;
+    }
+    flat
+};
+
+/// The selector of the densest layout that holds the values whose needs
+/// open `needs` (zero past the end of the stream: padding fits), or
+/// `None` when the first value is wider than 28 bits.
+///
+/// Straight-line on purpose: which layout wins changes from word to word,
+/// so a loop over selectors that exits at the first fit costs a branch
+/// miss per word. Instead every selector's failure is collected into one
+/// mask and the answer is its lowest clear bit.
+#[inline]
+fn select(needs: &[u8; 32]) -> Option<usize> {
+    let mut failing = 0;
+    for (fails, &need) in FLAT.fails.iter().zip(needs) {
+        // (`& 15` changes no need; it spares the bounds check.)
+        failing |= fails[usize::from(need & 15)];
+    }
+    if failing & DENSE != DENSE {
+        let (lanes, _) = needs.as_chunks::<8>();
+        let need = [1, 2, 3].map(|lane| u64::from_le_bytes(lanes[lane]));
+        // Eight positions per subtraction: every capacity byte carries
+        // its top bit, which no need has, so no borrow crosses bytes and
+        // a byte keeps the bit iff its need is not above its capacity.
+        for (sel, caps) in FLAT.caps.iter().enumerate() {
+            let kept = (caps[0] - need[0]) & (caps[1] - need[1]) & (caps[2] - need[2]);
+            failing |= u16::from(kept & TOPS != TOPS) << sel;
         }
     }
-    true
+    let sel = failing.trailing_ones() as usize;
+    (sel < 16).then_some(sel)
+}
+
+/// Values classified per refill of the need window …
+const WINDOW: usize = 256;
+/// … and the zero bytes kept behind them, so the 32-byte view from any
+/// classified position stays inside the buffer.
+const TAIL: usize = 32;
+
+/// The greedy layout choice — per word, the densest layout (lowest
+/// selector) whose fields hold the values still to go — calling
+/// `emit(selector, values taken)` once per word. Shared by `encode` and
+/// `encoded_len`, so the two cannot disagree.
+fn for_each_word(values: &[u32], mut emit: impl FnMut(usize, &[u32])) -> Result<(), Error> {
+    let mut needs = [0u8; WINDOW + TAIL];
+    let mut rest = values;
+    while !rest.is_empty() {
+        let chunk = &rest[..rest.len().min(WINDOW)];
+        for (need, &v) in needs.iter_mut().zip(chunk) {
+            *need = NEED[bits_for(v) as usize];
+        }
+        needs[chunk.len()..chunk.len() + TAIL].fill(0);
+        // A layout looks at up to 28 values: short of the end of the
+        // stream, stop where that would leave the classified chunk and
+        // classify again from there.
+        let stop = if chunk.len() == rest.len() {
+            chunk.len()
+        } else {
+            WINDOW - 27
+        };
+        let mut at = 0;
+        while at < stop {
+            let Some(sel) = needs[at..].first_chunk().and_then(select) else {
+                // Even 1×28 failed: the value needs more than 28 bits.
+                return Err(Error::ValueTooLarge {
+                    value: chunk[at],
+                    max: (1 << 28) - 1,
+                });
+            };
+            let take = LAYOUT_COUNTS[sel].min(chunk.len() - at);
+            emit(sel, &chunk[at..at + take]);
+            at += take;
+        }
+        rest = &rest[at..];
+    }
+    Ok(())
 }
 
 /// The S16 codec.
@@ -132,44 +281,25 @@ impl Codec for Simple16 {
 
     fn encode(&self, values: &[u32], out: &mut Vec<u8>) -> Result<BlockInfo, Error> {
         let count = check_len(values)?;
-        let mut rest = values;
-        while !rest.is_empty() {
-            // Greedy: pick the densest layout (largest count first — the
-            // table is ordered densest-first) whose widths fit.
-            let mut chosen = None;
-            for (sel, layout) in LAYOUTS.iter().enumerate() {
-                if fits(layout, rest) {
-                    chosen = Some((sel as u32, *layout));
-                    break;
-                }
-            }
-            let Some((sel, layout)) = chosen else {
-                // Even 1×28 failed: the value needs more than 28 bits.
-                return Err(Error::ValueTooLarge {
-                    value: rest[0],
-                    max: (1 << 28) - 1,
-                });
-            };
-            let mut word: u32 = sel << 28;
-            let mut shift = 0u32;
-            let mut i = 0usize;
-            for &(n, bits) in layout {
-                for _ in 0..n {
-                    let v = rest.get(i).copied().unwrap_or(0);
-                    word |= v << shift;
-                    shift += bits;
-                    i += 1;
-                }
+        for_each_word(values, |sel, taken| {
+            let mut word = (sel as u32) << 28;
+            for (&v, &shift) in taken.iter().zip(&FLAT.shifts[sel]) {
+                word |= v << shift;
             }
             out.extend_from_slice(&word.to_le_bytes());
-            let take = (layout_count(layout) as usize).min(rest.len());
-            rest = &rest[take..];
-        }
+        })?;
         Ok(BlockInfo {
             count,
             bit_width: 0,
             exception_offset: 0,
         })
+    }
+
+    fn encoded_len(&self, values: &[u32]) -> Result<usize, Error> {
+        check_len(values)?;
+        let mut words = 0;
+        for_each_word(values, |_, _| words += 1)?;
+        Ok(words * 4)
     }
 
     fn decode(&self, data: &[u8], info: &BlockInfo, out: &mut Vec<u32>) -> Result<(), Error> {
@@ -250,6 +380,10 @@ impl Codec for Simple16 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn layout_count(layout: &[(u32, u32)]) -> u32 {
+        layout.iter().map(|&(n, _)| n).sum()
+    }
 
     fn roundtrip(values: &[u32]) -> Vec<u8> {
         let mut buf = Vec::new();

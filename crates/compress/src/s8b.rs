@@ -3,6 +3,7 @@
 //! encode runs of 240/120 zeros with no payload, which is what makes S8b
 //! excel on dense streams of 0-gaps.
 
+use crate::bitio::bits_for;
 use crate::{check_count, check_len, BlockInfo, Codec, Error, Scheme};
 
 /// `(count, bits)` for selectors 2..=15. Selector 0 = 240 zeros,
@@ -60,6 +61,58 @@ fn decode_packed(sel: usize, word: u64, out: &mut Vec<u32>) {
     }
 }
 
+/// Where the sparse → dense walk may start: 8×7. A dense stream passes
+/// the eight sparsest layouts anyway, a value per step; one OR over its
+/// first eight values says as much.
+const SKIP_TO: usize = 6;
+const SKIP: (u32, u32) = PACKED[SKIP_TO];
+
+/// The greedy layout choice — per word, a 240- or 120-zero run if one
+/// opens the values still to go, else the densest packed layout that
+/// holds them — calling `emit(selector, field bits, values packed)` once
+/// per word. Shared by `encode` and `encoded_len`, so the two cannot
+/// disagree. Total: 1×60 holds any `u32`.
+fn for_each_word(values: &[u32], mut emit: impl FnMut(u64, u32, &[u32])) {
+    let mut rest = values;
+    while let Some(&first) = rest.first() {
+        if first == 0 {
+            // Only the first 240 matter to the two run selectors.
+            let zeros = rest.iter().take(240).take_while(|&&v| v == 0).count();
+            if zeros >= 120 {
+                let (selector, run) = if zeros == 240 { (0, 240) } else { (1, 120) };
+                emit(selector, 0, &[]);
+                rest = &rest[run..];
+                continue;
+            }
+        }
+        // Fitting is monotone in density — a denser layout takes a longer
+        // prefix into narrower fields — so walk sparse → dense, OR-ing in
+        // only the values each step adds, and stop at the first failure.
+        // When the first eight values fit 8×7, start from there.
+        let (mut seen, mut any) = (0, 0);
+        let mut chosen = PACKED.len() - 1;
+        if let Some(head) = rest.first_chunk::<{ SKIP.0 as usize }>() {
+            let wide = head.iter().fold(0, |acc, &v| acc | v);
+            if bits_for(wide) <= SKIP.1 {
+                (seen, any, chosen) = (head.len(), wide, SKIP_TO);
+            }
+        }
+        for (i, &(n, bits)) in PACKED[..chosen].iter().enumerate().rev() {
+            let upto = rest.len().min(n as usize);
+            any = rest[seen..upto].iter().fold(any, |acc, &v| acc | v);
+            seen = upto;
+            if bits_for(any) > bits {
+                break;
+            }
+            chosen = i;
+        }
+        let (n, bits) = PACKED[chosen];
+        let take = rest.len().min(n as usize);
+        emit(chosen as u64 + 2, bits, &rest[..take]);
+        rest = &rest[take..];
+    }
+}
+
 /// The S8b codec.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Simple8b;
@@ -71,44 +124,27 @@ impl Codec for Simple8b {
 
     fn encode(&self, values: &[u32], out: &mut Vec<u8>) -> Result<BlockInfo, Error> {
         let count = check_len(values)?;
-        let mut rest = values;
-        while !rest.is_empty() {
-            let zeros = rest.iter().take_while(|&&v| v == 0).count();
-            let (selector, take, packed) = if zeros >= 240 {
-                (0u64, 240usize, None)
-            } else if zeros >= 120 {
-                (1u64, 120usize, None)
-            } else {
-                let mut choice = None;
-                for (i, &(n, bits)) in PACKED.iter().enumerate() {
-                    let prefix = &rest[..rest.len().min(n as usize)];
-                    if prefix.iter().all(|&v| u64::from(v) < (1u64 << bits)) {
-                        choice = Some((i as u64 + 2, prefix.len(), Some((n, bits))));
-                        break;
-                    }
-                }
-                choice.ok_or(Error::ValueTooLarge {
-                    value: rest[0],
-                    max: u32::MAX,
-                })?
-            };
-            let mut word: u64 = selector << 60;
-            if let Some((n, bits)) = packed {
-                let mut shift = 0u32;
-                for slot in 0..n as usize {
-                    let v = rest.get(slot).copied().unwrap_or(0);
-                    word |= u64::from(v) << shift;
-                    shift += bits;
-                }
+        for_each_word(values, |selector, bits, packed| {
+            let mut word = selector << 60;
+            let mut shift = 0;
+            for &v in packed {
+                word |= u64::from(v) << shift;
+                shift += bits;
             }
             out.extend_from_slice(&word.to_le_bytes());
-            rest = &rest[take.min(rest.len())..];
-        }
+        });
         Ok(BlockInfo {
             count,
             bit_width: 0,
             exception_offset: 0,
         })
+    }
+
+    fn encoded_len(&self, values: &[u32]) -> Result<usize, Error> {
+        check_len(values)?;
+        let mut words = 0;
+        for_each_word(values, |_, _, _| words += 1);
+        Ok(words * 8)
     }
 
     fn decode(&self, data: &[u8], info: &BlockInfo, out: &mut Vec<u32>) -> Result<(), Error> {

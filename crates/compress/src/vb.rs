@@ -8,9 +8,29 @@ use crate::{check_count, check_len, BlockInfo, Codec, Error, Scheme};
 #[derive(Debug, Clone, Copy, Default)]
 pub struct VariableByte;
 
+/// Encoded bytes of a value by its count of leading zeros: one byte per
+/// started group of seven significant bits, and one for a zero.
+const LEN_BY_LEADING_ZEROS: [u8; 33] = {
+    let mut table = [1u8; 33];
+    let mut lz = 0;
+    while lz < 32 {
+        table[lz] = (32 - lz as u8).div_ceil(7);
+        lz += 1;
+    }
+    table
+};
+
 impl Codec for VariableByte {
     fn scheme(&self) -> Scheme {
         Scheme::Vb
+    }
+
+    fn encoded_len(&self, values: &[u32]) -> Result<usize, Error> {
+        check_len(values)?;
+        Ok(values
+            .iter()
+            .map(|&v| usize::from(LEN_BY_LEADING_ZEROS[v.leading_zeros() as usize]))
+            .sum())
     }
 
     fn encode(&self, values: &[u32], out: &mut Vec<u8>) -> Result<BlockInfo, Error> {

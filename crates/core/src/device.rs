@@ -9,6 +9,7 @@ use boss_index::layout::IndexImage;
 use boss_index::{Error, InvertedIndex, QueryExpr};
 use boss_scm::MemStats;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Query-to-core scheduling policy of the query scheduler (Figure 4(a)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -26,7 +27,9 @@ pub enum SchedPolicy {
 #[derive(Debug)]
 pub struct BossDevice<'a> {
     index: &'a InvertedIndex,
-    image: IndexImage,
+    /// Shared with every [`BossDevice::fork`] of this device: the layout
+    /// is a function of the index alone.
+    image: Arc<IndexImage>,
     config: BossConfig,
     cores: Vec<BossCore>,
     /// Reusable query buffers (top-k queue + bulk scoring scratch),
@@ -38,12 +41,23 @@ impl<'a> BossDevice<'a> {
     /// Instantiates the device over an index (the `init()` intrinsic's
     /// image load is modeled by the [`IndexImage`] layout).
     pub fn new(index: &'a InvertedIndex, config: BossConfig) -> Self {
+        Self::over(index, Arc::new(IndexImage::new(index)), config)
+    }
+
+    /// A fresh device — idle cores, empty scratch — over the same index
+    /// and configuration, sharing this one's image layout instead of
+    /// laying the index out again.
+    pub fn fork(&self) -> Self {
+        Self::over(self.index, Arc::clone(&self.image), self.config.clone())
+    }
+
+    fn over(index: &'a InvertedIndex, image: Arc<IndexImage>, config: BossConfig) -> Self {
         let cores = (0..config.n_cores)
             .map(|_| BossCore::new(config.clone()))
             .collect();
         BossDevice {
             index,
-            image: IndexImage::new(index),
+            image,
             config,
             cores,
             scratch: CoreScratch::new(),

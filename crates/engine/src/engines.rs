@@ -25,8 +25,12 @@ pub struct Boss<'a> {
 impl<'a> Boss<'a> {
     /// A BOSS device over `index` with zeroed accumulators.
     pub fn new(index: &'a InvertedIndex, config: BossConfig) -> Self {
+        Self::over(BossDevice::new(index, config))
+    }
+
+    fn over(device: BossDevice<'a>) -> Self {
         Boss {
-            device: BossDevice::new(index, config),
+            device,
             mem: MemStats::new(),
             eval: EvalCounts::default(),
         }
@@ -120,7 +124,7 @@ impl SearchEngine for Boss<'_> {
     }
 
     fn fork(&self) -> Self {
-        Boss::new(self.device.index(), self.device.config().clone())
+        Self::over(self.device.fork())
     }
 
     fn gang_width(&self, expr: &QueryExpr) -> usize {
@@ -163,9 +167,13 @@ pub struct Iiu<'a> {
 impl<'a> Iiu<'a> {
     /// An IIU device over `index` with zeroed accumulators.
     pub fn new(index: &'a InvertedIndex, config: IiuConfig) -> Self {
+        Self::over(index, IiuEngine::new(index, config))
+    }
+
+    fn over(index: &'a InvertedIndex, engine: IiuEngine<'a>) -> Self {
         Iiu {
             index,
-            engine: IiuEngine::new(index, config),
+            engine,
             mem: MemStats::new(),
             eval: EvalCounts::default(),
         }
@@ -216,7 +224,7 @@ impl SearchEngine for Iiu<'_> {
     }
 
     fn fork(&self) -> Self {
-        Iiu::new(self.index, self.config().clone())
+        Self::over(self.index, self.engine.clone())
     }
 
     fn bandwidth_limit_cycles(&self, mem: &MemStats) -> u64 {
@@ -236,9 +244,13 @@ pub struct Lucene<'a> {
 impl<'a> Lucene<'a> {
     /// A Lucene-like engine over `index` with zeroed accumulators.
     pub fn new(index: &'a InvertedIndex, config: LuceneConfig) -> Self {
+        Self::over(index, LuceneEngine::new(index, config))
+    }
+
+    fn over(index: &'a InvertedIndex, engine: LuceneEngine<'a>) -> Self {
         Lucene {
             index,
-            engine: LuceneEngine::new(index, config),
+            engine,
             mem: MemStats::new(),
             eval: EvalCounts::default(),
         }
@@ -289,7 +301,7 @@ impl SearchEngine for Lucene<'_> {
     }
 
     fn fork(&self) -> Self {
-        Lucene::new(self.index, self.config().clone())
+        Self::over(self.index, self.engine.clone())
     }
 
     fn bandwidth_limit_cycles(&self, mem: &MemStats) -> u64 {

@@ -101,3 +101,41 @@ fn sjf_schedule_is_also_thread_invariant() {
         );
     }
 }
+
+/// A fork must answer like a newly built engine even when its parent has
+/// served queries — it starts with idle cores and zeroed accumulators and
+/// inherits nothing but the index, the configuration and (by sharing,
+/// not by laying the index out again) the image.
+fn check_fork_is_fresh<E: SearchEngine>(mut used: E, mut new: E, queries: &[QueryExpr]) {
+    let label = used.label();
+    for q in queries {
+        used.search(q, 50).expect("runs");
+    }
+    let mut fork = used.fork();
+    assert_eq!(fork.mem_stats(), new.mem_stats(), "{label}: MemStats");
+    assert_eq!(fork.eval_counts(), new.eval_counts(), "{label}: EvalCounts");
+    for (i, q) in queries.iter().enumerate() {
+        assert_eq!(
+            fork.search(q, 50).expect("runs"),
+            new.search(q, 50).expect("runs"),
+            "{label}: outcome {i}"
+        );
+    }
+}
+
+#[test]
+fn a_fork_of_a_used_engine_is_a_fresh_engine() {
+    let index = corpus();
+    let queries = suite(&index);
+    let boss = || Boss::new(&index, BossConfig::with_cores(4).with_k(50));
+    let used = boss();
+    assert!(
+        std::ptr::eq(used.device().image(), used.fork().device().image()),
+        "a fork shares its parent's image"
+    );
+    check_fork_is_fresh(used, boss(), &queries);
+    let iiu = || Iiu::new(&index, IiuConfig::with_cores(4));
+    check_fork_is_fresh(iiu(), iiu(), &queries);
+    let lucene = || Lucene::new(&index, LuceneConfig::with_threads(4));
+    check_fork_is_fresh(lucene(), lucene(), &queries);
+}

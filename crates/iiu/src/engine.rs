@@ -10,6 +10,7 @@ use boss_index::{
     ScoreScratch, TermId, BLOCK_META_BYTES,
 };
 use boss_scm::{AccessCategory, AccessKind, MemoryConfig, MemorySim, PatternHint};
+use std::sync::Arc;
 
 /// IIU configuration: core count, memory node, and module timing (kept
 /// identical to BOSS's for the paper's "same number of decompression and
@@ -71,11 +72,12 @@ impl IiuConfig {
     }
 }
 
-/// One IIU device bound to an index.
-#[derive(Debug)]
+/// One IIU device bound to an index. Stateless between queries, so a
+/// clone is a fresh device; clones share the image layout.
+#[derive(Debug, Clone)]
 pub struct IiuEngine<'a> {
     index: &'a InvertedIndex,
-    image: IndexImage,
+    image: Arc<IndexImage>,
     config: IiuConfig,
     /// BOSS planning config reused for expression normalization (same
     /// 16-term limit).
@@ -333,7 +335,7 @@ impl<'a> IiuEngine<'a> {
         };
         IiuEngine {
             index,
-            image: IndexImage::new(index),
+            image: Arc::new(IndexImage::new(index)),
             config,
             plan_config,
         }

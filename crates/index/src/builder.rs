@@ -215,30 +215,27 @@ impl IndexBuilder {
             return Err(e);
         }
 
-        // Determine corpus size.
-        let max_doc = postings
-            .values()
-            .flat_map(|(docs, _)| docs.iter().copied())
-            .max();
-        let n_docs = match (max_doc, doc_lens.len()) {
-            (Some(m), l) => (m as usize + 1).max(l),
-            (None, l) => l,
-        };
+        // One pass over the postings for both the corpus size — the
+        // largest docID seen, or the supplied lengths if they reach
+        // further — and the per-document tf sums, which stand in for the
+        // length of documents that have none.
+        let mut tf_sums = vec![0u64; doc_lens.len()];
+        for (docs, tfs) in postings.values() {
+            for (&d, &tf) in docs.iter().zip(tfs) {
+                let d = d as usize;
+                if d >= tf_sums.len() {
+                    tf_sums.resize(d + 1, 0);
+                }
+                tf_sums[d] += u64::from(tf);
+            }
+        }
+        let n_docs = tf_sums.len();
         if n_docs == 0 {
             return Err(Error::InvalidQuery {
                 reason: "cannot build an empty index".into(),
             });
         }
-        if doc_lens.len() < n_docs {
-            doc_lens.resize(n_docs, 0);
-        }
-        // Documents with unknown length get their tf sums as length.
-        let mut tf_sums = vec![0u64; n_docs];
-        for (docs, tfs) in postings.values() {
-            for (&d, &tf) in docs.iter().zip(tfs) {
-                tf_sums[d as usize] += u64::from(tf);
-            }
-        }
+        doc_lens.resize(n_docs, 0);
         fill_doc_lens(&mut doc_lens, &tf_sums);
         // Guard against zero-length docs distorting avgdl of an index with
         // injected lists shorter than reality.

@@ -350,21 +350,18 @@ impl EncodedList {
 /// decided by one loop.
 ///
 /// One call computes what no scheme changes — d-gaps, `tf - 1`, per-block
-/// and list maxima of the BM25 term score — once, then encodes the
-/// blocks under each candidate scheme into scratch and keeps the smallest
-/// data area by swapping buffers. The scratch is reused across calls;
-/// the returned list owns exactly-sized copies.
+/// and list maxima of the BM25 term score — once, then *sizes* the blocks
+/// under each candidate scheme ([`boss_compress::Codec::encoded_len`]:
+/// the bytes of an encode without the output) and encodes them once,
+/// under the winner. The scratch is reused across calls; the returned
+/// list owns exactly-sized copies.
 #[derive(Debug, Default)]
 pub struct ListEncoder {
     gaps: Vec<u32>,
     tfs_m1: Vec<u32>,
     block_max: Vec<f32>,
-    /// Output of the best candidate so far …
     data: Vec<u8>,
     blocks: Vec<BlockMeta>,
-    /// … and of the candidate being tried.
-    cand_data: Vec<u8>,
-    cand_blocks: Vec<BlockMeta>,
 }
 
 impl ListEncoder {
@@ -449,27 +446,23 @@ impl ListEncoder {
         }
 
         let scheme = match choice {
-            SchemeChoice::Fixed(scheme) => {
-                self.encode_candidate(scheme, docs, block_size, usize::MAX)?;
-                self.keep_candidate();
-                scheme
-            }
+            SchemeChoice::Fixed(scheme) => scheme,
             SchemeChoice::Hybrid => {
                 let mut best = None;
                 for scheme in ALL_SCHEMES {
                     // Only a strictly smaller data area replaces the best.
-                    let limit = best.map_or(usize::MAX, |_| self.data.len());
-                    let kept = self.encode_candidate(scheme, docs, block_size, limit);
-                    if matches!(kept, Ok(true)) {
-                        self.keep_candidate();
-                        best = Some(scheme);
+                    let limit = best.map_or(usize::MAX, |(_, len)| len);
+                    if let Some(len) = self.data_len_under(scheme, block_size, limit) {
+                        best = Some((scheme, len));
                     }
                 }
-                best.ok_or(Error::CorruptMetadata {
+                let (scheme, _) = best.ok_or(Error::CorruptMetadata {
                     reason: "no compression scheme could encode the posting list",
-                })?
+                })?;
+                scheme
             }
         };
+        self.encode_under(scheme, docs, block_size)?;
 
         Ok(EncodedList {
             scheme,
@@ -481,19 +474,36 @@ impl ListEncoder {
         })
     }
 
+    /// The data-area bytes of the prepared gap / `tf - 1` streams under
+    /// `scheme`, if that is below `limit`. `None` also when the scheme
+    /// cannot represent some block; the sum only grows, so it is given up
+    /// as soon as it reaches `limit`.
+    fn data_len_under(&self, scheme: Scheme, block_size: usize, limit: usize) -> Option<usize> {
+        let codec = codec_for(scheme);
+        let mut len = 0;
+        for values in self
+            .gaps
+            .chunks(block_size)
+            .chain(self.tfs_m1.chunks(block_size))
+        {
+            len += codec.encoded_len(values).ok()?;
+            if len >= limit {
+                return None;
+            }
+        }
+        (len < limit).then_some(len)
+    }
+
     /// Encodes the prepared gap / `tf - 1` streams block by block under
-    /// `scheme` into the candidate buffers. `Ok(false)` means abandoned:
-    /// the data area only grows, so once it reaches `limit` bytes the
-    /// candidate can no longer come in under `limit`.
-    fn encode_candidate(
+    /// `scheme` into the output buffers.
+    fn encode_under(
         &mut self,
         scheme: Scheme,
         docs: &[DocId],
         block_size: usize,
-        limit: usize,
-    ) -> Result<bool, Error> {
+    ) -> Result<(), Error> {
         let codec = codec_for(scheme);
-        let (data, blocks) = (&mut self.cand_data, &mut self.cand_blocks);
+        let (data, blocks) = (&mut self.data, &mut self.blocks);
         data.clear();
         blocks.clear();
         let streams = self
@@ -505,9 +515,6 @@ impl ListEncoder {
         {
             let offset = data.len() as u32;
             let delta_info = codec.encode(gaps, data)?;
-            if data.len() >= limit {
-                return Ok(false);
-            }
             let tf_offset = data.len() as u32 - offset;
             let tf_info = codec.encode(tfs_m1, data)?;
             let len = data.len() as u32 - offset;
@@ -522,12 +529,7 @@ impl ListEncoder {
                 tf_info,
             });
         }
-        Ok(data.len() < limit)
-    }
-
-    fn keep_candidate(&mut self) {
-        std::mem::swap(&mut self.data, &mut self.cand_data);
-        std::mem::swap(&mut self.blocks, &mut self.cand_blocks);
+        Ok(())
     }
 }
 

@@ -9,6 +9,7 @@ use boss_index::{
     ScoreScratch, TermId, BLOCK_META_BYTES,
 };
 use boss_scm::{AccessCategory, AccessKind, MemoryConfig, MemorySim, PatternHint};
+use std::sync::Arc;
 
 /// CPU cycles charged per unit of work, at the host clock.
 ///
@@ -173,11 +174,12 @@ impl PruneSink for LucenePruneSink<'_> {
     }
 }
 
-/// The Lucene-like engine bound to an index.
-#[derive(Debug)]
+/// The Lucene-like engine bound to an index. Stateless between queries,
+/// so a clone is a fresh engine; clones share the image layout.
+#[derive(Debug, Clone)]
 pub struct LuceneEngine<'a> {
     index: &'a InvertedIndex,
-    image: IndexImage,
+    image: Arc<IndexImage>,
     config: LuceneConfig,
     plan_config: boss_core::BossConfig,
 }
@@ -187,7 +189,7 @@ impl<'a> LuceneEngine<'a> {
     pub fn new(index: &'a InvertedIndex, config: LuceneConfig) -> Self {
         LuceneEngine {
             index,
-            image: IndexImage::new(index),
+            image: Arc::new(IndexImage::new(index)),
             config,
             plan_config: boss_core::BossConfig::default(),
         }
