@@ -1,5 +1,7 @@
 //! The BOSS device: command queue, query scheduler, and a set of cores
-//! sharing one SCM memory node (Figure 4(a)).
+//! sharing one SCM memory node (Figure 4(a)). A device executes one
+//! query at a time, so it holds one [`BossCore`]; `BossConfig::n_cores`
+//! is how many of them the batch timing model schedules queries over.
 
 use crate::config::BossConfig;
 use crate::core::{BossCore, CoreScratch};
@@ -30,8 +32,8 @@ pub struct BossDevice<'a> {
     /// Shared with every [`BossDevice::fork`] of this device: the layout
     /// is a function of the index alone.
     image: Arc<IndexImage>,
-    config: BossConfig,
-    cores: Vec<BossCore>,
+    /// Owns the device configuration.
+    core: BossCore,
     /// Reusable query buffers (top-k queue + bulk scoring scratch),
     /// recycled across every query this device runs.
     scratch: CoreScratch,
@@ -44,29 +46,25 @@ impl<'a> BossDevice<'a> {
         Self::over(index, Arc::new(IndexImage::new(index)), config)
     }
 
-    /// A fresh device — idle cores, empty scratch — over the same index
+    /// A fresh device — an idle core, empty scratch — over the same index
     /// and configuration, sharing this one's image layout instead of
     /// laying the index out again.
     pub fn fork(&self) -> Self {
-        Self::over(self.index, Arc::clone(&self.image), self.config.clone())
+        Self::over(self.index, Arc::clone(&self.image), self.config().clone())
     }
 
     fn over(index: &'a InvertedIndex, image: Arc<IndexImage>, config: BossConfig) -> Self {
-        let cores = (0..config.n_cores)
-            .map(|_| BossCore::new(config.clone()))
-            .collect();
         BossDevice {
             index,
             image,
-            config,
-            cores,
+            core: BossCore::new(config),
             scratch: CoreScratch::new(),
         }
     }
 
     /// The device configuration.
     pub fn config(&self) -> &BossConfig {
-        &self.config
+        self.core.config()
     }
 
     /// The index image layout.
@@ -99,7 +97,8 @@ impl<'a> BossDevice<'a> {
         k: usize,
     ) -> Result<QueryOutcome, Error> {
         let terms = expr.terms();
-        if terms.len() <= self.config.max_terms {
+        let max_terms = self.config().max_terms;
+        if terms.len() <= max_terms {
             return self.search_expr(expr, k);
         }
         let is_pure_union = matches!(expr, QueryExpr::Or(subs)
@@ -109,28 +108,27 @@ impl<'a> BossDevice<'a> {
                 reason: format!(
                     "{}-term non-union queries exceed the {}-term hardware limit",
                     terms.len(),
-                    self.config.max_terms
+                    max_terms
                 ),
             });
         }
         // Host-side split into <=16-term subqueries.
         let exhaustive_k = self.index.n_docs() as usize;
-        let original_et = self.config.et_mode;
-        let original_algorithm = self.config.algorithm;
+        let original_et = self.config().et_mode;
+        let original_algorithm = self.config().algorithm;
         // Subqueries run without pruning (their local cutoffs would be
         // wrong for the combined query) — both the ET machinery and any
         // dynamic-pruning plan are forced off.
-        for c in &mut self.cores {
-            c.set_et_mode(crate::config::EtMode::Exhaustive);
-            c.set_algorithm(boss_index::QueryAlgorithm::Exhaustive);
-        }
+        self.core.set_et_mode(crate::config::EtMode::Exhaustive);
+        self.core
+            .set_algorithm(boss_index::QueryAlgorithm::Exhaustive);
         let mut scores: std::collections::HashMap<boss_index::DocId, f32> =
             std::collections::HashMap::new();
         let mut cycles = 0u64;
         let mut mem = MemStats::new();
         let mut eval = EvalCounts::default();
         let mut result = Ok(());
-        for chunk in terms.chunks(self.config.max_terms) {
+        for chunk in terms.chunks(max_terms) {
             let sub = QueryExpr::or(chunk.iter().map(|t| QueryExpr::term(*t)));
             match self.search_expr(&sub, exhaustive_k) {
                 Ok(out) => {
@@ -147,10 +145,8 @@ impl<'a> BossDevice<'a> {
                 }
             }
         }
-        for c in &mut self.cores {
-            c.set_et_mode(original_et);
-            c.set_algorithm(original_algorithm);
-        }
+        self.core.set_et_mode(original_et);
+        self.core.set_algorithm(original_algorithm);
         result?;
         let mut hits: Vec<boss_index::SearchHit> = scores
             .into_iter()
@@ -168,12 +164,12 @@ impl<'a> BossDevice<'a> {
         })
     }
 
-    /// Executes one query on an idle core.
+    /// Executes one query on the idle core.
     ///
     /// # Errors
     ///
     /// Returns planning errors ([`Error::UnknownTerm`],
-    /// [`Error::InvalidQuery`]) without touching the cores.
+    /// [`Error::InvalidQuery`]) without touching the core.
     pub fn search_expr(&mut self, expr: &QueryExpr, k: usize) -> Result<QueryOutcome, Error> {
         self.search_expr_seeded(expr, k, f32::NEG_INFINITY)
     }
@@ -193,8 +189,8 @@ impl<'a> BossDevice<'a> {
         k: usize,
         floor: f32,
     ) -> Result<QueryOutcome, Error> {
-        let plan = QueryPlan::from_expr(self.index, expr, &self.config)?;
-        self.cores[0].execute_with_scratch_seeded(
+        let plan = QueryPlan::from_expr(self.index, expr, self.config())?;
+        self.core.execute_with_scratch_seeded(
             self.index,
             &self.image,
             &plan,

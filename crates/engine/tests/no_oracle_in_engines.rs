@@ -3,7 +3,9 @@
 //! engine that calls it in production measures the oracle, not itself
 //! (the Lucene-like engine's multi-term path did, and spent two thirds of
 //! its host time there). This test reads the engine crates' sources and
-//! fails if any non-test line names it.
+//! fails if any non-test line names it — and reads the oracle's source
+//! and fails if it names the kernels the engines score with, since an
+//! oracle built on what it judges makes every comparison circular.
 
 use std::path::{Path, PathBuf};
 
@@ -79,6 +81,32 @@ fn engine_sources_never_call_the_reference_evaluator() {
     assert!(
         offenders.is_empty(),
         "production engine code calls the test oracle:\n{}",
+        offenders.join("\n")
+    );
+}
+
+#[test]
+fn the_reference_evaluator_never_uses_the_engines_kernels() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../index/src/reference.rs");
+    let text = std::fs::read_to_string(&path).expect("readable source");
+    let (lines, _) = production_lines(&text);
+    assert!(
+        lines.iter().any(|(_, l)| l.contains("pub fn evaluate")),
+        "{} does not define the oracle — wrong file?",
+        path.display()
+    );
+    let offenders: Vec<String> = lines
+        .iter()
+        .filter(|(_, l)| {
+            ["matches::", "union_scored", "GroupMatches"]
+                .iter()
+                .any(|name| l.contains(name))
+        })
+        .map(|(n, l)| format!("{}:{n}: {}", path.display(), l.trim()))
+        .collect();
+    assert!(
+        offenders.is_empty(),
+        "the test oracle is built on the code it judges:\n{}",
         offenders.join("\n")
     );
 }

@@ -3,10 +3,9 @@
 use boss_core::{BossConfig, TimingModel};
 use boss_core::{EvalCounts, QueryOutcome, QueryPlan, TopK};
 use boss_index::layout::{IndexImage, ScratchRegion};
-use boss_index::matches::score_entries;
 use boss_index::prune::{self, PruneSink};
 use boss_index::{
-    merge_groups, BlockMeta, DocId, Error, GroupMatches, InvertedIndex, QueryAlgorithm, QueryExpr,
+    union_scored, BlockMeta, DocId, Error, GroupMatches, InvertedIndex, QueryAlgorithm, QueryExpr,
     ScoreScratch, TermId, BLOCK_META_BYTES,
 };
 use boss_scm::{AccessCategory, AccessKind, MemoryConfig, MemorySim, PatternHint};
@@ -225,8 +224,8 @@ impl<'a> Run<'a> {
     }
 
     /// Charges one norm load through the 64-byte line buffer (BOSS's
-    /// scoring-module discipline) and returns the norm.
-    fn charge_norm(&mut self, doc: DocId) -> f32 {
+    /// scoring-module discipline).
+    fn charge_norm(&mut self, doc: DocId) {
         let addr = self.image.norm_addr(doc);
         if addr / 64 != self.norm_line {
             self.mem.access(
@@ -239,17 +238,15 @@ impl<'a> Run<'a> {
             );
             self.norm_line = addr / 64;
         }
-        self.index.doc_norms()[doc as usize]
     }
 
-    /// Scores one merged document from its canonical entries (distinct
-    /// terms, ascending — what [`merge_groups`] hands out).
-    fn score(&mut self, doc: DocId, entries: &[(TermId, u32)]) -> f32 {
-        let norm = self.charge_norm(doc);
-        let score = score_entries(self.index, entries, norm);
-        self.scored += 1;
-        self.eval.docs_scored += 1;
-        score
+    /// Charges the norm loads of a run of scored documents, in order.
+    fn charge_scored(&mut self, docs: &[DocId]) {
+        for &d in docs {
+            self.charge_norm(d);
+        }
+        self.scored += docs.len() as u64;
+        self.eval.docs_scored += docs.len() as u64;
     }
 }
 
@@ -384,8 +381,9 @@ impl<'a> IiuEngine<'a> {
             };
             let outcome =
                 prune::pruned_union_topk(self.index, &ids, self.config.algorithm, k, &mut sink)?;
-            let scored: Vec<(DocId, f32)> = outcome.hits.iter().map(|h| (h.doc, h.score)).collect();
-            return Ok(self.finish(run, &plan, scored, k));
+            let (docs, scores): (Vec<DocId>, Vec<f32>) =
+                outcome.hits.iter().map(|h| (h.doc, h.score)).unzip();
+            return Ok(self.finish(run, &plan, &docs, &scores, k));
         }
 
         // A single-term query needs no merging, so the decoded list is
@@ -403,17 +401,13 @@ impl<'a> IiuEngine<'a> {
             let bm25 = *self.index.bm25();
             let norms = self.index.doc_norms();
             let mut block_scores = ScoreScratch::new();
-            let mut scored: Vec<(DocId, f32)> = Vec::with_capacity(docs.len());
+            let mut scores: Vec<f32> = Vec::with_capacity(docs.len());
             for (cd, ct) in docs.chunks(128).zip(tfs.chunks(128)) {
                 bm25.score_block(idf, cd, ct, norms, &mut block_scores);
-                for (j, &d) in cd.iter().enumerate() {
-                    run.charge_norm(d);
-                    scored.push((d, block_scores.scores()[j]));
-                }
+                scores.extend_from_slice(block_scores.scores());
             }
-            run.scored += docs.len() as u64;
-            run.eval.docs_scored += docs.len() as u64;
-            return Ok(self.finish(run, &plan, scored, k));
+            run.charge_scored(&docs);
+            return Ok(self.finish(run, &plan, &docs, &scores, k));
         }
 
         // Each group: SvS with binary-search membership testing, spilling
@@ -441,10 +435,15 @@ impl<'a> IiuEngine<'a> {
 
         // Score everything; the unsorted scored list goes back to memory
         // for the host (ST Result), 8 bytes per document.
-        let mut scored: Vec<(DocId, f32)> =
-            Vec::with_capacity(groups.iter().map(GroupMatches::len).sum());
-        merge_groups(&groups, |d, e| scored.push((d, run.score(d, e))));
-        Ok(self.finish(run, &plan, scored, k))
+        let candidates = groups.iter().map(GroupMatches::len).sum();
+        let mut docs: Vec<DocId> = Vec::with_capacity(candidates);
+        let mut scores: Vec<f32> = Vec::with_capacity(candidates);
+        union_scored(self.index, &groups, |d, s| {
+            run.charge_scored(d);
+            docs.extend_from_slice(d);
+            scores.extend_from_slice(s);
+        });
+        Ok(self.finish(run, &plan, &docs, &scores, k))
     }
 
     /// Shared tail of `execute`: the result-list writeback, the free
@@ -453,10 +452,11 @@ impl<'a> IiuEngine<'a> {
         &self,
         mut run: Run<'_>,
         plan: &QueryPlan,
-        scored: Vec<(DocId, f32)>,
+        docs: &[DocId],
+        scores: &[f32],
         k: usize,
     ) -> QueryOutcome {
-        let result_bytes = (scored.len() as u64 * 8).max(8);
+        let result_bytes = (docs.len() as u64 * 8).max(8);
         let addr = run.scratch.alloc(result_bytes);
         run.mem.access(
             addr,
@@ -468,9 +468,7 @@ impl<'a> IiuEngine<'a> {
         );
 
         let mut topk = TopK::new(k.max(1));
-        for (d, s) in scored {
-            topk.offer(d, s);
-        }
+        topk.sift_block(docs, scores);
 
         let cycles = self.pipeline_cycles(&run, plan);
         QueryOutcome {
@@ -500,7 +498,11 @@ mod tests {
     use boss_index::{reference, IndexBuilder};
 
     fn corpus() -> InvertedIndex {
-        let docs: Vec<String> = (0u32..900)
+        corpus_of(900)
+    }
+
+    fn corpus_of(n_docs: u32) -> InvertedIndex {
+        let docs: Vec<String> = (0u32..n_docs)
             .map(|i| {
                 let mut t = String::from("fill");
                 let h = i.wrapping_mul(374761393);
@@ -524,21 +526,23 @@ mod tests {
 
     #[test]
     fn matches_reference_on_all_shapes() {
-        let idx = corpus();
-        let engine = IiuEngine::new(&idx, IiuConfig::default());
-        let t = |s: &str| QueryExpr::term(s);
-        let queries = [
-            t("aa"),
-            QueryExpr::and([t("aa"), t("bb")]),
-            QueryExpr::or([t("aa"), t("cc")]),
-            QueryExpr::and([t("aa"), t("bb"), t("cc"), t("fill")]),
-            QueryExpr::or([t("aa"), t("bb"), t("cc"), t("fill")]),
-            QueryExpr::and([t("aa"), QueryExpr::or([t("bb"), t("cc")])]),
-        ];
-        for q in &queries {
-            let got = engine.execute(q, 10).unwrap();
-            let expect = reference::evaluate(&idx, q, 10).unwrap();
-            assert_eq!(got.hits, expect, "{q}");
+        // 9 000 documents span three `union_scored` windows.
+        for idx in [corpus(), corpus_of(9_000)] {
+            let engine = IiuEngine::new(&idx, IiuConfig::default());
+            let t = |s: &str| QueryExpr::term(s);
+            let queries = [
+                t("aa"),
+                QueryExpr::and([t("aa"), t("bb")]),
+                QueryExpr::or([t("aa"), t("cc")]),
+                QueryExpr::and([t("aa"), t("bb"), t("cc"), t("fill")]),
+                QueryExpr::or([t("aa"), t("bb"), t("cc"), t("fill")]),
+                QueryExpr::and([t("aa"), QueryExpr::or([t("bb"), t("cc")])]),
+            ];
+            for q in &queries {
+                let got = engine.execute(q, 10).unwrap();
+                let expect = reference::evaluate(&idx, q, 10).unwrap();
+                assert_eq!(got.hits, expect, "{q}");
+            }
         }
     }
 

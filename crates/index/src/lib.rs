@@ -86,7 +86,7 @@ pub use encoded::{
 };
 pub use error::Error;
 pub use index::{InvertedIndex, TermId, TermInfo};
-pub use matches::{merge_groups, GroupMatches};
+pub use matches::{union_scored, GroupMatches};
 pub use posting::{Posting, PostingList};
 pub use query::{QueryExpr, SearchHit};
 pub use score::ScoreScratch;

@@ -1,5 +1,5 @@
-//! Columnar match sets and the one merge-and-score kernel every engine's
-//! multi-term path runs on.
+//! Columnar match sets and the scoring kernels every engine's multi-term
+//! path runs on.
 //!
 //! A [`GroupMatches`] is the result of one intersection group: the
 //! documents that contain *all* of the group's terms, with each term's
@@ -8,22 +8,25 @@
 //! matched document is a row of a contiguous table, never a heap object
 //! of its own.
 //!
-//! [`merge_groups`] unions any number of groups in ascending docID order
-//! and hands a closure each document with its distinct `(term, tf)`
-//! entries in ascending term-id order. The traversal is the same for
-//! every engine; what an engine *charges* for a document (a norm load, a
-//! heap offer, a cost-model constant) is the closure.
+//! [`union_scored`] unions any number of materialized groups and scores
+//! every document, one window of the docID space at a time: term scores
+//! are added column by column into a dense accumulator, then the window's
+//! documents are emitted in ascending order. The traversal is the same
+//! for every exhaustive engine; what an engine *charges* for a document
+//! (a norm load, a heap offer, a cost-model constant) is the closure that
+//! receives the run. Traversals that gather one pivot document at a time
+//! (BOSS's round loop, the pruned evaluators) use [`canonical_score`].
 //!
 //! # Ordering and summation contract
 //!
-//! * documents reach the closure in strictly ascending docID order, each
-//!   exactly once;
-//! * a document's entries are strictly ascending by term id — a term
-//!   shared by several groups appears once (its tf is a property of the
-//!   `(term, document)` pair, so every group reports the same value);
-//! * [`score_entries`] sums term scores from `0.0f32` in that order,
-//!   which is the [`crate::reference`] evaluator's arithmetic — scores
-//!   agree with it bit for bit.
+//! * documents are emitted in strictly ascending docID order, each
+//!   exactly once, in non-empty runs;
+//! * a term shared by several groups counts once per document (its tf is
+//!   a property of the `(term, document)` pair, so every group reports
+//!   the same value);
+//! * both kernels sum term scores from `0.0f32` in ascending term-id
+//!   order, which is the [`crate::reference`] evaluator's arithmetic —
+//!   scores agree with it bit for bit.
 
 use crate::{DocId, InvertedIndex, TermId};
 
@@ -165,46 +168,96 @@ impl GroupMatches {
     }
 }
 
-/// Unions `groups` in ascending docID order, calling `f` once per
-/// distinct document with its distinct `(term, tf)` entries in ascending
-/// term-id order (the module-level contract).
-pub fn merge_groups(groups: &[GroupMatches], mut f: impl FnMut(DocId, &[(TermId, u32)])) {
-    let mut pos = vec![0usize; groups.len()];
-    // Groups with matches left, in group order.
-    let mut live: Vec<usize> = (0..groups.len())
-        .filter(|&g| !groups[g].is_empty())
-        .collect();
-    let mut entries: Vec<(TermId, u32)> = Vec::with_capacity(16);
-    while live.len() > 1 {
-        let mut doc = DocId::MAX;
-        for &g in &live {
-            doc = doc.min(groups[g].docs[pos[g]]);
-        }
-        entries.clear();
-        let mut contributors = 0;
-        live.retain(|&g| {
-            let group = &groups[g];
-            if group.docs[pos[g]] != doc {
-                return true;
-            }
-            group.entries_at(pos[g], &mut entries);
-            contributors += 1;
-            pos[g] += 1;
-            pos[g] < group.len()
-        });
-        if contributors > 1 {
-            sort_distinct(&mut entries);
-        }
-        f(doc, &entries);
+/// Documents per [`union_scored`] window: a 16 KiB `f32` accumulator
+/// plus 64-word bitmaps, L1-resident. A power of two, and windows start
+/// at its multiples, so a document's slot is its low bits.
+const WINDOW: usize = 4096;
+
+/// One bit per slot of a window.
+type SlotBits = [u64; WINDOW / 64];
+
+/// Sets the bit of `doc`'s slot and returns whether it was clear.
+fn mark(bits: &mut SlotBits, doc: DocId) -> bool {
+    let (word, bit) = (doc as usize % WINDOW / 64, 1u64 << (doc % 64));
+    let fresh = bits[word] & bit == 0;
+    bits[word] |= bit;
+    fresh
+}
+
+/// Unions `groups` and scores every document against `index`, handing
+/// `emit` one run of documents and scores per window of the docID space
+/// (the module-level contract). Inside a window the groups' columns are
+/// visited in ascending term order and every posting's term score is
+/// added to its document's slot, so a slot ends up holding
+/// [`score_entries`]' sum over that document's canonical entries.
+///
+/// # Panics
+///
+/// Panics if a docID is out of range of the index's norm table.
+pub fn union_scored(
+    index: &InvertedIndex,
+    groups: &[GroupMatches],
+    mut emit: impl FnMut(&[DocId], &[f32]),
+) {
+    let (bm25, norms) = (index.bm25(), index.doc_norms());
+    // Every column as (term, group, column), ascending.
+    let mut columns: Vec<(TermId, usize, usize)> = Vec::new();
+    for (g, group) in groups.iter().enumerate() {
+        columns.extend(group.terms.iter().enumerate().map(|(c, &t)| (t, g, c)));
     }
-    // One group left (or only one to begin with): its rows are the tail.
-    if let Some(&g) = live.first() {
-        let group = &groups[g];
-        for i in pos[g]..group.len() {
-            entries.clear();
-            group.entries_at(i, &mut entries);
-            f(group.docs[i], &entries);
+    columns.sort_unstable();
+    // Rows `lo[g]..hi[g]` of group `g` fall in the current window.
+    let mut lo = vec![0usize; groups.len()];
+    let mut hi = vec![0usize; groups.len()];
+    let mut acc = [0.0f32; WINDOW];
+    let mut present: SlotBits = [0; WINDOW / 64];
+    let mut docs_out: Vec<DocId> = Vec::new();
+    let mut scores: Vec<f32> = Vec::new();
+    // Each round takes the window holding the smallest unvisited document.
+    while let Some(&next) = groups
+        .iter()
+        .zip(&lo)
+        .filter_map(|(group, &at)| group.docs.get(at))
+        .min()
+    {
+        let base = next - next % WINDOW as DocId;
+        for (g, group) in groups.iter().enumerate() {
+            let rest = &group.docs[lo[g]..];
+            hi[g] = lo[g] + rest.partition_point(|&d| ((d - base) as usize) < WINDOW);
+            for &d in &group.docs[lo[g]..hi[g]] {
+                mark(&mut present, d);
+            }
         }
+        for run in columns.chunk_by(|a, b| a.0 == b.0) {
+            let idf = index.term_info(run[0].0).idf;
+            // A term that several groups carry adds once per document.
+            let shared = run.len() > 1;
+            let mut seen: SlotBits = [0; WINDOW / 64];
+            for &(_, g, c) in run {
+                let group = &groups[g];
+                let w = group.terms.len();
+                let docs = &group.docs[lo[g]..hi[g]];
+                let tfs = group.tfs[lo[g] * w..hi[g] * w].iter().skip(c).step_by(w);
+                for (&d, &tf) in docs.iter().zip(tfs) {
+                    if !shared || mark(&mut seen, d) {
+                        acc[d as usize % WINDOW] += bm25.term_score(idf, tf, norms[d as usize]);
+                    }
+                }
+            }
+        }
+        scores.clear();
+        docs_out.clear();
+        for (i, word) in present.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let at = i * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                docs_out.push(base + at as DocId);
+                scores.push(std::mem::take(&mut acc[at]));
+            }
+        }
+        emit(&docs_out, &scores);
+        lo.copy_from_slice(&hi);
     }
 }
 
@@ -252,24 +305,5 @@ mod tests {
         let three = two.join_sorted(5, &[9], &[55]);
         assert_eq!(three.terms(), &[3, 5, 7]);
         assert_eq!(three.row(0), &[3, 55, 90]);
-    }
-
-    #[test]
-    fn merge_visits_each_document_once_with_distinct_terms() {
-        let mut a = GroupMatches::new(&[5, 2]);
-        a.push(1, &[20, 50]);
-        a.push(6, &[21, 51]);
-        let b = GroupMatches::from_column(2, vec![1, 3], vec![20, 7]);
-        let empty = GroupMatches::new(&[9]);
-        let mut seen = Vec::new();
-        merge_groups(&[a, empty, b], |d, e| seen.push((d, e.to_vec())));
-        assert_eq!(
-            seen,
-            vec![
-                (1, vec![(2, 20), (5, 50)]),
-                (3, vec![(2, 7)]),
-                (6, vec![(2, 21), (5, 51)]),
-            ]
-        );
     }
 }

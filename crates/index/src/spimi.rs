@@ -75,8 +75,8 @@ impl Default for SpimiConfig {
     }
 }
 
-/// Build-time statistics of a SPIMI run — the numbers `segment_build`
-/// reports to `BENCH_segment.json`.
+/// Build-time statistics of a SPIMI run — what `segment_build` prints
+/// and the harness reports as `index.spimi.*`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct SpimiStats {
     /// Documents indexed.

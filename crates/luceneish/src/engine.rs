@@ -2,10 +2,9 @@
 
 use boss_core::{EvalCounts, QueryOutcome, QueryPlan, TopK};
 use boss_index::layout::IndexImage;
-use boss_index::matches::score_entries;
 use boss_index::prune::{self, PruneSink};
 use boss_index::{
-    merge_groups, BlockMeta, DocId, Error, GroupMatches, InvertedIndex, QueryAlgorithm, QueryExpr,
+    union_scored, BlockMeta, DocId, Error, GroupMatches, InvertedIndex, QueryAlgorithm, QueryExpr,
     ScoreScratch, TermId, BLOCK_META_BYTES,
 };
 use boss_scm::{AccessCategory, AccessKind, MemoryConfig, MemorySim, PatternHint};
@@ -343,10 +342,10 @@ impl<'a> LuceneEngine<'a> {
                 n_candidates = list.len() as u64;
                 first_candidate = list.docs().first().copied();
             }
-            _ => merge_groups(&groups, |doc, entries| {
-                first_candidate.get_or_insert(doc);
-                n_candidates += 1;
-                heap.offer(doc, score_entries(self.index, entries, norms[doc as usize]));
+            _ => union_scored(self.index, &groups, |docs, scores| {
+                first_candidate = first_candidate.or(docs.first().copied());
+                n_candidates += docs.len() as u64;
+                heap.sift_block(docs, scores);
             }),
         }
         if let Some(first) = first_candidate {
@@ -436,7 +435,11 @@ mod tests {
     use boss_index::{reference, IndexBuilder};
 
     fn corpus() -> InvertedIndex {
-        let docs: Vec<String> = (0u32..700)
+        corpus_of(700)
+    }
+
+    fn corpus_of(n_docs: u32) -> InvertedIndex {
+        let docs: Vec<String> = (0u32..n_docs)
             .map(|i| {
                 let mut t = String::from("x");
                 let h = i.wrapping_mul(2654435761);
@@ -460,17 +463,19 @@ mod tests {
 
     #[test]
     fn matches_reference() {
-        let idx = corpus();
-        let engine = LuceneEngine::new(&idx, LuceneConfig::default());
-        let t = |s: &str| QueryExpr::term(s);
-        for q in [
-            t("aa"),
-            QueryExpr::and([t("aa"), t("bb")]),
-            QueryExpr::or([t("aa"), t("cc")]),
-            QueryExpr::and([t("aa"), QueryExpr::or([t("bb"), t("cc")])]),
-        ] {
-            let got = engine.execute(&q, 10).unwrap();
-            assert_eq!(got.hits, reference::evaluate(&idx, &q, 10).unwrap(), "{q}");
+        // 9 000 documents span three `union_scored` windows.
+        for idx in [corpus(), corpus_of(9_000)] {
+            let engine = LuceneEngine::new(&idx, LuceneConfig::default());
+            let t = |s: &str| QueryExpr::term(s);
+            for q in [
+                t("aa"),
+                QueryExpr::and([t("aa"), t("bb")]),
+                QueryExpr::or([t("aa"), t("cc")]),
+                QueryExpr::and([t("aa"), QueryExpr::or([t("bb"), t("cc")])]),
+            ] {
+                let got = engine.execute(&q, 10).unwrap();
+                assert_eq!(got.hits, reference::evaluate(&idx, &q, 10).unwrap(), "{q}");
+            }
         }
     }
 
