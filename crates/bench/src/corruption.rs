@@ -499,10 +499,7 @@ pub fn sharded_trial(base: &ShardedIndex, seed: u64, tally: &mut Tally) {
             .map(|(quiet_shard, sick_shard)| {
                 let mut quiet = Boss::new(quiet_shard, config());
                 let mut sick = Boss::new(sick_shard, config());
-                let quiet_res = quiet.search(&query, 50);
-                let sick_res = sick.search(&query, 50);
-                let skipped = sick.eval_counts().blocks_skipped_fault;
-                (quiet_res, sick_res, skipped)
+                (quiet.search(&query, 50), sick.search(&query, 50))
             })
             .collect::<Vec<_>>()
     }));
@@ -512,7 +509,10 @@ pub fn sharded_trial(base: &ShardedIndex, seed: u64, tally: &mut Tally) {
         )),
         Ok(rows) => {
             let mut unscathed = true;
-            for (s, (quiet_res, sick_res, skipped)) in rows.iter().enumerate() {
+            for (s, (quiet_res, sick_res)) in rows.iter().enumerate() {
+                let skipped = sick_res
+                    .as_ref()
+                    .map_or(0, |out| out.eval.blocks_skipped_fault);
                 let Ok(quiet_out) = quiet_res else {
                     tally
                         .violations
@@ -520,10 +520,10 @@ pub fn sharded_trial(base: &ShardedIndex, seed: u64, tally: &mut Tally) {
                     continue;
                 };
                 if s == victim {
-                    unscathed = matches!(sick_res, Ok(out) if *skipped == 0 && out == quiet_out);
+                    unscathed = matches!(sick_res, Ok(out) if skipped == 0 && out == quiet_out);
                     continue;
                 }
-                if *skipped != 0 {
+                if skipped != 0 {
                     tally.violations.push(format!(
                         "shard: degradation leaked to shard {s} ({skipped} blocks skipped) at seed {seed} (victim {victim} of {n})"
                     ));

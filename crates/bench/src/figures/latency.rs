@@ -9,8 +9,8 @@ use crate::{
 };
 use boss_core::{BossConfig, EtMode, QueryAlgorithm};
 use boss_engine::{
-    simulate, Boss, SearchEngine, ServePolicy, ServiceTable, ShardReplicaStats, ShardTiming,
-    Sharded,
+    simulate, Boss, EvalCounts, SearchEngine, ServePolicy, ServiceTable, ShardReplicaStats,
+    ShardTiming, Sharded,
 };
 use boss_index::shard::ShardedIndex;
 use boss_index::QueryExpr;
@@ -48,12 +48,16 @@ fn engine_row<E: SearchEngine>(
     k: usize,
 ) -> EngineRow {
     let clk = engine.clock_ghz();
+    let mut eval = EvalCounts::default();
     let mut us: Vec<f64> = queries
         .iter()
-        .map(|q| engine.search(q, k).expect("runs").cycles as f64 / (clk * 1e3))
+        .map(|q| {
+            let out = engine.search(q, k).expect("runs");
+            eval.merge(&out.eval);
+            out.cycles as f64 / (clk * 1e3)
+        })
         .collect();
     us.sort_by(f64::total_cmp);
-    let eval = engine.eval_counts();
     EngineRow {
         name,
         us,

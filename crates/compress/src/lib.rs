@@ -58,10 +58,8 @@ pub use s16::Simple16;
 pub use s8b::Simple8b;
 pub use vb::VariableByte;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a compression scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scheme {
     /// Bit-Packing.
     Bp,
@@ -109,7 +107,7 @@ impl std::fmt::Display for Scheme {
 /// Decode-relevant facts about one encoded block, mirroring the
 /// per-block metadata fields BOSS keeps (Section IV-A): element count,
 /// encoded bit width, and the offset of the exception area.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BlockInfo {
     /// Number of encoded values (the paper allots 7 bits; blocks hold ≤128).
     pub count: u16,

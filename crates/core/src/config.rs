@@ -3,10 +3,9 @@
 use crate::pipeline::TimingFidelity;
 use boss_index::QueryAlgorithm;
 use boss_scm::MemoryConfig;
-use serde::{Deserialize, Serialize};
 
 /// Early-termination mode of a BOSS core (Figures 13/14 compare these).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EtMode {
     /// No pruning: every candidate block is fetched and every candidate
     /// document scored ("BOSS-exhaustive" in Figure 13).
@@ -34,7 +33,7 @@ impl EtMode {
 /// What a query does when a posting block cannot be used — its simulated
 /// read came back flagged uncorrectable by the active fault plan, or its
 /// bytes/metadata failed to decode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DegradePolicy {
     /// The query fails with a typed error (the default: no silent
     /// degradation unless explicitly opted into).
@@ -53,7 +52,7 @@ pub enum DegradePolicy {
 /// filled), one top-k shift-insert per cycle, and the decompression cycle
 /// counts of the `boss-decomp` engine (one extraction unit per cycle plus
 /// pipeline fill).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingModel {
     /// Pipeline-fill cycles charged per decoded block.
     pub decomp_fill: u64,
@@ -90,7 +89,7 @@ impl Default for TimingModel {
 }
 
 /// Configuration of a BOSS device (Table I "BOSS Configuration").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BossConfig {
     /// Number of BOSS cores on the memory node.
     pub n_cores: u32,

@@ -1,6 +1,6 @@
-//! One BOSS core: executes a normalized [`QueryPlan`] through the
-//! fetch → decompress → set-op → score → top-k pipeline and accounts the
-//! cycles each module consumed.
+//! The core pipeline (Figure 4(b)): how a [`BossDevice`] executes one
+//! query — plan, then fetch → decompress → set-op → score → top-k — and
+//! accounts the cycles each module consumed.
 //!
 //! Timing uses the bottleneck-stage model described in `DESIGN.md`: the
 //! pipeline is fully overlapped (Section IV-C), so a query's latency is
@@ -9,117 +9,44 @@
 //! to one decompressor), set operations, scoring, and top-k — plus fixed
 //! per-query overhead.
 
-use crate::config::{BossConfig, EtMode};
+use crate::config::EtMode;
+use crate::device::BossDevice;
 use crate::fetch::{ExecCtx, ListCursor};
 use crate::intersect::intersect_group;
 use crate::plan::QueryPlan;
 use crate::prune::pruned_union_topk;
 use crate::stats::QueryOutcome;
-use crate::union::{union_topk, BulkScratch, UnionStream};
-use boss_index::layout::IndexImage;
-use boss_index::{InvertedIndex, QueryAlgorithm, TopK};
+use crate::union::{union_topk, UnionStream};
+use boss_index::{Error, QueryExpr, TopK};
 use boss_scm::AccessCategory;
 
-/// Reusable per-core (or per-worker) query buffers: the top-k queue and
-/// the bulk scoring scratch. Recycling these across the queries of a
-/// batch removes the per-query heap allocations from the hot path;
-/// results are unaffected ([`TopK::reset`] restores a pristine queue).
-#[derive(Debug, Default)]
-pub struct CoreScratch {
-    topk: Option<TopK>,
-    bulk: BulkScratch,
-}
-
-impl CoreScratch {
-    /// Creates an empty scratch.
-    pub fn new() -> Self {
-        CoreScratch::default()
-    }
-}
-
-/// One BOSS core (Figure 4(b)): block fetch, four decompression modules,
-/// intersection and union modules, four scoring modules and a top-k queue.
-#[derive(Debug)]
-pub struct BossCore {
-    config: BossConfig,
-}
-
-impl BossCore {
-    /// Creates an idle core.
-    pub fn new(config: BossConfig) -> Self {
-        BossCore { config }
-    }
-
-    /// The core's configuration.
-    pub fn config(&self) -> &BossConfig {
-        &self.config
-    }
-
-    /// Overrides the early-termination mode (the device uses this to run
-    /// host-merged subqueries without pruning).
-    pub(crate) fn set_et_mode(&mut self, et: EtMode) {
-        self.config.et_mode = et;
-    }
-
-    /// Overrides the dynamic-pruning query algorithm (the device uses
-    /// this to force host-merged subqueries onto the exhaustive plan).
-    pub(crate) fn set_algorithm(&mut self, algorithm: QueryAlgorithm) {
-        self.config.algorithm = algorithm;
-    }
-
-    /// Executes one planned query against `index` laid out at `image`,
-    /// returning hits, cycles and traffic.
+impl BossDevice<'_> {
+    /// Executes one query with the top-k score floor seeded at `floor`
+    /// ([`TopK::seed_cutoff`]), returning hits, cycles and traffic. A
+    /// sharded coordinator passes the running k-th score of its
+    /// scatter-gather merge so this device's pruning plan can skip
+    /// against the global threshold before its local queue fills;
+    /// `f32::NEG_INFINITY` is exactly [`BossDevice::search_expr`].
     ///
     /// # Errors
     ///
-    /// Under the default [`crate::DegradePolicy::FailQuery`] policy a
-    /// faulted simulated read ([`boss_index::Error::ReadFault`]) or a
-    /// corrupt posting block (any other decode error) fails the query
-    /// with a typed error. Under `SkipBlock` the affected blocks are
-    /// dropped, counted in `eval.blocks_skipped_fault`, and the query
-    /// completes on the surviving postings. Without a fault plan and with
-    /// well-formed index data, this never errors.
-    pub fn execute(
-        &self,
-        index: &InvertedIndex,
-        image: &IndexImage,
-        plan: &QueryPlan,
+    /// Planning errors ([`Error::UnknownTerm`], [`Error::InvalidQuery`])
+    /// before anything executes. Under the default
+    /// [`crate::DegradePolicy::FailQuery`] policy a faulted simulated read
+    /// ([`Error::ReadFault`]) or a corrupt posting block (any other decode
+    /// error) fails the query with a typed error. Under `SkipBlock` the
+    /// affected blocks are dropped, counted in
+    /// `eval.blocks_skipped_fault`, and the query completes on the
+    /// surviving postings. Without a fault plan and with well-formed
+    /// index data, execution never errors.
+    pub fn search_expr_seeded(
+        &mut self,
+        expr: &QueryExpr,
         k: usize,
-    ) -> Result<QueryOutcome, boss_index::Error> {
-        self.execute_with_scratch(index, image, plan, k, &mut CoreScratch::new())
-    }
-
-    /// [`BossCore::execute`] with caller-owned reusable query
-    /// buffers, so a batch driver allocates the top-k queue and scoring
-    /// scratch once per worker instead of once per query. Results are
-    /// identical to the allocating paths.
-    pub fn execute_with_scratch(
-        &self,
-        index: &InvertedIndex,
-        image: &IndexImage,
-        plan: &QueryPlan,
-        k: usize,
-        scratch: &mut CoreScratch,
-    ) -> Result<QueryOutcome, boss_index::Error> {
-        self.execute_with_scratch_seeded(index, image, plan, k, scratch, f32::NEG_INFINITY)
-    }
-
-    /// [`BossCore::execute_with_scratch`] with an externally seeded
-    /// top-k score floor ([`TopK::seed_cutoff`]). A sharded coordinator
-    /// passes the running k-th score of its scatter-gather merge so a
-    /// later shard's pruning plan can skip against the global threshold
-    /// before its local queue fills; `f32::NEG_INFINITY` (what the plain
-    /// entry points pass) restores unseeded behavior exactly.
-    pub fn execute_with_scratch_seeded(
-        &self,
-        index: &InvertedIndex,
-        image: &IndexImage,
-        plan: &QueryPlan,
-        k: usize,
-        scratch: &mut CoreScratch,
         floor: f32,
-    ) -> Result<QueryOutcome, boss_index::Error> {
-        let mut ctx = ExecCtx::new(index, image, &self.config);
+    ) -> Result<QueryOutcome, Error> {
+        let plan = QueryPlan::from_expr(self.index, expr, &self.config)?;
+        let mut ctx = ExecCtx::new(self.index, &self.image, &self.config);
         let fill = self.config.timing.decomp_fill;
 
         // Intersections first (Section IV-B "Mixed Query"), then one
@@ -146,31 +73,37 @@ impl BossCore {
             }
         }
 
-        let CoreScratch { topk, bulk } = scratch;
-        let topk = topk.get_or_insert_with(|| TopK::new(k));
+        let topk = self.topk.get_or_insert_with(|| TopK::new(k));
         topk.reset(k);
         topk.seed_cutoff(floor);
         // A pruning algorithm replaces the union traversal wholesale;
         // pure intersections keep the existing path (their matches are
         // already small), mirroring the ET gate above.
         if self.config.algorithm.prunes() && !plan.is_pure_intersection() {
-            pruned_union_topk(&mut ctx, streams, self.config.algorithm, topk, bulk)?;
+            pruned_union_topk(
+                &mut ctx,
+                streams,
+                self.config.algorithm,
+                topk,
+                &mut self.bulk,
+            )?;
         } else {
-            union_topk(&mut ctx, streams, et.into(), topk, bulk)?;
+            union_topk(&mut ctx, streams, et.into(), topk, &mut self.bulk)?;
         }
+        let hits = topk.hits().to_vec();
 
         // The top-k list crosses the shared interconnect: 8 B per entry
         // (docID + score), written once at the end of the query.
-        let result_bytes = (topk.len() as u64 * 8).max(8);
+        let result_bytes = (hits.len() as u64 * 8).max(8);
         ctx.write(
-            image.end_addr() + (4 << 20),
+            self.image.end_addr() + (4 << 20),
             result_bytes,
             AccessCategory::StResult,
         );
 
-        let cycles = self.pipeline_cycles(&ctx, plan);
+        let cycles = self.pipeline_cycles(&ctx, &plan);
         Ok(QueryOutcome {
-            hits: topk.hits().to_vec(),
+            hits,
             cycles,
             mem: ctx.mem.take_stats(),
             eval: ctx.eval,
@@ -225,7 +158,8 @@ impl BossCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use boss_index::{reference, IndexBuilder, QueryExpr};
+    use crate::config::BossConfig;
+    use boss_index::{reference, IndexBuilder, InvertedIndex, QueryAlgorithm};
 
     fn corpus() -> InvertedIndex {
         let docs: Vec<String> = (0u32..1000)
@@ -253,13 +187,14 @@ mod tests {
             .unwrap()
     }
 
+    fn four_way_or() -> QueryExpr {
+        QueryExpr::or(["aa", "bb", "cc", "dd"].map(QueryExpr::term))
+    }
+
     fn check(expr: &QueryExpr, k: usize, et: EtMode) {
         let idx = corpus();
-        let image = IndexImage::new(&idx);
-        let cfg = BossConfig::default().with_et(et).with_k(k);
-        let core = BossCore::new(cfg.clone());
-        let plan = QueryPlan::from_expr(&idx, expr, &cfg).unwrap();
-        let got = core.execute(&idx, &image, &plan, k).unwrap();
+        let mut dev = BossDevice::new(&idx, BossConfig::default().with_et(et).with_k(k));
+        let got = dev.search_expr(expr, k).unwrap();
         let expect = reference::evaluate(&idx, expr, k).unwrap();
         assert_eq!(got.hits, expect, "{expr} k={k} {et:?}");
         assert!(got.cycles > 0);
@@ -291,25 +226,14 @@ mod tests {
 
     #[test]
     fn q4_four_way_and() {
-        let q = QueryExpr::and([
-            QueryExpr::term("aa"),
-            QueryExpr::term("bb"),
-            QueryExpr::term("cc"),
-            QueryExpr::term("common"),
-        ]);
+        let q = QueryExpr::and(["aa", "bb", "cc", "common"].map(QueryExpr::term));
         check(&q, 50, EtMode::Full);
     }
 
     #[test]
     fn q5_four_way_or() {
-        let q = QueryExpr::or([
-            QueryExpr::term("aa"),
-            QueryExpr::term("bb"),
-            QueryExpr::term("cc"),
-            QueryExpr::term("dd"),
-        ]);
         for et in [EtMode::Exhaustive, EtMode::BlockOnly, EtMode::Full] {
-            check(&q, 10, et);
+            check(&four_way_or(), 10, et);
         }
     }
 
@@ -317,11 +241,7 @@ mod tests {
     fn q6_mixed() {
         let q = QueryExpr::and([
             QueryExpr::term("aa"),
-            QueryExpr::or([
-                QueryExpr::term("bb"),
-                QueryExpr::term("cc"),
-                QueryExpr::term("dd"),
-            ]),
+            QueryExpr::or(["bb", "cc", "dd"].map(QueryExpr::term)),
         ]);
         for et in [EtMode::Exhaustive, EtMode::Full] {
             check(&q, 25, et);
@@ -331,18 +251,10 @@ mod tests {
     #[test]
     fn et_reduces_cycles_and_traffic_for_unions() {
         let idx = corpus();
-        let image = IndexImage::new(&idx);
-        let q = QueryExpr::or([
-            QueryExpr::term("aa"),
-            QueryExpr::term("bb"),
-            QueryExpr::term("cc"),
-            QueryExpr::term("dd"),
-        ]);
         let run = |et: EtMode| {
-            let cfg = BossConfig::default().with_et(et).with_k(10);
-            let core = BossCore::new(cfg.clone());
-            let plan = QueryPlan::from_expr(&idx, &q, &cfg).unwrap();
-            core.execute(&idx, &image, &plan, 10).unwrap()
+            BossDevice::new(&idx, BossConfig::default().with_et(et).with_k(10))
+                .search_expr(&four_way_or(), 10)
+                .unwrap()
         };
         let ex = run(EtMode::Exhaustive);
         let full = run(EtMode::Full);
@@ -354,10 +266,9 @@ mod tests {
     #[test]
     fn scratch_reuse_changes_nothing_observable() {
         // Whole-query invariance: cycles, traffic, counters, and hits are
-        // bit-identical whether each query gets a fresh CoreScratch or
-        // one is reused across all of them.
+        // bit-identical whether each query gets a new device (empty
+        // buffers) or one device's buffers are reused across all of them.
         let idx = corpus();
-        let image = IndexImage::new(&idx);
         let queries = [
             QueryExpr::term("bb"),
             QueryExpr::or([QueryExpr::term("aa"), QueryExpr::term("dd")]),
@@ -368,23 +279,11 @@ mod tests {
             ]),
         ];
         for et in [EtMode::Exhaustive, EtMode::BlockOnly, EtMode::Full] {
-            let mut scratch = CoreScratch::new();
+            let mut reused = BossDevice::new(&idx, BossConfig::default().with_et(et));
             for q in &queries {
                 for k in [5usize, 300] {
-                    let run_with = |scratch: &mut CoreScratch| {
-                        let cfg = BossConfig::default().with_et(et).with_k(k);
-                        let core = BossCore::new(cfg.clone());
-                        let plan = QueryPlan::from_expr(&idx, q, &cfg).unwrap();
-                        core.execute_with_scratch(&idx, &image, &plan, k, scratch)
-                            .unwrap()
-                    };
-                    let fresh = run_with(&mut CoreScratch::new());
-                    let reused = run_with(&mut scratch);
-                    let label = format!("{q} k={k} {et:?}");
-                    assert_eq!(fresh.hits, reused.hits, "hits {label}");
-                    assert_eq!(fresh.eval, reused.eval, "eval {label}");
-                    assert_eq!(fresh.mem, reused.mem, "mem {label}");
-                    assert_eq!(fresh.cycles, reused.cycles, "cycles {label}");
+                    let fresh = reused.fork().search_expr(q, k).unwrap();
+                    assert_eq!(fresh, reused.search_expr(q, k).unwrap(), "{q} k={k} {et:?}");
                 }
             }
         }
@@ -396,24 +295,14 @@ mod tests {
         // returns the exhaustive oracle's top-k bit for bit, across
         // query shapes (term, union, intersection, mixed) and k.
         let idx = corpus();
-        let image = IndexImage::new(&idx);
         let queries = [
             QueryExpr::term("bb"),
             QueryExpr::or([QueryExpr::term("aa"), QueryExpr::term("dd")]),
-            QueryExpr::or([
-                QueryExpr::term("aa"),
-                QueryExpr::term("bb"),
-                QueryExpr::term("cc"),
-                QueryExpr::term("dd"),
-            ]),
+            four_way_or(),
             QueryExpr::and([QueryExpr::term("aa"), QueryExpr::term("bb")]),
             QueryExpr::and([
                 QueryExpr::term("aa"),
-                QueryExpr::or([
-                    QueryExpr::term("bb"),
-                    QueryExpr::term("cc"),
-                    QueryExpr::term("dd"),
-                ]),
+                QueryExpr::or(["bb", "cc", "dd"].map(QueryExpr::term)),
             ]),
         ];
         for q in &queries {
@@ -421,9 +310,7 @@ mod tests {
                 let expect = reference::evaluate(&idx, q, k).unwrap();
                 for algo in boss_index::ALL_ALGORITHMS {
                     let cfg = BossConfig::default().with_k(k).with_algorithm(algo);
-                    let core = BossCore::new(cfg.clone());
-                    let plan = QueryPlan::from_expr(&idx, q, &cfg).unwrap();
-                    let got = core.execute(&idx, &image, &plan, k).unwrap();
+                    let got = BossDevice::new(&idx, cfg).search_expr(q, k).unwrap();
                     assert_eq!(got.hits, expect, "{q} k={k} {algo}");
                 }
             }
@@ -438,21 +325,14 @@ mod tests {
         // counters at zero in every ET mode (the Figure 14/15
         // invariance).
         let idx = corpus();
-        let image = IndexImage::new(&idx);
-        let q = QueryExpr::or([
-            QueryExpr::term("aa"),
-            QueryExpr::term("bb"),
-            QueryExpr::term("cc"),
-            QueryExpr::term("dd"),
-        ]);
-        let run = |algo: boss_index::QueryAlgorithm, et: EtMode| {
+        let run = |algo: QueryAlgorithm, et: EtMode| {
             let cfg = BossConfig::default()
                 .with_k(10)
                 .with_et(et)
                 .with_algorithm(algo);
-            let core = BossCore::new(cfg.clone());
-            let plan = QueryPlan::from_expr(&idx, &q, &cfg).unwrap();
-            core.execute(&idx, &image, &plan, 10).unwrap()
+            BossDevice::new(&idx, cfg)
+                .search_expr(&four_way_or(), 10)
+                .unwrap()
         };
         let ex = run(QueryAlgorithm::Exhaustive, EtMode::Exhaustive);
         assert_eq!(ex.eval.docs_skipped_prune, 0);
@@ -485,21 +365,14 @@ mod tests {
         // `algorithm` only replaces the union traversal; a pure
         // intersection's outcome is bit-identical whatever the plan.
         let idx = corpus();
-        let image = IndexImage::new(&idx);
         let q = QueryExpr::and([QueryExpr::term("aa"), QueryExpr::term("bb")]);
-        let run = |algo: boss_index::QueryAlgorithm| {
+        let run = |algo: QueryAlgorithm| {
             let cfg = BossConfig::default().with_k(20).with_algorithm(algo);
-            let core = BossCore::new(cfg.clone());
-            let plan = QueryPlan::from_expr(&idx, &q, &cfg).unwrap();
-            core.execute(&idx, &image, &plan, 20).unwrap()
+            BossDevice::new(&idx, cfg).search_expr(&q, 20).unwrap()
         };
         let base = run(QueryAlgorithm::Exhaustive);
         for algo in boss_index::ALL_ALGORITHMS {
-            let got = run(algo);
-            assert_eq!(got.hits, base.hits, "{algo}");
-            assert_eq!(got.eval, base.eval, "{algo}");
-            assert_eq!(got.mem, base.mem, "{algo}");
-            assert_eq!(got.cycles, base.cycles, "{algo}");
+            assert_eq!(run(algo), base, "{algo}");
         }
     }
 
@@ -511,13 +384,7 @@ mod tests {
         // must keep every hit strictly above it, in the same order — the
         // contract the sharded scatter-gather merge relies on.
         let idx = corpus();
-        let image = IndexImage::new(&idx);
-        let q = QueryExpr::or([
-            QueryExpr::term("aa"),
-            QueryExpr::term("bb"),
-            QueryExpr::term("cc"),
-            QueryExpr::term("dd"),
-        ]);
+        let q = four_way_or();
         let k = 10;
         let expect = reference::evaluate(&idx, &q, k).unwrap();
         // Floor between the 3rd and 4th score, so a strict subset
@@ -525,10 +392,8 @@ mod tests {
         let floor = expect[3].score;
         for algo in boss_index::ALL_ALGORITHMS {
             let cfg = BossConfig::default().with_k(k).with_algorithm(algo);
-            let core = BossCore::new(cfg.clone());
-            let plan = QueryPlan::from_expr(&idx, &q, &cfg).unwrap();
-            let got = core
-                .execute_with_scratch_seeded(&idx, &image, &plan, k, &mut CoreScratch::new(), floor)
+            let got = BossDevice::new(&idx, cfg)
+                .search_expr_seeded(&q, k, floor)
                 .unwrap();
             let kept: Vec<_> = expect.iter().filter(|h| h.score > floor).collect();
             assert!(
@@ -544,11 +409,36 @@ mod tests {
     #[test]
     fn topk_result_traffic_is_k_entries() {
         let idx = corpus();
-        let image = IndexImage::new(&idx);
-        let cfg = BossConfig::default().with_k(10);
-        let core = BossCore::new(cfg.clone());
-        let plan = QueryPlan::from_expr(&idx, &QueryExpr::term("aa"), &cfg).unwrap();
-        let out = core.execute(&idx, &image, &plan, 10).unwrap();
+        let out = BossDevice::new(&idx, BossConfig::default().with_k(10))
+            .search_expr(&QueryExpr::term("aa"), 10)
+            .unwrap();
         assert_eq!(out.mem.bytes(AccessCategory::StResult), 80, "10 hits x 8 B");
+    }
+
+    #[test]
+    fn zero_decompressors_answer_like_one() {
+        // `decompressors_per_core` is a public field; 0 used to leave the
+        // per-unit cycle vector empty and panic on the first `% len()`.
+        let idx = corpus();
+        let queries = [
+            QueryExpr::term("bb"),
+            four_way_or(),
+            QueryExpr::and(["aa", "bb", "cc"].map(QueryExpr::term)),
+        ];
+        for fidelity in [
+            crate::TimingFidelity::Roofline,
+            crate::TimingFidelity::Pipelined,
+        ] {
+            let run = |units: u32, q: &QueryExpr| {
+                let cfg = BossConfig {
+                    decompressors_per_core: units,
+                    ..BossConfig::default().with_fidelity(fidelity)
+                };
+                BossDevice::new(&idx, cfg).search_expr(q, 10).unwrap()
+            };
+            for q in &queries {
+                assert_eq!(run(0, q), run(1, q), "{q} {fidelity:?}");
+            }
+        }
     }
 }

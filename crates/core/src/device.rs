@@ -1,42 +1,34 @@
-//! The BOSS device: command queue, query scheduler, and a set of cores
-//! sharing one SCM memory node (Figure 4(a)). A device executes one
-//! query at a time, so it holds one [`BossCore`]; `BossConfig::n_cores`
-//! is how many of them the batch timing model schedules queries over.
+//! The BOSS device (Figure 4(a)): one SCM memory node's index, its image
+//! layout, the device configuration and the query buffers every query
+//! reuses. A device executes one query at a time — the pipeline a query
+//! runs through is in `core.rs` — and `BossConfig::n_cores` is how many
+//! lanes the batch timing model schedules queries over.
 
-use crate::config::BossConfig;
-use crate::core::{BossCore, CoreScratch};
-use crate::plan::QueryPlan;
+use crate::config::{BossConfig, EtMode};
 use crate::stats::{EvalCounts, QueryOutcome};
+use crate::union::BulkScratch;
 use boss_index::layout::IndexImage;
-use boss_index::{Error, InvertedIndex, QueryExpr};
+use boss_index::{Error, InvertedIndex, QueryAlgorithm, QueryExpr, TopK};
 use boss_scm::MemStats;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// Query-to-core scheduling policy of the query scheduler (Figure 4(a)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum SchedPolicy {
-    /// Queries dispatch in arrival order to the earliest-free core.
-    #[default]
-    Fifo,
-    /// Shortest-job-first by estimated work (total document frequency of
-    /// the plan's terms) — reduces makespan for skewed batches at the cost
-    /// of potential starvation, which the ablation quantifies.
-    Sjf,
-}
-
 /// A BOSS device attached to one memory node holding `index`.
+///
+/// A query's outcome is a pure function of (index, configuration, query,
+/// `k`, floor): the device keeps nothing from one query to the next but
+/// the allocations of its buffers.
 #[derive(Debug)]
 pub struct BossDevice<'a> {
-    index: &'a InvertedIndex,
+    pub(crate) index: &'a InvertedIndex,
     /// Shared with every [`BossDevice::fork`] of this device: the layout
     /// is a function of the index alone.
-    image: Arc<IndexImage>,
-    /// Owns the device configuration.
-    core: BossCore,
-    /// Reusable query buffers (top-k queue + bulk scoring scratch),
-    /// recycled across every query this device runs.
-    scratch: CoreScratch,
+    pub(crate) image: Arc<IndexImage>,
+    pub(crate) config: BossConfig,
+    /// The top-k queue and the bulk scoring scratch, recycled across
+    /// queries so the hot path allocates neither ([`TopK::reset`]
+    /// restores a pristine queue; results are unaffected).
+    pub(crate) topk: Option<TopK>,
+    pub(crate) bulk: BulkScratch,
 }
 
 impl<'a> BossDevice<'a> {
@@ -46,25 +38,26 @@ impl<'a> BossDevice<'a> {
         Self::over(index, Arc::new(IndexImage::new(index)), config)
     }
 
-    /// A fresh device — an idle core, empty scratch — over the same index
-    /// and configuration, sharing this one's image layout instead of
-    /// laying the index out again.
+    /// A fresh device — empty buffers — over the same index and
+    /// configuration, sharing this one's image layout instead of laying
+    /// the index out again.
     pub fn fork(&self) -> Self {
-        Self::over(self.index, Arc::clone(&self.image), self.config().clone())
+        Self::over(self.index, Arc::clone(&self.image), self.config.clone())
     }
 
     fn over(index: &'a InvertedIndex, image: Arc<IndexImage>, config: BossConfig) -> Self {
         BossDevice {
             index,
             image,
-            core: BossCore::new(config),
-            scratch: CoreScratch::new(),
+            config,
+            topk: None,
+            bulk: BulkScratch::default(),
         }
     }
 
     /// The device configuration.
     pub fn config(&self) -> &BossConfig {
-        self.core.config()
+        &self.config
     }
 
     /// The index image layout.
@@ -97,7 +90,7 @@ impl<'a> BossDevice<'a> {
         k: usize,
     ) -> Result<QueryOutcome, Error> {
         let terms = expr.terms();
-        let max_terms = self.config().max_terms;
+        let max_terms = self.config.max_terms;
         if terms.len() <= max_terms {
             return self.search_expr(expr, k);
         }
@@ -112,42 +105,34 @@ impl<'a> BossDevice<'a> {
                 ),
             });
         }
-        // Host-side split into <=16-term subqueries.
-        let exhaustive_k = self.index.n_docs() as usize;
-        let original_et = self.config().et_mode;
-        let original_algorithm = self.config().algorithm;
         // Subqueries run without pruning (their local cutoffs would be
         // wrong for the combined query) — both the ET machinery and any
-        // dynamic-pruning plan are forced off.
-        self.core.set_et_mode(crate::config::EtMode::Exhaustive);
-        self.core
-            .set_algorithm(boss_index::QueryAlgorithm::Exhaustive);
+        // dynamic-pruning plan are off on the device that runs them.
+        let mut unpruned = Self::over(
+            self.index,
+            Arc::clone(&self.image),
+            self.config
+                .clone()
+                .with_et(EtMode::Exhaustive)
+                .with_algorithm(QueryAlgorithm::Exhaustive),
+        );
+        // Host-side split into <=16-term subqueries.
+        let exhaustive_k = self.index.n_docs() as usize;
         let mut scores: std::collections::HashMap<boss_index::DocId, f32> =
             std::collections::HashMap::new();
         let mut cycles = 0u64;
         let mut mem = MemStats::new();
         let mut eval = EvalCounts::default();
-        let mut result = Ok(());
         for chunk in terms.chunks(max_terms) {
             let sub = QueryExpr::or(chunk.iter().map(|t| QueryExpr::term(*t)));
-            match self.search_expr(&sub, exhaustive_k) {
-                Ok(out) => {
-                    cycles += out.cycles;
-                    mem.merge(&out.mem);
-                    eval.merge(&out.eval);
-                    for h in out.hits {
-                        *scores.entry(h.doc).or_insert(0.0) += h.score;
-                    }
-                }
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
+            let out = unpruned.search_expr(&sub, exhaustive_k)?;
+            cycles += out.cycles;
+            mem.merge(&out.mem);
+            eval.merge(&out.eval);
+            for h in out.hits {
+                *scores.entry(h.doc).or_insert(0.0) += h.score;
             }
         }
-        self.core.set_et_mode(original_et);
-        self.core.set_algorithm(original_algorithm);
-        result?;
         let mut hits: Vec<boss_index::SearchHit> = scores
             .into_iter()
             .map(|(doc, score)| boss_index::SearchHit { doc, score })
@@ -164,40 +149,13 @@ impl<'a> BossDevice<'a> {
         })
     }
 
-    /// Executes one query on the idle core.
+    /// Executes one query.
     ///
     /// # Errors
     ///
-    /// Returns planning errors ([`Error::UnknownTerm`],
-    /// [`Error::InvalidQuery`]) without touching the core.
+    /// As [`BossDevice::search_expr_seeded`].
     pub fn search_expr(&mut self, expr: &QueryExpr, k: usize) -> Result<QueryOutcome, Error> {
         self.search_expr_seeded(expr, k, f32::NEG_INFINITY)
-    }
-
-    /// [`BossDevice::search_expr`] with an externally seeded top-k score
-    /// floor: a sharded coordinator passes the running k-th score of its
-    /// scatter-gather merge so this device's pruning plan can skip
-    /// against the global threshold from the first posting. Passing
-    /// `f32::NEG_INFINITY` is exactly [`BossDevice::search_expr`].
-    ///
-    /// # Errors
-    ///
-    /// Same surface as [`BossDevice::search_expr`].
-    pub fn search_expr_seeded(
-        &mut self,
-        expr: &QueryExpr,
-        k: usize,
-        floor: f32,
-    ) -> Result<QueryOutcome, Error> {
-        let plan = QueryPlan::from_expr(self.index, expr, self.config())?;
-        self.core.execute_with_scratch_seeded(
-            self.index,
-            &self.image,
-            &plan,
-            k,
-            &mut self.scratch,
-            floor,
-        )
     }
 }
 

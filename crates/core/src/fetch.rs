@@ -77,7 +77,7 @@ impl<'a> ExecCtx<'a> {
             mem,
             tlb: Tlb::new(),
             eval: EvalCounts::default(),
-            dec_cycles: vec![0; config.decompressors_per_core as usize],
+            dec_cycles: vec![0; config.decompressors_per_core.max(1) as usize],
             scored: 0,
             norm_line: u64::MAX,
             trace: Vec::new(),
@@ -187,15 +187,6 @@ pub(crate) struct ListCursor<'a> {
     /// Decoded docIDs/tfs of the current block (empty if not decoded),
     /// in buffers reserved once from block metadata.
     scratch: DecodeScratch,
-    /// Second half of the double buffer: the next block, decoded ahead of
-    /// time by [`ListCursor::prefetch_next`] (which also reserves it, on
-    /// first use) while the scoring kernel drains `scratch`. Host-side
-    /// only — prefetching carries no simulated charge;
-    /// [`ListCursor::ensure_decoded`] still issues every charge when the
-    /// block is actually entered.
-    spare: DecodeScratch,
-    /// Block index decoded into `spare`, if any.
-    prefetched: Option<usize>,
     pos: usize,
     /// Which decompression module this list is bound to.
     dec_unit: usize,
@@ -221,8 +212,6 @@ impl<'a> ListCursor<'a> {
             data_addr: ctx.image.data_addr(term),
             block: 0,
             scratch,
-            spare: DecodeScratch::new(),
-            prefetched: None,
             pos: 0,
             dec_unit,
             meta_read_upto: 0,
@@ -342,8 +331,6 @@ impl<'a> ListCursor<'a> {
         if self.exhausted() {
             return Ok(false);
         }
-        // Every simulated charge below happens regardless of prefetch
-        // state: that only changes which host-side path fills the scratch.
         let meta = *self.meta();
         let block_addr = self.data_addr + u64::from(meta.offset);
         let (data_ready, faulted) = ctx.read_checked(
@@ -354,19 +341,11 @@ impl<'a> ListCursor<'a> {
         );
         let filled: Result<(), Error> = if faulted {
             Err(Error::ReadFault { addr: block_addr })
-        } else if self.prefetched == Some(self.block) {
-            // The double buffer already holds this block: swap it in.
-            std::mem::swap(&mut self.scratch, &mut self.spare);
-            self.prefetched = None;
-            Ok(())
         } else {
             self.list.decode_block_into(self.block, &mut self.scratch)
         };
         if let Err(e) = filled {
             self.scratch.clear();
-            if self.prefetched == Some(self.block) {
-                self.prefetched = None;
-            }
             match ctx.degrade {
                 DegradePolicy::FailQuery => return Err(e),
                 DegradePolicy::SkipBlock => {
@@ -497,29 +476,6 @@ impl<'a> ListCursor<'a> {
     /// fault-flagged read or the typed decode error for corrupt data.
     pub(crate) fn fetch_block(&mut self, ctx: &mut ExecCtx<'_>) -> Result<bool, Error> {
         self.ensure_decoded(ctx)
-    }
-
-    /// Decodes the *next* block into the spare half of the double buffer,
-    /// so the decode overlaps with draining the current block. Pure host
-    /// work: no simulated charge — [`ListCursor::fetch_block`] charges in
-    /// full when the block is entered. A block that fails to decode is
-    /// simply not prefetched: `fetch_block` will surface the error with
-    /// its charges when the block is actually entered.
-    pub(crate) fn prefetch_next(&mut self) {
-        let next = self.block + 1;
-        if next >= self.list.n_blocks() || self.prefetched == Some(next) {
-            return;
-        }
-        if self.spare.docs.capacity() == 0 {
-            // First prefetch on this cursor (a swapped-in spare is the
-            // old, already reserved, scratch): size the buffer once.
-            self.spare.reserve_for(self.list);
-        }
-        if self.list.decode_block_into(next, &mut self.spare).is_ok() {
-            self.prefetched = Some(next);
-        } else {
-            self.spare.clear();
-        }
     }
 
     /// Whether the current block is decoded into the scratch.

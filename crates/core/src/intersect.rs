@@ -42,15 +42,14 @@ pub(crate) fn intersect_group(
         let first = order[0];
         cur = GroupMatches::new(&[first]);
         let mut c = ListCursor::new(ctx, first, 0, decomp_fill);
-        // Block-at-a-time: copy each decoded run wholesale while the
-        // next block decodes into the spare buffer. No counters fire
-        // inside a run; block-entry and metadata charges land on entry.
+        // Block-at-a-time: copy each decoded run wholesale. No counters
+        // fire inside a run; block-entry and metadata charges land on
+        // entry.
         while !c.exhausted() {
             if !c.fetch_block(ctx)? {
                 // Fault-skipped block: the cursor already moved on.
                 continue;
             }
-            c.prefetch_next();
             let (rdocs, rtfs) = c.run();
             let n = rdocs.len();
             cur.extend_rows(rdocs, rtfs);

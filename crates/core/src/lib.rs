@@ -7,7 +7,11 @@
 //! score-estimation early termination), programmable decompression,
 //! pipelined Small-versus-Small intersection, a hardware WAND union,
 //! BM25 scoring, and a shift-register top-k queue — returning only the
-//! top-k hits over the shared host interconnect.
+//! top-k hits over the shared host interconnect. The device is the whole
+//! model: it owns the index image, the configuration and the reusable
+//! query buffers, every query's outcome is a pure function of (index,
+//! configuration, query, `k`, floor), and `boss-engine` implements its
+//! `SearchEngine` trait directly on it.
 //!
 //! Two coupled layers (see `DESIGN.md`):
 //!
@@ -43,7 +47,6 @@ mod expr;
 #[cfg(test)]
 mod fault_tests;
 mod fetch;
-mod fixed;
 mod intersect;
 mod mai;
 pub mod pipeline;
@@ -59,10 +62,8 @@ mod union;
 pub use api::{BossHandle, SearchRequest};
 pub use boss_index::{QueryAlgorithm, TopK, ALL_ALGORITHMS};
 pub use config::{BossConfig, DegradePolicy, EtMode, TimingModel};
-pub use core::{BossCore, CoreScratch};
-pub use device::{BossDevice, SchedPolicy};
+pub use device::BossDevice;
 pub use expr::parse_query;
-pub use fixed::{topk_overlap, FixedScorer, Q16};
 pub use mai::{Tlb, TlbStats};
 pub use pipeline::TimingFidelity;
 pub use plan::QueryPlan;

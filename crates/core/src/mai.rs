@@ -8,8 +8,6 @@
 //! 4-access page walk on miss) so the "no host intervention" claim is a
 //! measured property rather than an assumption.
 
-use serde::{Deserialize, Serialize};
-
 /// Huge-page size used for the index image (2 GB).
 pub const PAGE_SIZE: u64 = 2 << 30;
 
@@ -20,7 +18,7 @@ pub const TLB_ENTRIES: usize = 1024;
 pub const WALK_ACCESSES: u32 = 4;
 
 /// TLB hit/miss counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TlbStats {
     /// Lookups that hit.
     pub hits: u64,

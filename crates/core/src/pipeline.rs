@@ -15,10 +15,8 @@
 //! same functional execution and memory simulation; property tests pin
 //! the invariant `roofline <= pipelined <= sum-of-stages`.
 
-use serde::{Deserialize, Serialize};
-
 /// Which latency estimator a core uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TimingFidelity {
     /// Bottleneck-stage roofline: `max` over module cycle totals.
     #[default]
@@ -28,7 +26,7 @@ pub enum TimingFidelity {
 }
 
 /// One fetched block in the trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockEvent {
     /// Memory cycle at which the block's data is available.
     pub data_ready: u64,

@@ -18,10 +18,9 @@ use crate::stats::EvalCounts;
 use boss_index::shard::ShardedIndex;
 use boss_index::{Error, QueryExpr, SearchHit};
 use boss_scm::MemStats;
-use serde::{Deserialize, Serialize};
 
 /// The shared host interconnect (CXL-like).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InterconnectConfig {
     /// Link bandwidth in GB/s (the paper cites 64 GB/s for one CXL link).
     pub bandwidth_gbps: f64,

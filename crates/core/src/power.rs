@@ -4,12 +4,10 @@
 //! reproduction seeds an analytical model with the published per-module
 //! constants and derives device-level totals and energies from them.
 
-use serde::{Deserialize, Serialize};
-
 /// Area (mm²) and average power (mW) of one module instance group, as
 /// Table III reports them (the table's Area/Power columns are totals over
 /// the instance count).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModuleCost {
     /// Component name as printed in Table III.
     pub name: &'static str,
@@ -87,7 +85,7 @@ pub const DEVICE_MODULES: [ModuleCost; 3] = [
 pub const HOST_CPU_POWER_W: f64 = 74.8;
 
 /// The assembled area/power model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaPowerModel {
     /// Number of BOSS cores.
     pub n_cores: u32,

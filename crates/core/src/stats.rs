@@ -2,11 +2,10 @@
 
 use boss_index::SearchHit;
 use boss_scm::MemStats;
-use serde::{Deserialize, Serialize};
 
 /// Document/block evaluation counters (Figure 14's "evaluated documents"
 /// and the skip statistics behind it).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalCounts {
     /// Documents actually scored.
     pub docs_scored: u64,
@@ -71,7 +70,7 @@ impl EvalCounts {
 }
 
 /// Everything one query execution produced.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryOutcome {
     /// The top-k hits, in ranking order.
     pub hits: Vec<SearchHit>,

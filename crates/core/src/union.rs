@@ -570,8 +570,7 @@ pub(crate) fn union_topk(
 }
 
 /// Drains the last live posting-list stream with the block-at-a-time
-/// kernels ([`boss_index::Bm25::score_block`] + [`TopK::sift_block`]) and
-/// the double-buffered traversal ([`ListCursor::prefetch_next`]).
+/// kernels ([`boss_index::Bm25::score_block`] + [`TopK::sift_block`]).
 ///
 /// Exactly equivalent — counter for counter, charge for charge, bit for
 /// bit — to running the per-posting `union_topk` loop with this stream as
@@ -620,7 +619,6 @@ fn drain_single_list(
         if !c.fetch_block(ctx)? {
             return Ok(());
         }
-        c.prefetch_next();
         {
             let (rdocs, rtfs) = c.run();
             bulk.docs.clear();
@@ -737,7 +735,6 @@ fn drain_wand_tail(
                 // Fault-skipped block: the cursor already moved on.
                 continue;
             }
-            c.prefetch_next();
             let (rdocs, rtfs) = c.run();
             bulk.docs.clear();
             bulk.docs.extend_from_slice(rdocs);

@@ -31,31 +31,30 @@
 
 use crate::program::{Op, Operand, Program, RegDecl, Statement};
 use crate::ExtractorKind;
-use serde::{Deserialize, Serialize};
 
 /// Stage-1 configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExtractorConfig {
     /// The active extractor flavor.
     pub kind: ExtractorKind,
 }
 
 /// Stage-3 configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExceptionConfig {
     /// Whether the exception patch area is consulted.
     pub enabled: bool,
 }
 
 /// Stage-4 configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DeltaConfig {
     /// Whether decoded values are d-gaps to prefix-sum.
     pub use_delta: bool,
 }
 
 /// A full four-stage configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     /// Stage 1.
     pub extractor: ExtractorConfig,

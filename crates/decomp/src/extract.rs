@@ -10,12 +10,11 @@
 //! that yields one payload unit per cycle.
 
 use boss_compress::{BitReader, BlockInfo};
-use serde::{Deserialize, Serialize};
 
 use crate::engine::EngineError;
 
 /// Which extractor flavor is active.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExtractorKind {
     /// Fixed-width fields; the width comes from the block metadata.
     FixedWidth,

@@ -1,11 +1,10 @@
 //! The stage-2 programmable datapath: a register-transfer program over
 //! wires and registers, interpreted once per extracted payload unit.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A primitive functional unit of the manipulation stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     /// Logical shift right.
     Shr,
@@ -59,7 +58,7 @@ impl Op {
 }
 
 /// An operand: a literal, a wire/register read, or the stage input.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Operand {
     /// Immediate constant.
     Literal(u32),
@@ -69,7 +68,7 @@ pub enum Operand {
 
 /// One connection: `dest := OP(args...)`, or a plain alias
 /// `dest := name/literal`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Statement {
     /// Destination wire, register, `Output`, or `Output.valid`.
     pub dest: String,
@@ -80,7 +79,7 @@ pub struct Statement {
 }
 
 /// A register declaration: `RegInit(name, init, reset_signal)`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegDecl {
     /// Register name.
     pub name: String,
@@ -92,7 +91,7 @@ pub struct RegDecl {
 }
 
 /// The complete stage-2 program.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Program {
     /// Register declarations.
     pub regs: Vec<RegDecl>,

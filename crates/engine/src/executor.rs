@@ -4,9 +4,22 @@
 //! nothing mutable (see the crate-level determinism contract).
 
 use crate::SearchEngine;
-use boss_core::{EvalCounts, QueryOutcome, SchedPolicy};
+use boss_core::{EvalCounts, QueryOutcome};
 use boss_index::{Error, QueryExpr};
 use boss_scm::MemStats;
+
+/// Order in which [`BatchExecutor`] replays queries onto the engine's
+/// simulated lanes (the query scheduler of Figure 4(a)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum SchedPolicy {
+    /// Queries dispatch in arrival order to the earliest-free core.
+    #[default]
+    Fifo,
+    /// Shortest-job-first by estimated work (total document frequency of
+    /// the plan's terms) — reduces makespan for skewed batches at the cost
+    /// of potential starvation, which the ablation quantifies.
+    Sjf,
+}
 
 /// Aggregate result of a batch run on any [`SearchEngine`].
 #[derive(Debug, Clone)]
@@ -95,9 +108,7 @@ impl BatchExecutor {
     /// lane schedule. Outcomes are returned in submission order; merged
     /// stats are summed in submission order.
     ///
-    /// `engine` itself is only used for forking and the scheduling hooks
-    /// — its accumulators are left untouched, so a caller that wants
-    /// running totals keeps using [`SearchEngine::search`] directly.
+    /// `engine` itself is only used for forking and the scheduling hooks.
     ///
     /// # Errors
     ///
@@ -390,8 +401,6 @@ mod tests {
             .run(&eng, &qs, 5)
             .unwrap_err();
         assert!(format!("{err}").contains("missing"), "got: {err}");
-        // The caller's engine accumulators stay untouched.
-        assert_eq!(eng.mem_stats().total_bytes(), 0);
     }
 
     #[test]

@@ -5,10 +5,12 @@
 //! stat merging, and roofline math with slightly different constants.
 //! This crate factors that into:
 //!
-//! * [`SearchEngine`] — the per-query contract every engine satisfies
-//!   (execute one query, expose label/clock/stat accumulators), plus the
-//!   small set of per-engine scheduling hooks (gang width, SJF work
-//!   estimate, bandwidth roofline) that the batch driver needs;
+//! * [`SearchEngine`] — the per-query contract, implemented on the
+//!   simulators themselves ([`Boss`], [`Iiu`], [`Lucene`] are aliases of
+//!   `BossDevice`, `IiuEngine`, `LuceneEngine`): execute one query and
+//!   return its [`QueryOutcome`], plus label/clock and the small set of
+//!   per-engine scheduling hooks (gang width, SJF work estimate,
+//!   bandwidth roofline) that the batch driver needs;
 //! * [`BatchExecutor`] — one generic batch driver that executes a query
 //!   set on any engine, optionally sharded across OS threads, and
 //!   replays the simulated core/thread schedule serially so results are
@@ -17,9 +19,10 @@
 //! # Determinism contract
 //!
 //! Every engine's per-query execution is pure: given the same index,
-//! configuration, query, and `k`, it returns the same [`QueryOutcome`]
-//! (hits, cycles, traffic, counters) regardless of which OS thread runs
-//! it or what ran before it. The executor relies on this:
+//! configuration, query, `k` and floor, it returns the same
+//! [`QueryOutcome`] (hits, cycles, traffic, counters) regardless of which
+//! OS thread runs it or what ran before it — an engine keeps no totals;
+//! whoever wants them sums the outcomes. The executor relies on this:
 //!
 //! 1. queries are sharded into contiguous chunks, one forked engine per
 //!    worker thread, so workers share nothing mutable;
@@ -34,10 +37,10 @@
 //! be added to an engine without revisiting the executor.
 //!
 //! The shard layer ([`Sharded`]) extends the contract to shard counts:
-//! its routing telemetry (attempt/selection tallies per replica) depends
-//! on how queries are chunked across workers, so it is surfaced only
-//! through [`Sharded::shard_stats`] — never through an outcome — and its
-//! [`ShardTiming::Logical`] mode sources every [`QueryOutcome`]
+//! its routing telemetry (attempt/selection/fault tallies per replica)
+//! depends on how queries are chunked across workers, so it is surfaced
+//! only through [`Sharded::shard_stats`] — never through an outcome — and
+//! its [`ShardTiming::Logical`] mode sources every [`QueryOutcome`]
 //! observable except the hits from the canonical single-device engine,
 //! so batch results are bit-identical at every *shard* count too.
 
@@ -47,7 +50,7 @@ mod serving;
 mod sharded;
 
 pub use engines::{Boss, Iiu, Lucene};
-pub use executor::{BatchExecutor, EngineBatch};
+pub use executor::{BatchExecutor, EngineBatch, SchedPolicy};
 pub use serving::{
     simulate, DegradeLevel, Disposition, OverloadConfig, QueryRecord, ServePolicy, ServiceTable,
     ServingConfig, ServingRun, ALL_SERVE_POLICIES,
@@ -55,10 +58,11 @@ pub use serving::{
 pub use sharded::{ShardReplicaStats, ShardTiming, Sharded};
 
 // Engine-level result vocabulary: the per-query outcome and the two stat
-// accumulators are shared by all engines, so the simulator crates' types
-// are re-exported as this layer's own. `Error` covers planning failures
-// (unknown term, oversized query), which are also common to all engines.
-pub use boss_core::{EvalCounts, QueryOutcome, SchedPolicy};
+// carriers inside it are shared by all engines, so the simulator crates'
+// types are re-exported as this layer's own. `Error` covers planning
+// failures (unknown term, oversized query), which are also common to all
+// engines.
+pub use boss_core::{EvalCounts, QueryOutcome};
 pub use boss_index::Error;
 pub use boss_scm::MemStats;
 
@@ -85,11 +89,10 @@ pub fn open_segments(
 /// One simulated search system bound to an index: BOSS, IIU, or the
 /// Lucene-like software baseline.
 ///
-/// Implementations accumulate the memory traffic and evaluation counters
-/// of every successful [`search`](SearchEngine::search) into
-/// [`mem_stats`](SearchEngine::mem_stats) /
-/// [`eval_counts`](SearchEngine::eval_counts) until
-/// [`reset_stats`](SearchEngine::reset_stats) clears them.
+/// An engine is stateless between queries: an outcome is a pure function
+/// of (index, configuration, query, `k`, floor), and it carries the
+/// query's own [`MemStats`] and [`EvalCounts`] — there are no running
+/// totals to read or reset.
 pub trait SearchEngine {
     /// Display label, e.g. `BOSSx8`, `IIUx8`, `Lucene x8`.
     fn label(&self) -> String;
@@ -100,22 +103,18 @@ pub trait SearchEngine {
     /// Parallel lanes the batch scheduler fills: cores or threads.
     fn lanes(&self) -> usize;
 
-    /// Executes one query, merging its stats into the accumulators.
+    /// Executes one query:
+    /// [`search_seeded`](SearchEngine::search_seeded) with no floor.
     ///
     /// # Errors
     ///
-    /// Planning errors ([`Error::UnknownTerm`], [`Error::InvalidQuery`]),
-    /// plus decode/fault errors ([`Error::Codec`],
-    /// [`Error::CorruptMetadata`], [`Error::ReadFault`]) when the engine
-    /// runs over corrupted data or
-    /// an SCM fault plan under the `FailQuery` degradation policy. Under
-    /// `SkipBlock` the query completes instead and the dropped blocks are
-    /// counted in [`EvalCounts::blocks_skipped_fault`]. The accumulators
-    /// are left untouched on error.
-    fn search(&mut self, expr: &QueryExpr, k: usize) -> Result<QueryOutcome, Error>;
+    /// As [`search_seeded`](SearchEngine::search_seeded).
+    fn search(&mut self, expr: &QueryExpr, k: usize) -> Result<QueryOutcome, Error> {
+        self.search_seeded(expr, k, f32::NEG_INFINITY)
+    }
 
     /// Executes one query with the top-k score floor pre-seeded at
-    /// `floor`, merging stats like [`search`](SearchEngine::search).
+    /// `floor` (`f32::NEG_INFINITY`: no floor).
     ///
     /// The floor is a pruning hint with a drop contract: the engine may
     /// discard hits scoring at or below `floor` (and skip the work of
@@ -125,32 +124,27 @@ pub trait SearchEngine {
     /// shard's tie at the running k-th score loses the merge to the
     /// earlier shard's smaller-docID incumbents (shards are contiguous
     /// ascending document ranges), so dropping it never changes the
-    /// merged top-k. The default ignores the floor and runs a plain
-    /// [`search`](SearchEngine::search): always correct, never faster.
+    /// merged top-k. An engine may ignore the floor: always correct,
+    /// never faster.
     ///
     /// # Errors
     ///
-    /// As [`search`](SearchEngine::search).
+    /// Planning errors ([`Error::UnknownTerm`], [`Error::InvalidQuery`]),
+    /// plus decode/fault errors ([`Error::Codec`],
+    /// [`Error::CorruptMetadata`], [`Error::ReadFault`]) when the engine
+    /// runs over corrupted data or
+    /// an SCM fault plan under the `FailQuery` degradation policy. Under
+    /// `SkipBlock` the query completes instead and the dropped blocks are
+    /// counted in [`EvalCounts::blocks_skipped_fault`].
     fn search_seeded(
         &mut self,
         expr: &QueryExpr,
         k: usize,
-        _floor: f32,
-    ) -> Result<QueryOutcome, Error> {
-        self.search(expr, k)
-    }
+        floor: f32,
+    ) -> Result<QueryOutcome, Error>;
 
-    /// Memory traffic accumulated since the last reset.
-    fn mem_stats(&self) -> &MemStats;
-
-    /// Evaluation counters accumulated since the last reset.
-    fn eval_counts(&self) -> &EvalCounts;
-
-    /// Clears both accumulators.
-    fn reset_stats(&mut self);
-
-    /// A fresh engine over the same index and configuration with zeroed
-    /// accumulators — what each executor worker thread owns.
+    /// A fresh engine over the same index and configuration — what each
+    /// executor worker thread owns.
     fn fork(&self) -> Self
     where
         Self: Sized;

@@ -33,16 +33,17 @@
 //!
 //! # Health-aware routing
 //!
-//! Each (shard, replica) leaf accumulates its own fault counters
-//! ([`MemStats::fault_counts`] plus `blocks_skipped_fault`). Per query,
-//! replicas are attempted in ascending accumulated-fault order (replica
+//! The coordinator tallies, per (shard, replica) leaf, the fault counters
+//! ([`MemStats::fault_counts`] plus `blocks_skipped_fault`) of every
+//! outcome the leaf returned, selected or not. Per query,
+//! replicas are attempted in ascending tallied-fault order (replica
 //! id breaks ties) and the first **clean** outcome (no fault events, no
 //! fault-skipped blocks) wins. Clean outcomes are bit-identical across
 //! replicas — the fault model marks a counter whenever it perturbs
 //! timing — so this early exit never changes results. When no attempt is
 //! clean, every replica has been tried and the winner is the minimum of
 //! `(blocks_skipped_fault, fault_events, replica id)`, a per-query
-//! deterministic key. Attempt/selection tallies are exposed only through
+//! deterministic key. The tallies are exposed only through
 //! [`Sharded::shard_stats`]: they depend on query chunking across
 //! executor workers and must never leak into a [`QueryOutcome`].
 
@@ -64,7 +65,7 @@ pub enum ShardTiming {
 }
 
 /// Health/telemetry snapshot of one (shard, replica) leaf engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardReplicaStats {
     /// Shard index.
     pub shard: usize,
@@ -74,9 +75,10 @@ pub struct ShardReplicaStats {
     pub attempts: u64,
     /// Queries whose outcome this replica supplied.
     pub selected: u64,
-    /// Accumulated fault counters, labeled per class.
+    /// Fault counters summed over every outcome this replica returned
+    /// (selected or not), labeled per class.
     pub faults: FaultCounts,
-    /// Blocks dropped under `SkipBlock` degradation on this replica.
+    /// Blocks dropped under `SkipBlock` degradation, summed likewise.
     pub blocks_skipped_fault: u64,
 }
 
@@ -93,10 +95,8 @@ pub struct Sharded<'a, E: SearchEngine> {
     leaves: Vec<Vec<E>>,
     timing: ShardTiming,
     link: InterconnectConfig,
-    mem: MemStats,
-    eval: EvalCounts,
-    attempts: Vec<Vec<u64>>,
-    selected: Vec<Vec<u64>>,
+    /// `health[s][r]`: routing telemetry of `leaves[s][r]`.
+    health: Vec<Vec<ShardReplicaStats>>,
 }
 
 /// Aggregates of one scatter-gather fan-out (selected outcomes only).
@@ -117,10 +117,7 @@ impl<'a, E: SearchEngine> Sharded<'a, E> {
             leaves: Vec::new(),
             timing: ShardTiming::Logical,
             link: InterconnectConfig::default(),
-            mem: MemStats::new(),
-            eval: EvalCounts::default(),
-            attempts: Vec::new(),
-            selected: Vec::new(),
+            health: Vec::new(),
         }
     }
 
@@ -147,18 +144,14 @@ impl<'a, E: SearchEngine> Sharded<'a, E> {
             leaves.iter().all(|r| !r.is_empty()),
             "every shard needs at least one replica"
         );
-        let attempts: Vec<Vec<u64>> = leaves.iter().map(|r| vec![0; r.len()]).collect();
-        let selected = attempts.clone();
+        let health = zeroed_health(&leaves);
         Sharded {
             canonical,
             sharded: Some(sharded),
             leaves,
             timing,
             link: InterconnectConfig::default(),
-            mem: MemStats::new(),
-            eval: EvalCounts::default(),
-            attempts,
-            selected,
+            health,
         }
     }
 
@@ -181,20 +174,7 @@ impl<'a, E: SearchEngine> Sharded<'a, E> {
     /// Per-(shard, replica) health telemetry, in shard-then-replica
     /// order. Empty for a pass-through wrapper.
     pub fn shard_stats(&self) -> Vec<ShardReplicaStats> {
-        let mut out = Vec::new();
-        for (s, reps) in self.leaves.iter().enumerate() {
-            for (r, leaf) in reps.iter().enumerate() {
-                out.push(ShardReplicaStats {
-                    shard: s,
-                    replica: r,
-                    attempts: self.attempts[s][r],
-                    selected: self.selected[s][r],
-                    faults: leaf.mem_stats().fault_counts(),
-                    blocks_skipped_fault: leaf.eval_counts().blocks_skipped_fault,
-                });
-            }
-        }
-        out
+        self.health.iter().flatten().copied().collect()
     }
 
     /// Restricts `expr` to terms present in `shard`, or `None` when no
@@ -231,16 +211,13 @@ impl<'a, E: SearchEngine> Sharded<'a, E> {
         }
     }
 
-    /// Replica attempt order for shard `s`: ascending accumulated fault
-    /// load (fault events + fault-skipped blocks), replica id on ties.
+    /// Replica attempt order for shard `s`: ascending tallied fault load
+    /// (fault events + fault-skipped blocks), replica id on ties.
     fn replica_order(&self, s: usize) -> Vec<usize> {
         let mut order: Vec<usize> = (0..self.leaves[s].len()).collect();
         order.sort_by_key(|&r| {
-            let leaf = &self.leaves[s][r];
-            (
-                leaf.mem_stats().fault_events() + leaf.eval_counts().blocks_skipped_fault,
-                r,
-            )
+            let h = &self.health[s][r];
+            (h.faults.total() + h.blocks_skipped_fault, r)
         });
         order
     }
@@ -282,11 +259,16 @@ impl<'a, E: SearchEngine> Sharded<'a, E> {
             let mut best: Option<(usize, QueryOutcome)> = None;
             let mut first_err: Option<Error> = None;
             for r in order {
-                self.attempts[s][r] += 1;
+                let health = &mut self.health[s][r];
+                health.attempts += 1;
                 match self.leaves[s][r].search_seeded(&sub, k, floor) {
                     Ok(out) => {
-                        let clean =
-                            out.mem.fault_events() == 0 && out.eval.blocks_skipped_fault == 0;
+                        let faults = out.mem.fault_counts();
+                        health.faults.faulted_reads += faults.faulted_reads;
+                        health.faults.degraded_accesses += faults.degraded_accesses;
+                        health.faults.latency_spikes += faults.latency_spikes;
+                        health.blocks_skipped_fault += out.eval.blocks_skipped_fault;
+                        let clean = faults.total() == 0 && out.eval.blocks_skipped_fault == 0;
                         let better = match &best {
                             None => true,
                             Some((br, bo)) => {
@@ -310,7 +292,7 @@ impl<'a, E: SearchEngine> Sharded<'a, E> {
             }
             match best {
                 Some((r, out)) => {
-                    self.selected[s][r] += 1;
+                    self.health[s][r].selected += 1;
                     slowest_leaf = slowest_leaf.max(out.cycles);
                     mem.merge(&out.mem);
                     eval.merge(&out.eval);
@@ -335,10 +317,17 @@ impl<'a, E: SearchEngine> Sharded<'a, E> {
             eval,
         })
     }
+}
 
-    fn uses_own_accumulators(&self) -> bool {
-        self.sharded.is_some() && self.timing == ShardTiming::ScatterGather
-    }
+fn zeroed_health<E>(leaves: &[Vec<E>]) -> Vec<Vec<ShardReplicaStats>> {
+    let zero = |shard, replica| ShardReplicaStats {
+        shard,
+        replica,
+        ..ShardReplicaStats::default()
+    };
+    (leaves.iter().enumerate())
+        .map(|(s, reps)| (0..reps.len()).map(|r| zero(s, r)).collect())
+        .collect()
 }
 
 impl<E: SearchEngine> SearchEngine for Sharded<'_, E> {
@@ -354,7 +343,14 @@ impl<E: SearchEngine> SearchEngine for Sharded<'_, E> {
         self.canonical.lanes()
     }
 
-    fn search(&mut self, expr: &QueryExpr, k: usize) -> Result<QueryOutcome, Error> {
+    /// The floor is not forwarded: a coordinator seeds its own leaves
+    /// from its own running merge.
+    fn search_seeded(
+        &mut self,
+        expr: &QueryExpr,
+        k: usize,
+        _floor: f32,
+    ) -> Result<QueryOutcome, Error> {
         let Some(sh) = self.sharded else {
             return self.canonical.search(expr, k);
         };
@@ -388,8 +384,6 @@ impl<E: SearchEngine> SearchEngine for Sharded<'_, E> {
                 let cycles = scatter.slowest_leaf
                     + self.link.transfer_cycles(bytes)
                     + self.link.root_merge_cycles(sh.n_shards(), k);
-                self.mem.merge(&scatter.mem);
-                self.eval.merge(&scatter.eval);
                 Ok(QueryOutcome {
                     hits,
                     cycles,
@@ -397,39 +391,6 @@ impl<E: SearchEngine> SearchEngine for Sharded<'_, E> {
                     eval: scatter.eval,
                 })
             }
-        }
-    }
-
-    fn mem_stats(&self) -> &MemStats {
-        if self.uses_own_accumulators() {
-            &self.mem
-        } else {
-            self.canonical.mem_stats()
-        }
-    }
-
-    fn eval_counts(&self) -> &EvalCounts {
-        if self.uses_own_accumulators() {
-            &self.eval
-        } else {
-            self.canonical.eval_counts()
-        }
-    }
-
-    fn reset_stats(&mut self) {
-        self.canonical.reset_stats();
-        for reps in &mut self.leaves {
-            for leaf in reps {
-                leaf.reset_stats();
-            }
-        }
-        self.mem = MemStats::new();
-        self.eval = EvalCounts::default();
-        for a in &mut self.attempts {
-            a.fill(0);
-        }
-        for s in &mut self.selected {
-            s.fill(0);
         }
     }
 
@@ -444,10 +405,7 @@ impl<E: SearchEngine> SearchEngine for Sharded<'_, E> {
                 .collect(),
             timing: self.timing,
             link: self.link,
-            mem: MemStats::new(),
-            eval: EvalCounts::default(),
-            attempts: self.leaves.iter().map(|r| vec![0; r.len()]).collect(),
-            selected: self.leaves.iter().map(|r| vec![0; r.len()]).collect(),
+            health: zeroed_health(&self.leaves),
         }
     }
 
@@ -461,7 +419,7 @@ impl<E: SearchEngine> SearchEngine for Sharded<'_, E> {
 
     fn bandwidth_limit_cycles(&self, mem: &MemStats) -> u64 {
         let base = self.canonical.bandwidth_limit_cycles(mem);
-        if self.uses_own_accumulators() {
+        if self.timing == ShardTiming::ScatterGather {
             // Each shard owns its channels, so the aggregate roofline
             // scales with the shard count.
             base / self.n_shards() as u64
@@ -532,6 +490,23 @@ mod tests {
             .collect()
     }
 
+    /// `(attempts, selected, faulted_reads, blocks_skipped_fault)` per
+    /// leaf, in shard-then-replica order.
+    fn tallies(stats: &[ShardReplicaStats]) -> Vec<(u64, u64, u64, u64)> {
+        stats
+            .iter()
+            .map(|s| {
+                assert_eq!(s.faults.total(), s.faults.faulted_reads);
+                (
+                    s.attempts,
+                    s.selected,
+                    s.faults.faulted_reads,
+                    s.blocks_skipped_fault,
+                )
+            })
+            .collect()
+    }
+
     fn queries() -> Vec<QueryExpr> {
         vec![
             QueryExpr::term("beta"),
@@ -561,8 +536,6 @@ mod tests {
                 assert_eq!(a.mem, b.mem, "{n} shards, {q}");
                 assert_eq!(a.eval, b.eval, "{n} shards, {q}");
             }
-            assert_eq!(single.mem_stats(), multi.mem_stats());
-            assert_eq!(single.eval_counts(), multi.eval_counts());
         }
     }
 
@@ -638,8 +611,6 @@ mod tests {
         // Hits still match the canonical engine bit for bit.
         let mut single = Sharded::single(Boss::new(&idx, BossConfig::default()));
         assert_eq!(out.hits, single.search(&q, 10).unwrap().hits);
-        // Accumulators hold the summed leaf traffic, not the canonical's.
-        assert_eq!(multi.mem_stats().total_bytes(), out.mem.total_bytes());
     }
 
     #[test]
@@ -698,8 +669,15 @@ mod tests {
             );
             assert_eq!(s.blocks_skipped_fault, 0);
         }
-        // Routing learned to prefer the clean replica of shard 0.
+        // Routing learned to prefer the clean replica of shard 0. The
+        // sick one's single attempt lost the selection and is tallied all
+        // the same — what the leaf itself accumulated when routing read
+        // the counters back out of it.
         assert!(bad.selected < stats[1].selected + queries().len() as u64);
+        assert_eq!(
+            tallies(&stats),
+            [(1, 0, 6, 1), (4, 4, 0, 0), (3, 3, 0, 0), (0, 0, 0, 0)]
+        );
     }
 
     #[test]
@@ -725,10 +703,11 @@ mod tests {
             "shard 1 should show fault symptoms"
         );
         assert!(stats[1].blocks_skipped_fault > 0);
+        assert_eq!(tallies(&stats), [(4, 4, 0, 0), (3, 3, 20, 4)]);
     }
 
     #[test]
-    fn fork_and_reset_zero_the_telemetry() {
+    fn fork_zeroes_the_telemetry() {
         let idx = corpus();
         let sh = ShardedIndex::split(&idx, 2).unwrap();
         let mut multi = Sharded::new(
@@ -742,11 +721,5 @@ mod tests {
         let fork = multi.fork();
         assert!(fork.shard_stats().iter().all(|s| s.attempts == 0));
         assert_eq!(fork.n_shards(), 2);
-        multi.reset_stats();
-        assert!(multi
-            .shard_stats()
-            .iter()
-            .all(|s| s.attempts == 0 && s.selected == 0 && s.faults.total() == 0));
-        assert_eq!(multi.mem_stats().total_bytes(), 0);
     }
 }

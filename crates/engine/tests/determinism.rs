@@ -1,10 +1,14 @@
 //! The executor's hard guarantee, checked end to end: batch results are
 //! bit-identical at every thread count, for every engine and every BOSS
-//! early-termination mode.
+//! early-termination mode — and the engine contract under it: a query's
+//! outcome does not depend on what the engine ran before.
 
 use boss_core::{BossConfig, EtMode};
-use boss_engine::{BatchExecutor, Boss, EngineBatch, Iiu, Lucene, SearchEngine};
+use boss_engine::{
+    BatchExecutor, Boss, EngineBatch, Iiu, Lucene, QueryOutcome, SearchEngine, ShardTiming, Sharded,
+};
 use boss_iiu::IiuConfig;
+use boss_index::shard::ShardedIndex;
 use boss_index::{InvertedIndex, QueryExpr};
 use boss_luceneish::LuceneConfig;
 use boss_workload::corpus::{CorpusSpec, Scale};
@@ -102,24 +106,30 @@ fn sjf_schedule_is_also_thread_invariant() {
     }
 }
 
-/// A fork must answer like a newly built engine even when its parent has
-/// served queries — it starts with idle cores and zeroed accumulators and
-/// inherits nothing but the index, the configuration and (by sharing,
-/// not by laying the index out again) the image.
-fn check_fork_is_fresh<E: SearchEngine>(mut used: E, mut new: E, queries: &[QueryExpr]) {
-    let label = used.label();
-    for q in queries {
-        used.search(q, 50).expect("runs");
-    }
-    let mut fork = used.fork();
-    assert_eq!(fork.mem_stats(), new.mem_stats(), "{label}: MemStats");
-    assert_eq!(fork.eval_counts(), new.eval_counts(), "{label}: EvalCounts");
-    for (i, q) in queries.iter().enumerate() {
-        assert_eq!(
-            fork.search(q, 50).expect("runs"),
-            new.search(q, 50).expect("runs"),
-            "{label}: outcome {i}"
-        );
+/// The engine contract: an outcome is a pure function of (index,
+/// configuration, query, k). Each query runs once on the way through the
+/// suite, then again — in reverse, so after a different history — on the
+/// used engine and on a fork of it, and must return the identical outcome:
+/// hits with score bits, cycles, `MemStats`, `EvalCounts`.
+fn check_stateless<E: SearchEngine>(mut engine: E, queries: &[QueryExpr]) {
+    let label = engine.label();
+    let score_bits =
+        |o: &QueryOutcome| -> Vec<u32> { o.hits.iter().map(|h| h.score.to_bits()).collect() };
+    let first: Vec<QueryOutcome> = queries
+        .iter()
+        .map(|q| engine.search(q, 50).expect("runs"))
+        .collect();
+    let mut fork = engine.fork();
+    for (i, (q, expect)) in queries.iter().zip(&first).enumerate().rev() {
+        for (who, e) in [("used", &mut engine), ("fork", &mut fork)] {
+            let got = e.search(q, 50).expect("runs");
+            assert_eq!(&got, expect, "{label} {who}: outcome {i}");
+            assert_eq!(
+                score_bits(&got),
+                score_bits(expect),
+                "{label} {who}: score bits {i}"
+            );
+        }
     }
 }
 
@@ -127,15 +137,36 @@ fn check_fork_is_fresh<E: SearchEngine>(mut used: E, mut new: E, queries: &[Quer
 fn a_fork_of_a_used_engine_is_a_fresh_engine() {
     let index = corpus();
     let queries = suite(&index);
-    let boss = || Boss::new(&index, BossConfig::with_cores(4).with_k(50));
-    let used = boss();
+    let boss = Boss::new(&index, BossConfig::with_cores(4).with_k(50));
     assert!(
-        std::ptr::eq(used.device().image(), used.fork().device().image()),
+        std::ptr::eq(boss.image(), boss.fork().image()),
         "a fork shares its parent's image"
     );
-    check_fork_is_fresh(used, boss(), &queries);
-    let iiu = || Iiu::new(&index, IiuConfig::with_cores(4));
-    check_fork_is_fresh(iiu(), iiu(), &queries);
-    let lucene = || Lucene::new(&index, LuceneConfig::with_threads(4));
-    check_fork_is_fresh(lucene(), lucene(), &queries);
+    check_stateless(boss, &queries);
+    check_stateless(Iiu::new(&index, IiuConfig::with_cores(4)), &queries);
+    check_stateless(Lucene::new(&index, LuceneConfig::with_threads(4)), &queries);
+}
+
+#[test]
+fn a_quiet_scatter_gather_coordinator_is_stateless_too() {
+    // Replica routing reads the coordinator's fault tallies, which a quiet
+    // plan leaves at zero — so the outcomes stay a function of the query.
+    let index = corpus();
+    let queries = suite(&index);
+    let sharded = ShardedIndex::split(&index, 4).expect("splits");
+    let config = || BossConfig::with_cores(4).with_k(50);
+    let leaves = sharded
+        .shards()
+        .iter()
+        .map(|shard| vec![Boss::new(shard, config())])
+        .collect();
+    check_stateless(
+        Sharded::new(
+            Boss::new(&index, config()),
+            &sharded,
+            leaves,
+            ShardTiming::ScatterGather,
+        ),
+        &queries,
+    );
 }

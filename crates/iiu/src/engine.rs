@@ -356,7 +356,7 @@ impl<'a> IiuEngine<'a> {
             image: &self.image,
             mem: MemorySim::new(self.config.memory.clone()),
             eval: EvalCounts::default(),
-            dec_cycles: vec![0; self.config.units_per_core as usize],
+            dec_cycles: vec![0; self.config.units_per_core.max(1) as usize],
             scored: 0,
             scratch: ScratchRegion::after(&self.image),
             norm_line: u64::MAX,
@@ -494,6 +494,7 @@ impl<'a> IiuEngine<'a> {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     use super::*;
     use boss_index::{reference, IndexBuilder};
 
@@ -689,6 +690,32 @@ mod tests {
             assert_eq!(a.eval, b.eval, "{q}");
             assert_eq!(a.mem, b.mem, "{q}");
             assert_eq!(a.cycles, b.cycles, "{q}");
+        }
+    }
+
+    #[test]
+    fn zero_units_answer_like_one() {
+        // `units_per_core` is a public field; 0 used to leave the per-unit
+        // cycle vector empty and panic on the first `% len()`.
+        let idx = corpus();
+        let t = |s: &str| QueryExpr::term(s);
+        let queries = [
+            t("aa"),
+            QueryExpr::and([t("aa"), t("bb")]),
+            QueryExpr::or([t("aa"), t("cc")]),
+        ];
+        for algorithm in [QueryAlgorithm::Exhaustive, QueryAlgorithm::BlockMaxWand] {
+            let run = |units_per_core: u32, q: &QueryExpr| {
+                let config = IiuConfig {
+                    units_per_core,
+                    algorithm,
+                    ..IiuConfig::default()
+                };
+                IiuEngine::new(&idx, config).execute(q, 10).unwrap()
+            };
+            for q in &queries {
+                assert_eq!(run(0, q), run(1, q), "{q} {algorithm}");
+            }
         }
     }
 }

@@ -19,6 +19,8 @@
 //! (the host sorts the full result list), so tests can compare all three
 //! engines hit-for-hit.
 
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 mod engine;
 
 pub use engine::{IiuConfig, IiuEngine};

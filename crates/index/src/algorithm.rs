@@ -8,10 +8,8 @@
 //! every `k`, and every corpus — the pruning only changes which blocks
 //! are decoded and which documents are examined, never the result.
 
-use serde::{Deserialize, Serialize};
-
 /// A dynamic-pruning query plan, selectable per engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum QueryAlgorithm {
     /// No dynamic pruning: the traversal the engine always had.
     #[default]

@@ -20,7 +20,7 @@ impl Default for Bm25Params {
 }
 
 /// A BM25 scorer bound to corpus statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Bm25 {
     params: Bm25Params,
     n_docs: u32,

@@ -3,7 +3,6 @@
 
 use crate::{Bm25, DocId, Error, PostingList, SchemeChoice};
 use boss_compress::{codec_for, BlockInfo, Scheme, ALL_SCHEMES};
-use serde::{Deserialize, Serialize};
 
 /// Number of postings per block. The paper uses 128-value blocks (with
 /// Simple16 nominally variable-size; we keep logical 128-value blocks for
@@ -24,7 +23,7 @@ pub const BLOCK_META_BYTES: u64 = 19;
 /// struct carries a little more than the paper's packed 19 bytes (separate
 /// descriptors for the docID and tf sub-streams); traffic accounting always
 /// uses [`BLOCK_META_BYTES`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlockMeta {
     /// First (uncompressed) docID in the block.
     pub first_doc: DocId,
@@ -57,7 +56,7 @@ impl BlockMeta {
 }
 
 /// A posting list encoded into 128-value blocks under one scheme.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EncodedList {
     scheme: Scheme,
     blocks: Vec<BlockMeta>,

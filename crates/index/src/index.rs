@@ -1,14 +1,13 @@
 //! The assembled inverted index.
 
 use crate::{Bm25, EncodedList, Error};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Identifier of a term in the index vocabulary.
 pub type TermId = u32;
 
 /// Per-term statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TermInfo {
     /// The term text.
     pub text: String,
@@ -22,7 +21,7 @@ pub struct TermInfo {
 ///
 /// Built with [`crate::IndexBuilder`]; once created it is read-only, like
 /// the production indexes the paper targets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InvertedIndex {
     pub(crate) vocab: HashMap<String, TermId>,
     pub(crate) terms: Vec<TermInfo>,

@@ -8,14 +8,13 @@
 //! metadata table (4 B per document).
 
 use crate::{DocId, InvertedIndex, TermId, BLOCK_META_BYTES};
-use serde::{Deserialize, Serialize};
 
 /// Base virtual address of the index image. Non-zero so address arithmetic
 /// bugs surface, 2 GiB-aligned to play nicely with the paper's huge pages.
 pub const IMAGE_BASE: u64 = 0x8000_0000;
 
 /// Address map of one index image.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IndexImage {
     meta_addr: Vec<u64>,
     data_addr: Vec<u64>,
@@ -92,7 +91,7 @@ impl IndexImage {
 }
 
 /// A scratch region for intermediate data / results, placed after the image.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScratchRegion {
     base: u64,
     cursor: u64,

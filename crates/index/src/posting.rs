@@ -1,10 +1,9 @@
 //! Raw (uncompressed) posting lists.
 
 use crate::{DocId, Error};
-use serde::{Deserialize, Serialize};
 
 /// One posting: a document that contains the term, with its frequency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Posting {
     /// Document identifier.
     pub doc: DocId,
@@ -16,7 +15,7 @@ pub struct Posting {
 ///
 /// Stored as two parallel columns, which is both cache-friendlier and the
 /// shape the block encoder consumes.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PostingList {
     docs: Vec<DocId>,
     tfs: Vec<u32>,

@@ -1,14 +1,13 @@
 //! The query AST shared by every engine, and the result type.
 
 use crate::{DocId, Error};
-use serde::{Deserialize, Serialize};
 
 /// A boolean full-text query over terms.
 ///
 /// BOSS's offload API accepts up to 16 terms with AND/OR operators
 /// (Section IV-D); the same AST drives the reference evaluator and the
 /// IIU/Lucene baselines so that all engines answer the identical question.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueryExpr {
     /// A single term.
     Term(String),
@@ -115,7 +114,7 @@ impl std::fmt::Display for QueryExpr {
 }
 
 /// One scored document in a result list.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SearchHit {
     /// The document.
     pub doc: DocId,

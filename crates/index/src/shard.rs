@@ -31,11 +31,10 @@
 
 use crate::index::TermInfo;
 use crate::{DecodeScratch, DocId, Error, InvertedIndex, ListEncoder, SchemeChoice, SearchHit};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A corpus split into docID-interval shards.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ShardedIndex {
     shards: Vec<InvertedIndex>,
     /// Global docID base of each shard (ascending); shard `i` covers

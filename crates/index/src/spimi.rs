@@ -77,7 +77,7 @@ impl Default for SpimiConfig {
 
 /// Build-time statistics of a SPIMI run — what `segment_build` prints
 /// and the harness reports as `index.spimi.*`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SpimiStats {
     /// Documents indexed.
     pub docs: u64,

@@ -431,6 +431,7 @@ impl<'a> LuceneEngine<'a> {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     use super::*;
     use boss_index::{reference, IndexBuilder};
 

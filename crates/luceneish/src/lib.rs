@@ -20,6 +20,8 @@
 //! Query-level parallelism across threads matches Lucene's serving model:
 //! one query per thread, batch makespan = greedy list scheduling.
 
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 mod engine;
 
 pub use engine::{LuceneConfig, LuceneCostModel, LuceneEngine};

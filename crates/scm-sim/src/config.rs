@@ -1,12 +1,10 @@
 //! Memory device configurations.
 
-use serde::{Deserialize, Serialize};
-
 /// The broad class of memory device being modeled.
 ///
 /// Used by reports (and a couple of heuristics) to label results; all actual
 /// timing comes from the numeric fields of [`MemoryConfig`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemoryKind {
     /// Storage-class memory (Optane DCPMM-like).
     Scm,
@@ -32,7 +30,7 @@ impl std::fmt::Display for MemoryKind {
 /// paper: [`MemoryConfig::optane_dcpmm`] (25.6 GB/s sequential read,
 /// 6.6 GB/s random read, 2.3 GB/s write over 4 channels) and
 /// [`MemoryConfig::ddr4_2666`] (85.2 GB/s over 4 channels).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemoryConfig {
     /// Device class, for labeling.
     pub kind: MemoryKind,

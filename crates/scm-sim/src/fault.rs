@@ -12,8 +12,6 @@
 //! that never had the feature: the plan is consulted only when present,
 //! and every fault counter stays zero.
 
-use serde::{Deserialize, Serialize};
-
 /// Address granularity at which uncorrectable-line errors are drawn.
 ///
 /// Matches the Optane internal access granule ("XPLine"): the unit the
@@ -24,7 +22,7 @@ pub const FAULT_LINE_BYTES: u64 = 256;
 ///
 /// All three fault classes are derived from `seed` with splitmix/xorshift
 /// hashing — no RNG state, so concurrent simulations and re-runs agree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed from which every fault decision is derived.
     pub seed: u64,

@@ -1,13 +1,11 @@
 //! Traffic accounting, broken down the way Figure 15 of the paper reports it.
 
-use serde::{Deserialize, Serialize};
-
 /// Category of a memory access, matching the legend of Figure 15.
 ///
 /// `LdMeta` (per-block skip/decompression metadata) is kept separate here so
 /// the simulator can also answer block-skipping questions; the figure folds
 /// it into `LD List`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessCategory {
     /// Compressed posting-list block loads.
     LdList,
@@ -70,7 +68,7 @@ impl std::fmt::Display for AccessCategory {
 /// multi-device (sharded) system these snapshots are what the
 /// coordinator compares to rank replica health and what benches report
 /// as the labeled per-shard breakdown.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultCounts {
     /// Reads that touched an uncorrectable line.
     pub faulted_reads: u64,
@@ -102,7 +100,7 @@ impl std::fmt::Display for FaultCounts {
 /// Byte counts are *logical* (what the pipeline asked for); the device-level
 /// cost of granule rounding shows up in cycle accounting, not here, so that
 /// the per-category breakdown matches what an RTL trace would report.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MemStats {
     bytes: [u64; 6],
     counts: [u64; 6],

@@ -5,10 +5,8 @@
 //! which is how one verifies the pipelined-overlap claims rather than
 //! trusting an average.
 
-use serde::{Deserialize, Serialize};
-
 /// A histogram of effective bytes per fixed-width cycle bucket.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Timeline {
     bucket_cycles: u64,
     buckets: Vec<u64>,

@@ -22,7 +22,6 @@
 
 use crate::rng::{self, SeededRng};
 use rand::RngExt;
-use serde::{Deserialize, Serialize};
 
 /// Burst-state arrival rate relative to the calm state of
 /// [`ArrivalKind::Bursty`].
@@ -36,7 +35,7 @@ pub const BURST_TIME_FRACTION: f64 = 0.15;
 pub const BURST_DWELL_ARRIVALS: f64 = 24.0;
 
 /// Shape of an open-loop arrival process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArrivalKind {
     /// Constant-rate memoryless arrivals.
     Poisson,

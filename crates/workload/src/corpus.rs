@@ -14,11 +14,10 @@
 use crate::rng::{self, SeededRng, Zipf};
 use boss_index::{IndexBuilder, InvertedIndex, PostingList};
 use rand::RngExt;
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// Corpus size presets used by all figure binaries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scale {
     /// Seconds-fast: CI and unit tests.
     Smoke,
@@ -42,7 +41,7 @@ impl std::str::FromStr for Scale {
 }
 
 /// Specification of a synthetic corpus.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorpusSpec {
     /// Corpus name used in reports.
     pub name: String,
@@ -249,7 +248,7 @@ impl CorpusSpec {
 /// are drawn rank-wise from a Zipf sampler) and term frequencies
 /// geometric, like [`CorpusSpec`]; unlike `CorpusSpec` there is no docID
 /// clustering knob — streaming generation is docID-order by construction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamingCorpusSpec {
     /// Number of documents.
     pub n_docs: u32,

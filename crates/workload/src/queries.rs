@@ -3,10 +3,9 @@
 use crate::rng::{self, SeededRng};
 use boss_index::{InvertedIndex, QueryExpr};
 use rand::RngExt;
-use serde::{Deserialize, Serialize};
 
 /// The six query types of Table II.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueryType {
     /// 1 term: `A`.
     Q1,
@@ -85,7 +84,7 @@ impl std::fmt::Display for QueryType {
 }
 
 /// A typed query instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TypedQuery {
     /// Which Table II row this query instantiates.
     pub qtype: QueryType,

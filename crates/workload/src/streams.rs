@@ -8,10 +8,9 @@
 //! values, not positions).
 
 use crate::rng::{self, SeededRng};
-use serde::{Deserialize, Serialize};
 
 /// Identifies one of the seven Figure 3 synthetic stream shapes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StreamKind {
     /// Unique integers uniform over `[0, 2^28)`, delta-encoded.
     UniformSparse,

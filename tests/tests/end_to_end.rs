@@ -110,21 +110,6 @@ fn dram_never_slower_than_scm() {
 }
 
 #[test]
-fn index_serializes_and_answers_identically() {
-    let index = corpus();
-    let json = serde_json::to_string(&index).expect("serializes");
-    let revived: boss_index::InvertedIndex = serde_json::from_str(&json).expect("deserializes");
-    let mut sampler = QuerySampler::new(&index, 12).unwrap();
-    let q = sampler
-        .sample(boss_workload::queries::QueryType::Q3)
-        .unwrap()
-        .expr;
-    let a = boss_index::reference::evaluate(&index, &q, 50).expect("runs");
-    let b = boss_index::reference::evaluate(&revived, &q, 50).expect("runs");
-    assert_eq!(a, b);
-}
-
-#[test]
 fn offload_api_round_trip() {
     use boss_core::{BossHandle, SearchRequest};
     let index = corpus();
