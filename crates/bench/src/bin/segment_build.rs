@@ -305,9 +305,10 @@ fn run_verify(args: &Args) -> i32 {
                 .merge()
                 .expect("merge");
             std::fs::remove_dir_all(&dir).ok();
+            let lists = spec.term_lists().expect("term lists");
             let mut builder = IndexBuilder::new().scheme(scheme);
-            for (term, list) in spec.term_lists().expect("term lists") {
-                builder = builder.add_posting_list(&term, &list);
+            for (term, list) in &lists {
+                builder = builder.add_posting_list(term, list);
             }
             let mem = builder.build().expect("in-memory build");
             let index_equal = mem == seg;

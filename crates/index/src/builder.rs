@@ -81,26 +81,52 @@ pub(crate) fn scoring_from_lens(params: Bm25Params, doc_lens: &[u32]) -> (Bm25, 
     (bm25, doc_norms)
 }
 
+/// One term's docID and tf columns, in the shape the encoder takes.
+#[derive(Debug)]
+enum Columns<'a> {
+    /// Accumulated by [`IndexBuilder::add_documents`].
+    Tokenized(Vec<u32>, Vec<u32>),
+    /// Read where the caller keeps it; never written to.
+    Injected(&'a PostingList),
+}
+
+impl Columns<'_> {
+    fn slices(&self) -> (&[u32], &[u32]) {
+        match self {
+            Columns::Tokenized(docs, tfs) => (docs, tfs),
+            Columns::Injected(list) => (list.docs(), list.tfs()),
+        }
+    }
+}
+
 /// Builder for [`InvertedIndex`].
 ///
 /// Two input paths:
 /// * [`IndexBuilder::add_documents`] tokenizes real text (whitespace +
-///   punctuation split, lowercased) — used by examples and tests;
+///   punctuation split, lowercased) into columns the builder owns — used
+///   by examples and tests;
 /// * [`IndexBuilder::add_posting_list`] injects pre-built posting lists —
 ///   used by the synthetic corpus generators, together with
-///   [`IndexBuilder::doc_lens`] to supply document lengths.
+///   [`IndexBuilder::doc_lens`] to supply document lengths. The builder
+///   *borrows* each list for `'a` and [`IndexBuilder::build`] encodes
+///   straight out of the caller's columns, so the corpus is never held
+///   twice: keep the lists alive (and unmodified — the borrow sees to
+///   that) until `build` has returned. The returned index owns all of
+///   its data and does not carry the lifetime.
 ///
 /// Conflicting inputs are rejected at [`IndexBuilder::build`] with a
-/// typed error instead of silently resolving last-write-wins:
+/// typed error instead of silently resolving last-write-wins; the first
+/// conflict observed is the one reported:
 /// * supplying explicit [`IndexBuilder::doc_lens`] *and* tokenized
 ///   [`IndexBuilder::add_documents`] (both define document lengths) is
 ///   [`Error::ConflictingDocLens`];
 /// * injecting the same term twice via
-///   [`IndexBuilder::add_posting_list`] is [`Error::DuplicateTerm`].
+///   [`IndexBuilder::add_posting_list`] is [`Error::DuplicateTerm`];
+/// * a term that arrives both ways — injected and found in tokenized
+///   text, in either order — is [`Error::DuplicateTerm`] too.
 #[derive(Debug, Default)]
-pub struct IndexBuilder {
-    /// Per term, the docID and tf columns in the shape the encoder takes.
-    postings: BTreeMap<String, (Vec<u32>, Vec<u32>)>,
+pub struct IndexBuilder<'a> {
+    postings: BTreeMap<String, Columns<'a>>,
     doc_lens: Vec<u32>,
     explicit_doc_lens: bool,
     tokenized_docs: bool,
@@ -112,7 +138,7 @@ pub struct IndexBuilder {
     conflict: Option<Error>,
 }
 
-impl IndexBuilder {
+impl<'a> IndexBuilder<'a> {
     /// Creates an empty builder with default BM25 parameters and hybrid
     /// compression.
     pub fn new() -> Self {
@@ -147,8 +173,10 @@ impl IndexBuilder {
 
     /// Tokenizes and adds documents; docIDs are assigned in input order
     /// continuing from any previously added documents. Conflicts with
-    /// explicit [`IndexBuilder::doc_lens`]; see there.
-    pub fn add_documents<'a, I: IntoIterator<Item = &'a str>>(mut self, docs: I) -> Self {
+    /// explicit [`IndexBuilder::doc_lens`] (see there) and with a term
+    /// already injected by [`IndexBuilder::add_posting_list`]
+    /// ([`Error::DuplicateTerm`]).
+    pub fn add_documents<'d, I: IntoIterator<Item = &'d str>>(mut self, docs: I) -> Self {
         if self.explicit_doc_lens {
             self.conflict.get_or_insert(Error::ConflictingDocLens);
         }
@@ -166,9 +194,19 @@ impl IndexBuilder {
                 len += 1;
             }
             for (term, tf) in counts {
-                let (docs, tfs) = self.postings.entry(term).or_default();
-                docs.push(doc);
-                tfs.push(tf);
+                match self.postings.get_mut(&term) {
+                    Some(Columns::Tokenized(docs, tfs)) => {
+                        docs.push(doc);
+                        tfs.push(tf);
+                    }
+                    Some(Columns::Injected(_)) => {
+                        self.conflict.get_or_insert(Error::DuplicateTerm { term });
+                    }
+                    None => {
+                        let columns = Columns::Tokenized(vec![doc], vec![tf]);
+                        self.postings.insert(term, columns);
+                    }
+                }
             }
             if self.doc_lens.len() < (doc + 1) as usize {
                 self.doc_lens.resize((doc + 1) as usize, 0);
@@ -178,10 +216,12 @@ impl IndexBuilder {
         self
     }
 
-    /// Adds a pre-built posting list for `term`. Each term may be
-    /// injected exactly once; a second list for the same term makes
-    /// [`IndexBuilder::build`] return [`Error::DuplicateTerm`].
-    pub fn add_posting_list(mut self, term: &str, list: &PostingList) -> Self {
+    /// Adds a pre-built posting list for `term`, borrowed until
+    /// [`IndexBuilder::build`] has encoded it. Each term may arrive
+    /// exactly once; a second list for the same term, or a term that
+    /// tokenized text already produced, makes [`IndexBuilder::build`]
+    /// return [`Error::DuplicateTerm`].
+    pub fn add_posting_list(mut self, term: &str, list: &'a PostingList) -> Self {
         if self.postings.contains_key(term) {
             self.conflict.get_or_insert(Error::DuplicateTerm {
                 term: term.to_owned(),
@@ -189,7 +229,7 @@ impl IndexBuilder {
             return self;
         }
         self.postings
-            .insert(term.to_owned(), (list.docs().to_vec(), list.tfs().to_vec()));
+            .insert(term.to_owned(), Columns::Injected(list));
         self
     }
 
@@ -220,7 +260,8 @@ impl IndexBuilder {
         // further — and the per-document tf sums, which stand in for the
         // length of documents that have none.
         let mut tf_sums = vec![0u64; doc_lens.len()];
-        for (docs, tfs) in postings.values() {
+        for columns in postings.values() {
+            let (docs, tfs) = columns.slices();
             for (&d, &tf) in docs.iter().zip(tfs) {
                 let d = d as usize;
                 if d >= tf_sums.len() {
@@ -245,10 +286,11 @@ impl IndexBuilder {
         let mut lists = Vec::with_capacity(postings.len());
         let mut vocab = std::collections::HashMap::with_capacity(postings.len());
         let mut encoder = ListEncoder::new();
-        for (text, (docs, tfs)) in postings {
+        for (text, columns) in postings {
+            let (docs, tfs) = columns.slices();
             let df = docs.len() as u32;
             let idf = bm25.idf(df);
-            let encoded = encoder.encode(&docs, &tfs, scheme, &bm25, idf, &doc_norms)?;
+            let encoded = encoder.encode(docs, tfs, scheme, &bm25, idf, &doc_norms)?;
 
             let id = terms.len() as u32;
             vocab.insert(text.clone(), id);
@@ -363,6 +405,70 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, Error::DuplicateTerm { ref term } if term == "t"));
+    }
+
+    fn assert_duplicate(err: &Error, expected: &str) {
+        assert!(
+            matches!(err, Error::DuplicateTerm { term } if term == expected),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn tokenized_then_injected_term_rejected() {
+        let l = PostingList::from_columns(vec![0, 1], vec![1, 1]).unwrap();
+        let err = IndexBuilder::new()
+            .add_documents(["x t", "y"])
+            .add_posting_list("t", &l)
+            .build()
+            .unwrap_err();
+        assert_duplicate(&err, "t");
+    }
+
+    #[test]
+    fn injected_then_tokenized_term_rejected() {
+        let l = PostingList::from_columns(vec![0, 1], vec![1, 1]).unwrap();
+        // With the text as document 3 this used to build with the list
+        // silently extended to [0, 1, 3]...
+        let err = IndexBuilder::new()
+            .add_documents(["a", "b", "c"])
+            .add_posting_list("t", &l)
+            .add_documents(["t t"])
+            .build()
+            .unwrap_err();
+        assert_duplicate(&err, "t");
+        // ...and as document 0 to fail as `UnsortedPostings { at: 2 }`,
+        // a position in a list nobody supplied.
+        let err = IndexBuilder::new()
+            .add_posting_list("t", &l)
+            .add_documents(["t t"])
+            .build()
+            .unwrap_err();
+        assert_duplicate(&err, "t");
+        assert_eq!(l.docs(), [0, 1], "an injected list is never written to");
+    }
+
+    #[test]
+    fn first_term_collision_wins() {
+        let l = PostingList::from_columns(vec![0, 1], vec![1, 1]).unwrap();
+        // Within one document the terms are visited in lexical order.
+        let err = IndexBuilder::new()
+            .add_posting_list("t", &l)
+            .add_posting_list("s", &l)
+            .add_documents(["t s", "t"])
+            .add_posting_list("u", &l)
+            .add_posting_list("u", &l)
+            .build()
+            .unwrap_err();
+        assert_duplicate(&err, "s");
+        // An earlier conflict of another kind is not displaced either.
+        let err = IndexBuilder::new()
+            .doc_lens(vec![2])
+            .add_posting_list("t", &l)
+            .add_documents(["t"])
+            .build()
+            .unwrap_err();
+        assert!(matches!(err, Error::ConflictingDocLens), "{err}");
     }
 
     #[test]

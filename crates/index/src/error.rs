@@ -53,12 +53,15 @@ pub enum Error {
         /// Documents in the corpus being split.
         n_docs: u32,
     },
-    /// The same term was injected twice via
-    /// [`crate::IndexBuilder::add_posting_list`]. Accumulating lists for
-    /// one term used to be silent last-write-wins territory; it is now a
-    /// build-time error so conflicting inputs cannot merge unnoticed.
+    /// The same term reached the builder more than once: injected twice
+    /// via [`crate::IndexBuilder::add_posting_list`], or injected and
+    /// also found in the text of
+    /// [`crate::IndexBuilder::add_documents`] (in either order).
+    /// Accumulating lists for one term used to be silent last-write-wins
+    /// territory; it is now a build-time error so conflicting inputs
+    /// cannot merge unnoticed.
     DuplicateTerm {
-        /// The term injected more than once.
+        /// The term supplied more than once.
         term: String,
     },
     /// Both explicit document lengths and tokenized documents were
@@ -92,7 +95,7 @@ impl std::fmt::Display for Error {
                 write!(f, "cannot split {n_docs} documents into {n_shards} shards")
             }
             Error::DuplicateTerm { term } => {
-                write!(f, "posting list for term {term:?} was injected twice")
+                write!(f, "posting list for term {term:?} was supplied twice")
             }
             Error::ConflictingDocLens => {
                 write!(

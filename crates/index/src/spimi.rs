@@ -861,10 +861,13 @@ mod tests {
                 e.1.push(tf);
             }
         }
+        let lists: Vec<(&str, PostingList)> = columns
+            .into_iter()
+            .map(|(t, (d, f))| (t, PostingList::from_columns(d, f).unwrap()))
+            .collect();
         let mut builder = IndexBuilder::new().doc_lens(lens.to_vec());
-        for (t, (d, f)) in columns {
-            let list = PostingList::from_columns(d, f).unwrap();
-            builder = builder.add_posting_list(t, &list);
+        for (t, list) in &lists {
+            builder = builder.add_posting_list(t, list);
         }
         assert_eq!(merged, builder.build().unwrap());
     }

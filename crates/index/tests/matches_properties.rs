@@ -42,12 +42,16 @@ fn scoring_index() -> &'static InvertedIndex {
     INDEX.get_or_init(|| {
         let n_docs = 6 * W + 108;
         let lens = (0..n_docs).map(|d| 10 + d * 7 % 300).collect();
+        let lists: Vec<PostingList> = (0..6)
+            .map(|t| {
+                let docs: Vec<DocId> = (0..n_docs).step_by(3 + 17 * t).collect();
+                let tfs = vec![1; docs.len()];
+                PostingList::from_columns(docs, tfs).expect("ascending")
+            })
+            .collect();
         let mut builder = IndexBuilder::new().doc_lens(lens);
-        for t in 0..6u32 {
-            let docs: Vec<DocId> = (0..n_docs).step_by(3 + 17 * t as usize).collect();
-            let tfs = vec![1; docs.len()];
-            let list = PostingList::from_columns(docs, tfs).expect("ascending");
-            builder = builder.add_posting_list(&format!("t{t}"), &list);
+        for (t, list) in lists.iter().enumerate() {
+            builder = builder.add_posting_list(&format!("t{t}"), list);
         }
         builder.build().expect("index")
     })

@@ -135,6 +135,8 @@ pub fn generate(kind: ArrivalKind, n: usize, mean_interarrival: f64, seed: u64) 
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
 
     fn mean_gap(a: &[u64]) -> f64 {

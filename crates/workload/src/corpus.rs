@@ -11,7 +11,7 @@
 //!   gives realistic BM25 score skew, which is what early termination
 //!   exploits.
 
-use crate::rng::{self, SeededRng, Zipf};
+use crate::rng::{self, Geometric, SeededRng, Zipf};
 use boss_index::{IndexBuilder, InvertedIndex, PostingList};
 use rand::RngExt;
 use std::fmt::Write as _;
@@ -115,6 +115,7 @@ impl CorpusSpec {
         let mut r = rng::rng(self.seed);
         let total_postings = u64::from(self.n_docs) * u64::from(self.avg_unique_terms);
         let zipf = Zipf::new(self.vocab_size, self.zipf_s);
+        let extra_tf = Geometric::new(self.tf_p);
 
         let mut lists = Vec::with_capacity(self.vocab_size);
         let width = (self.vocab_size as f64).log10().ceil().max(1.0) as usize;
@@ -123,7 +124,7 @@ impl CorpusSpec {
                 .clamp(1, u64::from(self.n_docs) * 6 / 10) as usize;
             let docs = self.sample_docs(&mut r, df);
             let tfs: Vec<u32> = (0..docs.len())
-                .map(|_| 1 + rng::geometric(&mut r, self.tf_p))
+                .map(|_| 1 + extra_tf.sample(&mut r))
                 .collect();
             let list = PostingList::from_columns(docs, tfs)?;
             // Lexical order == rank order thanks to zero padding, so rank-r
@@ -140,9 +141,11 @@ impl CorpusSpec {
     /// Propagates index-construction failures (cannot occur for the
     /// generated, always-valid posting data).
     pub fn build(&self) -> Result<InvertedIndex, boss_index::Error> {
+        // The builder encodes out of `lists` in place, so they outlive it.
+        let lists = self.term_lists()?;
         let mut builder = IndexBuilder::new();
-        for (term, list) in self.term_lists()? {
-            builder = builder.add_posting_list(&term, &list);
+        for (term, list) in &lists {
+            builder = builder.add_posting_list(term, list);
         }
         builder.build()
     }
@@ -317,7 +320,17 @@ impl DocStreamer {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
+
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+    fn fnv1a(h: u64, bytes: impl Iterator<Item = u8>) -> u64 {
+        bytes.fold(h, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
 
     #[test]
     fn smoke_corpus_builds() {
@@ -435,16 +448,47 @@ mod tests {
             assert_eq!(got, bag, "doc {doc}");
         }
         // FNV-1a over the first 2000 documents' bags.
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = FNV_OFFSET;
         for doc in 0..2000 {
             s.doc_terms(doc, &mut out);
             for (t, tf) in &out {
-                for b in t.bytes().chain(tf.to_le_bytes()) {
-                    h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-                }
+                h = fnv1a(h, t.bytes().chain(tf.to_le_bytes()));
             }
         }
         assert_eq!(h, 0xa412_a9b1_c0be_d8d3);
+    }
+
+    /// The term-major generator is frozen like the doc-major one: the
+    /// figure goldens and three benchmark workloads index these lists.
+    /// FNV-1a over every term, docID and tf of the two smoke presets,
+    /// recorded from the generator that recomputed `ln(1 - p)` and
+    /// `floor`ed on every tf draw.
+    #[test]
+    fn term_lists_are_pinned() {
+        for (spec, postings, pinned) in [
+            (
+                CorpusSpec::clueweb12_like(Scale::Smoke),
+                159_447,
+                0x169c_54d7_dc4a_c4d3u64,
+            ),
+            (
+                CorpusSpec::ccnews_like(Scale::Smoke),
+                112_254,
+                0xb8cb_1efd_b079_17b0,
+            ),
+        ] {
+            let lists = spec.term_lists().unwrap();
+            let mut h = FNV_OFFSET;
+            let mut n = 0;
+            for (term, list) in &lists {
+                h = fnv1a(h, term.bytes());
+                for column in [list.docs(), list.tfs()] {
+                    h = fnv1a(h, column.iter().flat_map(|v| v.to_le_bytes()));
+                }
+                n += list.len();
+            }
+            assert_eq!((n, h), (postings, pinned), "{} {n} {h:#x}", spec.name);
+        }
     }
 
     #[test]

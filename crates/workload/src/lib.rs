@@ -29,6 +29,8 @@
 //! # }
 //! ```
 
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod arrivals;
 pub mod corpus;
 pub mod queries;

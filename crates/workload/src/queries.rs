@@ -142,6 +142,9 @@ impl std::error::Error for SampleError {}
 pub struct QuerySampler {
     terms: Vec<String>,
     cumulative: Vec<u64>,
+    /// The last cumulative df; positive, as `new` rejects an empty
+    /// vocabulary.
+    total: u64,
     rng: SeededRng,
 }
 
@@ -169,14 +172,13 @@ impl QuerySampler {
         Ok(QuerySampler {
             terms,
             cumulative,
+            total: acc,
             rng: rng::rng(seed),
         })
     }
 
     fn sample_term(&mut self) -> String {
-        // Non-empty by construction: `new` rejects empty vocabularies.
-        let total = *self.cumulative.last().expect("vocabulary non-empty");
-        let u = self.rng.random_range(0..total);
+        let u = self.rng.random_range(0..self.total);
         let i = self.cumulative.partition_point(|&c| c <= u);
         self.terms[i].clone()
     }
@@ -272,6 +274,8 @@ impl QuerySampler {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
     use crate::corpus::{CorpusSpec, Scale};
 

@@ -1,8 +1,8 @@
 //! Deterministic random-sampling helpers shared by the generators.
 //!
 //! Hand-rolled distributions (Box–Muller normal, inverse-transform
-//! geometric, cumulative-table Zipf) keep the dependency set to `rand` +
-//! `rand_chacha` while staying reproducible across platforms.
+//! [`Geometric`], cumulative-table [`Zipf`]) keep the dependency set to
+//! `rand` + `rand_chacha` while staying reproducible across platforms.
 
 use rand::RngExt;
 use rand_chacha::rand_core::SeedableRng;
@@ -24,19 +24,43 @@ pub fn normal(rng: &mut SeededRng, mean: f64, sd: f64) -> f64 {
     mean + sd * z
 }
 
-/// One sample from a geometric distribution (number of failures before
-/// success, so the support starts at 0) with success probability `p`.
+/// A geometric sampler (number of failures before success, so the
+/// support starts at 0) with success probability `p`, by inverse
+/// transform: `⌊ln u / ln(1 − p)⌋`, capped at 10⁶.
 ///
-/// # Panics
-///
-/// Panics if `p` is not in `(0, 1]`.
-pub fn geometric(rng: &mut SeededRng, p: f64) -> u32 {
-    assert!(p > 0.0 && p <= 1.0, "p must be in (0, 1]");
-    if p >= 1.0 {
-        return 0;
+/// `ln(1 − p)` is taken once here rather than per draw — the corpus
+/// generator draws once per posting. The quotient of the two logarithms
+/// is never negative, so the `u32` conversion's truncation *is* the
+/// floor (and commutes with the cap); no `floor` call, which the
+/// baseline x86-64 target would make a library call.
+#[derive(Debug, Clone, Copy)]
+pub struct Geometric {
+    /// `ln(1 − p)`: negative, `-inf` exactly when `p = 1`.
+    ln_q: f64,
+}
+
+impl Geometric {
+    /// Builds the sampler.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is not in `(0, 1]`.
+    pub fn new(p: f64) -> Self {
+        assert!(p > 0.0 && p <= 1.0, "p must be in (0, 1]");
+        Geometric {
+            ln_q: (1.0 - p).ln(),
+        }
     }
-    let u: f64 = rng.random_range(f64::EPSILON..1.0);
-    (u.ln() / (1.0 - p).ln()).floor().min(1e6) as u32
+
+    /// One sample. `p = 1` always succeeds at once and draws nothing
+    /// from `rng`.
+    pub fn sample(&self, rng: &mut SeededRng) -> u32 {
+        if self.ln_q == f64::NEG_INFINITY {
+            return 0;
+        }
+        let u: f64 = rng.random_range(f64::EPSILON..1.0);
+        (u.ln() / self.ln_q).min(1e6) as u32
+    }
 }
 
 /// A Zipf sampler over ranks `1..=n` with exponent `s`, using a
@@ -70,10 +94,9 @@ impl Zipf {
     /// Samples a rank in `1..=n`.
     pub fn sample(&self, rng: &mut SeededRng) -> usize {
         let u: f64 = rng.random_range(0.0..1.0);
-        match self
-            .cdf
-            .binary_search_by(|p| p.partial_cmp(&u).expect("finite"))
-        {
+        // The cdf is finite and positive and `u` is in [0, 1), where the
+        // total order is the numeric one.
+        match self.cdf.binary_search_by(|p| p.total_cmp(&u)) {
             Ok(i) | Err(i) => (i + 1).min(self.cdf.len()),
         }
     }
@@ -144,6 +167,8 @@ pub fn sorted_distinct(rng: &mut SeededRng, count: usize, range: u32) -> Vec<u32
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
 
     #[test]
@@ -167,11 +192,63 @@ mod tests {
     #[test]
     fn geometric_support_and_mean() {
         let mut r = rng(2);
-        let samples: Vec<u32> = (0..20_000).map(|_| geometric(&mut r, 0.5)).collect();
+        let g = Geometric::new(0.5);
+        let samples: Vec<u32> = (0..20_000).map(|_| g.sample(&mut r)).collect();
         let mean: f64 = samples.iter().map(|&x| f64::from(x)).sum::<f64>() / samples.len() as f64;
         // Mean of failures-before-success at p=0.5 is 1.
         assert!((mean - 1.0).abs() < 0.1, "mean {mean}");
-        assert_eq!(geometric(&mut r, 1.0), 0);
+        assert_eq!(Geometric::new(1.0).sample(&mut r), 0);
+    }
+
+    /// The per-draw form [`Geometric`] replaced, verbatim: the corpus is
+    /// frozen, so the sampler must return its values and consume its
+    /// randomness exactly.
+    fn geometric_per_draw(rng: &mut SeededRng, p: f64) -> u32 {
+        assert!(p > 0.0 && p <= 1.0, "p must be in (0, 1]");
+        if p >= 1.0 {
+            return 0;
+        }
+        let u: f64 = rng.random_range(f64::EPSILON..1.0);
+        (u.ln() / (1.0 - p).ln()).floor().min(1e6) as u32
+    }
+
+    #[test]
+    fn geometric_equals_the_per_draw_form() {
+        // The presets' 0.55 and 0.65, both ends of (0, 1] — a p below
+        // f64's resolution at 1, where ln(1 − p) is 0, and p = 1 — and a
+        // p small enough to reach the cap.
+        let ps = [
+            1e-300,
+            1e-9,
+            1e-3,
+            0.05,
+            0.5,
+            0.55,
+            0.65,
+            0.9,
+            1.0 - 1e-12,
+            1.0,
+        ];
+        for seed in [0, 1, 0xB055, 0xC1_EB12, 0xCC_0E35, u64::MAX] {
+            for p in ps {
+                let g = Geometric::new(p);
+                let (mut new, mut old) = (rng(seed), rng(seed));
+                for i in 0..2_000 {
+                    let want = geometric_per_draw(&mut old, p);
+                    assert_eq!(g.sample(&mut new), want, "seed {seed} p {p} draw {i}");
+                }
+                // Draw for draw: both streams stand at the same place.
+                let range = 0..u64::MAX;
+                assert_eq!(
+                    new.random_range(range.clone()),
+                    old.random_range(range),
+                    "seed {seed} p {p}"
+                );
+            }
+        }
+        // The cap is reached, so `min` before the conversion is covered.
+        let (g, mut r) = (Geometric::new(1e-9), rng(9));
+        assert!((0..2_000).any(|_| g.sample(&mut r) == 1_000_000));
     }
 
     #[test]

@@ -136,6 +136,8 @@ fn zipf_values(r: &mut SeededRng, n: usize) -> Vec<u32> {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
 
     #[test]

@@ -17,10 +17,16 @@ fn posting_columns(max_doc: u32) -> impl Strategy<Value = (Vec<u32>, Vec<u32>)> 
 }
 
 fn build(lists: &[(String, Vec<u32>, Vec<u32>)], n_docs: u32) -> InvertedIndex {
+    let lists: Vec<(&str, PostingList)> = lists
+        .iter()
+        .map(|(name, docs, tfs)| {
+            let pl = PostingList::from_columns(docs.clone(), tfs.clone()).expect("valid columns");
+            (name.as_str(), pl)
+        })
+        .collect();
     let mut b = IndexBuilder::new().doc_lens(vec![60; n_docs as usize]);
-    for (name, docs, tfs) in lists {
-        let pl = PostingList::from_columns(docs.clone(), tfs.clone()).expect("valid columns");
-        b = b.add_posting_list(name, &pl);
+    for (name, pl) in &lists {
+        b = b.add_posting_list(name, pl);
     }
     b.build().expect("index builds")
 }
