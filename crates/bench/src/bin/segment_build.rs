@@ -31,8 +31,7 @@ use boss_core::{BossConfig, QueryAlgorithm};
 use boss_engine::{BatchExecutor, Boss, Iiu, Lucene, SearchEngine};
 use boss_iiu::IiuConfig;
 use boss_index::{
-    IndexBuilder, InvertedIndex, QueryExpr, SchemeChoice, SpimiBuilder, SpimiConfig,
-    ALL_ALGORITHMS, POSTING_BYTES, TERM_OVERHEAD_BYTES,
+    IndexBuilder, InvertedIndex, QueryExpr, SchemeChoice, SpimiBuilder, SpimiConfig, ALL_ALGORITHMS,
 };
 use boss_luceneish::LuceneConfig;
 use boss_workload::corpus::{CorpusSpec, Scale, StreamingCorpusSpec};
@@ -119,11 +118,11 @@ fn parse_args() -> Args {
 }
 
 /// Worst-case in-memory bytes one document can add before the builder's
-/// post-document budget check fires: every draw a previously-unseen
-/// term, charged at the map's own accounting rates.
+/// post-document budget check fires: every draw at the builder's own
+/// per-entry worst case, plus the document's length.
 fn doc_slack_bytes(args: &Args) -> usize {
     let term_name = 1 + (args.vocab.max(10) as f64).log10().ceil() as usize;
-    args.terms_per_doc as usize * (POSTING_BYTES + TERM_OVERHEAD_BYTES + term_name) + 4
+    args.terms_per_doc as usize * SpimiBuilder::entry_worst_case_bytes(term_name) + 4
 }
 
 fn run_build(args: &Args) -> i32 {

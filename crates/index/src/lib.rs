@@ -36,6 +36,10 @@
 // per-site justification.
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+// Every document a SPIMI build ingests goes through the accumulator;
+// whatever it refuses is a typed `Error` before anything is touched.
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+mod accumulator;
 mod algorithm;
 mod bm25;
 // Builds run over caller-supplied postings and feed every other
@@ -90,11 +94,8 @@ pub use matches::{union_scored, GroupMatches};
 pub use posting::{Posting, PostingList};
 pub use query::{QueryExpr, SearchHit};
 pub use score::ScoreScratch;
-pub use segment::{SegmentHeader, SegmentReader, SegmentRegions};
-pub use spimi::{
-    SegmentEntry, SegmentSet, SpimiBuilder, SpimiConfig, SpimiStats, POSTING_BYTES,
-    TERM_OVERHEAD_BYTES,
-};
+pub use segment::{EntryRegions, SegmentHeader, SegmentReader, SegmentRegions, SegmentWriter};
+pub use spimi::{SegmentEntry, SegmentSet, SpimiBuilder, SpimiConfig, SpimiStats};
 pub use topk::TopK;
 
 /// Document identifier within a shard.

@@ -125,6 +125,7 @@ pub struct SegmentHeader {
 
 /// `Write` adapter that maintains the running FNV-1a checksum and byte
 /// count of everything written through it.
+#[derive(Debug)]
 struct HashingWriter<W: Write> {
     inner: W,
     hash: u64,
@@ -158,80 +159,136 @@ impl<W: Write> HashingWriter<W> {
     }
 }
 
-/// Writes one sealed segment. `terms` must be in strictly increasing
-/// lexical order (byte-wise, as `str` compares) with every list's docIDs
-/// segment-local; `doc_lens` are the final
-/// per-document token counts of the segment's documents.
-///
-/// Returns the total bytes written and the region map for targeted
-/// corruption testing.
+/// The length of `term` as the dictionary stores it.
 ///
 /// # Errors
 ///
-/// [`IoError::Invalid`] if the segment would be structurally invalid
-/// (no documents, a term out of order or too long, a docID outside
-/// `0..n_docs`); [`IoError::Io`] on write failure.
-pub fn write_segment<W: Write>(
-    writer: W,
-    doc_base: u32,
-    doc_lens: &[u32],
-    params: Bm25Params,
-    terms: &[(String, EncodedList)],
-) -> Result<(u64, SegmentRegions), IoError> {
-    if doc_lens.is_empty() {
-        return Err(IoError::Invalid(crate::Error::InvalidQuery {
-            reason: "cannot write a segment with no documents".into(),
-        }));
-    }
-    let n_docs = u32::try_from(doc_lens.len())
-        .map_err(|_| IoError::Corrupt("segment has more than u32::MAX documents".into()))?;
-    let n_terms = u32::try_from(terms.len())
-        .map_err(|_| IoError::Corrupt("segment has more than u32::MAX terms".into()))?;
+/// [`crate::Error::InvalidQuery`] for a term of more than 65535 bytes.
+pub(crate) fn term_len(term: &str) -> Result<u16, crate::Error> {
+    u16::try_from(term.len()).map_err(|_| {
+        let mut cut = 32;
+        while !term.is_char_boundary(cut) {
+            cut -= 1;
+        }
+        crate::Error::InvalidQuery {
+            reason: format!("term longer than 65535 bytes: {:?}…", &term[..cut]),
+        }
+    })
+}
 
-    let mut w = HashingWriter::new(writer);
-    let mut regions = SegmentRegions::default();
+/// A count as the `u32` field the format stores it in.
+fn field_u32(value: usize, what: &str) -> Result<u32, IoError> {
+    u32::try_from(value).map_err(|_| {
+        IoError::Invalid(crate::Error::InvalidQuery {
+            reason: format!("{what} {value} does not fit the segment format's u32 field"),
+        })
+    })
+}
 
-    w.put(&SEG_MAGIC)?;
-    w.put_u32(SEG_VERSION)?;
-    w.put_u32(0)?; // flags
-    w.put_u32(doc_base)?;
-    w.put_u32(n_docs)?;
-    w.put_u32(n_terms)?;
-    w.put_f32(params.k1)?;
-    w.put_f32(params.b)?;
-    w.put_u32(0)?; // reserved
-    regions.header = 0..w.written;
+/// Where one dictionary entry landed in the file.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EntryRegions {
+    /// Term text + list stats.
+    pub header: Range<u64>,
+    /// The block-descriptor array.
+    pub descriptors: Range<u64>,
+    /// The encoded block payload.
+    pub payload: Range<u64>,
+}
 
-    let doc_lens_start = w.written;
-    for &len in doc_lens {
-        w.put_u32(len)?;
-    }
-    regions.doc_lens = doc_lens_start..w.written;
+/// Streaming segment writer: the header and document lengths go out on
+/// construction (so the term count is declared up front), then one
+/// dictionary entry per [`SegmentWriter::push_term`], then the checksum
+/// trailer on [`SegmentWriter::finish`] — a producer holds one encoded
+/// list at a time, never a segment's worth.
+#[derive(Debug)]
+pub struct SegmentWriter<W: Write> {
+    w: HashingWriter<W>,
+    n_docs: u32,
+    terms_left: u32,
+    prev: Option<String>,
+    /// The region being assembled; each goes out as one `put`.
+    entry: Vec<u8>,
+}
 
-    let mut prev: Option<&str> = None;
-    let mut entry: Vec<u8> = Vec::new();
-    for (term, list) in terms {
-        if prev.is_some_and(|p| p >= term.as_str()) {
-            return Err(IoError::Invalid(crate::Error::DuplicateTerm {
-                term: term.clone(),
+impl<W: Write> SegmentWriter<W> {
+    /// Starts a segment of `n_terms` terms over the documents
+    /// `doc_base..doc_base + doc_lens.len()`; `doc_lens` are their final
+    /// token counts.
+    ///
+    /// # Errors
+    ///
+    /// [`IoError::Invalid`] for a segment with no documents;
+    /// [`IoError::Io`] on write failure.
+    pub fn new(
+        writer: W,
+        doc_base: u32,
+        doc_lens: &[u32],
+        params: Bm25Params,
+        n_terms: u32,
+    ) -> Result<Self, IoError> {
+        if doc_lens.is_empty() {
+            return Err(IoError::Invalid(crate::Error::InvalidQuery {
+                reason: "cannot write a segment with no documents".into(),
             }));
         }
-        prev = Some(term);
-        let term_len = u16::try_from(term.len()).map_err(|_| {
-            IoError::Invalid(crate::Error::InvalidQuery {
-                reason: format!(
-                    "term longer than 65535 bytes: {:?}…",
-                    &term[..32.min(term.len())]
-                ),
-            })
-        })?;
+        let n_docs = u32::try_from(doc_lens.len())
+            .map_err(|_| IoError::Corrupt("segment has more than u32::MAX documents".into()))?;
+
+        let mut w = HashingWriter::new(writer);
+        w.put(&SEG_MAGIC)?;
+        w.put_u32(SEG_VERSION)?;
+        w.put_u32(0)?; // flags
+        w.put_u32(doc_base)?;
+        w.put_u32(n_docs)?;
+        w.put_u32(n_terms)?;
+        w.put_f32(params.k1)?;
+        w.put_f32(params.b)?;
+        w.put_u32(0)?; // reserved
+        for &len in doc_lens {
+            w.put_u32(len)?;
+        }
+        Ok(SegmentWriter {
+            w,
+            n_docs,
+            terms_left: n_terms,
+            prev: None,
+            entry: Vec::new(),
+        })
+    }
+
+    /// Appends the next dictionary entry. Terms must arrive in strictly
+    /// increasing lexical order (byte-wise, as `str` compares), and
+    /// `list`'s docIDs must be segment-local.
+    ///
+    /// # Errors
+    ///
+    /// [`IoError::Invalid`] for a term out of order, too long or past
+    /// the declared count, a docID outside `0..n_docs`, or a list too
+    /// large for the format's `u32` fields; [`IoError::Io`] on write
+    /// failure.
+    pub fn push_term(&mut self, term: &str, list: &EncodedList) -> Result<EntryRegions, IoError> {
+        if self.terms_left == 0 {
+            return Err(IoError::Invalid(crate::Error::InvalidQuery {
+                reason: format!("term {term:?} is past the segment's declared term count"),
+            }));
+        }
+        if self.prev.as_deref().is_some_and(|p| p >= term) {
+            return Err(IoError::Invalid(crate::Error::DuplicateTerm {
+                term: term.to_owned(),
+            }));
+        }
+        let term_len = term_len(term).map_err(IoError::Invalid)?;
+        let n_docs = self.n_docs;
         if list.blocks().last().is_some_and(|b| b.last_doc >= n_docs) {
             return Err(IoError::Invalid(crate::Error::InvalidQuery {
                 reason: format!("term {term:?} has docIDs outside the segment's {n_docs} docs"),
             }));
         }
+        let n_blocks = field_u32(list.n_blocks(), "block count")?;
+        let data_len = field_u32(list.data_bytes(), "payload length")?;
 
-        // Each region is assembled in `entry` and goes out as one `put`.
+        let (w, entry) = (&mut self.w, &mut self.entry);
         let entry_start = w.written;
         entry.clear();
         entry.extend_from_slice(&term_len.to_le_bytes());
@@ -240,10 +297,9 @@ pub fn write_segment<W: Write>(
         entry.extend_from_slice(&list.df().to_le_bytes());
         entry.extend_from_slice(&list.idf().to_le_bytes());
         entry.extend_from_slice(&list.max_score().to_le_bytes());
-        entry.extend_from_slice(&(list.n_blocks() as u32).to_le_bytes());
-        entry.extend_from_slice(&(list.data_bytes() as u32).to_le_bytes());
-        w.put(&entry)?;
-        regions.term_headers.push(entry_start..w.written);
+        entry.extend_from_slice(&n_blocks.to_le_bytes());
+        entry.extend_from_slice(&data_len.to_le_bytes());
+        w.put(entry)?;
 
         let desc_start = w.written;
         entry.clear();
@@ -260,20 +316,84 @@ pub fn write_segment<W: Write>(
                 entry.extend_from_slice(&info.exception_offset.to_le_bytes());
             }
         }
-        w.put(&entry)?;
-        regions.descriptors.push(desc_start..w.written);
+        w.put(entry)?;
 
         let data_start = w.written;
         w.put(list.data())?;
-        regions.payloads.push(data_start..w.written);
+
+        self.terms_left -= 1;
+        let prev = self.prev.get_or_insert_default();
+        prev.clear();
+        prev.push_str(term);
+        Ok(EntryRegions {
+            header: entry_start..desc_start,
+            descriptors: desc_start..data_start,
+            payload: data_start..self.w.written,
+        })
     }
 
-    let checksum = w.hash;
-    let body = w.written;
-    w.inner.write_all(&checksum.to_le_bytes())?;
-    w.inner.flush()?;
-    regions.checksum = body..body + 8;
-    Ok((body + 8, regions))
+    /// Writes the checksum trailer, flushes, and returns the file's
+    /// total size in bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`IoError::Invalid`] if fewer terms were pushed than declared;
+    /// [`IoError::Io`] on write failure.
+    pub fn finish(mut self) -> Result<u64, IoError> {
+        if self.terms_left != 0 {
+            return Err(IoError::Invalid(crate::Error::InvalidQuery {
+                reason: format!(
+                    "segment is {} terms short of its declared term count",
+                    self.terms_left
+                ),
+            }));
+        }
+        let checksum = self.w.hash;
+        self.w.inner.write_all(&checksum.to_le_bytes())?;
+        self.w.inner.flush()?;
+        Ok(self.w.written + SEG_CHECKSUM_BYTES)
+    }
+}
+
+/// Writes one sealed segment through a [`SegmentWriter`]. `terms` must
+/// be in strictly increasing lexical order (byte-wise, as `str`
+/// compares) with every list's docIDs segment-local; `doc_lens` are the
+/// final per-document token counts of the segment's documents.
+///
+/// Returns the total bytes written and the region map for targeted
+/// corruption testing.
+///
+/// # Errors
+///
+/// [`IoError::Invalid`] if the segment would be structurally invalid
+/// (no documents, a term out of order or too long, a docID outside
+/// `0..n_docs`, a list too large for the format); [`IoError::Io`] on
+/// write failure.
+pub fn write_segment<W: Write>(
+    writer: W,
+    doc_base: u32,
+    doc_lens: &[u32],
+    params: Bm25Params,
+    terms: &[(String, EncodedList)],
+) -> Result<(u64, SegmentRegions), IoError> {
+    let n_terms = u32::try_from(terms.len())
+        .map_err(|_| IoError::Corrupt("segment has more than u32::MAX terms".into()))?;
+    let mut w = SegmentWriter::new(writer, doc_base, doc_lens, params, n_terms)?;
+    let doc_lens_end = SEG_HEADER_BYTES + 4 * doc_lens.len() as u64;
+    let mut regions = SegmentRegions {
+        header: 0..SEG_HEADER_BYTES,
+        doc_lens: SEG_HEADER_BYTES..doc_lens_end,
+        ..SegmentRegions::default()
+    };
+    for (term, list) in terms {
+        let entry = w.push_term(term, list)?;
+        regions.term_headers.push(entry.header);
+        regions.descriptors.push(entry.descriptors);
+        regions.payloads.push(entry.payload);
+    }
+    let bytes = w.finish()?;
+    regions.checksum = bytes - SEG_CHECKSUM_BYTES..bytes;
+    Ok((bytes, regions))
 }
 
 /// Size of a dictionary entry's fixed fields after the term text:
@@ -814,6 +934,53 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn streaming_writer_writes_the_same_bytes() {
+        let (expect, regions) = sample_segment();
+        let doc_lens = vec![4u32, 5, 5, 1, 1, 6];
+        let terms = sample_terms(&doc_lens);
+
+        let mut buf = Vec::new();
+        let mut w = SegmentWriter::new(&mut buf, 100, &doc_lens, Bm25Params::default(), 3).unwrap();
+        for (i, (term, list)) in terms.iter().enumerate() {
+            let entry = w.push_term(term, list).unwrap();
+            assert_eq!(entry.header, regions.term_headers[i]);
+            assert_eq!(entry.descriptors, regions.descriptors[i]);
+            assert_eq!(entry.payload, regions.payloads[i]);
+        }
+        // One more than declared is refused without a byte written.
+        let err = w.push_term("zeta", &terms[0].1).unwrap_err();
+        assert!(matches!(err, IoError::Invalid(_)), "{err}");
+        assert_eq!(w.finish().unwrap() as usize, expect.len());
+        assert_eq!(buf, expect);
+
+        // One fewer than declared never gets its checksum.
+        let mut w =
+            SegmentWriter::new(Vec::new(), 100, &doc_lens, Bm25Params::default(), 3).unwrap();
+        w.push_term(&terms[0].0, &terms[0].1).unwrap();
+        let err = w.finish().unwrap_err();
+        assert!(matches!(err, IoError::Invalid(_)), "{err}");
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn oversized_counts_are_typed_errors_not_truncations() {
+        assert_eq!(
+            field_u32(u32::MAX as usize, "payload length").unwrap(),
+            u32::MAX
+        );
+        // A 4 GiB + 5 payload used to be written as `data_len` 5.
+        let err = field_u32((1usize << 32) + 5, "payload length").unwrap_err();
+        assert!(
+            matches!(err, IoError::Invalid(crate::Error::InvalidQuery { .. })),
+            "{err}"
+        );
+        let long = "é".repeat(40_000);
+        let err = term_len(&long).unwrap_err();
+        assert!(matches!(err, crate::Error::InvalidQuery { .. }), "{err}");
+        assert_eq!(term_len(&long[..65_534]).unwrap(), 65_534);
     }
 
     #[test]

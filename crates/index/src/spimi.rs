@@ -1,15 +1,19 @@
 //! Memory-bounded SPIMI indexing (single-pass in-memory indexing with
-//! spill-and-merge), ROADMAP item 2.
+//! spill-and-merge).
 //!
 //! [`SpimiBuilder`] accumulates postings under a configurable byte
-//! budget in a term-interned accumulator: a hash map from term to slot
-//! and, per slot, the term's docID and tf columns in arrival (= docID)
-//! order, so one occurrence costs one hash lookup and two pushes. When
-//! the budget (or an optional per-segment document cap) is hit, the
-//! terms are sorted once and the accumulator is sealed into an immutable
-//! on-disk segment ([`crate::segment`]) covering a contiguous docID
-//! range, and accumulation restarts empty — so building a corpus of any
-//! size needs only the budget plus one segment's encode scratch.
+//! budget in one compressed accumulator (`accumulator.rs`): an
+//! open-addressed term table over a term-bytes arena, fixed-size slot
+//! headers and a shared pool of variable-byte posting runs, so one
+//! occurrence costs a table probe and a byte or two appended, and
+//! `add_document` makes its lookups in three passes over the document's
+//! terms so that they overlap. When the budget (or an optional
+//! per-segment document cap) is hit, the slots are sorted once by term
+//! and streamed — decode a run, encode it, write its dictionary entry —
+//! into an immutable on-disk segment ([`crate::segment`]) covering a
+//! contiguous docID range, and accumulation restarts empty — so building
+//! a corpus of any size needs only the budget plus one posting list's
+//! encode scratch.
 //!
 //! [`SegmentSet::merge`] streams all spilled segments back term-at-a-time
 //! (k open segments ⇒ k candidate terms in memory) and re-encodes each
@@ -21,10 +25,11 @@
 //! in-memory build of the same corpus: same terms, postings,
 //! [`crate::BlockMeta`] records, and block-max scores.
 
+use crate::accumulator::{Accumulator, MAX_ACCUMULATOR_BYTES};
 use crate::builder::{fill_doc_lens, scoring_from_lens};
 use crate::index::{InvertedIndex, TermInfo};
 use crate::io::IoError;
-use crate::segment::{open_segment, write_segment, SegmentReader};
+use crate::segment::{open_segment, SegmentReader, SegmentWriter};
 use crate::{Bm25Params, DecodeScratch, DocId, EncodedList, Error, ListEncoder, SchemeChoice};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -37,22 +42,21 @@ pub const MANIFEST_NAME: &str = "MANIFEST.json";
 /// Manifest format version.
 pub const MANIFEST_VERSION: u32 = 1;
 
-/// Estimated heap bytes of one in-memory posting `(doc, tf)`.
-pub const POSTING_BYTES: usize = 8;
-
-/// Estimated fixed heap overhead of one new term entry in the
-/// accumulator (`String` + `Vec` headers plus map share), on top of the
-/// term's UTF-8 bytes. An accounting constant, not an exact allocator
-/// measurement — the budget bounds growth, it does not meter the malloc.
-pub const TERM_OVERHEAD_BYTES: usize = 64;
-
 /// Configuration of a SPIMI build.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpimiConfig {
-    /// In-memory postings budget in bytes; reaching it seals the current
-    /// segment. The budget bounds the accumulator only — encode
-    /// scratch during a spill is additional and proportional to the
-    /// largest single posting list.
+    /// In-memory budget in bytes; reaching it seals the current segment.
+    /// Charged against it, as they are handed out: per term its text,
+    /// its share of the term table, its slot header and every slice
+    /// linked into its compressed posting run (at the slice's capacity,
+    /// not the bytes written so far), plus 4 per document for its
+    /// length. It is checked after each document, so the peak exceeds it
+    /// by at most one document ([`SpimiBuilder::entry_worst_case_bytes`]
+    /// per entry). The budget bounds the accumulator only — its vectors'
+    /// own growth slack, and the encode scratch during a spill
+    /// (proportional to the largest single posting list), are
+    /// additional. Budgets above 2 GiB act as 2 GiB: the accumulator
+    /// addresses its bytes with `u32` offsets.
     pub budget_bytes: usize,
     /// Optional cap on documents per segment (0 = unlimited). Gives
     /// deterministic segment boundaries independent of the byte budget —
@@ -121,28 +125,28 @@ struct Manifest {
 pub struct SpimiBuilder {
     dir: PathBuf,
     cfg: SpimiConfig,
-    /// Term → index into `slots`, for the segment being accumulated.
-    slot_of: HashMap<String, u32>,
-    /// Per interned term, its postings in docID order; docIDs
+    /// Every posting of the segment being accumulated; docIDs
     /// segment-local.
-    slots: Vec<Slot>,
-    /// Token counts of the current segment's documents (0 = unknown,
-    /// filled with the doc's tf sum at spill time — the same fallback
+    acc: Accumulator,
+    /// Token counts of the current segment's documents, an unknown (0)
+    /// one already replaced by the document's tf sum — the same fallback
     /// rule as [`crate::IndexBuilder`], valid because a document's
-    /// postings are complete within its segment).
+    /// postings are complete when it has been added.
     seg_doc_lens: Vec<u32>,
     doc_base: u32,
-    inmem_bytes: usize,
     stats: SpimiStats,
     entries: Vec<SegmentEntry>,
     encoder: ListEncoder,
-}
-
-/// The posting columns of one interned term.
-#[derive(Debug, Default)]
-struct Slot {
+    /// Spill scratch: the slots in term order, and one decoded run.
+    order: Vec<u32>,
     docs: Vec<u32>,
     tfs: Vec<u32>,
+}
+
+fn docid_space_exhausted() -> IoError {
+    IoError::Invalid(Error::InvalidQuery {
+        reason: "the u32 docID space is exhausted".into(),
+    })
 }
 
 impl SpimiBuilder {
@@ -158,20 +162,38 @@ impl SpimiBuilder {
         Ok(SpimiBuilder {
             dir,
             cfg,
-            slot_of: HashMap::new(),
-            slots: Vec::new(),
+            acc: Accumulator::new(),
             seg_doc_lens: Vec::new(),
             doc_base: 0,
-            inmem_bytes: 0,
             stats: SpimiStats::default(),
             entries: Vec::new(),
             encoder: ListEncoder::new(),
+            order: Vec::new(),
+            docs: Vec::new(),
+            tfs: Vec::new(),
         })
+    }
+
+    /// A builder whose first document gets docID `doc_base`.
+    #[cfg(test)]
+    fn create_at(dir: impl AsRef<Path>, cfg: SpimiConfig, doc_base: u32) -> Result<Self, IoError> {
+        let mut builder = Self::create(dir, cfg)?;
+        builder.doc_base = doc_base;
+        Ok(builder)
     }
 
     /// Build statistics so far.
     pub fn stats(&self) -> &SpimiStats {
         &self.stats
+    }
+
+    /// The most one `(term, tf)` entry of a document can add to the
+    /// in-memory accounting, for a term of `term_len` bytes — so a
+    /// document of `n` entries can overshoot
+    /// [`SpimiConfig::budget_bytes`] by at most `n` of these plus its 4
+    /// length bytes before the post-document check seals the segment.
+    pub const fn entry_worst_case_bytes(term_len: usize) -> usize {
+        Accumulator::entry_worst_case_bytes(term_len)
     }
 
     /// Adds one document given its terms with frequencies and its length
@@ -183,77 +205,41 @@ impl SpimiBuilder {
     /// # Errors
     ///
     /// [`IoError::Invalid`] wrapping [`Error::ZeroTermFrequency`] on a
-    /// zero tf — the document is then not added at all: statistics,
-    /// accounting and the next docID are as before the call; I/O and
-    /// encoding failures from a triggered spill.
+    /// zero tf, or [`Error::InvalidQuery`] for a term of more than 65535
+    /// bytes, a document of more than 2 GiB, or the 2³²-th document —
+    /// the document is then not added at all: statistics, accounting and
+    /// the next docID are as before the call; I/O and encoding failures
+    /// from a triggered spill.
     pub fn add_document<'a, I>(&mut self, terms: I, doc_len: u32) -> Result<DocId, IoError>
     where
         I: IntoIterator<Item = (&'a str, u32)>,
     {
+        // Everything that can refuse the document is checked before the
+        // accumulator is touched, so there is nothing to roll back.
         let local = self.seg_doc_lens.len() as u32;
-        let global = self.doc_base + local;
-        let before = (self.slots.len(), self.inmem_bytes, self.stats.postings);
+        let global = self
+            .doc_base
+            .checked_add(local)
+            .filter(|&id| id < u32::MAX)
+            .ok_or_else(docid_space_exhausted)?;
+        self.acc.stage(terms).map_err(IoError::Invalid)?;
 
-        for (at, (term, tf)) in terms.into_iter().enumerate() {
-            if tf == 0 {
-                self.roll_back(local, before);
-                return Err(IoError::Invalid(Error::ZeroTermFrequency { at }));
-            }
-            let slot = match self.slot_of.get(term) {
-                Some(&slot) => slot as usize,
-                None => {
-                    self.inmem_bytes += term.len() + TERM_OVERHEAD_BYTES;
-                    let slot = self.slots.len();
-                    self.slot_of.insert(term.to_owned(), slot as u32);
-                    self.slots.push(Slot::default());
-                    slot
-                }
-            };
-            let slot = &mut self.slots[slot];
-            // Documents arrive in docID order, so the slot's last posting
-            // is this document's iff the term already occurred in it.
-            match slot.tfs.last_mut() {
-                Some(last_tf) if slot.docs.last() == Some(&local) => {
-                    *last_tf = last_tf.saturating_add(tf);
-                }
-                _ => {
-                    slot.docs.push(local);
-                    slot.tfs.push(tf);
-                    self.inmem_bytes += POSTING_BYTES;
-                    self.stats.postings += 1;
-                }
-            }
-        }
-        self.seg_doc_lens.push(doc_len);
-        self.inmem_bytes += 4;
+        let added = self.acc.commit(local);
+        let mut len = doc_len;
+        fill_doc_lens(std::slice::from_mut(&mut len), &[added.tf_sum]);
+        self.seg_doc_lens.push(len);
         self.stats.docs += 1;
-        self.stats.peak_inmem_bytes = self.stats.peak_inmem_bytes.max(self.inmem_bytes);
+        self.stats.postings += added.postings;
+        let inmem_bytes = self.acc.bytes() + 4 * self.seg_doc_lens.len();
+        self.stats.peak_inmem_bytes = self.stats.peak_inmem_bytes.max(inmem_bytes);
 
         let doc_cap = self.cfg.max_docs_per_segment;
-        if self.inmem_bytes >= self.cfg.budget_bytes
+        if inmem_bytes >= self.cfg.budget_bytes.min(MAX_ACCUMULATOR_BYTES)
             || (doc_cap > 0 && self.seg_doc_lens.len() as u32 >= doc_cap)
         {
             self.spill()?;
         }
         Ok(global)
-    }
-
-    /// Undoes the partial insertion of document `local`: drops the terms
-    /// it interned and the postings it pushed, and restores the
-    /// accounting captured in `before` — off the hot path, so rejecting
-    /// a document costs a pass over the slots and accepting one nothing.
-    fn roll_back(&mut self, local: u32, before: (usize, usize, u64)) {
-        let (n_slots, inmem_bytes, postings) = before;
-        self.slot_of.retain(|_, slot| (*slot as usize) < n_slots);
-        self.slots.truncate(n_slots);
-        for slot in &mut self.slots {
-            if slot.docs.last() == Some(&local) {
-                slot.docs.pop();
-                slot.tfs.pop();
-            }
-        }
-        self.inmem_bytes = inmem_bytes;
-        self.stats.postings = postings;
     }
 
     /// Tokenizes and adds one document — the same whitespace +
@@ -283,57 +269,51 @@ impl SpimiBuilder {
         if self.seg_doc_lens.is_empty() {
             return Ok(());
         }
-        let n_docs = self.seg_doc_lens.len();
-
-        // Per-segment doc-length fallback + segment-local scoring.
-        let mut tf_sums = vec![0u64; n_docs];
-        for slot in &self.slots {
-            for (&d, &tf) in slot.docs.iter().zip(&slot.tfs) {
-                tf_sums[d as usize] += u64::from(tf);
-            }
-        }
-        let mut doc_lens = std::mem::take(&mut self.seg_doc_lens);
-        fill_doc_lens(&mut doc_lens, &tf_sums);
+        let n_docs = self.seg_doc_lens.len() as u32;
+        let next_base = self
+            .doc_base
+            .checked_add(n_docs)
+            .ok_or_else(docid_space_exhausted)?;
+        let doc_lens = std::mem::take(&mut self.seg_doc_lens);
+        let n_terms = self.acc.n_terms() as u32;
+        // Segment-local scoring.
         let (bm25, norms) = scoring_from_lens(self.cfg.params, &doc_lens);
 
-        // The dictionary's lexical order is produced here, once per
-        // segment, rather than maintained per occurrence.
-        let mut order: Vec<(String, u32)> = self.slot_of.drain().collect();
-        order.sort_unstable();
-        let mut slots = std::mem::take(&mut self.slots);
-        let mut terms: Vec<(String, EncodedList)> = Vec::with_capacity(order.len());
-        for (text, slot) in order {
-            // Taken, so the raw columns are freed as the encoded lists
-            // accumulate.
-            let Slot { docs, tfs } = std::mem::take(&mut slots[slot as usize]);
-            let idf = bm25.idf(docs.len() as u32);
-            let enc = self
-                .encoder
-                .encode(&docs, &tfs, self.cfg.scheme, &bm25, idf, &norms)
-                .map_err(IoError::Invalid)?;
-            terms.push((text, enc));
-        }
-
         let file = format!("segment-{:05}.bosseg", self.entries.len());
-        let path = self.dir.join(&file);
-        let out = std::fs::File::create(&path)?;
-        let (bytes, _regions) = write_segment(
+        let out = std::fs::File::create(self.dir.join(&file))?;
+        let mut writer = SegmentWriter::new(
             std::io::BufWriter::new(out),
             self.doc_base,
             &doc_lens,
             self.cfg.params,
-            &terms,
+            n_terms,
         )?;
+        // The dictionary's lexical order is produced here, once per
+        // segment, rather than maintained per occurrence; each term is
+        // then decoded, encoded and written before the next is touched.
+        self.acc.sorted_slots(&mut self.order);
+        for &slot in &self.order {
+            self.acc.decode(slot, &mut self.docs, &mut self.tfs);
+            let idf = bm25.idf(self.docs.len() as u32);
+            let list = self
+                .encoder
+                .encode(&self.docs, &self.tfs, self.cfg.scheme, &bm25, idf, &norms)
+                .map_err(IoError::Invalid)?;
+            let term = std::str::from_utf8(self.acc.term(slot))
+                .map_err(|e| IoError::Corrupt(format!("accumulated term is not UTF-8: {e}")))?;
+            writer.push_term(term, &list)?;
+        }
+        let bytes = writer.finish()?;
+        self.acc.clear();
 
         self.entries.push(SegmentEntry {
             file,
             doc_base: self.doc_base,
-            n_docs: n_docs as u32,
-            n_terms: terms.len() as u32,
+            n_docs,
+            n_terms,
             bytes,
         });
-        self.doc_base += n_docs as u32;
-        self.inmem_bytes = 0;
+        self.doc_base = next_base;
         self.stats.spills += 1;
         self.stats.segment_bytes += bytes;
         Ok(())
@@ -738,6 +718,33 @@ mod tests {
             err,
             IoError::Invalid(Error::ZeroTermFrequency { .. })
         ));
+    }
+
+    #[test]
+    fn the_last_docid_is_a_typed_error_not_a_wrap() {
+        // With and without a spill between the documents.
+        for max_docs_per_segment in [0, 1] {
+            let dir = TmpDir::new();
+            let cfg = SpimiConfig {
+                max_docs_per_segment,
+                ..SpimiConfig::default()
+            };
+            let mut b = SpimiBuilder::create_at(&dir.0, cfg, u32::MAX - 2).unwrap();
+            assert_eq!(b.add_document([("a", 1)], 1).unwrap(), u32::MAX - 2);
+            assert_eq!(b.add_document([("a", 2)], 1).unwrap(), u32::MAX - 1);
+            // docID u32::MAX would make the corpus 2^32 documents.
+            let before = *b.stats();
+            let err = b.add_document([("a", 3)], 1).unwrap_err();
+            assert!(
+                matches!(err, IoError::Invalid(Error::InvalidQuery { .. })),
+                "{err}"
+            );
+            assert_eq!(*b.stats(), before);
+            let set = b.finish().unwrap();
+            assert_eq!(set.n_docs(), u32::MAX);
+            let last = set.entries().last().unwrap();
+            assert_eq!(last.doc_base + last.n_docs, u32::MAX);
+        }
     }
 
     /// Two-segment builder over hand-written term bags.

@@ -503,7 +503,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("boss-stream-seg-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let cfg = boss_index::SpimiConfig {
-            budget_bytes: 16 << 10,
+            budget_bytes: 4 << 10,
             ..boss_index::SpimiConfig::default()
         };
         let mut b = boss_index::SpimiBuilder::create(&dir, cfg).unwrap();
@@ -515,7 +515,7 @@ mod tests {
                 .unwrap();
         }
         let set = b.finish().unwrap();
-        assert!(set.stats().spills >= 2, "16 KB budget must spill");
+        assert!(set.stats().spills >= 2, "4 KB budget must spill");
         let idx = set.merge().unwrap();
         assert_eq!(idx.n_docs(), spec.n_docs);
         std::fs::remove_dir_all(&dir).ok();
