@@ -6,10 +6,11 @@
 //! confined to the shard that owns the mutated bytes; for the segment
 //! trials: the checksum must reject every changed byte image).
 //!
-//! The `corruption_harness` binary drives these trials at CI scale
-//! (≥ 10,000 mutations across the five schemes and the netlist
-//! interpreter); the functions are a library so tests can run focused
-//! slices of the same machinery.
+//! [`run`] is the whole harness. `tests/corruption.rs` runs it at
+//! reduced volume in tier-1; the `corruption_harness` binary drives it at
+//! CI scale (≥ 10,000 mutations across the five schemes and the netlist
+//! engine, every netlist outcome cross-checked against the interpreter
+//! oracle in `boss_decomp::reference`).
 //!
 //! Every trial is a pure function of its seed: the same seed mutates the
 //! same bytes the same way on every run, so a CI failure is reproducible
@@ -23,32 +24,34 @@ use boss_decomp::{schemes, DecompEngine};
 use boss_engine::{Boss, SearchEngine};
 use boss_index::segment::{write_segment, SegmentReader};
 use boss_index::shard::ShardedIndex;
-use boss_index::{EncodedList, IndexBuilder, QueryExpr, SchemeChoice, SegmentRegions};
+use boss_index::{
+    EncodedList, IndexBuilder, InvertedIndex, QueryExpr, SchemeChoice, SegmentRegions,
+};
 
 /// Output vectors start empty and every decode path reserves at most
 /// [`MAX_BLOCK_VALUES`] slots up front, so allocator round-up aside the
 /// capacity after a decode attempt must stay within a small multiple.
-pub const RESERVE_BOUND: usize = 2 * MAX_BLOCK_VALUES;
+const RESERVE_BOUND: usize = 2 * MAX_BLOCK_VALUES;
 
 /// xorshift64* — the harness's only randomness source. Deliberately
 /// hand-rolled: the mutation stream must stay identical across toolchain
 /// and dependency updates, because CI failure messages quote seeds.
 #[derive(Debug, Clone)]
-pub struct Xorshift64 {
+struct Xorshift64 {
     state: u64,
 }
 
 impl Xorshift64 {
     /// A generator seeded with `seed` (0 is remapped; xorshift has no
     /// zero orbit).
-    pub fn new(seed: u64) -> Self {
+    fn new(seed: u64) -> Self {
         Xorshift64 {
             state: seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1,
         }
     }
 
     /// Next raw 64-bit draw.
-    pub fn next_u64(&mut self) -> u64 {
+    fn next_u64(&mut self) -> u64 {
         let mut x = self.state;
         x ^= x << 13;
         x ^= x >> 7;
@@ -58,7 +61,7 @@ impl Xorshift64 {
     }
 
     /// Uniform draw in `0..n` (`n` must be non-zero).
-    pub fn below(&mut self, n: usize) -> usize {
+    fn below(&mut self, n: usize) -> usize {
         (self.next_u64() % n as u64) as usize
     }
 }
@@ -66,7 +69,7 @@ impl Xorshift64 {
 /// One category of seeded mutation. The harness cycles through all of
 /// them; `apply` mutates in place.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mutation {
+enum Mutation {
     /// Flip one random bit of the encoded bytes.
     BitFlip,
     /// Overwrite one random byte with a random value.
@@ -81,7 +84,7 @@ pub enum Mutation {
 }
 
 /// All mutation categories, in the order the harness cycles through them.
-pub const ALL_MUTATIONS: [Mutation; 5] = [
+const ALL_MUTATIONS: [Mutation; 5] = [
     Mutation::BitFlip,
     Mutation::ByteSet,
     Mutation::Truncate,
@@ -91,7 +94,7 @@ pub const ALL_MUTATIONS: [Mutation; 5] = [
 
 /// Applies `mutation` to an encoded block (`data`, `info`) using draws
 /// from `rng`.
-pub fn apply_mutation(
+fn apply_mutation(
     mutation: Mutation,
     rng: &mut Xorshift64,
     data: &mut Vec<u8>,
@@ -187,11 +190,11 @@ fn encoded_block(rng: &mut Xorshift64, scheme: Scheme) -> Option<(Vec<u8>, Block
 }
 
 /// One codec trial: mutate an encoded block, then require that the fast
-/// decode path and [`boss_compress::Codec::decode_reference`] agree on
+/// decode path and [`boss_compress::reference::decode`] agree on
 /// accept/reject (and on the values when both accept), that the fused
 /// d-gap path agrees with the fast path, that nothing panics, and that
 /// no path reserves beyond [`RESERVE_BOUND`].
-pub fn codec_trial(scheme: Scheme, seed: u64, tally: &mut Tally) {
+fn codec_trial(scheme: Scheme, seed: u64, tally: &mut Tally) {
     let mut rng = Xorshift64::new(seed ^ ((scheme as u64) << 56));
     let Some((mut data, mut info)) = encoded_block(&mut rng, scheme) else {
         return;
@@ -205,7 +208,7 @@ pub fn codec_trial(scheme: Scheme, seed: u64, tally: &mut Tally) {
         let mut reference = Vec::new();
         let mut fused = Vec::new();
         let fast_res = codec.decode(&data, &info, &mut fast);
-        let ref_res = codec.decode_reference(&data, &info, &mut reference);
+        let ref_res = boss_compress::reference::decode(scheme, &data, &info, &mut reference);
         let fused_res = codec.decode_d1(&data, &info, 7, &mut fused);
         (
             fast_res.is_ok(),
@@ -250,17 +253,11 @@ pub fn codec_trial(scheme: Scheme, seed: u64, tally: &mut Tally) {
 
 /// One netlist-data trial: the Fig. 8 engine over a mutated block must
 /// return `Ok` with exactly `info.count` values or a typed error — never
-/// panic, never over-reserve. When `oracle` is given (the same
-/// configuration on the other execution path), both paths must agree on
-/// the *entire* outcome: values and cycles when they accept, the
-/// identical typed error when they reject.
-pub fn netlist_data_trial(
-    engine: &DecompEngine,
-    oracle: Option<&DecompEngine>,
-    scheme: Scheme,
-    seed: u64,
-    tally: &mut Tally,
-) {
+/// panic, never over-reserve — and the interpreter oracle
+/// ([`boss_decomp::reference::decode`]) over the same configuration must
+/// reach the *entire* same outcome: values and cycles when they accept,
+/// the identical typed error when they reject.
+fn netlist_data_trial(engine: &DecompEngine, scheme: Scheme, seed: u64, tally: &mut Tally) {
     let mut rng = Xorshift64::new(seed ^ 0xD1C0_0000 ^ ((scheme as u64) << 56));
     let Some((mut data, mut info)) = encoded_block(&mut rng, scheme) else {
         return;
@@ -290,18 +287,18 @@ pub fn netlist_data_trial(
                     ));
                 }
             }
-            if let Some(oracle) = oracle {
-                let oracle_outcome = catch_unwind(AssertUnwindSafe(|| oracle.decode(&data, &info)));
-                match oracle_outcome {
-                    Err(_) => tally.violations.push(format!(
-                        "{scheme} netlist oracle: PANIC on {mutation:?} seed {seed}"
-                    )),
-                    Ok(oracle_res) => {
-                        if res != oracle_res {
-                            tally.violations.push(format!(
-                                "{scheme} netlist: compiled/interpreted outcome disagreement on {mutation:?} seed {seed}"
-                            ));
-                        }
+            let oracle_outcome = catch_unwind(AssertUnwindSafe(|| {
+                boss_decomp::reference::decode(engine.config(), &data, &info)
+            }));
+            match oracle_outcome {
+                Err(_) => tally.violations.push(format!(
+                    "{scheme} netlist oracle: PANIC on {mutation:?} seed {seed}"
+                )),
+                Ok(oracle_res) => {
+                    if res != oracle_res {
+                        tally.violations.push(format!(
+                            "{scheme} netlist: compiled/interpreted outcome disagreement on {mutation:?} seed {seed}"
+                        ));
                     }
                 }
             }
@@ -314,7 +311,7 @@ pub fn netlist_data_trial(
 /// when the mangled text still parses, decoding a valid block through it
 /// must also not panic (typed errors and wrong values are both fine — a
 /// different program is a different program).
-pub fn netlist_config_trial(scheme: Scheme, seed: u64, tally: &mut Tally) {
+fn netlist_config_trial(scheme: Scheme, seed: u64, tally: &mut Tally) {
     let mut rng = Xorshift64::new(seed ^ 0xCF60_0000 ^ ((scheme as u64) << 56));
     let mut text = schemes::config_text(scheme).as_bytes().to_vec();
     // One or two byte-level edits; lossy UTF-8 recovery keeps the parser
@@ -338,7 +335,7 @@ pub fn netlist_config_trial(scheme: Scheme, seed: u64, tally: &mut Tally) {
                 // with the identical outcome (values and cycles, or the
                 // same typed error).
                 let compiled = engine.decode(&data, &info);
-                let interpreted = engine.clone().with_interpreter(true).decode(&data, &info);
+                let interpreted = boss_decomp::reference::decode(engine.config(), &data, &info);
                 (true, compiled == interpreted)
             }
         }
@@ -362,7 +359,7 @@ pub fn netlist_config_trial(scheme: Scheme, seed: u64, tally: &mut Tally) {
 /// area or a [`boss_index::BlockMeta`] field through the harness hooks,
 /// and require `decode_block` to return a typed error or a coherent
 /// decode (equal-length columns), never panic, never over-reserve.
-pub fn meta_trial(list: &EncodedList, seed: u64, tally: &mut Tally) {
+fn meta_trial(list: &EncodedList, seed: u64, tally: &mut Tally) {
     let mut rng = Xorshift64::new(seed ^ 0x3E7A_0000);
     let mut list = list.clone();
     let block = rng.below(list.n_blocks());
@@ -412,6 +409,28 @@ pub fn meta_trial(list: &EncodedList, seed: u64, tally: &mut Tally) {
     }
 }
 
+/// The harness's stock corpus: 700 documents, every one holding `probe`
+/// (a multi-block list) and a hashed third also `filler`.
+///
+/// # Panics
+///
+/// Panics if the corpus fails to build — impossible by construction, and
+/// a harness that cannot set up must fail loudly.
+fn harness_index(scheme: SchemeChoice) -> InvertedIndex {
+    let docs = (0u32..700).map(|i| {
+        if i.wrapping_mul(2654435761) % 3 == 0 {
+            "probe filler"
+        } else {
+            "probe"
+        }
+    });
+    IndexBuilder::new()
+        .scheme(scheme)
+        .add_documents(docs)
+        .build()
+        .expect("harness corpus builds")
+}
+
 /// Sharded corpora for the containment trials: a 700-document synthetic
 /// corpus split two and four ways, so every shard holds a multi-block
 /// `probe` list plus a sparser `filler` list.
@@ -420,20 +439,8 @@ pub fn meta_trial(list: &EncodedList, seed: u64, tally: &mut Tally) {
 ///
 /// Panics if the synthetic corpus fails to build or split — impossible
 /// by construction, and a harness that cannot set up must fail loudly.
-pub fn sharded_fixtures() -> Vec<ShardedIndex> {
-    let docs: Vec<String> = (0u32..700)
-        .map(|i| {
-            if i.wrapping_mul(2654435761) % 3 == 0 {
-                "probe filler".to_string()
-            } else {
-                "probe".to_string()
-            }
-        })
-        .collect();
-    let index = IndexBuilder::new()
-        .add_documents(docs.iter().map(String::as_str))
-        .build()
-        .expect("harness corpus builds");
+fn sharded_fixtures() -> Vec<ShardedIndex> {
+    let index = harness_index(SchemeChoice::Hybrid);
     [2u32, 4]
         .iter()
         .map(|&n| ShardedIndex::split(&index, n).expect("harness split succeeds"))
@@ -456,7 +463,7 @@ pub fn sharded_fixtures() -> Vec<ShardedIndex> {
 /// A trial is *accepted* when the victim shard shrugged the mutation off
 /// entirely (outcome bit-identical to quiet, nothing skipped) and
 /// *rejected* when the mutation cost it blocks or the whole query.
-pub fn sharded_trial(base: &ShardedIndex, seed: u64, tally: &mut Tally) {
+fn sharded_trial(base: &ShardedIndex, seed: u64, tally: &mut Tally) {
     let n = base.n_shards();
     let mut rng = Xorshift64::new(seed ^ 0x5AA2_D000 ^ ((n as u64) << 56));
     let victim = rng.below(n);
@@ -554,20 +561,8 @@ pub fn sharded_trial(base: &ShardedIndex, seed: u64, tally: &mut Tally) {
 /// Panics if the synthetic corpus fails to build or serialize —
 /// impossible by construction, and a harness that cannot set up must
 /// fail loudly.
-pub fn segment_fixture() -> (Vec<u8>, SegmentRegions) {
-    let docs: Vec<String> = (0u32..700)
-        .map(|i| {
-            if i.wrapping_mul(2654435761) % 3 == 0 {
-                "probe filler".to_string()
-            } else {
-                "probe".to_string()
-            }
-        })
-        .collect();
-    let index = IndexBuilder::new()
-        .add_documents(docs.iter().map(String::as_str))
-        .build()
-        .expect("harness corpus builds");
+fn segment_fixture() -> (Vec<u8>, SegmentRegions) {
+    let index = harness_index(SchemeChoice::Hybrid);
     let mut terms: Vec<(String, EncodedList)> = index
         .term_ids()
         .map(|id| (index.term_info(id).text.clone(), index.list(id).clone()))
@@ -614,7 +609,7 @@ fn segment_region_range(
 /// and because every byte up to the trailer is checksummed, any flip
 /// that actually changed a byte must be rejected by the time the reader
 /// drains (accepting a *changed* image is a violation).
-pub fn segment_trial(bytes: &[u8], regions: &SegmentRegions, seed: u64, tally: &mut Tally) {
+fn segment_trial(bytes: &[u8], regions: &SegmentRegions, seed: u64, tally: &mut Tally) {
     let mut rng = Xorshift64::new(seed ^ 0x5E6_0000);
     let mut mutated = bytes.to_vec();
     match rng.below(4) {
@@ -674,24 +669,11 @@ pub fn segment_trial(bytes: &[u8], regions: &SegmentRegions, seed: u64, tally: &
 ///
 /// Panics if the synthetic corpus fails to build — impossible by
 /// construction, and a harness that cannot set up must fail loudly.
-pub fn lists_per_scheme() -> Vec<(Scheme, EncodedList)> {
+fn lists_per_scheme() -> Vec<(Scheme, EncodedList)> {
     ALL_SCHEMES
         .iter()
         .map(|&scheme| {
-            let docs: Vec<String> = (0u32..700)
-                .map(|i| {
-                    if i.wrapping_mul(2654435761) % 3 == 0 {
-                        "probe filler".to_string()
-                    } else {
-                        "probe".to_string()
-                    }
-                })
-                .collect();
-            let index = IndexBuilder::new()
-                .scheme(SchemeChoice::Fixed(scheme))
-                .add_documents(docs.iter().map(String::as_str))
-                .build()
-                .expect("harness corpus builds");
+            let index = harness_index(SchemeChoice::Fixed(scheme));
             let tid = index.term_id("probe").expect("probe term present");
             let list = index.list(tid).clone();
             assert!(list.n_blocks() > 1, "need a multi-block list");
@@ -720,10 +702,9 @@ pub fn run(base_seed: u64, trials_per_scheme: u64) -> Tally {
     let lists = lists_per_scheme();
     for &scheme in &ALL_SCHEMES {
         let engine = DecompEngine::for_scheme(scheme).expect("stock netlist parses");
-        let oracle = engine.clone().with_interpreter(true);
         for t in 0..data_trials {
             codec_trial(scheme, base_seed + t, &mut tally);
-            netlist_data_trial(&engine, Some(&oracle), scheme, base_seed + t, &mut tally);
+            netlist_data_trial(&engine, scheme, base_seed + t, &mut tally);
         }
         for t in 0..side_trials {
             netlist_config_trial(scheme, base_seed + t, &mut tally);

@@ -33,7 +33,7 @@ use std::io::{self, Write};
 use std::rc::Rc;
 
 /// One registry entry: writes its table to the context's sink.
-pub type FigureFn = fn(&mut FigureCtx) -> io::Result<()>;
+pub(crate) type FigureFn = fn(&mut FigureCtx) -> io::Result<()>;
 
 /// Every table and figure, in the order `results/` and the golden file
 /// list them.
@@ -79,7 +79,7 @@ pub enum CorpusKind {
 
 impl CorpusKind {
     /// Both corpora, in the order the two-corpus figures print them.
-    pub const BOTH: [CorpusKind; 2] = [CorpusKind::Clueweb, CorpusKind::Ccnews];
+    pub(crate) const BOTH: [CorpusKind; 2] = [CorpusKind::Clueweb, CorpusKind::Ccnews];
 
     /// The name the figures print.
     pub fn name(self) -> &'static str {

@@ -738,7 +738,7 @@ pub(super) fn fig17_energy(ctx: &mut FigureCtx) -> io::Result<()> {
                 queries,
             );
             let e_lucene = AreaPowerModel::host_energy_joules(lucene.seconds);
-            let e_boss = model.device_power_w() * boss.seconds;
+            let e_boss = model.energy_joules(boss.seconds);
             let s = e_lucene / e_boss.max(1e-12);
             savings.push(s);
             row(out, &[qt.label().into(), f(e_lucene), f(e_boss), f(s)])?;

@@ -280,7 +280,7 @@ impl BenchArgs {
     /// # Errors
     ///
     /// The sink's write failure.
-    pub fn write_threads_comment(&self, out: &mut dyn Write) -> io::Result<()> {
+    pub(crate) fn write_threads_comment(&self, out: &mut dyn Write) -> io::Result<()> {
         writeln!(out, "# threads {}", self.threads)?;
         if self.shards > 1 {
             writeln!(
@@ -483,7 +483,7 @@ impl ServingSpec {
 /// # Errors
 ///
 /// The first query that fails to plan or decode on either engine.
-pub fn run_serving<E: SearchEngine + Send>(
+pub(crate) fn run_serving<E: SearchEngine + Send>(
     engine: &E,
     pruned: Option<&E>,
     queries: &[QueryExpr],
@@ -782,7 +782,7 @@ pub fn f(x: f64) -> String {
 }
 
 /// Geometric mean of positive values (0.0 for empty input).
-pub fn geomean(values: &[f64]) -> f64 {
+pub(crate) fn geomean(values: &[f64]) -> f64 {
     if values.is_empty() {
         return 0.0;
     }

@@ -102,11 +102,6 @@ impl<'a> BitReader<'a> {
         self.avail -= bits;
         Ok(v)
     }
-
-    /// Number of whole bytes consumed so far (including a partial tail byte).
-    pub fn bytes_consumed(&self) -> usize {
-        self.pos
-    }
 }
 
 /// Number of bits needed to represent `v` (0 for `v == 0`).
@@ -159,16 +154,6 @@ mod tests {
         let mut r = BitReader::new(&buf);
         assert_eq!(r.read(8).unwrap(), 0xFF);
         assert!(matches!(r.read(1), Err(Error::Truncated { .. })));
-    }
-
-    #[test]
-    fn bytes_consumed_tracks_position() {
-        let buf = vec![0u8; 4];
-        let mut r = BitReader::new(&buf);
-        r.read(4).unwrap();
-        assert_eq!(r.bytes_consumed(), 1);
-        r.read(8).unwrap();
-        assert_eq!(r.bytes_consumed(), 2);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::{check_len, unpack, BlockInfo, Codec, Error, Scheme};
 /// The BP codec (Lemire & Boytsov style frame-of-reference packing, without
 /// the SIMD layout — the simulator cares about sizes, not host speed).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct BitPacking;
+pub(crate) struct BitPacking;
 
 /// The block's bit width: that of its largest value, i.e. of the OR of
 /// all of them.
@@ -48,21 +48,6 @@ impl Codec for BitPacking {
             });
         }
         unpack::unpack(data, info.count as usize, width, out)
-    }
-
-    fn decode_reference(
-        &self,
-        data: &[u8],
-        info: &BlockInfo,
-        out: &mut Vec<u32>,
-    ) -> Result<(), Error> {
-        let width = u32::from(info.bit_width);
-        if width > 32 {
-            return Err(Error::Corrupt {
-                reason: "BP bit width above 32",
-            });
-        }
-        unpack::unpack_reference(data, info.count as usize, width, out)
     }
 
     fn decode_d1(

@@ -11,7 +11,7 @@ use crate::{check_count, check_len, BlockInfo, Codec, Error, Scheme};
 
 /// The Group-Varint codec.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct GroupVarint;
+pub(crate) struct GroupVarint;
 
 fn byte_len(v: u32) -> u32 {
     match v {

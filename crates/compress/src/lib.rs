@@ -3,14 +3,18 @@
 //! Implements the five schemes evaluated by the BOSS paper (Section VI and
 //! Figure 3) plus the per-list *hybrid* selection BOSS uses for its index:
 //!
-//! * [`BitPacking`] (BP) — fixed bit width per block,
-//! * [`VariableByte`] (VB) — 7-bit payload groups with continuation bits,
-//! * [`OptPfd`] (OptPForDelta) — packed low bits plus patched exceptions,
-//!   with the bit width chosen to minimize the encoded size,
-//! * [`Simple16`] (S16) — 28 payload bits per 32-bit word, 16 layouts,
-//! * [`Simple8b`] (S8b) — 60 payload bits per 64-bit word, 16 layouts.
+//! * Bit-Packing ([`Scheme::Bp`]) — fixed bit width per block,
+//! * Variable-Byte ([`Scheme::Vb`]) — 7-bit payload groups with
+//!   continuation bits,
+//! * OptPForDelta ([`Scheme::OptPfd`]) — packed low bits plus patched
+//!   exceptions, with the bit width chosen to minimize the encoded size,
+//! * Simple16 ([`Scheme::S16`]) — 28 payload bits per 32-bit word, 16
+//!   layouts,
+//! * Simple8b ([`Scheme::S8b`]) — 60 payload bits per 64-bit word, 16
+//!   layouts.
 //!
-//! All codecs implement the [`Codec`] trait: they encode a slice of `u32`
+//! All codecs implement the [`Codec`] trait and are reached through
+//! [`codec_for`]: they encode a slice of `u32`
 //! *gap* values (already delta-encoded by the index layer) into bytes and
 //! decode them back exactly. Values of zero are legal everywhere (the index
 //! layer produces 0-gaps for adjacent docIDs and `tf - 1` streams).
@@ -43,20 +47,22 @@ mod error;
 mod gvb;
 mod hybrid;
 mod pfd;
+pub mod reference;
 mod s16;
 mod s8b;
 pub mod unpack;
 mod vb;
 
 pub use bitio::{BitReader, BitWriter};
-pub use bp::BitPacking;
 pub use error::Error;
-pub use gvb::GroupVarint;
 pub use hybrid::{best_scheme, compression_ratio, encoded_size, HybridChoice};
-pub use pfd::OptPfd;
-pub use s16::Simple16;
-pub use s8b::Simple8b;
-pub use vb::VariableByte;
+
+use bp::BitPacking;
+use gvb::GroupVarint;
+use pfd::OptPfd;
+use s16::Simple16;
+use s8b::Simple8b;
+use vb::VariableByte;
 
 /// Identifier of a compression scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -160,23 +166,6 @@ pub trait Codec: std::fmt::Debug + Send + Sync {
     /// Returns [`Error::Truncated`] or [`Error::Corrupt`] when `data` does
     /// not contain a valid encoding for `info`.
     fn decode(&self, data: &[u8], info: &BlockInfo, out: &mut Vec<u32>) -> Result<(), Error>;
-
-    /// The seed per-value decode path, kept as the reference oracle for the
-    /// word-level kernels in [`unpack`]. Codecs whose [`Codec::decode`] was
-    /// rerouted through the kernels override this with the original
-    /// implementation; for the rest the two paths are the same.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Codec::decode`].
-    fn decode_reference(
-        &self,
-        data: &[u8],
-        info: &BlockInfo,
-        out: &mut Vec<u32>,
-    ) -> Result<(), Error> {
-        self.decode(data, info, out)
-    }
 
     /// Decode `info.count` d-gap values and append their running
     /// (wrapping) prefix sum seeded with `base` — i.e. absolute docIDs.
@@ -325,7 +314,7 @@ mod tests {
             assert_eq!(out.capacity(), 0, "scheme {s} reserved for corrupt count");
             assert!(
                 matches!(
-                    codec.decode_reference(&data, &info, &mut Vec::new()),
+                    reference::decode(s, &data, &info, &mut Vec::new()),
                     Err(Error::Corrupt { .. })
                 ),
                 "scheme {s} reference"

@@ -8,12 +8,12 @@
 //! total length; the index's block metadata stores the offset, matching the
 //! paper's 12-bit "offset of the first exception value and index" field.
 
-use crate::bitio::{bits_for, BitReader, BitWriter};
+use crate::bitio::{bits_for, BitWriter};
 use crate::{check_count, check_len, unpack, BlockInfo, Codec, Error, Scheme};
 
 /// The OptPFD codec.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct OptPfd;
+pub(crate) struct OptPfd;
 
 const EXCEPTION_BYTES: usize = 6; // u16 index + u32 high bits
 
@@ -97,25 +97,9 @@ impl Codec for OptPfd {
         unpack::unpack(&data[..exc_off], info.count as usize, b, out)?;
         apply_exceptions(&data[exc_off..], b, info.count as usize, &mut out[base..])
     }
-
-    fn decode_reference(
-        &self,
-        data: &[u8],
-        info: &BlockInfo,
-        out: &mut Vec<u32>,
-    ) -> Result<(), Error> {
-        let (b, exc_off) = check_header(data, info)?;
-        let base = out.len();
-        let mut r = BitReader::new(&data[..exc_off]);
-        out.reserve(info.count as usize);
-        for _ in 0..info.count {
-            out.push(r.read(b)?);
-        }
-        apply_exceptions(&data[exc_off..], b, info.count as usize, &mut out[base..])
-    }
 }
 
-fn check_header(data: &[u8], info: &BlockInfo) -> Result<(u32, usize), Error> {
+pub(crate) fn check_header(data: &[u8], info: &BlockInfo) -> Result<(u32, usize), Error> {
     check_count(info)?;
     let b = u32::from(info.bit_width);
     if b > 32 {
@@ -136,7 +120,12 @@ fn check_header(data: &[u8], info: &BlockInfo) -> Result<(u32, usize), Error> {
 /// Patches the exception area's high bits back into the unpacked low bits.
 /// The prefix sum cannot be fused through this step, which is why OptPFD
 /// keeps the default two-pass [`Codec::decode_d1`].
-fn apply_exceptions(patch: &[u8], b: u32, count: usize, out: &mut [u32]) -> Result<(), Error> {
+pub(crate) fn apply_exceptions(
+    patch: &[u8],
+    b: u32,
+    count: usize,
+    out: &mut [u32],
+) -> Result<(), Error> {
     if !patch.len().is_multiple_of(EXCEPTION_BYTES) {
         return Err(Error::Corrupt {
             reason: "OptPFD exception area misaligned",

@@ -7,7 +7,7 @@ use crate::{check_count, check_len, BlockInfo, Codec, Error, Scheme};
 
 /// The 16 Simple16 layouts as `(count, bits)` runs. Each layout's field
 /// widths sum to exactly 28 bits.
-const LAYOUTS: [&[(u32, u32)]; 16] = [
+pub(crate) const LAYOUTS: [&[(u32, u32)]; 16] = [
     &[(28, 1)],
     &[(7, 2), (14, 1)],
     &[(7, 1), (7, 2), (7, 1)],
@@ -272,7 +272,7 @@ fn for_each_word(values: &[u32], mut emit: impl FnMut(usize, &[u32])) -> Result<
 
 /// The S16 codec.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Simple16;
+pub(crate) struct Simple16;
 
 impl Codec for Simple16 {
     fn scheme(&self) -> Scheme {
@@ -339,42 +339,6 @@ impl Codec for Simple16 {
         }
         Ok(())
     }
-
-    fn decode_reference(
-        &self,
-        data: &[u8],
-        info: &BlockInfo,
-        out: &mut Vec<u32>,
-    ) -> Result<(), Error> {
-        let mut remaining = check_count(info)?;
-        let mut pos = 0usize;
-        out.reserve(remaining);
-        while remaining > 0 {
-            let Some(bytes) = data.get(pos..pos + 4) else {
-                return Err(Error::Truncated {
-                    have: data.len(),
-                    need: pos + 4,
-                });
-            };
-            pos += 4;
-            let word = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-            let sel = (word >> 28) as usize;
-            let layout = LAYOUTS[sel];
-            let mut shift = 0u32;
-            for &(n, bits) in layout {
-                let mask = (1u32 << bits) - 1;
-                for _ in 0..n {
-                    if remaining == 0 {
-                        break;
-                    }
-                    out.push((word >> shift) & mask);
-                    shift += bits;
-                    remaining -= 1;
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -433,7 +397,7 @@ mod tests {
             let mut fast = Vec::new();
             Simple16.decode(&buf, &info, &mut fast).unwrap();
             let mut slow = Vec::new();
-            Simple16.decode_reference(&buf, &info, &mut slow).unwrap();
+            crate::reference::decode(Scheme::S16, &buf, &info, &mut slow).unwrap();
             assert_eq!(fast, slow, "len {len}");
             assert_eq!(fast, values, "len {len}");
         }

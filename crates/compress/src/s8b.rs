@@ -8,7 +8,7 @@ use crate::{check_count, check_len, BlockInfo, Codec, Error, Scheme};
 
 /// `(count, bits)` for selectors 2..=15. Selector 0 = 240 zeros,
 /// selector 1 = 120 zeros.
-const PACKED: [(u32, u32); 14] = [
+pub(crate) const PACKED: [(u32, u32); 14] = [
     (60, 1),
     (30, 2),
     (20, 3),
@@ -115,7 +115,7 @@ fn for_each_word(values: &[u32], mut emit: impl FnMut(u64, u32, &[u32])) {
 
 /// The S8b codec.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Simple8b;
+pub(crate) struct Simple8b;
 
 impl Codec for Simple8b {
     fn scheme(&self) -> Scheme {
@@ -186,52 +186,6 @@ impl Codec for Simple8b {
                             shift += bits;
                         }
                         remaining = 0;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn decode_reference(
-        &self,
-        data: &[u8],
-        info: &BlockInfo,
-        out: &mut Vec<u32>,
-    ) -> Result<(), Error> {
-        let mut remaining = check_count(info)?;
-        let mut pos = 0usize;
-        out.reserve(remaining);
-        while remaining > 0 {
-            let Some(bytes) = data.get(pos..pos + 8) else {
-                return Err(Error::Truncated {
-                    have: data.len(),
-                    need: pos + 8,
-                });
-            };
-            pos += 8;
-            // Infallible: the let-else above proved the slice is 8 bytes.
-            #[allow(clippy::expect_used)]
-            let word = u64::from_le_bytes(bytes.try_into().expect("slice is 8 bytes"));
-            let sel = (word >> 60) as usize;
-            match sel {
-                0 | 1 => {
-                    let n = if sel == 0 { 240 } else { 120 };
-                    let take = n.min(remaining);
-                    out.extend(std::iter::repeat_n(0u32, take));
-                    remaining -= take;
-                }
-                _ => {
-                    let (n, bits) = PACKED[sel - 2];
-                    let mask = (1u64 << bits) - 1;
-                    let mut shift = 0u32;
-                    for _ in 0..n {
-                        if remaining == 0 {
-                            break;
-                        }
-                        out.push(((word >> shift) & mask) as u32);
-                        shift += bits;
-                        remaining -= 1;
                     }
                 }
             }
@@ -338,7 +292,7 @@ mod tests {
             let mut fast = Vec::new();
             Simple8b.decode(&buf, &info, &mut fast).unwrap();
             let mut slow = Vec::new();
-            Simple8b.decode_reference(&buf, &info, &mut slow).unwrap();
+            crate::reference::decode(Scheme::S8b, &buf, &info, &mut slow).unwrap();
             assert_eq!(fast, slow, "len {len}");
             assert_eq!(fast, values, "len {len}");
         }

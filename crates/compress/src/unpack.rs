@@ -18,11 +18,10 @@
 //! loop, turning gap streams directly into absolute docIDs without a
 //! second pass over the output.
 //!
-//! The original per-value path survives as [`unpack_reference`] /
-//! [`unpack_d1_reference`]: the property tests hold every kernel bit-equal
+//! The original per-value path survives as the oracle in
+//! [`crate::reference`]: the property tests hold every kernel bit-equal
 //! to it across all widths and lengths.
 
-use crate::bitio::BitReader;
 use crate::Error;
 
 /// Loads 8 bytes little-endian starting at `byte`; caller guarantees the
@@ -150,11 +149,11 @@ static UNPACK_D1: [UnpackD1Fn; 33] = width_table!(unpack_d1_w);
 
 /// Bytes needed to hold `count` values of `width` bits.
 #[inline]
-pub fn packed_bytes(count: usize, width: u32) -> usize {
+pub(crate) fn packed_bytes(count: usize, width: u32) -> usize {
     (count * width as usize).div_ceil(8)
 }
 
-fn check_input(data: &[u8], count: usize, width: u32) -> Result<(), Error> {
+pub(crate) fn check_input(data: &[u8], count: usize, width: u32) -> Result<(), Error> {
     if width > 32 {
         return Err(Error::Corrupt {
             reason: "bit width above 32",
@@ -176,7 +175,7 @@ fn check_input(data: &[u8], count: usize, width: u32) -> Result<(), Error> {
 }
 
 /// Appends `count` values of `width` bits from `data` (LSB-first layout,
-/// identical to [`BitReader`]) to `out`, using the word-level kernels.
+/// identical to [`BitReader`](crate::BitReader)) to `out`, using the word-level kernels.
 ///
 /// # Errors
 ///
@@ -218,51 +217,6 @@ pub fn prefix_sum_d1(base: u32, values: &mut [u32]) {
     }
 }
 
-/// The seed per-value decode path: one [`BitReader::read`] per value.
-/// Kept as the reference oracle for the kernels.
-///
-/// # Errors
-///
-/// Same conditions as [`unpack`]: corrupt width/count are rejected up
-/// front, truncation either up front or mid-value.
-pub fn unpack_reference(
-    data: &[u8],
-    count: usize,
-    width: u32,
-    out: &mut Vec<u32>,
-) -> Result<(), Error> {
-    check_input(data, count, width)?;
-    let mut r = BitReader::new(data);
-    out.reserve(count);
-    for _ in 0..count {
-        out.push(r.read(width)?);
-    }
-    Ok(())
-}
-
-/// Reference for [`unpack_d1`]: per-value reads plus a scalar prefix sum.
-///
-/// # Errors
-///
-/// Same conditions as [`unpack_reference`].
-pub fn unpack_d1_reference(
-    data: &[u8],
-    count: usize,
-    width: u32,
-    base: u32,
-    out: &mut Vec<u32>,
-) -> Result<(), Error> {
-    check_input(data, count, width)?;
-    let mut r = BitReader::new(data);
-    out.reserve(count);
-    let mut prev = base;
-    for _ in 0..count {
-        prev = prev.wrapping_add(r.read(width)?);
-        out.push(prev);
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,7 +247,7 @@ mod tests {
             let mut fast = Vec::new();
             unpack(&buf, values.len(), width, &mut fast).unwrap();
             let mut slow = Vec::new();
-            unpack_reference(&buf, values.len(), width, &mut slow).unwrap();
+            crate::reference::unpack(&buf, values.len(), width, &mut slow).unwrap();
             assert_eq!(fast, slow, "width {width}");
             assert_eq!(fast, values, "width {width}");
         }

@@ -6,7 +6,7 @@ use crate::{check_count, check_len, BlockInfo, Codec, Error, Scheme};
 
 /// The VB codec.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct VariableByte;
+pub(crate) struct VariableByte;
 
 /// Encoded bytes of a value by its count of leading zeros: one byte per
 /// started group of seven significant bits, and one for a zero.
@@ -140,47 +140,6 @@ impl Codec for VariableByte {
         }
         Ok(())
     }
-
-    fn decode_reference(
-        &self,
-        data: &[u8],
-        info: &BlockInfo,
-        out: &mut Vec<u32>,
-    ) -> Result<(), Error> {
-        let mut pos = 0usize;
-        out.reserve(check_count(info)?);
-        for _ in 0..info.count {
-            let mut v: u32 = 0;
-            let mut shift = 0u32;
-            loop {
-                let Some(&b) = data.get(pos) else {
-                    return Err(Error::Truncated {
-                        have: data.len(),
-                        need: pos + 1,
-                    });
-                };
-                pos += 1;
-                if shift >= 35 {
-                    return Err(Error::Corrupt {
-                        reason: "VB value wider than 32 bits",
-                    });
-                }
-                let payload = u32::from(b & 0x7F);
-                if shift == 28 && payload > 0xF {
-                    return Err(Error::Corrupt {
-                        reason: "VB value wider than 32 bits",
-                    });
-                }
-                v |= payload << shift;
-                shift += 7;
-                if b & 0x80 != 0 {
-                    break;
-                }
-            }
-            out.push(v);
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -252,9 +211,7 @@ mod tests {
             let mut fast = Vec::new();
             VariableByte.decode(&buf, &info, &mut fast).unwrap();
             let mut slow = Vec::new();
-            VariableByte
-                .decode_reference(&buf, &info, &mut slow)
-                .unwrap();
+            crate::reference::decode(Scheme::Vb, &buf, &info, &mut slow).unwrap();
             assert_eq!(fast, slow, "len {len}");
             assert_eq!(fast, values, "len {len}");
         }
@@ -270,9 +227,7 @@ mod tests {
         let fast = VariableByte
             .decode(&buf, &info, &mut Vec::new())
             .unwrap_err();
-        let slow = VariableByte
-            .decode_reference(&buf, &info, &mut Vec::new())
-            .unwrap_err();
+        let slow = crate::reference::decode(Scheme::Vb, &buf, &info, &mut Vec::new()).unwrap_err();
         assert_eq!(format!("{fast}"), format!("{slow}"));
         assert!(matches!(fast, Error::Truncated { .. }));
     }

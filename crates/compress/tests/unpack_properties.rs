@@ -3,10 +3,8 @@
 //! is bit-equal to the seed per-value `bitio` path, and the rerouted
 //! BP/OptPFD decoders are bit-equal to their retained reference oracles.
 
-use boss_compress::unpack::{
-    prefix_sum_d1, unpack, unpack_d1, unpack_d1_reference, unpack_reference,
-};
-use boss_compress::{codec_for, BitWriter, Scheme};
+use boss_compress::unpack::{prefix_sum_d1, unpack, unpack_d1};
+use boss_compress::{codec_for, reference, BitWriter, Scheme};
 use proptest::prelude::*;
 
 fn pack(values: &[u32], width: u32) -> Vec<u8> {
@@ -44,7 +42,7 @@ proptest! {
             let mut fast = Vec::new();
             unpack(&buf, values.len(), width, &mut fast).unwrap();
             let mut slow = Vec::new();
-            unpack_reference(&buf, values.len(), width, &mut slow).unwrap();
+            reference::unpack(&buf, values.len(), width, &mut slow).unwrap();
             prop_assert_eq!(&fast, &slow, "width {}", width);
             prop_assert_eq!(&fast, &values, "width {}", width);
         }
@@ -58,7 +56,7 @@ proptest! {
             let mut fused = Vec::new();
             unpack_d1(&buf, gaps.len(), width, base, &mut fused).unwrap();
             let mut slow = Vec::new();
-            unpack_d1_reference(&buf, gaps.len(), width, base, &mut slow).unwrap();
+            reference::unpack_d1(&buf, gaps.len(), width, base, &mut slow).unwrap();
             prop_assert_eq!(&fused, &slow, "width {}", width);
             // And the two-pass formulation agrees.
             let mut two_pass = Vec::new();
@@ -78,7 +76,7 @@ proptest! {
             let mut fast = Vec::new();
             codec.decode(&data, &info, &mut fast).unwrap();
             let mut slow = Vec::new();
-            codec.decode_reference(&data, &info, &mut slow).unwrap();
+            reference::decode(Scheme::Bp, &data, &info, &mut slow).unwrap();
             prop_assert_eq!(&fast, &slow);
             prop_assert_eq!(&fast, &values);
         }
@@ -98,7 +96,7 @@ proptest! {
         let mut fast = Vec::new();
         codec.decode(&data, &info, &mut fast).unwrap();
         let mut slow = Vec::new();
-        codec.decode_reference(&data, &info, &mut slow).unwrap();
+        reference::decode(Scheme::OptPfd, &data, &info, &mut slow).unwrap();
         prop_assert_eq!(&fast, &slow);
         prop_assert_eq!(&fast, &values);
     }
@@ -133,7 +131,7 @@ fn truncation_behavior_matches_reference() {
         let buf = pack(&values, width);
         let short = &buf[..buf.len() - 1];
         let fast = unpack(short, values.len(), width, &mut Vec::new());
-        let slow = unpack_reference(short, values.len(), width, &mut Vec::new());
+        let slow = reference::unpack(short, values.len(), width, &mut Vec::new());
         assert!(
             matches!(fast, Err(boss_compress::Error::Truncated { .. })),
             "width {width}"

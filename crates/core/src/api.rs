@@ -76,11 +76,6 @@ impl<'a> BossHandle<'a> {
         };
         self.device.search_expr(&expr, k)
     }
-
-    /// The underlying device (for batch experiments).
-    pub fn device_mut(&mut self) -> &mut BossDevice<'a> {
-        &mut self.device
-    }
 }
 
 #[cfg(test)]

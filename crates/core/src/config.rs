@@ -49,13 +49,11 @@ pub enum DegradePolicy {
 /// The defaults follow the module descriptions of Section IV-C: one merge
 /// comparison per cycle per intersection unit, fully pipelined scoring
 /// (one document per cycle per module once the fixed-point divider is
-/// filled), one top-k shift-insert per cycle, and the decompression cycle
-/// counts of the `boss-decomp` engine (one extraction unit per cycle plus
-/// pipeline fill).
+/// filled) and one top-k shift-insert per cycle. Decompression is not a
+/// constant here: each block is priced by the cost descriptor of the
+/// `boss-decomp` configuration that decodes it (see `fetch.rs`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingModel {
-    /// Pipeline-fill cycles charged per decoded block.
-    pub decomp_fill: u64,
     /// Cycles per set-operation comparison.
     pub cycles_per_comparison: f64,
     /// Cycles per scored document per scoring module (pipelined).
@@ -76,7 +74,6 @@ pub struct TimingModel {
 impl Default for TimingModel {
     fn default() -> Self {
         TimingModel {
-            decomp_fill: 4,
             cycles_per_comparison: 1.0,
             cycles_per_score: 1.0,
             scoring_fill: 16,
@@ -203,11 +200,6 @@ impl BossConfig {
         self.degrade = policy;
         self
     }
-
-    /// Converts core cycles to seconds at the configured clock.
-    pub fn cycles_to_seconds(&self, cycles: u64) -> f64 {
-        cycles as f64 / (self.clock_ghz * 1e9)
-    }
 }
 
 #[cfg(test)]
@@ -237,12 +229,6 @@ mod tests {
         assert_eq!(c.et_mode, EtMode::BlockOnly);
         assert_eq!(c.k, 10);
         assert_eq!(c.memory.kind, boss_scm::MemoryKind::Dram);
-    }
-
-    #[test]
-    fn cycles_to_seconds_at_1ghz() {
-        let c = BossConfig::default();
-        assert!((c.cycles_to_seconds(1_000_000_000) - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -46,8 +46,7 @@ impl BossDevice<'_> {
         floor: f32,
     ) -> Result<QueryOutcome, Error> {
         let plan = QueryPlan::from_expr(self.index, expr, &self.config)?;
-        let mut ctx = ExecCtx::new(self.index, &self.image, &self.config);
-        let fill = self.config.timing.decomp_fill;
+        let mut ctx = ExecCtx::new(self.index, &self.image, &self.config)?;
 
         // Intersections first (Section IV-B "Mixed Query"), then one
         // union+scoring pass over all group streams. Early termination in
@@ -64,11 +63,9 @@ impl BossDevice<'_> {
         for (gi, group) in plan.groups().iter().enumerate() {
             if group.len() == 1 {
                 let unit = gi % ctx.dec_cycles.len();
-                streams.push(UnionStream::List(ListCursor::new(
-                    &mut ctx, group[0], unit, fill,
-                )));
+                streams.push(UnionStream::List(ListCursor::new(&mut ctx, group[0], unit)));
             } else {
-                let m = intersect_group(&mut ctx, group, fill)?;
+                let m = intersect_group(&mut ctx, group)?;
                 streams.push(UnionStream::Mat(m));
             }
         }

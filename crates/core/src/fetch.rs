@@ -7,11 +7,52 @@ use crate::mai::{Tlb, WALK_ACCESSES};
 use crate::pipeline::{BlockEvent, TimingFidelity};
 use crate::stats::EvalCounts;
 use boss_compress::Scheme;
+use boss_decomp::{DecodeCost, EngineConfig, PIPELINE_FILL_CYCLES};
 use boss_index::layout::IndexImage;
 use boss_index::{
     BlockMeta, DecodeScratch, DocId, EncodedList, Error, InvertedIndex, TermId, BLOCK_META_BYTES,
 };
 use boss_scm::{AccessCategory, AccessKind, MemorySim, PatternHint};
+use std::sync::OnceLock;
+
+/// Every scheme a posting list can be encoded with, each in the slot its
+/// discriminant names.
+const STOCK_SCHEMES: [Scheme; 6] = [
+    Scheme::Bp,
+    Scheme::Vb,
+    Scheme::OptPfd,
+    Scheme::S16,
+    Scheme::S8b,
+    Scheme::GroupVarint,
+];
+
+/// The cost descriptors of the decompression module's stock
+/// configurations, indexed by `Scheme as usize`: what the datapath
+/// programmed for a scheme charges per stream, taken from the
+/// configuration itself rather than restated here. Parsed once per
+/// process.
+///
+/// # Errors
+///
+/// [`Error::DecompressorConfig`] if a shipped configuration does not
+/// parse.
+fn stock_costs() -> Result<&'static [DecodeCost], Error> {
+    static COSTS: OnceLock<Result<Vec<DecodeCost>, boss_decomp::ParseError>> = OnceLock::new();
+    COSTS
+        .get_or_init(|| {
+            STOCK_SCHEMES
+                .iter()
+                .map(|&s| {
+                    EngineConfig::parse(boss_decomp::schemes::config_text(s))
+                        .map(|config| config.decode_cost())
+                })
+                .collect()
+        })
+        .as_deref()
+        .map_err(|e| Error::DecompressorConfig {
+            reason: e.to_string(),
+        })
+}
 
 /// Why documents were skipped — drives Figure 14's attribution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,6 +86,8 @@ pub(crate) struct ExecCtx<'a> {
     pub mem: MemorySim,
     pub tlb: Tlb,
     pub eval: EvalCounts,
+    /// Decode price list of the stock schemes (see [`stock_costs`]).
+    costs: &'static [DecodeCost],
     /// Cycles accumulated per decompression module.
     pub dec_cycles: Vec<u64>,
     /// Documents scored (mirrors `eval.docs_scored`, kept for scoring time).
@@ -66,24 +109,25 @@ impl<'a> ExecCtx<'a> {
         index: &'a InvertedIndex,
         image: &'a IndexImage,
         config: &BossConfig,
-    ) -> Self {
+    ) -> Result<Self, Error> {
         let mut mem = MemorySim::new(config.memory.clone());
         if let Some(plan) = &config.fault_plan {
             mem.set_fault_plan(Some(plan.clone()));
         }
-        ExecCtx {
+        Ok(ExecCtx {
             index,
             image,
             mem,
             tlb: Tlb::new(),
             eval: EvalCounts::default(),
+            costs: stock_costs()?,
             dec_cycles: vec![0; config.decompressors_per_core.max(1) as usize],
             scored: 0,
             norm_line: u64::MAX,
             trace: Vec::new(),
             record_trace: config.timing.fidelity == TimingFidelity::Pipelined,
             degrade: config.degrade,
-        }
+        })
     }
 
     /// Issues a read through the MAI: TLB lookup (page walk on miss), then
@@ -156,25 +200,6 @@ impl<'a> ExecCtx<'a> {
     }
 }
 
-/// Analytic decompression cost, mirroring `boss-decomp`'s cycle counting:
-/// one extraction unit per cycle (a byte for VB, a field otherwise), one
-/// cycle per exception patch, plus pipeline fill. Covers both the docID
-/// and tf sub-streams of a block.
-pub(crate) fn decomp_cycles(scheme: Scheme, meta: &BlockMeta, fill: u64) -> u64 {
-    let count = meta.delta_info.count as u64 + meta.tf_info.count as u64;
-    match scheme {
-        Scheme::Vb | Scheme::GroupVarint => u64::from(meta.len) + fill,
-        Scheme::Bp | Scheme::S16 | Scheme::S8b => count + fill,
-        Scheme::OptPfd => {
-            let delta_exc =
-                (u64::from(meta.tf_offset) - u64::from(meta.delta_info.exception_offset)) / 6;
-            let tf_len = u64::from(meta.len) - u64::from(meta.tf_offset);
-            let tf_exc = (tf_len - u64::from(meta.tf_info.exception_offset)) / 6;
-            count + delta_exc + tf_exc + fill
-        }
-    }
-}
-
 /// A cursor over one encoded posting list with lazy block decode.
 #[derive(Debug)]
 pub(crate) struct ListCursor<'a> {
@@ -192,16 +217,13 @@ pub(crate) struct ListCursor<'a> {
     dec_unit: usize,
     /// Highest block index whose metadata was already charged.
     meta_read_upto: usize,
-    decomp_fill: u64,
+    /// What the decompression module programmed for this list's scheme
+    /// charges per stream.
+    cost: DecodeCost,
 }
 
 impl<'a> ListCursor<'a> {
-    pub(crate) fn new(
-        ctx: &mut ExecCtx<'a>,
-        term: TermId,
-        dec_unit: usize,
-        decomp_fill: u64,
-    ) -> Self {
+    pub(crate) fn new(ctx: &mut ExecCtx<'a>, term: TermId, dec_unit: usize) -> Self {
         let list = ctx.index.list(term);
         let mut scratch = DecodeScratch::new();
         scratch.reserve_for(list);
@@ -215,7 +237,7 @@ impl<'a> ListCursor<'a> {
             pos: 0,
             dec_unit,
             meta_read_upto: 0,
-            decomp_fill,
+            cost: ctx.costs[list.scheme() as usize],
         };
         c.charge_meta(ctx, 0);
         c
@@ -358,7 +380,15 @@ impl<'a> ListCursor<'a> {
             }
         }
         ctx.eval.blocks_fetched += 1;
-        let dec = decomp_cycles(self.list.scheme(), &meta, self.decomp_fill);
+        // One extraction unit per cycle over the docID stream and over
+        // the tf stream, and the pipeline fills once per block (the
+        // module runs a block's two streams back to back).
+        let tf_offset = u64::from(meta.tf_offset);
+        let dec = self.cost.units(tf_offset, &meta.delta_info)
+            + self
+                .cost
+                .units(u64::from(meta.len) - tf_offset, &meta.tf_info)
+            + PIPELINE_FILL_CYCLES;
         ctx.dec_cycles[self.dec_unit] += dec;
         if ctx.record_trace {
             ctx.trace.push(BlockEvent {
@@ -573,8 +603,8 @@ mod tests {
     fn cursor_walks_all_postings() {
         let (idx, img, cfg) = setup();
         let term = idx.term_id("even").unwrap();
-        let mut ctx = ExecCtx::new(&idx, &img, &cfg);
-        let mut c = ListCursor::new(&mut ctx, term, 0, 4);
+        let mut ctx = ExecCtx::new(&idx, &img, &cfg).unwrap();
+        let mut c = ListCursor::new(&mut ctx, term, 0);
         let mut seen = Vec::new();
         while !c.exhausted() {
             seen.push(c.current_doc());
@@ -589,8 +619,8 @@ mod tests {
     fn seek_skips_blocks_without_decoding() {
         let (idx, img, cfg) = setup();
         let term = idx.term_id("even").unwrap(); // 300 postings, 3 blocks
-        let mut ctx = ExecCtx::new(&idx, &img, &cfg);
-        let mut c = ListCursor::new(&mut ctx, term, 0, 4);
+        let mut ctx = ExecCtx::new(&idx, &img, &cfg).unwrap();
+        let mut c = ListCursor::new(&mut ctx, term, 0);
         c.seek(&mut ctx, 590, SkipReason::Block).unwrap();
         assert_eq!(c.current_doc(), 590);
         assert!(ctx.eval.blocks_skipped >= 2, "first two blocks skipped");
@@ -602,8 +632,8 @@ mod tests {
     fn seek_within_block_counts_wand_skips() {
         let (idx, img, cfg) = setup();
         let term = idx.term_id("even").unwrap();
-        let mut ctx = ExecCtx::new(&idx, &img, &cfg);
-        let mut c = ListCursor::new(&mut ctx, term, 0, 4);
+        let mut ctx = ExecCtx::new(&idx, &img, &cfg).unwrap();
+        let mut c = ListCursor::new(&mut ctx, term, 0);
         c.current_tf(&mut ctx).unwrap(); // decode block 0
         c.seek(&mut ctx, 20, SkipReason::Wand).unwrap();
         assert_eq!(c.current_doc(), 20);
@@ -614,8 +644,8 @@ mod tests {
     fn remaining_counts() {
         let (idx, img, cfg) = setup();
         let term = idx.term_id("even").unwrap();
-        let mut ctx = ExecCtx::new(&idx, &img, &cfg);
-        let mut c = ListCursor::new(&mut ctx, term, 0, 4);
+        let mut ctx = ExecCtx::new(&idx, &img, &cfg).unwrap();
+        let mut c = ListCursor::new(&mut ctx, term, 0);
         assert_eq!(c.remaining(), 300);
         c.advance(&mut ctx).unwrap();
         assert_eq!(c.remaining(), 299);
@@ -628,8 +658,8 @@ mod tests {
     fn shallow_block_max_finds_covering_block() {
         let (idx, img, cfg) = setup();
         let term = idx.term_id("even").unwrap();
-        let mut ctx = ExecCtx::new(&idx, &img, &cfg);
-        let c = ListCursor::new(&mut ctx, term, 0, 4);
+        let mut ctx = ExecCtx::new(&idx, &img, &cfg).unwrap();
+        let c = ListCursor::new(&mut ctx, term, 0);
         let blocks = idx.list(term).blocks();
         let (m, last) = c.shallow_block_max(blocks[1].first_doc + 2).unwrap();
         assert_eq!(last, blocks[1].last_doc);
@@ -641,8 +671,8 @@ mod tests {
     fn metadata_traffic_charged_once_per_block() {
         let (idx, img, cfg) = setup();
         let term = idx.term_id("even").unwrap();
-        let mut ctx = ExecCtx::new(&idx, &img, &cfg);
-        let mut c = ListCursor::new(&mut ctx, term, 0, 4);
+        let mut ctx = ExecCtx::new(&idx, &img, &cfg).unwrap();
+        let mut c = ListCursor::new(&mut ctx, term, 0);
         c.seek(&mut ctx, 10_000, SkipReason::Block).unwrap(); // walk all metadata
         let metas = ctx.eval.metas_read;
         assert_eq!(metas, idx.list(term).n_blocks() as u64);
@@ -653,20 +683,37 @@ mod tests {
     }
 
     #[test]
+    fn every_scheme_has_its_own_cost_slot() {
+        for (slot, scheme) in STOCK_SCHEMES.into_iter().enumerate() {
+            assert_eq!(scheme as usize, slot, "{scheme}");
+            // Exhaustive on purpose: a seventh scheme must get a slot.
+            match scheme {
+                Scheme::Bp
+                | Scheme::Vb
+                | Scheme::OptPfd
+                | Scheme::S16
+                | Scheme::S8b
+                | Scheme::GroupVarint => {}
+            }
+        }
+        assert_eq!(stock_costs().unwrap().len(), STOCK_SCHEMES.len());
+    }
+
+    #[test]
     fn decomp_cost_matches_engine() {
-        // Every block of a real index, under hybrid and each fixed
-        // scheme: the Fig. 8 engine (compiled plan and interpreter
-        // oracle) decodes the two sub-streams to the codec path's values,
-        // and its cycle count is the analytic model's plus one pipeline
-        // fill — the engine fills once per sub-stream, the model once per
-        // block.
+        // Every block of a real index, under hybrid, each fixed scheme
+        // and the Group-Varint extension: what the cursor charges a
+        // decompression module for the block is what the Fig. 8 engine
+        // programmed for the list's scheme takes to decode its two
+        // streams, less one pipeline fill — the engine fills once per
+        // stream, the core once per block. (That the engine decodes the
+        // right values, and that its cycles are its own descriptor's, is
+        // `boss-decomp`'s `tests/equivalence.rs`.)
         use boss_compress::ALL_SCHEMES;
         use boss_decomp::DecompEngine;
         use boss_index::SchemeChoice;
         use boss_workload::corpus::{CorpusSpec, Scale};
 
-        const FILL: u64 = 4;
-        // A third of the smoke corpus keeps the interpreter pass short.
         let spec = CorpusSpec {
             n_docs: 800,
             vocab_size: 600,
@@ -674,61 +721,48 @@ mod tests {
         };
         let lists = spec.term_lists().unwrap();
         let choices = std::iter::once(SchemeChoice::Hybrid)
-            .chain(ALL_SCHEMES.into_iter().map(SchemeChoice::Fixed));
+            .chain(ALL_SCHEMES.into_iter().map(SchemeChoice::Fixed))
+            .chain([SchemeChoice::Fixed(Scheme::GroupVarint)]);
         for choice in choices {
             let mut builder = IndexBuilder::new().scheme(choice);
             for (term, list) in &lists {
                 builder = builder.add_posting_list(term, list);
             }
             let idx = builder.build().unwrap();
-            let mut nonzero_bases = 0usize;
+            let img = IndexImage::new(&idx);
+            let mut ctx = ExecCtx::new(&idx, &img, &BossConfig::default()).unwrap();
+            let mut multi_block_lists = 0usize;
             for t in 0..idx.n_terms() {
                 let list = idx.list(t as TermId);
-                let scheme = list.scheme();
                 if let SchemeChoice::Fixed(fixed) = choice {
-                    assert_eq!(scheme, fixed, "fixed build uses one scheme");
+                    assert_eq!(list.scheme(), fixed, "fixed build uses one scheme");
                 }
-                let compiled = DecompEngine::for_scheme(scheme).unwrap();
-                let interpreted = compiled.clone().with_interpreter(true);
-                let (mut docs, mut tfs) = (Vec::new(), Vec::new());
+                multi_block_lists += usize::from(list.n_blocks() > 1);
+                let engine = DecompEngine::for_scheme(list.scheme()).unwrap();
+                let mut cursor = ListCursor::new(&mut ctx, t as TermId, 0);
                 for (bi, meta) in list.blocks().iter().enumerate() {
-                    docs.clear();
-                    tfs.clear();
-                    list.decode_block(bi, &mut docs, &mut tfs).unwrap();
-                    let base = if bi == 0 {
-                        0
-                    } else {
-                        list.blocks()[bi - 1].last_doc
-                    };
-                    nonzero_bases += usize::from(base != 0);
+                    let before = ctx.dec_cycles[0];
+                    assert!(cursor.fetch_block(&mut ctx).unwrap());
+                    let charged = ctx.dec_cycles[0] - before;
                     let block = &list.data()[meta.offset as usize..][..meta.len as usize];
                     let (delta_part, tf_part) = block.split_at(meta.tf_offset as usize);
-                    for engine in [&compiled, &interpreted] {
-                        let (mut edocs, mut etfs) = (Vec::new(), Vec::new());
-                        let delta_cycles = engine
-                            .decode_docids_into(delta_part, &meta.delta_info, base, &mut edocs)
-                            .unwrap();
-                        let tf_cycles = engine
-                            .decode_into(tf_part, &meta.tf_info, &mut etfs)
-                            .unwrap();
-                        for tf in &mut etfs {
-                            *tf += 1;
-                        }
-                        let label = format!(
-                            "{choice:?} term {t} block {bi} interpreted={}",
-                            engine.is_interpreted()
-                        );
-                        assert_eq!(edocs, docs, "docs {label}");
-                        assert_eq!(etfs, tfs, "tfs {label}");
-                        assert_eq!(
-                            delta_cycles + tf_cycles,
-                            decomp_cycles(scheme, meta, FILL) + FILL,
-                            "cycles {label}"
-                        );
-                    }
+                    let delta_cycles = engine
+                        .decode_into(delta_part, &meta.delta_info, &mut Vec::new())
+                        .unwrap();
+                    let tf_cycles = engine
+                        .decode_into(tf_part, &meta.tf_info, &mut Vec::new())
+                        .unwrap();
+                    assert_eq!(
+                        charged,
+                        delta_cycles + tf_cycles - PIPELINE_FILL_CYCLES,
+                        "{choice:?} term {t} block {bi}"
+                    );
+                    let n = cursor.run().0.len();
+                    cursor.advance_run(&mut ctx, n);
                 }
+                assert!(cursor.exhausted());
             }
-            assert!(nonzero_bases > 0, "multi-block lists covered");
+            assert!(multi_block_lists > 0, "multi-block lists covered");
         }
     }
 }

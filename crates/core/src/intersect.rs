@@ -24,11 +24,7 @@ use boss_index::{Error, GroupMatches, TermId};
 /// # Panics
 ///
 /// Panics if `terms` is empty.
-pub(crate) fn intersect_group(
-    ctx: &mut ExecCtx<'_>,
-    terms: &[TermId],
-    decomp_fill: u64,
-) -> Result<MatStream, Error> {
+pub(crate) fn intersect_group(ctx: &mut ExecCtx<'_>, terms: &[TermId]) -> Result<MatStream, Error> {
     assert!(!terms.is_empty(), "intersection group cannot be empty");
     // Small-versus-Small: ascending document frequency.
     let mut order: Vec<TermId> = terms.to_vec();
@@ -41,7 +37,7 @@ pub(crate) fn intersect_group(
         // Degenerate single-term group: materialize the list.
         let first = order[0];
         cur = GroupMatches::new(&[first]);
-        let mut c = ListCursor::new(ctx, first, 0, decomp_fill);
+        let mut c = ListCursor::new(ctx, first, 0);
         // Block-at-a-time: copy each decoded run wholesale. No counters
         // fire inside a run; block-entry and metadata charges land on
         // entry.
@@ -60,8 +56,8 @@ pub(crate) fn intersect_group(
         // lists skip the blocks the other cannot reach (Figure 5(a)).
         let (ta, tb) = (order[0], order[1]);
         cur = GroupMatches::new(&[ta, tb]);
-        let mut a = ListCursor::new(ctx, ta, 0, decomp_fill);
-        let mut b = ListCursor::new(ctx, tb, 1 % ctx.dec_cycles.len(), decomp_fill);
+        let mut a = ListCursor::new(ctx, ta, 0);
+        let mut b = ListCursor::new(ctx, tb, 1 % ctx.dec_cycles.len());
         while !a.exhausted() && !b.exhausted() {
             let (da, db) = (a.current_doc(), b.current_doc());
             ctx.eval.comparisons += 1;
@@ -85,7 +81,7 @@ pub(crate) fn intersect_group(
     }
 
     for (unit, &term) in order.iter().enumerate().skip(2) {
-        let mut c = ListCursor::new(ctx, term, unit % ctx.dec_cycles.len(), decomp_fill);
+        let mut c = ListCursor::new(ctx, term, unit % ctx.dec_cycles.len());
         let (mut next, col) = cur.joined(term);
         for (i, &d) in cur.docs().iter().enumerate() {
             // Overlap check: the feedback docID drives block skipping in
@@ -146,9 +142,9 @@ mod tests {
     fn run(index: &InvertedIndex, terms: &[&str]) -> (MatStream, crate::stats::EvalCounts) {
         let cfg = BossConfig::default();
         let image = IndexImage::new(index);
-        let mut ctx = crate::fetch::ExecCtx::new(index, &image, &cfg);
+        let mut ctx = crate::fetch::ExecCtx::new(index, &image, &cfg).unwrap();
         let ids: Vec<TermId> = terms.iter().map(|t| index.term_id(t).unwrap()).collect();
-        let m = intersect_group(&mut ctx, &ids, 4).unwrap();
+        let m = intersect_group(&mut ctx, &ids).unwrap();
         (m, ctx.eval)
     }
 

@@ -49,7 +49,7 @@ mod fault_tests;
 mod fetch;
 mod intersect;
 mod mai;
-pub mod pipeline;
+mod pipeline;
 mod plan;
 pub mod pool;
 pub mod power;

@@ -9,13 +9,13 @@
 //! measured property rather than an assumption.
 
 /// Huge-page size used for the index image (2 GB).
-pub const PAGE_SIZE: u64 = 2 << 30;
+pub(crate) const PAGE_SIZE: u64 = 2 << 30;
 
 /// Number of TLB entries (covers 2 TB of physical space at 2 GB pages).
-pub const TLB_ENTRIES: usize = 1024;
+pub(crate) const TLB_ENTRIES: usize = 1024;
 
 /// Memory accesses charged per page-table walk on a TLB miss.
-pub const WALK_ACCESSES: u32 = 4;
+pub(crate) const WALK_ACCESSES: u32 = 4;
 
 /// TLB hit/miss counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

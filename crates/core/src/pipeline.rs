@@ -27,7 +27,7 @@ pub enum TimingFidelity {
 
 /// One fetched block in the trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockEvent {
+pub(crate) struct BlockEvent {
     /// Memory cycle at which the block's data is available.
     pub data_ready: u64,
     /// Decompression cycles the block costs.
@@ -40,28 +40,23 @@ pub struct BlockEvent {
 
 /// A pipeline resource: busy until `free`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Resource {
+pub(crate) struct Resource {
     free: u64,
 }
 
 impl Resource {
     /// Schedules work of `duration` cycles that cannot start before
     /// `earliest`; returns the completion cycle.
-    pub fn schedule(&mut self, earliest: u64, duration: u64) -> u64 {
+    pub(crate) fn schedule(&mut self, earliest: u64, duration: u64) -> u64 {
         let start = earliest.max(self.free);
         self.free = start + duration;
-        self.free
-    }
-
-    /// The cycle at which the resource becomes idle.
-    pub fn free_at(&self) -> u64 {
         self.free
     }
 }
 
 /// Inputs to the replay beyond the block trace.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ReplayCounts {
+pub(crate) struct ReplayCounts {
     /// Documents scored.
     pub scored: u64,
     /// Set-operation comparisons.
@@ -81,7 +76,7 @@ pub struct ReplayCounts {
 /// over the effective scorer count, and the top-k queue. Scoring and
 /// top-k work is charged proportionally as the set-op stage progresses,
 /// which models their overlap with upstream work.
-pub fn replay(
+pub(crate) fn replay(
     events: &[BlockEvent],
     counts: &ReplayCounts,
     n_dec_units: usize,
@@ -149,7 +144,6 @@ mod tests {
         assert_eq!(r.schedule(0, 10), 10);
         assert_eq!(r.schedule(5, 10), 20, "waits for the resource");
         assert_eq!(r.schedule(50, 10), 60, "waits for the data");
-        assert_eq!(r.free_at(), 60);
     }
 
     #[test]

@@ -88,11 +88,6 @@ impl QueryPlan {
         self.n_distinct_terms
     }
 
-    /// Whether the plan is a pure union of single terms.
-    pub fn is_pure_union(&self) -> bool {
-        self.groups.iter().all(|g| g.len() == 1)
-    }
-
     /// Whether the plan is a single intersection group.
     pub fn is_pure_intersection(&self) -> bool {
         self.groups.len() == 1
@@ -165,7 +160,7 @@ mod tests {
 
         let p = QueryPlan::from_expr(&idx, &t("a"), &cfg).unwrap();
         assert_eq!(p.groups(), &[ids(&idx, &["a"])]);
-        assert!(p.is_pure_union() && p.is_pure_intersection());
+        assert!(p.is_pure_intersection());
 
         let p = QueryPlan::from_expr(&idx, &QueryExpr::and([t("a"), t("b")]), &cfg).unwrap();
         assert_eq!(p.groups(), &[ids(&idx, &["a", "b"])]);
@@ -173,7 +168,7 @@ mod tests {
 
         let p = QueryPlan::from_expr(&idx, &QueryExpr::or([t("a"), t("b")]), &cfg).unwrap();
         assert_eq!(p.groups().len(), 2);
-        assert!(p.is_pure_union());
+        assert!(!p.is_pure_intersection());
 
         // Q6: A AND (B OR C OR D) -> (A∩B) ∪ (A∩C) ∪ (A∩D)
         let q6 = QueryExpr::and([t("a"), QueryExpr::or([t("b"), t("c"), t("d")])]);

@@ -73,7 +73,6 @@ pub struct MemoryPool<'a> {
     sharded: &'a ShardedIndex,
     nodes: Vec<BossDevice<'a>>,
     link: InterconnectConfig,
-    config: BossConfig,
 }
 
 impl<'a> MemoryPool<'a> {
@@ -89,13 +88,7 @@ impl<'a> MemoryPool<'a> {
             sharded,
             nodes,
             link,
-            config,
         }
-    }
-
-    /// Number of memory nodes.
-    pub fn n_nodes(&self) -> usize {
-        self.nodes.len()
     }
 
     /// Executes one query across all nodes and merges at the root.
@@ -191,11 +184,6 @@ impl<'a> MemoryPool<'a> {
         }
         Ok(total)
     }
-
-    /// The per-node configuration.
-    pub fn config(&self) -> &BossConfig {
-        &self.config
-    }
 }
 
 #[cfg(test)]
@@ -231,7 +219,6 @@ mod tests {
             BossConfig::with_cores(2),
             InterconnectConfig::default(),
         );
-        assert_eq!(pool.n_nodes(), 4);
         let q = QueryExpr::or([QueryExpr::term("even"), QueryExpr::term("seven")]);
         let out = pool.search(&q, 1000).unwrap();
         let mut got: Vec<u32> = out.hits.iter().map(|h| h.doc).collect();

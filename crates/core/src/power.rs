@@ -120,9 +120,10 @@ impl AreaPowerModel {
             / 1e3
     }
 
-    /// Energy of a run of `cycles` core cycles at `clock_ghz`, joules.
-    pub fn energy_joules(&self, cycles: u64, clock_ghz: f64) -> f64 {
-        self.device_power_w() * (cycles as f64 / (clock_ghz * 1e9))
+    /// Device energy over a wall-clock interval, joules — the BOSS side
+    /// of Figure 17.
+    pub fn energy_joules(&self, seconds: f64) -> f64 {
+        self.device_power_w() * seconds
     }
 
     /// Host-CPU energy for the same wall-clock interval, joules — the
@@ -172,10 +173,10 @@ mod tests {
     fn energy_scales_with_time_and_cores() {
         let m8 = AreaPowerModel::new(8);
         let m1 = AreaPowerModel::new(1);
-        let e8 = m8.energy_joules(1_000_000_000, 1.0);
-        let e1 = m1.energy_joules(1_000_000_000, 1.0);
+        let e8 = m8.energy_joules(1.0);
+        let e1 = m1.energy_joules(1.0);
         assert!(e8 > e1);
-        assert!((m8.energy_joules(2_000_000_000, 1.0) - 2.0 * e8).abs() < 1e-9);
+        assert!((m8.energy_joules(2.0) - 2.0 * e8).abs() < 1e-9);
     }
 
     #[test]

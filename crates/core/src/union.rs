@@ -818,13 +818,13 @@ mod tests {
     ) -> (Vec<SearchHit>, crate::stats::EvalCounts) {
         let cfg = BossConfig::default().with_et(et).with_k(k);
         let image = IndexImage::new(index);
-        let mut ctx = ExecCtx::new(index, &image, &cfg);
+        let mut ctx = ExecCtx::new(index, &image, &cfg).unwrap();
         let streams: Vec<UnionStream> = terms
             .iter()
             .enumerate()
             .map(|(u, t)| {
                 let id = index.term_id(t).unwrap();
-                UnionStream::List(ListCursor::new(&mut ctx, id, u % 4, 4))
+                UnionStream::List(ListCursor::new(&mut ctx, id, u % 4))
             })
             .collect();
         let mut topk = TopK::new(k);
@@ -940,7 +940,7 @@ mod tests {
         // with a live cursor and check against manual evaluation.
         let cfg = BossConfig::default().with_k(1000);
         let image = IndexImage::new(&idx);
-        let mut ctx = ExecCtx::new(&idx, &image, &cfg);
+        let mut ctx = ExecCtx::new(&idx, &image, &cfg).unwrap();
         let a = idx.term_id("alpha").unwrap();
         let g = idx.term_id("gamma").unwrap();
         let (adocs, atfs) = idx.list(a).decode_all().unwrap();
@@ -948,7 +948,7 @@ mod tests {
             GroupMatches::from_column(a, adocs, atfs),
             idx.list(a).max_score(),
         );
-        let cursor = ListCursor::new(&mut ctx, g, 0, 4);
+        let cursor = ListCursor::new(&mut ctx, g, 0);
         let mut topk = TopK::new(1000);
         union_topk(
             &mut ctx,

@@ -20,17 +20,17 @@
 //!    Kahn, original order preserved among ready statements) and emitted
 //!    as a flat `Vec<CompiledStmt>` over dense temporary slots.
 //!
-//! [`CompiledProgram::step`] is bit-equal to [`Program::step`] by
+//! [`CompiledProgram::step`] is bit-equal to [`Program::step_in`] by
 //! construction (enforced by proptests and the corruption harness) and is
 //! infallible: a program that passed [`Program::validate`] cannot fault at
 //! run time. Cycle accounting is untouched — the engine charges per
 //! extracted unit, and compilation never changes how many units a block
 //! consumes or whether a unit produces a value.
-#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::config::EngineConfig;
 use crate::program::{ExecError, Op, Operand, Program};
 use std::collections::HashMap;
+#[cfg(test)]
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -235,7 +235,7 @@ impl CompiledProgram {
     }
 
     /// Runs one cycle with payload `input`. Bit-equal to
-    /// [`Program::step`] on the source program, but infallible and free of
+    /// [`Program::step_in`] on the source program, but infallible and free of
     /// per-unit allocation or string hashing.
     #[inline]
     pub fn step(&self, input: u32, st: &mut CompiledState) -> Option<u32> {
@@ -848,12 +848,13 @@ impl<'p> Compiler<'p> {
 const PLAN_CACHE_CAP: usize = 128;
 
 static PLAN_CACHE: Mutex<Vec<(EngineConfig, Arc<CompiledProgram>)>> = Mutex::new(Vec::new());
+/// Netlist compilations performed by this process; cache hits (repeated
+/// construction of engines with equal configurations) do not count.
+#[cfg(test)]
 static COMPILE_COUNT: AtomicU64 = AtomicU64::new(0);
 
-/// Number of netlist compilations performed by this process. Cache hits
-/// (repeated construction of engines with equal configurations) do not
-/// increment it.
-pub fn compile_count() -> u64 {
+#[cfg(test)]
+fn compile_count() -> u64 {
     COMPILE_COUNT.load(Ordering::Relaxed)
 }
 
@@ -865,6 +866,7 @@ pub(crate) fn plan_for(config: &EngineConfig) -> Result<Arc<CompiledProgram>, Ex
         return Ok(Arc::clone(plan));
     }
     let plan = Arc::new(CompiledProgram::compile(&config.program)?);
+    #[cfg(test)]
     COMPILE_COUNT.fetch_add(1, Ordering::Relaxed);
     if cache.len() < PLAN_CACHE_CAP {
         cache.push((config.clone(), Arc::clone(&plan)));
@@ -873,8 +875,8 @@ pub(crate) fn plan_for(config: &EngineConfig) -> Result<Arc<CompiledProgram>, Ex
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     use super::*;
     use crate::program::{RegDecl, Statement};
 
@@ -901,8 +903,9 @@ mod tests {
         let mut comp_state = plan.new_state();
         let mut interp = Vec::new();
         let mut comp = Vec::new();
+        let mut wires = HashMap::new();
         for &x in inputs {
-            interp.push(p.step(x, &mut interp_state).unwrap());
+            interp.push(p.step_in(x, &mut interp_state, &mut wires).unwrap());
             comp.push(plan.step(x, &mut comp_state));
         }
         (interp, comp)

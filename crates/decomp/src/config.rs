@@ -298,6 +298,7 @@ impl EngineConfig {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     use super::*;
 
     const VB_CONFIG: &str = r"

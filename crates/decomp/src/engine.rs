@@ -1,18 +1,66 @@
-//! The decompression engine: executes a four-stage configuration, by
-//! default through a compiled straight-line plan (see [`crate::compile`])
-//! with the original interpreter retained as a switchable oracle.
+//! The decompression engine: executes a four-stage configuration through
+//! a compiled straight-line plan (see [`crate::compile`]). The original
+//! statement-walking interpreter runs the same stages 1, 3 and 4 from
+//! [`crate::reference`], as the oracle the tests compare this engine with.
 
 use crate::compile::CompiledProgram;
 use crate::config::EngineConfig;
-use crate::extract::Extractor;
+use crate::extract::{Extractor, ExtractorKind};
 use crate::program::ExecError;
 use crate::schemes;
 use boss_compress::{BlockInfo, Scheme};
-use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Depth of the hardware pipeline; added once per block to the cycle count.
-const PIPELINE_FILL_CYCLES: u64 = 4;
+/// Depth of the hardware pipeline; added once per decoded stream to the
+/// cycle count.
+pub const PIPELINE_FILL_CYCLES: u64 = 4;
+
+/// Bytes of one stage-3 exception patch: a `u16` index and the `u32` high
+/// bits.
+const PATCH_BYTES: usize = 6;
+
+/// What a configuration's datapath charges to decode one stream, as a
+/// function of the stream's size alone: one cycle per extraction unit —
+/// a byte under [`ExtractorKind::ByteHeader`], an emitted field under
+/// every other extractor — plus one per exception patch when stage 3 is
+/// enabled. [`DecodeCost::units`] plus [`PIPELINE_FILL_CYCLES`] is the
+/// cycle count [`DecompEngine::decode_into`] returns for every valid
+/// block of the stock configurations (a property test holds the two
+/// together), so a timing model can price a block from its metadata
+/// without decoding it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DecodeCost {
+    unit_is_byte: bool,
+    patches: bool,
+}
+
+impl DecodeCost {
+    /// Cycles, before pipeline fill, to decode a stream of `stream_bytes`
+    /// encoded bytes described by `info`.
+    pub fn units(self, stream_bytes: u64, info: &BlockInfo) -> u64 {
+        let patch_bytes = if self.patches {
+            stream_bytes.saturating_sub(u64::from(info.exception_offset))
+        } else {
+            0
+        };
+        let units = if self.unit_is_byte {
+            stream_bytes - patch_bytes
+        } else {
+            u64::from(info.count)
+        };
+        units + patch_bytes / PATCH_BYTES as u64
+    }
+}
+
+impl EngineConfig {
+    /// The cost descriptor this configuration's datapath implies.
+    pub fn decode_cost(&self) -> DecodeCost {
+        DecodeCost {
+            unit_is_byte: self.extractor.kind == ExtractorKind::ByteHeader,
+            patches: self.exceptions.enabled,
+        }
+    }
+}
 
 /// Errors produced by the engine.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,13 +133,11 @@ pub struct Decoded {
 /// A configured decompression module.
 ///
 /// Cheap to clone; holds the configuration plus a shared reference to its
-/// compiled plan. Decoding runs the compiled plan unless
-/// [`DecompEngine::with_interpreter`] selected the interpreter oracle.
+/// compiled plan, which is what decoding runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecompEngine {
     config: EngineConfig,
     plan: Arc<CompiledProgram>,
-    interpret: bool,
 }
 
 impl DecompEngine {
@@ -105,11 +151,7 @@ impl DecompEngine {
     pub fn new(config: EngineConfig) -> Result<Self, EngineError> {
         config.program.validate()?;
         let plan = crate::compile::plan_for(&config)?;
-        Ok(DecompEngine {
-            config,
-            plan,
-            interpret: false,
-        })
+        Ok(DecompEngine { config, plan })
     }
 
     /// Parses a configuration file and wraps it.
@@ -141,26 +183,6 @@ impl DecompEngine {
         &self.config
     }
 
-    /// Selects the execution path: `true` runs the stage-2 program
-    /// through the original interpreter (the correctness oracle), `false`
-    /// (the default) runs the compiled plan.
-    #[must_use]
-    pub fn with_interpreter(mut self, interpret: bool) -> Self {
-        self.interpret = interpret;
-        self
-    }
-
-    /// Whether this engine runs the interpreter oracle instead of the
-    /// compiled plan.
-    pub fn is_interpreted(&self) -> bool {
-        self.interpret
-    }
-
-    /// Optimization statistics of the compiled stage-2 plan.
-    pub fn plan_stats(&self) -> crate::compile::PlanStats {
-        self.plan.stats()
-    }
-
     /// Decodes one block to its raw encoded values (gaps / tf-minus-one),
     /// without stage 4.
     ///
@@ -189,92 +211,11 @@ impl DecompEngine {
         info: &BlockInfo,
         out: &mut Vec<u32>,
     ) -> Result<u64, EngineError> {
-        // Reject corrupt descriptors before sizing anything from them.
-        let count = boss_compress::check_count(info)?;
-        let exc_off = info.exception_offset as usize;
-        // With exceptions enabled the packed area ends where the patch
-        // area begins; otherwise the whole slice is payload.
-        let payload: &[u8] = if self.config.exceptions.enabled {
-            data.get(..exc_off).ok_or(boss_compress::Error::Truncated {
-                have: data.len(),
-                need: exc_off,
-            })?
-        } else {
-            data
-        };
-
-        let mut extractor = Extractor::new(self.config.extractor.kind, payload, *info);
-        let base = out.len();
-        out.reserve(count);
-        let target = base + count;
-        // VB is the worst stock case at 5 units/value; 64 gives a generous
-        // margin for custom programs while still catching livelock.
-        let unit_limit = (count as u64 + 1) * 64;
-        if self.interpret {
-            // Oracle path: the original statement-walking interpreter,
-            // with the wire environment hoisted out of the unit loop.
-            let program = &self.config.program;
-            let mut state = program.fresh_state();
-            let mut wires = HashMap::new();
-            while out.len() < target {
-                if extractor.units() >= unit_limit {
-                    return Err(EngineError::Stall {
-                        produced: out.len() - base,
-                        requested: count,
-                    });
-                }
-                let unit = extractor.next_unit()?;
-                if let Some(v) = program.step_in(unit, &mut state, &mut wires)? {
-                    out.push(v);
-                }
-            }
-        } else {
-            let plan = &*self.plan;
-            let mut state = plan.new_state();
-            while out.len() < target {
-                if extractor.units() >= unit_limit {
-                    return Err(EngineError::Stall {
-                        produced: out.len() - base,
-                        requested: count,
-                    });
-                }
-                let unit = extractor.next_unit()?;
-                if let Some(v) = plan.step(unit, &mut state) {
-                    out.push(v);
-                }
-            }
-        }
-        let mut cycles = extractor.units() + PIPELINE_FILL_CYCLES;
-
-        if self.config.exceptions.enabled {
-            let patch = data.get(exc_off..).ok_or(boss_compress::Error::Truncated {
-                have: data.len(),
-                need: exc_off,
-            })?;
-            if patch.len() % 6 != 0 {
-                return Err(boss_compress::Error::Corrupt {
-                    reason: "exception area misaligned",
-                }
-                .into());
-            }
-            let b = u32::from(info.bit_width);
-            for chunk in patch.chunks_exact(6) {
-                let idx = u16::from_le_bytes([chunk[0], chunk[1]]) as usize;
-                let high = u32::from_le_bytes([chunk[2], chunk[3], chunk[4], chunk[5]]);
-                if idx >= count {
-                    return Err(boss_compress::Error::Corrupt {
-                        reason: "exception index out of range",
-                    }
-                    .into());
-                }
-                if b < 32 {
-                    out[base + idx] |= high << b;
-                }
-                cycles += 1;
-            }
-        }
-
-        Ok(cycles)
+        let plan = &*self.plan;
+        let mut state = plan.new_state();
+        run_stages(&self.config, data, info, out, |unit| {
+            Ok(plan.step(unit, &mut state))
+        })
     }
 
     /// Decodes one block and applies stage 4: values become docIDs by
@@ -293,43 +234,108 @@ impl DecompEngine {
         info: &BlockInfo,
         base: u32,
     ) -> Result<Decoded, EngineError> {
-        let mut values = Vec::new();
-        let cycles = self.decode_docids_into(data, info, base, &mut values)?;
-        Ok(Decoded { values, cycles })
+        let mut decoded = self.decode(data, info)?;
+        apply_delta(&self.config, base, &mut decoded.values);
+        Ok(decoded)
+    }
+}
+
+/// Stages 1–3 of one block decode under `config`, appending to `out` and
+/// returning the cycle count: the payload split, the extractor loop with
+/// its stall guard, and the exception patch. `step` is stage 2 — one
+/// call per extracted unit — and the only thing the compiled engine and
+/// the interpreter oracle do differently.
+pub(crate) fn run_stages(
+    config: &EngineConfig,
+    data: &[u8],
+    info: &BlockInfo,
+    out: &mut Vec<u32>,
+    mut step: impl FnMut(u32) -> Result<Option<u32>, ExecError>,
+) -> Result<u64, EngineError> {
+    // Reject corrupt descriptors before sizing anything from them.
+    let count = boss_compress::check_count(info)?;
+    let exc_off = info.exception_offset as usize;
+    // With exceptions enabled the packed area ends where the patch
+    // area begins; otherwise the whole slice is payload.
+    let payload: &[u8] = if config.exceptions.enabled {
+        data.get(..exc_off).ok_or(boss_compress::Error::Truncated {
+            have: data.len(),
+            need: exc_off,
+        })?
+    } else {
+        data
+    };
+
+    let mut extractor = Extractor::new(config.extractor.kind, payload, *info);
+    let base = out.len();
+    out.reserve(count);
+    let target = base + count;
+    // VB is the worst stock case at 5 units/value; 64 gives a generous
+    // margin for custom programs while still catching livelock.
+    let unit_limit = (count as u64 + 1) * 64;
+    while out.len() < target {
+        if extractor.units() >= unit_limit {
+            return Err(EngineError::Stall {
+                produced: out.len() - base,
+                requested: count,
+            });
+        }
+        let unit = extractor.next_unit()?;
+        if let Some(v) = step(unit)? {
+            out.push(v);
+        }
+    }
+    let mut cycles = extractor.units() + PIPELINE_FILL_CYCLES;
+
+    if config.exceptions.enabled {
+        let patch = data.get(exc_off..).ok_or(boss_compress::Error::Truncated {
+            have: data.len(),
+            need: exc_off,
+        })?;
+        if patch.len() % PATCH_BYTES != 0 {
+            return Err(boss_compress::Error::Corrupt {
+                reason: "exception area misaligned",
+            }
+            .into());
+        }
+        let b = u32::from(info.bit_width);
+        for chunk in patch.chunks_exact(PATCH_BYTES) {
+            let idx = u16::from_le_bytes([chunk[0], chunk[1]]) as usize;
+            let high = u32::from_le_bytes([chunk[2], chunk[3], chunk[4], chunk[5]]);
+            if idx >= count {
+                return Err(boss_compress::Error::Corrupt {
+                    reason: "exception index out of range",
+                }
+                .into());
+            }
+            if b < 32 {
+                out[base + idx] |= high << b;
+            }
+            cycles += 1;
+        }
     }
 
-    /// Appending variant of [`DecompEngine::decode_docids`]: decoded
-    /// docIDs are pushed onto `out`, and the cycle cost is returned.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DecompEngine::decode`].
-    pub fn decode_docids_into(
-        &self,
-        data: &[u8],
-        info: &BlockInfo,
-        base: u32,
-        out: &mut Vec<u32>,
-    ) -> Result<u64, EngineError> {
-        let start = out.len();
-        let cycles = self.decode_into(data, info, out)?;
-        if self.config.delta.use_delta {
-            let mut prev = base;
-            for v in &mut out[start..] {
-                let doc = prev.wrapping_add(*v);
-                *v = doc;
-                prev = doc;
-            }
+    Ok(cycles)
+}
+
+/// Stage 4: turns `values` into docIDs by prefix-summing from `base`
+/// when the configuration has `UseDelta = 1`.
+pub(crate) fn apply_delta(config: &EngineConfig, base: u32, values: &mut [u32]) {
+    if config.delta.use_delta {
+        let mut prev = base;
+        for v in values {
+            prev = prev.wrapping_add(*v);
+            *v = prev;
         }
-        Ok(cycles)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     use super::*;
     use crate::program::Program;
-    use crate::{DeltaConfig, ExceptionConfig, ExtractorConfig, ExtractorKind};
+    use crate::{DeltaConfig, ExceptionConfig, ExtractorConfig};
     use boss_compress::codec_for;
 
     fn bp_engine(delta: bool) -> DecompEngine {

@@ -74,7 +74,8 @@ pub(crate) struct Extractor<'a> {
     data: &'a [u8],
     info: BlockInfo,
     pos: usize,
-    bits: Option<BitReader<'a>>,
+    /// Bit cursor over `data`; only `FixedWidth` reads through it.
+    bits: BitReader<'a>,
     /// Pending field values decoded from the current selector word.
     pending: Vec<u32>,
     pending_at: usize,
@@ -84,13 +85,12 @@ pub(crate) struct Extractor<'a> {
 
 impl<'a> Extractor<'a> {
     pub(crate) fn new(kind: ExtractorKind, data: &'a [u8], info: BlockInfo) -> Self {
-        let bits = matches!(kind, ExtractorKind::FixedWidth).then(|| BitReader::new(data));
         Extractor {
             kind,
             data,
             info,
             pos: 0,
-            bits,
+            bits: BitReader::new(data),
             pending: Vec::new(),
             pending_at: 0,
             units: 0,
@@ -119,11 +119,8 @@ impl<'a> Extractor<'a> {
                         reason: "field bit width exceeds 32",
                     }));
                 }
-                let r = self
-                    .bits
-                    .as_mut()
-                    .expect("bit reader present for FixedWidth");
-                r.read(u32::from(self.info.bit_width))
+                self.bits
+                    .read(u32::from(self.info.bit_width))
                     .map_err(EngineError::from)
             }
             ExtractorKind::ByteHeader => {
@@ -196,14 +193,14 @@ impl<'a> Extractor<'a> {
     }
 
     fn refill_s16(&mut self) -> Result<(), EngineError> {
-        let Some(bytes) = self.data.get(self.pos..self.pos + 4) else {
+        let Some(&[b0, b1, b2, b3]) = self.data.get(self.pos..self.pos + 4) else {
             return Err(EngineError::Codec(boss_compress::Error::Truncated {
                 have: self.data.len(),
                 need: self.pos + 4,
             }));
         };
         self.pos += 4;
-        let word = u32::from_le_bytes(bytes.try_into().expect("4 bytes"));
+        let word = u32::from_le_bytes([b0, b1, b2, b3]);
         let sel = (word >> 28) as usize;
         self.pending.clear();
         self.pending_at = 0;
@@ -219,14 +216,14 @@ impl<'a> Extractor<'a> {
     }
 
     fn refill_s8b(&mut self) -> Result<(), EngineError> {
-        let Some(bytes) = self.data.get(self.pos..self.pos + 8) else {
+        let Some(&[b0, b1, b2, b3, b4, b5, b6, b7]) = self.data.get(self.pos..self.pos + 8) else {
             return Err(EngineError::Codec(boss_compress::Error::Truncated {
                 have: self.data.len(),
                 need: self.pos + 8,
             }));
         };
         self.pos += 8;
-        let word = u64::from_le_bytes(bytes.try_into().expect("8 bytes"));
+        let word = u64::from_le_bytes([b0, b1, b2, b3, b4, b5, b6, b7]);
         let sel = (word >> 60) as usize;
         self.pending.clear();
         self.pending_at = 0;
@@ -249,6 +246,7 @@ impl<'a> Extractor<'a> {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     use super::*;
     use boss_compress::{codec_for, Scheme};
 

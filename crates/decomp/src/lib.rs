@@ -15,7 +15,7 @@
 //!    the packed width.
 //! 4. **Delta** — optional prefix-sum to turn d-gaps back into docIDs.
 //!
-//! The [`DecompEngine`] interprets such a configuration. The shipped
+//! The [`DecompEngine`] executes such a configuration. The shipped
 //! configurations in [`schemes`] decode all five schemes of
 //! `boss-compress` *bit-identically* (equivalence is enforced by tests),
 //! which is the property that lets BOSS pick the best scheme per posting
@@ -39,15 +39,20 @@
 //! # }
 //! ```
 
+// Every decode path here consumes untrusted (possibly corrupt) bytes and
+// user-supplied configuration text; both must surface as typed errors.
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 mod compile;
 mod config;
 mod engine;
 mod extract;
 mod program;
+pub mod reference;
 pub mod schemes;
 
-pub use compile::{compile_count, CompiledProgram, CompiledState, PlanStats};
+pub use compile::{CompiledProgram, CompiledState, PlanStats};
 pub use config::{DeltaConfig, EngineConfig, ExceptionConfig, ExtractorConfig, ParseError};
-pub use engine::{Decoded, DecompEngine, EngineError};
+pub use engine::{DecodeCost, Decoded, DecompEngine, EngineError, PIPELINE_FILL_CYCLES};
 pub use extract::ExtractorKind;
 pub use program::{ExecError, Op, Operand, Program, RegDecl, Statement};

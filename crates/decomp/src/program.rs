@@ -205,22 +205,18 @@ impl Program {
     }
 
     /// Runs one cycle with payload `input`, updating `state`. Returns
-    /// `Some(value)` when `Output.valid` evaluated nonzero.
+    /// `Some(value)` when `Output.valid` evaluated nonzero. `wires` is
+    /// scratch: cleared on entry, so a block-decode loop can reuse one
+    /// map instead of rebuilding the environment on every unit.
+    ///
+    /// This is the interpreter oracle's stage 2 (see [`crate::reference`]);
+    /// the engine runs the compiled plan.
     ///
     /// # Errors
     ///
     /// Returns [`ExecError`] on reads of undefined wires (a validated
-    /// program cannot fault).
-    pub fn step(&self, input: u32, state: &mut RegFile) -> Result<Option<u32>, ExecError> {
-        self.step_in(input, state, &mut HashMap::new())
-    }
-
-    /// Like [`Program::step`], but reuses a caller-provided wire map so a
-    /// block-decode loop does not rebuild the environment on every unit.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Program::step`].
+    /// program cannot fault) or when `state` is another program's
+    /// register file.
     pub fn step_in<'p>(
         &'p self,
         input: u32,
@@ -292,8 +288,7 @@ impl Program {
 
         // Commit register writes (registers update at the clock edge).
         for (i, v) in reg_next {
-            let name = &self.regs[i].name;
-            *state.values.get_mut(name).expect("register exists") = v;
+            *state.reg_mut(&self.regs[i].name)? = v;
         }
         // Apply resets after commit, as a synchronous reset would.
         for r in &self.regs {
@@ -304,7 +299,7 @@ impl Program {
                     state.values.get(&r.reset_signal).copied().unwrap_or(0)
                 };
                 if sig != 0 {
-                    *state.values.get_mut(&r.name).expect("register exists") = r.init;
+                    *state.reg_mut(&r.name)? = r.init;
                 }
             }
         }
@@ -320,8 +315,17 @@ pub struct RegFile {
     values: HashMap<String, u32>,
 }
 
+impl RegFile {
+    fn reg_mut(&mut self, name: &str) -> Result<&mut u32, ExecError> {
+        self.values.get_mut(name).ok_or_else(|| ExecError {
+            reason: format!("register {name} is not in this register file"),
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     use super::*;
 
     fn name(n: &str) -> Operand {
@@ -332,13 +336,17 @@ mod tests {
         Operand::Literal(v)
     }
 
+    fn step(p: &Program, input: u32, state: &mut RegFile) -> Result<Option<u32>, ExecError> {
+        p.step_in(input, state, &mut HashMap::new())
+    }
+
     #[test]
     fn identity_passes_through() {
         let p = Program::identity();
         p.validate().unwrap();
         let mut st = p.fresh_state();
-        assert_eq!(p.step(42, &mut st).unwrap(), Some(42));
-        assert_eq!(p.step(0, &mut st).unwrap(), Some(0));
+        assert_eq!(step(&p, 42, &mut st).unwrap(), Some(42));
+        assert_eq!(step(&p, 0, &mut st).unwrap(), Some(0));
     }
 
     #[test]
@@ -370,9 +378,9 @@ mod tests {
         };
         p.validate().unwrap();
         let mut st = p.fresh_state();
-        assert_eq!(p.step(1, &mut st).unwrap(), Some(1));
-        assert_eq!(p.step(2, &mut st).unwrap(), Some(3));
-        assert_eq!(p.step(4, &mut st).unwrap(), Some(7));
+        assert_eq!(step(&p, 1, &mut st).unwrap(), Some(1));
+        assert_eq!(step(&p, 2, &mut st).unwrap(), Some(3));
+        assert_eq!(step(&p, 4, &mut st).unwrap(), Some(7));
     }
 
     #[test]
@@ -419,14 +427,14 @@ mod tests {
         };
         p.validate().unwrap();
         let mut st = p.fresh_state();
-        assert_eq!(p.step(3, &mut st).unwrap(), None, "no terminator yet");
+        assert_eq!(step(&p, 3, &mut st).unwrap(), None, "no terminator yet");
         assert_eq!(
-            p.step(0x85, &mut st).unwrap(),
+            step(&p, 0x85, &mut st).unwrap(),
             Some(8),
             "3 + 5, terminator seen"
         );
         assert_eq!(
-            p.step(0x81, &mut st).unwrap(),
+            step(&p, 0x81, &mut st).unwrap(),
             Some(1),
             "register was reset"
         );
@@ -444,8 +452,8 @@ mod tests {
         };
         p.validate().unwrap();
         let mut st = p.fresh_state();
-        assert_eq!(p.step(1, &mut st).unwrap(), Some(10));
-        assert_eq!(p.step(0, &mut st).unwrap(), Some(20));
+        assert_eq!(step(&p, 1, &mut st).unwrap(), Some(10));
+        assert_eq!(step(&p, 0, &mut st).unwrap(), Some(20));
     }
 
     #[test]
@@ -505,7 +513,7 @@ mod tests {
             }],
         };
         let mut st = p.fresh_state();
-        assert_eq!(p.step(1, &mut st).unwrap(), Some(0));
+        assert_eq!(step(&p, 1, &mut st).unwrap(), Some(0));
     }
 
     #[test]

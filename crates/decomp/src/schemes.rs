@@ -9,7 +9,7 @@
 use boss_compress::Scheme;
 
 /// Bit-Packing: fixed-width extraction, identity manipulation.
-pub const BP: &str = r"
+const BP: &str = r"
 // Stage 1: fixed-width extractor, width from block metadata
 Extractor[0].use = 1
 Extractor[1].use = 0
@@ -26,7 +26,7 @@ UseDelta = 1
 /// VariableByte: byte extraction; stage 2 reassembles 7-bit groups
 /// (LSB-first, matching the `boss-compress` VB layout) and asserts
 /// validity on the terminator bit.
-pub const VB: &str = r"
+const VB: &str = r"
 // Stage 1: byte-header extractor
 Extractor[0].use = 0
 Extractor[1].use = 1
@@ -51,7 +51,7 @@ UseDelta = 1
 
 /// OptPForDelta: fixed-width extraction of the packed area, identity
 /// manipulation, exception patching enabled.
-pub const OPTPFD: &str = r"
+const OPTPFD: &str = r"
 // Stage 1
 Extractor[0].use = 1
 Extractor[1].use = 0
@@ -66,7 +66,7 @@ UseDelta = 1
 ";
 
 /// Simple16: selector extraction over 32-bit words.
-pub const S16: &str = r"
+const S16: &str = r"
 // Stage 1
 Extractor[0].use = 0
 Extractor[1].use = 0
@@ -82,7 +82,7 @@ UseDelta = 1
 ";
 
 /// Simple8b: selector extraction over 64-bit words.
-pub const S8B: &str = r"
+const S8B: &str = r"
 // Stage 1
 Extractor[0].use = 0
 Extractor[1].use = 0
@@ -99,7 +99,7 @@ UseDelta = 1
 
 /// Group-Varint (extension): a fourth extractor flavor demonstrates that
 /// new schemes slot in without touching stages 2-4.
-pub const GVB: &str = r"
+const GVB: &str = r"
 // Stage 1
 Extractor[0].use = 0
 Extractor[1].use = 0
@@ -128,6 +128,7 @@ pub fn config_text(scheme: Scheme) -> &'static str {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     use crate::DecompEngine;
     use boss_compress::ALL_SCHEMES;
 

@@ -7,8 +7,11 @@
 //! sequence for every input stream.
 
 use boss_compress::{codec_for, Scheme};
-use boss_decomp::{CompiledProgram, DecompEngine, Op, Operand, Program, RegDecl, Statement};
+use boss_decomp::{
+    reference, CompiledProgram, DecompEngine, Op, Operand, Program, RegDecl, Statement,
+};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 const OPS: [Op; 9] = [
     Op::Shr,
@@ -141,13 +144,16 @@ proptest! {
         specs in prop::collection::vec(arb_stmt_spec(), 1..14),
         inputs in prop::collection::vec(any::<u32>(), 1..128),
     ) {
-        let program = build_program(n_regs, inits, resets.iter().map(|&r| r).collect(), specs);
+        let program = build_program(n_regs, inits, resets, specs);
         program.validate().expect("generated programs are valid by construction");
         let plan = CompiledProgram::compile(&program).expect("validated programs compile");
         let mut interp_state = program.fresh_state();
         let mut comp_state = plan.new_state();
+        let mut wires = HashMap::new();
         for (i, &x) in inputs.iter().enumerate() {
-            let interpreted = program.step(x, &mut interp_state).expect("validated programs cannot fault");
+            let interpreted = program
+                .step_in(x, &mut interp_state, &mut wires)
+                .expect("validated programs cannot fault");
             let compiled = plan.step(x, &mut comp_state);
             prop_assert_eq!(interpreted, compiled, "cycle {} of {:?}", i, program);
         }
@@ -173,12 +179,12 @@ proptest! {
                 let mut data = Vec::new();
                 let info = codec.encode(&values, &mut data).unwrap();
                 let engine = DecompEngine::for_scheme(scheme).unwrap();
-                let oracle = engine.clone().with_interpreter(true);
                 let compiled = engine.decode(&data, &info).unwrap();
-                let interpreted = oracle.decode(&data, &info).unwrap();
+                let interpreted = reference::decode(engine.config(), &data, &info).unwrap();
                 prop_assert_eq!(&compiled, &interpreted, "scheme {} width {}", scheme, width);
                 let c_docs = engine.decode_docids(&data, &info, base).unwrap();
-                let i_docs = oracle.decode_docids(&data, &info, base).unwrap();
+                let i_docs =
+                    reference::decode_docids(engine.config(), &data, &info, base).unwrap();
                 prop_assert_eq!(c_docs, i_docs, "docids, scheme {} width {}", scheme, width);
             }
         }
@@ -197,11 +203,7 @@ fn vb_register_resets_match_over_long_streams() {
     let info = codec.encode(&values, &mut data).unwrap();
     let engine = DecompEngine::for_scheme(Scheme::Vb).unwrap();
     let compiled = engine.decode(&data, &info).unwrap();
-    let interpreted = engine
-        .clone()
-        .with_interpreter(true)
-        .decode(&data, &info)
-        .unwrap();
+    let interpreted = reference::decode(engine.config(), &data, &info).unwrap();
     assert_eq!(compiled, interpreted);
     assert_eq!(compiled.values, values);
 }

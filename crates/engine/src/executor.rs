@@ -94,16 +94,6 @@ impl BatchExecutor {
         self
     }
 
-    /// OS threads this executor shards batches across.
-    pub fn thread_count(&self) -> usize {
-        self.threads
-    }
-
-    /// The simulated scheduling policy.
-    pub fn policy(&self) -> SchedPolicy {
-        self.policy
-    }
-
     /// Executes `queries` on forks of `engine` and replays the simulated
     /// lane schedule. Outcomes are returned in submission order; merged
     /// stats are summed in submission order.

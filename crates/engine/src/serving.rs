@@ -560,7 +560,7 @@ impl ServingRun {
     }
 
     /// Served queries that met their deadline — the goodput numerator.
-    pub fn served_in_deadline(&self) -> usize {
+    pub(crate) fn served_in_deadline(&self) -> usize {
         self.served() - self.served_late
     }
 

@@ -155,20 +155,9 @@ impl<'a, E: SearchEngine> Sharded<'a, E> {
         }
     }
 
-    /// Overrides the root interconnect (default: one CXL-like link).
-    pub fn with_link(mut self, link: InterconnectConfig) -> Self {
-        self.link = link;
-        self
-    }
-
     /// Number of shards (1 for a pass-through wrapper).
     pub fn n_shards(&self) -> usize {
         self.sharded.map_or(1, ShardedIndex::n_shards)
-    }
-
-    /// The canonical single-device engine.
-    pub fn canonical(&self) -> &E {
-        &self.canonical
     }
 
     /// Per-(shard, replica) health telemetry, in shard-then-replica

@@ -1,15 +1,62 @@
-//! `boss_index::reference::evaluate` is the test oracle: a
-//! HashMap-of-HashMaps evaluator every engine is *compared against*. An
-//! engine that calls it in production measures the oracle, not itself
-//! (the Lucene-like engine's multi-term path did, and spent two thirds of
-//! its host time there). This test reads the engine crates' sources and
-//! fails if any non-test line names it — and reads the oracle's source
-//! and fails if it names the kernels the engines score with, since an
-//! oracle built on what it judges makes every comparison circular.
+//! The `reference` modules are test oracles: `boss_index::reference::evaluate`
+//! (a HashMap-of-HashMaps evaluator every engine is *compared against*),
+//! `boss_compress::reference` (the seed per-value decoders) and
+//! `boss_decomp::reference` (the statement-walking netlist interpreter).
+//! Production code that calls one measures the oracle, not itself (the
+//! Lucene-like engine's multi-term path did, and spent two thirds of its
+//! host time there). This test reads every library crate's sources and
+//! fails if a non-test line outside a `reference` module names one — and
+//! reads each oracle's source and fails if it names the kernels it
+//! judges, since an oracle built on what it judges makes every
+//! comparison circular.
 
 use std::path::{Path, PathBuf};
 
-const ENGINE_CRATES: [&str; 4] = ["core", "iiu", "luceneish", "engine"];
+/// Every library crate (`bench` is the harness that drives the oracles
+/// and is exempt).
+const LIBRARY_CRATES: [&str; 9] = [
+    "compress",
+    "decomp",
+    "index",
+    "scm-sim",
+    "workload",
+    "core",
+    "iiu",
+    "luceneish",
+    "engine",
+];
+
+/// What no production line outside a `reference.rs` may contain: the
+/// oracles' entry points, by cross-crate path and by in-crate path, and a
+/// call of the interpreter's stepper.
+const ORACLE_NAMES: [&str; 6] = [
+    "reference::evaluate",
+    "compress::reference",
+    "decomp::reference",
+    "reference::decode",
+    "reference::unpack",
+    ".step_in(",
+];
+
+/// Each oracle's file, a line proving it is the right file, and the
+/// production kernels it must not be built on.
+const ORACLES: [(&str, &str, &[&str]); 3] = [
+    (
+        "index/src/reference.rs",
+        "pub fn evaluate",
+        &["matches::", "union_scored", "GroupMatches"],
+    ),
+    (
+        "compress/src/reference.rs",
+        "pub fn decode",
+        &["unpack::unpack", "unpack_w", "decode_word", "decode_packed"],
+    ),
+    (
+        "decomp/src/reference.rs",
+        "pub fn decode",
+        &["CompiledProgram", "compile::", "plan.step", "plan_for"],
+    ),
+];
 
 /// The non-test lines of one source file, with their 1-based numbers,
 /// plus the sibling modules it declares test-only (`#[cfg(test)] mod x;`).
@@ -45,7 +92,7 @@ fn engine_sources_never_call_the_reference_evaluator() {
         .expect("crates/");
     let mut offenders = Vec::new();
     let mut scanned = 0;
-    for krate in ENGINE_CRATES {
+    for krate in LIBRARY_CRATES {
         let src = crates_dir.join(krate).join("src");
         let mut files: Vec<PathBuf> = std::fs::read_dir(&src)
             .unwrap_or_else(|e| panic!("{}: {e}", src.display()))
@@ -60,55 +107,57 @@ fn engine_sources_never_call_the_reference_evaluator() {
         let parsed: Vec<_> = texts.iter().map(|t| production_lines(t)).collect();
         for (file, (lines, _)) in files.iter().zip(&parsed) {
             let name = file.file_name().and_then(|n| n.to_str()).expect("utf-8");
-            if parsed
-                .iter()
-                .any(|(_, test_only)| test_only.iter().any(|t| t == name))
+            if name == "reference.rs"
+                || parsed
+                    .iter()
+                    .any(|(_, test_only)| test_only.iter().any(|t| t == name))
             {
                 continue;
             }
             scanned += 1;
             for &(n, line) in lines {
-                if line.contains("reference::evaluate") {
+                if ORACLE_NAMES.iter().any(|name| line.contains(name)) {
                     offenders.push(format!("{}:{n}: {}", file.display(), line.trim()));
                 }
             }
         }
     }
     assert!(
-        scanned >= 20,
+        scanned >= 60,
         "scanned only {scanned} files — wrong directory?"
     );
     assert!(
         offenders.is_empty(),
-        "production engine code calls the test oracle:\n{}",
+        "production code calls a test oracle:\n{}",
         offenders.join("\n")
     );
 }
 
 #[test]
 fn the_reference_evaluator_never_uses_the_engines_kernels() {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../index/src/reference.rs");
-    let text = std::fs::read_to_string(&path).expect("readable source");
-    let (lines, _) = production_lines(&text);
-    assert!(
-        lines.iter().any(|(_, l)| l.contains("pub fn evaluate")),
-        "{} does not define the oracle — wrong file?",
-        path.display()
-    );
-    let offenders: Vec<String> = lines
-        .iter()
-        .filter(|(_, l)| {
-            ["matches::", "union_scored", "GroupMatches"]
-                .iter()
-                .any(|name| l.contains(name))
-        })
-        .map(|(n, l)| format!("{}:{n}: {}", path.display(), l.trim()))
-        .collect();
-    assert!(
-        offenders.is_empty(),
-        "the test oracle is built on the code it judges:\n{}",
-        offenders.join("\n")
-    );
+    let crates_dir = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .expect("crates/");
+    for (file, proof, kernels) in ORACLES {
+        let path = crates_dir.join(file);
+        let text = std::fs::read_to_string(&path).expect("readable source");
+        let (lines, _) = production_lines(&text);
+        assert!(
+            lines.iter().any(|(_, l)| l.contains(proof)),
+            "{} does not define the oracle — wrong file?",
+            path.display()
+        );
+        let offenders: Vec<String> = lines
+            .iter()
+            .filter(|(_, l)| kernels.iter().any(|name| l.contains(name)))
+            .map(|(n, l)| format!("{}:{n}: {}", path.display(), l.trim()))
+            .collect();
+        assert!(
+            offenders.is_empty(),
+            "the test oracle is built on the code it judges:\n{}",
+            offenders.join("\n")
+        );
+    }
 }
 
 #[test]

@@ -49,16 +49,6 @@ impl Bm25 {
         self.params
     }
 
-    /// Number of documents in the corpus.
-    pub fn n_docs(&self) -> u32 {
-        self.n_docs
-    }
-
-    /// Average document length.
-    pub fn avgdl(&self) -> f32 {
-        self.avgdl
-    }
-
     /// Inverse document frequency of a term appearing in `df` documents:
     /// `ln((N - df + 0.5) / (df + 0.5) + 1)`.
     pub fn idf(&self, df: u32) -> f32 {
@@ -81,13 +71,6 @@ impl Bm25 {
     pub fn term_score(&self, idf: f32, tf: u32, doc_norm: f32) -> f32 {
         let tf = tf as f32;
         idf * (tf * (self.params.k1 + 1.0)) / (tf + doc_norm)
-    }
-
-    /// Upper bound of the term score for any document, given `idf` and the
-    /// largest `tf` in the list and the smallest norm in the corpus:
-    /// used only as a sanity bound in tests (real block maxima are exact).
-    pub fn term_score_bound(&self, idf: f32, max_tf: u32, min_norm: f32) -> f32 {
-        self.term_score(idf, max_tf, min_norm)
     }
 }
 

@@ -131,7 +131,6 @@ pub struct IndexBuilder<'a> {
     explicit_doc_lens: bool,
     tokenized_docs: bool,
     n_docs_from_text: u32,
-    params: Bm25Params,
     scheme: SchemeChoice,
     /// First input conflict observed; surfaced by `build()`. Deferred so
     /// the chained `self -> Self` builder API stays panic-free.
@@ -143,12 +142,6 @@ impl<'a> IndexBuilder<'a> {
     /// compression.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Sets the BM25 parameters.
-    pub fn bm25_params(mut self, params: Bm25Params) -> Self {
-        self.params = params;
-        self
     }
 
     /// Sets the compression policy.
@@ -246,7 +239,6 @@ impl<'a> IndexBuilder<'a> {
         let IndexBuilder {
             postings,
             mut doc_lens,
-            params,
             scheme,
             conflict,
             ..
@@ -280,7 +272,7 @@ impl<'a> IndexBuilder<'a> {
         fill_doc_lens(&mut doc_lens, &tf_sums);
         // Guard against zero-length docs distorting avgdl of an index with
         // injected lists shorter than reality.
-        let (bm25, doc_norms) = scoring_from_lens(params, &doc_lens);
+        let (bm25, doc_norms) = scoring_from_lens(Bm25Params::default(), &doc_lens);
 
         let mut terms = Vec::with_capacity(postings.len());
         let mut lists = Vec::with_capacity(postings.len());

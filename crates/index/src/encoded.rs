@@ -213,7 +213,7 @@ impl EncodedList {
     /// # Panics
     ///
     /// Panics if `i` is out of range (callers iterate `0..n_blocks()`).
-    pub fn block_max_ub(&self, i: usize) -> f32 {
+    pub(crate) fn block_max_ub(&self, i: usize) -> f32 {
         let m = self.blocks[i].max_score;
         if m.is_finite() && m >= 0.0 {
             m
@@ -547,14 +547,6 @@ impl DecodeScratch {
     /// Empty scratch; buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Scratch pre-sized for `n` values per decode.
-    pub fn with_capacity(n: usize) -> Self {
-        DecodeScratch {
-            docs: Vec::with_capacity(n),
-            tfs: Vec::with_capacity(n),
-        }
     }
 
     /// Reserves enough room for the largest block of `list`, so per-block

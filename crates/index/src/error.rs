@@ -64,6 +64,13 @@ pub enum Error {
         /// The term supplied more than once.
         term: String,
     },
+    /// A stock decompressor configuration did not parse, so a device
+    /// cannot price the blocks it decodes. The configurations ship inside
+    /// `boss-decomp`; this is a defect of the build, never of a query.
+    DecompressorConfig {
+        /// The parser's diagnostic.
+        reason: String,
+    },
     /// Both explicit document lengths and tokenized documents were
     /// supplied to the builder. Tokenization derives lengths itself, so
     /// one source would silently overwrite the other.
@@ -96,6 +103,9 @@ impl std::fmt::Display for Error {
             }
             Error::DuplicateTerm { term } => {
                 write!(f, "posting list for term {term:?} was supplied twice")
+            }
+            Error::DecompressorConfig { reason } => {
+                write!(f, "stock decompressor configuration is broken: {reason}")
             }
             Error::ConflictingDocLens => {
                 write!(

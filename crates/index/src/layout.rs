@@ -11,7 +11,7 @@ use crate::{DocId, InvertedIndex, TermId, BLOCK_META_BYTES};
 
 /// Base virtual address of the index image. Non-zero so address arithmetic
 /// bugs surface, 2 GiB-aligned to play nicely with the paper's huge pages.
-pub const IMAGE_BASE: u64 = 0x8000_0000;
+pub(crate) const IMAGE_BASE: u64 = 0x8000_0000;
 
 /// Address map of one index image.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,7 +24,7 @@ pub struct IndexImage {
 }
 
 impl IndexImage {
-    /// Lays out `index` starting at [`IMAGE_BASE`].
+    /// Lays out `index` starting at `IMAGE_BASE`.
     pub fn new(index: &InvertedIndex) -> Self {
         let mut cursor = IMAGE_BASE;
         let mut meta_addr = Vec::with_capacity(index.n_terms());
@@ -56,15 +56,6 @@ impl IndexImage {
         self.meta_addr[term as usize]
     }
 
-    /// Address of block `block` of a term's metadata array.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `term` is out of range.
-    pub fn block_meta_addr(&self, term: TermId, block: usize) -> u64 {
-        self.meta_addr[term as usize] + block as u64 * BLOCK_META_BYTES
-    }
-
     /// Address of the compressed data area of a term's list.
     ///
     /// # Panics
@@ -93,7 +84,6 @@ impl IndexImage {
 /// A scratch region for intermediate data / results, placed after the image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScratchRegion {
-    base: u64,
     cursor: u64,
 }
 
@@ -101,8 +91,9 @@ impl ScratchRegion {
     /// Creates a scratch region starting after `image`.
     pub fn after(image: &IndexImage) -> Self {
         // Align to the next 4 KiB.
-        let base = image.end_addr().div_ceil(4096) * 4096;
-        ScratchRegion { base, cursor: base }
+        ScratchRegion {
+            cursor: image.end_addr().div_ceil(4096) * 4096,
+        }
     }
 
     /// Allocates `bytes` and returns the address.
@@ -110,11 +101,6 @@ impl ScratchRegion {
         let a = self.cursor;
         self.cursor += bytes;
         a
-    }
-
-    /// Resets the allocator (scratch reused between queries).
-    pub fn reset(&mut self) {
-        self.cursor = self.base;
     }
 }
 
@@ -147,12 +133,6 @@ mod tests {
     }
 
     #[test]
-    fn block_meta_addresses_stride_19() {
-        let (_, img) = image();
-        assert_eq!(img.block_meta_addr(0, 1) - img.block_meta_addr(0, 0), 19);
-    }
-
-    #[test]
     fn norm_addresses_stride_4() {
         let (_, img) = image();
         assert_eq!(img.norm_addr(3) - img.norm_addr(0), 12);
@@ -167,8 +147,6 @@ mod tests {
         assert_eq!(a % 4096, 0);
         let b = s.alloc(8);
         assert_eq!(b, a + 100);
-        s.reset();
-        assert_eq!(s.alloc(1), a);
     }
 
     #[test]

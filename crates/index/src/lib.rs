@@ -94,7 +94,7 @@ pub use matches::{union_scored, GroupMatches};
 pub use posting::{Posting, PostingList};
 pub use query::{QueryExpr, SearchHit};
 pub use score::ScoreScratch;
-pub use segment::{EntryRegions, SegmentHeader, SegmentReader, SegmentRegions, SegmentWriter};
+pub use segment::{SegmentHeader, SegmentReader, SegmentRegions};
 pub use spimi::{SegmentEntry, SegmentSet, SpimiBuilder, SpimiConfig, SpimiStats};
 pub use topk::TopK;
 

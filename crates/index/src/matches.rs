@@ -189,7 +189,7 @@ fn mark(bits: &mut SlotBits, doc: DocId) -> bool {
 /// (the module-level contract). Inside a window the groups' columns are
 /// visited in ascending term order and every posting's term score is
 /// added to its document's slot, so a slot ends up holding
-/// [`score_entries`]' sum over that document's canonical entries.
+/// `score_entries`' sum over that document's canonical entries.
 ///
 /// # Panics
 ///
@@ -275,7 +275,7 @@ fn sort_distinct(entries: &mut Vec<(TermId, u32)>) {
 
 /// BM25 score of a document from its canonical entries: term scores
 /// summed from `0.0f32` in the order given.
-pub fn score_entries(index: &InvertedIndex, entries: &[(TermId, u32)], norm: f32) -> f32 {
+pub(crate) fn score_entries(index: &InvertedIndex, entries: &[(TermId, u32)], norm: f32) -> f32 {
     let mut score = 0.0f32;
     for &(term, tf) in entries {
         score += index.bm25().term_score(index.term_info(term).idf, tf, norm);
@@ -284,8 +284,8 @@ pub fn score_entries(index: &InvertedIndex, entries: &[(TermId, u32)], norm: f32
 }
 
 /// Canonical final score of entries gathered in any order (the ET and
-/// pruned unions collect them stream by stream): [`sort_distinct`], then
-/// [`score_entries`] — so every traversal's scores share every bit.
+/// pruned unions collect them stream by stream): `sort_distinct`, then
+/// `score_entries` — so every traversal's scores share every bit.
 pub fn canonical_score(index: &InvertedIndex, entries: &mut Vec<(TermId, u32)>, norm: f32) -> f32 {
     sort_distinct(entries);
     score_entries(index, entries, norm)

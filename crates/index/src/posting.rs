@@ -46,21 +46,6 @@ impl PostingList {
         Ok(PostingList { docs, tfs })
     }
 
-    /// Builds a list from `(doc, tf)` pairs.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PostingList::from_columns`].
-    pub fn from_postings<I: IntoIterator<Item = Posting>>(postings: I) -> Result<Self, Error> {
-        let mut docs = Vec::new();
-        let mut tfs = Vec::new();
-        for p in postings {
-            docs.push(p.doc);
-            tfs.push(p.tf);
-        }
-        Self::from_columns(docs, tfs)
-    }
-
     /// Appends a posting.
     ///
     /// # Errors
@@ -111,12 +96,6 @@ impl PostingList {
             .iter()
             .zip(&self.tfs)
             .map(|(&doc, &tf)| Posting { doc, tf })
-    }
-}
-
-impl FromIterator<Posting> for Result<PostingList, Error> {
-    fn from_iter<I: IntoIterator<Item = Posting>>(iter: I) -> Self {
-        PostingList::from_postings(iter)
     }
 }
 

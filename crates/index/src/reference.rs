@@ -64,7 +64,7 @@ pub fn candidates(index: &InvertedIndex, expr: &QueryExpr) -> Result<Vec<DocId>,
 }
 
 /// Intersection of two sorted docID slices.
-pub fn intersect_sorted(a: &[DocId], b: &[DocId]) -> Vec<DocId> {
+pub(crate) fn intersect_sorted(a: &[DocId], b: &[DocId]) -> Vec<DocId> {
     let mut out = Vec::with_capacity(a.len().min(b.len()));
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
@@ -82,7 +82,7 @@ pub fn intersect_sorted(a: &[DocId], b: &[DocId]) -> Vec<DocId> {
 }
 
 /// Union of two sorted docID slices.
-pub fn union_sorted(a: &[DocId], b: &[DocId]) -> Vec<DocId> {
+pub(crate) fn union_sorted(a: &[DocId], b: &[DocId]) -> Vec<DocId> {
     let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {

@@ -51,19 +51,19 @@ use std::ops::Range;
 use std::path::Path;
 
 /// Segment file magic: "BOSSSEG\0".
-pub const SEG_MAGIC: [u8; 8] = *b"BOSSSEG\0";
+pub(crate) const SEG_MAGIC: [u8; 8] = *b"BOSSSEG\0";
 
 /// Current segment format version.
-pub const SEG_VERSION: u32 = 1;
+pub(crate) const SEG_VERSION: u32 = 1;
 
 /// Fixed header size in bytes: magic + 7 × u32-sized fields.
-pub const SEG_HEADER_BYTES: u64 = 8 + 7 * 4;
+pub(crate) const SEG_HEADER_BYTES: u64 = 8 + 7 * 4;
 
 /// On-disk size of one block descriptor.
-pub const SEG_DESCRIPTOR_BYTES: u64 = 34;
+pub(crate) const SEG_DESCRIPTOR_BYTES: u64 = 34;
 
 /// Size of the FNV-1a checksum trailer that ends every segment file.
-pub const SEG_CHECKSUM_BYTES: u64 = 8;
+pub(crate) const SEG_CHECKSUM_BYTES: u64 = 8;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -187,7 +187,7 @@ fn field_u32(value: usize, what: &str) -> Result<u32, IoError> {
 
 /// Where one dictionary entry landed in the file.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EntryRegions {
+pub(crate) struct EntryRegions {
     /// Term text + list stats.
     pub header: Range<u64>,
     /// The block-descriptor array.
@@ -202,7 +202,7 @@ pub struct EntryRegions {
 /// trailer on [`SegmentWriter::finish`] — a producer holds one encoded
 /// list at a time, never a segment's worth.
 #[derive(Debug)]
-pub struct SegmentWriter<W: Write> {
+pub(crate) struct SegmentWriter<W: Write> {
     w: HashingWriter<W>,
     n_docs: u32,
     terms_left: u32,
@@ -220,7 +220,7 @@ impl<W: Write> SegmentWriter<W> {
     ///
     /// [`IoError::Invalid`] for a segment with no documents;
     /// [`IoError::Io`] on write failure.
-    pub fn new(
+    pub(crate) fn new(
         writer: W,
         doc_base: u32,
         doc_lens: &[u32],
@@ -267,7 +267,11 @@ impl<W: Write> SegmentWriter<W> {
     /// the declared count, a docID outside `0..n_docs`, or a list too
     /// large for the format's `u32` fields; [`IoError::Io`] on write
     /// failure.
-    pub fn push_term(&mut self, term: &str, list: &EncodedList) -> Result<EntryRegions, IoError> {
+    pub(crate) fn push_term(
+        &mut self,
+        term: &str,
+        list: &EncodedList,
+    ) -> Result<EntryRegions, IoError> {
         if self.terms_left == 0 {
             return Err(IoError::Invalid(crate::Error::InvalidQuery {
                 reason: format!("term {term:?} is past the segment's declared term count"),
@@ -339,7 +343,7 @@ impl<W: Write> SegmentWriter<W> {
     ///
     /// [`IoError::Invalid`] if fewer terms were pushed than declared;
     /// [`IoError::Io`] on write failure.
-    pub fn finish(mut self) -> Result<u64, IoError> {
+    pub(crate) fn finish(mut self) -> Result<u64, IoError> {
         if self.terms_left != 0 {
             return Err(IoError::Invalid(crate::Error::InvalidQuery {
                 reason: format!(
@@ -355,7 +359,7 @@ impl<W: Write> SegmentWriter<W> {
     }
 }
 
-/// Writes one sealed segment through a [`SegmentWriter`]. `terms` must
+/// Writes one sealed segment through a `SegmentWriter`. `terms` must
 /// be in strictly increasing lexical order (byte-wise, as `str`
 /// compares) with every list's docIDs segment-local; `doc_lens` are the
 /// final per-document token counts of the segment's documents.
@@ -735,7 +739,7 @@ impl<R: Read> SegmentReader<R> {
 /// # Errors
 ///
 /// As for [`SegmentReader::new`], plus I/O failures opening the file.
-pub fn open_segment(
+pub(crate) fn open_segment(
     path: impl AsRef<Path>,
 ) -> Result<SegmentReader<std::io::BufReader<std::fs::File>>, IoError> {
     let file = std::fs::File::open(path)?;

@@ -40,7 +40,6 @@ pub struct ShardedIndex {
     /// Global docID base of each shard (ascending); shard `i` covers
     /// `[bases[i], bases[i+1])` (the last runs to the corpus end).
     bases: Vec<DocId>,
-    n_docs: u32,
 }
 
 impl ShardedIndex {
@@ -134,11 +133,7 @@ impl ShardedIndex {
             }
         }
 
-        Ok(ShardedIndex {
-            shards,
-            bases,
-            n_docs,
-        })
+        Ok(ShardedIndex { shards, bases })
     }
 
     /// Number of shards.
@@ -146,26 +141,15 @@ impl ShardedIndex {
         self.shards.len()
     }
 
-    /// Total documents across shards.
-    pub fn n_docs(&self) -> u32 {
-        self.n_docs
-    }
-
     /// The shard indexes, in docID-interval order.
     pub fn shards(&self) -> &[InvertedIndex] {
         &self.shards
     }
 
-    /// One shard, or `None` when `i` is out of range.
-    pub fn try_shard(&self, i: usize) -> Option<&InvertedIndex> {
-        self.shards.get(i)
-    }
-
     /// One shard.
     ///
     /// Out-of-range `i` is clamped to the last shard (the split
-    /// guarantees at least one); use [`ShardedIndex::try_shard`] to
-    /// detect the range error instead.
+    /// guarantees at least one).
     pub fn shard(&self, i: usize) -> &InvertedIndex {
         // `split` never constructs an empty shard list, so the clamp
         // always lands on a valid index.

@@ -37,10 +37,10 @@ use std::io::{BufReader, Write};
 use std::path::{Path, PathBuf};
 
 /// Name of the segment-directory manifest file.
-pub const MANIFEST_NAME: &str = "MANIFEST.json";
+pub(crate) const MANIFEST_NAME: &str = "MANIFEST.json";
 
 /// Manifest format version.
-pub const MANIFEST_VERSION: u32 = 1;
+pub(crate) const MANIFEST_VERSION: u32 = 1;
 
 /// Configuration of a SPIMI build.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -154,23 +154,18 @@ impl MemoryConfig {
         }
     }
 
-    /// Aggregate sequential-read bytes per core cycle (1 GHz clock).
-    pub fn seq_read_bytes_per_cycle(&self) -> f64 {
-        self.seq_read_gbps
-    }
-
     /// Per-channel sequential-read bytes per cycle.
-    pub fn seq_read_bytes_per_cycle_per_channel(&self) -> f64 {
+    pub(crate) fn seq_read_bytes_per_cycle_per_channel(&self) -> f64 {
         self.seq_read_gbps / f64::from(self.channels)
     }
 
     /// Per-channel random-read bytes per cycle.
-    pub fn rand_read_bytes_per_cycle_per_channel(&self) -> f64 {
+    pub(crate) fn rand_read_bytes_per_cycle_per_channel(&self) -> f64 {
         self.rand_read_gbps / f64::from(self.channels)
     }
 
     /// Per-channel write bytes per cycle.
-    pub fn write_bytes_per_cycle_per_channel(&self) -> f64 {
+    pub(crate) fn write_bytes_per_cycle_per_channel(&self) -> f64 {
         self.write_gbps / f64::from(self.channels)
     }
 }
@@ -225,7 +220,6 @@ mod tests {
     #[test]
     fn gbps_equals_bytes_per_cycle() {
         let c = MemoryConfig::optane_dcpmm();
-        assert!((c.seq_read_bytes_per_cycle() - 25.6).abs() < 1e-12);
         assert!((c.seq_read_bytes_per_cycle_per_channel() - 6.4).abs() < 1e-12);
     }
 

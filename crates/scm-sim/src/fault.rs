@@ -16,7 +16,7 @@
 ///
 /// Matches the Optane internal access granule ("XPLine"): the unit the
 /// media's ECC covers, so the unit that fails.
-pub const FAULT_LINE_BYTES: u64 = 256;
+pub(crate) const FAULT_LINE_BYTES: u64 = 256;
 
 /// A deterministic fault schedule for one memory node.
 ///
@@ -80,20 +80,11 @@ impl FaultPlan {
         self
     }
 
-    /// Sets the latency-spike schedule.
-    #[must_use]
-    pub fn with_spikes(mut self, period: u64, len: u64, extra_ns: u64) -> Self {
-        self.spike_period_cycles = period;
-        self.spike_len_cycles = len;
-        self.spike_extra_ns = extra_ns;
-        self
-    }
-
     /// Whether the line containing `addr` is uncorrectable under this plan.
     ///
     /// Pure function of `(seed, line index)`: the same line always answers
     /// the same way within a plan.
-    pub fn line_is_uncorrectable(&self, addr: u64) -> bool {
+    pub(crate) fn line_is_uncorrectable(&self, addr: u64) -> bool {
         if self.uncorrectable_line_rate <= 0.0 {
             return false;
         }
@@ -225,7 +216,12 @@ mod tests {
 
     #[test]
     fn spike_windows() {
-        let p = FaultPlan::quiet(0).with_spikes(1000, 100, 50);
+        let p = FaultPlan {
+            spike_period_cycles: 1000,
+            spike_len_cycles: 100,
+            spike_extra_ns: 50,
+            ..FaultPlan::quiet(0)
+        };
         assert!(p.in_spike_window(0));
         assert!(p.in_spike_window(99));
         assert!(!p.in_spike_window(100));

@@ -40,10 +40,8 @@ mod config;
 mod fault;
 mod sim;
 mod stats;
-pub mod timeline;
 
 pub use config::{MemoryConfig, MemoryKind};
-pub use fault::{FaultPlan, FAULT_LINE_BYTES};
+pub use fault::FaultPlan;
 pub use sim::{AccessKind, AccessResult, MemorySim, PatternHint, MIN_TRANSFER_BYTES};
 pub use stats::{AccessCategory, FaultCounts, MemStats, ACCESS_CATEGORIES};
-pub use timeline::Timeline;

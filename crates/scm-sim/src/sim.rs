@@ -178,11 +178,6 @@ impl MemorySim {
         self.fault = plan;
     }
 
-    /// The attached fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault.as_ref()
-    }
-
     /// The configuration this node was built with.
     pub fn config(&self) -> &MemoryConfig {
         &self.config
@@ -588,7 +583,12 @@ mod tests {
 
     #[test]
     fn latency_spikes_delay_completion_not_channel() {
-        let plan = crate::FaultPlan::quiet(0).with_spikes(1 << 40, 1 << 40, 700);
+        let plan = crate::FaultPlan {
+            spike_period_cycles: 1 << 40,
+            spike_len_cycles: 1 << 40,
+            spike_extra_ns: 700,
+            ..crate::FaultPlan::quiet(0)
+        };
         let mut m = MemorySim::with_fault_plan(MemoryConfig::optane_dcpmm(), plan);
         let d = m.read_seq(0, 6400, AccessCategory::LdList, 0);
         assert_eq!(d, 1700, "spike adds to completion");

@@ -205,19 +205,6 @@ impl MemStats {
         self.counts.iter().sum()
     }
 
-    /// Bytes read (all load categories).
-    pub fn read_bytes(&self) -> u64 {
-        self.bytes(AccessCategory::LdList)
-            + self.bytes(AccessCategory::LdMeta)
-            + self.bytes(AccessCategory::LdScore)
-            + self.bytes(AccessCategory::LdInter)
-    }
-
-    /// Bytes written (all store categories).
-    pub fn write_bytes(&self) -> u64 {
-        self.bytes(AccessCategory::StInter) + self.bytes(AccessCategory::StResult)
-    }
-
     /// Achieved device bandwidth in GB/s over an interval of `cycles` core
     /// cycles (1 GHz clock: bytes/cycle == GB/s), counting effective
     /// (line-granular) bytes the way a bandwidth monitor would.
@@ -279,8 +266,17 @@ mod tests {
         s.record(AccessCategory::LdInter, 64, 64, true, 1, 3);
         s.record(AccessCategory::StInter, 64, 64, true, 1, 4);
         s.record(AccessCategory::StResult, 8, 64, true, 1, 5);
-        assert_eq!(s.read_bytes(), 19 + 4 + 64);
-        assert_eq!(s.write_bytes(), 64 + 8);
+        let sum = |cats: &[AccessCategory]| cats.iter().map(|&c| s.bytes(c)).sum::<u64>();
+        let loads = sum(&[
+            AccessCategory::LdList,
+            AccessCategory::LdMeta,
+            AccessCategory::LdScore,
+            AccessCategory::LdInter,
+        ]);
+        let stores = sum(&[AccessCategory::StInter, AccessCategory::StResult]);
+        assert_eq!(loads, 19 + 4 + 64);
+        assert_eq!(stores, 64 + 8);
+        assert_eq!(loads + stores, s.total_bytes());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   sanity check;
 //! * [`ArrivalKind::Bursty`] — a two-state Markov-modulated Poisson
 //!   process (MMPP-2): a *calm* state at a low rate and a *burst* state
-//!   at [`BURST_RATE_MULTIPLIER`]× the calm rate, with exponentially
+//!   at `BURST_RATE_MULTIPLIER`× the calm rate, with exponentially
 //!   distributed state dwell times. The long-run mean inter-arrival time
 //!   matches the Poisson process at the same `mean_interarrival`, but
 //!   arrivals clump — the tail-latency regime diurnal spikes and
@@ -25,21 +25,21 @@ use rand::RngExt;
 
 /// Burst-state arrival rate relative to the calm state of
 /// [`ArrivalKind::Bursty`].
-pub const BURST_RATE_MULTIPLIER: f64 = 8.0;
+pub(crate) const BURST_RATE_MULTIPLIER: f64 = 8.0;
 
 /// Fraction of time the bursty process spends in the burst state.
-pub const BURST_TIME_FRACTION: f64 = 0.15;
+pub(crate) const BURST_TIME_FRACTION: f64 = 0.15;
 
 /// Mean dwell time in the burst state, in units of the overall mean
 /// inter-arrival time (so a burst spans many consecutive arrivals).
-pub const BURST_DWELL_ARRIVALS: f64 = 24.0;
+pub(crate) const BURST_DWELL_ARRIVALS: f64 = 24.0;
 
 /// Shape of an open-loop arrival process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArrivalKind {
     /// Constant-rate memoryless arrivals.
     Poisson,
-    /// Two-state MMPP: calm / burst at [`BURST_RATE_MULTIPLIER`]× calm.
+    /// Two-state MMPP: calm / burst at `BURST_RATE_MULTIPLIER`× calm.
     Bursty,
 }
 

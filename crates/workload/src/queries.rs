@@ -254,22 +254,6 @@ impl QuerySampler {
         }
         Ok(out)
     }
-
-    /// Samples `per_type` queries of *each* Table II type (the per-type
-    /// breakdowns of Figures 9–16).
-    ///
-    /// # Errors
-    ///
-    /// As for [`QuerySampler::sample_terms`].
-    pub fn per_type_suite(&mut self, per_type: usize) -> Result<Vec<TypedQuery>, SampleError> {
-        let mut out = Vec::with_capacity(per_type * 6);
-        for qtype in ALL_QUERY_TYPES {
-            for _ in 0..per_type {
-                out.push(self.sample(qtype)?);
-            }
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -345,17 +329,6 @@ mod tests {
         let twos = qs.iter().filter(|q| q.qtype.n_terms() == 2).count();
         let fours = qs.iter().filter(|q| q.qtype.n_terms() == 4).count();
         assert_eq!((ones, twos, fours), (10, 10, 10));
-    }
-
-    #[test]
-    fn per_type_suite_covers_all() {
-        let idx = CorpusSpec::ccnews_like(Scale::Smoke).build().unwrap();
-        let mut s = QuerySampler::new(&idx, 14).unwrap();
-        let qs = s.per_type_suite(3).unwrap();
-        assert_eq!(qs.len(), 18);
-        for qt in ALL_QUERY_TYPES {
-            assert_eq!(qs.iter().filter(|q| q.qtype == qt).count(), 3);
-        }
     }
 
     #[test]

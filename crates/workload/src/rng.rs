@@ -1,7 +1,7 @@
 //! Deterministic random-sampling helpers shared by the generators.
 //!
 //! Hand-rolled distributions (Box–Muller normal, inverse-transform
-//! [`Geometric`], cumulative-table [`Zipf`]) keep the dependency set to
+//! [`Geometric`], cumulative-table `Zipf`) keep the dependency set to
 //! `rand` + `rand_chacha` while staying reproducible across platforms.
 
 use rand::RngExt;
@@ -66,7 +66,7 @@ impl Geometric {
 /// A Zipf sampler over ranks `1..=n` with exponent `s`, using a
 /// precomputed cumulative table and binary search.
 #[derive(Debug, Clone)]
-pub struct Zipf {
+pub(crate) struct Zipf {
     cdf: Vec<f64>,
 }
 
@@ -76,7 +76,7 @@ impl Zipf {
     /// # Panics
     ///
     /// Panics if `n == 0`.
-    pub fn new(n: usize, s: f64) -> Self {
+    pub(crate) fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "Zipf support must be non-empty");
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0f64;
@@ -92,7 +92,7 @@ impl Zipf {
     }
 
     /// Samples a rank in `1..=n`.
-    pub fn sample(&self, rng: &mut SeededRng) -> usize {
+    pub(crate) fn sample(&self, rng: &mut SeededRng) -> usize {
         let u: f64 = rng.random_range(0.0..1.0);
         // The cdf is finite and positive and `u` is in [0, 1), where the
         // total order is the numeric one.
@@ -106,7 +106,7 @@ impl Zipf {
     /// # Panics
     ///
     /// Panics if `k` is 0 or out of range.
-    pub fn weight(&self, k: usize) -> f64 {
+    pub(crate) fn weight(&self, k: usize) -> f64 {
         assert!(k >= 1 && k <= self.cdf.len(), "rank out of range");
         if k == 1 {
             self.cdf[0]

@@ -8,7 +8,9 @@
 //! categories; these tests keep the contract pinned from the test suite
 //! with fully random inputs.
 
-use boss_compress::{codec_for, unpack, BlockInfo, Scheme, ALL_SCHEMES, MAX_BLOCK_VALUES};
+use boss_compress::{
+    codec_for, reference, unpack, BlockInfo, Scheme, ALL_SCHEMES, MAX_BLOCK_VALUES,
+};
 use boss_decomp::DecompEngine;
 use proptest::prelude::*;
 
@@ -58,10 +60,10 @@ fn corrupted_block(scheme: Scheme) -> impl Strategy<Value = (Vec<u8>, BlockInfo)
 fn assert_paths_agree(scheme: Scheme, data: &[u8], info: &BlockInfo) -> Result<(), TestCaseError> {
     let codec = codec_for(scheme);
     let mut fast = Vec::new();
-    let mut reference = Vec::new();
+    let mut seed = Vec::new();
     let mut fused = Vec::new();
     let fast_res = codec.decode(data, info, &mut fast);
-    let ref_res = codec.decode_reference(data, info, &mut reference);
+    let ref_res = reference::decode(scheme, data, info, &mut seed);
     let fused_res = codec.decode_d1(data, info, 3, &mut fused);
     prop_assert_eq!(
         fast_res.is_ok(),
@@ -76,10 +78,10 @@ fn assert_paths_agree(scheme: Scheme, data: &[u8], info: &BlockInfo) -> Result<(
         scheme
     );
     if fast_res.is_ok() {
-        prop_assert_eq!(&fast, &reference, "{} value disagreement", scheme);
+        prop_assert_eq!(&fast, &seed, "{} value disagreement", scheme);
     }
     prop_assert!(fast.capacity() <= 2 * MAX_BLOCK_VALUES);
-    prop_assert!(reference.capacity() <= 2 * MAX_BLOCK_VALUES);
+    prop_assert!(seed.capacity() <= 2 * MAX_BLOCK_VALUES);
     Ok(())
 }
 
@@ -128,18 +130,18 @@ proptest! {
         base in any::<u32>(),
     ) {
         let mut fast = Vec::new();
-        let mut reference = Vec::new();
+        let mut seed = Vec::new();
         let fast_res = unpack::unpack(&data, count, width, &mut fast);
-        let ref_res = unpack::unpack_reference(&data, count, width, &mut reference);
+        let ref_res = reference::unpack(&data, count, width, &mut seed);
         prop_assert_eq!(fast_res.is_ok(), ref_res.is_ok(), "unpack accept disagreement");
         if fast_res.is_ok() {
-            prop_assert_eq!(&fast, &reference);
+            prop_assert_eq!(&fast, &seed);
         }
 
         let mut fast_d1 = Vec::new();
         let mut ref_d1 = Vec::new();
         let fast_res = unpack::unpack_d1(&data, count, width, base, &mut fast_d1);
-        let ref_res = unpack::unpack_d1_reference(&data, count, width, base, &mut ref_d1);
+        let ref_res = reference::unpack_d1(&data, count, width, base, &mut ref_d1);
         prop_assert_eq!(fast_res.is_ok(), ref_res.is_ok(), "unpack_d1 accept disagreement");
         if fast_res.is_ok() {
             prop_assert_eq!(&fast_d1, &ref_d1);
@@ -159,7 +161,7 @@ proptest! {
             }
             // Typed rejection is the other legal outcome — and whichever
             // it is, the interpreter oracle must reach the same one.
-            let oracle = engine.clone().with_interpreter(true).decode(&data, &info);
+            let oracle = boss_decomp::reference::decode(engine.config(), &data, &info);
             prop_assert_eq!(res, oracle, "{} compiled/interpreted disagreement", scheme);
         }
     }
