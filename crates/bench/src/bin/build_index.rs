@@ -47,7 +47,7 @@ fn main() {
     // Term ids are in lexical order, the order a segment stores.
     let terms: Vec<_> = index
         .term_ids()
-        .map(|id| (index.term_info(id).text.clone(), index.list(id).clone()))
+        .map(|id| (index.term_info(id).text.to_owned(), index.list(id).clone()))
         .collect();
     let mut file = BufWriter::new(File::create(&out).expect("index file created"));
     write_segment(

@@ -565,7 +565,7 @@ fn segment_fixture() -> (Vec<u8>, SegmentRegions) {
     let index = harness_index(SchemeChoice::Hybrid);
     let mut terms: Vec<(String, EncodedList)> = index
         .term_ids()
-        .map(|id| (index.term_info(id).text.clone(), index.list(id).clone()))
+        .map(|id| (index.term_info(id).text.to_owned(), index.list(id).clone()))
         .collect();
     terms.sort_by(|a, b| a.0.cmp(&b.0));
     let mut bytes = Vec::new();

@@ -46,7 +46,7 @@ impl BossDevice<'_> {
         floor: f32,
     ) -> Result<QueryOutcome, Error> {
         let plan = QueryPlan::from_expr(self.index, expr, &self.config)?;
-        let mut ctx = ExecCtx::new(self.index, &self.image, &self.config)?;
+        let mut ctx = ExecCtx::new(self.index, &self.config)?;
 
         // Intersections first (Section IV-B "Mixed Query"), then one
         // union+scoring pass over all group streams. Early termination in
@@ -93,7 +93,7 @@ impl BossDevice<'_> {
         // (docID + score), written once at the end of the query.
         let result_bytes = (hits.len() as u64 * 8).max(8);
         ctx.write(
-            self.image.end_addr() + (4 << 20),
+            ctx.image.end_addr() + (4 << 20),
             result_bytes,
             AccessCategory::StResult,
         );

@@ -7,10 +7,8 @@
 use crate::config::{BossConfig, EtMode};
 use crate::stats::{EvalCounts, QueryOutcome};
 use crate::union::BulkScratch;
-use boss_index::layout::IndexImage;
 use boss_index::{Error, InvertedIndex, QueryAlgorithm, QueryExpr, TopK};
 use boss_scm::MemStats;
-use std::sync::Arc;
 
 /// A BOSS device attached to one memory node holding `index`.
 ///
@@ -20,9 +18,6 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub struct BossDevice<'a> {
     pub(crate) index: &'a InvertedIndex,
-    /// Shared with every [`BossDevice::fork`] of this device: the layout
-    /// is a function of the index alone.
-    pub(crate) image: Arc<IndexImage>,
     pub(crate) config: BossConfig,
     /// The top-k queue and the bulk scoring scratch, recycled across
     /// queries so the hot path allocates neither ([`TopK::reset`]
@@ -33,36 +28,26 @@ pub struct BossDevice<'a> {
 
 impl<'a> BossDevice<'a> {
     /// Instantiates the device over an index (the `init()` intrinsic's
-    /// image load is modeled by the [`IndexImage`] layout).
+    /// image load is modeled by the [`boss_index::layout::IndexImage`]
+    /// layout, which every query derives from the index).
     pub fn new(index: &'a InvertedIndex, config: BossConfig) -> Self {
-        Self::over(index, Arc::new(IndexImage::new(index)), config)
-    }
-
-    /// A fresh device — empty buffers — over the same index and
-    /// configuration, sharing this one's image layout instead of laying
-    /// the index out again.
-    pub fn fork(&self) -> Self {
-        Self::over(self.index, Arc::clone(&self.image), self.config.clone())
-    }
-
-    fn over(index: &'a InvertedIndex, image: Arc<IndexImage>, config: BossConfig) -> Self {
         BossDevice {
             index,
-            image,
             config,
             topk: None,
             bulk: BulkScratch::default(),
         }
     }
 
+    /// A fresh device — empty buffers — over the same index and
+    /// configuration.
+    pub fn fork(&self) -> Self {
+        Self::new(self.index, self.config.clone())
+    }
+
     /// The device configuration.
     pub fn config(&self) -> &BossConfig {
         &self.config
-    }
-
-    /// The index image layout.
-    pub fn image(&self) -> &IndexImage {
-        &self.image
     }
 
     /// The index this device serves.
@@ -108,9 +93,8 @@ impl<'a> BossDevice<'a> {
         // Subqueries run without pruning (their local cutoffs would be
         // wrong for the combined query) — both the ET machinery and any
         // dynamic-pruning plan are off on the device that runs them.
-        let mut unpruned = Self::over(
+        let mut unpruned = Self::new(
             self.index,
-            Arc::clone(&self.image),
             self.config
                 .clone()
                 .with_et(EtMode::Exhaustive)

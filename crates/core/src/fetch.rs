@@ -82,7 +82,7 @@ impl SkipReason {
 #[derive(Debug)]
 pub(crate) struct ExecCtx<'a> {
     pub index: &'a InvertedIndex,
-    pub image: &'a IndexImage,
+    pub image: IndexImage<'a>,
     pub mem: MemorySim,
     pub tlb: Tlb,
     pub eval: EvalCounts,
@@ -105,18 +105,14 @@ pub(crate) struct ExecCtx<'a> {
 }
 
 impl<'a> ExecCtx<'a> {
-    pub(crate) fn new(
-        index: &'a InvertedIndex,
-        image: &'a IndexImage,
-        config: &BossConfig,
-    ) -> Result<Self, Error> {
+    pub(crate) fn new(index: &'a InvertedIndex, config: &BossConfig) -> Result<Self, Error> {
         let mut mem = MemorySim::new(config.memory.clone());
         if let Some(plan) = &config.fault_plan {
             mem.set_fault_plan(Some(plan.clone()));
         }
         Ok(ExecCtx {
             index,
-            image,
+            image: IndexImage::new(index),
             mem,
             tlb: Tlb::new(),
             eval: EvalCounts::default(),
@@ -205,9 +201,11 @@ impl<'a> ExecCtx<'a> {
 pub(crate) struct ListCursor<'a> {
     pub term: TermId,
     list: &'a EncodedList,
+    /// The list's block directory, taken from it once.
+    blocks: &'a [BlockMeta],
     meta_addr: u64,
     data_addr: u64,
-    /// Current block; `list.n_blocks()` when exhausted.
+    /// Current block; `blocks.len()` when exhausted.
     block: usize,
     /// Decoded docIDs/tfs of the current block (empty if not decoded),
     /// in buffers reserved once from block metadata.
@@ -230,6 +228,7 @@ impl<'a> ListCursor<'a> {
         let mut c = ListCursor {
             term,
             list,
+            blocks: list.blocks(),
             meta_addr: ctx.image.meta_addr(term),
             data_addr: ctx.image.data_addr(term),
             block: 0,
@@ -244,7 +243,7 @@ impl<'a> ListCursor<'a> {
     }
 
     fn charge_meta(&mut self, ctx: &mut ExecCtx<'_>, upto_block: usize) {
-        let upto = (upto_block + 1).min(self.list.n_blocks());
+        let upto = (upto_block + 1).min(self.blocks.len());
         while self.meta_read_upto < upto {
             ctx.read(
                 self.meta_addr + self.meta_read_upto as u64 * BLOCK_META_BYTES,
@@ -264,11 +263,11 @@ impl<'a> ListCursor<'a> {
 
     /// Whether all postings are consumed.
     pub(crate) fn exhausted(&self) -> bool {
-        self.block >= self.list.n_blocks()
+        self.block >= self.blocks.len()
     }
 
     fn meta(&self) -> &BlockMeta {
-        &self.list.blocks()[self.block]
+        &self.blocks[self.block]
     }
 
     /// Smallest unevaluated docID (the `sID` of Section IV-C). For an
@@ -291,7 +290,7 @@ impl<'a> ListCursor<'a> {
     /// list has no block reaching `target` (exhausted for BMW purposes).
     pub(crate) fn shallow_block_max(&self, target: DocId) -> Option<(f32, DocId)> {
         // Usually the current block still covers `target`: first probe.
-        self.list.blocks()[self.block..]
+        self.blocks[self.block..]
             .iter()
             .find(|m| m.last_doc >= target)
             .map(|m| (m.max_score, m.last_doc))
@@ -406,7 +405,7 @@ impl<'a> ListCursor<'a> {
         self.block = block;
         self.scratch.clear();
         self.pos = 0;
-        if block < self.list.n_blocks() {
+        if block < self.blocks.len() {
             self.charge_meta(ctx, block);
         }
     }
@@ -563,7 +562,7 @@ impl<'a> ListCursor<'a> {
         } else {
             (self.scratch.len() - self.pos) as u64
         };
-        let later: u64 = self.list.blocks()[self.block + 1..]
+        let later: u64 = self.blocks[self.block + 1..]
             .iter()
             .map(|m| m.count() as u64)
             .sum();
@@ -574,10 +573,9 @@ impl<'a> ListCursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use boss_index::layout::IndexImage;
     use boss_index::IndexBuilder;
 
-    fn setup() -> (InvertedIndex, IndexImage, BossConfig) {
+    fn setup() -> (InvertedIndex, BossConfig) {
         // 600 docs; "even" appears in all even docs, "sparse" in few.
         let docs: Vec<String> = (0..600)
             .map(|i| {
@@ -595,15 +593,14 @@ mod tests {
             .add_documents(docs.iter().map(String::as_str))
             .build()
             .unwrap();
-        let img = IndexImage::new(&idx);
-        (idx, img, BossConfig::default())
+        (idx, BossConfig::default())
     }
 
     #[test]
     fn cursor_walks_all_postings() {
-        let (idx, img, cfg) = setup();
+        let (idx, cfg) = setup();
         let term = idx.term_id("even").unwrap();
-        let mut ctx = ExecCtx::new(&idx, &img, &cfg).unwrap();
+        let mut ctx = ExecCtx::new(&idx, &cfg).unwrap();
         let mut c = ListCursor::new(&mut ctx, term, 0);
         let mut seen = Vec::new();
         while !c.exhausted() {
@@ -617,9 +614,9 @@ mod tests {
 
     #[test]
     fn seek_skips_blocks_without_decoding() {
-        let (idx, img, cfg) = setup();
+        let (idx, cfg) = setup();
         let term = idx.term_id("even").unwrap(); // 300 postings, 3 blocks
-        let mut ctx = ExecCtx::new(&idx, &img, &cfg).unwrap();
+        let mut ctx = ExecCtx::new(&idx, &cfg).unwrap();
         let mut c = ListCursor::new(&mut ctx, term, 0);
         c.seek(&mut ctx, 590, SkipReason::Block).unwrap();
         assert_eq!(c.current_doc(), 590);
@@ -630,9 +627,9 @@ mod tests {
 
     #[test]
     fn seek_within_block_counts_wand_skips() {
-        let (idx, img, cfg) = setup();
+        let (idx, cfg) = setup();
         let term = idx.term_id("even").unwrap();
-        let mut ctx = ExecCtx::new(&idx, &img, &cfg).unwrap();
+        let mut ctx = ExecCtx::new(&idx, &cfg).unwrap();
         let mut c = ListCursor::new(&mut ctx, term, 0);
         c.current_tf(&mut ctx).unwrap(); // decode block 0
         c.seek(&mut ctx, 20, SkipReason::Wand).unwrap();
@@ -642,9 +639,9 @@ mod tests {
 
     #[test]
     fn remaining_counts() {
-        let (idx, img, cfg) = setup();
+        let (idx, cfg) = setup();
         let term = idx.term_id("even").unwrap();
-        let mut ctx = ExecCtx::new(&idx, &img, &cfg).unwrap();
+        let mut ctx = ExecCtx::new(&idx, &cfg).unwrap();
         let mut c = ListCursor::new(&mut ctx, term, 0);
         assert_eq!(c.remaining(), 300);
         c.advance(&mut ctx).unwrap();
@@ -656,9 +653,9 @@ mod tests {
 
     #[test]
     fn shallow_block_max_finds_covering_block() {
-        let (idx, img, cfg) = setup();
+        let (idx, cfg) = setup();
         let term = idx.term_id("even").unwrap();
-        let mut ctx = ExecCtx::new(&idx, &img, &cfg).unwrap();
+        let mut ctx = ExecCtx::new(&idx, &cfg).unwrap();
         let c = ListCursor::new(&mut ctx, term, 0);
         let blocks = idx.list(term).blocks();
         let (m, last) = c.shallow_block_max(blocks[1].first_doc + 2).unwrap();
@@ -669,9 +666,9 @@ mod tests {
 
     #[test]
     fn metadata_traffic_charged_once_per_block() {
-        let (idx, img, cfg) = setup();
+        let (idx, cfg) = setup();
         let term = idx.term_id("even").unwrap();
-        let mut ctx = ExecCtx::new(&idx, &img, &cfg).unwrap();
+        let mut ctx = ExecCtx::new(&idx, &cfg).unwrap();
         let mut c = ListCursor::new(&mut ctx, term, 0);
         c.seek(&mut ctx, 10_000, SkipReason::Block).unwrap(); // walk all metadata
         let metas = ctx.eval.metas_read;
@@ -729,8 +726,7 @@ mod tests {
                 builder = builder.add_posting_list(term, list);
             }
             let idx = builder.build().unwrap();
-            let img = IndexImage::new(&idx);
-            let mut ctx = ExecCtx::new(&idx, &img, &BossConfig::default()).unwrap();
+            let mut ctx = ExecCtx::new(&idx, &BossConfig::default()).unwrap();
             let mut multi_block_lists = 0usize;
             for t in 0..idx.n_terms() {
                 let list = idx.list(t as TermId);

@@ -110,7 +110,6 @@ pub(crate) fn intersect_group(ctx: &mut ExecCtx<'_>, terms: &[TermId]) -> Result
 mod tests {
     use super::*;
     use crate::config::BossConfig;
-    use boss_index::layout::IndexImage;
     use boss_index::{reference, DocId, IndexBuilder, InvertedIndex, QueryExpr};
 
     fn corpus() -> InvertedIndex {
@@ -141,8 +140,7 @@ mod tests {
 
     fn run(index: &InvertedIndex, terms: &[&str]) -> (MatStream, crate::stats::EvalCounts) {
         let cfg = BossConfig::default();
-        let image = IndexImage::new(index);
-        let mut ctx = crate::fetch::ExecCtx::new(index, &image, &cfg).unwrap();
+        let mut ctx = crate::fetch::ExecCtx::new(index, &cfg).unwrap();
         let ids: Vec<TermId> = terms.iter().map(|t| index.term_id(t).unwrap()).collect();
         let m = intersect_group(&mut ctx, &ids).unwrap();
         (m, ctx.eval)

@@ -199,7 +199,7 @@ fn maxscore_union(
                 let before = entries.len();
                 streams[i].take_entries(ctx, &mut entries)?;
                 for &(term, tf) in &entries[before..] {
-                    let idf = ctx.index.term_info(term).idf;
+                    let idf = ctx.index.list(term).idf();
                     partial += f64::from(ctx.index.bm25().term_score(idf, tf, norm));
                 }
             }
@@ -225,7 +225,7 @@ fn maxscore_union(
                 let before = entries.len();
                 streams[i].take_entries(ctx, &mut entries)?;
                 for &(term, tf) in &entries[before..] {
-                    let idf = ctx.index.term_info(term).idf;
+                    let idf = ctx.index.list(term).idf();
                     partial += f64::from(ctx.index.bm25().term_score(idf, tf, norm));
                 }
             }

@@ -604,7 +604,7 @@ fn drain_single_list(
 ) -> Result<(), Error> {
     let bm25 = *ctx.index.bm25();
     let norms = ctx.index.doc_norms();
-    let idf = ctx.index.term_info(c.term).idf;
+    let idf = ctx.index.list(c.term).idf();
 
     // Scores the whole unconsumed run of the current block and offers it.
     // `pre_counted` pivot rounds were already charged by a boundary round.
@@ -703,7 +703,7 @@ fn drain_wand_tail(
 ) -> Result<(), Error> {
     let bm25 = *ctx.index.bm25();
     let norms = ctx.index.doc_norms();
-    let idf = ctx.index.term_info(c.term).idf;
+    let idf = ctx.index.list(c.term).idf();
     let (block_reason, pop_reason) = skip_reasons(prune);
     let list_ub = f64::from(c.list_max());
     let mut theta = ThetaBound::new();
@@ -778,7 +778,6 @@ mod tests {
     use super::*;
     use crate::config::BossConfig;
     use crate::fetch::ExecCtx;
-    use boss_index::layout::IndexImage;
     use boss_index::{reference, IndexBuilder, InvertedIndex, QueryExpr, SearchHit};
 
     fn corpus() -> InvertedIndex {
@@ -817,8 +816,7 @@ mod tests {
         k: usize,
     ) -> (Vec<SearchHit>, crate::stats::EvalCounts) {
         let cfg = BossConfig::default().with_et(et).with_k(k);
-        let image = IndexImage::new(index);
-        let mut ctx = ExecCtx::new(index, &image, &cfg).unwrap();
+        let mut ctx = ExecCtx::new(index, &cfg).unwrap();
         let streams: Vec<UnionStream> = terms
             .iter()
             .enumerate()
@@ -939,8 +937,7 @@ mod tests {
         // Materialized stream mimicking an intersection output; union it
         // with a live cursor and check against manual evaluation.
         let cfg = BossConfig::default().with_k(1000);
-        let image = IndexImage::new(&idx);
-        let mut ctx = ExecCtx::new(&idx, &image, &cfg).unwrap();
+        let mut ctx = ExecCtx::new(&idx, &cfg).unwrap();
         let a = idx.term_id("alpha").unwrap();
         let g = idx.term_id("gamma").unwrap();
         let (adocs, atfs) = idx.list(a).decode_all().unwrap();

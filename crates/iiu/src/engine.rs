@@ -9,7 +9,6 @@ use boss_index::{
     ScoreScratch, TermId, BLOCK_META_BYTES,
 };
 use boss_scm::{AccessCategory, AccessKind, MemoryConfig, MemorySim, PatternHint};
-use std::sync::Arc;
 
 /// IIU configuration: core count, memory node, and module timing (kept
 /// identical to BOSS's for the paper's "same number of decompression and
@@ -76,7 +75,7 @@ impl IiuConfig {
 #[derive(Debug, Clone)]
 pub struct IiuEngine<'a> {
     index: &'a InvertedIndex,
-    image: Arc<IndexImage>,
+    image: IndexImage<'a>,
     config: IiuConfig,
     /// BOSS planning config reused for expression normalization (same
     /// 16-term limit).
@@ -85,7 +84,7 @@ pub struct IiuEngine<'a> {
 
 struct Run<'a> {
     index: &'a InvertedIndex,
-    image: &'a IndexImage,
+    image: IndexImage<'a>,
     mem: MemorySim,
     eval: EvalCounts,
     dec_cycles: Vec<u64>,
@@ -260,16 +259,16 @@ impl<'a> Run<'a> {
 /// `*_prune` counters.
 struct IiuPruneSink<'r, 'a> {
     run: &'r mut Run<'a>,
-    /// Deduplicated ascending terms; `slot` in callbacks indexes this.
-    terms: Vec<TermId>,
+    /// Per slot (the deduplicated ascending terms), where the term's
+    /// block directory and block data start in the image.
+    addrs: Vec<(u64, u64)>,
     /// Metadata records already charged per slot (directory read cursor).
     metas_charged: Vec<u64>,
 }
 
 impl PruneSink for IiuPruneSink<'_, '_> {
     fn meta_read(&mut self, slot: usize, blocks: u64) {
-        let addr = self.run.image.meta_addr(self.terms[slot])
-            + self.metas_charged[slot] * BLOCK_META_BYTES;
+        let addr = self.addrs[slot].0 + self.metas_charged[slot] * BLOCK_META_BYTES;
         self.run.mem.access(
             addr,
             blocks * BLOCK_META_BYTES,
@@ -284,7 +283,7 @@ impl PruneSink for IiuPruneSink<'_, '_> {
 
     fn block_decoded(&mut self, slot: usize, meta: &BlockMeta) {
         self.run.mem.access(
-            self.run.image.data_addr(self.terms[slot]) + u64::from(meta.offset),
+            self.addrs[slot].1 + u64::from(meta.offset),
             u64::from(meta.len).max(1),
             AccessKind::Read,
             AccessCategory::LdList,
@@ -332,7 +331,7 @@ impl<'a> IiuEngine<'a> {
         };
         IiuEngine {
             index,
-            image: Arc::new(IndexImage::new(index)),
+            image: IndexImage::new(index),
             config,
             plan_config,
         }
@@ -353,7 +352,7 @@ impl<'a> IiuEngine<'a> {
         let plan = QueryPlan::from_expr(self.index, expr, &self.plan_config)?;
         let mut run = Run {
             index: self.index,
-            image: &self.image,
+            image: self.image,
             mem: MemorySim::new(self.config.memory.clone()),
             eval: EvalCounts::default(),
             dec_cycles: vec![0; self.config.units_per_core.max(1) as usize],
@@ -374,10 +373,13 @@ impl<'a> IiuEngine<'a> {
             let mut ids: Vec<TermId> = plan.groups().iter().map(|g| g[0]).collect();
             ids.sort_unstable();
             ids.dedup();
+            let addrs = (ids.iter())
+                .map(|&t| (self.image.meta_addr(t), self.image.data_addr(t)))
+                .collect();
             let mut sink = IiuPruneSink {
                 run: &mut run,
                 metas_charged: vec![0; ids.len()],
-                terms: ids.clone(),
+                addrs,
             };
             let outcome =
                 prune::pruned_union_topk(self.index, &ids, self.config.algorithm, k, &mut sink)?;
@@ -397,7 +399,7 @@ impl<'a> IiuEngine<'a> {
             let term = plan.groups()[0][0];
             let (docs, tfs) = run.load_list(term)?;
             run.eval.comparisons += docs.len() as u64;
-            let idf = self.index.term_info(term).idf;
+            let idf = self.index.list(term).idf();
             let bm25 = *self.index.bm25();
             let norms = self.index.doc_norms();
             let mut block_scores = ScoreScratch::new();

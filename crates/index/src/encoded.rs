@@ -1,8 +1,31 @@
 //! Block-structured encoded posting lists with the paper's per-block
 //! metadata (Section IV-A "Index Structure and Per-block Metadata").
+//!
+//! # Storage
+//!
+//! An index's lists live in one `ListStore`: every block descriptor in
+//! one vector, every payload byte in another, list after list in term-id
+//! order — the flat image `init()` loads into the pool (Section IV-D) and
+//! [`crate::layout`] hands out addresses for. An [`EncodedList`] is a
+//! handle: the store (shared, reference-counted), which of its lists this
+//! is, and the list's scheme and term statistics. Where a list starts is
+//! kept in the store, and it ends where the next one starts, the last at
+//! the end of the vectors; a list encoded on its own is the only list of
+//! a store of its own.
+//!
+//! A block's `offset` stays relative to its list's payload, and a decode
+//! first narrows the store to that payload and then bounds-checks the
+//! block against it (`ListView`): whatever a descriptor claims, the
+//! bytes read are the list's own or the result is a typed error. The
+//! shared descriptors and bytes are never written after the store is
+//! sealed — the corruption hooks ([`EncodedList::data_mut`],
+//! [`EncodedList::blocks_mut`]) first move the list onto a private
+//! one-list store, where the vectors they hand out *are* the list.
 
 use crate::{Bm25, DocId, Error, PostingList, SchemeChoice};
 use boss_compress::{codec_for, BlockInfo, Scheme, ALL_SCHEMES};
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Number of postings per block. The paper uses 128-value blocks (with
 /// Simple16 nominally variable-size; we keep logical 128-value blocks for
@@ -48,23 +71,276 @@ impl BlockMeta {
     pub fn count(&self) -> usize {
         self.delta_info.count as usize
     }
+}
 
-    /// Whether the docID range `[first_doc, last_doc]` overlaps `[lo, hi]`.
-    pub fn overlaps(&self, lo: DocId, hi: DocId) -> bool {
-        self.first_doc <= hi && lo <= self.last_doc
+/// Where one list begins in its [`ListStore`]: the index of its first
+/// descriptor and of its first payload byte, in *image coordinates* —
+/// positions in the index image the list was laid out in
+/// ([`crate::layout`]). A store's own vectors begin at its first list's
+/// start, so for an index's store the two coincide.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct ListStart {
+    block: usize,
+    data: usize,
+}
+
+/// The storage behind one or more encoded lists: every list's block
+/// descriptors in one vector and every list's payload in another, back to
+/// back in list order — the order [`crate::layout::IndexImage`] lays an
+/// index out in, so the simulated address map is this host layout.
+///
+/// List `i` runs from `starts[i]` to `starts[i + 1]`; the last list runs
+/// to the end of the vectors. A store holding a single list therefore
+/// *is* that list, whatever its vectors grow or shrink to — which is what
+/// lets the corruption hooks ([`EncodedList::data_mut`]) hand out the
+/// vectors themselves once a list has been detached onto its own store.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ListStore {
+    starts: Vec<ListStart>,
+    blocks: Vec<BlockMeta>,
+    data: Vec<u8>,
+}
+
+impl ListStore {
+    /// An empty store with room for `lists` lists of `blocks` blocks and
+    /// `data_bytes` payload bytes in all. The last two are best given as
+    /// upper bounds where one is cheap to have: a vector that never has
+    /// to grow is never copied — while it is, the old and the new one are
+    /// both resident — and what it does not touch of an over-sized
+    /// reservation costs address space only, returned when the store is
+    /// sealed. A reservation the allocator refuses is done without.
+    pub(crate) fn with_capacity(lists: usize, blocks: usize, data_bytes: usize) -> Self {
+        let mut store = ListStore {
+            starts: Vec::with_capacity(lists),
+            ..ListStore::default()
+        };
+        let _ = store.blocks.try_reserve_exact(blocks);
+        let _ = store.data.try_reserve_exact(data_bytes);
+        store
+    }
+
+    /// Empties the store, keeping its allocations.
+    pub(crate) fn clear(&mut self) {
+        self.starts.clear();
+        self.blocks.clear();
+        self.data.clear();
+    }
+
+    /// The start of a list appended now.
+    fn end(&self) -> ListStart {
+        let origin = self.starts.first().copied().unwrap_or_default();
+        ListStart {
+            block: origin.block + self.blocks.len(),
+            data: origin.data + self.data.len(),
+        }
+    }
+
+    /// Appends a copy of `list`.
+    pub(crate) fn push(&mut self, list: ListView<'_>) {
+        self.starts.push(self.end());
+        self.blocks.extend_from_slice(list.blocks);
+        self.data.extend_from_slice(list.data);
+    }
+
+    /// Where list `list` lies in the vector of `len` elements that
+    /// `coordinate` positions a start in.
+    fn range(&self, list: usize, len: usize, coordinate: fn(&ListStart) -> usize) -> Range<usize> {
+        let origin = coordinate(&self.starts[0]);
+        let end = self.starts.get(list + 1);
+        coordinate(&self.starts[list]) - origin..end.map_or(len, |s| coordinate(s) - origin)
+    }
+
+    fn block_range(&self, list: usize) -> Range<usize> {
+        self.range(list, self.blocks.len(), |s| s.block)
+    }
+
+    fn data_range(&self, list: usize) -> Range<usize> {
+        self.range(list, self.data.len(), |s| s.data)
+    }
+
+    /// List `list` of the store, with the statistics kept beside it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store has no such list.
+    pub(crate) fn view(&self, list: usize, stats: ListStats) -> ListView<'_> {
+        ListView {
+            stats,
+            blocks: &self.blocks[self.block_range(list)],
+            data: &self.data[self.data_range(list)],
+        }
+    }
+
+    /// Freezes the store, trimmed to what it holds, and returns one handle
+    /// per list; `stats` are the lists' statistics in list order.
+    pub(crate) fn seal(mut self, stats: Vec<ListStats>) -> Vec<EncodedList> {
+        debug_assert_eq!(stats.len(), self.starts.len());
+        self.starts.shrink_to_fit();
+        self.blocks.shrink_to_fit();
+        self.data.shrink_to_fit();
+        let store = Arc::new(self);
+        let handle = |(ordinal, stats)| EncodedList {
+            store: Arc::clone(&store),
+            ordinal,
+            stats,
+        };
+        (0u32..).zip(stats).map(handle).collect()
+    }
+}
+
+/// What a list carries beside its blocks: its scheme and the term
+/// statistics the scorer needs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct ListStats {
+    pub scheme: Scheme,
+    pub df: u32,
+    pub idf: f32,
+    /// List-level maximum term score (feeds the WAND lookup table).
+    pub max_score: f32,
+}
+
+/// One encoded list as borrowed slices: what every decode runs on, be the
+/// bytes an [`EncodedList`]'s part of its store, a segment reader's
+/// current entry or a spill's scratch.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct ListView<'a> {
+    pub stats: ListStats,
+    pub blocks: &'a [BlockMeta],
+    /// The list's own payload: block `offset`s are relative to it and
+    /// every block is bounds-checked against it, so a corrupt descriptor
+    /// reads a typed error, never a neighbouring list's bytes.
+    pub data: &'a [u8],
+}
+
+impl ListView<'_> {
+    /// The sanitized block-max upper bound of block `i`: the stored
+    /// per-block max term score, or `+∞` when the stored value cannot be
+    /// an upper bound of anything (NaN, negative, or out of range).
+    ///
+    /// Pruning built on this accessor degrades safely under metadata
+    /// corruption: an implausible block-max turns into "never skip this
+    /// block", so the block is decoded and scored exhaustively instead of
+    /// silently dropping documents. A *plausible* finite lowering is
+    /// undetectable without decoding the block — that case is covered by
+    /// the decode-time containment checks and the score-vs-bound
+    /// verification in [`crate::prune`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range (callers iterate the blocks).
+    pub(crate) fn block_max_ub(&self, i: usize) -> f32 {
+        let m = self.blocks[i].max_score;
+        if m.is_finite() && m >= 0.0 {
+            m
+        } else {
+            f32::INFINITY
+        }
+    }
+
+    /// [`EncodedList::skip_to_block`].
+    pub(crate) fn skip_to_block(&self, from: usize, target: DocId) -> usize {
+        let from = from.min(self.blocks.len());
+        from + self.blocks[from..].partition_point(|m| m.last_doc < target)
+    }
+
+    /// [`EncodedList::decode_block`].
+    pub(crate) fn decode_block(
+        &self,
+        i: usize,
+        docs: &mut Vec<DocId>,
+        tfs: &mut Vec<u32>,
+    ) -> Result<(), Error> {
+        let meta = self.blocks.get(i).ok_or(Error::BlockOutOfRange {
+            block: i,
+            n_blocks: self.blocks.len(),
+        })?;
+        let codec = codec_for(self.stats.scheme);
+        let block = self
+            .data
+            .get(meta.offset as usize..meta.offset as usize + meta.len as usize)
+            .ok_or(Error::CorruptMetadata {
+                reason: "block offset/len outside the list data area",
+            })?;
+        if meta.tf_offset as usize > block.len() {
+            return Err(Error::CorruptMetadata {
+                reason: "tf sub-stream offset beyond the block data",
+            });
+        }
+        if meta.delta_info.count != meta.tf_info.count {
+            return Err(Error::CorruptMetadata {
+                reason: "docID and tf sub-stream counts disagree",
+            });
+        }
+        let (delta_part, tf_part) = block.split_at(meta.tf_offset as usize);
+
+        // The d-gap prefix sum is seeded with the previous block's last
+        // docID, or 0 for the first block (whose first stored gap is the
+        // absolute docID).
+        let base = if i == 0 {
+            0
+        } else {
+            self.blocks[i - 1].last_doc
+        };
+        codec.decode_d1(delta_part, &meta.delta_info, base, docs)?;
+
+        let tf_base = tfs.len();
+        codec.decode(tf_part, &meta.tf_info, tfs)?;
+        for tf in &mut tfs[tf_base..] {
+            *tf += 1;
+        }
+        Ok(())
+    }
+
+    /// [`EncodedList::decode_all_into`].
+    pub(crate) fn decode_all_into(&self, scratch: &mut DecodeScratch) -> Result<(), Error> {
+        scratch.clear();
+        // Clamp each block's claimed count so corrupt metadata cannot turn
+        // the up-front reserve into an oversized allocation; the per-block
+        // decode rejects the bogus count with a typed error anyway.
+        let total: usize = self
+            .blocks
+            .iter()
+            .map(|b| b.count().min(boss_compress::MAX_BLOCK_VALUES))
+            .sum();
+        scratch.docs.reserve(total);
+        scratch.tfs.reserve(total);
+        for i in 0..self.blocks.len() {
+            self.decode_block(i, &mut scratch.docs, &mut scratch.tfs)?;
+        }
+        Ok(())
     }
 }
 
 /// A posting list encoded into 128-value blocks under one scheme.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A handle: the descriptors and the payload live in a store the list
+/// shares with the other lists of its index (a list encoded on its own
+/// has a store to itself), and a clone shares them too. The corruption
+/// hooks copy the list onto a private store before handing out anything
+/// mutable, so no mutation is ever seen through another handle.
+#[derive(Clone)]
 pub struct EncodedList {
-    scheme: Scheme,
-    blocks: Vec<BlockMeta>,
-    data: Vec<u8>,
-    df: u32,
-    idf: f32,
-    /// List-level maximum term score (feeds the WAND lookup table).
-    max_score: f32,
+    store: Arc<ListStore>,
+    /// Which of the store's lists this is.
+    ordinal: u32,
+    stats: ListStats,
+}
+
+/// Lists are equal when their contents are, wherever they are stored.
+impl PartialEq for EncodedList {
+    fn eq(&self, other: &Self) -> bool {
+        self.view() == other.view()
+    }
+}
+
+impl std::fmt::Debug for EncodedList {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("EncodedList")
+            .field("stats", &self.stats)
+            .field("blocks", &self.blocks())
+            .field("data", &self.data())
+            .finish()
+    }
 }
 
 impl EncodedList {
@@ -107,7 +383,9 @@ impl EncodedList {
         norms: &[f32],
         block_size: usize,
     ) -> Result<Self, Error> {
-        ListEncoder::new().encode_blocked(
+        let mut store = ListStore::default();
+        let stats = ListEncoder::new().encode_blocked(
+            &mut store,
             list.docs(),
             list.tfs(),
             SchemeChoice::Fixed(scheme),
@@ -115,111 +393,117 @@ impl EncodedList {
             idf,
             norms,
             block_size,
-        )
+        )?;
+        Ok(Self::alone(store, stats))
     }
 
-    /// Reassembles a list from its serialized parts — the segment-file
-    /// load path. Crate-private: callers outside the crate go through
-    /// [`crate::segment`], whose readers validate the parts; the decode
-    /// paths themselves treat blocks/data as untrusted regardless.
-    pub(crate) fn from_parts(
-        scheme: Scheme,
-        blocks: Vec<BlockMeta>,
-        data: Vec<u8>,
-        df: u32,
-        idf: f32,
-        max_score: f32,
-    ) -> Self {
+    /// The handle of a store's only list.
+    fn alone(mut store: ListStore, stats: ListStats) -> Self {
+        debug_assert_eq!(store.starts.len(), 1);
+        store.blocks.shrink_to_fit();
+        store.data.shrink_to_fit();
         EncodedList {
-            scheme,
-            blocks,
-            data,
-            df,
-            idf,
-            max_score,
+            store: Arc::new(store),
+            ordinal: 0,
+            stats,
         }
+    }
+
+    /// A self-contained list holding a copy of `view` — how a segment
+    /// reader hands out an entry it has validated.
+    pub(crate) fn copy_of(view: ListView<'_>) -> Self {
+        let mut store = ListStore::default();
+        store.push(view);
+        Self::alone(store, view.stats)
+    }
+
+    pub(crate) fn view(&self) -> ListView<'_> {
+        self.store.view(self.ordinal as usize, self.stats)
+    }
+
+    /// Offset of the list's descriptor array in the index image: the
+    /// [`BLOCK_META_BYTES`]-sized records and the payload bytes of every
+    /// list laid out before it.
+    pub(crate) fn image_offset(&self) -> u64 {
+        let start = self.store.starts[self.ordinal as usize];
+        start.block as u64 * BLOCK_META_BYTES + start.data as u64
     }
 
     /// The compression scheme used.
     pub fn scheme(&self) -> Scheme {
-        self.scheme
+        self.stats.scheme
     }
 
     /// Block metadata records.
     pub fn blocks(&self) -> &[BlockMeta] {
-        &self.blocks
+        &self.store.blocks[self.store.block_range(self.ordinal as usize)]
     }
 
     /// Number of blocks.
     pub fn n_blocks(&self) -> usize {
-        self.blocks.len()
+        self.store.block_range(self.ordinal as usize).len()
     }
 
     /// Document frequency (number of postings).
     pub fn df(&self) -> u32 {
-        self.df
+        self.stats.df
     }
 
     /// The term's inverse document frequency.
     pub fn idf(&self) -> f32 {
-        self.idf
+        self.stats.idf
     }
 
     /// List-level maximum term score.
     pub fn max_score(&self) -> f32 {
-        self.max_score
+        self.stats.max_score
     }
 
     /// Total encoded data bytes (excluding metadata).
     pub fn data_bytes(&self) -> usize {
-        self.data.len()
+        self.store.data_range(self.ordinal as usize).len()
     }
 
     /// The raw encoded data area (docID gaps + tf sections of all blocks).
     pub fn data(&self) -> &[u8] {
-        &self.data
+        &self.store.data[self.store.data_range(self.ordinal as usize)]
+    }
+
+    /// The list's store, made private to this handle and holding this
+    /// list alone (at its place in the image, so the simulated addresses
+    /// of a mutated list do not move).
+    fn detach(&mut self) -> &mut ListStore {
+        if self.store.starts.len() != 1 || Arc::get_mut(&mut self.store).is_none() {
+            let view = self.view();
+            self.store = Arc::new(ListStore {
+                starts: vec![self.store.starts[self.ordinal as usize]],
+                blocks: view.blocks.to_vec(),
+                data: view.data.to_vec(),
+            });
+            self.ordinal = 0;
+        }
+        // Unique by now, so nothing is cloned.
+        Arc::make_mut(&mut self.store)
     }
 
     /// Mutable access to the encoded data area — a corruption-harness
     /// hook. Decoders must surface any mutation made here as a typed
-    /// error or decode to bit-correct values; they must never panic.
+    /// error or decode to bit-correct values; they must never panic. The
+    /// list is first detached from any storage it shares: the mutation is
+    /// this handle's alone.
     pub fn data_mut(&mut self) -> &mut Vec<u8> {
-        &mut self.data
+        &mut self.detach().data
     }
 
     /// Mutable access to the block metadata records — a corruption-harness
     /// hook, same contract as [`EncodedList::data_mut`].
     pub fn blocks_mut(&mut self) -> &mut Vec<BlockMeta> {
-        &mut self.blocks
+        &mut self.detach().blocks
     }
 
     /// Metadata bytes as accounted by the paper (19 B per block).
     pub fn meta_bytes(&self) -> u64 {
-        self.blocks.len() as u64 * BLOCK_META_BYTES
-    }
-
-    /// The sanitized block-max upper bound of block `i`: the stored
-    /// per-block max term score, or `+∞` when the stored value cannot be
-    /// an upper bound of anything (NaN, negative, or out of range).
-    ///
-    /// Pruning built on this accessor degrades safely under metadata
-    /// corruption: an implausible block-max turns into "never skip this
-    /// block", so the block is decoded and scored exhaustively instead of
-    /// silently dropping documents. A *plausible* finite lowering is
-    /// undetectable without decoding the block — that case is covered by
-    /// the decode-time containment checks and the score-vs-bound
-    /// verification in [`crate::prune`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range (callers iterate `0..n_blocks()`).
-    pub(crate) fn block_max_ub(&self, i: usize) -> f32 {
-        let m = self.blocks[i].max_score;
-        if m.is_finite() && m >= 0.0 {
-            m
-        } else {
-            f32::INFINITY
-        }
+        self.n_blocks() as u64 * BLOCK_META_BYTES
     }
 
     /// The first block at or after `from` that can contain `target`
@@ -227,19 +511,7 @@ impl EncodedList {
     /// block remains. A binary search over the block directory — the
     /// skip-advance primitive of the block-max algorithms.
     pub fn skip_to_block(&self, from: usize, target: DocId) -> usize {
-        let tail = &self.blocks[from.min(self.blocks.len())..];
-        from.min(self.blocks.len()) + tail.partition_point(|m| m.last_doc < target)
-    }
-
-    /// The docID the d-gap prefix sum of block `i` is seeded with: the
-    /// previous block's last docID, or 0 for the first block (whose first
-    /// stored gap is the absolute docID).
-    fn block_base(&self, i: usize) -> DocId {
-        if i == 0 {
-            0
-        } else {
-            self.blocks[i - 1].last_doc
-        }
+        self.view().skip_to_block(from, target)
     }
 
     /// Decodes block `i`, appending docIDs and tfs to the output columns.
@@ -252,45 +524,15 @@ impl EncodedList {
     ///
     /// Returns [`Error::BlockOutOfRange`] if `i` is out of range,
     /// [`Error::CorruptMetadata`] if the block descriptor points outside
-    /// the data area or its sub-stream counts disagree, and codec errors
-    /// on corrupt encoded bytes.
+    /// the list's data area or its sub-stream counts disagree, and codec
+    /// errors on corrupt encoded bytes.
     pub fn decode_block(
         &self,
         i: usize,
         docs: &mut Vec<DocId>,
         tfs: &mut Vec<u32>,
     ) -> Result<(), Error> {
-        let meta = self.blocks.get(i).ok_or(Error::BlockOutOfRange {
-            block: i,
-            n_blocks: self.blocks.len(),
-        })?;
-        let codec = codec_for(self.scheme);
-        let block = self
-            .data
-            .get(meta.offset as usize..meta.offset as usize + meta.len as usize)
-            .ok_or(Error::CorruptMetadata {
-                reason: "block offset/len outside the list data area",
-            })?;
-        if meta.tf_offset as usize > block.len() {
-            return Err(Error::CorruptMetadata {
-                reason: "tf sub-stream offset beyond the block data",
-            });
-        }
-        if meta.delta_info.count != meta.tf_info.count {
-            return Err(Error::CorruptMetadata {
-                reason: "docID and tf sub-stream counts disagree",
-            });
-        }
-        let (delta_part, tf_part) = block.split_at(meta.tf_offset as usize);
-
-        codec.decode_d1(delta_part, &meta.delta_info, self.block_base(i), docs)?;
-
-        let tf_base = tfs.len();
-        codec.decode(tf_part, &meta.tf_info, tfs)?;
-        for tf in &mut tfs[tf_base..] {
-            *tf += 1;
-        }
-        Ok(())
+        self.view().decode_block(i, docs, tfs)
     }
 
     /// Decodes block `i` into `scratch`, replacing its previous contents.
@@ -322,25 +564,11 @@ impl EncodedList {
     ///
     /// Returns codec errors on corrupt data.
     pub fn decode_all_into(&self, scratch: &mut DecodeScratch) -> Result<(), Error> {
-        scratch.clear();
-        // Clamp each block's claimed count so corrupt metadata cannot turn
-        // the up-front reserve into an oversized allocation; the per-block
-        // decode rejects the bogus count with a typed error anyway.
-        let total: usize = self
-            .blocks
-            .iter()
-            .map(|b| b.count().min(boss_compress::MAX_BLOCK_VALUES))
-            .sum();
-        scratch.docs.reserve(total);
-        scratch.tfs.reserve(total);
-        for i in 0..self.blocks.len() {
-            self.decode_block(i, &mut scratch.docs, &mut scratch.tfs)?;
-        }
-        Ok(())
+        self.view().decode_all_into(scratch)
     }
 }
 
-/// The one place a posting list becomes an [`EncodedList`]: every
+/// The one place a posting list becomes an encoded list: every
 /// construction path — [`crate::IndexBuilder::build`], SPIMI spills, the
 /// segment merge and [`crate::shard::ShardedIndex::split`] — encodes
 /// through it, so the hybrid tie-break that is the index's on-disk
@@ -352,15 +580,13 @@ impl EncodedList {
 /// and list maxima of the BM25 term score — once, then *sizes* the blocks
 /// under each candidate scheme ([`boss_compress::Codec::encoded_len`]:
 /// the bytes of an encode without the output) and encodes them once,
-/// under the winner. The scratch is reused across calls; the returned
-/// list owns exactly-sized copies.
+/// under the winner, straight onto the end of the destination store. The
+/// scratch is reused across calls.
 #[derive(Debug, Default)]
 pub struct ListEncoder {
     gaps: Vec<u32>,
     tfs_m1: Vec<u32>,
     block_max: Vec<f32>,
-    data: Vec<u8>,
-    blocks: Vec<BlockMeta>,
 }
 
 impl ListEncoder {
@@ -371,7 +597,8 @@ impl ListEncoder {
 
     /// Encodes the posting columns `docs`/`tfs` into [`BLOCK_SIZE`]-value
     /// blocks under `choice`, computing block-max scores with `bm25`, the
-    /// term's `idf`, and the per-document norms.
+    /// term's `idf`, and the per-document norms. The returned list has a
+    /// store to itself.
     ///
     /// # Errors
     ///
@@ -396,14 +623,34 @@ impl ListEncoder {
         idf: f32,
         norms: &[f32],
     ) -> Result<EncodedList, Error> {
-        self.encode_blocked(docs, tfs, choice, bm25, idf, norms, BLOCK_SIZE)
+        let mut store = ListStore::default();
+        let stats = self.encode_into(&mut store, docs, tfs, choice, bm25, idf, norms)?;
+        Ok(EncodedList::alone(store, stats))
     }
 
-    /// [`ListEncoder::encode`] with an explicit block size (the ablation
-    /// study's entry, via [`EncodedList::encode_with_block_size`]).
+    /// [`ListEncoder::encode`] onto the end of `store`, as its next list;
+    /// on an error the store is as it was.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn encode_into(
+        &mut self,
+        store: &mut ListStore,
+        docs: &[DocId],
+        tfs: &[u32],
+        choice: SchemeChoice,
+        bm25: &Bm25,
+        idf: f32,
+        norms: &[f32],
+    ) -> Result<ListStats, Error> {
+        self.encode_blocked(store, docs, tfs, choice, bm25, idf, norms, BLOCK_SIZE)
+    }
+
+    /// [`ListEncoder::encode_into`] with an explicit block size (the
+    /// ablation study's entry, via
+    /// [`EncodedList::encode_with_block_size`]).
     #[allow(clippy::too_many_arguments)]
     fn encode_blocked(
         &mut self,
+        store: &mut ListStore,
         docs: &[DocId],
         tfs: &[u32],
         choice: SchemeChoice,
@@ -411,7 +658,7 @@ impl ListEncoder {
         idf: f32,
         norms: &[f32],
         block_size: usize,
-    ) -> Result<EncodedList, Error> {
+    ) -> Result<ListStats, Error> {
         assert!(block_size > 0 && block_size <= boss_compress::MAX_BLOCK_VALUES);
         assert_eq!(docs.len(), tfs.len(), "column lengths must match");
 
@@ -461,12 +708,18 @@ impl ListEncoder {
                 scheme
             }
         };
-        self.encode_under(scheme, docs, block_size)?;
 
-        Ok(EncodedList {
+        let (n_lists, n_blocks, n_data) =
+            (store.starts.len(), store.blocks.len(), store.data.len());
+        store.starts.push(store.end());
+        if let Err(e) = self.encode_under(scheme, docs, block_size, store) {
+            store.starts.truncate(n_lists);
+            store.blocks.truncate(n_blocks);
+            store.data.truncate(n_data);
+            return Err(e);
+        }
+        Ok(ListStats {
             scheme,
-            blocks: self.blocks.clone(),
-            data: self.data.clone(),
             df: docs.len() as u32,
             idf,
             max_score: list_max,
@@ -494,17 +747,18 @@ impl ListEncoder {
     }
 
     /// Encodes the prepared gap / `tf - 1` streams block by block under
-    /// `scheme` into the output buffers.
+    /// `scheme` onto the end of `store`; block offsets are relative to
+    /// where the list's payload begins.
     fn encode_under(
-        &mut self,
+        &self,
         scheme: Scheme,
         docs: &[DocId],
         block_size: usize,
+        store: &mut ListStore,
     ) -> Result<(), Error> {
         let codec = codec_for(scheme);
-        let (data, blocks) = (&mut self.data, &mut self.blocks);
-        data.clear();
-        blocks.clear();
+        let (data, blocks) = (&mut store.data, &mut store.blocks);
+        let list_start = data.len();
         let streams = self
             .gaps
             .chunks(block_size)
@@ -512,17 +766,16 @@ impl ListEncoder {
         for ((bdocs, (gaps, tfs_m1)), &max_score) in
             docs.chunks(block_size).zip(streams).zip(&self.block_max)
         {
-            let offset = data.len() as u32;
+            let block_start = data.len();
             let delta_info = codec.encode(gaps, data)?;
-            let tf_offset = data.len() as u32 - offset;
+            let tf_offset = (data.len() - block_start) as u32;
             let tf_info = codec.encode(tfs_m1, data)?;
-            let len = data.len() as u32 - offset;
             blocks.push(BlockMeta {
                 first_doc: bdocs[0],
                 last_doc: bdocs[bdocs.len() - 1],
                 max_score,
-                offset,
-                len,
+                offset: (block_start - list_start) as u32,
+                len: (data.len() - block_start) as u32,
                 tf_offset,
                 delta_info,
                 tf_info,
@@ -581,6 +834,8 @@ impl DecodeScratch {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
     use crate::Bm25Params;
     use boss_compress::ALL_SCHEMES;
@@ -657,25 +912,6 @@ mod tests {
             .map(|m| m.max_score)
             .fold(0.0f32, f32::max);
         assert!((enc.max_score() - list_max).abs() < 1e-9);
-    }
-
-    #[test]
-    fn overlap_check() {
-        let m = BlockMeta {
-            first_doc: 100,
-            last_doc: 200,
-            max_score: 0.0,
-            offset: 0,
-            len: 0,
-            tf_offset: 0,
-            delta_info: BlockInfo::default(),
-            tf_info: BlockInfo::default(),
-        };
-        assert!(m.overlaps(150, 160));
-        assert!(m.overlaps(0, 100));
-        assert!(m.overlaps(200, 300));
-        assert!(!m.overlaps(0, 99));
-        assert!(!m.overlaps(201, 999));
     }
 
     #[test]
@@ -756,6 +992,86 @@ mod tests {
                 "scheme {s} reserved for corrupt counts"
             );
         }
+    }
+
+    /// Three lists in one store, as an index holds them.
+    fn shared_store() -> (ListStore, Vec<ListStats>) {
+        let norms = vec![1.0f32; 1500];
+        let mut store = ListStore::default();
+        let mut encoder = ListEncoder::new();
+        let stats = [(500, 3), (300, 2), (400, 1)].map(|(n, stride)| {
+            let list = sample_list(n, stride);
+            encoder
+                .encode_into(
+                    &mut store,
+                    list.docs(),
+                    list.tfs(),
+                    SchemeChoice::Fixed(Scheme::Vb),
+                    &bm25(),
+                    2.0,
+                    &norms,
+                )
+                .unwrap()
+        });
+        (store, stats.to_vec())
+    }
+
+    #[test]
+    fn a_descriptor_never_reaches_a_neighbours_bytes() {
+        let (mut store, stats) = shared_store();
+        let middle = store.view(1, stats[1]);
+        let (own_len, first_len) = (middle.data.len() as u32, middle.blocks[0].len);
+        assert_eq!(middle.decode_all_into(&mut DecodeScratch::new()), Ok(()));
+
+        // The bytes claimed below all exist in the store — they are the
+        // next list's, or the previous one's tail is where a wrapped
+        // offset would land — but not in the middle list's payload.
+        let at = store.block_range(1).start;
+        for (offset, len) in [
+            (own_len, first_len),
+            (own_len - first_len + 1, first_len),
+            (0, own_len + 1),
+            (u32::MAX, 2),
+        ] {
+            store.blocks[at].offset = offset;
+            store.blocks[at].len = len;
+            let err = store
+                .view(1, stats[1])
+                .decode_block(0, &mut Vec::new(), &mut Vec::new())
+                .unwrap_err();
+            assert!(
+                matches!(err, Error::CorruptMetadata { .. }),
+                "{offset}+{len}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_mutated_list_leaves_the_store_it_shared() {
+        let (store, stats) = shared_store();
+        let lists = store.seal(stats);
+        let pristine = lists.clone();
+        let mut victim = lists[1].clone();
+        let address = victim.image_offset();
+        assert_eq!(
+            address,
+            lists[0].meta_bytes() + lists[0].data_bytes() as u64
+        );
+
+        victim.data_mut().extend_from_slice(&[0xAB; 7]);
+        victim.blocks_mut().pop();
+        assert_eq!(victim.data_bytes(), lists[1].data_bytes() + 7);
+        assert_eq!(victim.n_blocks(), lists[1].n_blocks() - 1);
+        assert_eq!(
+            victim.image_offset(),
+            address,
+            "a detached list keeps its place"
+        );
+        assert_eq!(lists, pristine, "no other handle saw the mutation");
+        assert_eq!(
+            lists[2].image_offset(),
+            address + lists[1].meta_bytes() + lists[1].data_bytes() as u64
+        );
     }
 
     #[test]

@@ -6,44 +6,38 @@
 //! (Section IV-D): per term, a metadata array (19 B per block) followed by
 //! the compressed block data; after all lists, the per-document scoring
 //! metadata table (4 B per document).
+//!
+//! The index is held in that order — all descriptors in one vector, all
+//! payload in another, both by term id — so the map is arithmetic on where
+//! a list starts in the two: `d` descriptors and `p` payload bytes laid
+//! out before it put its metadata array at `IMAGE_BASE + 19·d + p`, and
+//! its data area right after its own descriptors. Nothing is tabulated
+//! per term, and an [`IndexImage`] costs nothing to make.
 
-use crate::{DocId, InvertedIndex, TermId, BLOCK_META_BYTES};
+use crate::{DocId, InvertedIndex, TermId};
 
 /// Base virtual address of the index image. Non-zero so address arithmetic
 /// bugs surface, 2 GiB-aligned to play nicely with the paper's huge pages.
 pub(crate) const IMAGE_BASE: u64 = 0x8000_0000;
 
-/// Address map of one index image.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IndexImage {
-    meta_addr: Vec<u64>,
-    data_addr: Vec<u64>,
+/// Address map of one index image: a view of the index it was made from.
+#[derive(Debug, Clone, Copy)]
+pub struct IndexImage<'a> {
+    index: &'a InvertedIndex,
     norms_addr: u64,
-    total_bytes: u64,
-    n_docs: u32,
 }
 
-impl IndexImage {
-    /// Lays out `index` starting at `IMAGE_BASE`.
-    pub fn new(index: &InvertedIndex) -> Self {
-        let mut cursor = IMAGE_BASE;
-        let mut meta_addr = Vec::with_capacity(index.n_terms());
-        let mut data_addr = Vec::with_capacity(index.n_terms());
-        for id in index.term_ids() {
-            let list = index.list(id);
-            meta_addr.push(cursor);
-            cursor += list.n_blocks() as u64 * BLOCK_META_BYTES;
-            data_addr.push(cursor);
-            cursor += list.data_bytes() as u64;
-        }
-        let norms_addr = cursor;
-        cursor += u64::from(index.n_docs()) * 4;
+impl<'a> IndexImage<'a> {
+    /// The image of `index`, starting at `IMAGE_BASE`.
+    pub fn new(index: &'a InvertedIndex) -> Self {
+        // The norm table follows the last list.
+        let lists_end = index.n_terms().checked_sub(1).map_or(IMAGE_BASE, |last| {
+            let list = index.list(last as TermId);
+            IMAGE_BASE + list.image_offset() + list.meta_bytes() + list.data_bytes() as u64
+        });
         IndexImage {
-            meta_addr,
-            data_addr,
-            norms_addr,
-            total_bytes: cursor - IMAGE_BASE,
-            n_docs: index.n_docs(),
+            index,
+            norms_addr: lists_end,
         }
     }
 
@@ -53,7 +47,7 @@ impl IndexImage {
     ///
     /// Panics if `term` is out of range.
     pub fn meta_addr(&self, term: TermId) -> u64 {
-        self.meta_addr[term as usize]
+        IMAGE_BASE + self.index.list(term).image_offset()
     }
 
     /// Address of the compressed data area of a term's list.
@@ -62,7 +56,8 @@ impl IndexImage {
     ///
     /// Panics if `term` is out of range.
     pub fn data_addr(&self, term: TermId) -> u64 {
-        self.data_addr[term as usize]
+        let list = self.index.list(term);
+        IMAGE_BASE + list.image_offset() + list.meta_bytes()
     }
 
     /// Address of a document's 4-byte scoring metadata (BM25 norm).
@@ -72,12 +67,12 @@ impl IndexImage {
 
     /// Total bytes occupied by the image.
     pub fn total_bytes(&self) -> u64 {
-        self.total_bytes
+        self.end_addr() - IMAGE_BASE
     }
 
     /// One past the highest address of the image.
     pub fn end_addr(&self) -> u64 {
-        IMAGE_BASE + self.total_bytes
+        self.norms_addr + u64::from(self.index.n_docs()) * 4
     }
 }
 
@@ -89,7 +84,7 @@ pub struct ScratchRegion {
 
 impl ScratchRegion {
     /// Creates a scratch region starting after `image`.
-    pub fn after(image: &IndexImage) -> Self {
+    pub fn after(image: &IndexImage<'_>) -> Self {
         // Align to the next 4 KiB.
         ScratchRegion {
             cursor: image.end_addr().div_ceil(4096) * 4096,
@@ -107,20 +102,19 @@ impl ScratchRegion {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::IndexBuilder;
+    use crate::{IndexBuilder, BLOCK_META_BYTES};
 
-    fn image() -> (InvertedIndex, IndexImage) {
-        let idx = IndexBuilder::new()
+    fn index() -> InvertedIndex {
+        IndexBuilder::new()
             .add_documents(["a b c d", "a c", "b d", "a a a"])
             .build()
-            .unwrap();
-        let img = IndexImage::new(&idx);
-        (idx, img)
+            .unwrap()
     }
 
     #[test]
     fn regions_are_disjoint_and_ordered() {
-        let (idx, img) = image();
+        let idx = index();
+        let img = IndexImage::new(&idx);
         let mut prev_end = IMAGE_BASE;
         for id in idx.term_ids() {
             assert_eq!(img.meta_addr(id), prev_end);
@@ -134,13 +128,15 @@ mod tests {
 
     #[test]
     fn norm_addresses_stride_4() {
-        let (_, img) = image();
+        let idx = index();
+        let img = IndexImage::new(&idx);
         assert_eq!(img.norm_addr(3) - img.norm_addr(0), 12);
     }
 
     #[test]
     fn scratch_after_image() {
-        let (_, img) = image();
+        let idx = index();
+        let img = IndexImage::new(&idx);
         let mut s = ScratchRegion::after(&img);
         let a = s.alloc(100);
         assert!(a >= img.end_addr());
@@ -151,7 +147,8 @@ mod tests {
 
     #[test]
     fn total_bytes_consistent() {
-        let (idx, img) = image();
+        let idx = index();
+        let img = IndexImage::new(&idx);
         let expect: u64 =
             idx.total_meta_bytes() + idx.total_data_bytes() + u64::from(idx.n_docs()) * 4;
         assert_eq!(img.total_bytes(), expect);

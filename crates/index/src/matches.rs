@@ -229,7 +229,7 @@ pub fn union_scored(
             }
         }
         for run in columns.chunk_by(|a, b| a.0 == b.0) {
-            let idf = index.term_info(run[0].0).idf;
+            let idf = index.list(run[0].0).idf();
             // A term that several groups carry adds once per document.
             let shared = run.len() > 1;
             let mut seen: SlotBits = [0; WINDOW / 64];
@@ -278,7 +278,7 @@ fn sort_distinct(entries: &mut Vec<(TermId, u32)>) {
 pub(crate) fn score_entries(index: &InvertedIndex, entries: &[(TermId, u32)], norm: f32) -> f32 {
     let mut score = 0.0f32;
     for &(term, tf) in entries {
-        score += index.bm25().term_score(index.term_info(term).idf, tf, norm);
+        score += index.bm25().term_score(index.list(term).idf(), tf, norm);
     }
     score
 }

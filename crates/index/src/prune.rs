@@ -1,7 +1,7 @@
 //! Index-level dynamic-pruning evaluators (MaxScore / WAND / BMW / BMM).
 //!
 //! This module is the *portable* half of the pruning tentpole: a
-//! self-contained evaluator over [`EncodedList`] block metadata that the
+//! self-contained evaluator over [`crate::EncodedList`] block metadata that the
 //! host-style engines (IIU, the Lucene-like baseline) and the property
 //! tests drive directly. The BOSS device pipeline has its own
 //! implementation in `boss-core` (it must thread through the simulated
@@ -36,7 +36,7 @@
 //! the detectable classes.
 
 use crate::algorithm::QueryAlgorithm;
-use crate::encoded::{BlockMeta, EncodedList};
+use crate::encoded::{BlockMeta, ListView};
 use crate::index::{InvertedIndex, TermId};
 use crate::matches::canonical_score;
 use crate::query::SearchHit;
@@ -174,7 +174,8 @@ fn sanitize_ub(raw: f32) -> f32 {
 struct Cursor<'a> {
     slot: usize,
     term: TermId,
-    list: &'a EncodedList,
+    /// The list's descriptors and payload, taken from the index once.
+    list: ListView<'a>,
     /// Sanitized list-level score upper bound.
     ub: f32,
     /// Current block index (`== n_blocks` once exhausted).
@@ -196,12 +197,12 @@ impl<'a> Cursor<'a> {
         term: TermId,
         sink: &mut S,
     ) -> Self {
-        let list = index.list(term);
+        let list = index.list(term).view();
         let mut c = Cursor {
             slot,
             term,
             list,
-            ub: sanitize_ub(list.max_score()),
+            ub: sanitize_ub(list.stats.max_score),
             block: 0,
             docs: Vec::new(),
             tfs: Vec::new(),
@@ -213,11 +214,11 @@ impl<'a> Cursor<'a> {
     }
 
     fn exhausted(&self) -> bool {
-        self.block >= self.list.n_blocks()
+        self.block >= self.list.blocks.len()
     }
 
     fn meta(&self) -> &BlockMeta {
-        &self.list.blocks()[self.block]
+        &self.list.blocks[self.block]
     }
 
     fn decoded(&self) -> bool {
@@ -325,10 +326,10 @@ impl<'a> Cursor<'a> {
     /// the list has no docID at or beyond `target`.
     fn shallow(&self, target: DocId) -> (f32, DocId) {
         let b = self.list.skip_to_block(self.block, target);
-        if b >= self.list.n_blocks() {
+        if b >= self.list.blocks.len() {
             (0.0, DocId::MAX)
         } else {
-            (self.list.block_max_ub(b), self.list.blocks()[b].last_doc)
+            (self.list.block_max_ub(b), self.list.blocks[b].last_doc)
         }
     }
 
@@ -343,12 +344,12 @@ impl<'a> Cursor<'a> {
             sink.docs_skipped(self.slot, (self.docs.len() - self.pos) as u64);
             from += 1;
         }
-        let tail = &self.list.blocks()[from..];
+        let tail = &self.list.blocks[from..];
         if !tail.is_empty() {
             let docs: u64 = tail.iter().map(|m| m.count() as u64).sum();
             sink.blocks_skipped(self.slot, tail.len() as u64, docs);
         }
-        self.block = self.list.n_blocks();
+        self.block = self.list.blocks.len();
         self.docs.clear();
         self.tfs.clear();
         self.pos = 0;
@@ -364,9 +365,7 @@ impl<'a> Cursor<'a> {
         sink: &mut S,
     ) -> Result<(TermId, u32, f32), Error> {
         let tf = self.tfs[self.pos];
-        let score = index
-            .bm25()
-            .term_score(index.term_info(self.term).idf, tf, norm);
+        let score = index.bm25().term_score(self.list.stats.idf, tf, norm);
         if score > self.list.block_max_ub(self.block) || score > self.ub {
             return Err(Error::CorruptMetadata {
                 reason: "posting score exceeds its block-max bound",

@@ -207,8 +207,8 @@ pub fn evaluate(
         let norm = index.doc_norms()[doc as usize];
         let mut score = 0.0f32;
         for &id in &contributing {
-            let info = index.term_info(id);
-            score += index.bm25().term_score(info.idf, terms[&id], norm);
+            let idf = index.list(id).idf();
+            score += index.bm25().term_score(idf, terms[&id], norm);
         }
         hits.push(SearchHit { doc, score });
     }

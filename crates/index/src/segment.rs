@@ -42,7 +42,8 @@
 //! an abort in the allocator. All failures are typed [`IoError`]s.
 
 use crate::builder::scoring_from_lens;
-use crate::index::{InvertedIndex, TermInfo};
+use crate::encoded::{ListStats, ListView};
+use crate::index::{IndexAssembler, InvertedIndex};
 use crate::io::IoError;
 use crate::{BlockMeta, Bm25Params, EncodedList};
 use boss_compress::{BlockInfo, Scheme};
@@ -185,6 +186,35 @@ fn field_u32(value: usize, what: &str) -> Result<u32, IoError> {
     })
 }
 
+/// What the descriptors of every list an encoder produced satisfy, and a
+/// decode would otherwise be the first to miss: each block lies inside
+/// the list's `data_len` payload bytes with its tf section inside the
+/// block, holds as many gaps as tfs, spans an ascending docID range, and
+/// ends after the block before it. The writer refuses a list that breaks
+/// one, and the reader an entry, before its bytes go anywhere.
+fn check_descriptors(blocks: &[BlockMeta], data_len: usize) -> Result<(), &'static str> {
+    let mut prev_last = None;
+    for b in blocks {
+        if b.offset as usize + b.len as usize > data_len {
+            return Err("block offset/len outside the list data area");
+        }
+        if b.tf_offset > b.len {
+            return Err("tf sub-stream offset beyond the block data");
+        }
+        if b.delta_info.count != b.tf_info.count {
+            return Err("docID and tf sub-stream counts disagree");
+        }
+        if b.first_doc > b.last_doc {
+            return Err("block's first docID above its last");
+        }
+        if prev_last.is_some_and(|p| b.last_doc <= p) {
+            return Err("blocks' last docIDs not strictly ascending");
+        }
+        prev_last = Some(b.last_doc);
+    }
+    Ok(())
+}
+
 /// Where one dictionary entry landed in the file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct EntryRegions {
@@ -264,13 +294,14 @@ impl<W: Write> SegmentWriter<W> {
     /// # Errors
     ///
     /// [`IoError::Invalid`] for a term out of order, too long or past
-    /// the declared count, a docID outside `0..n_docs`, or a list too
-    /// large for the format's `u32` fields; [`IoError::Io`] on write
-    /// failure.
+    /// the declared count, a docID outside `0..n_docs`, descriptors that
+    /// do not describe the list's payload (`check_descriptors`), or a
+    /// list too large for the format's `u32` fields; [`IoError::Io`] on
+    /// write failure.
     pub(crate) fn push_term(
         &mut self,
         term: &str,
-        list: &EncodedList,
+        list: ListView<'_>,
     ) -> Result<EntryRegions, IoError> {
         if self.terms_left == 0 {
             return Err(IoError::Invalid(crate::Error::InvalidQuery {
@@ -284,30 +315,32 @@ impl<W: Write> SegmentWriter<W> {
         }
         let term_len = term_len(term).map_err(IoError::Invalid)?;
         let n_docs = self.n_docs;
-        if list.blocks().last().is_some_and(|b| b.last_doc >= n_docs) {
+        if list.blocks.last().is_some_and(|b| b.last_doc >= n_docs) {
             return Err(IoError::Invalid(crate::Error::InvalidQuery {
                 reason: format!("term {term:?} has docIDs outside the segment's {n_docs} docs"),
             }));
         }
-        let n_blocks = field_u32(list.n_blocks(), "block count")?;
-        let data_len = field_u32(list.data_bytes(), "payload length")?;
+        check_descriptors(list.blocks, list.data.len())
+            .map_err(|reason| IoError::Invalid(crate::Error::CorruptMetadata { reason }))?;
+        let n_blocks = field_u32(list.blocks.len(), "block count")?;
+        let data_len = field_u32(list.data.len(), "payload length")?;
 
         let (w, entry) = (&mut self.w, &mut self.entry);
         let entry_start = w.written;
         entry.clear();
         entry.extend_from_slice(&term_len.to_le_bytes());
         entry.extend_from_slice(term.as_bytes());
-        entry.push(scheme_tag(list.scheme()));
-        entry.extend_from_slice(&list.df().to_le_bytes());
-        entry.extend_from_slice(&list.idf().to_le_bytes());
-        entry.extend_from_slice(&list.max_score().to_le_bytes());
+        entry.push(scheme_tag(list.stats.scheme));
+        entry.extend_from_slice(&list.stats.df.to_le_bytes());
+        entry.extend_from_slice(&list.stats.idf.to_le_bytes());
+        entry.extend_from_slice(&list.stats.max_score.to_le_bytes());
         entry.extend_from_slice(&n_blocks.to_le_bytes());
         entry.extend_from_slice(&data_len.to_le_bytes());
         w.put(entry)?;
 
         let desc_start = w.written;
         entry.clear();
-        for b in list.blocks() {
+        for b in list.blocks {
             entry.extend_from_slice(&b.first_doc.to_le_bytes());
             entry.extend_from_slice(&b.last_doc.to_le_bytes());
             entry.extend_from_slice(&b.max_score.to_le_bytes());
@@ -323,7 +356,7 @@ impl<W: Write> SegmentWriter<W> {
         w.put(entry)?;
 
         let data_start = w.written;
-        w.put(list.data())?;
+        w.put(list.data)?;
 
         self.terms_left -= 1;
         let prev = self.prev.get_or_insert_default();
@@ -390,7 +423,7 @@ pub fn write_segment<W: Write>(
         ..SegmentRegions::default()
     };
     for (term, list) in terms {
-        let entry = w.push_term(term, list)?;
+        let entry = w.push_term(term, list.view())?;
         regions.term_headers.push(entry.header);
         regions.descriptors.push(entry.descriptors);
         regions.payloads.push(entry.payload);
@@ -463,7 +496,7 @@ impl<R: Read> HashingReader<R> {
 ///
 /// The FNV-1a trailer is verified when the last term has been consumed;
 /// until then, per-field validation (claim caps, monotone terms, df
-/// bounds) catches structural corruption early.
+/// bounds, `check_descriptors`) catches structural corruption early.
 #[derive(Debug)]
 pub struct SegmentReader<R: Read> {
     r: HashingReader<R>,
@@ -471,8 +504,15 @@ pub struct SegmentReader<R: Read> {
     header: SegmentHeader,
     doc_lens: Vec<u32>,
     terms_left: u32,
-    prev_term: Option<String>,
-    /// Raw bytes of the descriptor run being parsed, reused across terms.
+    /// The current dictionary entry — the last one [`SegmentReader::advance`]
+    /// read and validated — in buffers reused from entry to entry; `None`
+    /// before the first and after the last. The term stays in `term` as
+    /// the one the next must sort after.
+    current: Option<ListStats>,
+    term: String,
+    blocks: Vec<BlockMeta>,
+    data: Vec<u8>,
+    /// Raw bytes of the term or descriptor run being parsed.
     raw: Vec<u8>,
     verified: bool,
 }
@@ -508,7 +548,10 @@ impl<R: Read> SegmentReader<R> {
             },
             doc_lens: Vec::new(),
             terms_left: 0,
-            prev_term: None,
+            current: None,
+            term: String::new(),
+            blocks: Vec::new(),
+            data: Vec::new(),
             raw: Vec::new(),
             verified: false,
         };
@@ -554,6 +597,14 @@ impl<R: Read> SegmentReader<R> {
         &self.doc_lens
     }
 
+    /// The most blocks and payload bytes the segment's lists can hold in
+    /// all, going by the size of the input: each block has its
+    /// descriptor in it, each payload byte is one of its bytes.
+    pub(crate) fn list_bounds(&self) -> (usize, usize) {
+        let len = usize::try_from(self.input_len).unwrap_or(usize::MAX);
+        (len / SEG_DESCRIPTOR_BYTES as usize, len)
+    }
+
     /// Rejects any on-disk claim that exceeds the bytes actually left in
     /// the input — the rule that keeps corrupt counts from ever reaching
     /// an allocator.
@@ -585,18 +636,47 @@ impl<R: Read> SegmentReader<R> {
         Ok(f32::from_le_bytes(b))
     }
 
-    /// Reads the next dictionary term and its encoded list, or `None`
-    /// after the last term — at which point the checksum trailer has been
-    /// read and verified.
+    /// Reads the next dictionary term and its encoded list — a copy with
+    /// a store to itself — or `None` after the last term, at which point
+    /// the checksum trailer has been read and verified.
     ///
     /// # Errors
     ///
     /// [`IoError::Corrupt`] on any structural violation: claims beyond
     /// the file size, terms out of lexical order, invalid UTF-8, df
     /// above the segment's document count, descriptor counts that do not
-    /// sum to df, or a checksum mismatch.
-    #[allow(clippy::too_many_lines)]
+    /// sum to df, descriptors that do not describe the entry's payload,
+    /// or a checksum mismatch.
     pub fn next_term(&mut self) -> Result<Option<(String, EncodedList)>, IoError> {
+        self.advance()?;
+        Ok(self
+            .current()
+            .map(|(term, list)| (term.to_owned(), EncodedList::copy_of(list))))
+    }
+
+    /// The entry the last [`SegmentReader::advance`] read, borrowed from
+    /// the reader's buffers; `None` once the segment is drained.
+    pub(crate) fn current(&self) -> Option<(&str, ListView<'_>)> {
+        let stats = self.current?;
+        let list = ListView {
+            stats,
+            blocks: &self.blocks,
+            data: &self.data,
+        };
+        Some((&self.term, list))
+    }
+
+    /// Reads and validates the next dictionary entry into the reader's
+    /// buffers, making it [`SegmentReader::current`] — [`SegmentReader::next_term`]
+    /// without the copy. After the last entry the checksum trailer is
+    /// read and verified and there is no current entry.
+    ///
+    /// # Errors
+    ///
+    /// As for [`SegmentReader::next_term`]; there is no current entry
+    /// after an error.
+    pub(crate) fn advance(&mut self) -> Result<(), IoError> {
+        self.current = None;
         if self.terms_left == 0 {
             if !self.verified {
                 let expect = self.r.hash;
@@ -623,25 +703,24 @@ impl<R: Read> SegmentReader<R> {
                 }
                 self.verified = true;
             }
-            return Ok(None);
+            return Ok(());
         }
+        let first = self.terms_left == self.header.n_terms;
         self.terms_left -= 1;
 
         let term_len = u64::from(self.read_u16()?);
         self.check_claim(term_len, "term text")?;
-        let mut term_bytes = vec![0u8; term_len as usize];
-        self.r.take(&mut term_bytes)?;
-        let term = String::from_utf8(term_bytes)
+        self.raw.resize(term_len as usize, 0);
+        self.r.take(&mut self.raw)?;
+        let term = std::str::from_utf8(&self.raw)
             .map_err(|_| IoError::Corrupt("term text is not valid UTF-8".into()))?;
-        if self
-            .prev_term
-            .as_deref()
-            .is_some_and(|p| p >= term.as_str())
-        {
+        if !first && self.term.as_str() >= term {
             return Err(IoError::Corrupt(format!(
                 "segment dictionary out of lexical order at term {term:?}"
             )));
         }
+        self.term.clear();
+        self.term.push_str(term);
 
         // The fixed tail of the entry header, one read.
         let mut stats = [0u8; ENTRY_STATS_BYTES];
@@ -658,13 +737,14 @@ impl<R: Read> SegmentReader<R> {
 
         if df == 0 || df > self.header.n_docs {
             return Err(IoError::Corrupt(format!(
-                "term {term:?} claims df {df} in a {}-doc segment",
-                self.header.n_docs
+                "term {:?} claims df {df} in a {}-doc segment",
+                self.term, self.header.n_docs
             )));
         }
         if u64::from(n_blocks) > u64::from(df) {
             return Err(IoError::Corrupt(format!(
-                "term {term:?} claims {n_blocks} blocks for {df} postings"
+                "term {:?} claims {n_blocks} blocks for {df} postings",
+                self.term
             )));
         }
         self.check_claim(
@@ -677,7 +757,8 @@ impl<R: Read> SegmentReader<R> {
         self.raw
             .resize(n_blocks as usize * SEG_DESCRIPTOR_BYTES as usize, 0);
         self.r.take(&mut self.raw)?;
-        let mut blocks = Vec::with_capacity(n_blocks as usize);
+        self.blocks.clear();
+        self.blocks.reserve(n_blocks as usize);
         let mut count_sum = 0u64;
         for desc in self.raw.chunks_exact(SEG_DESCRIPTOR_BYTES as usize) {
             let mut desc = FieldReader(desc);
@@ -694,7 +775,7 @@ impl<R: Read> SegmentReader<R> {
                 info.exception_offset = desc.u16();
             }
             count_sum += u64::from(infos[0].count);
-            blocks.push(BlockMeta {
+            self.blocks.push(BlockMeta {
                 first_doc,
                 last_doc,
                 max_score: bmax,
@@ -707,30 +788,33 @@ impl<R: Read> SegmentReader<R> {
         }
         if count_sum != u64::from(df) {
             return Err(IoError::Corrupt(format!(
-                "term {term:?} descriptors hold {count_sum} postings, dictionary says {df}"
+                "term {:?} descriptors hold {count_sum} postings, dictionary says {df}",
+                self.term
             )));
         }
-        if blocks
+        if self
+            .blocks
             .last()
             .is_some_and(|b| b.last_doc >= self.header.n_docs)
         {
             return Err(IoError::Corrupt(format!(
-                "term {term:?} last docID outside the segment's {} docs",
-                self.header.n_docs
+                "term {:?} last docID outside the segment's {} docs",
+                self.term, self.header.n_docs
             )));
         }
+        check_descriptors(&self.blocks, data_len as usize)
+            .map_err(|reason| IoError::Corrupt(format!("term {:?}: {reason}", self.term)))?;
 
-        let mut data = vec![0u8; data_len as usize];
-        self.r.take(&mut data)?;
+        self.data.resize(data_len as usize, 0);
+        self.r.take(&mut self.data)?;
 
-        match &mut self.prev_term {
-            Some(prev) => prev.clone_from(&term),
-            None => self.prev_term = Some(term.clone()),
-        }
-        Ok(Some((
-            term,
-            EncodedList::from_parts(scheme, blocks, data, df, idf, max_score),
-        )))
+        self.current = Some(ListStats {
+            scheme,
+            df,
+            idf,
+            max_score,
+        });
+        Ok(())
     }
 }
 
@@ -756,29 +840,23 @@ pub(crate) fn open_segment(
 /// As for [`SegmentReader`].
 pub fn load_segment(path: impl AsRef<Path>) -> Result<InvertedIndex, IoError> {
     let mut reader = open_segment(path)?;
-    let mut vocab = std::collections::HashMap::new();
-    let mut terms = Vec::new();
-    let mut lists = Vec::new();
-    while let Some((text, list)) = reader.next_term()? {
-        let id = terms.len() as u32;
-        vocab.insert(text.clone(), id);
-        terms.push(TermInfo {
-            text,
-            df: list.df(),
-            idf: list.idf(),
+    let (blocks_bound, data_bound) = reader.list_bounds();
+    let mut index =
+        IndexAssembler::with_capacity(reader.header.n_terms as usize, 0, blocks_bound, data_bound);
+    loop {
+        reader.advance()?;
+        let Some((term, list)) = reader.current() else {
+            break;
+        };
+        let pushed = index.push(term, |store| {
+            store.push(list);
+            Ok(list.stats)
         });
-        lists.push(list);
+        pushed.map_err(IoError::Invalid)?;
     }
     let doc_lens = std::mem::take(&mut reader.doc_lens);
     let (bm25, doc_norms) = scoring_from_lens(reader.header.params, &doc_lens);
-    Ok(InvertedIndex {
-        vocab,
-        terms,
-        lists,
-        doc_norms,
-        doc_lens,
-        bm25,
-    })
+    Ok(index.finish(doc_norms, doc_lens, bm25))
 }
 
 #[cfg(test)]
@@ -940,6 +1018,109 @@ mod tests {
         }
     }
 
+    /// One 300-posting term (three blocks) over 600 documents.
+    fn three_block_term() -> (Vec<u32>, Vec<(String, EncodedList)>) {
+        let doc_lens = vec![7u32; 600];
+        let (bm25, norms) = scoring_from_lens(Bm25Params::default(), &doc_lens);
+        let docs: Vec<u32> = (0..300).map(|i| 2 * i).collect();
+        let tfs: Vec<u32> = (0..300).map(|i| 1 + i % 3).collect();
+        let list = ListEncoder::new()
+            .encode(
+                &docs,
+                &tfs,
+                SchemeChoice::default(),
+                &bm25,
+                bm25.idf(300),
+                &norms,
+            )
+            .unwrap();
+        (doc_lens, vec![("term".to_owned(), list)])
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(FNV_OFFSET, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+        })
+    }
+
+    #[test]
+    fn descriptors_that_miss_their_list_are_refused_on_both_sides() {
+        let (doc_lens, terms) = three_block_term();
+        let params = Bm25Params::default();
+
+        // Writing: such a list used to serialize, checksum and load, and
+        // fail only at its first decode.
+        let mut forged = terms.clone();
+        let data_bytes = forged[0].1.data_bytes() as u32;
+        let block = &mut forged[0].1.blocks_mut()[0];
+        block.offset = data_bytes + 1000;
+        block.tf_offset = 1 << 30;
+        let err = write_segment(&mut Vec::new(), 0, &doc_lens, params, &forged).unwrap_err();
+        assert!(
+            matches!(err, IoError::Invalid(crate::Error::CorruptMetadata { .. })),
+            "{err}"
+        );
+        assert_eq!(terms[0].1.blocks()[0].offset, 0, "the clone was detached");
+
+        // Reading: the same fields overwritten in a valid file, the
+        // trailer recomputed so that only the descriptor check stands
+        // between the entry and its caller.
+        let mut valid = Vec::new();
+        let (_, regions) = write_segment(&mut valid, 0, &doc_lens, params, &terms).unwrap();
+        let blocks = terms[0].1.blocks();
+        let desc = |b: usize| regions.descriptors[0].start as usize + b * 34;
+        let forgeries: [(&str, usize, Vec<u8>); 7] = [
+            (
+                "offset",
+                desc(0) + 12,
+                (data_bytes + 1000).to_le_bytes().into(),
+            ),
+            (
+                "len",
+                desc(2) + 16,
+                (blocks[2].len + 1).to_le_bytes().into(),
+            ),
+            ("tf_offset", desc(1) + 20, (1u32 << 30).to_le_bytes().into()),
+            (
+                "tf_offset",
+                desc(1) + 20,
+                (blocks[1].len + 1).to_le_bytes().into(),
+            ),
+            (
+                "first_doc",
+                desc(0),
+                (blocks[0].last_doc + 1).to_le_bytes().into(),
+            ),
+            (
+                "last_doc",
+                desc(0) + 4,
+                blocks[1].last_doc.to_le_bytes().into(),
+            ),
+            ("tf count", desc(1) + 29, 127u16.to_le_bytes().into()),
+        ];
+        for (field, at, value) in forgeries {
+            let mut bytes = valid.clone();
+            bytes[at..at + value.len()].copy_from_slice(&value);
+            let body = bytes.len() - SEG_CHECKSUM_BYTES as usize;
+            let trailer = fnv1a(&bytes[..body]).to_le_bytes();
+            bytes[body..].copy_from_slice(&trailer);
+
+            let mut r = SegmentReader::new(bytes.as_slice(), bytes.len() as u64).unwrap();
+            let err = r.next_term().unwrap_err();
+            assert!(matches!(err, IoError::Corrupt(_)), "{field}: {err}");
+            assert_eq!(
+                r.r.consumed, regions.descriptors[0].end,
+                "{field}: refused before a payload byte was read"
+            );
+            assert!(r.current().is_none(), "{field}");
+        }
+
+        // The untouched file still loads.
+        let mut r = SegmentReader::new(valid.as_slice(), valid.len() as u64).unwrap();
+        assert_eq!(r.next_term().unwrap().unwrap().1, terms[0].1);
+        assert!(r.next_term().unwrap().is_none());
+    }
+
     #[test]
     fn streaming_writer_writes_the_same_bytes() {
         let (expect, regions) = sample_segment();
@@ -949,13 +1130,13 @@ mod tests {
         let mut buf = Vec::new();
         let mut w = SegmentWriter::new(&mut buf, 100, &doc_lens, Bm25Params::default(), 3).unwrap();
         for (i, (term, list)) in terms.iter().enumerate() {
-            let entry = w.push_term(term, list).unwrap();
+            let entry = w.push_term(term, list.view()).unwrap();
             assert_eq!(entry.header, regions.term_headers[i]);
             assert_eq!(entry.descriptors, regions.descriptors[i]);
             assert_eq!(entry.payload, regions.payloads[i]);
         }
         // One more than declared is refused without a byte written.
-        let err = w.push_term("zeta", &terms[0].1).unwrap_err();
+        let err = w.push_term("zeta", terms[0].1.view()).unwrap_err();
         assert!(matches!(err, IoError::Invalid(_)), "{err}");
         assert_eq!(w.finish().unwrap() as usize, expect.len());
         assert_eq!(buf, expect);
@@ -963,7 +1144,7 @@ mod tests {
         // One fewer than declared never gets its checksum.
         let mut w =
             SegmentWriter::new(Vec::new(), 100, &doc_lens, Bm25Params::default(), 3).unwrap();
-        w.push_term(&terms[0].0, &terms[0].1).unwrap();
+        w.push_term(&terms[0].0, terms[0].1.view()).unwrap();
         let err = w.finish().unwrap_err();
         assert!(matches!(err, IoError::Invalid(_)), "{err}");
     }

@@ -29,9 +29,8 @@
 //! parameters (`--shards N` from a CLI); every failure must surface as a
 //! typed [`Error`], never a panic.
 
-use crate::index::TermInfo;
+use crate::index::IndexAssembler;
 use crate::{DecodeScratch, DocId, Error, InvertedIndex, ListEncoder, SchemeChoice, SearchHit};
-use std::collections::HashMap;
 
 /// A corpus split into docID-interval shards.
 #[derive(Debug, Clone)]
@@ -70,25 +69,18 @@ impl ShardedIndex {
         }
 
         let bm25 = *index.bm25();
-        let mut shards: Vec<InvertedIndex> = (0..n)
-            .map(|i| {
-                let base = bases[i] as usize;
-                let end = if i + 1 < n {
-                    bases[i + 1] as usize
-                } else {
-                    n_docs as usize
-                };
-                InvertedIndex {
-                    vocab: HashMap::new(),
-                    terms: Vec::new(),
-                    lists: Vec::new(),
-                    // Bit-copies of the parent's norms: shard scoring
-                    // inputs are identical to global scoring inputs.
-                    doc_norms: index.doc_norms()[base..end].to_vec(),
-                    doc_lens: index.doc_lens()[base..end].to_vec(),
-                    bm25,
-                }
-            })
+        // The documents of each shard, as a range of global docIDs.
+        let ends = bases[1..].iter().copied().chain([n_docs]);
+        let spans: Vec<std::ops::Range<usize>> = (bases.iter().zip(ends))
+            .map(|(&base, end)| base as usize..end as usize)
+            .collect();
+        // Each shard gets a store of its own: shards share nothing. A
+        // shard holds at most the parent's terms, each list of it in no
+        // more blocks or bytes than the parent's.
+        let n_blocks = (index.total_meta_bytes() / crate::BLOCK_META_BYTES) as usize;
+        let data_bytes = index.total_data_bytes() as usize;
+        let mut parts: Vec<IndexAssembler> = (0..n)
+            .map(|_| IndexAssembler::with_capacity(index.n_terms(), 0, n_blocks, data_bytes))
             .collect();
 
         // Walk terms in the parent's (lexical) id order so every shard
@@ -101,38 +93,39 @@ impl ShardedIndex {
             index.list(id).decode_all_into(&mut scratch)?;
             let (docs, tfs) = (&scratch.docs, &scratch.tfs);
             let mut lo = 0usize;
-            for (s, shard) in shards.iter_mut().enumerate() {
-                let end_doc = if s + 1 < n { bases[s + 1] } else { n_docs };
-                let hi = lo + docs[lo..].partition_point(|&d| d < end_doc);
+            for (part, span) in parts.iter_mut().zip(&spans) {
+                let hi = lo + docs[lo..].partition_point(|&d| (d as usize) < span.end);
                 if hi > lo {
                     local.clear();
-                    local.extend(docs[lo..hi].iter().map(|&d| d - bases[s]));
-                    let df = local.len() as u32;
+                    local.extend(docs[lo..hi].iter().map(|&d| d - span.start as DocId));
                     // The builder's default hybrid policy, under the
-                    // *global* statistics.
-                    let encoded = encoder.encode(
-                        &local,
-                        &tfs[lo..hi],
-                        SchemeChoice::Hybrid,
-                        &bm25,
-                        info.idf,
-                        &shard.doc_norms,
-                    )?;
-                    let tid = shard.terms.len() as u32;
-                    shard.vocab.insert(info.text.clone(), tid);
-                    shard.terms.push(TermInfo {
-                        text: info.text.clone(),
-                        df,
-                        // Global idf, not the shard-local one: scores must
-                        // be bit-identical to the unsplit index.
-                        idf: info.idf,
-                    });
-                    shard.lists.push(encoded);
+                    // *global* statistics — the parent's idf and a slice
+                    // of the parent's norms, not shard-local ones: scores
+                    // must be bit-identical to the unsplit index.
+                    part.push(info.text, |store| {
+                        encoder.encode_into(
+                            store,
+                            &local,
+                            &tfs[lo..hi],
+                            SchemeChoice::Hybrid,
+                            &bm25,
+                            info.idf,
+                            &index.doc_norms()[span.clone()],
+                        )
+                    })?;
                 }
                 lo = hi;
             }
         }
 
+        // Bit-copies of the parent's norms: shard scoring inputs are
+        // identical to global scoring inputs.
+        let shards = (parts.into_iter().zip(spans))
+            .map(|(part, span)| {
+                let norms = index.doc_norms()[span.clone()].to_vec();
+                part.finish(norms, index.doc_lens()[span].to_vec(), bm25)
+            })
+            .collect();
         Ok(ShardedIndex { shards, bases })
     }
 

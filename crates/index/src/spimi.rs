@@ -27,12 +27,12 @@
 
 use crate::accumulator::{Accumulator, MAX_ACCUMULATOR_BYTES};
 use crate::builder::{fill_doc_lens, scoring_from_lens};
-use crate::index::{InvertedIndex, TermInfo};
+use crate::encoded::ListStore;
+use crate::index::{IndexAssembler, InvertedIndex};
 use crate::io::IoError;
 use crate::segment::{open_segment, SegmentReader, SegmentWriter};
-use crate::{Bm25Params, DecodeScratch, DocId, EncodedList, Error, ListEncoder, SchemeChoice};
+use crate::{Bm25Params, DecodeScratch, DocId, Error, ListEncoder, SchemeChoice};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::io::{BufReader, Write};
 use std::path::{Path, PathBuf};
 
@@ -137,10 +137,12 @@ pub struct SpimiBuilder {
     stats: SpimiStats,
     entries: Vec<SegmentEntry>,
     encoder: ListEncoder,
-    /// Spill scratch: the slots in term order, and one decoded run.
+    /// Spill scratch: the slots in term order, one decoded run, and the
+    /// store it is encoded into (cleared per term).
     order: Vec<u32>,
     docs: Vec<u32>,
     tfs: Vec<u32>,
+    encoded: ListStore,
 }
 
 fn docid_space_exhausted() -> IoError {
@@ -171,6 +173,7 @@ impl SpimiBuilder {
             order: Vec::new(),
             docs: Vec::new(),
             tfs: Vec::new(),
+            encoded: ListStore::default(),
         })
     }
 
@@ -295,13 +298,22 @@ impl SpimiBuilder {
         for &slot in &self.order {
             self.acc.decode(slot, &mut self.docs, &mut self.tfs);
             let idf = bm25.idf(self.docs.len() as u32);
-            let list = self
+            self.encoded.clear();
+            let stats = self
                 .encoder
-                .encode(&self.docs, &self.tfs, self.cfg.scheme, &bm25, idf, &norms)
+                .encode_into(
+                    &mut self.encoded,
+                    &self.docs,
+                    &self.tfs,
+                    self.cfg.scheme,
+                    &bm25,
+                    idf,
+                    &norms,
+                )
                 .map_err(IoError::Invalid)?;
             let term = std::str::from_utf8(self.acc.term(slot))
                 .map_err(|e| IoError::Corrupt(format!("accumulated term is not UTF-8: {e}")))?;
-            writer.push_term(term, &list)?;
+            writer.push_term(term, self.encoded.view(0, stats))?;
         }
         let bytes = writer.finish()?;
         self.acc.clear();
@@ -355,14 +367,14 @@ impl SpimiBuilder {
     }
 }
 
-/// Index of the head holding the lexically smallest term — the lowest
-/// such index when several segments hold it — or `None` once every
-/// segment is drained.
-fn min_head(heads: &[Option<(String, EncodedList)>]) -> Option<usize> {
+/// Index of the reader whose current entry holds the lexically smallest
+/// term — the lowest such index when several segments hold it — or
+/// `None` once every segment is drained.
+fn min_head<R: std::io::Read>(readers: &[SegmentReader<R>]) -> Option<usize> {
     let mut min: Option<(usize, &str)> = None;
-    for (i, head) in heads.iter().enumerate() {
-        if let Some((term, _)) = head {
-            if min.is_none_or(|(_, m)| term.as_str() < m) {
+    for (i, reader) in readers.iter().enumerate() {
+        if let Some((term, _)) = reader.current() {
+            if min.is_none_or(|(_, m)| term < m) {
                 min = Some((i, term));
             }
         }
@@ -437,16 +449,6 @@ impl SegmentSet {
         })
     }
 
-    /// The segment directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Total documents across all segments.
-    pub fn n_docs(&self) -> u32 {
-        self.n_docs
-    }
-
     /// The manifest's segment entries, in docID order.
     pub fn entries(&self) -> &[SegmentEntry] {
         &self.entries
@@ -496,71 +498,75 @@ impl SegmentSet {
         }
         let (bm25, doc_norms) = scoring_from_lens(self.params, &doc_lens);
 
-        let mut heads: Vec<Option<(String, EncodedList)>> = Vec::with_capacity(readers.len());
         for r in &mut readers {
-            heads.push(r.next_term()?);
+            r.advance()?;
         }
 
-        let mut vocab = HashMap::new();
-        let mut terms: Vec<TermInfo> = Vec::new();
-        let mut lists: Vec<EncodedList> = Vec::new();
+        // Sized for the segments' terms and lists side by side (the
+        // manifest's term counts were checked against the headers above):
+        // merging two segments' lists for a term makes one term of them,
+        // in no more blocks than the two had and about the same bytes.
+        let n_terms = self.entries.iter().map(|e| e.n_terms as usize).sum();
+        let (mut blocks_bound, mut data_bound) = (0usize, 0usize);
+        for r in &readers {
+            let (blocks, data) = r.list_bounds();
+            blocks_bound = blocks_bound.saturating_add(blocks);
+            data_bound = data_bound.saturating_add(data);
+        }
+        let mut index = IndexAssembler::with_capacity(n_terms, 0, blocks_bound, data_bound);
         let mut scratch = DecodeScratch::new();
         let mut encoder = ListEncoder::new();
+        let mut text = String::new();
         let mut docs: Vec<u32> = Vec::new();
         let mut tfs: Vec<u32> = Vec::new();
 
         // The smallest in-flight term is the next one in the merged
         // (lexically ordered) dictionary — exactly the order the
         // in-memory builder's BTreeMap would visit it.
-        while let Some(first) = min_head(&heads) {
+        while let Some(first) = min_head(&readers) {
             docs.clear();
             tfs.clear();
-            let mut text = String::new();
+            text.clear();
             // Contributing segments in docID order (entries tile the
-            // docID space ascending, and no head before `first` holds
+            // docID space ascending, and no reader before `first` holds
             // the term), so concatenation is the sorted global posting
             // list.
-            for i in first..heads.len() {
-                let contributes = i == first || heads[i].as_ref().is_some_and(|(t, _)| *t == text);
-                if !contributes {
-                    continue;
-                }
-                let Some((term, list)) = heads[i].take() else {
+            let segments = readers.iter_mut().zip(&self.entries).enumerate();
+            for (at, (reader, entry)) in segments.skip(first) {
+                let Some((term, list)) = reader.current() else {
                     continue;
                 };
+                if at == first {
+                    text.push_str(term);
+                } else if term != text {
+                    continue;
+                }
                 list.decode_all_into(&mut scratch)
                     .map_err(IoError::Invalid)?;
-                let base = self.entries[i].doc_base;
-                let seg_docs = self.entries[i].n_docs;
-                if scratch.docs.last().is_some_and(|&d| d >= seg_docs) {
+                if scratch.docs.last().is_some_and(|&d| d >= entry.n_docs) {
                     return Err(IoError::Corrupt(format!(
-                        "segment {} term {term:?} decodes docIDs outside its {seg_docs}-doc range",
-                        self.entries[i].file
+                        "segment {} term {term:?} decodes docIDs outside its {}-doc range",
+                        entry.file, entry.n_docs
                     )));
                 }
-                docs.extend(scratch.docs.iter().map(|&d| base + d));
+                docs.extend(scratch.docs.iter().map(|&d| entry.doc_base + d));
                 tfs.extend_from_slice(&scratch.tfs);
-                text = term;
-                heads[i] = readers[i].next_term()?;
+                reader.advance()?;
             }
 
-            let df = docs.len() as u32;
-            let idf = bm25.idf(df);
-            let enc = encoder
-                .encode(&docs, &tfs, self.scheme, &bm25, idf, &doc_norms)
-                .map_err(IoError::Invalid)?;
-
-            let id = terms.len() as u32;
-            vocab.insert(text.clone(), id);
-            terms.push(TermInfo { text, df, idf });
-            lists.push(enc);
+            let idf = bm25.idf(docs.len() as u32);
+            let pushed = index.push(&text, |store| {
+                encoder.encode_into(store, &docs, &tfs, self.scheme, &bm25, idf, &doc_norms)
+            });
+            pushed.map_err(IoError::Invalid)?;
         }
 
         // Drain to the checksum trailer of any segment that still has
-        // one (all heads are None here, so each reader has already
-        // verified its trailer in next_term — this is just a belt check).
+        // one (every reader is drained here, so each has already
+        // verified its trailer in `advance` — this is just a belt check).
         for (r, e) in readers.iter_mut().zip(&self.entries) {
-            if r.next_term()?.is_some() {
+            r.advance()?;
+            if r.current().is_some() {
                 return Err(IoError::Corrupt(format!(
                     "segment {} yielded terms past its dictionary",
                     e.file
@@ -568,14 +574,7 @@ impl SegmentSet {
             }
         }
 
-        Ok(InvertedIndex {
-            vocab,
-            terms,
-            lists,
-            doc_norms,
-            doc_lens,
-            bm25,
-        })
+        Ok(index.finish(doc_norms, doc_lens, bm25))
     }
 }
 
@@ -679,8 +678,8 @@ mod tests {
     #[test]
     fn reopen_from_manifest_matches() {
         let (set, merged, _dir) = spimi_index(3, usize::MAX >> 1);
-        let reopened = SegmentSet::open_dir(set.dir()).unwrap();
-        assert_eq!(reopened.n_docs(), set.n_docs());
+        let reopened = SegmentSet::open_dir(&set.dir).unwrap();
+        assert_eq!(reopened.n_docs, set.n_docs);
         assert_eq!(reopened.entries(), set.entries());
         assert_eq!(reopened.merge().unwrap(), merged);
     }
@@ -688,7 +687,7 @@ mod tests {
     #[test]
     fn open_dir_rejects_gapped_manifest() {
         let (set, _, _dir) = spimi_index(2, usize::MAX >> 1);
-        let path = set.dir().join(MANIFEST_NAME);
+        let path = set.dir.join(MANIFEST_NAME);
         let body = std::fs::read_to_string(&path).unwrap();
         // Shift the second segment's doc_base to punch a hole (tolerate
         // either JSON spacing style).
@@ -697,7 +696,7 @@ mod tests {
             .replacen("\"doc_base\": 2", "\"doc_base\": 3", 1);
         assert_ne!(body, broken, "manifest edit must apply");
         std::fs::write(&path, broken).unwrap();
-        let err = SegmentSet::open_dir(set.dir()).unwrap_err();
+        let err = SegmentSet::open_dir(&set.dir).unwrap_err();
         assert!(matches!(err, IoError::Corrupt(_)), "{err}");
     }
 
@@ -741,7 +740,7 @@ mod tests {
             );
             assert_eq!(*b.stats(), before);
             let set = b.finish().unwrap();
-            assert_eq!(set.n_docs(), u32::MAX);
+            assert_eq!(set.n_docs, u32::MAX);
             let last = set.entries().last().unwrap();
             assert_eq!(last.doc_base + last.n_docs, u32::MAX);
         }

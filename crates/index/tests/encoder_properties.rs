@@ -314,7 +314,7 @@ proptest! {
                     .filter(|(&d, _)| (base..end).contains(&d))
                     .map(|(&d, &tf)| (d - base, tf))
                     .unzip();
-                let Ok(tid) = shard.term_id(&info.text) else {
+                let Ok(tid) = shard.term_id(info.text) else {
                     prop_assert!(local.is_empty(), "shard {} lost term {}", s, info.text);
                     continue;
                 };

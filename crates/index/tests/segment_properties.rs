@@ -319,7 +319,7 @@ proptest! {
         let index = in_memory(&texts, scheme_choice(scheme_sel));
         let mut terms: Vec<(String, EncodedList)> = index
             .term_ids()
-            .map(|id| (index.term_info(id).text.clone(), index.list(id).clone()))
+            .map(|id| (index.term_info(id).text.to_owned(), index.list(id).clone()))
             .collect();
         terms.sort_by(|a, b| a.0.cmp(&b.0));
 

@@ -8,7 +8,6 @@ use boss_index::{
     ScoreScratch, TermId, BLOCK_META_BYTES,
 };
 use boss_scm::{AccessCategory, AccessKind, MemoryConfig, MemorySim, PatternHint};
-use std::sync::Arc;
 
 /// CPU cycles charged per unit of work, at the host clock.
 ///
@@ -103,11 +102,12 @@ impl LuceneConfig {
 /// through the cacheable host hierarchy, and pivot rounds count as merge
 /// steps. Skips are attributed to the `*_prune` counters.
 struct LucenePruneSink<'r> {
-    image: &'r IndexImage,
+    image: IndexImage<'r>,
     mem: &'r mut MemorySim,
     eval: &'r mut EvalCounts,
-    /// Deduplicated ascending terms; `slot` in callbacks indexes this.
-    terms: Vec<TermId>,
+    /// Per slot (the deduplicated ascending terms), where the term's
+    /// skip data and block data start in the image.
+    addrs: Vec<(u64, u64)>,
     /// Metadata records already charged per slot (skip-data cursor).
     metas_charged: Vec<u64>,
     postings_decoded: u64,
@@ -115,8 +115,7 @@ struct LucenePruneSink<'r> {
 
 impl PruneSink for LucenePruneSink<'_> {
     fn meta_read(&mut self, slot: usize, blocks: u64) {
-        let addr =
-            self.image.meta_addr(self.terms[slot]) + self.metas_charged[slot] * BLOCK_META_BYTES;
+        let addr = self.addrs[slot].0 + self.metas_charged[slot] * BLOCK_META_BYTES;
         self.mem.access(
             addr,
             blocks * BLOCK_META_BYTES,
@@ -131,7 +130,7 @@ impl PruneSink for LucenePruneSink<'_> {
 
     fn block_decoded(&mut self, slot: usize, meta: &BlockMeta) {
         self.mem.access(
-            self.image.data_addr(self.terms[slot]) + u64::from(meta.offset),
+            self.addrs[slot].1 + u64::from(meta.offset),
             u64::from(meta.len).max(1),
             AccessKind::Read,
             AccessCategory::LdList,
@@ -178,7 +177,7 @@ impl PruneSink for LucenePruneSink<'_> {
 #[derive(Debug, Clone)]
 pub struct LuceneEngine<'a> {
     index: &'a InvertedIndex,
-    image: Arc<IndexImage>,
+    image: IndexImage<'a>,
     config: LuceneConfig,
     plan_config: boss_core::BossConfig,
 }
@@ -188,7 +187,7 @@ impl<'a> LuceneEngine<'a> {
     pub fn new(index: &'a InvertedIndex, config: LuceneConfig) -> Self {
         LuceneEngine {
             index,
-            image: Arc::new(IndexImage::new(index)),
+            image: IndexImage::new(index),
             config,
             plan_config: boss_core::BossConfig::default(),
         }
@@ -332,7 +331,7 @@ impl<'a> LuceneEngine<'a> {
                 // docID order with their tfs, so score block-at-a-time with
                 // the shared kernel and sift into the heap. A one-term
                 // score is exactly `term_score`.
-                let idf = self.index.term_info(list.terms()[0]).idf;
+                let idf = self.index.list(list.terms()[0]).idf();
                 let bm25 = *self.index.bm25();
                 let mut block_scores = ScoreScratch::new();
                 for (cd, ct) in list.docs().chunks(128).zip(list.tfs().chunks(128)) {
@@ -400,11 +399,13 @@ impl<'a> LuceneEngine<'a> {
         ids.sort_unstable();
         ids.dedup();
         let mut sink = LucenePruneSink {
-            image: &self.image,
+            image: self.image,
             mem: &mut mem,
             eval: &mut eval,
             metas_charged: vec![0; ids.len()],
-            terms: ids.clone(),
+            addrs: (ids.iter())
+                .map(|&t| (self.image.meta_addr(t), self.image.data_addr(t)))
+                .collect(),
             postings_decoded: 0,
         };
         let outcome =

@@ -162,7 +162,7 @@ impl QuerySampler {
             let info = index.term_info(id);
             if info.df >= 2 {
                 acc += u64::from(info.df);
-                terms.push(info.text.clone());
+                terms.push(info.text.to_owned());
                 cumulative.push(acc);
             }
         }

@@ -75,7 +75,7 @@ proptest! {
         );
         let terms: Vec<_> = index
             .term_ids()
-            .map(|id| (index.term_info(id).text.clone(), index.list(id).clone()))
+            .map(|id| (index.term_info(id).text.to_owned(), index.list(id).clone()))
             .collect();
         let path = std::env::temp_dir()
             .join(format!("boss-cross-proptests-{}.bosseg", std::process::id()));
