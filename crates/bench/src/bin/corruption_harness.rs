@@ -7,7 +7,9 @@
 //! `BlockMeta`, the on-disk SPIMI segment format (header, dictionary,
 //! descriptor, payload, and checksum mutations plus whole-file
 //! truncation/extension), and single shards of a sharded index run
-//! through the BOSS engine under the `SkipBlock` degradation policy.
+//! through the BOSS engine under the `SkipBlock` degradation policy
+//! (and through the IIU and Lucene-like engines, which must answer or
+//! return a typed error).
 //! Passes iff every mutated input produces a typed error or a
 //! bit-correct decode: no panics, no fast/reference disagreement, no
 //! out-of-bounds reserve, no segment checksum accepting a changed byte

@@ -1,6 +1,8 @@
 //! Deterministic corruption harness: seeded mutations of encoded blocks,
-//! block metadata, netlist configuration text, on-disk SPIMI segment
-//! files, and single shards of a sharded index, with one invariant —
+//! block metadata (layout fields and the skip record: docID bounds and
+//! block-max score), netlist configuration text, on-disk SPIMI segment
+//! files, and single shards of a sharded index queried by all three
+//! engines, with one invariant —
 //! **typed error or bit-correct decode, never a panic, never an
 //! out-of-bounds reserve** (and for the sharded trials: degradation
 //! confined to the shard that owns the mutated bytes; for the segment
@@ -21,12 +23,15 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use boss_compress::{codec_for, BlockInfo, Scheme, ALL_SCHEMES, MAX_BLOCK_VALUES};
 use boss_core::{BossConfig, DegradePolicy};
 use boss_decomp::{schemes, DecompEngine};
-use boss_engine::{Boss, SearchEngine};
+use boss_engine::{Boss, Iiu, Lucene, SearchEngine};
+use boss_iiu::IiuConfig;
 use boss_index::segment::{write_segment, SegmentReader};
 use boss_index::shard::ShardedIndex;
 use boss_index::{
-    EncodedList, IndexBuilder, InvertedIndex, QueryExpr, SchemeChoice, SegmentRegions,
+    BlockMeta, EncodedList, IndexBuilder, InvertedIndex, QueryAlgorithm, QueryExpr, SchemeChoice,
+    SegmentRegions,
 };
+use boss_luceneish::LuceneConfig;
 
 /// Output vectors start empty and every decode path reserves at most
 /// [`MAX_BLOCK_VALUES`] slots up front, so allocator round-up aside the
@@ -355,10 +360,22 @@ fn netlist_config_trial(scheme: Scheme, seed: u64, tally: &mut Tally) {
     }
 }
 
+/// Corrupts the skip record of a descriptor — the fields cursors take
+/// skip decisions on without decoding: a bit of `first_doc` or
+/// `last_doc` (near or far from the truth), or `max_score` to any bit
+/// pattern (NaN, negative, infinite, lowered, raised).
+fn mutate_bounds(meta: &mut BlockMeta, rng: &mut Xorshift64) {
+    match rng.below(3) {
+        0 => meta.first_doc ^= 1 << rng.below(32),
+        1 => meta.last_doc ^= 1 << rng.below(32),
+        _ => meta.max_score = f32::from_bits(rng.next_u64() as u32),
+    }
+}
+
 /// One index-level trial: clone a real [`EncodedList`], corrupt its data
-/// area or a [`boss_index::BlockMeta`] field through the harness hooks,
-/// and require `decode_block` to return a typed error or a coherent
-/// decode (equal-length columns), never panic, never over-reserve.
+/// area or a [`BlockMeta`] field through the harness hooks, and require
+/// `decode_block` to return a typed error or a coherent decode
+/// (equal-length columns), never panic, never over-reserve.
 fn meta_trial(list: &EncodedList, seed: u64, tally: &mut Tally) {
     let mut rng = Xorshift64::new(seed ^ 0x3E7A_0000);
     let mut list = list.clone();
@@ -369,13 +386,14 @@ fn meta_trial(list: &EncodedList, seed: u64, tally: &mut Tally) {
         apply_mutation(mutation, &mut rng, list.data_mut(), &mut unused);
     } else {
         let meta = &mut list.blocks_mut()[block];
-        match rng.below(6) {
+        match rng.below(9) {
             0 => meta.offset = rng.next_u64() as u32,
             1 => meta.len = rng.next_u64() as u32,
             2 => meta.tf_offset = rng.next_u64() as u32,
             3 => meta.delta_info.count = rng.next_u64() as u16,
             4 => meta.tf_info.count = rng.next_u64() as u16,
-            _ => meta.delta_info.bit_width = rng.next_u64() as u8,
+            5 => meta.delta_info.bit_width = rng.next_u64() as u8,
+            _ => mutate_bounds(meta, &mut rng),
         }
     }
 
@@ -458,7 +476,8 @@ fn sharded_fixtures() -> Vec<ShardedIndex> {
 ///   device that owns the mutated bytes,
 /// * the victim shard itself to finish: a completed query (its rejected
 ///   blocks counted in `blocks_skipped_fault`) or a typed error, never a
-///   panic.
+///   panic — and the same of the IIU and Lucene-like engines over the
+///   victim, exhaustive and under Block-Max MaxScore.
 ///
 /// A trial is *accepted* when the victim shard shrugged the mutation off
 /// entirely (outcome bit-identical to quiet, nothing skipped) and
@@ -479,11 +498,12 @@ fn sharded_trial(base: &ShardedIndex, seed: u64, tally: &mut Tally) {
         } else {
             let block = rng.below(list.n_blocks());
             let meta = &mut list.blocks_mut()[block];
-            match rng.below(4) {
+            match rng.below(5) {
                 0 => meta.offset = rng.next_u64() as u32,
                 1 => meta.len = rng.next_u64() as u32,
                 2 => meta.delta_info.count = rng.next_u64() as u16,
-                _ => meta.delta_info.bit_width = rng.next_u64() as u8,
+                3 => meta.delta_info.bit_width = rng.next_u64() as u8,
+                _ => mutate_bounds(meta, &mut rng),
             }
         }
     }
@@ -510,6 +530,22 @@ fn sharded_trial(base: &ShardedIndex, seed: u64, tally: &mut Tally) {
             })
             .collect::<Vec<_>>()
     }));
+    // The baselines answer on the victim too, exhaustive and pruned: an
+    // outcome or a typed error, never a panic.
+    let sick = corrupted.shard(victim);
+    for algorithm in [QueryAlgorithm::Exhaustive, QueryAlgorithm::BlockMaxMaxScore] {
+        let baselines = catch_unwind(AssertUnwindSafe(|| {
+            let _ =
+                Iiu::new(sick, IiuConfig::default().with_algorithm(algorithm)).search(&query, 50);
+            let _ = Lucene::new(sick, LuceneConfig::default().with_algorithm(algorithm))
+                .search(&query, 50);
+        }));
+        if baselines.is_err() {
+            tally.violations.push(format!(
+                "shard: baseline PANIC under {algorithm} at seed {seed} (victim {victim} of {n})"
+            ));
+        }
+    }
     match outcome {
         Err(_) => tally.violations.push(format!(
             "shard: PANIC at seed {seed} (victim {victim} of {n})"

@@ -80,6 +80,8 @@ impl<'a> BossHandle<'a> {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
     use boss_index::IndexBuilder;
 

@@ -11,12 +11,13 @@
 
 use crate::config::EtMode;
 use crate::device::BossDevice;
-use crate::fetch::{ExecCtx, ListCursor};
+use crate::fetch::ExecCtx;
 use crate::intersect::intersect_group;
 use crate::plan::QueryPlan;
 use crate::prune::pruned_union_topk;
 use crate::stats::QueryOutcome;
 use crate::union::{union_topk, UnionStream};
+use boss_index::cursor::ListCursor;
 use boss_index::{Error, QueryExpr, TopK};
 use boss_scm::AccessCategory;
 
@@ -63,7 +64,9 @@ impl BossDevice<'_> {
         for (gi, group) in plan.groups().iter().enumerate() {
             if group.len() == 1 {
                 let unit = gi % ctx.dec_cycles.len();
-                streams.push(UnionStream::List(ListCursor::new(&mut ctx, group[0], unit)));
+                streams.push(UnionStream::List(ListCursor::new(
+                    self.index, group[0], unit, &mut ctx,
+                )));
             } else {
                 let m = intersect_group(&mut ctx, group)?;
                 streams.push(UnionStream::Mat(m));
@@ -154,6 +157,8 @@ impl BossDevice<'_> {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
     use crate::config::BossConfig;
     use boss_index::{reference, IndexBuilder, InvertedIndex, QueryAlgorithm};

@@ -145,6 +145,8 @@ impl<'a> BossDevice<'a> {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
     use boss_index::{reference, IndexBuilder};
 
@@ -206,6 +208,8 @@ mod tests {
 
 #[cfg(test)]
 mod wide_query_tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
     use crate::config::EtMode;
     use boss_index::{reference, IndexBuilder, SearchHit};

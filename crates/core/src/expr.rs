@@ -102,30 +102,30 @@ impl Parser {
 
     // or_expr := and_expr (OR and_expr)*
     fn or_expr(&mut self) -> Result<QueryExpr, Error> {
-        let mut subs = vec![self.and_expr()?];
+        let first = self.and_expr()?;
+        if !matches!(self.peek(), Some(Token::Or)) {
+            return Ok(first);
+        }
+        let mut subs = vec![first];
         while matches!(self.peek(), Some(Token::Or)) {
             self.next();
             subs.push(self.and_expr()?);
         }
-        Ok(if subs.len() == 1 {
-            subs.pop().expect("one element")
-        } else {
-            QueryExpr::Or(subs)
-        })
+        Ok(QueryExpr::Or(subs))
     }
 
     // and_expr := atom (AND atom)*
     fn and_expr(&mut self) -> Result<QueryExpr, Error> {
-        let mut subs = vec![self.atom()?];
+        let first = self.atom()?;
+        if !matches!(self.peek(), Some(Token::And)) {
+            return Ok(first);
+        }
+        let mut subs = vec![first];
         while matches!(self.peek(), Some(Token::And)) {
             self.next();
             subs.push(self.atom()?);
         }
-        Ok(if subs.len() == 1 {
-            subs.pop().expect("one element")
-        } else {
-            QueryExpr::And(subs)
-        })
+        Ok(QueryExpr::And(subs))
     }
 
     fn atom(&mut self) -> Result<QueryExpr, Error> {
@@ -187,6 +187,8 @@ pub fn parse_query(input: &str) -> Result<QueryExpr, Error> {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
 
     #[test]

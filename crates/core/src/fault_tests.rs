@@ -1,6 +1,8 @@
 //! Whole-query fault-injection tests: the [`crate::DegradePolicy`]
 //! contract from the device API down through the traversal.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::config::{BossConfig, DegradePolicy, EtMode};
 use crate::device::BossDevice;
 use boss_index::{IndexBuilder, InvertedIndex, QueryExpr};

@@ -8,80 +8,63 @@
 //! intermediate stream — fed back to the block fetch module, never
 //! spilled to memory.
 
-use crate::fetch::{ExecCtx, ListCursor, SkipReason};
+use crate::fetch::ExecCtx;
 use crate::union::MatStream;
+use boss_index::cursor::{ListCursor, SkipReason};
 use boss_index::{Error, GroupMatches, TermId};
 
-/// Intersects a group of terms, producing the materialized intermediate
-/// stream (docs ascending, one row of member-term tfs per document).
+/// Intersects a group of two or more terms, producing the materialized
+/// intermediate stream (docs ascending, one row of member-term tfs per
+/// document).
 ///
 /// # Errors
 ///
+/// [`Error::InvalidQuery`] for fewer than two terms (the planner streams
+/// a one-term group straight to the union and never emits an empty one).
 /// Under [`crate::DegradePolicy::FailQuery`] a faulted read or corrupt
 /// block surfaces as a typed error; under `SkipBlock` the affected block
 /// is dropped (its documents cannot intersect) and the merge continues.
-///
-/// # Panics
-///
-/// Panics if `terms` is empty.
 pub(crate) fn intersect_group(ctx: &mut ExecCtx<'_>, terms: &[TermId]) -> Result<MatStream, Error> {
-    assert!(!terms.is_empty(), "intersection group cannot be empty");
+    if terms.len() < 2 {
+        return Err(Error::InvalidQuery {
+            reason: "an intersection group needs two or more terms".into(),
+        });
+    }
     // Small-versus-Small: ascending document frequency.
     let mut order: Vec<TermId> = terms.to_vec();
     order.sort_by_key(|&t| ctx.index.list(t).df());
 
     let max_score: f32 = order.iter().map(|&t| ctx.index.list(t).max_score()).sum();
 
-    let mut cur;
-    if order.len() == 1 {
-        // Degenerate single-term group: materialize the list.
-        let first = order[0];
-        cur = GroupMatches::new(&[first]);
-        let mut c = ListCursor::new(ctx, first, 0);
-        // Block-at-a-time: copy each decoded run wholesale. No counters
-        // fire inside a run; block-entry and metadata charges land on
-        // entry.
-        while !c.exhausted() {
-            if !c.fetch_block(ctx)? {
-                // Fault-skipped block: the cursor already moved on.
-                continue;
-            }
-            let (rdocs, rtfs) = c.run();
-            let n = rdocs.len();
-            cur.extend_rows(rdocs, rtfs);
-            c.advance_run(ctx, n);
-        }
-    } else {
-        // First pair: 2-way merge with *mutual* overlap checking, so both
-        // lists skip the blocks the other cannot reach (Figure 5(a)).
-        let (ta, tb) = (order[0], order[1]);
-        cur = GroupMatches::new(&[ta, tb]);
-        let mut a = ListCursor::new(ctx, ta, 0);
-        let mut b = ListCursor::new(ctx, tb, 1 % ctx.dec_cycles.len());
-        while !a.exhausted() && !b.exhausted() {
-            let (da, db) = (a.current_doc(), b.current_doc());
-            ctx.eval.comparisons += 1;
-            match da.cmp(&db) {
-                std::cmp::Ordering::Less => a.seek(ctx, db, SkipReason::Block)?,
-                std::cmp::Ordering::Greater => b.seek(ctx, da, SkipReason::Block)?,
-                std::cmp::Ordering::Equal => {
-                    // A fault-skip under `SkipBlock` moves the affected
-                    // cursor forward, so the merge re-compares and makes
-                    // progress either way.
-                    let (tfa, tfb) = (a.current_tf(ctx)?, b.current_tf(ctx)?);
-                    if let (Some(tfa), Some(tfb)) = (tfa, tfb) {
-                        // Rows are in ascending term order.
-                        cur.push(da, &if ta < tb { [tfa, tfb] } else { [tfb, tfa] });
-                        a.advance(ctx)?;
-                        b.advance(ctx)?;
-                    }
+    // First pair: 2-way merge with *mutual* overlap checking, so both
+    // lists skip the blocks the other cannot reach (Figure 5(a)).
+    let (ta, tb) = (order[0], order[1]);
+    let mut cur = GroupMatches::new(&[ta, tb]);
+    let mut a = ListCursor::new(ctx.index, ta, 0, ctx);
+    let mut b = ListCursor::new(ctx.index, tb, 1 % ctx.dec_cycles.len(), ctx);
+    while !a.exhausted() && !b.exhausted() {
+        let (da, db) = (a.current_doc(), b.current_doc());
+        ctx.eval.comparisons += 1;
+        match da.cmp(&db) {
+            std::cmp::Ordering::Less => a.seek(ctx, db, SkipReason::Block)?,
+            std::cmp::Ordering::Greater => b.seek(ctx, da, SkipReason::Block)?,
+            std::cmp::Ordering::Equal => {
+                // A fault-skip under `SkipBlock` moves the affected
+                // cursor forward, so the merge re-compares and makes
+                // progress either way.
+                let (tfa, tfb) = (a.current_tf(ctx)?, b.current_tf(ctx)?);
+                if let (Some(tfa), Some(tfb)) = (tfa, tfb) {
+                    // Rows are in ascending term order.
+                    cur.push(da, &if ta < tb { [tfa, tfb] } else { [tfb, tfa] });
+                    a.advance(ctx)?;
+                    b.advance(ctx)?;
                 }
             }
         }
     }
 
     for (unit, &term) in order.iter().enumerate().skip(2) {
-        let mut c = ListCursor::new(ctx, term, unit % ctx.dec_cycles.len());
+        let mut c = ListCursor::new(ctx.index, term, unit % ctx.dec_cycles.len(), ctx);
         let (mut next, col) = cur.joined(term);
         for (i, &d) in cur.docs().iter().enumerate() {
             // Overlap check: the feedback docID drives block skipping in
@@ -108,6 +91,8 @@ pub(crate) fn intersect_group(ctx: &mut ExecCtx<'_>, terms: &[TermId]) -> Result
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
     use crate::config::BossConfig;
     use boss_index::{reference, DocId, IndexBuilder, InvertedIndex, QueryExpr};

@@ -39,6 +39,11 @@
 //! # }
 //! ```
 
+// A query's inputs — the index bytes, the fault plan, the query text —
+// may be corrupt or hostile; every failure they can cause is a typed
+// `Error`, so panicking constructs need a per-site justification.
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 mod api;
 mod config;
 mod core;

@@ -138,6 +138,8 @@ fn to_dnf(index: &InvertedIndex, expr: &QueryExpr) -> Result<Vec<Vec<TermId>>, E
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
     use boss_index::IndexBuilder;
 

@@ -188,6 +188,8 @@ impl<'a> MemoryPool<'a> {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
     use boss_index::{reference, IndexBuilder, InvertedIndex};
 

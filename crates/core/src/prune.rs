@@ -34,8 +34,9 @@
 //! ([`SkipReason::Prune`]) so the exhaustive path's figures stay
 //! untouched.
 
-use crate::fetch::{ExecCtx, SkipReason};
+use crate::fetch::ExecCtx;
 use crate::union::{cannot_beat, union_topk, BulkScratch, Rounds, UnionStream};
+use boss_index::cursor::SkipReason;
 use boss_index::matches::canonical_score;
 use boss_index::{DocId, Error, QueryAlgorithm, TermId, TopK};
 

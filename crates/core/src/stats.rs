@@ -1,5 +1,6 @@
 //! Per-query statistics: the numbers behind Figures 11–15.
 
+use boss_index::cursor::SkipReason;
 use boss_index::SearchHit;
 use boss_scm::MemStats;
 
@@ -50,6 +51,16 @@ impl EvalCounts {
             + self.docs_skipped_wand
             + self.docs_skipped_block
             + self.docs_skipped_prune
+    }
+
+    /// Attributes `n` postings passed over without scoring to the counter
+    /// `reason` selects.
+    pub(crate) fn count_skipped(&mut self, reason: SkipReason, n: u64) {
+        match reason {
+            SkipReason::Block => self.docs_skipped_block += n,
+            SkipReason::Wand => self.docs_skipped_wand += n,
+            SkipReason::Prune => self.docs_skipped_prune += n,
+        }
     }
 
     /// Merges counters (across queries or cores).

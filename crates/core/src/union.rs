@@ -15,7 +15,8 @@
 //! that can change it happened.
 
 use crate::config::EtMode;
-use crate::fetch::{ExecCtx, ListCursor, SkipReason};
+use crate::fetch::ExecCtx;
+use boss_index::cursor::{ListCursor, SkipReason};
 use boss_index::matches::canonical_score;
 use boss_index::{DocId, Error, GroupMatches, ScoreScratch, TermId, TopK};
 
@@ -125,7 +126,7 @@ impl<'a> UnionStream<'a> {
         match self {
             UnionStream::List(c) => {
                 if let Some(tf) = c.current_tf(ctx)? {
-                    out.push((c.term, tf));
+                    out.push((c.term(), tf));
                     // `current_tf` left the block decoded.
                     c.advance_run(ctx, 1);
                 }
@@ -155,7 +156,7 @@ impl<'a> UnionStream<'a> {
                     .count();
                 m.pos += bypassed;
                 ctx.eval.comparisons += bypassed as u64;
-                reason.count(&mut ctx.eval, bypassed as u64);
+                ctx.eval.count_skipped(reason, bypassed as u64);
             }
         }
         Ok(())
@@ -456,7 +457,7 @@ pub(crate) fn union_topk(
                     // No document anywhere can beat θ: terminate the query.
                     for pos in 0..frontier.len() {
                         let rest = streams[frontier.stream(pos)].remaining();
-                        pop_reason.count(&mut ctx.eval, rest);
+                        ctx.eval.count_skipped(pop_reason, rest);
                     }
                     break;
                 }
@@ -604,7 +605,7 @@ fn drain_single_list(
 ) -> Result<(), Error> {
     let bm25 = *ctx.index.bm25();
     let norms = ctx.index.doc_norms();
-    let idf = ctx.index.list(c.term).idf();
+    let idf = c.idf();
 
     // Scores the whole unconsumed run of the current block and offers it.
     // `pre_counted` pivot rounds were already charged by a boundary round.
@@ -703,7 +704,7 @@ fn drain_wand_tail(
 ) -> Result<(), Error> {
     let bm25 = *ctx.index.bm25();
     let norms = ctx.index.doc_norms();
-    let idf = ctx.index.list(c.term).idf();
+    let idf = c.idf();
     let (block_reason, pop_reason) = skip_reasons(prune);
     let list_ub = f64::from(c.list_max());
     let mut theta = ThetaBound::new();
@@ -714,7 +715,7 @@ fn drain_wand_tail(
         let bound = theta.of(topk.cutoff());
         if list_ub <= bound {
             // Document-level termination: nothing left can beat θ.
-            pop_reason.count(&mut ctx.eval, c.remaining());
+            ctx.eval.count_skipped(pop_reason, c.remaining());
             break;
         }
         let pivot = c.current_doc();
@@ -822,7 +823,7 @@ mod tests {
             .enumerate()
             .map(|(u, t)| {
                 let id = index.term_id(t).unwrap();
-                UnionStream::List(ListCursor::new(&mut ctx, id, u % 4))
+                UnionStream::List(ListCursor::new(index, id, u % 4, &mut ctx))
             })
             .collect();
         let mut topk = TopK::new(k);
@@ -945,7 +946,7 @@ mod tests {
             GroupMatches::from_column(a, adocs, atfs),
             idx.list(a).max_score(),
         );
-        let cursor = ListCursor::new(&mut ctx, g, 0);
+        let cursor = ListCursor::new(&idx, g, 0, &mut ctx);
         let mut topk = TopK::new(1000);
         union_topk(
             &mut ctx,

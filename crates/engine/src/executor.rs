@@ -123,40 +123,30 @@ impl BatchExecutor {
         // Execute every query on a forked engine. Per-query execution is
         // pure, so sharding cannot change any outcome.
         let workers = self.threads.min(n);
-        let mut results: Vec<Option<Result<QueryOutcome, Error>>> = (0..n).map(|_| None).collect();
-        if workers <= 1 {
+        let results: Vec<Result<QueryOutcome, Error>> = if workers <= 1 {
             let mut fork = engine.fork();
-            for (slot, q) in results.iter_mut().zip(queries) {
-                *slot = Some(fork.search(q, k));
-            }
+            queries.iter().map(|q| fork.search(q, k)).collect()
         } else {
             // Fork on the caller's thread (forks borrow the index, which
             // is Sync), then hand each worker one contiguous chunk.
             let forks: Vec<E> = (0..workers).map(|_| engine.fork()).collect();
-            let chunk = n.div_ceil(workers);
+            let chunks = queries.chunks(n.div_ceil(workers));
             crossbeam::thread::scope(|s| {
-                let mut rest_results = results.as_mut_slice();
-                let mut rest_queries = queries;
-                for mut fork in forks {
-                    let take = chunk.min(rest_results.len());
-                    let (slots, later_slots) = rest_results.split_at_mut(take);
-                    let (qs, later_queries) = rest_queries.split_at(take);
-                    rest_results = later_slots;
-                    rest_queries = later_queries;
-                    s.spawn(move || {
-                        for (slot, q) in slots.iter_mut().zip(qs) {
-                            *slot = Some(fork.search(q, k));
-                        }
-                    });
-                }
-            });
-        }
+                let handles: Vec<_> = (forks.into_iter().zip(chunks))
+                    .map(|(mut fork, qs)| {
+                        s.spawn(move || qs.iter().map(|q| fork.search(q, k)).collect::<Vec<_>>())
+                    })
+                    .collect();
+                // Joined in chunk order, so results land in submission
+                // order; a worker's panic is re-raised here.
+                (handles.into_iter())
+                    .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .collect()
+            })
+        };
 
         // Surface the first failure in submission order.
-        let mut outcomes = Vec::with_capacity(n);
-        for r in results {
-            outcomes.push(r.expect("every query executed")?);
-        }
+        let outcomes = results.into_iter().collect::<Result<Vec<_>, Error>>()?;
 
         // Merge stats in submission order (the merges are commutative
         // u64 sums/maxima, so this matches any execution order bit for
@@ -182,11 +172,7 @@ impl BatchExecutor {
             let mut idx: Vec<usize> = (0..lanes).collect();
             idx.sort_by_key(|&i| busy[i]);
             let chosen = &idx[..gang];
-            let start = chosen
-                .iter()
-                .map(|&i| busy[i])
-                .max()
-                .expect("gang non-empty");
+            let start = chosen.iter().map(|&i| busy[i]).max().unwrap_or(0);
             let end = start + outcomes[qi].cycles;
             for &i in chosen {
                 busy[i] = end;
@@ -205,6 +191,8 @@ impl BatchExecutor {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
     use crate::{Boss, Lucene};
     use boss_core::BossConfig;

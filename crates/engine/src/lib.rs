@@ -44,6 +44,10 @@
 //! observable except the hits from the canonical single-device engine,
 //! so batch results are bit-identical at every *shard* count too.
 
+// Engines run user queries over possibly corrupt indexes on worker
+// threads; a failure is the query's typed `Error`, never a panic.
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 mod engines;
 mod executor;
 mod serving;

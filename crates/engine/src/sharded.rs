@@ -424,6 +424,8 @@ impl<E: SearchEngine> SearchEngine for Sharded<'_, E> {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
     use crate::Boss;
     use boss_core::{BossConfig, DegradePolicy};

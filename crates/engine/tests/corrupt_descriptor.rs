@@ -1,0 +1,116 @@
+//! A block descriptor whose docID bounds disagree with its payload must
+//! end every engine's query in a typed error — or, for BOSS under
+//! `SkipBlock`, in a dropped block and a completed query — never in a
+//! panic. Raising the first descriptor's `last_doc` past the corpus also
+//! shifts the next block's d-gap base, so the decoded docIDs of two
+//! blocks would index the norm table out of bounds if a decode were
+//! trusted without comparing it with its descriptor.
+
+use boss_core::{BossConfig, DegradePolicy};
+use boss_engine::{Boss, Iiu, Lucene, SearchEngine};
+use boss_iiu::IiuConfig;
+use boss_index::{Error, IndexBuilder, InvertedIndex, QueryAlgorithm, QueryExpr};
+use boss_luceneish::LuceneConfig;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+const N_DOCS: u32 = 2000;
+
+/// `aa` in every other document, `bb` in every third; `aa`'s first
+/// descriptor claims a last docID 5 000 past the corpus.
+fn corrupted() -> InvertedIndex {
+    let docs: Vec<String> = (0..N_DOCS)
+        .map(|i| {
+            let mut t = String::from("x");
+            if i % 2 == 0 {
+                t.push_str(" aa");
+            }
+            if i % 3 == 0 {
+                t.push_str(" bb");
+            }
+            t
+        })
+        .collect();
+    let mut index = IndexBuilder::new()
+        .add_documents(docs.iter().map(String::as_str))
+        .build()
+        .expect("corpus builds");
+    let aa = index.term_id("aa").expect("aa indexed");
+    index.list_mut(aa).blocks_mut()[0].last_doc = N_DOCS + 5000;
+    index
+}
+
+fn queries() -> [QueryExpr; 3] {
+    let t = QueryExpr::term;
+    [
+        t("aa"),
+        QueryExpr::and([t("aa"), t("bb")]),
+        QueryExpr::or([t("aa"), t("bb")]),
+    ]
+}
+
+/// How an engine is expected to end a query on the corrupted index.
+#[derive(Debug, Clone, Copy)]
+enum Expect {
+    CorruptMetadata,
+    DropsBlocks,
+}
+
+#[test]
+fn a_descriptor_past_the_corpus_is_refused_by_every_engine() {
+    let index = corrupted();
+    for algorithm in [QueryAlgorithm::Exhaustive, QueryAlgorithm::BlockMaxMaxScore] {
+        let boss = |degrade| {
+            Boss::new(
+                &index,
+                BossConfig::default()
+                    .with_algorithm(algorithm)
+                    .with_degrade(degrade),
+            )
+        };
+        let mut engines: Vec<(&str, Box<dyn SearchEngine + '_>, Expect)> = vec![
+            (
+                "boss-fail",
+                Box::new(boss(DegradePolicy::FailQuery)),
+                Expect::CorruptMetadata,
+            ),
+            (
+                "boss-skip",
+                Box::new(boss(DegradePolicy::SkipBlock)),
+                Expect::DropsBlocks,
+            ),
+            (
+                "iiu",
+                Box::new(Iiu::new(
+                    &index,
+                    IiuConfig::default().with_algorithm(algorithm),
+                )),
+                Expect::CorruptMetadata,
+            ),
+            (
+                "lucene",
+                Box::new(Lucene::new(
+                    &index,
+                    LuceneConfig::default().with_algorithm(algorithm),
+                )),
+                Expect::CorruptMetadata,
+            ),
+        ];
+        for (label, engine, expect) in &mut engines {
+            let expect = *expect;
+            for q in &queries() {
+                let outcome = catch_unwind(AssertUnwindSafe(|| engine.search(q, 10)));
+                let Ok(result) = outcome else {
+                    panic!("{label} {algorithm} {q}: panicked");
+                };
+                match (expect, result) {
+                    (Expect::CorruptMetadata, Err(Error::CorruptMetadata { .. })) => {}
+                    (Expect::DropsBlocks, Ok(out)) => assert!(
+                        out.eval.blocks_skipped_fault > 0,
+                        "{label} {algorithm} {q}: the corrupt block was not dropped"
+                    ),
+                    (_, other) => panic!("{label} {algorithm} {q}: {other:?}"),
+                }
+            }
+        }
+    }
+}

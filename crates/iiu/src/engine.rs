@@ -1,7 +1,9 @@
 //! The IIU engine model.
 
+use boss_compress::Scheme;
 use boss_core::{BossConfig, TimingModel};
 use boss_core::{EvalCounts, QueryOutcome, QueryPlan, TopK};
+use boss_index::cursor::{ListSink, SkipReason};
 use boss_index::layout::{IndexImage, ScratchRegion};
 use boss_index::prune::{self, PruneSink};
 use boss_index::{
@@ -249,75 +251,70 @@ impl<'a> Run<'a> {
     }
 }
 
-/// [`PruneSink`] that charges the pruned traversal to IIU's memory and
-/// timing model: metadata records stream sequentially from the block
-/// directory, surviving blocks are fetched with pattern auto-detection
-/// (a pruned traversal jumps, so contiguity is not assumed) and decoded
+/// The pruned traversal charged to IIU's memory and timing model:
+/// metadata records stream sequentially from the block directory,
+/// surviving blocks are fetched with pattern auto-detection (a pruned
+/// traversal jumps, so contiguity is not assumed) and decoded
 /// round-robin across units, and each scored document loads its norm
 /// through the 64-byte line buffer — exactly the charges the unpruned
 /// paths make for the same physical events. Skips are attributed to the
 /// `*_prune` counters.
-struct IiuPruneSink<'r, 'a> {
-    run: &'r mut Run<'a>,
-    /// Per slot (the deduplicated ascending terms), where the term's
-    /// block directory and block data start in the image.
-    addrs: Vec<(u64, u64)>,
-    /// Metadata records already charged per slot (directory read cursor).
-    metas_charged: Vec<u64>,
-}
-
-impl PruneSink for IiuPruneSink<'_, '_> {
-    fn meta_read(&mut self, slot: usize, blocks: u64) {
-        let addr = self.addrs[slot].0 + self.metas_charged[slot] * BLOCK_META_BYTES;
-        self.run.mem.access(
+impl ListSink for Run<'_> {
+    fn meta_read(&mut self, _slot: usize, addr: u64, records: u64) {
+        self.mem.access(
             addr,
-            blocks * BLOCK_META_BYTES,
+            records * BLOCK_META_BYTES,
             AccessKind::Read,
             AccessCategory::LdMeta,
             PatternHint::Sequential,
             0,
         );
-        self.metas_charged[slot] += blocks;
-        self.run.eval.metas_read += blocks;
+        self.eval.metas_read += records;
     }
 
-    fn block_decoded(&mut self, slot: usize, meta: &BlockMeta) {
-        self.run.mem.access(
-            self.addrs[slot].1 + u64::from(meta.offset),
+    fn block_fetch(&mut self, _slot: usize, addr: u64, meta: &BlockMeta) -> Result<(), Error> {
+        self.mem.access(
+            addr,
             u64::from(meta.len).max(1),
             AccessKind::Read,
             AccessCategory::LdList,
             PatternHint::Auto,
             0,
         );
-        self.run.eval.blocks_fetched += 1;
-        let unit = self.run.eval.blocks_fetched as usize % self.run.dec_cycles.len();
-        self.run.dec_cycles[unit] += u64::from(meta.len).max(meta.count() as u64 * 2) / 2 + 4;
+        Ok(())
     }
 
-    fn blocks_skipped(&mut self, _slot: usize, blocks: u64, docs: u64) {
-        self.run.eval.blocks_skipped += blocks;
-        self.run.eval.blocks_skipped_prune += blocks;
-        self.run.eval.docs_skipped_prune += docs;
+    fn block_decoded(&mut self, _slot: usize, _scheme: Scheme, meta: &BlockMeta) {
+        self.eval.blocks_fetched += 1;
+        let unit = self.eval.blocks_fetched as usize % self.dec_cycles.len();
+        self.dec_cycles[unit] += u64::from(meta.len).max(meta.count() as u64 * 2) / 2 + 4;
     }
 
-    fn docs_skipped(&mut self, _slot: usize, docs: u64) {
-        self.run.eval.docs_skipped_prune += docs;
+    fn blocks_skipped(&mut self, _slot: usize, blocks: u64, postings: u64, _reason: SkipReason) {
+        self.eval.blocks_skipped += blocks;
+        self.eval.blocks_skipped_prune += blocks;
+        self.eval.docs_skipped_prune += postings;
     }
 
+    fn postings_passed(&mut self, _slot: usize, n: u64, _reason: SkipReason, _scanned: bool) {
+        self.eval.docs_skipped_prune += n;
+    }
+}
+
+impl PruneSink for Run<'_> {
     fn doc_abandoned(&mut self) {
-        self.run.eval.docs_skipped_prune += 1;
+        self.eval.docs_skipped_prune += 1;
     }
 
     fn doc_scored(&mut self, doc: DocId) {
-        self.run.charge_norm(doc);
-        self.run.scored += 1;
-        self.run.eval.docs_scored += 1;
+        self.charge_norm(doc);
+        self.scored += 1;
+        self.eval.docs_scored += 1;
     }
 
     fn round(&mut self) {
-        self.run.eval.pivot_rounds += 1;
-        self.run.eval.comparisons += 1;
+        self.eval.pivot_rounds += 1;
+        self.eval.comparisons += 1;
     }
 }
 
@@ -370,19 +367,9 @@ impl<'a> IiuEngine<'a> {
             && plan.groups().len() > 1
             && plan.groups().iter().all(|g| g.len() == 1)
         {
-            let mut ids: Vec<TermId> = plan.groups().iter().map(|g| g[0]).collect();
-            ids.sort_unstable();
-            ids.dedup();
-            let addrs = (ids.iter())
-                .map(|&t| (self.image.meta_addr(t), self.image.data_addr(t)))
-                .collect();
-            let mut sink = IiuPruneSink {
-                run: &mut run,
-                metas_charged: vec![0; ids.len()],
-                addrs,
-            };
+            let ids: Vec<TermId> = plan.groups().iter().map(|g| g[0]).collect();
             let outcome =
-                prune::pruned_union_topk(self.index, &ids, self.config.algorithm, k, &mut sink)?;
+                prune::pruned_union_topk(self.index, &ids, self.config.algorithm, k, &mut run)?;
             let (docs, scores): (Vec<DocId>, Vec<f32>) =
                 outcome.hits.iter().map(|h| (h.doc, h.score)).unzip();
             return Ok(self.finish(run, &plan, &docs, &scores, k));

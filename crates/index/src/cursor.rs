@@ -1,0 +1,607 @@
+//! The block fetch module's posting-list cursor (Section IV-C "Block
+//! Fetch Module"), shared by every engine: BOSS's union, intersection
+//! and pruning plans, and the portable pruned evaluator of
+//! [`crate::prune`] that drives the IIU and Lucene-like baselines.
+//!
+//! A [`ListCursor`] walks one encoded posting list. It reads the 19 B
+//! block descriptors in order, answers "where am I" from a descriptor
+//! alone while its block is undecoded, skips whole blocks on metadata,
+//! and fetches and decodes a block only when a caller needs a posting
+//! inside it. It keeps no account of what any of that costs: every
+//! physical event — a descriptor read, a block fetch, a decode, a skip —
+//! goes to the [`ListSink`] the caller passes in, and the engine that
+//! implements the sink prices it (simulated memory traffic, decompressor
+//! cycles, counters). One cursor, so one state machine and one place
+//! that decides what was read, fetched or skipped; as many cost models
+//! as there are engines.
+//!
+//! Decoded blocks are checked against their descriptor where every
+//! decode is, in [`crate::EncodedList::decode_block`]; a block that
+//! fails the check (or whose fetch the sink refuses) goes to
+//! [`ListSink::block_unusable`], which either fails the query or lets the
+//! cursor drop the block and move on.
+
+use crate::encoded::ListView;
+use crate::index::{InvertedIndex, TermId};
+use crate::layout::IndexImage;
+use crate::{BlockMeta, DecodeScratch, DocId, Error, BLOCK_META_BYTES};
+use boss_compress::Scheme;
+
+/// Why postings were passed over without being scored — drives the
+/// attribution of Figure 14 and keeps the pruning plans' savings apart
+/// from the exhaustive path's early termination.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SkipReason {
+    /// Skipped by the block fetch module (whole block never fetched).
+    Block,
+    /// Skipped by the union module's WAND (popped without scoring).
+    Wand,
+    /// Skipped by a dynamic-pruning query plan (a
+    /// [`crate::QueryAlgorithm`] other than `Exhaustive`).
+    Prune,
+}
+
+/// The physical events of a cursor walk, in the order the modeled
+/// hardware performs them. `slot` is whatever the caller gave the
+/// cursor: BOSS binds a list to a decompression module, the portable
+/// evaluator numbers its term streams.
+///
+/// Every method has a default that ignores the event; the defaults of
+/// [`ListSink::block_fetch`] and [`ListSink::block_unusable`] never
+/// refuse a fetch and fail the query on an unusable block.
+pub trait ListSink {
+    /// `records` descriptors of stream `slot` were read, the first at
+    /// `addr` and the rest following it ([`BLOCK_META_BYTES`] each).
+    fn meta_read(&mut self, _slot: usize, _addr: u64, _records: u64) {}
+
+    /// The block described by `meta` is about to be fetched from `addr`.
+    /// An error makes the block unusable (see
+    /// [`ListSink::block_unusable`]) before anything is decoded.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the sink decides the read suffered, e.g. a simulated
+    /// uncorrectable fault.
+    fn block_fetch(&mut self, _slot: usize, _addr: u64, _meta: &BlockMeta) -> Result<(), Error> {
+        Ok(())
+    }
+
+    /// The block described by `meta` was decoded under `scheme` and
+    /// agrees with its descriptor.
+    fn block_decoded(&mut self, _slot: usize, _scheme: Scheme, _meta: &BlockMeta) {}
+
+    /// The block described by `meta` could not be used: its fetch was
+    /// refused or its decode failed with `err`. `Ok` drops the block and
+    /// the cursor moves on to the next one; `Err` fails the query.
+    ///
+    /// # Errors
+    ///
+    /// `err` itself by default.
+    fn block_unusable(&mut self, _slot: usize, _meta: &BlockMeta, err: Error) -> Result<(), Error> {
+        Err(err)
+    }
+
+    /// `blocks` whole blocks holding `postings` postings were skipped
+    /// without being fetched.
+    fn blocks_skipped(&mut self, _slot: usize, _blocks: u64, _postings: u64, _reason: SkipReason) {}
+
+    /// `n` postings of a decoded block were passed over without being
+    /// scored: found by scanning the block when `scanned` (one comparison
+    /// each), or as the block's unconsumed tail otherwise.
+    fn postings_passed(&mut self, _slot: usize, _n: u64, _reason: SkipReason, _scanned: bool) {}
+}
+
+/// Sanitizes an untrusted score upper bound (a list's or a block's
+/// stored max term score): anything non-finite or negative becomes
+/// `+inf`, which disables skipping (a safe over-estimate) instead of
+/// enabling a wrong skip. A *plausible* finite lowering is undetectable
+/// without decoding the block; [`crate::prune`] checks every posting it
+/// scores against its bounds.
+#[inline]
+fn sanitize_ub(raw: f32) -> f32 {
+    if raw.is_finite() && raw >= 0.0 {
+        raw
+    } else {
+        f32::INFINITY
+    }
+}
+
+/// A cursor over one encoded posting list with lazy block decode.
+#[derive(Debug)]
+pub struct ListCursor<'a> {
+    term: TermId,
+    slot: usize,
+    /// The list's descriptors and payload, taken from the index once.
+    list: ListView<'a>,
+    /// Where the list's descriptor array and data area start in the
+    /// index image.
+    meta_addr: u64,
+    data_addr: u64,
+    /// Current block; `list.blocks.len()` when exhausted.
+    block: usize,
+    /// Decoded docIDs/tfs of the current block (empty while undecoded),
+    /// in buffers reserved once from the descriptors.
+    scratch: DecodeScratch,
+    /// Position within the decoded block.
+    pos: usize,
+    /// Descriptors read so far (they are read once, in order).
+    meta_upto: usize,
+}
+
+impl<'a> ListCursor<'a> {
+    /// A cursor at the start of `term`'s list, reporting its events as
+    /// stream `slot`; reads the first descriptor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `term` is out of range.
+    pub fn new<S: ListSink>(
+        index: &'a InvertedIndex,
+        term: TermId,
+        slot: usize,
+        sink: &mut S,
+    ) -> Self {
+        let list = index.list(term);
+        let mut scratch = DecodeScratch::new();
+        scratch.reserve_for(list);
+        let image = IndexImage::new(index);
+        let mut c = ListCursor {
+            term,
+            slot,
+            list: list.view(),
+            meta_addr: image.meta_addr(term),
+            data_addr: image.data_addr(term),
+            block: 0,
+            scratch,
+            pos: 0,
+            meta_upto: 0,
+        };
+        c.read_meta(sink);
+        c
+    }
+
+    /// The term whose list this is.
+    #[inline]
+    pub fn term(&self) -> TermId {
+        self.term
+    }
+
+    /// The term's inverse document frequency.
+    #[inline]
+    pub fn idf(&self) -> f32 {
+        self.list.stats.idf
+    }
+
+    /// Sanitized list-level maximum term score (the WAND lookup-table
+    /// value).
+    #[inline]
+    pub fn list_max(&self) -> f32 {
+        sanitize_ub(self.list.stats.max_score)
+    }
+
+    /// Whether all postings are consumed.
+    #[inline]
+    pub fn exhausted(&self) -> bool {
+        self.block >= self.list.blocks.len()
+    }
+
+    #[inline]
+    fn meta(&self) -> &BlockMeta {
+        &self.list.blocks[self.block]
+    }
+
+    /// Whether the current block is decoded.
+    #[inline]
+    pub fn is_decoded(&self) -> bool {
+        !self.scratch.is_empty()
+    }
+
+    /// Smallest unconsumed docID (the `sID` of Section IV-C). For an
+    /// undecoded block this is its descriptor's first docID — no fetch
+    /// needed, which is what makes block skipping free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cursor is exhausted.
+    #[inline]
+    pub fn current_doc(&self) -> DocId {
+        if self.scratch.is_empty() {
+            self.meta().first_doc
+        } else {
+            self.scratch.docs[self.pos]
+        }
+    }
+
+    /// Sanitized block-max term score of the current block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cursor is exhausted.
+    #[inline]
+    pub fn block_max(&self) -> f32 {
+        sanitize_ub(self.meta().max_score)
+    }
+
+    /// Last docID of the current block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cursor is exhausted.
+    #[inline]
+    pub fn block_last_doc(&self) -> DocId {
+        self.meta().last_doc
+    }
+
+    /// Shallow advance: the sanitized block-max score and the last docID
+    /// of the block that would contain `target` — the current block if it
+    /// still reaches it, else the first later one that does — without
+    /// fetching or decoding anything. `None` when no block reaches
+    /// `target`.
+    #[inline]
+    pub fn shallow_block_max(&self, target: DocId) -> Option<(f32, DocId)> {
+        let blocks = self.list.blocks;
+        let m = match blocks.get(self.block) {
+            Some(m) if m.last_doc >= target => m,
+            Some(_) => blocks.get(self.list.skip_to_block(self.block + 1, target))?,
+            None => return None,
+        };
+        Some((sanitize_ub(m.max_score), m.last_doc))
+    }
+
+    /// If the cursor sits at the start of a *not yet fetched* block,
+    /// returns that block's last docID — the only unit the block fetch
+    /// module can skip without the union module's help.
+    #[inline]
+    pub fn whole_block_skippable(&self) -> Option<DocId> {
+        if !self.exhausted() && self.scratch.is_empty() {
+            Some(self.meta().last_doc)
+        } else {
+            None
+        }
+    }
+
+    /// The unconsumed postings of the current block; empty while it is
+    /// not decoded.
+    #[inline]
+    pub fn run(&self) -> (&[DocId], &[u32]) {
+        (
+            &self.scratch.docs[self.pos..],
+            &self.scratch.tfs[self.pos..],
+        )
+    }
+
+    /// Number of postings not yet consumed (from the descriptors; nothing
+    /// is read).
+    pub fn remaining(&self) -> u64 {
+        if self.exhausted() {
+            return 0;
+        }
+        let in_block = if self.scratch.is_empty() {
+            self.meta().count() as u64
+        } else {
+            (self.scratch.len() - self.pos) as u64
+        };
+        let later: u64 = self.list.blocks[self.block + 1..]
+            .iter()
+            .map(|m| m.count() as u64)
+            .sum();
+        in_block + later
+    }
+
+    /// Reads the descriptors up to and including the current block's,
+    /// unless they were read already.
+    fn read_meta<S: ListSink>(&mut self, sink: &mut S) {
+        if !self.exhausted() && self.block >= self.meta_upto {
+            let addr = self.meta_addr + self.meta_upto as u64 * BLOCK_META_BYTES;
+            sink.meta_read(self.slot, addr, (self.block + 1 - self.meta_upto) as u64);
+            self.meta_upto = self.block + 1;
+        }
+    }
+
+    /// Moves to the start of the next block, undecoded.
+    fn next_block<S: ListSink>(&mut self, sink: &mut S) {
+        self.block += 1;
+        self.scratch.clear();
+        self.pos = 0;
+        self.read_meta(sink);
+    }
+
+    /// Term frequency at the cursor, decoding the current block if needed.
+    ///
+    /// `Ok(None)` when the block was unusable and the sink dropped it: the
+    /// cursor is past it, and the document the caller was looking at no
+    /// longer exists from the cursor's point of view.
+    ///
+    /// # Errors
+    ///
+    /// What [`ListSink::block_unusable`] returns for an unusable block.
+    #[inline]
+    pub fn current_tf<S: ListSink>(&mut self, sink: &mut S) -> Result<Option<u32>, Error> {
+        Ok(self.fetch_block(sink)?.then(|| self.scratch.tfs[self.pos]))
+    }
+
+    /// Fetches and decodes the current block unless it already is: an
+    /// inlined is-decoded check, the decode itself out of line.
+    ///
+    /// `Ok(true)` when the current block is decoded; `Ok(false)` when the
+    /// cursor is exhausted or the block was unusable and the sink dropped
+    /// it (the cursor moved, possibly to exhaustion) — the caller must
+    /// re-examine the cursor.
+    ///
+    /// # Errors
+    ///
+    /// What [`ListSink::block_unusable`] returns for an unusable block.
+    #[inline]
+    pub fn fetch_block<S: ListSink>(&mut self, sink: &mut S) -> Result<bool, Error> {
+        if !self.scratch.is_empty() {
+            return Ok(true);
+        }
+        self.decode_current(sink)
+    }
+
+    /// The once-per-block half of [`ListCursor::fetch_block`].
+    #[inline(never)]
+    fn decode_current<S: ListSink>(&mut self, sink: &mut S) -> Result<bool, Error> {
+        let Some(&meta) = self.list.blocks.get(self.block) else {
+            return Ok(false);
+        };
+        let addr = self.data_addr + u64::from(meta.offset);
+        let decoded = sink.block_fetch(self.slot, addr, &meta).and_then(|()| {
+            let DecodeScratch { docs, tfs } = &mut self.scratch;
+            self.list.decode_block(self.block, docs, tfs)
+        });
+        if let Err(e) = decoded {
+            self.scratch.clear();
+            sink.block_unusable(self.slot, &meta, e)?;
+            self.next_block(sink);
+            return Ok(false);
+        }
+        sink.block_decoded(self.slot, self.list.stats.scheme, &meta);
+        self.pos = 0;
+        Ok(true)
+    }
+
+    /// Consumes one posting, decoding the block first if necessary. If the
+    /// block turned out unusable and the sink dropped it, the cursor is
+    /// already past it and nothing more is consumed.
+    ///
+    /// # Errors
+    ///
+    /// As [`ListCursor::fetch_block`].
+    pub fn advance<S: ListSink>(&mut self, sink: &mut S) -> Result<(), Error> {
+        if self.fetch_block(sink)? {
+            self.advance_run(sink, 1);
+        }
+        Ok(())
+    }
+
+    /// Consumes `n` postings of the current decoded block in one step —
+    /// event-identical to `n` calls of [`ListCursor::advance`]: nothing
+    /// happens inside the block, and leaving it reads the next block's
+    /// descriptor exactly once.
+    #[inline]
+    pub fn advance_run<S: ListSink>(&mut self, sink: &mut S, n: usize) {
+        debug_assert!(self.pos + n <= self.scratch.len(), "run of {n} overruns");
+        self.pos += n;
+        if self.pos >= self.scratch.len() {
+            self.next_block(sink);
+        }
+    }
+
+    /// Moves to the first posting with `doc >= target`, skipping whole
+    /// blocks on their descriptors; what is passed over is reported with
+    /// `reason`.
+    ///
+    /// # Errors
+    ///
+    /// As [`ListCursor::fetch_block`].
+    pub fn seek<S: ListSink>(
+        &mut self,
+        sink: &mut S,
+        target: DocId,
+        reason: SkipReason,
+    ) -> Result<(), Error> {
+        loop {
+            // Skip whole blocks that end before the target.
+            while !self.exhausted() && self.meta().last_doc < target {
+                if self.scratch.is_empty() {
+                    sink.blocks_skipped(self.slot, 1, self.meta().count() as u64, reason);
+                } else {
+                    // A partially consumed block: its tail is decoded
+                    // already, so this is a pop, not a block skip.
+                    let tail = (self.scratch.len() - self.pos) as u64;
+                    sink.postings_passed(self.slot, tail, reason, false);
+                }
+                self.next_block(sink);
+            }
+            if self.exhausted() || self.current_doc() >= target {
+                return Ok(());
+            }
+            // The target falls inside the current block: decode and scan.
+            if !self.fetch_block(sink)? {
+                // Dropped as unusable: the cursor moved to a later block,
+                // which may still end before the target.
+                continue;
+            }
+            let bypassed = self.scratch.docs[self.pos..]
+                .iter()
+                .take_while(|&&d| d < target)
+                .count();
+            self.pos += bypassed;
+            sink.postings_passed(self.slot, bypassed as u64, reason, true);
+            if self.pos >= self.scratch.len() {
+                self.next_block(sink);
+            }
+            return Ok(());
+        }
+    }
+
+    /// Passes over every remaining posting and exhausts the cursor (the
+    /// traversal proved the whole tail cannot contribute). Later
+    /// descriptors are not read.
+    pub fn drain<S: ListSink>(&mut self, sink: &mut S, reason: SkipReason) {
+        if self.exhausted() {
+            return;
+        }
+        let mut from = self.block;
+        if !self.scratch.is_empty() {
+            let tail = (self.scratch.len() - self.pos) as u64;
+            sink.postings_passed(self.slot, tail, reason, false);
+            from += 1;
+        }
+        let rest = &self.list.blocks[from..];
+        if !rest.is_empty() {
+            let postings = rest.iter().map(|m| m.count() as u64).sum();
+            sink.blocks_skipped(self.slot, rest.len() as u64, postings, reason);
+        }
+        self.block = self.list.blocks.len();
+        self.scratch.clear();
+        self.pos = 0;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
+    use super::*;
+    use crate::IndexBuilder;
+
+    /// Records every event, in order.
+    #[derive(Default)]
+    struct Log {
+        events: Vec<String>,
+        refuse_fetch: bool,
+        drop_unusable: bool,
+    }
+
+    impl ListSink for Log {
+        fn meta_read(&mut self, slot: usize, addr: u64, records: u64) {
+            self.events.push(format!("meta {slot} {addr:#x} {records}"));
+        }
+        fn block_fetch(&mut self, slot: usize, addr: u64, meta: &BlockMeta) -> Result<(), Error> {
+            self.events
+                .push(format!("fetch {slot} {addr:#x} {}", meta.first_doc));
+            if self.refuse_fetch {
+                Err(Error::ReadFault { addr })
+            } else {
+                Ok(())
+            }
+        }
+        fn block_decoded(&mut self, slot: usize, _scheme: Scheme, meta: &BlockMeta) {
+            self.events
+                .push(format!("decoded {slot} {}", meta.first_doc));
+        }
+        fn block_unusable(
+            &mut self,
+            slot: usize,
+            meta: &BlockMeta,
+            err: Error,
+        ) -> Result<(), Error> {
+            self.events
+                .push(format!("unusable {slot} {}", meta.first_doc));
+            if self.drop_unusable {
+                Ok(())
+            } else {
+                Err(err)
+            }
+        }
+        fn blocks_skipped(&mut self, slot: usize, blocks: u64, postings: u64, reason: SkipReason) {
+            self.events
+                .push(format!("skipped {slot} {blocks} {postings} {reason:?}"));
+        }
+        fn postings_passed(&mut self, slot: usize, n: u64, reason: SkipReason, scanned: bool) {
+            self.events
+                .push(format!("passed {slot} {n} {reason:?} {scanned}"));
+        }
+    }
+
+    /// 600 documents: `even` in every even one (300 postings, 3 blocks).
+    fn index() -> InvertedIndex {
+        let docs: Vec<String> = (0..600)
+            .map(|i| {
+                if i % 2 == 0 {
+                    "x even".to_owned()
+                } else {
+                    "x".to_owned()
+                }
+            })
+            .collect();
+        IndexBuilder::new()
+            .add_documents(docs.iter().map(String::as_str))
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn events_carry_the_image_addresses_in_walk_order() {
+        let idx = index();
+        let t = idx.term_id("even").unwrap();
+        let image = crate::layout::IndexImage::new(&idx);
+        let (meta, data) = (image.meta_addr(t), image.data_addr(t));
+        let blocks = idx.list(t).blocks();
+        let mut log = Log::default();
+        let mut c = ListCursor::new(&idx, t, 3, &mut log);
+        c.seek(&mut log, blocks[1].first_doc + 4, SkipReason::Prune)
+            .unwrap();
+        assert_eq!(c.current_doc(), blocks[1].first_doc + 4);
+        c.drain(&mut log, SkipReason::Wand);
+        assert!(c.exhausted());
+        let expect = [
+            format!("meta 3 {meta:#x} 1"),
+            "skipped 3 1 128 Prune".to_owned(),
+            format!("meta 3 {:#x} 1", meta + BLOCK_META_BYTES),
+            format!(
+                "fetch 3 {:#x} {}",
+                data + u64::from(blocks[1].offset),
+                blocks[1].first_doc
+            ),
+            format!("decoded 3 {}", blocks[1].first_doc),
+            "passed 3 2 Prune true".to_owned(),
+            "passed 3 126 Wand false".to_owned(),
+            "skipped 3 1 44 Wand".to_owned(),
+        ];
+        assert_eq!(log.events, expect);
+    }
+
+    #[test]
+    fn an_unusable_block_fails_or_is_dropped_as_the_sink_decides() {
+        let idx = index();
+        let t = idx.term_id("even").unwrap();
+        let mut log = Log {
+            refuse_fetch: true,
+            ..Log::default()
+        };
+        let mut c = ListCursor::new(&idx, t, 0, &mut log);
+        assert!(matches!(
+            c.current_tf(&mut log),
+            Err(Error::ReadFault { .. })
+        ));
+        assert_eq!(c.current_doc(), 0, "a failed block leaves the cursor put");
+
+        log.drop_unusable = true;
+        assert_eq!(c.current_tf(&mut log).unwrap(), None);
+        assert_eq!(c.current_doc(), idx.list(t).blocks()[1].first_doc);
+        assert!(log.events.iter().all(|e| !e.starts_with("decoded")));
+    }
+
+    #[test]
+    fn shallow_block_max_is_sanitized_and_reads_nothing() {
+        let mut idx = index();
+        let t = idx.term_id("even").unwrap();
+        idx.list_mut(t).blocks_mut()[1].max_score = f32::NAN;
+        let mut log = Log::default();
+        let c = ListCursor::new(&idx, t, 0, &mut log);
+        let blocks = idx.list(t).blocks();
+        assert_eq!(
+            c.shallow_block_max(2),
+            Some((blocks[0].max_score, blocks[0].last_doc))
+        );
+        assert_eq!(
+            c.shallow_block_max(blocks[1].first_doc),
+            Some((f32::INFINITY, blocks[1].last_doc))
+        );
+        assert_eq!(c.shallow_block_max(1_000_000), None);
+        assert_eq!(log.events.len(), 1, "only the first descriptor was read");
+    }
+}

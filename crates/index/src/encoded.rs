@@ -213,30 +213,6 @@ pub(crate) struct ListView<'a> {
 }
 
 impl ListView<'_> {
-    /// The sanitized block-max upper bound of block `i`: the stored
-    /// per-block max term score, or `+∞` when the stored value cannot be
-    /// an upper bound of anything (NaN, negative, or out of range).
-    ///
-    /// Pruning built on this accessor degrades safely under metadata
-    /// corruption: an implausible block-max turns into "never skip this
-    /// block", so the block is decoded and scored exhaustively instead of
-    /// silently dropping documents. A *plausible* finite lowering is
-    /// undetectable without decoding the block — that case is covered by
-    /// the decode-time containment checks and the score-vs-bound
-    /// verification in [`crate::prune`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range (callers iterate the blocks).
-    pub(crate) fn block_max_ub(&self, i: usize) -> f32 {
-        let m = self.blocks[i].max_score;
-        if m.is_finite() && m >= 0.0 {
-            m
-        } else {
-            f32::INFINITY
-        }
-    }
-
     /// [`EncodedList::skip_to_block`].
     pub(crate) fn skip_to_block(&self, from: usize, target: DocId) -> usize {
         let from = from.min(self.blocks.len());
@@ -281,7 +257,22 @@ impl ListView<'_> {
         } else {
             self.blocks[i - 1].last_doc
         };
+        let doc_base = docs.len();
         codec.decode_d1(delta_part, &meta.delta_info, base, docs)?;
+        // The skip decisions every cursor takes read the descriptor, and
+        // the scorers index the norm table with what the decode produced:
+        // the two must name the same documents.
+        let decoded = &docs[doc_base..];
+        let (Some(&first), Some(&last)) = (decoded.first(), decoded.last()) else {
+            return Err(Error::CorruptMetadata {
+                reason: "block decoded to zero postings",
+            });
+        };
+        if first != meta.first_doc || last != meta.last_doc {
+            return Err(Error::CorruptMetadata {
+                reason: "decoded block contents disagree with its directory entry",
+            });
+        }
 
         let tf_base = tfs.len();
         codec.decode(tf_part, &meta.tf_info, tfs)?;
@@ -524,8 +515,10 @@ impl EncodedList {
     ///
     /// Returns [`Error::BlockOutOfRange`] if `i` is out of range,
     /// [`Error::CorruptMetadata`] if the block descriptor points outside
-    /// the list's data area or its sub-stream counts disagree, and codec
-    /// errors on corrupt encoded bytes.
+    /// the list's data area, its sub-stream counts disagree, or the
+    /// decoded docIDs are empty or do not begin at the descriptor's
+    /// `first_doc` and end at its `last_doc`, and codec errors on corrupt
+    /// encoded bytes.
     pub fn decode_block(
         &self,
         i: usize,

@@ -46,6 +46,10 @@ mod bm25;
 // construction path; a bad input is a typed `Error`, never a panic.
 #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod builder;
+// Every engine's cursor walks untrusted descriptors and payload: an
+// unusable block is handed to the engine's sink as a typed `Error`.
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+pub mod cursor;
 mod encoded;
 mod error;
 mod index;

@@ -1,11 +1,11 @@
 //! Index-level dynamic-pruning evaluators (MaxScore / WAND / BMW / BMM).
 //!
 //! This module is the *portable* half of the pruning tentpole: a
-//! self-contained evaluator over [`crate::EncodedList`] block metadata that the
-//! host-style engines (IIU, the Lucene-like baseline) and the property
-//! tests drive directly. The BOSS device pipeline has its own
-//! implementation in `boss-core` (it must thread through the simulated
-//! fetch/decode/score units); both are required by tests to return the
+//! self-contained evaluator that the host-style engines (IIU, the
+//! Lucene-like baseline) and the property tests drive directly. The BOSS
+//! device pipeline keeps its own loops in `boss-core` (its union module
+//! charges per move and shares rounds with early termination); both walk
+//! the same [`ListCursor`], and both are required by tests to return the
 //! exact hits of [`crate::reference::evaluate`].
 //!
 //! # Safety contract
@@ -26,45 +26,35 @@
 //!
 //! Block-max and list-max scores are untrusted metadata. Non-finite or
 //! negative bounds sanitize to `+inf` (never-skip — a safe
-//! over-estimate). Decoded blocks are verified against their directory
-//! entry (first/last docID containment, per-posting score within the
-//! block-max bound) and violations surface as
-//! [`Error::CorruptMetadata`]. The residual trust boundary — a
-//! *finitely lowered* bound on a block that is skipped and therefore
-//! never decoded — is undetectable without decoding and is documented
-//! in DESIGN.md §14; the corruption harness's mutation corpus covers
-//! the detectable classes.
+//! over-estimate) in the cursor. Decoded blocks are verified against
+//! their directory entry by the decode itself (first/last docID), every
+//! posting's score against its block-max and list-max bounds here, and
+//! violations surface as [`Error::CorruptMetadata`]. The residual trust
+//! boundary — a *finitely lowered* bound on a block that is skipped and
+//! therefore never decoded — is undetectable without decoding and is
+//! documented in DESIGN.md §14; the corruption harness's mutation corpus
+//! covers the detectable classes.
 
 use crate::algorithm::QueryAlgorithm;
-use crate::encoded::{BlockMeta, ListView};
+use crate::cursor::{ListCursor, ListSink, SkipReason};
+use crate::encoded::BlockMeta;
 use crate::index::{InvertedIndex, TermId};
 use crate::matches::canonical_score;
 use crate::query::SearchHit;
 use crate::topk::TopK;
 use crate::{DocId, Error};
+use boss_compress::Scheme;
 
-/// Observer for the simulated-cost side effects of a pruned traversal.
-///
-/// The evaluator calls these hooks at the exact point the corresponding
-/// physical event would happen on the modeled hardware: metadata reads
-/// when a block directory entry is first consulted, block decodes when
-/// (and only when) a block survives the skip checks, skip tallies when
-/// postings are provably unable to change the top-k. Engines implement
-/// this to charge their memory simulators; [`NullSink`] ignores it all.
-///
-/// `slot` identifies the query term stream (position in the deduplicated
-/// ascending term list passed to [`pruned_union_topk`]).
-pub trait PruneSink {
-    /// `blocks` metadata records of stream `slot` were read (19 B each).
-    fn meta_read(&mut self, _slot: usize, _blocks: u64) {}
-    /// A block of stream `slot` was fetched and decoded.
-    fn block_decoded(&mut self, _slot: usize, _meta: &BlockMeta) {}
-    /// `blocks` whole blocks (`docs` postings) of stream `slot` were
-    /// skipped without ever being fetched or decoded.
-    fn blocks_skipped(&mut self, _slot: usize, _blocks: u64, _docs: u64) {}
-    /// `docs` already-decoded postings of stream `slot` were passed over
-    /// without scoring (in-block scan or decoded-tail skip).
-    fn docs_skipped(&mut self, _slot: usize, _docs: u64) {}
+/// What a pruned traversal does beside walking its cursors, for the
+/// engine that prices it. The cursors' own physical events (metadata
+/// reads, block fetches and decodes, skips) arrive through the
+/// [`ListSink`] half, each at the point the modeled hardware would
+/// perform it, with `slot` the position of the stream in the
+/// deduplicated ascending term list passed to [`pruned_union_topk`];
+/// every skip is reported with [`SkipReason::Prune`]. Engines implement
+/// both halves to charge their memory simulators; [`NullSink`] ignores
+/// it all.
+pub trait PruneSink: ListSink {
     /// A candidate document was abandoned mid-probe (MaxScore family):
     /// its partial score plus the unprobed upper-bound tail cannot beat
     /// the threshold.
@@ -79,10 +69,11 @@ pub trait PruneSink {
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullSink;
 
+impl ListSink for NullSink {}
 impl PruneSink for NullSink {}
 
-/// A sink that tallies every event — the portable engines' bookkeeping
-/// and the unit tests' visibility into how much work was avoided.
+/// A sink that tallies every event — the unit tests' visibility into
+/// how much work was avoided.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PruneCounters {
     /// Block directory entries read (19 B each).
@@ -110,20 +101,23 @@ impl PruneCounters {
     }
 }
 
-impl PruneSink for PruneCounters {
-    fn meta_read(&mut self, _slot: usize, blocks: u64) {
-        self.metas_read += blocks;
+impl ListSink for PruneCounters {
+    fn meta_read(&mut self, _slot: usize, _addr: u64, records: u64) {
+        self.metas_read += records;
     }
-    fn block_decoded(&mut self, _slot: usize, _meta: &BlockMeta) {
+    fn block_decoded(&mut self, _slot: usize, _scheme: Scheme, _meta: &BlockMeta) {
         self.blocks_decoded += 1;
     }
-    fn blocks_skipped(&mut self, _slot: usize, blocks: u64, docs: u64) {
+    fn blocks_skipped(&mut self, _slot: usize, blocks: u64, postings: u64, _reason: SkipReason) {
         self.blocks_skipped += blocks;
-        self.docs_skipped_blocks += docs;
+        self.docs_skipped_blocks += postings;
     }
-    fn docs_skipped(&mut self, _slot: usize, docs: u64) {
-        self.docs_skipped += docs;
+    fn postings_passed(&mut self, _slot: usize, n: u64, _reason: SkipReason, _scanned: bool) {
+        self.docs_skipped += n;
     }
+}
+
+impl PruneSink for PruneCounters {
     fn doc_abandoned(&mut self) {
         self.docs_skipped += 1;
     }
@@ -157,223 +151,32 @@ fn cannot_beat(upper: f64, theta: f32) -> bool {
     upper <= f64::from(theta) - slack
 }
 
-/// Sanitizes an untrusted score upper bound: anything non-finite or
-/// negative becomes `+inf`, which disables skipping (a safe
-/// over-estimate) instead of enabling a wrong skip.
-fn sanitize_ub(raw: f32) -> f32 {
-    if raw.is_finite() && raw >= 0.0 {
-        raw
-    } else {
-        f32::INFINITY
-    }
+/// Shallow advance for the evaluator: the block bound and boundary of
+/// `c` at `target`, or `(0.0, DocId::MAX)` once no block reaches it.
+fn shallow(c: &ListCursor<'_>, target: DocId) -> (f32, DocId) {
+    c.shallow_block_max(target).unwrap_or((0.0, DocId::MAX))
 }
 
-/// One query-term posting stream: block-directory position plus the
-/// decoded window of the current block (empty until the block survives
-/// the skip checks and is actually decoded).
-struct Cursor<'a> {
-    slot: usize,
-    term: TermId,
-    /// The list's descriptors and payload, taken from the index once.
-    list: ListView<'a>,
-    /// Sanitized list-level score upper bound.
-    ub: f32,
-    /// Current block index (`== n_blocks` once exhausted).
-    block: usize,
-    /// Decoded docIDs/tfs of the current block; empty while undecoded.
-    docs: Vec<DocId>,
-    tfs: Vec<u32>,
-    /// Position within the decoded window.
-    pos: usize,
-    /// Number of leading directory entries whose 19 B metadata has been
-    /// charged to the sink (entries are read once, in order).
-    meta_upto: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new<S: PruneSink>(
-        index: &'a InvertedIndex,
-        slot: usize,
-        term: TermId,
-        sink: &mut S,
-    ) -> Self {
-        let list = index.list(term).view();
-        let mut c = Cursor {
-            slot,
-            term,
-            list,
-            ub: sanitize_ub(list.stats.max_score),
-            block: 0,
-            docs: Vec::new(),
-            tfs: Vec::new(),
-            pos: 0,
-            meta_upto: 0,
-        };
-        c.charge_meta(sink);
-        c
+/// Reads the posting at `c` (decoding its block only now), verifies its
+/// term score against the block-max and list-max bounds, then consumes
+/// it. `None` when the sink dropped the block as unusable.
+fn take_posting<S: PruneSink>(
+    c: &mut ListCursor<'_>,
+    index: &InvertedIndex,
+    norm: f32,
+    sink: &mut S,
+) -> Result<Option<(TermId, u32, f32)>, Error> {
+    let Some(tf) = c.current_tf(sink)? else {
+        return Ok(None);
+    };
+    let score = index.bm25().term_score(c.idf(), tf, norm);
+    if score > c.block_max() || score > c.list_max() {
+        return Err(Error::CorruptMetadata {
+            reason: "posting score exceeds its block-max bound",
+        });
     }
-
-    fn exhausted(&self) -> bool {
-        self.block >= self.list.blocks.len()
-    }
-
-    fn meta(&self) -> &BlockMeta {
-        &self.list.blocks[self.block]
-    }
-
-    fn decoded(&self) -> bool {
-        !self.docs.is_empty()
-    }
-
-    /// Charges the sink for the current block's directory entry if it
-    /// has not been read yet (directory reads are sequential).
-    fn charge_meta<S: PruneSink>(&mut self, sink: &mut S) {
-        if !self.exhausted() && self.block >= self.meta_upto {
-            sink.meta_read(self.slot, (self.block + 1 - self.meta_upto) as u64);
-            self.meta_upto = self.block + 1;
-        }
-    }
-
-    /// Moves to block `b` with no decoded window.
-    fn enter_block<S: PruneSink>(&mut self, b: usize, sink: &mut S) {
-        self.block = b;
-        self.docs.clear();
-        self.tfs.clear();
-        self.pos = 0;
-        self.charge_meta(sink);
-    }
-
-    /// Smallest not-yet-consumed docID. For an undecoded block this is
-    /// the directory's `first_doc` — readable without a decode.
-    fn current_doc(&self) -> DocId {
-        if self.decoded() {
-            self.docs[self.pos]
-        } else {
-            self.meta().first_doc
-        }
-    }
-
-    /// Decodes the current block if it is not already decoded, verifying
-    /// the decoded contents against the directory entry.
-    fn ensure_decoded<S: PruneSink>(&mut self, sink: &mut S) -> Result<(), Error> {
-        if self.decoded() {
-            return Ok(());
-        }
-        self.list
-            .decode_block(self.block, &mut self.docs, &mut self.tfs)?;
-        let meta = self.meta();
-        match (self.docs.first(), self.docs.last()) {
-            (Some(&first), Some(&last)) => {
-                if first != meta.first_doc || last != meta.last_doc {
-                    return Err(Error::CorruptMetadata {
-                        reason: "decoded block contents disagree with its directory entry",
-                    });
-                }
-            }
-            _ => {
-                return Err(Error::CorruptMetadata {
-                    reason: "block decoded to zero postings",
-                });
-            }
-        }
-        sink.block_decoded(self.slot, meta);
-        self.pos = 0;
-        Ok(())
-    }
-
-    /// Consumes the current posting (the block must be decoded).
-    fn advance<S: PruneSink>(&mut self, sink: &mut S) {
-        self.pos += 1;
-        if self.pos >= self.docs.len() {
-            let next = self.block + 1;
-            self.enter_block(next, sink);
-        }
-    }
-
-    /// Positions the cursor at the first docID `>= target`, charging
-    /// every skipped block/posting to the sink. Blocks whose `last_doc`
-    /// is below the target are skipped *undecoded*.
-    fn seek<S: PruneSink>(&mut self, target: DocId, sink: &mut S) -> Result<(), Error> {
-        while !self.exhausted() && self.meta().last_doc < target {
-            if self.decoded() {
-                sink.docs_skipped(self.slot, (self.docs.len() - self.pos) as u64);
-            } else {
-                sink.blocks_skipped(self.slot, 1, self.meta().count() as u64);
-            }
-            let next = self.block + 1;
-            self.enter_block(next, sink);
-        }
-        if self.exhausted() || self.current_doc() >= target {
-            return Ok(());
-        }
-        // The target lies inside the current block: decode and scan.
-        self.ensure_decoded(sink)?;
-        let start = self.pos;
-        self.pos += self.docs[self.pos..].partition_point(|&d| d < target);
-        sink.docs_skipped(self.slot, (self.pos - start) as u64);
-        if self.pos >= self.docs.len() {
-            // Unreachable for honest metadata (last_doc >= target was
-            // verified at decode), kept as a safe fallback.
-            let next = self.block + 1;
-            self.enter_block(next, sink);
-        }
-        Ok(())
-    }
-
-    /// Block-max shallow advance: the sanitized score bound and boundary
-    /// (`last_doc`) of the block that would contain `target`, without
-    /// fetching or decoding anything. Returns `(0.0, DocId::MAX)` when
-    /// the list has no docID at or beyond `target`.
-    fn shallow(&self, target: DocId) -> (f32, DocId) {
-        let b = self.list.skip_to_block(self.block, target);
-        if b >= self.list.blocks.len() {
-            (0.0, DocId::MAX)
-        } else {
-            (self.list.block_max_ub(b), self.list.blocks[b].last_doc)
-        }
-    }
-
-    /// Counts every remaining posting as skipped and exhausts the
-    /// cursor (the traversal proved the whole tail cannot contribute).
-    fn drain_skipped<S: PruneSink>(&mut self, sink: &mut S) {
-        if self.exhausted() {
-            return;
-        }
-        let mut from = self.block;
-        if self.decoded() {
-            sink.docs_skipped(self.slot, (self.docs.len() - self.pos) as u64);
-            from += 1;
-        }
-        let tail = &self.list.blocks[from..];
-        if !tail.is_empty() {
-            let docs: u64 = tail.iter().map(|m| m.count() as u64).sum();
-            sink.blocks_skipped(self.slot, tail.len() as u64, docs);
-        }
-        self.block = self.list.blocks.len();
-        self.docs.clear();
-        self.tfs.clear();
-        self.pos = 0;
-    }
-
-    /// Reads the current posting's tf, verifying its term score against
-    /// the block-max and list-max bounds, then consumes it. The cursor
-    /// must be positioned at a decoded posting.
-    fn take_posting<S: PruneSink>(
-        &mut self,
-        index: &InvertedIndex,
-        norm: f32,
-        sink: &mut S,
-    ) -> Result<(TermId, u32, f32), Error> {
-        let tf = self.tfs[self.pos];
-        let score = index.bm25().term_score(self.list.stats.idf, tf, norm);
-        if score > self.list.block_max_ub(self.block) || score > self.ub {
-            return Err(Error::CorruptMetadata {
-                reason: "posting score exceeds its block-max bound",
-            });
-        }
-        self.advance(sink);
-        Ok((self.term, tf, score))
-    }
+    c.advance_run(sink, 1);
+    Ok(Some((c.term(), tf, score)))
 }
 
 fn doc_norm(index: &InvertedIndex, doc: DocId) -> Result<f32, Error> {
@@ -387,7 +190,7 @@ fn doc_norm(index: &InvertedIndex, doc: DocId) -> Result<f32, Error> {
 }
 
 /// Evaluates a union (OR) of `terms` under `algorithm`, returning the
-/// exact top-`k` of the exhaustive oracle while charging every simulated
+/// exact top-`k` of the exhaustive oracle while reporting every simulated
 /// access to `sink`.
 ///
 /// Terms are deduplicated and sorted ascending; `slot` in sink callbacks
@@ -398,9 +201,10 @@ fn doc_norm(index: &InvertedIndex, doc: DocId) -> Result<f32, Error> {
 ///
 /// # Errors
 ///
-/// Returns [`Error::UnknownTerm`] for out-of-range term ids and
+/// Returns [`Error::UnknownTerm`] for out-of-range term ids, and
 /// [`Error::CorruptMetadata`] / codec errors if a decoded block
-/// contradicts its directory entry.
+/// contradicts its directory entry — unless the sink's
+/// [`ListSink::block_unusable`] drops such blocks instead.
 pub fn pruned_union_topk<S: PruneSink>(
     index: &InvertedIndex,
     terms: &[TermId],
@@ -421,10 +225,9 @@ pub fn pruned_union_topk<S: PruneSink>(
             });
         }
     }
-    let mut cursors: Vec<Cursor<'_>> = Vec::with_capacity(ids.len());
-    for (slot, &t) in ids.iter().enumerate() {
-        cursors.push(Cursor::new(index, slot, t, sink));
-    }
+    let mut cursors: Vec<ListCursor<'_>> = (ids.iter().enumerate())
+        .map(|(slot, &t)| ListCursor::new(index, t, slot, sink))
+        .collect();
     let topk = match algorithm {
         QueryAlgorithm::Exhaustive => wand_union(index, &mut cursors, k, false, true, sink)?,
         QueryAlgorithm::Wand => wand_union(index, &mut cursors, k, false, false, sink)?,
@@ -443,7 +246,7 @@ pub fn pruned_union_topk<S: PruneSink>(
 /// `-inf` so the pivot is always the minimum docID).
 fn wand_union<S: PruneSink>(
     index: &InvertedIndex,
-    cursors: &mut [Cursor<'_>],
+    cursors: &mut [ListCursor<'_>],
     k: usize,
     block_max: bool,
     exhaustive: bool,
@@ -470,7 +273,7 @@ fn wand_union<S: PruneSink>(
         let mut acc = 0f64;
         let mut pivot = None;
         for (rank, &ci) in order.iter().enumerate() {
-            acc += f64::from(cursors[ci].ub);
+            acc += f64::from(cursors[ci].list_max());
             if !cannot_beat(acc, theta) {
                 pivot = Some(rank);
                 break;
@@ -480,7 +283,7 @@ fn wand_union<S: PruneSink>(
             // Even all lists together cannot beat the threshold: the
             // remaining postings are all skippable.
             for &ci in order.iter() {
-                cursors[ci].drain_skipped(sink);
+                cursors[ci].drain(sink, SkipReason::Prune);
             }
             break;
         };
@@ -496,7 +299,7 @@ fn wand_union<S: PruneSink>(
             let mut bub = 0f64;
             let mut min_boundary = DocId::MAX;
             for &ci in order[..=pend].iter() {
-                let (u, last) = cursors[ci].shallow(pivot_doc);
+                let (u, last) = shallow(&cursors[ci], pivot_doc);
                 bub += f64::from(u);
                 min_boundary = min_boundary.min(last);
             }
@@ -507,7 +310,7 @@ fn wand_union<S: PruneSink>(
                 }
                 let next = next.max(pivot_doc.saturating_add(1));
                 for &ci in order[..=pend].iter() {
-                    cursors[ci].seek(next, sink)?;
+                    cursors[ci].seek(sink, next, SkipReason::Prune)?;
                 }
                 continue;
             }
@@ -519,17 +322,21 @@ fn wand_union<S: PruneSink>(
             let norm = doc_norm(index, pivot_doc)?;
             entries.clear();
             for &ci in order[..=pend].iter() {
-                let c = &mut cursors[ci];
-                c.ensure_decoded(sink)?;
-                let (t, tf, _) = c.take_posting(index, norm, sink)?;
-                entries.push((t, tf));
+                if let Some((t, tf, _)) = take_posting(&mut cursors[ci], index, norm, sink)? {
+                    entries.push((t, tf));
+                }
+            }
+            if entries.is_empty() {
+                // Every block at the pivot was dropped as unusable, and
+                // every such cursor moved on.
+                continue;
             }
             let score = canonical_score(index, &mut entries, norm);
             sink.doc_scored(pivot_doc);
             topk.offer(pivot_doc, score);
         } else {
             // Not aligned: move the lowest cursor up to the pivot.
-            cursors[order[0]].seek(pivot_doc, sink)?;
+            cursors[order[0]].seek(sink, pivot_doc, SkipReason::Prune)?;
         }
     }
     Ok(topk)
@@ -543,18 +350,20 @@ fn wand_union<S: PruneSink>(
 /// candidates arrive in ascending docID order.
 fn maxscore_union<S: PruneSink>(
     index: &InvertedIndex,
-    cursors: &mut [Cursor<'_>],
+    cursors: &mut [ListCursor<'_>],
     k: usize,
     block_max: bool,
     sink: &mut S,
 ) -> Result<TopK, Error> {
     // Fixed ascending (upper bound, term) order; prefix[j] = summed
     // bounds of cursors[0..j].
-    cursors.sort_unstable_by(|a, b| a.ub.total_cmp(&b.ub).then(a.term.cmp(&b.term)));
+    cursors.sort_unstable_by(|a, b| {
+        (a.list_max().total_cmp(&b.list_max())).then(a.term().cmp(&b.term()))
+    });
     let n = cursors.len();
     let mut prefix = vec![0f64; n + 1];
     for i in 0..n {
-        prefix[i + 1] = prefix[i] + f64::from(cursors[i].ub);
+        prefix[i + 1] = prefix[i] + f64::from(cursors[i].list_max());
     }
     let mut topk = TopK::new(k);
     let mut entries: Vec<(TermId, u32)> = Vec::new();
@@ -567,7 +376,7 @@ fn maxscore_union<S: PruneSink>(
         if ness == n {
             // No list can contribute a top-k change any more.
             for c in cursors.iter_mut() {
-                c.drain_skipped(sink);
+                c.drain(sink, SkipReason::Prune);
             }
             break;
         }
@@ -584,7 +393,7 @@ fn maxscore_union<S: PruneSink>(
             // Essential lists exhausted; whatever remains in the
             // non-essential prefix cannot beat the threshold alone.
             for c in cursors.iter_mut() {
-                c.drain_skipped(sink);
+                c.drain(sink, SkipReason::Prune);
             }
             break;
         };
@@ -600,7 +409,7 @@ fn maxscore_union<S: PruneSink>(
                     continue;
                 }
                 if c.current_doc() == d {
-                    let (u, last) = c.shallow(d);
+                    let (u, last) = shallow(c, d);
                     ub += f64::from(u);
                     min_boundary = min_boundary.min(last);
                 } else {
@@ -617,7 +426,7 @@ fn maxscore_union<S: PruneSink>(
                     .max(d.saturating_add(1));
                 for c in cursors[ness..].iter_mut() {
                     if !c.exhausted() && c.current_doc() == d {
-                        c.seek(next, sink)?;
+                        c.seek(sink, next, SkipReason::Prune)?;
                     }
                 }
                 continue;
@@ -629,11 +438,15 @@ fn maxscore_union<S: PruneSink>(
         let mut partial = 0f64;
         for c in cursors[ness..].iter_mut() {
             if !c.exhausted() && c.current_doc() == d {
-                c.ensure_decoded(sink)?;
-                let (t, tf, s) = c.take_posting(index, norm, sink)?;
-                partial += f64::from(s);
-                entries.push((t, tf));
+                if let Some((t, tf, s)) = take_posting(c, index, norm, sink)? {
+                    partial += f64::from(s);
+                    entries.push((t, tf));
+                }
             }
+        }
+        if entries.is_empty() {
+            // Every essential block at `d` was dropped as unusable.
+            continue;
         }
         // Probe non-essential lists in descending-bound order, early
         // abandoning when the partial plus the unprobed tail cannot
@@ -646,12 +459,12 @@ fn maxscore_union<S: PruneSink>(
                 break;
             }
             let c = &mut cursors[j];
-            c.seek(d, sink)?;
+            c.seek(sink, d, SkipReason::Prune)?;
             if !c.exhausted() && c.current_doc() == d {
-                c.ensure_decoded(sink)?;
-                let (t, tf, s) = c.take_posting(index, norm, sink)?;
-                partial += f64::from(s);
-                entries.push((t, tf));
+                if let Some((t, tf, s)) = take_posting(c, index, norm, sink)? {
+                    partial += f64::from(s);
+                    entries.push((t, tf));
+                }
             }
         }
         if abandoned {

@@ -1,6 +1,8 @@
 //! The Lucene-like engine.
 
+use boss_compress::Scheme;
 use boss_core::{EvalCounts, QueryOutcome, QueryPlan, TopK};
+use boss_index::cursor::{ListSink, SkipReason};
 use boss_index::layout::IndexImage;
 use boss_index::prune::{self, PruneSink};
 use boss_index::{
@@ -105,52 +107,51 @@ struct LucenePruneSink<'r> {
     image: IndexImage<'r>,
     mem: &'r mut MemorySim,
     eval: &'r mut EvalCounts,
-    /// Per slot (the deduplicated ascending terms), where the term's
-    /// skip data and block data start in the image.
-    addrs: Vec<(u64, u64)>,
-    /// Metadata records already charged per slot (skip-data cursor).
-    metas_charged: Vec<u64>,
     postings_decoded: u64,
 }
 
-impl PruneSink for LucenePruneSink<'_> {
-    fn meta_read(&mut self, slot: usize, blocks: u64) {
-        let addr = self.addrs[slot].0 + self.metas_charged[slot] * BLOCK_META_BYTES;
+impl ListSink for LucenePruneSink<'_> {
+    fn meta_read(&mut self, _slot: usize, addr: u64, records: u64) {
         self.mem.access(
             addr,
-            blocks * BLOCK_META_BYTES,
+            records * BLOCK_META_BYTES,
             AccessKind::Read,
             AccessCategory::LdMeta,
             PatternHint::Sequential,
             0,
         );
-        self.metas_charged[slot] += blocks;
-        self.eval.metas_read += blocks;
+        self.eval.metas_read += records;
     }
 
-    fn block_decoded(&mut self, slot: usize, meta: &BlockMeta) {
+    fn block_fetch(&mut self, _slot: usize, addr: u64, meta: &BlockMeta) -> Result<(), Error> {
         self.mem.access(
-            self.addrs[slot].1 + u64::from(meta.offset),
+            addr,
             u64::from(meta.len).max(1),
             AccessKind::Read,
             AccessCategory::LdList,
             PatternHint::Auto,
             0,
         );
+        Ok(())
+    }
+
+    fn block_decoded(&mut self, _slot: usize, _scheme: Scheme, meta: &BlockMeta) {
         self.eval.blocks_fetched += 1;
         self.postings_decoded += meta.count() as u64;
     }
 
-    fn blocks_skipped(&mut self, _slot: usize, blocks: u64, docs: u64) {
+    fn blocks_skipped(&mut self, _slot: usize, blocks: u64, postings: u64, _reason: SkipReason) {
         self.eval.blocks_skipped += blocks;
         self.eval.blocks_skipped_prune += blocks;
-        self.eval.docs_skipped_prune += docs;
+        self.eval.docs_skipped_prune += postings;
     }
 
-    fn docs_skipped(&mut self, _slot: usize, docs: u64) {
-        self.eval.docs_skipped_prune += docs;
+    fn postings_passed(&mut self, _slot: usize, n: u64, _reason: SkipReason, _scanned: bool) {
+        self.eval.docs_skipped_prune += n;
     }
+}
 
+impl PruneSink for LucenePruneSink<'_> {
     fn doc_abandoned(&mut self) {
         self.eval.docs_skipped_prune += 1;
     }
@@ -395,17 +396,11 @@ impl<'a> LuceneEngine<'a> {
     fn execute_pruned(&self, plan: &QueryPlan, k: usize) -> Result<QueryOutcome, Error> {
         let mut mem = MemorySim::new(self.config.memory.clone());
         let mut eval = EvalCounts::default();
-        let mut ids: Vec<TermId> = plan.groups().iter().map(|g| g[0]).collect();
-        ids.sort_unstable();
-        ids.dedup();
+        let ids: Vec<TermId> = plan.groups().iter().map(|g| g[0]).collect();
         let mut sink = LucenePruneSink {
             image: self.image,
             mem: &mut mem,
             eval: &mut eval,
-            metas_charged: vec![0; ids.len()],
-            addrs: (ids.iter())
-                .map(|&t| (self.image.meta_addr(t), self.image.data_addr(t)))
-                .collect(),
             postings_decoded: 0,
         };
         let outcome =

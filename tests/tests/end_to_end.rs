@@ -1,40 +1,19 @@
-//! End-to-end integration: synthetic corpus → three engines → identical
-//! results, with the paper's qualitative relations holding.
+//! End-to-end integration: synthetic corpus → engines, with the paper's
+//! qualitative relations holding. (That the three engines return the
+//! oracle's hits on every query shape is `boss-engine`'s
+//! `tests/differential.rs`.)
 
 use boss_core::{BossConfig, BossDevice, EtMode};
 use boss_engine::{BatchExecutor, Boss, Lucene};
-use boss_iiu::{IiuConfig, IiuEngine};
-use boss_luceneish::{LuceneConfig, LuceneEngine};
+use boss_luceneish::LuceneConfig;
 use boss_scm::MemoryConfig;
 use boss_workload::corpus::{CorpusSpec, Scale};
-use boss_workload::queries::{QuerySampler, ALL_QUERY_TYPES};
+use boss_workload::queries::QuerySampler;
 
 fn corpus() -> boss_index::InvertedIndex {
     CorpusSpec::ccnews_like(Scale::Smoke)
         .build()
         .expect("corpus builds")
-}
-
-#[test]
-fn three_engines_agree_on_every_query_type() {
-    let index = corpus();
-    let mut sampler = QuerySampler::new(&index, 31).unwrap();
-    let mut boss = BossDevice::new(&index, BossConfig::default().with_k(200));
-    let iiu = IiuEngine::new(&index, IiuConfig::default());
-    let lucene = LuceneEngine::new(&index, LuceneConfig::default());
-    for qt in ALL_QUERY_TYPES {
-        for _ in 0..3 {
-            let q = sampler.sample(qt).unwrap().expr;
-            let b = boss.search_expr(&q, 200).expect("boss runs");
-            let i = iiu.execute(&q, 200).expect("iiu runs");
-            let l = lucene.execute(&q, 200).expect("lucene runs");
-            assert_eq!(b.hits, i.hits, "{qt:?} {q}");
-            assert_eq!(b.hits, l.hits, "{qt:?} {q}");
-            // And all agree with the reference oracle.
-            let r = boss_index::reference::evaluate(&index, &q, 200).expect("reference runs");
-            assert_eq!(b.hits, r, "{qt:?} {q}");
-        }
-    }
 }
 
 #[test]
