@@ -200,6 +200,26 @@ fn regenerate() -> String {
         );
         record(&mut out, label, engine, &queries);
     }
+    // Appended before each baseline's two traversals were merged into one
+    // sink: each baseline under the pruning family the lines above lack.
+    record(
+        &mut out,
+        "iiu-bmw",
+        Iiu::new(
+            &index,
+            IiuConfig::default().with_algorithm(QueryAlgorithm::BlockMaxWand),
+        ),
+        &queries,
+    );
+    record(
+        &mut out,
+        "lucene-bmm",
+        Lucene::new(
+            &index,
+            LuceneConfig::default().with_algorithm(QueryAlgorithm::BlockMaxMaxScore),
+        ),
+        &queries,
+    );
     out
 }
 
