@@ -69,6 +69,8 @@ impl Codec for BitPacking {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
 
     fn roundtrip(values: &[u32]) -> (BlockInfo, Vec<u8>) {

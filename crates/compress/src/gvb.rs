@@ -81,6 +81,8 @@ impl Codec for GroupVarint {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
 
     fn roundtrip(values: &[u32]) -> Vec<u8> {

@@ -75,6 +75,8 @@ pub fn compression_ratio(raw_values: usize, encoded_bytes: usize) -> f64 {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
 
     #[test]

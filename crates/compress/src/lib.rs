@@ -238,6 +238,8 @@ pub fn codec_for(scheme: Scheme) -> &'static dyn Codec {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
 
     #[test]

@@ -151,6 +151,8 @@ pub(crate) fn apply_exceptions(
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
 
     /// The seed's width search — one scan of the block per candidate

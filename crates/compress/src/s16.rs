@@ -343,6 +343,8 @@ impl Codec for Simple16 {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
 
     fn layout_count(layout: &[(u32, u32)]) -> u32 {

@@ -196,6 +196,8 @@ impl Codec for Simple8b {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
 
     fn roundtrip(values: &[u32]) -> Vec<u8> {

@@ -219,6 +219,8 @@ pub fn prefix_sum_d1(base: u32, values: &mut [u32]) {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
     use crate::bitio::BitWriter;
 

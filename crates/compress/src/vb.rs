@@ -144,6 +144,8 @@ impl Codec for VariableByte {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
 
     fn roundtrip(values: &[u32]) -> Vec<u8> {

@@ -32,7 +32,8 @@ impl BossDevice<'_> {
     /// # Errors
     ///
     /// Planning errors ([`Error::UnknownTerm`], [`Error::InvalidQuery`])
-    /// before anything executes. Under the default
+    /// before anything executes; a query planned for `k == 0` executes
+    /// nothing and finds nothing. Under the default
     /// [`crate::DegradePolicy::FailQuery`] policy a faulted simulated read
     /// ([`Error::ReadFault`]) or a corrupt posting block (any other decode
     /// error) fails the query with a typed error. Under `SkipBlock` the
@@ -47,6 +48,9 @@ impl BossDevice<'_> {
         floor: f32,
     ) -> Result<QueryOutcome, Error> {
         let plan = QueryPlan::from_expr(self.index, expr, &self.config)?;
+        if k == 0 {
+            return Ok(QueryOutcome::default());
+        }
         let mut ctx = ExecCtx::new(self.index, &self.config)?;
 
         // Intersections first (Section IV-B "Mixed Query"), then one

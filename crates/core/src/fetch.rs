@@ -215,7 +215,7 @@ impl ListSink for ExecCtx<'_> {
     /// tf stream at the price the module programmed for `scheme` charges,
     /// and the pipeline fills once per block (the module runs a block's
     /// two streams back to back).
-    fn block_decoded(&mut self, slot: usize, scheme: Scheme, meta: &BlockMeta) {
+    fn block_decoded(&mut self, slot: usize, _block: usize, scheme: Scheme, meta: &BlockMeta) {
         self.eval.blocks_fetched += 1;
         let cost = &self.costs[scheme as usize];
         let tf_offset = u64::from(meta.tf_offset);

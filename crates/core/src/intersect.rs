@@ -11,7 +11,7 @@
 use crate::fetch::ExecCtx;
 use crate::union::MatStream;
 use boss_index::cursor::{ListCursor, SkipReason};
-use boss_index::{Error, GroupMatches, TermId};
+use boss_index::{svs, Error, GroupMatches, TermId};
 
 /// Intersects a group of two or more terms, producing the materialized
 /// intermediate stream (docs ascending, one row of member-term tfs per
@@ -64,23 +64,14 @@ pub(crate) fn intersect_group(ctx: &mut ExecCtx<'_>, terms: &[TermId]) -> Result
     }
 
     for (unit, &term) in order.iter().enumerate().skip(2) {
+        // Overlap check: the feedback docID drives block skipping in the
+        // fetched list (Figure 5(b)), one comparison per live probe.
         let mut c = ListCursor::new(ctx.index, term, unit % ctx.dec_cycles.len(), ctx);
-        let (mut next, col) = cur.joined(term);
-        for (i, &d) in cur.docs().iter().enumerate() {
-            // Overlap check: the feedback docID drives block skipping in
-            // the fetched list (Figure 5(b)).
-            c.seek(ctx, d, SkipReason::Block)?;
-            if c.exhausted() {
-                break;
-            }
-            ctx.eval.comparisons += 1;
-            if c.current_doc() == d {
-                if let Some(tf) = c.current_tf(ctx)? {
-                    next.push_joined(d, cur.row(i), col, tf);
-                }
-            }
-        }
-        cur = next;
+        cur = svs::join(&cur, &mut c, ctx, |ctx, c, _| {
+            let live = !c.exhausted();
+            ctx.eval.comparisons += u64::from(live);
+            live
+        })?;
         if cur.is_empty() {
             break;
         }

@@ -93,12 +93,6 @@ impl Tlb {
     pub fn stats(&self) -> TlbStats {
         self.stats
     }
-
-    /// Clears contents and counters.
-    pub fn reset(&mut self) {
-        self.entries.clear();
-        self.stats = TlbStats::default();
-    }
 }
 
 #[cfg(test)]
@@ -151,14 +145,5 @@ mod tests {
             }
         }
         assert_eq!(misses, 1);
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut t = Tlb::new();
-        t.translate(123);
-        t.reset();
-        assert_eq!(t.stats().misses, 0);
-        assert!((t.stats().hit_rate() - 1.0).abs() < 1e-12);
     }
 }

@@ -80,8 +80,9 @@ impl EvalCounts {
     }
 }
 
-/// Everything one query execution produced.
-#[derive(Debug, Clone, PartialEq)]
+/// Everything one query execution produced; the default is a query that
+/// did nothing and found nothing.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueryOutcome {
     /// The top-k hits, in ranking order.
     pub hits: Vec<SearchHit>,
@@ -91,13 +92,6 @@ pub struct QueryOutcome {
     pub mem: MemStats,
     /// Evaluation counters.
     pub eval: EvalCounts,
-}
-
-impl QueryOutcome {
-    /// Query latency in seconds at `clock_ghz`.
-    pub fn seconds(&self, clock_ghz: f64) -> f64 {
-        self.cycles as f64 / (clock_ghz * 1e9)
-    }
 }
 
 #[cfg(test)]
@@ -122,17 +116,5 @@ mod tests {
         assert_eq!(a.docs_scored, 11);
         assert_eq!(a.blocks_fetched, 2);
         assert_eq!(a.docs_total(), 101);
-    }
-
-    #[test]
-    fn outcome_seconds() {
-        let o = QueryOutcome {
-            hits: vec![],
-            cycles: 2_000_000_000,
-            mem: MemStats::new(),
-            eval: EvalCounts::default(),
-        };
-        assert!((o.seconds(1.0) - 2.0).abs() < 1e-12);
-        assert!((o.seconds(2.0) - 1.0).abs() < 1e-12);
     }
 }

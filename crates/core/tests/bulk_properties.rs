@@ -35,7 +35,7 @@ proptest! {
         for width in 0..=32u32 {
             let tfs: Vec<u32> = raw.iter().map(|&v| v & mask(width)).collect();
             bm25.score_block(idf, &docs, &tfs, &norms, &mut scratch);
-            prop_assert_eq!(scratch.len(), docs.len(), "width {}", width);
+            prop_assert_eq!(scratch.scores().len(), docs.len(), "width {}", width);
             for (j, (&d, &tf)) in docs.iter().zip(&tfs).enumerate() {
                 let expect = bm25.term_score(idf, tf, norms[d as usize]);
                 prop_assert_eq!(

@@ -239,10 +239,9 @@ impl<'a, E: SearchEngine> Sharded<'a, E> {
                 per_shard.push(Vec::new());
                 continue;
             };
-            let floor = if running.len() >= k {
-                running[k - 1].score
-            } else {
-                f32::NEG_INFINITY
+            let floor = match k.checked_sub(1).and_then(|kth| running.get(kth)) {
+                Some(hit) => hit.score,
+                None => f32::NEG_INFINITY,
             };
             let order = self.replica_order(s);
             let mut best: Option<(usize, QueryOutcome)> = None;

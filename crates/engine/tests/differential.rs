@@ -1,5 +1,5 @@
 //! One differential harness for the three engines: random corpora ×
-//! random nested AND/OR queries × k ∈ {1, 3, 10, 100, 1000}, answered by
+//! random nested AND/OR queries × k ∈ {0, 1, 3, 10, 100, 1000}, answered by
 //! BOSS under every early-termination mode and every query algorithm and
 //! by IIU and the Lucene-like engine under every query algorithm — each
 //! on one device and as a four-shard scatter-gather — and compared,
@@ -165,7 +165,7 @@ proptest! {
         let index = build_corpus(n_docs, seed);
         let shards = ShardedIndex::split(&index, SHARDS).expect("corpus splits");
         let mut runs = lineup(&index, &shards);
-        for k in [1usize, 3, 10, 100, 1000] {
+        for k in [0usize, 1, 3, 10, 100, 1000] {
             let found = disagreement(&index, &mut runs, &expr, k);
             prop_assert!(found.is_none(), "{}", found.unwrap_or_default());
         }

@@ -1,16 +1,20 @@
-//! The IIU engine model.
+//! The IIU engine model: a configuration, the sink that prices the
+//! small-versus-small traversal of [`boss_index::svs`] on IIU's memory and
+//! timing model, and the cycle formula.
 
 use boss_compress::Scheme;
 use boss_core::{BossConfig, TimingModel};
-use boss_core::{EvalCounts, QueryOutcome, QueryPlan, TopK};
-use boss_index::cursor::{ListSink, SkipReason};
+use boss_core::{EvalCounts, QueryOutcome, QueryPlan};
+use boss_index::cursor::{ListCursor, ListSink, SkipReason};
 use boss_index::layout::{IndexImage, ScratchRegion};
-use boss_index::prune::{self, PruneSink};
+use boss_index::prune::PruneSink;
+use boss_index::svs::{self, SvsSink};
 use boss_index::{
-    union_scored, BlockMeta, DocId, Error, GroupMatches, InvertedIndex, QueryAlgorithm, QueryExpr,
-    ScoreScratch, TermId, BLOCK_META_BYTES,
+    BlockMeta, DocId, Error, InvertedIndex, QueryAlgorithm, QueryExpr, BLOCK_META_BYTES,
 };
-use boss_scm::{AccessCategory, AccessKind, MemoryConfig, MemorySim, PatternHint};
+use boss_scm::AccessCategory::{self, LdInter, LdList, LdMeta, LdScore, StInter, StResult};
+use boss_scm::PatternHint::{self, Auto, Random, Sequential};
+use boss_scm::{AccessKind, MemoryConfig, MemorySim};
 
 /// IIU configuration: core count, memory node, and module timing (kept
 /// identical to BOSS's for the paper's "same number of decompression and
@@ -28,10 +32,10 @@ pub struct IiuConfig {
     /// Module timing constants (shared shape with BOSS).
     pub timing: TimingModel,
     /// Dynamic-pruning plan for pure union queries. The default
-    /// ([`QueryAlgorithm::Exhaustive`]) keeps IIU's original
-    /// merge-everything traversal; any other value routes unions through
-    /// the portable pruned evaluator (`boss_index::prune`) with IIU's
-    /// memory charges, still returning bit-identical top-k results.
+    /// ([`QueryAlgorithm::Exhaustive`]) keeps IIU's merge-everything
+    /// traversal; any other value routes unions through the portable
+    /// pruned evaluator (`boss_index::prune`) with IIU's memory charges,
+    /// still returning bit-identical top-k results.
     pub algorithm: QueryAlgorithm,
 }
 
@@ -84,220 +88,125 @@ pub struct IiuEngine<'a> {
     plan_config: BossConfig,
 }
 
+/// One query's traversal priced on IIU: every list load, probe, spill
+/// and scored document charged to the memory node, the per-unit
+/// decompression cycles and the set-operation comparisons.
 struct Run<'a> {
-    index: &'a InvertedIndex,
     image: IndexImage<'a>,
     mem: MemorySim,
     eval: EvalCounts,
     dec_cycles: Vec<u64>,
-    scored: u64,
     scratch: ScratchRegion,
     norm_line: u64,
+    /// The query runs as a pruned union: blocks are fetched with pattern
+    /// auto-detection and decoded round-robin in fetch order, and only
+    /// the top-k hits are written back.
+    pruned: bool,
 }
 
-impl<'a> Run<'a> {
-    /// Fully decodes a list, charging sequential metadata + block reads,
-    /// spreading decompression across units round-robin (IIU exploits
-    /// intra-query parallelism). Corrupt blocks surface as typed errors.
-    fn load_list(&mut self, term: TermId) -> Result<(Vec<DocId>, Vec<u32>), Error> {
-        let list = self.index.list(term);
-        let meta_addr = self.image.meta_addr(term);
-        let data_addr = self.image.data_addr(term);
-        let mut docs = Vec::with_capacity(list.df() as usize);
-        let mut tfs = Vec::with_capacity(list.df() as usize);
-        for (bi, meta) in list.blocks().iter().enumerate() {
-            self.mem.access(
-                meta_addr + bi as u64 * BLOCK_META_BYTES,
-                BLOCK_META_BYTES,
-                AccessKind::Read,
-                AccessCategory::LdMeta,
-                PatternHint::Sequential,
-                0,
-            );
-            self.eval.metas_read += 1;
-            self.mem.access(
-                data_addr + u64::from(meta.offset),
-                u64::from(meta.len).max(1),
-                AccessKind::Read,
-                AccessCategory::LdList,
-                PatternHint::Sequential,
-                0,
-            );
-            self.eval.blocks_fetched += 1;
-            let unit = bi % self.dec_cycles.len();
-            self.dec_cycles[unit] += u64::from(meta.len).max(meta.count() as u64 * 2) / 2 + 4;
-            list.decode_block(bi, &mut docs, &mut tfs)?;
-        }
-        Ok((docs, tfs))
+impl Run<'_> {
+    fn read(&mut self, addr: u64, bytes: u64, category: AccessCategory, pattern: PatternHint) {
+        self.mem
+            .access(addr, bytes, AccessKind::Read, category, pattern, 0);
     }
 
-    /// Binary-search membership testing of `probe`'s docs against `term`'s
-    /// list: the block directory is streamed once into on-chip buffers,
-    /// then each probe binary-searches it (comparisons only) and fetches
-    /// the matched *data block* with a random access — the access pattern
-    /// the BOSS paper criticizes IIU for on SCM.
-    fn membership_intersect(
-        &mut self,
-        probe: &GroupMatches,
-        term: TermId,
-    ) -> Result<GroupMatches, Error> {
-        let list = self.index.list(term);
-        let blocks = list.blocks();
-        let meta_addr = self.image.meta_addr(term);
-        let data_addr = self.image.data_addr(term);
-        // One streaming pass loads the directory.
-        self.mem.access(
-            meta_addr,
-            (blocks.len() as u64 * BLOCK_META_BYTES).max(1),
-            AccessKind::Read,
-            AccessCategory::LdMeta,
-            PatternHint::Sequential,
-            0,
-        );
-        self.eval.metas_read += blocks.len() as u64;
-        let (mut out, col) = probe.joined(term);
-        let mut cached_block = usize::MAX;
-        let mut bdocs: Vec<DocId> = Vec::new();
-        let mut btfs: Vec<u32> = Vec::new();
-        for (i, &d) in probe.docs().iter().enumerate() {
-            // Binary search over the on-chip directory.
-            let mut lo = 0usize;
-            let mut hi = blocks.len();
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                self.eval.comparisons += 1;
-                if blocks[mid].last_doc < d {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            if lo >= blocks.len() || blocks[lo].first_doc > d {
-                continue;
-            }
-            if cached_block != lo {
-                // Random block fetch + decode.
-                self.mem.access(
-                    data_addr + u64::from(blocks[lo].offset),
-                    u64::from(blocks[lo].len).max(1),
-                    AccessKind::Read,
-                    AccessCategory::LdList,
-                    PatternHint::Random,
-                    0,
-                );
-                self.eval.blocks_fetched += 1;
-                bdocs.clear();
-                btfs.clear();
-                list.decode_block(lo, &mut bdocs, &mut btfs)?;
-                let unit = lo % self.dec_cycles.len();
-                self.dec_cycles[unit] += u64::from(blocks[lo].len).max(bdocs.len() as u64) / 2 + 4;
-                cached_block = lo;
-            }
-            // Binary search within the decoded block.
-            self.eval.comparisons += (bdocs.len().max(2) as u64).ilog2() as u64;
-            if let Ok(pos) = bdocs.binary_search(&d) {
-                out.push_joined(d, probe.row(i), col, btfs[pos]);
-            }
-        }
-        Ok(out)
-    }
-
-    /// Spills an intermediate list to memory and charges its reload.
-    fn spill_intermediate(&mut self, len: usize) {
-        let bytes = (len as u64 * 8).max(8);
-        let addr = self.scratch.alloc(bytes);
-        self.mem.access(
-            addr,
-            bytes,
-            AccessKind::Write,
-            AccessCategory::StInter,
-            PatternHint::Sequential,
-            0,
-        );
-        self.mem.access(
-            addr,
-            bytes,
-            AccessKind::Read,
-            AccessCategory::LdInter,
-            PatternHint::Sequential,
-            0,
-        );
+    /// Charges `cycles` of decompression to unit `unit` (modulo the unit
+    /// count: IIU spreads blocks across units round-robin).
+    fn decode(&mut self, unit: usize, cycles: u64) {
+        let units = self.dec_cycles.len();
+        self.dec_cycles[unit % units] += cycles;
     }
 
     /// Charges one norm load through the 64-byte line buffer (BOSS's
-    /// scoring-module discipline).
+    /// scoring-module discipline) and counts the document scored.
     fn charge_norm(&mut self, doc: DocId) {
         let addr = self.image.norm_addr(doc);
         if addr / 64 != self.norm_line {
-            self.mem.access(
-                addr,
-                4,
-                AccessKind::Read,
-                AccessCategory::LdScore,
-                PatternHint::Random,
-                0,
-            );
+            self.read(addr, 4, LdScore, Random);
             self.norm_line = addr / 64;
         }
-    }
-
-    /// Charges the norm loads of a run of scored documents, in order.
-    fn charge_scored(&mut self, docs: &[DocId]) {
-        for &d in docs {
-            self.charge_norm(d);
-        }
-        self.scored += docs.len() as u64;
-        self.eval.docs_scored += docs.len() as u64;
+        self.eval.docs_scored += 1;
     }
 }
 
-/// The pruned traversal charged to IIU's memory and timing model:
-/// metadata records stream sequentially from the block directory,
-/// surviving blocks are fetched with pattern auto-detection (a pruned
-/// traversal jumps, so contiguity is not assumed) and decoded
-/// round-robin across units, and each scored document loads its norm
-/// through the 64-byte line buffer — exactly the charges the unpruned
-/// paths make for the same physical events. Skips are attributed to the
-/// `*_prune` counters.
+/// Comparisons a binary search over `n` directory entries takes to land
+/// on entry `landing` (`n`: past the end). On a valid directory — last
+/// docIDs ascending — the search path depends on the landing entry alone.
+fn search_steps(n: usize, landing: usize) -> u64 {
+    let (mut lo, mut hi, mut steps) = (0, n, 0);
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        (lo, hi) = if mid < landing {
+            (mid + 1, hi)
+        } else {
+            (lo, mid)
+        };
+        steps += 1;
+    }
+    steps
+}
+
+/// The physical events: descriptors and whole-list loads stream
+/// sequentially, probed blocks are fetched at random (a pruned union's
+/// with pattern auto-detection), and only prune skips are counted — IIU
+/// binary-searches its directory and never skips on metadata otherwise.
 impl ListSink for Run<'_> {
     fn meta_read(&mut self, _slot: usize, addr: u64, records: u64) {
-        self.mem.access(
-            addr,
-            records * BLOCK_META_BYTES,
-            AccessKind::Read,
-            AccessCategory::LdMeta,
-            PatternHint::Sequential,
-            0,
-        );
+        let bytes = (records * BLOCK_META_BYTES).max(1);
+        self.read(addr, bytes, LdMeta, Sequential);
         self.eval.metas_read += records;
     }
 
+    /// Per block, its descriptor and then its data, decoded round-robin
+    /// by block ordinal.
+    fn list_streamed(
+        &mut self,
+        _slot: usize,
+        blocks: &[BlockMeta],
+        meta_addr: u64,
+        data_addr: u64,
+        _data_bytes: u64,
+    ) {
+        for (block, meta) in blocks.iter().enumerate() {
+            let desc = meta_addr + block as u64 * BLOCK_META_BYTES;
+            self.read(desc, BLOCK_META_BYTES, LdMeta, Sequential);
+            let (addr, len) = (data_addr + u64::from(meta.offset), u64::from(meta.len));
+            self.read(addr, len.max(1), LdList, Sequential);
+            self.eval.metas_read += 1;
+            self.eval.blocks_fetched += 1;
+            self.decode(block, len.max(meta.count() as u64 * 2) / 2 + 4);
+        }
+    }
+
     fn block_fetch(&mut self, _slot: usize, addr: u64, meta: &BlockMeta) -> Result<(), Error> {
-        self.mem.access(
-            addr,
-            u64::from(meta.len).max(1),
-            AccessKind::Read,
-            AccessCategory::LdList,
-            PatternHint::Auto,
-            0,
-        );
+        let pattern = if self.pruned { Auto } else { Random };
+        self.read(addr, u64::from(meta.len).max(1), LdList, pattern);
         Ok(())
     }
 
-    fn block_decoded(&mut self, _slot: usize, _scheme: Scheme, meta: &BlockMeta) {
+    fn block_decoded(&mut self, _slot: usize, block: usize, _scheme: Scheme, meta: &BlockMeta) {
         self.eval.blocks_fetched += 1;
-        let unit = self.eval.blocks_fetched as usize % self.dec_cycles.len();
-        self.dec_cycles[unit] += u64::from(meta.len).max(meta.count() as u64 * 2) / 2 + 4;
+        let (len, count) = (u64::from(meta.len), meta.count() as u64);
+        if self.pruned {
+            let unit = self.eval.blocks_fetched as usize;
+            self.decode(unit, len.max(count * 2) / 2 + 4);
+        } else {
+            self.decode(block, len.max(count) / 2 + 4);
+        }
     }
 
-    fn blocks_skipped(&mut self, _slot: usize, blocks: u64, postings: u64, _reason: SkipReason) {
-        self.eval.blocks_skipped += blocks;
-        self.eval.blocks_skipped_prune += blocks;
-        self.eval.docs_skipped_prune += postings;
+    fn blocks_skipped(&mut self, _slot: usize, blocks: u64, postings: u64, reason: SkipReason) {
+        if reason == SkipReason::Prune {
+            self.eval.blocks_skipped += blocks;
+            self.eval.blocks_skipped_prune += blocks;
+            self.eval.docs_skipped_prune += postings;
+        }
     }
 
-    fn postings_passed(&mut self, _slot: usize, n: u64, _reason: SkipReason, _scanned: bool) {
-        self.eval.docs_skipped_prune += n;
+    fn postings_passed(&mut self, _slot: usize, n: u64, reason: SkipReason, _scanned: bool) {
+        if reason == SkipReason::Prune {
+            self.eval.docs_skipped_prune += n;
+        }
     }
 }
 
@@ -308,13 +217,48 @@ impl PruneSink for Run<'_> {
 
     fn doc_scored(&mut self, doc: DocId) {
         self.charge_norm(doc);
-        self.scored += 1;
-        self.eval.docs_scored += 1;
     }
 
     fn round(&mut self) {
         self.eval.pivot_rounds += 1;
         self.eval.comparisons += 1;
+    }
+}
+
+/// IIU's intersection: each probe document binary-searches the on-chip
+/// directory (and, landing inside a block, the decoded block), and every
+/// intermediate result is spilled to memory and read back — the paper's
+/// "unnecessary memory accesses to load/store intermediate data".
+impl SvsSink for Run<'_> {
+    fn pruned_union(&mut self) {
+        self.pruned = true;
+    }
+
+    fn probed(&mut self, cursor: &ListCursor<'_>, doc: DocId) -> bool {
+        let landing = cursor.block_ordinal();
+        self.eval.comparisons += search_steps(cursor.n_blocks(), landing);
+        if !cursor.exhausted() && (cursor.is_decoded() || cursor.current_doc() == doc) {
+            self.eval.comparisons += u64::from(cursor.block_postings().max(2).ilog2());
+        }
+        true
+    }
+
+    fn joined(&mut self, _input: usize, output: usize) {
+        let bytes = (output as u64 * 8).max(8);
+        let addr = self.scratch.alloc(bytes);
+        self.mem
+            .access(addr, bytes, AccessKind::Write, StInter, Sequential, 0);
+        self.read(addr, bytes, LdInter, Sequential);
+    }
+
+    fn group_matched(&mut self, matches: usize) {
+        self.eval.comparisons += matches as u64;
+    }
+
+    fn scored(&mut self, docs: &[DocId]) {
+        for &doc in docs {
+            self.charge_norm(doc);
+        }
     }
 }
 
@@ -339,8 +283,9 @@ impl<'a> IiuEngine<'a> {
         &self.config
     }
 
-    /// Executes one query; the host-side sort that extracts the top-k is
-    /// free (the paper ignores IIU's top-k selection time).
+    /// Executes one query: the [`svs::search`] traversal priced by IIU,
+    /// then the scored result list written back for the host, whose
+    /// top-k sort is free (the paper ignores IIU's top-k selection time).
     ///
     /// # Errors
     ///
@@ -348,135 +293,52 @@ impl<'a> IiuEngine<'a> {
     pub fn execute(&self, expr: &QueryExpr, k: usize) -> Result<QueryOutcome, Error> {
         let plan = QueryPlan::from_expr(self.index, expr, &self.plan_config)?;
         let mut run = Run {
-            index: self.index,
             image: self.image,
             mem: MemorySim::new(self.config.memory.clone()),
             eval: EvalCounts::default(),
             dec_cycles: vec![0; self.config.units_per_core.max(1) as usize],
-            scored: 0,
             scratch: ScratchRegion::after(&self.image),
             norm_line: u64::MAX,
+            pruned: false,
         };
+        let algorithm = self.config.algorithm;
+        let ranked = svs::search(self.index, plan.groups(), algorithm, k, &mut run)?;
 
-        // Pruned path: a pure union under a dynamic-pruning plan routes
-        // through the portable evaluator, charging IIU's model via the
-        // sink. Only surviving hits are materialized, so the result
-        // writeback shrinks to the top-k — the rest of the pipeline
-        // (timing maxima, free host-side top-k) is unchanged.
-        if self.config.algorithm.prunes()
-            && plan.groups().len() > 1
-            && plan.groups().iter().all(|g| g.len() == 1)
-        {
-            let ids: Vec<TermId> = plan.groups().iter().map(|g| g[0]).collect();
-            let outcome =
-                prune::pruned_union_topk(self.index, &ids, self.config.algorithm, k, &mut run)?;
-            let (docs, scores): (Vec<DocId>, Vec<f32>) =
-                outcome.hits.iter().map(|h| (h.doc, h.score)).unzip();
-            return Ok(self.finish(run, &plan, &docs, &scores, k));
-        }
-
-        // A single-term query needs no merging, so the decoded list is
-        // scored block-at-a-time with the shared kernel. The simulated run
-        // is what the general path below would charge: the list load is
-        // the same `load_list` call, the merge loop's
-        // one-comparison-per-document bookkeeping is batched, norms are
-        // charged per document in the same ascending order through the same
-        // line buffer, and `score_block` equals `0.0 + term_score` bitwise.
-        if plan.groups().len() == 1 && plan.groups()[0].len() == 1 {
-            let term = plan.groups()[0][0];
-            let (docs, tfs) = run.load_list(term)?;
-            run.eval.comparisons += docs.len() as u64;
-            let idf = self.index.list(term).idf();
-            let bm25 = *self.index.bm25();
-            let norms = self.index.doc_norms();
-            let mut block_scores = ScoreScratch::new();
-            let mut scores: Vec<f32> = Vec::with_capacity(docs.len());
-            for (cd, ct) in docs.chunks(128).zip(tfs.chunks(128)) {
-                bm25.score_block(idf, cd, ct, norms, &mut block_scores);
-                scores.extend_from_slice(block_scores.scores());
-            }
-            run.charge_scored(&docs);
-            return Ok(self.finish(run, &plan, &docs, &scores, k));
-        }
-
-        // Each group: SvS with binary-search membership testing, spilling
-        // intermediates between iterations; groups then merge exhaustively.
-        let mut groups: Vec<GroupMatches> = Vec::with_capacity(plan.groups().len());
-        for group in plan.groups() {
-            let mut order: Vec<TermId> = group.clone();
-            order.sort_by_key(|&t| self.index.list(t).df());
-            let (docs, tfs) = run.load_list(order[0])?;
-            let mut cur = GroupMatches::from_column(order[0], docs, tfs);
-            for &t in &order[1..] {
-                cur = run.membership_intersect(&cur, t)?;
-                // Intermediate result spilled to memory (the paper's
-                // "unnecessary memory accesses to load/store intermediate
-                // data").
-                run.spill_intermediate(cur.len());
-                if cur.is_empty() {
-                    break;
-                }
-            }
-            // The merge compares each group match once.
-            run.eval.comparisons += cur.len() as u64;
-            groups.push(cur);
-        }
-
-        // Score everything; the unsorted scored list goes back to memory
-        // for the host (ST Result), 8 bytes per document.
-        let candidates = groups.iter().map(GroupMatches::len).sum();
-        let mut docs: Vec<DocId> = Vec::with_capacity(candidates);
-        let mut scores: Vec<f32> = Vec::with_capacity(candidates);
-        union_scored(self.index, &groups, |d, s| {
-            run.charge_scored(d);
-            docs.extend_from_slice(d);
-            scores.extend_from_slice(s);
-        });
-        Ok(self.finish(run, &plan, &docs, &scores, k))
-    }
-
-    /// Shared tail of `execute`: the result-list writeback, the free
-    /// host-side top-k (per the paper's methodology), and pipeline timing.
-    fn finish(
-        &self,
-        mut run: Run<'_>,
-        plan: &QueryPlan,
-        docs: &[DocId],
-        scores: &[f32],
-        k: usize,
-    ) -> QueryOutcome {
-        let result_bytes = (docs.len() as u64 * 8).max(8);
+        // The unsorted scored list goes back to memory for the host (ST
+        // Result), 8 bytes per document; a pruned union materializes
+        // only its top-k.
+        let written = if run.pruned {
+            ranked.hits.len() as u64
+        } else {
+            run.eval.docs_scored
+        };
+        let result_bytes = (written * 8).max(8);
         let addr = run.scratch.alloc(result_bytes);
         run.mem.access(
             addr,
             result_bytes,
             AccessKind::Write,
-            AccessCategory::StResult,
-            PatternHint::Sequential,
+            StResult,
+            Sequential,
             0,
         );
-
-        let mut topk = TopK::new(k.max(1));
-        topk.sift_block(docs, scores);
-
-        let cycles = self.pipeline_cycles(&run, plan);
-        QueryOutcome {
-            hits: topk.into_hits(),
-            cycles,
+        Ok(QueryOutcome {
+            hits: ranked.hits,
+            cycles: self.pipeline_cycles(&run),
             mem: run.mem.take_stats(),
             eval: run.eval,
-        }
+        })
     }
 
-    fn pipeline_cycles(&self, run: &Run<'_>, plan: &QueryPlan) -> u64 {
+    fn pipeline_cycles(&self, run: &Run<'_>) -> u64 {
         let t = &self.config.timing;
         let t_mem = run.mem.stats().last_done_cycle;
         let t_dec = run.dec_cycles.iter().copied().max().unwrap_or(0);
         let t_setop = (run.eval.comparisons as f64 * t.cycles_per_comparison) as u64;
         // IIU exploits full intra-query parallelism across scoring units.
         let eff = f64::from(self.config.units_per_core.max(1));
-        let t_score = (run.scored as f64 * t.cycles_per_score / eff) as u64 + t.scoring_fill;
-        let _ = plan;
+        let t_score =
+            (run.eval.docs_scored as f64 * t.cycles_per_score / eff) as u64 + t.scoring_fill;
         t_mem.max(t_dec).max(t_setop).max(t_score) + t.query_overhead
     }
 }

@@ -1,13 +1,16 @@
 //! The block fetch module's posting-list cursor (Section IV-C "Block
 //! Fetch Module"), shared by every engine: BOSS's union, intersection
-//! and pruning plans, and the portable pruned evaluator of
-//! [`crate::prune`] that drives the IIU and Lucene-like baselines.
+//! and pruning plans, and the small-versus-small traversal of [`crate::svs`]
+//! and the pruned evaluator of [`crate::prune`] that run the IIU and
+//! Lucene-like baselines.
 //!
 //! A [`ListCursor`] walks one encoded posting list. It reads the 19 B
-//! block descriptors in order, answers "where am I" from a descriptor
+//! block descriptors in order (or, opened [`ListCursor::with_directory`],
+//! the whole directory at once), answers "where am I" from a descriptor
 //! alone while its block is undecoded, skips whole blocks on metadata,
 //! and fetches and decodes a block only when a caller needs a posting
-//! inside it. It keeps no account of what any of that costs: every
+//! inside it; [`ListCursor::load`] streams a whole list instead. It keeps
+//! no account of what any of that costs: every
 //! physical event — a descriptor read, a block fetch, a decode, a skip —
 //! goes to the [`ListSink`] the caller passes in, and the engine that
 //! implements the sink prices it (simulated memory traffic, decompressor
@@ -16,8 +19,8 @@
 //! as there are engines.
 //!
 //! Decoded blocks are checked against their descriptor where every
-//! decode is, in [`crate::EncodedList::decode_block`]; a block that
-//! fails the check (or whose fetch the sink refuses) goes to
+//! decode is, in [`crate::EncodedList::decode_block`]; on a walk, a block
+//! that fails the check (or whose fetch the sink refuses) goes to
 //! [`ListSink::block_unusable`], which either fails the query or lets the
 //! cursor drop the block and move on.
 
@@ -54,6 +57,20 @@ pub trait ListSink {
     /// `addr` and the rest following it ([`BLOCK_META_BYTES`] each).
     fn meta_read(&mut self, _slot: usize, _addr: u64, _records: u64) {}
 
+    /// The whole list of stream `slot` is about to be streamed and decoded
+    /// ([`ListCursor::load`]): its descriptors `blocks`, stored from
+    /// `meta_addr`, and its `data_bytes` payload bytes, stored from
+    /// `data_addr`. No other event reports the stream's reads or decodes.
+    fn list_streamed(
+        &mut self,
+        _slot: usize,
+        _blocks: &[BlockMeta],
+        _meta_addr: u64,
+        _data_addr: u64,
+        _data_bytes: u64,
+    ) {
+    }
+
     /// The block described by `meta` is about to be fetched from `addr`.
     /// An error makes the block unusable (see
     /// [`ListSink::block_unusable`]) before anything is decoded.
@@ -66,9 +83,9 @@ pub trait ListSink {
         Ok(())
     }
 
-    /// The block described by `meta` was decoded under `scheme` and
-    /// agrees with its descriptor.
-    fn block_decoded(&mut self, _slot: usize, _scheme: Scheme, _meta: &BlockMeta) {}
+    /// Block `block` (its ordinal in the list), described by `meta`, was
+    /// decoded under `scheme` and agrees with its descriptor.
+    fn block_decoded(&mut self, _slot: usize, _block: usize, _scheme: Scheme, _meta: &BlockMeta) {}
 
     /// The block described by `meta` could not be used: its fetch was
     /// refused or its decode failed with `err`. `Ok` drops the block and
@@ -141,11 +158,37 @@ impl<'a> ListCursor<'a> {
         slot: usize,
         sink: &mut S,
     ) -> Self {
+        let mut c = Self::open(index, term, slot);
+        c.read_meta(sink);
+        c
+    }
+
+    /// A cursor at the start of `term`'s list that has read its whole
+    /// directory, as one [`ListSink::meta_read`] of every descriptor (a
+    /// directory streamed into on-chip buffers), and reads none again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `term` is out of range.
+    pub fn with_directory<S: ListSink>(
+        index: &'a InvertedIndex,
+        term: TermId,
+        slot: usize,
+        sink: &mut S,
+    ) -> Self {
+        let mut c = Self::open(index, term, slot);
+        c.meta_upto = c.list.blocks.len();
+        sink.meta_read(slot, c.meta_addr, c.meta_upto as u64);
+        c
+    }
+
+    /// A cursor at the start of `term`'s list that has read nothing yet.
+    fn open(index: &'a InvertedIndex, term: TermId, slot: usize) -> Self {
         let list = index.list(term);
         let mut scratch = DecodeScratch::new();
         scratch.reserve_for(list);
         let image = IndexImage::new(index);
-        let mut c = ListCursor {
+        ListCursor {
             term,
             slot,
             list: list.view(),
@@ -155,9 +198,31 @@ impl<'a> ListCursor<'a> {
             scratch,
             pos: 0,
             meta_upto: 0,
-        };
-        c.read_meta(sink);
-        c
+        }
+    }
+
+    /// Streams `term`'s whole list and decodes it into docID and tf
+    /// columns: one [`ListSink::list_streamed`] event, no per-block fetch
+    /// or decode event. A streamed list is all or nothing: a block that
+    /// fails to decode fails the load.
+    ///
+    /// # Errors
+    ///
+    /// The first block's decode error.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `term` is out of range.
+    pub fn load<S: ListSink>(
+        index: &InvertedIndex,
+        term: TermId,
+        slot: usize,
+        sink: &mut S,
+    ) -> Result<(Vec<DocId>, Vec<u32>), Error> {
+        let (list, image) = (index.list(term), IndexImage::new(index));
+        let (meta, data) = (image.meta_addr(term), image.data_addr(term));
+        sink.list_streamed(slot, list.blocks(), meta, data, list.data_bytes() as u64);
+        list.decode_all()
     }
 
     /// The term whose list this is.
@@ -188,6 +253,29 @@ impl<'a> ListCursor<'a> {
     #[inline]
     fn meta(&self) -> &BlockMeta {
         &self.list.blocks[self.block]
+    }
+
+    /// Ordinal of the current block; the list's block count once the
+    /// cursor is exhausted.
+    #[inline]
+    pub fn block_ordinal(&self) -> usize {
+        self.block
+    }
+
+    /// Number of blocks in the list.
+    #[inline]
+    pub fn n_blocks(&self) -> usize {
+        self.list.blocks.len()
+    }
+
+    /// Postings in the current block, from its descriptor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cursor is exhausted.
+    #[inline]
+    pub fn block_postings(&self) -> usize {
+        self.meta().count()
     }
 
     /// Whether the current block is decoded.
@@ -356,7 +444,7 @@ impl<'a> ListCursor<'a> {
             self.next_block(sink);
             return Ok(false);
         }
-        sink.block_decoded(self.slot, self.list.stats.scheme, &meta);
+        sink.block_decoded(self.slot, self.block, self.list.stats.scheme, &meta);
         self.pos = 0;
         Ok(true)
     }
@@ -488,9 +576,22 @@ mod tests {
                 Ok(())
             }
         }
-        fn block_decoded(&mut self, slot: usize, _scheme: Scheme, meta: &BlockMeta) {
+        fn list_streamed(
+            &mut self,
+            slot: usize,
+            blocks: &[BlockMeta],
+            meta_addr: u64,
+            data_addr: u64,
+            data_bytes: u64,
+        ) {
+            self.events.push(format!(
+                "streamed {slot} {meta_addr:#x} {} {data_addr:#x} {data_bytes}",
+                blocks.len()
+            ));
+        }
+        fn block_decoded(&mut self, slot: usize, block: usize, _scheme: Scheme, meta: &BlockMeta) {
             self.events
-                .push(format!("decoded {slot} {}", meta.first_doc));
+                .push(format!("decoded {slot} {block} {}", meta.first_doc));
         }
         fn block_unusable(
             &mut self,
@@ -556,12 +657,73 @@ mod tests {
                 data + u64::from(blocks[1].offset),
                 blocks[1].first_doc
             ),
-            format!("decoded 3 {}", blocks[1].first_doc),
+            format!("decoded 3 1 {}", blocks[1].first_doc),
             "passed 3 2 Prune true".to_owned(),
             "passed 3 126 Wand false".to_owned(),
             "skipped 3 1 44 Wand".to_owned(),
         ];
         assert_eq!(log.events, expect);
+    }
+
+    #[test]
+    fn a_directory_read_at_open_is_the_walks_only_descriptor_read() {
+        let idx = index();
+        let t = idx.term_id("even").unwrap();
+        let image = crate::layout::IndexImage::new(&idx);
+        let (meta, data) = (image.meta_addr(t), image.data_addr(t));
+        let blocks = idx.list(t).blocks();
+        let mut log = Log::default();
+        let mut c = ListCursor::with_directory(&idx, t, 1, &mut log);
+        assert_eq!((c.block_ordinal(), c.n_blocks()), (0, 3));
+        c.seek(&mut log, blocks[2].first_doc + 2, SkipReason::Block)
+            .unwrap();
+        assert_eq!(c.block_ordinal(), 2);
+        assert_eq!(c.block_postings(), 44);
+        c.seek(&mut log, 1_000_000, SkipReason::Block).unwrap();
+        assert_eq!(c.block_ordinal(), 3, "exhausted");
+        let expect = [
+            format!("meta 1 {meta:#x} 3"),
+            "skipped 1 1 128 Block".to_owned(),
+            "skipped 1 1 128 Block".to_owned(),
+            format!(
+                "fetch 1 {:#x} {}",
+                data + u64::from(blocks[2].offset),
+                blocks[2].first_doc
+            ),
+            format!("decoded 1 2 {}", blocks[2].first_doc),
+            "passed 1 1 Block true".to_owned(),
+            "passed 1 43 Block false".to_owned(),
+        ];
+        assert_eq!(log.events, expect);
+    }
+
+    #[test]
+    fn a_load_is_one_streamed_event_then_every_posting() {
+        let idx = index();
+        let t = idx.term_id("even").unwrap();
+        let image = crate::layout::IndexImage::new(&idx);
+        let (meta, data) = (image.meta_addr(t), image.data_addr(t));
+        let mut log = Log::default();
+        let (docs, tfs) = ListCursor::load(&idx, t, 2, &mut log).unwrap();
+        assert_eq!(docs, (0..600).step_by(2).collect::<Vec<_>>());
+        assert_eq!(tfs, vec![1; 300]);
+        let bytes = idx.list(t).data_bytes();
+        assert_eq!(
+            log.events,
+            [format!("streamed 2 {meta:#x} 3 {data:#x} {bytes}")]
+        );
+
+        // A streamed list is all or nothing, whatever the sink would drop.
+        let mut idx = idx;
+        idx.list_mut(t).blocks_mut()[1].first_doc += 1;
+        let mut log = Log {
+            drop_unusable: true,
+            ..Log::default()
+        };
+        assert!(matches!(
+            ListCursor::load(&idx, t, 0, &mut log),
+            Err(Error::CorruptMetadata { .. })
+        ));
     }
 
     #[test]

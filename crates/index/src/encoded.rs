@@ -918,7 +918,8 @@ mod tests {
 
     #[test]
     fn empty_list() {
-        let enc = EncodedList::encode(&PostingList::new(), Scheme::Bp, &bm25(), 1.0, &[]).unwrap();
+        let enc =
+            EncodedList::encode(&PostingList::default(), Scheme::Bp, &bm25(), 1.0, &[]).unwrap();
         assert_eq!(enc.n_blocks(), 0);
         let (docs, tfs) = enc.decode_all().unwrap();
         assert!(docs.is_empty() && tfs.is_empty());

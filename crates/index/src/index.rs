@@ -312,6 +312,8 @@ impl InvertedIndex {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use crate::IndexBuilder;
 
     fn tiny() -> crate::InvertedIndex {

@@ -101,6 +101,8 @@ impl ScratchRegion {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
     use crate::{IndexBuilder, BLOCK_META_BYTES};
 

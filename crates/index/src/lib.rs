@@ -68,6 +68,10 @@ pub mod prune;
 mod query;
 pub mod reference;
 mod score;
+// The baselines' whole traversal: loads, joins and scoring over untrusted
+// lists, so every failure is a typed `Error`.
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+pub mod svs;
 // Segment files come from disk and are untrusted end to end: every
 // claimed length is capped against the real input size before any
 // allocation and every failure is a typed `IoError`, never a panic.

@@ -105,14 +105,6 @@ impl GroupMatches {
         self.tfs.extend_from_slice(row);
     }
 
-    /// Appends a run of matches at once: `tfs` holds the rows of `docs`
-    /// back to back (for a one-term group, a decoded block as it comes).
-    pub fn extend_rows(&mut self, docs: &[DocId], tfs: &[u32]) {
-        debug_assert_eq!(tfs.len(), docs.len() * self.terms.len());
-        self.docs.extend_from_slice(docs);
-        self.tfs.extend_from_slice(tfs);
-    }
-
     /// The empty successor of this set under intersection with `term`:
     /// its columns are this set's plus `term`, room reserved for every
     /// current match. Also returns the column `term` landed in, for
@@ -140,25 +132,6 @@ impl GroupMatches {
         self.tfs.extend_from_slice(&row[..col]);
         self.tfs.push(tf);
         self.tfs.extend_from_slice(&row[col..]);
-    }
-
-    /// Intersects with a decoded posting run of `term` (`docs` ascending,
-    /// one tf each) by a two-pointer merge, carrying every column along.
-    pub fn join_sorted(&self, term: TermId, docs: &[DocId], tfs: &[u32]) -> GroupMatches {
-        let (mut next, col) = self.joined(term);
-        let (mut i, mut j) = (0, 0);
-        while i < self.docs.len() && j < docs.len() {
-            match self.docs[i].cmp(&docs[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    next.push_joined(docs[j], self.row(i), col, tfs[j]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        next
     }
 
     /// Appends match `i`'s `(term, tf)` entries to `out`, ascending by
@@ -298,11 +271,16 @@ mod tests {
     #[test]
     fn join_splices_columns_in_term_order() {
         let lead = GroupMatches::from_column(7, vec![1, 4, 9], vec![10, 40, 90]);
-        let two = lead.join_sorted(3, &[0, 4, 9, 12], &[1, 2, 3, 4]);
+        let (mut two, col) = lead.joined(3);
+        assert_eq!(col, 0);
+        two.push_joined(4, lead.row(1), col, 2);
+        two.push_joined(9, lead.row(2), col, 3);
         assert_eq!(two.terms(), &[3, 7]);
         assert_eq!(two.docs(), &[4, 9]);
         assert_eq!(two.tfs(), &[2, 40, 3, 90]);
-        let three = two.join_sorted(5, &[9], &[55]);
+        let (mut three, col) = two.joined(5);
+        assert_eq!(col, 1);
+        three.push_joined(9, two.row(1), col, 55);
         assert_eq!(three.terms(), &[3, 5, 7]);
         assert_eq!(three.row(0), &[3, 55, 90]);
     }

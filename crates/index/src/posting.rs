@@ -22,11 +22,6 @@ pub struct PostingList {
 }
 
 impl PostingList {
-    /// Creates an empty list.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Builds a list from parallel columns.
     ///
     /// # Errors
@@ -44,30 +39,6 @@ impl PostingList {
             }
         }
         Ok(PostingList { docs, tfs })
-    }
-
-    /// Appends a posting.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnsortedPostings`] if `doc` does not exceed the
-    /// current last docID, [`Error::ZeroTermFrequency`] if `tf == 0`.
-    pub fn push(&mut self, doc: DocId, tf: u32) -> Result<(), Error> {
-        if let Some(&last) = self.docs.last() {
-            if doc <= last {
-                return Err(Error::UnsortedPostings {
-                    at: self.docs.len(),
-                });
-            }
-        }
-        if tf == 0 {
-            return Err(Error::ZeroTermFrequency {
-                at: self.docs.len(),
-            });
-        }
-        self.docs.push(doc);
-        self.tfs.push(tf);
-        Ok(())
     }
 
     /// Number of postings (the term's document frequency).
@@ -101,6 +72,8 @@ impl PostingList {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
 
     #[test]
@@ -118,16 +91,6 @@ mod tests {
             PostingList::from_columns(vec![1, 2], vec![1, 0]),
             Err(Error::ZeroTermFrequency { at: 1 })
         ));
-    }
-
-    #[test]
-    fn push_maintains_invariants() {
-        let mut l = PostingList::new();
-        l.push(0, 3).unwrap();
-        l.push(5, 1).unwrap();
-        assert!(l.push(5, 1).is_err());
-        assert!(l.push(6, 0).is_err());
-        assert_eq!(l.len(), 2);
     }
 
     #[test]

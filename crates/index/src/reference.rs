@@ -219,6 +219,8 @@ pub fn evaluate(
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
     use crate::IndexBuilder;
 

@@ -34,21 +34,6 @@ impl ScoreScratch {
     pub fn scores(&self) -> &[f32] {
         &self.scores
     }
-
-    /// Number of scores held.
-    pub fn len(&self) -> usize {
-        self.scores.len()
-    }
-
-    /// Whether the scratch holds no scores.
-    pub fn is_empty(&self) -> bool {
-        self.scores.is_empty()
-    }
-
-    /// Drops the scores, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.scores.clear();
-    }
 }
 
 impl Bm25 {
@@ -110,7 +95,7 @@ mod tests {
         let idf = s.idf(37);
         let mut out = ScoreScratch::new();
         s.score_block(idf, &docs, &tfs, &norms, &mut out);
-        assert_eq!(out.len(), 128);
+        assert_eq!(out.scores().len(), 128);
         for ((&d, &tf), &got) in docs.iter().zip(&tfs).zip(out.scores()) {
             let want = s.term_score(idf, tf, norms[d as usize]);
             assert_eq!(got.to_bits(), want.to_bits(), "doc {d}");
@@ -123,8 +108,6 @@ mod tests {
         let mut out = ScoreScratch::new();
         out.scores.push(1.0); // stale content must be discarded
         s.score_block(1.0, &[], &[], &[1.0; 10], &mut out);
-        assert!(out.is_empty());
-        out.clear();
-        assert_eq!(out.scores().len(), 0);
+        assert!(out.scores().is_empty());
     }
 }

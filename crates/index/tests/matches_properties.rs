@@ -1,8 +1,9 @@
 //! Property tests for `boss_index::matches`: over random intersection
 //! groups — 1 to 16 of them, 1 to 4 terms wide, drawn from a vocabulary
 //! and a docID pool small enough that terms are shared and term ranges
-//! interleave between groups, empty groups included — `join_sorted` must
-//! compute each group's intersection and `union_scored` must emit
+//! interleave between groups, empty groups included — `joined` /
+//! `push_joined` must carry each group's columns through its
+//! intersection and `union_scored` must emit
 //! exactly what a `BTreeMap` oracle holds: every matched document once,
 //! ascending, in non-empty runs, with the score — to the bit — of a fold
 //! from `0.0f32` over its distinct terms' scores in ascending term order.
@@ -78,16 +79,18 @@ fn distinct_members(mut group: DrawnGroup) -> DrawnGroup {
 /// Builds the group's matches the way an engine does: the first list is
 /// taken whole, every further term is joined in.
 fn intersect(group: &DrawnGroup) -> GroupMatches {
-    let column = |&(term, ref docs): &(TermId, BTreeSet<DocId>)| {
-        let docs: Vec<DocId> = docs.iter().copied().collect();
-        let tfs: Vec<u32> = docs.iter().map(|&d| tf(term, d)).collect();
-        (docs, tfs)
-    };
-    let (docs, tfs) = column(&group[0]);
-    let mut cur = GroupMatches::from_column(group[0].0, docs, tfs);
+    let (lead, docs) = &group[0];
+    let docs: Vec<DocId> = docs.iter().copied().collect();
+    let tfs = docs.iter().map(|&d| tf(*lead, d)).collect();
+    let mut cur = GroupMatches::from_column(*lead, docs, tfs);
     for m in &group[1..] {
-        let (docs, tfs) = column(m);
-        cur = cur.join_sorted(m.0, &docs, &tfs);
+        let (mut next, col) = cur.joined(m.0);
+        for (i, &d) in cur.docs().iter().enumerate() {
+            if m.1.contains(&d) {
+                next.push_joined(d, cur.row(i), col, tf(m.0, d));
+            }
+        }
+        cur = next;
     }
     cur
 }

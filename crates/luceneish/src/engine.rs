@@ -1,15 +1,18 @@
-//! The Lucene-like engine.
+//! The Lucene-like engine: a configuration, the sink that prices the
+//! small-versus-small traversal of [`boss_index::svs`] on the host's
+//! memory system, and the calibrated cycle cost model.
 
 use boss_compress::Scheme;
-use boss_core::{EvalCounts, QueryOutcome, QueryPlan, TopK};
+use boss_core::{EvalCounts, QueryOutcome, QueryPlan};
 use boss_index::cursor::{ListSink, SkipReason};
 use boss_index::layout::IndexImage;
-use boss_index::prune::{self, PruneSink};
+use boss_index::prune::PruneSink;
+use boss_index::svs::{self, SvsSink};
 use boss_index::{
-    union_scored, BlockMeta, DocId, Error, GroupMatches, InvertedIndex, QueryAlgorithm, QueryExpr,
-    ScoreScratch, TermId, BLOCK_META_BYTES,
+    BlockMeta, DocId, Error, InvertedIndex, QueryAlgorithm, QueryExpr, BLOCK_META_BYTES,
 };
-use boss_scm::{AccessCategory, AccessKind, MemoryConfig, MemorySim, PatternHint};
+use boss_scm::AccessCategory::{self, LdList, LdMeta, LdScore};
+use boss_scm::{AccessKind, MemoryConfig, MemorySim, PatternHint};
 
 /// CPU cycles charged per unit of work, at the host clock.
 ///
@@ -97,79 +100,135 @@ impl LuceneConfig {
     }
 }
 
-/// [`PruneSink`] that charges a pruned union to the Lucene cost model:
-/// skip data streams sequentially, surviving blocks are fetched with
-/// pattern auto-detection and their postings counted toward the
-/// per-posting decode cost, each scored document streams its 4-byte norm
-/// through the cacheable host hierarchy, and pivot rounds count as merge
-/// steps. Skips are attributed to the `*_prune` counters.
-struct LucenePruneSink<'r> {
+/// One query's traversal priced on the host, the way Lucene's scorers
+/// run it: within an AND clause the lead iterator is the smallest list,
+/// decoded whole, and the others advance with skip data, decoding only
+/// the blocks the lead reaches; skip data streams sequentially, surviving
+/// blocks are fetched with pattern auto-detection and their postings
+/// counted toward the per-posting decode cost. Set-operation steps are
+/// merge steps (pivot rounds on a pruned union).
+struct Host<'r> {
     image: IndexImage<'r>,
-    mem: &'r mut MemorySim,
-    eval: &'r mut EvalCounts,
+    mem: MemorySim,
+    eval: EvalCounts,
     postings_decoded: u64,
+    /// The query runs as a pruned union: decoded postings are not merge
+    /// steps, and each scored document loads its own norm.
+    pruned: bool,
+    /// The first exhaustively scored document, where the norm stream
+    /// starts.
+    first_candidate: Option<DocId>,
 }
 
-impl ListSink for LucenePruneSink<'_> {
+impl Host<'_> {
+    fn read(&mut self, addr: u64, bytes: u64, category: AccessCategory) {
+        let pattern = PatternHint::Sequential;
+        self.mem
+            .access(addr, bytes, AccessKind::Read, category, pattern, 0);
+    }
+
+    /// The norms of exhaustively scored documents flow through a 38.5 MB
+    /// LLC that captures the reuse: one streaming pass over the touched
+    /// norms rather than per-document device-granule random reads (which
+    /// is what makes Lucene compute-bound while the accelerators, which
+    /// have no such cache, pay per access).
+    fn stream_norms(&mut self) {
+        if let Some(first) = self.first_candidate {
+            let bytes = self.eval.docs_scored * 4;
+            self.read(self.image.norm_addr(first), bytes, LdScore);
+        }
+    }
+}
+
+impl ListSink for Host<'_> {
     fn meta_read(&mut self, _slot: usize, addr: u64, records: u64) {
-        self.mem.access(
-            addr,
-            records * BLOCK_META_BYTES,
-            AccessKind::Read,
-            AccessCategory::LdMeta,
-            PatternHint::Sequential,
-            0,
-        );
+        let bytes = (records * BLOCK_META_BYTES).max(1);
+        self.read(addr, bytes, LdMeta);
         self.eval.metas_read += records;
     }
 
+    /// The lead list: its skip data, then its postings, as two streams.
+    fn list_streamed(
+        &mut self,
+        _slot: usize,
+        blocks: &[BlockMeta],
+        meta_addr: u64,
+        data_addr: u64,
+        data_bytes: u64,
+    ) {
+        let n_blocks = blocks.len() as u64;
+        self.read(meta_addr, (n_blocks * BLOCK_META_BYTES).max(1), LdMeta);
+        self.read(data_addr, data_bytes.max(1), LdList);
+        self.eval.metas_read += n_blocks;
+        self.eval.blocks_fetched += n_blocks;
+        let postings: u64 = blocks.iter().map(|m| m.count() as u64).sum();
+        self.postings_decoded += postings;
+        self.eval.comparisons += postings;
+    }
+
     fn block_fetch(&mut self, _slot: usize, addr: u64, meta: &BlockMeta) -> Result<(), Error> {
-        self.mem.access(
-            addr,
-            u64::from(meta.len).max(1),
-            AccessKind::Read,
-            AccessCategory::LdList,
-            PatternHint::Auto,
-            0,
-        );
+        let bytes = u64::from(meta.len).max(1);
+        self.mem
+            .access(addr, bytes, AccessKind::Read, LdList, PatternHint::Auto, 0);
         Ok(())
     }
 
-    fn block_decoded(&mut self, _slot: usize, _scheme: Scheme, meta: &BlockMeta) {
+    fn block_decoded(&mut self, _slot: usize, _block: usize, _scheme: Scheme, meta: &BlockMeta) {
         self.eval.blocks_fetched += 1;
         self.postings_decoded += meta.count() as u64;
+        if !self.pruned {
+            self.eval.comparisons += meta.count() as u64;
+        }
     }
 
-    fn blocks_skipped(&mut self, _slot: usize, blocks: u64, postings: u64, _reason: SkipReason) {
-        self.eval.blocks_skipped += blocks;
-        self.eval.blocks_skipped_prune += blocks;
-        self.eval.docs_skipped_prune += postings;
+    fn blocks_skipped(&mut self, _slot: usize, blocks: u64, postings: u64, reason: SkipReason) {
+        if reason == SkipReason::Prune {
+            self.eval.blocks_skipped += blocks;
+            self.eval.blocks_skipped_prune += blocks;
+            self.eval.docs_skipped_prune += postings;
+        }
     }
 
-    fn postings_passed(&mut self, _slot: usize, n: u64, _reason: SkipReason, _scanned: bool) {
-        self.eval.docs_skipped_prune += n;
+    fn postings_passed(&mut self, _slot: usize, n: u64, reason: SkipReason, _scanned: bool) {
+        if reason == SkipReason::Prune {
+            self.eval.docs_skipped_prune += n;
+        }
     }
 }
 
-impl PruneSink for LucenePruneSink<'_> {
+impl PruneSink for Host<'_> {
     fn doc_abandoned(&mut self) {
         self.eval.docs_skipped_prune += 1;
     }
 
     fn doc_scored(&mut self, doc: DocId) {
-        self.mem.access(
-            self.image.norm_addr(doc),
-            4,
-            AccessKind::Read,
-            AccessCategory::LdScore,
-            PatternHint::Sequential,
-            0,
-        );
+        self.read(self.image.norm_addr(doc), 4, LdScore);
         self.eval.docs_scored += 1;
     }
 
     fn round(&mut self) {
         self.eval.comparisons += 1;
+    }
+}
+
+/// A join's merge steps are its input plus the postings it decoded, and
+/// the disjunction over clauses compares each clause match once.
+impl SvsSink for Host<'_> {
+    fn pruned_union(&mut self) {
+        self.pruned = true;
+    }
+
+    fn joined(&mut self, input: usize, _output: usize) {
+        self.eval.comparisons += input as u64;
+    }
+
+    fn group_matched(&mut self, matches: usize) {
+        self.eval.comparisons += matches as u64;
+    }
+
+    fn scored(&mut self, docs: &[DocId]) {
+        self.first_candidate = self.first_candidate.or(docs.first().copied());
+        self.eval.docs_scored += docs.len() as u64;
     }
 }
 
@@ -199,10 +258,14 @@ impl<'a> LuceneEngine<'a> {
         &self.config
     }
 
-    /// Executes one query on one thread.
+    /// Executes one query on one thread: the [`svs::search`] traversal
+    /// priced on the host, scoring every candidate into a heap top-k.
+    /// Documents reach the heap in docID order with scores summed in
+    /// ascending term order, so the hits equal the shared reference
+    /// evaluator's bit for bit.
     ///
-    /// `QueryOutcome::cycles` is in *host CPU* cycles; convert with the
-    /// host clock (`outcome.seconds(config.clock_ghz)`).
+    /// `QueryOutcome::cycles` is in *host CPU* cycles, at
+    /// `config.clock_ghz`.
     ///
     /// # Errors
     ///
@@ -211,216 +274,36 @@ impl<'a> LuceneEngine<'a> {
         // Reuse the hardware planner's validation/normalization so all
         // three engines accept the same query language.
         let plan = QueryPlan::from_expr(self.index, expr, &self.plan_config)?;
-
-        // Pruned path: a pure union under a dynamic-pruning plan routes
-        // through the portable evaluator with this engine's charges.
-        if self.config.algorithm.prunes()
-            && plan.groups().len() > 1
-            && plan.groups().iter().all(|g| g.len() == 1)
-        {
-            return self.execute_pruned(&plan, k);
-        }
-
-        let mut mem = MemorySim::new(self.config.memory.clone());
-        let mut eval = EvalCounts::default();
-
-        // 1)+2) Per-clause evaluation, the way Lucene's scorers work:
-        //    within an AND clause the lead iterator is the smallest list
-        //    and the others are advanced with skip data, decoding only the
-        //    blocks the lead reaches; OR clauses (single-term groups after
-        //    normalization) decode their whole list. Each clause's matches
-        //    keep their tfs, so scoring below never re-decodes.
-        let mut postings_decoded = 0u64;
-        let mut merge_steps = 0u64;
-        let mut groups: Vec<GroupMatches> = Vec::with_capacity(plan.groups().len());
-        for group in plan.groups() {
-            let mut order: Vec<TermId> = group.clone();
-            order.sort_by_key(|&t| self.index.list(t).df());
-
-            // Lead list: full decode.
-            let lead = order[0];
-            let lead_list = self.index.list(lead);
-            mem.access(
-                self.image.meta_addr(lead),
-                (lead_list.n_blocks() as u64 * BLOCK_META_BYTES).max(1),
-                AccessKind::Read,
-                AccessCategory::LdMeta,
-                PatternHint::Sequential,
-                0,
-            );
-            mem.access(
-                self.image.data_addr(lead),
-                (lead_list.data_bytes() as u64).max(1),
-                AccessKind::Read,
-                AccessCategory::LdList,
-                PatternHint::Sequential,
-                0,
-            );
-            eval.metas_read += lead_list.n_blocks() as u64;
-            eval.blocks_fetched += lead_list.n_blocks() as u64;
-            postings_decoded += u64::from(lead_list.df());
-            let (lead_docs, lead_tfs) = lead_list.decode_all()?;
-            let mut acc = GroupMatches::from_column(lead, lead_docs, lead_tfs);
-            merge_steps += acc.len() as u64;
-
-            for &t in &order[1..] {
-                let list = self.index.list(t);
-                let blocks = list.blocks();
-                // Skip data: the directory is streamed once.
-                mem.access(
-                    self.image.meta_addr(t),
-                    (blocks.len() as u64 * BLOCK_META_BYTES).max(1),
-                    AccessKind::Read,
-                    AccessCategory::LdMeta,
-                    PatternHint::Sequential,
-                    0,
-                );
-                eval.metas_read += blocks.len() as u64;
-                // Decode only blocks the (shrinking) lead set reaches.
-                let mut docs: Vec<u32> = Vec::new();
-                let mut tfs: Vec<u32> = Vec::new();
-                let mut spans: Vec<(usize, &boss_index::BlockMeta)> = Vec::new();
-                {
-                    let mut bi = 0usize;
-                    for &d in acc.docs() {
-                        while bi < blocks.len() && blocks[bi].last_doc < d {
-                            bi += 1;
-                        }
-                        if bi == blocks.len() {
-                            break;
-                        }
-                        if blocks[bi].first_doc <= d && spans.last().map(|&(i, _)| i) != Some(bi) {
-                            spans.push((bi, &blocks[bi]));
-                        }
-                    }
-                }
-                for (bi, meta) in &spans {
-                    mem.access(
-                        self.image.data_addr(t) + u64::from(meta.offset),
-                        u64::from(meta.len).max(1),
-                        AccessKind::Read,
-                        AccessCategory::LdList,
-                        PatternHint::Auto,
-                        0,
-                    );
-                    eval.blocks_fetched += 1;
-                    postings_decoded += meta.count() as u64;
-                    list.decode_block(*bi, &mut docs, &mut tfs)?;
-                }
-                merge_steps += acc.len() as u64 + docs.len() as u64;
-                acc = acc.join_sorted(t, &docs, &tfs);
-                if acc.is_empty() {
-                    break;
-                }
-            }
-            // The disjunction over clauses compares each clause match once.
-            merge_steps += acc.len() as u64;
-            groups.push(acc);
-        }
-        eval.comparisons = merge_steps;
-
-        // 3) Score every candidate + heap top-k. Documents reach the heap
-        //    in docID order with scores summed in ascending term order, so
-        //    the hits equal the shared reference evaluator's bit for bit.
-        let mut heap = TopK::new(k.max(1));
-        let mut n_candidates = 0u64;
-        let mut first_candidate = None;
-        let norms = self.index.doc_norms();
-        match groups.as_slice() {
-            [list] if list.terms().len() == 1 => {
-                // Single-term: the candidates ARE the decoded list in
-                // docID order with their tfs, so score block-at-a-time with
-                // the shared kernel and sift into the heap. A one-term
-                // score is exactly `term_score`.
-                let idf = self.index.list(list.terms()[0]).idf();
-                let bm25 = *self.index.bm25();
-                let mut block_scores = ScoreScratch::new();
-                for (cd, ct) in list.docs().chunks(128).zip(list.tfs().chunks(128)) {
-                    bm25.score_block(idf, cd, ct, norms, &mut block_scores);
-                    heap.sift_block(cd, block_scores.scores());
-                }
-                n_candidates = list.len() as u64;
-                first_candidate = list.docs().first().copied();
-            }
-            _ => union_scored(self.index, &groups, |docs, scores| {
-                first_candidate = first_candidate.or(docs.first().copied());
-                n_candidates += docs.len() as u64;
-                heap.sift_block(docs, scores);
-            }),
-        }
-        if let Some(first) = first_candidate {
-            // Norms on the CPU flow through a 38.5 MB LLC that captures the
-            // reuse; charge one streaming pass over the touched norms
-            // rather than per-document device-granule random reads (which
-            // is what makes Lucene compute-bound while the accelerators,
-            // which have no such cache, pay per access).
-            mem.access(
-                self.image.norm_addr(first),
-                n_candidates * 4,
-                AccessKind::Read,
-                AccessCategory::LdScore,
-                PatternHint::Sequential,
-                0,
-            );
-        }
-        eval.docs_scored = n_candidates;
-        eval.topk_inserts = heap.inserts();
-
-        // 4) Cost model: compute + memory (additive — the out-of-order
-        //    core overlaps poorly with pointer-chasing postings traffic,
-        //    and this is what reproduces the paper's ≤15 % DRAM delta).
-        let c = &self.config.cost;
-        let compute = postings_decoded as f64 * c.cycles_per_posting
-            + merge_steps as f64 * c.cycles_per_merge_step
-            + n_candidates as f64 * c.cycles_per_scored_doc
-            + heap.inserts() as f64 * c.cycles_per_heap_op
-            + c.query_overhead;
-        // Memory cycles are modeled at 1 GHz (GB/s == B/cycle); convert to
-        // host cycles.
-        let mem_cycles_host = mem.stats().last_done_cycle as f64 * self.config.clock_ghz;
-        let cycles = (compute + mem_cycles_host) as u64;
-
-        Ok(QueryOutcome {
-            hits: heap.into_hits(),
-            cycles,
-            mem: mem.take_stats(),
-            eval,
-        })
-    }
-
-    /// Pure-union execution under the configured pruning algorithm: the
-    /// portable evaluator drives the traversal, [`LucenePruneSink`]
-    /// charges the memory system, and the cost model prices the (now
-    /// smaller) decode/merge/score/heap work with the same constants as
-    /// the exhaustive collector.
-    fn execute_pruned(&self, plan: &QueryPlan, k: usize) -> Result<QueryOutcome, Error> {
-        let mut mem = MemorySim::new(self.config.memory.clone());
-        let mut eval = EvalCounts::default();
-        let ids: Vec<TermId> = plan.groups().iter().map(|g| g[0]).collect();
-        let mut sink = LucenePruneSink {
+        let mut host = Host {
             image: self.image,
-            mem: &mut mem,
-            eval: &mut eval,
+            mem: MemorySim::new(self.config.memory.clone()),
+            eval: EvalCounts::default(),
             postings_decoded: 0,
+            pruned: false,
+            first_candidate: None,
         };
-        let outcome =
-            prune::pruned_union_topk(self.index, &ids, self.config.algorithm, k, &mut sink)?;
-        let postings_decoded = sink.postings_decoded;
-        eval.topk_inserts = outcome.topk_inserts;
+        let algorithm = self.config.algorithm;
+        let ranked = svs::search(self.index, plan.groups(), algorithm, k, &mut host)?;
+        host.stream_norms();
+        host.eval.topk_inserts = ranked.topk_inserts;
 
-        let c = &self.config.cost;
-        let compute = postings_decoded as f64 * c.cycles_per_posting
+        // Cost model: compute + memory (additive — the out-of-order core
+        // overlaps poorly with pointer-chasing postings traffic, and this
+        // is what reproduces the paper's ≤15 % DRAM delta).
+        let (c, eval) = (&self.config.cost, &host.eval);
+        let compute = host.postings_decoded as f64 * c.cycles_per_posting
             + eval.comparisons as f64 * c.cycles_per_merge_step
             + eval.docs_scored as f64 * c.cycles_per_scored_doc
             + eval.topk_inserts as f64 * c.cycles_per_heap_op
             + c.query_overhead;
-        let mem_cycles_host = mem.stats().last_done_cycle as f64 * self.config.clock_ghz;
-        let cycles = (compute + mem_cycles_host) as u64;
+        // Memory cycles are modeled at 1 GHz (GB/s == B/cycle); convert to
+        // host cycles.
+        let mem_cycles_host = host.mem.stats().last_done_cycle as f64 * self.config.clock_ghz;
         Ok(QueryOutcome {
-            hits: outcome.hits,
-            cycles,
-            mem: mem.take_stats(),
-            eval,
+            hits: ranked.hits,
+            cycles: (compute + mem_cycles_host) as u64,
+            mem: host.mem.take_stats(),
+            eval: host.eval,
         })
     }
 }

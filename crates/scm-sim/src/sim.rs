@@ -166,13 +166,6 @@ impl MemorySim {
         }
     }
 
-    /// Creates a node with a fault plan attached.
-    pub fn with_fault_plan(config: MemoryConfig, plan: FaultPlan) -> Self {
-        let mut sim = Self::new(config);
-        sim.fault = Some(plan);
-        sim
-    }
-
     /// Attaches or removes the fault plan.
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
         self.fault = plan;
@@ -186,14 +179,6 @@ impl MemorySim {
     /// Accumulated traffic counters.
     pub fn stats(&self) -> &MemStats {
         &self.stats
-    }
-
-    /// Reset counters and channel state (e.g. between measured queries).
-    pub fn reset(&mut self) {
-        for ch in &mut self.channels {
-            *ch = Channel::default();
-        }
-        self.stats = MemStats::new();
     }
 
     /// Take the counters, leaving zeros behind. Channel timing state is kept.
@@ -378,6 +363,12 @@ mod tests {
         MemorySim::new(MemoryConfig::optane_dcpmm())
     }
 
+    fn sim_with(plan: crate::FaultPlan) -> MemorySim {
+        let mut m = sim();
+        m.set_fault_plan(Some(plan));
+        m
+    }
+
     #[test]
     fn sequential_read_cost_matches_bandwidth() {
         let mut m = sim();
@@ -501,16 +492,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_everything() {
-        let mut m = sim();
-        m.read_seq(0, 1024, AccessCategory::LdList, 0);
-        m.reset();
-        assert_eq!(m.stats().total_bytes(), 0);
-        let d = m.read_seq(0, 256, AccessCategory::LdList, 0);
-        assert!(d < 200, "channel ready time was reset");
-    }
-
-    #[test]
     fn take_stats_leaves_zeroes() {
         let mut m = sim();
         m.read_seq(0, 1024, AccessCategory::LdList, 0);
@@ -530,8 +511,7 @@ mod tests {
         // A quiet plan must not perturb timing or counters relative to no
         // plan at all — the invariance guarantee the figure diffs rely on.
         let mut a = sim();
-        let mut b =
-            MemorySim::with_fault_plan(MemoryConfig::optane_dcpmm(), crate::FaultPlan::quiet(123));
+        let mut b = sim_with(crate::FaultPlan::quiet(123));
         let mut ta = 0;
         let mut tb = 0;
         for i in 0..32u64 {
@@ -546,7 +526,7 @@ mod tests {
     #[test]
     fn uncorrectable_lines_flag_reads_and_count() {
         let plan = crate::FaultPlan::quiet(5).with_uncorrectable_rate(1.0);
-        let mut m = MemorySim::with_fault_plan(MemoryConfig::optane_dcpmm(), plan);
+        let mut m = sim_with(plan);
         let r = m.access_checked(
             0,
             128,
@@ -573,7 +553,7 @@ mod tests {
     #[test]
     fn degraded_channel_slows_transfers() {
         let plan = crate::FaultPlan::quiet(0).with_channel_bw(vec![0.5]);
-        let mut slow = MemorySim::with_fault_plan(MemoryConfig::optane_dcpmm(), plan);
+        let mut slow = sim_with(plan);
         let d_slow = slow.read_seq(0, 6400, AccessCategory::LdList, 0);
         let d_nominal = sim().read_seq(0, 6400, AccessCategory::LdList, 0);
         assert_eq!(d_nominal, 1000);
@@ -589,7 +569,7 @@ mod tests {
             spike_extra_ns: 700,
             ..crate::FaultPlan::quiet(0)
         };
-        let mut m = MemorySim::with_fault_plan(MemoryConfig::optane_dcpmm(), plan);
+        let mut m = sim_with(plan);
         let d = m.read_seq(0, 6400, AccessCategory::LdList, 0);
         assert_eq!(d, 1700, "spike adds to completion");
         assert_eq!(m.stats().latency_spikes, 1);
