@@ -15,6 +15,13 @@ fn width_of(values: &[u32]) -> u32 {
     bits_for(values.iter().fold(0, |acc, &v| acc | v))
 }
 
+/// Bytes of `n` values packed at `width` bits each (the last byte
+/// zero-padded) — BP's length, and OptPFD's packed area.
+#[inline]
+pub(crate) fn packed_len(n: usize, width: u32) -> usize {
+    (n * width as usize).div_ceil(8)
+}
+
 impl Codec for BitPacking {
     fn scheme(&self) -> Scheme {
         Scheme::Bp
@@ -22,7 +29,7 @@ impl Codec for BitPacking {
 
     fn encoded_len(&self, values: &[u32]) -> Result<usize, Error> {
         check_len(values)?;
-        Ok((values.len() * width_of(values) as usize).div_ceil(8))
+        Ok(packed_len(values.len(), width_of(values)))
     }
 
     fn encode(&self, values: &[u32], out: &mut Vec<u8>) -> Result<BlockInfo, Error> {

@@ -19,6 +19,13 @@
 //! decode them back exactly. Values of zero are legal everywhere (the index
 //! layer produces 0-gaps for adjacent docIDs and `tf - 1` streams).
 //!
+//! A caller that sizes a block under several schemes before encoding it
+//! under one can keep what the sizing found: a [`BitProfile`] sizes BP,
+//! VB and OptPFD and picks OptPFD's width (packed by [`optpfd_pack`]), and
+//! an [`S16Plan`] keeps Simple16's selectors for its `pack`. OptPFD's and
+//! Simple16's `encoded_len` and `encode` run these same routines; BP's
+//! and VB's lengths are the profile's by the same formulas.
+//!
 //! # Example
 //!
 //! ```
@@ -47,6 +54,7 @@ mod error;
 mod gvb;
 mod hybrid;
 mod pfd;
+mod profile;
 pub mod reference;
 mod s16;
 mod s8b;
@@ -56,6 +64,10 @@ mod vb;
 pub use bitio::{BitReader, BitWriter};
 pub use error::Error;
 pub use hybrid::{best_scheme, compression_ratio, encoded_size, HybridChoice};
+pub use pfd::optpfd_pack;
+pub use profile::BitProfile;
+pub use s16::{S16Plan, S16_LAYOUTS};
+pub use s8b::S8B_PACKED;
 
 use bp::BitPacking;
 use gvb::GroupVarint;

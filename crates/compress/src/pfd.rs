@@ -8,87 +8,32 @@
 //! total length; the index's block metadata stores the offset, matching the
 //! paper's 12-bit "offset of the first exception value and index" field.
 
-use crate::bitio::{bits_for, BitWriter};
-use crate::{check_count, check_len, unpack, BlockInfo, Codec, Error, Scheme};
+use crate::bitio::BitWriter;
+use crate::{check_count, check_len, unpack, BitProfile, BlockInfo, Codec, Error, Scheme};
 
 /// The OptPFD codec.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct OptPfd;
 
-const EXCEPTION_BYTES: usize = 6; // u16 index + u32 high bits
-
-/// Chooses the bit width minimizing the encoded size (the narrowest on a
-/// tie) and returns `(encoded bytes, width)`. One pass buckets the values
-/// by bit length; the exceptions of width `b` are the values longer than
-/// `b` bits, a suffix sum carried down from the widest candidate.
-fn best_width(values: &[u32]) -> (usize, u32) {
-    // Two histograms, alternate values: neighbours are mostly of one bit
-    // length, and a single counter per length would chain every
-    // increment to the store before it.
-    let mut of_width = [[0usize; 33]; 2];
-    let mut any = 0;
-    for (i, &v) in values.iter().enumerate() {
-        of_width[i % 2][bits_for(v) as usize] += 1;
-        any |= v;
-    }
-    let mut exceptions = 0;
-    let mut best = (usize::MAX, 0);
-    for b in (0..=bits_for(any)).rev() {
-        let len = (values.len() * b as usize).div_ceil(8) + exceptions * EXCEPTION_BYTES;
-        // Descending walk, so `<=` leaves the narrowest width on a tie.
-        if len <= best.0 {
-            best = (len, b);
-        }
-        exceptions += of_width[0][b as usize] + of_width[1][b as usize];
-    }
-    best
-}
+pub(crate) const EXCEPTION_BYTES: usize = 6; // u16 index + u32 high bits
 
 impl Codec for OptPfd {
     fn scheme(&self) -> Scheme {
         Scheme::OptPfd
     }
 
-    /// The width search already prices every candidate; the length is the
-    /// winner's. (The packed area of at most 4096 32-bit values is 16 KiB,
-    /// so `encode`'s offset-field check cannot fire.)
+    /// The width search ([`BitProfile::optpfd`]) already prices every
+    /// candidate; the length is the winner's. (The packed area of at most
+    /// 4096 32-bit values is 16 KiB, so the offset-field check of
+    /// [`optpfd_pack`] cannot fire.)
     fn encoded_len(&self, values: &[u32]) -> Result<usize, Error> {
         check_len(values)?;
-        Ok(best_width(values).0)
+        Ok(BitProfile::of(values).optpfd().0)
     }
 
     fn encode(&self, values: &[u32], out: &mut Vec<u8>) -> Result<BlockInfo, Error> {
-        let count = check_len(values)?;
-        let base = out.len();
-        let (_, b) = best_width(values);
-        let mask = if b == 32 { u32::MAX } else { (1u32 << b) - 1 };
-        let mut w = BitWriter::new(out);
-        for &v in values {
-            w.write(v & mask, b);
-        }
-        w.finish();
-        let exception_offset = out.len() - base;
-        if exception_offset > u16::MAX as usize {
-            return Err(Error::Corrupt {
-                reason: "OptPFD packed area exceeds offset field",
-            });
-        }
-        // A second pass instead of a side list: most blocks have few
-        // exceptions or none. (At width 32 nothing is left over.)
-        if b < 32 {
-            for (i, &v) in values.iter().enumerate() {
-                let high = v >> b;
-                if high != 0 {
-                    out.extend_from_slice(&(i as u16).to_le_bytes());
-                    out.extend_from_slice(&high.to_le_bytes());
-                }
-            }
-        }
-        Ok(BlockInfo {
-            count,
-            bit_width: b as u8,
-            exception_offset: exception_offset as u16,
-        })
+        check_len(values)?;
+        optpfd_pack(values, BitProfile::of(values).optpfd().1, out)
     }
 
     fn decode(&self, data: &[u8], info: &BlockInfo, out: &mut Vec<u32>) -> Result<(), Error> {
@@ -97,6 +42,56 @@ impl Codec for OptPfd {
         unpack::unpack(&data[..exc_off], info.count as usize, b, out)?;
         apply_exceptions(&data[exc_off..], b, info.count as usize, &mut out[base..])
     }
+}
+
+/// Encodes `values` under OptPForDelta at bit width `width` — the width
+/// [`BitProfile::optpfd`] chose for them — appending to `out`: what
+/// [`Codec::encode`] does after its width search, for a caller that has
+/// already run the search. Any width up to 32 round-trips; only the chosen
+/// one is the size the profile priced.
+///
+/// # Errors
+///
+/// [`Error::TooManyValues`] above [`crate::MAX_BLOCK_VALUES`] values, and
+/// [`Error::ValueTooLarge`] for a width above 32.
+pub fn optpfd_pack(values: &[u32], width: u32, out: &mut Vec<u8>) -> Result<BlockInfo, Error> {
+    let count = check_len(values)?;
+    if width > 32 {
+        return Err(Error::ValueTooLarge {
+            value: width,
+            max: 32,
+        });
+    }
+    let b = width;
+    let base = out.len();
+    let mask = if b == 32 { u32::MAX } else { (1u32 << b) - 1 };
+    let mut w = BitWriter::new(out);
+    for &v in values {
+        w.write(v & mask, b);
+    }
+    w.finish();
+    let exception_offset = out.len() - base;
+    if exception_offset > u16::MAX as usize {
+        return Err(Error::Corrupt {
+            reason: "OptPFD packed area exceeds offset field",
+        });
+    }
+    // A second pass instead of a side list: most blocks have few
+    // exceptions or none. (At width 32 nothing is left over.)
+    if b < 32 {
+        for (i, &v) in values.iter().enumerate() {
+            let high = v >> b;
+            if high != 0 {
+                out.extend_from_slice(&(i as u16).to_le_bytes());
+                out.extend_from_slice(&high.to_le_bytes());
+            }
+        }
+    }
+    Ok(BlockInfo {
+        count,
+        bit_width: b as u8,
+        exception_offset: exception_offset as u16,
+    })
 }
 
 pub(crate) fn check_header(data: &[u8], info: &BlockInfo) -> Result<(u32, usize), Error> {
@@ -154,6 +149,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
     use super::*;
+    use crate::bitio::bits_for;
 
     /// The seed's width search — one scan of the block per candidate
     /// width — kept as the oracle for the histogram walk.
@@ -183,6 +179,7 @@ mod tests {
             x ^= x << 17;
             x
         };
+        let best_width = |values: &[u32]| BitProfile::of(values).optpfd();
         assert_eq!(best_width(&[]), best_width_by_rescan(&[]));
         for trial in 0..20_000 {
             let len = 1 + (next() % 128) as usize;
@@ -286,6 +283,22 @@ mod tests {
         buf[off + 1] = 0xFF;
         let err = OptPfd.decode(&buf, &info, &mut Vec::new()).unwrap_err();
         assert!(matches!(err, Error::Corrupt { .. }));
+    }
+
+    #[test]
+    fn any_width_round_trips_and_wider_than_32_is_refused() {
+        let mut values = vec![5u32; 40];
+        values[9] = 1 << 30;
+        for width in 0..=32 {
+            let mut buf = Vec::new();
+            let info = optpfd_pack(&values, width, &mut buf).unwrap();
+            assert_eq!(u32::from(info.bit_width), width);
+            let mut out = Vec::new();
+            OptPfd.decode(&buf, &info, &mut out).unwrap();
+            assert_eq!(out, values, "width {width}");
+        }
+        let err = optpfd_pack(&values, 33, &mut Vec::new()).unwrap_err();
+        assert!(matches!(err, Error::ValueTooLarge { value: 33, max: 32 }));
     }
 
     #[test]

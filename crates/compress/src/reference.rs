@@ -101,7 +101,7 @@ fn decode_s16(data: &[u8], info: &BlockInfo, out: &mut Vec<u32>) -> Result<(), E
         pos += 4;
         let word = u32::from_le_bytes([b0, b1, b2, b3]);
         let mut shift = 0u32;
-        for &(n, bits) in s16::LAYOUTS[(word >> 28) as usize] {
+        for &(n, bits) in s16::S16_LAYOUTS[(word >> 28) as usize] {
             let mask = (1u32 << bits) - 1;
             for _ in 0..n {
                 if remaining == 0 {
@@ -138,7 +138,7 @@ fn decode_s8b(data: &[u8], info: &BlockInfo, out: &mut Vec<u32>) -> Result<(), E
                 remaining -= take;
             }
             _ => {
-                let (n, bits) = s8b::PACKED[sel - 2];
+                let (n, bits) = s8b::S8B_PACKED[sel - 2];
                 let mask = (1u64 << bits) - 1;
                 let mut shift = 0u32;
                 for _ in 0..n {

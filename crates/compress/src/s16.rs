@@ -5,9 +5,9 @@
 use crate::bitio::bits_for;
 use crate::{check_count, check_len, BlockInfo, Codec, Error, Scheme};
 
-/// The 16 Simple16 layouts as `(count, bits)` runs. Each layout's field
-/// widths sum to exactly 28 bits.
-pub(crate) const LAYOUTS: [&[(u32, u32)]; 16] = [
+/// The 16 Simple16 layouts as `(count, bits)` runs, indexed by selector
+/// and densest first. Each layout's field widths sum to exactly 28 bits.
+pub const S16_LAYOUTS: [&[(u32, u32)]; 16] = [
     &[(28, 1)],
     &[(7, 2), (14, 1)],
     &[(7, 1), (7, 2), (7, 1)],
@@ -166,7 +166,7 @@ static FLAT: Flat = {
     };
     let mut sel = 0;
     while sel < 16 {
-        let layout = LAYOUTS[sel];
+        let layout = S16_LAYOUTS[sel];
         let (mut run, mut pos, mut shift) = (0, 0, 0);
         while run < layout.len() {
             let (n, bits) = layout[run];
@@ -228,15 +228,30 @@ fn select(needs: &[u8; 32]) -> Option<usize> {
 /// Values classified per refill of the need window …
 const WINDOW: usize = 256;
 /// … and the zero bytes kept behind them, so the 32-byte view from any
-/// classified position stays inside the buffer.
+/// classified position stays inside the window.
 const TAIL: usize = 32;
+
+/// The window of needs the layout search reads. Each refill zeroes the
+/// [`TAIL`] bytes behind what it classifies, so a window is reused as it
+/// stands.
+type Window = [u8; WINDOW + TAIL];
 
 /// The greedy layout choice — per word, the densest layout (lowest
 /// selector) whose fields hold the values still to go — calling
-/// `emit(selector, values taken)` once per word. Shared by `encode` and
-/// `encoded_len`, so the two cannot disagree.
-fn for_each_word(values: &[u32], mut emit: impl FnMut(usize, &[u32])) -> Result<(), Error> {
-    let mut needs = [0u8; WINDOW + TAIL];
+/// `emit(selector, values taken)` once per word. This is Simple16's one
+/// sizing routine: `encoded_len` counts its words, `encode` packs each as
+/// it is chosen, and [`S16Plan::plan`] keeps its selectors for
+/// [`S16Plan::pack`].
+///
+/// Values are classified [`WINDOW`] at a time into `needs`. A layout
+/// looks at up to 28 values: short of the end of the stream, the search
+/// stops where that would leave the classified chunk and classifies
+/// again from there.
+fn for_each_word(
+    values: &[u32],
+    needs: &mut Window,
+    mut emit: impl FnMut(usize, &[u32]),
+) -> Result<(), Error> {
     let mut rest = values;
     while !rest.is_empty() {
         let chunk = &rest[..rest.len().min(WINDOW)];
@@ -244,9 +259,6 @@ fn for_each_word(values: &[u32], mut emit: impl FnMut(usize, &[u32])) -> Result<
             *need = NEED[bits_for(v) as usize];
         }
         needs[chunk.len()..chunk.len() + TAIL].fill(0);
-        // A layout looks at up to 28 values: short of the end of the
-        // stream, stop where that would leave the classified chunk and
-        // classify again from there.
         let stop = if chunk.len() == rest.len() {
             chunk.len()
         } else {
@@ -270,6 +282,185 @@ fn for_each_word(values: &[u32], mut emit: impl FnMut(usize, &[u32])) -> Result<
     Ok(())
 }
 
+/// Ors the `N` values that open `values` into `word`, `BITS` bits apiece
+/// from `*shift` on; monomorphized per (run, width) pair so the compiler
+/// fully unrolls each run, as [`emit_run`] does on the decode side.
+#[inline]
+fn gather_run<const N: usize, const BITS: u32>(
+    values: &mut &[u32],
+    shift: &mut u32,
+    word: &mut u32,
+) {
+    if let Some((run, rest)) = values.split_first_chunk::<N>() {
+        for (i, &v) in run.iter().enumerate() {
+            *word |= v << (*shift + i as u32 * BITS);
+        }
+        *values = rest;
+    }
+    *shift += N as u32 * BITS;
+}
+
+/// The word that packs `values` under selector `sel`: the per-selector
+/// unrolled packer for a full word, the shift table for the short last
+/// word of a stream (whose missing values are the zero padding).
+#[inline]
+fn pack_word(sel: usize, values: &[u32]) -> u32 {
+    let mut word = (sel as u32) << 28;
+    if values.len() < LAYOUT_COUNTS[sel] {
+        for (&v, &shift) in values.iter().zip(&FLAT.shifts[sel]) {
+            word |= v << shift;
+        }
+        return word;
+    }
+    let (v, s, w) = (&mut &values[..], &mut 0u32, &mut word);
+    match sel {
+        0 => gather_run::<28, 1>(v, s, w),
+        1 => {
+            gather_run::<7, 2>(v, s, w);
+            gather_run::<14, 1>(v, s, w);
+        }
+        2 => {
+            gather_run::<7, 1>(v, s, w);
+            gather_run::<7, 2>(v, s, w);
+            gather_run::<7, 1>(v, s, w);
+        }
+        3 => {
+            gather_run::<14, 1>(v, s, w);
+            gather_run::<7, 2>(v, s, w);
+        }
+        4 => gather_run::<14, 2>(v, s, w),
+        5 => {
+            gather_run::<1, 4>(v, s, w);
+            gather_run::<8, 3>(v, s, w);
+        }
+        6 => {
+            gather_run::<1, 3>(v, s, w);
+            gather_run::<4, 4>(v, s, w);
+            gather_run::<3, 3>(v, s, w);
+        }
+        7 => gather_run::<7, 4>(v, s, w),
+        8 => {
+            gather_run::<4, 5>(v, s, w);
+            gather_run::<2, 4>(v, s, w);
+        }
+        9 => {
+            gather_run::<2, 4>(v, s, w);
+            gather_run::<4, 5>(v, s, w);
+        }
+        10 => {
+            gather_run::<3, 6>(v, s, w);
+            gather_run::<2, 5>(v, s, w);
+        }
+        11 => {
+            gather_run::<2, 5>(v, s, w);
+            gather_run::<3, 6>(v, s, w);
+        }
+        12 => gather_run::<4, 7>(v, s, w),
+        13 => {
+            gather_run::<1, 10>(v, s, w);
+            gather_run::<2, 9>(v, s, w);
+        }
+        14 => gather_run::<2, 14>(v, s, w),
+        _ => gather_run::<1, 28>(v, s, w),
+    }
+    word
+}
+
+/// Simple16's layout search, run once and kept: the selector of every
+/// word of one or more streams, planned one after another by
+/// [`S16Plan::plan`] and packed in the same order by
+/// [`S16Plan::pack`] — so a caller that sized a stream to choose a scheme
+/// encodes it without searching again. The words are
+/// [`crate::Codec::encode`]'s, selector for selector.
+#[derive(Debug, Clone)]
+pub struct S16Plan {
+    selectors: Vec<u8>,
+    /// Selectors already handed to `pack`.
+    packed: usize,
+    needs: Window,
+}
+
+impl Default for S16Plan {
+    fn default() -> Self {
+        S16Plan {
+            selectors: Vec::new(),
+            packed: 0,
+            needs: [0; WINDOW + TAIL],
+        }
+    }
+}
+
+impl S16Plan {
+    /// An empty plan.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Forgets every stream planned, packed or not.
+    pub fn clear(&mut self) {
+        self.selectors.clear();
+        self.packed = 0;
+    }
+
+    /// The selectors planned so far, a word each, in stream order.
+    pub fn selectors(&self) -> &[u8] {
+        &self.selectors
+    }
+
+    /// Plans the next stream and returns its encoded bytes: exactly
+    /// [`crate::Codec::encoded_len`]'s answer, found by the same search.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`crate::Codec::encoded_len`]; the plan is then as it
+    /// was.
+    pub fn plan(&mut self, values: &[u32]) -> Result<usize, Error> {
+        check_len(values)?;
+        let start = self.selectors.len();
+        let selectors = &mut self.selectors;
+        let planned = for_each_word(values, &mut self.needs, |sel, _| {
+            selectors.push(sel as u8);
+        });
+        if let Err(e) = planned {
+            self.selectors.truncate(start);
+            return Err(e);
+        }
+        Ok(4 * (self.selectors.len() - start))
+    }
+
+    /// Packs `values` — the stream planned next — appending its words to
+    /// `out`, and returns its block descriptor. The values must be those
+    /// that were planned: words packed from a plan for other values do
+    /// not decode to them.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::TooManyValues`] above [`crate::MAX_BLOCK_VALUES`] values,
+    /// and [`Error::Corrupt`] when the plan runs out of words before the
+    /// values do.
+    pub fn pack(&mut self, values: &[u32], out: &mut Vec<u8>) -> Result<BlockInfo, Error> {
+        let count = check_len(values)?;
+        let mut rest = values;
+        while !rest.is_empty() {
+            let Some(&sel) = self.selectors.get(self.packed) else {
+                return Err(Error::Corrupt {
+                    reason: "Simple16 plan has no word left for the values",
+                });
+            };
+            self.packed += 1;
+            let sel = usize::from(sel & 15);
+            let take = LAYOUT_COUNTS[sel].min(rest.len());
+            out.extend_from_slice(&pack_word(sel, &rest[..take]).to_le_bytes());
+            rest = &rest[take..];
+        }
+        Ok(BlockInfo {
+            count,
+            bit_width: 0,
+            exception_offset: 0,
+        })
+    }
+}
+
 /// The S16 codec.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Simple16;
@@ -281,12 +472,8 @@ impl Codec for Simple16 {
 
     fn encode(&self, values: &[u32], out: &mut Vec<u8>) -> Result<BlockInfo, Error> {
         let count = check_len(values)?;
-        for_each_word(values, |sel, taken| {
-            let mut word = (sel as u32) << 28;
-            for (&v, &shift) in taken.iter().zip(&FLAT.shifts[sel]) {
-                word |= v << shift;
-            }
-            out.extend_from_slice(&word.to_le_bytes());
+        for_each_word(values, &mut [0; WINDOW + TAIL], |sel, taken| {
+            out.extend_from_slice(&pack_word(sel, taken).to_le_bytes());
         })?;
         Ok(BlockInfo {
             count,
@@ -298,7 +485,7 @@ impl Codec for Simple16 {
     fn encoded_len(&self, values: &[u32]) -> Result<usize, Error> {
         check_len(values)?;
         let mut words = 0;
-        for_each_word(values, |_, _| words += 1)?;
+        for_each_word(values, &mut [0; WINDOW + TAIL], |_, _| words += 1)?;
         Ok(words * 4)
     }
 
@@ -324,7 +511,7 @@ impl Codec for Simple16 {
             } else {
                 // Final partial word: the generic field walk.
                 let mut shift = 0u32;
-                for &(n, bits) in LAYOUTS[sel] {
+                for &(n, bits) in S16_LAYOUTS[sel] {
                     let mask = (1u32 << bits) - 1;
                     for _ in 0..n {
                         if remaining == 0 {
@@ -362,7 +549,7 @@ mod tests {
 
     #[test]
     fn layouts_all_sum_to_28_bits() {
-        for layout in &LAYOUTS {
+        for layout in &S16_LAYOUTS {
             let bits: u32 = layout.iter().map(|&(n, b)| n * b).sum();
             assert_eq!(bits, 28);
         }
@@ -370,7 +557,7 @@ mod tests {
 
     #[test]
     fn layout_counts_match_table() {
-        for (sel, layout) in LAYOUTS.iter().enumerate() {
+        for (sel, layout) in S16_LAYOUTS.iter().enumerate() {
             assert_eq!(LAYOUT_COUNTS[sel], layout_count(layout) as usize, "{sel}");
         }
     }

@@ -6,9 +6,10 @@
 use crate::bitio::bits_for;
 use crate::{check_count, check_len, BlockInfo, Codec, Error, Scheme};
 
-/// `(count, bits)` for selectors 2..=15. Selector 0 = 240 zeros,
-/// selector 1 = 120 zeros.
-pub(crate) const PACKED: [(u32, u32); 14] = [
+/// The Simple8b packed layouts as `(count, bits)`, for selectors 2..=15
+/// (selector `s` is entry `s - 2`). Selector 0 = 240 zeros, selector 1 =
+/// 120 zeros.
+pub const S8B_PACKED: [(u32, u32); 14] = [
     (60, 1),
     (30, 2),
     (20, 3),
@@ -39,8 +40,8 @@ fn emit_run<const N: usize, const BITS: u32>(word: u64, out: &mut Vec<u32>) {
     out.extend_from_slice(&vals);
 }
 
-/// Decodes one full packed word (all `PACKED[sel - 2].0` values) with the
-/// unrolled per-selector kernel. `sel` must be in `2..=15`.
+/// Decodes one full packed word (all `S8B_PACKED[sel - 2].0` values) with
+/// the unrolled per-selector kernel. `sel` must be in `2..=15`.
 #[inline]
 fn decode_packed(sel: usize, word: u64, out: &mut Vec<u32>) {
     match sel {
@@ -65,7 +66,7 @@ fn decode_packed(sel: usize, word: u64, out: &mut Vec<u32>) {
 /// the eight sparsest layouts anyway, a value per step; one OR over its
 /// first eight values says as much.
 const SKIP_TO: usize = 6;
-const SKIP: (u32, u32) = PACKED[SKIP_TO];
+const SKIP: (u32, u32) = S8B_PACKED[SKIP_TO];
 
 /// The greedy layout choice — per word, a 240- or 120-zero run if one
 /// opens the values still to go, else the densest packed layout that
@@ -90,14 +91,14 @@ fn for_each_word(values: &[u32], mut emit: impl FnMut(u64, u32, &[u32])) {
         // only the values each step adds, and stop at the first failure.
         // When the first eight values fit 8×7, start from there.
         let (mut seen, mut any) = (0, 0);
-        let mut chosen = PACKED.len() - 1;
+        let mut chosen = S8B_PACKED.len() - 1;
         if let Some(head) = rest.first_chunk::<{ SKIP.0 as usize }>() {
             let wide = head.iter().fold(0, |acc, &v| acc | v);
             if bits_for(wide) <= SKIP.1 {
                 (seen, any, chosen) = (head.len(), wide, SKIP_TO);
             }
         }
-        for (i, &(n, bits)) in PACKED[..chosen].iter().enumerate().rev() {
+        for (i, &(n, bits)) in S8B_PACKED[..chosen].iter().enumerate().rev() {
             let upto = rest.len().min(n as usize);
             any = rest[seen..upto].iter().fold(any, |acc, &v| acc | v);
             seen = upto;
@@ -106,7 +107,7 @@ fn for_each_word(values: &[u32], mut emit: impl FnMut(u64, u32, &[u32])) {
             }
             chosen = i;
         }
-        let (n, bits) = PACKED[chosen];
+        let (n, bits) = S8B_PACKED[chosen];
         let take = rest.len().min(n as usize);
         emit(chosen as u64 + 2, bits, &rest[..take]);
         rest = &rest[take..];
@@ -171,7 +172,7 @@ impl Codec for Simple8b {
                     remaining -= take;
                 }
                 _ => {
-                    let (n, bits) = PACKED[sel - 2];
+                    let (n, bits) = S8B_PACKED[sel - 2];
                     if remaining >= n as usize {
                         // Full word: per-selector unrolled kernel, no
                         // per-value remaining checks.
@@ -211,7 +212,7 @@ mod tests {
 
     #[test]
     fn packed_layouts_fit_60_bits() {
-        for &(n, b) in &PACKED {
+        for &(n, b) in &S8B_PACKED {
             assert!(n * b <= 60, "{n}x{b}");
         }
     }

@@ -2,20 +2,23 @@
 //! value (the classic Cutting–Pedersen encoding the paper's Figure 8
 //! programs into the BOSS decompression module).
 
+use crate::bitio::bits_for;
 use crate::{check_count, check_len, BlockInfo, Codec, Error, Scheme};
 
 /// The VB codec.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct VariableByte;
 
-/// Encoded bytes of a value by its count of leading zeros: one byte per
-/// started group of seven significant bits, and one for a zero.
-const LEN_BY_LEADING_ZEROS: [u8; 33] = {
+/// Encoded bytes of a value by its bit length: one per started group of
+/// seven significant bits, and one for a zero. A block's length is their
+/// sum, value by value here and bit length by bit length in
+/// [`crate::BitProfile::vb_len`].
+pub(crate) const LEN_BY_BITS: [u8; 33] = {
     let mut table = [1u8; 33];
-    let mut lz = 0;
-    while lz < 32 {
-        table[lz] = (32 - lz as u8).div_ceil(7);
-        lz += 1;
+    let mut bits = 1;
+    while bits <= 32 {
+        table[bits] = (bits as u8).div_ceil(7);
+        bits += 1;
     }
     table
 };
@@ -29,7 +32,7 @@ impl Codec for VariableByte {
         check_len(values)?;
         Ok(values
             .iter()
-            .map(|&v| usize::from(LEN_BY_LEADING_ZEROS[v.leading_zeros() as usize]))
+            .map(|&v| usize::from(LEN_BY_BITS[bits_for(v) as usize]))
             .sum())
     }
 
@@ -166,6 +169,16 @@ mod tests {
     #[test]
     fn boundaries() {
         roundtrip(&[127, 128, 16383, 16384, 2097151, 2097152, u32::MAX]);
+    }
+
+    #[test]
+    fn len_by_bits_table() {
+        assert_eq!(LEN_BY_BITS[0], 1);
+        assert_eq!(LEN_BY_BITS[7], 1);
+        assert_eq!(LEN_BY_BITS[8], 2);
+        assert_eq!(LEN_BY_BITS[28], 4);
+        assert_eq!(LEN_BY_BITS[29], 5);
+        assert_eq!(LEN_BY_BITS[32], 5);
     }
 
     #[test]

@@ -1,8 +1,14 @@
-//! The encode side against what it replaced. Three contracts:
+//! The encode side against what it replaced. Four contracts:
 //!
 //! * `Codec::encoded_len` is `encode` without the output — the same byte
 //!   count and the same error, for the five evaluated schemes (native
 //!   sizing) and for `GroupVarint` (the trait default);
+//! * what a caller keeps from sizing is what `encode` would have found:
+//!   a `BitProfile`'s BP, VB and OptPFD lengths are `encoded_len`'s, its
+//!   OptPFD width is the one `encode` writes and `optpfd_pack` at that
+//!   width writes `encode`'s bytes, and an `S16Plan`'s `plan` answers as
+//!   `encoded_len` does while its `pack` writes `encode`'s words from the
+//!   selectors it planned;
 //! * the word-level Simple16 / Simple8b layout searches emit the words of
 //!   the greedy scans they replaced, selector for selector — the scans
 //!   live on below, moved here verbatim;
@@ -14,7 +20,10 @@
 //! widths 0–32 × lengths 0..=4096 sweep is `#[ignore]`d (CI's smoke job
 //! runs it in release).
 
-use boss_compress::{codec_for, Codec, Error, Scheme, ALL_SCHEMES, MAX_BLOCK_VALUES};
+use boss_compress::{
+    codec_for, optpfd_pack, BitProfile, Codec, Error, S16Plan, Scheme, ALL_SCHEMES,
+    MAX_BLOCK_VALUES,
+};
 
 // ---------------------------------------------------------------------
 // Oracles: the seed's encoders.
@@ -232,8 +241,91 @@ fn schemes() -> impl Iterator<Item = Scheme> {
     ALL_SCHEMES.into_iter().chain([Scheme::GroupVarint])
 }
 
+/// The streams an `S16Plan` holds before the one `check_kept_sizing`
+/// plans, so that a plan is judged in the middle of a sequence.
+const PLANNED_BEFORE: [[u32; 3]; 2] = [[1, 2, 3], [0, 70_000, 5]];
+
+/// The plan and the profile against `encode` and `encoded_len` on one
+/// input.
+fn check_kept_sizing(values: &[u32], what: &str) {
+    const PREFIX: [u8; 2] = [0x3C, 0xC3];
+    let encode = |scheme| {
+        let mut buf = PREFIX.to_vec();
+        codec_for(scheme)
+            .encode(values, &mut buf)
+            .map(|info| (info, buf[PREFIX.len()..].to_vec()))
+    };
+
+    // Simple16: the plan's answer, its selectors and its packed words.
+    let mut plan = S16Plan::new();
+    for earlier in &PLANNED_BEFORE {
+        plan.plan(earlier).expect("narrow values plan");
+    }
+    let before = plan.selectors().len();
+    let planned = plan.plan(values);
+    assert_eq!(
+        planned,
+        codec_for(Scheme::S16).encoded_len(values),
+        "S16 {what}: plan vs encoded_len"
+    );
+    match encode(Scheme::S16) {
+        Ok((info, words)) => {
+            let selectors: Vec<u8> = words.chunks(4).map(|w| w[3] >> 4).collect();
+            assert_eq!(
+                plan.selectors()[before..],
+                selectors,
+                "S16 {what}: planned selectors vs the words'"
+            );
+            // Streams are packed in the order they were planned.
+            for earlier in &PLANNED_BEFORE {
+                plan.pack(earlier, &mut Vec::new()).expect("planned");
+            }
+            let mut packed = PREFIX.to_vec();
+            assert_eq!(plan.pack(values, &mut packed), Ok(info), "S16 {what}: pack");
+            assert_eq!(packed[PREFIX.len()..], words, "S16 {what}: pack vs encode");
+        }
+        Err(e) => assert!(
+            planned == Err(e) && plan.selectors().len() == before,
+            "S16 {what}: a refused stream leaves the plan as it was"
+        ),
+    }
+
+    if values.len() > MAX_BLOCK_VALUES {
+        return;
+    }
+    // BP, VB and OptPFD: the profile's lengths, and OptPFD's width.
+    let profile = BitProfile::of(values);
+    let sized = |scheme| codec_for(scheme).encoded_len(values);
+    assert_eq!(
+        Ok(profile.bp_len()),
+        sized(Scheme::Bp),
+        "BP {what}: profile"
+    );
+    assert_eq!(
+        Ok(profile.vb_len()),
+        sized(Scheme::Vb),
+        "VB {what}: profile"
+    );
+    let (len, width) = profile.optpfd();
+    assert_eq!(Ok(len), sized(Scheme::OptPfd), "OptPFD {what}: profile");
+    let (info, bytes) = encode(Scheme::OptPfd).expect("OptPFD is total");
+    assert_eq!(u32::from(info.bit_width), width, "OptPFD {what}: width");
+    let mut packed = PREFIX.to_vec();
+    assert_eq!(
+        optpfd_pack(values, width, &mut packed),
+        Ok(info),
+        "OptPFD {what}: pack at the width"
+    );
+    assert_eq!(
+        packed[PREFIX.len()..],
+        bytes,
+        "OptPFD {what}: pack vs encode"
+    );
+}
+
 /// Everything this file promises about one input.
 fn check(values: &[u32], what: &str) {
+    check_kept_sizing(values, what);
     // `encode` appends: start from a non-empty buffer.
     const PREFIX: [u8; 3] = [0xA5, 0x5A, 0xC3];
     let mut oracle = Vec::new();

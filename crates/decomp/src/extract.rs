@@ -9,7 +9,7 @@
 //! parameters (Section IV-C); here each flavor is a small state machine
 //! that yields one payload unit per cycle.
 
-use boss_compress::{BitReader, BlockInfo};
+use boss_compress::{BitReader, BlockInfo, S16_LAYOUTS, S8B_PACKED};
 
 use crate::engine::EngineError;
 
@@ -28,44 +28,6 @@ pub enum ExtractorKind {
     /// lengths of the next four values (extension scheme).
     GroupVarint,
 }
-
-/// Simple16 layouts as `(count, bits)` runs; identical to the encoder's.
-const S16_LAYOUTS: [&[(u32, u32)]; 16] = [
-    &[(28, 1)],
-    &[(7, 2), (14, 1)],
-    &[(7, 1), (7, 2), (7, 1)],
-    &[(14, 1), (7, 2)],
-    &[(14, 2)],
-    &[(1, 4), (8, 3)],
-    &[(1, 3), (4, 4), (3, 3)],
-    &[(7, 4)],
-    &[(4, 5), (2, 4)],
-    &[(2, 4), (4, 5)],
-    &[(3, 6), (2, 5)],
-    &[(2, 5), (3, 6)],
-    &[(4, 7)],
-    &[(1, 10), (2, 9)],
-    &[(2, 14)],
-    &[(1, 28)],
-];
-
-/// Simple8b packed layouts for selectors 2..=15.
-const S8B_PACKED: [(u32, u32); 14] = [
-    (60, 1),
-    (30, 2),
-    (20, 3),
-    (15, 4),
-    (12, 5),
-    (10, 6),
-    (8, 7),
-    (7, 8),
-    (6, 10),
-    (5, 12),
-    (4, 15),
-    (3, 20),
-    (2, 30),
-    (1, 60),
-];
 
 /// A running extractor over one block's data.
 #[derive(Debug)]

@@ -8,23 +8,32 @@
 //! rejects must be rejected by every single-device engine; a shard may
 //! still answer it once its rewrite drops the terms it does not hold,
 //! and then its hits must be the oracle's.
+//!
+//! Each random corpus is built twice — in memory, and through the write
+//! path every ingest takes (SPIMI spills into one to eight segments,
+//! opened and merged) — and the two indexes must be equal before any
+//! query runs.
 
 use boss_core::{BossConfig, EtMode, QueryPlan};
 use boss_engine::{Boss, Iiu, Lucene, SearchEngine, ShardTiming, Sharded};
 use boss_iiu::IiuConfig;
 use boss_index::shard::ShardedIndex;
-use boss_index::{reference, IndexBuilder, InvertedIndex, QueryExpr, SearchHit, ALL_ALGORITHMS};
+use boss_index::{
+    reference, IndexBuilder, InvertedIndex, QueryExpr, SearchHit, SpimiBuilder, SpimiConfig,
+    ALL_ALGORITHMS,
+};
 use boss_luceneish::LuceneConfig;
 use boss_workload::corpus::{CorpusSpec, Scale};
 use boss_workload::queries::{QuerySampler, ALL_QUERY_TYPES};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 const SHARDS: u32 = 4;
 
 /// A small synthetic corpus driven by proptest-chosen parameters: five
 /// terms of falling density with tf 1–3, and `base` in every document.
-fn build_corpus(n_docs: u32, seed: u32) -> InvertedIndex {
-    let docs: Vec<String> = (0..n_docs)
+fn corpus_texts(n_docs: u32, seed: u32) -> Vec<String> {
+    (0..n_docs)
         .map(|i| {
             let h = i.wrapping_mul(2654435761).wrapping_add(seed);
             let mut t = String::new();
@@ -39,11 +48,39 @@ fn build_corpus(n_docs: u32, seed: u32) -> InvertedIndex {
             t.push_str(" base");
             t
         })
-        .collect();
+        .collect()
+}
+
+fn build_corpus(texts: &[String]) -> InvertedIndex {
     IndexBuilder::new()
-        .add_documents(docs.iter().map(String::as_str))
+        .add_documents(texts.iter().map(String::as_str))
         .build()
         .expect("corpus builds")
+}
+
+/// The corpus through SPIMI: a segment spilled every `docs_per_segment`
+/// documents, then the directory opened and merged.
+fn build_through_segments(texts: &[String], docs_per_segment: u32) -> InvertedIndex {
+    static NEXT: AtomicU32 = AtomicU32::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "boss-differential-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::remove_dir_all(&dir).ok();
+    let cfg = SpimiConfig {
+        max_docs_per_segment: docs_per_segment,
+        ..SpimiConfig::default()
+    };
+    let mut builder = SpimiBuilder::create(&dir, cfg).expect("segment directory");
+    for text in texts {
+        builder.add_document_text(text).expect("document ingests");
+    }
+    let segments = builder.finish().expect("segments seal").entries().len();
+    assert_eq!(segments, texts.len().div_ceil(docs_per_segment as usize));
+    let index = boss_engine::open_segments(&dir).expect("segments open");
+    std::fs::remove_dir_all(&dir).ok();
+    index
 }
 
 fn expr_strategy() -> impl Strategy<Value = QueryExpr> {
@@ -161,8 +198,12 @@ proptest! {
         expr in expr_strategy(),
         n_docs in 200u32..800,
         seed in 0u32..50,
+        segments in 1u32..=8,
     ) {
-        let index = build_corpus(n_docs, seed);
+        let texts = corpus_texts(n_docs, seed);
+        let index = build_corpus(&texts);
+        let spilled = build_through_segments(&texts, n_docs.div_ceil(segments));
+        prop_assert!(spilled == index, "{} segments built another index", segments);
         let shards = ShardedIndex::split(&index, SHARDS).expect("corpus splits");
         let mut runs = lineup(&index, &shards);
         for k in [0usize, 1, 3, 10, 100, 1000] {

@@ -3,6 +3,7 @@
 use crate::index::{IndexAssembler, InvertedIndex};
 use crate::{Bm25, Bm25Params, Error, ListEncoder, PostingList, BLOCK_SIZE};
 use boss_compress::Scheme;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// How the builder picks a compression scheme per posting list.
@@ -215,14 +216,15 @@ impl<'a> IndexBuilder<'a> {
     /// tokenized text already produced, makes [`IndexBuilder::build`]
     /// return [`Error::DuplicateTerm`].
     pub fn add_posting_list(mut self, term: &str, list: &'a PostingList) -> Self {
-        if self.postings.contains_key(term) {
-            self.conflict.get_or_insert(Error::DuplicateTerm {
-                term: term.to_owned(),
-            });
-            return self;
+        match self.postings.entry(term.to_owned()) {
+            Entry::Vacant(slot) => {
+                slot.insert(Columns::Injected(list));
+            }
+            Entry::Occupied(taken) => {
+                let term = taken.key().clone();
+                self.conflict.get_or_insert(Error::DuplicateTerm { term });
+            }
         }
-        self.postings
-            .insert(term.to_owned(), Columns::Injected(list));
         self
     }
 
@@ -254,12 +256,17 @@ impl<'a> IndexBuilder<'a> {
         let mut tf_sums = vec![0u64; doc_lens.len()];
         for columns in postings.values() {
             let (docs, tfs) = columns.slices();
-            for (&d, &tf) in docs.iter().zip(tfs) {
-                let d = d as usize;
-                if d >= tf_sums.len() {
-                    tf_sums.resize(d + 1, 0);
+            // Sorted columns end at their largest docID. (Unsorted ones
+            // are the encoder's error; what they reach past is skipped.)
+            if let Some(&last) = docs.last() {
+                if last as usize >= tf_sums.len() {
+                    tf_sums.resize(last as usize + 1, 0);
                 }
-                tf_sums[d] += u64::from(tf);
+            }
+            for (&d, &tf) in docs.iter().zip(tfs) {
+                if let Some(sum) = tf_sums.get_mut(d as usize) {
+                    *sum += u64::from(tf);
+                }
             }
         }
         let n_docs = tf_sums.len();

@@ -23,7 +23,9 @@
 //! one-list store, where the vectors they hand out *are* the list.
 
 use crate::{Bm25, DocId, Error, PostingList, SchemeChoice};
-use boss_compress::{codec_for, BlockInfo, Scheme, ALL_SCHEMES};
+use boss_compress::{
+    codec_for, optpfd_pack, BitProfile, BlockInfo, S16Plan, Scheme, ALL_SCHEMES, MAX_BLOCK_VALUES,
+};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -291,7 +293,7 @@ impl ListView<'_> {
         let total: usize = self
             .blocks
             .iter()
-            .map(|b| b.count().min(boss_compress::MAX_BLOCK_VALUES))
+            .map(|b| b.count().min(MAX_BLOCK_VALUES))
             .sum();
         scratch.docs.reserve(total);
         scratch.tfs.reserve(total);
@@ -361,11 +363,8 @@ impl EncodedList {
     ///
     /// # Errors
     ///
-    /// Same as [`EncodedList::encode`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block_size` is zero or above the codec block limit.
+    /// Same as [`EncodedList::encode`], and [`Error::InvalidBlockSize`]
+    /// for a `block_size` of zero or above [`MAX_BLOCK_VALUES`].
     pub fn encode_with_block_size(
         list: &PostingList,
         scheme: Scheme,
@@ -569,17 +568,126 @@ impl EncodedList {
 /// replaces, a scheme that cannot represent some block is skipped) is
 /// decided by one loop.
 ///
-/// One call computes what no scheme changes — d-gaps, `tf - 1`, per-block
-/// and list maxima of the BM25 term score — once, then *sizes* the blocks
-/// under each candidate scheme ([`boss_compress::Codec::encoded_len`]:
-/// the bytes of an encode without the output) and encodes them once,
-/// under the winner, straight onto the end of the destination store. The
-/// scratch is reused across calls.
+/// One pass per block checks the columns and computes what no scheme
+/// changes — d-gaps, `tf - 1`, the block's and the list's maximum BM25
+/// term score — and, under [`SchemeChoice::Hybrid`], profiles the block's
+/// two streams while they are at hand ([`BitProfile`]: the BP, VB and
+/// OptPFD lengths, and OptPFD's width). Simple16 is then sized by
+/// planning its words ([`S16Plan`]) and Simple8b by its own search, each
+/// given up once it cannot come in under the best so far. The winner is
+/// packed once, from what its sizing recorded, straight onto the end of
+/// the destination store: no layout or width search runs twice. The
+/// scratch is reused across calls; a [`SchemeChoice::Fixed`] encode reads
+/// none of the plan.
 #[derive(Debug, Default)]
 pub struct ListEncoder {
     gaps: Vec<u32>,
     tfs_m1: Vec<u32>,
     block_max: Vec<f32>,
+    plan: Plan,
+}
+
+/// What the hybrid choice sized the schemes from, and what its winner is
+/// packed from; emptied at the start of every hybrid encode. Where a
+/// field holds two of something, they are the gap stream's and the
+/// `tf - 1` stream's.
+#[derive(Debug, Default)]
+struct Plan {
+    /// The profile of the stream being read.
+    profile: BitProfile,
+    /// The list's data-area bytes under BP, VB and OptPFD.
+    bp: usize,
+    vb: usize,
+    optpfd: usize,
+    /// OptPFD's widths, block by block.
+    widths: Vec<[u32; 2]>,
+    /// Simple16's words, block by block.
+    s16: [S16Plan; 2],
+}
+
+impl Plan {
+    fn clear(&mut self) {
+        (self.bp, self.vb, self.optpfd) = (0, 0, 0);
+        self.widths.clear();
+        for plan in &mut self.s16 {
+            plan.clear();
+        }
+    }
+
+    /// Profiles a block's two streams while they are at hand, to size
+    /// them under BP, VB and OptPFD.
+    fn read_block(&mut self, streams: [&[u32]; 2]) {
+        let widths = streams.map(|values| {
+            let profile = &mut self.profile;
+            profile.add(values);
+            let (len, width) = profile.optpfd();
+            self.bp += profile.bp_len();
+            self.vb += profile.vb_len();
+            self.optpfd += len;
+            profile.clear();
+            width
+        });
+        self.widths.push(widths);
+    }
+
+    /// Packs stream `stream` of block `block` under `scheme` from what
+    /// its sizing recorded: OptPFD at the width it chose, Simple16 from
+    /// the words it planned. `None` for a scheme that recorded nothing to
+    /// pack from.
+    fn pack(
+        &mut self,
+        scheme: Scheme,
+        block: usize,
+        stream: usize,
+        values: &[u32],
+        out: &mut Vec<u8>,
+    ) -> Option<Result<BlockInfo, boss_compress::Error>> {
+        match scheme {
+            Scheme::OptPfd => Some(optpfd_pack(values, self.widths[block][stream], out)),
+            Scheme::S16 => Some(self.s16[stream].pack(values, out)),
+            _ => None,
+        }
+    }
+
+    /// The data-area bytes of the gap and `tf - 1` streams under
+    /// Simple16, if that is below `limit`, planning their words on the
+    /// way. `None` also when some value is wider than 28 bits; the sum
+    /// only grows, so it is given up as soon as it reaches `limit`.
+    fn plan_s16(&mut self, streams: [&[u32]; 2], block_size: usize, limit: usize) -> Option<usize> {
+        let mut len = 0;
+        for (plan, stream) in self.s16.iter_mut().zip(streams) {
+            plan.clear();
+            for values in stream.chunks(block_size) {
+                len += plan.plan(values).ok()?;
+                if len >= limit {
+                    return None;
+                }
+            }
+        }
+        (len < limit).then_some(len)
+    }
+}
+
+/// The error of columns whose docID at `at` has no entry in `norms`. The
+/// columns' own error comes first — every posting used to be checked
+/// before any was scored — and a valid list panics, as documented.
+#[cold]
+#[inline(never)]
+fn no_norm(docs: &[DocId], tfs: &[u32], norms: &[f32], at: usize) -> Error {
+    for (later, (pair, &tf)) in (at + 1..).zip(docs[at..].windows(2).zip(&tfs[at + 1..])) {
+        if pair[1] <= pair[0] {
+            return Error::UnsortedPostings { at: later };
+        }
+        if tf == 0 {
+            return Error::ZeroTermFrequency { at: later };
+        }
+    }
+    // The documented panic of `ListEncoder::encode`: norms are the
+    // caller's, sized for the corpus the lists were drawn from.
+    #[allow(clippy::panic)]
+    {
+        panic!("docID {} has no entry in {} norms", docs[at], norms.len())
+    }
 }
 
 impl ListEncoder {
@@ -652,60 +760,29 @@ impl ListEncoder {
         norms: &[f32],
         block_size: usize,
     ) -> Result<ListStats, Error> {
-        assert!(block_size > 0 && block_size <= boss_compress::MAX_BLOCK_VALUES);
+        if block_size == 0 || block_size > MAX_BLOCK_VALUES {
+            return Err(Error::InvalidBlockSize {
+                block_size,
+                max: MAX_BLOCK_VALUES,
+            });
+        }
         assert_eq!(docs.len(), tfs.len(), "column lengths must match");
 
-        self.gaps.clear();
-        self.tfs_m1.clear();
-        self.block_max.clear();
-        let mut prev = 0;
-        for (at, (&doc, &tf)) in docs.iter().zip(tfs).enumerate() {
-            if at > 0 && doc <= prev {
-                return Err(Error::UnsortedPostings { at });
-            }
-            if tf == 0 {
-                return Err(Error::ZeroTermFrequency { at });
-            }
-            // The first stored gap is the absolute docID.
-            self.gaps.push(doc - prev);
-            self.tfs_m1.push(tf - 1);
-            prev = doc;
-        }
-        let mut list_max = 0.0f32;
-        for (bdocs, btfs) in docs.chunks(block_size).zip(tfs.chunks(block_size)) {
-            let mut max_score = 0.0f32;
-            for (&doc, &tf) in bdocs.iter().zip(btfs) {
-                let s = bm25.term_score(idf, tf, norms[doc as usize]);
-                if s > max_score {
-                    max_score = s;
-                }
-            }
-            list_max = list_max.max(max_score);
-            self.block_max.push(max_score);
-        }
-
+        let hybrid = choice == SchemeChoice::Hybrid;
+        let list_max = if hybrid {
+            self.read::<true>(docs, tfs, bm25, idf, norms, block_size)?
+        } else {
+            self.read::<false>(docs, tfs, bm25, idf, norms, block_size)?
+        };
         let scheme = match choice {
             SchemeChoice::Fixed(scheme) => scheme,
-            SchemeChoice::Hybrid => {
-                let mut best = None;
-                for scheme in ALL_SCHEMES {
-                    // Only a strictly smaller data area replaces the best.
-                    let limit = best.map_or(usize::MAX, |(_, len)| len);
-                    if let Some(len) = self.data_len_under(scheme, block_size, limit) {
-                        best = Some((scheme, len));
-                    }
-                }
-                let (scheme, _) = best.ok_or(Error::CorruptMetadata {
-                    reason: "no compression scheme could encode the posting list",
-                })?;
-                scheme
-            }
+            SchemeChoice::Hybrid => self.choose(block_size)?,
         };
 
         let (n_lists, n_blocks, n_data) =
             (store.starts.len(), store.blocks.len(), store.data.len());
         store.starts.push(store.end());
-        if let Err(e) = self.encode_under(scheme, docs, block_size, store) {
+        if let Err(e) = self.encode_under(scheme, hybrid, docs, block_size, store) {
             store.starts.truncate(n_lists);
             store.blocks.truncate(n_blocks);
             store.data.truncate(n_data);
@@ -717,6 +794,95 @@ impl ListEncoder {
             idf,
             max_score: list_max,
         })
+    }
+
+    /// The one pass over the columns: checks them, forms the gap and
+    /// `tf - 1` streams and the block maxima, and — with `PLAN`, for the
+    /// hybrid choice — reads each block into the plan the schemes are
+    /// sized from while it is at hand. Returns the list's maximum term
+    /// score.
+    fn read<const PLAN: bool>(
+        &mut self,
+        docs: &[DocId],
+        tfs: &[u32],
+        bm25: &Bm25,
+        idf: f32,
+        norms: &[f32],
+        block_size: usize,
+    ) -> Result<f32, Error> {
+        // Sized up front and written in place: nothing in the posting
+        // loop below grows a vector, so nothing in it is a call. Every
+        // position is overwritten, so a resize keeps what an earlier list
+        // left and zero-fills only what grows.
+        let n = docs.len();
+        for stream in [&mut self.gaps, &mut self.tfs_m1] {
+            stream.resize(n, 0);
+        }
+        self.block_max.clear();
+        if PLAN {
+            self.plan.clear();
+        }
+        let mut prev = 0;
+        let mut list_max = 0.0f32;
+        for first in (0..n).step_by(block_size) {
+            let block = first..n.min(first + block_size);
+            let columns = docs[block.clone()].iter().zip(&tfs[block.clone()]);
+            let streams = self.gaps[block.clone()]
+                .iter_mut()
+                .zip(&mut self.tfs_m1[block.clone()]);
+            let mut max_score = 0.0f32;
+            for (at, ((&doc, &tf), (gap, tf_m1))) in (first..).zip(columns.zip(streams)) {
+                if at > 0 && doc <= prev {
+                    return Err(Error::UnsortedPostings { at });
+                }
+                if tf == 0 {
+                    return Err(Error::ZeroTermFrequency { at });
+                }
+                // The first stored gap is the absolute docID.
+                (*gap, *tf_m1) = (doc - prev, tf - 1);
+                prev = doc;
+                let Some(&norm) = norms.get(doc as usize) else {
+                    return Err(no_norm(docs, tfs, norms, at));
+                };
+                let s = bm25.term_score(idf, tf, norm);
+                if s > max_score {
+                    max_score = s;
+                }
+            }
+            list_max = list_max.max(max_score);
+            self.block_max.push(max_score);
+            if PLAN {
+                self.plan
+                    .read_block([&self.gaps[block.clone()], &self.tfs_m1[block]]);
+            }
+        }
+        Ok(list_max)
+    }
+
+    /// The hybrid choice over the plan [`ListEncoder::read`] filled.
+    fn choose(&mut self, block_size: usize) -> Result<Scheme, Error> {
+        let mut best = None;
+        for scheme in ALL_SCHEMES {
+            // Only a strictly smaller data area replaces the best.
+            let limit = best.map_or(usize::MAX, |(_, len)| len);
+            let len = match scheme {
+                Scheme::Bp => Some(self.plan.bp),
+                Scheme::Vb => Some(self.plan.vb),
+                Scheme::OptPfd => Some(self.plan.optpfd),
+                Scheme::S16 => {
+                    let streams = [&self.gaps[..], &self.tfs_m1];
+                    self.plan.plan_s16(streams, block_size, limit)
+                }
+                _ => self.data_len_under(scheme, block_size, limit),
+            };
+            if let Some(len) = len.filter(|&len| len < limit) {
+                best = Some((scheme, len));
+            }
+        }
+        let (scheme, _) = best.ok_or(Error::CorruptMetadata {
+            reason: "no compression scheme could encode the posting list",
+        })?;
+        Ok(scheme)
     }
 
     /// The data-area bytes of the prepared gap / `tf - 1` streams under
@@ -741,28 +907,38 @@ impl ListEncoder {
 
     /// Encodes the prepared gap / `tf - 1` streams block by block under
     /// `scheme` onto the end of `store`; block offsets are relative to
-    /// where the list's payload begins.
+    /// where the list's payload begins. The hybrid winner (`planned`) is
+    /// packed from its plan where its sizing recorded one; any other
+    /// encode is the codec's own.
     fn encode_under(
-        &self,
+        &mut self,
         scheme: Scheme,
+        planned: bool,
         docs: &[DocId],
         block_size: usize,
         store: &mut ListStore,
     ) -> Result<(), Error> {
         let codec = codec_for(scheme);
+        // A fixed choice has no plan to pack from.
+        let mut plan = planned.then_some(&mut self.plan);
+        let mut pack = |block: usize, stream: usize, values: &[u32], data: &mut Vec<u8>| {
+            let packed = plan
+                .as_deref_mut()
+                .and_then(|plan| plan.pack(scheme, block, stream, values, data));
+            packed.unwrap_or_else(|| codec.encode(values, data))
+        };
         let (data, blocks) = (&mut store.data, &mut store.blocks);
         let list_start = data.len();
         let streams = self
             .gaps
             .chunks(block_size)
             .zip(self.tfs_m1.chunks(block_size));
-        for ((bdocs, (gaps, tfs_m1)), &max_score) in
-            docs.chunks(block_size).zip(streams).zip(&self.block_max)
-        {
+        let chunks = docs.chunks(block_size).zip(streams).zip(&self.block_max);
+        for (block, ((bdocs, (gaps, tfs_m1)), &max_score)) in chunks.enumerate() {
             let block_start = data.len();
-            let delta_info = codec.encode(gaps, data)?;
+            let delta_info = pack(block, 0, gaps, data)?;
             let tf_offset = (data.len() - block_start) as u32;
-            let tf_info = codec.encode(tfs_m1, data)?;
+            let tf_info = pack(block, 1, tfs_m1, data)?;
             blocks.push(BlockMeta {
                 first_doc: bdocs[0],
                 last_doc: bdocs[bdocs.len() - 1],
@@ -801,7 +977,7 @@ impl DecodeScratch {
         let largest = list
             .blocks()
             .iter()
-            .map(|b| b.count().min(boss_compress::MAX_BLOCK_VALUES))
+            .map(|b| b.count().min(MAX_BLOCK_VALUES))
             .max()
             .unwrap_or(0);
         self.docs.reserve(largest.saturating_sub(self.docs.len()));
@@ -982,7 +1158,7 @@ mod tests {
             let mut scratch = DecodeScratch::new();
             assert!(enc.decode_all_into(&mut scratch).is_err(), "scheme {s}");
             assert!(
-                scratch.docs.capacity() <= 3 * boss_compress::MAX_BLOCK_VALUES,
+                scratch.docs.capacity() <= 3 * MAX_BLOCK_VALUES,
                 "scheme {s} reserved for corrupt counts"
             );
         }
@@ -1066,6 +1242,26 @@ mod tests {
             lists[2].image_offset(),
             address + lists[1].meta_bytes() + lists[1].data_bytes() as u64
         );
+    }
+
+    #[test]
+    fn a_block_size_outside_one_to_the_limit_is_a_typed_error() {
+        let list = sample_list(300, 2);
+        let norms = vec![1.0f32; 600];
+        let encode = |block_size| {
+            EncodedList::encode_with_block_size(&list, Scheme::Bp, &bm25(), 1.0, &norms, block_size)
+        };
+        for block_size in [0, MAX_BLOCK_VALUES + 1] {
+            assert_eq!(
+                encode(block_size),
+                Err(Error::InvalidBlockSize {
+                    block_size,
+                    max: MAX_BLOCK_VALUES
+                })
+            );
+        }
+        assert_eq!(encode(1).unwrap().n_blocks(), 300);
+        assert_eq!(encode(MAX_BLOCK_VALUES).unwrap().n_blocks(), 1);
     }
 
     #[test]

@@ -75,6 +75,14 @@ pub enum Error {
     /// supplied to the builder. Tokenization derives lengths itself, so
     /// one source would silently overwrite the other.
     ConflictingDocLens,
+    /// A list was to be encoded in blocks of no postings, or of more than
+    /// one block descriptor can address.
+    InvalidBlockSize {
+        /// The requested number of postings per block.
+        block_size: usize,
+        /// The largest block a descriptor can address.
+        max: usize,
+    },
 }
 
 impl std::fmt::Display for Error {
@@ -112,6 +120,9 @@ impl std::fmt::Display for Error {
                     f,
                     "explicit doc_lens conflict with tokenized add_documents lengths"
                 )
+            }
+            Error::InvalidBlockSize { block_size, max } => {
+                write!(f, "block size {block_size} is outside 1..={max}")
             }
         }
     }

@@ -257,6 +257,36 @@ proptest! {
         }
     }
 
+    /// What a hybrid encode plans — OptPFD's widths, Simple16's words —
+    /// belongs to that list alone: hybrid on one list, then every fixed
+    /// scheme on another, then hybrid on a list shorter than the first,
+    /// all through one encoder, each equal to the oracle. (Hybrid first
+    /// on each list, as above, would hide a plan read from the list
+    /// before.)
+    #[test]
+    fn interleaved_choices_never_read_a_stale_plan(
+        first in list_shape(),
+        fixed in list_shape(),
+        last in list_shape(),
+    ) {
+        let first = ListShape { len: first.len.max(2), ..first };
+        let last = ListShape { len: 1 + last.len % (first.len - 1), ..last };
+        let sequence = std::iter::once((&first, SchemeChoice::Hybrid))
+            .chain(ALL_SCHEMES.map(|scheme| (&fixed, SchemeChoice::Fixed(scheme))))
+            .chain([(&last, SchemeChoice::Hybrid)]);
+        let bm25 = bm25();
+        let mut encoder = ListEncoder::new();
+        for (shape, choice) in sequence {
+            let (list, norms) = render(shape);
+            let idf = idf_of(shape.seed);
+            let got = encoder
+                .encode(list.docs(), list.tfs(), choice, &bm25, idf, &norms)
+                .map(|l| OracleList::of(&l));
+            let want = oracle_term_list(&list, choice, &bm25, idf, &norms);
+            prop_assert_eq!(got, want, "{:?} under {}", shape, choice);
+        }
+    }
+
     /// The ablation entry: every block size 1–128 (and a few above), every
     /// fixed scheme.
     #[test]
@@ -391,6 +421,78 @@ fn equal_sizes_go_to_the_earlier_scheme() {
     assert_eq!(ties, 3, "every case above is meant to tie");
 }
 
+/// Every scheme that wins lists of the corpora wins a shape made for it,
+/// so the hybrid winner is packed from each kind of plan: BP's and
+/// Simple8b's own encodes, OptPFD at its planned widths and Simple16 from
+/// its planned words.
+#[test]
+fn each_scheme_wins_its_shape() {
+    // A list of the CC-News-like corpus (100 000 documents) that Simple8b
+    // wins: gaps of 10–15 bits fill its 5×12 and 4×15 words.
+    let s8b_docs = vec![
+        2035, 7569, 9992, 10873, 11777, 13492, 15335, 16698, 20102, 23252, 24465, 24517, 27861,
+        31044, 32843, 49290, 49752, 51291, 54785, 55538, 55676, 57426, 60837, 60927, 61499, 61617,
+        69284, 69866, 70491, 71523, 73421, 76713, 77307, 78541, 88653, 89919, 91753, 92961, 97610,
+    ];
+    let s8b_tfs = vec![
+        1, 2, 2, 3, 1, 2, 4, 2, 1, 6, 1, 1, 3, 1, 2, 3, 1, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 3,
+        1, 3, 1, 1, 1, 1, 2, 1, 2,
+    ];
+    let cases = [
+        // Consecutive documents, every tf 1: a bit per gap, nothing for
+        // the tfs.
+        (Scheme::Bp, (0..300).collect(), vec![1; 300]),
+        // The same with one wide gap per block: OptPFD patches it.
+        (
+            Scheme::OptPfd,
+            (0..300).map(|i| i + (i / 100) * 5000).collect(),
+            vec![1; 300],
+        ),
+        // Runs of 28 one-bit gaps between four nine-bit ones: Simple16
+        // packs each run into a word and the wide gaps into their own.
+        (
+            Scheme::S16,
+            (0..300u32)
+                .scan(0, |doc, i| {
+                    *doc += if i % 32 < 28 { 1 } else { 300 + i % 50 };
+                    Some(*doc)
+                })
+                .collect(),
+            vec![1; 300],
+        ),
+        (Scheme::S8b, s8b_docs, s8b_tfs),
+    ];
+    let bm25 = bm25();
+    let mut encoder = ListEncoder::new();
+    for (want, docs, tfs) in cases {
+        let norms = vec![1.0f32; *docs.last().expect("non-empty") as usize + 1];
+        let list = PostingList::from_columns(docs, tfs).expect("valid");
+        let sizes: Vec<Option<usize>> = ALL_SCHEMES
+            .iter()
+            .map(|&s| {
+                oracle_encode(&list, s, &bm25, 1.5, &norms, BLOCK_SIZE)
+                    .ok()
+                    .map(|l| l.data.len())
+            })
+            .collect();
+        let got = encoder
+            .encode(
+                list.docs(),
+                list.tfs(),
+                SchemeChoice::Hybrid,
+                &bm25,
+                1.5,
+                &norms,
+            )
+            .expect("hybrid encodes");
+        assert_eq!(got.scheme(), want, "sizes {sizes:?}");
+        assert_eq!(
+            OracleList::of(&got),
+            oracle_term_list(&list, SchemeChoice::Hybrid, &bm25, 1.5, &norms).expect("oracle")
+        );
+    }
+}
+
 /// The encoder takes raw columns, so it owns the checks
 /// `PostingList::from_columns` makes — same error, same position.
 #[test]
@@ -405,6 +507,9 @@ fn invalid_columns_are_typed_errors() {
         (vec![0], vec![0]),
         // Both wrong at position 1: the docID check comes first.
         (vec![2, 1], vec![1, 0]),
+        // A docID past the norms before the error: still the error.
+        (vec![0, 100, 50], vec![1, 1, 1]),
+        (vec![0, 100, 101], vec![1, 1, 0]),
     ] {
         let want = PostingList::from_columns(docs.clone(), tfs.clone()).expect_err("invalid");
         for choice in choices() {
