@@ -16,26 +16,14 @@
 //!   proving the budget actually forced spills, not that it was sized
 //!   above the whole corpus.
 //!
-//! `--verify` runs an orthogonal bit-identity sweep instead: both smoke
-//! corpora × every codec (hybrid + the five fixed schemes) are built
-//! through the segment spill/merge path and in memory, the two indexes
-//! compared for equality, and every engine × [`QueryAlgorithm`] batch
-//! checked for identical outcomes. Any mismatch exits non-zero.
-//!
 //! The throughput numbers here are *host* wall-clock and vary machine to
 //! machine (the repeated, calibrated measurement is `benchmark/`'s
-//! `ingest_open` workload); the gates and everything under `--verify`
-//! are exact.
+//! `ingest_open` workload); the gates are exact. That a merged segment
+//! set equals the in-memory build is `boss-engine`'s
+//! `tests/segment_identity.rs`.
 
-use boss_core::{BossConfig, QueryAlgorithm};
-use boss_engine::{BatchExecutor, Boss, Iiu, Lucene, SearchEngine};
-use boss_iiu::IiuConfig;
-use boss_index::{
-    IndexBuilder, InvertedIndex, QueryExpr, SchemeChoice, SpimiBuilder, SpimiConfig, ALL_ALGORITHMS,
-};
-use boss_luceneish::LuceneConfig;
-use boss_workload::corpus::{CorpusSpec, Scale, StreamingCorpusSpec};
-use boss_workload::queries::{QuerySampler, ALL_QUERY_TYPES};
+use boss_index::{SchemeChoice, SpimiBuilder, SpimiConfig};
+use boss_workload::corpus::StreamingCorpusSpec;
 use std::time::Instant;
 
 struct Args {
@@ -49,7 +37,6 @@ struct Args {
     dir: Option<String>,
     min_spills: u32,
     merge: bool,
-    verify: bool,
 }
 
 fn parse_args() -> Args {
@@ -64,7 +51,6 @@ fn parse_args() -> Args {
         dir: None,
         min_spills: 0,
         merge: true,
-        verify: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -99,12 +85,11 @@ fn parse_args() -> Args {
                 args.min_spills = take("--min-spills").parse().expect("--min-spills N");
             }
             "--no-merge" => args.merge = false,
-            "--verify" => args.verify = true,
             "--help" | "-h" => {
                 println!(
                     "usage: [--docs N] [--vocab N] [--terms-per-doc N] [--zipf F] \
                      [--budget-mb N] [--scheme hybrid|BP|VB|OptPFD|S16|S8b|GVB] [--seed N] \
-                     [--dir PATH] [--min-spills N] [--no-merge] [--verify]"
+                     [--dir PATH] [--min-spills N] [--no-merge]"
                 );
                 std::process::exit(0);
             }
@@ -212,133 +197,6 @@ fn run_build(args: &Args) -> i32 {
     0
 }
 
-/// Two-query-per-type suite over the index's own vocabulary.
-fn suite(index: &InvertedIndex, seed: u64) -> Vec<QueryExpr> {
-    let mut sampler = QuerySampler::new(index, seed).expect("sampler");
-    let mut queries = Vec::new();
-    for qt in ALL_QUERY_TYPES {
-        for _ in 0..2 {
-            queries.push(sampler.sample(qt).expect("sample").expr);
-        }
-    }
-    queries
-}
-
-fn batch_identical<E: SearchEngine + Send>(mem: &E, seg: &E, queries: &[QueryExpr]) -> bool {
-    let a = BatchExecutor::with_threads(2)
-        .run(mem, queries, 20)
-        .expect("in-memory batch");
-    let b = BatchExecutor::with_threads(2)
-        .run(seg, queries, 20)
-        .expect("segment batch");
-    a.makespan_cycles == b.makespan_cycles
-        && a.mem == b.mem
-        && a.eval == b.eval
-        && a.outcomes == b.outcomes
-}
-
-fn engines_identical(
-    mem: &InvertedIndex,
-    seg: &InvertedIndex,
-    algo: QueryAlgorithm,
-    queries: &[QueryExpr],
-) -> Vec<(&'static str, bool)> {
-    vec![
-        (
-            "boss",
-            batch_identical(
-                &Boss::new(
-                    mem,
-                    BossConfig::with_cores(4).with_k(20).with_algorithm(algo),
-                ),
-                &Boss::new(
-                    seg,
-                    BossConfig::with_cores(4).with_k(20).with_algorithm(algo),
-                ),
-                queries,
-            ),
-        ),
-        (
-            "iiu",
-            batch_identical(
-                &Iiu::new(mem, IiuConfig::with_cores(4).with_algorithm(algo)),
-                &Iiu::new(seg, IiuConfig::with_cores(4).with_algorithm(algo)),
-                queries,
-            ),
-        ),
-        (
-            "lucene",
-            batch_identical(
-                &Lucene::new(mem, LuceneConfig::with_threads(4).with_algorithm(algo)),
-                &Lucene::new(seg, LuceneConfig::with_threads(4).with_algorithm(algo)),
-                queries,
-            ),
-        ),
-    ]
-}
-
-fn run_verify(args: &Args) -> i32 {
-    let schemes: Vec<SchemeChoice> = std::iter::once(SchemeChoice::Hybrid)
-        .chain(
-            boss_compress::ALL_SCHEMES
-                .iter()
-                .map(|&s| SchemeChoice::Fixed(s)),
-        )
-        .collect();
-    let corpora = [
-        ("clueweb12-like", CorpusSpec::clueweb12_like(Scale::Smoke)),
-        ("ccnews-like", CorpusSpec::ccnews_like(Scale::Smoke)),
-    ];
-    println!("corpus\tscheme\tindex_equal\tengine\talgorithm\tidentical");
-    let mut failures = 0u32;
-    for (name, spec) in corpora {
-        for &scheme in &schemes {
-            let dir = std::env::temp_dir().join(format!(
-                "boss-segment-verify-{name}-{scheme}-{}",
-                std::process::id()
-            ));
-            std::fs::remove_dir_all(&dir).ok();
-            let seg = spec
-                .build_segments_with(&dir, 4, scheme)
-                .expect("segment build")
-                .merge()
-                .expect("merge");
-            std::fs::remove_dir_all(&dir).ok();
-            let lists = spec.term_lists().expect("term lists");
-            let mut builder = IndexBuilder::new().scheme(scheme);
-            for (term, list) in &lists {
-                builder = builder.add_posting_list(term, list);
-            }
-            let mem = builder.build().expect("in-memory build");
-            let index_equal = mem == seg;
-            if !index_equal {
-                failures += 1;
-            }
-            let queries = suite(&mem, args.seed);
-            for algo in ALL_ALGORITHMS {
-                for (engine, ok) in engines_identical(&mem, &seg, algo, &queries) {
-                    if !ok {
-                        failures += 1;
-                    }
-                    println!("{name}\t{scheme}\t{index_equal}\t{engine}\t{algo:?}\t{ok}");
-                }
-            }
-        }
-    }
-    if failures > 0 {
-        eprintln!("FAIL: {failures} segment-vs-memory mismatches");
-        return 1;
-    }
-    println!("# all segment-loaded engines bit-identical to in-memory builds");
-    0
-}
-
 fn main() {
-    let args = parse_args();
-    let code = if args.verify {
-        run_verify(&args)
-    } else {
-        run_build(&args)
-    };
-    std::process::exit(code);
+    std::process::exit(run_build(&parse_args()));
 }

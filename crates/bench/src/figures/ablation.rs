@@ -4,7 +4,7 @@
 use super::{CorpusKind, FigureCtx, Systems};
 use crate::{f, header, row};
 use boss_compress::ALL_SCHEMES;
-use boss_core::pool::{InterconnectConfig, MemoryPool};
+use boss_core::pool::MemoryPool;
 use boss_core::{BossConfig, BossDevice, EtMode, TimingFidelity};
 use boss_engine::{BatchExecutor, Boss, SchedPolicy};
 use boss_index::shard::ShardedIndex;
@@ -323,11 +323,7 @@ pub(super) fn pool_scaleout(ctx: &mut FigureCtx) -> io::Result<()> {
     )?;
     for nodes in [1u32, 2, 4, 8, 16] {
         let sharded = ShardedIndex::split(&corpus.index, nodes).expect("splits");
-        let mut pool = MemoryPool::new(
-            &sharded,
-            BossConfig::with_cores(2),
-            InterconnectConfig::default(),
-        );
+        let mut pool = MemoryPool::new(&sharded, BossConfig::with_cores(2));
         let mut link = 0u64;
         let mut host = 0u64;
         let mut cycles = 0u64;

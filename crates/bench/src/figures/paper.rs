@@ -7,8 +7,9 @@ use crate::{f, geomean, header, row, BenchArgs, SystemRun};
 use boss_compress::{best_scheme, compression_ratio, ALL_SCHEMES};
 use boss_core::power::{AreaPowerModel, CORE_MODULES, DEVICE_MODULES, HOST_CPU_POWER_W};
 use boss_core::{BossConfig, EtMode, QueryAlgorithm};
+use boss_core::{CLOCK_GHZ, DECOMPRESSORS_PER_CORE, SCORERS_PER_CORE};
 use boss_index::{InvertedIndex, BLOCK_SIZE};
-use boss_luceneish::LuceneConfig;
+use boss_luceneish::{LuceneConfig, HOST_CLOCK_GHZ};
 use boss_scm::{AccessCategory, MemoryConfig};
 use boss_workload::corpus::Scale;
 use boss_workload::queries::QueryType;
@@ -39,14 +40,14 @@ pub(super) fn table01_config(ctx: &mut FigureCtx) -> io::Result<()> {
     let lucene = LuceneConfig::default();
     let host_dram = MemoryConfig::host_ddr4_6ch();
     let host_scm = MemoryConfig::host_scm_6ch();
-    let node = &boss.memory;
+    let node = &boss.setup.memory;
 
     writeln!(out, "# Table I: hardware methodology")?;
     writeln!(out, "[Host Processor]")?;
     writeln!(
         out,
-        "Core\tXeon-8280M-like @ {:.2} GHz, {} threads",
-        lucene.clock_ghz, lucene.n_threads
+        "Core\tXeon-8280M-like @ {HOST_CLOCK_GHZ:.2} GHz, {} threads",
+        lucene.setup.lanes
     )?;
     writeln!(out, "[Host Memory System]")?;
     writeln!(
@@ -62,15 +63,11 @@ pub(super) fn table01_config(ctx: &mut FigureCtx) -> io::Result<()> {
         host_scm.seq_read_gbps / f64::from(host_scm.channels)
     )?;
     writeln!(out, "[BOSS Configuration]")?;
+    writeln!(out, "BOSS\t{} cores @ {CLOCK_GHZ:.1} GHz", boss.setup.lanes)?;
     writeln!(
         out,
-        "BOSS\t{} cores @ {:.1} GHz",
-        boss.n_cores, boss.clock_ghz
-    )?;
-    writeln!(
-        out,
-        "BOSS Core\t1 block fetch, {} decompression, 1 intersection, 1 union, {} scoring, 1 top-k (k={})",
-        boss.decompressors_per_core, boss.scorers_per_core, boss.k
+        "BOSS Core\t1 block fetch, {DECOMPRESSORS_PER_CORE} decompression, 1 intersection, 1 union, {SCORERS_PER_CORE} scoring, 1 top-k (k={})",
+        boss.k
     )?;
     writeln!(out, "[BOSS Memory System]")?;
     writeln!(out, "Organization\tSCM, {} channels", node.channels)?;

@@ -18,7 +18,9 @@
 pub mod corruption;
 pub mod figures;
 
-use boss_core::{BossConfig, DegradePolicy, EtMode, EvalCounts, QueryAlgorithm, QueryOutcome};
+use boss_core::{
+    BossConfig, DegradePolicy, EngineSetup, EtMode, EvalCounts, QueryAlgorithm, QueryOutcome,
+};
 use boss_engine::{
     BatchExecutor, Boss, Iiu, Lucene, OverloadConfig, SearchEngine, ServePolicy, ServingConfig,
     ShardTiming, Sharded,
@@ -654,6 +656,16 @@ fn sharded_engine<'a, E: SearchEngine>(
     Sharded::new(canonical, sh, leaves, ShardTiming::Logical)
 }
 
+/// What the three engine helpers vary: `lanes` over `memory`, under the
+/// tuning's algorithm.
+fn setup(lanes: u32, memory: MemoryConfig, tuning: &EngineTuning) -> EngineSetup {
+    EngineSetup {
+        lanes,
+        memory,
+        algorithm: tuning.algorithm,
+    }
+}
+
 /// A BOSS engine in the paper's evaluation configuration. When `target`
 /// carries a shard split, the result is a scatter-gather system of
 /// per-shard BOSS devices behind the figure-preserving `Logical` timing.
@@ -665,18 +677,18 @@ pub fn boss_engine<'a>(
     k: usize,
     tuning: &EngineTuning,
 ) -> Sharded<'a, Boss<'a>> {
+    let setup = setup(cores, memory, tuning);
     let degrade = tuning.degrade();
-    sharded_engine(target, tuning, move |index, plan| {
-        Boss::new(
-            index,
-            BossConfig::with_cores(cores)
-                .with_et(et)
-                .with_k(k)
-                .on_memory(memory.clone())
-                .with_algorithm(tuning.algorithm)
-                .with_fault_plan(plan)
-                .with_degrade(degrade),
-        )
+    sharded_engine(target, tuning, move |index, fault_plan| {
+        let config = BossConfig {
+            setup: setup.clone(),
+            k,
+            et_mode: et,
+            fault_plan,
+            degrade,
+            ..BossConfig::default()
+        };
+        Boss::new(index, config)
     })
 }
 
@@ -689,13 +701,10 @@ pub fn iiu_engine<'a>(
     memory: MemoryConfig,
     tuning: &EngineTuning,
 ) -> Sharded<'a, Iiu<'a>> {
+    let setup = setup(cores, memory, tuning);
     sharded_engine(target, tuning, move |index, _plan| {
-        Iiu::new(
-            index,
-            IiuConfig::with_cores(cores)
-                .on_memory(memory.clone())
-                .with_algorithm(tuning.algorithm),
-        )
+        let setup = setup.clone();
+        Iiu::new(index, IiuConfig { setup })
     })
 }
 
@@ -707,13 +716,10 @@ pub fn lucene_engine<'a>(
     memory: MemoryConfig,
     tuning: &EngineTuning,
 ) -> Sharded<'a, Lucene<'a>> {
+    let setup = setup(threads, memory, tuning);
     sharded_engine(target, tuning, move |index, _plan| {
-        Lucene::new(
-            index,
-            LuceneConfig::with_threads(threads)
-                .on_memory(memory.clone())
-                .with_algorithm(tuning.algorithm),
-        )
+        let setup = setup.clone();
+        Lucene::new(index, LuceneConfig { setup })
     })
 }
 

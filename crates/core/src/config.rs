@@ -1,8 +1,26 @@
-//! Accelerator configuration and timing constants.
+//! Accelerator configuration and the hardware constants of Table I.
 
 use crate::pipeline::TimingFidelity;
 use boss_index::QueryAlgorithm;
 use boss_scm::MemoryConfig;
+
+/// Clock of a BOSS core, GHz (Table I). IIU's cores run at it too.
+pub const CLOCK_GHZ: f64 = 1.0;
+
+/// Decompression modules per core (Table I). IIU has as many
+/// decompression units: the paper's Figure 13 fairness note.
+pub const DECOMPRESSORS_PER_CORE: usize = 4;
+
+/// Scoring modules per core (Table I). IIU has as many scoring units.
+pub const SCORERS_PER_CORE: usize = 4;
+
+/// Terms one core's intersection module merges natively (Section IV-D).
+pub const MAX_TERMS_PER_CORE: usize = 4;
+
+/// Terms the device handles in hardware: the mergers of four chained
+/// cores (Section IV-D). The default [`BossConfig::max_terms`], and the
+/// limit the baselines plan under.
+pub const MAX_TERMS: usize = 4 * MAX_TERMS_PER_CORE;
 
 /// Early-termination mode of a BOSS core (Figures 13/14 compare these).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -44,76 +62,74 @@ pub enum DegradePolicy {
     SkipBlock,
 }
 
-/// Per-module cycle costs at the 1 GHz core clock.
-///
-/// The defaults follow the module descriptions of Section IV-C: one merge
-/// comparison per cycle per intersection unit, fully pipelined scoring
-/// (one document per cycle per module once the fixed-point divider is
-/// filled) and one top-k shift-insert per cycle. Decompression is not a
-/// constant here: each block is priced by the cost descriptor of the
-/// `boss-decomp` configuration that decodes it (see `fetch.rs`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimingModel {
-    /// Cycles per set-operation comparison.
-    pub cycles_per_comparison: f64,
-    /// Cycles per scored document per scoring module (pipelined).
-    pub cycles_per_score: f64,
-    /// One-time fill of the fixed-point divider pipeline per query.
-    pub scoring_fill: u64,
-    /// Cycles per top-k insertion.
-    pub cycles_per_topk_insert: f64,
-    /// Fixed per-query overhead (command decode, scheduling, drain).
-    pub query_overhead: u64,
-    /// Cycles per WAND pivot-selection round in the union module
-    /// (sorter + score loader + pivot selector).
-    pub cycles_per_pivot_round: f64,
-    /// Which latency estimator to use (roofline or event-driven replay).
-    pub fidelity: TimingFidelity,
+/// What every engine's configuration varies — BOSS's, IIU's and the
+/// Lucene-like host's alike.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EngineSetup {
+    /// Parallel lanes the batch scheduler fills: cores on the
+    /// accelerators, worker threads on the host.
+    pub lanes: u32,
+    /// The memory every query reads.
+    pub memory: MemoryConfig,
+    /// Dynamic-pruning plan for union-bearing queries. The default
+    /// ([`QueryAlgorithm::Exhaustive`]) keeps each engine's own
+    /// traversal (BOSS's with its `EtMode` as the early-termination
+    /// axis); any other value replaces the union traversal with that
+    /// pruning algorithm, still returning bit-identical top-k results.
+    pub algorithm: QueryAlgorithm,
 }
 
-impl Default for TimingModel {
-    fn default() -> Self {
-        TimingModel {
-            cycles_per_comparison: 1.0,
-            cycles_per_score: 1.0,
-            scoring_fill: 16,
-            cycles_per_topk_insert: 1.0,
-            query_overhead: 200,
-            cycles_per_pivot_round: 2.0,
-            fidelity: TimingFidelity::Roofline,
+impl EngineSetup {
+    /// `lanes` over `memory`, exhaustive traversal.
+    pub fn new(lanes: u32, memory: MemoryConfig) -> Self {
+        EngineSetup {
+            lanes,
+            memory,
+            algorithm: QueryAlgorithm::Exhaustive,
         }
     }
 }
 
-/// Configuration of a BOSS device (Table I "BOSS Configuration").
+/// Gives a configuration that embeds an [`EngineSetup`] as its `setup`
+/// field the builders all three engines share.
+#[macro_export]
+macro_rules! setup_builders {
+    ($config:ty) => {
+        impl $config {
+            /// Replaces the memory.
+            #[must_use]
+            pub fn on_memory(mut self, memory: $crate::MemoryConfig) -> Self {
+                self.setup.memory = memory;
+                self
+            }
+
+            /// Replaces the dynamic-pruning query algorithm.
+            #[must_use]
+            pub fn with_algorithm(mut self, algorithm: $crate::QueryAlgorithm) -> Self {
+                self.setup.algorithm = algorithm;
+                self
+            }
+        }
+    };
+}
+
+/// Configuration of a BOSS device (Table I "BOSS Configuration"); the
+/// module counts, clock and cycle costs are constants.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BossConfig {
-    /// Number of BOSS cores on the memory node.
-    pub n_cores: u32,
-    /// Core clock in GHz (the paper's cores run at 1.0).
-    pub clock_ghz: f64,
-    /// Results returned per query (the paper defaults to 1000).
+    /// Cores on the memory node, the node itself, and the union
+    /// traversal.
+    pub setup: EngineSetup,
+    /// Results returned per query by [`crate::BossHandle`] when a request
+    /// names none (the paper defaults to 1000).
     pub k: usize,
     /// Early-termination mode.
     pub et_mode: EtMode,
-    /// Dynamic-pruning query plan for union-bearing queries. The default
-    /// ([`QueryAlgorithm::Exhaustive`]) keeps the paper's traversal with
-    /// `et_mode` as the early-termination axis; any other value replaces
-    /// the union traversal with that pruning algorithm (`crate::prune`),
-    /// still returning bit-identical top-k results.
-    pub algorithm: QueryAlgorithm,
-    /// Decompression modules per core.
-    pub decompressors_per_core: u32,
-    /// Scoring modules per core.
-    pub scorers_per_core: u32,
-    /// Maximum terms a single core handles natively.
-    pub max_terms_per_core: usize,
-    /// Maximum terms the device handles in hardware (4 chained cores).
+    /// Maximum terms the planner accepts: the device's hardware limit,
+    /// [`MAX_TERMS`].
     pub max_terms: usize,
-    /// The memory node configuration.
-    pub memory: MemoryConfig,
-    /// Timing constants.
-    pub timing: TimingModel,
+    /// Which latency estimator to use (roofline or event-driven replay).
+    pub fidelity: TimingFidelity,
     /// Optional SCM fault-injection plan applied to every simulated
     /// memory access. `None` (the default) means a fault-free device and
     /// bit-identical figures to a build without fault support.
@@ -125,51 +141,30 @@ pub struct BossConfig {
 
 impl Default for BossConfig {
     fn default() -> Self {
-        BossConfig {
-            n_cores: 8,
-            clock_ghz: 1.0,
-            k: 1000,
-            et_mode: EtMode::Full,
-            algorithm: QueryAlgorithm::Exhaustive,
-            decompressors_per_core: 4,
-            scorers_per_core: 4,
-            max_terms_per_core: 4,
-            max_terms: 16,
-            memory: MemoryConfig::optane_dcpmm(),
-            timing: TimingModel::default(),
-            fault_plan: None,
-            degrade: DegradePolicy::FailQuery,
-        }
+        Self::with_cores(8)
     }
 }
 
+setup_builders!(BossConfig);
+
 impl BossConfig {
-    /// A configuration with `n` cores and defaults elsewhere.
+    /// `n` cores on the Optane-like node, defaults elsewhere.
     pub fn with_cores(n: u32) -> Self {
         BossConfig {
-            n_cores: n,
-            ..Self::default()
+            setup: EngineSetup::new(n, MemoryConfig::optane_dcpmm()),
+            k: 1000,
+            et_mode: EtMode::Full,
+            max_terms: MAX_TERMS,
+            fidelity: TimingFidelity::Roofline,
+            fault_plan: None,
+            degrade: DegradePolicy::FailQuery,
         }
-    }
-
-    /// Replaces the memory node configuration.
-    #[must_use]
-    pub fn on_memory(mut self, memory: MemoryConfig) -> Self {
-        self.memory = memory;
-        self
     }
 
     /// Replaces the early-termination mode.
     #[must_use]
     pub fn with_et(mut self, et: EtMode) -> Self {
         self.et_mode = et;
-        self
-    }
-
-    /// Replaces the dynamic-pruning query algorithm.
-    #[must_use]
-    pub fn with_algorithm(mut self, algorithm: QueryAlgorithm) -> Self {
-        self.algorithm = algorithm;
         self
     }
 
@@ -183,7 +178,7 @@ impl BossConfig {
     /// Replaces the timing fidelity.
     #[must_use]
     pub fn with_fidelity(mut self, fidelity: TimingFidelity) -> Self {
-        self.timing.fidelity = fidelity;
+        self.fidelity = fidelity;
         self
     }
 
@@ -209,14 +204,13 @@ mod tests {
     #[test]
     fn defaults_match_table1() {
         let c = BossConfig::default();
-        assert_eq!(c.algorithm, QueryAlgorithm::Exhaustive);
-        assert_eq!(c.n_cores, 8);
+        assert_eq!(c.setup.algorithm, QueryAlgorithm::Exhaustive);
+        assert_eq!(c.setup.lanes, 8);
         assert_eq!(c.k, 1000);
-        assert_eq!(c.decompressors_per_core, 4);
-        assert_eq!(c.scorers_per_core, 4);
-        assert_eq!(c.max_terms_per_core, 4);
         assert_eq!(c.max_terms, 16);
-        assert_eq!(c.memory.channels, 4);
+        assert_eq!(c.setup.memory.channels, 4);
+        assert_eq!((DECOMPRESSORS_PER_CORE, SCORERS_PER_CORE), (4, 4));
+        assert_eq!(MAX_TERMS_PER_CORE, 4);
     }
 
     #[test]
@@ -225,10 +219,10 @@ mod tests {
             .with_et(EtMode::BlockOnly)
             .with_k(10)
             .on_memory(boss_scm::MemoryConfig::ddr4_2666());
-        assert_eq!(c.n_cores, 2);
+        assert_eq!(c.setup.lanes, 2);
         assert_eq!(c.et_mode, EtMode::BlockOnly);
         assert_eq!(c.k, 10);
-        assert_eq!(c.memory.kind, boss_scm::MemoryKind::Dram);
+        assert_eq!(c.setup.memory.kind, boss_scm::MemoryKind::Dram);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The BOSS device (Figure 4(a)): one SCM memory node's index, its image
 //! layout, the device configuration and the query buffers every query
 //! reuses. A device executes one query at a time — the pipeline a query
-//! runs through is in `core.rs` — and `BossConfig::n_cores` is how many
-//! lanes the batch timing model schedules queries over.
+//! runs through is in `core.rs` — and `EngineSetup::lanes` is how many
+//! cores the batch timing model schedules queries over.
 
 use crate::config::{BossConfig, EtMode};
 use crate::stats::{EvalCounts, QueryOutcome};

@@ -6,7 +6,7 @@
 //! decompression module's cycles for the list's scheme, and the skip
 //! counters behind Figure 14.
 
-use crate::config::{BossConfig, DegradePolicy};
+use crate::config::{BossConfig, DegradePolicy, DECOMPRESSORS_PER_CORE};
 use crate::mai::{Tlb, WALK_ACCESSES};
 use crate::pipeline::{BlockEvent, TimingFidelity};
 use crate::stats::EvalCounts;
@@ -87,7 +87,7 @@ pub(crate) struct ExecCtx<'a> {
 
 impl<'a> ExecCtx<'a> {
     pub(crate) fn new(index: &'a InvertedIndex, config: &BossConfig) -> Result<Self, Error> {
-        let mut mem = MemorySim::new(config.memory.clone());
+        let mut mem = MemorySim::new(config.setup.memory.clone());
         if let Some(plan) = &config.fault_plan {
             mem.set_fault_plan(Some(plan.clone()));
         }
@@ -98,12 +98,12 @@ impl<'a> ExecCtx<'a> {
             tlb: Tlb::new(),
             eval: EvalCounts::default(),
             costs: stock_costs()?,
-            dec_cycles: vec![0; config.decompressors_per_core.max(1) as usize],
+            dec_cycles: vec![0; DECOMPRESSORS_PER_CORE],
             scored: 0,
             norm_line: u64::MAX,
             data_ready: 0,
             trace: Vec::new(),
-            record_trace: config.timing.fidelity == TimingFidelity::Pipelined,
+            record_trace: config.fidelity == TimingFidelity::Pipelined,
             degrade: config.degrade,
         })
     }

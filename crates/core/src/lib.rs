@@ -64,9 +64,17 @@ mod stats;
 #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod union;
 
+pub use crate::core::{
+    CYCLES_PER_COMPARISON, CYCLES_PER_PIVOT_ROUND, CYCLES_PER_SCORE, CYCLES_PER_TOPK_INSERT,
+    QUERY_OVERHEAD, SCORING_FILL,
+};
 pub use api::{BossHandle, SearchRequest};
 pub use boss_index::{QueryAlgorithm, TopK, ALL_ALGORITHMS};
-pub use config::{BossConfig, DegradePolicy, EtMode, TimingModel};
+pub use boss_scm::MemoryConfig;
+pub use config::{
+    BossConfig, DegradePolicy, EngineSetup, EtMode, CLOCK_GHZ, DECOMPRESSORS_PER_CORE, MAX_TERMS,
+    MAX_TERMS_PER_CORE, SCORERS_PER_CORE,
+};
 pub use device::BossDevice;
 pub use expr::parse_query;
 pub use mai::{Tlb, TlbStats};

@@ -11,9 +11,13 @@
 //! a burst of large blocks stalls downstream modules even when average
 //! utilization is low.
 //!
-//! Select with [`crate::TimingModel::fidelity`]. Both models share the
+//! Select with [`crate::BossConfig::fidelity`]. Both models share the
 //! same functional execution and memory simulation; property tests pin
 //! the invariant `roofline <= pipelined <= sum-of-stages`.
+
+use crate::core::{
+    CYCLES_PER_COMPARISON, CYCLES_PER_PIVOT_ROUND, CYCLES_PER_SCORE, CYCLES_PER_TOPK_INSERT,
+};
 
 /// Which latency estimator a core uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -76,15 +80,7 @@ pub(crate) struct ReplayCounts {
 /// over the effective scorer count, and the top-k queue. Scoring and
 /// top-k work is charged proportionally as the set-op stage progresses,
 /// which models their overlap with upstream work.
-pub(crate) fn replay(
-    events: &[BlockEvent],
-    counts: &ReplayCounts,
-    n_dec_units: usize,
-    cycles_per_comparison: f64,
-    cycles_per_score: f64,
-    cycles_per_topk_insert: f64,
-    cycles_per_pivot_round: f64,
-) -> u64 {
+pub(crate) fn replay(events: &[BlockEvent], counts: &ReplayCounts, n_dec_units: usize) -> u64 {
     let mut dec_units = vec![Resource::default(); n_dec_units.max(1)];
     let mut setop = Resource::default();
 
@@ -93,11 +89,11 @@ pub(crate) fn replay(
         .map(|e| u64::from(e.postings))
         .sum::<u64>()
         .max(1);
-    let setop_total = (counts.comparisons as f64 * cycles_per_comparison
-        + counts.pivot_rounds as f64 * cycles_per_pivot_round) as u64;
+    let setop_total = (counts.comparisons as f64 * CYCLES_PER_COMPARISON
+        + counts.pivot_rounds as f64 * CYCLES_PER_PIVOT_ROUND) as u64;
     let score_total =
-        (counts.scored as f64 * cycles_per_score / counts.scorers.max(1) as f64) as u64;
-    let topk_total = (counts.topk_inserts as f64 * cycles_per_topk_insert) as u64;
+        (counts.scored as f64 * CYCLES_PER_SCORE / counts.scorers.max(1) as f64) as u64;
+    let topk_total = (counts.topk_inserts as f64 * CYCLES_PER_TOPK_INSERT) as u64;
 
     let mut last_drain = 0u64;
     let mut downstream_done = 0u64; // postings fully consumed downstream
@@ -158,7 +154,7 @@ mod tests {
             topk_inserts: 0,
             scorers: 1,
         };
-        let cycles = replay(&events, &counts, 4, 1.0, 1.0, 1.0, 0.0);
+        let cycles = replay(&events, &counts, 4);
         // First block decoded at 100; 400 comparisons spread across blocks.
         assert!(cycles >= 100 + 400, "{cycles}");
         assert!(cycles <= 100 + 400 + 4, "{cycles}");
@@ -171,7 +167,7 @@ mod tests {
             scorers: 1,
             ..Default::default()
         };
-        let cycles = replay(&events, &counts, 1, 1.0, 1.0, 1.0, 0.0);
+        let cycles = replay(&events, &counts, 1);
         assert!(cycles >= 400, "blocks on one unit serialize: {cycles}");
     }
 
@@ -182,7 +178,7 @@ mod tests {
             scorers: 1,
             ..Default::default()
         };
-        let cycles = replay(&events, &counts, 4, 1.0, 1.0, 1.0, 0.0);
+        let cycles = replay(&events, &counts, 4);
         assert!(cycles >= 10_010);
     }
 
@@ -195,7 +191,7 @@ mod tests {
             topk_inserts: 50,
             scorers: 2,
         };
-        let cycles = replay(&[], &counts, 4, 1.0, 1.0, 1.0, 2.0);
+        let cycles = replay(&[], &counts, 4);
         assert_eq!(cycles, 100 / 2 + 50);
     }
 
@@ -213,7 +209,7 @@ mod tests {
             topk_inserts: 200,
             scorers: 4,
         };
-        let cycles = replay(&events, &counts, 4, 1.0, 1.0, 1.0, 2.0);
+        let cycles = replay(&events, &counts, 4);
         let dec_per_unit: u64 = events
             .iter()
             .filter(|e| e.dec_unit == 0)

@@ -23,32 +23,43 @@ pub struct QueryPlan {
 }
 
 impl QueryPlan {
-    /// Normalizes `expr` against `index` under `config`'s hardware limits.
+    /// Normalizes `expr` against `index` under `config`'s hardware limit,
+    /// [`BossConfig::max_terms`].
     ///
     /// # Errors
     ///
-    /// * [`Error::UnknownTerm`] for out-of-vocabulary terms;
-    /// * [`Error::InvalidQuery`] when the query is structurally invalid,
-    ///   exceeds the 16-term hardware limit, an intersection group exceeds
-    ///   the per-core width, or distribution blows past 16 groups.
+    /// As [`QueryPlan::new`].
     pub fn from_expr(
         index: &InvertedIndex,
         expr: &QueryExpr,
         config: &BossConfig,
     ) -> Result<Self, Error> {
-        expr.validate(config.max_terms)?;
+        Self::new(index, expr, config.max_terms)
+    }
+
+    /// Normalizes `expr` against `index` for hardware that handles
+    /// `max_terms` terms.
+    ///
+    /// # Errors
+    ///
+    /// * [`Error::UnknownTerm`] for out-of-vocabulary terms;
+    /// * [`Error::InvalidQuery`] when the query is structurally invalid,
+    ///   exceeds `max_terms` terms, an intersection group exceeds them, or
+    ///   distribution blows past `max_terms` groups.
+    pub fn new(index: &InvertedIndex, expr: &QueryExpr, max_terms: usize) -> Result<Self, Error> {
+        expr.validate(max_terms)?;
         let mut groups = to_dnf(index, expr)?;
         // Exact duplicates are redundant; subset absorption is NOT applied
         // because a superset group can still contribute extra term scores
         // to documents that satisfy it (clause-matching semantics).
         groups.sort();
         groups.dedup();
-        if groups.len() > config.max_terms {
+        if groups.len() > max_terms {
             return Err(Error::InvalidQuery {
                 reason: format!(
                     "query expands to {} intersection groups; the hardware handles {}",
                     groups.len(),
-                    config.max_terms
+                    max_terms
                 ),
             });
         }
@@ -56,12 +67,12 @@ impl QueryPlan {
             // A single core pipelines up to 4 terms; chaining the mergers
             // of 4 cores extends an intersection to the 16-term device
             // limit (Section IV-D).
-            if g.len() > config.max_terms {
+            if g.len() > max_terms {
                 return Err(Error::InvalidQuery {
                     reason: format!(
                         "an intersection group has {} terms; the hardware chains up to {}",
                         g.len(),
-                        config.max_terms
+                        max_terms
                     ),
                 });
             }

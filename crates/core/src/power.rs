@@ -4,6 +4,8 @@
 //! reproduction seeds an analytical model with the published per-module
 //! constants and derives device-level totals and energies from them.
 
+use crate::config::{DECOMPRESSORS_PER_CORE, SCORERS_PER_CORE};
+
 /// Area (mm²) and average power (mW) of one module instance group, as
 /// Table III reports them (the table's Area/Power columns are totals over
 /// the instance count).
@@ -29,7 +31,7 @@ pub const CORE_MODULES: [ModuleCost; 6] = [
     },
     ModuleCost {
         name: "Decompression Module",
-        count: 4,
+        count: DECOMPRESSORS_PER_CORE as u32,
         area_mm2: 0.093,
         power_mw: 43.0,
     },
@@ -47,7 +49,7 @@ pub const CORE_MODULES: [ModuleCost; 6] = [
     },
     ModuleCost {
         name: "Scoring Module",
-        count: 4,
+        count: SCORERS_PER_CORE as u32,
         area_mm2: 0.464,
         power_mw: 200.0,
     },

@@ -1,16 +1,16 @@
 //! [`SearchEngine`] on the three simulators themselves.
 //!
 //! Each impl forwards the query to the simulator's own entry point and
-//! supplies the scheduling hooks (`gang_width`, `work_estimate`,
-//! bandwidth roofline) the [`BatchExecutor`](crate::BatchExecutor)
-//! needs. The hook implementations reproduce the per-system batch
-//! drivers the bench crate used to hand-write, constant for constant.
+//! supplies its clock, its [`EngineSetup`] (lanes and memory, from which
+//! the trait derives the bandwidth roofline) and the scheduling hooks
+//! (`gang_width`, `work_estimate`) the
+//! [`BatchExecutor`](crate::BatchExecutor) needs.
 
 use crate::SearchEngine;
-use boss_core::{BossDevice, QueryOutcome, QueryPlan};
+use boss_core::{BossDevice, EngineSetup, QueryOutcome, QueryPlan, CLOCK_GHZ, MAX_TERMS_PER_CORE};
 use boss_iiu::IiuEngine;
 use boss_index::{Error, QueryExpr};
-use boss_luceneish::LuceneEngine;
+use boss_luceneish::{LuceneEngine, HOST_CLOCK_GHZ};
 use boss_scm::MemStats;
 
 /// The BOSS accelerator as a [`SearchEngine`].
@@ -28,19 +28,15 @@ fn plan(device: &BossDevice<'_>, expr: &QueryExpr) -> Result<QueryPlan, Error> {
 
 impl SearchEngine for BossDevice<'_> {
     fn label(&self) -> String {
-        format!(
-            "{}x{}",
-            self.config().et_mode.label(),
-            self.config().n_cores
-        )
+        format!("{}x{}", self.config().et_mode.label(), self.setup().lanes)
     }
 
     fn clock_ghz(&self) -> f64 {
-        self.config().clock_ghz
+        CLOCK_GHZ
     }
 
-    fn lanes(&self) -> usize {
-        self.config().n_cores as usize
+    fn setup(&self) -> &EngineSetup {
+        &self.config().setup
     }
 
     fn search_seeded(
@@ -60,7 +56,7 @@ impl SearchEngine for BossDevice<'_> {
         match plan(self, expr) {
             Ok(plan) => plan
                 .n_distinct_terms()
-                .div_ceil(self.config().max_terms_per_core)
+                .div_ceil(MAX_TERMS_PER_CORE)
                 .max(1)
                 .min(self.lanes()),
             Err(_) => 1,
@@ -78,23 +74,19 @@ impl SearchEngine for BossDevice<'_> {
             Err(_) => 0,
         }
     }
-
-    fn bandwidth_limit_cycles(&self, mem: &MemStats) -> u64 {
-        mem.busy_cycles / u64::from(self.config().memory.channels).max(1)
-    }
 }
 
 impl SearchEngine for IiuEngine<'_> {
     fn label(&self) -> String {
-        format!("IIUx{}", self.config().n_cores)
+        format!("IIUx{}", self.setup().lanes)
     }
 
     fn clock_ghz(&self) -> f64 {
-        self.config().clock_ghz
+        CLOCK_GHZ
     }
 
-    fn lanes(&self) -> usize {
-        self.config().n_cores as usize
+    fn setup(&self) -> &EngineSetup {
+        &self.config().setup
     }
 
     fn search_seeded(
@@ -108,24 +100,20 @@ impl SearchEngine for IiuEngine<'_> {
 
     fn fork(&self) -> Self {
         self.clone()
-    }
-
-    fn bandwidth_limit_cycles(&self, mem: &MemStats) -> u64 {
-        mem.busy_cycles / u64::from(self.config().memory.channels.max(1))
     }
 }
 
 impl SearchEngine for LuceneEngine<'_> {
     fn label(&self) -> String {
-        format!("Lucene x{}", self.config().n_threads)
+        format!("Lucene x{}", self.setup().lanes)
     }
 
     fn clock_ghz(&self) -> f64 {
-        self.config().clock_ghz
+        HOST_CLOCK_GHZ
     }
 
-    fn lanes(&self) -> usize {
-        self.config().n_threads as usize
+    fn setup(&self) -> &EngineSetup {
+        &self.config().setup
     }
 
     fn search_seeded(
@@ -139,14 +127,6 @@ impl SearchEngine for LuceneEngine<'_> {
 
     fn fork(&self) -> Self {
         self.clone()
-    }
-
-    fn bandwidth_limit_cycles(&self, mem: &MemStats) -> u64 {
-        // The host core clock (2.7 GHz) differs from the 1 GHz memory
-        // clock the occupancy is counted in, so the roofline converts
-        // through floating point rather than integer division.
-        (mem.busy_cycles as f64 / f64::from(self.config().memory.channels.max(1))
-            * self.config().clock_ghz) as u64
     }
 
     fn bandwidth_gbps(&self, mem: &MemStats, makespan_cycles: u64) -> f64 {

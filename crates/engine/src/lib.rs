@@ -70,6 +70,7 @@ pub use boss_core::{EvalCounts, QueryOutcome};
 pub use boss_index::Error;
 pub use boss_scm::MemStats;
 
+use boss_core::EngineSetup;
 use boss_index::QueryExpr;
 
 /// Loads a SPIMI segment directory (written by
@@ -104,8 +105,13 @@ pub trait SearchEngine {
     /// Clock of the simulated lanes, GHz (cycles ↔ seconds conversion).
     fn clock_ghz(&self) -> f64;
 
+    /// What the engine's configuration varies: lanes, memory, algorithm.
+    fn setup(&self) -> &EngineSetup;
+
     /// Parallel lanes the batch scheduler fills: cores or threads.
-    fn lanes(&self) -> usize;
+    fn lanes(&self) -> usize {
+        self.setup().lanes as usize
+    }
 
     /// Executes one query:
     /// [`search_seeded`](SearchEngine::search_seeded) with no floor.
@@ -166,10 +172,14 @@ pub trait SearchEngine {
         0
     }
 
-    /// Bandwidth-roofline bound on the batch makespan: the memory node
-    /// serves at most `channels` channel-cycles per 1 GHz cycle, so a
-    /// batch cannot finish faster than its aggregate occupancy allows.
-    fn bandwidth_limit_cycles(&self, mem: &MemStats) -> u64;
+    /// Bandwidth-roofline bound on the batch makespan, in cycles of the
+    /// engine's clock: the memory serves at most `channels` channel-cycles
+    /// per 1 GHz memory cycle, so a batch cannot finish faster than its
+    /// aggregate occupancy allows.
+    fn bandwidth_limit_cycles(&self, mem: &MemStats) -> u64 {
+        let channels = f64::from(self.setup().memory.channels.max(1));
+        (mem.busy_cycles as f64 / channels * self.clock_ghz()) as u64
+    }
 
     /// Achieved batch bandwidth over the makespan, GB/s. Accelerators
     /// report *effective* (device-granule) traffic; the Lucene engine

@@ -48,9 +48,10 @@
 //! executor workers and must never leak into a [`QueryOutcome`].
 
 use crate::{EvalCounts, MemStats, QueryOutcome, SearchEngine};
-use boss_core::pool::InterconnectConfig;
-use boss_index::shard::ShardedIndex;
-use boss_index::{Error, InvertedIndex, QueryExpr, SearchHit};
+use boss_core::pool::{root_merge_cycles, transfer_cycles};
+use boss_core::EngineSetup;
+use boss_index::shard::{self, ShardedIndex};
+use boss_index::{Error, QueryExpr, SearchHit};
 use boss_scm::FaultCounts;
 
 /// How [`Sharded`] charges time for a scatter-gather query.
@@ -94,7 +95,6 @@ pub struct Sharded<'a, E: SearchEngine> {
     sharded: Option<&'a ShardedIndex>,
     leaves: Vec<Vec<E>>,
     timing: ShardTiming,
-    link: InterconnectConfig,
     /// `health[s][r]`: routing telemetry of `leaves[s][r]`.
     health: Vec<Vec<ShardReplicaStats>>,
 }
@@ -116,7 +116,6 @@ impl<'a, E: SearchEngine> Sharded<'a, E> {
             sharded: None,
             leaves: Vec::new(),
             timing: ShardTiming::Logical,
-            link: InterconnectConfig::default(),
             health: Vec::new(),
         }
     }
@@ -150,7 +149,6 @@ impl<'a, E: SearchEngine> Sharded<'a, E> {
             sharded: Some(sharded),
             leaves,
             timing,
-            link: InterconnectConfig::default(),
             health,
         }
     }
@@ -164,40 +162,6 @@ impl<'a, E: SearchEngine> Sharded<'a, E> {
     /// order. Empty for a pass-through wrapper.
     pub fn shard_stats(&self) -> Vec<ShardReplicaStats> {
         self.health.iter().flatten().copied().collect()
-    }
-
-    /// Restricts `expr` to terms present in `shard`, or `None` when no
-    /// document of the shard can match:
-    ///
-    /// * a `Term` absent from the shard vocabulary is `None`;
-    /// * an `And` with any `None` child is `None` (every document lives
-    ///   in exactly one shard, so a locally-absent conjunct rules the
-    ///   whole shard out);
-    /// * an `Or` drops `None` children (an absent disjunct contributes
-    ///   nothing to any local document's score) and is `None` only when
-    ///   all children are.
-    fn rewrite(shard: &InvertedIndex, expr: &QueryExpr) -> Option<QueryExpr> {
-        match expr {
-            QueryExpr::Term(t) => shard.term_id(t).ok().map(|_| expr.clone()),
-            QueryExpr::And(subs) => {
-                let mut kept = Vec::with_capacity(subs.len());
-                for s in subs {
-                    kept.push(Self::rewrite(shard, s)?);
-                }
-                Some(QueryExpr::And(kept))
-            }
-            QueryExpr::Or(subs) => {
-                let kept: Vec<QueryExpr> = subs
-                    .iter()
-                    .filter_map(|s| Self::rewrite(shard, s))
-                    .collect();
-                if kept.is_empty() {
-                    None
-                } else {
-                    Some(QueryExpr::Or(kept))
-                }
-            }
-        }
     }
 
     /// Replica attempt order for shard `s`: ascending tallied fault load
@@ -235,7 +199,7 @@ impl<'a, E: SearchEngine> Sharded<'a, E> {
         // bit-identical and health routing is undisturbed.
         let mut running: Vec<boss_index::SearchHit> = Vec::new();
         for s in 0..n {
-            let Some(sub) = Self::rewrite(sh.shard(s), expr) else {
+            let Some(sub) = shard::rewrite(sh.shard(s), expr) else {
                 per_shard.push(Vec::new());
                 continue;
             };
@@ -327,8 +291,8 @@ impl<E: SearchEngine> SearchEngine for Sharded<'_, E> {
         self.canonical.clock_ghz()
     }
 
-    fn lanes(&self) -> usize {
-        self.canonical.lanes()
+    fn setup(&self) -> &EngineSetup {
+        self.canonical.setup()
     }
 
     /// The floor is not forwarded: a coordinator seeds its own leaves
@@ -359,19 +323,13 @@ impl<E: SearchEngine> SearchEngine for Sharded<'_, E> {
             ShardTiming::ScatterGather => {
                 // Error parity with single-device planning: a term no
                 // shard knows is globally unknown.
-                for t in expr.terms() {
-                    if sh.shards().iter().all(|s| s.term_id(t).is_err()) {
-                        return Err(Error::UnknownTerm {
-                            term: t.to_string(),
-                        });
-                    }
-                }
+                sh.check_vocabulary(expr)?;
                 let scatter = self.scatter_gather(sh, expr, k)?;
                 let bytes: u64 = scatter.per_shard.iter().map(|h| h.len() as u64 * 8).sum();
                 let hits = sh.merge_topk(&scatter.per_shard, k);
                 let cycles = scatter.slowest_leaf
-                    + self.link.transfer_cycles(bytes)
-                    + self.link.root_merge_cycles(sh.n_shards(), k);
+                    + transfer_cycles(bytes)
+                    + root_merge_cycles(sh.n_shards(), k);
                 Ok(QueryOutcome {
                     hits,
                     cycles,
@@ -392,7 +350,6 @@ impl<E: SearchEngine> SearchEngine for Sharded<'_, E> {
                 .map(|reps| reps.iter().map(SearchEngine::fork).collect())
                 .collect(),
             timing: self.timing,
-            link: self.link,
             health: zeroed_health(&self.leaves),
         }
     }
@@ -566,23 +523,6 @@ mod tests {
     }
 
     #[test]
-    fn rewrite_drops_absent_or_children_and_kills_absent_and() {
-        let idx = corpus();
-        // "rare" lives only in docs 0..3, i.e. only in shard 0 of 4.
-        let sh = ShardedIndex::split(&idx, 4).unwrap();
-        let last = sh.shard(3);
-        let and = QueryExpr::and([QueryExpr::term("beta"), QueryExpr::term("rare")]);
-        assert_eq!(Sharded::<Boss>::rewrite(last, &and), None);
-        let or = QueryExpr::or([QueryExpr::term("beta"), QueryExpr::term("rare")]);
-        assert_eq!(
-            Sharded::<Boss>::rewrite(last, &or),
-            Some(QueryExpr::Or(vec![QueryExpr::term("beta")]))
-        );
-        let first = sh.shard(0);
-        assert_eq!(Sharded::<Boss>::rewrite(first, &and), Some(and));
-    }
-
-    #[test]
     fn scatter_gather_mode_sums_leaf_traffic_and_charges_the_link() {
         let idx = corpus();
         let sh = ShardedIndex::split(&idx, 4).unwrap();
@@ -594,9 +534,9 @@ mod tests {
         );
         let q = QueryExpr::term("beta");
         let out = multi.search(&q, 10).unwrap();
-        let link = InterconnectConfig::default();
         // Cycles include at least the link latency and the root merge.
-        assert!(out.cycles > link.latency_ns + link.root_merge_cycles(4, 10));
+        let latency = boss_core::pool::LINK_LATENCY_NS;
+        assert!(out.cycles > latency + root_merge_cycles(4, 10));
         assert!(out.mem.total_bytes() > 0);
         // Hits still match the canonical engine bit for bit.
         let mut single = Sharded::single(Boss::new(&idx, BossConfig::default()));

@@ -6,7 +6,7 @@
 use boss_core::BossConfig;
 use boss_engine::{BatchExecutor, Boss, Iiu, Lucene, SearchEngine, ShardTiming, Sharded};
 use boss_iiu::IiuConfig;
-use boss_index::{InvertedIndex, QueryExpr};
+use boss_index::{IndexBuilder, InvertedIndex, QueryExpr, SchemeChoice};
 use boss_luceneish::LuceneConfig;
 use boss_workload::corpus::{CorpusSpec, Scale};
 use boss_workload::queries::{QuerySampler, ALL_QUERY_TYPES};
@@ -59,6 +59,33 @@ fn merged_index_is_bit_identical() {
     // Index-level equality covers vocab, postings, BlockMeta, block-max.
     assert_eq!(mem, seg);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Both smoke corpora under hybrid and each of the five fixed schemes,
+/// spilled to four segments and merged, equal the in-memory build. The
+/// engines are pure functions of the index, so this equality is the
+/// whole contract.
+#[test]
+fn every_codec_merges_to_the_in_memory_build() {
+    let corpora = [
+        ("clueweb12-like", CorpusSpec::clueweb12_like(Scale::Smoke)),
+        ("ccnews-like", CorpusSpec::ccnews_like(Scale::Smoke)),
+    ];
+    for (name, spec) in corpora {
+        let lists = spec.term_lists().unwrap();
+        for scheme in ["hybrid", "BP", "VB", "OptPFD", "S16", "S8b"] {
+            let scheme: SchemeChoice = scheme.parse().unwrap();
+            let dir = segment_dir(&format!("{name}-{scheme}"));
+            let seg = spec.build_segments_with(&dir, 4, scheme).unwrap();
+            let seg = seg.merge().unwrap();
+            std::fs::remove_dir_all(&dir).ok();
+            let builder = (lists.iter())
+                .fold(IndexBuilder::new().scheme(scheme), |b, (term, list)| {
+                    b.add_posting_list(term, list)
+                });
+            assert!(builder.build().unwrap() == seg, "{name} {scheme}");
+        }
+    }
 }
 
 #[test]

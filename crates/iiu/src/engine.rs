@@ -3,76 +3,50 @@
 //! timing model, and the cycle formula.
 
 use boss_compress::Scheme;
-use boss_core::{BossConfig, TimingModel};
-use boss_core::{EvalCounts, QueryOutcome, QueryPlan};
+use boss_core::{EngineSetup, EvalCounts, QueryOutcome, QueryPlan};
+use boss_core::{
+    CYCLES_PER_COMPARISON, CYCLES_PER_SCORE, DECOMPRESSORS_PER_CORE, MAX_TERMS, QUERY_OVERHEAD,
+    SCORERS_PER_CORE, SCORING_FILL,
+};
 use boss_index::cursor::{ListCursor, ListSink, SkipReason};
 use boss_index::layout::{IndexImage, ScratchRegion};
 use boss_index::prune::PruneSink;
 use boss_index::svs::{self, SvsSink};
-use boss_index::{
-    BlockMeta, DocId, Error, InvertedIndex, QueryAlgorithm, QueryExpr, BLOCK_META_BYTES,
-};
+use boss_index::{BlockMeta, DocId, Error, InvertedIndex, QueryExpr, BLOCK_META_BYTES};
 use boss_scm::AccessCategory::{self, LdInter, LdList, LdMeta, LdScore, StInter, StResult};
 use boss_scm::PatternHint::{self, Auto, Random, Sequential};
 use boss_scm::{AccessKind, MemoryConfig, MemorySim};
 
-/// IIU configuration: core count, memory node, and module timing (kept
-/// identical to BOSS's for the paper's "same number of decompression and
-/// scoring modules" fairness note in Figure 13).
+/// IIU configuration. Its clock, module counts and cycle costs are
+/// BOSS's ([`boss_core::CLOCK_GHZ`], [`DECOMPRESSORS_PER_CORE`],
+/// [`SCORERS_PER_CORE`], [`CYCLES_PER_COMPARISON`], ...), for the paper's
+/// "same number of decompression and scoring modules" fairness note in
+/// Figure 13.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IiuConfig {
-    /// Number of IIU cores sharing the memory node.
-    pub n_cores: u32,
-    /// Clock in GHz.
-    pub clock_ghz: f64,
-    /// Decompression/scoring units per core.
-    pub units_per_core: u32,
-    /// The memory node.
-    pub memory: MemoryConfig,
-    /// Module timing constants (shared shape with BOSS).
-    pub timing: TimingModel,
-    /// Dynamic-pruning plan for pure union queries. The default
-    /// ([`QueryAlgorithm::Exhaustive`]) keeps IIU's merge-everything
-    /// traversal; any other value routes unions through the portable
-    /// pruned evaluator (`boss_index::prune`) with IIU's memory charges,
-    /// still returning bit-identical top-k results.
-    pub algorithm: QueryAlgorithm,
+    /// Cores sharing the memory node, the node, and the traversal of pure
+    /// union queries: the default
+    /// ([`boss_core::QueryAlgorithm::Exhaustive`]) keeps
+    /// IIU's merge-everything traversal, any other value routes unions
+    /// through the portable pruned evaluator (`boss_index::prune`) with
+    /// IIU's memory charges.
+    pub setup: EngineSetup,
 }
 
 impl Default for IiuConfig {
     fn default() -> Self {
-        IiuConfig {
-            n_cores: 8,
-            clock_ghz: 1.0,
-            units_per_core: 4,
-            memory: MemoryConfig::optane_dcpmm(),
-            timing: TimingModel::default(),
-            algorithm: QueryAlgorithm::Exhaustive,
-        }
+        Self::with_cores(8)
     }
 }
 
+boss_core::setup_builders!(IiuConfig);
+
 impl IiuConfig {
-    /// `n` cores, defaults elsewhere.
+    /// `n` cores on the Optane-like node, exhaustive traversal.
     pub fn with_cores(n: u32) -> Self {
         IiuConfig {
-            n_cores: n,
-            ..Self::default()
+            setup: EngineSetup::new(n, MemoryConfig::optane_dcpmm()),
         }
-    }
-
-    /// Replaces the memory node.
-    #[must_use]
-    pub fn on_memory(mut self, memory: MemoryConfig) -> Self {
-        self.memory = memory;
-        self
-    }
-
-    /// Replaces the dynamic-pruning query algorithm.
-    #[must_use]
-    pub fn with_algorithm(mut self, algorithm: QueryAlgorithm) -> Self {
-        self.algorithm = algorithm;
-        self
     }
 }
 
@@ -83,9 +57,6 @@ pub struct IiuEngine<'a> {
     index: &'a InvertedIndex,
     image: IndexImage<'a>,
     config: IiuConfig,
-    /// BOSS planning config reused for expression normalization (same
-    /// 16-term limit).
-    plan_config: BossConfig,
 }
 
 /// One query's traversal priced on IIU: every list load, probe, spill
@@ -265,16 +236,10 @@ impl SvsSink for Run<'_> {
 impl<'a> IiuEngine<'a> {
     /// Binds the engine to an index.
     pub fn new(index: &'a InvertedIndex, config: IiuConfig) -> Self {
-        let plan_config = BossConfig {
-            n_cores: config.n_cores,
-            memory: config.memory.clone(),
-            ..BossConfig::default()
-        };
         IiuEngine {
             index,
             image: IndexImage::new(index),
             config,
-            plan_config,
         }
     }
 
@@ -291,17 +256,17 @@ impl<'a> IiuEngine<'a> {
     ///
     /// Planning errors, as for BOSS.
     pub fn execute(&self, expr: &QueryExpr, k: usize) -> Result<QueryOutcome, Error> {
-        let plan = QueryPlan::from_expr(self.index, expr, &self.plan_config)?;
+        let plan = QueryPlan::new(self.index, expr, MAX_TERMS)?;
         let mut run = Run {
             image: self.image,
-            mem: MemorySim::new(self.config.memory.clone()),
+            mem: MemorySim::new(self.config.setup.memory.clone()),
             eval: EvalCounts::default(),
-            dec_cycles: vec![0; self.config.units_per_core.max(1) as usize],
+            dec_cycles: vec![0; DECOMPRESSORS_PER_CORE],
             scratch: ScratchRegion::after(&self.image),
             norm_line: u64::MAX,
             pruned: false,
         };
-        let algorithm = self.config.algorithm;
+        let algorithm = self.config.setup.algorithm;
         let ranked = svs::search(self.index, plan.groups(), algorithm, k, &mut run)?;
 
         // The unsorted scored list goes back to memory for the host (ST
@@ -324,30 +289,30 @@ impl<'a> IiuEngine<'a> {
         );
         Ok(QueryOutcome {
             hits: ranked.hits,
-            cycles: self.pipeline_cycles(&run),
+            cycles: pipeline_cycles(&run),
             mem: run.mem.take_stats(),
             eval: run.eval,
         })
     }
+}
 
-    fn pipeline_cycles(&self, run: &Run<'_>) -> u64 {
-        let t = &self.config.timing;
-        let t_mem = run.mem.stats().last_done_cycle;
-        let t_dec = run.dec_cycles.iter().copied().max().unwrap_or(0);
-        let t_setop = (run.eval.comparisons as f64 * t.cycles_per_comparison) as u64;
-        // IIU exploits full intra-query parallelism across scoring units.
-        let eff = f64::from(self.config.units_per_core.max(1));
-        let t_score =
-            (run.eval.docs_scored as f64 * t.cycles_per_score / eff) as u64 + t.scoring_fill;
-        t_mem.max(t_dec).max(t_setop).max(t_score) + t.query_overhead
-    }
+/// The bottleneck stage plus the fixed per-query overhead, at BOSS's
+/// module costs.
+fn pipeline_cycles(run: &Run<'_>) -> u64 {
+    let t_mem = run.mem.stats().last_done_cycle;
+    let t_dec = run.dec_cycles.iter().copied().max().unwrap_or(0);
+    let t_setop = (run.eval.comparisons as f64 * CYCLES_PER_COMPARISON) as u64;
+    // IIU exploits full intra-query parallelism across scoring units.
+    let eff = SCORERS_PER_CORE as f64;
+    let t_score = (run.eval.docs_scored as f64 * CYCLES_PER_SCORE / eff) as u64 + SCORING_FILL;
+    t_mem.max(t_dec).max(t_setop).max(t_score) + QUERY_OVERHEAD
 }
 
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     use super::*;
-    use boss_index::{reference, IndexBuilder};
+    use boss_index::{reference, IndexBuilder, QueryAlgorithm};
 
     fn corpus() -> InvertedIndex {
         corpus_of(900)
@@ -541,32 +506,6 @@ mod tests {
             assert_eq!(a.eval, b.eval, "{q}");
             assert_eq!(a.mem, b.mem, "{q}");
             assert_eq!(a.cycles, b.cycles, "{q}");
-        }
-    }
-
-    #[test]
-    fn zero_units_answer_like_one() {
-        // `units_per_core` is a public field; 0 used to leave the per-unit
-        // cycle vector empty and panic on the first `% len()`.
-        let idx = corpus();
-        let t = |s: &str| QueryExpr::term(s);
-        let queries = [
-            t("aa"),
-            QueryExpr::and([t("aa"), t("bb")]),
-            QueryExpr::or([t("aa"), t("cc")]),
-        ];
-        for algorithm in [QueryAlgorithm::Exhaustive, QueryAlgorithm::BlockMaxWand] {
-            let run = |units_per_core: u32, q: &QueryExpr| {
-                let config = IiuConfig {
-                    units_per_core,
-                    algorithm,
-                    ..IiuConfig::default()
-                };
-                IiuEngine::new(&idx, config).execute(q, 10).unwrap()
-            };
-            for q in &queries {
-                assert_eq!(run(0, q), run(1, q), "{q} {algorithm}");
-            }
         }
     }
 }

@@ -30,7 +30,40 @@
 //! typed [`Error`], never a panic.
 
 use crate::index::IndexAssembler;
-use crate::{DecodeScratch, DocId, Error, InvertedIndex, ListEncoder, SchemeChoice, SearchHit};
+use crate::{
+    DecodeScratch, DocId, Error, InvertedIndex, ListEncoder, QueryExpr, SchemeChoice, SearchHit,
+};
+
+/// Restricts `expr` to terms present in `shard`, or `None` when no
+/// document of the shard can match:
+///
+/// * a `Term` absent from the shard vocabulary is `None`;
+/// * an `And` with any `None` child is `None` (every document lives
+///   in exactly one shard, so a locally-absent conjunct rules the
+///   whole shard out);
+/// * an `Or` drops `None` children (an absent disjunct contributes
+///   nothing to any local document's score) and is `None` only when
+///   all children are.
+pub fn rewrite(shard: &InvertedIndex, expr: &QueryExpr) -> Option<QueryExpr> {
+    match expr {
+        QueryExpr::Term(t) => shard.term_id(t).ok().map(|_| expr.clone()),
+        QueryExpr::And(subs) => {
+            let mut kept = Vec::with_capacity(subs.len());
+            for s in subs {
+                kept.push(rewrite(shard, s)?);
+            }
+            Some(QueryExpr::And(kept))
+        }
+        QueryExpr::Or(subs) => {
+            let kept: Vec<QueryExpr> = subs.iter().filter_map(|s| rewrite(shard, s)).collect();
+            if kept.is_empty() {
+                None
+            } else {
+                Some(QueryExpr::Or(kept))
+            }
+        }
+    }
+}
 
 /// A corpus split into docID-interval shards.
 #[derive(Debug, Clone)]
@@ -167,6 +200,23 @@ impl ShardedIndex {
         &self.bases
     }
 
+    /// [`Error::UnknownTerm`] for the first term of `expr` that no shard
+    /// holds — the error the unsplit index's planner raises for it.
+    ///
+    /// # Errors
+    ///
+    /// As described.
+    pub fn check_vocabulary(&self, expr: &QueryExpr) -> Result<(), Error> {
+        for t in expr.terms() {
+            if self.shards.iter().all(|s| s.term_id(t).is_err()) {
+                return Err(Error::UnknownTerm {
+                    term: t.to_string(),
+                });
+            }
+        }
+        Ok(())
+    }
+
     /// Translates a shard-local docID to the global docID. Out-of-range
     /// shard indices translate as the last shard.
     pub fn global_doc(&self, shard: usize, local: DocId) -> DocId {
@@ -257,6 +307,9 @@ mod tests {
                 if i % 3 == 0 {
                     t.push_str(" three three");
                 }
+                if i < 3 {
+                    t.push_str(" rare");
+                }
                 t
             })
             .collect();
@@ -264,6 +317,23 @@ mod tests {
             .add_documents(docs.iter().map(String::as_str))
             .build()
             .unwrap()
+    }
+
+    #[test]
+    fn rewrite_drops_absent_or_children_and_kills_absent_and() {
+        let idx = corpus();
+        // "rare" lives only in docs 0..3, i.e. only in shard 0 of 4.
+        let sh = ShardedIndex::split(&idx, 4).unwrap();
+        let last = sh.shard(3);
+        let and = QueryExpr::and([QueryExpr::term("even"), QueryExpr::term("rare")]);
+        assert_eq!(rewrite(last, &and), None);
+        let or = QueryExpr::or([QueryExpr::term("even"), QueryExpr::term("rare")]);
+        assert_eq!(
+            rewrite(last, &or),
+            Some(QueryExpr::Or(vec![QueryExpr::term("even")]))
+        );
+        let first = sh.shard(0);
+        assert_eq!(rewrite(first, &and), Some(and));
     }
 
     #[test]

@@ -3,100 +3,61 @@
 //! memory system, and the calibrated cycle cost model.
 
 use boss_compress::Scheme;
-use boss_core::{EvalCounts, QueryOutcome, QueryPlan};
+use boss_core::{EngineSetup, EvalCounts, QueryOutcome, QueryPlan, MAX_TERMS};
 use boss_index::cursor::{ListSink, SkipReason};
 use boss_index::layout::IndexImage;
 use boss_index::prune::PruneSink;
 use boss_index::svs::{self, SvsSink};
-use boss_index::{
-    BlockMeta, DocId, Error, InvertedIndex, QueryAlgorithm, QueryExpr, BLOCK_META_BYTES,
-};
+use boss_index::{BlockMeta, DocId, Error, InvertedIndex, QueryExpr, BLOCK_META_BYTES};
 use boss_scm::AccessCategory::{self, LdList, LdMeta, LdScore};
 use boss_scm::{AccessKind, MemoryConfig, MemorySim, PatternHint};
 
-/// CPU cycles charged per unit of work, at the host clock.
-///
-/// Defaults are calibrated against the paper's anchors: Lucene is
-/// compute-bound (DRAM buys ≤15 %), and 8 BOSS cores beat 8 Lucene cores
-/// by ~7.5–8.7× on the two corpora.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LuceneCostModel {
-    /// Cycles per decoded posting (decompression + iterator bookkeeping).
-    pub cycles_per_posting: f64,
-    /// Cycles per set-operation step.
-    pub cycles_per_merge_step: f64,
-    /// Cycles per scored document (BM25 + collector bookkeeping).
-    pub cycles_per_scored_doc: f64,
-    /// Cycles per heap (priority-queue) update.
-    pub cycles_per_heap_op: f64,
-    /// Fixed per-query cycles (parsing, weights, segment setup).
-    pub query_overhead: f64,
-}
+/// Host clock, GHz (Table I: Xeon 8280M at 2.7).
+pub const HOST_CLOCK_GHZ: f64 = 2.7;
 
-impl Default for LuceneCostModel {
-    fn default() -> Self {
-        LuceneCostModel {
-            cycles_per_posting: 12.0,
-            cycles_per_merge_step: 8.0,
-            cycles_per_scored_doc: 48.0,
-            cycles_per_heap_op: 16.0,
-            query_overhead: 50_000.0,
-        }
-    }
-}
+// CPU cycles charged per unit of work, at the host clock, calibrated
+// against the paper's anchors: Lucene is compute-bound (DRAM buys
+// ≤15 %), and 8 BOSS cores beat 8 Lucene cores by ~7.5–8.7× on the two
+// corpora.
 
-/// Lucene host configuration (Table I "Host Processor").
+/// Cycles per decoded posting (decompression + iterator bookkeeping).
+const CYCLES_PER_POSTING: f64 = 12.0;
+/// Cycles per set-operation step.
+const CYCLES_PER_MERGE_STEP: f64 = 8.0;
+/// Cycles per scored document (BM25 + collector bookkeeping).
+const CYCLES_PER_SCORED_DOC: f64 = 48.0;
+/// Cycles per heap (priority-queue) update.
+const CYCLES_PER_HEAP_OP: f64 = 16.0;
+/// Fixed per-query cycles (parsing, weights, segment setup).
+const QUERY_OVERHEAD: f64 = 50_000.0;
+
+/// Lucene host configuration (Table I "Host Processor"); the clock and
+/// the cost model are constants.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LuceneConfig {
-    /// Worker threads (the paper's 8-thread / 8-core setup).
-    pub n_threads: u32,
-    /// Host clock in GHz (Xeon 8280M: 2.7).
-    pub clock_ghz: f64,
-    /// Host memory system.
-    pub memory: MemoryConfig,
-    /// Cost constants.
-    pub cost: LuceneCostModel,
-    /// Dynamic-pruning plan for pure union queries. The default
-    /// ([`QueryAlgorithm::Exhaustive`]) keeps the score-everything
-    /// collector; any other value routes unions through the portable
-    /// pruned evaluator (`boss_index::prune`) with this engine's cost
-    /// model, still returning bit-identical top-k results.
-    pub algorithm: QueryAlgorithm,
+    /// Worker threads (the paper's 8-thread / 8-core setup), the host
+    /// memory system, and the traversal of pure union queries: the
+    /// default ([`boss_core::QueryAlgorithm::Exhaustive`]) keeps the
+    /// score-everything collector, any other value routes unions through
+    /// the portable pruned evaluator (`boss_index::prune`) with this
+    /// engine's cost model.
+    pub setup: EngineSetup,
 }
 
 impl Default for LuceneConfig {
     fn default() -> Self {
-        LuceneConfig {
-            n_threads: 8,
-            clock_ghz: 2.7,
-            memory: MemoryConfig::host_scm_6ch(),
-            cost: LuceneCostModel::default(),
-            algorithm: QueryAlgorithm::Exhaustive,
-        }
+        Self::with_threads(8)
     }
 }
 
+boss_core::setup_builders!(LuceneConfig);
+
 impl LuceneConfig {
-    /// `n` threads, defaults elsewhere.
+    /// `n` threads on the host's six SCM channels, exhaustive traversal.
     pub fn with_threads(n: u32) -> Self {
         LuceneConfig {
-            n_threads: n,
-            ..Self::default()
+            setup: EngineSetup::new(n, MemoryConfig::host_scm_6ch()),
         }
-    }
-
-    /// Replaces the host memory system.
-    #[must_use]
-    pub fn on_memory(mut self, memory: MemoryConfig) -> Self {
-        self.memory = memory;
-        self
-    }
-
-    /// Replaces the dynamic-pruning query algorithm.
-    #[must_use]
-    pub fn with_algorithm(mut self, algorithm: QueryAlgorithm) -> Self {
-        self.algorithm = algorithm;
-        self
     }
 }
 
@@ -239,7 +200,6 @@ pub struct LuceneEngine<'a> {
     index: &'a InvertedIndex,
     image: IndexImage<'a>,
     config: LuceneConfig,
-    plan_config: boss_core::BossConfig,
 }
 
 impl<'a> LuceneEngine<'a> {
@@ -249,7 +209,6 @@ impl<'a> LuceneEngine<'a> {
             index,
             image: IndexImage::new(index),
             config,
-            plan_config: boss_core::BossConfig::default(),
         }
     }
 
@@ -265,7 +224,7 @@ impl<'a> LuceneEngine<'a> {
     /// evaluator's bit for bit.
     ///
     /// `QueryOutcome::cycles` is in *host CPU* cycles, at
-    /// `config.clock_ghz`.
+    /// [`HOST_CLOCK_GHZ`].
     ///
     /// # Errors
     ///
@@ -273,16 +232,16 @@ impl<'a> LuceneEngine<'a> {
     pub fn execute(&self, expr: &QueryExpr, k: usize) -> Result<QueryOutcome, Error> {
         // Reuse the hardware planner's validation/normalization so all
         // three engines accept the same query language.
-        let plan = QueryPlan::from_expr(self.index, expr, &self.plan_config)?;
+        let plan = QueryPlan::new(self.index, expr, MAX_TERMS)?;
         let mut host = Host {
             image: self.image,
-            mem: MemorySim::new(self.config.memory.clone()),
+            mem: MemorySim::new(self.config.setup.memory.clone()),
             eval: EvalCounts::default(),
             postings_decoded: 0,
             pruned: false,
             first_candidate: None,
         };
-        let algorithm = self.config.algorithm;
+        let algorithm = self.config.setup.algorithm;
         let ranked = svs::search(self.index, plan.groups(), algorithm, k, &mut host)?;
         host.stream_norms();
         host.eval.topk_inserts = ranked.topk_inserts;
@@ -290,15 +249,15 @@ impl<'a> LuceneEngine<'a> {
         // Cost model: compute + memory (additive — the out-of-order core
         // overlaps poorly with pointer-chasing postings traffic, and this
         // is what reproduces the paper's ≤15 % DRAM delta).
-        let (c, eval) = (&self.config.cost, &host.eval);
-        let compute = host.postings_decoded as f64 * c.cycles_per_posting
-            + eval.comparisons as f64 * c.cycles_per_merge_step
-            + eval.docs_scored as f64 * c.cycles_per_scored_doc
-            + eval.topk_inserts as f64 * c.cycles_per_heap_op
-            + c.query_overhead;
+        let eval = &host.eval;
+        let compute = host.postings_decoded as f64 * CYCLES_PER_POSTING
+            + eval.comparisons as f64 * CYCLES_PER_MERGE_STEP
+            + eval.docs_scored as f64 * CYCLES_PER_SCORED_DOC
+            + eval.topk_inserts as f64 * CYCLES_PER_HEAP_OP
+            + QUERY_OVERHEAD;
         // Memory cycles are modeled at 1 GHz (GB/s == B/cycle); convert to
         // host cycles.
-        let mem_cycles_host = host.mem.stats().last_done_cycle as f64 * self.config.clock_ghz;
+        let mem_cycles_host = host.mem.stats().last_done_cycle as f64 * HOST_CLOCK_GHZ;
         Ok(QueryOutcome {
             hits: ranked.hits,
             cycles: (compute + mem_cycles_host) as u64,
@@ -312,7 +271,7 @@ impl<'a> LuceneEngine<'a> {
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     use super::*;
-    use boss_index::{reference, IndexBuilder};
+    use boss_index::{reference, IndexBuilder, QueryAlgorithm};
 
     fn corpus() -> InvertedIndex {
         corpus_of(700)

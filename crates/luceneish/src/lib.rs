@@ -24,4 +24,4 @@
 
 mod engine;
 
-pub use engine::{LuceneConfig, LuceneCostModel, LuceneEngine};
+pub use engine::{LuceneConfig, LuceneEngine, HOST_CLOCK_GHZ};

@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --release -p boss-examples --bin sharded_pool`
 
-use boss_core::pool::{InterconnectConfig, MemoryPool};
+use boss_core::pool::MemoryPool;
 use boss_core::BossConfig;
 use boss_index::shard::ShardedIndex;
 use boss_workload::corpus::{CorpusSpec, Scale};
@@ -21,11 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  node {i}: {} docs, {} terms", s.n_docs(), s.n_terms());
     }
 
-    let mut pool = MemoryPool::new(
-        &sharded,
-        BossConfig::with_cores(2),
-        InterconnectConfig::default(),
-    );
+    let mut pool = MemoryPool::new(&sharded, BossConfig::with_cores(2));
     let mut sampler = QuerySampler::new(&index, 11)?;
     let k = 10;
 
