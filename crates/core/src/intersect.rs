@@ -43,6 +43,25 @@ pub(crate) fn intersect_group(ctx: &mut ExecCtx<'_>, terms: &[TermId]) -> Result
     let mut a = ListCursor::new(ctx.index, ta, 0, ctx);
     let mut b = ListCursor::new(ctx.index, tb, 1 % ctx.dec_cycles.len(), ctx);
     while !a.exhausted() && !b.exhausted() {
+        if a.is_decoded() && b.is_decoded() {
+            // Both blocks decoded: merge their runs in one pass, up to the
+            // first step that leaves a block, with the charges of the
+            // per-posting steps it stands for — one comparison per step
+            // and per scanned posting.
+            let ((docs_a, tfs_a), (docs_b, tfs_b)) = (a.run(), b.run());
+            let m = svs::intersect_runs(docs_a, docs_b, |i, j| {
+                let (tfa, tfb) = (tfs_a[i], tfs_b[j]);
+                cur.push(docs_a[i], &if ta < tb { [tfa, tfb] } else { [tfb, tfa] });
+            });
+            ctx.eval.comparisons += m.seeks + m.matches as u64;
+            a.pass_scanned(ctx, m.a - m.matches, SkipReason::Block);
+            b.pass_scanned(ctx, m.b - m.matches, SkipReason::Block);
+            a.advance_run(ctx, m.matches);
+            b.advance_run(ctx, m.matches);
+            if a.exhausted() || b.exhausted() {
+                break;
+            }
+        }
         let (da, db) = (a.current_doc(), b.current_doc());
         ctx.eval.comparisons += 1;
         match da.cmp(&db) {
@@ -67,9 +86,9 @@ pub(crate) fn intersect_group(ctx: &mut ExecCtx<'_>, terms: &[TermId]) -> Result
         // Overlap check: the feedback docID drives block skipping in the
         // fetched list (Figure 5(b)), one comparison per live probe.
         let mut c = ListCursor::new(ctx.index, term, unit % ctx.dec_cycles.len(), ctx);
-        cur = svs::join(&cur, &mut c, ctx, |ctx, c, _| {
+        cur = svs::join(&cur, &mut c, ctx, |ctx, c, _, probes| {
             let live = !c.exhausted();
-            ctx.eval.comparisons += u64::from(live);
+            ctx.eval.comparisons += u64::from(live) * probes as u64;
             live
         })?;
         if cur.is_empty() {
@@ -178,6 +197,108 @@ mod tests {
         let expect = idx.list(idx.term_id("two").unwrap()).max_score()
             + idx.list(idx.term_id("five").unwrap()).max_score();
         assert!((m.max_score - expect).abs() < 1e-6);
+    }
+
+    /// The first pair's merge as it was before it ran block at a time:
+    /// one step per posting through the cursors.
+    fn posting_merge(ctx: &mut ExecCtx<'_>, ta: TermId, tb: TermId) -> Result<GroupMatches, Error> {
+        let mut cur = GroupMatches::new(&[ta, tb]);
+        let mut a = ListCursor::new(ctx.index, ta, 0, ctx);
+        let mut b = ListCursor::new(ctx.index, tb, 1 % ctx.dec_cycles.len(), ctx);
+        while !a.exhausted() && !b.exhausted() {
+            let (da, db) = (a.current_doc(), b.current_doc());
+            ctx.eval.comparisons += 1;
+            match da.cmp(&db) {
+                std::cmp::Ordering::Less => a.seek(ctx, db, SkipReason::Block)?,
+                std::cmp::Ordering::Greater => b.seek(ctx, da, SkipReason::Block)?,
+                std::cmp::Ordering::Equal => {
+                    let (tfa, tfb) = (a.current_tf(ctx)?, b.current_tf(ctx)?);
+                    if let (Some(tfa), Some(tfb)) = (tfa, tfb) {
+                        cur.push(da, &if ta < tb { [tfa, tfb] } else { [tfb, tfa] });
+                        a.advance(ctx)?;
+                        b.advance(ctx)?;
+                    }
+                }
+            }
+        }
+        Ok(cur)
+    }
+
+    /// Five terms over 3 000 documents: two dense ones, a sparse one, and
+    /// two that cluster in different stretches of the docID space.
+    fn mixed_corpus(seed: u32) -> InvertedIndex {
+        let docs: Vec<String> = (0u32..3_000)
+            .map(|i| {
+                let h = i.wrapping_mul(2654435761).wrapping_add(seed);
+                let mut t = String::from("base");
+                for (term, m) in [("half", 2u32), ("third", 3), ("rare", 29)] {
+                    if h % m == 0 {
+                        t.push(' ');
+                        t.push_str(term);
+                    }
+                }
+                if (900..1_400).contains(&i) || (i > 2_500 && h % 5 == 0) {
+                    t.push_str(" burst");
+                }
+                if i % 640 < 40 {
+                    t.push_str(" bands bands");
+                }
+                t
+            })
+            .collect();
+        IndexBuilder::new()
+            .add_documents(docs.iter().map(String::as_str))
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn block_merge_charges_what_the_posting_merge_did() {
+        use crate::config::DegradePolicy;
+        use crate::pipeline::TimingFidelity;
+        use boss_scm::FaultPlan;
+
+        let faulty = |policy| {
+            BossConfig::default()
+                .with_fault_plan(Some(FaultPlan::quiet(11).with_uncorrectable_rate(0.15)))
+                .with_degrade(policy)
+        };
+        let configs = [
+            BossConfig::default(),
+            BossConfig::default().with_fidelity(TimingFidelity::Pipelined),
+            faulty(DegradePolicy::SkipBlock),
+            faulty(DegradePolicy::FailQuery),
+        ];
+        let terms = ["half", "third", "rare", "burst", "bands", "base"];
+        let mut merged = 0;
+        for seed in [0, 7, 1_000_003] {
+            let idx = mixed_corpus(seed);
+            let ids: Vec<TermId> = terms.iter().map(|t| idx.term_id(t).unwrap()).collect();
+            for cfg in &configs {
+                for (x, &t1) in ids.iter().enumerate() {
+                    for &t2 in &ids[x + 1..] {
+                        let mut order = [t1, t2];
+                        order.sort_by_key(|&t| idx.list(t).df());
+                        let mut old = ExecCtx::new(&idx, cfg).unwrap();
+                        let expect = posting_merge(&mut old, order[0], order[1]);
+                        let mut new = ExecCtx::new(&idx, cfg).unwrap();
+                        let got = intersect_group(&mut new, &[t1, t2]).map(|m| m.matches);
+                        let what = format!("seed {seed} {t1}&{t2} {cfg:?}");
+                        assert_eq!(
+                            got.as_ref().map_err(ToString::to_string),
+                            expect.as_ref().map_err(ToString::to_string),
+                            "{what}"
+                        );
+                        assert_eq!(new.eval, old.eval, "{what}");
+                        assert_eq!(new.mem.stats(), old.mem.stats(), "{what}");
+                        assert_eq!(new.dec_cycles, old.dec_cycles, "{what}");
+                        assert_eq!(new.trace, old.trace, "{what}");
+                        merged += got.map_or(0, |m| m.len());
+                    }
+                }
+            }
+        }
+        assert!(merged > 10_000, "the merges matched {merged} documents");
     }
 
     #[test]

@@ -205,12 +205,12 @@ impl SvsSink for Run<'_> {
         self.pruned = true;
     }
 
-    fn probed(&mut self, cursor: &ListCursor<'_>, doc: DocId) -> bool {
-        let landing = cursor.block_ordinal();
-        self.eval.comparisons += search_steps(cursor.n_blocks(), landing);
+    fn probed(&mut self, cursor: &ListCursor<'_>, doc: DocId, probes: usize) -> bool {
+        let mut steps = search_steps(cursor.n_blocks(), cursor.block_ordinal());
         if !cursor.exhausted() && (cursor.is_decoded() || cursor.current_doc() == doc) {
-            self.eval.comparisons += u64::from(cursor.block_postings().max(2).ilog2());
+            steps += u64::from(cursor.block_postings().max(2).ilog2());
         }
+        self.eval.comparisons += steps * probes as u64;
         true
     }
 

@@ -104,7 +104,9 @@ pub trait ListSink {
 
     /// `n` postings of a decoded block were passed over without being
     /// scored: found by scanning the block when `scanned` (one comparison
-    /// each), or as the block's unconsumed tail otherwise.
+    /// each), or as the block's unconsumed tail otherwise. Scans inside
+    /// one block may arrive as one event carrying their sum
+    /// ([`ListCursor::pass_scanned`]), so a sink prices `n`, not events.
     fn postings_passed(&mut self, _slot: usize, _n: u64, _reason: SkipReason, _scanned: bool) {}
 }
 
@@ -473,6 +475,22 @@ impl<'a> ListCursor<'a> {
         self.pos += n;
         if self.pos >= self.scratch.len() {
             self.next_block(sink);
+        }
+    }
+
+    /// Passes over the next `n` postings of the current decoded block,
+    /// found by scanning, and stays in the block: one
+    /// [`ListSink::postings_passed`] for what the seeks inside the block
+    /// that scanned over them report one by one.
+    #[inline]
+    pub fn pass_scanned<S: ListSink>(&mut self, sink: &mut S, n: usize, reason: SkipReason) {
+        debug_assert!(
+            self.pos + n < self.scratch.len(),
+            "a scan of {n} leaves the block"
+        );
+        if n > 0 {
+            self.pos += n;
+            sink.postings_passed(self.slot, n as u64, reason, true);
         }
     }
 
