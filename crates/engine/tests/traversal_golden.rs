@@ -220,6 +220,52 @@ fn regenerate() -> String {
         ),
         &queries,
     );
+    // Appended before the device's and the baselines' MaxScore loops were
+    // merged: the MaxScore branches the lines above do not reach — a
+    // dropped block under BMM, a seeded θ floor entering the first split,
+    // and the baselines' MaxScore without block maxes.
+    record(
+        &mut out,
+        "boss-bmm-skipblock",
+        boss(
+            BossConfig::default()
+                .with_algorithm(QueryAlgorithm::BlockMaxMaxScore)
+                .with_fault_plan(Some(FaultPlan::quiet(7).with_uncorrectable_rate(0.2)))
+                .with_degrade(DegradePolicy::SkipBlock),
+        ),
+        &queries,
+    );
+    let leaves = (sharded.shards().iter())
+        .map(|s| {
+            let cfg = BossConfig::default().with_algorithm(QueryAlgorithm::BlockMaxMaxScore);
+            vec![Boss::new(s, cfg)]
+        })
+        .collect();
+    let engine = Sharded::new(
+        boss(BossConfig::default()),
+        &sharded,
+        leaves,
+        ShardTiming::ScatterGather,
+    );
+    record(&mut out, "boss-sharded4-bmm", engine, &queries);
+    record(
+        &mut out,
+        "iiu-maxscore",
+        Iiu::new(
+            &index,
+            IiuConfig::default().with_algorithm(QueryAlgorithm::MaxScore),
+        ),
+        &queries,
+    );
+    record(
+        &mut out,
+        "lucene-maxscore",
+        Lucene::new(
+            &index,
+            LuceneConfig::default().with_algorithm(QueryAlgorithm::MaxScore),
+        ),
+        &queries,
+    );
     out
 }
 
