@@ -15,11 +15,11 @@ use crate::fetch::ExecCtx;
 use crate::intersect::intersect_group;
 use crate::pipeline::{replay, ReplayCounts, TimingFidelity};
 use crate::plan::QueryPlan;
-use crate::prune::pruned_union_topk;
 use crate::stats::QueryOutcome;
-use crate::union::{union_topk, UnionStream};
+use crate::union::{union_topk, Rounds, UnionStream};
 use boss_index::cursor::ListCursor;
-use boss_index::{Error, QueryExpr, TopK};
+use boss_index::prune::maxscore_union;
+use boss_index::{Error, QueryAlgorithm, QueryExpr, TopK};
 use boss_scm::AccessCategory;
 
 // Per-module cycle costs at the 1 GHz core clock, after the module
@@ -104,12 +104,26 @@ impl BossDevice<'_> {
         topk.seed_cutoff(floor);
         // A pruning algorithm replaces the union traversal wholesale;
         // pure intersections keep the existing path (their matches are
-        // already small), mirroring the ET gate above.
+        // already small), mirroring the ET gate above. MaxScore runs the
+        // loop every engine shares; WAND and a lone stream (whose split is
+        // the list-bound test) run the union module, with its tail drain.
         let algorithm = self.config.setup.algorithm;
-        if algorithm.prunes() && !plan.is_pure_intersection() {
-            pruned_union_topk(&mut ctx, streams, algorithm, topk, &mut self.bulk)?;
+        let pruned = algorithm.prunes() && !plan.is_pure_intersection();
+        let block_max = algorithm.is_block_max();
+        let maxscore = matches!(
+            algorithm,
+            QueryAlgorithm::MaxScore | QueryAlgorithm::BlockMaxMaxScore
+        );
+        if pruned && maxscore && streams.len() > 1 {
+            maxscore_union(self.index, &mut streams, block_max, topk, &mut ctx)?;
+            ctx.eval.topk_inserts = topk.inserts();
         } else {
-            union_topk(&mut ctx, streams, et.into(), topk, &mut self.bulk)?;
+            let prune = Rounds::Wand {
+                block_max,
+                prune: true,
+            };
+            let rounds = if pruned { prune } else { et.into() };
+            union_topk(&mut ctx, streams, rounds, topk, &mut self.bulk)?;
         }
         let hits = topk.hits().to_vec();
 
@@ -143,14 +157,15 @@ impl BossDevice<'_> {
                 let t_setop = (ctx.eval.comparisons as f64 * CYCLES_PER_COMPARISON
                     + ctx.eval.pivot_rounds as f64 * CYCLES_PER_PIVOT_ROUND)
                     as u64;
-                let t_score = (ctx.scored as f64 * CYCLES_PER_SCORE / eff_scorers as f64) as u64
+                let t_score = (ctx.eval.docs_scored as f64 * CYCLES_PER_SCORE / eff_scorers as f64)
+                    as u64
                     + SCORING_FILL;
                 let t_topk = (ctx.eval.topk_inserts as f64 * CYCLES_PER_TOPK_INSERT) as u64;
                 t_mem.max(t_dec).max(t_setop).max(t_score).max(t_topk) + QUERY_OVERHEAD
             }
             TimingFidelity::Pipelined => {
                 let counts = ReplayCounts {
-                    scored: ctx.scored,
+                    scored: ctx.eval.docs_scored,
                     comparisons: ctx.eval.comparisons,
                     pivot_rounds: ctx.eval.pivot_rounds,
                     topk_inserts: ctx.eval.topk_inserts,

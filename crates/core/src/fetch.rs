@@ -14,6 +14,7 @@ use boss_compress::Scheme;
 use boss_decomp::{DecodeCost, EngineConfig, PIPELINE_FILL_CYCLES};
 use boss_index::cursor::{ListSink, SkipReason};
 use boss_index::layout::IndexImage;
+use boss_index::prune::PruneSink;
 use boss_index::{BlockMeta, DocId, Error, InvertedIndex, BLOCK_META_BYTES};
 use boss_scm::{AccessCategory, AccessKind, MemorySim, PatternHint};
 use std::sync::OnceLock;
@@ -69,8 +70,6 @@ pub(crate) struct ExecCtx<'a> {
     costs: &'static [DecodeCost],
     /// Cycles accumulated per decompression module.
     pub dec_cycles: Vec<u64>,
-    /// Documents scored (mirrors `eval.docs_scored`, kept for scoring time).
-    pub scored: u64,
     /// 64-byte line address of the most recent norm load (the scoring
     /// module's line buffer).
     norm_line: u64,
@@ -99,7 +98,6 @@ impl<'a> ExecCtx<'a> {
             eval: EvalCounts::default(),
             costs: stock_costs()?,
             dec_cycles: vec![0; DECOMPRESSORS_PER_CORE],
-            scored: 0,
             norm_line: u64::MAX,
             data_ready: 0,
             trace: Vec::new(),
@@ -262,6 +260,27 @@ impl ListSink for ExecCtx<'_> {
             self.eval.comparisons += n;
         }
         self.eval.count_skipped(reason, n);
+    }
+}
+
+/// The union module's side of a MaxScore traversal
+/// ([`boss_index::prune::maxscore_union`]).
+impl PruneSink for ExecCtx<'_> {
+    fn doc_abandoned(&mut self) {
+        self.eval.docs_skipped_prune += 1;
+    }
+
+    fn doc_scored(&mut self, _doc: DocId) {
+        self.eval.docs_scored += 1;
+    }
+
+    fn round(&mut self) {
+        self.eval.pivot_rounds += 1;
+    }
+
+    /// The scoring module's line-buffered norm load ([`Self::load_norm`]).
+    fn doc_norm(&mut self, _index: &InvertedIndex, doc: DocId) -> Result<f32, Error> {
+        Ok(self.load_norm(doc))
     }
 }
 

@@ -58,7 +58,6 @@ mod pipeline;
 mod plan;
 pub mod pool;
 pub mod power;
-mod prune;
 mod stats;
 // The union round loop and its frontier run once per candidate document.
 #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]

@@ -8,16 +8,19 @@
 //! results; they differ only in how much work is skipped.
 //!
 //! One round loop ([`union_topk`]) serves the three ET modes and the
-//! WAND-family pruning plans of [`crate::prune`]; [`Rounds`] says what a
-//! round may skip. Between rounds the loop keeps a [`Frontier`]: the live
-//! streams' sIDs packed into integer sort keys, and the cutoff's
-//! comparison bound ([`ThetaBound`]), each re-derived only when the event
-//! that can change it happened.
+//! WAND-family pruning plans; [`Rounds`] says what a round may skip. The
+//! MaxScore family runs [`boss_index::prune::maxscore_union`], the loop
+//! every engine shares, over the same streams ([`PruneStream`]). Between
+//! rounds the loop keeps a [`Frontier`]: the live streams' sIDs packed
+//! into integer sort keys, and the cutoff's comparison bound
+//! ([`ThetaBound`]), each re-derived only when the event that can change
+//! it happened.
 
 use crate::config::EtMode;
 use crate::fetch::ExecCtx;
-use boss_index::cursor::{ListCursor, SkipReason};
+use boss_index::cursor::{ListCursor, ListSink, SkipReason};
 use boss_index::matches::canonical_score;
+use boss_index::prune::{cannot_beat, theta_bound, PruneStream};
 use boss_index::{DocId, Error, GroupMatches, ScoreScratch, TermId, TopK};
 
 /// Reusable buffers for the block-at-a-time scoring path: one decoded
@@ -49,12 +52,9 @@ impl MatStream {
         }
     }
 
-    fn exhausted(&self) -> bool {
-        self.pos >= self.matches.len()
-    }
-
-    fn current_doc(&self) -> DocId {
-        self.matches.docs()[self.pos]
+    /// The documents not consumed yet.
+    fn rest(&self) -> &[DocId] {
+        &self.matches.docs()[self.pos..]
     }
 }
 
@@ -67,21 +67,7 @@ pub(crate) enum UnionStream<'a> {
     Mat(MatStream),
 }
 
-impl<'a> UnionStream<'a> {
-    pub(crate) fn exhausted(&self) -> bool {
-        match self {
-            UnionStream::List(c) => c.exhausted(),
-            UnionStream::Mat(m) => m.exhausted(),
-        }
-    }
-
-    pub(crate) fn current_doc(&self) -> DocId {
-        match self {
-            UnionStream::List(c) => c.current_doc(),
-            UnionStream::Mat(m) => m.current_doc(),
-        }
-    }
-
+impl UnionStream<'_> {
     /// The stream's sID — its smallest unevaluated docID — or `None` once
     /// exhausted. The [`Frontier`] caches this per stream and re-reads it
     /// only after the stream moved.
@@ -89,83 +75,10 @@ impl<'a> UnionStream<'a> {
         (!self.exhausted()).then(|| self.current_doc())
     }
 
-    /// List-level (or group-level) max score: the WAND lookup-table value.
-    pub(crate) fn max_score(&self) -> f32 {
-        match self {
-            UnionStream::List(c) => c.list_max(),
-            UnionStream::Mat(m) => m.max_score,
-        }
-    }
-
-    /// Block-max refinement for Block-Max early termination: the max score
-    /// of the block that covers (or would cover) `target`, and that
-    /// block's last docID. Materialized streams have no block structure,
-    /// so their global max and last doc stand in.
-    pub(crate) fn shallow_block_max(&self, target: DocId) -> Option<(f32, DocId)> {
-        match self {
-            UnionStream::List(c) => c.shallow_block_max(target),
-            UnionStream::Mat(m) => {
-                if m.exhausted() {
-                    None
-                } else {
-                    m.matches.docs().last().map(|&last| (m.max_score, last))
-                }
-            }
-        }
-    }
-
-    /// Collects this stream's `(term, tf)` entries at `doc` (which must be
-    /// the current document) and advances past it. If the stream's block
-    /// turns out unusable and the `SkipBlock` policy drops it, the stream
-    /// simply contributes nothing for `doc`.
-    pub(crate) fn take_entries(
-        &mut self,
-        ctx: &mut ExecCtx<'_>,
-        out: &mut Vec<(TermId, u32)>,
-    ) -> Result<(), Error> {
-        match self {
-            UnionStream::List(c) => {
-                if let Some(tf) = c.current_tf(ctx)? {
-                    out.push((c.term(), tf));
-                    // `current_tf` left the block decoded.
-                    c.advance_run(ctx, 1);
-                }
-            }
-            UnionStream::Mat(m) => {
-                m.matches.entries_at(m.pos, out);
-                m.pos += 1;
-            }
-        }
-        Ok(())
-    }
-
-    /// Skips to the first document `>= target`, attributing the bypassed
-    /// documents to `reason`.
-    pub(crate) fn seek(
-        &mut self,
-        ctx: &mut ExecCtx<'_>,
-        target: DocId,
-        reason: SkipReason,
-    ) -> Result<(), Error> {
-        match self {
-            UnionStream::List(c) => c.seek(ctx, target, reason)?,
-            UnionStream::Mat(m) => {
-                let bypassed = m.matches.docs()[m.pos..]
-                    .iter()
-                    .take_while(|&&d| d < target)
-                    .count();
-                m.pos += bypassed;
-                ctx.eval.comparisons += bypassed as u64;
-                ctx.eval.count_skipped(reason, bypassed as u64);
-            }
-        }
-        Ok(())
-    }
-
     pub(crate) fn remaining(&self) -> u64 {
         match self {
             UnionStream::List(c) => c.remaining(),
-            UnionStream::Mat(m) => (m.matches.len() - m.pos) as u64,
+            UnionStream::Mat(m) => m.rest().len() as u64,
         }
     }
 
@@ -178,6 +91,90 @@ impl<'a> UnionStream<'a> {
             UnionStream::List(c) => c.whole_block_skippable(),
             UnionStream::Mat(_) => None,
         }
+    }
+}
+
+/// A materialized stream reports its events as stream 0: it is bound to
+/// no decompression module.
+impl PruneStream for UnionStream<'_> {
+    /// List-level (or group-level) max score: the WAND lookup-table value.
+    #[inline]
+    fn max_score(&self) -> f32 {
+        match self {
+            UnionStream::List(c) => c.list_max(),
+            UnionStream::Mat(m) => m.max_score,
+        }
+    }
+
+    #[inline]
+    fn exhausted(&self) -> bool {
+        match self {
+            UnionStream::List(c) => c.exhausted(),
+            UnionStream::Mat(m) => m.rest().is_empty(),
+        }
+    }
+
+    #[inline]
+    fn current_doc(&self) -> DocId {
+        match self {
+            UnionStream::List(c) => c.current_doc(),
+            UnionStream::Mat(m) => m.rest()[0],
+        }
+    }
+
+    /// Materialized streams have no block structure, so their global max
+    /// and last doc stand in.
+    #[inline]
+    fn shallow_block_max(&self, target: DocId) -> Option<(f32, DocId)> {
+        match self {
+            UnionStream::List(c) => c.shallow_block_max(target),
+            UnionStream::Mat(m) => m.rest().last().map(|&last| (m.max_score, last)),
+        }
+    }
+
+    /// A materialized stream scans its registers: one comparison per
+    /// document passed.
+    fn seek<S: ListSink>(
+        &mut self,
+        sink: &mut S,
+        target: DocId,
+        reason: SkipReason,
+    ) -> Result<(), Error> {
+        match self {
+            UnionStream::List(c) => c.seek(sink, target, reason)?,
+            UnionStream::Mat(m) => {
+                let bypassed = m.rest().iter().take_while(|&&d| d < target).count();
+                m.pos += bypassed;
+                sink.postings_passed(0, bypassed as u64, reason, true);
+            }
+        }
+        Ok(())
+    }
+
+    /// A materialized stream's entries carry no stored bound.
+    fn take<S: ListSink>(
+        &mut self,
+        sink: &mut S,
+        out: &mut Vec<(TermId, u32)>,
+    ) -> Result<f32, Error> {
+        match self {
+            UnionStream::List(c) => c.take(sink, out),
+            UnionStream::Mat(m) => {
+                m.matches.entries_at(m.pos, out);
+                m.pos += 1;
+                Ok(f32::INFINITY)
+            }
+        }
+    }
+
+    /// The union module terminates: the rest is counted as skipped, and no
+    /// block event is reported, as [`union_topk`] does.
+    fn give_up<S: ListSink>(&mut self, sink: &mut S) {
+        let slot = match self {
+            UnionStream::List(c) => c.slot(),
+            UnionStream::Mat(_) => 0,
+        };
+        sink.postings_passed(slot, self.remaining(), SkipReason::Prune, false);
     }
 }
 
@@ -208,24 +205,6 @@ impl ScoreLut {
     pub(crate) fn upper_bound(&self, mask: usize) -> f64 {
         self.combos[mask]
     }
-}
-
-/// The largest upper bound that provably cannot beat the cutoff `theta`:
-/// θ less a slack exceeding the worst-case f32 rounding drift of a summed
-/// score, so early termination never drops a document the exhaustive
-/// reference would keep. `-inf` while θ is not finite — score bounds are
-/// finite, so nothing is skipped before a real threshold exists.
-pub(crate) fn theta_bound(theta: f32) -> f64 {
-    if !theta.is_finite() {
-        return f64::NEG_INFINITY;
-    }
-    let slack = 1e-4 * (1.0 + theta.abs() as f64);
-    f64::from(theta) - slack
-}
-
-/// Whether a score upper bound provably cannot beat the cutoff.
-pub(crate) fn cannot_beat(upper: f64, theta: f32) -> bool {
-    upper <= theta_bound(theta)
 }
 
 /// [`theta_bound`] of the most recent θ. θ moves only when the top-k
@@ -547,7 +526,7 @@ pub(crate) fn union_topk(
         entries.clear();
         for pos in 0..=pivot_end {
             let stream = &mut streams[frontier.stream(pos)];
-            stream.take_entries(ctx, &mut entries)?;
+            stream.take(ctx, &mut entries)?;
             frontier.refresh(pos, stream);
         }
         // All contributing streams may have fault-skipped their blocks
@@ -562,7 +541,6 @@ pub(crate) fn union_topk(
         // once).
         let norm = ctx.load_norm(pivot);
         let score = canonical_score(ctx.index, &mut entries, norm);
-        ctx.scored += 1;
         ctx.eval.docs_scored += 1;
         topk.offer(pivot, score);
     }
@@ -637,7 +615,6 @@ fn drain_single_list(
             }
             ctx.load_norm(bulk.docs[j]);
         }
-        ctx.scored += n as u64;
         ctx.eval.docs_scored += n as u64;
         topk.sift_block(&bulk.docs, bulk.scores.scores());
         Ok(())
@@ -764,7 +741,6 @@ fn drain_wand_tail(
             }
             ctx.load_norm(bulk.docs[run_j + j]);
         }
-        ctx.scored += n as u64;
         ctx.eval.docs_scored += n as u64;
         topk.sift_block(&bulk.docs[run_j..run_j + n], &scores[..n]);
         run_j += n;
@@ -918,18 +894,6 @@ mod tests {
             let (hits, _) = run_union(&idx, &["delta"], et, 7);
             assert_eq!(hits, expect, "{et:?}");
         }
-    }
-
-    #[test]
-    fn cannot_beat_is_conservative() {
-        assert!(!cannot_beat(5.0, f32::NEG_INFINITY));
-        assert!(!cannot_beat(5.0, 5.0));
-        assert!(
-            !cannot_beat(4.9999, 5.0),
-            "within slack: not provably worse"
-        );
-        assert!(cannot_beat(4.99, 5.0));
-        assert!(cannot_beat(0.0, 5.0));
     }
 
     #[test]

@@ -114,3 +114,62 @@ fn a_descriptor_past_the_corpus_is_refused_by_every_engine() {
         }
     }
 }
+
+/// A block-max bound halved below the postings it covers is caught when
+/// the block is decoded: every engine's MaxScore checks each posting of a
+/// posting list against its block's and its list's bound, whatever the
+/// degrade policy. `k` covers every document, so θ stays −∞ and nothing
+/// is skipped before the block is decoded.
+#[test]
+fn a_posting_above_its_block_bound_is_refused_by_every_maxscore() {
+    let docs: Vec<String> = (0..N_DOCS)
+        .map(|i| match (i % 2, i % 3) {
+            (0, 0) => "x aa bb",
+            (0, _) => "x aa",
+            (_, 0) => "x bb",
+            _ => "x",
+        })
+        .map(String::from)
+        .collect();
+    let mut index = IndexBuilder::new()
+        .add_documents(docs.iter().map(String::as_str))
+        .build()
+        .expect("corpus builds");
+    let aa = index.term_id("aa").expect("aa indexed");
+    index.list_mut(aa).blocks_mut()[0].max_score /= 2.0;
+    let query = QueryExpr::or([QueryExpr::term("aa"), QueryExpr::term("bb")]);
+    let k = N_DOCS as usize;
+    for algorithm in [QueryAlgorithm::MaxScore, QueryAlgorithm::BlockMaxMaxScore] {
+        let boss = |degrade| {
+            let cfg = BossConfig::default()
+                .with_algorithm(algorithm)
+                .with_degrade(degrade);
+            Boss::new(&index, cfg)
+        };
+        let mut engines: Vec<(&str, Box<dyn SearchEngine + '_>)> = vec![
+            ("boss-fail", Box::new(boss(DegradePolicy::FailQuery))),
+            ("boss-skip", Box::new(boss(DegradePolicy::SkipBlock))),
+            (
+                "iiu",
+                Box::new(Iiu::new(
+                    &index,
+                    IiuConfig::default().with_algorithm(algorithm),
+                )),
+            ),
+            (
+                "lucene",
+                Box::new(Lucene::new(
+                    &index,
+                    LuceneConfig::default().with_algorithm(algorithm),
+                )),
+            ),
+        ];
+        for (label, engine) in &mut engines {
+            let result = engine.search(&query, k);
+            assert!(
+                matches!(result, Err(Error::CorruptMetadata { .. })),
+                "{label} {algorithm}: {result:?}"
+            );
+        }
+    }
+}

@@ -233,6 +233,12 @@ impl<'a> ListCursor<'a> {
         self.term
     }
 
+    /// The stream number the cursor reports its events as.
+    #[inline]
+    pub fn slot(&self) -> usize {
+        self.slot
+    }
+
     /// The term's inverse document frequency.
     #[inline]
     pub fn idf(&self) -> f32 {

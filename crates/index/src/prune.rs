@@ -1,13 +1,17 @@
-//! Index-level dynamic-pruning evaluators (MaxScore / WAND / BMW / BMM).
+//! Dynamic-pruning evaluators (MaxScore / WAND / BMW / BMM).
 //!
-//! This module is the *portable* half of the pruning tentpole: a
-//! self-contained evaluator that the host-style engines (IIU, the
-//! Lucene-like baseline, through [`crate::svs::search`]) and the property
-//! tests drive. The BOSS
-//! device pipeline keeps its own loops in `boss-core` (its union module
-//! charges per move and shares rounds with early termination); both walk
-//! the same [`ListCursor`], and both are required by tests to return the
-//! exact hits of [`crate::reference::evaluate`].
+//! [`maxscore_union`] is the one (Block-Max) MaxScore loop of every
+//! engine: the host-style engines (IIU, the Lucene-like baseline, through
+//! [`crate::svs::search`]) and the property tests run it over
+//! [`ListCursor`]s via [`pruned_union_topk`], and the BOSS device runs it
+//! over its union streams (posting-list cursors or materialized
+//! intersection outputs), each a [`PruneStream`], with its execution
+//! context as the [`PruneSink`]. WAND and Block-Max WAND keep two loops:
+//! this module's frontier loop for the baselines, and the device's union
+//! module, which seeks every lagging stream to the pivot in one round,
+//! loads the norm after the gather and drains a lone stream
+//! block-at-a-time. Every loop is required by tests to return the exact
+//! hits of [`crate::reference::evaluate`].
 //!
 //! # Safety contract
 //!
@@ -15,9 +19,9 @@
 //! exhaustive oracle — same docs, same f32 score bits, same
 //! [`SearchHit::ranking_cmp`] order — because
 //!
-//! * skip decisions use the verbatim `cannot_beat` guard from the BOSS
-//!   early-termination path (a strict `1e-4`-scaled slack below the
-//!   threshold, so score *ties* are always evaluated), and
+//! * every skip decision goes through [`cannot_beat`], the guard the
+//!   device's early termination uses too (a strict `1e-4`-scaled slack
+//!   below the threshold, so score *ties* are always evaluated), and
 //! * every surviving document's final score is recomputed canonically:
 //!   contributing terms sorted ascending, f32 accumulation in term
 //!   order, exactly like the reference evaluator. Partial sums and
@@ -50,11 +54,11 @@ use boss_compress::Scheme;
 /// engine that prices it. The cursors' own physical events (metadata
 /// reads, block fetches and decodes, skips) arrive through the
 /// [`ListSink`] half, each at the point the modeled hardware would
-/// perform it, with `slot` the position of the stream in the
-/// deduplicated ascending term list passed to [`pruned_union_topk`];
-/// every skip is reported with [`SkipReason::Prune`]. Engines implement
-/// both halves to charge their memory simulators; [`NullSink`] ignores
-/// it all.
+/// perform it, with `slot` whatever the caller gave the stream (under
+/// [`pruned_union_topk`], its position in the deduplicated ascending term
+/// list); every skip is reported with [`SkipReason::Prune`]. Engines
+/// implement both halves to charge their memory simulators; [`NullSink`]
+/// ignores it all.
 pub trait PruneSink: ListSink {
     /// A candidate document was abandoned mid-probe (MaxScore family):
     /// its partial score plus the unprobed upper-bound tail cannot beat
@@ -64,6 +68,24 @@ pub trait PruneSink: ListSink {
     fn doc_scored(&mut self, _doc: DocId) {}
     /// One pivot/candidate-selection round completed.
     fn round(&mut self) {}
+    /// The length norm of candidate `doc`, read before its postings are
+    /// gathered. The default reads it uncharged; an engine whose model
+    /// prices the read overrides it (or charges in
+    /// [`PruneSink::doc_scored`]).
+    ///
+    /// # Errors
+    ///
+    /// [`Error::CorruptMetadata`] when `doc` lies outside the corpus (a
+    /// decoded docID no descriptor check caught).
+    fn doc_norm(&mut self, index: &InvertedIndex, doc: DocId) -> Result<f32, Error> {
+        index
+            .doc_norms()
+            .get(doc as usize)
+            .copied()
+            .ok_or(Error::CorruptMetadata {
+                reason: "decoded docID outside the corpus",
+            })
+    }
 }
 
 /// A sink that ignores every event (pure result computation).
@@ -132,54 +154,142 @@ pub struct PruneOutcome {
     pub topk_inserts: u64,
 }
 
-/// The BOSS early-termination guard, verbatim from the device union
-/// path: `upper` cannot beat `theta` only when it is a strict
-/// slack below it, so score ties are always evaluated and the top-k
-/// stays bit-identical to the exhaustive order.
-fn cannot_beat(upper: f64, theta: f32) -> bool {
+/// The largest upper bound that provably cannot beat the cutoff `theta`:
+/// θ less a slack exceeding the worst-case f32 rounding drift of a summed
+/// score, so a skip never drops a document the exhaustive reference would
+/// keep. `-inf` while θ is not finite — score bounds are finite, so
+/// nothing is skipped before a real threshold exists.
+pub fn theta_bound(theta: f32) -> f64 {
     if !theta.is_finite() {
-        return false;
+        return f64::NEG_INFINITY;
     }
     let slack = 1e-4 * (1.0 + f64::from(theta.abs()));
-    upper <= f64::from(theta) - slack
+    f64::from(theta) - slack
 }
 
-/// Shallow advance for the evaluator: the block bound and boundary of
-/// `c` at `target`, or `(0.0, DocId::MAX)` once no block reaches it.
-fn shallow(c: &ListCursor<'_>, target: DocId) -> (f32, DocId) {
-    c.shallow_block_max(target).unwrap_or((0.0, DocId::MAX))
+/// Whether a score upper bound provably cannot beat the cutoff: the guard
+/// of every skip and abandon decision of every engine. Score ties are
+/// always evaluated, so the top-k stays bit-identical to the exhaustive
+/// order.
+pub fn cannot_beat(upper: f64, theta: f32) -> bool {
+    upper <= theta_bound(theta)
 }
 
-/// Reads the posting at `c` (decoding its block only now), verifies its
-/// term score against the block-max and list-max bounds, then consumes
-/// it. `None` when the sink dropped the block as unusable.
-fn take_posting<S: PruneSink>(
-    c: &mut ListCursor<'_>,
+/// One input of a pruned union: a posting list's [`ListCursor`], or on
+/// the BOSS device a materialized intersection output. Physical events go
+/// to the [`ListSink`] the traversal passes in.
+pub trait PruneStream {
+    /// Upper bound of the stream's contribution to any one document.
+    fn max_score(&self) -> f32;
+    /// Whether every document of the stream is consumed.
+    fn exhausted(&self) -> bool;
+    /// The stream's smallest unconsumed docID; only called while the
+    /// stream is not exhausted.
+    fn current_doc(&self) -> DocId;
+    /// The bound and last docID of the block that covers (or would cover)
+    /// `target`, from metadata alone; `None` once no block reaches it.
+    fn shallow_block_max(&self, target: DocId) -> Option<(f32, DocId)>;
+    /// Moves to the first document `>= target`, reporting what it passed
+    /// over with `reason`.
+    ///
+    /// # Errors
+    ///
+    /// As [`ListCursor::seek`].
+    fn seek<S: ListSink>(
+        &mut self,
+        sink: &mut S,
+        target: DocId,
+        reason: SkipReason,
+    ) -> Result<(), Error>;
+    /// Appends the `(term, tf)` entries of the current document to `out`
+    /// and moves past it, returning the bound no appended posting's term
+    /// score may exceed (`+inf` where the stream records none). Appends
+    /// nothing when the sink dropped the block as unusable.
+    ///
+    /// # Errors
+    ///
+    /// As [`ListCursor::current_tf`].
+    fn take<S: ListSink>(
+        &mut self,
+        sink: &mut S,
+        out: &mut Vec<(TermId, u32)>,
+    ) -> Result<f32, Error>;
+    /// Gives up every remaining posting: the traversal proved none of them
+    /// can change the top-k. The stream is not used afterwards.
+    fn give_up<S: ListSink>(&mut self, sink: &mut S);
+}
+
+impl PruneStream for ListCursor<'_> {
+    #[inline]
+    fn max_score(&self) -> f32 {
+        self.list_max()
+    }
+    #[inline]
+    fn exhausted(&self) -> bool {
+        ListCursor::exhausted(self)
+    }
+    #[inline]
+    fn current_doc(&self) -> DocId {
+        ListCursor::current_doc(self)
+    }
+    #[inline]
+    fn shallow_block_max(&self, target: DocId) -> Option<(f32, DocId)> {
+        ListCursor::shallow_block_max(self, target)
+    }
+    fn seek<S: ListSink>(
+        &mut self,
+        sink: &mut S,
+        target: DocId,
+        reason: SkipReason,
+    ) -> Result<(), Error> {
+        ListCursor::seek(self, sink, target, reason)
+    }
+    /// The posting's bound is its block's and its list's, whichever is
+    /// lower.
+    fn take<S: ListSink>(
+        &mut self,
+        sink: &mut S,
+        out: &mut Vec<(TermId, u32)>,
+    ) -> Result<f32, Error> {
+        let Some(tf) = self.current_tf(sink)? else {
+            return Ok(f32::INFINITY);
+        };
+        let bound = self.block_max().min(self.list_max());
+        out.push((self.term(), tf));
+        self.advance_run(sink, 1);
+        Ok(bound)
+    }
+    /// Passes over the rest of the list: the decoded block's tail and
+    /// every later block, unread.
+    fn give_up<S: ListSink>(&mut self, sink: &mut S) {
+        self.drain(sink, SkipReason::Prune);
+    }
+}
+
+/// Takes `stream`'s entries at its current document into `entries`
+/// (decoding only now) and adds each one's term score under `norm` to
+/// `partial`; a posting scoring above its stream's bound is
+/// [`Error::CorruptMetadata`].
+fn gather<T: PruneStream, S: ListSink>(
+    stream: &mut T,
     index: &InvertedIndex,
     norm: f32,
+    entries: &mut Vec<(TermId, u32)>,
+    partial: &mut f64,
     sink: &mut S,
-) -> Result<Option<(TermId, u32, f32)>, Error> {
-    let Some(tf) = c.current_tf(sink)? else {
-        return Ok(None);
-    };
-    let score = index.bm25().term_score(c.idf(), tf, norm);
-    if score > c.block_max() || score > c.list_max() {
-        return Err(Error::CorruptMetadata {
-            reason: "posting score exceeds its block-max bound",
-        });
+) -> Result<(), Error> {
+    let before = entries.len();
+    let bound = stream.take(sink, entries)?;
+    for &(term, tf) in &entries[before..] {
+        let score = index.bm25().term_score(index.list(term).idf(), tf, norm);
+        if score > bound {
+            return Err(Error::CorruptMetadata {
+                reason: "posting score exceeds its block-max bound",
+            });
+        }
+        *partial += f64::from(score);
     }
-    c.advance_run(sink, 1);
-    Ok(Some((c.term(), tf, score)))
-}
-
-fn doc_norm(index: &InvertedIndex, doc: DocId) -> Result<f32, Error> {
-    index
-        .doc_norms()
-        .get(doc as usize)
-        .copied()
-        .ok_or(Error::CorruptMetadata {
-            reason: "decoded docID outside the corpus",
-        })
+    Ok(())
 }
 
 /// Evaluates a union (OR) of `terms` under `algorithm`, returning the
@@ -221,13 +331,17 @@ pub fn pruned_union_topk<S: PruneSink>(
     let mut cursors: Vec<ListCursor<'_>> = (ids.iter().enumerate())
         .map(|(slot, &t)| ListCursor::new(index, t, slot, sink))
         .collect();
-    let topk = match algorithm {
-        QueryAlgorithm::Exhaustive => wand_union(index, &mut cursors, k, false, true, sink)?,
-        QueryAlgorithm::Wand => wand_union(index, &mut cursors, k, false, false, sink)?,
-        QueryAlgorithm::BlockMaxWand => wand_union(index, &mut cursors, k, true, false, sink)?,
-        QueryAlgorithm::MaxScore => maxscore_union(index, &mut cursors, k, false, sink)?,
-        QueryAlgorithm::BlockMaxMaxScore => maxscore_union(index, &mut cursors, k, true, sink)?,
-    };
+    let mut topk = TopK::new(k);
+    let (block_max, top) = (algorithm.is_block_max(), &mut topk);
+    match algorithm {
+        QueryAlgorithm::Exhaustive => wand_union(index, &mut cursors, false, true, top, sink)?,
+        QueryAlgorithm::Wand | QueryAlgorithm::BlockMaxWand => {
+            wand_union(index, &mut cursors, block_max, false, top, sink)?;
+        }
+        QueryAlgorithm::MaxScore | QueryAlgorithm::BlockMaxMaxScore => {
+            maxscore_union(index, &mut cursors, block_max, top, sink)?;
+        }
+    }
     Ok(PruneOutcome {
         topk_inserts: topk.inserts(),
         hits: topk.into_hits(),
@@ -240,12 +354,11 @@ pub fn pruned_union_topk<S: PruneSink>(
 fn wand_union<S: PruneSink>(
     index: &InvertedIndex,
     cursors: &mut [ListCursor<'_>],
-    k: usize,
     block_max: bool,
     exhaustive: bool,
+    topk: &mut TopK,
     sink: &mut S,
-) -> Result<TopK, Error> {
-    let mut topk = TopK::new(k);
+) -> Result<(), Error> {
     let mut entries: Vec<(TermId, u32)> = Vec::new();
     let mut order: Vec<usize> = Vec::with_capacity(cursors.len());
     loop {
@@ -312,12 +425,10 @@ fn wand_union<S: PruneSink>(
             // Frontier aligned on the pivot: every cursor in the pivot
             // set sits on pivot_doc. Decode (only now), gather, score
             // canonically.
-            let norm = doc_norm(index, pivot_doc)?;
+            let norm = sink.doc_norm(index, pivot_doc)?;
             entries.clear();
             for &ci in order[..=pend].iter() {
-                if let Some((t, tf, _)) = take_posting(&mut cursors[ci], index, norm, sink)? {
-                    entries.push((t, tf));
-                }
+                gather(&mut cursors[ci], index, norm, &mut entries, &mut 0.0, sink)?;
             }
             if entries.is_empty() {
                 // Every block at the pivot was dropped as unusable, and
@@ -332,81 +443,82 @@ fn wand_union<S: PruneSink>(
             cursors[order[0]].seek(sink, pivot_doc, SkipReason::Prune)?;
         }
     }
-    Ok(topk)
+    Ok(())
 }
 
-/// MaxScore / Block-Max MaxScore loop: lists are split by ascending
-/// upper bound into a non-essential prefix (whose summed bounds cannot
-/// beat the threshold) and an essential tail; candidates come only from
-/// essential lists, non-essential lists are probed with early
-/// abandoning. The split index is monotone in the threshold, so
-/// candidates arrive in ascending docID order.
-fn maxscore_union<S: PruneSink>(
+/// Shallow advance: the block bound and boundary of `s` at `target`, or
+/// `(0.0, DocId::MAX)` once no block reaches it.
+fn shallow<T: PruneStream>(s: &T, target: DocId) -> (f32, DocId) {
+    s.shallow_block_max(target).unwrap_or((0.0, DocId::MAX))
+}
+
+/// MaxScore / Block-Max MaxScore, the one loop every engine runs: streams
+/// are split by ascending upper bound into a non-essential prefix (whose
+/// summed bounds cannot beat the threshold) and an essential tail;
+/// candidates come only from essential streams, non-essential streams are
+/// probed in descending-bound order with early abandoning against the
+/// f64 partial. The split index is monotone in the threshold, so
+/// candidates arrive in ascending docID order. `topk` may arrive with a
+/// seeded floor, which then enters the first split.
+///
+/// Streams are reordered in place, stably by bound, so ties keep the
+/// caller's order. `sink` sees a [`PruneSink::round`] per candidate, the
+/// candidate's [`PruneSink::doc_norm`] before its postings are gathered,
+/// and [`PruneSink::doc_scored`] or [`PruneSink::doc_abandoned`] after;
+/// once nothing left can change the top-k, every stream gives up its
+/// rest ([`PruneStream::give_up`]).
+///
+/// # Errors
+///
+/// [`Error::CorruptMetadata`] when a decoded posting scores above its
+/// stream's bound or a candidate's norm is missing; a stream's seek or
+/// take error otherwise.
+pub fn maxscore_union<T: PruneStream, S: PruneSink>(
     index: &InvertedIndex,
-    cursors: &mut [ListCursor<'_>],
-    k: usize,
+    streams: &mut [T],
     block_max: bool,
+    topk: &mut TopK,
     sink: &mut S,
-) -> Result<TopK, Error> {
-    // Fixed ascending (upper bound, term) order; prefix[j] = summed
-    // bounds of cursors[0..j].
-    cursors.sort_unstable_by(|a, b| {
-        (a.list_max().total_cmp(&b.list_max())).then(a.term().cmp(&b.term()))
-    });
-    let n = cursors.len();
+) -> Result<(), Error> {
+    streams.sort_by(|a, b| a.max_score().total_cmp(&b.max_score()));
+    // prefix[j] = summed bounds of streams[0..j].
+    let n = streams.len();
     let mut prefix = vec![0f64; n + 1];
     for i in 0..n {
-        prefix[i + 1] = prefix[i] + f64::from(cursors[i].list_max());
+        prefix[i + 1] = prefix[i] + f64::from(streams[i].max_score());
     }
-    let mut topk = TopK::new(k);
-    let mut entries: Vec<(TermId, u32)> = Vec::new();
+    let mut entries: Vec<(TermId, u32)> = Vec::with_capacity(8);
     loop {
         let theta = topk.cutoff();
         let mut ness = 0usize;
         while ness < n && cannot_beat(prefix[ness + 1], theta) {
             ness += 1;
         }
-        if ness == n {
-            // No list can contribute a top-k change any more.
-            for c in cursors.iter_mut() {
-                c.drain(sink, SkipReason::Prune);
-            }
-            break;
-        }
         // Next candidate: minimum current docID over live essential
-        // lists.
-        let mut cand = None;
-        for c in cursors[ness..].iter() {
-            if !c.exhausted() {
-                let d = c.current_doc();
-                cand = Some(cand.map_or(d, |x: DocId| x.min(d)));
-            }
-        }
-        let Some(d) = cand else {
-            // Essential lists exhausted; whatever remains in the
-            // non-essential prefix cannot beat the threshold alone.
-            for c in cursors.iter_mut() {
-                c.drain(sink, SkipReason::Prune);
+        // streams. None when no stream can change the top-k any more, or
+        // the essential ones are exhausted and the non-essential prefix
+        // cannot beat the threshold alone.
+        let essential = streams[ness..].iter().filter(|s| !s.exhausted());
+        let Some(d) = essential.map(PruneStream::current_doc).min() else {
+            for s in streams.iter_mut() {
+                s.give_up(sink);
             }
             break;
         };
         sink.round();
         if block_max {
             // Refine the essential bound with the block maxes of the
-            // lists actually positioned on `d`.
+            // streams actually positioned on `d`.
             let mut ub = prefix[ness];
             let mut min_boundary = DocId::MAX;
             let mut next_cur = DocId::MAX;
-            for c in cursors[ness..].iter() {
-                if c.exhausted() {
-                    continue;
-                }
-                if c.current_doc() == d {
-                    let (u, last) = shallow(c, d);
+            for s in streams[ness..].iter().filter(|s| !s.exhausted()) {
+                if s.current_doc() == d {
+                    let (u, last) = shallow(s, d);
                     ub += f64::from(u);
                     min_boundary = min_boundary.min(last);
                 } else {
-                    next_cur = next_cur.min(c.current_doc());
+                    next_cur = next_cur.min(s.current_doc());
                 }
             }
             if cannot_beat(ub, theta) {
@@ -417,47 +529,41 @@ fn maxscore_union<S: PruneSink>(
                     .saturating_add(1)
                     .min(next_cur)
                     .max(d.saturating_add(1));
-                for c in cursors[ness..].iter_mut() {
-                    if !c.exhausted() && c.current_doc() == d {
-                        c.seek(sink, next, SkipReason::Prune)?;
+                for s in streams[ness..].iter_mut() {
+                    if !s.exhausted() && s.current_doc() == d {
+                        s.seek(sink, next, SkipReason::Prune)?;
                     }
                 }
                 continue;
             }
         }
-        // Gather the essential postings at `d` (decoding only now).
-        let norm = doc_norm(index, d)?;
+        // Gather the essential postings at `d`.
+        let norm = sink.doc_norm(index, d)?;
         entries.clear();
         let mut partial = 0f64;
-        for c in cursors[ness..].iter_mut() {
-            if !c.exhausted() && c.current_doc() == d {
-                if let Some((t, tf, s)) = take_posting(c, index, norm, sink)? {
-                    partial += f64::from(s);
-                    entries.push((t, tf));
-                }
+        for s in streams[ness..].iter_mut() {
+            if !s.exhausted() && s.current_doc() == d {
+                gather(s, index, norm, &mut entries, &mut partial, sink)?;
             }
         }
         if entries.is_empty() {
-            // Every essential block at `d` was dropped as unusable.
+            // Every essential block at `d` was dropped as unusable, and
+            // every such stream moved on.
             continue;
         }
-        // Probe non-essential lists in descending-bound order, early
-        // abandoning when the partial plus the unprobed tail cannot
-        // beat the threshold. (The f64 partial only gates abandonment;
-        // the offered score is recomputed canonically below.)
+        // Probe non-essential streams in descending-bound order. (The
+        // f64 partial only gates abandonment; the offered score is
+        // recomputed canonically below.)
         let mut abandoned = false;
         for j in (0..ness).rev() {
             if cannot_beat(partial + prefix[j + 1], theta) {
                 abandoned = true;
                 break;
             }
-            let c = &mut cursors[j];
-            c.seek(sink, d, SkipReason::Prune)?;
-            if !c.exhausted() && c.current_doc() == d {
-                if let Some((t, tf, s)) = take_posting(c, index, norm, sink)? {
-                    partial += f64::from(s);
-                    entries.push((t, tf));
-                }
+            let s = &mut streams[j];
+            s.seek(sink, d, SkipReason::Prune)?;
+            if !s.exhausted() && s.current_doc() == d {
+                gather(s, index, norm, &mut entries, &mut partial, sink)?;
             }
         }
         if abandoned {
@@ -468,7 +574,7 @@ fn maxscore_union<S: PruneSink>(
             topk.offer(d, score);
         }
     }
-    Ok(topk)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -610,6 +716,21 @@ mod tests {
             "BMM decoded {} blocks, exhaustive {exhaustive}",
             decoded["bmm"]
         );
+    }
+
+    #[test]
+    fn cannot_beat_is_conservative() {
+        assert!(!cannot_beat(5.0, f32::NEG_INFINITY));
+        assert!(!cannot_beat(5.0, 5.0));
+        assert!(
+            !cannot_beat(4.9999, 5.0),
+            "within slack: not provably worse"
+        );
+        assert!(cannot_beat(4.99, 5.0));
+        assert!(cannot_beat(0.0, 5.0));
+        // The slack scales with θ: 1e-4 × (1 + 10⁴) = 1.0001 at θ = 10⁴.
+        assert!(cannot_beat(1e4 - 1.0002, 1e4));
+        assert!(!cannot_beat(1e4 - 1.0, 1e4));
     }
 
     #[test]
