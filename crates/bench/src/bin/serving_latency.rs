@@ -2,16 +2,15 @@
 //! admission control, deadlines, and graceful degradation buy back.
 //!
 //! Sweeps offered load × scheduling policy × degradation posture over a
-//! BOSS device (optionally sharded) serving a deterministic arrival
-//! trace, and reports per-scenario sojourn percentiles, goodput, and the
+//! BOSS device serving a deterministic arrival trace, and reports per-scenario sojourn percentiles, goodput, and the
 //! shed/expired/rejected breakdown as TSV.
 //!
 //! The per-query service table is measured **once** through the
 //! deterministic batch executor and reused across the whole sweep, so
 //! the sweep itself is a pure replay: every admission, drop, and
-//! served-result decision is bit-identical at any `--threads` and
-//! `--shards` value (CI diffs the `--decisions` log across 1/2/4
-//! workers × 1/4 shards to enforce exactly that).
+//! served-result decision is bit-identical at any `--threads` value
+//! (`boss-engine`'s `end_to_end_run_is_bit_identical_across_worker_counts`
+//! replays these four postures at 1/2/4 workers to enforce exactly that).
 //!
 //! Four postures per load point:
 //!
@@ -23,10 +22,9 @@
 //!   the pruned/brownout levers: the "graceful" column whose served-p99
 //!   stays bounded past saturation.
 
-use boss_bench::{boss_engine, f, header, row, BenchTarget, EngineTuning, ServingSpec, TypedSuite};
+use boss_bench::{boss_engine, f, header, row, EngineTuning, ServingSpec, TypedSuite};
 use boss_core::{EtMode, QueryAlgorithm};
 use boss_engine::{simulate, Disposition, SearchEngine, ServePolicy, ServiceTable, ServingRun};
-use boss_index::shard::ShardedIndex;
 use boss_scm::MemoryConfig;
 use boss_workload::arrivals::ArrivalKind;
 use boss_workload::corpus::{CorpusSpec, Scale};
@@ -72,8 +70,6 @@ struct Args {
     k: usize,
     threads: usize,
     cores: u32,
-    shards: u32,
-    replicas: u32,
     queue: usize,
     deadline_x: f64,
     arrivals: ArrivalKind,
@@ -94,8 +90,6 @@ fn parse_args() -> Args {
         k: 100,
         threads: boss_bench::default_threads(),
         cores: 4,
-        shards: 1,
-        replicas: 1,
         queue: 256,
         deadline_x: 20.0,
         arrivals: ArrivalKind::Poisson,
@@ -124,8 +118,6 @@ fn parse_args() -> Args {
             "--k" => args.k = val::<usize>(&take("--k"), "--k").max(1),
             "--threads" => args.threads = val::<usize>(&take("--threads"), "--threads").max(1),
             "--cores" => args.cores = val::<u32>(&take("--cores"), "--cores").max(1),
-            "--shards" => args.shards = val::<u32>(&take("--shards"), "--shards").max(1),
-            "--replicas" => args.replicas = val::<u32>(&take("--replicas"), "--replicas").max(1),
             "--queue" => args.queue = val::<usize>(&take("--queue"), "--queue").max(1),
             "--deadline-x" => args.deadline_x = val(&take("--deadline-x"), "--deadline-x"),
             "--arrivals" => args.arrivals = val(&take("--arrivals"), "--arrivals"),
@@ -144,7 +136,7 @@ fn parse_args() -> Args {
             "--help" | "-h" => {
                 println!(
                     "usage: [--scale smoke|small|full] [--seed N] [--queries-per-type N] [--k N] \
-                     [--threads N] [--cores N] [--shards N] [--replicas N] [--queue N] \
+                     [--threads N] [--cores N] [--queue N] \
                      [--deadline-x F] [--arrivals poisson|bursty] [--loads F,F,...] \
                      [--decisions]"
                 );
@@ -168,25 +160,13 @@ fn run(args: &Args, out: &mut dyn Write) -> std::io::Result<()> {
         Ok(i) => i,
         Err(e) => bail(format!("corpus build failed: {e}")),
     };
-    let shard_split = if args.shards > 1 {
-        match ShardedIndex::split(&index, args.shards) {
-            Ok(sh) => Some(sh),
-            Err(e) => bail(format!("invalid --shards {}: {e}", args.shards)),
-        }
-    } else {
-        None
-    };
-    let target = BenchTarget::new(&index, shard_split.as_ref());
     let suite = TypedSuite::sample(&index, args.queries_per_type, args.seed);
     let queries = suite.all();
 
-    let tuning = EngineTuning {
-        replicas: args.replicas.max(1) as usize,
-        ..EngineTuning::default()
-    };
+    let tuning = EngineTuning::default();
     let memory = MemoryConfig::optane_dcpmm();
     let normal = boss_engine(
-        &target,
+        &index,
         args.cores,
         EtMode::Full,
         memory.clone(),
@@ -197,7 +177,7 @@ fn run(args: &Args, out: &mut dyn Write) -> std::io::Result<()> {
         .clone()
         .with_algorithm(QueryAlgorithm::BlockMaxMaxScore);
     let pruned = boss_engine(
-        &target,
+        &index,
         args.cores,
         EtMode::Full,
         memory,
@@ -241,14 +221,6 @@ fn run(args: &Args, out: &mut dyn Write) -> std::io::Result<()> {
         servers
     )?;
     writeln!(out, "# threads {}", args.threads)?;
-    if args.shards > 1 {
-        writeln!(
-            out,
-            "# shards {} replicas {}",
-            args.shards,
-            args.replicas.max(1)
-        )?;
-    }
     header(
         out,
         &[
@@ -336,8 +308,8 @@ fn run(args: &Args, out: &mut dyn Write) -> std::io::Result<()> {
     )?;
 
     if args.decisions {
-        // The drop log CI diffs across worker/shard counts: one row per
-        // query per scenario, covering every disposition field.
+        // The drop log: one row per query per scenario, covering every
+        // disposition field.
         header(
             out,
             &[

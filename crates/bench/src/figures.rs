@@ -17,12 +17,8 @@ mod ablation;
 mod latency;
 mod paper;
 
-use crate::{
-    boss_engine, iiu_engine, lucene_engine, run_system, BenchArgs, BenchTarget, SystemRun,
-    TypedSuite,
-};
+use crate::{boss_engine, iiu_engine, lucene_engine, run_system, BenchArgs, SystemRun, TypedSuite};
 use boss_core::EtMode;
-use boss_index::shard::ShardedIndex;
 use boss_index::{InvertedIndex, QueryExpr};
 use boss_scm::MemoryConfig;
 use boss_workload::corpus::{CorpusSpec, Scale};
@@ -90,16 +86,14 @@ impl CorpusKind {
     }
 }
 
-/// One built corpus with what the figures derive from it, each derived
-/// at most once: the shard splits and the sampled query suites.
+/// One built corpus with the query suites sampled from it, each sampled
+/// at most once.
 #[derive(Debug)]
 pub struct Corpus {
     /// The name the figures print.
     pub name: &'static str,
-    /// The unsplit index.
+    /// The index.
     pub index: InvertedIndex,
-    /// By shard count.
-    splits: RefCell<HashMap<u32, Rc<ShardedIndex>>>,
     /// By (queries per type, seed).
     suites: RefCell<HashMap<(usize, u64), Rc<TypedSuite>>>,
 }
@@ -120,12 +114,12 @@ impl Corpus {
     }
 }
 
-/// The corpora built so far, by kind and the flags that shape the build
-/// (`--scale`, `--segments`). Outlives any one [`FigureCtx`], so a
-/// process running several figures builds each corpus once.
+/// The corpora built so far, by kind and `--scale`. Outlives any one
+/// [`FigureCtx`], so a process running several figures builds each
+/// corpus once.
 #[derive(Debug, Default)]
 pub struct Corpora {
-    built: HashMap<(CorpusKind, Scale, Option<u32>), Rc<Corpus>>,
+    built: HashMap<(CorpusKind, Scale), Rc<Corpus>>,
 }
 
 /// What a registry entry runs against: the parsed flags, the sink its
@@ -144,14 +138,13 @@ impl<'a> FigureCtx<'a> {
         FigureCtx { args, out, corpora }
     }
 
-    /// The corpus of `kind` at `--scale`, built on first use through the
-    /// path `--segments` selects.
+    /// The corpus of `kind` at `--scale`, built on first use.
     ///
     /// # Errors
     ///
-    /// The corpus build (or segment spill/merge) failure.
+    /// The corpus build failure.
     pub fn corpus(&mut self, kind: CorpusKind) -> io::Result<Rc<Corpus>> {
-        let key = (kind, self.args.scale, self.args.segments);
+        let key = (kind, self.args.scale);
         if let Some(c) = self.corpora.built.get(&key) {
             return Ok(Rc::clone(c));
         }
@@ -159,41 +152,16 @@ impl<'a> FigureCtx<'a> {
             CorpusKind::Clueweb => CorpusSpec::clueweb12_like(self.args.scale),
             CorpusKind::Ccnews => CorpusSpec::ccnews_like(self.args.scale),
         };
-        let index = self
-            .args
-            .build_corpus(kind.name(), &spec)
+        let index = spec
+            .build()
             .map_err(|e| io::Error::other(format!("corpus build failed: {e}")))?;
         let corpus = Rc::new(Corpus {
             name: kind.name(),
             index,
-            splits: RefCell::default(),
             suites: RefCell::default(),
         });
         self.corpora.built.insert(key, Rc::clone(&corpus));
         Ok(corpus)
-    }
-
-    /// `corpus`'s `--shards` split; `None` for `--shards 1`, the
-    /// single-device path.
-    ///
-    /// # Errors
-    ///
-    /// An invalid shard count (more shards than documents).
-    pub fn split(&self, corpus: &Corpus) -> io::Result<Option<Rc<ShardedIndex>>> {
-        let shards = self.args.shards;
-        if shards <= 1 {
-            return Ok(None);
-        }
-        let mut splits = corpus.splits.borrow_mut();
-        if let Some(s) = splits.get(&shards) {
-            return Ok(Some(Rc::clone(s)));
-        }
-        let split = Rc::new(
-            ShardedIndex::split(&corpus.index, shards)
-                .map_err(|e| io::Error::other(format!("invalid --shards {shards}: {e}")))?,
-        );
-        splits.insert(shards, Rc::clone(&split));
-        Ok(Some(split))
     }
 
     /// `per_type` queries of each Table II type from `corpus` at
@@ -212,14 +180,14 @@ impl<'a> FigureCtx<'a> {
 /// shorthand for the `run_system(&x_engine(..), queries, k, threads)`
 /// every figure repeats.
 struct Systems<'a> {
-    target: BenchTarget<'a>,
+    index: &'a InvertedIndex,
     args: &'a BenchArgs,
 }
 
 impl<'a> Systems<'a> {
-    fn new(corpus: &'a Corpus, split: &'a Option<Rc<ShardedIndex>>, args: &'a BenchArgs) -> Self {
+    fn new(corpus: &'a Corpus, args: &'a BenchArgs) -> Self {
         Systems {
-            target: BenchTarget::new(&corpus.index, split.as_deref()),
+            index: &corpus.index,
             args,
         }
     }
@@ -232,17 +200,17 @@ impl<'a> Systems<'a> {
         k: usize,
         queries: &[QueryExpr],
     ) -> SystemRun {
-        let engine = boss_engine(&self.target, cores, et, memory, k, &self.args.tuning);
+        let engine = boss_engine(self.index, cores, et, memory, k, &self.args.tuning);
         run_system(&engine, queries, k, self.args.threads)
     }
 
     fn iiu(&self, cores: u32, memory: MemoryConfig, queries: &[QueryExpr]) -> SystemRun {
-        let engine = iiu_engine(&self.target, cores, memory, &self.args.tuning);
+        let engine = iiu_engine(self.index, cores, memory, &self.args.tuning);
         run_system(&engine, queries, self.args.k, self.args.threads)
     }
 
     fn lucene(&self, threads: u32, memory: MemoryConfig, queries: &[QueryExpr]) -> SystemRun {
-        let engine = lucene_engine(&self.target, threads, memory, &self.args.tuning);
+        let engine = lucene_engine(self.index, threads, memory, &self.args.tuning);
         run_system(&engine, queries, self.args.k, self.args.threads)
     }
 }

@@ -102,9 +102,8 @@ pub(super) fn block_size(ctx: &mut FigureCtx) -> io::Result<()> {
 /// — the "scale-out further" argument of Section III-A.
 pub(super) fn cores(ctx: &mut FigureCtx) -> io::Result<()> {
     let corpus = ctx.corpus(CorpusKind::Clueweb)?;
-    let split = ctx.split(&corpus)?;
     let args = &ctx.args;
-    let sys = Systems::new(&corpus, &split, args);
+    let sys = Systems::new(&corpus, args);
     let out = &mut *ctx.out;
     let queries = corpus.trec_mix(args.queries_per_type * 6, args.seed)?;
     writeln!(
@@ -245,9 +244,8 @@ pub(super) fn hybrid(ctx: &mut FigureCtx) -> io::Result<()> {
 pub(super) fn k(ctx: &mut FigureCtx) -> io::Result<()> {
     let corpus = ctx.corpus(CorpusKind::Ccnews)?;
     let suite = ctx.suite(&corpus, ctx.args.queries_per_type);
-    let split = ctx.split(&corpus)?;
     let args = &ctx.args;
-    let sys = Systems::new(&corpus, &split, args);
+    let sys = Systems::new(&corpus, args);
     let out = &mut *ctx.out;
     writeln!(out, "# Ablation: k sweep (BOSS, 1 core, union queries)")?;
     args.write_threads_comment(out)?;

@@ -5,12 +5,11 @@
 use super::{CorpusKind, FigureCtx};
 use crate::{
     boss_engine, f, header, iiu_engine, lucene_engine, row, run_serving, run_system, BenchArgs,
-    BenchTarget, ServingSpec,
+    ServingSpec,
 };
 use boss_core::{BossConfig, EtMode, QueryAlgorithm};
 use boss_engine::{
-    simulate, Boss, EvalCounts, SearchEngine, ServePolicy, ServiceTable, ShardReplicaStats,
-    ShardTiming, Sharded,
+    simulate, Boss, EvalCounts, SearchEngine, ServePolicy, ServiceTable, ShardTiming, Sharded,
 };
 use boss_index::shard::ShardedIndex;
 use boss_index::QueryExpr;
@@ -38,12 +37,11 @@ struct EngineRow {
     skipped: u64,
     /// Pruning-skipped (blocks, docs) after the run.
     pruned: (u64, u64),
-    shard_health: Vec<ShardReplicaStats>,
 }
 
 fn engine_row<E: SearchEngine>(
     name: &'static str,
-    mut engine: Sharded<'_, E>,
+    mut engine: E,
     queries: &[QueryExpr],
     k: usize,
 ) -> EngineRow {
@@ -63,13 +61,12 @@ fn engine_row<E: SearchEngine>(
         us,
         skipped: eval.blocks_skipped_fault,
         pruned: (eval.blocks_skipped_prune, eval.docs_skipped_prune),
-        shard_health: engine.shard_stats(),
     }
 }
 
 /// Writes one engine family's `# serving` diagnostic line: the open-loop
 /// scenario of `--serve-*` replayed over this engine's measured service
-/// table. Comment-only by the same rule as the shard-health counters —
+/// table. Comment-only by the same rule as the fault and prune counters —
 /// serving outcomes depend on the scenario knobs, never on `--threads`,
 /// but they are diagnostics, not figure data.
 fn serving_comment<E: SearchEngine + Send>(
@@ -124,24 +121,22 @@ fn serving_comment<E: SearchEngine + Send>(
 /// systems live and die on tail latency, which throughput figures hide.
 ///
 /// Diagnostics stay out of the data rows the invariance tests compare:
-/// the shard layer's (`--shards`/`--replicas`) per-(shard, replica) fault
-/// counters and routing tallies are labeled `# shard-health` comments,
-/// and the serving harness (`--serve`/`--serve-*`) writes each engine's
+/// fault-skipped blocks and pruning savings are labeled comments, and
+/// the serving harness (`--serve`/`--serve-*`) writes each engine's
 /// open-loop rejected/expired/shed breakdown and served-tail percentiles
 /// as a `# serving` block after the data rows.
 pub(super) fn latency_profile(ctx: &mut FigureCtx) -> io::Result<()> {
     let corpus = ctx.corpus(CorpusKind::Ccnews)?;
-    let split = ctx.split(&corpus)?;
-    let target = BenchTarget::new(&corpus.index, split.as_deref());
+    let index = &corpus.index;
     let suite = ctx.suite(&corpus, ctx.args.queries_per_type.max(20));
     let args = &ctx.args;
     let out = &mut *ctx.out;
     let k = args.k;
-    let lucene = |tuning| lucene_engine(&target, 1, MemoryConfig::host_scm_6ch(), tuning);
-    let iiu = |tuning| iiu_engine(&target, 1, MemoryConfig::optane_dcpmm(), tuning);
+    let lucene = |tuning| lucene_engine(index, 1, MemoryConfig::host_scm_6ch(), tuning);
+    let iiu = |tuning| iiu_engine(index, 1, MemoryConfig::optane_dcpmm(), tuning);
     let boss = |tuning| {
         boss_engine(
-            &target,
+            index,
             1,
             EtMode::Full,
             MemoryConfig::optane_dcpmm(),
@@ -177,8 +172,8 @@ pub(super) fn latency_profile(ctx: &mut FigureCtx) -> io::Result<()> {
                 ],
             )?;
         }
-        // Fault and shard-health counters ride in comments: degradation
-        // diagnostics only, stripped by the invariance tests.
+        // Fault counters ride in comments: degradation diagnostics only,
+        // stripped by the invariance tests.
         for r in &rows {
             if r.skipped > 0 {
                 writeln!(
@@ -201,24 +196,6 @@ pub(super) fn latency_profile(ctx: &mut FigureCtx) -> io::Result<()> {
                     r.pruned.0,
                     r.pruned.1,
                 )?;
-            }
-            // Labeled per-shard breakdown: which device is sick, with
-            // which symptom, and where the router sent the traffic.
-            for s in &r.shard_health {
-                if s.faults.total() > 0 || s.blocks_skipped_fault > 0 {
-                    writeln!(
-                        out,
-                        "# shard-health {} {} shard {} replica {}: {} skipped_blocks {} attempts {} selected {}",
-                        qt.label(),
-                        r.name,
-                        s.shard,
-                        s.replica,
-                        s.faults,
-                        s.blocks_skipped_fault,
-                        s.attempts,
-                        s.selected,
-                    )?;
-                }
             }
         }
     }
@@ -274,14 +251,12 @@ pub(super) fn latency_vs_load(ctx: &mut FigureCtx) -> io::Result<()> {
     const QUEUE_BOUND: usize = 64;
 
     let corpus = ctx.corpus(CorpusKind::Ccnews)?;
-    let split = ctx.split(&corpus)?;
-    let target = BenchTarget::new(&corpus.index, split.as_deref());
     let args = &ctx.args;
     let out = &mut *ctx.out;
     let queries = corpus.trec_mix((args.queries_per_type * 6).max(60), args.seed)?;
 
     let engine = boss_engine(
-        &target,
+        &corpus.index,
         8,
         EtMode::Full,
         MemoryConfig::optane_dcpmm(),
@@ -357,16 +332,11 @@ pub(super) fn latency_vs_load(ctx: &mut FigureCtx) -> io::Result<()> {
 /// multi-device payoff the pool argument of Section II-C predicts.
 ///
 /// Splits the ccnews-like corpus into 1/2/4/8 shards, builds one BOSS
-/// device per shard (`--replicas` of each) behind the engine-layer
-/// scatter-gather coordinator in its honest `ScatterGather` timing mode
+/// device per shard behind the engine-layer scatter-gather coordinator
 /// (slowest leaf + shared-link transfer + root merge, per-shard traffic
 /// summed, bandwidth roofline divided by the shard count), and reports
-/// batch throughput per shard count.
-///
-/// Unlike every other figure (whose `--shards` flag keeps the
-/// figure-preserving `Logical` timing and is ignored here), these
-/// numbers are *supposed* to move with the shard count — that is the
-/// experiment.
+/// batch throughput per shard count. These numbers are *supposed* to
+/// move with the shard count — that is the experiment.
 pub(super) fn shard_scaling(ctx: &mut FigureCtx) -> io::Result<()> {
     /// Shard counts swept.
     const SHARD_SWEEP: [u32; 4] = [1, 2, 4, 8];
@@ -379,11 +349,10 @@ pub(super) fn shard_scaling(ctx: &mut FigureCtx) -> io::Result<()> {
     let args = &ctx.args;
     let out = &mut *ctx.out;
     let queries = suite.all();
-    let replicas = args.tuning.replicas;
 
     writeln!(
         out,
-        "# Scatter-gather shard scaling (ccnews-like, {} queries, k={}, {CORES} cores/shard, {replicas} replica(s))",
+        "# Scatter-gather shard scaling (ccnews-like, {} queries, k={}, {CORES} cores/shard, 1 replica(s))",
         queries.len(),
         args.k,
     )?;
@@ -412,7 +381,7 @@ pub(super) fn shard_scaling(ctx: &mut FigureCtx) -> io::Result<()> {
         let leaves: Vec<Vec<Boss>> = sharded
             .shards()
             .iter()
-            .map(|shard| (0..replicas).map(|_| Boss::new(shard, config())).collect())
+            .map(|shard| vec![Boss::new(shard, config())])
             .collect();
         let engine = Sharded::new(
             Boss::new(index, config()),

@@ -333,9 +333,8 @@ pub(super) fn fig12_bandwidth_ccnews(ctx: &mut FigureCtx) -> io::Result<()> {
 fn multicore_throughput(ctx: &mut FigureCtx, kind: CorpusKind) -> io::Result<()> {
     let corpus = ctx.corpus(kind)?;
     let suite = ctx.suite(&corpus, ctx.args.queries_per_type);
-    let split = ctx.split(&corpus)?;
     let args = &ctx.args;
-    let sys = Systems::new(&corpus, &split, args);
+    let sys = Systems::new(&corpus, args);
     let out = &mut *ctx.out;
     let name = corpus.name;
     writeln!(
@@ -422,9 +421,8 @@ fn multicore_throughput(ctx: &mut FigureCtx, kind: CorpusKind) -> io::Result<()>
 fn bandwidth_utilization(ctx: &mut FigureCtx, kind: CorpusKind) -> io::Result<()> {
     let corpus = ctx.corpus(kind)?;
     let suite = ctx.suite(&corpus, ctx.args.queries_per_type);
-    let split = ctx.split(&corpus)?;
     let args = &ctx.args;
-    let sys = Systems::new(&corpus, &split, args);
+    let sys = Systems::new(&corpus, args);
     let out = &mut *ctx.out;
     writeln!(
         out,
@@ -487,9 +485,8 @@ pub(super) fn fig13_singlecore(ctx: &mut FigureCtx) -> io::Result<()> {
     for kind in CorpusKind::BOTH {
         let corpus = ctx.corpus(kind)?;
         let suite = ctx.suite(&corpus, ctx.args.queries_per_type);
-        let split = ctx.split(&corpus)?;
         let args = &ctx.args;
-        let sys = Systems::new(&corpus, &split, args);
+        let sys = Systems::new(&corpus, args);
         let out = &mut *ctx.out;
         writeln!(
             out,
@@ -524,9 +521,8 @@ pub(super) fn fig14_evaluated_docs(ctx: &mut FigureCtx) -> io::Result<()> {
     for kind in CorpusKind::BOTH {
         let corpus = ctx.corpus(kind)?;
         let suite = ctx.suite(&corpus, ctx.args.queries_per_type);
-        let split = ctx.split(&corpus)?;
         let args = &ctx.args;
-        let sys = Systems::new(&corpus, &split, args);
+        let sys = Systems::new(&corpus, args);
         let out = &mut *ctx.out;
         writeln!(
             out,
@@ -571,9 +567,8 @@ pub(super) fn fig15_memory_accesses(ctx: &mut FigureCtx) -> io::Result<()> {
     for kind in CorpusKind::BOTH {
         let corpus = ctx.corpus(kind)?;
         let suite = ctx.suite(&corpus, ctx.args.queries_per_type);
-        let split = ctx.split(&corpus)?;
         let args = &ctx.args;
-        let sys = Systems::new(&corpus, &split, args);
+        let sys = Systems::new(&corpus, args);
         let out = &mut *ctx.out;
         writeln!(
             out,
@@ -637,9 +632,8 @@ pub(super) fn fig16_dram_vs_scm(ctx: &mut FigureCtx) -> io::Result<()> {
     for kind in CorpusKind::BOTH {
         let corpus = ctx.corpus(kind)?;
         let suite = ctx.suite(&corpus, ctx.args.queries_per_type);
-        let split = ctx.split(&corpus)?;
         let args = &ctx.args;
-        let sys = Systems::new(&corpus, &split, args);
+        let sys = Systems::new(&corpus, args);
         let out = &mut *ctx.out;
         writeln!(
             out,
@@ -711,9 +705,8 @@ pub(super) fn fig17_energy(ctx: &mut FigureCtx) -> io::Result<()> {
     for kind in CorpusKind::BOTH {
         let corpus = ctx.corpus(kind)?;
         let suite = ctx.suite(&corpus, ctx.args.queries_per_type);
-        let split = ctx.split(&corpus)?;
         let args = &ctx.args;
-        let sys = Systems::new(&corpus, &split, args);
+        let sys = Systems::new(&corpus, args);
         let out = &mut *ctx.out;
         writeln!(
             out,

@@ -8,7 +8,7 @@
 //!   `--queries-per-type`, `--k`, `--threads`, `--engines` argument
 //!   parser;
 //! * [`figures::FigureCtx`] — the parsed arguments, the output sink, and
-//!   the corpora / query suites / shard splits, each built at most once;
+//!   the corpora / query suites, each built at most once;
 //! * [`run_system`] — the one generic batch driver: any
 //!   [`SearchEngine`] through the deterministic [`BatchExecutor`] into a
 //!   uniform [`SystemRun`] row (results are bit-identical at every
@@ -23,18 +23,15 @@ use boss_core::{
 };
 use boss_engine::{
     BatchExecutor, Boss, Iiu, Lucene, OverloadConfig, SearchEngine, ServePolicy, ServingConfig,
-    ShardTiming, Sharded,
 };
 use boss_iiu::IiuConfig;
-use boss_index::shard::ShardedIndex;
 use boss_index::{InvertedIndex, QueryExpr};
 use boss_luceneish::LuceneConfig;
-use boss_scm::{FaultPlan, MemStats, MemoryConfig};
+use boss_scm::{MemStats, MemoryConfig};
 use boss_workload::arrivals::{self, ArrivalKind};
-use boss_workload::corpus::{CorpusSpec, Scale};
+use boss_workload::corpus::Scale;
 use boss_workload::queries::{QuerySampler, QueryType, ALL_QUERY_TYPES};
 use std::io::{self, Write};
-use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Which of the three systems a figure should simulate (`--engines`).
 ///
@@ -110,20 +107,11 @@ pub struct BenchArgs {
     pub threads: usize,
     /// Systems to simulate.
     pub engines: EngineSelection,
-    /// Shard count of the simulated multi-device system (`--shards N`).
-    /// 1 keeps the single-device code path (no shard layer at all), so
-    /// the default run is byte-identical to the pre-shard harness.
-    pub shards: u32,
     /// The engine knobs (`--fault-plan`, `--fault-rate`, `--degrade`,
-    /// `--replicas`, `--shard-fault`, `--algorithm`, `--serve*`): the
-    /// flag parser writes straight into the [`EngineTuning`] the engine
-    /// helpers take, so each knob is declared once.
+    /// `--algorithm`, `--serve*`): the flag parser writes straight into
+    /// the [`EngineTuning`] the engine helpers take, so each knob is
+    /// declared once.
     pub tuning: EngineTuning,
-    /// Build the corpora through the SPIMI spill/merge path with this
-    /// many on-disk segments (`--segments N`) instead of in memory.
-    /// The merge is bit-identical to the in-memory build, so figure
-    /// data rows must stay byte-identical — CI diffs the two paths.
-    pub segments: Option<u32>,
 }
 
 impl Default for BenchArgs {
@@ -135,9 +123,7 @@ impl Default for BenchArgs {
             k: 1000,
             threads: default_threads(),
             engines: EngineSelection::default(),
-            shards: 1,
             tuning: EngineTuning::default(),
-            segments: None,
         }
     }
 }
@@ -183,21 +169,6 @@ impl BenchArgs {
                 }
                 "--fault-rate" => {
                     tuning.fault_rate = parsed_value(&take("--fault-rate"), "--fault-rate");
-                }
-                "--shards" => {
-                    args.shards = parsed_value::<u32>(&take("--shards"), "--shards").max(1);
-                }
-                "--replicas" => {
-                    tuning.replicas =
-                        parsed_value::<usize>(&take("--replicas"), "--replicas").max(1);
-                }
-                "--shard-fault" => {
-                    tuning.shard_fault =
-                        Some(parsed_value(&take("--shard-fault"), "--shard-fault"));
-                }
-                "--segments" => {
-                    args.segments =
-                        Some(parsed_value::<u32>(&take("--segments"), "--segments").max(1));
                 }
                 "--algorithm" => {
                     tuning.algorithm = parsed_value(&take("--algorithm"), "--algorithm");
@@ -254,7 +225,6 @@ impl BenchArgs {
                         "usage: [--scale smoke|small|full] [--seed N] [--queries-per-type N] \
                          [--k N] [--threads N] [--engines boss,iiu,lucene] \
                          [--fault-plan SEED] [--fault-rate F] [--degrade fail|skip] \
-                         [--shards N] [--replicas N] [--shard-fault S] [--segments N] \
                          [--algorithm exhaustive|maxscore|wand|bmw|bmm] \
                          [--serve] [--serve-load F] [--serve-queue N] [--serve-deadline-x F] \
                          [--serve-policy fifo|sjf|edf|shed] [--serve-arrivals poisson|bursty] \
@@ -274,23 +244,13 @@ impl BenchArgs {
     /// Writes the `# threads` line of the TSV preamble. Thread count is
     /// the only run parameter that must NOT change any data row (the
     /// executor is deterministic), so it lives in a comment the diff
-    /// tooling can strip. Shard count shares the invariant (the shard
-    /// layer's `Logical` timing sources every observable except the hits
-    /// from the canonical engine, and the hits merge bit-identically),
-    /// so it is written as a comment too.
+    /// tooling can strip.
     ///
     /// # Errors
     ///
     /// The sink's write failure.
     pub(crate) fn write_threads_comment(&self, out: &mut dyn Write) -> io::Result<()> {
         writeln!(out, "# threads {}", self.threads)?;
-        if self.shards > 1 {
-            writeln!(
-                out,
-                "# shards {} replicas {}",
-                self.shards, self.tuning.replicas
-            )?;
-        }
         if self.tuning.algorithm != QueryAlgorithm::Exhaustive {
             writeln!(out, "# algorithm {}", self.tuning.algorithm)?;
         }
@@ -506,7 +466,7 @@ pub(crate) fn run_serving<E: SearchEngine + Send>(
 }
 
 /// Engine knobs shared by the figures: the dynamic-pruning
-/// plan, the replica count, the serving scenario, and (BOSS-only) the
+/// plan, the serving scenario, and (BOSS-only) the
 /// SCM fault plan and degradation policy. [`BenchArgs::parse`] fills one
 /// in from the CLI; the default is the paper's fault-free exhaustive run.
 #[derive(Debug, Clone)]
@@ -522,21 +482,11 @@ pub struct EngineTuning {
     /// `SkipBlock` instead of the default `FailQuery` degradation for
     /// faulted/corrupt blocks (`--degrade fail|skip`).
     pub degrade_skip: bool,
-    /// Replicas per shard (`--replicas N`, min 1); only meaningful with
-    /// `--shards` > 1. Extra replicas give the health-aware router a
-    /// clean device to steer to when a shard's primary degrades.
-    pub replicas: usize,
-    /// Confines the installed fault plan to one shard (`--shard-fault
-    /// S`): the plan lands on (shard S, replica 0) only, and the
-    /// canonical timing engine plus every other leaf stays quiet.
-    /// Without it the plan applies to the canonical engine and all
-    /// leaves uniformly.
-    pub shard_fault: Option<usize>,
     /// Dynamic-pruning query plan (`--algorithm exhaustive|maxscore|
-    /// wand|bmw|bmm`) installed on every engine the helpers build
-    /// (leaves included). Safe pruning: hits stay bit-identical to the
-    /// default exhaustive traversal at every thread and shard count;
-    /// only the work/timing columns move.
+    /// wand|bmw|bmm`) installed on every engine the helpers build. Safe
+    /// pruning: hits stay bit-identical to the default exhaustive
+    /// traversal at every thread count; only the work/timing columns
+    /// move.
     pub algorithm: QueryAlgorithm,
     /// Open-loop serving scenario (`--serve` and the `--serve-*`
     /// knobs); `None` keeps the closed-batch figure path untouched.
@@ -551,8 +501,6 @@ impl Default for EngineTuning {
             fault_seed: None,
             fault_rate: 0.0,
             degrade_skip: false,
-            replicas: 1,
-            shard_fault: None,
             algorithm: QueryAlgorithm::Exhaustive,
             serving: None,
         }
@@ -583,79 +531,6 @@ impl EngineTuning {
     }
 }
 
-/// What a figure simulates: the canonical single-device index,
-/// plus (optionally) its shard split for the multi-device layer.
-///
-/// With `shards: None` the engine helpers build pure pass-through
-/// wrappers — no shard layer exists at all, so a `--shards 1` run is
-/// byte-identical to the pre-shard harness by construction.
-#[derive(Debug, Clone, Copy)]
-pub struct BenchTarget<'a> {
-    /// The unsplit index every engine's canonical device runs on.
-    pub index: &'a InvertedIndex,
-    /// The shard split, when `--shards` > 1.
-    pub shards: Option<&'a ShardedIndex>,
-}
-
-impl<'a> BenchTarget<'a> {
-    /// A single-device target.
-    pub fn single(index: &'a InvertedIndex) -> Self {
-        BenchTarget {
-            index,
-            shards: None,
-        }
-    }
-
-    /// A target over `index` with an optional shard split.
-    pub fn new(index: &'a InvertedIndex, shards: Option<&'a ShardedIndex>) -> Self {
-        BenchTarget { index, shards }
-    }
-}
-
-/// Builds the sharded wrapper for any engine family: a canonical device
-/// over the unsplit index plus `replicas` leaves per shard, with the
-/// fault plan placed per the tuning (uniform, or confined to one shard's
-/// primary replica).
-fn sharded_engine<'a, E: SearchEngine>(
-    target: &BenchTarget<'a>,
-    tuning: &EngineTuning,
-    make: impl Fn(&'a InvertedIndex, Option<FaultPlan>) -> E,
-) -> Sharded<'a, E> {
-    let plan = tuning.fault_plan();
-    let Some(sh) = target.shards else {
-        return Sharded::single(make(target.index, plan));
-    };
-    // With `--shard-fault` the canonical timing engine stays quiet: the
-    // fault is a property of one leaf device, and the figures keep
-    // reporting the healthy-system timing.
-    let canonical_plan = if tuning.shard_fault.is_some() {
-        None
-    } else {
-        plan.clone()
-    };
-    let canonical = make(target.index, canonical_plan);
-    let replicas = tuning.replicas.max(1);
-    let leaves: Vec<Vec<E>> = sh
-        .shards()
-        .iter()
-        .enumerate()
-        .map(|(s, shard)| {
-            (0..replicas)
-                .map(|r| {
-                    let leaf_plan = match tuning.shard_fault {
-                        // The fault is confined to shard S's primary.
-                        Some(fs) => (fs == s && r == 0).then(|| plan.clone()).flatten(),
-                        // Uniform fault: every leaf sees the same plan.
-                        None => plan.clone(),
-                    };
-                    make(shard, leaf_plan)
-                })
-                .collect()
-        })
-        .collect();
-    Sharded::new(canonical, sh, leaves, ShardTiming::Logical)
-}
-
 /// What the three engine helpers vary: `lanes` over `memory`, under the
 /// tuning's algorithm.
 fn setup(lanes: u32, memory: MemoryConfig, tuning: &EngineTuning) -> EngineSetup {
@@ -666,94 +541,50 @@ fn setup(lanes: u32, memory: MemoryConfig, tuning: &EngineTuning) -> EngineSetup
     }
 }
 
-/// A BOSS engine in the paper's evaluation configuration. When `target`
-/// carries a shard split, the result is a scatter-gather system of
-/// per-shard BOSS devices behind the figure-preserving `Logical` timing.
+/// A BOSS engine in the paper's evaluation configuration, with the
+/// tuning's fault plan and degradation policy installed.
 pub fn boss_engine<'a>(
-    target: &BenchTarget<'a>,
+    index: &'a InvertedIndex,
     cores: u32,
     et: EtMode,
     memory: MemoryConfig,
     k: usize,
     tuning: &EngineTuning,
-) -> Sharded<'a, Boss<'a>> {
-    let setup = setup(cores, memory, tuning);
-    let degrade = tuning.degrade();
-    sharded_engine(target, tuning, move |index, fault_plan| {
-        let config = BossConfig {
-            setup: setup.clone(),
-            k,
-            et_mode: et,
-            fault_plan,
-            degrade,
-            ..BossConfig::default()
-        };
-        Boss::new(index, config)
-    })
+) -> Boss<'a> {
+    let config = BossConfig {
+        setup: setup(cores, memory, tuning),
+        k,
+        et_mode: et,
+        fault_plan: tuning.fault_plan(),
+        degrade: tuning.degrade(),
+        ..BossConfig::default()
+    };
+    Boss::new(index, config)
 }
 
 /// An IIU engine in the paper's evaluation configuration. Fault-plan
 /// tuning fields are BOSS-only (the fault model lives in the BOSS
 /// device's memory controller) and are ignored here.
 pub fn iiu_engine<'a>(
-    target: &BenchTarget<'a>,
+    index: &'a InvertedIndex,
     cores: u32,
     memory: MemoryConfig,
     tuning: &EngineTuning,
-) -> Sharded<'a, Iiu<'a>> {
+) -> Iiu<'a> {
     let setup = setup(cores, memory, tuning);
-    sharded_engine(target, tuning, move |index, _plan| {
-        let setup = setup.clone();
-        Iiu::new(index, IiuConfig { setup })
-    })
+    Iiu::new(index, IiuConfig { setup })
 }
 
 /// A Lucene-like engine in the paper's evaluation configuration.
 /// Fault-plan tuning fields are BOSS-only and are ignored here.
 pub fn lucene_engine<'a>(
-    target: &BenchTarget<'a>,
+    index: &'a InvertedIndex,
     threads: u32,
     memory: MemoryConfig,
     tuning: &EngineTuning,
-) -> Sharded<'a, Lucene<'a>> {
+) -> Lucene<'a> {
     let setup = setup(threads, memory, tuning);
-    sharded_engine(target, tuning, move |index, _plan| {
-        let setup = setup.clone();
-        Lucene::new(index, LuceneConfig { setup })
-    })
-}
-
-impl BenchArgs {
-    /// Builds one corpus through the path `--segments` selects: the
-    /// in-memory `IndexBuilder` (default), or a SPIMI spill to `N`
-    /// on-disk segments in a scratch directory merged back
-    /// (bit-identical, so figure data rows must not move —
-    /// `tests/flag_invariance.rs` compares the two paths). `name` only
-    /// scopes the scratch directory.
-    ///
-    /// # Errors
-    ///
-    /// The build/spill/merge failure, rendered for a diagnostic.
-    pub fn build_corpus(&self, name: &str, spec: &CorpusSpec) -> Result<InvertedIndex, String> {
-        let Some(n_segments) = self.segments else {
-            return spec.build().map_err(|e| e.to_string());
-        };
-        // Unique per build, so concurrent builds in one process (tests)
-        // never share a scratch directory.
-        static BUILD_SEQ: AtomicU32 = AtomicU32::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "boss-bench-seg-{name}-{}-{}",
-            std::process::id(),
-            BUILD_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        let set = spec
-            .build_segments(&dir, n_segments)
-            .map_err(|e| e.to_string())?;
-        let index = set.merge().map_err(|e| e.to_string())?;
-        std::fs::remove_dir_all(&dir).ok();
-        Ok(index)
-    }
+    Lucene::new(index, LuceneConfig { setup })
 }
 
 /// Writes a TSV header row.
@@ -799,11 +630,11 @@ pub(crate) fn geomean(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use boss_workload::corpus::CorpusSpec;
 
     #[test]
     fn suite_and_engines_agree_functionally() {
         let index = CorpusSpec::ccnews_like(Scale::Smoke).build().unwrap();
-        let target = BenchTarget::single(&index);
         let suite = TypedSuite::sample(&index, 2, 5);
         assert_eq!(suite.per_type.len(), 6);
         for (qt, qs) in &suite.per_type {
@@ -811,7 +642,7 @@ mod tests {
             let tuning = EngineTuning::default();
             let boss = run_system(
                 &boss_engine(
-                    &target,
+                    &index,
                     2,
                     EtMode::Full,
                     MemoryConfig::optane_dcpmm(),
@@ -823,13 +654,13 @@ mod tests {
                 2,
             );
             let iiu = run_system(
-                &iiu_engine(&target, 2, MemoryConfig::optane_dcpmm(), &tuning),
+                &iiu_engine(&index, 2, MemoryConfig::optane_dcpmm(), &tuning),
                 qs,
                 50,
                 2,
             );
             let luc = run_system(
-                &lucene_engine(&target, 2, MemoryConfig::host_scm_6ch(), &tuning),
+                &lucene_engine(&index, 2, MemoryConfig::host_scm_6ch(), &tuning),
                 qs,
                 50,
                 2,
@@ -839,54 +670,6 @@ mod tests {
                 assert_eq!(boss.outcomes[i].hits, luc.outcomes[i].hits, "{qt:?} q{i}");
             }
             assert!(boss.qps > 0.0 && iiu.qps > 0.0 && luc.qps > 0.0);
-        }
-    }
-
-    #[test]
-    fn sharded_target_runs_are_bit_identical_to_single_device() {
-        let index = CorpusSpec::ccnews_like(Scale::Smoke).build().unwrap();
-        let sh = ShardedIndex::split(&index, 3).unwrap();
-        let single = BenchTarget::single(&index);
-        let multi = BenchTarget::new(&index, Some(&sh));
-        let suite = TypedSuite::sample(&index, 2, 9);
-        let tuning = EngineTuning {
-            replicas: 2,
-            ..EngineTuning::default()
-        };
-        for (qt, qs) in &suite.per_type {
-            let a = run_system(
-                &boss_engine(
-                    &single,
-                    2,
-                    EtMode::Full,
-                    MemoryConfig::optane_dcpmm(),
-                    20,
-                    &tuning,
-                ),
-                qs,
-                20,
-                2,
-            );
-            let b = run_system(
-                &boss_engine(
-                    &multi,
-                    2,
-                    EtMode::Full,
-                    MemoryConfig::optane_dcpmm(),
-                    20,
-                    &tuning,
-                ),
-                qs,
-                20,
-                1,
-            );
-            assert_eq!(a.seconds, b.seconds, "{qt:?}");
-            assert_eq!(a.mem, b.mem, "{qt:?}");
-            assert_eq!(a.eval, b.eval, "{qt:?}");
-            for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
-                assert_eq!(x.hits, y.hits, "{qt:?}");
-                assert_eq!(x.cycles, y.cycles, "{qt:?}");
-            }
         }
     }
 

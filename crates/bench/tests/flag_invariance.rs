@@ -1,18 +1,18 @@
 //! The flags that must not move a figure, checked in-process over the
-//! registry at `--scale smoke`: `--threads`, `--shards` (with replicas and
-//! a faulted shard behind a clean replica), a quiet `--fault-plan` under
-//! either `--degrade` policy, the `--segments` build path and the
-//! `--serve*` comment block leave every data row byte-identical, and every
-//! `--algorithm` returns the exhaustive run's hits (doc id + score bits)
-//! at every thread and shard count. Diagnostics may differ only in `#`
-//! comment lines. Four queries per type (not the default ten) keep the
-//! ~60 figure runs inside the tier-1 budget in a debug build.
+//! registry at `--scale smoke`: `--threads`, a quiet `--fault-plan` under
+//! either `--degrade` policy and the `--serve*` comment block leave every
+//! data row byte-identical, and every `--algorithm` returns the exhaustive
+//! run's hits (doc id + score bits) at every thread count. Diagnostics may
+//! differ only in `#` comment lines. Four queries per type (not the
+//! default ten) keep the figure runs inside the tier-1 budget in a debug
+//! build. That shards and the segment build path move no hit is the
+//! engine layer's contract (`boss-engine`'s `differential.rs` and
+//! `segment_identity.rs`), not a flag's.
 
 use boss_bench::figures::{self, Corpora, FigureCtx};
 use boss_bench::{boss_engine, iiu_engine, lucene_engine, run_system};
-use boss_bench::{BenchArgs, BenchTarget, TypedSuite};
+use boss_bench::{BenchArgs, TypedSuite};
 use boss_core::EtMode;
-use boss_index::shard::ShardedIndex;
 use boss_index::ALL_ALGORITHMS;
 use boss_scm::MemoryConfig;
 use boss_workload::corpus::{CorpusSpec, Scale};
@@ -27,7 +27,7 @@ fn smoke_args(flags: &str) -> BenchArgs {
 
 /// `figure <name> --scale smoke --queries-per-type 4 <flags>`, captured
 /// (a later `--queries-per-type` in `flags` wins). Runs of one test share
-/// `corpora`, so each corpus and shard split is built once per test.
+/// `corpora`, so each corpus is built once per test.
 fn figure(corpora: &mut Corpora, name: &str, flags: &str) -> String {
     let mut buf = Vec::new();
     let run = figures::find(name).expect("registered figure");
@@ -62,28 +62,8 @@ fn assert_rows_match_base(name: &str, flag_sets: &[String]) {
 }
 
 #[test]
-fn fig13_rows_ignore_threads_shards_and_a_faulted_shard_behind_a_replica() {
-    let mut flag_sets = Vec::new();
-    for threads in [1, 2, 4] {
-        for shards in [1, 2, 4] {
-            flag_sets.push(format!("--threads {threads} --shards {shards}"));
-        }
-    }
-    flag_sets
-        .push("--shards 4 --replicas 2 --shard-fault 1 --fault-plan 7 --degrade skip".to_owned());
-    assert_rows_match_base("fig13_singlecore", &flag_sets);
-}
-
-#[test]
-fn fig13_rows_ignore_the_segment_build_path() {
-    let mut flag_sets = Vec::new();
-    for threads in [1, 2, 4] {
-        for shards in [1, 4] {
-            flag_sets.push(format!(
-                "--threads {threads} --shards {shards} --segments 4"
-            ));
-        }
-    }
+fn fig13_rows_ignore_threads() {
+    let flag_sets = [1, 2, 4].map(|threads| format!("--threads {threads}"));
     assert_rows_match_base("fig13_singlecore", &flag_sets);
 }
 
@@ -121,34 +101,32 @@ fn latency_profile_serving_block_is_comment_only() {
 }
 
 #[test]
-fn every_algorithm_returns_the_exhaustive_hits_at_every_thread_and_shard_count() {
+fn every_algorithm_returns_the_exhaustive_hits_at_every_thread_count() {
     let index = CorpusSpec::ccnews_like(Scale::Smoke)
         .build()
         .expect("corpus builds");
-    let split = ShardedIndex::split(&index, 4).expect("splits");
     let args = smoke_args("");
     let suite = TypedSuite::sample(&index, args.queries_per_type, args.seed);
     let queries = suite.all();
     // Per engine, per query: (doc id, score bits) in rank order.
-    let hits = |algorithm, threads, shards: Option<&ShardedIndex>| {
-        let target = BenchTarget::new(&index, shards);
+    let hits = |algorithm, threads| {
         let tuning = args.tuning.clone().with_algorithm(algorithm);
         let scm = MemoryConfig::optane_dcpmm;
         [
             run_system(
-                &lucene_engine(&target, 1, MemoryConfig::host_scm_6ch(), &tuning),
+                &lucene_engine(&index, 1, MemoryConfig::host_scm_6ch(), &tuning),
                 &queries,
                 args.k,
                 threads,
             ),
             run_system(
-                &iiu_engine(&target, 1, scm(), &tuning),
+                &iiu_engine(&index, 1, scm(), &tuning),
                 &queries,
                 args.k,
                 threads,
             ),
             run_system(
-                &boss_engine(&target, 1, EtMode::Full, scm(), args.k, &tuning),
+                &boss_engine(&index, 1, EtMode::Full, scm(), args.k, &tuning),
                 &queries,
                 args.k,
                 threads,
@@ -166,17 +144,14 @@ fn every_algorithm_returns_the_exhaustive_hits_at_every_thread_and_shard_count()
                 .collect::<Vec<_>>()
         })
     };
-    let exhaustive = hits(ALL_ALGORITHMS[0], 1, None);
+    let exhaustive = hits(ALL_ALGORITHMS[0], 1);
     for algorithm in ALL_ALGORITHMS {
         for threads in [1, 2, 4] {
-            for shards in [None, Some(&split)] {
-                assert_eq!(
-                    hits(algorithm, threads, shards),
-                    exhaustive,
-                    "{algorithm} at {threads} threads, sharded: {}",
-                    shards.is_some()
-                );
-            }
+            assert_eq!(
+                hits(algorithm, threads),
+                exhaustive,
+                "{algorithm} at {threads} threads"
+            );
         }
     }
 }

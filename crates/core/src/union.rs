@@ -20,7 +20,7 @@ use crate::config::EtMode;
 use crate::fetch::ExecCtx;
 use boss_index::cursor::{ListCursor, ListSink, SkipReason};
 use boss_index::matches::canonical_score;
-use boss_index::prune::{cannot_beat, theta_bound, PruneStream};
+use boss_index::prune::{cannot_beat, check_bound, theta_bound, PruneStream};
 use boss_index::{DocId, Error, GroupMatches, ScoreScratch, TermId, TopK};
 
 /// Reusable buffers for the block-at-a-time scoring path: one decoded
@@ -370,6 +370,9 @@ impl Frontier {
 /// Under [`crate::DegradePolicy::FailQuery`] a faulted read or corrupt
 /// block surfaces here as a typed error; under `SkipBlock` the affected
 /// block is dropped and the union continues on the remaining postings.
+/// Under every [`Rounds`] but `Exhaustive`, whatever the policy, a
+/// decoded list posting scoring above its block's or list's bound is
+/// [`Error::CorruptMetadata`] ([`check_bound`]).
 pub(crate) fn union_topk(
     ctx: &mut ExecCtx<'_>,
     mut streams: Vec<UnionStream<'_>>,
@@ -383,6 +386,9 @@ pub(crate) fn union_topk(
         Rounds::Wand { block_max, prune } => (true, block_max, prune),
     };
     let (block_reason, pop_reason) = skip_reasons(prune);
+    // Every round but the exhaustive one trusts the streams' bounds, so
+    // each decoded posting is checked against the bound `take` returns.
+    let checked = rounds != Rounds::Exhaustive;
     let mut frontier = Frontier::new(&streams);
     let mut entries: Vec<(TermId, u32)> = Vec::with_capacity(8);
     let maxes: Vec<f32> = streams.iter().map(UnionStream::max_score).collect();
@@ -526,7 +532,17 @@ pub(crate) fn union_topk(
         entries.clear();
         for pos in 0..=pivot_end {
             let stream = &mut streams[frontier.stream(pos)];
-            stream.take(ctx, &mut entries)?;
+            let before = entries.len();
+            let bound = stream.take(ctx, &mut entries)?;
+            if checked && bound < f32::INFINITY {
+                // The norm's value, uncharged: the scoring module loads
+                // it once the gather is done.
+                let norm = ctx.index.doc_norms()[pivot as usize];
+                for &(term, tf) in &entries[before..] {
+                    let idf = ctx.index.list(term).idf();
+                    check_bound(ctx.index.bm25().term_score(idf, tf, norm), bound)?;
+                }
+            }
             frontier.refresh(pos, stream);
         }
         // All contributing streams may have fault-skipped their blocks
@@ -546,6 +562,13 @@ pub(crate) fn union_topk(
     }
     ctx.eval.topk_inserts = topk.inserts();
     Ok(())
+}
+
+/// [`check_bound`] for a bulk-scored run of `c`'s current block: no
+/// posting may score above the block's or the list's bound.
+fn check_run(c: &ListCursor<'_>, scores: &[f32]) -> Result<(), Error> {
+    let max = scores.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    check_bound(max, c.block_max().min(c.list_max()))
 }
 
 /// Drains the last live posting-list stream with the block-at-a-time
@@ -584,6 +607,7 @@ fn drain_single_list(
     let bm25 = *ctx.index.bm25();
     let norms = ctx.index.doc_norms();
     let idf = c.idf();
+    let checked = rounds != Rounds::Exhaustive;
 
     // Scores the whole unconsumed run of the current block and offers it.
     // `pre_counted` pivot rounds were already charged by a boundary round.
@@ -603,6 +627,9 @@ fn drain_single_list(
             bulk.docs.clear();
             bulk.docs.extend_from_slice(rdocs);
             bm25.score_block(idf, rdocs, rtfs, norms, &mut bulk.scores);
+        }
+        if checked {
+            check_run(c, bulk.scores.scores())?;
         }
         let n = bulk.docs.len();
         ctx.eval.pivot_rounds += n as u64 - pre_counted;
@@ -717,6 +744,7 @@ fn drain_wand_tail(
             bulk.docs.clear();
             bulk.docs.extend_from_slice(rdocs);
             bm25.score_block(idf, rdocs, rtfs, norms, &mut bulk.scores);
+            check_run(c, bulk.scores.scores())?;
             run_valid = true;
             run_j = 0;
         }

@@ -36,13 +36,12 @@
 //! queries, an RNG in an engine, order-dependent accumulation) must not
 //! be added to an engine without revisiting the executor.
 //!
-//! The shard layer ([`Sharded`]) extends the contract to shard counts:
-//! its routing telemetry (attempt/selection/fault tallies per replica)
-//! depends on how queries are chunked across workers, so it is surfaced
-//! only through [`Sharded::shard_stats`] — never through an outcome — and
-//! its [`ShardTiming::Logical`] mode sources every [`QueryOutcome`]
-//! observable except the hits from the canonical single-device engine,
-//! so batch results are bit-identical at every *shard* count too.
+//! The shard layer ([`Sharded`]) keeps the contract: its routing
+//! telemetry (attempt/selection/fault tallies per replica) depends on how
+//! queries are chunked across workers, so it is surfaced only through
+//! [`Sharded::shard_stats`] — never through an outcome. Its hits equal
+//! the single device's at every shard count; its timing is the
+//! scatter-gather model's and moves with the shard count by design.
 
 // Engines run user queries over possibly corrupt indexes on worker
 // threads; a failure is the query's typed `Error`, never a panic.

@@ -952,37 +952,55 @@ mod tests {
         assert_eq!(a.sojourns_sorted, b.sojourns_sorted);
     }
 
+    /// `serving_latency`'s four postures — deadline-free FIFO and SJF,
+    /// EDF with deadlines, EDF + shed + the overload controller — under and
+    /// past saturation: every decision is bit-identical whether the service
+    /// table was measured by 1, 2 or 4 workers.
     #[test]
     fn end_to_end_run_is_bit_identical_across_worker_counts() {
+        const SERVERS: usize = 4;
         let idx = corpus();
         let qs = queries();
-        let normal = Boss::new(&idx, BossConfig::with_cores(4));
+        let normal = Boss::new(&idx, BossConfig::with_cores(SERVERS as u32));
         let pruned = Boss::new(
             &idx,
-            BossConfig::with_cores(4).with_algorithm(QueryAlgorithm::BlockMaxMaxScore),
+            BossConfig::with_cores(SERVERS as u32).with_algorithm(QueryAlgorithm::BlockMaxMaxScore),
         );
-        let config = ServingConfig {
-            servers: 4,
-            queue_bound: 8,
-            deadline_cycles: Some(200_000),
-            policy: ServePolicy::EdfShed,
-            overload: Some(OverloadConfig::default()),
-        };
-        let mk = |threads| {
+        // (policy, deadlines, overload controller)
+        let postures = [
+            (ServePolicy::Fifo, false, false),
+            (ServePolicy::Sjf, false, false),
+            (ServePolicy::Edf, true, false),
+            (ServePolicy::EdfShed, true, true),
+        ];
+        let decisions = |threads| {
             let table = ServiceTable::measure(&normal, Some(&pruned), &qs, 10, 3, threads).unwrap();
             let mean = table.mean_normal_cycles();
-            let arrivals = boss_workload::arrivals::generate(
-                boss_workload::arrivals::ArrivalKind::Poisson,
-                qs.len(),
-                mean / 6.0,
-                7,
-            );
-            simulate(&config, &arrivals, &table)
+            let mut records = Vec::new();
+            for load in [0.8, 2.0] {
+                let arrivals = boss_workload::arrivals::generate(
+                    boss_workload::arrivals::ArrivalKind::Poisson,
+                    qs.len(),
+                    mean / (SERVERS as f64 * load),
+                    7,
+                );
+                for (policy, deadlines, degrade) in postures {
+                    let config = ServingConfig {
+                        servers: SERVERS,
+                        queue_bound: 8,
+                        deadline_cycles: deadlines.then_some((20.0 * mean) as u64),
+                        policy,
+                        overload: degrade.then(OverloadConfig::default),
+                    };
+                    records.push(simulate(&config, &arrivals, &table).records);
+                }
+            }
+            records
         };
-        let base = mk(1);
+        let base = decisions(1);
+        assert_eq!(base.len(), 8);
         for threads in [2usize, 4] {
-            let run = mk(threads);
-            assert_eq!(base.records, run.records, "{threads} workers");
+            assert_eq!(decisions(threads), base, "{threads} workers");
         }
     }
 

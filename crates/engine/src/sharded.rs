@@ -8,28 +8,17 @@
 //! shard, merges the per-shard top-k into the global top-k, and steers
 //! each shard's traffic toward its healthiest replica.
 //!
-//! # Timing modes
+//! # Timing
 //!
-//! Because per-shard posting lists re-chunk into different blocks than
-//! the unsplit index (and WAND thresholds evolve per shard), per-shard
-//! *timing* cannot be summed back into the single-device figure numbers
-//! exactly. The coordinator therefore has two modes:
-//!
-//! * [`ShardTiming::Logical`] — the figure-preserving mode. A quiet
-//!   *canonical* engine over the unsplit index executes every query
-//!   first; its cycles/traffic/counters (and its errors) are the
-//!   outcome's, so every TSV-observable stays byte-identical to the
-//!   single-device run at any shard count. The scatter-gather then runs
-//!   for real and supplies the *hits*: under quiet fault plans the merge
-//!   is bit-identical to the canonical hits (shards carry global BM25
-//!   statistics — see [`boss_index::shard`]), and under a shard-targeted
-//!   fault plan the hits honestly reflect the degradation.
-//! * [`ShardTiming::ScatterGather`] — the honest multi-device model used
-//!   by the shard-scaling bench: cycles = slowest selected leaf + link
-//!   transfer of `hits × 8` bytes + root merge, mirroring
-//!   `boss_core::pool::MemoryPool`; traffic and counters are summed over
-//!   the selected leaves; the bandwidth roofline divides by the shard
-//!   count (each shard owns its own channels).
+//! One model: cycles = slowest selected leaf + link transfer of
+//! `hits × 8` bytes + root merge, mirroring `boss_core::pool::MemoryPool`;
+//! traffic and counters are summed over the selected leaves; the
+//! bandwidth roofline divides by the shard count (each shard owns its own
+//! channels). The hits are the merge of the per-shard top-k, bit-identical
+//! to the unsplit index's under quiet fault plans (shards carry global
+//! BM25 statistics — see [`boss_index::shard`]); that contract is a test
+//! (`pruned_leaves_keep_sharded_hits_bit_identical` here, and
+//! `differential.rs` against the reference evaluator), not a mode.
 //!
 //! # Health-aware routing
 //!
@@ -55,13 +44,14 @@ use boss_index::{Error, QueryExpr, SearchHit};
 use boss_scm::FaultCounts;
 
 /// How [`Sharded`] charges time for a scatter-gather query.
+///
+/// There is one timing model; the type and [`Sharded::new`]'s `timing`
+/// parameter remain only because the benchmark harness
+/// (`benchmark/src/run.rs`) names them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardTiming {
-    /// Figure-preserving: timing, traffic, counters, and errors come from
-    /// the canonical single-device engine; the shards supply the hits.
-    Logical,
-    /// Honest multi-device model: slowest leaf + interconnect transfer +
-    /// root merge, with traffic summed over the selected leaves.
+    /// Slowest leaf + interconnect transfer + root merge, with traffic
+    /// summed over the selected leaves.
     ScatterGather,
 }
 
@@ -87,14 +77,13 @@ pub struct ShardReplicaStats {
 ///
 /// `leaves[s][r]` is replica `r` of shard `s`. With no shard layer
 /// (built via [`Sharded::single`]) every call passes straight through to
-/// the canonical engine, so a `--shards 1` bench run is byte-identical
-/// to the pre-shard code path by construction.
+/// the canonical engine. With one, the canonical engine over the unsplit
+/// index answers only the label, clock, setup and scheduling hooks.
 #[derive(Debug)]
 pub struct Sharded<'a, E: SearchEngine> {
     canonical: E,
     sharded: Option<&'a ShardedIndex>,
     leaves: Vec<Vec<E>>,
-    timing: ShardTiming,
     /// `health[s][r]`: routing telemetry of `leaves[s][r]`.
     health: Vec<Vec<ShardReplicaStats>>,
 }
@@ -115,14 +104,14 @@ impl<'a, E: SearchEngine> Sharded<'a, E> {
             canonical,
             sharded: None,
             leaves: Vec::new(),
-            timing: ShardTiming::Logical,
             health: Vec::new(),
         }
     }
 
     /// A scatter-gather coordinator: `leaves[s]` holds the replica
     /// engines of shard `s` of `sharded`, and `canonical` is the
-    /// single-device engine over the unsplit index.
+    /// single-device engine over the unsplit index. `timing` selects
+    /// nothing: [`ShardTiming`] has one variant.
     ///
     /// # Panics
     ///
@@ -132,7 +121,7 @@ impl<'a, E: SearchEngine> Sharded<'a, E> {
         canonical: E,
         sharded: &'a ShardedIndex,
         leaves: Vec<Vec<E>>,
-        timing: ShardTiming,
+        _timing: ShardTiming,
     ) -> Self {
         assert_eq!(
             leaves.len(),
@@ -148,7 +137,6 @@ impl<'a, E: SearchEngine> Sharded<'a, E> {
             canonical,
             sharded: Some(sharded),
             leaves,
-            timing,
             health,
         }
     }
@@ -306,38 +294,20 @@ impl<E: SearchEngine> SearchEngine for Sharded<'_, E> {
         let Some(sh) = self.sharded else {
             return self.canonical.search(expr, k);
         };
-        match self.timing {
-            ShardTiming::Logical => {
-                // Canonical first: its errors and its stats are the
-                // single-device ones the figures must keep reporting.
-                let canon = self.canonical.search(expr, k)?;
-                let scatter = self.scatter_gather(sh, expr, k)?;
-                let hits = sh.merge_topk(&scatter.per_shard, k);
-                Ok(QueryOutcome {
-                    hits,
-                    cycles: canon.cycles,
-                    mem: canon.mem,
-                    eval: canon.eval,
-                })
-            }
-            ShardTiming::ScatterGather => {
-                // Error parity with single-device planning: a term no
-                // shard knows is globally unknown.
-                sh.check_vocabulary(expr)?;
-                let scatter = self.scatter_gather(sh, expr, k)?;
-                let bytes: u64 = scatter.per_shard.iter().map(|h| h.len() as u64 * 8).sum();
-                let hits = sh.merge_topk(&scatter.per_shard, k);
-                let cycles = scatter.slowest_leaf
-                    + transfer_cycles(bytes)
-                    + root_merge_cycles(sh.n_shards(), k);
-                Ok(QueryOutcome {
-                    hits,
-                    cycles,
-                    mem: scatter.mem,
-                    eval: scatter.eval,
-                })
-            }
-        }
+        // Error parity with single-device planning: a term no shard
+        // knows is globally unknown.
+        sh.check_vocabulary(expr)?;
+        let scatter = self.scatter_gather(sh, expr, k)?;
+        let bytes: u64 = scatter.per_shard.iter().map(|h| h.len() as u64 * 8).sum();
+        let hits = sh.merge_topk(&scatter.per_shard, k);
+        let cycles =
+            scatter.slowest_leaf + transfer_cycles(bytes) + root_merge_cycles(sh.n_shards(), k);
+        Ok(QueryOutcome {
+            hits,
+            cycles,
+            mem: scatter.mem,
+            eval: scatter.eval,
+        })
     }
 
     fn fork(&self) -> Self {
@@ -349,7 +319,6 @@ impl<E: SearchEngine> SearchEngine for Sharded<'_, E> {
                 .iter()
                 .map(|reps| reps.iter().map(SearchEngine::fork).collect())
                 .collect(),
-            timing: self.timing,
             health: zeroed_health(&self.leaves),
         }
     }
@@ -362,15 +331,10 @@ impl<E: SearchEngine> SearchEngine for Sharded<'_, E> {
         self.canonical.work_estimate(expr)
     }
 
+    /// Each shard owns its channels, so the aggregate roofline scales
+    /// with the shard count.
     fn bandwidth_limit_cycles(&self, mem: &MemStats) -> u64 {
-        let base = self.canonical.bandwidth_limit_cycles(mem);
-        if self.timing == ShardTiming::ScatterGather {
-            // Each shard owns its channels, so the aggregate roofline
-            // scales with the shard count.
-            base / self.n_shards() as u64
-        } else {
-            base
-        }
+        self.canonical.bandwidth_limit_cycles(mem) / self.n_shards() as u64
     }
 
     fn bandwidth_gbps(&self, mem: &MemStats, makespan_cycles: u64) -> f64 {
@@ -464,58 +428,28 @@ mod tests {
     }
 
     #[test]
-    fn logical_mode_outcome_is_bit_identical_to_single_device() {
-        let idx = corpus();
-        for n in [1u32, 2, 3, 4] {
-            let sh = ShardedIndex::split(&idx, n).unwrap();
-            let mut single = Sharded::single(Boss::new(&idx, BossConfig::default()));
-            let mut multi = Sharded::new(
-                Boss::new(&idx, BossConfig::default()),
-                &sh,
-                leaves(&sh, 1, None),
-                ShardTiming::Logical,
-            );
-            for q in queries() {
-                let a = single.search(&q, 10).unwrap();
-                let b = multi.search(&q, 10).unwrap();
-                assert_eq!(a.hits, b.hits, "{n} shards, {q}");
-                assert_eq!(a.cycles, b.cycles, "{n} shards, {q}");
-                assert_eq!(a.mem, b.mem, "{n} shards, {q}");
-                assert_eq!(a.eval, b.eval, "{n} shards, {q}");
-            }
-        }
-    }
-
-    #[test]
     fn pruned_leaves_keep_sharded_hits_bit_identical() {
         let idx = corpus();
         let mut reference = Sharded::single(Boss::new(&idx, BossConfig::default()));
         for algo in boss_core::ALL_ALGORITHMS {
             for n in [2u32, 4] {
                 let sh = ShardedIndex::split(&idx, n).unwrap();
-                for timing in [ShardTiming::Logical, ShardTiming::ScatterGather] {
-                    let pruned_leaves: Vec<Vec<Boss>> = sh
-                        .shards()
-                        .iter()
-                        .map(|shard| {
-                            vec![Boss::new(shard, BossConfig::default().with_algorithm(algo))]
-                        })
-                        .collect();
-                    let mut multi = Sharded::new(
-                        Boss::new(&idx, BossConfig::default()),
-                        &sh,
-                        pruned_leaves,
-                        timing,
-                    );
-                    for q in queries() {
-                        for k in [3usize, 10] {
-                            let a = reference.search(&q, k).unwrap();
-                            let b = multi.search(&q, k).unwrap();
-                            assert_eq!(
-                                a.hits, b.hits,
-                                "{algo} over {n} shards ({timing:?}), k={k}, {q}"
-                            );
-                        }
+                let pruned_leaves: Vec<Vec<Boss>> = sh
+                    .shards()
+                    .iter()
+                    .map(|shard| vec![Boss::new(shard, BossConfig::default().with_algorithm(algo))])
+                    .collect();
+                let mut multi = Sharded::new(
+                    Boss::new(&idx, BossConfig::default()),
+                    &sh,
+                    pruned_leaves,
+                    ShardTiming::ScatterGather,
+                );
+                for q in queries() {
+                    for k in [3usize, 10] {
+                        let a = reference.search(&q, k).unwrap();
+                        let b = multi.search(&q, k).unwrap();
+                        assert_eq!(a.hits, b.hits, "{algo} over {n} shards, k={k}, {q}");
                     }
                 }
             }
@@ -543,19 +477,21 @@ mod tests {
         assert_eq!(out.hits, single.search(&q, 10).unwrap().hits);
     }
 
+    /// Both modes: the pass-through wrapper and the scatter-gather.
     #[test]
     fn unknown_everywhere_is_unknown_term_in_both_modes() {
         let idx = corpus();
         let sh = ShardedIndex::split(&idx, 2).unwrap();
-        for timing in [ShardTiming::Logical, ShardTiming::ScatterGather] {
-            let mut multi = Sharded::new(
-                Boss::new(&idx, BossConfig::default()),
-                &sh,
-                leaves(&sh, 1, None),
-                timing,
-            );
+        let mut single = Sharded::single(Boss::new(&idx, BossConfig::default()));
+        let mut multi = Sharded::new(
+            Boss::new(&idx, BossConfig::default()),
+            &sh,
+            leaves(&sh, 1, None),
+            ShardTiming::ScatterGather,
+        );
+        for engine in [&mut single, &mut multi] {
             assert!(matches!(
-                multi.search(&QueryExpr::term("missing"), 5),
+                engine.search(&QueryExpr::term("missing"), 5),
                 Err(Error::UnknownTerm { .. })
             ));
         }
@@ -570,18 +506,20 @@ mod tests {
             Boss::new(&idx, BossConfig::default()),
             &sh,
             leaves(&sh, 2, Some((0, plan))),
-            ShardTiming::Logical,
+            ShardTiming::ScatterGather,
         );
         let mut quiet = Sharded::new(
             Boss::new(&idx, BossConfig::default()),
             &sh,
             leaves(&sh, 2, None),
-            ShardTiming::Logical,
+            ShardTiming::ScatterGather,
         );
+        // The clean replica's outcome is the quiet system's, whole:
+        // hits, cycles, traffic and counters.
         for q in queries() {
             let a = faulted.search(&q, 10).unwrap();
             let b = quiet.search(&q, 10).unwrap();
-            assert_eq!(a.hits, b.hits, "{q}");
+            assert_eq!(a, b, "{q}");
         }
         // The degraded replica's symptoms are visible in telemetry and
         // attributed to (shard 0, replica 0) only.
@@ -619,7 +557,7 @@ mod tests {
             Boss::new(&idx, BossConfig::default()),
             &sh,
             leaves(&sh, 1, Some((1, plan))),
-            ShardTiming::Logical,
+            ShardTiming::ScatterGather,
         );
         for q in queries() {
             let _ = multi.search(&q, 10).unwrap();
@@ -644,7 +582,7 @@ mod tests {
             Boss::new(&idx, BossConfig::default()),
             &sh,
             leaves(&sh, 2, None),
-            ShardTiming::Logical,
+            ShardTiming::ScatterGather,
         );
         multi.search(&QueryExpr::term("beta"), 5).unwrap();
         assert!(multi.shard_stats().iter().any(|s| s.attempts > 0));

@@ -6,7 +6,7 @@
 //! blocks would index the norm table out of bounds if a decode were
 //! trusted without comparing it with its descriptor.
 
-use boss_core::{BossConfig, DegradePolicy};
+use boss_core::{BossConfig, DegradePolicy, EtMode};
 use boss_engine::{Boss, Iiu, Lucene, SearchEngine};
 use boss_iiu::IiuConfig;
 use boss_index::{Error, IndexBuilder, InvertedIndex, QueryAlgorithm, QueryExpr};
@@ -115,18 +115,16 @@ fn a_descriptor_past_the_corpus_is_refused_by_every_engine() {
     }
 }
 
-/// A block-max bound halved below the postings it covers is caught when
-/// the block is decoded: every engine's MaxScore checks each posting of a
-/// posting list against its block's and its list's bound, whatever the
-/// degrade policy. `k` covers every document, so θ stays −∞ and nothing
-/// is skipped before the block is decoded.
-#[test]
-fn a_posting_above_its_block_bound_is_refused_by_every_maxscore() {
+/// `aa` in every other document, `bb` in every third, `cc` in document 1
+/// only; `aa`'s first block, or its last, claims half its true block-max
+/// score.
+fn halved_bound(last: bool) -> InvertedIndex {
     let docs: Vec<String> = (0..N_DOCS)
         .map(|i| match (i % 2, i % 3) {
             (0, 0) => "x aa bb",
             (0, _) => "x aa",
             (_, 0) => "x bb",
+            _ if i == 1 => "x cc",
             _ => "x",
         })
         .map(String::from)
@@ -136,7 +134,20 @@ fn a_posting_above_its_block_bound_is_refused_by_every_maxscore() {
         .build()
         .expect("corpus builds");
     let aa = index.term_id("aa").expect("aa indexed");
-    index.list_mut(aa).blocks_mut()[0].max_score /= 2.0;
+    let blocks = index.list_mut(aa).blocks_mut();
+    let block = if last { blocks.len() - 1 } else { 0 };
+    blocks[block].max_score /= 2.0;
+    index
+}
+
+/// A block-max bound halved below the postings it covers is caught when
+/// the block is decoded: every engine's MaxScore checks each posting of a
+/// posting list against its block's and its list's bound, whatever the
+/// degrade policy. `k` covers every document, so θ stays −∞ and nothing
+/// is skipped before the block is decoded.
+#[test]
+fn a_posting_above_its_block_bound_is_refused_by_every_maxscore() {
+    let index = halved_bound(false);
     let query = QueryExpr::or([QueryExpr::term("aa"), QueryExpr::term("bb")]);
     let k = N_DOCS as usize;
     for algorithm in [QueryAlgorithm::MaxScore, QueryAlgorithm::BlockMaxMaxScore] {
@@ -170,6 +181,52 @@ fn a_posting_above_its_block_bound_is_refused_by_every_maxscore() {
                 matches!(result, Err(Error::CorruptMetadata { .. })),
                 "{label} {algorithm}: {result:?}"
             );
+        }
+    }
+}
+
+/// A halved bound under BOSS's union module: early termination
+/// (`BlockOnly`, `Full`) and the WAND family (`Wand`, `Bmw`) check each
+/// decoded posting against the bound its cursor recorded, whatever the
+/// degrade policy. `aa`'s last block is the halved one: `aa OR bb` meets
+/// it in the round loop (`bb` reaches the end of the corpus), `aa OR cc`
+/// in the lone-stream drain, a bulk-scored run at a time (`cc` is spent
+/// after document 1). A lone term is a pure intersection and trusts no
+/// bound, so it runs exhaustively and needs no check.
+#[test]
+fn a_posting_above_its_block_bound_is_refused_by_every_boss_union() {
+    let index = halved_bound(true);
+    let t = QueryExpr::term;
+    let queries = [
+        QueryExpr::or([t("aa"), t("bb")]),
+        QueryExpr::or([t("aa"), t("cc")]),
+    ];
+    let k = N_DOCS as usize;
+    let unions = [
+        (
+            "block-only",
+            BossConfig::default().with_et(EtMode::BlockOnly),
+        ),
+        ("full-et", BossConfig::default().with_et(EtMode::Full)),
+        (
+            "wand",
+            BossConfig::default().with_algorithm(QueryAlgorithm::Wand),
+        ),
+        (
+            "bmw",
+            BossConfig::default().with_algorithm(QueryAlgorithm::BlockMaxWand),
+        ),
+    ];
+    for (label, config) in unions {
+        for degrade in [DegradePolicy::FailQuery, DegradePolicy::SkipBlock] {
+            let mut boss = Boss::new(&index, config.clone().with_degrade(degrade));
+            for q in &queries {
+                let result = boss.search(q, k);
+                assert!(
+                    matches!(result, Err(Error::CorruptMetadata { .. })),
+                    "{label} {degrade:?} {q}: {result:?}"
+                );
+            }
         }
     }
 }

@@ -116,7 +116,7 @@ fn sharded_boss<'a>(
 ) -> Sharded<'a, Boss<'a>> {
     let make = |idx: &'a InvertedIndex| Boss::new(idx, BossConfig::with_cores(2).with_k(20));
     let leaves: Vec<Vec<Boss<'a>>> = split.shards().iter().map(|s| vec![make(s)]).collect();
-    Sharded::new(make(index), split, leaves, ShardTiming::Logical)
+    Sharded::new(make(index), split, leaves, ShardTiming::ScatterGather)
 }
 
 #[test]

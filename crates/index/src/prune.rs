@@ -266,10 +266,27 @@ impl PruneStream for ListCursor<'_> {
     }
 }
 
+/// [`Error::CorruptMetadata`] when a decoded posting's term `score`
+/// exceeds `bound`, the block-max / list-max bound its stream recorded for
+/// it: the one check every traversal that trusts those bounds makes.
+///
+/// # Errors
+///
+/// As above.
+#[inline]
+pub fn check_bound(score: f32, bound: f32) -> Result<(), Error> {
+    if score > bound {
+        return Err(Error::CorruptMetadata {
+            reason: "posting score exceeds its block-max bound",
+        });
+    }
+    Ok(())
+}
+
 /// Takes `stream`'s entries at its current document into `entries`
 /// (decoding only now) and adds each one's term score under `norm` to
 /// `partial`; a posting scoring above its stream's bound is
-/// [`Error::CorruptMetadata`].
+/// [`Error::CorruptMetadata`] ([`check_bound`]).
 fn gather<T: PruneStream, S: ListSink>(
     stream: &mut T,
     index: &InvertedIndex,
@@ -282,11 +299,7 @@ fn gather<T: PruneStream, S: ListSink>(
     let bound = stream.take(sink, entries)?;
     for &(term, tf) in &entries[before..] {
         let score = index.bm25().term_score(index.list(term).idf(), tf, norm);
-        if score > bound {
-            return Err(Error::CorruptMetadata {
-                reason: "posting score exceeds its block-max bound",
-            });
-        }
+        check_bound(score, bound)?;
         *partial += f64::from(score);
     }
     Ok(())

@@ -60,7 +60,7 @@ pub struct SpimiConfig {
     pub budget_bytes: usize,
     /// Optional cap on documents per segment (0 = unlimited). Gives
     /// deterministic segment boundaries independent of the byte budget —
-    /// used by tests and the `--segments N` bench path.
+    /// used by tests and `CorpusSpec::build_segments`.
     pub max_docs_per_segment: u32,
     /// BM25 parameters of the final index.
     pub params: Bm25Params,
