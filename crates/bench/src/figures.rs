@@ -56,6 +56,7 @@ pub const REGISTRY: &[(&str, FigureFn)] = &[
     ("ablation_scheduler", ablation::scheduler),
     ("latency_profile", latency::latency_profile),
     ("latency_vs_load", latency::latency_vs_load),
+    ("serving_latency", latency::serving_latency),
     ("shard_scaling", latency::shard_scaling),
 ];
 
@@ -200,17 +201,17 @@ impl<'a> Systems<'a> {
         k: usize,
         queries: &[QueryExpr],
     ) -> SystemRun {
-        let engine = boss_engine(self.index, cores, et, memory, k, &self.args.tuning);
+        let engine = boss_engine(self.index, cores, et, memory, k, self.args.algorithm);
         run_system(&engine, queries, k, self.args.threads)
     }
 
     fn iiu(&self, cores: u32, memory: MemoryConfig, queries: &[QueryExpr]) -> SystemRun {
-        let engine = iiu_engine(self.index, cores, memory, &self.args.tuning);
+        let engine = iiu_engine(self.index, cores, memory, self.args.algorithm);
         run_system(&engine, queries, self.args.k, self.args.threads)
     }
 
     fn lucene(&self, threads: u32, memory: MemoryConfig, queries: &[QueryExpr]) -> SystemRun {
-        let engine = lucene_engine(self.index, threads, memory, &self.args.tuning);
+        let engine = lucene_engine(self.index, threads, memory, self.args.algorithm);
         run_system(&engine, queries, self.args.k, self.args.threads)
     }
 }

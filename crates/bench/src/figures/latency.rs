@@ -1,21 +1,19 @@
 //! Beyond the paper's throughput figures: per-query tail latency, the
-//! open-loop latency-vs-load hockey stick, and scatter-gather shard
-//! scaling.
+//! open-loop latency-vs-load hockey stick, the open-loop serving sweep
+//! under overload, and scatter-gather shard scaling.
 
 use super::{CorpusKind, FigureCtx};
-use crate::{
-    boss_engine, f, header, iiu_engine, lucene_engine, row, run_serving, run_system, BenchArgs,
-    ServingSpec,
-};
+use crate::{boss_engine, f, header, iiu_engine, lucene_engine, row, run_system};
 use boss_core::{BossConfig, EtMode, QueryAlgorithm};
 use boss_engine::{
-    simulate, Boss, EvalCounts, SearchEngine, ServePolicy, ServiceTable, ShardTiming, Sharded,
+    simulate, Boss, EvalCounts, OverloadConfig, SearchEngine, ServePolicy, ServiceTable,
+    ServingConfig, ServingRun, ShardTiming, Sharded, ALL_SERVE_POLICIES,
 };
 use boss_index::shard::ShardedIndex;
 use boss_index::QueryExpr;
 use boss_scm::MemoryConfig;
-use boss_workload::arrivals::ArrivalKind;
-use std::io::{self, Write};
+use boss_workload::arrivals::{self, ArrivalKind};
+use std::io;
 
 fn pct(sorted_us: &[f64], p: f64) -> f64 {
     if sorted_us.is_empty() {
@@ -25,16 +23,13 @@ fn pct(sorted_us: &[f64], p: f64) -> f64 {
     sorted_us[idx]
 }
 
-/// One engine's `latency_profile` row data plus its out-of-band
-/// diagnostics.
+/// One engine's `latency_profile` row data plus its pruning counters.
 struct EngineRow {
     name: &'static str,
     /// Per-query latencies in microseconds, sorted (cycles at the
     /// engine's own clock — host cycles for Lucene, 1 GHz device cycles
     /// otherwise).
     us: Vec<f64>,
-    /// Fault-skipped blocks after the run.
-    skipped: u64,
     /// Pruning-skipped (blocks, docs) after the run.
     pruned: (u64, u64),
 }
@@ -59,72 +54,15 @@ fn engine_row<E: SearchEngine>(
     EngineRow {
         name,
         us,
-        skipped: eval.blocks_skipped_fault,
         pruned: (eval.blocks_skipped_prune, eval.docs_skipped_prune),
-    }
-}
-
-/// Writes one engine family's `# serving` diagnostic line: the open-loop
-/// scenario of `--serve-*` replayed over this engine's measured service
-/// table. Comment-only by the same rule as the fault and prune counters —
-/// serving outcomes depend on the scenario knobs, never on `--threads`,
-/// but they are diagnostics, not figure data.
-fn serving_comment<E: SearchEngine + Send>(
-    out: &mut dyn Write,
-    name: &str,
-    engine: &E,
-    pruned: Option<&E>,
-    queries: &[QueryExpr],
-    spec: &ServingSpec,
-    args: &BenchArgs,
-) -> io::Result<()> {
-    match run_serving(
-        engine,
-        pruned,
-        queries,
-        args.k,
-        spec,
-        args.seed,
-        args.threads,
-    ) {
-        Ok((run, _mean)) => {
-            let clk = engine.clock_ghz();
-            let us = |c: u64| c as f64 / (clk * 1e3);
-            writeln!(
-                out,
-                "# serving {name} {} load {} policy {} degrade {}: served {}/{} \
-                 (normal {} pruned {} brownout {}) rejected {} expired {} shed {} late {} \
-                 p50 {}us p99 {}us goodput {} qps",
-                spec.arrivals,
-                f(spec.load),
-                spec.policy,
-                if spec.degrade { "on" } else { "off" },
-                run.served(),
-                queries.len(),
-                run.served_by_level[0],
-                run.served_by_level[1],
-                run.served_by_level[2],
-                run.rejected,
-                run.expired,
-                run.shed,
-                run.served_late,
-                f(us(run.sojourn_percentile(0.50))),
-                f(us(run.sojourn_percentile(0.99))),
-                f(run.goodput_qps(clk)),
-            )
-        }
-        Err(e) => writeln!(out, "# serving {name}: measurement failed: {e}"),
     }
 }
 
 /// Latency percentiles (p50/p95/p99) per engine and query type — serving
 /// systems live and die on tail latency, which throughput figures hide.
 ///
-/// Diagnostics stay out of the data rows the invariance tests compare:
-/// fault-skipped blocks and pruning savings are labeled comments, and
-/// the serving harness (`--serve`/`--serve-*`) writes each engine's
-/// open-loop rejected/expired/shed breakdown and served-tail percentiles
-/// as a `# serving` block after the data rows.
+/// Pruning savings under `--algorithm` are labeled `# prune` comments,
+/// outside the data rows the invariance tests compare.
 pub(super) fn latency_profile(ctx: &mut FigureCtx) -> io::Result<()> {
     let corpus = ctx.corpus(CorpusKind::Ccnews)?;
     let index = &corpus.index;
@@ -132,18 +70,7 @@ pub(super) fn latency_profile(ctx: &mut FigureCtx) -> io::Result<()> {
     let args = &ctx.args;
     let out = &mut *ctx.out;
     let k = args.k;
-    let lucene = |tuning| lucene_engine(index, 1, MemoryConfig::host_scm_6ch(), tuning);
-    let iiu = |tuning| iiu_engine(index, 1, MemoryConfig::optane_dcpmm(), tuning);
-    let boss = |tuning| {
-        boss_engine(
-            index,
-            1,
-            EtMode::Full,
-            MemoryConfig::optane_dcpmm(),
-            k,
-            tuning,
-        )
-    };
+    let algorithm = args.algorithm;
     writeln!(
         out,
         "# Per-query latency percentiles (single engine instance, us)"
@@ -152,13 +79,17 @@ pub(super) fn latency_profile(ctx: &mut FigureCtx) -> io::Result<()> {
     for (qt, queries) in &suite.per_type {
         let mut rows: Vec<EngineRow> = Vec::new();
         if args.engines.lucene {
-            rows.push(engine_row("Lucene", lucene(&args.tuning), queries, k));
+            let engine = lucene_engine(index, 1, MemoryConfig::host_scm_6ch(), algorithm);
+            rows.push(engine_row("Lucene", engine, queries, k));
         }
         if args.engines.iiu {
-            rows.push(engine_row("IIU", iiu(&args.tuning), queries, k));
+            let engine = iiu_engine(index, 1, MemoryConfig::optane_dcpmm(), algorithm);
+            rows.push(engine_row("IIU", engine, queries, k));
         }
         if args.engines.boss {
-            rows.push(engine_row("BOSS", boss(&args.tuning), queries, k));
+            let scm = MemoryConfig::optane_dcpmm();
+            let engine = boss_engine(index, 1, EtMode::Full, scm, k, algorithm);
+            rows.push(engine_row("BOSS", engine, queries, k));
         }
         for r in &rows {
             row(
@@ -172,21 +103,10 @@ pub(super) fn latency_profile(ctx: &mut FigureCtx) -> io::Result<()> {
                 ],
             )?;
         }
-        // Fault counters ride in comments: degradation diagnostics only,
-        // stripped by the invariance tests.
+        // Dynamic-pruning savings (non-zero only under --algorithm
+        // maxscore/wand/bmw/bmm): work avoided, never hits changed, so
+        // they stay out of the compared data rows.
         for r in &rows {
-            if r.skipped > 0 {
-                writeln!(
-                    out,
-                    "# fault-skipped-blocks {} {}: {}",
-                    qt.label(),
-                    r.name,
-                    r.skipped
-                )?;
-            }
-            // Dynamic-pruning savings (non-zero only under --algorithm
-            // maxscore/wand/bmw/bmm): work avoided, never hits changed,
-            // so these too stay out of the compared data rows.
             if r.pruned.0 > 0 || r.pruned.1 > 0 {
                 writeln!(
                     out,
@@ -199,39 +119,47 @@ pub(super) fn latency_profile(ctx: &mut FigureCtx) -> io::Result<()> {
             }
         }
     }
-
-    // Open-loop serving diagnostics over the whole suite, one line per
-    // engine family. Degradation needs a pruned companion engine (the
-    // overload controller's cheaper service level), built only when the
-    // scenario can actually use it.
-    if let Some(spec) = &args.tuning.serving {
-        let queries = suite.all();
-        let tuning = &args.tuning;
-        let pruned_tuning = tuning
-            .clone()
-            .with_algorithm(QueryAlgorithm::BlockMaxMaxScore);
-        if args.engines.lucene {
-            let p = spec.degrade.then(|| lucene(&pruned_tuning));
-            serving_comment(
-                out,
-                "Lucene",
-                &lucene(tuning),
-                p.as_ref(),
-                &queries,
-                spec,
-                args,
-            )?;
-        }
-        if args.engines.iiu {
-            let p = spec.degrade.then(|| iiu(&pruned_tuning));
-            serving_comment(out, "IIU", &iiu(tuning), p.as_ref(), &queries, spec, args)?;
-        }
-        if args.engines.boss {
-            let p = spec.degrade.then(|| boss(&pruned_tuning));
-            serving_comment(out, "BOSS", &boss(tuning), p.as_ref(), &queries, spec, args)?;
-        }
-    }
     Ok(())
+}
+
+/// The arrival process of every open-loop scenario here.
+const ARRIVALS: ArrivalKind = ArrivalKind::Poisson;
+
+/// One open-loop scenario: how hard [`ARRIVALS`] offer load, and the
+/// admission / deadline / degradation posture. Load and deadline are
+/// relative to the measured mean normal service time and the lane
+/// count, so one scenario offers the same *relative* load to any engine.
+struct ServingSpec {
+    /// Offered load as a fraction of pool capacity (arrival rate × mean
+    /// normal service time ÷ servers); 1.0 is saturation.
+    load: f64,
+    /// Admission queue bound.
+    queue: usize,
+    /// Per-query deadline in mean normal service times; 0 disables
+    /// deadlines.
+    deadline_x: f64,
+    policy: ServePolicy,
+    /// Overload controller (degrade under pressure) on.
+    degrade: bool,
+}
+
+impl ServingSpec {
+    /// Replays the scenario over `table` on `servers` lanes: one arrival
+    /// per measured query, drawn deterministically from `seed`.
+    fn replay(&self, table: &ServiceTable, servers: usize, seed: u64) -> ServingRun {
+        let mean_svc = table.mean_normal_cycles().max(1.0);
+        let interarrival = mean_svc / (servers as f64 * self.load);
+        let arrivals = arrivals::generate(ARRIVALS, table.len(), interarrival, seed);
+        let config = ServingConfig {
+            servers,
+            queue_bound: self.queue,
+            deadline_cycles: (self.deadline_x > 0.0)
+                .then(|| (self.deadline_x * mean_svc).round() as u64),
+            policy: self.policy,
+            overload: self.degrade.then(OverloadConfig::default),
+        };
+        simulate(&config, &arrivals, table)
+    }
 }
 
 /// Latency vs offered load — the M/M/k-style sanity view of the serving
@@ -242,7 +170,7 @@ pub(super) fn latency_profile(ctx: &mut FigureCtx) -> io::Result<()> {
 /// deadlines, no degradation, queue bound 64) swept across load, so the
 /// hockey stick is pure queueing theory: waits explode past load 1.0 and
 /// the bounded queue starts rejecting. The full scheduler × degradation
-/// × load matrix lives in the `serving_latency` binary; at the same seed
+/// × load matrix is the [`serving_latency`] entry; at the same seed
 /// and query set both replay the same measured service table, so this is
 /// the quick cross-check, not a second model.
 pub(super) fn latency_vs_load(ctx: &mut FigureCtx) -> io::Result<()> {
@@ -261,15 +189,11 @@ pub(super) fn latency_vs_load(ctx: &mut FigureCtx) -> io::Result<()> {
         EtMode::Full,
         MemoryConfig::optane_dcpmm(),
         args.k,
-        &args.tuning,
+        args.algorithm,
     );
     // One deterministic measurement pass; the load sweep replays it.
     let table = ServiceTable::measure(&engine, None, &queries, args.k, args.k, args.threads)
-        .map_err(|e| {
-            io::Error::other(format!(
-                "service measurement failed: {e} (use --degrade skip on a faulty device)"
-            ))
-        })?;
+        .map_err(|e| io::Error::other(format!("service measurement failed: {e}")))?;
     let mean_service = table.mean_normal_cycles();
     let servers = engine.lanes();
 
@@ -301,15 +225,13 @@ pub(super) fn latency_vs_load(ctx: &mut FigureCtx) -> io::Result<()> {
     )?;
     for load in [0.2, 0.5, 0.7, 0.9, 1.1, 1.5] {
         let spec = ServingSpec {
-            arrivals: ArrivalKind::Poisson,
             load,
             queue: QUEUE_BOUND,
             deadline_x: 0.0,
             policy: ServePolicy::Fifo,
             degrade: false,
         };
-        let arrivals = spec.arrival_trace(queries.len(), mean_service, servers, args.seed);
-        let run = simulate(&spec.config(servers, mean_service), &arrivals, &table);
+        let run = spec.replay(&table, servers, args.seed);
         let mean_sojourn = run.mean_sojourn_cycles();
         row(
             out,
@@ -325,6 +247,166 @@ pub(super) fn latency_vs_load(ctx: &mut FigureCtx) -> io::Result<()> {
     writeln!(
         out,
         "# the hockey stick: waits explode past load 1.0 and the queue starts dropping"
+    )
+}
+
+/// Open-loop serving under overload: the goodput knee and what admission
+/// control, deadlines and graceful degradation buy back.
+///
+/// Sweeps offered load × scheduling posture over a BOSS device serving a
+/// deterministic Poisson arrival trace, and reports per-scenario sojourn
+/// percentiles, goodput and the shed/expired/rejected breakdown. The
+/// per-query service table is measured **once** through the
+/// deterministic batch executor and every scenario replays it, so each
+/// admission, drop and served-result decision is bit-identical at any
+/// `--threads` value (`boss-engine`'s
+/// `end_to_end_run_is_bit_identical_across_worker_counts` replays these
+/// four postures at 1/2/4 workers to enforce exactly that).
+///
+/// One posture per [`ServePolicy`], in [`ALL_SERVE_POLICIES`] order:
+///
+/// * `fifo` — deadline-free FIFO: the naive queue whose p99 marches to
+///   the queue-bound horizon as load crosses 1.0;
+/// * `sjf` — deadline-free oracle SJF: better mean, same unbounded tail;
+/// * `edf` — deadlines with on-dequeue expiry, no degradation;
+/// * `shed` — EDF + predictive shed + the overload controller flipping
+///   the pruned/brownout levers: the "graceful" posture whose served-p99
+///   stays bounded past saturation.
+///
+/// The sweep serves ten times `--queries-per-type` per type at a tenth
+/// of `--k` (600 queries at k = 100 under the default flags). It always
+/// simulates BOSS, exhaustive at the normal level and Block-Max MaxScore
+/// at the pruned one, so `--engines` and `--algorithm` do not apply.
+pub(super) fn serving_latency(ctx: &mut FigureCtx) -> io::Result<()> {
+    /// BOSS cores serving the sweep.
+    const CORES: u32 = 4;
+    /// Admission queue bound.
+    const QUEUE: usize = 256;
+    /// Deadline of the `edf` and `shed` postures, in mean normal service
+    /// times.
+    const DEADLINE_X: f64 = 20.0;
+    /// Offered loads, as fractions of pool capacity; the knee is read at
+    /// the last.
+    const LOADS: [f64; 4] = [0.5, 0.8, 1.2, 2.0];
+    /// Queries per type are this many times `--queries-per-type`, and k
+    /// is `--k` divided by it.
+    const FACTOR: usize = 10;
+
+    let corpus = ctx.corpus(CorpusKind::Ccnews)?;
+    let suite = ctx.suite(&corpus, ctx.args.queries_per_type * FACTOR);
+    let args = &ctx.args;
+    let out = &mut *ctx.out;
+    let queries = suite.all();
+    let k = (args.k / FACTOR).max(1);
+
+    let engine = |algorithm| {
+        let scm = MemoryConfig::optane_dcpmm();
+        boss_engine(&corpus.index, CORES, EtMode::Full, scm, k, algorithm)
+    };
+    let normal = engine(QueryAlgorithm::Exhaustive);
+    let pruned = engine(QueryAlgorithm::BlockMaxMaxScore);
+    // One measurement pass feeds the entire sweep: the table carries all
+    // three degrade levels, and postures that never degrade simply index
+    // the normal level.
+    let brownout_k = (k / 4).max(1);
+    let table = ServiceTable::measure(
+        &normal,
+        Some(&pruned),
+        &queries,
+        k,
+        brownout_k,
+        args.threads,
+    )
+    .map_err(|e| io::Error::other(format!("service measurement failed: {e}")))?;
+    let servers = normal.lanes();
+    let clock = normal.clock_ghz();
+
+    writeln!(
+        out,
+        "# Open-loop serving sweep (ccnews-like, {} queries, k={k}, {CORES} cores, queue {QUEUE}, deadline {}x mean service)",
+        queries.len(),
+        f(DEADLINE_X)
+    )?;
+    writeln!(
+        out,
+        "# arrivals {ARRIVALS} | mean service {} cycles | {servers} simulated servers",
+        f(table.mean_normal_cycles()),
+    )?;
+    writeln!(out, "# threads {}", args.threads)?;
+    header(
+        out,
+        &[
+            "load",
+            "policy",
+            "degrade",
+            "served",
+            "rejected",
+            "expired",
+            "shed",
+            "late",
+            "p50_us",
+            "p99_us",
+            "p999_us",
+            "goodput_qps",
+        ],
+    )?;
+
+    let us = |cycles: u64| cycles as f64 / (clock * 1e3);
+    let top = LOADS[LOADS.len() - 1];
+    // Served-p99 cycles of fifo and shed at the top load, for the knee.
+    let (mut fifo, mut shed) = (0, 0);
+    for load in LOADS {
+        for policy in ALL_SERVE_POLICIES {
+            let deadlines = matches!(policy, ServePolicy::Edf | ServePolicy::EdfShed);
+            let degrade = policy == ServePolicy::EdfShed;
+            let spec = ServingSpec {
+                load,
+                queue: QUEUE,
+                deadline_x: if deadlines { DEADLINE_X } else { 0.0 },
+                policy,
+                degrade,
+            };
+            let run = spec.replay(&table, servers, args.seed);
+            let p99 = run.sojourn_percentile(0.99);
+            row(
+                out,
+                &[
+                    f(load),
+                    policy.label().into(),
+                    if degrade { "on" } else { "off" }.into(),
+                    run.served().to_string(),
+                    run.rejected.to_string(),
+                    run.expired.to_string(),
+                    run.shed.to_string(),
+                    run.served_late.to_string(),
+                    f(us(run.sojourn_percentile(0.50))),
+                    f(us(p99)),
+                    f(us(run.sojourn_percentile(0.999))),
+                    f(run.goodput_qps(clock)),
+                ],
+            )?;
+            match policy {
+                ServePolicy::Fifo if load == top => fifo = p99,
+                ServePolicy::EdfShed if load == top => shed = p99,
+                _ => {}
+            }
+        }
+    }
+
+    // The knee: at the heaviest load the graceful posture's served-p99
+    // must stay bounded while deadline-free FIFO's marches toward the
+    // queue-bound horizon.
+    writeln!(
+        out,
+        "# knee @ load {}: fifo p99 {} us vs shed+degrade p99 {} us ({})",
+        f(top),
+        f(us(fifo)),
+        f(us(shed)),
+        if shed < fifo {
+            "graceful posture bounded"
+        } else {
+            "NO knee - inspect configuration"
+        }
     )
 }
 

@@ -23,7 +23,7 @@ const CORE_SWEEP: [u32; 4] = [1, 2, 4, 8];
 /// `--algorithm exhaustive`, no simulated system may book pruning work,
 /// i.e. the figures' counts are unchanged from before pruning existed.
 fn assert_exhaustive_untouched(args: &BenchArgs, system: &str, run: &SystemRun) {
-    if args.tuning.algorithm == QueryAlgorithm::Exhaustive {
+    if args.algorithm == QueryAlgorithm::Exhaustive {
         assert_eq!(
             (run.eval.blocks_skipped_prune, run.eval.docs_skipped_prune),
             (0, 0),
