@@ -11,6 +11,14 @@
 //! `quiet_plan_and_no_plan_are_bit_identical`, `boss-engine`'s
 //! `fault_degradation.rs`), and open-loop serving decides alike at every
 //! worker count (`end_to_end_run_is_bit_identical_across_worker_counts`).
+//!
+//! This file stays, and does not fold into the engine layer's structured
+//! invariance table: it is the one test that runs registry entries end to
+//! end — argument parsing, the figure driver, the printed rows — at more
+//! than one thread count. A table over engine outcomes (hits, `MemStats`,
+//! `EvalCounts`) checks the layer below and would not see a figure that
+//! prints the same outcomes differently. It holds only checks that go
+//! through `figure`; an invariance of the engines belongs in that table.
 
 use boss_bench::figures::{self, Corpora, FigureCtx};
 use boss_bench::{boss_engine, iiu_engine, lucene_engine, run_system};

@@ -69,6 +69,20 @@ impl BossDevice<'_> {
         k: usize,
         floor: f32,
     ) -> Result<QueryOutcome, Error> {
+        self.execute(expr, k, floor, true)
+    }
+
+    /// [`BossDevice::search_expr_seeded`], with `in_block` choosing how
+    /// the union rounds reach a list stream's postings: through its
+    /// decoded-block lane, or with `false` (the lane-vs-cursor
+    /// differential tests) through its cursor on every access.
+    pub(crate) fn execute(
+        &mut self,
+        expr: &QueryExpr,
+        k: usize,
+        floor: f32,
+        in_block: bool,
+    ) -> Result<QueryOutcome, Error> {
         let plan = QueryPlan::from_expr(self.index, expr, &self.config)?;
         if k == 0 {
             return Ok(QueryOutcome::default());
@@ -123,7 +137,7 @@ impl BossDevice<'_> {
                 prune: true,
             };
             let rounds = if pruned { prune } else { et.into() };
-            union_topk(&mut ctx, streams, rounds, topk, &mut self.bulk)?;
+            union_topk(&mut ctx, streams, rounds, topk, &mut self.bulk, in_block)?;
         }
         let hits = topk.hits().to_vec();
 

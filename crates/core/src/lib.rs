@@ -53,6 +53,8 @@ mod expr;
 mod fault_tests;
 mod fetch;
 mod intersect;
+#[cfg(test)]
+mod lane_tests;
 mod mai;
 mod pipeline;
 mod plan;

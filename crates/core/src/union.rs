@@ -12,24 +12,41 @@
 //! MaxScore family runs [`boss_index::prune::maxscore_union`], the loop
 //! every engine shares, over the same streams ([`PruneStream`]). Between
 //! rounds the loop keeps a [`Frontier`]: the live streams' sIDs packed
-//! into integer sort keys, and the cutoff's comparison bound
-//! ([`ThetaBound`]), each re-derived only when the event that can change
-//! it happened.
+//! into integer sort keys, the cutoff's comparison bound
+//! ([`ThetaBound`]), and each list stream's [`Lane`] — its decoded block
+//! as flat docIDs and term scores — each re-derived only when the event
+//! that can change it happened.
 
 use crate::config::EtMode;
 use crate::fetch::ExecCtx;
 use boss_index::cursor::{ListCursor, ListSink, SkipReason};
-use boss_index::matches::canonical_score;
+use boss_index::matches::canonical_sum;
 use boss_index::prune::{cannot_beat, check_bound, theta_bound, PruneStream};
-use boss_index::{DocId, Error, GroupMatches, ScoreScratch, TermId, TopK};
+use boss_index::{DocId, Error, GroupMatches, InvertedIndex, ScoreScratch, TermId, TopK};
 
 /// Reusable buffers for the block-at-a-time scoring path: one decoded
-/// run's docIDs plus the matching [`ScoreScratch`]. Held per core/worker
-/// so the bulk path allocates nothing per query.
+/// run's docIDs plus the matching [`ScoreScratch`] for the lone-stream
+/// drains, and one [`Lane`] per union stream for the rounds. Held per
+/// core/worker so the bulk path allocates nothing per query.
 #[derive(Debug, Default)]
 pub(crate) struct BulkScratch {
     pub scores: ScoreScratch,
     pub docs: Vec<DocId>,
+    lanes: Vec<Lane>,
+    /// What the round loops of every query so far did.
+    #[cfg(test)]
+    pub(crate) tally: LaneTally,
+}
+
+/// Rounds [`union_topk`]'s loop ran, and how many of its stream moves
+/// went through a cursor ([`Frontier::edge`]). Every round that touched a
+/// cursor made at least one such move, so `edges` bounds the rounds that
+/// did not run in-block.
+#[cfg(test)]
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct LaneTally {
+    pub rounds: u64,
+    pub edges: u64,
 }
 
 /// A materialized intermediate stream (the output of an intersection
@@ -56,6 +73,15 @@ impl MatStream {
     fn rest(&self) -> &[DocId] {
         &self.matches.docs()[self.pos..]
     }
+
+    /// Scans the registers up to `target`: one comparison per document
+    /// passed, reported as stream 0 (no decompression module is bound to
+    /// a materialized stream).
+    fn seek<S: ListSink>(&mut self, sink: &mut S, target: DocId, reason: SkipReason) {
+        let bypassed = self.rest().iter().take_while(|&&d| d < target).count();
+        self.pos += bypassed;
+        sink.postings_passed(0, bypassed as u64, reason, true);
+    }
 }
 
 /// One input of the union module.
@@ -69,8 +95,7 @@ pub(crate) enum UnionStream<'a> {
 
 impl UnionStream<'_> {
     /// The stream's sID — its smallest unevaluated docID — or `None` once
-    /// exhausted. The [`Frontier`] caches this per stream and re-reads it
-    /// only after the stream moved.
+    /// exhausted.
     fn head(&self) -> Option<DocId> {
         (!self.exhausted()).then(|| self.current_doc())
     }
@@ -132,8 +157,6 @@ impl PruneStream for UnionStream<'_> {
         }
     }
 
-    /// A materialized stream scans its registers: one comparison per
-    /// document passed.
     fn seek<S: ListSink>(
         &mut self,
         sink: &mut S,
@@ -142,11 +165,7 @@ impl PruneStream for UnionStream<'_> {
     ) -> Result<(), Error> {
         match self {
             UnionStream::List(c) => c.seek(sink, target, reason)?,
-            UnionStream::Mat(m) => {
-                let bypassed = m.rest().iter().take_while(|&&d| d < target).count();
-                m.pos += bypassed;
-                sink.postings_passed(0, bypassed as u64, reason, true);
-            }
+            UnionStream::Mat(m) => m.seek(sink, target, reason),
         }
         Ok(())
     }
@@ -175,6 +194,90 @@ impl PruneStream for UnionStream<'_> {
             UnionStream::Mat(_) => 0,
         };
         sink.postings_passed(slot, self.remaining(), SkipReason::Prune, false);
+    }
+}
+
+/// A list stream's flat view of its cursor's decoded block: the run the
+/// cursor had not consumed when the block was decoded — its docIDs and
+/// their term scores, from one [`boss_index::Bm25::score_block`] call —
+/// the next posting, and the block's bounds. While a lane is open the
+/// round loop reads and moves its stream here and leaves the cursor where
+/// it was; the cursor is called only at block edges ([`Frontier::edge`]).
+/// A lane is closed (empty) while its cursor's block is undecoded, and for
+/// a materialized stream, whose registers are its lane.
+#[derive(Debug, Default)]
+struct Lane {
+    docs: Vec<DocId>,
+    scores: ScoreScratch,
+    /// The run's next posting.
+    at: usize,
+    /// Postings of the run the cursor has consumed; `at` runs ahead.
+    committed: usize,
+    /// The list's term, and the decompression module it is bound to.
+    term: TermId,
+    slot: usize,
+    /// The block's last docID.
+    last: DocId,
+    /// Its sanitized block-max: the shallow bound of its documents.
+    block_max: f32,
+    /// `min(block-max, list max)`: no posting of the block may score
+    /// above it.
+    bound: f32,
+}
+
+impl Lane {
+    fn is_open(&self) -> bool {
+        !self.docs.is_empty()
+    }
+
+    fn close(&mut self) {
+        self.docs.clear();
+        (self.at, self.committed) = (0, 0);
+    }
+
+    /// Opens the lane on `c`'s decoded run, or closes it while `c`'s
+    /// block is undecoded (or `c` is exhausted). Scoring the run fetches
+    /// nothing: the norms are loaded, and charged, as documents are
+    /// scored.
+    fn open(&mut self, index: &InvertedIndex, c: &ListCursor<'_>) {
+        self.close();
+        if !c.is_decoded() {
+            return;
+        }
+        let (docs, tfs) = c.run();
+        self.docs.extend_from_slice(docs);
+        let norms = index.doc_norms();
+        index
+            .bm25()
+            .score_block(c.idf(), docs, tfs, norms, &mut self.scores);
+        (self.term, self.slot) = (c.term(), c.slot());
+        self.last = c.block_last_doc();
+        self.block_max = c.block_max();
+        self.bound = self.block_max.min(c.list_max());
+    }
+
+    /// Moves `c` up to the lane's position: inside the block, an event-free
+    /// [`ListCursor::advance_run`]; past its last posting, the advance
+    /// that reads the next block's descriptor.
+    fn commit(&mut self, ctx: &mut ExecCtx<'_>, c: &mut ListCursor<'_>) {
+        if self.at > self.committed {
+            c.advance_run(ctx, self.at - self.committed);
+            self.committed = self.at;
+        }
+    }
+
+    /// A seek to `target`, which lies inside the block: the scan the
+    /// cursor's seek would make, reported as the one event it would report
+    /// (none when nothing is passed).
+    fn scan(&mut self, ctx: &mut ExecCtx<'_>, target: DocId, reason: SkipReason) {
+        let passed = self.docs[self.at..]
+            .iter()
+            .take_while(|&&d| d < target)
+            .count();
+        if passed > 0 {
+            self.at += passed;
+            ctx.postings_passed(self.slot, passed as u64, reason, true);
+        }
     }
 }
 
@@ -278,32 +381,73 @@ fn skip_reasons(prune: bool) -> (SkipReason, SkipReason) {
 
 /// The sorter's view of the streams: one `sID << 32 | stream` key per
 /// live stream, so ordering by sID with ties by stream index is integer
-/// order. A key is rewritten only when its stream moved and dropped when
-/// the stream exhausts; nothing else is re-derived between rounds.
+/// order, and one [`Lane`] per stream, through which a list stream is
+/// read and moved inside its decoded block. A key is rewritten only when
+/// its stream moved and dropped when the stream exhausts, and a lane is
+/// reopened only when its cursor was called; nothing else is re-derived
+/// between rounds.
 #[derive(Debug)]
-struct Frontier {
+struct Frontier<'l> {
     keys: Vec<u64>,
     theta: ThetaBound,
+    lanes: &'l mut [Lane],
+    /// Whether open lanes serve reads and moves; `false` sends every
+    /// access through the cursor (the lane-vs-cursor differential tests'
+    /// reference).
+    in_block: bool,
+    #[cfg(test)]
+    edges: u64,
 }
 
 /// Key of an exhausted stream: sorts behind every live one.
 const EXHAUSTED: u64 = u64::MAX;
 
-impl Frontier {
-    fn new(streams: &[UnionStream<'_>]) -> Self {
-        Frontier {
-            keys: (streams.iter().enumerate())
-                .map(|(i, s)| Self::key(i, s))
-                .collect(),
+impl<'l> Frontier<'l> {
+    fn new(
+        index: &InvertedIndex,
+        streams: &[UnionStream<'_>],
+        lanes: &'l mut [Lane],
+        in_block: bool,
+    ) -> Self {
+        for (lane, stream) in lanes.iter_mut().zip(streams) {
+            match stream {
+                UnionStream::List(c) => lane.open(index, c),
+                UnionStream::Mat(_) => lane.close(),
+            }
+        }
+        let mut frontier = Frontier {
+            keys: Vec::with_capacity(streams.len()),
             theta: ThetaBound::new(),
+            lanes,
+            in_block,
+            #[cfg(test)]
+            edges: 0,
+        };
+        for i in 0..streams.len() {
+            let key = frontier.key(i, streams);
+            frontier.keys.push(key);
+        }
+        frontier
+    }
+
+    /// Stream `i`'s sID: its lane's next document while the lane serves,
+    /// else the stream's own.
+    #[inline]
+    fn key(&self, i: usize, streams: &[UnionStream<'_>]) -> u64 {
+        let lane = &self.lanes[i];
+        let head = if self.in_block && lane.is_open() {
+            Some(lane.docs[lane.at])
+        } else {
+            streams[i].head()
+        };
+        match head {
+            Some(doc) => Self::pack(doc, i),
+            None => EXHAUSTED,
         }
     }
 
-    fn key(index: usize, stream: &UnionStream<'_>) -> u64 {
-        match stream.head() {
-            Some(doc) => u64::from(doc) << 32 | index as u64,
-            None => EXHAUSTED,
-        }
+    fn pack(doc: DocId, i: usize) -> u64 {
+        u64::from(doc) << 32 | i as u64
     }
 
     fn len(&self) -> usize {
@@ -321,25 +465,102 @@ impl Frontier {
     }
 
     /// Re-reads the sID of the stream at `pos` after it moved.
-    fn refresh(&mut self, pos: usize, stream: &UnionStream<'_>) {
-        self.keys[pos] = Self::key(self.stream(pos), stream);
+    #[inline]
+    fn refresh(&mut self, pos: usize, streams: &[UnionStream<'_>]) {
+        self.keys[pos] = self.key(self.stream(pos), streams);
     }
 
     /// ① The sorter: ascending sID, ties by stream index, exhausted
-    /// streams dropped. Few streams moved since the last round, so insert
-    /// in place.
+    /// streams dropped. Up to four keys (the paper's per-core width) pass
+    /// a branch-free sorting network; wider unions insert in place, since
+    /// few streams moved since the last round.
     fn sort(&mut self) {
-        for j in 1..self.keys.len() {
-            let key = self.keys[j];
-            let mut p = j;
-            while p > 0 && self.keys[p - 1] > key {
-                self.keys[p] = self.keys[p - 1];
-                p -= 1;
+        /// A branch-free compare-exchange.
+        fn order(a: &mut u64, b: &mut u64) {
+            (*a, *b) = ((*a).min(*b), (*a).max(*b));
+        }
+        match self.keys.as_mut_slice() {
+            [a, b] => order(a, b),
+            [a, b, c] => {
+                order(a, b);
+                order(b, c);
+                order(a, b);
             }
-            self.keys[p] = key;
+            [a, b, c, d] => {
+                order(a, b);
+                order(c, d);
+                order(a, c);
+                order(b, d);
+                order(b, c);
+            }
+            keys => {
+                for j in 1..keys.len() {
+                    let key = keys[j];
+                    let mut p = j;
+                    while p > 0 && keys[p - 1] > key {
+                        keys[p] = keys[p - 1];
+                        p -= 1;
+                    }
+                    keys[p] = key;
+                }
+            }
         }
         while self.keys.last() == Some(&EXHAUSTED) {
             self.keys.pop();
+        }
+    }
+
+    /// Runs `op` on stream `i`'s cursor `c`: the lane's position is
+    /// committed first, and the lane reopened on wherever `op` leaves the
+    /// cursor.
+    fn edge<'a, 'c, R>(
+        &mut self,
+        ctx: &mut ExecCtx<'c>,
+        c: &mut ListCursor<'a>,
+        i: usize,
+        op: impl FnOnce(&mut ListCursor<'a>, &mut ExecCtx<'c>) -> Result<R, Error>,
+    ) -> Result<R, Error> {
+        let lane = &mut self.lanes[i];
+        lane.commit(ctx, c);
+        let out = op(c, ctx)?;
+        lane.open(ctx.index, c);
+        #[cfg(test)]
+        {
+            self.edges += 1;
+        }
+        Ok(out)
+    }
+
+    /// Stream `i`, its cursor committed to the lane's position: for what
+    /// only the cursor answers, [`UnionStream::remaining`] and the
+    /// lone-stream drain.
+    fn committed<'s, 'a>(
+        &mut self,
+        ctx: &mut ExecCtx<'_>,
+        streams: &'s mut [UnionStream<'a>],
+        i: usize,
+    ) -> &'s mut UnionStream<'a> {
+        let stream = &mut streams[i];
+        if let UnionStream::List(c) = stream {
+            self.lanes[i].commit(ctx, c);
+        }
+        stream
+    }
+
+    /// Block bound and last docID of the block of the stream at `pos`
+    /// that covers `target` ([`PruneStream::shallow_block_max`]).
+    fn shallow_block_max(
+        &self,
+        streams: &[UnionStream<'_>],
+        pos: usize,
+        target: DocId,
+    ) -> Option<(f32, DocId)> {
+        let i = self.stream(pos);
+        let lane = &self.lanes[i];
+        if self.in_block && lane.is_open() && target <= lane.last {
+            Some((lane.block_max, lane.last))
+        } else {
+            streams[i].shallow_block_max(target)
         }
     }
 
@@ -352,9 +573,68 @@ impl Frontier {
         target: DocId,
         reason: SkipReason,
     ) -> Result<(), Error> {
-        let stream = &mut streams[self.stream(pos)];
-        stream.seek(ctx, target, reason)?;
-        self.refresh(pos, stream);
+        let i = self.stream(pos);
+        let lane = &mut self.lanes[i];
+        if self.in_block && lane.is_open() && target <= lane.last {
+            lane.scan(ctx, target, reason);
+            self.keys[pos] = Self::pack(lane.docs[lane.at], i);
+            return Ok(());
+        }
+        match &mut streams[i] {
+            UnionStream::Mat(m) => m.seek(ctx, target, reason),
+            UnionStream::List(c) => self.edge(ctx, c, i, |c, ctx| c.seek(ctx, target, reason))?,
+        }
+        self.refresh(pos, streams);
+        Ok(())
+    }
+
+    /// Gathers the contribution of the stream at `pos`, which sits at the
+    /// pivot, and moves it past: a list posting's term score into
+    /// `scores` (refused above its block's bound when `checked`), a
+    /// materialized match's `(term, tf)` entries into `entries`, to be
+    /// scored once the norm is loaded. A list block dropped as unusable
+    /// contributes nothing.
+    #[inline]
+    fn take(
+        &mut self,
+        ctx: &mut ExecCtx<'_>,
+        streams: &mut [UnionStream<'_>],
+        pos: usize,
+        checked: bool,
+        scores: &mut Vec<(TermId, f32)>,
+        entries: &mut Vec<(TermId, u32)>,
+    ) -> Result<(), Error> {
+        let i = self.stream(pos);
+        if !self.lanes[i].is_open() {
+            let fetched = match &mut streams[i] {
+                UnionStream::Mat(m) => {
+                    m.matches.entries_at(m.pos, entries);
+                    m.pos += 1;
+                    false
+                }
+                UnionStream::List(c) => self.edge(ctx, c, i, |c, ctx| c.fetch_block(ctx))?,
+            };
+            if !fetched {
+                self.refresh(pos, streams);
+                return Ok(());
+            }
+        }
+        let lane = &mut self.lanes[i];
+        let score = lane.scores.scores()[lane.at];
+        if checked {
+            check_bound(score, lane.bound)?;
+        }
+        scores.push((lane.term, score));
+        lane.at += 1;
+        if self.in_block && lane.at < lane.docs.len() {
+            self.keys[pos] = Self::pack(lane.docs[lane.at], i);
+            return Ok(());
+        }
+        // The block's last posting: the cursor takes it and leaves.
+        if let UnionStream::List(c) = &mut streams[i] {
+            self.edge(ctx, c, i, |_, _| Ok(()))?;
+        }
+        self.refresh(pos, streams);
         Ok(())
     }
 }
@@ -364,6 +644,12 @@ impl Frontier {
 /// The caller supplies streams in any order; documents are emitted in
 /// ascending docID order, with each document's score summed over the
 /// *distinct* terms contributed by all streams that contain it.
+///
+/// A list stream is read and moved through its [`Lane`] while `in_block`
+/// is set; production callers set it, and the differential tests clear
+/// it to send every access through the cursor, which must change no
+/// outcome: an in-block move reports exactly the events the cursor's
+/// would, and every one the lane does not make is a cursor call.
 ///
 /// # Errors
 ///
@@ -379,6 +665,7 @@ pub(crate) fn union_topk(
     rounds: Rounds,
     topk: &mut TopK,
     bulk: &mut BulkScratch,
+    in_block: bool,
 ) -> Result<(), Error> {
     let (doc_level, block_max, prune) = match rounds {
         Rounds::Exhaustive => (false, false, false),
@@ -387,20 +674,27 @@ pub(crate) fn union_topk(
     };
     let (block_reason, pop_reason) = skip_reasons(prune);
     // Every round but the exhaustive one trusts the streams' bounds, so
-    // each decoded posting is checked against the bound `take` returns.
+    // each gathered list posting is checked against its block's bound.
     let checked = rounds != Rounds::Exhaustive;
-    let mut frontier = Frontier::new(&streams);
-    let mut entries: Vec<(TermId, u32)> = Vec::with_capacity(8);
+    if bulk.lanes.len() < streams.len() {
+        bulk.lanes.resize_with(streams.len(), Lane::default);
+    }
+    let lanes = &mut bulk.lanes[..streams.len()];
+    let mut frontier = Frontier::new(ctx.index, &streams, lanes, in_block);
+    let mut scores: Vec<(TermId, f32)> = Vec::with_capacity(8);
+    let mut entries: Vec<(TermId, u32)> = Vec::new();
     let maxes: Vec<f32> = streams.iter().map(UnionStream::max_score).collect();
     // Score loader: the pre-computed LUT is exact for up to 4 streams
     // (the paper's per-core width); wider ganged unions fall back to
     // incremental summation, exactly as chained mergers would.
     let lut = (!prune && streams.len() <= 4).then(|| ScoreLut::new(&maxes));
+    #[cfg(test)]
+    let mut loop_rounds = 0u64;
 
-    loop {
+    let lone = loop {
         frontier.sort();
         if frontier.len() == 0 {
-            break;
+            break None;
         }
         // Block-at-a-time: once a single live posting-list stream remains
         // (which covers single-term queries entirely and the tail of
@@ -408,12 +702,16 @@ pub(crate) fn union_topk(
         // The drain replicates every counter and simulated charge of the
         // per-posting iterations below.
         if frontier.len() == 1 {
-            if let UnionStream::List(c) = &mut streams[frontier.stream(0)] {
-                drain_single_list(ctx, c, rounds, topk, bulk)?;
-                break;
+            let i = frontier.stream(0);
+            if let UnionStream::List(_) = frontier.committed(ctx, &mut streams, i) {
+                break Some(i);
             }
         }
         ctx.eval.pivot_rounds += 1;
+        #[cfg(test)]
+        {
+            loop_rounds += 1;
+        }
         let bound = frontier.theta.of(topk.cutoff());
 
         // ②/③ Score loader + pivot selector (document-level WAND).
@@ -441,10 +739,11 @@ pub(crate) fn union_topk(
                 None => {
                     // No document anywhere can beat θ: terminate the query.
                     for pos in 0..frontier.len() {
-                        let rest = streams[frontier.stream(pos)].remaining();
+                        let i = frontier.stream(pos);
+                        let rest = frontier.committed(ctx, &mut streams, i).remaining();
                         ctx.eval.count_skipped(pop_reason, rest);
                     }
-                    break;
+                    break None;
                 }
             }
         } else {
@@ -469,7 +768,7 @@ pub(crate) fn union_topk(
             let mut min_boundary = DocId::MAX;
             let mut all_have_blocks = true;
             for pos in 0..=pivot_end {
-                match streams[frontier.stream(pos)].shallow_block_max(pivot) {
+                match frontier.shallow_block_max(&streams, pos, pivot) {
                     Some((m, last)) => {
                         ub += f64::from(m);
                         min_boundary = min_boundary.min(last);
@@ -529,36 +828,35 @@ pub(crate) fn union_topk(
 
         // Gather contributions from every stream positioned at the pivot
         // (streams beyond the pivot position may coincidentally align).
+        scores.clear();
         entries.clear();
         for pos in 0..=pivot_end {
-            let stream = &mut streams[frontier.stream(pos)];
-            let before = entries.len();
-            let bound = stream.take(ctx, &mut entries)?;
-            if checked && bound < f32::INFINITY {
-                // The norm's value, uncharged: the scoring module loads
-                // it once the gather is done.
-                let norm = ctx.index.doc_norms()[pivot as usize];
-                for &(term, tf) in &entries[before..] {
-                    let idf = ctx.index.list(term).idf();
-                    check_bound(ctx.index.bm25().term_score(idf, tf, norm), bound)?;
-                }
-            }
-            frontier.refresh(pos, stream);
+            frontier.take(ctx, &mut streams, pos, checked, &mut scores, &mut entries)?;
         }
         // All contributing streams may have fault-skipped their blocks
         // under `SkipBlock`; the pivot document is gone, and every such
         // stream has moved forward, so re-running the round terminates.
-        if entries.is_empty() {
+        if scores.is_empty() && entries.is_empty() {
             continue;
         }
 
         // Scoring module: one norm load, then one fused op per distinct
         // term (a term shared by several intersection groups contributes
-        // once).
+        // once). List postings were scored with their block.
         let norm = ctx.load_norm(pivot);
-        let score = canonical_score(ctx.index, &mut entries, norm);
+        let score = canonical_sum(ctx.index, &mut scores, &mut entries, norm);
         ctx.eval.docs_scored += 1;
         topk.offer(pivot, score);
+    };
+    #[cfg(test)]
+    {
+        bulk.tally.rounds += loop_rounds;
+        bulk.tally.edges += frontier.edges;
+    }
+    if let Some(i) = lone {
+        if let UnionStream::List(c) = &mut streams[i] {
+            drain_single_list(ctx, c, rounds, topk, bulk)?;
+        }
     }
     ctx.eval.topk_inserts = topk.inserts();
     Ok(())
@@ -837,6 +1135,7 @@ mod tests {
             et.into(),
             &mut topk,
             &mut BulkScratch::default(),
+            true,
         )
         .unwrap();
         (topk.into_hits(), ctx.eval)
@@ -946,6 +1245,7 @@ mod tests {
             EtMode::Full.into(),
             &mut topk,
             &mut BulkScratch::default(),
+            true,
         )
         .unwrap();
         let expect = reference_hits(&idx, &["alpha", "gamma"], 1000);

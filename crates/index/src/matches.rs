@@ -15,7 +15,8 @@
 //! for every exhaustive engine; what an engine *charges* for a document
 //! (a norm load, a heap offer, a cost-model constant) is the closure that
 //! receives the run. Traversals that gather one pivot document at a time
-//! (BOSS's round loop, the pruned evaluators) use [`canonical_score`].
+//! use [`canonical_score`] (the pruned evaluators) or, with the term
+//! scores computed already, [`canonical_sum`] (BOSS's round loop).
 //!
 //! # Ordering and summation contract
 //!
@@ -24,7 +25,7 @@
 //! * a term shared by several groups counts once per document (its tf is
 //!   a property of the `(term, document)` pair, so every group reports
 //!   the same value);
-//! * both kernels sum term scores from `0.0f32` in ascending term-id
+//! * every kernel sums term scores from `0.0f32` in ascending term-id
 //!   order, which is the [`crate::reference`] evaluator's arithmetic —
 //!   scores agree with it bit for bit.
 
@@ -237,8 +238,10 @@ pub fn union_scored(
 /// Puts gathered entries in canonical form: ascending by term id, one
 /// entry per term. Gathers that are already canonical (the common case —
 /// one contributor, or groups whose term ranges do not interleave) pay
-/// one linear check.
-fn sort_distinct(entries: &mut Vec<(TermId, u32)>) {
+/// one linear check. A term's entries from different contributors are
+/// equal (its tf, or its term score, is a property of the `(term,
+/// document)` pair), so which one is kept does not matter.
+fn sort_distinct<T>(entries: &mut Vec<(TermId, T)>) {
     if entries.windows(2).all(|w| w[0].0 < w[1].0) {
         return;
     }
@@ -262,6 +265,31 @@ pub(crate) fn score_entries(index: &InvertedIndex, entries: &[(TermId, u32)], no
 pub fn canonical_score(index: &InvertedIndex, entries: &mut Vec<(TermId, u32)>, norm: f32) -> f32 {
     sort_distinct(entries);
     score_entries(index, entries, norm)
+}
+
+/// [`canonical_score`] of a gather whose posting-list terms were scored
+/// already (BOSS's union rounds score a whole decoded block at once):
+/// `entries` — `(term, tf)` pairs still to score, from materialized
+/// intersection outputs — are scored under `norm` and join `scores`,
+/// then `sort_distinct` and the sum from `0.0f32` in term order, so the
+/// bits are those of `canonical_score` over every pair. A gather with
+/// nothing scored already is `canonical_score` itself, which scores each
+/// distinct term once.
+pub fn canonical_sum(
+    index: &InvertedIndex,
+    scores: &mut Vec<(TermId, f32)>,
+    entries: &mut Vec<(TermId, u32)>,
+    norm: f32,
+) -> f32 {
+    if scores.is_empty() {
+        return canonical_score(index, entries, norm);
+    }
+    for &(term, tf) in entries.iter() {
+        let score = index.bm25().term_score(index.list(term).idf(), tf, norm);
+        scores.push((term, score));
+    }
+    sort_distinct(scores);
+    scores.iter().fold(0.0f32, |sum, &(_, score)| sum + score)
 }
 
 #[cfg(test)]

@@ -31,6 +31,7 @@ impl ScoreScratch {
     }
 
     /// The scores written by the last [`Bm25::score_block`] call.
+    #[inline]
     pub fn scores(&self) -> &[f32] {
         &self.scores
     }
