@@ -1,7 +1,8 @@
 //! Lane-vs-cursor differential tests. BOSS's union rounds read and move
-//! a list stream through its decoded-block lane and call the stream's
-//! cursor only at block edges (`union.rs`). Sending every access through
-//! the cursor instead must change nothing a query reports — hits with
+//! a list stream through its decoded-block lane, a lone one a batched run
+//! of rounds at a time, and call the stream's cursor only at block edges
+//! (`union.rs`). Sending every access through the cursor instead, one
+//! posting per round, must change nothing a query reports — hits with
 //! their score bits, cycles, `EvalCounts` and `MemStats` — under every
 //! `Rounds`, k, stream mix, seeded floor and fault policy; and most
 //! rounds must run in-block, or the lane path is dead and the comparison
@@ -58,11 +59,14 @@ fn corpus(seed: u64, n_docs: usize) -> InvertedIndex {
     index
 }
 
-/// List-only unions (2 and 4 streams), unions with materialized
-/// intersection outputs (one sharing a term with a list stream), and a
-/// 6-stream union, which is past the score loader's table.
+/// A single term and a pure intersection (a lone list stream and a lone
+/// materialized one), list-only unions (2 and 4 streams), unions with
+/// materialized intersection outputs (one sharing a term with a list
+/// stream), and a 6-stream union, which is past the score loader's table.
 fn queries() -> Vec<QueryExpr> {
     vec![
+        term(0),
+        QueryExpr::and([term(1), term(2)]),
         QueryExpr::or([term(0), term(1)]),
         QueryExpr::or([term(0), term(2), term(4), term(6)]),
         QueryExpr::or([term(3), QueryExpr::and([term(1), term(5)])]),
@@ -77,24 +81,29 @@ fn queries() -> Vec<QueryExpr> {
 }
 
 /// Every `Rounds`: the three ET modes, and pruned WAND and Block-Max
-/// WAND.
+/// WAND; and Block-Max MaxScore, whose lone term runs the union rounds.
 fn configs() -> Vec<BossConfig> {
     let mut out: Vec<BossConfig> = [EtMode::Exhaustive, EtMode::BlockOnly, EtMode::Full]
         .into_iter()
         .map(|et| BossConfig::default().with_et(et))
         .collect();
-    for algorithm in [QueryAlgorithm::Wand, QueryAlgorithm::BlockMaxWand] {
+    for algorithm in [
+        QueryAlgorithm::Wand,
+        QueryAlgorithm::BlockMaxWand,
+        QueryAlgorithm::BlockMaxMaxScore,
+    ] {
         out.push(BossConfig::default().with_algorithm(algorithm));
     }
     out
 }
 
 /// Runs every query of [`queries`] under every config of [`configs`], k
-/// and floor, quiet and under a 15 % `SkipBlock` fault plan, on both
-/// paths, and asserts equal outcomes. Returns what the lane path's round
-/// loops did.
+/// and floor, quiet and under a 15 % `SkipBlock` fault plan seeded with
+/// `seed`, on both paths, and asserts equal outcomes, and that the plan
+/// dropped blocks. Returns what the lane path's round loops did.
 fn sweep(index: &InvertedIndex, seed: u64) -> LaneTally {
     let mut tally = LaneTally::default();
+    let mut dropped = 0;
     for config in configs() {
         let faulty = config
             .clone()
@@ -114,6 +123,7 @@ fn sweep(index: &InvertedIndex, seed: u64) -> LaneTally {
                         let a = lanes.execute(&q, k, floor, true).unwrap();
                         let b = cursors.execute(&q, k, floor, false).unwrap();
                         assert_eq!(a, b, "{what}");
+                        dropped += a.eval.blocks_skipped_fault;
                         let bits = |o: &crate::QueryOutcome| -> Vec<(u32, u32)> {
                             o.hits.iter().map(|h| (h.doc, h.score.to_bits())).collect()
                         };
@@ -128,6 +138,7 @@ fn sweep(index: &InvertedIndex, seed: u64) -> LaneTally {
             tally.edges += lanes.bulk.tally.edges;
         }
     }
+    assert!(dropped > 0, "the fault plan dropped no block");
     tally
 }
 
@@ -146,7 +157,7 @@ fn assert_mostly_in_block(tally: LaneTally) {
 
 #[test]
 fn lanes_and_cursors_agree_on_every_outcome() {
-    let tally = sweep(&corpus(0xB055, 1_400), 0xB055);
+    let tally = sweep(&corpus(0xB055, 1_400), 7);
     assert_mostly_in_block(tally);
 }
 

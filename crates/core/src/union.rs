@@ -15,33 +15,33 @@
 //! into integer sort keys, the cutoff's comparison bound
 //! ([`ThetaBound`]), and each list stream's [`Lane`] — its decoded block
 //! as flat docIDs and term scores — each re-derived only when the event
-//! that can change it happened.
+//! that can change it happened. A lone list stream — a single-term query,
+//! the tail of a union — stays in the loop: its round gathers in one step
+//! every further posting whose own round would find θ, and so every
+//! check, as this round did ([`Frontier::take_run`]).
 
 use crate::config::EtMode;
 use crate::fetch::ExecCtx;
 use boss_index::cursor::{ListCursor, ListSink, SkipReason};
 use boss_index::matches::canonical_sum;
-use boss_index::prune::{cannot_beat, check_bound, theta_bound, PruneStream};
+use boss_index::prune::{check_bound, theta_bound, PruneStream};
 use boss_index::{DocId, Error, GroupMatches, InvertedIndex, ScoreScratch, TermId, TopK};
 
-/// Reusable buffers for the block-at-a-time scoring path: one decoded
-/// run's docIDs plus the matching [`ScoreScratch`] for the lone-stream
-/// drains, and one [`Lane`] per union stream for the rounds. Held per
-/// core/worker so the bulk path allocates nothing per query.
+/// Reusable buffers of the union rounds: one [`Lane`] per union stream.
+/// Held per core/worker so the rounds allocate nothing per query.
 #[derive(Debug, Default)]
 pub(crate) struct BulkScratch {
-    pub scores: ScoreScratch,
-    pub docs: Vec<DocId>,
     lanes: Vec<Lane>,
     /// What the round loops of every query so far did.
     #[cfg(test)]
     pub(crate) tally: LaneTally,
 }
 
-/// Rounds [`union_topk`]'s loop ran, and how many of its stream moves
-/// went through a cursor ([`Frontier::edge`]). Every round that touched a
-/// cursor made at least one such move, so `edges` bounds the rounds that
-/// did not run in-block.
+/// Rounds [`union_topk`]'s loop ran, counted as `pivot_rounds` counts
+/// them (a lone stream's batched gather stands for one round per
+/// posting), and how many of its stream moves went through a cursor
+/// ([`Frontier::edge`]). Every round that touched a cursor made at least
+/// one such move, so `edges` bounds the rounds that did not run in-block.
 #[cfg(test)]
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct LaneTally {
@@ -385,7 +385,9 @@ fn skip_reasons(prune: bool) -> (SkipReason, SkipReason) {
 /// read and moved inside its decoded block. A key is rewritten only when
 /// its stream moved and dropped when the stream exhausts, and a lane is
 /// reopened only when its cursor was called; nothing else is re-derived
-/// between rounds.
+/// between rounds. A lone stream is read and moved through its lane too,
+/// a run of postings at a time ([`Frontier::take_run`]); there is no
+/// second loop to hand it to.
 #[derive(Debug)]
 struct Frontier<'l> {
     keys: Vec<u64>,
@@ -532,8 +534,7 @@ impl<'l> Frontier<'l> {
     }
 
     /// Stream `i`, its cursor committed to the lane's position: for what
-    /// only the cursor answers, [`UnionStream::remaining`] and the
-    /// lone-stream drain.
+    /// only the cursor answers, [`UnionStream::remaining`].
     fn committed<'s, 'a>(
         &mut self,
         ctx: &mut ExecCtx<'_>,
@@ -637,6 +638,76 @@ impl<'l> Frontier<'l> {
         self.refresh(pos, streams);
         Ok(())
     }
+
+    /// The gather of a round whose one live stream is a list, batched:
+    /// fetches the block if the lane is closed, then takes, scores and
+    /// offers in one step every posting of the lane whose own round would
+    /// find θ, and so every check of the round, as this round did. Under
+    /// document-level ET those are the queue's free slots while it fills
+    /// (θ stays at the floor until then), then the leading run of
+    /// postings the full queue rejects, or the first posting alone;
+    /// without it, the rest of the block, inside which no check acts.
+    /// Returns the rounds the step stands for (none when the block was
+    /// dropped as unusable), or `None` for a materialized stream or with
+    /// `in_block` clear: their gather is [`Frontier::take`]'s.
+    ///
+    /// The step makes the rounds' events in their order: norm loads in
+    /// docID order, and, when the run takes the block's last posting,
+    /// the cursor's crossing of the block before the last norm load.
+    // Out of line: it runs once per run, and inlined into the round loop
+    // it slowed the rounds of several streams.
+    #[inline(never)]
+    fn take_run(
+        &mut self,
+        ctx: &mut ExecCtx<'_>,
+        streams: &mut [UnionStream<'_>],
+        doc_level: bool,
+        checked: bool,
+        topk: &mut TopK,
+    ) -> Result<Option<usize>, Error> {
+        let i = self.stream(0);
+        let UnionStream::List(c) = &mut streams[i] else {
+            return Ok(None);
+        };
+        if !self.in_block {
+            return Ok(None);
+        }
+        if !self.lanes[i].is_open() && !self.edge(ctx, c, i, |c, ctx| c.fetch_block(ctx))? {
+            self.refresh(0, streams);
+            return Ok(Some(0));
+        }
+        let lane = &mut self.lanes[i];
+        let start = lane.at;
+        let rest = &lane.scores.scores()[start..];
+        let n = if !doc_level {
+            rest.len()
+        } else if topk.len() < topk.k() {
+            rest.len().min(topk.k() - topk.len())
+        } else {
+            let cutoff = topk.cutoff();
+            rest.iter().take_while(|&&s| s <= cutoff).count().max(1)
+        };
+        lane.at += n;
+        let docs = &lane.docs[start..lane.at];
+        let scores = &lane.scores.scores()[start..lane.at];
+        if checked {
+            let max = scores.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            check_bound(max, lane.bound)?;
+        }
+        topk.sift_block(docs, scores);
+        let last = docs[n - 1];
+        for &doc in &docs[..n - 1] {
+            ctx.load_norm(doc);
+        }
+        if lane.at < lane.docs.len() {
+            self.keys[0] = Self::pack(lane.docs[lane.at], i);
+        } else {
+            self.edge(ctx, c, i, |_, _| Ok(()))?;
+            self.refresh(0, streams);
+        }
+        ctx.load_norm(last);
+        Ok(Some(n))
+    }
 }
 
 /// Runs the union + scoring + top-k stage over `streams`.
@@ -689,29 +760,14 @@ pub(crate) fn union_topk(
     // incremental summation, exactly as chained mergers would.
     let lut = (!prune && streams.len() <= 4).then(|| ScoreLut::new(&maxes));
     #[cfg(test)]
-    let mut loop_rounds = 0u64;
+    let rounds_before = ctx.eval.pivot_rounds;
 
-    let lone = loop {
+    loop {
         frontier.sort();
         if frontier.len() == 0 {
-            break None;
-        }
-        // Block-at-a-time: once a single live posting-list stream remains
-        // (which covers single-term queries entirely and the tail of
-        // multi-stream unions), drain it with the bulk scoring kernels.
-        // The drain replicates every counter and simulated charge of the
-        // per-posting iterations below.
-        if frontier.len() == 1 {
-            let i = frontier.stream(0);
-            if let UnionStream::List(_) = frontier.committed(ctx, &mut streams, i) {
-                break Some(i);
-            }
+            break;
         }
         ctx.eval.pivot_rounds += 1;
-        #[cfg(test)]
-        {
-            loop_rounds += 1;
-        }
         let bound = frontier.theta.of(topk.cutoff());
 
         // ②/③ Score loader + pivot selector (document-level WAND).
@@ -743,7 +799,7 @@ pub(crate) fn union_topk(
                         let rest = frontier.committed(ctx, &mut streams, i).remaining();
                         ctx.eval.count_skipped(pop_reason, rest);
                     }
-                    break None;
+                    break;
                 }
             }
         } else {
@@ -826,6 +882,16 @@ pub(crate) fn union_topk(
             continue;
         }
 
+        // A lone list stream gathers a run: this round and the ones its
+        // further postings stand for, each scoring `0.0 + term score`.
+        if frontier.len() == 1 {
+            if let Some(n) = frontier.take_run(ctx, &mut streams, doc_level, checked, topk)? {
+                ctx.eval.pivot_rounds += n.saturating_sub(1) as u64;
+                ctx.eval.docs_scored += n as u64;
+                continue;
+            }
+        }
+
         // Gather contributions from every stream positioned at the pivot
         // (streams beyond the pivot position may coincidentally align).
         scores.clear();
@@ -847,230 +913,13 @@ pub(crate) fn union_topk(
         let score = canonical_sum(ctx.index, &mut scores, &mut entries, norm);
         ctx.eval.docs_scored += 1;
         topk.offer(pivot, score);
-    };
+    }
     #[cfg(test)]
     {
-        bulk.tally.rounds += loop_rounds;
+        bulk.tally.rounds += ctx.eval.pivot_rounds - rounds_before;
         bulk.tally.edges += frontier.edges;
     }
-    if let Some(i) = lone {
-        if let UnionStream::List(c) = &mut streams[i] {
-            drain_single_list(ctx, c, rounds, topk, bulk)?;
-        }
-    }
     ctx.eval.topk_inserts = topk.inserts();
-    Ok(())
-}
-
-/// [`check_bound`] for a bulk-scored run of `c`'s current block: no
-/// posting may score above the block's or the list's bound.
-fn check_run(c: &ListCursor<'_>, scores: &[f32]) -> Result<(), Error> {
-    let max = scores.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    check_bound(max, c.block_max().min(c.list_max()))
-}
-
-/// Drains the last live posting-list stream with the block-at-a-time
-/// kernels ([`boss_index::Bm25::score_block`] + [`TopK::sift_block`]).
-///
-/// Exactly equivalent — counter for counter, charge for charge, bit for
-/// bit — to running the per-posting `union_topk` loop with this stream as
-/// the only live entry:
-///
-/// * A per-posting scalar iteration does `pivot_rounds += 1`, reads θ,
-///   runs the ET checks, then scores `0.0 + term_score(...)` (bitwise
-///   `term_score`, which is positive) and offers. The drain batches the
-///   iterations whose checks are provably no-ops and replicates the rest.
-/// * In `Exhaustive` mode no check has any effect, so a whole decoded run
-///   is scored with one kernel call (`pivot_rounds += run length`).
-/// * In `BlockOnly` mode the only effective check happens at an undecoded
-///   block boundary (inside a decoded block `whole_block_skippable` is
-///   `None` and the scalar loop falls through to scoring); the drain
-///   replays that boundary round and bulk-scores the rest.
-/// * Under `Wand` rounds θ feeds back per accepted posting, so the drain
-///   keeps the round structure but precomputes the run's scores with the
-///   kernel, strips the per-posting stream dispatch, and steps over runs
-///   of postings the full queue rejects (θ, hence every check, unchanged).
-///
-/// Simulated charge order is preserved: block data reads happen at decode
-/// entry, next-block metadata is charged by the advance that crosses the
-/// boundary *before* the final norm load of the run, and norm loads occur
-/// in document order.
-fn drain_single_list(
-    ctx: &mut ExecCtx<'_>,
-    c: &mut ListCursor<'_>,
-    rounds: Rounds,
-    topk: &mut TopK,
-    bulk: &mut BulkScratch,
-) -> Result<(), Error> {
-    let bm25 = *ctx.index.bm25();
-    let norms = ctx.index.doc_norms();
-    let idf = c.idf();
-    let checked = rounds != Rounds::Exhaustive;
-
-    // Scores the whole unconsumed run of the current block and offers it.
-    // `pre_counted` pivot rounds were already charged by a boundary round.
-    // Returns early (without scoring) when the block was fault-skipped or
-    // the cursor ran out; the outer loop then re-examines the cursor.
-    let drain_run = |ctx: &mut ExecCtx<'_>,
-                     c: &mut ListCursor<'_>,
-                     topk: &mut TopK,
-                     bulk: &mut BulkScratch,
-                     pre_counted: u64|
-     -> Result<(), Error> {
-        if !c.fetch_block(ctx)? {
-            return Ok(());
-        }
-        {
-            let (rdocs, rtfs) = c.run();
-            bulk.docs.clear();
-            bulk.docs.extend_from_slice(rdocs);
-            bm25.score_block(idf, rdocs, rtfs, norms, &mut bulk.scores);
-        }
-        if checked {
-            check_run(c, bulk.scores.scores())?;
-        }
-        let n = bulk.docs.len();
-        ctx.eval.pivot_rounds += n as u64 - pre_counted;
-        for j in 0..n {
-            if j + 1 == n {
-                // The advance that crosses the block boundary charges the
-                // next block's metadata before the last norm load, exactly
-                // as the per-posting order does.
-                c.advance_run(ctx, n);
-            }
-            ctx.load_norm(bulk.docs[j]);
-        }
-        ctx.eval.docs_scored += n as u64;
-        topk.sift_block(&bulk.docs, bulk.scores.scores());
-        Ok(())
-    };
-
-    match rounds {
-        Rounds::Exhaustive => {
-            while !c.exhausted() {
-                drain_run(ctx, c, topk, bulk, 0)?;
-            }
-        }
-        Rounds::BlockOnly => {
-            while !c.exhausted() {
-                let mut pre = 0;
-                if !c.is_decoded() {
-                    // Boundary round: the block fetch module may skip the
-                    // whole unfetched block.
-                    ctx.eval.pivot_rounds += 1;
-                    let theta = topk.cutoff();
-                    if cannot_beat(f64::from(c.block_max()), theta) {
-                        let pivot = c.current_doc();
-                        let last = c.block_last_doc();
-                        let next = last.saturating_add(1).max(pivot.saturating_add(1));
-                        if last < next {
-                            c.seek(ctx, last.saturating_add(1), SkipReason::Block)?;
-                            continue;
-                        }
-                    }
-                    pre = 1;
-                }
-                drain_run(ctx, c, topk, bulk, pre)?;
-            }
-        }
-        Rounds::Wand { block_max, prune } => {
-            drain_wand_tail(ctx, c, topk, bulk, block_max, prune)?;
-        }
-    }
-    Ok(())
-}
-
-/// Drains a single live posting-list stream with per-posting θ feedback:
-/// the [`Rounds::Wand`] arm of [`drain_single_list`] — `Full` ET and, with
-/// `prune` set, the bulk tail of the WAND-family pruned query plans.
-///
-/// * `block_check` gates the block-max skip test (on for `Full` ET and
-///   the block-max algorithms, off for plain WAND, whose scalar loop
-///   consults only list-level bounds).
-/// * `prune` attributes skipped work to the pruning counters
-///   ([`SkipReason::Prune`] / `docs_skipped_prune`) instead of the
-///   exhaustive-path ET counters, so the exhaustive plan's figures stay
-///   untouched by the new plans.
-///
-/// Counter for counter, charge for charge, this loop is the scalar
-/// per-posting round structure with the stream dispatch stripped and the
-/// run's scores precomputed by the block kernel — the golden record of
-/// `traversal_golden` pins every number it produces.
-fn drain_wand_tail(
-    ctx: &mut ExecCtx<'_>,
-    c: &mut ListCursor<'_>,
-    topk: &mut TopK,
-    bulk: &mut BulkScratch,
-    block_check: bool,
-    prune: bool,
-) -> Result<(), Error> {
-    let bm25 = *ctx.index.bm25();
-    let norms = ctx.index.doc_norms();
-    let idf = c.idf();
-    let (block_reason, pop_reason) = skip_reasons(prune);
-    let list_ub = f64::from(c.list_max());
-    let mut theta = ThetaBound::new();
-    let mut run_valid = false;
-    let mut run_j = 0usize;
-    while !c.exhausted() {
-        ctx.eval.pivot_rounds += 1;
-        let bound = theta.of(topk.cutoff());
-        if list_ub <= bound {
-            // Document-level termination: nothing left can beat θ.
-            ctx.eval.count_skipped(pop_reason, c.remaining());
-            break;
-        }
-        let pivot = c.current_doc();
-        if block_check && f64::from(c.block_max()) <= bound {
-            let next = c
-                .block_last_doc()
-                .saturating_add(1)
-                .max(pivot.saturating_add(1));
-            c.seek(ctx, next, block_reason)?;
-            run_valid = false;
-            continue;
-        }
-        if !c.is_decoded() {
-            run_valid = false;
-        }
-        if !run_valid {
-            if !c.fetch_block(ctx)? {
-                // Fault-skipped block: the cursor already moved on.
-                continue;
-            }
-            let (rdocs, rtfs) = c.run();
-            bulk.docs.clear();
-            bulk.docs.extend_from_slice(rdocs);
-            bm25.score_block(idf, rdocs, rtfs, norms, &mut bulk.scores);
-            check_run(c, bulk.scores.scores())?;
-            run_valid = true;
-            run_j = 0;
-        }
-        // Postings the full queue rejects leave θ — hence both checks
-        // above — as they are, so a run of them is stepped over with only
-        // its charges; a posting that may enter the queue goes alone.
-        let scores = &bulk.scores.scores()[run_j..];
-        let losers = if topk.len() == topk.k() {
-            let cutoff = topk.cutoff();
-            scores.iter().take_while(|&&s| s <= cutoff).count()
-        } else {
-            0
-        };
-        let n = losers.max(1);
-        ctx.eval.pivot_rounds += n as u64 - 1;
-        for j in 0..n {
-            if j + 1 == n {
-                // The advance that may cross the block boundary charges
-                // the next block's metadata before the last norm load, as
-                // the per-posting order does.
-                c.advance_run(ctx, n);
-            }
-            ctx.load_norm(bulk.docs[run_j + j]);
-        }
-        ctx.eval.docs_scored += n as u64;
-        topk.sift_block(&bulk.docs[run_j..run_j + n], &scores[..n]);
-        run_j += n;
-    }
     Ok(())
 }
 

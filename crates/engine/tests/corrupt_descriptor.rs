@@ -189,10 +189,11 @@ fn a_posting_above_its_block_bound_is_refused_by_every_maxscore() {
 /// (`BlockOnly`, `Full`) and the WAND family (`Wand`, `Bmw`) check each
 /// decoded posting against the bound its cursor recorded, whatever the
 /// degrade policy. `aa`'s last block is the halved one: `aa OR bb` meets
-/// it in the round loop (`bb` reaches the end of the corpus), `aa OR cc`
-/// in the lone-stream drain, a bulk-scored run at a time (`cc` is spent
-/// after document 1). A lone term is a pure intersection and trusts no
-/// bound, so it runs exhaustively and needs no check.
+/// it in a round of several streams (`bb` reaches the end of the corpus),
+/// `aa OR cc` in the rounds of `aa` alone, which gather and check a run
+/// of postings at a time (`cc` is spent after document 1). A lone term is
+/// a pure intersection and trusts no bound, so it runs exhaustively and
+/// needs no check.
 #[test]
 fn a_posting_above_its_block_bound_is_refused_by_every_boss_union() {
     let index = halved_bound(true);

@@ -9,8 +9,9 @@
 //! context as the [`PruneSink`]. WAND and Block-Max WAND keep two loops:
 //! this module's frontier loop for the baselines, and the device's union
 //! module, which seeks every lagging stream to the pivot in one round,
-//! loads the norm after the gather and drains a lone stream
-//! block-at-a-time. Every loop is required by tests to return the exact
+//! loads the norm after the gather and gathers a lone stream's run of
+//! postings in one step of the same loop. Every loop is required by
+//! tests to return the exact
 //! hits of [`crate::reference::evaluate`].
 //!
 //! # Safety contract
