@@ -119,8 +119,9 @@ impl BossDevice<'_> {
         // A pruning algorithm replaces the union traversal wholesale;
         // pure intersections keep the existing path (their matches are
         // already small), mirroring the ET gate above. MaxScore runs the
-        // loop every engine shares; WAND and a lone stream (whose split is
-        // the list-bound test) run the union module's one round loop.
+        // loop every engine shares; WAND, and MaxScore over one stream
+        // (whose split is the list-bound test), run the union module's
+        // round loop.
         let algorithm = self.config.setup.algorithm;
         let pruned = algorithm.prunes() && !plan.is_pure_intersection();
         let block_max = algorithm.is_block_max();

@@ -15,10 +15,10 @@
 //! into integer sort keys, the cutoff's comparison bound
 //! ([`ThetaBound`]), and each list stream's [`Lane`] — its decoded block
 //! as flat docIDs and term scores — each re-derived only when the event
-//! that can change it happened. A lone list stream — a single-term query,
-//! the tail of a union — stays in the loop: its round gathers in one step
-//! every further posting whose own round would find θ, and so every
-//! check, as this round did ([`Frontier::take_run`]).
+//! that can change it happened. A round whose pivot set is one list
+//! stream with an open lane gathers in one step every lane posting below
+//! the next live stream's head: each of their own rounds would find θ,
+//! and so every check, as this round did ([`Frontier::take_run`]).
 
 use crate::config::EtMode;
 use crate::fetch::ExecCtx;
@@ -38,15 +38,17 @@ pub(crate) struct BulkScratch {
 }
 
 /// Rounds [`union_topk`]'s loop ran, counted as `pivot_rounds` counts
-/// them (a lone stream's batched gather stands for one round per
-/// posting), and how many of its stream moves went through a cursor
-/// ([`Frontier::edge`]). Every round that touched a cursor made at least
-/// one such move, so `edges` bounds the rounds that did not run in-block.
+/// them (a batched run stands for one round per posting), how many of
+/// its stream moves went through a cursor ([`Frontier::edge`]), and how
+/// many rounds batched runs stood for while another stream was live.
+/// Every round that touched a cursor made at least one such move, so
+/// `edges` bounds the rounds that did not run in-block.
 #[cfg(test)]
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct LaneTally {
     pub rounds: u64,
     pub edges: u64,
+    pub beside: u64,
 }
 
 /// A materialized intermediate stream (the output of an intersection
@@ -281,35 +283,6 @@ impl Lane {
     }
 }
 
-/// The score loader's lookup table (Section IV-C, union module step ②):
-/// upper-bound query-scores for every subset of up to four streams are
-/// pre-computed at query start — "the unique combinations for the
-/// upper-bound query-score are limited to 16 for 4-way unions" — so the
-/// pivot selector reads a sum instead of adding at runtime.
-#[derive(Debug, Clone)]
-pub(crate) struct ScoreLut {
-    combos: Vec<f64>,
-}
-
-impl ScoreLut {
-    /// Pre-computes the 2^n subset sums of the streams' max scores.
-    pub(crate) fn new(max_scores: &[f32]) -> Self {
-        let n = max_scores.len();
-        let mut combos = vec![0.0f64; 1 << n];
-        for mask in 1usize..(1 << n) {
-            let low = mask & mask.wrapping_neg(); // lowest set bit
-            let i = low.trailing_zeros() as usize;
-            combos[mask] = combos[mask ^ low] + f64::from(max_scores[i]);
-        }
-        ScoreLut { combos }
-    }
-
-    /// Upper-bound query-score of the stream subset `mask`.
-    pub(crate) fn upper_bound(&self, mask: usize) -> f64 {
-        self.combos[mask]
-    }
-}
-
 /// [`theta_bound`] of the most recent θ. θ moves only when the top-k
 /// accepts an entry, so most rounds re-use the bound and every test
 /// against it is one compare.
@@ -351,8 +324,7 @@ pub(crate) enum Rounds {
     /// probed too and whole windows skipped ([`EtMode::Full`], Block-Max
     /// WAND). `prune` marks a dynamic-pruning query plan: skipped work
     /// goes to the `*_prune` counters so the exhaustive plan's figures
-    /// stay untouched, and list bounds are summed in sID order instead of
-    /// read from the score loader's table.
+    /// stay untouched.
     Wand { block_max: bool, prune: bool },
 }
 
@@ -385,9 +357,8 @@ fn skip_reasons(prune: bool) -> (SkipReason, SkipReason) {
 /// read and moved inside its decoded block. A key is rewritten only when
 /// its stream moved and dropped when the stream exhausts, and a lane is
 /// reopened only when its cursor was called; nothing else is re-derived
-/// between rounds. A lone stream is read and moved through its lane too,
-/// a run of postings at a time ([`Frontier::take_run`]); there is no
-/// second loop to hand it to.
+/// between rounds. A pivot set of one list stream is gathered a run of
+/// postings at a time ([`Frontier::take_run`]) in the same loop.
 #[derive(Debug)]
 struct Frontier<'l> {
     keys: Vec<u64>,
@@ -436,16 +407,12 @@ impl<'l> Frontier<'l> {
     /// else the stream's own.
     #[inline]
     fn key(&self, i: usize, streams: &[UnionStream<'_>]) -> u64 {
-        let lane = &self.lanes[i];
-        let head = if self.in_block && lane.is_open() {
-            Some(lane.docs[lane.at])
+        let head = if self.serves(i) {
+            Some(self.lanes[i].docs[self.lanes[i].at])
         } else {
             streams[i].head()
         };
-        match head {
-            Some(doc) => Self::pack(doc, i),
-            None => EXHAUSTED,
-        }
+        head.map_or(EXHAUSTED, |doc| Self::pack(doc, i))
     }
 
     fn pack(doc: DocId, i: usize) -> u64 {
@@ -558,7 +525,7 @@ impl<'l> Frontier<'l> {
     ) -> Option<(f32, DocId)> {
         let i = self.stream(pos);
         let lane = &self.lanes[i];
-        if self.in_block && lane.is_open() && target <= lane.last {
+        if self.serves(i) && target <= lane.last {
             Some((lane.block_max, lane.last))
         } else {
             streams[i].shallow_block_max(target)
@@ -575,8 +542,8 @@ impl<'l> Frontier<'l> {
         reason: SkipReason,
     ) -> Result<(), Error> {
         let i = self.stream(pos);
-        let lane = &mut self.lanes[i];
-        if self.in_block && lane.is_open() && target <= lane.last {
+        if self.serves(i) && target <= self.lanes[i].last {
+            let lane = &mut self.lanes[i];
             lane.scan(ctx, target, reason);
             self.keys[pos] = Self::pack(lane.docs[lane.at], i);
             return Ok(());
@@ -627,11 +594,24 @@ impl<'l> Frontier<'l> {
         }
         scores.push((lane.term, score));
         lane.at += 1;
+        self.moved(ctx, streams, pos)
+    }
+
+    /// Re-reads the sID of the stream at `pos` after postings were taken:
+    /// from the lane while it serves a next one, else from the cursor once
+    /// committed (which crosses the block past its last posting).
+    fn moved(
+        &mut self,
+        ctx: &mut ExecCtx<'_>,
+        streams: &mut [UnionStream<'_>],
+        pos: usize,
+    ) -> Result<(), Error> {
+        let i = self.stream(pos);
+        let lane = &self.lanes[i];
         if self.in_block && lane.at < lane.docs.len() {
             self.keys[pos] = Self::pack(lane.docs[lane.at], i);
             return Ok(());
         }
-        // The block's last posting: the cursor takes it and leaves.
         if let UnionStream::List(c) = &mut streams[i] {
             self.edge(ctx, c, i, |_, _| Ok(()))?;
         }
@@ -639,17 +619,24 @@ impl<'l> Frontier<'l> {
         Ok(())
     }
 
-    /// The gather of a round whose one live stream is a list, batched:
-    /// fetches the block if the lane is closed, then takes, scores and
-    /// offers in one step every posting of the lane whose own round would
-    /// find θ, and so every check of the round, as this round did. Under
-    /// document-level ET those are the queue's free slots while it fills
-    /// (θ stays at the floor until then), then the leading run of
-    /// postings the full queue rejects, or the first posting alone;
-    /// without it, the rest of the block, inside which no check acts.
-    /// Returns the rounds the step stands for (none when the block was
-    /// dropped as unusable), or `None` for a materialized stream or with
-    /// `in_block` clear: their gather is [`Frontier::take`]'s.
+    /// Whether stream `i` is read and moved through its open lane.
+    fn serves(&self, i: usize) -> bool {
+        self.in_block && self.lanes[i].is_open()
+    }
+
+    /// The gather of a round whose pivot set is the list stream at
+    /// position 0, read through its open lane, batched: takes, scores and
+    /// offers in one step every lane posting below the next live stream's
+    /// head (the whole lane when no other stream is live), and returns how
+    /// many — the rounds the step stands for.
+    ///
+    /// Each of those postings would open its own round with this stream
+    /// alone at the pivot. That round's pivot test reads the list bound
+    /// and its block test the block-max, both at least the lane's posting
+    /// bound; θ can only rise to a score the run offers, which is at most
+    /// that bound ([`check_bound`] refuses the run otherwise), and a test
+    /// passes strictly below θ. So every such round reaches this round's
+    /// decisions, and an open lane is never whole-block skippable.
     ///
     /// The step makes the rounds' events in their order: norm loads in
     /// docID order, and, when the run takes the block's last posting,
@@ -661,32 +648,15 @@ impl<'l> Frontier<'l> {
         &mut self,
         ctx: &mut ExecCtx<'_>,
         streams: &mut [UnionStream<'_>],
-        doc_level: bool,
         checked: bool,
         topk: &mut TopK,
-    ) -> Result<Option<usize>, Error> {
+    ) -> Result<usize, Error> {
         let i = self.stream(0);
-        let UnionStream::List(c) = &mut streams[i] else {
-            return Ok(None);
-        };
-        if !self.in_block {
-            return Ok(None);
-        }
-        if !self.lanes[i].is_open() && !self.edge(ctx, c, i, |c, ctx| c.fetch_block(ctx))? {
-            self.refresh(0, streams);
-            return Ok(Some(0));
-        }
+        let next = (self.len() > 1).then(|| self.doc(1));
         let lane = &mut self.lanes[i];
         let start = lane.at;
-        let rest = &lane.scores.scores()[start..];
-        let n = if !doc_level {
-            rest.len()
-        } else if topk.len() < topk.k() {
-            rest.len().min(topk.k() - topk.len())
-        } else {
-            let cutoff = topk.cutoff();
-            rest.iter().take_while(|&&s| s <= cutoff).count().max(1)
-        };
+        let rest = &lane.docs[start..];
+        let n = next.map_or(rest.len(), |next| rest.partition_point(|&d| d < next));
         lane.at += n;
         let docs = &lane.docs[start..lane.at];
         let scores = &lane.scores.scores()[start..lane.at];
@@ -699,14 +669,9 @@ impl<'l> Frontier<'l> {
         for &doc in &docs[..n - 1] {
             ctx.load_norm(doc);
         }
-        if lane.at < lane.docs.len() {
-            self.keys[0] = Self::pack(lane.docs[lane.at], i);
-        } else {
-            self.edge(ctx, c, i, |_, _| Ok(()))?;
-            self.refresh(0, streams);
-        }
+        self.moved(ctx, streams, 0)?;
         ctx.load_norm(last);
-        Ok(Some(n))
+        Ok(n)
     }
 }
 
@@ -755,10 +720,6 @@ pub(crate) fn union_topk(
     let mut scores: Vec<(TermId, f32)> = Vec::with_capacity(8);
     let mut entries: Vec<(TermId, u32)> = Vec::new();
     let maxes: Vec<f32> = streams.iter().map(UnionStream::max_score).collect();
-    // Score loader: the pre-computed LUT is exact for up to 4 streams
-    // (the paper's per-core width); wider ganged unions fall back to
-    // incremental summation, exactly as chained mergers would.
-    let lut = (!prune && streams.len() <= 4).then(|| ScoreLut::new(&maxes));
     #[cfg(test)]
     let rounds_before = ctx.eval.pivot_rounds;
 
@@ -770,38 +731,28 @@ pub(crate) fn union_topk(
         ctx.eval.pivot_rounds += 1;
         let bound = frontier.theta.of(topk.cutoff());
 
-        // ②/③ Score loader + pivot selector (document-level WAND).
+        // ②/③ Score loader + pivot selector (document-level WAND): the f64
+        // sum of ≤ 4 f32 bounds within 2^28 of each other is exact.
         let pivot_pos = if doc_level {
             let mut acc = 0.0f64;
-            let mut mask = 0usize;
             let mut found = None;
             for pos in 0..frontier.len() {
-                let i = frontier.stream(pos);
-                acc = match &lut {
-                    Some(lut) => {
-                        mask |= 1 << i;
-                        lut.upper_bound(mask)
-                    }
-                    None => acc + f64::from(maxes[i]),
-                };
+                acc += f64::from(maxes[frontier.stream(pos)]);
                 if acc <= bound {
                     continue;
                 }
                 found = Some(pos);
                 break;
             }
-            match found {
-                Some(p) => p,
-                None => {
-                    // No document anywhere can beat θ: terminate the query.
-                    for pos in 0..frontier.len() {
-                        let i = frontier.stream(pos);
-                        let rest = frontier.committed(ctx, &mut streams, i).remaining();
-                        ctx.eval.count_skipped(pop_reason, rest);
-                    }
-                    break;
+            let Some(p) = found else {
+                // No document anywhere can beat θ: terminate the query.
+                for pos in 0..frontier.len() {
+                    let stream = frontier.committed(ctx, &mut streams, frontier.stream(pos));
+                    ctx.eval.count_skipped(pop_reason, stream.remaining());
                 }
-            }
+                break;
+            };
+            p
         } else {
             // Without document-level ET the pivot is simply the smallest
             // sID — every document is considered in order.
@@ -882,14 +833,18 @@ pub(crate) fn union_topk(
             continue;
         }
 
-        // A lone list stream gathers a run: this round and the ones its
-        // further postings stand for, each scoring `0.0 + term score`.
-        if frontier.len() == 1 {
-            if let Some(n) = frontier.take_run(ctx, &mut streams, doc_level, checked, topk)? {
-                ctx.eval.pivot_rounds += n.saturating_sub(1) as u64;
-                ctx.eval.docs_scored += n as u64;
-                continue;
+        // A pivot set of one list stream gathers a run: this round and
+        // the ones its further postings stand for, each scoring
+        // `0.0 + term score`.
+        if pivot_end == 0 && frontier.serves(frontier.stream(0)) {
+            let n = frontier.take_run(ctx, &mut streams, checked, topk)? as u64;
+            ctx.eval.pivot_rounds += n - 1;
+            ctx.eval.docs_scored += n;
+            #[cfg(test)]
+            if frontier.len() > 1 {
+                bulk.tally.beside += n;
             }
+            continue;
         }
 
         // Gather contributions from every stream positioned at the pivot
@@ -1099,36 +1054,5 @@ mod tests {
         .unwrap();
         let expect = reference_hits(&idx, &["alpha", "gamma"], 1000);
         assert_eq!(topk.into_hits(), expect);
-    }
-}
-
-#[cfg(test)]
-mod lut_tests {
-    use super::ScoreLut;
-
-    #[test]
-    fn subset_sums_match_manual_addition() {
-        let maxes = [1.5f32, 2.25, 0.5, 4.0];
-        let lut = ScoreLut::new(&maxes);
-        for mask in 0usize..16 {
-            let manual: f64 = (0..4)
-                .filter(|i| mask & (1 << i) != 0)
-                .map(|i| f64::from(maxes[i]))
-                .sum();
-            assert!((lut.upper_bound(mask) - manual).abs() < 1e-9, "mask {mask}");
-        }
-    }
-
-    #[test]
-    fn sixteen_entries_for_four_streams() {
-        let lut = ScoreLut::new(&[1.0, 1.0, 1.0, 1.0]);
-        assert!((lut.upper_bound(0b1111) - 4.0).abs() < 1e-12);
-        assert_eq!(lut.upper_bound(0), 0.0);
-    }
-
-    #[test]
-    fn single_stream_lut() {
-        let lut = ScoreLut::new(&[3.25]);
-        assert!((lut.upper_bound(1) - 3.25).abs() < 1e-9);
     }
 }

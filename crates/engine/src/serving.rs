@@ -49,7 +49,7 @@
 //!
 //! # Overload controller
 //!
-//! A three-state hysteresis machine (see [`OverloadConfig`]):
+//! A three-state hysteresis machine, its thresholds fixed constants:
 //!
 //! ```text
 //!   Normal --occupancy ≥ degrade--> Degraded --occupancy ≥ shed or
@@ -114,22 +114,6 @@ impl std::fmt::Display for ServePolicy {
     }
 }
 
-impl std::str::FromStr for ServePolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "fifo" => Ok(ServePolicy::Fifo),
-            "sjf" => Ok(ServePolicy::Sjf),
-            "edf" => Ok(ServePolicy::Edf),
-            "shed" | "edfshed" => Ok(ServePolicy::EdfShed),
-            other => Err(format!(
-                "unknown serve policy {other:?}: expected fifo, sjf, edf, or shed"
-            )),
-        }
-    }
-}
-
 /// Service quality a query is executed at, the overload controller's
 /// lever. Levels fall back downward when a table does not carry them
 /// (a table measured without a pruned engine serves `Normal` always).
@@ -160,34 +144,12 @@ impl std::fmt::Display for DegradeLevel {
     }
 }
 
-/// Overload-controller thresholds. Occupancy is queue length over the
-/// admission bound; misses are deadline expiries, sheds, and served-late
-/// completions within the last [`OverloadConfig::miss_window`] dequeues.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OverloadConfig {
-    /// Enter `Degraded` at or above this queue occupancy.
-    pub degrade_occupancy: f64,
-    /// Enter `Shedding` at or above this queue occupancy.
-    pub shed_occupancy: f64,
-    /// Step one state down at or below this occupancy (hysteresis).
-    pub recover_occupancy: f64,
-    /// Dequeue-outcome window the miss rate is counted over.
-    pub miss_window: usize,
-    /// Misses within the window that force `Shedding`.
-    pub miss_limit: usize,
-}
-
-impl Default for OverloadConfig {
-    fn default() -> Self {
-        OverloadConfig {
-            degrade_occupancy: 0.50,
-            shed_occupancy: 0.85,
-            recover_occupancy: 0.20,
-            miss_window: 32,
-            miss_limit: 8,
-        }
-    }
-}
+/// Turns the overload controller on ([`ServingConfig::overload`]). It
+/// holds nothing: the controller's thresholds are fixed. Occupancy is
+/// queue length over the admission bound; misses are deadline expiries,
+/// sheds, and served-late completions within a window of recent dequeues.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct OverloadConfig;
 
 /// Overload controller state; maps one-to-one onto the
 /// [`DegradeLevel`] queries are served at.
@@ -199,12 +161,22 @@ enum OverloadState {
     Shedding,
 }
 
+/// Enter `Degraded` at or above this queue occupancy.
+const DEGRADE_OCCUPANCY: f64 = 0.50;
+/// Enter `Shedding` at or above this queue occupancy.
+const SHED_OCCUPANCY: f64 = 0.85;
+/// Step one state down at or below this occupancy (hysteresis).
+const RECOVER_OCCUPANCY: f64 = 0.20;
+/// Dequeue-outcome window the miss rate is counted over.
+const MISS_WINDOW: usize = 32;
+/// Misses within the window that force `Shedding`.
+const MISS_LIMIT: usize = 8;
+
 /// The three-state hysteresis machine of the module docs. Deterministic:
 /// its only inputs are queue occupancy and the windowed miss count, both
 /// pure simulated quantities.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct OverloadController {
-    config: OverloadConfig,
     state: OverloadState,
     /// Ring of recent dequeue outcomes (true = miss).
     window: std::collections::VecDeque<bool>,
@@ -213,22 +185,12 @@ struct OverloadController {
 }
 
 impl OverloadController {
-    fn new(config: OverloadConfig) -> Self {
-        OverloadController {
-            config,
-            state: OverloadState::Normal,
-            window: std::collections::VecDeque::new(),
-            misses_in_window: 0,
-            transitions: 0,
-        }
-    }
-
     fn note_dequeue(&mut self, miss: bool) {
         self.window.push_back(miss);
         if miss {
             self.misses_in_window += 1;
         }
-        while self.window.len() > self.config.miss_window.max(1) {
+        while self.window.len() > MISS_WINDOW {
             if self.window.pop_front() == Some(true) {
                 self.misses_in_window -= 1;
             }
@@ -237,29 +199,28 @@ impl OverloadController {
 
     fn observe(&mut self, queue_len: usize, bound: usize) {
         let occ = queue_len as f64 / bound.max(1) as f64;
-        let c = &self.config;
-        let miss_hot = self.misses_in_window >= c.miss_limit.max(1);
+        let miss_hot = self.misses_in_window >= MISS_LIMIT;
         let next = match self.state {
             OverloadState::Normal => {
-                if occ >= c.shed_occupancy || miss_hot {
+                if occ >= SHED_OCCUPANCY || miss_hot {
                     OverloadState::Shedding
-                } else if occ >= c.degrade_occupancy {
+                } else if occ >= DEGRADE_OCCUPANCY {
                     OverloadState::Degraded
                 } else {
                     OverloadState::Normal
                 }
             }
             OverloadState::Degraded => {
-                if occ >= c.shed_occupancy || miss_hot {
+                if occ >= SHED_OCCUPANCY || miss_hot {
                     OverloadState::Shedding
-                } else if occ <= c.recover_occupancy && self.misses_in_window == 0 {
+                } else if occ <= RECOVER_OCCUPANCY && self.misses_in_window == 0 {
                     OverloadState::Normal
                 } else {
                     OverloadState::Degraded
                 }
             }
             OverloadState::Shedding => {
-                if occ <= c.recover_occupancy && !miss_hot {
+                if occ <= RECOVER_OCCUPANCY && !miss_hot {
                     OverloadState::Degraded
                 } else {
                     OverloadState::Shedding
@@ -622,7 +583,7 @@ pub fn simulate(config: &ServingConfig, arrivals: &[u64], table: &ServiceTable) 
     let n = arrivals.len().min(table.len());
     let servers = config.servers.max(1);
     let bound = config.queue_bound.max(1);
-    let mut controller = config.overload.clone().map(OverloadController::new);
+    let mut controller = config.overload.is_some().then(OverloadController::default);
 
     let mut server_free = vec![0u64; servers];
     let mut queue: Vec<Queued> = Vec::with_capacity(bound);
@@ -919,7 +880,7 @@ mod tests {
             queue_bound: 32,
             deadline_cycles: Some(50_000),
             policy: ServePolicy::Edf,
-            overload: Some(OverloadConfig::default()),
+            overload: Some(OverloadConfig),
         };
         let run = simulate(&config, &uniform_arrivals(n, 150), &table);
         assert!(run.controller_transitions > 0, "controller never moved");
@@ -944,7 +905,7 @@ mod tests {
             queue_bound: 16,
             deadline_cycles: Some(2_000),
             policy: ServePolicy::EdfShed,
-            overload: Some(OverloadConfig::default()),
+            overload: Some(OverloadConfig),
         };
         let a = simulate(&config, &arrivals, &table);
         let b = simulate(&config, &arrivals, &table);
@@ -990,7 +951,7 @@ mod tests {
                         queue_bound: 8,
                         deadline_cycles: deadlines.then_some((20.0 * mean) as u64),
                         policy,
-                        overload: degrade.then(OverloadConfig::default),
+                        overload: degrade.then_some(OverloadConfig),
                     };
                     records.push(simulate(&config, &arrivals, &table).records);
                 }
@@ -1014,13 +975,5 @@ mod tests {
         let (level, svc) = bare.service(DegradeLevel::Brownout, 0);
         assert_eq!(level, DegradeLevel::Normal);
         assert_eq!(svc.cycles, 100);
-    }
-
-    #[test]
-    fn policy_and_kind_labels_parse() {
-        for p in ALL_SERVE_POLICIES {
-            assert_eq!(p.label().parse::<ServePolicy>().unwrap(), p);
-        }
-        assert!("lifo".parse::<ServePolicy>().is_err());
     }
 }

@@ -9,7 +9,7 @@
 use boss_core::{BossConfig, DegradePolicy, EtMode};
 use boss_engine::{Boss, Iiu, Lucene, SearchEngine};
 use boss_iiu::IiuConfig;
-use boss_index::{Error, IndexBuilder, InvertedIndex, QueryAlgorithm, QueryExpr};
+use boss_index::{reference, Error, IndexBuilder, InvertedIndex, QueryAlgorithm, QueryExpr};
 use boss_luceneish::LuceneConfig;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -185,18 +185,33 @@ fn a_posting_above_its_block_bound_is_refused_by_every_maxscore() {
     }
 }
 
-/// A halved bound under BOSS's union module: early termination
+/// `halved_bound(false)`, but `aa`'s first block claims its first
+/// posting's score as its block-max: that posting (document 0,
+/// `x aa bb`) passes, and the next (document 2, the shorter `x aa`)
+/// scores above it.
+fn first_posting_bound() -> InvertedIndex {
+    let mut index = halved_bound(false);
+    let aa = QueryExpr::term("aa");
+    let hits = reference::evaluate(&index, &aa, N_DOCS as usize).expect("aa evaluates");
+    let first = hits.iter().find(|h| h.doc == 0).expect("aa in document 0");
+    let id = index.term_id("aa").expect("aa indexed");
+    index.list_mut(id).blocks_mut()[0].max_score = first.score;
+    index
+}
+
+/// A lowered bound under BOSS's union module: early termination
 /// (`BlockOnly`, `Full`) and the WAND family (`Wand`, `Bmw`) check each
 /// decoded posting against the bound its cursor recorded, whatever the
-/// degrade policy. `aa`'s last block is the halved one: `aa OR bb` meets
-/// it in a round of several streams (`bb` reaches the end of the corpus),
-/// `aa OR cc` in the rounds of `aa` alone, which gather and check a run
-/// of postings at a time (`cc` is spent after document 1). A lone term is
-/// a pure intersection and trusts no bound, so it runs exhaustively and
-/// needs no check.
+/// degrade policy. In [`halved_bound`]`(true)` `aa`'s last block is the
+/// halved one, refused at the round that fetches it: `aa OR bb` meets it
+/// beside a live stream (`bb` reaches the end of the corpus), `aa OR cc`
+/// with `aa` alone (`cc` is spent after document 1). In
+/// [`first_posting_bound`] the first over-bound posting is the second of
+/// its block, so under either query only a batched run of `aa` meets it.
+/// A lone term is a pure intersection and trusts no bound, so it runs
+/// exhaustively and needs no check.
 #[test]
 fn a_posting_above_its_block_bound_is_refused_by_every_boss_union() {
-    let index = halved_bound(true);
     let t = QueryExpr::term;
     let queries = [
         QueryExpr::or([t("aa"), t("bb")]),
@@ -218,15 +233,20 @@ fn a_posting_above_its_block_bound_is_refused_by_every_boss_union() {
             BossConfig::default().with_algorithm(QueryAlgorithm::BlockMaxWand),
         ),
     ];
-    for (label, config) in unions {
-        for degrade in [DegradePolicy::FailQuery, DegradePolicy::SkipBlock] {
-            let mut boss = Boss::new(&index, config.clone().with_degrade(degrade));
-            for q in &queries {
-                let result = boss.search(q, k);
-                assert!(
-                    matches!(result, Err(Error::CorruptMetadata { .. })),
-                    "{label} {degrade:?} {q}: {result:?}"
-                );
+    for (bound, index) in [
+        ("halved", halved_bound(true)),
+        ("first-posting", first_posting_bound()),
+    ] {
+        for (label, config) in &unions {
+            for degrade in [DegradePolicy::FailQuery, DegradePolicy::SkipBlock] {
+                let mut boss = Boss::new(&index, config.clone().with_degrade(degrade));
+                for q in &queries {
+                    let result = boss.search(q, k);
+                    assert!(
+                        matches!(result, Err(Error::CorruptMetadata { .. })),
+                        "{bound} {label} {degrade:?} {q}: {result:?}"
+                    );
+                }
             }
         }
     }

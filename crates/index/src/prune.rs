@@ -9,10 +9,10 @@
 //! context as the [`PruneSink`]. WAND and Block-Max WAND keep two loops:
 //! this module's frontier loop for the baselines, and the device's union
 //! module, which seeks every lagging stream to the pivot in one round,
-//! loads the norm after the gather and gathers a lone stream's run of
-//! postings in one step of the same loop. Every loop is required by
-//! tests to return the exact
-//! hits of [`crate::reference::evaluate`].
+//! loads the norm after the gather and, when the pivot set is one list
+//! stream, gathers its run of postings below the next stream's head in
+//! one step. Every loop is required by tests to return the exact hits of
+//! [`crate::reference::evaluate`].
 //!
 //! # Safety contract
 //!
