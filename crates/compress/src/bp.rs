@@ -63,7 +63,7 @@ impl Codec for BitPacking {
         info: &BlockInfo,
         base: u32,
         out: &mut Vec<u32>,
-    ) -> Result<(), Error> {
+    ) -> Result<bool, Error> {
         let width = u32::from(info.bit_width);
         if width > 32 {
             return Err(Error::Corrupt {

@@ -181,6 +181,8 @@ pub trait Codec: std::fmt::Debug + Send + Sync {
 
     /// Decode `info.count` d-gap values and append their running
     /// (wrapping) prefix sum seeded with `base` — i.e. absolute docIDs.
+    /// `Ok(true)` when the sum passed 2³², so the docIDs appended wrapped:
+    /// no valid block does that, and it can still end on the right docID.
     ///
     /// The default decodes then runs a second pass; BP fuses the prefix
     /// sum into its unpack loop.
@@ -194,11 +196,10 @@ pub trait Codec: std::fmt::Debug + Send + Sync {
         info: &BlockInfo,
         base: u32,
         out: &mut Vec<u32>,
-    ) -> Result<(), Error> {
+    ) -> Result<bool, Error> {
         let start = out.len();
         self.decode(data, info, out)?;
-        unpack::prefix_sum_d1(base, &mut out[start..]);
-        Ok(())
+        Ok(unpack::prefix_sum_d1(base, &mut out[start..]))
     }
 }
 

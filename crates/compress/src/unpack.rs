@@ -88,12 +88,15 @@ fn unpack_w<const W: u32>(data: &[u8], count: usize, out: &mut Vec<u32>) {
     }
 }
 
-/// Fused d-gap kernel: emits `base + prefix_sum(gaps)` (wrapping).
-fn unpack_d1_w<const W: u32>(data: &[u8], count: usize, base: u32, out: &mut Vec<u32>) {
-    let mut prev = base;
+/// Fused d-gap kernel: emits `base + prefix_sum(gaps)` (wrapping), and
+/// returns whether the sum passed 2³². The sum runs in a `u64` — no
+/// dearer than a `u32` on a 64-bit target — and the stores keep its low
+/// half; it cannot overflow, as a block holds at most 4 096 gaps.
+fn unpack_d1_w<const W: u32>(data: &[u8], count: usize, base: u32, out: &mut Vec<u32>) -> bool {
+    let mut prev = u64::from(base);
     if W == 0 {
-        out.resize(out.len() + count, prev);
-        return;
+        out.resize(out.len() + count, base);
+        return false;
     }
     let mask: u64 = (1u64 << W) - 1;
     out.reserve(count);
@@ -108,30 +111,31 @@ fn unpack_d1_w<const W: u32>(data: &[u8], count: usize, base: u32, out: &mut Vec
         let v1 = (load_word(data, b1 >> 3) >> (b1 & 7)) & mask;
         let v2 = (load_word(data, b2 >> 3) >> (b2 & 7)) & mask;
         let v3 = (load_word(data, b3 >> 3) >> (b3 & 7)) & mask;
-        let d0 = prev.wrapping_add(v0 as u32);
-        let d1 = d0.wrapping_add(v1 as u32);
-        let d2 = d1.wrapping_add(v2 as u32);
-        let d3 = d2.wrapping_add(v3 as u32);
-        out.extend_from_slice(&[d0, d1, d2, d3]);
+        let d0 = prev + v0;
+        let d1 = d0 + v1;
+        let d2 = d1 + v2;
+        let d3 = d2 + v3;
+        out.extend_from_slice(&[d0 as u32, d1 as u32, d2 as u32, d3 as u32]);
         prev = d3;
         i += 4;
     }
     while i < fast {
         let bit = i * W as usize;
-        prev = prev.wrapping_add(((load_word(data, bit >> 3) >> (bit & 7)) & mask) as u32);
-        out.push(prev);
+        prev += (load_word(data, bit >> 3) >> (bit & 7)) & mask;
+        out.push(prev as u32);
         i += 1;
     }
     while i < count {
         let bit = i * W as usize;
-        prev = prev.wrapping_add(((load_tail(data, bit >> 3) >> (bit & 7)) & mask) as u32);
-        out.push(prev);
+        prev += (load_tail(data, bit >> 3) >> (bit & 7)) & mask;
+        out.push(prev as u32);
         i += 1;
     }
+    prev >> 32 != 0
 }
 
 type UnpackFn = fn(&[u8], usize, &mut Vec<u32>);
-type UnpackD1Fn = fn(&[u8], usize, u32, &mut Vec<u32>);
+type UnpackD1Fn = fn(&[u8], usize, u32, &mut Vec<u32>) -> bool;
 
 macro_rules! width_table {
     ($f:ident) => {
@@ -189,6 +193,7 @@ pub fn unpack(data: &[u8], count: usize, width: u32, out: &mut Vec<u32>) -> Resu
 
 /// Like [`unpack`], but treats the packed values as d-gaps and appends the
 /// running (wrapping) prefix sum seeded with `base` — i.e. absolute docIDs.
+/// `Ok(true)` when the sum passed 2³², so the docIDs appended wrapped.
 ///
 /// # Errors
 ///
@@ -199,22 +204,24 @@ pub fn unpack_d1(
     width: u32,
     base: u32,
     out: &mut Vec<u32>,
-) -> Result<(), Error> {
+) -> Result<bool, Error> {
     check_input(data, count, width)?;
-    UNPACK_D1[width as usize](data, count, base, out);
-    Ok(())
+    Ok(UNPACK_D1[width as usize](data, count, base, out))
 }
 
 /// In-place wrapping prefix sum seeded with `base`, for codecs whose gap
 /// decode cannot be fused (e.g. OptPFD, which patches exceptions after
-/// unpacking).
+/// unpacking); `true` when the sum passed 2³², as the fused kernel
+/// reports it. A slice longer than 2³² values could overflow the `u64`
+/// sum; no block comes near.
 #[inline]
-pub fn prefix_sum_d1(base: u32, values: &mut [u32]) {
-    let mut prev = base;
+pub fn prefix_sum_d1(base: u32, values: &mut [u32]) -> bool {
+    let mut prev = u64::from(base);
     for v in values {
-        prev = prev.wrapping_add(*v);
-        *v = prev;
+        prev += u64::from(*v);
+        *v = prev as u32;
     }
+    prev >> 32 != 0
 }
 
 #[cfg(test)]
@@ -267,12 +274,36 @@ mod tests {
             let buf = pack(&gaps, width);
             for base in [0u32, 1, u32::MAX - 5] {
                 let mut fused = Vec::new();
-                unpack_d1(&buf, gaps.len(), width, base, &mut fused).unwrap();
+                let fused_wrapped = unpack_d1(&buf, gaps.len(), width, base, &mut fused).unwrap();
                 let mut two_pass = Vec::new();
                 unpack(&buf, gaps.len(), width, &mut two_pass).unwrap();
-                prefix_sum_d1(base, &mut two_pass);
+                let wrapped = prefix_sum_d1(base, &mut two_pass);
                 assert_eq!(fused, two_pass, "width {width} base {base}");
+                let sum = u64::from(base) + gaps.iter().map(|&g| u64::from(g)).sum::<u64>();
+                assert_eq!(
+                    (fused_wrapped, wrapped),
+                    (sum > 0xFFFF_FFFF, sum > 0xFFFF_FFFF)
+                );
             }
+        }
+    }
+
+    /// A sum that reaches `u32::MAX` has not wrapped; one more has, in
+    /// the unrolled loop, the scalar loop and the tail alike.
+    #[test]
+    fn d1_reports_a_sum_past_2_32() {
+        for count in [1usize, 5, 9] {
+            let mut gaps = vec![0u32; count];
+            gaps[count - 1] = 5;
+            let buf = pack(&gaps, 3);
+            let mut out = Vec::new();
+            assert!(!unpack_d1(&buf, count, 3, u32::MAX - 5, &mut out).unwrap());
+            assert!(unpack_d1(&buf, count, 3, u32::MAX - 4, &mut out).unwrap());
+            assert_eq!(out[count - 1], u32::MAX, "count {count}");
+            assert_eq!(out[2 * count - 1], 0, "count {count}");
+            let mut values = gaps.clone();
+            assert!(!prefix_sum_d1(u32::MAX - 5, &mut values));
+            assert!(prefix_sum_d1(u32::MAX - 4, &mut gaps));
         }
     }
 

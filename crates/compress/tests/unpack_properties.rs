@@ -54,15 +54,18 @@ proptest! {
             let gaps: Vec<u32> = raw.iter().map(|&v| v & mask(width)).collect();
             let buf = pack(&gaps, width);
             let mut fused = Vec::new();
-            unpack_d1(&buf, gaps.len(), width, base, &mut fused).unwrap();
+            let fused_wrapped = unpack_d1(&buf, gaps.len(), width, base, &mut fused).unwrap();
             let mut slow = Vec::new();
             reference::unpack_d1(&buf, gaps.len(), width, base, &mut slow).unwrap();
             prop_assert_eq!(&fused, &slow, "width {}", width);
-            // And the two-pass formulation agrees.
+            // And the two-pass formulation agrees, on the values and on
+            // whether the sum passed 2^32.
             let mut two_pass = Vec::new();
             unpack(&buf, gaps.len(), width, &mut two_pass).unwrap();
-            prefix_sum_d1(base, &mut two_pass);
+            let wrapped = prefix_sum_d1(base, &mut two_pass);
             prop_assert_eq!(&fused, &two_pass, "width {}", width);
+            let sum = u64::from(base) + gaps.iter().map(|&g| u64::from(g)).sum::<u64>();
+            prop_assert_eq!((fused_wrapped, wrapped), (sum > 0xFFFF_FFFF, sum > 0xFFFF_FFFF));
         }
     }
 

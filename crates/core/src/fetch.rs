@@ -165,14 +165,26 @@ impl<'a> ExecCtx<'a> {
     /// metadata, "LD Score" in Figure 15) and returns the norm. The
     /// scoring module buffers the current 64-byte line: documents arrive
     /// in ascending order, so consecutive candidates often share it.
-    pub(crate) fn load_norm(&mut self, doc: DocId) -> f32 {
+    ///
+    /// # Errors
+    ///
+    /// [`Error::CorruptMetadata`] when `doc` lies outside the corpus,
+    /// before anything is charged.
+    pub(crate) fn load_norm(&mut self, doc: DocId) -> Result<f32, Error> {
+        let norm = *self
+            .index
+            .doc_norms()
+            .get(doc as usize)
+            .ok_or(Error::CorruptMetadata {
+                reason: "decoded docID outside the corpus",
+            })?;
         let addr = self.image.norm_addr(doc);
         let line = addr / 64;
         if line != self.norm_line {
             self.read(addr, 4, AccessCategory::LdScore, PatternHint::Random);
             self.norm_line = line;
         }
-        self.index.doc_norms()[doc as usize]
+        Ok(norm)
     }
 }
 
@@ -280,7 +292,7 @@ impl PruneSink for ExecCtx<'_> {
 
     /// The scoring module's line-buffered norm load ([`Self::load_norm`]).
     fn doc_norm(&mut self, _index: &InvertedIndex, doc: DocId) -> Result<f32, Error> {
-        Ok(self.load_norm(doc))
+        self.load_norm(doc)
     }
 }
 

@@ -667,10 +667,10 @@ impl<'l> Frontier<'l> {
         topk.sift_block(docs, scores);
         let last = docs[n - 1];
         for &doc in &docs[..n - 1] {
-            ctx.load_norm(doc);
+            ctx.load_norm(doc)?;
         }
         self.moved(ctx, streams, 0)?;
-        ctx.load_norm(last);
+        ctx.load_norm(last)?;
         Ok(n)
     }
 }
@@ -864,7 +864,7 @@ pub(crate) fn union_topk(
         // Scoring module: one norm load, then one fused op per distinct
         // term (a term shared by several intersection groups contributes
         // once). List postings were scored with their block.
-        let norm = ctx.load_norm(pivot);
+        let norm = ctx.load_norm(pivot)?;
         let score = canonical_sum(ctx.index, &mut scores, &mut entries, norm);
         ctx.eval.docs_scored += 1;
         topk.offer(pivot, score);

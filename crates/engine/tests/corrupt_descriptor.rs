@@ -4,21 +4,27 @@
 //! panic. Raising the first descriptor's `last_doc` past the corpus also
 //! shifts the next block's d-gap base, so the decoded docIDs of two
 //! blocks would index the norm table out of bounds if a decode were
-//! trusted without comparing it with its descriptor.
+//! trusted without comparing it with its descriptor. A list whose
+//! descriptors and payload agree but reach past the corpus, and a block
+//! whose d-gaps wrap around 2³² back onto its descriptor's bounds, must
+//! be refused the same way.
 
+use boss_compress::codec_for;
 use boss_core::{BossConfig, DegradePolicy, EtMode};
 use boss_engine::{Boss, Iiu, Lucene, SearchEngine};
 use boss_iiu::IiuConfig;
-use boss_index::{reference, Error, IndexBuilder, InvertedIndex, QueryAlgorithm, QueryExpr};
+use boss_index::{
+    reference, BlockMeta, Error, IndexBuilder, InvertedIndex, QueryAlgorithm, QueryExpr,
+};
 use boss_luceneish::LuceneConfig;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 const N_DOCS: u32 = 2000;
 
-/// `aa` in every other document, `bb` in every third; `aa`'s first
-/// descriptor claims a last docID 5 000 past the corpus.
-fn corrupted() -> InvertedIndex {
-    let docs: Vec<String> = (0..N_DOCS)
+/// `aa` in every other document, `bb` in every third, over `n_docs`
+/// documents.
+fn every_other(n_docs: u32) -> InvertedIndex {
+    let docs: Vec<String> = (0..n_docs)
         .map(|i| {
             let mut t = String::from("x");
             if i % 2 == 0 {
@@ -30,12 +36,61 @@ fn corrupted() -> InvertedIndex {
             t
         })
         .collect();
-    let mut index = IndexBuilder::new()
+    IndexBuilder::new()
         .add_documents(docs.iter().map(String::as_str))
         .build()
-        .expect("corpus builds");
+        .expect("corpus builds")
+}
+
+/// [`every_other`], with `aa`'s first descriptor claiming a last docID
+/// 5 000 past the corpus.
+fn corrupted() -> InvertedIndex {
+    let mut index = every_other(N_DOCS);
     let aa = index.term_id("aa").expect("aa indexed");
     index.list_mut(aa).blocks_mut()[0].last_doc = N_DOCS + 5000;
+    index
+}
+
+/// [`every_other`], with `aa`'s list taken whole from a 6 000-document
+/// corpus: every descriptor agrees with its payload, and the blocks past
+/// document 2 000 lie outside this corpus.
+fn transplanted() -> InvertedIndex {
+    let donor = every_other(6_000);
+    let mut index = every_other(N_DOCS);
+    let aa = index.term_id("aa").expect("aa indexed");
+    let donor_aa = donor.term_id("aa").expect("aa indexed");
+    *index.list_mut(aa) = donor.list(donor_aa).clone();
+    index
+}
+
+/// [`every_other`], with `aa`'s first block re-encoded (under the list's
+/// own scheme) as the d-gaps `[first, (2²⁷ − 1) × 32, last − first + 32]`:
+/// they sum to `last − first` modulo 2³², so the block decodes to the
+/// descriptor's first and last docIDs and the next block's d-gap base is
+/// untouched, while the 32 docIDs between them lie past the corpus.
+fn wrapped() -> InvertedIndex {
+    let mut index = every_other(N_DOCS);
+    let aa = index.term_id("aa").expect("aa indexed");
+    let list = index.list_mut(aa);
+    let codec = codec_for(list.scheme());
+    let meta = list.blocks()[0];
+    let mut gaps = vec![meta.first_doc];
+    gaps.extend([(1u32 << 27) - 1; 32]);
+    gaps.push(meta.last_doc - meta.first_doc + 32);
+    let mut block = Vec::new();
+    let delta_info = codec.encode(&gaps, &mut block).expect("gaps encode");
+    let tf_offset = block.len() as u32;
+    let tf_info = codec.encode(&[0; 34], &mut block).expect("tfs encode");
+    let offset = list.data_mut().len() as u32;
+    list.data_mut().extend_from_slice(&block);
+    list.blocks_mut()[0] = BlockMeta {
+        offset,
+        len: block.len() as u32,
+        tf_offset,
+        delta_info,
+        tf_info,
+        ..meta
+    };
     index
 }
 
@@ -53,15 +108,43 @@ fn queries() -> [QueryExpr; 3] {
 enum Expect {
     CorruptMetadata,
     DropsBlocks,
+    /// Either of the two: a bound check fails the query whatever the
+    /// degrade policy.
+    DropsBlocksOrCorrupt,
 }
 
 #[test]
 fn a_descriptor_past_the_corpus_is_refused_by_every_engine() {
-    let index = corrupted();
+    refused_by_every_engine(&corrupted(), &queries(), Expect::DropsBlocks);
+}
+
+/// Q1 and Q3 over `aa`'s transplanted list. Its block-max bounds were
+/// taken over the donor's norms, so under BOSS's bound checks a posting
+/// may exceed its bound before a block past the corpus is reached.
+#[test]
+fn a_list_past_the_corpus_is_refused_by_every_engine() {
+    let t = QueryExpr::term;
+    let queries = [t("aa"), QueryExpr::or([t("aa"), t("bb")])];
+    refused_by_every_engine(&transplanted(), &queries, Expect::DropsBlocksOrCorrupt);
+}
+
+/// Q1 and Q3 over `aa`'s wrapped block.
+#[test]
+fn a_block_whose_gaps_wrap_is_refused_by_every_engine() {
+    let t = QueryExpr::term;
+    let queries = [t("aa"), QueryExpr::or([t("aa"), t("bb")])];
+    refused_by_every_engine(&wrapped(), &queries, Expect::DropsBlocks);
+}
+
+/// Runs `queries` on `index` under BOSS (failing the query, or skipping
+/// the block), IIU and the Lucene-like engine, each exhaustive and under
+/// BlockMaxMaxScore: BOSS under `SkipBlock` ends as `skip` says, every
+/// other engine returns [`Error::CorruptMetadata`], and none panics.
+fn refused_by_every_engine(index: &InvertedIndex, queries: &[QueryExpr], skip: Expect) {
     for algorithm in [QueryAlgorithm::Exhaustive, QueryAlgorithm::BlockMaxMaxScore] {
         let boss = |degrade| {
             Boss::new(
-                &index,
+                index,
                 BossConfig::default()
                     .with_algorithm(algorithm)
                     .with_degrade(degrade),
@@ -73,15 +156,11 @@ fn a_descriptor_past_the_corpus_is_refused_by_every_engine() {
                 Box::new(boss(DegradePolicy::FailQuery)),
                 Expect::CorruptMetadata,
             ),
-            (
-                "boss-skip",
-                Box::new(boss(DegradePolicy::SkipBlock)),
-                Expect::DropsBlocks,
-            ),
+            ("boss-skip", Box::new(boss(DegradePolicy::SkipBlock)), skip),
             (
                 "iiu",
                 Box::new(Iiu::new(
-                    &index,
+                    index,
                     IiuConfig::default().with_algorithm(algorithm),
                 )),
                 Expect::CorruptMetadata,
@@ -89,7 +168,7 @@ fn a_descriptor_past_the_corpus_is_refused_by_every_engine() {
             (
                 "lucene",
                 Box::new(Lucene::new(
-                    &index,
+                    index,
                     LuceneConfig::default().with_algorithm(algorithm),
                 )),
                 Expect::CorruptMetadata,
@@ -97,14 +176,17 @@ fn a_descriptor_past_the_corpus_is_refused_by_every_engine() {
         ];
         for (label, engine, expect) in &mut engines {
             let expect = *expect;
-            for q in &queries() {
+            for q in queries {
                 let outcome = catch_unwind(AssertUnwindSafe(|| engine.search(q, 10)));
                 let Ok(result) = outcome else {
                     panic!("{label} {algorithm} {q}: panicked");
                 };
                 match (expect, result) {
-                    (Expect::CorruptMetadata, Err(Error::CorruptMetadata { .. })) => {}
-                    (Expect::DropsBlocks, Ok(out)) => assert!(
+                    (
+                        Expect::CorruptMetadata | Expect::DropsBlocksOrCorrupt,
+                        Err(Error::CorruptMetadata { .. }),
+                    ) => {}
+                    (Expect::DropsBlocks | Expect::DropsBlocksOrCorrupt, Ok(out)) => assert!(
                         out.eval.blocks_skipped_fault > 0,
                         "{label} {algorithm} {q}: the corrupt block was not dropped"
                     ),

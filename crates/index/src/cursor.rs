@@ -20,9 +20,10 @@
 //!
 //! Decoded blocks are checked against their descriptor where every
 //! decode is, in [`crate::EncodedList::decode_block`]; on a walk, a block
-//! that fails the check (or whose fetch the sink refuses) goes to
-//! [`ListSink::block_unusable`], which either fails the query or lets the
-//! cursor drop the block and move on.
+//! that fails the check (or whose descriptor reaches past the corpus, or
+//! whose fetch the sink refuses) goes to [`ListSink::block_unusable`],
+//! which either fails the query or lets the cursor drop the block and
+//! move on.
 
 use crate::encoded::ListView;
 use crate::index::{InvertedIndex, TermId};
@@ -87,9 +88,10 @@ pub trait ListSink {
     /// decoded under `scheme` and agrees with its descriptor.
     fn block_decoded(&mut self, _slot: usize, _block: usize, _scheme: Scheme, _meta: &BlockMeta) {}
 
-    /// The block described by `meta` could not be used: its fetch was
-    /// refused or its decode failed with `err`. `Ok` drops the block and
-    /// the cursor moves on to the next one; `Err` fails the query.
+    /// The block described by `meta` could not be used: its descriptor
+    /// reaches past the corpus, its fetch was refused or its decode
+    /// failed with `err`. `Ok` drops the block and the cursor moves on
+    /// to the next one; `Err` fails the query.
     ///
     /// # Errors
     ///
@@ -125,6 +127,11 @@ fn sanitize_ub(raw: f32) -> f32 {
     }
 }
 
+/// A block descriptor whose docIDs reach past the corpus.
+const PAST_THE_CORPUS: Error = Error::CorruptMetadata {
+    reason: "block descriptor's last docID outside the corpus",
+};
+
 /// A cursor over one encoded posting list with lazy block decode.
 #[derive(Debug)]
 pub struct ListCursor<'a> {
@@ -136,6 +143,9 @@ pub struct ListCursor<'a> {
     /// index image.
     meta_addr: u64,
     data_addr: u64,
+    /// The corpus size: a block whose descriptor ends at or past it is
+    /// unusable, as its docIDs would index past the norm table.
+    n_docs: DocId,
     /// Current block; `list.blocks.len()` when exhausted.
     block: usize,
     /// Decoded docIDs/tfs of the current block (empty while undecoded),
@@ -196,6 +206,7 @@ impl<'a> ListCursor<'a> {
             list: list.view(),
             meta_addr: image.meta_addr(term),
             data_addr: image.data_addr(term),
+            n_docs: index.n_docs(),
             block: 0,
             scratch,
             pos: 0,
@@ -206,11 +217,13 @@ impl<'a> ListCursor<'a> {
     /// Streams `term`'s whole list and decodes it into docID and tf
     /// columns: one [`ListSink::list_streamed`] event, no per-block fetch
     /// or decode event. A streamed list is all or nothing: a block that
-    /// fails to decode fails the load.
+    /// fails to decode, or whose descriptor reaches past the corpus,
+    /// fails the load.
     ///
     /// # Errors
     ///
-    /// The first block's decode error.
+    /// [`Error::CorruptMetadata`] if a descriptor's last docID lies
+    /// outside the corpus, else the first block's decode error.
     ///
     /// # Panics
     ///
@@ -224,6 +237,9 @@ impl<'a> ListCursor<'a> {
         let (list, image) = (index.list(term), IndexImage::new(index));
         let (meta, data) = (image.meta_addr(term), image.data_addr(term));
         sink.list_streamed(slot, list.blocks(), meta, data, list.data_bytes() as u64);
+        if list.blocks().iter().any(|b| b.last_doc >= index.n_docs()) {
+            return Err(PAST_THE_CORPUS);
+        }
         list.decode_all()
     }
 
@@ -442,10 +458,16 @@ impl<'a> ListCursor<'a> {
             return Ok(false);
         };
         let addr = self.data_addr + u64::from(meta.offset);
-        let decoded = sink.block_fetch(self.slot, addr, &meta).and_then(|()| {
-            let DecodeScratch { docs, tfs } = &mut self.scratch;
-            self.list.decode_block(self.block, docs, tfs)
-        });
+        // A descriptor past the corpus is refused before the fetch: the
+        // decode check would pass a block that agrees with it.
+        let decoded = if meta.last_doc >= self.n_docs {
+            Err(PAST_THE_CORPUS)
+        } else {
+            sink.block_fetch(self.slot, addr, &meta).and_then(|()| {
+                let DecodeScratch { docs, tfs } = &mut self.scratch;
+                self.list.decode_block(self.block, docs, tfs)
+            })
+        };
         if let Err(e) = decoded {
             self.scratch.clear();
             sink.block_unusable(self.slot, &meta, e)?;
@@ -769,6 +791,34 @@ mod tests {
         assert_eq!(c.current_tf(&mut log).unwrap(), None);
         assert_eq!(c.current_doc(), idx.list(t).blocks()[1].first_doc);
         assert!(log.events.iter().all(|e| !e.starts_with("decoded")));
+    }
+
+    /// A block whose descriptor ends past the corpus is refused before
+    /// it is fetched, on a walk and on a load.
+    #[test]
+    fn a_block_past_the_corpus_is_refused_unfetched() {
+        let mut idx = index();
+        let t = idx.term_id("even").unwrap();
+        idx.list_mut(t).blocks_mut()[2].last_doc = 600;
+        let first = idx.list(t).blocks()[2].first_doc;
+        let mut log = Log {
+            drop_unusable: true,
+            ..Log::default()
+        };
+        let mut c = ListCursor::with_directory(&idx, t, 0, &mut log);
+        c.seek(&mut log, first, SkipReason::Block).unwrap();
+        assert_eq!(c.current_tf(&mut log).unwrap(), None);
+        assert!(c.exhausted());
+        assert_eq!(
+            log.events[3..],
+            [format!("unusable 0 {first}")],
+            "{:?}",
+            log.events
+        );
+        assert!(matches!(
+            ListCursor::load(&idx, t, 0, &mut log),
+            Err(Error::CorruptMetadata { .. })
+        ));
     }
 
     #[test]

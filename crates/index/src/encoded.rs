@@ -260,7 +260,14 @@ impl ListView<'_> {
             self.blocks[i - 1].last_doc
         };
         let doc_base = docs.len();
-        codec.decode_d1(delta_part, &meta.delta_info, base, docs)?;
+        // A prefix sum that wrapped past 2³² can still land on the
+        // descriptor's first and last docIDs, with the docIDs between them
+        // past the corpus.
+        if codec.decode_d1(delta_part, &meta.delta_info, base, docs)? {
+            return Err(Error::CorruptMetadata {
+                reason: "block's d-gaps wrap past 2^32",
+            });
+        }
         // The skip decisions every cursor takes read the descriptor, and
         // the scorers index the norm table with what the decode produced:
         // the two must name the same documents.
@@ -514,10 +521,10 @@ impl EncodedList {
     ///
     /// Returns [`Error::BlockOutOfRange`] if `i` is out of range,
     /// [`Error::CorruptMetadata`] if the block descriptor points outside
-    /// the list's data area, its sub-stream counts disagree, or the
-    /// decoded docIDs are empty or do not begin at the descriptor's
-    /// `first_doc` and end at its `last_doc`, and codec errors on corrupt
-    /// encoded bytes.
+    /// the list's data area, its sub-stream counts disagree, the d-gaps'
+    /// prefix sum wraps past 2³², or the decoded docIDs are empty or do
+    /// not begin at the descriptor's `first_doc` and end at its
+    /// `last_doc`, and codec errors on corrupt encoded bytes.
     pub fn decode_block(
         &self,
         i: usize,

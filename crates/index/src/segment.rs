@@ -189,12 +189,20 @@ fn field_u32(value: usize, what: &str) -> Result<u32, IoError> {
 /// What the descriptors of every list an encoder produced satisfy, and a
 /// decode would otherwise be the first to miss: each block lies inside
 /// the list's `data_len` payload bytes with its tf section inside the
-/// block, holds as many gaps as tfs, spans an ascending docID range, and
-/// ends after the block before it. The writer refuses a list that breaks
-/// one, and the reader an entry, before its bytes go anywhere.
-fn check_descriptors(blocks: &[BlockMeta], data_len: usize) -> Result<(), &'static str> {
+/// block, holds as many gaps as tfs, spans an ascending docID range
+/// inside the segment's `n_docs` documents, and ends after the block
+/// before it. The writer refuses a list that breaks one, and the reader
+/// an entry, before its bytes go anywhere.
+fn check_descriptors(
+    blocks: &[BlockMeta],
+    data_len: usize,
+    n_docs: u32,
+) -> Result<(), &'static str> {
     let mut prev_last = None;
     for b in blocks {
+        if b.last_doc >= n_docs {
+            return Err("block's last docID outside the segment's documents");
+        }
         if b.offset as usize + b.len as usize > data_len {
             return Err("block offset/len outside the list data area");
         }
@@ -314,13 +322,7 @@ impl<W: Write> SegmentWriter<W> {
             }));
         }
         let term_len = term_len(term).map_err(IoError::Invalid)?;
-        let n_docs = self.n_docs;
-        if list.blocks.last().is_some_and(|b| b.last_doc >= n_docs) {
-            return Err(IoError::Invalid(crate::Error::InvalidQuery {
-                reason: format!("term {term:?} has docIDs outside the segment's {n_docs} docs"),
-            }));
-        }
-        check_descriptors(list.blocks, list.data.len())
+        check_descriptors(list.blocks, list.data.len(), self.n_docs)
             .map_err(|reason| IoError::Invalid(crate::Error::CorruptMetadata { reason }))?;
         let n_blocks = field_u32(list.blocks.len(), "block count")?;
         let data_len = field_u32(list.data.len(), "payload length")?;
@@ -792,17 +794,7 @@ impl<R: Read> SegmentReader<R> {
                 self.term
             )));
         }
-        if self
-            .blocks
-            .last()
-            .is_some_and(|b| b.last_doc >= self.header.n_docs)
-        {
-            return Err(IoError::Corrupt(format!(
-                "term {:?} last docID outside the segment's {} docs",
-                self.term, self.header.n_docs
-            )));
-        }
-        check_descriptors(&self.blocks, data_len as usize)
+        check_descriptors(&self.blocks, data_len as usize, self.header.n_docs)
             .map_err(|reason| IoError::Corrupt(format!("term {:?}: {reason}", self.term)))?;
 
         self.data.resize(data_len as usize, 0);

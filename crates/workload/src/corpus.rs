@@ -14,7 +14,6 @@
 use crate::rng::{self, Geometric, SeededRng, Zipf};
 use boss_index::{IndexBuilder, InvertedIndex, PostingList};
 use rand::RngExt;
-use std::fmt::Write as _;
 
 /// Corpus size presets used by all figure binaries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -129,7 +128,9 @@ impl CorpusSpec {
             let list = PostingList::from_columns(docs, tfs)?;
             // Lexical order == rank order thanks to zero padding, so rank-r
             // terms are cheap to find in tests and samplers.
-            lists.push((format!("t{rank:0width$}"), list));
+            let mut term = String::new();
+            push_term(&mut term, rank, width);
+            lists.push((term, list));
         }
         Ok(lists)
     }
@@ -229,17 +230,18 @@ impl CorpusSpec {
         let n_clusters = (df / 256).clamp(1, 64);
         let width = (self.n_docs / n_clusters as u32 / 4).max(512);
         let per = df / n_clusters;
-        let mut docs = Vec::with_capacity(df);
+        let take = per.min(width as usize / 2).max(1);
+        // Overlapping clusters merge through a bitmap over the corpus (or
+        // over one cluster's width, where that is wider).
+        let mut merged = rng::Bitmap::new(self.n_docs.max(width));
+        let mut len = 0;
         for _ in 0..n_clusters {
             let base = r.random_range(0..self.n_docs.saturating_sub(width).max(1));
-            let take = per.min(width as usize / 2).max(1);
             for v in rng::sorted_distinct(r, take, width) {
-                docs.push(base + v);
+                len += usize::from(merged.insert(base + v));
             }
         }
-        docs.sort_unstable();
-        docs.dedup();
-        docs
+        merged.into_sorted(len)
     }
 }
 
@@ -308,8 +310,7 @@ impl DocStreamer {
             }
             let (term, tf) = &mut out[distinct];
             term.clear();
-            // Writing to a `String` cannot fail.
-            let _ = write!(term, "t{:0width$}", run[0]);
+            push_term(term, run[0], width);
             *tf = run.len() as u32;
             distinct += 1;
         }
@@ -318,11 +319,34 @@ impl DocStreamer {
     }
 }
 
+/// Appends rank `rank`'s term, `t` and the rank zero-padded to `width`
+/// digits (more if the rank has more): `format!("t{rank:0width$}")`
+/// without the formatting machinery, which the streamer would run once
+/// per distinct term of every document.
+fn push_term(term: &mut String, rank: usize, width: usize) {
+    let mut digits = [0u8; 20];
+    let (mut at, mut rest) = (digits.len(), rank);
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    let len = digits.len() - at;
+    term.reserve(1 + width.max(len));
+    term.push('t');
+    term.extend(std::iter::repeat_n('0', width.saturating_sub(len)));
+    term.extend(digits[at..].iter().map(|&d| char::from(d)));
+}
+
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
     use super::*;
+    use rand::RngCore;
 
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
@@ -330,6 +354,119 @@ mod tests {
         bytes.fold(h, |h, b| {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
         })
+    }
+
+    /// [`CorpusSpec::sample_docs`] before the bitmap merge, verbatim but
+    /// for the oracle [`sorted_distinct`](rng::sorted_distinct) it
+    /// calls.
+    fn sample_docs_oracle(spec: &CorpusSpec, r: &mut SeededRng, df: usize) -> Vec<u32> {
+        let clustered = r.random_range(0.0..1.0) < spec.cluster_fraction;
+        if !clustered || df < 64 {
+            return rng::sorted_distinct_oracle(r, df, spec.n_docs);
+        }
+        let n_clusters = (df / 256).clamp(1, 64);
+        let width = (spec.n_docs / n_clusters as u32 / 4).max(512);
+        let per = df / n_clusters;
+        let mut docs = Vec::with_capacity(df);
+        for _ in 0..n_clusters {
+            let base = r.random_range(0..spec.n_docs.saturating_sub(width).max(1));
+            let take = per.min(width as usize / 2).max(1);
+            for v in rng::sorted_distinct_oracle(r, take, width) {
+                docs.push(base + v);
+            }
+        }
+        docs.sort_unstable();
+        docs.dedup();
+        docs
+    }
+
+    /// Plain and clustered lists at every df threshold — the clustered
+    /// cut at 64, one cluster against two at 512, the cluster cap at
+    /// 16 384 — in corpora smaller than one cluster's width, at the smoke
+    /// size and at the benchmark's: the same docIDs, and the stream left
+    /// where the oracle leaves it.
+    #[test]
+    fn sample_docs_equals_the_sorting_form() {
+        let dfs = [
+            1, 63, 64, 65, 255, 256, 511, 512, 513, 16_383, 16_384, 16_385, 60_000,
+        ];
+        for n_docs in [300, 2_500, 100_000] {
+            for cluster_fraction in [0.0, 0.5, 1.0] {
+                let spec = CorpusSpec {
+                    n_docs,
+                    cluster_fraction,
+                    ..CorpusSpec::clueweb12_like(Scale::Smoke)
+                };
+                for &df in dfs.iter().filter(|&&df| df <= n_docs as usize * 6 / 10) {
+                    let (mut new, mut old) = (rng::rng(df as u64), rng::rng(df as u64));
+                    let want = sample_docs_oracle(&spec, &mut old, df);
+                    let got = spec.sample_docs(&mut new, df);
+                    assert_eq!(
+                        got, want,
+                        "n_docs {n_docs} fraction {cluster_fraction} df {df}"
+                    );
+                    assert_eq!(new.next_u64(), old.next_u64(), "{n_docs} {df}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn push_term_equals_format() {
+        for rank in [0, 1, 9, 10, 99, 100, 999, 1_000, 12_345, usize::MAX] {
+            for width in 1..=6 {
+                let mut term = String::from("stale");
+                term.clear();
+                push_term(&mut term, rank, width);
+                assert_eq!(term, format!("t{rank:0width$}"));
+            }
+        }
+    }
+
+    /// [`DocStreamer::doc_terms`] before its guided Zipf search and
+    /// direct digit writing, verbatim but for the oracle Zipf search.
+    fn doc_terms_oracle(s: &DocStreamer, doc: u32) -> Vec<(String, u32)> {
+        use std::fmt::Write as _;
+        let mix = (u64::from(doc) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut r = rng::rng(s.spec.seed ^ mix);
+        let mut ranks: Vec<usize> = (0..s.spec.terms_per_doc)
+            .map(|_| s.zipf.sample_by_search(&mut r))
+            .collect();
+        ranks.sort_unstable();
+        let width = s.width;
+        let mut out = Vec::new();
+        for run in ranks.chunk_by(|a, b| a == b) {
+            let mut term = String::new();
+            let _ = write!(term, "t{:0width$}", run[0]);
+            out.push((term, run.len() as u32));
+        }
+        out
+    }
+
+    /// Vocabularies whose last rank has more digits than the padding
+    /// (10, 100, 1 000) and the benchmark's stream.
+    #[test]
+    fn doc_terms_equal_the_formatting_form() {
+        for (vocab_size, terms_per_doc) in [(9, 20), (10, 20), (100, 40), (1_000, 60), (30_000, 60)]
+        {
+            let spec = StreamingCorpusSpec {
+                n_docs: 400,
+                vocab_size,
+                zipf_s: 1.1,
+                terms_per_doc,
+                seed: 0xB055,
+            };
+            let s = spec.streamer();
+            let mut out = Vec::new();
+            for doc in 0..spec.n_docs {
+                assert_eq!(s.doc_terms(doc, &mut out), terms_per_doc);
+                assert_eq!(
+                    out,
+                    doc_terms_oracle(&s, doc),
+                    "vocab {vocab_size} doc {doc}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -65,7 +65,11 @@ impl QueryType {
             "{self:?} takes {} terms",
             self.n_terms()
         );
-        let t = |i: usize| QueryExpr::term(terms[i].clone());
+        self.build_with(|i| QueryExpr::term(terms[i].clone()))
+    }
+
+    /// The Table II expression whose `i`-th term is `t(i)`.
+    fn build_with(self, t: impl Fn(usize) -> QueryExpr) -> QueryExpr {
         match self {
             QueryType::Q1 => t(0),
             QueryType::Q2 => QueryExpr::and([t(0), t(1)]),
@@ -138,6 +142,12 @@ impl std::error::Error for SampleError {}
 /// Samples query terms the way the TREC Terabyte tracks skew: terms drawn
 /// proportionally to document frequency, excluding the ultra-rare tail
 /// real users seldom type.
+///
+/// A draw `u` in `0..total` picks the first term whose cumulative df
+/// exceeds it. A guide table over `u`'s high bits narrows that search:
+/// `guide[b]` is the term picked by `u = b << shift`, so every `u` of
+/// slice `b` picks a term in `guide[b]..=guide[b + 1]` (integers, so the
+/// table is exact).
 #[derive(Debug)]
 pub struct QuerySampler {
     terms: Vec<String>,
@@ -145,8 +155,16 @@ pub struct QuerySampler {
     /// The last cumulative df; positive, as `new` rejects an empty
     /// vocabulary.
     total: u64,
+    /// `u >> shift` is `u`'s slice of the guide table.
+    shift: u32,
+    /// `guide[b]`: the index `u = b << shift` picks, for every slice and
+    /// the one past the last.
+    guide: Vec<u32>,
     rng: SeededRng,
 }
+
+/// Guide-table slices per [`QuerySampler`]: at most `2^GUIDE_BITS`.
+const GUIDE_BITS: u32 = 12;
 
 impl QuerySampler {
     /// Builds a sampler over the index vocabulary.
@@ -169,18 +187,33 @@ impl QuerySampler {
         if terms.is_empty() {
             return Err(SampleError::EmptyVocabulary);
         }
+        let shift = (u64::BITS - acc.leading_zeros()).saturating_sub(GUIDE_BITS);
+        let guide = (0..=((acc - 1) >> shift) + 1)
+            .map(|b| cumulative.partition_point(|&c| c <= b << shift) as u32)
+            .collect();
         Ok(QuerySampler {
             terms,
             cumulative,
             total: acc,
+            shift,
+            guide,
             rng: rng::rng(seed),
         })
     }
 
-    fn sample_term(&mut self) -> String {
+    /// The index of a df-weighted term.
+    fn sample_index(&mut self) -> usize {
         let u = self.rng.random_range(0..self.total);
-        let i = self.cumulative.partition_point(|&c| c <= u);
-        self.terms[i].clone()
+        self.index_of(u)
+    }
+
+    /// The index of the term the draw `u` in `0..total` picks: the first
+    /// whose cumulative df exceeds `u`.
+    #[inline]
+    fn index_of(&self, u: u64) -> usize {
+        let b = (u >> self.shift) as usize;
+        let (lo, hi) = (self.guide[b] as usize, self.guide[b + 1] as usize);
+        lo + self.cumulative[lo..hi].partition_point(|&c| c <= u)
     }
 
     /// Samples `n` distinct terms.
@@ -191,25 +224,33 @@ impl QuerySampler {
     /// `n` eligible terms, [`SampleError::SamplingStalled`] if rejection
     /// sampling cannot realize `n` distinct draws.
     pub fn sample_terms(&mut self, n: usize) -> Result<Vec<String>, SampleError> {
+        let picked = self.sample_indices(n)?;
+        Ok(picked.into_iter().map(|i| self.terms[i].clone()).collect())
+    }
+
+    /// [`QuerySampler::sample_terms`] as indices into `terms`. Terms are
+    /// distinct strings, so distinct indices are distinct terms, and
+    /// only the terms kept are ever cloned.
+    fn sample_indices(&mut self, n: usize) -> Result<Vec<usize>, SampleError> {
         if n > self.terms.len() {
             return Err(SampleError::NotEnoughTerms {
                 wanted: n,
                 have: self.terms.len(),
             });
         }
-        let mut out: Vec<String> = Vec::with_capacity(n);
+        let mut picked: Vec<usize> = Vec::with_capacity(n);
         let mut guard = 0;
-        while out.len() < n {
-            let t = self.sample_term();
-            if !out.contains(&t) {
-                out.push(t);
+        while picked.len() < n {
+            let i = self.sample_index();
+            if !picked.contains(&i) {
+                picked.push(i);
             }
             guard += 1;
             if guard >= 10_000 {
                 return Err(SampleError::SamplingStalled { wanted: n });
             }
         }
-        Ok(out)
+        Ok(picked)
     }
 
     /// Samples one query of the given type.
@@ -218,10 +259,10 @@ impl QuerySampler {
     ///
     /// As for [`QuerySampler::sample_terms`].
     pub fn sample(&mut self, qtype: QueryType) -> Result<TypedQuery, SampleError> {
-        let terms = self.sample_terms(qtype.n_terms())?;
+        let picked = self.sample_indices(qtype.n_terms())?;
         Ok(TypedQuery {
             qtype,
-            expr: qtype.build(&terms),
+            expr: qtype.build_with(|i| QueryExpr::term(self.terms[picked[i]].clone())),
         })
     }
 
@@ -262,6 +303,7 @@ mod tests {
 
     use super::*;
     use crate::corpus::{CorpusSpec, Scale};
+    use rand::RngCore;
 
     #[test]
     fn table2_shapes() {
@@ -329,6 +371,105 @@ mod tests {
         let twos = qs.iter().filter(|q| q.qtype.n_terms() == 2).count();
         let fours = qs.iter().filter(|q| q.qtype.n_terms() == 4).count();
         assert_eq!((ones, twos, fours), (10, 10, 10));
+    }
+
+    /// [`QuerySampler::sample_terms`] before the guide table and the
+    /// index dedup, verbatim: a search of the whole cumulative table and
+    /// a `String` per draw.
+    fn sample_terms_oracle(s: &mut QuerySampler, n: usize) -> Result<Vec<String>, SampleError> {
+        if n > s.terms.len() {
+            return Err(SampleError::NotEnoughTerms {
+                wanted: n,
+                have: s.terms.len(),
+            });
+        }
+        let mut out: Vec<String> = Vec::with_capacity(n);
+        let mut guard = 0;
+        while out.len() < n {
+            let u = s.rng.random_range(0..s.total);
+            let t = s.terms[s.cumulative.partition_point(|&c| c <= u)].clone();
+            if !out.contains(&t) {
+                out.push(t);
+            }
+            guard += 1;
+            if guard >= 10_000 {
+                return Err(SampleError::SamplingStalled { wanted: n });
+            }
+        }
+        Ok(out)
+    }
+
+    /// Two terms of df 2 and 3: a total below the guide's slice count,
+    /// so every draw has a slice of its own.
+    fn tiny_index() -> InvertedIndex {
+        boss_index::IndexBuilder::new()
+            .add_documents(["a b", "a b", "b c"])
+            .build()
+            .unwrap()
+    }
+
+    /// The guided search picks what the whole-table search picks for
+    /// `u` at every slice edge and every cumulative df, each with its
+    /// neighbours, and at both ends of `0..total`.
+    #[test]
+    fn guide_equals_the_whole_table_search() {
+        let smoke = CorpusSpec::ccnews_like(Scale::Smoke).build().unwrap();
+        for index in [tiny_index(), smoke] {
+            let s = QuerySampler::new(&index, 1).unwrap();
+            let slices = (0..s.guide.len() as u64).map(|b| b << s.shift);
+            let mut us = vec![0, s.total - 1];
+            for edge in slices.chain(s.cumulative.iter().copied()) {
+                us.extend([edge.saturating_sub(1), edge, edge + 1]);
+            }
+            for u in us.into_iter().filter(|&u| u < s.total) {
+                let want = s.cumulative.partition_point(|&c| c <= u);
+                assert_eq!(s.index_of(u), want, "u {u} of {}", s.total);
+            }
+        }
+    }
+
+    /// Query for query and draw for draw: terms, whole queries under
+    /// every type, the TREC-like mix with its type draws, and the errors,
+    /// on the smoke corpus and an index too small for four terms.
+    #[test]
+    fn sampler_equals_the_string_form() {
+        let smoke = CorpusSpec::ccnews_like(Scale::Smoke).build().unwrap();
+        for seed in [0, 11, 0xB055] {
+            let (mut new, mut old) = (
+                QuerySampler::new(&smoke, seed).unwrap(),
+                QuerySampler::new(&smoke, seed).unwrap(),
+            );
+            for n in [1, 2, 4, 1, 4] {
+                assert_eq!(new.sample_terms(n), sample_terms_oracle(&mut old, n));
+            }
+            for round in 0..200 {
+                let qtype = ALL_QUERY_TYPES[round % 6];
+                let terms = sample_terms_oracle(&mut old, qtype.n_terms()).unwrap();
+                let want = TypedQuery {
+                    qtype,
+                    expr: qtype.build(&terms),
+                };
+                assert_eq!(
+                    new.sample(qtype).unwrap(),
+                    want,
+                    "seed {seed} round {round}"
+                );
+            }
+            assert_eq!(new.rng.next_u64(), old.rng.next_u64(), "seed {seed}");
+        }
+        let tiny = tiny_index();
+        let (mut new, mut old) = (
+            QuerySampler::new(&tiny, 3).unwrap(),
+            QuerySampler::new(&tiny, 3).unwrap(),
+        );
+        for n in [1, 2, 2, 3] {
+            assert_eq!(
+                new.sample_terms(n),
+                sample_terms_oracle(&mut old, n),
+                "n {n}"
+            );
+        }
+        assert_eq!(new.rng.next_u64(), old.rng.next_u64());
     }
 
     #[test]
