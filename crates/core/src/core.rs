@@ -69,20 +69,6 @@ impl BossDevice<'_> {
         k: usize,
         floor: f32,
     ) -> Result<QueryOutcome, Error> {
-        self.execute(expr, k, floor, true)
-    }
-
-    /// [`BossDevice::search_expr_seeded`], with `in_block` choosing how
-    /// the union rounds reach a list stream's postings: through its
-    /// decoded-block lane, or with `false` (the lane-vs-cursor
-    /// differential tests) through its cursor on every access.
-    pub(crate) fn execute(
-        &mut self,
-        expr: &QueryExpr,
-        k: usize,
-        floor: f32,
-        in_block: bool,
-    ) -> Result<QueryOutcome, Error> {
         let plan = QueryPlan::from_expr(self.index, expr, &self.config)?;
         if k == 0 {
             return Ok(QueryOutcome::default());
@@ -100,11 +86,33 @@ impl BossDevice<'_> {
             self.config.et_mode
         };
 
+        // A pruning algorithm replaces the union traversal wholesale;
+        // pure intersections keep the existing path (their matches are
+        // already small), mirroring the ET gate above. MaxScore runs the
+        // loop every engine shares; WAND, and MaxScore over one stream
+        // (whose split is the list-bound test), run the union module's
+        // round loop, which reads each list stream's scores from its
+        // cursor. MaxScore's non-essential probes take one posting per
+        // decoded block, so its cursors score nothing.
+        let algorithm = self.config.setup.algorithm;
+        let pruned = algorithm.prunes() && !plan.is_pure_intersection();
+        let block_max = algorithm.is_block_max();
+        let maxscore = matches!(
+            algorithm,
+            QueryAlgorithm::MaxScore | QueryAlgorithm::BlockMaxMaxScore
+        );
+        let shared_maxscore = pruned && maxscore && plan.groups().len() > 1;
+
         let mut streams: Vec<UnionStream<'_>> = Vec::with_capacity(plan.groups().len());
         for (gi, group) in plan.groups().iter().enumerate() {
             if group.len() == 1 {
                 let unit = gi % ctx.dec_cycles.len();
-                streams.push(UnionStream::List(ListCursor::new(
+                let open = if shared_maxscore {
+                    ListCursor::new
+                } else {
+                    ListCursor::scored
+                };
+                streams.push(UnionStream::List(open(
                     self.index, group[0], unit, &mut ctx,
                 )));
             } else {
@@ -116,20 +124,7 @@ impl BossDevice<'_> {
         let topk = self.topk.get_or_insert_with(|| TopK::new(k));
         topk.reset(k);
         topk.seed_cutoff(floor);
-        // A pruning algorithm replaces the union traversal wholesale;
-        // pure intersections keep the existing path (their matches are
-        // already small), mirroring the ET gate above. MaxScore runs the
-        // loop every engine shares; WAND, and MaxScore over one stream
-        // (whose split is the list-bound test), run the union module's
-        // round loop.
-        let algorithm = self.config.setup.algorithm;
-        let pruned = algorithm.prunes() && !plan.is_pure_intersection();
-        let block_max = algorithm.is_block_max();
-        let maxscore = matches!(
-            algorithm,
-            QueryAlgorithm::MaxScore | QueryAlgorithm::BlockMaxMaxScore
-        );
-        if pruned && maxscore && streams.len() > 1 {
+        if shared_maxscore {
             maxscore_union(self.index, &mut streams, block_max, topk, &mut ctx)?;
             ctx.eval.topk_inserts = topk.inserts();
         } else {
@@ -138,7 +133,7 @@ impl BossDevice<'_> {
                 prune: true,
             };
             let rounds = if pruned { prune } else { et.into() };
-            union_topk(&mut ctx, streams, rounds, topk, &mut self.bulk, in_block)?;
+            union_topk(&mut ctx, streams, rounds, topk)?;
         }
         let hits = topk.hits().to_vec();
 

@@ -6,7 +6,6 @@
 
 use crate::config::{BossConfig, EtMode};
 use crate::stats::{EvalCounts, QueryOutcome};
-use crate::union::BulkScratch;
 use boss_index::{Error, InvertedIndex, QueryAlgorithm, QueryExpr, TopK};
 use boss_scm::MemStats;
 
@@ -19,11 +18,10 @@ use boss_scm::MemStats;
 pub struct BossDevice<'a> {
     pub(crate) index: &'a InvertedIndex,
     pub(crate) config: BossConfig,
-    /// The top-k queue and the bulk scoring scratch, recycled across
-    /// queries so the hot path allocates neither ([`TopK::reset`]
-    /// restores a pristine queue; results are unaffected).
+    /// The top-k queue, recycled across queries so the hot path does
+    /// not allocate it ([`TopK::reset`] restores a pristine queue;
+    /// results are unaffected).
     pub(crate) topk: Option<TopK>,
-    pub(crate) bulk: BulkScratch,
 }
 
 impl<'a> BossDevice<'a> {
@@ -35,7 +33,6 @@ impl<'a> BossDevice<'a> {
             index,
             config,
             topk: None,
-            bulk: BulkScratch::default(),
         }
     }
 

@@ -53,8 +53,6 @@ mod expr;
 mod fault_tests;
 mod fetch;
 mod intersect;
-#[cfg(test)]
-mod lane_tests;
 mod mai;
 mod pipeline;
 mod plan;

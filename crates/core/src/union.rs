@@ -12,44 +12,23 @@
 //! MaxScore family runs [`boss_index::prune::maxscore_union`], the loop
 //! every engine shares, over the same streams ([`PruneStream`]). Between
 //! rounds the loop keeps a [`Frontier`]: the live streams' sIDs packed
-//! into integer sort keys, the cutoff's comparison bound
-//! ([`ThetaBound`]), and each list stream's [`Lane`] — its decoded block
-//! as flat docIDs and term scores — each re-derived only when the event
-//! that can change it happened. A round whose pivot set is one list
-//! stream with an open lane gathers in one step every lane posting below
-//! the next live stream's head: each of their own rounds would find θ,
-//! and so every check, as this round did ([`Frontier::take_run`]).
+//! into integer sort keys and the cutoff's comparison bound
+//! ([`ThetaBound`]), each re-derived only when the event that can change
+//! it happened. A list stream's cursor is opened
+//! [`ListCursor::scored`]: it holds its decoded block's docIDs and term
+//! scores, one [`boss_index::Bm25::score_block`] per decode, so a round
+//! reads heads, scores and bounds from the cursor and moves it inside the
+//! block without an event. A round whose pivot set is one decoded list
+//! stream gathers in one step every posting of its run below the next
+//! live stream's head: each of their own rounds would find θ, and so
+//! every check, as this round did ([`take_run`]).
 
 use crate::config::EtMode;
 use crate::fetch::ExecCtx;
 use boss_index::cursor::{ListCursor, ListSink, SkipReason};
 use boss_index::matches::canonical_sum;
 use boss_index::prune::{check_bound, theta_bound, PruneStream};
-use boss_index::{DocId, Error, GroupMatches, InvertedIndex, ScoreScratch, TermId, TopK};
-
-/// Reusable buffers of the union rounds: one [`Lane`] per union stream.
-/// Held per core/worker so the rounds allocate nothing per query.
-#[derive(Debug, Default)]
-pub(crate) struct BulkScratch {
-    lanes: Vec<Lane>,
-    /// What the round loops of every query so far did.
-    #[cfg(test)]
-    pub(crate) tally: LaneTally,
-}
-
-/// Rounds [`union_topk`]'s loop ran, counted as `pivot_rounds` counts
-/// them (a batched run stands for one round per posting), how many of
-/// its stream moves went through a cursor ([`Frontier::edge`]), and how
-/// many rounds batched runs stood for while another stream was live.
-/// Every round that touched a cursor made at least one such move, so
-/// `edges` bounds the rounds that did not run in-block.
-#[cfg(test)]
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct LaneTally {
-    pub rounds: u64,
-    pub edges: u64,
-    pub beside: u64,
-}
+use boss_index::{DocId, Error, GroupMatches, TermId, TopK};
 
 /// A materialized intermediate stream (the output of an intersection
 /// group), held in on-chip buffers — BOSS never spills it to memory. The
@@ -89,7 +68,8 @@ impl MatStream {
 /// One input of the union module.
 #[derive(Debug)]
 pub(crate) enum UnionStream<'a> {
-    /// A posting-list cursor (single-term group).
+    /// A posting-list cursor (single-term group); [`union_topk`] reads
+    /// its scores, so it must be opened [`ListCursor::scored`].
     List(ListCursor<'a>),
     /// A materialized intersection output.
     Mat(MatStream),
@@ -98,6 +78,7 @@ pub(crate) enum UnionStream<'a> {
 impl UnionStream<'_> {
     /// The stream's sID — its smallest unevaluated docID — or `None` once
     /// exhausted.
+    #[inline]
     fn head(&self) -> Option<DocId> {
         (!self.exhausted()).then(|| self.current_doc())
     }
@@ -199,88 +180,11 @@ impl PruneStream for UnionStream<'_> {
     }
 }
 
-/// A list stream's flat view of its cursor's decoded block: the run the
-/// cursor had not consumed when the block was decoded — its docIDs and
-/// their term scores, from one [`boss_index::Bm25::score_block`] call —
-/// the next posting, and the block's bounds. While a lane is open the
-/// round loop reads and moves its stream here and leaves the cursor where
-/// it was; the cursor is called only at block edges ([`Frontier::edge`]).
-/// A lane is closed (empty) while its cursor's block is undecoded, and for
-/// a materialized stream, whose registers are its lane.
-#[derive(Debug, Default)]
-struct Lane {
-    docs: Vec<DocId>,
-    scores: ScoreScratch,
-    /// The run's next posting.
-    at: usize,
-    /// Postings of the run the cursor has consumed; `at` runs ahead.
-    committed: usize,
-    /// The list's term, and the decompression module it is bound to.
-    term: TermId,
-    slot: usize,
-    /// The block's last docID.
-    last: DocId,
-    /// Its sanitized block-max: the shallow bound of its documents.
-    block_max: f32,
-    /// `min(block-max, list max)`: no posting of the block may score
-    /// above it.
-    bound: f32,
-}
-
-impl Lane {
-    fn is_open(&self) -> bool {
-        !self.docs.is_empty()
-    }
-
-    fn close(&mut self) {
-        self.docs.clear();
-        (self.at, self.committed) = (0, 0);
-    }
-
-    /// Opens the lane on `c`'s decoded run, or closes it while `c`'s
-    /// block is undecoded (or `c` is exhausted). Scoring the run fetches
-    /// nothing: the norms are loaded, and charged, as documents are
-    /// scored.
-    fn open(&mut self, index: &InvertedIndex, c: &ListCursor<'_>) {
-        self.close();
-        if !c.is_decoded() {
-            return;
-        }
-        let (docs, tfs) = c.run();
-        self.docs.extend_from_slice(docs);
-        let norms = index.doc_norms();
-        index
-            .bm25()
-            .score_block(c.idf(), docs, tfs, norms, &mut self.scores);
-        (self.term, self.slot) = (c.term(), c.slot());
-        self.last = c.block_last_doc();
-        self.block_max = c.block_max();
-        self.bound = self.block_max.min(c.list_max());
-    }
-
-    /// Moves `c` up to the lane's position: inside the block, an event-free
-    /// [`ListCursor::advance_run`]; past its last posting, the advance
-    /// that reads the next block's descriptor.
-    fn commit(&mut self, ctx: &mut ExecCtx<'_>, c: &mut ListCursor<'_>) {
-        if self.at > self.committed {
-            c.advance_run(ctx, self.at - self.committed);
-            self.committed = self.at;
-        }
-    }
-
-    /// A seek to `target`, which lies inside the block: the scan the
-    /// cursor's seek would make, reported as the one event it would report
-    /// (none when nothing is passed).
-    fn scan(&mut self, ctx: &mut ExecCtx<'_>, target: DocId, reason: SkipReason) {
-        let passed = self.docs[self.at..]
-            .iter()
-            .take_while(|&&d| d < target)
-            .count();
-        if passed > 0 {
-            self.at += passed;
-            ctx.postings_passed(self.slot, passed as u64, reason, true);
-        }
-    }
+/// `min(block-max, list max)` of `c`'s current block: no posting of the
+/// block may score above it.
+#[inline]
+fn posting_bound(c: &ListCursor<'_>) -> f32 {
+    c.block_max().min(c.list_max())
 }
 
 /// [`theta_bound`] of the most recent θ. θ moves only when the top-k
@@ -353,70 +257,31 @@ fn skip_reasons(prune: bool) -> (SkipReason, SkipReason) {
 
 /// The sorter's view of the streams: one `sID << 32 | stream` key per
 /// live stream, so ordering by sID with ties by stream index is integer
-/// order, and one [`Lane`] per stream, through which a list stream is
-/// read and moved inside its decoded block. A key is rewritten only when
-/// its stream moved and dropped when the stream exhausts, and a lane is
-/// reopened only when its cursor was called; nothing else is re-derived
-/// between rounds. A pivot set of one list stream is gathered a run of
-/// postings at a time ([`Frontier::take_run`]) in the same loop.
+/// order. A key is rewritten only when its stream moved and dropped when
+/// the stream exhausts; nothing else is re-derived between rounds.
 #[derive(Debug)]
-struct Frontier<'l> {
+struct Frontier {
     keys: Vec<u64>,
     theta: ThetaBound,
-    lanes: &'l mut [Lane],
-    /// Whether open lanes serve reads and moves; `false` sends every
-    /// access through the cursor (the lane-vs-cursor differential tests'
-    /// reference).
-    in_block: bool,
-    #[cfg(test)]
-    edges: u64,
 }
 
 /// Key of an exhausted stream: sorts behind every live one.
 const EXHAUSTED: u64 = u64::MAX;
 
-impl<'l> Frontier<'l> {
-    fn new(
-        index: &InvertedIndex,
-        streams: &[UnionStream<'_>],
-        lanes: &'l mut [Lane],
-        in_block: bool,
-    ) -> Self {
-        for (lane, stream) in lanes.iter_mut().zip(streams) {
-            match stream {
-                UnionStream::List(c) => lane.open(index, c),
-                UnionStream::Mat(_) => lane.close(),
-            }
-        }
-        let mut frontier = Frontier {
-            keys: Vec::with_capacity(streams.len()),
+impl Frontier {
+    fn new(streams: &[UnionStream<'_>]) -> Self {
+        Frontier {
+            keys: (0..streams.len()).map(|i| Self::key(i, streams)).collect(),
             theta: ThetaBound::new(),
-            lanes,
-            in_block,
-            #[cfg(test)]
-            edges: 0,
-        };
-        for i in 0..streams.len() {
-            let key = frontier.key(i, streams);
-            frontier.keys.push(key);
         }
-        frontier
     }
 
-    /// Stream `i`'s sID: its lane's next document while the lane serves,
-    /// else the stream's own.
+    /// Stream `i`'s key.
     #[inline]
-    fn key(&self, i: usize, streams: &[UnionStream<'_>]) -> u64 {
-        let head = if self.serves(i) {
-            Some(self.lanes[i].docs[self.lanes[i].at])
-        } else {
-            streams[i].head()
-        };
-        head.map_or(EXHAUSTED, |doc| Self::pack(doc, i))
-    }
-
-    fn pack(doc: DocId, i: usize) -> u64 {
-        u64::from(doc) << 32 | i as u64
+    fn key(i: usize, streams: &[UnionStream<'_>]) -> u64 {
+        streams[i]
+            .head()
+            .map_or(EXHAUSTED, |doc| u64::from(doc) << 32 | i as u64)
     }
 
     fn len(&self) -> usize {
@@ -436,7 +301,7 @@ impl<'l> Frontier<'l> {
     /// Re-reads the sID of the stream at `pos` after it moved.
     #[inline]
     fn refresh(&mut self, pos: usize, streams: &[UnionStream<'_>]) {
-        self.keys[pos] = self.key(self.stream(pos), streams);
+        self.keys[pos] = Self::key(self.stream(pos), streams);
     }
 
     /// ① The sorter: ascending sID, ties by stream index, exhausted
@@ -479,60 +344,8 @@ impl<'l> Frontier<'l> {
         }
     }
 
-    /// Runs `op` on stream `i`'s cursor `c`: the lane's position is
-    /// committed first, and the lane reopened on wherever `op` leaves the
-    /// cursor.
-    fn edge<'a, 'c, R>(
-        &mut self,
-        ctx: &mut ExecCtx<'c>,
-        c: &mut ListCursor<'a>,
-        i: usize,
-        op: impl FnOnce(&mut ListCursor<'a>, &mut ExecCtx<'c>) -> Result<R, Error>,
-    ) -> Result<R, Error> {
-        let lane = &mut self.lanes[i];
-        lane.commit(ctx, c);
-        let out = op(c, ctx)?;
-        lane.open(ctx.index, c);
-        #[cfg(test)]
-        {
-            self.edges += 1;
-        }
-        Ok(out)
-    }
-
-    /// Stream `i`, its cursor committed to the lane's position: for what
-    /// only the cursor answers, [`UnionStream::remaining`].
-    fn committed<'s, 'a>(
-        &mut self,
-        ctx: &mut ExecCtx<'_>,
-        streams: &'s mut [UnionStream<'a>],
-        i: usize,
-    ) -> &'s mut UnionStream<'a> {
-        let stream = &mut streams[i];
-        if let UnionStream::List(c) = stream {
-            self.lanes[i].commit(ctx, c);
-        }
-        stream
-    }
-
-    /// Block bound and last docID of the block of the stream at `pos`
-    /// that covers `target` ([`PruneStream::shallow_block_max`]).
-    fn shallow_block_max(
-        &self,
-        streams: &[UnionStream<'_>],
-        pos: usize,
-        target: DocId,
-    ) -> Option<(f32, DocId)> {
-        let i = self.stream(pos);
-        let lane = &self.lanes[i];
-        if self.serves(i) && target <= lane.last {
-            Some((lane.block_max, lane.last))
-        } else {
-            streams[i].shallow_block_max(target)
-        }
-    }
-
-    /// Seeks the stream at `pos` to `target` and re-reads its sID.
+    /// Seeks the stream at `pos` to `target` and re-reads its sID. Inside
+    /// a list stream's decoded block this is the cursor's scan, one event.
     fn seek(
         &mut self,
         ctx: &mut ExecCtx<'_>,
@@ -541,27 +354,17 @@ impl<'l> Frontier<'l> {
         target: DocId,
         reason: SkipReason,
     ) -> Result<(), Error> {
-        let i = self.stream(pos);
-        if self.serves(i) && target <= self.lanes[i].last {
-            let lane = &mut self.lanes[i];
-            lane.scan(ctx, target, reason);
-            self.keys[pos] = Self::pack(lane.docs[lane.at], i);
-            return Ok(());
-        }
-        match &mut streams[i] {
-            UnionStream::Mat(m) => m.seek(ctx, target, reason),
-            UnionStream::List(c) => self.edge(ctx, c, i, |c, ctx| c.seek(ctx, target, reason))?,
-        }
+        streams[self.stream(pos)].seek(ctx, target, reason)?;
         self.refresh(pos, streams);
         Ok(())
     }
 
     /// Gathers the contribution of the stream at `pos`, which sits at the
-    /// pivot, and moves it past: a list posting's term score into
-    /// `scores` (refused above its block's bound when `checked`), a
-    /// materialized match's `(term, tf)` entries into `entries`, to be
-    /// scored once the norm is loaded. A list block dropped as unusable
-    /// contributes nothing.
+    /// pivot, and moves it past: a list posting's term score, from its
+    /// decoded block, into `scores` (refused above its block's bound when
+    /// `checked`), a materialized match's `(term, tf)` entries into
+    /// `entries`, to be scored once the norm is loaded. A list block
+    /// dropped as unusable contributes nothing.
     #[inline]
     fn take(
         &mut self,
@@ -572,107 +375,69 @@ impl<'l> Frontier<'l> {
         scores: &mut Vec<(TermId, f32)>,
         entries: &mut Vec<(TermId, u32)>,
     ) -> Result<(), Error> {
-        let i = self.stream(pos);
-        if !self.lanes[i].is_open() {
-            let fetched = match &mut streams[i] {
-                UnionStream::Mat(m) => {
-                    m.matches.entries_at(m.pos, entries);
-                    m.pos += 1;
-                    false
-                }
-                UnionStream::List(c) => self.edge(ctx, c, i, |c, ctx| c.fetch_block(ctx))?,
-            };
-            if !fetched {
-                self.refresh(pos, streams);
-                return Ok(());
+        match &mut streams[self.stream(pos)] {
+            UnionStream::Mat(m) => {
+                m.matches.entries_at(m.pos, entries);
+                m.pos += 1;
             }
-        }
-        let lane = &mut self.lanes[i];
-        let score = lane.scores.scores()[lane.at];
-        if checked {
-            check_bound(score, lane.bound)?;
-        }
-        scores.push((lane.term, score));
-        lane.at += 1;
-        self.moved(ctx, streams, pos)
-    }
-
-    /// Re-reads the sID of the stream at `pos` after postings were taken:
-    /// from the lane while it serves a next one, else from the cursor once
-    /// committed (which crosses the block past its last posting).
-    fn moved(
-        &mut self,
-        ctx: &mut ExecCtx<'_>,
-        streams: &mut [UnionStream<'_>],
-        pos: usize,
-    ) -> Result<(), Error> {
-        let i = self.stream(pos);
-        let lane = &self.lanes[i];
-        if self.in_block && lane.at < lane.docs.len() {
-            self.keys[pos] = Self::pack(lane.docs[lane.at], i);
-            return Ok(());
-        }
-        if let UnionStream::List(c) = &mut streams[i] {
-            self.edge(ctx, c, i, |_, _| Ok(()))?;
+            UnionStream::List(c) => {
+                if c.fetch_block(ctx)? {
+                    let score = c.run_scores()[0];
+                    if checked {
+                        check_bound(score, posting_bound(c))?;
+                    }
+                    scores.push((c.term(), score));
+                    c.advance_run(ctx, 1);
+                }
+            }
         }
         self.refresh(pos, streams);
         Ok(())
     }
+}
 
-    /// Whether stream `i` is read and moved through its open lane.
-    fn serves(&self, i: usize) -> bool {
-        self.in_block && self.lanes[i].is_open()
+/// The gather of a round whose pivot set is the decoded list stream `c`,
+/// batched: takes, scores and offers in one step every posting of its run
+/// below `next`, the next live stream's head (the whole run when no other
+/// stream is live), and returns how many — the rounds the step stands
+/// for.
+///
+/// Each of those postings would open its own round with this stream alone
+/// at the pivot. That round's pivot test reads the list bound and its
+/// block test the block-max, both at least the posting bound; θ can only
+/// rise to a score the run offers, which is at most that bound
+/// ([`check_bound`] refuses the run otherwise), and a test passes
+/// strictly below θ. So every such round reaches this round's decisions,
+/// and a decoded block is never whole-block skippable.
+///
+/// The step makes the rounds' events in their order: norm loads in docID
+/// order, and, when the run takes the block's last posting, the cursor's
+/// crossing of the block before the last norm load.
+// Out of line: it runs once per run, and inlined into the round loop it
+// slowed the rounds of several streams.
+#[inline(never)]
+fn take_run(
+    ctx: &mut ExecCtx<'_>,
+    c: &mut ListCursor<'_>,
+    next: Option<DocId>,
+    checked: bool,
+    topk: &mut TopK,
+) -> Result<usize, Error> {
+    let (docs, _) = c.run();
+    let n = next.map_or(docs.len(), |next| docs.partition_point(|&d| d < next));
+    let (docs, scores) = (&docs[..n], &c.run_scores()[..n]);
+    if checked {
+        let max = scores.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        check_bound(max, posting_bound(c))?;
     }
-
-    /// The gather of a round whose pivot set is the list stream at
-    /// position 0, read through its open lane, batched: takes, scores and
-    /// offers in one step every lane posting below the next live stream's
-    /// head (the whole lane when no other stream is live), and returns how
-    /// many — the rounds the step stands for.
-    ///
-    /// Each of those postings would open its own round with this stream
-    /// alone at the pivot. That round's pivot test reads the list bound
-    /// and its block test the block-max, both at least the lane's posting
-    /// bound; θ can only rise to a score the run offers, which is at most
-    /// that bound ([`check_bound`] refuses the run otherwise), and a test
-    /// passes strictly below θ. So every such round reaches this round's
-    /// decisions, and an open lane is never whole-block skippable.
-    ///
-    /// The step makes the rounds' events in their order: norm loads in
-    /// docID order, and, when the run takes the block's last posting,
-    /// the cursor's crossing of the block before the last norm load.
-    // Out of line: it runs once per run, and inlined into the round loop
-    // it slowed the rounds of several streams.
-    #[inline(never)]
-    fn take_run(
-        &mut self,
-        ctx: &mut ExecCtx<'_>,
-        streams: &mut [UnionStream<'_>],
-        checked: bool,
-        topk: &mut TopK,
-    ) -> Result<usize, Error> {
-        let i = self.stream(0);
-        let next = (self.len() > 1).then(|| self.doc(1));
-        let lane = &mut self.lanes[i];
-        let start = lane.at;
-        let rest = &lane.docs[start..];
-        let n = next.map_or(rest.len(), |next| rest.partition_point(|&d| d < next));
-        lane.at += n;
-        let docs = &lane.docs[start..lane.at];
-        let scores = &lane.scores.scores()[start..lane.at];
-        if checked {
-            let max = scores.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            check_bound(max, lane.bound)?;
-        }
-        topk.sift_block(docs, scores);
-        let last = docs[n - 1];
-        for &doc in &docs[..n - 1] {
-            ctx.load_norm(doc)?;
-        }
-        self.moved(ctx, streams, 0)?;
-        ctx.load_norm(last)?;
-        Ok(n)
+    topk.sift_block(docs, scores);
+    let last = docs[n - 1];
+    for &doc in &docs[..n - 1] {
+        ctx.load_norm(doc)?;
     }
+    c.advance_run(ctx, n);
+    ctx.load_norm(last)?;
+    Ok(n)
 }
 
 /// Runs the union + scoring + top-k stage over `streams`.
@@ -680,12 +445,6 @@ impl<'l> Frontier<'l> {
 /// The caller supplies streams in any order; documents are emitted in
 /// ascending docID order, with each document's score summed over the
 /// *distinct* terms contributed by all streams that contain it.
-///
-/// A list stream is read and moved through its [`Lane`] while `in_block`
-/// is set; production callers set it, and the differential tests clear
-/// it to send every access through the cursor, which must change no
-/// outcome: an in-block move reports exactly the events the cursor's
-/// would, and every one the lane does not make is a cursor call.
 ///
 /// # Errors
 ///
@@ -700,8 +459,6 @@ pub(crate) fn union_topk(
     mut streams: Vec<UnionStream<'_>>,
     rounds: Rounds,
     topk: &mut TopK,
-    bulk: &mut BulkScratch,
-    in_block: bool,
 ) -> Result<(), Error> {
     let (doc_level, block_max, prune) = match rounds {
         Rounds::Exhaustive => (false, false, false),
@@ -712,16 +469,10 @@ pub(crate) fn union_topk(
     // Every round but the exhaustive one trusts the streams' bounds, so
     // each gathered list posting is checked against its block's bound.
     let checked = rounds != Rounds::Exhaustive;
-    if bulk.lanes.len() < streams.len() {
-        bulk.lanes.resize_with(streams.len(), Lane::default);
-    }
-    let lanes = &mut bulk.lanes[..streams.len()];
-    let mut frontier = Frontier::new(ctx.index, &streams, lanes, in_block);
+    let mut frontier = Frontier::new(&streams);
     let mut scores: Vec<(TermId, f32)> = Vec::with_capacity(8);
     let mut entries: Vec<(TermId, u32)> = Vec::new();
     let maxes: Vec<f32> = streams.iter().map(UnionStream::max_score).collect();
-    #[cfg(test)]
-    let rounds_before = ctx.eval.pivot_rounds;
 
     loop {
         frontier.sort();
@@ -747,8 +498,8 @@ pub(crate) fn union_topk(
             let Some(p) = found else {
                 // No document anywhere can beat θ: terminate the query.
                 for pos in 0..frontier.len() {
-                    let stream = frontier.committed(ctx, &mut streams, frontier.stream(pos));
-                    ctx.eval.count_skipped(pop_reason, stream.remaining());
+                    let remaining = streams[frontier.stream(pos)].remaining();
+                    ctx.eval.count_skipped(pop_reason, remaining);
                 }
                 break;
             };
@@ -770,12 +521,13 @@ pub(crate) fn union_topk(
             pivot_end += 1;
         }
         if block_max {
-            // Shallow probe: metadata only, no fetch, no decode.
+            // Shallow probe: metadata only, no fetch, no decode (a
+            // decoded block answers from the descriptor it holds).
             let mut ub = 0.0f64;
             let mut min_boundary = DocId::MAX;
             let mut all_have_blocks = true;
             for pos in 0..=pivot_end {
-                match frontier.shallow_block_max(&streams, pos, pivot) {
+                match streams[frontier.stream(pos)].shallow_block_max(pivot) {
                     Some((m, last)) => {
                         ub += f64::from(m);
                         min_boundary = min_boundary.min(last);
@@ -833,18 +585,20 @@ pub(crate) fn union_topk(
             continue;
         }
 
-        // A pivot set of one list stream gathers a run: this round and
-        // the ones its further postings stand for, each scoring
+        // A pivot set of one decoded list stream gathers a run: this
+        // round and the ones its further postings stand for, each scoring
         // `0.0 + term score`.
-        if pivot_end == 0 && frontier.serves(frontier.stream(0)) {
-            let n = frontier.take_run(ctx, &mut streams, checked, topk)? as u64;
-            ctx.eval.pivot_rounds += n - 1;
-            ctx.eval.docs_scored += n;
-            #[cfg(test)]
-            if frontier.len() > 1 {
-                bulk.tally.beside += n;
+        if pivot_end == 0 {
+            let next = (frontier.len() > 1).then(|| frontier.doc(1));
+            if let UnionStream::List(c) = &mut streams[frontier.stream(0)] {
+                if c.is_decoded() {
+                    let n = take_run(ctx, c, next, checked, topk)? as u64;
+                    frontier.refresh(0, &streams);
+                    ctx.eval.pivot_rounds += n - 1;
+                    ctx.eval.docs_scored += n;
+                    continue;
+                }
             }
-            continue;
         }
 
         // Gather contributions from every stream positioned at the pivot
@@ -868,11 +622,6 @@ pub(crate) fn union_topk(
         let score = canonical_sum(ctx.index, &mut scores, &mut entries, norm);
         ctx.eval.docs_scored += 1;
         topk.offer(pivot, score);
-    }
-    #[cfg(test)]
-    {
-        bulk.tally.rounds += ctx.eval.pivot_rounds - rounds_before;
-        bulk.tally.edges += frontier.edges;
     }
     ctx.eval.topk_inserts = topk.inserts();
     Ok(())
@@ -929,19 +678,11 @@ mod tests {
             .enumerate()
             .map(|(u, t)| {
                 let id = index.term_id(t).unwrap();
-                UnionStream::List(ListCursor::new(index, id, u % 4, &mut ctx))
+                UnionStream::List(ListCursor::scored(index, id, u % 4, &mut ctx))
             })
             .collect();
         let mut topk = TopK::new(k);
-        union_topk(
-            &mut ctx,
-            streams,
-            et.into(),
-            &mut topk,
-            &mut BulkScratch::default(),
-            true,
-        )
-        .unwrap();
+        union_topk(&mut ctx, streams, et.into(), &mut topk).unwrap();
         (topk.into_hits(), ctx.eval)
     }
 
@@ -1041,15 +782,13 @@ mod tests {
             GroupMatches::from_column(a, adocs, atfs),
             idx.list(a).max_score(),
         );
-        let cursor = ListCursor::new(&idx, g, 0, &mut ctx);
+        let cursor = ListCursor::scored(&idx, g, 0, &mut ctx);
         let mut topk = TopK::new(1000);
         union_topk(
             &mut ctx,
             vec![UnionStream::Mat(mat), UnionStream::List(cursor)],
             EtMode::Full.into(),
             &mut topk,
-            &mut BulkScratch::default(),
-            true,
         )
         .unwrap();
         let expect = reference_hits(&idx, &["alpha", "gamma"], 1000);

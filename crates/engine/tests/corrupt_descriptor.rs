@@ -5,9 +5,10 @@
 //! shifts the next block's d-gap base, so the decoded docIDs of two
 //! blocks would index the norm table out of bounds if a decode were
 //! trusted without comparing it with its descriptor. A list whose
-//! descriptors and payload agree but reach past the corpus, and a block
-//! whose d-gaps wrap around 2³² back onto its descriptor's bounds, must
-//! be refused the same way.
+//! descriptors and payload agree but reach past the corpus, a block
+//! whose d-gaps wrap around 2³² back onto its descriptor's bounds, and a
+//! block that repeats a docID between bounds that agree with its
+//! descriptor must be refused the same way.
 
 use boss_compress::codec_for;
 use boss_core::{BossConfig, DegradePolicy, EtMode};
@@ -63,24 +64,22 @@ fn transplanted() -> InvertedIndex {
     index
 }
 
-/// [`every_other`], with `aa`'s first block re-encoded (under the list's
-/// own scheme) as the d-gaps `[first, (2²⁷ − 1) × 32, last − first + 32]`:
-/// they sum to `last − first` modulo 2³², so the block decodes to the
-/// descriptor's first and last docIDs and the next block's d-gap base is
-/// untouched, while the 32 docIDs between them lie past the corpus.
-fn wrapped() -> InvertedIndex {
+/// [`every_other`], with `aa`'s first block re-encoded under the list's
+/// own scheme as the d-gaps `gaps(first, last)` of its descriptor's first
+/// and last docIDs, tf 1 each.
+fn first_block_reencoded(gaps: impl Fn(u32, u32) -> Vec<u32>) -> InvertedIndex {
     let mut index = every_other(N_DOCS);
     let aa = index.term_id("aa").expect("aa indexed");
     let list = index.list_mut(aa);
     let codec = codec_for(list.scheme());
     let meta = list.blocks()[0];
-    let mut gaps = vec![meta.first_doc];
-    gaps.extend([(1u32 << 27) - 1; 32]);
-    gaps.push(meta.last_doc - meta.first_doc + 32);
+    let gaps = gaps(meta.first_doc, meta.last_doc);
     let mut block = Vec::new();
     let delta_info = codec.encode(&gaps, &mut block).expect("gaps encode");
     let tf_offset = block.len() as u32;
-    let tf_info = codec.encode(&[0; 34], &mut block).expect("tfs encode");
+    let tf_info = codec
+        .encode(&vec![0; gaps.len()], &mut block)
+        .expect("tfs encode");
     let offset = list.data_mut().len() as u32;
     list.data_mut().extend_from_slice(&block);
     list.blocks_mut()[0] = BlockMeta {
@@ -92,6 +91,32 @@ fn wrapped() -> InvertedIndex {
         ..meta
     };
     index
+}
+
+/// `aa`'s first block as the d-gaps
+/// `[first, (2²⁷ − 1) × 32, last − first + 32]`: they sum to
+/// `last − first` modulo 2³², so the block decodes to the descriptor's
+/// first and last docIDs and the next block's d-gap base is untouched,
+/// while the 32 docIDs between them lie past the corpus.
+fn wrapped() -> InvertedIndex {
+    first_block_reencoded(|first, last| {
+        let mut gaps = vec![first];
+        gaps.extend([(1u32 << 27) - 1; 32]);
+        gaps.push(last - first + 32);
+        gaps
+    })
+}
+
+/// `aa`'s first block as the d-gaps `[first, 0 × 32, last − first]`: its
+/// first docID 33 times over, then its last, each bound agreeing with the
+/// descriptor.
+fn repeated() -> InvertedIndex {
+    first_block_reencoded(|first, last| {
+        let mut gaps = vec![first];
+        gaps.extend([0; 32]);
+        gaps.push(last - first);
+        gaps
+    })
 }
 
 fn queries() -> [QueryExpr; 3] {
@@ -134,6 +159,16 @@ fn a_block_whose_gaps_wrap_is_refused_by_every_engine() {
     let t = QueryExpr::term;
     let queries = [t("aa"), QueryExpr::or([t("aa"), t("bb")])];
     refused_by_every_engine(&wrapped(), &queries, Expect::DropsBlocks);
+}
+
+/// Q1 and Q3 over `aa`'s block of repeated docIDs, which every engine
+/// would score its own way (IIU summed the repeats of document 0, BOSS
+/// kept one) if the decode let it through.
+#[test]
+fn a_block_with_repeated_docids_is_refused_by_every_engine() {
+    let t = QueryExpr::term;
+    let queries = [t("aa"), QueryExpr::or([t("aa"), t("bb")])];
+    refused_by_every_engine(&repeated(), &queries, Expect::DropsBlocks);
 }
 
 /// Runs `queries` on `index` under BOSS (failing the query, or skipping

@@ -18,6 +18,13 @@
 //! that decides what was read, fetched or skipped; as many cost models
 //! as there are engines.
 //!
+//! A cursor opened [`ListCursor::scored`] also scores each block it
+//! decodes, once, with [`crate::Bm25::score_block`], and hands the
+//! unconsumed run's term scores out beside its docIDs
+//! ([`ListCursor::run_scores`]): BOSS's union module reads a block's
+//! postings in order after the block fetch module decoded it. Scoring
+//! is host work only; it reports no event.
+//!
 //! Decoded blocks are checked against their descriptor where every
 //! decode is, in [`crate::EncodedList::decode_block`]; on a walk, a block
 //! that fails the check (or whose descriptor reaches past the corpus, or
@@ -28,7 +35,7 @@
 use crate::encoded::ListView;
 use crate::index::{InvertedIndex, TermId};
 use crate::layout::IndexImage;
-use crate::{BlockMeta, DecodeScratch, DocId, Error, BLOCK_META_BYTES};
+use crate::{BlockMeta, Bm25, DecodeScratch, DocId, Error, ScoreScratch, BLOCK_META_BYTES};
 use boss_compress::Scheme;
 
 /// Why postings were passed over without being scored — drives the
@@ -132,6 +139,38 @@ const PAST_THE_CORPUS: Error = Error::CorruptMetadata {
     reason: "block descriptor's last docID outside the corpus",
 };
 
+/// What a scored cursor scores its decoded blocks with, and the scores
+/// of the block it holds.
+#[derive(Debug)]
+struct Scorer<'a> {
+    bm25: Bm25,
+    norms: &'a [f32],
+    scores: ScoreScratch,
+}
+
+/// What a cursor asks of its current block's descriptor, read once when
+/// it enters the block: the questions a union round asks of a block
+/// (where it starts and ends, its bound) then read the cursor alone.
+#[derive(Debug, Clone, Copy, Default)]
+struct BlockHead {
+    first_doc: DocId,
+    last_doc: DocId,
+    postings: usize,
+    /// The sanitized block-max.
+    max: f32,
+}
+
+impl BlockHead {
+    fn of(meta: &BlockMeta) -> Self {
+        BlockHead {
+            first_doc: meta.first_doc,
+            last_doc: meta.last_doc,
+            postings: meta.count(),
+            max: sanitize_ub(meta.max_score),
+        }
+    }
+}
+
 /// A cursor over one encoded posting list with lazy block decode.
 #[derive(Debug)]
 pub struct ListCursor<'a> {
@@ -139,6 +178,8 @@ pub struct ListCursor<'a> {
     slot: usize,
     /// The list's descriptors and payload, taken from the index once.
     list: ListView<'a>,
+    /// Its sanitized max term score.
+    list_max: f32,
     /// Where the list's descriptor array and data area start in the
     /// index image.
     meta_addr: u64,
@@ -148,6 +189,9 @@ pub struct ListCursor<'a> {
     n_docs: DocId,
     /// Current block; `list.blocks.len()` when exhausted.
     block: usize,
+    /// The current block's descriptor fields the cursor asks about,
+    /// read when it enters the block; stale once it is exhausted.
+    head: BlockHead,
     /// Decoded docIDs/tfs of the current block (empty while undecoded),
     /// in buffers reserved once from the descriptors.
     scratch: DecodeScratch,
@@ -155,6 +199,8 @@ pub struct ListCursor<'a> {
     pos: usize,
     /// Descriptors read so far (they are read once, in order).
     meta_upto: usize,
+    /// Set when opened [`ListCursor::scored`].
+    scorer: Option<Scorer<'a>>,
 }
 
 impl<'a> ListCursor<'a> {
@@ -172,6 +218,27 @@ impl<'a> ListCursor<'a> {
     ) -> Self {
         let mut c = Self::open(index, term, slot);
         c.read_meta(sink);
+        c
+    }
+
+    /// [`ListCursor::new`], scoring every block it decodes: the decoded
+    /// run's term scores are [`ListCursor::run_scores`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `term` is out of range.
+    pub fn scored<S: ListSink>(
+        index: &'a InvertedIndex,
+        term: TermId,
+        slot: usize,
+        sink: &mut S,
+    ) -> Self {
+        let mut c = Self::new(index, term, slot, sink);
+        c.scorer = Some(Scorer {
+            bm25: *index.bm25(),
+            norms: index.doc_norms(),
+            scores: ScoreScratch::new(),
+        });
         c
     }
 
@@ -203,6 +270,8 @@ impl<'a> ListCursor<'a> {
         ListCursor {
             term,
             slot,
+            head: list.blocks().first().map(BlockHead::of).unwrap_or_default(),
+            list_max: sanitize_ub(list.max_score()),
             list: list.view(),
             meta_addr: image.meta_addr(term),
             data_addr: image.data_addr(term),
@@ -211,6 +280,7 @@ impl<'a> ListCursor<'a> {
             scratch,
             pos: 0,
             meta_upto: 0,
+            scorer: None,
         }
     }
 
@@ -265,7 +335,7 @@ impl<'a> ListCursor<'a> {
     /// value).
     #[inline]
     pub fn list_max(&self) -> f32 {
-        sanitize_ub(self.list.stats.max_score)
+        self.list_max
     }
 
     /// Whether all postings are consumed.
@@ -275,8 +345,9 @@ impl<'a> ListCursor<'a> {
     }
 
     #[inline]
-    fn meta(&self) -> &BlockMeta {
-        &self.list.blocks[self.block]
+    fn head(&self) -> &BlockHead {
+        assert!(!self.exhausted(), "the cursor is exhausted");
+        &self.head
     }
 
     /// Ordinal of the current block; the list's block count once the
@@ -299,7 +370,7 @@ impl<'a> ListCursor<'a> {
     /// Panics if the cursor is exhausted.
     #[inline]
     pub fn block_postings(&self) -> usize {
-        self.meta().count()
+        self.head().postings
     }
 
     /// Whether the current block is decoded.
@@ -318,7 +389,7 @@ impl<'a> ListCursor<'a> {
     #[inline]
     pub fn current_doc(&self) -> DocId {
         if self.scratch.is_empty() {
-            self.meta().first_doc
+            self.head().first_doc
         } else {
             self.scratch.docs[self.pos]
         }
@@ -331,7 +402,7 @@ impl<'a> ListCursor<'a> {
     /// Panics if the cursor is exhausted.
     #[inline]
     pub fn block_max(&self) -> f32 {
-        sanitize_ub(self.meta().max_score)
+        self.head().max
     }
 
     /// Last docID of the current block.
@@ -341,7 +412,7 @@ impl<'a> ListCursor<'a> {
     /// Panics if the cursor is exhausted.
     #[inline]
     pub fn block_last_doc(&self) -> DocId {
-        self.meta().last_doc
+        self.head().last_doc
     }
 
     /// Shallow advance: the sanitized block-max score and the last docID
@@ -351,12 +422,14 @@ impl<'a> ListCursor<'a> {
     /// `target`.
     #[inline]
     pub fn shallow_block_max(&self, target: DocId) -> Option<(f32, DocId)> {
-        let blocks = self.list.blocks;
-        let m = match blocks.get(self.block) {
-            Some(m) if m.last_doc >= target => m,
-            Some(_) => blocks.get(self.list.skip_to_block(self.block + 1, target))?,
-            None => return None,
-        };
+        if self.exhausted() {
+            return None;
+        }
+        if self.head.last_doc >= target {
+            return Some((self.head.max, self.head.last_doc));
+        }
+        let later = self.list.skip_to_block(self.block + 1, target);
+        let m = self.list.blocks.get(later)?;
         Some((sanitize_ub(m.max_score), m.last_doc))
     }
 
@@ -366,7 +439,7 @@ impl<'a> ListCursor<'a> {
     #[inline]
     pub fn whole_block_skippable(&self) -> Option<DocId> {
         if !self.exhausted() && self.scratch.is_empty() {
-            Some(self.meta().last_doc)
+            Some(self.head().last_doc)
         } else {
             None
         }
@@ -382,14 +455,25 @@ impl<'a> ListCursor<'a> {
         )
     }
 
+    /// The term scores of [`ListCursor::run`]'s postings, one each; empty
+    /// while the block is not decoded, and always on a cursor not opened
+    /// [`ListCursor::scored`].
+    #[inline]
+    pub fn run_scores(&self) -> &[f32] {
+        match &self.scorer {
+            Some(s) => &s.scores.scores()[self.pos..self.scratch.len()],
+            None => &[],
+        }
+    }
+
     /// Number of postings not yet consumed (from the descriptors; nothing
     /// is read).
     pub fn remaining(&self) -> u64 {
         if self.exhausted() {
             return 0;
         }
-        let in_block = if self.scratch.is_empty() {
-            self.meta().count() as u64
+        let this_block = if self.scratch.is_empty() {
+            self.head().postings as u64
         } else {
             (self.scratch.len() - self.pos) as u64
         };
@@ -397,7 +481,7 @@ impl<'a> ListCursor<'a> {
             .iter()
             .map(|m| m.count() as u64)
             .sum();
-        in_block + later
+        this_block + later
     }
 
     /// Reads the descriptors up to and including the current block's,
@@ -413,6 +497,9 @@ impl<'a> ListCursor<'a> {
     /// Moves to the start of the next block, undecoded.
     fn next_block<S: ListSink>(&mut self, sink: &mut S) {
         self.block += 1;
+        if let Some(meta) = self.list.blocks.get(self.block) {
+            self.head = BlockHead::of(meta);
+        }
         self.scratch.clear();
         self.pos = 0;
         self.read_meta(sink);
@@ -475,6 +562,11 @@ impl<'a> ListCursor<'a> {
             return Ok(false);
         }
         sink.block_decoded(self.slot, self.block, self.list.stats.scheme, &meta);
+        if let Some(s) = &mut self.scorer {
+            let DecodeScratch { docs, tfs } = &self.scratch;
+            s.bm25
+                .score_block(self.list.stats.idf, docs, tfs, s.norms, &mut s.scores);
+        }
         self.pos = 0;
         Ok(true)
     }
@@ -524,12 +616,31 @@ impl<'a> ListCursor<'a> {
 
     /// Moves to the first posting with `doc >= target`, skipping whole
     /// blocks on their descriptors; what is passed over is reported with
-    /// `reason`.
+    /// `reason`. A target inside the decoded block is an inlined scan.
     ///
     /// # Errors
     ///
     /// As [`ListCursor::fetch_block`].
+    #[inline]
     pub fn seek<S: ListSink>(
+        &mut self,
+        sink: &mut S,
+        target: DocId,
+        reason: SkipReason,
+    ) -> Result<(), Error> {
+        match self.scratch.docs.last() {
+            Some(&last) if target <= last => {
+                let n = self.run().0.iter().take_while(|&&d| d < target).count();
+                self.pass_scanned(sink, n, reason);
+                Ok(())
+            }
+            _ => self.seek_past(sink, target, reason),
+        }
+    }
+
+    /// [`ListCursor::seek`] to a target past the decoded block, or from
+    /// an undecoded one.
+    fn seek_past<S: ListSink>(
         &mut self,
         sink: &mut S,
         target: DocId,
@@ -537,9 +648,9 @@ impl<'a> ListCursor<'a> {
     ) -> Result<(), Error> {
         loop {
             // Skip whole blocks that end before the target.
-            while !self.exhausted() && self.meta().last_doc < target {
+            while !self.exhausted() && self.head.last_doc < target {
                 if self.scratch.is_empty() {
-                    sink.blocks_skipped(self.slot, 1, self.meta().count() as u64, reason);
+                    sink.blocks_skipped(self.slot, 1, self.head.postings as u64, reason);
                 } else {
                     // A partially consumed block: its tail is decoded
                     // already, so this is a pop, not a block skip.

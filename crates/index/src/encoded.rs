@@ -282,6 +282,18 @@ impl ListView<'_> {
                 reason: "decoded block contents disagree with its directory entry",
             });
         }
+        // A d-gap of 0 repeats a docID, inside the block or across its
+        // first edge, and every engine would sum the repeats differently.
+        // The fold has no early exit, so it vectorizes.
+        let ascending = decoded
+            .iter()
+            .zip(&decoded[1..])
+            .fold(i == 0 || first > base, |ok, (a, b)| ok & (a < b));
+        if !ascending {
+            return Err(Error::CorruptMetadata {
+                reason: "block's docIDs are not strictly ascending",
+            });
+        }
 
         let tf_base = tfs.len();
         codec.decode(tf_part, &meta.tf_info, tfs)?;
@@ -1168,6 +1180,69 @@ mod tests {
                 scratch.docs.capacity() <= 3 * MAX_BLOCK_VALUES,
                 "scheme {s} reserved for corrupt counts"
             );
+        }
+    }
+
+    /// `list`'s block `i` re-encoded under its own scheme from `gaps` (tf
+    /// 1 each), its descriptor's docID bounds and d-gap base untouched.
+    fn reencode(list: &mut EncodedList, i: usize, gaps: &[u32]) {
+        let codec = codec_for(list.scheme());
+        let mut block = Vec::new();
+        let delta_info = codec.encode(gaps, &mut block).unwrap();
+        let tf_offset = block.len() as u32;
+        let tf_info = codec.encode(&vec![0; gaps.len()], &mut block).unwrap();
+        let offset = list.data_mut().len() as u32;
+        list.data_mut().extend_from_slice(&block);
+        let meta = list.blocks()[i];
+        list.blocks_mut()[i] = BlockMeta {
+            offset,
+            len: block.len() as u32,
+            tf_offset,
+            delta_info,
+            tf_info,
+            ..meta
+        };
+    }
+
+    /// A repeated docID is refused inside a block and across a block's
+    /// first edge, where the first d-gap of block `i > 0` is 0: its first
+    /// docID is the previous block's last, which a descriptor moved down
+    /// to it would otherwise confirm. The same first gap is legal in
+    /// block 0, whose base is no docID.
+    #[test]
+    fn a_repeated_docid_is_refused_inside_a_block_and_at_its_first_edge() {
+        let list = sample_list(300, 2);
+        let norms = vec![1.0f32; 600];
+        let refused = |enc: &EncodedList, i: usize| {
+            let err = enc
+                .decode_block(i, &mut Vec::new(), &mut Vec::new())
+                .unwrap_err();
+            assert!(
+                matches!(err, Error::CorruptMetadata { reason } if reason.contains("ascending")),
+                "{err:?}"
+            );
+            assert!(enc.decode_all().is_err());
+        };
+        for s in ALL_SCHEMES {
+            let base = EncodedList::encode(&list, s, &bm25(), 2.0, &norms).unwrap();
+            let [prev, meta] = [base.blocks()[0], base.blocks()[1]];
+
+            let mut edge = base.clone();
+            edge.blocks_mut()[1].first_doc = prev.last_doc;
+            reencode(&mut edge, 1, &[0, meta.last_doc - prev.last_doc]);
+            refused(&edge, 1);
+
+            let mut inside = base.clone();
+            let mut gaps = vec![meta.first_doc - prev.last_doc, 0];
+            gaps.push(meta.last_doc - meta.first_doc);
+            reencode(&mut inside, 1, &gaps);
+            refused(&inside, 1);
+
+            let mut first = base.clone();
+            reencode(&mut first, 0, &[0, prev.last_doc]);
+            first
+                .decode_block(0, &mut Vec::new(), &mut Vec::new())
+                .unwrap();
         }
     }
 
