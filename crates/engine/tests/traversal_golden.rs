@@ -266,6 +266,27 @@ fn regenerate() -> String {
         ),
         &queries,
     );
+    // Appended before the baselines' WAND loop was replaced by the union
+    // module's round loop: each baseline under plain WAND, which the
+    // lines above lack.
+    record(
+        &mut out,
+        "iiu-wand",
+        Iiu::new(
+            &index,
+            IiuConfig::default().with_algorithm(QueryAlgorithm::Wand),
+        ),
+        &queries,
+    );
+    record(
+        &mut out,
+        "lucene-wand",
+        Lucene::new(
+            &index,
+            LuceneConfig::default().with_algorithm(QueryAlgorithm::Wand),
+        ),
+        &queries,
+    );
     out
 }
 
