@@ -16,9 +16,9 @@ use crate::intersect::intersect_group;
 use crate::pipeline::{replay, ReplayCounts, TimingFidelity};
 use crate::plan::QueryPlan;
 use crate::stats::QueryOutcome;
-use crate::union::{union_topk, Rounds, UnionStream};
 use boss_index::cursor::ListCursor;
 use boss_index::prune::maxscore_union;
+use boss_index::union::{union_topk, Rounds, UnionStream};
 use boss_index::{Error, QueryAlgorithm, QueryExpr, TopK};
 use boss_scm::AccessCategory;
 
@@ -126,15 +126,15 @@ impl BossDevice<'_> {
         topk.seed_cutoff(floor);
         if shared_maxscore {
             maxscore_union(self.index, &mut streams, block_max, topk, &mut ctx)?;
-            ctx.eval.topk_inserts = topk.inserts();
         } else {
             let prune = Rounds::Wand {
                 block_max,
                 prune: true,
             };
-            let rounds = if pruned { prune } else { et.into() };
-            union_topk(&mut ctx, streams, rounds, topk)?;
+            let rounds = if pruned { prune } else { et.rounds() };
+            union_topk(self.index, &mut streams, rounds, topk, &mut ctx)?;
         }
+        ctx.eval.topk_inserts = topk.inserts();
         let hits = topk.hits().to_vec();
 
         // The top-k list crosses the shared interconnect: 8 B per entry

@@ -4,7 +4,7 @@
 //! runs through is in `core.rs` — and `EngineSetup::lanes` is how many
 //! cores the batch timing model schedules queries over.
 
-use crate::config::{BossConfig, EtMode};
+use crate::config::{BossConfig, EtMode, MAX_TERMS};
 use crate::stats::{EvalCounts, QueryOutcome};
 use boss_index::{Error, InvertedIndex, QueryAlgorithm, QueryExpr, TopK};
 use boss_scm::MemStats;
@@ -72,8 +72,7 @@ impl<'a> BossDevice<'a> {
         k: usize,
     ) -> Result<QueryOutcome, Error> {
         let terms = expr.terms();
-        let max_terms = self.config.max_terms;
-        if terms.len() <= max_terms {
+        if terms.len() <= MAX_TERMS {
             return self.search_expr(expr, k);
         }
         let is_pure_union = matches!(expr, QueryExpr::Or(subs)
@@ -83,7 +82,7 @@ impl<'a> BossDevice<'a> {
                 reason: format!(
                     "{}-term non-union queries exceed the {}-term hardware limit",
                     terms.len(),
-                    max_terms
+                    MAX_TERMS
                 ),
             });
         }
@@ -104,7 +103,7 @@ impl<'a> BossDevice<'a> {
         let mut cycles = 0u64;
         let mut mem = MemStats::new();
         let mut eval = EvalCounts::default();
-        for chunk in terms.chunks(max_terms) {
+        for chunk in terms.chunks(MAX_TERMS) {
             let sub = QueryExpr::or(chunk.iter().map(|t| QueryExpr::term(*t)));
             let out = unpruned.search_expr(&sub, exhaustive_k)?;
             cycles += out.cycles;
@@ -235,7 +234,7 @@ mod wide_query_tests {
         let idx = wide_corpus();
         let mut dev = BossDevice::new(&idx, BossConfig::default());
         let q = QueryExpr::or((0..20).map(|w| QueryExpr::term(format!("w{w:02}"))));
-        assert!(q.terms().len() > dev.config().max_terms);
+        assert!(q.terms().len() > MAX_TERMS);
         let got = dev.search_host_merged(&q, 50).unwrap();
         let expect = reference::evaluate(&idx, &q, 50).unwrap();
         // Chunked host merging re-associates the f32 sums, so scores can

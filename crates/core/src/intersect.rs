@@ -9,8 +9,8 @@
 //! spilled to memory.
 
 use crate::fetch::ExecCtx;
-use crate::union::MatStream;
 use boss_index::cursor::{ListCursor, SkipReason};
+use boss_index::union::MatStream;
 use boss_index::{svs, Error, GroupMatches, TermId};
 
 /// Intersects a group of two or more terms, producing the materialized

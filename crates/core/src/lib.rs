@@ -59,9 +59,6 @@ mod plan;
 pub mod pool;
 pub mod power;
 mod stats;
-// The union round loop and its frontier run once per candidate document.
-#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-mod union;
 
 pub use crate::core::{
     CYCLES_PER_COMPARISON, CYCLES_PER_PIVOT_ROUND, CYCLES_PER_SCORE, CYCLES_PER_TOPK_INSERT,

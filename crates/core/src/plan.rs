@@ -11,7 +11,7 @@
 //! * `Q5 A OR B OR C OR D` → `[[A], [B], [C], [D]]`
 //! * `Q6 A AND (B OR C OR D)` → `[[A,B], [A,C], [A,D]]`
 
-use crate::config::BossConfig;
+use crate::config::{BossConfig, MAX_TERMS};
 use boss_index::{Error, InvertedIndex, QueryExpr, TermId};
 
 /// The normalized execution plan: a union over intersection groups of
@@ -23,8 +23,8 @@ pub struct QueryPlan {
 }
 
 impl QueryPlan {
-    /// Normalizes `expr` against `index` under `config`'s hardware limit,
-    /// [`BossConfig::max_terms`].
+    /// [`QueryPlan::new`] for a BOSS device: every device plans under
+    /// the same hardware limit, so `_config` decides nothing.
     ///
     /// # Errors
     ///
@@ -32,34 +32,34 @@ impl QueryPlan {
     pub fn from_expr(
         index: &InvertedIndex,
         expr: &QueryExpr,
-        config: &BossConfig,
+        _config: &BossConfig,
     ) -> Result<Self, Error> {
-        Self::new(index, expr, config.max_terms)
+        Self::new(index, expr)
     }
 
     /// Normalizes `expr` against `index` for hardware that handles
-    /// `max_terms` terms.
+    /// [`MAX_TERMS`] terms.
     ///
     /// # Errors
     ///
     /// * [`Error::UnknownTerm`] for out-of-vocabulary terms;
     /// * [`Error::InvalidQuery`] when the query is structurally invalid,
-    ///   exceeds `max_terms` terms, an intersection group exceeds them, or
-    ///   distribution blows past `max_terms` groups.
-    pub fn new(index: &InvertedIndex, expr: &QueryExpr, max_terms: usize) -> Result<Self, Error> {
-        expr.validate(max_terms)?;
+    ///   exceeds [`MAX_TERMS`] terms, an intersection group exceeds them,
+    ///   or distribution blows past [`MAX_TERMS`] groups.
+    pub fn new(index: &InvertedIndex, expr: &QueryExpr) -> Result<Self, Error> {
+        expr.validate(MAX_TERMS)?;
         let mut groups = to_dnf(index, expr)?;
         // Exact duplicates are redundant; subset absorption is NOT applied
         // because a superset group can still contribute extra term scores
         // to documents that satisfy it (clause-matching semantics).
         groups.sort();
         groups.dedup();
-        if groups.len() > max_terms {
+        if groups.len() > MAX_TERMS {
             return Err(Error::InvalidQuery {
                 reason: format!(
                     "query expands to {} intersection groups; the hardware handles {}",
                     groups.len(),
-                    max_terms
+                    MAX_TERMS
                 ),
             });
         }
@@ -67,12 +67,12 @@ impl QueryPlan {
             // A single core pipelines up to 4 terms; chaining the mergers
             // of 4 cores extends an intersection to the 16-term device
             // limit (Section IV-D).
-            if g.len() > max_terms {
+            if g.len() > MAX_TERMS {
                 return Err(Error::InvalidQuery {
                     reason: format!(
                         "an intersection group has {} terms; the hardware chains up to {}",
                         g.len(),
-                        max_terms
+                        MAX_TERMS
                     ),
                 });
             }

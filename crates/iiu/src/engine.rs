@@ -5,7 +5,7 @@
 use boss_compress::Scheme;
 use boss_core::{EngineSetup, EvalCounts, QueryOutcome, QueryPlan};
 use boss_core::{
-    CYCLES_PER_COMPARISON, CYCLES_PER_SCORE, DECOMPRESSORS_PER_CORE, MAX_TERMS, QUERY_OVERHEAD,
+    CYCLES_PER_COMPARISON, CYCLES_PER_SCORE, DECOMPRESSORS_PER_CORE, QUERY_OVERHEAD,
     SCORERS_PER_CORE, SCORING_FILL,
 };
 use boss_index::cursor::{ListCursor, ListSink, SkipReason};
@@ -256,7 +256,7 @@ impl<'a> IiuEngine<'a> {
     ///
     /// Planning errors, as for BOSS.
     pub fn execute(&self, expr: &QueryExpr, k: usize) -> Result<QueryOutcome, Error> {
-        let plan = QueryPlan::new(self.index, expr, MAX_TERMS)?;
+        let plan = QueryPlan::new(self.index, expr)?;
         let mut run = Run {
             image: self.image,
             mem: MemorySim::new(self.config.setup.memory.clone()),

@@ -72,6 +72,11 @@ mod score;
 // lists, so every failure is a typed `Error`.
 #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 pub mod svs;
+// The union round loop and its frontier run once per candidate document
+// of every engine's WAND-family union, over untrusted bounds: every
+// failure is a typed `Error`.
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+pub mod union;
 // Segment files come from disk and are untrusted end to end: every
 // claimed length is capped against the real input size before any
 // allocation and every failure is a typed `IoError`, never a panic.

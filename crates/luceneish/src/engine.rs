@@ -3,7 +3,7 @@
 //! memory system, and the calibrated cycle cost model.
 
 use boss_compress::Scheme;
-use boss_core::{EngineSetup, EvalCounts, QueryOutcome, QueryPlan, MAX_TERMS};
+use boss_core::{EngineSetup, EvalCounts, QueryOutcome, QueryPlan};
 use boss_index::cursor::{ListSink, SkipReason};
 use boss_index::layout::IndexImage;
 use boss_index::prune::PruneSink;
@@ -232,7 +232,7 @@ impl<'a> LuceneEngine<'a> {
     pub fn execute(&self, expr: &QueryExpr, k: usize) -> Result<QueryOutcome, Error> {
         // Reuse the hardware planner's validation/normalization so all
         // three engines accept the same query language.
-        let plan = QueryPlan::new(self.index, expr, MAX_TERMS)?;
+        let plan = QueryPlan::new(self.index, expr)?;
         let mut host = Host {
             image: self.image,
             mem: MemorySim::new(self.config.setup.memory.clone()),
