@@ -21,9 +21,9 @@
 //! corruption_harness [--seed N] [--trials-per-scheme N]
 //! ```
 //!
-//! Netlist trials run the compiled straight-line plan and cross-check
-//! every outcome against the interpreter oracle (identical values,
-//! cycles, or typed error — any divergence is a violation).
+//! Where a netlist trial and the scheme's `boss-compress` codec both
+//! accept a mutated block, their values must agree (any divergence is a
+//! violation).
 //!
 //! The default volume (2400 per scheme across the trial categories)
 //! exceeds 10,000 total mutations; `--trials-per-scheme 400` is a fast

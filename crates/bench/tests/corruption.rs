@@ -1,6 +1,6 @@
 //! The corruption harness at reduced volume, as a tier-1 test: every
 //! mutation family — codec blocks against the seed decoders, netlist
-//! data and configuration text against the interpreter oracle, block
+//! data against the codecs, netlist configuration text, block
 //! metadata, shard containment, segment files — must end in a typed
 //! error or a bit-correct decode. The `corruption_harness` binary runs
 //! the same `run` at larger trial counts.

@@ -29,75 +29,78 @@ pub const S16_LAYOUTS: [&[(u32, u32)]; 16] = [
 /// Values held by each layout, indexed by selector.
 const LAYOUT_COUNTS: [usize; 16] = [28, 21, 21, 21, 14, 9, 8, 7, 6, 6, 5, 5, 4, 3, 2, 1];
 
-/// Emits `N` fields of `BITS` bits starting at `*shift`; monomorphized per
-/// (run, width) pair so the compiler fully unrolls each run, and staged
-/// through a stack array so the `Vec` pays one capacity check per run
-/// instead of one per value.
+/// Writes `N` fields of `BITS` bits, starting at bit `*shift` of `word`,
+/// to `out[*at..]`; monomorphized per (run, width) pair so the compiler
+/// fully unrolls each run, with one bounds check per run.
 #[inline]
-fn emit_run<const N: usize, const BITS: u32>(word: u32, shift: &mut u32, out: &mut Vec<u32>) {
+fn emit_run<const N: usize, const BITS: u32>(
+    word: u32,
+    shift: &mut u32,
+    out: &mut [u32],
+    at: &mut usize,
+) {
     let mask = (1u32 << BITS) - 1;
-    let mut vals = [0u32; N];
-    for (i, v) in vals.iter_mut().enumerate() {
+    for (i, v) in out[*at..*at + N].iter_mut().enumerate() {
         *v = (word >> (*shift + i as u32 * BITS)) & mask;
     }
     *shift += N as u32 * BITS;
-    out.extend_from_slice(&vals);
+    *at += N;
 }
 
-/// Decodes one full word (all `LAYOUT_COUNTS[sel]` values) with the
-/// unrolled per-selector kernel.
+/// Writes one word's `LAYOUT_COUNTS[sel]` values to the front of `out`
+/// with the unrolled per-selector kernel.
 #[inline]
-fn decode_word(sel: usize, word: u32, out: &mut Vec<u32>) {
-    let s = &mut 0u32;
+fn decode_word(sel: usize, word: u32, out: &mut [u32]) {
+    let (s, k) = (&mut 0u32, &mut 0usize);
     match sel {
-        0 => emit_run::<28, 1>(word, s, out),
+        0 => emit_run::<28, 1>(word, s, out, k),
         1 => {
-            emit_run::<7, 2>(word, s, out);
-            emit_run::<14, 1>(word, s, out);
+            emit_run::<7, 2>(word, s, out, k);
+            emit_run::<14, 1>(word, s, out, k);
         }
         2 => {
-            emit_run::<7, 1>(word, s, out);
-            emit_run::<7, 2>(word, s, out);
-            emit_run::<7, 1>(word, s, out);
+            emit_run::<7, 1>(word, s, out, k);
+            emit_run::<7, 2>(word, s, out, k);
+            emit_run::<7, 1>(word, s, out, k);
         }
         3 => {
-            emit_run::<14, 1>(word, s, out);
-            emit_run::<7, 2>(word, s, out);
+            emit_run::<14, 1>(word, s, out, k);
+            emit_run::<7, 2>(word, s, out, k);
         }
-        4 => emit_run::<14, 2>(word, s, out),
+        4 => emit_run::<14, 2>(word, s, out, k),
         5 => {
-            emit_run::<1, 4>(word, s, out);
-            emit_run::<8, 3>(word, s, out);
+            emit_run::<1, 4>(word, s, out, k);
+            emit_run::<8, 3>(word, s, out, k);
         }
         6 => {
-            emit_run::<1, 3>(word, s, out);
-            emit_run::<4, 4>(word, s, out);
-            emit_run::<3, 3>(word, s, out);
+            emit_run::<1, 3>(word, s, out, k);
+            emit_run::<4, 4>(word, s, out, k);
+            emit_run::<3, 3>(word, s, out, k);
         }
-        7 => emit_run::<7, 4>(word, s, out),
+        7 => emit_run::<7, 4>(word, s, out, k),
         8 => {
-            emit_run::<4, 5>(word, s, out);
-            emit_run::<2, 4>(word, s, out);
+            emit_run::<4, 5>(word, s, out, k);
+            emit_run::<2, 4>(word, s, out, k);
         }
         9 => {
-            emit_run::<2, 4>(word, s, out);
-            emit_run::<4, 5>(word, s, out);
+            emit_run::<2, 4>(word, s, out, k);
+            emit_run::<4, 5>(word, s, out, k);
         }
         10 => {
-            emit_run::<3, 6>(word, s, out);
-            emit_run::<2, 5>(word, s, out);
+            emit_run::<3, 6>(word, s, out, k);
+            emit_run::<2, 5>(word, s, out, k);
         }
         11 => {
-            emit_run::<2, 5>(word, s, out);
-            emit_run::<3, 6>(word, s, out);
+            emit_run::<2, 5>(word, s, out, k);
+            emit_run::<3, 6>(word, s, out, k);
         }
-        12 => emit_run::<4, 7>(word, s, out),
+        12 => emit_run::<4, 7>(word, s, out, k),
         13 => {
-            emit_run::<1, 10>(word, s, out);
-            emit_run::<2, 9>(word, s, out);
+            emit_run::<1, 10>(word, s, out, k);
+            emit_run::<2, 9>(word, s, out, k);
         }
-        14 => emit_run::<2, 14>(word, s, out),
-        _ => emit_run::<1, 28>(word, s, out),
+        14 => emit_run::<2, 14>(word, s, out, k),
+        _ => emit_run::<1, 28>(word, s, out, k),
     }
 }
 
@@ -490,40 +493,27 @@ impl Codec for Simple16 {
     }
 
     fn decode(&self, data: &[u8], info: &BlockInfo, out: &mut Vec<u32>) -> Result<(), Error> {
-        let mut remaining = check_count(info)?;
-        let mut pos = 0usize;
-        out.reserve(remaining);
-        while remaining > 0 {
-            let Some(bytes) = data.get(pos..pos + 4) else {
+        let base = out.len();
+        let end = base + check_count(info)?;
+        // Every word writes its whole layout, so the last one may run up
+        // to 27 values past `end`: size once with slack, then trim.
+        out.resize(end + LAYOUT_COUNTS[0], 0);
+        let (mut at, mut pos) = (base, 0usize);
+        while at < end {
+            let Some(&[b0, b1, b2, b3]) = data.get(pos..pos + 4) else {
+                out.truncate(at);
                 return Err(Error::Truncated {
                     have: data.len(),
                     need: pos + 4,
                 });
             };
             pos += 4;
-            let word = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+            let word = u32::from_le_bytes([b0, b1, b2, b3]);
             let sel = (word >> 28) as usize;
-            if remaining >= LAYOUT_COUNTS[sel] {
-                // Full word: per-selector unrolled kernel, no per-value
-                // remaining checks.
-                decode_word(sel, word, out);
-                remaining -= LAYOUT_COUNTS[sel];
-            } else {
-                // Final partial word: the generic field walk.
-                let mut shift = 0u32;
-                for &(n, bits) in S16_LAYOUTS[sel] {
-                    let mask = (1u32 << bits) - 1;
-                    for _ in 0..n {
-                        if remaining == 0 {
-                            break;
-                        }
-                        out.push((word >> shift) & mask);
-                        shift += bits;
-                        remaining -= 1;
-                    }
-                }
-            }
+            decode_word(sel, word, &mut out[at..]);
+            at += LAYOUT_COUNTS[sel];
         }
+        out.truncate(end);
         Ok(())
     }
 }
@@ -619,8 +609,11 @@ mod tests {
         let mut buf = Vec::new();
         let info = Simple16.encode(&[5u32; 40], &mut buf).unwrap();
         buf.truncate(buf.len() - 1);
-        let err = Simple16.decode(&buf, &info, &mut Vec::new()).unwrap_err();
+        let mut out = Vec::new();
+        let err = Simple16.decode(&buf, &info, &mut out).unwrap_err();
         assert!(matches!(err, Error::Truncated { .. }));
+        // What the whole words before the fault held, and nothing more.
+        assert!(out.len() < 40 && out.iter().all(|&v| v == 5), "{out:?}");
     }
 
     #[test]

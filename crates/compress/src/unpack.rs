@@ -12,7 +12,8 @@
 //!
 //! One monomorphized kernel exists per bit width 0–32 (dispatched through
 //! a function-pointer table), with the main loop unrolled 4×. Values whose
-//! 8-byte window would run past the input use a zero-padded tail load.
+//! 8-byte window would run past the input read a zero-padded copy of the
+//! input's last bytes.
 //!
 //! [`unpack_d1`] additionally fuses the d-gap prefix sum into the unpack
 //! loop, turning gap streams directly into absolute docIDs without a
@@ -33,14 +34,16 @@ fn load_word(data: &[u8], byte: usize) -> u64 {
     u64::from_le_bytes(data[byte..byte + 8].try_into().expect("8-byte window"))
 }
 
-/// Loads up to 8 bytes little-endian starting at `byte`, zero-padding past
-/// the end of `data`.
+/// The bytes of `data` from the one holding `bit` on, zero-padded to 16,
+/// and the bit offset they start at. Called at the first value whose
+/// 8-byte window passes the end of `data`: fewer than 8 bytes remain from
+/// there, so every later value's window fits the copy.
 #[inline(always)]
-fn load_tail(data: &[u8], byte: usize) -> u64 {
-    let mut buf = [0u8; 8];
-    let n = (data.len() - byte).min(8);
-    buf[..n].copy_from_slice(&data[byte..byte + n]);
-    u64::from_le_bytes(buf)
+fn tail_copy(data: &[u8], bit: usize) -> ([u8; 16], usize) {
+    let byte = bit >> 3;
+    let mut buf = [0u8; 16];
+    buf[..data.len() - byte].copy_from_slice(&data[byte..]);
+    (buf, byte << 3)
 }
 
 /// Number of leading values whose full 8-byte load window fits in `data`.
@@ -81,10 +84,12 @@ fn unpack_w<const W: u32>(data: &[u8], count: usize, out: &mut Vec<u32>) {
         out.push(((load_word(data, bit >> 3) >> (bit & 7)) & mask) as u32);
         i += 1;
     }
-    while i < count {
-        let bit = i * W as usize;
-        out.push(((load_tail(data, bit >> 3) >> (bit & 7)) & mask) as u32);
-        i += 1;
+    if i < count {
+        let (tail, start) = tail_copy(data, i * W as usize);
+        for i in i..count {
+            let bit = i * W as usize - start;
+            out.push(((load_word(&tail, bit >> 3) >> (bit & 7)) & mask) as u32);
+        }
     }
 }
 
@@ -125,11 +130,13 @@ fn unpack_d1_w<const W: u32>(data: &[u8], count: usize, base: u32, out: &mut Vec
         out.push(prev as u32);
         i += 1;
     }
-    while i < count {
-        let bit = i * W as usize;
-        prev += (load_tail(data, bit >> 3) >> (bit & 7)) & mask;
-        out.push(prev as u32);
-        i += 1;
+    if i < count {
+        let (tail, start) = tail_copy(data, i * W as usize);
+        for i in i..count {
+            let bit = i * W as usize - start;
+            prev += (load_word(&tail, bit >> 3) >> (bit & 7)) & mask;
+            out.push(prev as u32);
+        }
     }
     prev >> 32 != 0
 }

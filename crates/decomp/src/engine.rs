@@ -1,15 +1,12 @@
-//! The decompression engine: executes a four-stage configuration through
-//! a compiled straight-line plan (see [`crate::compile`]). The original
-//! statement-walking interpreter runs the same stages 1, 3 and 4 from
-//! [`crate::reference`], as the oracle the tests compare this engine with.
+//! The decompression engine: runs a four-stage configuration block by
+//! block, interpreting the stage-2 netlist once per extracted unit.
 
-use crate::compile::CompiledProgram;
 use crate::config::EngineConfig;
 use crate::extract::{Extractor, ExtractorKind};
 use crate::program::ExecError;
 use crate::schemes;
 use boss_compress::{BlockInfo, Scheme};
-use std::sync::Arc;
+use std::collections::HashMap;
 
 /// Depth of the hardware pipeline; added once per decoded stream to the
 /// cycle count.
@@ -132,26 +129,22 @@ pub struct Decoded {
 
 /// A configured decompression module.
 ///
-/// Cheap to clone; holds the configuration plus a shared reference to its
-/// compiled plan, which is what decoding runs.
+/// Cheap to clone: it is its configuration, whose stage-2 program
+/// validated when the engine was built.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecompEngine {
     config: EngineConfig,
-    plan: Arc<CompiledProgram>,
 }
 
 impl DecompEngine {
-    /// Wraps a parsed configuration (the stage-2 program is re-validated)
-    /// and compiles its stage-2 plan, hitting the process-wide plan cache
-    /// for configurations seen before.
+    /// Wraps a parsed configuration, validating its stage-2 program.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::Exec`] if the program does not validate.
     pub fn new(config: EngineConfig) -> Result<Self, EngineError> {
         config.program.validate()?;
-        let plan = crate::compile::plan_for(&config)?;
-        Ok(DecompEngine { config, plan })
+        Ok(DecompEngine { config })
     }
 
     /// Parses a configuration file and wraps it.
@@ -200,7 +193,9 @@ impl DecompEngine {
     /// cycle cost. Identical semantics (values, errors, cycles) to
     /// [`DecompEngine::decode`] without allocating a fresh vector.
     ///
-    /// On error, `out` may retain values produced before the fault.
+    /// Stages 1–3: the payload split, the extractor loop with its stall
+    /// guard (stage 2 runs once per extracted unit), and the exception
+    /// patch. On error, `out` may retain values produced before the fault.
     ///
     /// # Errors
     ///
@@ -211,11 +206,75 @@ impl DecompEngine {
         info: &BlockInfo,
         out: &mut Vec<u32>,
     ) -> Result<u64, EngineError> {
-        let plan = &*self.plan;
-        let mut state = plan.new_state();
-        run_stages(&self.config, data, info, out, |unit| {
-            Ok(plan.step(unit, &mut state))
-        })
+        let config = &self.config;
+        // Reject corrupt descriptors before sizing anything from them.
+        let count = boss_compress::check_count(info)?;
+        let exc_off = info.exception_offset as usize;
+        // With exceptions enabled the packed area ends where the patch
+        // area begins; otherwise the whole slice is payload.
+        let payload: &[u8] = if config.exceptions.enabled {
+            data.get(..exc_off).ok_or(boss_compress::Error::Truncated {
+                have: data.len(),
+                need: exc_off,
+            })?
+        } else {
+            data
+        };
+
+        let mut extractor = Extractor::new(config.extractor.kind, payload, *info);
+        let program = &config.program;
+        let mut state = program.fresh_state();
+        // One wire environment for the whole block, cleared per unit.
+        let mut wires = HashMap::new();
+        let base = out.len();
+        out.reserve(count);
+        let target = base + count;
+        // VB is the worst stock case at 5 units/value; 64 gives a generous
+        // margin for custom programs while still catching livelock.
+        let unit_limit = (count as u64 + 1) * 64;
+        while out.len() < target {
+            if extractor.units() >= unit_limit {
+                return Err(EngineError::Stall {
+                    produced: out.len() - base,
+                    requested: count,
+                });
+            }
+            let unit = extractor.next_unit()?;
+            if let Some(v) = program.step_in(unit, &mut state, &mut wires)? {
+                out.push(v);
+            }
+        }
+        let mut cycles = extractor.units() + PIPELINE_FILL_CYCLES;
+
+        if config.exceptions.enabled {
+            let patch = data.get(exc_off..).ok_or(boss_compress::Error::Truncated {
+                have: data.len(),
+                need: exc_off,
+            })?;
+            if patch.len() % PATCH_BYTES != 0 {
+                return Err(boss_compress::Error::Corrupt {
+                    reason: "exception area misaligned",
+                }
+                .into());
+            }
+            let b = u32::from(info.bit_width);
+            for chunk in patch.chunks_exact(PATCH_BYTES) {
+                let idx = u16::from_le_bytes([chunk[0], chunk[1]]) as usize;
+                let high = u32::from_le_bytes([chunk[2], chunk[3], chunk[4], chunk[5]]);
+                if idx >= count {
+                    return Err(boss_compress::Error::Corrupt {
+                        reason: "exception index out of range",
+                    }
+                    .into());
+                }
+                if b < 32 {
+                    out[base + idx] |= high << b;
+                }
+                cycles += 1;
+            }
+        }
+
+        Ok(cycles)
     }
 
     /// Decodes one block and applies stage 4: values become docIDs by
@@ -235,98 +294,14 @@ impl DecompEngine {
         base: u32,
     ) -> Result<Decoded, EngineError> {
         let mut decoded = self.decode(data, info)?;
-        apply_delta(&self.config, base, &mut decoded.values);
+        if self.config.delta.use_delta {
+            let mut prev = base;
+            for v in &mut decoded.values {
+                prev = prev.wrapping_add(*v);
+                *v = prev;
+            }
+        }
         Ok(decoded)
-    }
-}
-
-/// Stages 1–3 of one block decode under `config`, appending to `out` and
-/// returning the cycle count: the payload split, the extractor loop with
-/// its stall guard, and the exception patch. `step` is stage 2 — one
-/// call per extracted unit — and the only thing the compiled engine and
-/// the interpreter oracle do differently.
-pub(crate) fn run_stages(
-    config: &EngineConfig,
-    data: &[u8],
-    info: &BlockInfo,
-    out: &mut Vec<u32>,
-    mut step: impl FnMut(u32) -> Result<Option<u32>, ExecError>,
-) -> Result<u64, EngineError> {
-    // Reject corrupt descriptors before sizing anything from them.
-    let count = boss_compress::check_count(info)?;
-    let exc_off = info.exception_offset as usize;
-    // With exceptions enabled the packed area ends where the patch
-    // area begins; otherwise the whole slice is payload.
-    let payload: &[u8] = if config.exceptions.enabled {
-        data.get(..exc_off).ok_or(boss_compress::Error::Truncated {
-            have: data.len(),
-            need: exc_off,
-        })?
-    } else {
-        data
-    };
-
-    let mut extractor = Extractor::new(config.extractor.kind, payload, *info);
-    let base = out.len();
-    out.reserve(count);
-    let target = base + count;
-    // VB is the worst stock case at 5 units/value; 64 gives a generous
-    // margin for custom programs while still catching livelock.
-    let unit_limit = (count as u64 + 1) * 64;
-    while out.len() < target {
-        if extractor.units() >= unit_limit {
-            return Err(EngineError::Stall {
-                produced: out.len() - base,
-                requested: count,
-            });
-        }
-        let unit = extractor.next_unit()?;
-        if let Some(v) = step(unit)? {
-            out.push(v);
-        }
-    }
-    let mut cycles = extractor.units() + PIPELINE_FILL_CYCLES;
-
-    if config.exceptions.enabled {
-        let patch = data.get(exc_off..).ok_or(boss_compress::Error::Truncated {
-            have: data.len(),
-            need: exc_off,
-        })?;
-        if patch.len() % PATCH_BYTES != 0 {
-            return Err(boss_compress::Error::Corrupt {
-                reason: "exception area misaligned",
-            }
-            .into());
-        }
-        let b = u32::from(info.bit_width);
-        for chunk in patch.chunks_exact(PATCH_BYTES) {
-            let idx = u16::from_le_bytes([chunk[0], chunk[1]]) as usize;
-            let high = u32::from_le_bytes([chunk[2], chunk[3], chunk[4], chunk[5]]);
-            if idx >= count {
-                return Err(boss_compress::Error::Corrupt {
-                    reason: "exception index out of range",
-                }
-                .into());
-            }
-            if b < 32 {
-                out[base + idx] |= high << b;
-            }
-            cycles += 1;
-        }
-    }
-
-    Ok(cycles)
-}
-
-/// Stage 4: turns `values` into docIDs by prefix-summing from `base`
-/// when the configuration has `UseDelta = 1`.
-pub(crate) fn apply_delta(config: &EngineConfig, base: u32, values: &mut [u32]) {
-    if config.delta.use_delta {
-        let mut prev = base;
-        for v in values {
-            prev = prev.wrapping_add(*v);
-            *v = prev;
-        }
     }
 }
 
@@ -394,6 +369,16 @@ mod tests {
         };
         let err = engine.decode(&[], &info).unwrap_err();
         assert!(matches!(err, EngineError::Stall { .. }));
+    }
+
+    #[test]
+    fn new_rejects_a_program_that_does_not_validate() {
+        let mut config = bp_engine(false).config().clone();
+        config.program.statements[0].args = vec![crate::program::Operand::Name("ghost".into())];
+        assert!(matches!(
+            DecompEngine::new(config),
+            Err(EngineError::Exec(_))
+        ));
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The `reference` modules are test oracles: `boss_index::reference::evaluate`
-//! (a HashMap-of-HashMaps evaluator every engine is *compared against*),
-//! `boss_compress::reference` (the seed per-value decoders) and
-//! `boss_decomp::reference` (the statement-walking netlist interpreter).
+//! (a HashMap-of-HashMaps evaluator every engine is *compared against*)
+//! and `boss_compress::reference` (the seed per-value decoders).
 //! Production code that calls one measures the oracle, not itself (the
 //! Lucene-like engine's multi-term path did, and spent two thirds of its
 //! host time there). This test reads every library crate's sources and
@@ -27,20 +26,17 @@ const LIBRARY_CRATES: [&str; 9] = [
 ];
 
 /// What no production line outside a `reference.rs` may contain: the
-/// oracles' entry points, by cross-crate path and by in-crate path, and a
-/// call of the interpreter's stepper.
-const ORACLE_NAMES: [&str; 6] = [
+/// oracles' entry points, by cross-crate path and by in-crate path.
+const ORACLE_NAMES: [&str; 4] = [
     "reference::evaluate",
     "compress::reference",
-    "decomp::reference",
     "reference::decode",
     "reference::unpack",
-    ".step_in(",
 ];
 
 /// Each oracle's file, a line proving it is the right file, and the
 /// production kernels it must not be built on.
-const ORACLES: [(&str, &str, &[&str]); 3] = [
+const ORACLES: [(&str, &str, &[&str]); 2] = [
     (
         "index/src/reference.rs",
         "pub fn evaluate",
@@ -50,11 +46,6 @@ const ORACLES: [(&str, &str, &[&str]); 3] = [
         "compress/src/reference.rs",
         "pub fn decode",
         &["unpack::unpack", "unpack_w", "decode_word", "decode_packed"],
-    ),
-    (
-        "decomp/src/reference.rs",
-        "pub fn decode",
-        &["CompiledProgram", "compile::", "plan.step", "plan_for"],
     ),
 ];
 
