@@ -2,7 +2,7 @@
 //!
 //! Feeds seeded mutations — bit flips, byte overwrites, truncations,
 //! extensions, descriptor corruption — to every stock codec's fast and
-//! reference decode paths, the Fig. 8 netlist interpreter (encoded data
+//! reference decode paths, the Fig. 8 decompression engine (encoded data
 //! *and* configuration text), index-level `decode_block` with corrupted
 //! `BlockMeta`, the on-disk SPIMI segment format (header, dictionary,
 //! descriptor, payload, and checksum mutations plus whole-file

@@ -432,13 +432,14 @@ mod tests {
     #[test]
     fn decomp_cost_matches_engine() {
         // Every block of a real index, under hybrid, each fixed scheme
-        // and the Group-Varint extension: what the block fetch module
-        // charges a decompression module for the block is what the
-        // Fig. 8 engine programmed for the list's scheme takes to decode
-        // its two streams, less one pipeline fill — the engine fills once
-        // per stream, the core once per block. (That the engine decodes
-        // the right values, and that its cycles are its own descriptor's,
-        // is `boss-decomp`'s `tests/equivalence.rs`.)
+        // and the Group-Varint extension, decoded through the Fig. 8
+        // engine programmed for the list's scheme: its docIDs and tfs are
+        // the cursor's, and what the block fetch module charges a
+        // decompression module for the block is what the engine takes to
+        // decode the two streams, less one pipeline fill — the engine
+        // fills once per stream, the core once per block. (That its
+        // cycles are its own descriptor's is `boss-decomp`'s
+        // `tests/equivalence.rs`.)
         use boss_compress::ALL_SCHEMES;
         use boss_decomp::DecompEngine;
         use boss_index::SchemeChoice;
@@ -475,18 +476,24 @@ mod tests {
                     let charged = ctx.dec_cycles[0] - before;
                     let block = &list.data()[meta.offset as usize..][..meta.len as usize];
                     let (delta_part, tf_part) = block.split_at(meta.tf_offset as usize);
-                    let delta_cycles = engine
-                        .decode_into(delta_part, &meta.delta_info, &mut Vec::new())
+                    let base = bi.checked_sub(1).map_or(0, |p| list.blocks()[p].last_doc);
+                    let docs = engine
+                        .decode_docids(delta_part, &meta.delta_info, base)
                         .unwrap();
+                    let mut tfs = Vec::new();
                     let tf_cycles = engine
-                        .decode_into(tf_part, &meta.tf_info, &mut Vec::new())
+                        .decode_into(tf_part, &meta.tf_info, &mut tfs)
                         .unwrap();
                     assert_eq!(
                         charged,
-                        delta_cycles + tf_cycles - PIPELINE_FILL_CYCLES,
+                        docs.cycles + tf_cycles - PIPELINE_FILL_CYCLES,
                         "{choice:?} term {t} block {bi}"
                     );
-                    let n = cursor.run().0.len();
+                    let (run_docs, run_tfs) = cursor.run();
+                    assert_eq!(docs.values, run_docs, "{choice:?} term {t} block {bi}");
+                    tfs.iter_mut().for_each(|tf| *tf += 1);
+                    assert_eq!(tfs, run_tfs, "{choice:?} term {t} block {bi}");
+                    let n = run_docs.len();
                     cursor.advance_run(&mut ctx, n);
                 }
                 assert!(cursor.exhausted());

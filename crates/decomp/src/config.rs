@@ -30,7 +30,7 @@
 //! ```
 
 use crate::program::{Op, Operand, Program, RegDecl, Statement};
-use crate::ExtractorKind;
+use crate::{CompiledProgram, ExtractorKind};
 
 /// Stage-1 configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,8 +121,8 @@ impl EngineConfig {
     /// # Errors
     ///
     /// Returns [`ParseError`] with the offending line on malformed input,
-    /// including stage-2 netlist faults found by
-    /// [`Program::validate`].
+    /// including a stage-2 netlist that does not compile
+    /// ([`CompiledProgram::compile`]).
     pub fn parse(text: &str) -> Result<Self, ParseError> {
         let mut extractor_use = [false; 4];
         let mut selector_word_bits = 32u32;
@@ -282,7 +282,7 @@ impl EngineConfig {
         if program.statements.is_empty() {
             program = Program::identity();
         }
-        program.validate().map_err(|e| ParseError {
+        CompiledProgram::compile(&program).map_err(|e| ParseError {
             line: 0,
             reason: e.reason,
         })?;

@@ -1,12 +1,12 @@
 //! The decompression engine: runs a four-stage configuration block by
-//! block, interpreting the stage-2 netlist once per extracted unit.
+//! block, clocking the resolved stage-2 netlist once per extracted unit.
 
+use crate::compile::CompiledProgram;
 use crate::config::EngineConfig;
 use crate::extract::{Extractor, ExtractorKind};
 use crate::program::ExecError;
 use crate::schemes;
 use boss_compress::{BlockInfo, Scheme};
-use std::collections::HashMap;
 
 /// Depth of the hardware pipeline; added once per decoded stream to the
 /// cycle count.
@@ -65,7 +65,7 @@ impl EngineConfig {
 pub enum EngineError {
     /// Malformed or truncated encoded data.
     Codec(boss_compress::Error),
-    /// The stage-2 program faulted.
+    /// The stage-2 program did not compile.
     Exec(ExecError),
     /// The program consumed far more units than any valid encoding could
     /// need without producing the requested values (a stall / livelock
@@ -127,31 +127,31 @@ pub struct Decoded {
     pub cycles: u64,
 }
 
-/// A configured decompression module.
-///
-/// Cheap to clone: it is its configuration, whose stage-2 program
-/// validated when the engine was built.
+/// A configured decompression module: its configuration and the
+/// stage-2 program resolved from it when the engine was built.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecompEngine {
     config: EngineConfig,
+    program: CompiledProgram,
 }
 
 impl DecompEngine {
-    /// Wraps a parsed configuration, validating its stage-2 program.
+    /// Wraps a parsed configuration, compiling its stage-2 program.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::Exec`] if the program does not validate.
+    /// Returns [`EngineError::Exec`] if the program does not compile.
     pub fn new(config: EngineConfig) -> Result<Self, EngineError> {
-        config.program.validate()?;
-        Ok(DecompEngine { config })
+        let program = CompiledProgram::compile(&config.program)?;
+        Ok(DecompEngine { config, program })
     }
 
     /// Parses a configuration file and wraps it.
     ///
     /// # Errors
     ///
-    /// Returns the parse error formatted as an execution fault.
+    /// Returns the [`ParseError`](crate::ParseError) of a malformed
+    /// configuration, a stage-2 program that does not compile included.
     pub fn from_config_text(text: &str) -> Result<Self, crate::ParseError> {
         let config = EngineConfig::parse(text)?;
         Self::new(config).map_err(|e| crate::ParseError {
@@ -181,8 +181,7 @@ impl DecompEngine {
     ///
     /// # Errors
     ///
-    /// Propagates codec truncation/corruption, program faults, and the
-    /// stall guard.
+    /// Propagates codec truncation/corruption and the stall guard.
     pub fn decode(&self, data: &[u8], info: &BlockInfo) -> Result<Decoded, EngineError> {
         let mut values = Vec::new();
         let cycles = self.decode_into(data, info, &mut values)?;
@@ -222,10 +221,7 @@ impl DecompEngine {
         };
 
         let mut extractor = Extractor::new(config.extractor.kind, payload, *info);
-        let program = &config.program;
-        let mut state = program.fresh_state();
-        // One wire environment for the whole block, cleared per unit.
-        let mut wires = HashMap::new();
+        let mut state = self.program.state();
         let base = out.len();
         out.reserve(count);
         let target = base + count;
@@ -240,7 +236,7 @@ impl DecompEngine {
                 });
             }
             let unit = extractor.next_unit()?;
-            if let Some(v) = program.step_in(unit, &mut state, &mut wires)? {
+            if let Some(v) = self.program.step(unit, &mut state) {
                 out.push(v);
             }
         }

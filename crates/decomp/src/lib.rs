@@ -50,7 +50,7 @@ mod extract;
 mod program;
 pub mod schemes;
 
-pub use compile::CompiledProgram;
+pub use compile::{CompiledProgram, State};
 pub use config::{DeltaConfig, EngineConfig, ExceptionConfig, ExtractorConfig, ParseError};
 pub use engine::{DecodeCost, Decoded, DecompEngine, EngineError, PIPELINE_FILL_CYCLES};
 pub use extract::ExtractorKind;

@@ -1,7 +1,7 @@
 //! The stage-2 programmable datapath: a register-transfer program over
-//! wires and registers, interpreted once per extracted payload unit.
-
-use std::collections::HashMap;
+//! wires and registers, in the named form a configuration file spells
+//! out. [`CompiledProgram`](crate::CompiledProgram) resolves it to slots
+//! and runs it once per extracted payload unit.
 
 /// A primitive functional unit of the manipulation stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,17 +99,17 @@ pub struct Program {
     pub statements: Vec<Statement>,
 }
 
-/// An execution fault (tests the validator missed, e.g. a read of a wire
-/// never assigned).
+/// Why a program does not compile: a read of a wire never assigned, of
+/// a write-only port, a wrong operand count or a duplicate register.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecError {
-    /// Description of the fault.
+    /// What is wrong with the program.
     pub reason: String,
 }
 
 impl std::fmt::Display for ExecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "stage-2 program fault: {}", self.reason)
+        write!(f, "stage-2 program does not compile: {}", self.reason)
     }
 }
 
@@ -134,201 +134,13 @@ impl Program {
             ],
         }
     }
-
-    /// Statically checks the program: operand arity, reads of undefined
-    /// wires, duplicate registers.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first violation found.
-    pub fn validate(&self) -> Result<(), ExecError> {
-        let mut defined: Vec<&str> = vec!["Input"];
-        for r in &self.regs {
-            if defined.contains(&r.name.as_str()) {
-                return Err(ExecError {
-                    reason: format!("duplicate definition of {}", r.name),
-                });
-            }
-            defined.push(&r.name);
-        }
-        let reg_names: Vec<&str> = self.regs.iter().map(|r| r.name.as_str()).collect();
-        let mut assigned: Vec<&str> = Vec::new();
-        for st in &self.statements {
-            if st.args.len() != st.op.arity() {
-                return Err(ExecError {
-                    reason: format!(
-                        "{:?} takes {} operands, got {}",
-                        st.op,
-                        st.op.arity(),
-                        st.args.len()
-                    ),
-                });
-            }
-            for a in &st.args {
-                if let Operand::Name(n) = a {
-                    let readable = n == "Input"
-                        || reg_names.contains(&n.as_str())
-                        || assigned.contains(&n.as_str());
-                    if !readable {
-                        return Err(ExecError {
-                            reason: format!("read of undefined wire {n}"),
-                        });
-                    }
-                }
-            }
-            if !reg_names.contains(&st.dest.as_str()) {
-                assigned.push(&st.dest);
-            }
-        }
-        // Reset signals must name assigned wires or registers.
-        for r in &self.regs {
-            if !r.reset_signal.is_empty()
-                && !assigned.contains(&r.reset_signal.as_str())
-                && !reg_names.contains(&r.reset_signal.as_str())
-            {
-                return Err(ExecError {
-                    reason: format!(
-                        "reset signal {} of register {} is never assigned",
-                        r.reset_signal, r.name
-                    ),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Creates the mutable register file for one execution.
-    pub fn fresh_state(&self) -> RegFile {
-        RegFile {
-            values: self.regs.iter().map(|r| (r.name.clone(), r.init)).collect(),
-        }
-    }
-
-    /// Runs one cycle with payload `input`, updating `state`. Returns
-    /// `Some(value)` when `Output.valid` evaluated nonzero. `wires` is
-    /// scratch: cleared on entry, so a block-decode loop can reuse one
-    /// map instead of rebuilding the environment on every unit.
-    ///
-    /// Registers read their start-of-cycle value, commit at the end of
-    /// the cycle, then apply synchronous resets in declaration order;
-    /// shifts by 32 or more yield zero; the last write to a port wins, and
-    /// `Output.valid` defaults to asserted.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError`] on reads of undefined wires (a validated
-    /// program cannot fault) or when `state` is another program's
-    /// register file.
-    pub fn step_in<'p>(
-        &'p self,
-        input: u32,
-        state: &mut RegFile,
-        wires: &mut HashMap<&'p str, u32>,
-    ) -> Result<Option<u32>, ExecError> {
-        wires.clear();
-        let read =
-            |name: &str, wires: &HashMap<&str, u32>, state: &RegFile| -> Result<u32, ExecError> {
-                if name == "Input" {
-                    return Ok(input);
-                }
-                if let Some(&v) = wires.get(name) {
-                    return Ok(v);
-                }
-                if let Some(v) = state.values.get(name) {
-                    return Ok(*v);
-                }
-                Err(ExecError {
-                    reason: format!("read of undefined wire {name}"),
-                })
-            };
-        let eval =
-            |a: &Operand, wires: &HashMap<&str, u32>, state: &RegFile| -> Result<u32, ExecError> {
-                match a {
-                    Operand::Literal(v) => Ok(*v),
-                    Operand::Name(n) => read(n, wires, state),
-                }
-            };
-
-        let mut reg_next: Vec<(usize, u32)> = Vec::new();
-        let mut output = None;
-        let mut valid = None;
-        for st in &self.statements {
-            let vals: Vec<u32> = st
-                .args
-                .iter()
-                .map(|a| eval(a, wires, state))
-                .collect::<Result<_, _>>()?;
-            let v = match st.op {
-                Op::Shr => vals[0].checked_shr(vals[1]).unwrap_or(0),
-                Op::Shl => vals[0].checked_shl(vals[1]).unwrap_or(0),
-                Op::And => vals[0] & vals[1],
-                Op::Or => vals[0] | vals[1],
-                Op::Xor => vals[0] ^ vals[1],
-                Op::Add => vals[0].wrapping_add(vals[1]),
-                Op::Sub => vals[0].wrapping_sub(vals[1]),
-                Op::Mux => {
-                    if vals[0] != 0 {
-                        vals[1]
-                    } else {
-                        vals[2]
-                    }
-                }
-                Op::Id => vals[0],
-            };
-            match st.dest.as_str() {
-                "Output" => output = Some(v),
-                "Output.valid" => valid = Some(v),
-                dest => {
-                    if let Some(i) = self.regs.iter().position(|r| r.name == dest) {
-                        reg_next.push((i, v));
-                    } else {
-                        wires.insert(dest, v);
-                    }
-                }
-            }
-        }
-
-        // Commit register writes (registers update at the clock edge).
-        for (i, v) in reg_next {
-            *state.reg_mut(&self.regs[i].name)? = v;
-        }
-        // Apply resets after commit, as a synchronous reset would.
-        for r in &self.regs {
-            if !r.reset_signal.is_empty() {
-                let sig = if let Some(&v) = wires.get(r.reset_signal.as_str()) {
-                    v
-                } else {
-                    state.values.get(&r.reset_signal).copied().unwrap_or(0)
-                };
-                if sig != 0 {
-                    *state.reg_mut(&r.name)? = r.init;
-                }
-            }
-        }
-
-        let is_valid = valid.unwrap_or(1) != 0;
-        Ok(if is_valid { output } else { None })
-    }
-}
-
-/// The register file of one running program instance.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RegFile {
-    values: HashMap<String, u32>,
-}
-
-impl RegFile {
-    fn reg_mut(&mut self, name: &str) -> Result<&mut u32, ExecError> {
-        self.values.get_mut(name).ok_or_else(|| ExecError {
-            reason: format!("register {name} is not in this register file"),
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     use super::*;
+    use crate::CompiledProgram;
 
     fn name(n: &str) -> Operand {
         Operand::Name(n.into())
@@ -338,17 +150,13 @@ mod tests {
         Operand::Literal(v)
     }
 
-    fn step(p: &Program, input: u32, state: &mut RegFile) -> Result<Option<u32>, ExecError> {
-        p.step_in(input, state, &mut HashMap::new())
-    }
-
     #[test]
     fn identity_passes_through() {
         let p = Program::identity();
-        p.validate().unwrap();
-        let mut st = p.fresh_state();
-        assert_eq!(step(&p, 42, &mut st).unwrap(), Some(42));
-        assert_eq!(step(&p, 0, &mut st).unwrap(), Some(0));
+        let p = CompiledProgram::compile(&p).unwrap();
+        let mut st = p.state();
+        assert_eq!(p.step(42, &mut st), Some(42));
+        assert_eq!(p.step(0, &mut st), Some(0));
     }
 
     #[test]
@@ -378,11 +186,11 @@ mod tests {
                 },
             ],
         };
-        p.validate().unwrap();
-        let mut st = p.fresh_state();
-        assert_eq!(step(&p, 1, &mut st).unwrap(), Some(1));
-        assert_eq!(step(&p, 2, &mut st).unwrap(), Some(3));
-        assert_eq!(step(&p, 4, &mut st).unwrap(), Some(7));
+        let p = CompiledProgram::compile(&p).unwrap();
+        let mut st = p.state();
+        assert_eq!(p.step(1, &mut st), Some(1));
+        assert_eq!(p.step(2, &mut st), Some(3));
+        assert_eq!(p.step(4, &mut st), Some(7));
     }
 
     #[test]
@@ -427,19 +235,11 @@ mod tests {
                 },
             ],
         };
-        p.validate().unwrap();
-        let mut st = p.fresh_state();
-        assert_eq!(step(&p, 3, &mut st).unwrap(), None, "no terminator yet");
-        assert_eq!(
-            step(&p, 0x85, &mut st).unwrap(),
-            Some(8),
-            "3 + 5, terminator seen"
-        );
-        assert_eq!(
-            step(&p, 0x81, &mut st).unwrap(),
-            Some(1),
-            "register was reset"
-        );
+        let p = CompiledProgram::compile(&p).unwrap();
+        let mut st = p.state();
+        assert_eq!(p.step(3, &mut st), None, "no terminator yet");
+        assert_eq!(p.step(0x85, &mut st), Some(8), "3 + 5, terminator seen");
+        assert_eq!(p.step(0x81, &mut st), Some(1), "register was reset");
     }
 
     #[test]
@@ -452,10 +252,10 @@ mod tests {
                 args: vec![name("Input"), lit(10), lit(20)],
             }],
         };
-        p.validate().unwrap();
-        let mut st = p.fresh_state();
-        assert_eq!(step(&p, 1, &mut st).unwrap(), Some(10));
-        assert_eq!(step(&p, 0, &mut st).unwrap(), Some(20));
+        let p = CompiledProgram::compile(&p).unwrap();
+        let mut st = p.state();
+        assert_eq!(p.step(1, &mut st), Some(10));
+        assert_eq!(p.step(0, &mut st), Some(20));
     }
 
     #[test]
@@ -468,7 +268,7 @@ mod tests {
                 args: vec![name("ghost")],
             }],
         };
-        assert!(p.validate().is_err());
+        assert!(CompiledProgram::compile(&p).is_err());
     }
 
     #[test]
@@ -481,7 +281,7 @@ mod tests {
                 args: vec![lit(1)],
             }],
         };
-        assert!(p.validate().is_err());
+        assert!(CompiledProgram::compile(&p).is_err());
     }
 
     #[test]
@@ -501,7 +301,7 @@ mod tests {
             ],
             statements: vec![],
         };
-        assert!(p.validate().is_err());
+        assert!(CompiledProgram::compile(&p).is_err());
     }
 
     #[test]
@@ -514,8 +314,9 @@ mod tests {
                 args: vec![name("Input"), lit(40)],
             }],
         };
-        let mut st = p.fresh_state();
-        assert_eq!(step(&p, 1, &mut st).unwrap(), Some(0));
+        let p = CompiledProgram::compile(&p).unwrap();
+        let mut st = p.state();
+        assert_eq!(p.step(1, &mut st), Some(0));
     }
 
     #[test]
@@ -543,15 +344,11 @@ mod tests {
         }
     }
 
-    /// Validates `p` and runs it over `inputs` from a fresh register file.
+    /// Compiles `p` and runs it over `inputs` from its start state.
     fn run(p: &Program, inputs: &[u32]) -> Vec<Option<u32>> {
-        p.validate().unwrap();
-        let mut state = p.fresh_state();
-        let mut wires = HashMap::new();
-        inputs
-            .iter()
-            .map(|&x| p.step_in(x, &mut state, &mut wires).unwrap())
-            .collect()
+        let p = CompiledProgram::compile(p).unwrap();
+        let mut state = p.state();
+        inputs.iter().map(|&x| p.step(x, &mut state)).collect()
     }
 
     #[test]
@@ -637,8 +434,8 @@ mod tests {
 
     #[test]
     fn reset_signal_naming_output_never_fires() {
-        // `Output` validates as a reset signal but is not a wire, so it
-        // reads as constant 0.
+        // `Output` is a write-only port: a reset signal naming it would
+        // read a constant 0, so the program does not compile.
         let p = Program {
             regs: vec![reg("Acc", "Output")],
             statements: vec![
@@ -646,6 +443,6 @@ mod tests {
                 st("Output", Op::Id, vec![name("Acc")]),
             ],
         };
-        assert_eq!(run(&p, &[1, 2, 3]), [Some(0), Some(1), Some(3)]);
+        assert!(CompiledProgram::compile(&p).is_err());
     }
 }

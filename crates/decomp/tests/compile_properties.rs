@@ -1,7 +1,8 @@
-//! The shipped scheme configurations through the [`CompiledProgram`]
-//! handle and the engine: every stock stage-2 program compiles, and
-//! its datapath decodes bit-equal to the `boss-compress` codec (values,
-//! docIDs and priced cycles) across widths 0–32 and block lengths 1–128.
+//! The shipped scheme configurations through
+//! [`CompiledProgram::compile`] and the engine: every stock stage-2
+//! program compiles, and its datapath decodes bit-equal to the
+//! `boss-compress` codec (values, docIDs and priced cycles) across
+//! widths 0–32 and block lengths 1–128.
 
 use boss_compress::{codec_for, Scheme};
 use boss_decomp::{CompiledProgram, DecompEngine, PIPELINE_FILL_CYCLES};

@@ -1,13 +1,15 @@
 //! The load-bearing properties of the programmable decompression module:
 //! for every scheme, the configured datapath decodes *bit-identically* to
 //! the software codec, and the configuration's cost descriptor prices
-//! every valid block at exactly the cycles the engine returns; and any
-//! program that validates runs on any unit stream without a fault.
+//! every valid block at exactly the cycles the engine returns; and the
+//! resolved netlist runs every program cycle for cycle like a by-name
+//! interpreter of the same program.
 
 use boss_compress::{codec_for, Scheme};
-use boss_decomp::{DecompEngine, Op, Operand, Program, RegDecl, Statement, PIPELINE_FILL_CYCLES};
+use boss_decomp::{
+    CompiledProgram, DecompEngine, Op, Operand, Program, RegDecl, Statement, PIPELINE_FILL_CYCLES,
+};
 use proptest::prelude::*;
-use std::collections::HashMap;
 
 /// The paper's five evaluated schemes plus the Group-Varint extension —
 /// every stock configuration in `boss_decomp::schemes`.
@@ -86,8 +88,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Width sweep for the word-level kernel reroute: the netlist
-    /// interpreter must stay bit-equal to the `boss-compress` decoders for
+    /// Width sweep for the word-level kernel reroute: the resolved
+    /// netlist must stay bit-equal to the `boss-compress` decoders for
     /// every bit width 0–32 and block lengths 1–128, including through the
     /// stage-4 delta path.
     #[test]
@@ -339,14 +341,135 @@ fn build_program(
     }
 }
 
+/// The stage-2 semantics as a by-name interpreter: a check of which
+/// names are readable, then one cycle that looks every operand up in a
+/// wire map and a register map. The resolved netlist is held to it.
+mod oracle {
+    use super::{Op, Operand, Program};
+    use std::collections::HashMap;
+
+    /// `Err` on a wrong operand count, a duplicate register, a read of a
+    /// wire not yet assigned, or a reset signal never assigned.
+    pub(super) fn validate(p: &Program) -> Result<(), String> {
+        let mut defined: Vec<&str> = vec!["Input"];
+        for r in &p.regs {
+            if defined.contains(&r.name.as_str()) {
+                return Err(format!("duplicate definition of {}", r.name));
+            }
+            defined.push(&r.name);
+        }
+        let reg_names: Vec<&str> = p.regs.iter().map(|r| r.name.as_str()).collect();
+        let mut assigned: Vec<&str> = Vec::new();
+        for st in &p.statements {
+            if st.args.len() != st.op.arity() {
+                return Err(format!("{:?} arity", st.op));
+            }
+            for a in &st.args {
+                if let Operand::Name(n) = a {
+                    let readable = n == "Input"
+                        || reg_names.contains(&n.as_str())
+                        || assigned.contains(&n.as_str());
+                    if !readable {
+                        return Err(format!("read of undefined wire {n}"));
+                    }
+                }
+            }
+            if !reg_names.contains(&st.dest.as_str()) {
+                assigned.push(&st.dest);
+            }
+        }
+        for r in &p.regs {
+            let n = r.reset_signal.as_str();
+            if !n.is_empty() && !assigned.contains(&n) && !reg_names.contains(&n) {
+                return Err(format!("reset signal {n} is never assigned"));
+            }
+        }
+        Ok(())
+    }
+
+    /// Every register at its init value.
+    pub(super) fn fresh_state(p: &Program) -> HashMap<String, u32> {
+        p.regs.iter().map(|r| (r.name.clone(), r.init)).collect()
+    }
+
+    /// One cycle: `Input` first, then this cycle's wires, then the
+    /// registers' start-of-cycle values; register writes commit at the
+    /// end, then resets apply in declaration order.
+    pub(super) fn step(p: &Program, input: u32, regs: &mut HashMap<String, u32>) -> Option<u32> {
+        let mut wires: HashMap<&str, u32> = HashMap::new();
+        let mut reg_next: Vec<(&str, u32)> = Vec::new();
+        let mut output = None;
+        let mut valid = None;
+        for st in &p.statements {
+            let vals: Vec<u32> = st
+                .args
+                .iter()
+                .map(|a| match a {
+                    Operand::Literal(v) => *v,
+                    Operand::Name(n) if n == "Input" => input,
+                    Operand::Name(n) => wires.get(n.as_str()).copied().unwrap_or_else(|| regs[n]),
+                })
+                .collect();
+            let v = match st.op {
+                Op::Shr => vals[0].checked_shr(vals[1]).unwrap_or(0),
+                Op::Shl => vals[0].checked_shl(vals[1]).unwrap_or(0),
+                Op::And => vals[0] & vals[1],
+                Op::Or => vals[0] | vals[1],
+                Op::Xor => vals[0] ^ vals[1],
+                Op::Add => vals[0].wrapping_add(vals[1]),
+                Op::Sub => vals[0].wrapping_sub(vals[1]),
+                Op::Mux => {
+                    if vals[0] != 0 {
+                        vals[1]
+                    } else {
+                        vals[2]
+                    }
+                }
+                Op::Id => vals[0],
+            };
+            match st.dest.as_str() {
+                "Output" => output = Some(v),
+                "Output.valid" => valid = Some(v),
+                d if regs.contains_key(d) => reg_next.push((d, v)),
+                d => {
+                    wires.insert(d, v);
+                }
+            }
+        }
+        for (r, v) in reg_next {
+            regs.insert(r.to_owned(), v);
+        }
+        for r in &p.regs {
+            let n = r.reset_signal.as_str();
+            if !n.is_empty() {
+                let sig = wires.get(n).or_else(|| regs.get(n)).copied().unwrap_or(0);
+                if sig != 0 {
+                    regs.insert(r.name.clone(), r.init);
+                }
+            }
+        }
+        if valid.unwrap_or(1) != 0 {
+            output
+        } else {
+            None
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// A program that passed `validate` never faults and never panics,
-    /// whatever units it is fed: the engine validates once, at
-    /// construction, and relies on this for every unit after.
+    /// Every generated program compiles, and on any unit stream each
+    /// cycle's output is the by-name interpreter's. `step` cannot fail,
+    /// so "a compiled program never faults" needs no test of its own.
+    ///
+    /// The resolved netlist also copies a reset value into the register's
+    /// pending slot. Leaving that copy out is an equivalent mutant: every
+    /// statement runs every cycle, so a register that is written at all
+    /// is rewritten before the next clock edge, and one that is never
+    /// written keeps its init value in both places.
     #[test]
-    fn validated_programs_never_fault_on_any_unit_stream(
+    fn compiled_programs_match_the_interpreter(
         n_regs in 0usize..3,
         inits in prop::collection::vec(any::<u32>(), 3),
         resets in prop::collection::vec(any::<u16>(), 3),
@@ -354,12 +477,13 @@ proptest! {
         inputs in prop::collection::vec(any::<u32>(), 1..128),
     ) {
         let program = build_program(n_regs, inits, resets, specs);
-        program.validate().expect("generated programs are valid by construction");
-        let mut state = program.fresh_state();
-        let mut wires = HashMap::new();
+        oracle::validate(&program).expect("generated programs are valid by construction");
+        let compiled = CompiledProgram::compile(&program).expect("a valid program compiles");
+        let mut state = compiled.state();
+        let mut regs = oracle::fresh_state(&program);
         for (i, &x) in inputs.iter().enumerate() {
-            let step = program.step_in(x, &mut state, &mut wires);
-            prop_assert!(step.is_ok(), "cycle {} of {:?}: {:?}", i, program, step);
+            let want = oracle::step(&program, x, &mut regs);
+            prop_assert_eq!(compiled.step(x, &mut state), want, "cycle {} of {:?}", i, program);
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Property tests over *corrupted* encoded inputs: every codec's fast
 //! decode path and the word-level unpack kernels must agree with their
-//! reference oracles on accept/reject, the netlist interpreter with the
+//! reference oracles on accept/reject, the Fig. 8 engine with the
 //! codec wherever both accept — and none may panic or over-reserve — for
 //! arbitrary byte soup.
 //!
