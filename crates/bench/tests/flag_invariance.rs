@@ -5,20 +5,19 @@
 //! bits) at every thread count. Four queries per type (not the default
 //! ten) keep the figure runs inside the tier-1 budget in a debug build.
 //! What the figure CLI does not select is the engine layer's contract,
-//! not a flag's: shards and the segment build path move no hit
-//! (`boss-engine`'s `differential.rs` and `segment_identity.rs`), a quiet
-//! fault plan moves no bit (`boss-core`'s
-//! `quiet_plan_and_no_plan_are_bit_identical`, `boss-engine`'s
-//! `fault_degradation.rs`), and open-loop serving decides alike at every
+//! not a flag's: shards, the segment build path and a quiet fault plan
+//! move no bit (the `shards`, `segments` and `quiet_fault_plan` rows of
+//! `boss-engine`'s `tests/invariance.rs`, and `differential.rs` against
+//! the reference evaluator), and open-loop serving decides alike at every
 //! worker count (`end_to_end_run_is_bit_identical_across_worker_counts`).
 //!
-//! This file stays, and does not fold into the engine layer's structured
-//! invariance table: it is the one test that runs registry entries end to
-//! end — argument parsing, the figure driver, the printed rows — at more
-//! than one thread count. A table over engine outcomes (hits, `MemStats`,
-//! `EvalCounts`) checks the layer below and would not see a figure that
-//! prints the same outcomes differently. It holds only checks that go
-//! through `figure`; an invariance of the engines belongs in that table.
+//! This file stays beside that table: it is the one test that runs
+//! registry entries end to end — argument parsing, the figure driver, the
+//! printed rows — at more than one thread count. The table compares
+//! engine outcomes (hits, `MemStats`, `EvalCounts`) and would not see a
+//! figure that prints the same outcomes differently. This file holds only
+//! checks that go through `figure`; an invariance of the engines belongs
+//! in the table.
 
 use boss_bench::figures::{self, Corpora, FigureCtx};
 use boss_bench::{boss_engine, iiu_engine, lucene_engine, run_system};

@@ -301,32 +301,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_reuse_changes_nothing_observable() {
-        // Whole-query invariance: cycles, traffic, counters, and hits are
-        // bit-identical whether each query gets a new device (empty
-        // buffers) or one device's buffers are reused across all of them.
-        let idx = corpus();
-        let queries = [
-            QueryExpr::term("bb"),
-            QueryExpr::or([QueryExpr::term("aa"), QueryExpr::term("dd")]),
-            QueryExpr::and([QueryExpr::term("aa"), QueryExpr::term("bb")]),
-            QueryExpr::and([
-                QueryExpr::term("cc"),
-                QueryExpr::or([QueryExpr::term("bb"), QueryExpr::term("dd")]),
-            ]),
-        ];
-        for et in [EtMode::Exhaustive, EtMode::BlockOnly, EtMode::Full] {
-            let mut reused = BossDevice::new(&idx, BossConfig::default().with_et(et));
-            for q in &queries {
-                for k in [5usize, 300] {
-                    let fresh = reused.fork().search_expr(q, k).unwrap();
-                    assert_eq!(fresh, reused.search_expr(q, k).unwrap(), "{q} k={k} {et:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn every_algorithm_matches_reference_on_every_query_shape() {
         // The signature invariant, at the core level: each pruning plan
         // returns the exhaustive oracle's top-k bit for bit, across
@@ -394,22 +368,6 @@ mod tests {
             assert_eq!(o.eval.docs_skipped_wand, 0, "{algo} books under prune");
             assert_eq!(o.eval.docs_skipped_block, 0, "{algo} books under prune");
             assert!(o.eval.blocks_fetched <= ex.eval.blocks_fetched, "{algo}");
-        }
-    }
-
-    #[test]
-    fn pruned_plans_leave_pure_intersections_untouched() {
-        // `algorithm` only replaces the union traversal; a pure
-        // intersection's outcome is bit-identical whatever the plan.
-        let idx = corpus();
-        let q = QueryExpr::and([QueryExpr::term("aa"), QueryExpr::term("bb")]);
-        let run = |algo: QueryAlgorithm| {
-            let cfg = BossConfig::default().with_k(20).with_algorithm(algo);
-            BossDevice::new(&idx, cfg).search_expr(&q, 20).unwrap()
-        };
-        let base = run(QueryAlgorithm::Exhaustive);
-        for algo in boss_index::ALL_ALGORITHMS {
-            assert_eq!(run(algo), base, "{algo}");
         }
     }
 

@@ -1,5 +1,8 @@
 //! Whole-query fault-injection tests: the [`crate::DegradePolicy`]
-//! contract from the device API down through the traversal.
+//! contract from the device API down through the traversal. That a quiet
+//! plan changes nothing, that an active plan is deterministic, and that
+//! `FailQuery` is a typed error are rows of `boss-engine`'s
+//! `tests/invariance.rs`.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -38,22 +41,6 @@ fn queries() -> Vec<QueryExpr> {
 }
 
 #[test]
-fn fail_query_surfaces_typed_read_fault() {
-    let idx = corpus();
-    let plan = FaultPlan::quiet(11).with_uncorrectable_rate(1.0);
-    let cfg = BossConfig::default().with_fault_plan(Some(plan));
-    assert_eq!(cfg.degrade, DegradePolicy::FailQuery);
-    let mut dev = BossDevice::new(&idx, cfg);
-    for q in queries() {
-        let err = dev.search_expr(&q, 10).unwrap_err();
-        assert!(
-            matches!(err, boss_index::Error::ReadFault { .. }),
-            "{q}: {err}"
-        );
-    }
-}
-
-#[test]
 fn skip_block_completes_and_counts_dropped_blocks() {
     let idx = corpus();
     let plan = FaultPlan::quiet(7).with_uncorrectable_rate(0.6);
@@ -71,59 +58,6 @@ fn skip_block_completes_and_counts_dropped_blocks() {
         }
     }
     assert!(any_skipped, "rate 0.3 must hit at least one block");
-}
-
-#[test]
-fn skip_block_is_deterministic_across_runs() {
-    let idx = corpus();
-    let plan = FaultPlan::quiet(23).with_uncorrectable_rate(0.3);
-    let run = || {
-        let cfg = BossConfig::default()
-            .with_fault_plan(Some(plan.clone()))
-            .with_degrade(DegradePolicy::SkipBlock);
-        let mut dev = BossDevice::new(&idx, cfg);
-        queries()
-            .iter()
-            .map(|q| dev.search_expr(q, 10).unwrap())
-            .collect::<Vec<_>>()
-    };
-    let a = run();
-    let b = run();
-    assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter().zip(&b) {
-        assert_eq!(x, y, "same plan, same outcome");
-    }
-}
-
-#[test]
-fn quiet_plan_and_no_plan_are_bit_identical() {
-    // The invariance contract: an installed-but-silent plan, and either
-    // degradation policy, change nothing when no fault ever fires.
-    let idx = corpus();
-    let run = |plan: Option<FaultPlan>, degrade: DegradePolicy| {
-        let cfg = BossConfig::default()
-            .with_fault_plan(plan)
-            .with_degrade(degrade);
-        let mut dev = BossDevice::new(&idx, cfg);
-        queries()
-            .iter()
-            .map(|q| dev.search_expr(q, 25).unwrap())
-            .collect::<Vec<_>>()
-    };
-    let base = run(None, DegradePolicy::FailQuery);
-    assert_eq!(
-        base,
-        run(Some(FaultPlan::quiet(99)), DegradePolicy::FailQuery)
-    );
-    assert_eq!(
-        base,
-        run(Some(FaultPlan::quiet(99)), DegradePolicy::SkipBlock)
-    );
-    assert_eq!(base, run(None, DegradePolicy::SkipBlock));
-    for out in &base {
-        assert_eq!(out.eval.blocks_skipped_fault, 0);
-        assert_eq!(out.mem.faulted_reads, 0);
-    }
 }
 
 #[test]

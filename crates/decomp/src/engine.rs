@@ -220,7 +220,7 @@ impl DecompEngine {
             data
         };
 
-        let mut extractor = Extractor::new(config.extractor.kind, payload, *info);
+        let mut extractor = Extractor::new(config.extractor.kind, payload, *info)?;
         let mut state = self.program.state();
         let base = out.len();
         out.reserve(count);
@@ -390,6 +390,29 @@ mod tests {
             err,
             EngineError::Codec(boss_compress::Error::Corrupt { .. })
         ));
+    }
+
+    #[test]
+    fn field_width_over_32_is_corrupt_unless_the_block_is_empty() {
+        // With and without an exception area: BP's engine and OptPFD's.
+        let optpfd = DecompEngine::for_scheme(Scheme::OptPfd).unwrap();
+        for engine in [bp_engine(false), optpfd] {
+            let info = |count| BlockInfo {
+                count,
+                bit_width: 33,
+                exception_offset: 0,
+            };
+            let err = engine.decode(&[0u8; 64], &info(4)).unwrap_err();
+            let corrupt = boss_compress::Error::Corrupt {
+                reason: "field bit width exceeds 32",
+            };
+            assert_eq!(err, EngineError::Codec(corrupt));
+            let empty = engine.decode(&[], &info(0)).unwrap();
+            assert_eq!(
+                (empty.values.len(), empty.cycles),
+                (0, PIPELINE_FILL_CYCLES)
+            );
+        }
     }
 
     #[test]

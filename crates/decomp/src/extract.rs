@@ -34,10 +34,11 @@ pub enum ExtractorKind {
 pub(crate) struct Extractor<'a> {
     kind: ExtractorKind,
     data: &'a [u8],
-    info: BlockInfo,
     pos: usize,
     /// Bit cursor over `data`; only `FixedWidth` reads through it.
     bits: BitReader<'a>,
+    /// `FixedWidth`'s field width, checked against 32 once in `new`.
+    width: u32,
     /// Pending field values decoded from the current selector word.
     pending: Vec<u32>,
     pending_at: usize,
@@ -46,17 +47,35 @@ pub(crate) struct Extractor<'a> {
 }
 
 impl<'a> Extractor<'a> {
-    pub(crate) fn new(kind: ExtractorKind, data: &'a [u8], info: BlockInfo) -> Self {
-        Extractor {
+    /// An extractor of `kind` over one block's payload.
+    ///
+    /// # Errors
+    ///
+    /// `FixedWidth` over a block that holds values but whose (possibly
+    /// corrupt) metadata claims fields wider than 32 bits: the bit reader
+    /// treats such widths as a programmer error, so they are a typed
+    /// error here. A block of no values reads no field.
+    pub(crate) fn new(
+        kind: ExtractorKind,
+        data: &'a [u8],
+        info: BlockInfo,
+    ) -> Result<Self, EngineError> {
+        let width = u32::from(info.bit_width);
+        if kind == ExtractorKind::FixedWidth && width > 32 && info.count > 0 {
+            return Err(EngineError::Codec(boss_compress::Error::Corrupt {
+                reason: "field bit width exceeds 32",
+            }));
+        }
+        Ok(Extractor {
             kind,
             data,
-            info,
             pos: 0,
             bits: BitReader::new(data),
+            width,
             pending: Vec::new(),
             pending_at: 0,
             units: 0,
-        }
+        })
     }
 
     /// Units consumed so far; one unit is one extraction cycle.
@@ -72,19 +91,7 @@ impl<'a> Extractor<'a> {
     pub(crate) fn next_unit(&mut self) -> Result<u32, EngineError> {
         self.units += 1;
         match self.kind {
-            ExtractorKind::FixedWidth => {
-                // `bit_width` comes from (possibly corrupt) block
-                // metadata; the bit reader treats widths over 32 as a
-                // programmer error, so gate it here as a typed error.
-                if self.info.bit_width > 32 {
-                    return Err(EngineError::Codec(boss_compress::Error::Corrupt {
-                        reason: "field bit width exceeds 32",
-                    }));
-                }
-                self.bits
-                    .read(u32::from(self.info.bit_width))
-                    .map_err(EngineError::from)
-            }
+            ExtractorKind::FixedWidth => self.bits.read(self.width).map_err(EngineError::from),
             ExtractorKind::ByteHeader => {
                 let Some(&b) = self.data.get(self.pos) else {
                     return Err(EngineError::Codec(boss_compress::Error::Truncated {
@@ -95,25 +102,13 @@ impl<'a> Extractor<'a> {
                 self.pos += 1;
                 Ok(u32::from(b))
             }
-            ExtractorKind::Selector16 => {
+            ExtractorKind::Selector16 | ExtractorKind::Selector8b | ExtractorKind::GroupVarint => {
                 if self.pending_at == self.pending.len() {
-                    self.refill_s16()?;
-                }
-                let v = self.pending[self.pending_at];
-                self.pending_at += 1;
-                Ok(v)
-            }
-            ExtractorKind::Selector8b => {
-                if self.pending_at == self.pending.len() {
-                    self.refill_s8b()?;
-                }
-                let v = self.pending[self.pending_at];
-                self.pending_at += 1;
-                Ok(v)
-            }
-            ExtractorKind::GroupVarint => {
-                if self.pending_at == self.pending.len() {
-                    self.refill_gvb()?;
+                    match self.kind {
+                        ExtractorKind::Selector16 => self.refill_s16()?,
+                        ExtractorKind::Selector8b => self.refill_s8b()?,
+                        _ => self.refill_gvb()?,
+                    }
                 }
                 let v = self.pending[self.pending_at];
                 self.pending_at += 1;
@@ -217,7 +212,7 @@ mod tests {
         let values = [5u32, 1, 7, 0];
         let mut data = Vec::new();
         let info = codec_for(Scheme::Bp).encode(&values, &mut data).unwrap();
-        let mut ex = Extractor::new(ExtractorKind::FixedWidth, &data, info);
+        let mut ex = Extractor::new(ExtractorKind::FixedWidth, &data, info).unwrap();
         for &v in &values {
             assert_eq!(ex.next_unit().unwrap(), v);
         }
@@ -232,7 +227,7 @@ mod tests {
             bit_width: 0,
             exception_offset: 0,
         };
-        let mut ex = Extractor::new(ExtractorKind::ByteHeader, &data, info);
+        let mut ex = Extractor::new(ExtractorKind::ByteHeader, &data, info).unwrap();
         assert_eq!(ex.next_unit().unwrap(), 0x83);
         assert_eq!(ex.next_unit().unwrap(), 0x05);
         assert_eq!(ex.next_unit().unwrap(), 0x91);
@@ -244,7 +239,7 @@ mod tests {
         let values = [1u32, 3, 0, 200, 7, 7, 7, 100000];
         let mut data = Vec::new();
         let info = codec_for(Scheme::S16).encode(&values, &mut data).unwrap();
-        let mut ex = Extractor::new(ExtractorKind::Selector16, &data, info);
+        let mut ex = Extractor::new(ExtractorKind::Selector16, &data, info).unwrap();
         for &v in &values {
             assert_eq!(ex.next_unit().unwrap(), v);
         }
@@ -256,7 +251,7 @@ mod tests {
         values.extend([9, 8, u32::MAX]);
         let mut data = Vec::new();
         let info = codec_for(Scheme::S8b).encode(&values, &mut data).unwrap();
-        let mut ex = Extractor::new(ExtractorKind::Selector8b, &data, info);
+        let mut ex = Extractor::new(ExtractorKind::Selector8b, &data, info).unwrap();
         for &v in &values {
             assert_eq!(ex.next_unit().unwrap(), v);
         }
@@ -270,7 +265,7 @@ mod tests {
             bit_width: 0,
             exception_offset: 0,
         };
-        let mut ex = Extractor::new(ExtractorKind::Selector16, &data, info);
+        let mut ex = Extractor::new(ExtractorKind::Selector16, &data, info).unwrap();
         assert!(ex.next_unit().is_err());
     }
 }

@@ -221,16 +221,6 @@ mod tests {
             .unwrap()
     }
 
-    fn queries() -> Vec<QueryExpr> {
-        (0..9)
-            .map(|i| match i % 3 {
-                0 => QueryExpr::term("even"),
-                1 => QueryExpr::and([QueryExpr::term("three"), QueryExpr::term("five")]),
-                _ => QueryExpr::or([QueryExpr::term("even"), QueryExpr::term("three")]),
-            })
-            .collect()
-    }
-
     #[test]
     fn batch_parallelism_shrinks_makespan() {
         let idx = corpus();
@@ -341,29 +331,6 @@ mod tests {
         // First outcome corresponds to "huge" (df 800) even though SJF
         // schedules "tiny" first.
         assert!(batch.outcomes[0].eval.docs_scored > batch.outcomes[1].eval.docs_scored);
-    }
-
-    #[test]
-    fn parallel_equals_serial() {
-        let idx = corpus();
-        let qs = queries();
-        let eng = Boss::new(&idx, BossConfig::with_cores(2));
-        let serial = BatchExecutor::with_threads(1).run(&eng, &qs, 10).unwrap();
-        for threads in [2usize, 4, 7] {
-            let par = BatchExecutor::with_threads(threads)
-                .run(&eng, &qs, 10)
-                .unwrap();
-            assert_eq!(
-                par.makespan_cycles, serial.makespan_cycles,
-                "{threads} threads"
-            );
-            assert_eq!(par.mem, serial.mem, "{threads} threads");
-            assert_eq!(par.eval, serial.eval, "{threads} threads");
-            for (a, b) in par.outcomes.iter().zip(&serial.outcomes) {
-                assert_eq!(a.hits, b.hits, "{threads} threads");
-                assert_eq!(a.cycles, b.cycles, "{threads} threads");
-            }
-        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! channels). The hits are the merge of the per-shard top-k, bit-identical
 //! to the unsplit index's under quiet fault plans (shards carry global
 //! BM25 statistics — see [`boss_index::shard`]); that contract is a test
-//! (`pruned_leaves_keep_sharded_hits_bit_identical` here, and
+//! (the `shards` and `threads` rows of `tests/invariance.rs`, and
 //! `differential.rs` against the reference evaluator), not a mode.
 //!
 //! # Health-aware routing
@@ -428,35 +428,6 @@ mod tests {
     }
 
     #[test]
-    fn pruned_leaves_keep_sharded_hits_bit_identical() {
-        let idx = corpus();
-        let mut reference = Sharded::single(Boss::new(&idx, BossConfig::default()));
-        for algo in boss_core::ALL_ALGORITHMS {
-            for n in [2u32, 4] {
-                let sh = ShardedIndex::split(&idx, n).unwrap();
-                let pruned_leaves: Vec<Vec<Boss>> = sh
-                    .shards()
-                    .iter()
-                    .map(|shard| vec![Boss::new(shard, BossConfig::default().with_algorithm(algo))])
-                    .collect();
-                let mut multi = Sharded::new(
-                    Boss::new(&idx, BossConfig::default()),
-                    &sh,
-                    pruned_leaves,
-                    ShardTiming::ScatterGather,
-                );
-                for q in queries() {
-                    for k in [3usize, 10] {
-                        let a = reference.search(&q, k).unwrap();
-                        let b = multi.search(&q, k).unwrap();
-                        assert_eq!(a.hits, b.hits, "{algo} over {n} shards, k={k}, {q}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn scatter_gather_mode_sums_leaf_traffic_and_charges_the_link() {
         let idx = corpus();
         let sh = ShardedIndex::split(&idx, 4).unwrap();
@@ -508,18 +479,10 @@ mod tests {
             leaves(&sh, 2, Some((0, plan))),
             ShardTiming::ScatterGather,
         );
-        let mut quiet = Sharded::new(
-            Boss::new(&idx, BossConfig::default()),
-            &sh,
-            leaves(&sh, 2, None),
-            ShardTiming::ScatterGather,
-        );
-        // The clean replica's outcome is the quiet system's, whole:
-        // hits, cycles, traffic and counters.
+        // That the clean replica's outcome is the quiet system's, whole,
+        // is the invariance table's `replica_failover` row.
         for q in queries() {
-            let a = faulted.search(&q, 10).unwrap();
-            let b = quiet.search(&q, 10).unwrap();
-            assert_eq!(a, b, "{q}");
+            faulted.search(&q, 10).unwrap();
         }
         // The degraded replica's symptoms are visible in telemetry and
         // attributed to (shard 0, replica 0) only.

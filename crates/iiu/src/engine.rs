@@ -312,7 +312,7 @@ fn pipeline_cycles(run: &Run<'_>) -> u64 {
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     use super::*;
-    use boss_index::{reference, IndexBuilder, QueryAlgorithm};
+    use boss_index::{reference, IndexBuilder};
 
     fn corpus() -> InvertedIndex {
         corpus_of(900)
@@ -482,30 +482,6 @@ mod tests {
                 out.mem.bytes(AccessCategory::StResult),
                 out.hits.len() as u64 * 8
             );
-        }
-    }
-
-    #[test]
-    fn pruning_leaves_intersections_and_single_terms_untouched() {
-        let idx = corpus();
-        let queries = [
-            QueryExpr::term("aa"),
-            QueryExpr::and([QueryExpr::term("aa"), QueryExpr::term("bb")]),
-        ];
-        for q in &queries {
-            let a = IiuEngine::new(&idx, IiuConfig::default())
-                .execute(q, 10)
-                .unwrap();
-            let b = IiuEngine::new(
-                &idx,
-                IiuConfig::default().with_algorithm(QueryAlgorithm::BlockMaxWand),
-            )
-            .execute(q, 10)
-            .unwrap();
-            assert_eq!(a.hits, b.hits, "{q}");
-            assert_eq!(a.eval, b.eval, "{q}");
-            assert_eq!(a.mem, b.mem, "{q}");
-            assert_eq!(a.cycles, b.cycles, "{q}");
         }
     }
 }

@@ -271,7 +271,7 @@ impl<'a> LuceneEngine<'a> {
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     use super::*;
-    use boss_index::{reference, IndexBuilder, QueryAlgorithm};
+    use boss_index::{reference, IndexBuilder};
 
     fn corpus() -> InvertedIndex {
         corpus_of(700)
@@ -403,30 +403,6 @@ mod tests {
                 out.eval.blocks_fetched <= base.eval.blocks_fetched,
                 "{algo}"
             );
-        }
-    }
-
-    #[test]
-    fn pruning_leaves_intersections_and_single_terms_untouched() {
-        let idx = corpus();
-        let queries = [
-            QueryExpr::term("aa"),
-            QueryExpr::and([QueryExpr::term("aa"), QueryExpr::term("bb")]),
-        ];
-        for q in &queries {
-            let a = LuceneEngine::new(&idx, LuceneConfig::default())
-                .execute(q, 10)
-                .unwrap();
-            let b = LuceneEngine::new(
-                &idx,
-                LuceneConfig::default().with_algorithm(QueryAlgorithm::BlockMaxMaxScore),
-            )
-            .execute(q, 10)
-            .unwrap();
-            assert_eq!(a.hits, b.hits, "{q}");
-            assert_eq!(a.eval, b.eval, "{q}");
-            assert_eq!(a.mem, b.mem, "{q}");
-            assert_eq!(a.cycles, b.cycles, "{q}");
         }
     }
 }
