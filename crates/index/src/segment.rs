@@ -11,7 +11,7 @@
 //! # Layout (all integers little-endian)
 //!
 //! ```text
-//! header     magic "BOSSSEG\0" | version u32 | flags u32 | doc_base u32
+//! header     magic "BOSSSEG\0" | version u32 (2) | flags u32 | doc_base u32
 //!            | n_docs u32 | n_terms u32 | k1 f32 | b f32 | reserved u32
 //! doc_lens   n_docs × u32          (token counts, segment-local docIDs)
 //! terms      n_terms entries, strictly increasing lexical order:
@@ -24,14 +24,24 @@
 //!                | delta (count u16, bit_width u8, exc_off u16)
 //!                | tf    (count u16, bit_width u8, exc_off u16)
 //!              data_len bytes of block payload
-//! trailer    FNV-1a 64 checksum of every preceding byte
+//! trailer    u64 checksum of every preceding byte
 //! ```
+//!
+//! The checksum folds the bytes in as little-endian `u64` words, one
+//! multiply and one xorshift per word, the last partial word padded with
+//! zeros and the byte count folded in after it (`WordSum`). Version 1
+//! ended in a byte-serial FNV-1a instead, at about five times the cost
+//! per byte; a reader refuses it as [`IoError::BadVersion`].
 //!
 //! docIDs inside a segment are segment-local (0-based); `doc_base` maps
 //! them to global. Stored `idf`/`max_score` values are computed against
 //! the *segment's own* statistics, making each segment a valid
 //! standalone index ([`load_segment`]); the merge recomputes both from
 //! global statistics, so they are transport metadata, not final scores.
+//! Spilled segments are transport in their encoding too: a spill writes
+//! every list under BP whatever the final index's scheme policy, and the
+//! merge re-encodes each list under that policy. The format itself holds
+//! any scheme per list ([`write_segment`]).
 //!
 //! # Hardening
 //!
@@ -54,8 +64,11 @@ use std::path::Path;
 /// Segment file magic: "BOSSSEG\0".
 pub(crate) const SEG_MAGIC: [u8; 8] = *b"BOSSSEG\0";
 
-/// Current segment format version.
-pub(crate) const SEG_VERSION: u32 = 1;
+/// Current segment format version: 2 since the checksum trailer became
+/// the word-at-a-time [`WordSum`] (version 1 ended in a byte-serial
+/// FNV-1a), so a file of the old format is refused as
+/// [`IoError::BadVersion`], not as a checksum mismatch.
+pub(crate) const SEG_VERSION: u32 = 2;
 
 /// Fixed header size in bytes: magic + 7 × u32-sized fields.
 pub(crate) const SEG_HEADER_BYTES: u64 = 8 + 7 * 4;
@@ -63,11 +76,82 @@ pub(crate) const SEG_HEADER_BYTES: u64 = 8 + 7 * 4;
 /// On-disk size of one block descriptor.
 pub(crate) const SEG_DESCRIPTOR_BYTES: u64 = 34;
 
-/// Size of the FNV-1a checksum trailer that ends every segment file.
+/// Size of the checksum trailer that ends every segment file.
 pub(crate) const SEG_CHECKSUM_BYTES: u64 = 8;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Initial state of the segment checksum.
+const SUM_SEED: u64 = 0x243f_6a88_85a3_08d3;
+
+/// The odd multiplier of a checksum step.
+const SUM_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// One checksum step: folds the word `w` into the state `h`. For a fixed
+/// `w` it is a bijection of the state (xor, an odd multiply and an
+/// xorshift are each invertible), so a change confined to one word
+/// always changes the digest; the xorshift carries the high bits down,
+/// so that bit-63 flips in two consecutive words do not cancel, as they
+/// would under the multiply alone.
+fn sum_step(h: u64, w: u64) -> u64 {
+    let h = (h ^ w).wrapping_mul(SUM_MUL);
+    h ^ (h >> 32)
+}
+
+/// The running segment checksum of a byte stream: each little-endian
+/// `u64` word folded in by [`sum_step`], the last partial word held back
+/// until [`WordSum::digest`] pads it with zeros and then folds in the
+/// stream's length. The digest depends only on the bytes, not on how
+/// they were split across [`WordSum::update`] calls.
+#[derive(Debug)]
+struct WordSum {
+    state: u64,
+    /// Bytes streamed so far.
+    len: u64,
+    /// The bytes of the word not yet complete, `len % 8` of them.
+    tail: [u8; 8],
+}
+
+impl WordSum {
+    fn new() -> Self {
+        WordSum {
+            state: SUM_SEED,
+            len: 0,
+            tail: [0; 8],
+        }
+    }
+
+    fn update(&mut self, mut bytes: &[u8]) {
+        let held = (self.len % 8) as usize;
+        self.len += bytes.len() as u64;
+        if held > 0 {
+            let take = bytes.len().min(8 - held);
+            self.tail[held..held + take].copy_from_slice(&bytes[..take]);
+            bytes = &bytes[take..];
+            if held + take < 8 {
+                return;
+            }
+            self.state = sum_step(self.state, u64::from_le_bytes(self.tail));
+        }
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            let mut w = [0u8; 8];
+            w.copy_from_slice(word);
+            self.state = sum_step(self.state, u64::from_le_bytes(w));
+        }
+        let rest = words.remainder();
+        self.tail[..rest.len()].copy_from_slice(rest);
+    }
+
+    fn digest(&self) -> u64 {
+        let held = (self.len % 8) as usize;
+        let mut h = self.state;
+        if held > 0 {
+            let mut last = [0u8; 8];
+            last[..held].copy_from_slice(&self.tail[..held]);
+            h = sum_step(h, u64::from_le_bytes(last));
+        }
+        sum_step(h, self.len)
+    }
+}
 
 fn scheme_tag(s: Scheme) -> u8 {
     match s {
@@ -107,7 +191,7 @@ pub struct SegmentRegions {
     pub descriptors: Vec<Range<u64>>,
     /// Per-term encoded block payloads.
     pub payloads: Vec<Range<u64>>,
-    /// The FNV-1a checksum trailer.
+    /// The checksum trailer.
     pub checksum: Range<u64>,
 }
 
@@ -124,30 +208,30 @@ pub struct SegmentHeader {
     pub params: Bm25Params,
 }
 
-/// `Write` adapter that maintains the running FNV-1a checksum and byte
-/// count of everything written through it.
+/// `Write` adapter that maintains the running checksum and byte count of
+/// everything written through it.
 #[derive(Debug)]
 struct HashingWriter<W: Write> {
     inner: W,
-    hash: u64,
-    written: u64,
+    sum: WordSum,
 }
 
 impl<W: Write> HashingWriter<W> {
     fn new(inner: W) -> Self {
         HashingWriter {
             inner,
-            hash: FNV_OFFSET,
-            written: 0,
+            sum: WordSum::new(),
         }
+    }
+
+    /// Bytes written so far.
+    fn written(&self) -> u64 {
+        self.sum.len
     }
 
     fn put(&mut self, bytes: &[u8]) -> Result<(), IoError> {
         self.inner.write_all(bytes)?;
-        for &b in bytes {
-            self.hash = (self.hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-        self.written += bytes.len() as u64;
+        self.sum.update(bytes);
         Ok(())
     }
 
@@ -245,7 +329,8 @@ pub(crate) struct SegmentWriter<W: Write> {
     n_docs: u32,
     terms_left: u32,
     prev: Option<String>,
-    /// The region being assembled; each goes out as one `put`.
+    /// The entry header and descriptors being assembled, which go out
+    /// as one `put`.
     entry: Vec<u8>,
 }
 
@@ -328,7 +413,7 @@ impl<W: Write> SegmentWriter<W> {
         let data_len = field_u32(list.data.len(), "payload length")?;
 
         let (w, entry) = (&mut self.w, &mut self.entry);
-        let entry_start = w.written;
+        let entry_start = w.written();
         entry.clear();
         entry.extend_from_slice(&term_len.to_le_bytes());
         entry.extend_from_slice(term.as_bytes());
@@ -338,10 +423,8 @@ impl<W: Write> SegmentWriter<W> {
         entry.extend_from_slice(&list.stats.max_score.to_le_bytes());
         entry.extend_from_slice(&n_blocks.to_le_bytes());
         entry.extend_from_slice(&data_len.to_le_bytes());
-        w.put(entry)?;
 
-        let desc_start = w.written;
-        entry.clear();
+        let desc_start = entry_start + entry.len() as u64;
         for b in list.blocks {
             entry.extend_from_slice(&b.first_doc.to_le_bytes());
             entry.extend_from_slice(&b.last_doc.to_le_bytes());
@@ -357,7 +440,7 @@ impl<W: Write> SegmentWriter<W> {
         }
         w.put(entry)?;
 
-        let data_start = w.written;
+        let data_start = w.written();
         w.put(list.data)?;
 
         self.terms_left -= 1;
@@ -367,7 +450,7 @@ impl<W: Write> SegmentWriter<W> {
         Ok(EntryRegions {
             header: entry_start..desc_start,
             descriptors: desc_start..data_start,
-            payload: data_start..self.w.written,
+            payload: data_start..self.w.written(),
         })
     }
 
@@ -387,10 +470,10 @@ impl<W: Write> SegmentWriter<W> {
                 ),
             }));
         }
-        let checksum = self.w.hash;
+        let checksum = self.w.sum.digest();
         self.w.inner.write_all(&checksum.to_le_bytes())?;
         self.w.inner.flush()?;
-        Ok(self.w.written + SEG_CHECKSUM_BYTES)
+        Ok(self.w.written() + SEG_CHECKSUM_BYTES)
     }
 }
 
@@ -470,24 +553,25 @@ impl FieldReader<'_> {
     }
 }
 
-/// `Read` adapter that maintains the running FNV-1a checksum and the
-/// number of bytes consumed.
+/// `Read` adapter that maintains the running checksum and the number of
+/// bytes consumed.
 #[derive(Debug)]
 struct HashingReader<R: Read> {
     inner: R,
-    hash: u64,
-    consumed: u64,
+    sum: WordSum,
 }
 
 impl<R: Read> HashingReader<R> {
+    /// Bytes consumed so far.
+    fn consumed(&self) -> u64 {
+        self.sum.len
+    }
+
     fn take(&mut self, buf: &mut [u8]) -> Result<(), IoError> {
         self.inner
             .read_exact(buf)
             .map_err(|e| IoError::Corrupt(format!("segment truncated: {e}")))?;
-        for &b in buf.iter() {
-            self.hash = (self.hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-        self.consumed += buf.len() as u64;
+        self.sum.update(buf);
         Ok(())
     }
 }
@@ -496,7 +580,7 @@ impl<R: Read> HashingReader<R> {
 /// front, then yields `(term, list)` pairs one at a time so a k-way merge
 /// holds one term per open segment, never a whole segment.
 ///
-/// The FNV-1a trailer is verified when the last term has been consumed;
+/// The checksum trailer is verified when the last term has been consumed;
 /// until then, per-field validation (claim caps, monotone terms, df
 /// bounds, `check_descriptors`) catches structural corruption early.
 #[derive(Debug)]
@@ -531,8 +615,7 @@ impl<R: Read> SegmentReader<R> {
     pub fn new(reader: R, input_len: u64) -> Result<Self, IoError> {
         let mut r = HashingReader {
             inner: reader,
-            hash: FNV_OFFSET,
-            consumed: 0,
+            sum: WordSum::new(),
         };
         let mut magic = [0u8; 8];
         r.take(&mut magic)?;
@@ -611,7 +694,7 @@ impl<R: Read> SegmentReader<R> {
     /// the input — the rule that keeps corrupt counts from ever reaching
     /// an allocator.
     fn check_claim(&self, claimed: u64, what: &str) -> Result<(), IoError> {
-        let remaining = self.input_len.saturating_sub(self.r.consumed);
+        let remaining = self.input_len.saturating_sub(self.r.consumed());
         if claimed > remaining {
             return Err(IoError::Corrupt(format!(
                 "{what} claims {claimed} bytes but only {remaining} remain in the segment"
@@ -681,7 +764,7 @@ impl<R: Read> SegmentReader<R> {
         self.current = None;
         if self.terms_left == 0 {
             if !self.verified {
-                let expect = self.r.hash;
+                let expect = self.r.sum.digest();
                 let mut tail = [0u8; 8];
                 self.r
                     .inner
@@ -696,7 +779,7 @@ impl<R: Read> SegmentReader<R> {
                 // bytes mean a truncated rewrite or concatenation bug,
                 // and silently ignoring them would let a corrupt image
                 // pass the checksum.
-                let consumed = self.r.consumed + SEG_CHECKSUM_BYTES;
+                let consumed = self.r.consumed() + SEG_CHECKSUM_BYTES;
                 if consumed < self.input_len {
                     return Err(IoError::Corrupt(format!(
                         "{} trailing bytes after the segment checksum",
@@ -710,11 +793,13 @@ impl<R: Read> SegmentReader<R> {
         let first = self.terms_left == self.header.n_terms;
         self.terms_left -= 1;
 
-        let term_len = u64::from(self.read_u16()?);
-        self.check_claim(term_len, "term text")?;
-        self.raw.resize(term_len as usize, 0);
+        // The term text and the fixed tail of the entry header, one read.
+        let term_len = usize::from(self.read_u16()?);
+        self.check_claim((term_len + ENTRY_STATS_BYTES) as u64, "term entry")?;
+        self.raw.resize(term_len + ENTRY_STATS_BYTES, 0);
         self.r.take(&mut self.raw)?;
-        let term = std::str::from_utf8(&self.raw)
+        let (text, stats) = self.raw.split_at(term_len);
+        let term = std::str::from_utf8(text)
             .map_err(|_| IoError::Corrupt("term text is not valid UTF-8".into()))?;
         if !first && self.term.as_str() >= term {
             return Err(IoError::Corrupt(format!(
@@ -724,10 +809,7 @@ impl<R: Read> SegmentReader<R> {
         self.term.clear();
         self.term.push_str(term);
 
-        // The fixed tail of the entry header, one read.
-        let mut stats = [0u8; ENTRY_STATS_BYTES];
-        self.r.take(&mut stats)?;
-        let mut stats = FieldReader(&stats);
+        let mut stats = FieldReader(stats);
         let scheme_tag = stats.u8();
         let scheme = scheme_from_tag(scheme_tag)
             .ok_or_else(|| IoError::Corrupt(format!("unknown scheme tag {scheme_tag}")))?;
@@ -931,10 +1013,61 @@ mod tests {
         let err = SegmentReader::new(buf.as_slice(), buf.len() as u64).unwrap_err();
         assert!(matches!(err, IoError::BadMagic));
 
-        let (mut buf, _) = sample_segment();
-        buf[8] = 99;
-        let err = SegmentReader::new(buf.as_slice(), buf.len() as u64).unwrap_err();
-        assert!(matches!(err, IoError::BadVersion { found: 99 }));
+        // Version 1, whose trailer was a byte-serial FNV-1a, included.
+        for version in [1, 99] {
+            let (mut buf, _) = sample_segment();
+            buf[8] = version as u8;
+            let err = SegmentReader::new(buf.as_slice(), buf.len() as u64).unwrap_err();
+            assert!(
+                matches!(err, IoError::BadVersion { found } if found == version),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_single_byte_change_is_a_typed_error() {
+        let dir = std::env::temp_dir().join(format!("boss-seg-flip-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("s0.bosseg");
+        let (buf, _) = sample_segment();
+        for at in 0..buf.len() {
+            let mut bytes = buf.clone();
+            bytes[at] ^= 0xFF;
+            std::fs::write(&path, &bytes).unwrap();
+            let err = load_segment(&path).expect_err("a changed byte must not load");
+            assert!(!matches!(err, IoError::Io(_)), "byte {at}: {err}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn the_checksum_does_not_depend_on_how_the_bytes_are_split() {
+        let (buf, _) = sample_segment();
+        let whole = checksum(&buf);
+        // A fixed xorshift stream of split points, so a failure repeats.
+        let mut x = 0x9e37_79b9_u64;
+        for _ in 0..200 {
+            let mut sum = WordSum::new();
+            let mut rest = buf.as_slice();
+            while !rest.is_empty() {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let (piece, tail) = rest.split_at((x % 20) as usize % (rest.len() + 1));
+                sum.update(piece);
+                rest = tail;
+            }
+            assert_eq!(sum.digest(), whole);
+        }
+        // Zero padding does not hide a length change, nor does a bit-63
+        // flip in two consecutive words cancel.
+        let padded = [buf.as_slice(), &[0]].concat();
+        assert_ne!(checksum(&padded), whole);
+        let mut flipped = buf.clone();
+        flipped[7] ^= 0x80;
+        flipped[15] ^= 0x80;
+        assert_ne!(checksum(&flipped), whole);
     }
 
     #[test]
@@ -1029,10 +1162,10 @@ mod tests {
         (doc_lens, vec![("term".to_owned(), list)])
     }
 
-    fn fnv1a(bytes: &[u8]) -> u64 {
-        bytes.iter().fold(FNV_OFFSET, |h, &b| {
-            (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
-        })
+    fn checksum(bytes: &[u8]) -> u64 {
+        let mut sum = WordSum::new();
+        sum.update(bytes);
+        sum.digest()
     }
 
     #[test]
@@ -1094,14 +1227,15 @@ mod tests {
             let mut bytes = valid.clone();
             bytes[at..at + value.len()].copy_from_slice(&value);
             let body = bytes.len() - SEG_CHECKSUM_BYTES as usize;
-            let trailer = fnv1a(&bytes[..body]).to_le_bytes();
+            let trailer = checksum(&bytes[..body]).to_le_bytes();
             bytes[body..].copy_from_slice(&trailer);
 
             let mut r = SegmentReader::new(bytes.as_slice(), bytes.len() as u64).unwrap();
             let err = r.next_term().unwrap_err();
             assert!(matches!(err, IoError::Corrupt(_)), "{field}: {err}");
             assert_eq!(
-                r.r.consumed, regions.descriptors[0].end,
+                r.r.consumed(),
+                regions.descriptors[0].end,
                 "{field}: refused before a payload byte was read"
             );
             assert!(r.current().is_none(), "{field}");

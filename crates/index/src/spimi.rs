@@ -9,20 +9,22 @@
 //! `add_document` makes its lookups in three passes over the document's
 //! terms so that they overlap. When the budget (or an optional
 //! per-segment document cap) is hit, the slots are sorted once by term
-//! and streamed — decode a run, encode it, write its dictionary entry —
-//! into an immutable on-disk segment ([`crate::segment`]) covering a
-//! contiguous docID range, and accumulation restarts empty — so building
-//! a corpus of any size needs only the budget plus one posting list's
-//! encode scratch.
+//! and streamed — decode a run, encode it under BP, write its dictionary
+//! entry — into an immutable on-disk segment ([`crate::segment`])
+//! covering a contiguous docID range, and accumulation restarts empty —
+//! so building a corpus of any size needs only the budget plus one
+//! posting list's encode scratch.
 //!
 //! [`SegmentSet::merge`] streams all spilled segments back term-at-a-time
 //! (k open segments ⇒ k candidate terms in memory) and re-encodes each
-//! merged list against *global* corpus statistics through the exact same
-//! code path as [`crate::IndexBuilder::build`]
-//! ([`crate::ListEncoder`] + `scoring_from_lens`). Spilled
-//! segments therefore act as transport — their segment-local scores are
-//! discarded — and the merged index is bit-identical to a single-pass
-//! in-memory build of the same corpus: same terms, postings,
+//! merged list against *global* corpus statistics, under
+//! [`SpimiConfig::scheme`], through the exact same code path as
+//! [`crate::IndexBuilder::build`] ([`crate::ListEncoder`] +
+//! `scoring_from_lens`). Spilled segments are therefore transport: their
+//! segment-local scores are discarded, and their lists are all BP, the
+//! codec cheapest to write and read back, because no spilled encoding
+//! survives the merge. The merged index is bit-identical to a
+//! single-pass in-memory build of the same corpus: same terms, postings,
 //! [`crate::BlockMeta`] records, and block-max scores.
 
 use crate::accumulator::{Accumulator, MAX_ACCUMULATOR_BYTES};
@@ -32,6 +34,7 @@ use crate::index::{IndexAssembler, InvertedIndex};
 use crate::io::IoError;
 use crate::segment::{open_segment, SegmentReader, SegmentWriter};
 use crate::{Bm25Params, DecodeScratch, DocId, Error, ListEncoder, SchemeChoice};
+use boss_compress::Scheme;
 use serde::{Deserialize, Serialize};
 use std::io::{BufReader, Write};
 use std::path::{Path, PathBuf};
@@ -64,7 +67,9 @@ pub struct SpimiConfig {
     pub max_docs_per_segment: u32,
     /// BM25 parameters of the final index.
     pub params: Bm25Params,
-    /// Compression policy of the final index (and of spilled segments).
+    /// Compression policy of the index [`SegmentSet::merge`] produces.
+    /// Spilled segments do not follow it: they are transport, every list
+    /// BP ([`SpimiBuilder::spill`]).
     pub scheme: SchemeChoice,
 }
 
@@ -264,10 +269,18 @@ impl SpimiBuilder {
     /// Seals the in-memory accumulator into an on-disk segment. No-op if
     /// no documents have been added since the last spill.
     ///
+    /// Every list is written under [`Scheme::Bp`], whatever
+    /// [`SpimiConfig::scheme`] says: a spilled segment is transport, which
+    /// [`SegmentSet::merge`] decodes and re-encodes under that scheme, and
+    /// BP is the cheapest codec to encode and decode and holds any `u32`.
+    /// A list the final scheme cannot hold (Simple16 and a gap or a
+    /// `tf - 1` of 2²⁸ or more) is therefore refused by `merge`, not here.
+    ///
     /// # Errors
     ///
-    /// I/O failures writing the segment file; encoding failures for a
-    /// fixed scheme that cannot represent some list (hybrid never fails).
+    /// I/O failures writing the segment file. The builder is then as it
+    /// was before the call — the documents stay accumulated for the next
+    /// spill — and the partly written file is removed.
     pub fn spill(&mut self) -> Result<(), IoError> {
         if self.seg_doc_lens.is_empty() {
             return Ok(());
@@ -277,17 +290,42 @@ impl SpimiBuilder {
             .doc_base
             .checked_add(n_docs)
             .ok_or_else(docid_space_exhausted)?;
-        let doc_lens = std::mem::take(&mut self.seg_doc_lens);
         let n_terms = self.acc.n_terms() as u32;
-        // Segment-local scoring.
-        let (bm25, norms) = scoring_from_lens(self.cfg.params, &doc_lens);
-
         let file = format!("segment-{:05}.bosseg", self.entries.len());
-        let out = std::fs::File::create(self.dir.join(&file))?;
+        let path = self.dir.join(&file);
+        let bytes = match self.write_spill(&path, n_terms) {
+            Ok(bytes) => bytes,
+            Err(e) => {
+                std::fs::remove_file(&path).ok();
+                return Err(e);
+            }
+        };
+
+        self.entries.push(SegmentEntry {
+            file,
+            doc_base: self.doc_base,
+            n_docs,
+            n_terms,
+            bytes,
+        });
+        self.acc.clear();
+        self.seg_doc_lens.clear();
+        self.doc_base = next_base;
+        self.stats.spills += 1;
+        self.stats.segment_bytes += bytes;
+        Ok(())
+    }
+
+    /// Writes the accumulated segment of `n_terms` terms to `path` under
+    /// segment-local scoring, leaving the accumulator as it was, and
+    /// returns the file's size.
+    fn write_spill(&mut self, path: &Path, n_terms: u32) -> Result<u64, IoError> {
+        let (bm25, norms) = scoring_from_lens(self.cfg.params, &self.seg_doc_lens);
+        let out = std::fs::File::create(path)?;
         let mut writer = SegmentWriter::new(
             std::io::BufWriter::new(out),
             self.doc_base,
-            &doc_lens,
+            &self.seg_doc_lens,
             self.cfg.params,
             n_terms,
         )?;
@@ -305,7 +343,7 @@ impl SpimiBuilder {
                     &mut self.encoded,
                     &self.docs,
                     &self.tfs,
-                    self.cfg.scheme,
+                    SchemeChoice::Fixed(Scheme::Bp),
                     &bm25,
                     idf,
                     &norms,
@@ -315,20 +353,7 @@ impl SpimiBuilder {
                 .map_err(|e| IoError::Corrupt(format!("accumulated term is not UTF-8: {e}")))?;
             writer.push_term(term, self.encoded.view(0, stats))?;
         }
-        let bytes = writer.finish()?;
-        self.acc.clear();
-
-        self.entries.push(SegmentEntry {
-            file,
-            doc_base: self.doc_base,
-            n_docs,
-            n_terms,
-            bytes,
-        });
-        self.doc_base = next_base;
-        self.stats.spills += 1;
-        self.stats.segment_bytes += bytes;
-        Ok(())
+        writer.finish()
     }
 
     /// Spills any remaining documents, writes the directory manifest,
@@ -471,7 +496,9 @@ impl SegmentSet {
     /// [`IoError::Corrupt`] on any structural violation in a segment
     /// file (including checksum mismatch at segment end) or a
     /// header/manifest disagreement; [`IoError::Invalid`] if merged
-    /// postings fail index invariants.
+    /// postings fail index invariants or a merged list cannot be encoded
+    /// under a fixed scheme (Simple16 and a gap or a `tf - 1` of 2²⁸ or
+    /// more — the spills, all BP, took it).
     pub fn merge(&self) -> Result<InvertedIndex, IoError> {
         // Open every segment and pull the global doc-length array
         // together from the per-segment headers.
@@ -876,6 +903,86 @@ mod tests {
             builder = builder.add_posting_list(t, list);
         }
         assert_eq!(merged, builder.build().unwrap());
+    }
+
+    #[test]
+    fn a_failed_spill_leaves_the_builder_as_it_was() {
+        let dir = TmpDir::new();
+        let mut b = SpimiBuilder::create(&dir.0, SpimiConfig::default()).unwrap();
+        let (head, tail) = DOCS.split_at(4);
+        for d in head {
+            b.add_document_text(d).unwrap();
+        }
+        let before = *b.stats();
+        std::fs::remove_dir_all(&dir.0).unwrap();
+        let err = b.spill().unwrap_err();
+        assert!(
+            matches!(err, IoError::Io(ref e) if e.kind() == std::io::ErrorKind::NotFound),
+            "{err}"
+        );
+        assert_eq!(*b.stats(), before, "nothing counted for the failed spill");
+
+        std::fs::create_dir_all(&dir.0).unwrap();
+        for (i, d) in tail.iter().enumerate() {
+            assert_eq!(b.add_document_text(d).unwrap(), (head.len() + i) as u32);
+        }
+        let set = b.finish().unwrap();
+        assert_eq!(set.entries().len(), 1, "the retried spill took them all");
+        assert_eq!(set.merge().unwrap(), inmem_index());
+    }
+
+    #[test]
+    fn spills_are_bp_whatever_the_final_scheme() {
+        let choices = std::iter::once(SchemeChoice::Hybrid)
+            .chain(boss_compress::ALL_SCHEMES.map(SchemeChoice::Fixed));
+        for scheme in choices {
+            let dir = TmpDir::new();
+            let cfg = SpimiConfig {
+                max_docs_per_segment: 3,
+                scheme,
+                ..SpimiConfig::default()
+            };
+            let mut b = SpimiBuilder::create(&dir.0, cfg).unwrap();
+            for d in DOCS {
+                b.add_document_text(d).unwrap();
+            }
+            let set = b.finish().unwrap();
+            for e in set.entries() {
+                let mut r = open_segment(dir.0.join(&e.file)).unwrap();
+                let mut lists = 0;
+                while let Some((term, list)) = r.next_term().unwrap() {
+                    assert_eq!(list.scheme(), Scheme::Bp, "{scheme}: {} {term}", e.file);
+                    lists += 1;
+                }
+                assert_eq!(lists, e.n_terms, "{scheme}: {}", e.file);
+            }
+            let inmem = IndexBuilder::new()
+                .scheme(scheme)
+                .add_documents(DOCS.iter().copied())
+                .build()
+                .unwrap();
+            assert_eq!(set.merge().unwrap(), inmem, "{scheme}");
+        }
+    }
+
+    #[test]
+    fn a_list_the_final_scheme_cannot_hold_fails_at_merge() {
+        // Simple16 holds values below 2^28. A gap that wide needs 2^28
+        // documents; a tf of 2^28 + 1 puts the same value in the
+        // `tf - 1` stream.
+        let dir = TmpDir::new();
+        let cfg = SpimiConfig {
+            max_docs_per_segment: 1,
+            scheme: SchemeChoice::Fixed(Scheme::S16),
+            ..SpimiConfig::default()
+        };
+        let mut b = SpimiBuilder::create(&dir.0, cfg).unwrap();
+        b.add_document([("a", 1), ("b", 1)], 0).unwrap();
+        b.add_document([("a", (1 << 28) + 1)], 0).unwrap();
+        let set = b.finish().unwrap();
+        assert_eq!(set.stats().spills, 2, "BP spills take the list");
+        let err = set.merge().unwrap_err();
+        assert!(matches!(err, IoError::Invalid(_)), "{err}");
     }
 
     #[test]

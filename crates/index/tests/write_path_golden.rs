@@ -11,8 +11,10 @@
 //! changed score bit shows up as a differing line. (The `*/budget` cells
 //! and the six `peak_inmem_bytes` fields were re-recorded when the
 //! accumulator went compressed: what the budget is charged for changed,
-//! and with it where budget-driven spills fall. The `*/doccap` segment
-//! files and every merged list are the original record.)
+//! and with it where budget-driven spills fall. Every segment-file line
+//! and `segment_bytes` field were re-recorded again when spills became
+//! BP transport and the segment checksum a word fold, format version 2.
+//! Every merged list is the original record.)
 //!
 //! After a change that is *meant* to move the on-disk identity, copy the
 //! file the failure message names over `tests/golden/write_path.txt`.
