@@ -13,7 +13,7 @@ use crate::config::{EtMode, DECOMPRESSORS_PER_CORE, SCORERS_PER_CORE};
 use crate::device::BossDevice;
 use crate::fetch::ExecCtx;
 use crate::intersect::intersect_group;
-use crate::pipeline::{replay, ReplayCounts, TimingFidelity};
+use crate::pipeline::{replay, TimingFidelity};
 use crate::plan::QueryPlan;
 use crate::stats::QueryOutcome;
 use boss_index::cursor::ListCursor;
@@ -174,14 +174,7 @@ impl BossDevice<'_> {
                 t_mem.max(t_dec).max(t_setop).max(t_score).max(t_topk) + QUERY_OVERHEAD
             }
             TimingFidelity::Pipelined => {
-                let counts = ReplayCounts {
-                    scored: ctx.eval.docs_scored,
-                    comparisons: ctx.eval.comparisons,
-                    pivot_rounds: ctx.eval.pivot_rounds,
-                    topk_inserts: ctx.eval.topk_inserts,
-                    scorers: eff_scorers,
-                };
-                let replayed = replay(&ctx.trace, &counts, DECOMPRESSORS_PER_CORE);
+                let replayed = replay(&ctx.trace, &ctx.eval, eff_scorers, DECOMPRESSORS_PER_CORE);
                 // Norm loads and result writes are not in the block trace;
                 // the memory completion time covers them.
                 replayed.max(t_mem) + SCORING_FILL + QUERY_OVERHEAD

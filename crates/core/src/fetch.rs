@@ -2,9 +2,11 @@
 //! Module"): [`ExecCtx`] is the per-query state every module of a core
 //! shares, and the [`ListSink`] that prices what the shared
 //! [`boss_index::cursor::ListCursor`] does — 19-byte descriptor reads
-//! through the MAI, block fetches that a fault plan may flag, the
-//! decompression module's cycles for the list's scheme, and the skip
-//! counters behind Figure 14.
+//! through the MAI, block fetches that a fault plan may flag, and the
+//! decompression module's cycles for the list's scheme. Every event
+//! also goes to the context's [`EvalCounts`], which counts it; the
+//! context counts only scanned postings' comparisons and the blocks
+//! its `SkipBlock` degrade policy drops.
 
 use crate::config::{BossConfig, DegradePolicy, DECOMPRESSORS_PER_CORE};
 use crate::mai::{Tlb, WALK_ACCESSES};
@@ -192,7 +194,7 @@ impl<'a> ExecCtx<'a> {
 /// decompression module the list is bound to.
 impl ListSink for ExecCtx<'_> {
     /// Descriptors stream in order, one 19-byte MAI read each.
-    fn meta_read(&mut self, _slot: usize, addr: u64, records: u64) {
+    fn meta_read(&mut self, slot: usize, addr: u64, records: u64) {
         for r in 0..records {
             self.read(
                 addr + r * BLOCK_META_BYTES,
@@ -201,7 +203,7 @@ impl ListSink for ExecCtx<'_> {
                 PatternHint::Sequential,
             );
         }
-        self.eval.metas_read += records;
+        self.eval.meta_read(slot, addr, records);
     }
 
     /// The block's bytes; a read the fault plan flags uncorrectable is a
@@ -225,8 +227,8 @@ impl ListSink for ExecCtx<'_> {
     /// tf stream at the price the module programmed for `scheme` charges,
     /// and the pipeline fills once per block (the module runs a block's
     /// two streams back to back).
-    fn block_decoded(&mut self, slot: usize, _block: usize, scheme: Scheme, meta: &BlockMeta) {
-        self.eval.blocks_fetched += 1;
+    fn block_decoded(&mut self, slot: usize, block: usize, scheme: Scheme, meta: &BlockMeta) {
+        self.eval.block_decoded(slot, block, scheme, meta);
         let cost = &self.costs[scheme as usize];
         let tf_offset = u64::from(meta.tf_offset);
         let dec = cost.units(tf_offset, &meta.delta_info)
@@ -256,22 +258,16 @@ impl ListSink for ExecCtx<'_> {
         }
     }
 
-    fn blocks_skipped(&mut self, _slot: usize, blocks: u64, postings: u64, reason: SkipReason) {
-        self.eval.blocks_skipped += blocks;
-        match reason {
-            SkipReason::Prune => {
-                self.eval.blocks_skipped_prune += blocks;
-                self.eval.docs_skipped_prune += postings;
-            }
-            SkipReason::Block | SkipReason::Wand => self.eval.docs_skipped_block += postings,
-        }
+    fn blocks_skipped(&mut self, slot: usize, blocks: u64, postings: u64, reason: SkipReason) {
+        self.eval.blocks_skipped(slot, blocks, postings, reason);
     }
 
-    fn postings_passed(&mut self, _slot: usize, n: u64, reason: SkipReason, scanned: bool) {
+    /// One comparison per scanned posting.
+    fn postings_passed(&mut self, slot: usize, n: u64, reason: SkipReason, scanned: bool) {
         if scanned {
             self.eval.comparisons += n;
         }
-        self.eval.count_skipped(reason, n);
+        self.eval.postings_passed(slot, n, reason, scanned);
     }
 }
 
@@ -279,15 +275,15 @@ impl ListSink for ExecCtx<'_> {
 /// ([`boss_index::prune::maxscore_union`]).
 impl PruneSink for ExecCtx<'_> {
     fn doc_abandoned(&mut self) {
-        self.eval.docs_skipped_prune += 1;
+        self.eval.doc_abandoned();
     }
 
-    fn doc_scored(&mut self, _doc: DocId) {
-        self.eval.docs_scored += 1;
+    fn doc_scored(&mut self, doc: DocId) {
+        self.eval.doc_scored(doc);
     }
 
     fn round(&mut self) {
-        self.eval.pivot_rounds += 1;
+        self.eval.round();
     }
 
     /// The scoring module's line-buffered norm load ([`Self::load_norm`]).

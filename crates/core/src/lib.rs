@@ -73,7 +73,7 @@ pub use config::{
 };
 pub use device::BossDevice;
 pub use expr::parse_query;
-pub use mai::{Tlb, TlbStats};
+pub use mai::Tlb;
 pub use pipeline::TimingFidelity;
 pub use plan::QueryPlan;
 pub use stats::{EvalCounts, QueryOutcome};

@@ -2,9 +2,10 @@
 //! bottleneck-stage roofline).
 //!
 //! The execution context records a *block trace* — every fetched block
-//! with its memory completion time, decompression cost and unit binding,
-//! plus the scored-document and top-k event counts. This module replays
-//! that trace through explicit pipeline resources with
+//! with its memory completion time, decompression cost and unit binding
+//! — and the query's `EvalCounts` hold the scored-document, comparison,
+//! round and top-k counts. This module replays that trace through
+//! explicit pipeline resources with
 //! `start = max(data_ready, resource_free)` semantics, yielding the cycle
 //! at which the last result drains. Compared to the roofline
 //! (`max` of per-module totals) it captures stage *imbalance over time*:
@@ -18,6 +19,7 @@
 use crate::core::{
     CYCLES_PER_COMPARISON, CYCLES_PER_PIVOT_ROUND, CYCLES_PER_SCORE, CYCLES_PER_TOPK_INSERT,
 };
+use crate::stats::EvalCounts;
 
 /// Which latency estimator a core uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -58,30 +60,17 @@ impl Resource {
     }
 }
 
-/// Inputs to the replay beyond the block trace.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ReplayCounts {
-    /// Documents scored.
-    pub scored: u64,
-    /// Set-operation comparisons.
-    pub comparisons: u64,
-    /// WAND pivot rounds.
-    pub pivot_rounds: u64,
-    /// Top-k insertions.
-    pub topk_inserts: u64,
-    /// Effective scoring modules for this query.
-    pub scorers: u64,
-}
-
-/// Replays a block trace through the core's resources.
+/// Replays a block trace through the core's resources, with the
+/// query's scored documents, comparisons, pivot rounds and top-k
+/// insertions from `eval`.
 ///
-/// Stages: per-unit decompression (blocks in trace order per unit), a
-/// set-operation engine consuming decompressed blocks, scoring spread
-/// over the effective scorer count, and the top-k queue. Scoring and
-/// top-k work is charged proportionally as the set-op stage progresses,
-/// which models their overlap with upstream work.
-pub(crate) fn replay(events: &[BlockEvent], counts: &ReplayCounts, n_dec_units: usize) -> u64 {
-    let mut dec_units = vec![Resource::default(); n_dec_units.max(1)];
+/// Stages: `units` decompression modules (blocks in trace order per
+/// unit), a set-operation engine consuming decompressed blocks, scoring
+/// spread over `scorers` effective scoring modules, and the top-k queue.
+/// Scoring and top-k work is charged proportionally as the set-op stage
+/// progresses, which models their overlap with upstream work.
+pub(crate) fn replay(events: &[BlockEvent], eval: &EvalCounts, scorers: u64, units: usize) -> u64 {
+    let mut dec_units = vec![Resource::default(); units.max(1)];
     let mut setop = Resource::default();
 
     let total_postings: u64 = events
@@ -89,11 +78,10 @@ pub(crate) fn replay(events: &[BlockEvent], counts: &ReplayCounts, n_dec_units: 
         .map(|e| u64::from(e.postings))
         .sum::<u64>()
         .max(1);
-    let setop_total = (counts.comparisons as f64 * CYCLES_PER_COMPARISON
-        + counts.pivot_rounds as f64 * CYCLES_PER_PIVOT_ROUND) as u64;
-    let score_total =
-        (counts.scored as f64 * CYCLES_PER_SCORE / counts.scorers.max(1) as f64) as u64;
-    let topk_total = (counts.topk_inserts as f64 * CYCLES_PER_TOPK_INSERT) as u64;
+    let setop_total = (eval.comparisons as f64 * CYCLES_PER_COMPARISON
+        + eval.pivot_rounds as f64 * CYCLES_PER_PIVOT_ROUND) as u64;
+    let score_total = (eval.docs_scored as f64 * CYCLES_PER_SCORE / scorers.max(1) as f64) as u64;
+    let topk_total = (eval.topk_inserts as f64 * CYCLES_PER_TOPK_INSERT) as u64;
 
     let mut last_drain = 0u64;
     let mut downstream_done = 0u64; // postings fully consumed downstream
@@ -147,14 +135,11 @@ mod tests {
         // 4 blocks, one per unit, all data ready at 0: decompression is
         // fully parallel and the set-op stage serializes.
         let events: Vec<BlockEvent> = (0..4).map(|u| ev(0, 100, u, 128)).collect();
-        let counts = ReplayCounts {
-            scored: 0,
+        let eval = EvalCounts {
             comparisons: 400,
-            pivot_rounds: 0,
-            topk_inserts: 0,
-            scorers: 1,
+            ..Default::default()
         };
-        let cycles = replay(&events, &counts, 4);
+        let cycles = replay(&events, &eval, 1, 4);
         // First block decoded at 100; 400 comparisons spread across blocks.
         assert!(cycles >= 100 + 400, "{cycles}");
         assert!(cycles <= 100 + 400 + 4, "{cycles}");
@@ -163,35 +148,25 @@ mod tests {
     #[test]
     fn single_unit_serializes_decompression() {
         let events: Vec<BlockEvent> = (0..4).map(|_| ev(0, 100, 0, 1)).collect();
-        let counts = ReplayCounts {
-            scorers: 1,
-            ..Default::default()
-        };
-        let cycles = replay(&events, &counts, 1);
+        let cycles = replay(&events, &EvalCounts::default(), 1, 1);
         assert!(cycles >= 400, "blocks on one unit serialize: {cycles}");
     }
 
     #[test]
     fn memory_stall_propagates() {
         let events = vec![ev(10_000, 10, 0, 1)];
-        let counts = ReplayCounts {
-            scorers: 1,
-            ..Default::default()
-        };
-        let cycles = replay(&events, &counts, 4);
+        let cycles = replay(&events, &EvalCounts::default(), 1, 4);
         assert!(cycles >= 10_010);
     }
 
     #[test]
     fn empty_trace_is_tail_work_only() {
-        let counts = ReplayCounts {
-            scored: 100,
-            comparisons: 0,
-            pivot_rounds: 0,
+        let eval = EvalCounts {
+            docs_scored: 100,
             topk_inserts: 50,
-            scorers: 2,
+            ..Default::default()
         };
-        let cycles = replay(&[], &counts, 4);
+        let cycles = replay(&[], &eval, 2, 4);
         assert_eq!(cycles, 100 / 2 + 50);
     }
 
@@ -202,14 +177,14 @@ mod tests {
         let events: Vec<BlockEvent> = (0..16)
             .map(|i| ev(i * 50, 64 + (i % 3) * 40, (i % 4) as usize, 128))
             .collect();
-        let counts = ReplayCounts {
-            scored: 500,
+        let eval = EvalCounts {
+            docs_scored: 500,
             comparisons: 2048,
             pivot_rounds: 100,
             topk_inserts: 200,
-            scorers: 4,
+            ..Default::default()
         };
-        let cycles = replay(&events, &counts, 4);
+        let cycles = replay(&events, &eval, 4, 4);
         let dec_per_unit: u64 = events
             .iter()
             .filter(|e| e.dec_unit == 0)

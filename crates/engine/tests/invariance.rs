@@ -3,7 +3,10 @@
 //! Each row runs one smoke CC-News-like corpus and three queries of each
 //! Table II type, and names what its variants must reproduce of its base:
 //! `Outcome` (every `QueryOutcome` whole, score bits included, plus a
-//! batch's makespan and merged stats) or `Hits` (hits with score bits only).
+//! batch's makespan and merged stats), `Work` (hits with score bits, the
+//! `EvalCounts`, and each `AccessCategory`'s logical bytes and access
+//! count — not cycles, nor how the device split bytes into sequential
+//! and random) or `Hits` (hits with score bits only).
 //!
 //! | row | base | variants | must |
 //! |-----|------|----------|------|
@@ -16,6 +19,7 @@
 //! | `pruning_leaves_intersections_alone` | the exhaustive plan on Q1/Q2/Q4 | every algorithm and ET mode | Outcome |
 //! | `segments` | the in-memory build | 4 spilled SPIMI segments, opened and merged; one device and 2/4-shard coordinators | Outcome |
 //! | `shards` | the exhaustive plan on one device, k 3 and 10 | 1/2/4 shards under every algorithm | Hits |
+//! | `devices` | `optane_dcpmm`, k 10 and 1000 | `ddr4_2666`, `host_scm_6ch`, `host_ddr4_6ch`, `optane_dcpmm().share(2/4/8)` | Work |
 //!
 //! The fault and failover rows run BOSS's seven systems (the one engine
 //! with a fault plan) and assert that their plans fired; every other row
@@ -29,7 +33,7 @@ use boss_iiu::IiuConfig;
 use boss_index::shard::ShardedIndex;
 use boss_index::{InvertedIndex, QueryAlgorithm, QueryExpr, ALL_ALGORITHMS};
 use boss_luceneish::LuceneConfig;
-use boss_scm::FaultPlan;
+use boss_scm::{FaultPlan, MemoryConfig, ACCESS_CATEGORIES};
 use boss_workload::corpus::{CorpusSpec, Scale};
 use boss_workload::queries::{QuerySampler, ALL_QUERY_TYPES};
 use std::sync::OnceLock;
@@ -40,6 +44,7 @@ const K: usize = 10;
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Must {
     Outcome,
+    Work,
     Hits,
 }
 
@@ -63,6 +68,14 @@ impl System {
     fn boss(self) -> BossConfig {
         let config = BossConfig::with_cores(4).with_et(self.1);
         config.with_algorithm(self.2)
+    }
+
+    fn iiu(self) -> IiuConfig {
+        IiuConfig::with_cores(4).with_algorithm(self.2)
+    }
+
+    fn lucene(self) -> LuceneConfig {
+        LuceneConfig::with_threads(4).with_algorithm(self.2)
     }
 }
 
@@ -96,13 +109,11 @@ macro_rules! for_each_system {
                     $body
                 }
                 Kind::Iiu => {
-                    let $make: Make<Iiu> =
-                        |s, i| Iiu::new(i, IiuConfig::with_cores(4).with_algorithm(s.2));
+                    let $make: Make<Iiu> = |s, i| Iiu::new(i, s.iiu());
                     $body
                 }
                 Kind::Lucene => {
-                    let $make: Make<Lucene> =
-                        |s, i| Lucene::new(i, LuceneConfig::with_threads(4).with_algorithm(s.2));
+                    let $make: Make<Lucene> = |s, i| Lucene::new(i, s.lucene());
                     $body
                 }
             }
@@ -210,8 +221,16 @@ fn assert_outcomes(must: Must, base: &[QueryOutcome], got: &[QueryOutcome], ctx:
     assert_eq!(got.len(), base.len(), "{ctx}: outcome count");
     for (i, (g, b)) in got.iter().zip(base).enumerate() {
         assert_eq!(hits(g), hits(b), "{ctx}: hits of query {i}");
-        if must == Must::Outcome {
-            assert_eq!(g, b, "{ctx}: outcome of query {i}");
+        match must {
+            Must::Outcome => assert_eq!(g, b, "{ctx}: outcome of query {i}"),
+            Must::Work => {
+                assert_eq!(g.eval, b.eval, "{ctx}: EvalCounts of query {i}");
+                for cat in ACCESS_CATEGORIES {
+                    let traffic = |o: &QueryOutcome| (o.mem.bytes(cat), o.mem.count(cat));
+                    assert_eq!(traffic(g), traffic(b), "{ctx}: {cat} of query {i}");
+                }
+            }
+            Must::Hits => {}
         }
     }
 }
@@ -387,4 +406,36 @@ fn shards() {
             assert_batch(Must::Hits, &base, &got, &ctx);
         }
     });
+}
+
+/// The traversal reads neither the clock nor the device: every system
+/// does the same work, counted and in logical bytes, on every node.
+#[test]
+fn devices() {
+    let optane = MemoryConfig::optane_dcpmm();
+    let mut variants = vec![
+        MemoryConfig::ddr4_2666(),
+        MemoryConfig::host_scm_6ch(),
+        MemoryConfig::host_ddr4_6ch(),
+    ];
+    variants.extend([2, 4, 8].map(|n| optane.share(n)));
+    let index = &in_memory().index;
+    for s in systems() {
+        let on = |memory: &MemoryConfig, k| {
+            let m = memory.clone();
+            let batch = match s.0 {
+                Kind::Boss => run(&Boss::new(index, s.boss().on_memory(m)), 2, suite(), k),
+                Kind::Iiu => run(&Iiu::new(index, s.iiu().on_memory(m)), 2, suite(), k),
+                Kind::Lucene => run(&Lucene::new(index, s.lucene().on_memory(m)), 2, suite(), k),
+            };
+            batch.outcomes
+        };
+        for k in [K, 1000] {
+            let base = on(&optane, k);
+            for memory in &variants {
+                let ctx = format!("{s:?} on {}, k {k}", memory.name);
+                assert_outcomes(Must::Work, &base, &on(memory, k), &ctx);
+            }
+        }
+    }
 }

@@ -89,14 +89,13 @@ impl Run<'_> {
     }
 
     /// Charges one norm load through the 64-byte line buffer (BOSS's
-    /// scoring-module discipline) and counts the document scored.
+    /// scoring-module discipline).
     fn charge_norm(&mut self, doc: DocId) {
         let addr = self.image.norm_addr(doc);
         if addr / 64 != self.norm_line {
             self.read(addr, 4, LdScore, Random);
             self.norm_line = addr / 64;
         }
-        self.eval.docs_scored += 1;
     }
 }
 
@@ -122,31 +121,31 @@ fn search_steps(n: usize, landing: usize) -> u64 {
 /// with pattern auto-detection), and only prune skips are counted — IIU
 /// binary-searches its directory and never skips on metadata otherwise.
 impl ListSink for Run<'_> {
-    fn meta_read(&mut self, _slot: usize, addr: u64, records: u64) {
+    fn meta_read(&mut self, slot: usize, addr: u64, records: u64) {
         let bytes = (records * BLOCK_META_BYTES).max(1);
         self.read(addr, bytes, LdMeta, Sequential);
-        self.eval.metas_read += records;
+        self.eval.meta_read(slot, addr, records);
     }
 
     /// Per block, its descriptor and then its data, decoded round-robin
     /// by block ordinal.
     fn list_streamed(
         &mut self,
-        _slot: usize,
+        slot: usize,
         blocks: &[BlockMeta],
         meta_addr: u64,
         data_addr: u64,
-        _data_bytes: u64,
+        data_bytes: u64,
     ) {
         for (block, meta) in blocks.iter().enumerate() {
             let desc = meta_addr + block as u64 * BLOCK_META_BYTES;
             self.read(desc, BLOCK_META_BYTES, LdMeta, Sequential);
             let (addr, len) = (data_addr + u64::from(meta.offset), u64::from(meta.len));
             self.read(addr, len.max(1), LdList, Sequential);
-            self.eval.metas_read += 1;
-            self.eval.blocks_fetched += 1;
             self.decode(block, len.max(meta.count() as u64 * 2) / 2 + 4);
         }
+        self.eval
+            .list_streamed(slot, blocks, meta_addr, data_addr, data_bytes);
     }
 
     fn block_fetch(&mut self, _slot: usize, addr: u64, meta: &BlockMeta) -> Result<(), Error> {
@@ -155,8 +154,8 @@ impl ListSink for Run<'_> {
         Ok(())
     }
 
-    fn block_decoded(&mut self, _slot: usize, block: usize, _scheme: Scheme, meta: &BlockMeta) {
-        self.eval.blocks_fetched += 1;
+    fn block_decoded(&mut self, slot: usize, block: usize, scheme: Scheme, meta: &BlockMeta) {
+        self.eval.block_decoded(slot, block, scheme, meta);
         let (len, count) = (u64::from(meta.len), meta.count() as u64);
         if self.pruned {
             let unit = self.eval.blocks_fetched as usize;
@@ -166,32 +165,31 @@ impl ListSink for Run<'_> {
         }
     }
 
-    fn blocks_skipped(&mut self, _slot: usize, blocks: u64, postings: u64, reason: SkipReason) {
+    fn blocks_skipped(&mut self, slot: usize, blocks: u64, postings: u64, reason: SkipReason) {
         if reason == SkipReason::Prune {
-            self.eval.blocks_skipped += blocks;
-            self.eval.blocks_skipped_prune += blocks;
-            self.eval.docs_skipped_prune += postings;
+            self.eval.blocks_skipped(slot, blocks, postings, reason);
         }
     }
 
-    fn postings_passed(&mut self, _slot: usize, n: u64, reason: SkipReason, _scanned: bool) {
+    fn postings_passed(&mut self, slot: usize, n: u64, reason: SkipReason, scanned: bool) {
         if reason == SkipReason::Prune {
-            self.eval.docs_skipped_prune += n;
+            self.eval.postings_passed(slot, n, reason, scanned);
         }
     }
 }
 
 impl PruneSink for Run<'_> {
     fn doc_abandoned(&mut self) {
-        self.eval.docs_skipped_prune += 1;
+        self.eval.doc_abandoned();
     }
 
     fn doc_scored(&mut self, doc: DocId) {
         self.charge_norm(doc);
+        self.eval.doc_scored(doc);
     }
 
     fn round(&mut self) {
-        self.eval.pivot_rounds += 1;
+        self.eval.round();
         self.eval.comparisons += 1;
     }
 }
@@ -230,6 +228,7 @@ impl SvsSink for Run<'_> {
         for &doc in docs {
             self.charge_norm(doc);
         }
+        self.eval.scored(docs);
     }
 }
 

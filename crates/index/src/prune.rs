@@ -15,10 +15,12 @@
 //! [`PruneSink::round`] per pivot or candidate round,
 //! [`PruneSink::doc_norm`] and [`PruneSink::doc_scored`] per scored
 //! document, [`PruneSink::doc_abandoned`] per abandoned MaxScore
-//! candidate, and the streams' physical events. Every loop is required
-//! by tests (`prune_properties`, `differential`, `flag_invariance`,
-//! `traversal_golden`) to return the exact hits of
-//! [`crate::reference::evaluate`].
+//! candidate, and the streams' physical events. [`EvalCounts`], beside
+//! [`NullSink`] here, is the one sink that turns those events into the
+//! evaluation counters; every engine's sink forwards to it what its
+//! model counts. Every loop is required by tests (`prune_properties`,
+//! `differential`, `flag_invariance`, `traversal_golden`) to return the
+//! exact hits of [`crate::reference::evaluate`].
 //!
 //! # Safety contract
 //!
@@ -53,6 +55,7 @@ use crate::encoded::BlockMeta;
 use crate::index::{InvertedIndex, TermId};
 use crate::matches::canonical_score;
 use crate::query::SearchHit;
+use crate::svs::SvsSink;
 use crate::topk::TopK;
 use crate::union::{union_topk, Rounds, UnionStream};
 use crate::{DocId, Error};
@@ -65,8 +68,8 @@ use boss_compress::Scheme;
 /// perform it, with `slot` whatever the caller gave the stream (under
 /// [`pruned_union_topk`], its position in the deduplicated ascending term
 /// list); every skip is reported with [`SkipReason::Prune`]. Engines
-/// implement both halves to charge their memory simulators; [`NullSink`]
-/// ignores it all.
+/// implement both halves to charge their memory simulators and forward
+/// what they count to [`EvalCounts`]; [`NullSink`] ignores it all.
 pub trait PruneSink: ListSink {
     /// A candidate document was abandoned mid-probe (MaxScore family):
     /// its partial score plus the unprobed upper-bound tail cannot beat
@@ -104,52 +107,134 @@ pub struct NullSink;
 impl ListSink for NullSink {}
 impl PruneSink for NullSink {}
 
-/// A sink that tallies every event — the unit tests' visibility into
-/// how much work was avoided.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct PruneCounters {
-    /// Block directory entries read (19 B each).
-    pub metas_read: u64,
-    /// Blocks fetched and decoded.
-    pub blocks_decoded: u64,
-    /// Whole blocks skipped undecoded.
-    pub blocks_skipped: u64,
-    /// Postings inside skipped blocks (never decoded).
-    pub docs_skipped_blocks: u64,
-    /// Decoded postings passed over without scoring, plus abandoned
-    /// candidates.
-    pub docs_skipped: u64,
-    /// Documents fully scored.
+/// Document and block evaluation counters: Figure 14's "evaluated
+/// documents" and the skip statistics behind Figures 13–15. Also the one
+/// sink that turns traversal events into counters (the rule is its three
+/// sink impls; DESIGN.md §4 states it): every engine forwards the events
+/// its model counts here and writes only what the seams cannot see.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EvalCounts {
+    /// Documents actually scored.
     pub docs_scored: u64,
-    /// Pivot/candidate rounds.
-    pub rounds: u64,
+    /// Documents skipped by document-level WAND in the union module.
+    pub docs_skipped_wand: u64,
+    /// Documents inside blocks that were never fetched (block-level skips
+    /// from the block fetch module, both overlap-check and score
+    /// estimation).
+    pub docs_skipped_block: u64,
+    /// Blocks fetched and decompressed.
+    pub blocks_fetched: u64,
+    /// Blocks skipped via metadata.
+    pub blocks_skipped: u64,
+    /// Block metadata records read.
+    pub metas_read: u64,
+    /// Set-operation comparisons performed.
+    pub comparisons: u64,
+    /// Top-k insertions performed.
+    pub topk_inserts: u64,
+    /// WAND pivot-selection rounds.
+    pub pivot_rounds: u64,
+    /// Blocks a BOSS device running its `SkipBlock` degrade policy
+    /// dropped because their read faulted or their bytes failed to
+    /// decode. Always zero without an active fault plan (or with
+    /// uncorrupted data).
+    pub blocks_skipped_fault: u64,
+    /// Blocks skipped undecoded by a dynamic-pruning query plan
+    /// (`QueryAlgorithm` other than `Exhaustive`). Also counted in
+    /// `blocks_skipped`; this field attributes them to the pruning
+    /// algorithm. Always zero on the exhaustive path.
+    pub blocks_skipped_prune: u64,
+    /// Documents skipped by a dynamic-pruning query plan — inside
+    /// prune-skipped blocks, popped from decoded blocks, or abandoned
+    /// mid-probe. Always zero on the exhaustive path.
+    pub docs_skipped_prune: u64,
 }
 
-impl ListSink for PruneCounters {
+impl EvalCounts {
+    /// Documents whose evaluation was attempted or skipped — the
+    /// denominator of Figure 14's normalization.
+    pub fn docs_total(&self) -> u64 {
+        self.docs_scored
+            + self.docs_skipped_wand
+            + self.docs_skipped_block
+            + self.docs_skipped_prune
+    }
+
+    /// Merges counters (across queries or cores).
+    pub fn merge(&mut self, o: &EvalCounts) {
+        self.docs_scored += o.docs_scored;
+        self.docs_skipped_wand += o.docs_skipped_wand;
+        self.docs_skipped_block += o.docs_skipped_block;
+        self.blocks_fetched += o.blocks_fetched;
+        self.blocks_skipped += o.blocks_skipped;
+        self.metas_read += o.metas_read;
+        self.comparisons += o.comparisons;
+        self.topk_inserts += o.topk_inserts;
+        self.pivot_rounds += o.pivot_rounds;
+        self.blocks_skipped_fault += o.blocks_skipped_fault;
+        self.blocks_skipped_prune += o.blocks_skipped_prune;
+        self.docs_skipped_prune += o.docs_skipped_prune;
+    }
+}
+
+impl ListSink for EvalCounts {
     fn meta_read(&mut self, _slot: usize, _addr: u64, records: u64) {
         self.metas_read += records;
     }
+
+    fn list_streamed(
+        &mut self,
+        _slot: usize,
+        blocks: &[BlockMeta],
+        _meta_addr: u64,
+        _data_addr: u64,
+        _data_bytes: u64,
+    ) {
+        self.metas_read += blocks.len() as u64;
+        self.blocks_fetched += blocks.len() as u64;
+    }
+
     fn block_decoded(&mut self, _slot: usize, _block: usize, _scheme: Scheme, _meta: &BlockMeta) {
-        self.blocks_decoded += 1;
+        self.blocks_fetched += 1;
     }
-    fn blocks_skipped(&mut self, _slot: usize, blocks: u64, postings: u64, _reason: SkipReason) {
+
+    fn blocks_skipped(&mut self, _slot: usize, blocks: u64, postings: u64, reason: SkipReason) {
         self.blocks_skipped += blocks;
-        self.docs_skipped_blocks += postings;
+        match reason {
+            SkipReason::Prune => {
+                self.blocks_skipped_prune += blocks;
+                self.docs_skipped_prune += postings;
+            }
+            SkipReason::Block | SkipReason::Wand => self.docs_skipped_block += postings,
+        }
     }
-    fn postings_passed(&mut self, _slot: usize, n: u64, _reason: SkipReason, _scanned: bool) {
-        self.docs_skipped += n;
+
+    fn postings_passed(&mut self, _slot: usize, n: u64, reason: SkipReason, _scanned: bool) {
+        match reason {
+            SkipReason::Block => self.docs_skipped_block += n,
+            SkipReason::Wand => self.docs_skipped_wand += n,
+            SkipReason::Prune => self.docs_skipped_prune += n,
+        }
     }
 }
 
-impl PruneSink for PruneCounters {
+impl PruneSink for EvalCounts {
     fn doc_abandoned(&mut self) {
-        self.docs_skipped += 1;
+        self.docs_skipped_prune += 1;
     }
+
     fn doc_scored(&mut self, _doc: DocId) {
         self.docs_scored += 1;
     }
+
     fn round(&mut self) {
-        self.rounds += 1;
+        self.pivot_rounds += 1;
+    }
+}
+
+impl SvsSink for EvalCounts {
+    fn scored(&mut self, docs: &[DocId]) {
+        self.docs_scored += docs.len() as u64;
     }
 }
 
@@ -638,9 +723,9 @@ mod tests {
         let terms = union_terms(&index, &["alpha", "beta", "rare", "common"]);
         let mut decoded = std::collections::HashMap::new();
         for algo in crate::ALL_ALGORITHMS {
-            let mut counters = PruneCounters::default();
+            let mut counters = EvalCounts::default();
             pruned_union_topk(&index, &terms, algo, 10, &mut counters).expect("evaluates");
-            decoded.insert(algo.label(), counters.blocks_decoded);
+            decoded.insert(algo.label(), counters.blocks_fetched);
         }
         let exhaustive = decoded["exhaustive"];
         assert!(
@@ -653,6 +738,112 @@ mod tests {
             "BMM decoded {} blocks, exhaustive {exhaustive}",
             decoded["bmm"]
         );
+    }
+
+    #[test]
+    fn totals_and_merge() {
+        let mut a = EvalCounts {
+            docs_scored: 10,
+            docs_skipped_wand: 5,
+            docs_skipped_block: 85,
+            ..Default::default()
+        };
+        assert_eq!(a.docs_total(), 100);
+        let b = EvalCounts {
+            docs_scored: 1,
+            blocks_fetched: 2,
+            ..Default::default()
+        };
+        a.merge(&b);
+        assert_eq!(a.docs_scored, 11);
+        assert_eq!(a.blocks_fetched, 2);
+        assert_eq!(a.docs_total(), 101);
+    }
+
+    /// The attribution rule, event by event and reason by reason: an
+    /// event moves exactly the counters its row of [`EvalCounts`]'s table
+    /// names, by the named amounts, and no other field.
+    #[test]
+    fn each_event_moves_exactly_its_counters() {
+        let docs = corpus(800);
+        let index = IndexBuilder::new()
+            .add_documents(docs.iter().map(String::as_str))
+            .build()
+            .expect("builds");
+        let list = index.list(index.term_id("common").expect("term"));
+        let (metas, scheme) = (list.blocks(), list.scheme());
+        assert!(metas.len() > 1, "a multi-block list");
+        let n = metas.len() as u64;
+        // The counters after one event (or after writing the expected
+        // fields) on fresh counters.
+        let on = |event: &dyn Fn(&mut EvalCounts)| {
+            let mut counts = EvalCounts::default();
+            event(&mut counts);
+            counts
+        };
+        type Event<'a> = &'a dyn Fn(&mut EvalCounts);
+        let rows: [(&str, Event, Event); 11] = [
+            ("meta_read", &|c| c.meta_read(1, 64, 3), &|w| {
+                w.metas_read = 3
+            }),
+            (
+                "list_streamed",
+                &|c| c.list_streamed(1, metas, 0, 4096, 512),
+                &|w| (w.metas_read, w.blocks_fetched) = (n, n),
+            ),
+            (
+                "block_decoded",
+                &|c| c.block_decoded(1, 0, scheme, &metas[0]),
+                &|w| w.blocks_fetched = 1,
+            ),
+            ("doc_abandoned", &|c| c.doc_abandoned(), &|w| {
+                w.docs_skipped_prune = 1
+            }),
+            ("doc_scored", &|c| c.doc_scored(9), &|w| w.docs_scored = 1),
+            ("scored", &|c| c.scored(&[2, 5, 9]), &|w| w.docs_scored = 3),
+            ("round", &|c| c.round(), &|w| w.pivot_rounds = 1),
+            // What the rule leaves to the engines moves nothing.
+            (
+                "block_fetch",
+                &|c| c.block_fetch(1, 0, &metas[0]).expect("no fault model"),
+                &|_| {},
+            ),
+            ("pruned_union", &|c| c.pruned_union(), &|_| {}),
+            ("joined", &|c| c.joined(5, 2), &|_| {}),
+            ("group_matched", &|c| c.group_matched(2), &|_| {}),
+        ];
+        for (event, got, want) in rows {
+            assert_eq!(on(got), on(want), "{event}");
+        }
+        let unusable = on(&|c| {
+            let err = Error::ReadFault { addr: 0 };
+            assert!(
+                c.block_unusable(1, &metas[0], err).is_err(),
+                "fails the query"
+            );
+        });
+        assert_eq!(unusable, EvalCounts::default(), "block_unusable");
+
+        for reason in [SkipReason::Block, SkipReason::Wand, SkipReason::Prune] {
+            let skipped = on(&|c| c.blocks_skipped(1, 2, 7, reason));
+            let want = on(&|w| {
+                w.blocks_skipped = 2;
+                match reason {
+                    SkipReason::Prune => (w.blocks_skipped_prune, w.docs_skipped_prune) = (2, 7),
+                    SkipReason::Block | SkipReason::Wand => w.docs_skipped_block = 7,
+                }
+            });
+            assert_eq!(skipped, want, "blocks_skipped {reason:?}");
+            let want = on(&|w| match reason {
+                SkipReason::Block => w.docs_skipped_block = 4,
+                SkipReason::Wand => w.docs_skipped_wand = 4,
+                SkipReason::Prune => w.docs_skipped_prune = 4,
+            });
+            for scanned in [false, true] {
+                let passed = on(&|c| c.postings_passed(1, 4, reason, scanned));
+                assert_eq!(passed, want, "postings_passed {reason:?} scanned {scanned}");
+            }
+        }
     }
 
     #[test]

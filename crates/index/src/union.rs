@@ -640,7 +640,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
     use super::*;
-    use crate::prune::PruneCounters;
+    use crate::prune::EvalCounts;
     use crate::{reference, IndexBuilder, QueryExpr, SearchHit};
 
     /// The early-termination modes of the BOSS device.
@@ -687,8 +687,8 @@ mod tests {
         terms: &[&str],
         rounds: Rounds,
         k: usize,
-    ) -> (Vec<SearchHit>, PruneCounters) {
-        let mut sink = PruneCounters::default();
+    ) -> (Vec<SearchHit>, EvalCounts) {
+        let mut sink = EvalCounts::default();
         let mut streams: Vec<UnionStream> = terms
             .iter()
             .enumerate()
@@ -736,7 +736,7 @@ mod tests {
         let expr = QueryExpr::or([QueryExpr::term("alpha"), QueryExpr::term("beta")]);
         let cand = reference::candidates(&idx, &expr).unwrap();
         assert_eq!(sink.docs_scored, cand.len() as u64);
-        assert_eq!(sink.docs_skipped + sink.docs_skipped_blocks, 0);
+        assert_eq!(sink.docs_total() - sink.docs_scored, 0);
     }
 
     #[test]
@@ -751,7 +751,7 @@ mod tests {
             full.docs_scored,
             exhaustive.docs_scored
         );
-        assert!(full.docs_skipped + full.docs_skipped_blocks > 0);
+        assert!(full.docs_total() - full.docs_scored > 0);
     }
 
     #[test]
@@ -764,7 +764,7 @@ mod tests {
         let (_, ex) = run_union(&idx, &terms, Rounds::Exhaustive, 5);
         assert_eq!(
             ex.docs_scored,
-            full.docs_scored + full.docs_skipped + full.docs_skipped_blocks,
+            full.docs_total(),
             "every doc accounted in Full mode"
         );
     }
@@ -805,7 +805,7 @@ mod tests {
                 m,
             ))
         });
-        let mut sink = PruneCounters::default();
+        let mut sink = EvalCounts::default();
         let mut topk = TopK::new(10);
         topk.seed_cutoff(floor);
         let wand = Rounds::Wand {
@@ -813,7 +813,8 @@ mod tests {
             prune: false,
         };
         union_topk(&idx, &mut streams, wand, &mut topk, &mut sink).unwrap();
-        assert_eq!((sink.docs_scored, sink.docs_skipped), (0, 3));
+        let skipped = (sink.docs_scored, sink.docs_skipped_wand, sink.docs_total());
+        assert_eq!(skipped, (0, 3, 3));
     }
 
     #[test]
@@ -821,7 +822,7 @@ mod tests {
         let idx = corpus();
         // Materialized stream mimicking an intersection output; union it
         // with a live cursor and check against manual evaluation.
-        let mut sink = PruneCounters::default();
+        let mut sink = EvalCounts::default();
         let a = idx.term_id("alpha").unwrap();
         let g = idx.term_id("gamma").unwrap();
         let (adocs, atfs) = idx.list(a).decode_all().unwrap();

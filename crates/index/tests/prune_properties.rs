@@ -8,7 +8,7 @@
 //! fixed-corpus case pins the payoff: on score-skewed lists the
 //! block-max plans decode *strictly* fewer blocks than exhaustive.
 
-use boss_index::prune::{pruned_union_topk, NullSink, PruneCounters};
+use boss_index::prune::{pruned_union_topk, EvalCounts, NullSink};
 use boss_index::{
     reference, Error, IndexBuilder, InvertedIndex, QueryExpr, SearchHit, TermId, ALL_ALGORITHMS,
 };
@@ -152,7 +152,7 @@ proptest! {
             .iter()
             .map(|w| index.term_id(w).expect("term in vocabulary"))
             .collect();
-        let mut baseline = PruneCounters::default();
+        let mut baseline = EvalCounts::default();
         pruned_union_topk(
             &index,
             &terms,
@@ -162,12 +162,12 @@ proptest! {
         )
         .expect("exhaustive evaluates");
         for algo in ALL_ALGORITHMS {
-            let mut c = PruneCounters::default();
+            let mut c = EvalCounts::default();
             pruned_union_topk(&index, &terms, algo, k, &mut c).expect("evaluates");
             prop_assert!(
-                c.blocks_decoded <= baseline.blocks_decoded,
+                c.blocks_fetched <= baseline.blocks_fetched,
                 "{} decoded {} blocks, exhaustive {}",
-                algo, c.blocks_decoded, baseline.blocks_decoded
+                algo, c.blocks_fetched, baseline.blocks_fetched
             );
         }
     }
@@ -264,7 +264,7 @@ fn block_max_plans_decode_strictly_fewer_blocks_on_skewed_lists() {
         &["alpha", "beta", "mid", "common"],
     ];
     let blocks_decoded = |algo| {
-        let mut counters = PruneCounters::default();
+        let mut counters = EvalCounts::default();
         for words in unions {
             let terms: Vec<TermId> = words
                 .iter()
@@ -272,7 +272,7 @@ fn block_max_plans_decode_strictly_fewer_blocks_on_skewed_lists() {
                 .collect();
             pruned_union_topk(&index, &terms, algo, 10, &mut counters).expect("evaluates");
         }
-        counters.blocks_decoded
+        counters.blocks_fetched
     };
     let exhaustive = blocks_decoded(boss_index::QueryAlgorithm::Exhaustive);
     for algo in ALL_ALGORITHMS.into_iter().filter(|a| a.is_block_max()) {

@@ -102,16 +102,16 @@ impl Host<'_> {
 }
 
 impl ListSink for Host<'_> {
-    fn meta_read(&mut self, _slot: usize, addr: u64, records: u64) {
+    fn meta_read(&mut self, slot: usize, addr: u64, records: u64) {
         let bytes = (records * BLOCK_META_BYTES).max(1);
         self.read(addr, bytes, LdMeta);
-        self.eval.metas_read += records;
+        self.eval.meta_read(slot, addr, records);
     }
 
     /// The lead list: its skip data, then its postings, as two streams.
     fn list_streamed(
         &mut self,
-        _slot: usize,
+        slot: usize,
         blocks: &[BlockMeta],
         meta_addr: u64,
         data_addr: u64,
@@ -120,8 +120,8 @@ impl ListSink for Host<'_> {
         let n_blocks = blocks.len() as u64;
         self.read(meta_addr, (n_blocks * BLOCK_META_BYTES).max(1), LdMeta);
         self.read(data_addr, data_bytes.max(1), LdList);
-        self.eval.metas_read += n_blocks;
-        self.eval.blocks_fetched += n_blocks;
+        self.eval
+            .list_streamed(slot, blocks, meta_addr, data_addr, data_bytes);
         let postings: u64 = blocks.iter().map(|m| m.count() as u64).sum();
         self.postings_decoded += postings;
         self.eval.comparisons += postings;
@@ -134,37 +134,35 @@ impl ListSink for Host<'_> {
         Ok(())
     }
 
-    fn block_decoded(&mut self, _slot: usize, _block: usize, _scheme: Scheme, meta: &BlockMeta) {
-        self.eval.blocks_fetched += 1;
+    fn block_decoded(&mut self, slot: usize, block: usize, scheme: Scheme, meta: &BlockMeta) {
+        self.eval.block_decoded(slot, block, scheme, meta);
         self.postings_decoded += meta.count() as u64;
         if !self.pruned {
             self.eval.comparisons += meta.count() as u64;
         }
     }
 
-    fn blocks_skipped(&mut self, _slot: usize, blocks: u64, postings: u64, reason: SkipReason) {
+    fn blocks_skipped(&mut self, slot: usize, blocks: u64, postings: u64, reason: SkipReason) {
         if reason == SkipReason::Prune {
-            self.eval.blocks_skipped += blocks;
-            self.eval.blocks_skipped_prune += blocks;
-            self.eval.docs_skipped_prune += postings;
+            self.eval.blocks_skipped(slot, blocks, postings, reason);
         }
     }
 
-    fn postings_passed(&mut self, _slot: usize, n: u64, reason: SkipReason, _scanned: bool) {
+    fn postings_passed(&mut self, slot: usize, n: u64, reason: SkipReason, scanned: bool) {
         if reason == SkipReason::Prune {
-            self.eval.docs_skipped_prune += n;
+            self.eval.postings_passed(slot, n, reason, scanned);
         }
     }
 }
 
 impl PruneSink for Host<'_> {
     fn doc_abandoned(&mut self) {
-        self.eval.docs_skipped_prune += 1;
+        self.eval.doc_abandoned();
     }
 
     fn doc_scored(&mut self, doc: DocId) {
         self.read(self.image.norm_addr(doc), 4, LdScore);
-        self.eval.docs_scored += 1;
+        self.eval.doc_scored(doc);
     }
 
     fn round(&mut self) {
@@ -189,7 +187,7 @@ impl SvsSink for Host<'_> {
 
     fn scored(&mut self, docs: &[DocId]) {
         self.first_candidate = self.first_candidate.or(docs.first().copied());
-        self.eval.docs_scored += docs.len() as u64;
+        self.eval.scored(docs);
     }
 }
 

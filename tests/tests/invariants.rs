@@ -132,7 +132,6 @@ fn tlb_steady_state_hits() {
         }
     }
     assert_eq!(misses, 1);
-    assert!(tlb.stats().hit_rate() > 0.98);
 }
 
 #[test]
