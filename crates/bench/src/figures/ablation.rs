@@ -4,9 +4,8 @@
 use super::{CorpusKind, FigureCtx, Systems};
 use crate::{f, header, row};
 use boss_compress::ALL_SCHEMES;
-use boss_core::pool::MemoryPool;
 use boss_core::{BossConfig, BossDevice, EtMode, TimingFidelity};
-use boss_engine::{BatchExecutor, Boss, SchedPolicy};
+use boss_engine::{BatchExecutor, Boss, SchedPolicy, SearchEngine, ShardTiming, Sharded};
 use boss_index::shard::ShardedIndex;
 use boss_index::{Bm25, Bm25Params, EncodedList, PostingList};
 use boss_scm::{AccessCategory, MemoryConfig};
@@ -288,9 +287,11 @@ pub(super) fn k(ctx: &mut FigureCtx) -> io::Result<()> {
 /// across 1..16 memory nodes, each with its own BOSS device, behind one
 /// shared 64 GB/s CXL-like link — the interconnect traffic of BOSS's
 /// hardware top-k against a host-side design that ships every node's
-/// full scored candidate list to the CPU.
+/// full scored candidate list to the CPU: the coordinator's result-store
+/// bytes (8 per shipped hit) at `k`, and at `k = n_docs`.
 pub(super) fn pool_scaleout(ctx: &mut FigureCtx) -> io::Result<()> {
     let corpus = ctx.corpus(CorpusKind::Ccnews)?;
+    let index = &corpus.index;
     let k = ctx.args.k;
     let out = &mut *ctx.out;
     let mut sampler = corpus.sampler(ctx.args.seed)?;
@@ -320,18 +321,27 @@ pub(super) fn pool_scaleout(ctx: &mut FigureCtx) -> io::Result<()> {
         ],
     )?;
     for nodes in [1u32, 2, 4, 8, 16] {
-        let sharded = ShardedIndex::split(&corpus.index, nodes).expect("splits");
-        let mut pool = MemoryPool::new(&sharded, BossConfig::with_cores(2));
+        let sharded = ShardedIndex::split(index, nodes).expect("splits");
+        let leaves = (sharded.shards().iter())
+            .map(|shard| vec![Boss::new(shard, BossConfig::with_cores(2))])
+            .collect();
+        let mut pool = Sharded::new(
+            Boss::new(index, BossConfig::with_cores(2)),
+            &sharded,
+            leaves,
+            ShardTiming::ScatterGather,
+        );
         let mut link = 0u64;
         let mut host = 0u64;
         let mut cycles = 0u64;
         for q in &queries {
             let res = pool.search(q, k).expect("pool search runs");
-            link += res.interconnect_bytes;
-            host += pool
-                .hostside_interconnect_bytes(q)
-                .expect("hostside estimate");
+            link += res.mem.bytes(AccessCategory::StResult);
             cycles += res.cycles;
+            let all = pool
+                .search(q, index.n_docs() as usize)
+                .expect("pool search runs");
+            host += all.mem.bytes(AccessCategory::StResult);
         }
         let n = queries.len() as f64;
         row(

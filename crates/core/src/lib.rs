@@ -56,7 +56,6 @@ mod intersect;
 mod mai;
 mod pipeline;
 mod plan;
-pub mod pool;
 pub mod power;
 mod stats;
 

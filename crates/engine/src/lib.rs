@@ -49,6 +49,8 @@
 
 mod engines;
 mod executor;
+#[cfg(test)]
+mod pool;
 mod serving;
 mod sharded;
 

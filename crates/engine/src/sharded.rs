@@ -10,13 +10,14 @@
 //!
 //! # Timing
 //!
-//! One model: cycles = slowest selected leaf + link transfer of
-//! `hits × 8` bytes + root merge, mirroring `boss_core::pool::MemoryPool`;
-//! traffic and counters are summed over the selected leaves; the
-//! bandwidth roofline divides by the shard count (each shard owns its own
-//! channels). The hits are the merge of the per-shard top-k, bit-identical
-//! to the unsplit index's under quiet fault plans (shards carry global
-//! BM25 statistics — see [`boss_index::shard`]); that contract is a test
+//! One model: cycles = slowest selected leaf + transfer of the shipped
+//! hits (`hits × 8` bytes) over one shared host link ([`LINK_GBPS`],
+//! [`LINK_LATENCY_NS`]) + root merge; traffic and counters are summed
+//! over the selected leaves; the bandwidth roofline divides by the shard
+//! count (each shard owns its own channels). The hits are the merge of
+//! the per-shard top-k, bit-identical to the unsplit index's under quiet
+//! fault plans (shards carry global BM25 statistics — see
+//! [`boss_index::shard`]); that contract is a test
 //! (the `shards` and `threads` rows of `tests/invariance.rs`, and
 //! `differential.rs` against the reference evaluator), not a mode.
 //!
@@ -37,11 +38,30 @@
 //! executor workers and must never leak into a [`QueryOutcome`].
 
 use crate::{EvalCounts, MemStats, QueryOutcome, SearchEngine};
-use boss_core::pool::{root_merge_cycles, transfer_cycles};
 use boss_core::EngineSetup;
 use boss_index::shard::{self, ShardedIndex};
 use boss_index::{Error, QueryExpr, SearchHit};
 use boss_scm::FaultCounts;
+
+/// Bandwidth of the shared host link (CXL-like), GB/s: the paper cites
+/// 64 GB/s for one CXL link.
+const LINK_GBPS: f64 = 64.0;
+
+/// One-way message latency of the shared host link, ns.
+const LINK_LATENCY_NS: u64 = 400;
+
+/// Cycles (at 1 GHz) to move `bytes` over the shared link, including its
+/// latency. Transfers from different leaves share the one link, so their
+/// bytes serialize.
+pub(crate) fn transfer_cycles(bytes: u64) -> u64 {
+    LINK_LATENCY_NS + (bytes as f64 / LINK_GBPS).ceil() as u64
+}
+
+/// Host-side cycles to k-way-merge `n_nodes` sorted top-`k` streams at the
+/// root: one comparison per emitted entry, four-wide.
+fn root_merge_cycles(n_nodes: usize, k: usize) -> u64 {
+    (n_nodes as u64) * (k as u64).max(1) / 4
+}
 
 /// How [`Sharded`] charges time for a scatter-gather query.
 ///
@@ -440,8 +460,7 @@ mod tests {
         let q = QueryExpr::term("beta");
         let out = multi.search(&q, 10).unwrap();
         // Cycles include at least the link latency and the root merge.
-        let latency = boss_core::pool::LINK_LATENCY_NS;
-        assert!(out.cycles > latency + root_merge_cycles(4, 10));
+        assert!(out.cycles > LINK_LATENCY_NS + root_merge_cycles(4, 10));
         assert!(out.mem.total_bytes() > 0);
         // Hits still match the canonical engine bit for bit.
         let mut single = Sharded::single(Boss::new(&idx, BossConfig::default()));

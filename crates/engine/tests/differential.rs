@@ -2,8 +2,7 @@
 //! random nested AND/OR queries × k ∈ {0, 1, 3, 10, 100, 1000}, answered by
 //! BOSS under every early-termination mode and every query algorithm and
 //! by IIU and the Lucene-like engine under every query algorithm — each
-//! on one device and as a four-shard scatter-gather — and by BOSS's
-//! memory pool over the same four shards, and compared,
+//! on one device and as a four-shard scatter-gather — and compared,
 //! docID and score bits, with the exhaustive oracle
 //! [`boss_index::reference::evaluate`]. A query the hardware planner
 //! rejects must be rejected by every single-device engine; a shard may
@@ -15,7 +14,6 @@
 //! opened and merged) — and the two indexes must be equal before any
 //! query runs.
 
-use boss_core::pool::MemoryPool;
 use boss_core::{BossConfig, EtMode, QueryPlan};
 use boss_engine::{Boss, Iiu, Lucene, SearchEngine, ShardTiming, Sharded};
 use boss_iiu::IiuConfig;
@@ -163,13 +161,11 @@ fn bits(hits: &[SearchHit]) -> Vec<(u32, u32)> {
     hits.iter().map(|h| (h.doc, h.score.to_bits())).collect()
 }
 
-/// Runs `expr` at `k` on every engine of `runs` and on `pool`, which
-/// restricts the query per shard like a scatter-gather; the first
-/// disagreement with the oracle or with the planner's verdict, if any.
+/// Runs `expr` at `k` on every engine of `runs`; the first disagreement
+/// with the oracle or with the planner's verdict, if any.
 fn disagreement(
     index: &InvertedIndex,
     runs: &mut [Run<'_>],
-    pool: &mut MemoryPool<'_>,
     expr: &QueryExpr,
     k: usize,
 ) -> Option<String> {
@@ -191,13 +187,7 @@ fn disagreement(
             Err(_) => {}
         }
     }
-    match pool.search(expr, k) {
-        Ok(out) if bits(&out.hits) != expect => {
-            Some(format!("pool: {expr} k={k} diverged from the oracle"))
-        }
-        Err(e) if planned => Some(format!("pool: {expr} k={k} failed: {e}")),
-        _ => None,
-    }
+    None
 }
 
 proptest! {
@@ -216,9 +206,8 @@ proptest! {
         prop_assert!(spilled == index, "{} segments built another index", segments);
         let shards = ShardedIndex::split(&index, SHARDS).expect("corpus splits");
         let mut runs = lineup(&index, &shards);
-        let mut pool = MemoryPool::new(&shards, BossConfig::default());
         for k in [0usize, 1, 3, 10, 100, 1000] {
-            let found = disagreement(&index, &mut runs, &mut pool, &expr, k);
+            let found = disagreement(&index, &mut runs, &expr, k);
             prop_assert!(found.is_none(), "{}", found.unwrap_or_default());
         }
     }
@@ -235,11 +224,10 @@ fn three_engines_agree_on_every_query_type() {
     let shards = ShardedIndex::split(&index, SHARDS).expect("corpus splits");
     let mut sampler = QuerySampler::new(&index, 31).expect("sampler");
     let mut runs = lineup(&index, &shards);
-    let mut pool = MemoryPool::new(&shards, BossConfig::default());
     for qt in ALL_QUERY_TYPES {
         for _ in 0..3 {
             let q = sampler.sample(qt).expect("sample").expr;
-            if let Some(found) = disagreement(&index, &mut runs, &mut pool, &q, 200) {
+            if let Some(found) = disagreement(&index, &mut runs, &q, 200) {
                 panic!("{qt:?}: {found}");
             }
         }

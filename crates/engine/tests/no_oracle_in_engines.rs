@@ -1,6 +1,7 @@
 //! The `reference` modules are test oracles: `boss_index::reference::evaluate`
 //! (a HashMap-of-HashMaps evaluator every engine is *compared against*)
-//! and `boss_compress::reference` (the seed per-value decoders).
+//! and its unscored `reference::candidates`, and `boss_compress::reference`
+//! (the seed per-value decoders).
 //! Production code that calls one measures the oracle, not itself (the
 //! Lucene-like engine's multi-term path did, and spent two thirds of its
 //! host time there). This test reads every library crate's sources and
@@ -27,8 +28,9 @@ const LIBRARY_CRATES: [&str; 9] = [
 
 /// What no production line outside a `reference.rs` may contain: the
 /// oracles' entry points, by cross-crate path and by in-crate path.
-const ORACLE_NAMES: [&str; 4] = [
+const ORACLE_NAMES: [&str; 5] = [
     "reference::evaluate",
+    "reference::candidates",
     "compress::reference",
     "reference::decode",
     "reference::unpack",

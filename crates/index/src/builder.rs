@@ -65,6 +65,15 @@ pub(crate) fn fill_doc_lens(doc_lens: &mut [u32], tf_sums: &[u64]) {
     }
 }
 
+/// The one tokenizer of the text input paths ([`IndexBuilder::add_documents`]
+/// and [`crate::SpimiBuilder::add_document_text`]): split on
+/// non-alphanumerics, drop empty pieces, lowercase.
+pub(crate) fn tokenize(text: &str) -> impl Iterator<Item = String> + '_ {
+    text.split(|c: char| !c.is_alphanumeric())
+        .filter(|t| !t.is_empty())
+        .map(str::to_lowercase)
+}
+
 /// Corpus-level scoring state derived from final document lengths: the
 /// BM25 scorer (avgdl guarded away from zero) and the per-document
 /// precomputed norms. Shared verbatim by the in-memory build and the
@@ -180,11 +189,8 @@ impl<'a> IndexBuilder<'a> {
             self.n_docs_from_text += 1;
             let mut len = 0u32;
             let mut counts: BTreeMap<String, u32> = BTreeMap::new();
-            for tok in text
-                .split(|c: char| !c.is_alphanumeric())
-                .filter(|t| !t.is_empty())
-            {
-                *counts.entry(tok.to_lowercase()).or_insert(0) += 1;
+            for tok in tokenize(text) {
+                *counts.entry(tok).or_insert(0) += 1;
                 len += 1;
             }
             for (term, tf) in counts {

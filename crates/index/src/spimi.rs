@@ -28,7 +28,7 @@
 //! [`crate::BlockMeta`] records, and block-max scores.
 
 use crate::accumulator::{Accumulator, MAX_ACCUMULATOR_BYTES};
-use crate::builder::{fill_doc_lens, scoring_from_lens};
+use crate::builder::{fill_doc_lens, scoring_from_lens, tokenize};
 use crate::encoded::ListStore;
 use crate::index::{IndexAssembler, InvertedIndex};
 use crate::io::IoError;
@@ -250,19 +250,14 @@ impl SpimiBuilder {
         Ok(global)
     }
 
-    /// Tokenizes and adds one document — the same whitespace +
-    /// punctuation split and lowercasing as
-    /// [`crate::IndexBuilder::add_documents`].
+    /// Tokenizes and adds one document with the tokenizer
+    /// [`crate::IndexBuilder::add_documents`] uses.
     ///
     /// # Errors
     ///
     /// As for [`SpimiBuilder::add_document`].
     pub fn add_document_text(&mut self, text: &str) -> Result<DocId, IoError> {
-        let tokens: Vec<String> = text
-            .split(|c: char| !c.is_alphanumeric())
-            .filter(|t| !t.is_empty())
-            .map(str::to_lowercase)
-            .collect();
+        let tokens: Vec<String> = tokenize(text).collect();
         self.add_document(tokens.iter().map(|t| (t.as_str(), 1)), tokens.len() as u32)
     }
 

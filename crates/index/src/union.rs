@@ -12,8 +12,8 @@
 //! modes and the WAND-family pruning plans of all three engines; the
 //! MaxScore family runs [`crate::prune::maxscore_union`] over the same
 //! streams ([`PruneStream`]). Between rounds the loop keeps a
-//! [`Frontier`]: the live streams' sIDs packed into integer sort keys and
-//! the cutoff's comparison bound ([`ThetaBound`]), each re-derived only
+//! `Frontier`: the live streams' sIDs packed into integer sort keys and
+//! the cutoff's comparison bound (`ThetaBound`), each re-derived only
 //! when the event that can change it happened. A list stream's cursor is
 //! opened [`ListCursor::scored`]: it holds its decoded block's docIDs and
 //! term scores, one [`crate::Bm25::score_block`] per decode, so a round
@@ -21,7 +21,7 @@
 //! block without an event. A round whose pivot set is one decoded list
 //! stream gathers in one step every posting of its run below the next
 //! live stream's head: each of their own rounds would find θ, and so
-//! every check, as this round did ([`take_run`]).
+//! every check, as this round did (`take_run`).
 //!
 //! What the loop does besides walking its streams goes to the engine's
 //! [`PruneSink`]: a [`PruneSink::round`] per pivot round, the pivot's

@@ -253,7 +253,7 @@ impl Bitmap {
 ///
 /// Rejection-free for the common `count << range` case: draws with
 /// replacement, dedups, and tops up until the target is met. The dedup
-/// is a [`Bitmap`] over `0..range` unless the sample is tiny next to
+/// is a bitmap over `0..range` unless the sample is tiny next to
 /// the range (`count · 512 < range`), where sorting the draws costs less
 /// than reading out the map; either way every round draws the same
 /// values, so the result and the stream's position are the same.

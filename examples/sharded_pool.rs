@@ -5,9 +5,10 @@
 //!
 //! Run with: `cargo run --release -p boss-examples --bin sharded_pool`
 
-use boss_core::pool::MemoryPool;
 use boss_core::BossConfig;
+use boss_engine::{Boss, QueryOutcome, SearchEngine, ShardTiming, Sharded};
 use boss_index::shard::ShardedIndex;
+use boss_scm::AccessCategory;
 use boss_workload::corpus::{CorpusSpec, Scale};
 use boss_workload::queries::{QuerySampler, QueryType};
 
@@ -21,31 +22,47 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  node {i}: {} docs, {} terms", s.n_docs(), s.n_terms());
     }
 
-    let mut pool = MemoryPool::new(&sharded, BossConfig::with_cores(2));
+    let config = || BossConfig::with_cores(2);
+    let leaves = (sharded.shards().iter())
+        .map(|shard| vec![Boss::new(shard, config())])
+        .collect();
+    let mut pool = Sharded::new(
+        Boss::new(&index, config()),
+        &sharded,
+        leaves,
+        ShardTiming::ScatterGather,
+    );
+    let mut single = Boss::new(&index, config());
     let mut sampler = QuerySampler::new(&index, 11)?;
     let k = 10;
+    // Each node writes 8 bytes per hit it ships over the link. At
+    // k = n_docs every node ships its whole candidate list: the traffic
+    // of a host-side design without hardware top-k.
+    let link_bytes = |out: &QueryOutcome| out.mem.bytes(AccessCategory::StResult);
 
     println!("\nquery\tlink_bytes\thostside_bytes\tlatency_us\thits");
     for qt in [QueryType::Q1, QueryType::Q3, QueryType::Q5] {
         let q = sampler.sample(qt)?.expr;
         let out = pool.search(&q, k)?;
-        let hostside = pool.hostside_interconnect_bytes(&q)?;
+        let hostside = link_bytes(&pool.search(&q, index.n_docs() as usize)?);
         println!(
             "{}\t{}\t{}\t{:.1}\t{}",
             qt.label(),
-            out.interconnect_bytes,
+            link_bytes(&out),
             hostside,
             out.cycles as f64 / 1e3,
             out.hits.len()
         );
-        // The pool's merged answer equals a single-index search.
-        let global = boss_index::reference::evaluate(&index, &q, k)?;
-        let pool_docs: Vec<u32> = out.hits.iter().map(|h| h.doc).collect();
-        let global_docs: Vec<u32> = global.iter().map(|h| h.doc).collect();
+        // The pool's merged answer equals a single-index search, hit for
+        // hit: the same docIDs and the same score bits.
+        let global = single.search(&q, k)?.hits;
+        let bits = |hits: &[boss_index::SearchHit]| -> Vec<(u32, u32)> {
+            hits.iter().map(|h| (h.doc, h.score.to_bits())).collect()
+        };
         assert_eq!(
-            pool_docs.len(),
-            global_docs.len(),
-            "same depth of results from the pool"
+            bits(&out.hits),
+            bits(&global),
+            "the pool's hits differ from one device's over the unsplit index"
         );
     }
     println!("\nhardware top-k keeps the shared link at k x 8 bytes per node per query.");
